@@ -6,10 +6,9 @@ fill with 80:20 splits, so it needs far fewer leaves. We ingest each
 sortedness preset into both indexes and compare allocated leaf slots.
 
 Occupancy is reported on two axes, which the gapped node layout makes
-distinct: *logical* fill (live entries / logical leaf slots — the classic
+distinct: *logical* fill (live entries / logical leaf slots —
 ``avg_leaf_fill``) and *physical* fill (live entries / allocated store
-slots, which includes each gapped node's sentinel-padded gap slots). For
-the classic layout the two coincide.
+slots, which includes each gapped node's sentinel-padded gap slots).
 """
 
 from __future__ import annotations

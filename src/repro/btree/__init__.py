@@ -1,6 +1,5 @@
 """B+-tree substrate (the paper's baseline index)."""
 
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
-from repro.btree.node import InternalNode, LeafNode
 
-__all__ = ["BPlusTree", "BPlusTreeConfig", "InternalNode", "LeafNode"]
+__all__ = ["BPlusTree", "BPlusTreeConfig"]

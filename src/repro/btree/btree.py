@@ -12,17 +12,16 @@ the hooks SWARE needs (§III design elements):
   current maximum is loaded leaf-at-a-time, filling each leaf to
   ``bulk_fill_factor`` (95% by default) and pushing separators up the right
   spine, amortizing to O(1) per entry;
-* **gapped node layout** (default, ``node_layout="gapped"``) — the BS-tree
-  direction: keys live in fixed-capacity stores with sentinel-marked gaps
+* **gapped node layout** — the BS-tree direction: keys live in
+  fixed-capacity stores with sentinel-marked gaps
   (:mod:`repro.btree.node`), intra-node search and batch descent go through
   the :mod:`repro.kernels` dispatch (branchless ``searchsorted`` under the
   numpy backend), ``insert_many`` absorbs whole runs into a leaf's gaps in
   one merge — or *fissions* the leaf into several bulk-filled pieces when a
-  run overflows it, replacing the classic one-split-per-overflow cascade —
-  and ``get_many``/``range_many`` push sorted key vectors down the tree one
-  level at a time. ``node_layout="classic"`` keeps the list-packed nodes;
-  both layouts are observationally identical
-  (``tests/test_gapped_equivalence.py``).
+  run overflows it, instead of one split per overflowing key — and
+  ``get_many``/``range_many`` push sorted key vectors down the tree one
+  level at a time. ``tests/test_gapped_equivalence.py`` checks the tree
+  against a dict + sorted-list model under both kernel backends.
 
 Semantics: unique keys with upsert on conflict; deletes are *lazy* (the
 entry is removed, underfull/empty leaves stay in the structure and are
@@ -37,13 +36,13 @@ page I/O.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.errors import BulkLoadError, ConfigError, InvariantViolation
-from repro.btree.node import KEY_SENTINEL, GappedInternal, GappedLeaf, InternalNode, LeafNode
+from repro.btree.node import KEY_SENTINEL, GappedInternal, GappedLeaf
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
 from repro.storage.bufferpool import BufferPool, PageIdAllocator
 from repro.storage.costmodel import NULL_METER, Meter
@@ -58,13 +57,8 @@ class BPlusTreeConfig:
     reduced-scale trees a realistic height). ``split_factor`` is the fraction
     kept on the left node at a split. ``bulk_fill_factor`` is how full bulk
     loading packs a leaf, leaving headroom for later top-inserts (§IV-C).
-
-    ``node_layout`` selects the node family: ``"gapped"`` (default) stores
-    keys in fixed-capacity gapped arrays behind the kernels dispatch,
-    ``"classic"`` keeps list-packed nodes. ``gap_high_water`` is the
-    occupancy fraction at which a gapped leaf splits on scalar inserts: 1.0
-    reproduces the classic split timing exactly; lower values keep standing
-    gaps in every leaf (more space, fewer shifts near future splits).
+    A leaf splits (scalar insert) or fissions (batch insert) when it would
+    hold more than ``leaf_capacity`` entries.
     """
 
     leaf_capacity: int = 64
@@ -72,8 +66,6 @@ class BPlusTreeConfig:
     split_factor: float = 0.5
     bulk_fill_factor: float = 0.95
     tail_leaf_optimization: bool = False
-    node_layout: str = "gapped"
-    gap_high_water: float = 1.0
 
     def __post_init__(self) -> None:
         if self.leaf_capacity < 2:
@@ -84,12 +76,6 @@ class BPlusTreeConfig:
             raise ConfigError("split_factor must be within [0.1, 0.9]")
         if not 0.1 <= self.bulk_fill_factor <= 1.0:
             raise ConfigError("bulk_fill_factor must be within [0.1, 1.0]")
-        if self.node_layout not in ("classic", "gapped"):
-            raise ConfigError(
-                f"node_layout must be 'classic' or 'gapped', got {self.node_layout!r}"
-            )
-        if not 0.5 <= self.gap_high_water <= 1.0:
-            raise ConfigError("gap_high_water must be within [0.5, 1.0]")
 
 
 class BPlusTree:
@@ -106,22 +92,15 @@ class BPlusTree:
         self.meter = meter if meter is not None else NULL_METER
         self.obs = obs if obs is not None else current_obs()
         self.pool = pool
-        # getattr: configs unpickled from pre-gapped checkpoints lack the
-        # layout fields (frozen dataclass unpickling bypasses __init__).
-        self._gapped = getattr(self.config, "node_layout", "classic") == "gapped"
         # One spare physical slot lets an insert overflow transiently before
-        # the split; the high-water mark is where scalar inserts split.
+        # the split.
         self._leaf_physical = self.config.leaf_capacity + 1
         self._internal_physical = self.config.internal_capacity + 1
-        high_water = getattr(self.config, "gap_high_water", 1.0)
-        self._leaf_high_water = max(
-            2, min(self.config.leaf_capacity, round(self.config.leaf_capacity * high_water))
-        )
         self._pages = PageIdAllocator()
         self._root: Optional[object] = None
-        self._tail_leaf: Optional[LeafNode] = None
-        self._head_leaf: Optional[LeafNode] = None
-        self._tail_path: List[InternalNode] = []
+        self._tail_leaf: Optional[GappedLeaf] = None
+        self._head_leaf: Optional[GappedLeaf] = None
+        self._tail_path: List[GappedInternal] = []
         self.n_entries = 0
         self.height = 0
         self.leaf_count = 0
@@ -150,9 +129,7 @@ class BPlusTree:
             "leaf_splits": self.leaf_splits,
             "internal_splits": self.internal_splits,
             "leaf_fissions": self.leaf_fissions,
-            "gap_slots": self.leaf_count * self.config.leaf_capacity - self.n_entries
-            if self._gapped
-            else 0,
+            "gap_slots": self._gap_slots(),
             "top_inserts": self.top_inserts,
             "fastpath_inserts": self.fastpath_inserts,
             "bulk_loaded_entries": self.bulk_loaded_entries,
@@ -167,7 +144,7 @@ class BPlusTree:
         Every mutating entry point (insert, insert_many, bulk_load_append,
         delete — including the structural work they trigger: splits,
         fissions, merge-runs, lazy-delete compaction) must call this before
-        touching any leaf store; ``_get_many_gapped`` snapshots the leaf
+        touching any leaf store; :meth:`get_many` snapshots the leaf
         chain into one sorted column and a stale snapshot silently serves
         pre-mutation reads. Checkpoint loads are safe without it only
         because ``deserialize_btree`` builds a fresh tree (cache starts
@@ -181,21 +158,15 @@ class BPlusTree:
         if self.pool is not None:
             self.pool.access(node.page_id, dirty=dirty)
 
-    def _new_leaf(self):
-        if self._gapped:
-            leaf = GappedLeaf(self._pages.allocate(), self._leaf_physical)
-        else:
-            leaf = LeafNode(self._pages.allocate())
+    def _new_leaf(self) -> GappedLeaf:
+        leaf = GappedLeaf(self._pages.allocate(), self._leaf_physical)
         self.leaf_count += 1
         if self.pool is not None:
             self.pool.create(leaf.page_id)
         return leaf
 
-    def _new_internal(self):
-        if self._gapped:
-            node = GappedInternal(self._pages.allocate(), self._internal_physical)
-        else:
-            node = InternalNode(self._pages.allocate())
+    def _new_internal(self) -> GappedInternal:
+        node = GappedInternal(self._pages.allocate(), self._internal_physical)
         self.internal_count += 1
         if self.pool is not None:
             self.pool.create(node.page_id)
@@ -212,37 +183,31 @@ class BPlusTree:
 
     def _descend_to_leaf(
         self, key: int, dirty: bool = False, impl=None
-    ) -> Tuple[LeafNode, List[InternalNode]]:
+    ) -> Tuple[GappedLeaf, List[GappedInternal]]:
         """Walk root->leaf for ``key``; returns (leaf, internal path). Batch
         loops pass their hoisted kernel module as ``impl`` to skip the
         per-call backend dispatch."""
         node = self._root
-        path: List[InternalNode] = []
-        if self._gapped:
-            search = impl.node_search_right if impl is not None else None
-            while not node.is_leaf:
-                self._touch(node)
-                path.append(node)
-                ks = node.ks
-                if type(ks) is list:
-                    idx = bisect_right(ks, key)
-                elif search is not None:
-                    idx = search(ks, node.n, key)
-                else:
-                    idx = node.child_index(key)
-                node = node.children[idx]
-        else:
-            while not node.is_leaf:
-                self._touch(node)
-                path.append(node)
-                node = node.children[bisect_right(node.keys, key)]
+        path: List[GappedInternal] = []
+        search = impl.node_search_right if impl is not None else None
+        while not node.is_leaf:
+            self._touch(node)
+            path.append(node)
+            ks = node.ks
+            if type(ks) is list:
+                idx = bisect_right(ks, key)
+            elif search is not None:
+                idx = search(ks, node.n, key)
+            else:
+                idx = node.child_index(key)
+            node = node.children[idx]
         self._touch(node, dirty=dirty)
         return node, path
 
     def _recompute_tail_path(self) -> None:
         """Refresh the cached right-most path (bookkeeping, not charged)."""
         node = self._root
-        path: List[InternalNode] = []
+        path: List[GappedInternal] = []
         while node is not None and not node.is_leaf:
             path.append(node)
             node = node.children[-1]
@@ -251,38 +216,29 @@ class BPlusTree:
 
     def _descend_to_leaf_bounded(
         self, key: int, dirty: bool = False, impl=None
-    ) -> Tuple[LeafNode, List[InternalNode], Optional[int]]:
+    ) -> Tuple[GappedLeaf, List[GappedInternal], Optional[int]]:
         """Like :meth:`_descend_to_leaf`, also returning the leaf's upper
         separator (``None`` on the right-most path) so batch walks know how
         long the current leaf stays valid for ascending keys. Batch loops
         pass their hoisted kernel module as ``impl`` to skip the per-call
         backend dispatch."""
         node = self._root
-        path: List[InternalNode] = []
+        path: List[GappedInternal] = []
         hi: Optional[int] = None
-        if self._gapped:
-            search = impl.node_search_right if impl is not None else None
-            while not node.is_leaf:
-                self._touch(node)
-                path.append(node)
-                ks = node.ks
-                if type(ks) is list:
-                    idx = bisect_right(ks, key)
-                elif search is not None:
-                    idx = search(ks, node.n, key)
-                else:
-                    idx = node.child_index(key)
-                if idx < node.n:
-                    hi = int(node.ks[idx])
-                node = node.children[idx]
-        else:
-            while not node.is_leaf:
-                self._touch(node)
-                path.append(node)
-                idx = bisect_right(node.keys, key)
-                if idx < len(node.keys):
-                    hi = node.keys[idx]
-                node = node.children[idx]
+        search = impl.node_search_right if impl is not None else None
+        while not node.is_leaf:
+            self._touch(node)
+            path.append(node)
+            ks = node.ks
+            if type(ks) is list:
+                idx = bisect_right(ks, key)
+            elif search is not None:
+                idx = search(ks, node.n, key)
+            else:
+                idx = node.child_index(key)
+            if idx < node.n:
+                hi = int(node.ks[idx])
+            node = node.children[idx]
         self._touch(node, dirty=dirty)
         return node, path, hi
 
@@ -290,45 +246,12 @@ class BPlusTree:
     # inserts
     # ------------------------------------------------------------------
     def insert(self, key: int, value: object) -> bool:
-        """Insert or update; returns True if a new entry was created."""
+        """Insert or update; returns True if a new entry was created.
+
+        Finds the slot, shifts the dense prefix into the gap region, and
+        splits the leaf once it holds more than ``leaf_capacity`` entries.
+        """
         self._invalidate_columns()
-        if self._gapped:
-            return self._insert_gapped(key, value)
-        self._ensure_root()
-        self.top_inserts += 1
-        tail = self._tail_leaf
-        if (
-            self.config.tail_leaf_optimization
-            and tail is not None
-            and tail.keys
-            and key >= tail.keys[0]
-        ):
-            # Right-most leaf insertion (§III, Fig. 3a): one node access.
-            self.fastpath_inserts += 1
-            self._touch(tail, dirty=True)
-            leaf, path = tail, self._tail_path
-        else:
-            leaf, path = self._descend_to_leaf(key, dirty=True)
-
-        idx = bisect_left(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            leaf.values[idx] = value
-            return False
-        leaf.keys.insert(idx, key)
-        leaf.values.insert(idx, value)
-        self.meter.charge("entry_move", len(leaf.keys) - idx)
-        self.n_entries += 1
-        if self._max_key is None or key > self._max_key:
-            self._max_key = key
-        if self._min_key is None or key < self._min_key:
-            self._min_key = key
-        if len(leaf.keys) > self.config.leaf_capacity:
-            self._split_leaf(leaf, path)
-        return True
-
-    def _insert_gapped(self, key: int, value: object) -> bool:
-        """Scalar insert on the gapped layout: find the slot, shift the
-        dense prefix into the gap region, split past the high-water mark."""
         self._ensure_root()
         self.top_inserts += 1
         tail = self._tail_leaf
@@ -356,7 +279,7 @@ class BPlusTree:
             self._max_key = key
         if self._min_key is None or key < self._min_key:
             self._min_key = key
-        if leaf.n > self._leaf_high_water:
+        if leaf.n > self.config.leaf_capacity:
             self._split_leaf(leaf, path)
         return True
 
@@ -368,87 +291,36 @@ class BPlusTree:
         sequential loop of upserts) and applied with one leaf descent per run
         of keys landing in the same leaf. A batch that is strictly increasing
         and entirely above ``max_key`` — the common case under sorted
-        ingestion — short-circuits into :meth:`bulk_load_append`. After a
-        split the cached descent is discarded, so correctness never depends
-        on patched-up paths; the re-descent costs one extra walk per split.
+        ingestion — short-circuits into :meth:`bulk_load_append`. Every run
+        starts from a fresh descent, so correctness never depends on paths
+        patched up after a fission.
         """
         if not items:
             return 0
         self._invalidate_columns()
         batch = kernels.sort_items_by_key(items)
         first_key = batch[0][0]
-        if self._gapped:
-            # Hoist the backend and build the key column exactly once; the
-            # pre-checks, dedup, and the whole batch walk reuse it.
-            impl = kernels.backend_module()
-            col = impl.key_array([key for key, _value in batch])
-            if self._max_key is None or first_key > self._max_key:
-                if impl.column_strictly_increasing(col):
-                    before = self.n_entries
-                    self.bulk_load_append(batch)
-                    return self.n_entries - before
-            self._ensure_root()
-            # A sequential upsert replay would make the later duplicate
-            # overwrite the earlier one in place, so dropping all but the
-            # last version of a key before the walk changes neither the
-            # final tree, the created count, nor the entry_move charges —
-            # the batch still bills len(batch) top-inserts because that is
-            # how many operations it stands for.
-            self.top_inserts += len(batch)
-            batch, col = impl.dedup_sorted_items_col(batch, col)
-            return self._insert_many_gapped(batch, col, first_key, impl)
+        # Hoist the backend and build the key column exactly once; the
+        # pre-checks, dedup, and the whole batch walk reuse it.
+        impl = kernels.backend_module()
+        col = impl.key_array([key for key, _value in batch])
         if self._max_key is None or first_key > self._max_key:
-            if kernels.keys_strictly_increasing(batch):
+            if impl.column_strictly_increasing(col):
                 before = self.n_entries
                 self.bulk_load_append(batch)
                 return self.n_entries - before
         self._ensure_root()
-        nb = len(batch)
-        # Same dedup-before-walk argument as the gapped branch above.
-        self.top_inserts += nb
-        batch = kernels.dedup_sorted_items(batch)
-        nb = len(batch)
-        created = 0
-        entry_moves = 0
-        leaf_capacity = self.config.leaf_capacity
-        i = 0
-        while i < nb:
-            key, value = batch[i]
-            leaf, path, hi = self._descend_to_leaf_bounded(key, dirty=True)
-            lkeys = leaf.keys
-            lvalues = leaf.values
-            # Inner loop: drain the run of keys belonging to this leaf with
-            # all hot locals bound once; any split invalidates the cached
-            # descent, so it breaks out to re-descend.
-            while True:
-                idx = bisect_left(lkeys, key)
-                if idx < len(lkeys) and lkeys[idx] == key:
-                    lvalues[idx] = value
-                else:
-                    lkeys.insert(idx, key)
-                    lvalues.insert(idx, value)
-                    entry_moves += len(lkeys) - idx
-                    created += 1
-                    if len(lkeys) > leaf_capacity:
-                        self._split_leaf(leaf, path)
-                        i += 1
-                        break
-                i += 1
-                if i >= nb:
-                    break
-                key, value = batch[i]
-                if hi is not None and key >= hi:
-                    break
-        self.meter.charge("entry_move", entry_moves)
-        self.n_entries += created
-        last_key = batch[-1][0]
-        if self._max_key is None or last_key > self._max_key:
-            self._max_key = last_key
-        if self._min_key is None or first_key < self._min_key:
-            self._min_key = first_key
-        return created
+        # A sequential upsert replay would make the later duplicate
+        # overwrite the earlier one in place, so dropping all but the
+        # last version of a key before the walk changes neither the
+        # final tree, the created count, nor the entry_move charges —
+        # the batch still bills len(batch) top-inserts because that is
+        # how many operations it stands for.
+        self.top_inserts += len(batch)
+        batch, col = impl.dedup_sorted_items_col(batch, col)
+        return self._insert_many(batch, col, first_key, impl)
 
-    def _insert_many_gapped(
+    def _insert_many(
         self, batch: List[Tuple[int, object]], col, first_key: int, impl
     ) -> int:
         """Batch descent + gap-absorbing merges for a sorted, deduped batch.
@@ -456,10 +328,11 @@ class BPlusTree:
         ``col`` is the backend-native key column for ``batch`` (built once by
         :meth:`insert_many`) and ``impl`` the hoisted kernel module. One
         bounded descent per run of keys sharing a leaf; the whole run is
-        merged into the leaf in a single pass. A run that fits under the
-        high-water mark is absorbed with zero structural work; one that does
-        not *fissions* the leaf into bulk-filled pieces (one structural event
-        for the run, vs one split per ``leaf_capacity`` keys classically).
+        merged into the leaf in a single pass. A run that fits within
+        ``leaf_capacity`` is absorbed with zero structural work; one that
+        does not *fissions* the leaf into bulk-filled pieces (one structural
+        event for the run, vs one split per ``leaf_capacity`` keys under
+        key-at-a-time insertion).
         """
         nb = len(batch)
         run_end = impl.run_end
@@ -471,7 +344,7 @@ class BPlusTree:
                 batch[i][0], dirty=True, impl=impl
             )
             j = run_end(col, i, hi, nb) if hi is not None else nb
-            c, moves = self._merge_run_gapped(leaf, batch, col, i, j, impl)
+            c, moves = self._merge_run(leaf, batch, col, i, j, impl)
             created += c
             entry_moves += moves
             i = j
@@ -485,18 +358,16 @@ class BPlusTree:
             self._min_key = first_key
         return created
 
-    def _merge_run_gapped(
+    def _merge_run(
         self,
         leaf: GappedLeaf,
         batch: List[Tuple[int, object]],
         col,
         i: int,
         j: int,
-        impl=None,
+        impl,
     ) -> Tuple[int, int]:
         """Merge sorted ``batch[i:j]`` into ``leaf``; returns (created, moves)."""
-        if impl is None:
-            impl = kernels.backend_module()
         n0 = leaf.n
         positions, is_new, n_created = impl.merge_positions(leaf.ks, n0, col[i:j])
         if n_created == 0:
@@ -522,7 +393,7 @@ class BPlusTree:
                 merged_vals.append(batch[t][1])
             merged_vals.extend(live_vals[p:n0])
             total = n0 + n_created
-            if total <= self._leaf_high_water:
+            if total <= self.config.leaf_capacity:
                 leaf.adopt(new_store, merged_vals)
                 return n_created, (n0 - positions[0]) + n_created
             merged = new_store if type(new_store) is list else new_store[:total]
@@ -551,7 +422,7 @@ class BPlusTree:
             p += 1
 
         total = len(merged_keys)
-        if total <= self._leaf_high_water:
+        if total <= self.config.leaf_capacity:
             # Gap absorption: the run disappears into the leaf's holes.
             leaf.replace(merged_keys, merged_vals, self._leaf_physical)
             moves = (n0 - positions[0]) + n_created
@@ -564,7 +435,7 @@ class BPlusTree:
         leaf: GappedLeaf,
         merged_keys: List[int],
         merged_vals: List[object],
-        impl=None,
+        impl,
     ) -> None:
         """Rebuild an overflowing leaf as several bulk-filled leaves.
 
@@ -586,8 +457,6 @@ class BPlusTree:
                 pieces=(total + target - 1) // target,
             )
         was_tail = leaf is self._tail_leaf
-        if impl is None:
-            impl = kernels.backend_module()
         key_store = impl.gapped_key_store
         physical = self._leaf_physical
         leaf.adopt(key_store(merged_keys[:target], physical), merged_vals[:target])
@@ -612,84 +481,54 @@ class BPlusTree:
             prev = piece
             pos += take
 
-    def _split_point(self, total: int, capacity: int) -> int:
+    def _split_point(self, total: int) -> int:
         point = round(total * self.config.split_factor)
         return max(1, min(point, total - 1))
 
-    def _split_leaf(self, leaf, path: List[InternalNode]) -> None:
+    def _split_leaf(self, leaf: GappedLeaf, path: List[GappedInternal]) -> None:
         self.leaf_splits += 1
         self.meter.charge("leaf_split")
         if self.obs.enabled:
             self.obs.event("btree.leaf_split", entries=len(leaf), depth=len(path))
-        split = self._split_point(len(leaf), self.config.leaf_capacity)
+        split = self._split_point(len(leaf))
         right = self._new_leaf()
-        if self._gapped:
-            leaf.split_into(right, split, self._leaf_physical)
-            moved = right.n
-            separator = right.first_key()
-        else:
-            right.keys = leaf.keys[split:]
-            right.values = leaf.values[split:]
-            del leaf.keys[split:]
-            del leaf.values[split:]
-            moved = len(right.keys)
-            separator = right.keys[0]
-        self.meter.charge("entry_move", moved)
+        leaf.split_into(right, split, self._leaf_physical)
+        self.meter.charge("entry_move", right.n)
         right.next_leaf = leaf.next_leaf
         leaf.next_leaf = right
         if leaf is self._tail_leaf:
             self._tail_leaf = right
-        self._insert_into_parent(leaf, separator, right, path)
+        self._insert_into_parent(leaf, right.first_key(), right, path)
 
-    def _split_internal(self, node, path: List[InternalNode]) -> None:
+    def _split_internal(self, node: GappedInternal, path: List[GappedInternal]) -> None:
         self.internal_splits += 1
         self.meter.charge("internal_split")
         if self.obs.enabled:
             self.obs.event("btree.internal_split", pivots=len(node), depth=len(path))
-        split = self._split_point(len(node), self.config.internal_capacity)
+        split = self._split_point(len(node))
         right = self._new_internal()
-        if self._gapped:
-            promoted = node.split_into(right, split, self._internal_physical)
-            moved = right.n + 1
-        else:
-            promoted = node.keys[split]
-            right.keys = node.keys[split + 1 :]
-            right.children = node.children[split + 1 :]
-            del node.keys[split:]
-            del node.children[split + 1 :]
-            moved = len(right.keys) + 1
-        self.meter.charge("entry_move", moved)
+        promoted = node.split_into(right, split, self._internal_physical)
+        self.meter.charge("entry_move", right.n + 1)
         self._insert_into_parent(node, promoted, right, path)
 
     def _insert_into_parent(
-        self, left, promoted_key: int, right, path: List[InternalNode]
+        self, left, promoted_key: int, right, path: List[GappedInternal]
     ) -> None:
         if not path:
             # Splitting the root: grow the tree by one level.
             new_root = self._new_internal()
-            if self._gapped:
-                new_root.children = [left]
-                new_root.insert_pivot(0, promoted_key, right)
-            else:
-                new_root.keys = [promoted_key]
-                new_root.children = [left, right]
+            new_root.children = [left]
+            new_root.insert_pivot(0, promoted_key, right)
             self._root = new_root
             self.height += 1
             self._recompute_tail_path()
             return
         parent = path[-1]
         self._touch(parent, dirty=True)
-        if self._gapped:
-            idx = parent.child_index(promoted_key)
-            parent.insert_pivot(idx, promoted_key, right)
-            n_after = parent.n
-        else:
-            idx = bisect_right(parent.keys, promoted_key)
-            parent.keys.insert(idx, promoted_key)
-            parent.children.insert(idx + 1, right)
-            n_after = len(parent.keys)
-        self.meter.charge("entry_move", n_after - idx)
-        if n_after > self.config.internal_capacity:
+        idx = parent.child_index(promoted_key)
+        parent.insert_pivot(idx, promoted_key, right)
+        self.meter.charge("entry_move", parent.n - idx)
+        if parent.n > self.config.internal_capacity:
             self._split_internal(parent, path[:-1])
         else:
             self._recompute_tail_path()
@@ -724,46 +563,21 @@ class BPlusTree:
         pos = 0
         total = len(items)
         tail = self._tail_leaf
-        if self._gapped:
-            # Chunked fills: one store slice-assignment per leaf instead of a
-            # per-key append loop — the main bulk-load speedup of the layout.
-            col = kernels.key_column(items)
-            if tail.n < fill:
-                take = min(fill - tail.n, total) if tail.n else min(fill, total)
-                self._touch(tail, dirty=True)
-                tail.extend(col[pos : pos + take], [v for _, v in items[pos : pos + take]])
-                pos += take
-            while pos < total:
-                take = min(fill, total - pos)
-                leaf = self._new_leaf()
-                leaf.extend(col[pos : pos + take], [v for _, v in items[pos : pos + take]])
-                pos += take
-                self._append_leaf(leaf)
-        else:
-            # Top off the current tail leaf first so it reaches the fill target.
-            if tail.keys and len(tail.keys) < fill:
-                take = min(fill - len(tail.keys), total)
-                self._touch(tail, dirty=True)
-                for key, value in items[pos : pos + take]:
-                    tail.keys.append(key)
-                    tail.values.append(value)
-                pos += take
-            elif not tail.keys:
-                take = min(fill, total)
-                self._touch(tail, dirty=True)
-                for key, value in items[pos : pos + take]:
-                    tail.keys.append(key)
-                    tail.values.append(value)
-                pos += take
-
-            while pos < total:
-                take = min(fill, total - pos)
-                leaf = self._new_leaf()
-                for key, value in items[pos : pos + take]:
-                    leaf.keys.append(key)
-                    leaf.values.append(value)
-                pos += take
-                self._append_leaf(leaf)
+        # Chunked fills: one store slice-assignment per leaf instead of a
+        # per-key append loop. The current tail leaf is topped off first so
+        # it reaches the fill target.
+        col = kernels.key_column(items)
+        if tail.n < fill:
+            take = min(fill - tail.n, total)
+            self._touch(tail, dirty=True)
+            tail.extend(col[pos : pos + take], [v for _, v in items[pos : pos + take]])
+            pos += take
+        while pos < total:
+            take = min(fill, total - pos)
+            leaf = self._new_leaf()
+            leaf.extend(col[pos : pos + take], [v for _, v in items[pos : pos + take]])
+            pos += take
+            self._append_leaf(leaf)
 
         self.n_entries += total
         self.bulk_loaded_entries += total
@@ -771,36 +585,26 @@ class BPlusTree:
         if self._min_key is None:
             self._min_key = items[0][0]
 
-    def _append_leaf(self, leaf) -> None:
+    def _append_leaf(self, leaf: GappedLeaf) -> None:
         """Attach a freshly built leaf at the right edge of the tree."""
         tail = self._tail_leaf
         leaf.next_leaf = tail.next_leaf
         tail.next_leaf = leaf
         self._tail_leaf = leaf
-        separator = leaf.first_key() if self._gapped else leaf.keys[0]
+        separator = leaf.first_key()
         if self._root is tail:
             # Root was a lone leaf: create the first internal level.
             new_root = self._new_internal()
-            if self._gapped:
-                new_root.children = [tail]
-                new_root.insert_pivot(0, separator, leaf)
-            else:
-                new_root.keys = [separator]
-                new_root.children = [tail, leaf]
+            new_root.children = [tail]
+            new_root.insert_pivot(0, separator, leaf)
             self._root = new_root
             self.height += 1
             self._recompute_tail_path()
             return
         parent = self._tail_path[-1]
         self._touch(parent, dirty=True)
-        if self._gapped:
-            parent.insert_pivot(parent.n, separator, leaf)
-            overflow = parent.n > self.config.internal_capacity
-        else:
-            parent.keys.append(separator)
-            parent.children.append(leaf)
-            overflow = len(parent.keys) > self.config.internal_capacity
-        if overflow:
+        parent.insert_pivot(parent.n, separator, leaf)
+        if parent.n > self.config.internal_capacity:
             self._split_internal(parent, self._tail_path[:-1])
         # No path recompute needed otherwise: parent chain unchanged.
 
@@ -812,152 +616,25 @@ class BPlusTree:
         if self._root is None:
             return None
         leaf, _ = self._descend_to_leaf(key)
-        if self._gapped:
-            idx = leaf.search_left(key)
-            if leaf.has_key_at(idx, key):
-                return leaf.vs[idx]
-            return None
-        idx = bisect_left(leaf.keys, key)
-        if idx < len(leaf.keys) and leaf.keys[idx] == key:
-            return leaf.values[idx]
+        idx = leaf.search_left(key)
+        if leaf.has_key_at(idx, key):
+            return leaf.vs[idx]
         return None
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
         """Batch point lookups, one value-or-``None`` per key in input order.
 
-        Distinct keys are resolved in sorted order by one of two strategies,
-        picked by batch density:
-
-        * **dense** (at least ~one key per leaf): descend once to the
-          left-most queried key, then merge the sorted batch along the
-          ``next_leaf`` chain — per key only the in-leaf bisect remains, and
-          the chain advance costs O(leaves spanned) for the whole batch;
-        * **sparse**: partition the sorted batch across children at each
-          internal node (a bisect per child actually entered), visiting only
-          nodes on the union of root-to-leaf paths.
-
-        Either way each visited node is touched — and charged — exactly
-        once per batch instead of once per key; without a pool the charges
-        are aggregated into a single meter call (with a pool each node is
-        touched individually to keep eviction order honest).
+        Batch descent: the sorted distinct keys are partitioned across
+        children one level at a time (one vectorized ``searchsorted`` per
+        visited node), then each leaf's segment is resolved with one
+        vectorized probe. Each visited node is touched — and charged —
+        exactly once per batch instead of once per key; without a pool the
+        charges are aggregated into a single meter call (with a pool each
+        node is touched individually to keep eviction order honest).
         """
         n = len(keys)
         if self._root is None or n == 0:
             return [None] * n
-        if self._gapped:
-            return self._get_many_gapped(keys)
-        skeys = sorted(set(keys))
-        m = len(skeys)
-        found: dict = {}
-        pool = self.pool
-        touch = self._touch
-        root = self._root
-
-        if not root.is_leaf and m >= self.leaf_count:
-            # Dense: merge along the leaf chain.
-            leaf, _path = self._descend_to_leaf(skeys[0])
-            i = 0
-            extra_visits = 0
-            while leaf is not None:
-                nkeys = leaf.keys
-                if nkeys:
-                    last = nkeys[-1]
-                    width = len(nkeys)
-                    values = leaf.values
-                    while i < m:
-                        key = skeys[i]
-                        if key > last:
-                            break
-                        idx = bisect_left(nkeys, key)
-                        if idx < width and nkeys[idx] == key:
-                            found[key] = values[idx]
-                        i += 1
-                    if i >= m:
-                        break
-                leaf = leaf.next_leaf
-                if leaf is None:
-                    break
-                if pool is not None:
-                    touch(leaf)
-                else:
-                    extra_visits += 1
-            if pool is None and extra_visits:
-                self.meter.charge("node_access", extra_visits)
-            return [found.get(key) for key in keys]
-
-        node_visits = 0
-
-        def resolve_leaf(leaf: LeafNode, lo: int, hi: int) -> None:
-            nkeys = leaf.keys
-            width = len(nkeys)
-            nvalues = leaf.values
-            for t in range(lo, hi):
-                key = skeys[t]
-                idx = bisect_left(nkeys, key)
-                if idx < width and nkeys[idx] == key:
-                    found[key] = nvalues[idx]
-
-        if root.is_leaf:
-            node_visits += 1
-            if pool is not None:
-                touch(root)
-            resolve_leaf(root, 0, m)
-        else:
-            stack = [(root, 0, m)]
-            while stack:
-                node, lo, hi = stack.pop()
-                node_visits += 1
-                if pool is not None:
-                    touch(node)
-                seps = node.keys
-                children = node.children
-                n_seps = len(seps)
-                if children[0].is_leaf:
-                    # Resolve leaf children inline — most segments hold one
-                    # key, so stack round-trips would dominate.
-                    i = lo
-                    while i < hi:
-                        key = skeys[i]
-                        child_idx = bisect_right(seps, key)
-                        j = i + 1
-                        if child_idx < n_seps:
-                            sep = seps[child_idx]
-                            if j < hi and skeys[j] < sep:
-                                j = bisect_left(skeys, sep, j, hi)
-                        else:
-                            j = hi
-                        leaf = children[child_idx]
-                        node_visits += 1
-                        if pool is not None:
-                            touch(leaf)
-                        nkeys = leaf.keys
-                        if j - i == 1:
-                            idx = bisect_left(nkeys, key)
-                            if idx < len(nkeys) and nkeys[idx] == key:
-                                found[key] = leaf.values[idx]
-                        else:
-                            resolve_leaf(leaf, i, j)
-                        i = j
-                else:
-                    i = lo
-                    while i < hi:
-                        child_idx = bisect_right(seps, skeys[i])
-                        if child_idx < n_seps:
-                            j = bisect_left(skeys, seps[child_idx], i, hi)
-                        else:
-                            j = hi
-                        stack.append((children[child_idx], i, j))
-                        i = j
-        if pool is None:
-            self.meter.charge("node_access", node_visits)
-        return [found.get(key) for key in keys]
-
-    def _get_many_gapped(self, keys: Sequence[int]) -> List[Optional[object]]:
-        """Batch descent: partition the sorted key vector across children one
-        level at a time (one vectorized ``searchsorted`` per visited node),
-        then resolve each leaf's segment with one vectorized probe. Every
-        visited node is touched/charged once per batch, as in the classic
-        batch path."""
         skeys = sorted(set(keys))
         m = len(skeys)
         impl = kernels.backend_module()
@@ -1032,27 +709,10 @@ class BPlusTree:
         if self._root is None or lo > hi:
             return results
         leaf, _ = self._descend_to_leaf(lo)
-        if self._gapped:
-            self._scan_gapped(leaf, lo, hi, results)
-            return results
-        while leaf is not None:
-            keys = leaf.keys
-            if keys:
-                if keys[0] > hi:
-                    break
-                start = bisect_left(keys, lo)
-                stop = bisect_right(keys, hi)
-                self.meter.charge("scan_entry", max(stop - start, 0))
-                for i in range(start, stop):
-                    results.append((keys[i], leaf.values[i]))
-                if stop < len(keys):
-                    break
-            leaf = leaf.next_leaf
-            if leaf is not None:
-                self._touch(leaf)
+        self._scan(leaf, lo, hi, results)
         return results
 
-    def _scan_gapped(self, leaf, lo: int, hi: int, out: List[Tuple[int, object]]):
+    def _scan(self, leaf, lo: int, hi: int, out: List[Tuple[int, object]]):
         """Collect [lo, hi] walking the chain from ``leaf`` (already
         touched); returns the last leaf visited so batch callers can resume
         the walk instead of re-descending."""
@@ -1082,13 +742,13 @@ class BPlusTree:
     ) -> List[List[Tuple[int, object]]]:
         """Batch range queries: one result list per ``(lo, hi)`` pair.
 
-        On the gapped layout the ranges are visited in ascending-``lo`` order
-        and each scan resumes from the leaf where the previous one stopped
-        when it can (bounded chain walk), falling back to a fresh descent —
-        overlapping or adjacent ranges touch each leaf once per batch instead
-        of once per range. The classic layout runs one query per range.
+        The ranges are visited in ascending-``lo`` order and each scan
+        resumes from the leaf where the previous one stopped when it can
+        (bounded chain walk), falling back to a fresh descent — overlapping
+        or adjacent ranges touch each leaf once per batch instead of once
+        per range.
         """
-        if not self._gapped or self._root is None or len(ranges) < 2:
+        if self._root is None or len(ranges) < 2:
             return [self.range_query(lo, hi) for lo, hi in ranges]
         results: List[List[Tuple[int, object]]] = [[] for _ in ranges]
         order = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
@@ -1116,19 +776,14 @@ class BPlusTree:
                     leaf = node
             if leaf is None:
                 leaf, _ = self._descend_to_leaf(lo)
-            cursor = self._scan_gapped(leaf, lo, hi, results[ridx])
+            cursor = self._scan(leaf, lo, hi, results[ridx])
         return results
 
     def iter_items(self) -> Iterator[Tuple[int, object]]:
         """All entries in key order (no cost charged: test/debug helper)."""
         leaf = self._head_leaf
-        if self._gapped:
-            while leaf is not None:
-                yield from leaf.iter_live()
-                leaf = leaf.next_leaf
-            return
         while leaf is not None:
-            yield from zip(leaf.keys, leaf.values)
+            yield from leaf.iter_live()
             leaf = leaf.next_leaf
 
     # ------------------------------------------------------------------
@@ -1147,20 +802,11 @@ class BPlusTree:
             return False
         self._invalidate_columns()
         leaf, _ = self._descend_to_leaf(key, dirty=True)
-        if self._gapped:
-            idx = leaf.search_left(key)
-            if not leaf.has_key_at(idx, key):
-                return False
-            leaf.delete_at(idx)
-            self.meter.charge("entry_move", leaf.n - idx + 1)
-            self.n_entries -= 1
-            return True
-        idx = bisect_left(leaf.keys, key)
-        if idx >= len(leaf.keys) or leaf.keys[idx] != key:
+        idx = leaf.search_left(key)
+        if not leaf.has_key_at(idx, key):
             return False
-        leaf.keys.pop(idx)
-        leaf.values.pop(idx)
-        self.meter.charge("entry_move", len(leaf.keys) - idx + 1)
+        leaf.delete_at(idx)
+        self.meter.charge("entry_move", leaf.n - idx + 1)
         self.n_entries -= 1
         return True
 
@@ -1180,16 +826,21 @@ class BPlusTree:
     def __len__(self) -> int:
         return self.n_entries
 
+    def _gap_slots(self) -> int:
+        """Allocated-but-empty leaf key slots (each leaf's spare slot counts);
+        the one definition behind ``space_stats()`` and the obs collector."""
+        return self.leaf_count * self._leaf_physical - self.n_entries
+
     def space_stats(self) -> dict:
         """Space-utilization report (intro claim: up to 48% reduction).
 
         ``leaf_slots``/``avg_leaf_fill``/``slot_overhead`` are *logical*
-        figures (capacity-based, comparable across layouts). The gapped
-        layout also physically allocates its gap region up front, so the
-        report carries explicit physical accounting — ``physical_slots``
-        counts every allocated key slot (including the per-leaf spare),
-        ``gap_slots`` the currently empty ones — and the space bench cannot
-        silently flatter the layout by ignoring pre-allocated gaps.
+        figures (capacity-based). Every leaf also physically allocates its
+        gap region up front, so the report carries explicit physical
+        accounting — ``physical_slots`` counts every allocated key slot
+        (including the per-leaf spare), ``gap_slots`` the currently empty
+        ones — and the space bench cannot silently flatter the layout by
+        ignoring pre-allocated gaps.
         """
         leaf_slots = self.leaf_count * self.config.leaf_capacity
         used = self.n_entries
@@ -1199,9 +850,7 @@ class BPlusTree:
             fills.append(len(leaf) / self.config.leaf_capacity)
             leaf = leaf.next_leaf
         avg_fill = sum(fills) / len(fills) if fills else 0.0
-        physical_slots = (
-            self.leaf_count * self._leaf_physical if self._gapped else leaf_slots
-        )
+        physical_slots = self.leaf_count * self._leaf_physical
         return {
             "leaf_count": self.leaf_count,
             "internal_count": self.internal_count,
@@ -1212,7 +861,7 @@ class BPlusTree:
             "slot_overhead": (leaf_slots / used) if used else 0.0,
             "logical_entries": used,
             "physical_slots": physical_slots,
-            "gap_slots": physical_slots - used,
+            "gap_slots": self._gap_slots(),
             "physical_fill": (used / physical_slots) if physical_slots else 0.0,
         }
 
@@ -1241,12 +890,11 @@ class BPlusTree:
                 raise InvariantViolation("live key in gap region")
 
         def recurse(node, depth: int, lo: Optional[int], hi: Optional[int]) -> None:
-            if self._gapped:
-                check_store(node)
-                if node.is_leaf and len(node.vs) != node.n:
-                    raise InvariantViolation(
-                        f"leaf value count {len(node.vs)} != n={node.n}"
-                    )
+            check_store(node)
+            if node.is_leaf and len(node.vs) != node.n:
+                raise InvariantViolation(
+                    f"leaf value count {len(node.vs)} != n={node.n}"
+                )
             if node.is_leaf:
                 leaf_depths.add(depth)
                 keys = node.keys

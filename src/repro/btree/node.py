@@ -1,32 +1,31 @@
-"""B+-tree node structures: classic list-packed and gapped array layouts.
+"""B+-tree node structures: the gapped array layout.
 
-Two interchangeable node families live here, selected by
-``BPlusTreeConfig.node_layout``:
+:class:`GappedLeaf` / :class:`GappedInternal` are the nodes of
+:class:`~repro.btree.BPlusTree` — the BS-tree direction. Keys live in a
+fixed-capacity *store* obtained from :func:`repro.kernels.gapped_key_store`:
+a dense sorted prefix of ``n`` live slots followed by sentinel-marked gaps
+(``kernels.GAP_SENTINEL`` == INT64_MAX, so a sentinel-padded int64 array is
+sorted end to end and ``searchsorted`` needs no explicit bound — the
+shifted-sentinel trick). Under the numpy kernel backend the store is an
+int64 ndarray and intra-node search is a branchless ``searchsorted``; under
+the pure-Python backend it is a plain list. Keys that cannot be represented
+as a non-sentinel int64 demote a store to a list transparently — mutation
+kernels return the (possibly demoted) store and the node re-binds it.
+Values and child pointers stay dense Python lists; only the key columns are
+vectorized. A leaf carries a ``next_leaf`` link (leaves form a singly
+linked chain for range scans); an internal node holds
+``len(children) == n + 1`` with the usual separator convention — child
+``i`` covers keys < pivot ``i``, child ``i+1`` covers keys >= pivot ``i``.
+The gapped nodes expose ``keys``/``values``/``children`` (``keys`` and
+``values`` as properties materializing the live prefix) so serialization,
+invariant checks and debugging code can walk them without knowing the store.
 
-* **classic** — :class:`LeafNode` / :class:`InternalNode`: a leaf holds
-  parallel ``keys``/``values`` lists and a ``next_leaf`` link (leaves form a
-  singly linked chain for range scans); an internal node holds
-  ``len(children) == len(keys) + 1`` with the usual separator convention —
-  child ``i`` covers keys < ``keys[i]``, child ``i+1`` covers keys >=
-  ``keys[i]``. Every mutation is a Python ``list`` insert/delete.
-
-* **gapped** — :class:`GappedLeaf` / :class:`GappedInternal`: the BS-tree
-  direction. Keys live in a fixed-capacity *store* obtained from
-  :func:`repro.kernels.gapped_key_store`: a dense sorted prefix of ``n``
-  live slots followed by sentinel-marked gaps (``kernels.GAP_SENTINEL`` ==
-  INT64_MAX, so a sentinel-padded int64 array is sorted end to end and
-  ``searchsorted`` needs no explicit bound — the shifted-sentinel trick).
-  Under the numpy kernel backend the store is an int64 ndarray and
-  intra-node search is a branchless ``searchsorted``; under the pure-Python
-  backend it is a plain list. Keys that cannot be represented as a
-  non-sentinel int64 demote a store to a list transparently — mutation
-  kernels return the (possibly demoted) store and the node re-binds it.
-  Values and child pointers stay dense Python lists in both layouts; only
-  the key columns are vectorized.
-
-Both families expose ``keys``/``values``/``children`` (the gapped ones as
-properties materializing the live prefix) so serialization, invariant
-checks and debugging code can walk either layout uniformly.
+:class:`LeafNode` / :class:`InternalNode` are plain list-packed nodes
+(parallel ``keys``/``values`` lists, same separator convention). The
+B+-tree does not use them; they live here because the Bε-tree is built on
+them — :class:`~repro.betree.BeTree` stores its entries in
+:class:`LeafNode` and :class:`~repro.betree.BeInternalNode` subclasses
+:class:`InternalNode`.
 
 Every node carries a ``page_id`` so the simulated bufferpool can treat it as
 a 4 KB page (§V-E of the paper).
@@ -197,8 +196,8 @@ class GappedInternal:
     """Internal node with a gapped pivot store and dense child list.
 
     ``len(children) == n + 1``; pivot ``i`` separates ``children[i]`` from
-    ``children[i + 1]`` with the same bisect_right convention as the classic
-    layout.
+    ``children[i + 1]`` (``bisect_right`` convention: a key equal to the
+    pivot routes right).
     """
 
     __slots__ = ("page_id", "ks", "children", "n")

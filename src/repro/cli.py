@@ -121,7 +121,6 @@ EXPERIMENTS = [
     "batch_ops",
     "concurrent_ops",
     "kernels",
-    "nodes",
     "sosd",
     "rebuild",
 ]
@@ -237,28 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="observe the run and write the BENCH_kernels.json telemetry artifact",
     )
     kern.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample-profile the run and print the per-layer time table",
-    )
-
-    nodes = sub.add_parser(
-        "bench-nodes",
-        help="gapped-node micro-bench: intra-node search, batch descent, splits",
-    )
-    nodes.add_argument("--n", type=int, default=None, help="override workload size")
-    nodes.add_argument("--batch", type=int, default=None, help="override batch size")
-    nodes.add_argument(
-        "--repeats", type=int, default=None, help="best-of repeats per config"
-    )
-    nodes.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="observe the run and write the BENCH_nodes.json telemetry artifact",
-    )
-    nodes.add_argument(
         "--profile",
         action="store_true",
         help="sample-profile the run and print the per-layer time table",
@@ -776,19 +753,6 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_bench_nodes(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.batch is not None:
-        kwargs["batch"] = args.batch
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    return _run_experiment_with_telemetry(
-        "nodes", kwargs, args.json, profile=args.profile
-    )
-
-
 def _cmd_bench_sosd(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.n is not None:
@@ -1240,7 +1204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench-batch": _cmd_bench_batch,
         "bench-concurrent": _cmd_bench_concurrent,
         "bench-kernels": _cmd_bench_kernels,
-        "bench-nodes": _cmd_bench_nodes,
         "bench-sosd": _cmd_bench_sosd,
         "bench-rebuild": _cmd_bench_rebuild,
         "bench-space": _cmd_bench_space,

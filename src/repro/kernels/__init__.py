@@ -58,7 +58,6 @@ __all__ = [
     "searchsorted_range",
     "sort_items_by_key",
     "keys_strictly_increasing",
-    "dedup_sorted_items",
     "column_strictly_increasing",
     "dedup_sorted_items_col",
     "GAP_SENTINEL",
@@ -253,10 +252,6 @@ def sort_items_by_key(items):
 
 def keys_strictly_increasing(batch):
     return _impl().keys_strictly_increasing(batch)
-
-
-def dedup_sorted_items(batch):
-    return _impl().dedup_sorted_items(batch)
 
 
 def column_strictly_increasing(col):

@@ -303,22 +303,6 @@ def keys_strictly_increasing(batch: Sequence[Tuple[int, object]]) -> bool:
     return bool(np.all(keys[1:] > keys[:-1]))
 
 
-def dedup_sorted_items(batch: List[Tuple[int, object]]) -> List[Tuple[int, object]]:
-    n = len(batch)
-    if n < 2:
-        return list(batch)
-    try:
-        keys = _int_array([key for key, _value in batch])
-    except _FALLBACK_ERRORS:
-        return _py.dedup_sorted_items(batch)
-    keep = np.empty(n, dtype=bool)
-    keep[-1] = True
-    np.not_equal(keys[:-1], keys[1:], out=keep[:-1])
-    if keep.all():
-        return list(batch)
-    return [batch[i] for i in np.flatnonzero(keep)]
-
-
 def column_strictly_increasing(col) -> bool:
     if not isinstance(col, np.ndarray):
         return _py.column_strictly_increasing(col)

@@ -281,17 +281,18 @@ def serialize_btree(tree, *, compress: bool = False) -> dict:
 def deserialize_btree(blob: dict):
     """Rebuild a :class:`~repro.btree.BPlusTree` from serialized pages.
 
-    The node family is chosen by the config's ``node_layout``: the page
-    format itself is layout-agnostic (dense sorted key runs), so a gapped
-    tree rebuilds its sentinel-padded stores from the same bytes a classic
-    tree would produce.
+    The page format is layout-agnostic (dense sorted key runs), so the
+    sentinel-padded stores are rebuilt from the same bytes whatever node
+    layout wrote them. Checkpoints pickled before the layout knobs were
+    removed may carry a config with stray ``node_layout`` /
+    ``gap_high_water`` attributes (or, older still, neither); both load —
+    ``BPlusTree`` reads only the fields it still has.
     """
     from repro import kernels
     from repro.btree.btree import BPlusTree
-    from repro.btree.node import GappedInternal, GappedLeaf, InternalNode, LeafNode
+    from repro.btree.node import GappedInternal, GappedLeaf
 
     tree = BPlusTree(blob["config"])
-    gapped = getattr(tree, "_gapped", False)
     if blob["root"] is None:
         return tree
     pages = blob["pages"]
@@ -301,24 +302,15 @@ def deserialize_btree(blob: dict):
         data = pages[page_id]
         if page_kind(data) == KIND_LEAF:
             keys, values = decode_leaf(data)
-            if gapped:
-                leaf = GappedLeaf(page_id, tree._leaf_physical)
-                leaf.replace(keys, values, tree._leaf_physical)
-            else:
-                leaf = LeafNode(page_id)
-                leaf.keys = keys
-                leaf.values = values
+            leaf = GappedLeaf(page_id, tree._leaf_physical)
+            leaf.replace(keys, values, tree._leaf_physical)
             leaves.append(leaf)
             tree.leaf_count += 1
             return leaf
         keys, children = decode_internal(data)
-        if gapped:
-            node = GappedInternal(page_id, tree._internal_physical)
-            node.ks = kernels.gapped_key_store(keys, tree._internal_physical)
-            node.n = len(keys)
-        else:
-            node = InternalNode(page_id)
-            node.keys = keys
+        node = GappedInternal(page_id, tree._internal_physical)
+        node.ks = kernels.gapped_key_store(keys, tree._internal_physical)
+        node.n = len(keys)
         node.children = [load(child) for child in children]
         tree.internal_count += 1
         return node
@@ -335,13 +327,8 @@ def deserialize_btree(blob: dict):
     tree.n_entries = sum(len(leaf) for leaf in leaves)
     non_empty = [leaf for leaf in leaves if len(leaf)]
     if non_empty:
-        first, last = non_empty[0], non_empty[-1]
-        if gapped:
-            tree._min_key = first.first_key()
-            tree._max_key = last.last_key()
-        else:
-            tree._min_key = first.keys[0]
-            tree._max_key = last.keys[-1]
+        tree._min_key = non_empty[0].first_key()
+        tree._max_key = non_empty[-1].last_key()
     depth = 1
     node = tree._root
     while not node.is_leaf:

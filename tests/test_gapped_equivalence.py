@@ -1,19 +1,23 @@
-"""Observational equivalence of the classic and gapped B+-tree layouts.
+"""Observational contract of the gapped B+-tree node layout.
 
-The gapped node layout (``node_layout="gapped"``, the BS-tree direction) is
-a pure representation change: for any program of inserts, batch inserts,
-deletes and reads, a gapped tree must answer exactly like a classic tree —
-same items, same created counts, same lookup and range results — under
-*both* kernel backends, and the two backends must agree with each other.
-These properties pin that contract, mirroring what
-``tests/test_kernels_equivalence.py`` does for the kernel layer.
+The gapped layout (the BS-tree direction) is a representation choice, not a
+semantic one: for any program of inserts, batch inserts, deletes and reads
+the tree must answer exactly like an ordered map — same items, same created
+counts, same lookup and range results, same watermark bounds — under *both*
+kernel backends, and the two backends must agree with each other. These
+properties pin that contract against a dict + sorted-list model, mirroring
+what ``tests/test_kernels_equivalence.py`` does for the kernel layer.
 
 Alongside the hypothesis programs: unit coverage for the gapped-specific
-machinery — sentinel-key demotion to list stores, config validation,
-fission accounting, the explicit physical-occupancy fields of
-``space_stats()``, checkpoint round-trips, coalesced-probe cache
-invalidation, and profiler layer attribution for the new modules.
+machinery — sentinel-key demotion to list stores, fission accounting, the
+explicit physical-occupancy fields of ``space_stats()``, checkpoint
+round-trips (including configs pickled by older versions), coalesced-probe
+cache invalidation, and profiler layer attribution for the hot modules.
 """
+
+import copy
+import pickle
+from bisect import bisect_left, bisect_right, insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 from repro import kernels
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.btree.node import GappedInternal, GappedLeaf
-from repro.errors import ConfigError
 from repro.obs.profiler import layer_for_module
 from repro.storage.costmodel import Meter
 from repro.storage.pages import deserialize_btree, serialize_btree
@@ -48,17 +51,68 @@ ops_st = st.lists(
 )
 
 
-def _tree(layout: str, **overrides) -> BPlusTree:
+def _tree(**overrides) -> BPlusTree:
     config = BPlusTreeConfig(
         leaf_capacity=overrides.pop("leaf_capacity", 4),
         internal_capacity=overrides.pop("internal_capacity", 4),
-        node_layout=layout,
         **overrides,
     )
     return BPlusTree(config, meter=Meter())
 
 
-def _apply(tree: BPlusTree, ops) -> list:
+class _Model:
+    """Reference semantics: a dict plus its sorted key list.
+
+    Upsert on conflict, lazy delete, and *watermark* ``min_key``/``max_key``
+    that widen on insert and never shrink on delete. Exposes the verbs and
+    observables ``_apply``/``_observe`` use on the tree.
+    """
+
+    def __init__(self):
+        self.data = {}
+        self.keys = []
+        self.min_key = None
+        self.max_key = None
+
+    def insert(self, key, value) -> bool:
+        created = key not in self.data
+        if created:
+            insort(self.keys, key)
+            if self.min_key is None or key < self.min_key:
+                self.min_key = key
+            if self.max_key is None or key > self.max_key:
+                self.max_key = key
+        self.data[key] = value
+        return created
+
+    def insert_many(self, items) -> int:
+        return sum(self.insert(key, value) for key, value in items)
+
+    def delete(self, key) -> bool:
+        if key not in self.data:
+            return False
+        del self.data[key]
+        del self.keys[bisect_left(self.keys, key)]
+        return True
+
+    def iter_items(self):
+        return ((key, self.data[key]) for key in self.keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def get(self, key):
+        return self.data.get(key)
+
+    def get_many(self, keys):
+        return [self.data.get(key) for key in keys]
+
+    def range_query(self, lo, hi):
+        span = self.keys[bisect_left(self.keys, lo) : bisect_right(self.keys, hi)]
+        return [(key, self.data[key]) for key in span]
+
+
+def _apply(tree, ops) -> list:
     """Replay an op program; returns the per-op observable results."""
     results = []
     for t, (op, arg) in enumerate(ops):
@@ -71,7 +125,7 @@ def _apply(tree: BPlusTree, ops) -> list:
     return results
 
 
-def _observe(tree: BPlusTree, probe_keys) -> dict:
+def _observe(tree, probe_keys) -> dict:
     return {
         "items": list(tree.iter_items()),
         "len": len(tree),
@@ -85,21 +139,21 @@ def _observe(tree: BPlusTree, probe_keys) -> dict:
 
 
 # ----------------------------------------------------------------------
-# layout equivalence programs
+# model equivalence programs
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
 @given(ops=ops_st)
 @settings(max_examples=50, deadline=None)
 def test_gapped_matches_classic(backend, ops):
-    """Any op program observes identical behavior under both layouts."""
+    """Any op program observes the classic ordered-map behavior: per-op
+    return values and every read agree with the dict + sorted-list model."""
     with kernels.use_backend(backend):
-        classic = _tree("classic")
-        gapped = _tree("gapped")
-        assert _apply(classic, ops) == _apply(gapped, ops)
+        model = _Model()
+        gapped = _tree()
+        assert _apply(model, ops) == _apply(gapped, ops)
         probes = sorted({k for _op, arg in ops for k in
                          (arg if isinstance(arg, list) else [arg])} | {17, -1})
-        assert _observe(classic, probes) == _observe(gapped, probes)
-        classic.check_invariants()
+        assert _observe(model, probes) == _observe(gapped, probes)
         gapped.check_invariants()
 
 
@@ -111,7 +165,7 @@ def test_gapped_backends_agree(ops):
     observed = {}
     for backend in ("python", "numpy"):
         with kernels.use_backend(backend):
-            tree = _tree("gapped")
+            tree = _tree()
             replay = _apply(tree, ops)
             probes = sorted({k for _op, arg in ops for k in
                              (arg if isinstance(arg, list) else [arg])})
@@ -127,8 +181,8 @@ def test_insert_many_matches_sequential_loop(backend, keys):
     """Batch descent is an amortization, not a semantic change."""
     items = [(k, f"v{k}@{t}") for t, k in enumerate(keys)]
     with kernels.use_backend(backend):
-        batched = _tree("gapped")
-        sequential = _tree("gapped")
+        batched = _tree()
+        sequential = _tree()
         created_batch = batched.insert_many(items)
         created_seq = sum(sequential.insert(k, v) for k, v in items)
         assert created_batch == created_seq
@@ -225,6 +279,8 @@ def test_dedup_column_kernels_match(batch):
     assert results["python"] == results["numpy"]
     deduped, col2, _ = results["python"]
     assert col2 == [k for k, _v in deduped]
+    # keep-last semantics: one entry per key, holding the latest value
+    assert deduped == list(dict(batch).items())
     assert kernels.column_strictly_increasing(col2) or not deduped
 
 
@@ -232,17 +288,15 @@ def test_dedup_column_kernels_match(batch):
 # gapped-specific machinery
 # ----------------------------------------------------------------------
 class TestConfig:
-    def test_rejects_unknown_layout(self):
-        with pytest.raises(ConfigError):
-            BPlusTreeConfig(node_layout="packed")
-
-    def test_rejects_out_of_range_high_water(self):
-        for bad in (0.4, 1.1):
-            with pytest.raises(ConfigError):
-                BPlusTreeConfig(gap_high_water=bad)
-
     def test_gapped_is_default(self):
-        assert BPlusTreeConfig().node_layout == "gapped"
+        """Gapped is the only layout: no selector, and default trees use it."""
+        with pytest.raises(TypeError):
+            BPlusTreeConfig(node_layout="gapped")
+        with pytest.raises(TypeError):
+            BPlusTreeConfig(gap_high_water=1.0)
+        tree = BPlusTree()
+        tree.insert(1, "v")
+        assert isinstance(tree._head_leaf, GappedLeaf)
 
 
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
@@ -250,7 +304,7 @@ class TestConfig:
 class TestDemotion:
     def test_unrepresentable_key_demotes_and_serves(self, backend, weird):
         with kernels.use_backend(backend):
-            tree = _tree("gapped")
+            tree = _tree()
             tree.insert_many([(k, f"v{k}") for k in range(10)])
             tree.insert(weird, "weird")
             assert tree.get(weird) == "weird"
@@ -272,7 +326,7 @@ class TestDemotion:
 def test_fission_replaces_split_storm(backend):
     """A big run landing in one leaf rebuilds it in one structural event."""
     with kernels.use_backend(backend):
-        tree = _tree("gapped", leaf_capacity=8)
+        tree = _tree(leaf_capacity=8)
         tree.insert_many([(k, k) for k in range(0, 1000, 10)])
         before = tree.leaf_splits
         tree.insert_many([(k, k) for k in range(101, 161)])  # one-leaf run
@@ -283,18 +337,11 @@ def test_fission_replaces_split_storm(backend):
         assert tree.leaf_splits - before <= 1
         tree.check_invariants()
 
-    with kernels.use_backend(backend):
-        classic = _tree("classic", leaf_capacity=8)
-        classic.insert_many([(k, k) for k in range(0, 1000, 10)])
-        classic.insert_many([(k, k) for k in range(101, 161)])
-        assert classic.leaf_fissions == 0
-
 
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
-@pytest.mark.parametrize("layout", ["classic", "gapped"])
-def test_space_stats_physical_identity(backend, layout):
+def test_space_stats_physical_identity(backend):
     with kernels.use_backend(backend):
-        tree = _tree(layout, leaf_capacity=8)
+        tree = _tree(leaf_capacity=8)
         tree.insert_many([(k, k) for k in range(500)])
         tree.delete(3)
         stats = tree.space_stats()
@@ -302,19 +349,32 @@ def test_space_stats_physical_identity(backend, layout):
             stats["logical_entries"]
         )
         assert stats["logical_entries"] == len(tree)
-        if layout == "gapped":
-            assert stats["physical_slots"] == tree.leaf_count * (8 + 1)
-            assert 0.0 < stats["physical_fill"] <= 1.0
+        assert stats["physical_slots"] == tree.leaf_count * (8 + 1)
+        assert 0.0 < stats["physical_fill"] <= 1.0
+
+
+def test_collector_gap_slots_matches_space_stats():
+    """The obs collector and ``space_stats()`` publish one ``gap_slots``:
+    physical (spare slot included), whatever mix of paths built the tree."""
+    tree = _tree(leaf_capacity=8)
+    tree.bulk_load_append([(k, k) for k in range(0, 400, 2)])
+    for k in range(1, 120, 2):
+        tree.insert(k, k)
+    tree.insert_many([(k, k) for k in range(121, 300, 4)])
+    for k in range(0, 400, 7):
+        tree.delete(k)
+    tree.bulk_load_append([(k, k) for k in range(1000, 1100)])
+    assert tree._obs_snapshot()["gap_slots"] == tree.space_stats()["gap_slots"]
+    assert tree.space_stats()["gap_slots"] == tree.leaf_count * 9 - len(tree)
 
 
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
 def test_checkpoint_round_trip_preserves_gapped_layout(backend):
     with kernels.use_backend(backend):
-        tree = _tree("gapped", leaf_capacity=6)
+        tree = _tree(leaf_capacity=6)
         tree.insert_many([(k, f"v{k}") for k in range(300)])
         tree.insert(SENTINEL, "weird")  # demoted leaf must survive too
         restored = deserialize_btree(serialize_btree(tree))
-        assert restored.config.node_layout == "gapped"
         assert isinstance(restored._head_leaf, GappedLeaf)
         assert restored._root.is_leaf or isinstance(restored._root, GappedInternal)
         assert list(restored.iter_items()) == list(tree.iter_items())
@@ -326,11 +386,43 @@ def test_checkpoint_round_trip_preserves_gapped_layout(backend):
         assert restored.get(9999) == "post"
 
 
+@pytest.mark.parametrize(
+    "stale",
+    [{"node_layout": "classic", "gap_high_water": 0.7}, {}],
+    ids=["removed-knobs", "pre-knob"],
+)
+def test_old_checkpoint_config_still_loads(stale):
+    """Checkpoints pickle their config. One written while the layout knobs
+    existed carries them as stray attributes (possibly saying "classic");
+    one older still has neither, like a config pickled today. Both must
+    load as gapped trees — the page bytes never depended on the layout —
+    and accept new writes."""
+    tree = _tree(leaf_capacity=6)
+    tree.insert_many([(k, f"v{k}") for k in range(0, 600, 2)])
+    tree.delete(10)
+    blob = serialize_btree(tree, compress=True)
+    config = copy.copy(blob["config"])
+    for name, value in stale.items():
+        object.__setattr__(config, name, value)
+    blob = pickle.loads(pickle.dumps({**blob, "config": config}))
+    assert {k: getattr(blob["config"], k, None) for k in stale} == stale
+
+    restored = deserialize_btree(blob)
+    assert isinstance(restored._head_leaf, GappedLeaf)
+    assert isinstance(restored._root, GappedInternal)
+    assert list(restored.iter_items()) == list(tree.iter_items())
+    restored.check_invariants()
+    assert restored.insert(11, "post") is True
+    assert restored.insert_many([(k, "batch") for k in range(1, 200, 2)]) == 99
+    assert restored.get(11) == "batch" and restored.get(12) == "v12"
+    restored.check_invariants()
+
+
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
 def test_coalesced_probe_cache_invalidation(backend):
     """get_many's leaf-column cache never serves stale answers."""
     with kernels.use_backend(backend):
-        tree = _tree("gapped", leaf_capacity=8)
+        tree = _tree(leaf_capacity=8)
         tree.insert_many([(k, k) for k in range(0, 400, 2)])
         assert tree.get_many([100, 101]) == [100, None]  # builds the cache
         tree.insert(101, "fresh")
@@ -344,7 +436,7 @@ def test_coalesced_probe_cache_invalidation(backend):
 
 
 def test_profiler_classifies_gapped_modules():
-    """Sampling profiles must attribute the new hot modules to layers."""
+    """Sampling profiles must attribute the hot modules to layers."""
     assert layer_for_module("repro.btree.btree") == "btree"
     assert layer_for_module("repro.btree.node") == "btree"
     assert layer_for_module("repro.kernels.python_kernels") == "kernels"

@@ -280,18 +280,6 @@ def test_sort_items_by_key_stable_and_identical(items):
 @requires_numpy
 @given(items=items_st)
 @settings(max_examples=60, deadline=None)
-def test_dedup_sorted_items_matches(items):
-    batch = sorted(items, key=lambda p: p[0])
-    py, np_res = _both(kernels.dedup_sorted_items, list(batch))
-    assert list(py) == list(np_res)
-    # keep-last semantics: one entry per key, holding the latest value
-    expected = list(dict(batch).items())
-    assert list(py) == expected
-
-
-@requires_numpy
-@given(items=items_st)
-@settings(max_examples=60, deadline=None)
 def test_keys_strictly_increasing_matches(items):
     py, np_res = _both(kernels.keys_strictly_increasing, list(items))
     assert bool(py) == bool(np_res)
