@@ -36,6 +36,7 @@ that into a connection close, never into a half-interpreted request.
 
 from __future__ import annotations
 
+import asyncio
 import pickle
 import struct
 import zlib
@@ -226,8 +227,6 @@ async def read_frame(reader) -> Optional[Tuple[int, int, bytes]]:
     at a frame boundary. A torn frame (EOF mid-frame) or a structurally
     invalid one raises :class:`ProtocolError`.
     """
-    import asyncio
-
     try:
         header = await reader.readexactly(HEADER.size)
     except asyncio.IncompleteReadError as exc:

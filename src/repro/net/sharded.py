@@ -45,16 +45,20 @@ A crash before (3) leaves the old manifest: the donor still owns and
 holds everything. A crash after (3) leaves the moved keys owned by the
 new shard; the donor's stale copies are unreachable (see the clamp).
 
-**Group commit.** Mutations mark their shard dirty; :meth:`commit` fsyncs
-every dirty WAL (a no-op under ``fsync_policy="always"``, where appends
-sync inline). The server acks writes only after the covering commit — the
-ack-after-fsync invariant the crash harness pins.
+**Group commit.** :meth:`commit` fsyncs every shard WAL holding records
+past its durable watermark (none under ``fsync_policy="always"``, where
+appends sync inline). The server acks writes only after the covering
+commit — the ack-after-fsync invariant the crash harness pins. ``commit``
+may run on a second thread while the owning thread keeps writing: it covers
+what was appended before it started, and a lock keeps it apart from shard
+splits and checkpoints, which reshape the shard list and truncate WALs.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -134,6 +138,11 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _needs_sync(shard: _Shard) -> bool:
+    """Whether the shard's WAL holds records no completed fsync covers."""
+    return shard.wal.durable_records < shard.wal.records
+
+
 def _clamp_items(
     items: List[Tuple[int, object]], lower: Optional[int], upper: Optional[int]
 ) -> List[Tuple[int, object]]:
@@ -171,7 +180,9 @@ class ShardedSortednessAwareIndex:
 
             backend_factory = BPlusTree
         self._backend_factory = backend_factory
-        self._dirty: set = set()  # shard ids with unsynced WAL appends
+        # Keeps commit() (possibly on another thread) apart from splits and
+        # checkpoints.
+        self._commit_lock = threading.Lock()
         self.splits = 0
         self.scatter_queries = 0
         if _recovered_shards is not None:
@@ -270,7 +281,7 @@ class ShardedSortednessAwareIndex:
             "n_shards": float(len(self._shards)),
             "splits": float(self.splits),
             "scatter_queries": float(self.scatter_queries),
-            "dirty_shards": float(len(self._dirty)),
+            "dirty_shards": float(sum(map(_needs_sync, self._shards))),
         }
 
     # ------------------------------------------------------------------
@@ -306,7 +317,6 @@ class ShardedSortednessAwareIndex:
     def put(self, key: int, value: object) -> None:
         shard = self._route(key)
         shard.index.insert(key, value)
-        self._dirty.add(shard.shard_id)
         self._maybe_split(shard)
 
     def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
@@ -322,35 +332,28 @@ class ShardedSortednessAwareIndex:
         for shard_id, chunk in per_shard.items():
             shard = shards_by_id[shard_id]
             shard.index.put_many(chunk)
-            self._dirty.add(shard_id)
         for shard_id in list(per_shard):
             self._maybe_split(shards_by_id[shard_id])
 
     def delete(self, key: int) -> None:
         shard = self._route(key)
         shard.index.delete(key)
-        self._dirty.add(shard.shard_id)
 
     def commit(self) -> int:
-        """fsync every dirty shard WAL; returns the number synced.
+        """fsync every shard WAL with unsynced records; returns the number synced.
 
         The durability point for acknowledgements under
-        ``fsync_policy="batch"``: a write is ack-safe only after the commit
-        that covers it. Under ``"always"`` appends sync inline, so this
-        degenerates to clearing the dirty set.
+        ``fsync_policy="batch"``: a write is ack-safe only after a commit
+        that *started* after it was applied. Under ``"always"`` appends
+        sync inline, so no shard ever needs it. Thread-safe against
+        concurrent writes (see module docstring).
         """
-        dirty = self._dirty
-        if not dirty:
-            return 0
         synced = 0
-        if self.config.fsync_policy != FSYNC_ALWAYS:
-            by_id = {s.shard_id: s for s in self._shards}
-            for shard_id in sorted(dirty):
-                shard = by_id.get(shard_id)
-                if shard is not None:
+        with self._commit_lock:
+            for shard in self._shards:
+                if _needs_sync(shard):
                     shard.wal.sync()
                     synced += 1
-        dirty.clear()
         return synced
 
     # ------------------------------------------------------------------
@@ -433,7 +436,8 @@ class ShardedSortednessAwareIndex:
     def _maybe_split(self, shard: _Shard) -> None:
         threshold = self.config.split_threshold
         if threshold and self._shard_size(shard) >= threshold:
-            self._split_shard(shard)
+            with self._commit_lock:
+                self._split_shard(shard)
 
     def _split_shard(self, shard: _Shard) -> None:
         """Split ``shard`` at its median live key (crash-safe; see module
@@ -479,11 +483,11 @@ class ShardedSortednessAwareIndex:
     # ------------------------------------------------------------------
     def checkpoint_all(self) -> Dict[int, int]:
         """Checkpoint every shard (drain + save + WAL reset); pages per shard."""
-        pages: Dict[int, int] = {}
-        for shard in self._shards:
-            pages[shard.shard_id] = shard.index.checkpoint(shard.store)
-        self._dirty.clear()
-        return pages
+        with self._commit_lock:
+            return {
+                shard.shard_id: shard.index.checkpoint(shard.store)
+                for shard in self._shards
+            }
 
     def close(self) -> None:
         for shard in self._shards:

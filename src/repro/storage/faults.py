@@ -18,7 +18,10 @@ seeded, fully deterministic harness:
 
 Determinism contract: the same ``(seed, crash_at)`` against the same
 workload produces byte-identical on-disk wreckage, so every crash point in
-an acceptance sweep is reproducible in isolation.
+an acceptance sweep is reproducible in isolation. The counters are
+lock-guarded, so with I/O from a second thread (the server's off-loop
+group-commit fsync) exactly one operation is still the crash point — which
+one is then up to the interleaving, so sweeps drive their I/O from one thread.
 
 Durability model: bytes are considered durable once ``write`` returns
 (page-cache loss is not simulated); the torn write at the crash point is
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 from typing import Optional
 
 
@@ -69,6 +73,7 @@ class FaultyEnv:
         self.ops = 0  # mutating I/O operations performed so far
         self.reads = 0
         self.crashed = False
+        self._lock = threading.Lock()  # the counters are read-modify-write
 
     # -- scheduling --------------------------------------------------------
     def _check_alive(self) -> None:
@@ -77,19 +82,21 @@ class FaultyEnv:
 
     def _tick(self) -> bool:
         """Advance the op counter; True when this op is the crash point."""
-        self._check_alive()
-        op = self.ops
-        self.ops += 1
-        if self.crash_at is not None and op >= self.crash_at:
-            self.crashed = True
-            return True
-        return False
+        with self._lock:
+            self._check_alive()
+            op = self.ops
+            self.ops += 1
+            if self.crash_at is not None and op >= self.crash_at:
+                self.crashed = True
+                return True
+            return False
 
     def _tick_read(self) -> bool:
-        self._check_alive()
-        op = self.reads
-        self.reads += 1
-        return self.short_read_at is not None and op == self.short_read_at
+        with self._lock:
+            self._check_alive()
+            op = self.reads
+            self.reads += 1
+            return self.short_read_at is not None and op == self.short_read_at
 
     # -- environment surface ------------------------------------------------
     def open(self, path: str, mode: str = "rb") -> "FaultyFile":

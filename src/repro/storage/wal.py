@@ -27,9 +27,13 @@ torn record is therefore never surfaced as data; it is reported through
 :attr:`WALReplay.torn_tail` and truncated away the next time the log is
 opened for appending.
 
-The log is safe to share between threads (appends serialize on an internal
-lock) and is truncated by :meth:`WriteAheadLog.reset` once a checkpoint has
-made its contents redundant (see :class:`~repro.storage.pagefile.CheckpointStore`).
+The log is safe to share between threads: appends serialize on an internal
+lock, and :meth:`WriteAheadLog.sync` holds that lock only to flush and note
+how many records it covers — the fsync itself runs outside it, so a second
+thread keeps appending while the disk works (the server's off-loop group
+commit relies on this). The log is truncated by :meth:`WriteAheadLog.reset`
+once a checkpoint has made its contents redundant (see
+:class:`~repro.storage.pagefile.CheckpointStore`).
 """
 
 from __future__ import annotations
@@ -189,9 +193,17 @@ class WriteAheadLog:
         self.path = path
         self.fsync_policy = fsync_policy
         self.obs = obs if obs is not None else current_obs()
+        # ``_lock`` guards the file position and every counter. ``_sync_lock``
+        # is held across a whole sync()/reset()/close() so the descriptor
+        # cannot be closed or truncated under an fsync in flight; it is
+        # always taken before ``_lock``.
         self._lock = threading.Lock()
+        self._sync_lock = threading.Lock()
         self._closed = False
         self.records = 0  # appended through this handle
+        #: Watermark: the first ``durable_records`` of ``records`` are on
+        #: stable storage (covered by a completed fsync, or by a reset).
+        self.durable_records = 0
         self.bytes_written = 0
         self.syncs = 0
         self.resets = 0
@@ -240,23 +252,34 @@ class WriteAheadLog:
                     self.bytes_written += len(frame)
                 self.records += len(frames)
                 if self.fsync_policy == FSYNC_ALWAYS:
-                    self._timed_fsync()
+                    self._synced(self.records, self._timed_fsync())
                 elif self.fsync_policy == FSYNC_BATCH:
                     self._file.flush()
                 return self.records
 
-    def _timed_fsync(self) -> None:
-        """fsync with latency observability (histogram + monitor feed).
+    def _timed_fsync(self) -> int:
+        """fsync the log file; returns the syscall's latency in ns.
 
-        Callers hold ``_lock``. The timing pair costs two clock reads per
-        sync — noise next to the syscall it brackets — and feeds both the
-        ``wal_fsync_ns`` histogram (p99 drives the ``wal_fsync_slow``
-        health rule) and the monitor hub's fsync totals.
+        Takes no lock itself: the inline ``"always"`` append and
+        :meth:`reset` call it under ``_lock`` (nothing may append between
+        their write and their fsync), :meth:`sync` calls it holding only
+        ``_sync_lock`` so appends proceed meanwhile. Either way the caller
+        passes the result to :meth:`_synced` under ``_lock``.
         """
         start = time.perf_counter_ns()
         fsync_file(self._file)
-        elapsed = time.perf_counter_ns() - start
+        return time.perf_counter_ns() - start
+
+    def _synced(self, covered: int, elapsed: int) -> None:
+        """Account one completed fsync covering the first ``covered`` records.
+
+        Callers hold ``_lock``. The latency feeds both the ``wal_fsync_ns``
+        histogram (p99 drives the ``wal_fsync_slow`` health rule) and the
+        monitor hub's fsync totals.
+        """
         self.syncs += 1
+        if covered > self.durable_records:
+            self.durable_records = covered
         obs = self.obs
         if obs is not NULL_OBS:
             obs.observe_hist("wal_fsync_ns", elapsed)
@@ -266,11 +289,21 @@ class WriteAheadLog:
 
     # -- lifecycle ---------------------------------------------------------
     def sync(self) -> None:
-        """Force everything appended so far to stable storage."""
-        with self._lock:
-            if self._closed:
-                raise WALError("write-ahead log is closed")
-            self._timed_fsync()
+        """Force everything appended so far to stable storage.
+
+        Safe to call from one thread while another appends: records that
+        land during the fsync are simply not covered by it
+        (``durable_records`` says how far this sync reached).
+        """
+        with self._sync_lock:
+            with self._lock:
+                if self._closed:
+                    raise WALError("write-ahead log is closed")
+                self._file.flush()
+                covered = self.records
+            elapsed = self._timed_fsync()
+            with self._lock:
+                self._synced(covered, elapsed)
 
     def reset(self) -> None:
         """Truncate the log to empty (called once a checkpoint is durable).
@@ -281,12 +314,12 @@ class WriteAheadLog:
         contains them.
         """
         with self.obs.span("wal.reset"):
-            with self._lock:
+            with self._sync_lock, self._lock:
                 if self._closed:
                     raise WALError("write-ahead log is closed")
                 self._file.seek(0)
                 self._file.truncate(0)
-                self._timed_fsync()
+                self._synced(self.records, self._timed_fsync())
                 self.resets += 1
 
     def tail_bytes(self) -> int:
@@ -295,7 +328,7 @@ class WriteAheadLog:
             return self._file.tell()
 
     def close(self) -> None:
-        with self._lock:
+        with self._sync_lock, self._lock:
             if not self._closed:
                 self._closed = True
                 self._file.close()
@@ -313,6 +346,7 @@ class WriteAheadLog:
             "records": float(self.records),
             "bytes": float(self.bytes_written),
             "syncs": float(self.syncs),
+            "durable_records": float(self.durable_records),
             "resets": float(self.resets),
             "recovered_records": float(self.recovered_records),
             "recovered_torn_tail": float(self.recovered_torn_tail),

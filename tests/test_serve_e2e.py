@@ -9,6 +9,7 @@ only that connection).
 
 import asyncio
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,13 @@ from repro.net import protocol as p
 from repro.net.client import IndexClient, ServerError, SyncIndexClient
 from repro.net.loadgen import LoadGenConfig, run_load
 from repro.net.server import IndexServer
-from repro.net.sharded import ShardedConfig, ShardedSortednessAwareIndex
+from repro.net.sharded import (
+    ShardedConfig,
+    ShardedSortednessAwareIndex,
+    recover_sharded,
+)
+from repro.obs import Observability
+from tests.slow_fsync import SlowFsync
 
 
 def serve_cfg(**kw):
@@ -30,9 +37,11 @@ def serve_cfg(**kw):
     return ShardedConfig(**kw)
 
 
-async def start_server(tmp_path, **kw):
-    index = ShardedSortednessAwareIndex(str(tmp_path / "db"), config=serve_cfg(**kw))
-    server = IndexServer(index, commit_interval=0.001)
+async def start_server(tmp_path, commit_interval=0.001, opener=open, obs=None, **kw):
+    index = ShardedSortednessAwareIndex(
+        str(tmp_path / "db"), config=serve_cfg(**kw), opener=opener
+    )
+    server = IndexServer(index, commit_interval=commit_interval, obs=obs)
     await server.start()
     return server
 
@@ -179,6 +188,150 @@ class TestEndToEnd:
             thread.join()
             loop.run_until_complete(server.stop())
             loop.close()
+
+
+class TestLoadClockedCommit:
+    """The commit loop fires at quiescence (off the event loop) or at the
+    ``commit_interval`` cap (inline), whichever comes first."""
+
+    def test_lone_put_is_released_by_quiescence_not_the_timer(self, tmp_path):
+        async def run():
+            obs = Observability(trace=True)
+            server = await start_server(tmp_path, commit_interval=30.0, obs=obs)
+            async with await IndexClient.connect(port=server.port) as client:
+                await asyncio.wait_for(client.put(1, "a"), 1.0)
+                stats = (await client.stats())["server"]
+                assert stats["commits"] == stats["commits_quiescent"] == 1
+                assert stats["commits_capped"] == 0
+            await server.stop()
+            spans = [e for e in obs.tracer.events() if e.name == "serve.commit"]
+            assert [span.attrs for span in spans] == [
+                {"acks": 1, "trigger": "quiescent", "offloaded": True}
+            ]
+
+        asyncio.run(run())
+
+    def test_pipelined_puts_share_commits(self, tmp_path):
+        async def run():
+            server = await start_server(tmp_path, commit_interval=30.0)
+            async with await IndexClient.connect(port=server.port) as client:
+                await asyncio.wait_for(
+                    asyncio.gather(*[client.put(i, i) for i in range(64)]), 5.0
+                )
+                assert 1 <= server.commits <= 8
+            await server.stop()
+
+        asyncio.run(run())
+
+    def test_saturating_burst_is_released_at_the_cap(self, tmp_path):
+        # Four connections fire a PUT every loop turn without awaiting acks:
+        # the server never sees a quiet turn, so only the cap can release.
+        interval, burst_s, slack = 0.05, 0.5, 0.25
+
+        async def run():
+            server = await start_server(tmp_path, commit_interval=interval)
+            clients = [await IndexClient.connect(port=server.port) for _ in range(4)]
+            held = []
+
+            async def timed_put(client, key):
+                t0 = time.perf_counter()
+                await client.put(key, key)
+                held.append(time.perf_counter() - t0)
+
+            async def fire(cid, client):
+                puts, key = [], cid
+                stop_at = time.perf_counter() + burst_s
+                while time.perf_counter() < stop_at:
+                    puts.append(asyncio.ensure_future(timed_put(client, key)))
+                    key += 4
+                    await asyncio.sleep(0)
+                await asyncio.gather(*puts)
+
+            await asyncio.wait_for(
+                asyncio.gather(*[fire(i, c) for i, c in enumerate(clients)]), 30.0
+            )
+            assert server.commits_capped >= 1
+            # Held for the cap plus one fsync, not for the rest of the burst.
+            assert max(held) < interval + slack < burst_s
+            for client in clients:
+                await client.close()
+            await server.stop()
+
+        asyncio.run(run())
+
+    def test_reads_and_later_writes_during_an_off_loop_fsync(self, tmp_path):
+        async def run():
+            disk = SlowFsync()
+            server = await start_server(tmp_path, commit_interval=30.0, opener=disk)
+            shard = server.index._route(10)
+            assert server.index._route(11) is shard  # one WAL, one watermark
+            first = await IndexClient.connect(port=server.port)
+            second = await IndexClient.connect(port=server.port)
+            disk.delay = 0.2
+            put1 = asyncio.ensure_future(first.put(10, "covered"))
+            await disk.wait_started()
+            # The commit is in flight on the executor; the loop still serves.
+            assert await asyncio.wait_for(second.get(10), 1.0) == "covered"
+            assert disk.in_flight == 1 and not put1.done()
+            put2 = asyncio.ensure_future(second.put(11, "applied during the fsync"))
+            await asyncio.wait_for(put1, 5.0)
+            # put1's ack is out: its record is under the durable watermark,
+            # put2's is not, and the fsync that released put1 did not ack put2.
+            assert (shard.wal.durable_records, shard.wal.records) == (1, 2)
+            assert not put2.done()
+            await asyncio.wait_for(put2, 5.0)
+            assert shard.wal.durable_records == 2
+            assert server.commits == 2
+            assert disk.threads and all(t.startswith("repro-commit") for t in disk.threads)
+            await first.close()
+            await second.close()
+            await server.stop()
+
+        asyncio.run(run())
+
+    def test_stop_during_a_commit_in_flight_loses_no_ack(self, tmp_path):
+        async def run():
+            disk = SlowFsync()
+            server = await start_server(tmp_path, commit_interval=30.0, opener=disk)
+            first = await IndexClient.connect(port=server.port)
+            second = await IndexClient.connect(port=server.port)
+            disk.delay = 0.2
+            put1 = asyncio.ensure_future(first.put(10, "in the commit in flight"))
+            await disk.wait_started()
+            put2 = asyncio.ensure_future(second.put(11, "parked at stop()"))
+            while server.requests < 2:  # put2 is applied and its ack parked
+                await asyncio.sleep(0.001)
+            await asyncio.wait_for(server.stop(), 5.0)
+            # Neither caller hangs: each ack follows its fsync (or would have
+            # failed with ConnectionError had the server dropped it).
+            results = await asyncio.wait_for(
+                asyncio.gather(put1, put2, return_exceptions=True), 5.0
+            )
+            assert results[0] is None
+            assert results[1] is None or isinstance(results[1], ConnectionError)
+            await first.close()
+            await second.close()
+            recovered, _reports = recover_sharded(str(tmp_path / "db"))
+            try:
+                assert recovered.get(10) == "in the commit in flight"
+                if results[1] is None:
+                    assert recovered.get(11) == "parked at stop()"
+            finally:
+                recovered.close()
+
+        asyncio.run(run())
+
+    def test_immediate_ack_policies_start_no_commit_machinery(self, tmp_path):
+        async def run(policy):
+            server = await start_server(tmp_path / policy, fsync_policy=policy)
+            async with await IndexClient.connect(port=server.port) as client:
+                await asyncio.wait_for(client.put(1, "a"), 1.0)
+            assert server._executor is None and server._commit_task is None
+            assert server.commits == 0
+            await server.stop()
+
+        for policy in ("always", "never"):
+            asyncio.run(run(policy))
 
 
 class TestLoadGenerator:

@@ -8,6 +8,8 @@ the keyspace has fissioned into.
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -341,5 +343,64 @@ class TestCommit:
     def test_commit_under_always_policy_is_a_noop_sync(self, tmp_path):
         idx = make_sharded(tmp_path, fsync_policy="always")
         idx.put(1, "a")
-        assert idx.commit() == 0  # appends synced inline; only clears the set
+        assert idx.commit() == 0  # appends synced inline: nothing past a watermark
         idx.close()
+
+    def test_commit_covers_what_preceded_it_not_what_raced_it(self, tmp_path):
+        idx = make_sharded(tmp_path, fsync_policy="batch", n_shards=2)
+        idx.put(1, "a")
+        wal = idx._route(1).wal
+        real_sync = wal.sync
+
+        def sync_with_a_write_landing_mid_commit():
+            real_sync()
+            idx.put(2, "b")  # same shard, after the sync took its watermark
+
+        wal.sync = sync_with_a_write_landing_mid_commit
+        assert idx.commit() == 1
+        assert (wal.durable_records, wal.records) == (1, 2)
+        wal.sync = real_sync
+        assert idx._obs_snapshot()["dirty_shards"] == 1.0
+        assert idx.commit() == 1  # the racing write needs the next commit
+        assert idx._obs_snapshot()["dirty_shards"] == 0.0
+        idx.close()
+
+    def test_commit_on_a_second_thread_while_writes_split_shards(self, tmp_path):
+        idx = make_sharded(
+            tmp_path, fsync_policy="batch", n_shards=2, split_threshold=60
+        )
+        done = threading.Event()
+        failures = []
+
+        def committer():
+            try:
+                while not done.is_set():
+                    idx.commit()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=committer)
+        thread.start()
+        try:
+            rng = random.Random(5)
+            oracle = {}
+            for step in range(600):
+                key = rng.randrange(0, 10_000)
+                oracle[key] = step
+                idx.put(key, step)
+                if step % 97 == 0:
+                    idx.checkpoint_all()
+        finally:
+            done.set()
+            thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and not failures, failures
+        assert idx.splits > 0, "workload must cross a shard split"
+        idx.commit()
+        assert all(s.wal.durable_records == s.wal.records for s in idx._shards)
+        idx.close()
+        recovered, _reports = recover_sharded(str(tmp_path / "db"))
+        assert recovered.items() == sorted(oracle.items())
+        recovered.close()

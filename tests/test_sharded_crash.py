@@ -16,6 +16,9 @@ Three layers of the same invariant — *an acknowledged write is never lost*:
    test spies on every shard WAL's ``sync()`` and asserts, at the moment
    each client ``put`` future resolves, that the records it appended were
    already covered by a sync — the wire-level statement of the invariant.
+   The same is asserted against each WAL's ``durable_records`` watermark
+   with pipelining connections, where commits run off the event loop, and
+   a simulated crash inside such an off-loop fsync must ack nothing.
 
 3. **Real SIGKILL**: boot ``python -m repro serve`` as a subprocess, ack
    a batch of writes over the real socket, ``SIGKILL -9`` the server, and
@@ -24,10 +27,12 @@ Three layers of the same invariant — *an acknowledged write is never lost*:
 
 import asyncio
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -41,6 +46,7 @@ from repro.net.sharded import (
     recover_sharded,
 )
 from repro.storage.faults import FaultyEnv, SimulatedCrash
+from tests.slow_fsync import SlowFsync
 
 TOMBSTONE = object()
 SMALL = SWAREConfig(buffer_capacity=16, page_size=4)
@@ -272,6 +278,121 @@ class TestAckAfterFsync:
             assert syncs_before_acks[0] >= 1  # at least one covering commit
 
         asyncio.run(run())
+
+
+    def test_off_loop_commits_never_ack_ahead_of_the_watermark(self, tmp_path):
+        async def run():
+            disk = SlowFsync()
+            index = ShardedSortednessAwareIndex(
+                str(tmp_path / "db"),
+                config=ShardedConfig(
+                    n_shards=4,
+                    split_threshold=0,
+                    fsync_policy="batch",
+                    initial_key_range=(0, 4000),
+                    index_config=SMALL,
+                ),
+                opener=disk,
+            )
+            # A disk slow enough that writes keep landing mid-fsync.
+            disk.delay = 0.002
+            # The LSN each put got, noted on the loop thread as it is applied.
+            lsn = {}
+            real_put = index.put
+
+            def put(key, value):
+                real_put(key, value)
+                lsn[key] = index._route(key).wal.records
+
+            index.put = put
+            server = IndexServer(index, commit_interval=0.001)
+            await server.start()
+            clients = [await IndexClient.connect(port=server.port) for _ in range(3)]
+
+            async def acked(client, key):
+                await client.put(key, key)
+                wal = index._route(key).wal
+                assert wal.durable_records >= lsn[key], (
+                    f"ack for key {key} (lsn {lsn[key]}) ahead of the durable "
+                    f"watermark {wal.durable_records}"
+                )
+
+            async def worker(cid, client):
+                rng = random.Random(cid)
+                for burst in range(20):
+                    # Out of step with the other connections, so bursts land
+                    # while a commit they are not part of is in flight.
+                    await asyncio.sleep(rng.random() * 0.004)
+                    keys = [(burst * 97 + j * 1009) % 1333 * 3 + cid for j in range(4)]
+                    await asyncio.gather(*[acked(client, key) for key in set(keys)])
+
+            await asyncio.wait_for(
+                asyncio.gather(*[worker(i, c) for i, c in enumerate(clients)]), 30.0
+            )
+            assert server.commits_quiescent > 0, "the off-loop path never ran"
+            for client in clients:
+                await client.close()
+            await server.stop()
+
+        asyncio.run(run())
+
+
+class TestOffLoopFsyncCrash:
+    def test_crash_inside_off_loop_fsync_acks_nothing_uncovered(self, tmp_path):
+        root = str(tmp_path / "db")
+        env = FaultyEnv(crash_at=None)
+        armed = threading.Event()
+        crashed_on = []
+
+        def opener(path, mode="rb"):
+            fobj = env.open(path, mode)
+            real_fsync = fobj.fsync
+
+            def fsync():
+                if armed.is_set():
+                    env.crash_at = env.ops  # this very fsync is the crash point
+                    crashed_on.append(threading.current_thread().name)
+                real_fsync()
+
+            fobj.fsync = fsync
+            return fobj
+
+        async def run():
+            index = ShardedSortednessAwareIndex(
+                root,
+                config=ShardedConfig(
+                    n_shards=2,
+                    split_threshold=0,
+                    fsync_policy="batch",
+                    initial_key_range=(0, 1000),
+                    index_config=SMALL,
+                ),
+                opener=opener,
+                replace=env.replace,
+            )
+            server = IndexServer(index, commit_interval=30.0)
+            await server.start()
+            client = await IndexClient.connect(port=server.port)
+            acked = {}
+            for key in range(0, 1000, 50):
+                await asyncio.wait_for(client.put(key, f"v{key}"), 5.0)
+                acked[key] = f"v{key}"
+            armed.set()
+            with pytest.raises(ConnectionError):  # dropped, never acked
+                await asyncio.wait_for(client.put(7, "uncovered"), 5.0)
+            assert crashed_on and crashed_on[0].startswith("repro-commit")
+            await client.close()
+            with pytest.raises(SimulatedCrash):
+                await server.stop()
+            return acked
+
+        acked = asyncio.run(run())
+        recovered, _reports = recover_sharded(root)
+        try:
+            items = dict(recovered.items())
+            assert {k: items.get(k) for k in acked} == acked
+        finally:
+            recovered.close()
 
 
 SERVE_READY = re.compile(r"serving \d+ shards on [\d.]+:(\d+)")

@@ -1,6 +1,7 @@
 """Tests for the write-ahead log: framing, replay, policies, torn tails."""
 
 import os
+import sys
 import threading
 
 import pytest
@@ -14,6 +15,7 @@ from repro.storage.wal import (
     WriteAheadLog,
     replay_wal,
 )
+from tests.slow_fsync import SlowFsync
 
 
 @pytest.fixture
@@ -206,3 +208,103 @@ class TestPoliciesAndLifecycle:
         assert {op[1] for op in replay.ops} == {
             t * 1000 + i for t in range(4) for i in range(200)
         }
+
+
+def _in_thread(fn):
+    thread = threading.Thread(target=fn)
+    thread.start()
+    return thread
+
+
+def _joined(thread, timeout=5.0):
+    thread.join(timeout)
+    return not thread.is_alive()
+
+
+class TestSyncOffThread:
+    """``sync()`` holds the append lock only to flush and take its watermark:
+    another thread keeps appending while the disk works."""
+
+    def test_appends_proceed_during_sync_and_are_not_covered(self, path):
+        disk = SlowFsync()
+        wal = WriteAheadLog(path, fsync_policy=FSYNC_BATCH, opener=disk)
+        wal.append_put(1, "a")
+        wal.append_put(2, "b")
+        disk.delay = 0.2
+        syncer = _in_thread(wal.sync)
+        assert disk.started.wait(5.0)
+        for key in (3, 4, 5):
+            wal.append_put(key, "late")
+        # The appends returned while the fsync was still sleeping.
+        assert disk.in_flight == 1 and wal.syncs == 0
+        assert wal.snapshot()["durable_records"] == 0.0
+        assert _joined(syncer)
+        assert (wal.records, wal.durable_records, wal.syncs) == (5, 2, 1)
+        disk.delay = 0.0
+        wal.sync()
+        assert (wal.records, wal.durable_records, wal.syncs) == (5, 5, 2)
+        wal.close()
+        assert replay_wal(path).records == 5
+
+    def test_counters_stay_exact_under_contention(self, path):
+        wal = WriteAheadLog(path, fsync_policy=FSYNC_BATCH)
+        n_appenders, per_thread, n_syncers, syncs_each = 4, 300, 2, 40
+        watermarks = []
+
+        def append(tid):
+            for i in range(per_thread):
+                wal.append_put(tid * 10_000 + i, tid)
+
+        def sync():
+            for _ in range(syncs_each):
+                wal.sync()
+                watermarks.append((wal.durable_records, wal.records))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=append, args=(t,)) for t in range(n_appenders)
+            ] + [threading.Thread(target=sync) for _ in range(n_syncers)]
+            for thread in threads:
+                thread.start()
+            assert all(_joined(thread, 30.0) for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wal.syncs == n_syncers * syncs_each
+        assert all(durable <= records for durable, records in watermarks)
+        wal.sync()
+        assert wal.durable_records == wal.records == n_appenders * per_thread
+        wal.close()
+        replay = replay_wal(path)
+        assert replay.records == n_appenders * per_thread and not replay.torn_tail
+
+    @pytest.mark.parametrize("racer", ["close", "reset"])
+    def test_close_and_reset_wait_for_a_sync_in_flight(self, path, racer):
+        disk = SlowFsync()
+        wal = WriteAheadLog(path, fsync_policy=FSYNC_BATCH, opener=disk)
+        wal.append_put(1, "a")
+        disk.delay = 0.2
+        outcome = []
+
+        def sync():
+            try:
+                wal.sync()  # a closed descriptor would raise out of os.fsync
+                outcome.append("synced")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                outcome.append(exc)
+
+        syncer = _in_thread(sync)
+        assert disk.started.wait(5.0)
+        other = _in_thread(getattr(wal, racer))
+        other.join(0.05)
+        assert other.is_alive(), f"{racer}() did not wait for the fsync in flight"
+        assert _joined(syncer) and _joined(other)
+        assert outcome == ["synced"]
+        if racer == "close":
+            with pytest.raises(WALError):
+                wal.sync()
+        else:
+            assert wal.durable_records == wal.records == 1
+            assert wal.tail_bytes() == 0
+            wal.close()
