@@ -15,7 +15,7 @@ Layout (logical; see Fig. 8 of the paper)::
   move rightward as long as entries are inserted in fully sorted order").
 * The first out-of-order insert starts the **unsorted tail**; every later
   insert lands there. The tail carries a global Bloom filter, per-page Bloom
-  filters and per-page Zonemaps.
+  filters and per-page Zonemaps, all built by the first probe after an append.
 * When the tail grows past the query-sorting threshold, the next read query
   freezes it into a **query-sorted block** (§IV-C, inspired by cracking /
   adaptive merging).
@@ -57,6 +57,10 @@ HIT = 1
 TOMBSTONE = 2
 
 Entry = Tuple[int, int, object, bool]  # (key, seq, value, is_tombstone)
+
+#: Unindexed tail keys from which _sync_tail_index() uses the batch kernels;
+#: below it their fixed cost exceeds the per-key ``add_shared`` loop.
+_SYNC_KERNEL_MIN = 8
 
 
 @dataclass
@@ -118,6 +122,10 @@ class SWAREBuffer:
             else None
         )
         self._page_bfs: List[BloomFilter] = []
+        #: Filter levels a tail append is billed for (``bf_add`` each).
+        self._bf_levels = int(cfg.enable_global_bf) + int(cfg.enable_page_bf)
+        #: The filters and page Zonemaps cover ``_tail[:_indexed]``.
+        self._indexed = 0
         # Set when the tail is known sorted (used by range queries to avoid
         # re-sorting, reset by any new tail append), plus the lazily built
         # key column of that sorted tail for searchsorted range probes.
@@ -189,51 +197,26 @@ class SWAREBuffer:
             self._main_keys.append(key)
             return
 
-        position = len(self._tail)
         self._tail.append(entry)
         self._tail_sorted_cache = None
         self._tail_keys_cache = None
-        # The page-Zonemap update is upkeep already priced into
-        # ``buffer_append`` (like the whole-buffer Zonemap above); charging a
-        # ``zonemap_check`` here would double-bill relative to the in-order
-        # path, which maintains the same aggregates for free.
-        self.page_zonemaps.observe(position, key)
         if self._min_after_main is None or key < self._min_after_main:
             self._min_after_main = key
-        cfg = self.config
-        # One shared base hash feeds both filter levels (hash sharing).
-        shared: Optional[SharedHash] = (
-            SharedHash(key, cfg.hash_family)
-            if self.global_bf is not None or cfg.enable_page_bf
-            else None
-        )
-        if self.global_bf is not None:
-            self.global_bf.add_shared(shared)
-            self.meter.charge("bf_add")
-        if cfg.enable_page_bf:
-            page = position // cfg.page_size
-            while len(self._page_bfs) <= page:
-                self._page_bfs.append(
-                    BloomFilter(
-                        cfg.page_size,
-                        cfg.bits_per_entry,
-                        cfg.hash_family,
-                        rotation=17,
-                    )
-                )
-            self._page_bfs[page].add_shared(shared)
-            self.meter.charge("bf_add")
+        # Filter upkeep is billed now and done at the first probe; the page
+        # Zonemap's is priced into ``buffer_append`` like the whole-buffer
+        # Zonemap's above (the in-order path keeps the same aggregates free).
+        if self._bf_levels:
+            self.meter.charge("bf_add", self._bf_levels)
 
     def add_many(self, pairs: Sequence[Tuple[int, object]]) -> None:
         """Append a chunk of ``(key, value)`` upserts in arrival order.
 
         Observably identical to calling :meth:`add` per pair — same entries,
-        ``seq`` numbering, component layout, Zonemap/Bloom state and meter
-        charges — but amortized: one sortedness check partitions the chunk
-        into an in-order prefix (extends the main section directly) and a
-        tail remainder, which pays a single ``_tail_sorted_cache``
-        invalidation, per-page min/max Zonemap passes, one batch of shared
-        base hashes feeding both Bloom levels, and word-level filter updates.
+        ``seq`` numbering, component layout, meter charges and (once a probe
+        has synced it) Zonemap/Bloom state — but amortized: one sortedness
+        check partitions the chunk into an in-order prefix (extends the main
+        section directly) and a tail remainder, which pays a single
+        ``_tail_sorted_cache`` invalidation and one ``bf_add`` charge.
 
         The caller is responsible for capacity: like :meth:`add`, this does
         not flush — :class:`~repro.core.sware.SortednessAwareIndex.put_many`
@@ -266,50 +249,68 @@ class SWAREBuffer:
                 self._main_keys.extend(keys[:split])
 
         if split < n:
-            rest_keys = keys[split:]
-            start = len(self._tail)
             tail = self._tail
             for key, value in pairs[split:]:
                 seq += 1
                 tail.append((key, seq, value, False))
             self._tail_sorted_cache = None
             self._tail_keys_cache = None
-            self.page_zonemaps.observe_many(start, rest_keys)
-            lowest = min(rest_keys)
+            lowest = min(keys[split:])
             if self._min_after_main is None or lowest < self._min_after_main:
                 self._min_after_main = lowest
-            cfg = self.config
-            bases = (
-                kernels.shared_bases(rest_keys, cfg.hash_family)
-                if self.global_bf is not None or cfg.enable_page_bf
-                else None
-            )
-            if self.global_bf is not None:
-                self.global_bf.add_many(rest_keys, bases=bases)
-                self.meter.charge("bf_add", len(rest_keys))
-            if cfg.enable_page_bf:
-                page_size = cfg.page_size
-                idx = 0
-                total = len(rest_keys)
-                while idx < total:
-                    position = start + idx
-                    page = position // page_size
-                    take = min(total - idx, (page + 1) * page_size - position)
-                    while len(self._page_bfs) <= page:
-                        self._page_bfs.append(
-                            BloomFilter(
-                                page_size,
-                                cfg.bits_per_entry,
-                                cfg.hash_family,
-                                rotation=17,
-                            )
-                        )
-                    self._page_bfs[page].add_many(
-                        rest_keys[idx : idx + take], bases=bases[idx : idx + take]
-                    )
-                    self.meter.charge("bf_add", take)
-                    idx += take
+            if self._bf_levels:
+                self.meter.charge("bf_add", (n - split) * self._bf_levels)
         self._seq = seq
+
+    def _sync_tail_index(self) -> None:
+        """Index the tail entries appended since the last probe.
+
+        Afterwards the global filter, the page filters and the page Zonemaps
+        hold exactly what per-append upkeep would have built
+        (``BloomFilter.add_many`` sets the same bits as ``add``).
+        """
+        tail = self._tail
+        start = self._indexed
+        if start == len(tail):
+            return
+        self._indexed = len(tail)
+        keys = [entry[0] for entry in tail[start:]]
+        self.page_zonemaps.observe_many(start, keys)
+        if not self._bf_levels:
+            return
+        cfg = self.config
+        page_size = cfg.page_size
+        page_bfs = self._page_bfs
+        if cfg.enable_page_bf:
+            while len(page_bfs) * page_size < len(tail):
+                page_bfs.append(
+                    BloomFilter(page_size, cfg.bits_per_entry, cfg.hash_family, rotation=17)
+                )
+        global_bf = self.global_bf
+        if len(keys) < _SYNC_KERNEL_MIN:
+            for position, key in enumerate(keys, start):
+                shared = SharedHash(key, cfg.hash_family)
+                if global_bf is not None:
+                    global_bf.add_shared(shared)
+                if cfg.enable_page_bf:
+                    page_bfs[position // page_size].add_shared(shared)
+            return
+        bases = kernels.shared_bases(keys, cfg.hash_family)
+        if global_bf is not None:
+            global_bf.add_many(keys, bases=bases)
+        if cfg.enable_page_bf:
+            for page in range(start // page_size, len(page_bfs)):
+                lo = max(page * page_size - start, 0)
+                hi = (page + 1) * page_size - start
+                page_bfs[page].add_many(keys[lo:hi], bases=bases[lo:hi])
+
+    def _reset_tail_index(self) -> None:
+        """Empty the filters and page Zonemaps (the tail was just emptied)."""
+        self._indexed = 0
+        self.page_zonemaps.reset()
+        if self.global_bf is not None:
+            self.global_bf.clear()
+        self._page_bfs = []
 
     # ------------------------------------------------------------------
     # flushing
@@ -449,10 +450,7 @@ class SWAREBuffer:
         self._tail_sorted_cache = None
         self._tail_keys_cache = None
         self._min_after_main = None
-        self.page_zonemaps.reset()
-        if self.global_bf is not None:
-            self.global_bf.clear()
-        self._page_bfs = []
+        self._reset_tail_index()
         self.kl_estimate.reset()
         self.zonemap.reset()
         for entry in retained:
@@ -481,10 +479,7 @@ class SWAREBuffer:
         self._tail = []
         self._tail_sorted_cache = None
         self._tail_keys_cache = None
-        self.page_zonemaps.reset()
-        if self.global_bf is not None:
-            self.global_bf.clear()
-        self._page_bfs = []
+        self._reset_tail_index()
         # _min_after_main is unchanged: the same keys remain after main.
 
     # ------------------------------------------------------------------
@@ -534,6 +529,7 @@ class SWAREBuffer:
         tail = self._tail
         if not tail:
             return MISS, None
+        self._sync_tail_index()
         cfg = self.config
         shared: Optional[SharedHash] = None
         global_bf_approved = False

@@ -186,9 +186,9 @@ class SortednessAwareIndex:
             and self.buffer.global_bf is not None
             and self.buffer.tail_size
         ):
-            # Sampled before prepare_flush resets the filter: the FPR of the
-            # filter as the flushed epoch actually ran it.
-            expected_fpr = self.buffer.global_bf.expected_fpr()
+            # Sampled before prepare_flush resets the filter: its FPR at the load
+            # the flushed epoch ran it with (the whole tail; the filter is lazy).
+            expected_fpr = self.buffer.global_bf.expected_fpr(self.buffer.tail_size)
         with self.obs.span("sware.flush_cycle") as span:
             with self.meter.bucket("sort"):
                 batch = self.buffer.prepare_flush()

@@ -169,11 +169,12 @@ class BloomFilter:
         """
         return kernels.popcount_bytes(self._bits) / self.n_bits
 
-    def expected_fpr(self) -> float:
-        """Theoretical false-positive rate at the current load."""
-        if self.n_added == 0:
+    def expected_fpr(self, n_added: Optional[int] = None) -> float:
+        """Theoretical false-positive rate at the current load, or at ``n_added``."""
+        n_added = self.n_added if n_added is None else n_added
+        if n_added == 0:
             return 0.0
-        exponent = -self.n_probes * self.n_added / self.n_bits
+        exponent = -self.n_probes * n_added / self.n_bits
         return (1.0 - math.exp(exponent)) ** self.n_probes
 
     def __contains__(self, key: int) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
@@ -147,12 +147,14 @@ class Meter:
 class _NullMeter(Meter):
     """A meter that forgets everything; used when accounting is disabled."""
 
+    #: Shared, reentrant no-op context: a hot-path ``with`` builds no generator.
+    _NULL_BUCKET = nullcontext()
+
     def charge(self, kind: str, count: float = 1.0) -> None:  # noqa: D102
         pass
 
-    @contextmanager
-    def bucket(self, name: str) -> Iterator[None]:  # noqa: D102
-        yield
+    def bucket(self, name: str):  # noqa: D102
+        return self._NULL_BUCKET
 
 
 #: Shared no-op meter for callers that do not care about accounting.

@@ -1,5 +1,6 @@
 """Tests for the cost model and meter."""
 
+import pytest
 
 from repro.storage.costmodel import (
     DEFAULT_WEIGHTS,
@@ -137,6 +138,18 @@ class TestNullMeter:
         with NULL_METER.bucket("anything"):
             NULL_METER.charge("y")
         assert not NULL_METER.bucket_counts
+
+    def test_bucket_is_shared_reentrant_and_transparent_to_exceptions(self):
+        # One reusable context object (no generator per ``with``), safe to
+        # nest, and it must not swallow what is raised inside it.
+        assert NULL_METER.bucket("a") is NULL_METER.bucket("b")
+        with NULL_METER.bucket("outer"):
+            with NULL_METER.bucket("inner"):
+                pass
+        with pytest.raises(KeyError):
+            with NULL_METER.bucket("boom"):
+                raise KeyError("boom")
+        assert not NULL_METER.bucket_wall_ns
 
 
 class TestStopwatch:

@@ -1,0 +1,210 @@
+"""The tail's Bloom filters and page Zonemaps are built at the first probe.
+
+``SWAREBuffer.add`` / ``add_many`` only append; ``_sync_tail_index`` brings
+the global filter, the page filters and the page Zonemaps up to date when a
+lookup needs them. The contract is that nobody can tell: once synced, the
+filter state is bit-for-bit what per-append upkeep builds, and every lookup
+result, ``SWAREStats`` counter and meter charge matches a buffer that syncs
+after every append. Both sync paths (the scalar loop below the internal
+crossover, the batch kernels above it) are driven on both kernel backends.
+"""
+
+import copy
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import kernels
+from repro.core.buffer import SWAREBuffer
+from repro.core.config import SWAREConfig
+from repro.core.zonemap import PageZonemaps
+from repro.filters.bloom import BloomFilter
+from repro.storage.costmodel import Meter
+
+CAPACITY = 48
+PAGE = 4
+
+BACKENDS = [
+    "python",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(
+            not kernels.numpy_available(), reason="numpy not importable"
+        ),
+    ),
+]
+FLAGS = list(itertools.product((True, False), repeat=3))
+
+PROBE_COUNTERS = (
+    "global_bf_negatives",
+    "page_bf_negatives",
+    "global_bf_false_positives",
+    "page_bf_false_positives",
+    "zonemap_page_skips",
+    "unsorted_pages_scanned",
+    "buffer_skips_by_zonemap",
+    "query_sorts",
+    "sorted_entries",
+    "flushes",
+)
+
+keys_st = st.integers(min_value=0, max_value=120)
+ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), keys_st),
+        st.tuples(st.just("tombstone"), keys_st),
+        st.tuples(st.just("add_many"), st.lists(keys_st, min_size=1, max_size=30)),
+        st.tuples(st.just("lookup"), keys_st),
+        st.tuples(st.just("range"), keys_st, st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("query_sort")),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=60,
+)
+
+
+class _EagerBuffer(SWAREBuffer):
+    """The reference: indexes every append before returning."""
+
+    def add(self, key, value, tombstone=False):
+        super().add(key, value, tombstone)
+        self._sync_tail_index()
+
+    def add_many(self, pairs):
+        super().add_many(pairs)
+        self._sync_tail_index()
+
+
+def _per_key_index(buffer):
+    """Filter and Zonemap state built one ``BloomFilter.add`` per tail key."""
+    cfg = buffer.config
+    global_bf = BloomFilter(cfg.buffer_capacity, cfg.bits_per_entry, cfg.hash_family)
+    page_bfs = []
+    zones = PageZonemaps(cfg.page_size)
+    for position, entry in enumerate(buffer._tail):
+        key = entry[0]
+        global_bf.add(key)
+        if position % cfg.page_size == 0:
+            page_bfs.append(
+                BloomFilter(cfg.page_size, cfg.bits_per_entry, cfg.hash_family, rotation=17)
+            )
+        page_bfs[-1].add(key)
+        zones.observe(position, key)
+    return global_bf, page_bfs, zones
+
+
+def _filter_state(bf):
+    return bytes(bf._bits), bf.n_added
+
+
+def _assert_index_matches_per_key_build(buffer):
+    """Sync a *copy* — the buffer under test must reach its own first probe
+    unsynced — and compare it with the per-key build."""
+    buffer = copy.deepcopy(buffer)
+    buffer._sync_tail_index()
+    global_bf, page_bfs, zones = _per_key_index(buffer)
+    cfg = buffer.config
+    if cfg.enable_global_bf:
+        assert _filter_state(buffer.global_bf) == _filter_state(global_bf)
+    else:
+        assert buffer.global_bf is None
+    if cfg.enable_page_bf:
+        assert [_filter_state(bf) for bf in buffer._page_bfs] == [
+            _filter_state(bf) for bf in page_bfs
+        ]
+    else:
+        assert buffer._page_bfs == []
+    assert [z.as_tuple() for z in buffer.page_zonemaps._zones] == [
+        z.as_tuple() for z in zones._zones
+    ]
+
+
+def _apply(buffer, op, value):
+    """Run one op the way the index wrapper would; returns what a caller sees."""
+    kind = op[0]
+    if kind in ("add", "tombstone"):
+        if buffer.is_full:
+            buffer.prepare_flush()
+        if kind == "add":
+            buffer.add(op[1], value)
+        else:
+            buffer.add(op[1], None, tombstone=True)
+        return None
+    if kind == "add_many":
+        pairs = [(key, value + i) for i, key in enumerate(op[1])]
+        while pairs:
+            if buffer.is_full:
+                buffer.prepare_flush()
+            space = buffer.capacity - len(buffer)
+            buffer.add_many(pairs[:space])
+            pairs = pairs[space:]
+        return None
+    if kind == "lookup":
+        return buffer.lookup(op[1])
+    if kind == "range":
+        return buffer.range_entries(op[1], op[1] + op[2])
+    if kind == "query_sort":
+        return buffer.query_sort()
+    batch = buffer.prepare_flush()
+    return batch.entries, batch.sorted_without_effort, batch.sort_algorithm
+
+
+@pytest.mark.parametrize("global_bf,page_bf,read_zonemaps", FLAGS)
+@pytest.mark.parametrize("family", ["splitmix64", "murmur3"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(ops=ops_st)
+@settings(max_examples=25, deadline=None)
+def test_deferred_index_is_unobservable(
+    backend, family, global_bf, page_bf, read_zonemaps, ops
+):
+    config = SWAREConfig(
+        buffer_capacity=CAPACITY,
+        page_size=PAGE,
+        hash_family=family,
+        enable_global_bf=global_bf,
+        enable_page_bf=page_bf,
+        enable_read_zonemaps=read_zonemaps,
+    )
+    with kernels.use_backend(backend):
+        lazy = SWAREBuffer(config, meter=Meter())
+        eager = _EagerBuffer(config, meter=Meter())
+        for step, op in enumerate(ops):
+            value = 1000 * (step + 1)
+            assert _apply(lazy, op, value) == _apply(eager, op, value)
+            assert lazy.all_entries() == eager.all_entries()
+            for name in PROBE_COUNTERS:
+                assert getattr(lazy.stats, name) == getattr(eager.stats, name), name
+            assert lazy.meter.snapshot() == eager.meter.snapshot()
+            _assert_index_matches_per_key_build(lazy)
+            _assert_index_matches_per_key_build(eager)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_appends_leave_the_index_alone_until_a_probe(backend):
+    """The deferral itself: no filter work before the first tail probe, and a
+    probe indexes everything appended so far through either sync path."""
+    with kernels.use_backend(backend):
+        buffer = SWAREBuffer(SWAREConfig(buffer_capacity=CAPACITY, page_size=PAGE))
+        buffer.add(100, "a")
+        buffer.add(5, "b")  # out of order: starts the tail
+        buffer.add_many([(key, key) for key in range(40, 10, -1)])
+        assert buffer.tail_size == 31
+        assert buffer.global_bf.n_added == 0
+        assert buffer._page_bfs == [] and buffer.page_zonemaps.n_pages == 0
+
+        assert buffer.lookup(20) == (1, 20)  # kernel path: 31 keys at once
+        assert buffer.global_bf.n_added == 31
+        assert len(buffer._page_bfs) == buffer.page_zonemaps.n_pages == 8
+
+        buffer.add(7, "c")
+        assert buffer.global_bf.n_added == 31
+        assert buffer.lookup(7) == (1, "c")  # scalar path: one key
+        assert buffer.global_bf.n_added == 32
+        _assert_index_matches_per_key_build(buffer)
+
+        buffer.query_sort()
+        buffer.add(3, "d")
+        assert buffer.lookup(3) == (1, "d")
+        assert buffer.global_bf.n_added == 1
+        _assert_index_matches_per_key_build(buffer)

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.btree.btree import BPlusTree
+from repro.core.config import SWAREConfig
+from repro.core.sware import SortednessAwareIndex
+from repro.filters.bloom import BloomFilter
 from repro.obs import Observability
 from repro.obs.monitors import (
     BF_FPR_FLOOR,
@@ -143,6 +147,28 @@ class TestMonitorHub:
     def test_observability_opt_in(self):
         assert Observability().monitors is None
         assert isinstance(Observability(monitors=True).monitors, MonitorHub)
+
+    def test_flush_samples_expected_fpr_of_an_unprobed_tail(self):
+        """The tail's filters are built at the first probe; a tail flushed
+        with no lookup in between must still report the FPR of a filter
+        holding every tail key, as the eager design did."""
+        config = SWAREConfig(buffer_capacity=64, page_size=8)
+        index = SortednessAwareIndex(
+            BPlusTree(), config=config, obs=Observability(monitors=True)
+        )
+        index.insert(1000, 1)
+        for key in range(63, 1, -1):  # descending: everything after lands in the tail
+            index.insert(key, key)
+        assert index.buffer.tail_size == 62 and index.stats.flushes == 0
+        index.insert(1, 1)  # fills the buffer: the flush cycle samples
+        assert index.stats.flushes == 1
+
+        eager = BloomFilter(config.buffer_capacity, config.bits_per_entry)
+        for key in range(63):
+            eager.add(key)
+        assert eager.expected_fpr() > 0.0
+        samples = index.obs.monitors.bloom.expected_fpr_samples
+        assert list(samples) == [eager.expected_fpr()]
 
 
 def _windows(k_fractions, n=DEFAULT_WINDOW):

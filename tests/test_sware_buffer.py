@@ -156,6 +156,10 @@ class TestFlush:
         buffer = make_buffer(capacity=16, page_size=4)
         for key in (4, 1, 3, 2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 10, 11):
             buffer.add(key, key)
+        buffer.lookup(4)  # the first probe is what builds the tail's index
+        assert buffer.page_zonemaps.n_pages == 4
+        if buffer.global_bf is not None:
+            assert buffer.global_bf.n_added == 15
         buffer.prepare_flush()
         assert buffer.page_zonemaps.n_pages == 0
         if buffer.global_bf is not None:
