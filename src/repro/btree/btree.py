@@ -14,11 +14,12 @@ the hooks SWARE needs (§III design elements):
   spine, amortizing to O(1) per entry;
 * **gapped node layout** — the BS-tree direction: keys live in
   fixed-capacity stores with sentinel-marked gaps
-  (:mod:`repro.btree.node`), intra-node search and batch descent go through
-  the :mod:`repro.kernels` dispatch (branchless ``searchsorted`` under the
-  numpy backend), ``insert_many`` absorbs whole runs into a leaf's gaps in
-  one merge — or *fissions* the leaf into several bulk-filled pieces when a
-  run overflows it, instead of one split per overflowing key — and
+  (:mod:`repro.btree.node`), scalar intra-node search is the node's own
+  (``bisect`` / the store's ``searchsorted``), batch descent goes through
+  the :mod:`repro.kernels` dispatch, ``insert_many`` absorbs whole runs
+  into a leaf's gaps in one merge — or *fissions* the leaf into several
+  bulk-filled pieces when a run overflows it, instead of one split per
+  overflowing key — and
   ``get_many``/``range_many`` push sorted key vectors down the tree one
   level at a time. ``tests/test_gapped_equivalence.py`` checks the tree
   against a dict + sorted-list model under both kernel backends.
@@ -36,7 +37,6 @@ page I/O.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -182,26 +182,24 @@ class BPlusTree:
             self.height = 1
 
     def _descend_to_leaf(
-        self, key: int, dirty: bool = False, impl=None
+        self, key: int, dirty: bool = False
     ) -> Tuple[GappedLeaf, List[GappedInternal]]:
-        """Walk root->leaf for ``key``; returns (leaf, internal path). Batch
-        loops pass their hoisted kernel module as ``impl`` to skip the
-        per-call backend dispatch."""
+        """Walk root->leaf for ``key``; returns (leaf, internal path). Every
+        visited node is charged and pool-touched exactly as :meth:`_touch`
+        does, with the attribute loads hoisted out of the level loop."""
         node = self._root
         path: List[GappedInternal] = []
-        search = impl.node_search_right if impl is not None else None
+        charge = self.meter.charge
+        pool = self.pool
         while not node.is_leaf:
-            self._touch(node)
+            charge("node_access")
+            if pool is not None:
+                pool.access(node.page_id)
             path.append(node)
-            ks = node.ks
-            if type(ks) is list:
-                idx = bisect_right(ks, key)
-            elif search is not None:
-                idx = search(ks, node.n, key)
-            else:
-                idx = node.child_index(key)
-            node = node.children[idx]
-        self._touch(node, dirty=dirty)
+            node = node.children[node.child_index(key)]
+        charge("node_access")
+        if pool is not None:
+            pool.access(node.page_id, dirty=dirty)
         return node, path
 
     def _recompute_tail_path(self) -> None:
@@ -215,31 +213,28 @@ class BPlusTree:
         self._tail_leaf = node
 
     def _descend_to_leaf_bounded(
-        self, key: int, dirty: bool = False, impl=None
+        self, key: int, dirty: bool = False
     ) -> Tuple[GappedLeaf, List[GappedInternal], Optional[int]]:
         """Like :meth:`_descend_to_leaf`, also returning the leaf's upper
         separator (``None`` on the right-most path) so batch walks know how
-        long the current leaf stays valid for ascending keys. Batch loops
-        pass their hoisted kernel module as ``impl`` to skip the per-call
-        backend dispatch."""
+        long the current leaf stays valid for ascending keys."""
         node = self._root
         path: List[GappedInternal] = []
         hi: Optional[int] = None
-        search = impl.node_search_right if impl is not None else None
+        charge = self.meter.charge
+        pool = self.pool
         while not node.is_leaf:
-            self._touch(node)
+            charge("node_access")
+            if pool is not None:
+                pool.access(node.page_id)
             path.append(node)
-            ks = node.ks
-            if type(ks) is list:
-                idx = bisect_right(ks, key)
-            elif search is not None:
-                idx = search(ks, node.n, key)
-            else:
-                idx = node.child_index(key)
+            idx = node.child_index(key)
             if idx < node.n:
                 hi = int(node.ks[idx])
             node = node.children[idx]
-        self._touch(node, dirty=dirty)
+        charge("node_access")
+        if pool is not None:
+            pool.access(node.page_id, dirty=dirty)
         return node, path, hi
 
     # ------------------------------------------------------------------
@@ -340,9 +335,7 @@ class BPlusTree:
         entry_moves = 0
         i = 0
         while i < nb:
-            leaf, path, hi = self._descend_to_leaf_bounded(
-                batch[i][0], dirty=True, impl=impl
-            )
+            leaf, path, hi = self._descend_to_leaf_bounded(batch[i][0], dirty=True)
             j = run_end(col, i, hi, nb) if hi is not None else nb
             c, moves = self._merge_run(leaf, batch, col, i, j, impl)
             created += c
@@ -476,7 +469,7 @@ class BPlusTree:
             sep = piece.first_key()
             # sep still routes to ``prev`` (its separator is not in any
             # parent yet), so this walk yields prev's current parent path.
-            _, spath = self._descend_to_leaf(sep, impl=impl)
+            _, spath = self._descend_to_leaf(sep)
             self._insert_into_parent(prev, sep, piece, spath)
             prev = piece
             pos += take
@@ -723,13 +716,10 @@ class BPlusTree:
             if n:
                 if leaf.first_key() > hi:
                     break
-                start, stop = kernels.leaf_range_bounds(leaf.ks, n, lo, hi)
+                start, stop = leaf.range_bounds(lo, hi)
                 self.meter.charge("scan_entry", max(stop - start, 0))
                 if stop > start:
-                    ks = leaf.ks
-                    vs = leaf.vs
-                    for i in range(start, stop):
-                        out.append((int(ks[i]), vs[i]))
+                    out.extend(leaf.live_items(start, stop))
                 if stop < n:
                     break
             leaf = leaf.next_leaf

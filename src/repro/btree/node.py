@@ -128,19 +128,36 @@ class GappedLeaf:
         return int(self.ks[self.n - 1])
 
     def iter_live(self):
-        ks = self.ks
-        vs = self.vs
-        for i in range(self.n):
-            yield int(ks[i]), vs[i]
+        return self.live_items(0, self.n)
 
-    # -- search --
+    def live_items(self, start: int, stop: int):
+        """``(key, value)`` pairs of slots ``[start:stop]``, keys unboxed by
+        one ``tolist()`` of the slice instead of one ``int()`` per row."""
+        ks = self.ks[start:stop]
+        if type(ks) is not list:
+            ks = ks.tolist()
+        return zip(ks, self.vs[start:stop])
+
+    # -- search (scalar: the node calls its store directly; kernels are
+    # batch primitives and a per-key dispatch is pure overhead) --
     def search_left(self, key: int) -> int:
-        # List stores take the direct bisect path: scalar ops on the pure-
-        # Python twin must not pay a dispatch round-trip per key.
         ks = self.ks
         if type(ks) is list:
             return bisect_left(ks, key)
-        return kernels.node_search_left(ks, self.n, key)
+        # Sentinel padding keeps the whole buffer sorted, so no hi bound is
+        # needed; min() folds a sentinel-valued probe back into the live prefix.
+        return min(int(ks.searchsorted(key)), self.n)
+
+    def range_bounds(self, lo: int, hi: int):
+        """``(bisect_left(lo), bisect_right(hi))`` over the live prefix."""
+        ks = self.ks
+        if type(ks) is list:
+            return bisect_left(ks, lo), bisect_right(ks, hi)
+        n = self.n
+        return (
+            min(int(ks.searchsorted(lo)), n),
+            min(int(ks.searchsorted(hi, "right")), n),
+        )
 
     def has_key_at(self, idx: int, key: int) -> bool:
         return idx < self.n and self.ks[idx] == key
@@ -228,7 +245,7 @@ class GappedInternal:
         ks = self.ks
         if type(ks) is list:
             return bisect_right(ks, key)
-        return kernels.node_search_right(ks, self.n, key)
+        return min(int(ks.searchsorted(key, "right")), self.n)
 
     def child_for(self, key: int):
         return self.children[self.child_index(key)]

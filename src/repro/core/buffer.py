@@ -109,6 +109,8 @@ class SWAREBuffer:
         self._main_keys: List[int] = []
         self._blocks: List[_SortedBlock] = []
         self._tail: List[Entry] = []
+        #: Running entry count over all three components (``len(self)``).
+        self._n = 0
         self._seq = 0
         # Running min over every entry *after* the main section; this is the
         # quantity the paper's Zonemap overlap test maintains for the
@@ -137,7 +139,7 @@ class SWAREBuffer:
     # sizing
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._main) + sum(len(b.entries) for b in self._blocks) + len(self._tail)
+        return self._n
 
     @property
     def capacity(self) -> int:
@@ -145,11 +147,11 @@ class SWAREBuffer:
 
     @property
     def is_full(self) -> bool:
-        return len(self) >= self.config.buffer_capacity
+        return self._n >= self.config.buffer_capacity
 
     @property
     def is_empty(self) -> bool:
-        return len(self) == 0
+        return self._n == 0
 
     @property
     def sorted_section_size(self) -> int:
@@ -182,6 +184,7 @@ class SWAREBuffer:
     def add(self, key: int, value: object, tombstone: bool = False) -> None:
         """Append an entry (the caller checks :attr:`is_full` afterwards)."""
         self.meter.charge("buffer_append")
+        self._n += 1
         self._seq += 1
         entry: Entry = (key, self._seq, value, tombstone)
         self.zonemap.update(key)
@@ -227,6 +230,7 @@ class SWAREBuffer:
         if n == 0:
             return
         self.meter.charge("buffer_append", n)
+        self._n += n
         keys = [key for key, _value in pairs]
         observe = self.kl_estimate.observe
         for key in keys:
@@ -444,6 +448,7 @@ class SWAREBuffer:
 
     def _reset_after_flush(self, retained: List[Entry]) -> None:
         self._main = retained
+        self._n = len(retained)
         self._main_keys = [entry[0] for entry in retained]
         self._blocks = []
         self._tail = []
@@ -644,5 +649,8 @@ class SWAREBuffer:
         for block in self._blocks:
             if block.keys != [entry[0] for entry in block.entries]:
                 raise InvariantViolation("block key column out of sync")
-        if len(self) > self.config.buffer_capacity:
+        components = len(self._main) + sum(len(b.entries) for b in self._blocks) + len(self._tail)
+        if self._n != components:
+            raise InvariantViolation(f"entry count {self._n} != component sum {components}")
+        if self._n > self.config.buffer_capacity:
             raise InvariantViolation("buffer above capacity")

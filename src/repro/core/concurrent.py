@@ -190,7 +190,11 @@ class ConcurrentSortednessAwareIndex:
         # The span carries the tracer's per-thread id, so interleaved
         # writers render as separate rows in the Perfetto view; lock waits
         # and the flush cycle nest under it causally.
-        with self.obs.span("concurrent.write", key=key, tombstone=tombstone):
+        obs = self.obs
+        if obs.enabled:
+            with obs.span("concurrent.write", key=key, tombstone=tombstone):
+                self._write_inner(key, value, tombstone)
+        else:
             self._write_inner(key, value, tombstone)
 
     def _write_inner(self, key: int, value: object, tombstone: bool) -> None:
@@ -408,44 +412,37 @@ class ConcurrentSortednessAwareIndex:
             raise
 
     def get(self, key: int) -> Optional[object]:
-        worker = threading.get_ident()
-        with self.obs.span("concurrent.read", key=key):
-            self._begin_read(worker)
-            try:
-                with self._latch:
-                    return self.inner.get(key)
-            finally:
-                self.locks.release(worker, BUFFER)
+        obs = self.obs
+        if obs.enabled:
+            with obs.span("concurrent.read", key=key):
+                return self._read(self.inner.get, key)
+        return self._read(self.inner.get, key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        worker = threading.get_ident()
-        with self.obs.span("concurrent.read_many", n=len(keys)):
-            self._begin_read(worker)
-            try:
-                with self._latch:
-                    return self.inner.get_many(keys)
-            finally:
-                self.locks.release(worker, BUFFER)
+        obs = self.obs
+        if obs.enabled:
+            with obs.span("concurrent.read_many", n=len(keys)):
+                return self._read(self.inner.get_many, keys)
+        return self._read(self.inner.get_many, keys)
 
-    def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+    def _read(self, read, *args):
+        """``read(*args)`` under the §IV-D read discipline (buffer S + latch)."""
         worker = threading.get_ident()
         self._begin_read(worker)
         try:
             with self._latch:
-                return self.inner.range_query(lo, hi)
+                return read(*args)
         finally:
             self.locks.release(worker, BUFFER)
+
+    def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        return self._read(self.inner.range_query, lo, hi)
 
     def range_many(
         self, ranges: Sequence[Tuple[int, int]]
     ) -> List[List[Tuple[int, object]]]:
-        worker = threading.get_ident()
-        self._begin_read(worker)
-        try:
-            with self._latch:
-                return [self.inner.range_query(lo, hi) for lo, hi in ranges]
-        finally:
-            self.locks.release(worker, BUFFER)
+        range_query = self.inner.range_query
+        return self._read(lambda: [range_query(lo, hi) for lo, hi in ranges])
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
@@ -454,13 +451,7 @@ class ConcurrentSortednessAwareIndex:
     # introspection
     # ------------------------------------------------------------------
     def items(self) -> List[Tuple[int, object]]:
-        worker = threading.get_ident()
-        self._begin_read(worker)
-        try:
-            with self._latch:
-                return self.inner.items()
-        finally:
-            self.locks.release(worker, BUFFER)
+        return self._read(self.inner.items)
 
     def describe(self) -> dict:
         with self._latch:

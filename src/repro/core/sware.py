@@ -93,16 +93,24 @@ class SortednessAwareIndex:
         """
         if value is None:
             raise ValueError("None values are reserved for 'absent'")
-        with self.obs.span("sware.put", key=key):
-            if self.wal is not None:
-                self.wal.append_put(key, value)
-            self.stats.inserts += 1
-            self.buffer.add(key, value)
-            hub = self.obs.monitors
-            if hub is not None:
-                hub.observe_insert(key, self.buffer)
-            if self.buffer.is_full:
-                self._flush_cycle()
+        obs = self.obs
+        if obs.enabled:
+            with obs.span("sware.put", key=key):
+                self._insert(key, value)
+        else:
+            self._insert(key, value)
+
+    def _insert(self, key: int, value: object) -> None:
+        if self.wal is not None:
+            self.wal.append_put(key, value)
+        self.stats.inserts += 1
+        buffer = self.buffer
+        buffer.add(key, value)
+        hub = self.obs.monitors
+        if hub is not None:
+            hub.observe_insert(key, buffer)
+        if buffer.is_full:
+            self._flush_cycle()
 
     def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
         """Buffer a batch of upserts; observably identical to a loop of
@@ -113,44 +121,58 @@ class SortednessAwareIndex:
         cycle triggers exactly where the sequential loop would have filled
         the buffer.
         """
-        n = len(items)
         for _key, value in items:
             if value is None:
                 raise ValueError("None values are reserved for 'absent'")
-        with self.obs.span("sware.put_many", n=n):
-            if self.wal is not None:
-                self.wal.append_puts(items)
-            buffer = self.buffer
-            hub = self.obs.monitors
-            i = 0
-            while i < n:
-                space = buffer.capacity - len(buffer)
-                if space <= 0:
-                    self._flush_cycle()
-                    continue
-                chunk = items[i : i + space]
-                self.stats.inserts += len(chunk)
-                buffer.add_many(chunk)
-                if hub is not None:
-                    hub.observe_inserts([key for key, _value in chunk], buffer)
-                i += len(chunk)
-                if buffer.is_full:
-                    self._flush_cycle()
+        obs = self.obs
+        if obs.enabled:
+            with obs.span("sware.put_many", n=len(items)):
+                self._put_many(items)
+        else:
+            self._put_many(items)
+
+    def _put_many(self, items: Sequence[Tuple[int, object]]) -> None:
+        if self.wal is not None:
+            self.wal.append_puts(items)
+        buffer = self.buffer
+        hub = self.obs.monitors
+        n = len(items)
+        i = 0
+        while i < n:
+            space = buffer.capacity - len(buffer)
+            if space <= 0:
+                self._flush_cycle()
+                continue
+            chunk = items[i : i + space]
+            self.stats.inserts += len(chunk)
+            buffer.add_many(chunk)
+            if hub is not None:
+                hub.observe_inserts([key for key, _value in chunk], buffer)
+            i += len(chunk)
+            if buffer.is_full:
+                self._flush_cycle()
 
     def delete(self, key: int) -> None:
         """Delete via a buffered tombstone or directly in the tree (§IV-D)."""
-        with self.obs.span("sware.delete", key=key):
-            if self.wal is not None:
-                self.wal.append_delete(key)
-            self.stats.deletes += 1
-            if not self.buffer.is_empty and self.buffer.zonemap.may_contain(key):
-                self.buffer.add(key, None, tombstone=True)
-                self.stats.tombstones_buffered += 1
-                if self.buffer.is_full:
-                    self._flush_cycle()
-                return
-            with self.meter.bucket("top_insert"):
-                self.backend.delete(key)
+        obs = self.obs
+        if obs.enabled:
+            with obs.span("sware.delete", key=key):
+                self._delete(key)
+        else:
+            self._delete(key)
+
+    def _delete(self, key: int) -> None:
+        if self.wal is not None:
+            self.wal.append_delete(key)
+        self.stats.deletes += 1
+        if not self.buffer.is_empty and self.buffer.zonemap.may_contain(key):
+            self.buffer.add(key, None, tombstone=True)
+            self.stats.tombstones_buffered += 1
+            if self.buffer.is_full:
+                self._flush_cycle()
+            return
+        with self.meter.bucket("top_insert"):
+            self.backend.delete(key)
 
     def flush_all(self) -> None:
         """Drain the entire buffer into the tree (end-of-ingest helper)."""
@@ -289,23 +311,29 @@ class SortednessAwareIndex:
     def get(self, key: int) -> Optional[object]:
         """Point lookup along the optimized read path (Fig. 6)."""
         self.stats.lookups += 1
-        with self.obs.span("sware.get", key=key):
-            self._maybe_query_sort()
-            with self.meter.bucket("buffer_search"):
-                state, value = self.buffer.lookup(key)
-            if state == HIT:
-                self.stats.buffer_hits += 1
-                return value
-            if state == TOMBSTONE:
-                self.stats.buffer_tombstone_hits += 1
+        obs = self.obs
+        if obs.enabled:
+            with obs.span("sware.get", key=key):
+                return self._get(key)
+        return self._get(key)
+
+    def _get(self, key: int) -> Optional[object]:
+        self._maybe_query_sort()
+        with self.meter.bucket("buffer_search"):
+            state, value = self.buffer.lookup(key)
+        if state == HIT:
+            self.stats.buffer_hits += 1
+            return value
+        if state == TOMBSTONE:
+            self.stats.buffer_tombstone_hits += 1
+            return None
+        with self.meter.bucket("tree_search"):
+            self.meter.charge("zonemap_check")
+            tree_min, tree_max = self.backend.min_key, self.backend.max_key
+            if tree_min is None or key < tree_min or key > tree_max:
                 return None
-            with self.meter.bucket("tree_search"):
-                self.meter.charge("zonemap_check")
-                tree_min, tree_max = self.backend.min_key, self.backend.max_key
-                if tree_min is None or key < tree_min or key > tree_max:
-                    return None
-                self.stats.tree_searches += 1
-                return self.backend.get(key)
+            self.stats.tree_searches += 1
+            return self.backend.get(key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
         """Batch point lookups along the same read path as :meth:`get`.
@@ -380,42 +408,49 @@ class SortednessAwareIndex:
         if not ranges:
             return []
         self._maybe_query_sort()
+        obs = self.obs
+        tracing = obs.enabled
         out: List[List[Tuple[int, object]]] = []
         for lo, hi in ranges:
             self.stats.range_queries += 1
-            with self.obs.span("sware.range_query", lo=lo, hi=hi):
+            if tracing:
+                with obs.span("sware.range_query", lo=lo, hi=hi):
+                    out.append(self._range_query_inner(lo, hi))
+            else:
                 out.append(self._range_query_inner(lo, hi))
         return out
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """All live (key, value) in [lo, hi]; buffered versions win."""
         self.stats.range_queries += 1
-        with self.obs.span("sware.range_query", lo=lo, hi=hi):
-            self._maybe_query_sort()
-            return self._range_query_inner(lo, hi)
+        obs = self.obs
+        if obs.enabled:
+            with obs.span("sware.range_query", lo=lo, hi=hi):
+                self._maybe_query_sort()
+                return self._range_query_inner(lo, hi)
+        self._maybe_query_sort()
+        return self._range_query_inner(lo, hi)
 
     def _range_query_inner(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """Range scan body; the caller owns the query-sort trigger."""
         with self.meter.bucket("buffer_search"):
             buffered = self.buffer.range_entries(lo, hi)
-        resolved: dict = {}
-        for key, _seq, value, tombstone in buffered:
-            # Sorted by (key, seq): the last write per key wins.
-            resolved[key] = (value, tombstone)
         with self.meter.bucket("tree_search"):
-            tree_items = self.backend.range_query(lo, hi)
-        out: dict = {}
-        for key, value in tree_items:
-            if key not in resolved:
-                out[key] = value
-        for key, (value, tombstone) in resolved.items():
-            if not tombstone:
-                out[key] = value
+            rows = self.backend.range_query(lo, hi)
         # Reconciling buffered versions against the tree scan costs one merge
         # step per buffered candidate (the tree entries were already charged
         # as scan_entry by the backend's range scan).
         self.meter.charge("merge_step", len(buffered))
-        return sorted(out.items())
+        if not buffered:
+            return rows
+        # Sorted by (key, seq): the last write per key wins.
+        resolved = {key: (value, tombstone) for key, _seq, value, tombstone in buffered}
+        rows = [row for row in rows if row[0] not in resolved]
+        rows.extend(
+            (key, value) for key, (value, tombstone) in resolved.items() if not tombstone
+        )
+        rows.sort()  # two ascending runs of unique keys: values never compare
+        return rows
 
     # ------------------------------------------------------------------
     # introspection

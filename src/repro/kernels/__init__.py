@@ -63,8 +63,6 @@ __all__ = [
     "GAP_SENTINEL",
     "gapped_key_store",
     "store_keys",
-    "node_search_left",
-    "node_search_right",
     "node_insert_key",
     "node_delete_key",
     "store_truncate",
@@ -75,7 +73,6 @@ __all__ = [
     "leaf_find_positions",
     "concat_stores",
     "probe_positions",
-    "leaf_range_bounds",
     "run_end",
     "key_array",
     "longest_nondecreasing_subsequence_length",
@@ -275,14 +272,6 @@ def store_keys(store, n):
     return _impl().store_keys(store, n)
 
 
-def node_search_left(store, n, key):
-    return _impl().node_search_left(store, n, key)
-
-
-def node_search_right(store, n, key):
-    return _impl().node_search_right(store, n, key)
-
-
 def node_insert_key(store, n, idx, key):
     return _impl().node_insert_key(store, n, idx, key)
 
@@ -321,10 +310,6 @@ def concat_stores(stores, ns):
 
 def probe_positions(combined, total, offsets, col, m):
     return _impl().probe_positions(combined, total, offsets, col, m)
-
-
-def leaf_range_bounds(store, n, lo, hi):
-    return _impl().leaf_range_bounds(store, n, lo, hi)
 
 
 def run_end(keys, i, bound, nb):

@@ -367,20 +367,6 @@ def store_keys(store, n: int):
     return _py.store_keys(store, n)
 
 
-def node_search_left(store, n: int, key: int) -> int:
-    if isinstance(store, list):
-        return _py.node_search_left(store, n, key)
-    # Sentinel padding keeps the whole buffer sorted, so no hi bound is
-    # needed; min() folds a sentinel-valued probe back into the live prefix.
-    return min(int(np.searchsorted(store, key, side="left")), n)
-
-
-def node_search_right(store, n: int, key: int) -> int:
-    if isinstance(store, list):
-        return _py.node_search_right(store, n, key)
-    return min(int(np.searchsorted(store, key, side="right")), n)
-
-
 def node_insert_key(store, n: int, idx: int, key: int):
     return _py.node_insert_key(store, n, idx, key)
 
@@ -490,18 +476,6 @@ def probe_positions(combined, total: int, offsets, col, m: int):
     store_idx = np.where(hit, owner, -1)
     local_idx = np.where(hit, pos - off[owner], 0)
     return store_idx.tolist(), local_idx.tolist()
-
-
-def leaf_range_bounds(store, n: int, lo: int, hi: int):
-    if isinstance(store, list):
-        return _py.leaf_range_bounds(store, n, lo, hi)
-    try:
-        return (
-            min(int(np.searchsorted(store, lo, side="left")), n),
-            min(int(np.searchsorted(store, hi, side="right")), n),
-        )
-    except _FALLBACK_ERRORS:  # pragma: no cover - defensive
-        return _py.leaf_range_bounds(store, n, lo, hi)
 
 
 def run_end(keys, i: int, bound: int, nb: int) -> int:

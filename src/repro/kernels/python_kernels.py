@@ -250,17 +250,7 @@ def store_keys(store, n: int) -> List[int]:
     """The live keys of a store as a plain list of Python ints."""
     if isinstance(store, list):
         return list(store)
-    return [int(k) for k in store[:n]]
-
-
-def node_search_left(store, n: int, key: int) -> int:
-    """``bisect_left`` over the live prefix of a gapped key store."""
-    return bisect_left(store, key, 0, n)
-
-
-def node_search_right(store, n: int, key: int) -> int:
-    """``bisect_right`` over the live prefix of a gapped key store."""
-    return bisect_right(store, key, 0, n)
+    return store[:n].tolist()
 
 
 def node_insert_key(store, n: int, idx: int, key: int):
@@ -453,11 +443,6 @@ def probe_positions(combined, total: int, offsets, col, m: int):
             store_idx.append(-1)
             local_idx.append(0)
     return store_idx, local_idx
-
-
-def leaf_range_bounds(store, n: int, lo: int, hi: int) -> Tuple[int, int]:
-    """``(bisect_left(lo), bisect_right(hi))`` over the live prefix."""
-    return bisect_left(store, lo, 0, n), bisect_right(store, hi, 0, n)
 
 
 def run_end(keys, i: int, bound: int, nb: int) -> int:

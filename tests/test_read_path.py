@@ -1,0 +1,301 @@
+"""The scalar read path: node-owned search, slice-at-once scans, range merge.
+
+Three contracts. (1) ``SortednessAwareIndex.get`` / ``range_query`` /
+``range_many`` agree with a dict model whatever mix of buffered rows,
+overwrites and tombstones over tree-resident keys, flushes and query-sorts
+precedes them — including the shortcut that hands back the backend's row
+list untouched when no buffered row falls in the range. (2) The node's own
+``child_index`` / ``search_left`` / ``range_bounds`` / ``live_items`` equal
+``bisect`` over the live keys on every store shape. (3) Gating spans on
+``obs.enabled`` changes nothing a caller or the meter can see, and a traced
+run still records the spans it always did. All on both kernel backends.
+"""
+
+from bisect import bisect_left, bisect_right
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import kernels
+from repro.btree.btree import BPlusTree, BPlusTreeConfig
+from repro.btree.node import GappedInternal, GappedLeaf
+from repro.core.concurrent import ConcurrentSortednessAwareIndex
+from repro.core.config import SWAREConfig
+from repro.core.sware import SortednessAwareIndex
+from repro.obs import NULL_OBS, Observability
+from repro.storage.costmodel import Meter
+
+BACKENDS = [
+    "python",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(
+            not kernels.numpy_available(), reason="numpy not importable"
+        ),
+    ),
+]
+
+SENTINEL = kernels.GAP_SENTINEL
+ODD_PROBES = [SENTINEL, SENTINEL - 1, 2**63, 2**70, -(2**70), -(2**63)]
+
+
+def _index(obs=NULL_OBS, meter=None, cls=SortednessAwareIndex):
+    tree = BPlusTree(BPlusTreeConfig(leaf_capacity=6, internal_capacity=4), obs=obs)
+    config = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
+    return cls(tree, config=config, meter=meter, obs=obs)
+
+
+# ----------------------------------------------------------------------
+# (1) the index against a dict model
+# ----------------------------------------------------------------------
+key_st = st.integers(min_value=0, max_value=90)
+ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), key_st),
+        st.tuples(st.just("delete"), key_st),
+        st.tuples(st.just("get"), key_st),
+        st.tuples(st.just("range"), key_st, st.integers(min_value=0, max_value=60)),
+        st.tuples(st.just("range_many"), st.lists(st.tuples(key_st, key_st), max_size=4)),
+        st.tuples(st.just("flush_all")),
+    ),
+    max_size=80,
+)
+
+
+def _model_range(model, lo, hi):
+    return sorted((k, v) for k, v in model.items() if lo <= k <= hi)
+
+
+def _check_rows(rows, model, lo, hi):
+    keys = [key for key, _value in rows]
+    assert keys == sorted(set(keys))
+    assert rows == _model_range(model, lo, hi)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(ops=ops_st)
+@settings(max_examples=60, deadline=None)
+def test_reads_match_dict_model(backend, ops):
+    with kernels.use_backend(backend):
+        index = _index()
+        model = {}
+        for step, op in enumerate(ops):
+            if op[0] == "put":
+                # Keys repeat, so tree-resident keys get buffered overwrites.
+                index.insert(op[1], (op[1], step))
+                model[op[1]] = (op[1], step)
+            elif op[0] == "delete":
+                index.delete(op[1])
+                model.pop(op[1], None)
+            elif op[0] == "get":
+                assert index.get(op[1]) == model.get(op[1])
+            elif op[0] == "range":
+                lo, hi = op[1], op[1] + op[2]
+                _check_rows(index.range_query(lo, hi), model, lo, hi)
+            elif op[0] == "range_many":
+                results = index.range_many(op[1])
+                assert len(results) == len(op[1])
+                for (lo, hi), rows in zip(op[1], results):
+                    _check_rows(rows, model, lo, hi)
+            else:
+                index.flush_all()
+        assert index.items() == sorted(model.items())
+        for key in range(0, 91, 7):
+            assert index.get(key) == model.get(key)
+        index.buffer.check_invariants()
+        index.backend.check_invariants()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_buffered_versions_win_over_tree_rows(backend):
+    """Overwrites and tombstones of flushed keys, before and after the
+    query-sort trigger freezes them into a block."""
+    with kernels.use_backend(backend):
+        index = _index()
+        model = {}
+        for key in range(40):
+            index.insert(key, key)
+            model[key] = key
+        index.flush_all()
+        assert index.buffer.is_empty
+        for key in (30, 3, 17, 5, 17):  # out of order: lands in the tail
+            index.insert(key, -key)
+            model[key] = -key
+        for key in (4, 30, 12, 33):  # 33 is past the buffer's range: deleted in the tree
+            index.delete(key)
+            model.pop(key)
+        assert index.stats.tombstones_buffered == 3
+        for _ in range(2):  # second pass reads the query-sorted block
+            _check_rows(index.range_query(0, 39), model, 0, 39)
+            _check_rows(index.range_query(16, 18), model, 16, 18)
+            for (lo, hi), rows in zip(
+                [(0, 4), (29, 35), (6, 9)], index.range_many([(0, 4), (29, 35), (6, 9)])
+            ):
+                _check_rows(rows, model, lo, hi)
+            assert index.get(17) == -17 and index.get(4) is None and index.get(6) == 6
+        assert index.stats.query_sorts >= 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_range_without_buffered_rows_is_the_backends_list(backend):
+    with kernels.use_backend(backend):
+        index = _index()
+        for key in range(60):
+            index.insert(key, key * 10)
+        index.flush_all()
+        index.insert(100, 1)  # buffered, outside every range probed below
+        rows = index.range_query(10, 30)
+        assert rows == index.backend.range_query(10, 30)
+        assert rows == [(key, key * 10) for key in range(10, 31)]
+        rows.append((999, None))
+        rows[0] = (-1, None)
+        del rows[3:8]
+        assert index.range_query(10, 30) == [(key, key * 10) for key in range(10, 31)]
+        assert index.backend.range_query(10, 30) == index.range_query(10, 30)
+
+
+# ----------------------------------------------------------------------
+# (2) node methods against bisect
+# ----------------------------------------------------------------------
+def _leaf(keys, physical):
+    leaf = GappedLeaf(0, physical)
+    leaf.extend(keys, [f"v{key}" for key in keys])
+    return leaf
+
+
+def _internal(pivots, physical):
+    node = GappedInternal(0, physical)
+    node.children = ["c0"]
+    for i, pivot in enumerate(pivots):
+        node.insert_pivot(i, pivot, f"c{i + 1}")
+    return node
+
+
+def _stores(backend):
+    """(label, live keys, physical slots) for every store shape."""
+    shapes = [
+        ("empty", [], 8),
+        ("gapped", [-5, 0, 3, 10, 2**40], 8),
+        ("full", [1, 4, 9, 16], 4),  # no sentinel slot after the live prefix
+        ("one", [7], 3),
+    ]
+    if backend == "numpy":
+        # Unrepresentable keys demote the array store to a plain list.
+        shapes.append(("demoted-sentinel", [2, 8, SENTINEL], 8))
+        shapes.append(("demoted-big", [-(2**70), 2, 2**63, 2**70], 8))
+    return shapes
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_node_search_matches_bisect(backend):
+    with kernels.use_backend(backend):
+        for label, keys, physical in _stores(backend):
+            leaf = _leaf(keys, physical)
+            node = _internal(keys, physical)
+            if backend == "numpy":
+                assert (type(leaf.ks) is list) == label.startswith("demoted"), label
+            assert leaf.keys == keys and node.keys == keys
+            probes = sorted(set(keys) | {k + d for k in keys for d in (-1, 1)} | set(ODD_PROBES))
+            for probe in probes:
+                assert leaf.search_left(probe) == bisect_left(keys, probe), (label, probe)
+                assert node.child_index(probe) == bisect_right(keys, probe), (label, probe)
+                assert node.child_for(probe) == f"c{bisect_right(keys, probe)}"
+                assert leaf.has_key_at(leaf.search_left(probe), probe) == (probe in keys)
+            for lo in probes:
+                for hi in probes:
+                    if lo <= hi:
+                        start, stop = leaf.range_bounds(lo, hi)
+                        assert (start, stop) == (
+                            bisect_left(keys, lo), bisect_right(keys, hi)
+                        ), (label, lo, hi)
+                        rows = list(leaf.live_items(start, stop))
+                        assert rows == [(k, f"v{k}") for k in keys if lo <= k <= hi]
+                        assert all(type(key) is int for key, _value in rows)
+            assert list(leaf.iter_live()) == [(k, f"v{k}") for k in keys]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tree_reads_with_odd_probe_keys(backend):
+    """Probes at the sentinel and beyond int64 miss cleanly; a stored one
+    (demoting its leaf) is found by get and emitted by scans."""
+    with kernels.use_backend(backend):
+        tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
+        model = {key: key for key in range(0, 60, 3)}
+        for key, value in model.items():
+            tree.insert(key, value)
+        for probe in ODD_PROBES:
+            assert tree.get(probe) is None
+        assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
+        assert tree.range_query(57, SENTINEL) == [(57, 57)]
+        for key in (SENTINEL, 2**63, -(2**70)):
+            tree.insert(key, "odd")
+            model[key] = "odd"
+        tree.check_invariants()
+        for key, value in model.items():
+            assert tree.get(key) == value
+        assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
+        assert tree.range_many([(50, 2**63), (-(2**71), 4)]) == [
+            [(k, v) for k, v in sorted(model.items()) if 50 <= k <= 2**63],
+            [(k, v) for k, v in sorted(model.items()) if k <= 4],
+        ]
+        assert list(tree.iter_items()) == sorted(model.items())
+
+
+# ----------------------------------------------------------------------
+# (3) span gating is invisible
+# ----------------------------------------------------------------------
+def _drive(index):
+    """A fixed op stream crossing flushes, query-sorts and tombstones."""
+    out = []
+    for step in range(120):
+        key = (step * 37) % 101
+        index.insert(key, step)
+        if step % 5 == 0:
+            out.append(index.get((step * 11) % 101))
+        if step % 9 == 0:
+            index.delete((step * 13) % 101)
+        if step % 12 == 0:
+            out.append(index.range_query(key - 20, key + 20))
+    out.append(index.range_many([(0, 30), (25, 70), (90, 200)]))
+    out.append(index.get_many([1, 2, 3, 50, 99]))
+    index.put_many([(k, -k) for k in range(200, 230)])
+    out.append(index.items())
+    return out
+
+
+@pytest.mark.parametrize("cls", [SortednessAwareIndex, ConcurrentSortednessAwareIndex])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tracing_changes_no_result_and_no_charge(backend, cls):
+    with kernels.use_backend(backend):
+        quiet_meter, traced_meter = Meter(), Meter()
+        obs = Observability(trace=True, trace_capacity=1 << 16)
+        quiet = _drive(_index(NULL_OBS, quiet_meter, cls))
+        traced = _drive(_index(obs, traced_meter, cls))
+    assert traced == quiet
+    assert traced_meter.snapshot() == quiet_meter.snapshot()
+
+    spans = {}
+    for event in obs.tracer.events():
+        if event.dur_ns is not None:
+            spans.setdefault(event.name, []).append(event)
+    assert len(spans["sware.get"]) == 24
+    assert all(set(e.attrs) == {"key"} for e in spans["sware.get"])
+    assert len(spans["sware.range_query"]) == 10 + 3 + 1
+    assert all(set(e.attrs) == {"lo", "hi"} for e in spans["sware.range_query"])
+    assert spans["sware.get_many"][0].attrs == {"n": 5}
+    if cls is SortednessAwareIndex:
+        assert len(spans["sware.put"]) == 120
+        assert all(set(e.attrs) == {"key"} for e in spans["sware.put"])
+        assert all(set(e.attrs) == {"key"} for e in spans["sware.delete"])
+        assert spans["sware.put_many"][0].attrs == {"n": 30}
+        flush_parents = {e.parent_id for e in spans["sware.flush_cycle"]}
+        writers = spans["sware.put"] + spans["sware.delete"] + spans["sware.put_many"]
+        assert flush_parents <= {e.span_id for e in writers}
+    else:
+        assert len(spans["concurrent.read"]) == 24
+        assert all(set(e.attrs) == {"key"} for e in spans["concurrent.read"])
+        assert spans["concurrent.read_many"][0].attrs == {"n": 5}
+        assert len(spans["concurrent.write"]) == 120 + 14
+        assert all(set(e.attrs) == {"key", "tombstone"} for e in spans["concurrent.write"])
+        reads = {e.span_id for e in spans["concurrent.read"]}
+        assert {e.parent_id for e in spans["sware.get"]} == reads
