@@ -312,7 +312,7 @@ class BPlusTree:
         # the batch still bills len(batch) top-inserts because that is
         # how many operations it stands for.
         self.top_inserts += len(batch)
-        batch, col = impl.dedup_sorted_items_col(batch, col)
+        col, batch = impl.dedup_last(col, batch)
         return self._insert_many(batch, col, first_key, impl)
 
     def _insert_many(
@@ -535,48 +535,53 @@ class BPlusTree:
         Fills each leaf to ``bulk_fill_factor`` and pushes separators up the
         right spine (Fig. 3b); cost is O(1) amortized per entry.
         """
-        if not items:
+        total = len(items)
+        if not total:
             return
-        if not kernels.keys_strictly_increasing(items):
+        if isinstance(items, kernels.ItemColumns):  # a SWARE flush: as is
+            col, values = items.keys, items.values
+        else:
+            col = kernels.key_array([key for key, _value in items])
+            values = [value for _key, value in items]
+        if not kernels.column_strictly_increasing(col):
             raise BulkLoadError("bulk batch must be strictly increasing")
-        if self._max_key is not None and items[0][0] <= self._max_key:
+        first, last = int(col[0]), int(col[-1])
+        if self._max_key is not None and first <= self._max_key:
             raise BulkLoadError(
-                f"bulk batch starts at {items[0][0]} but tree max is {self._max_key}"
+                f"bulk batch starts at {first} but tree max is {self._max_key}"
             )
         self._invalidate_columns()
         self._ensure_root()
         fill = max(1, int(self.config.leaf_capacity * self.config.bulk_fill_factor))
-        self.meter.charge("bulk_entry", len(items))
+        self.meter.charge("bulk_entry", total)
         if self.obs.enabled:
-            self.obs.event("btree.bulk_load", entries=len(items))
+            self.obs.event("btree.bulk_load", entries=total)
         self.obs.observe_hist(
-            "btree_bulk_load_entries", len(items), buckets=DEFAULT_SIZE_BUCKETS
+            "btree_bulk_load_entries", total, buckets=DEFAULT_SIZE_BUCKETS
         )
 
         pos = 0
-        total = len(items)
         tail = self._tail_leaf
         # Chunked fills: one store slice-assignment per leaf instead of a
         # per-key append loop. The current tail leaf is topped off first so
         # it reaches the fill target.
-        col = kernels.key_column(items)
         if tail.n < fill:
             take = min(fill - tail.n, total)
             self._touch(tail, dirty=True)
-            tail.extend(col[pos : pos + take], [v for _, v in items[pos : pos + take]])
-            pos += take
+            tail.extend(col[:take], values[:take])
+            pos = take
         while pos < total:
             take = min(fill, total - pos)
             leaf = self._new_leaf()
-            leaf.extend(col[pos : pos + take], [v for _, v in items[pos : pos + take]])
+            leaf.extend(col[pos : pos + take], values[pos : pos + take])
             pos += take
             self._append_leaf(leaf)
 
         self.n_entries += total
         self.bulk_loaded_entries += total
-        self._max_key = items[-1][0] if self._max_key is None else max(self._max_key, items[-1][0])
+        self._max_key = last if self._max_key is None else max(self._max_key, last)
         if self._min_key is None:
-            self._min_key = items[0][0]
+            self._min_key = first
 
     def _append_leaf(self, leaf: GappedLeaf) -> None:
         """Attach a freshly built leaf at the right edge of the tree."""
@@ -710,19 +715,24 @@ class BPlusTree:
         touched); returns the last leaf visited so batch callers can resume
         the walk instead of re-descending."""
         last = leaf
+        interior = False  # past the first leaf every key is above ``lo``
         while leaf is not None:
             last = leaf
             n = leaf.n
             if n:
                 if leaf.first_key() > hi:
                     break
-                start, stop = leaf.range_bounds(lo, hi)
+                if interior and leaf.last_key() <= hi:
+                    start, stop = 0, n  # wholly inside: no searches
+                else:
+                    start, stop = leaf.range_bounds(lo, hi)
                 self.meter.charge("scan_entry", max(stop - start, 0))
                 if stop > start:
                     out.extend(leaf.live_items(start, stop))
                 if stop < n:
                     break
             leaf = leaf.next_leaf
+            interior = True
             if leaf is not None:
                 self._touch(leaf)
         return last

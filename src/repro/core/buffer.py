@@ -15,7 +15,9 @@ Layout (logical; see Fig. 8 of the paper)::
   move rightward as long as entries are inserted in fully sorted order").
 * The first out-of-order insert starts the **unsorted tail**; every later
   insert lands there. The tail carries a global Bloom filter, per-page Bloom
-  filters and per-page Zonemaps, all built by the first probe after an append.
+  filters and per-page Zonemaps, built lazily *by level*: the first probe
+  after an append brings the page Zonemaps and the global filter up to date,
+  and a page filter catches up when a probe consults that page.
 * When the tail grows past the query-sorting threshold, the next read query
   freezes it into a **query-sorted block** (§IV-C, inspired by cracking /
   adaptive merging).
@@ -23,71 +25,104 @@ Layout (logical; see Fig. 8 of the paper)::
 ``last_sorted_zone`` — the page-aligned prefix of the main section that does
 not overlap any later buffer entry — is derived from a running minimum of
 everything after the main section (the paper maintains it with the page
-Zonemaps; a running min over appends is the same quantity at lower constant
-cost, and the page Zonemaps still serve the read path).
+Zonemaps; a running min is the same quantity at lower constant cost).
 
-Entries are 4-tuples ``(key, seq, value, is_tombstone)``; ``seq`` is a
-buffer-wide arrival counter so recency survives re-sorting (sorting is by
-``(key, seq)``, making every sort stable and the rightmost duplicate the
-newest).
+Storage is **columnar** — no per-entry objects. The tail is two append-only
+lists (keys, values; slot ``i``'s ``seq`` follows from the arrival counter);
+a sorted component is a :class:`Run` of parallel columns: keys as Python
+ints for the scalar searches, the same keys and the ``seq`` numbers as kernel
+columns (int64 arrays on the numpy backend; lists on the python backend or
+once a key outside int64 demotes them), and a value list in which a tombstone
+is the marker :class:`DELETED`. Components are sorted and merged oldest
+first, so a stable sort by key alone orders by ``(key, seq)`` and the
+rightmost duplicate is the newest.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import chain
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.core.config import SWAREConfig
 from repro.core.stats import SWAREStats
 from repro.core.zonemap import PageZonemaps, Zonemap
+from repro.errors import InvariantViolation
 from repro.filters.bloom import BloomFilter
-from repro.filters.hashing import SharedHash
-from repro.search.interpolation import interpolation_search
-from repro.sortedness.klsort import kl_sort
+from repro.filters.hashing import shared_base
+from repro.search.interpolation import interpolation_probe
+from repro.sortedness.klsort import kl_split_fits
 from repro.sortedness.metrics import RunningSortednessEstimate
-from repro.errors import KLSortCapacityError
 from repro.obs import DEFAULT_SIZE_BUCKETS, Observability, current_obs
 from repro.storage.costmodel import NULL_METER, Meter
 
-#: Lookup outcomes.
-MISS = 0
-HIT = 1
-TOMBSTONE = 2
+MISS, HIT, TOMBSTONE = 0, 1, 2  #: lookup outcomes
 
 Entry = Tuple[int, int, object, bool]  # (key, seq, value, is_tombstone)
 
-#: Unindexed tail keys from which _sync_tail_index() uses the batch kernels;
-#: below it their fixed cost exceeds the per-key ``add_shared`` loop.
-_SYNC_KERNEL_MIN = 8
+
+class DELETED:
+    """What a tombstone holds in a value column. A class, not an instance:
+    it keeps its identity through ``copy.deepcopy`` and ``pickle``."""
+
+
+class Run(NamedTuple):
+    """Parallel columns ordered by ``(key, seq)``: a sorted component or a
+    slice of one."""
+
+    keys: List[int]  #: Python ints: the scalar-search column
+    vals: list  #: values, :class:`DELETED` for a tombstone
+    seqs: object  #: arrival numbers, a kernel column
+    col: object  #: ``keys`` again, as the kernels' column type
+
+    def slice(self, start: int, stop: Optional[int] = None) -> "Run":
+        return Run(
+            self.keys[start:stop], self.vals[start:stop],
+            self.seqs[start:stop], self.col[start:stop],
+        )
+
+    def entries(self) -> List[Entry]:
+        """The run as entry tuples (tests and debugging)."""
+        return [
+            (key, seq, None if value is DELETED else value, value is DELETED)
+            for key, seq, value in zip(self.keys, kernels.as_list(self.seqs), self.vals)
+        ]
+
+
+def _empty_run() -> Run:
+    return Run([], [], [], [])
+
+
+def _permuted(col, vals: list, seqs, order) -> Run:
+    """The columns reordered by ``order``; an int ``seqs`` stands for the
+    consecutive arrival numbers starting there (the tail's implied column)."""
+    if type(seqs) is not int:
+        seqs = kernels.gather(seqs, order)
+    elif type(order) is list:
+        seqs = [seqs + i for i in order]
+    else:
+        seqs = order + seqs
+    col = kernels.gather(col, order)
+    return Run(kernels.as_list(col), kernels.gather(vals, order), seqs, col)
 
 
 @dataclass
 class FlushBatch:
-    """The outcome of one flush cycle, handed to the index wrapper.
+    """One flush cycle's outcome: columns sorted by (key, seq) that may repeat
+    keys and hold ``tombstones`` :class:`DELETED` values; the index wrapper
+    dedups (newest wins) and splits them into bulk load and top-inserts."""
 
-    ``entries`` are sorted by (key, seq) and may contain duplicates and
-    tombstones; the wrapper dedups (newest wins) and splits them into a
-    bulk-loadable part and top-inserts.
-    """
-
-    entries: List[Entry]
+    run: Run  #: ``col`` / ``vals`` are what the wrapper routes
+    tombstones: int
     sorted_without_effort: bool  #: True when no sort was needed (cases 1-3)
     sort_algorithm: Optional[str] = None  #: "kl" / "stable" when a sort ran
     retained: int = 0
 
-
-@dataclass
-class _SortedBlock:
-    """A query-sorted block: entries sorted by (key, seq) + a key column."""
-
-    entries: List[Entry]
-    keys: List[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.keys:
-            self.keys = [entry[0] for entry in self.entries]
+    @property
+    def entries(self) -> List[Entry]:
+        return self.run.entries()
 
 
 class SWAREBuffer:
@@ -105,16 +140,22 @@ class SWAREBuffer:
         self.stats = stats if stats is not None else SWAREStats()
         self.obs = obs if obs is not None else current_obs()
         cfg = self.config
-        self._main: List[Entry] = []
-        self._main_keys: List[int] = []
-        self._blocks: List[_SortedBlock] = []
-        self._tail: List[Entry] = []
-        #: Running entry count over all three components (``len(self)``).
-        self._n = 0
-        self._seq = 0
-        # Running min over every entry *after* the main section; this is the
-        # quantity the paper's Zonemap overlap test maintains for the
-        # last_sorted_zone marker.
+        self._main = _empty_run()
+        #: In-order appends are consecutive arrivals — main slot ``i`` gets
+        #: seq ``i + shift`` — so they extend ``keys`` / ``vals`` only, and
+        #: ``seqs`` / ``col`` catch up in :meth:`_main_run`.
+        self._main_seq_shift = 1
+        self._blocks: List[Run] = []
+        self._tail_keys: List[int] = []
+        self._tail_vals: list = []
+        #: The sorted tail, current while it is as long as the tail (range
+        #: queries reuse it until the next out-of-order insert).
+        self._tail_run: Optional[Run] = None
+        self._n = 0  #: entries over all three components (``len(self)``)
+        self._seq = 0  #: buffer-wide arrival counter
+        self._tombstones = 0  #: DELETED values currently buffered
+        #: Running min over every entry *after* the main section: what the
+        #: paper's Zonemap overlap test maintains for ``last_sorted_zone``.
         self._min_after_main: Optional[int] = None
         self.zonemap = Zonemap()  # whole-buffer range
         self.page_zonemaps = PageZonemaps(cfg.page_size)
@@ -126,14 +167,14 @@ class SWAREBuffer:
         self._page_bfs: List[BloomFilter] = []
         #: Filter levels a tail append is billed for (``bf_add`` each).
         self._bf_levels = int(cfg.enable_global_bf) + int(cfg.enable_page_bf)
-        #: The filters and page Zonemaps cover ``_tail[:_indexed]``.
+        #: The global filter and the page Zonemaps cover ``_tail_keys[:_indexed]``;
+        #: page filter ``p`` its page's first ``_page_bfs[p].n_added`` slots.
         self._indexed = 0
-        # Set when the tail is known sorted (used by range queries to avoid
-        # re-sorting, reset by any new tail append), plus the lazily built
-        # key column of that sorted tail for searchsorted range probes.
-        self._tail_sorted_cache: Optional[List[Entry]] = None
-        self._tail_keys_cache = None
+        self.query_sort_at = cfg.query_sort_trigger  #: tail size that triggers
+        #: Fed at sort time, the only time it is read: in-order main appends
+        #: from ``_observed_main`` on, then the tail past the last sorted run.
         self.kl_estimate = RunningSortednessEstimate()
+        self._observed_main = 0
 
     # ------------------------------------------------------------------
     # sizing
@@ -156,11 +197,11 @@ class SWAREBuffer:
     @property
     def sorted_section_size(self) -> int:
         """Size of the main sorted section (the ``previous_boundary``)."""
-        return len(self._main)
+        return len(self._main.keys)
 
     @property
     def tail_size(self) -> int:
-        return len(self._tail)
+        return len(self._tail_keys)
 
     @property
     def n_blocks(self) -> int:
@@ -169,12 +210,9 @@ class SWAREBuffer:
     @property
     def last_sorted_zone(self) -> int:
         """Page-aligned non-overlapping prefix of the main section (entries)."""
-        if not self._main:
-            return 0
-        if self._min_after_main is None:
-            prefix = len(self._main)
-        else:
-            prefix = bisect_right(self._main_keys, self._min_after_main)
+        keys = self._main.keys
+        low = self._min_after_main
+        prefix = len(keys) if low is None else bisect_right(keys, low)
         page = self.config.page_size
         return (prefix // page) * page
 
@@ -186,28 +224,31 @@ class SWAREBuffer:
         self.meter.charge("buffer_append")
         self._n += 1
         self._seq += 1
-        entry: Entry = (key, self._seq, value, tombstone)
-        self.zonemap.update(key)
-        self.kl_estimate.observe(key)
+        if tombstone:
+            value = DELETED
+            self._tombstones += 1
+        zonemap = self.zonemap
+        if zonemap.min_key is None:
+            zonemap.min_key = zonemap.max_key = key
+        elif key < zonemap.min_key:
+            zonemap.min_key = key
+        elif key > zonemap.max_key:
+            zonemap.max_key = key
 
-        in_order = (
-            not self._blocks
-            and not self._tail
-            and (not self._main_keys or key >= self._main_keys[-1])
-        )
-        if in_order:
-            self._main.append(entry)
-            self._main_keys.append(key)
-            return
+        tail = self._tail_keys
+        if not tail and not self._blocks:
+            main_keys = self._main.keys
+            if not main_keys or key >= main_keys[-1]:
+                main_keys.append(key)
+                self._main.vals.append(value)
+                return
 
-        self._tail.append(entry)
-        self._tail_sorted_cache = None
-        self._tail_keys_cache = None
+        tail.append(key)
+        self._tail_vals.append(value)
         if self._min_after_main is None or key < self._min_after_main:
             self._min_after_main = key
         # Filter upkeep is billed now and done at the first probe; the page
-        # Zonemap's is priced into ``buffer_append`` like the whole-buffer
-        # Zonemap's above (the in-order path keeps the same aggregates free).
+        # Zonemap's is priced into ``buffer_append`` like the whole-buffer one.
         if self._bf_levels:
             self.meter.charge("bf_add", self._bf_levels)
 
@@ -216,13 +257,9 @@ class SWAREBuffer:
 
         Observably identical to calling :meth:`add` per pair — same entries,
         ``seq`` numbering, component layout, meter charges and (once a probe
-        has synced it) Zonemap/Bloom state — but amortized: one sortedness
-        check partitions the chunk into an in-order prefix (extends the main
-        section directly) and a tail remainder, which pays a single
-        ``_tail_sorted_cache`` invalidation and one ``bf_add`` charge.
-
-        The caller is responsible for capacity: like :meth:`add`, this does
-        not flush — :class:`~repro.core.sware.SortednessAwareIndex.put_many`
+        has synced it) Zonemap/Bloom state — but column-at-once: an in-order
+        prefix extends the main section, the rest the tail, with one
+        ``bf_add`` charge. Like :meth:`add` this does not flush: ``put_many``
         chunks its input by the remaining capacity so flush boundaries match
         the sequential path exactly.
         """
@@ -231,85 +268,70 @@ class SWAREBuffer:
             return
         self.meter.charge("buffer_append", n)
         self._n += n
-        keys = [key for key, _value in pairs]
-        observe = self.kl_estimate.observe
-        for key in keys:
-            observe(key)
+        self._seq += n
+        keys, vals = map(list, zip(*pairs))
         self.zonemap.update(min(keys))
         self.zonemap.update(max(keys))
 
-        seq = self._seq
         split = 0
-        if not self._blocks and not self._tail:
+        if not self._blocks and not self._tail_keys:
             # The longest prefix that continues the in-order run of the main
             # section; everything after it starts the tail.
-            last = self._main_keys[-1] if self._main_keys else None
-            split = kernels.nondecreasing_prefix_len(keys, last)
-            if split:
-                main = self._main
-                for key, value in pairs[:split]:
-                    seq += 1
-                    main.append((key, seq, value, False))
-                self._main_keys.extend(keys[:split])
+            main_keys = self._main.keys
+            split = kernels.nondecreasing_prefix_len(keys, main_keys[-1] if main_keys else None)
+            main_keys.extend(keys[:split])
+            self._main.vals.extend(vals[:split])
+            if split == n:
+                return
+            keys = keys[split:]
+            vals = vals[split:]
 
-        if split < n:
-            tail = self._tail
-            for key, value in pairs[split:]:
-                seq += 1
-                tail.append((key, seq, value, False))
-            self._tail_sorted_cache = None
-            self._tail_keys_cache = None
-            lowest = min(keys[split:])
-            if self._min_after_main is None or lowest < self._min_after_main:
-                self._min_after_main = lowest
-            if self._bf_levels:
-                self.meter.charge("bf_add", (n - split) * self._bf_levels)
-        self._seq = seq
+        self._tail_keys.extend(keys)
+        self._tail_vals.extend(vals)
+        lowest = min(keys)
+        if self._min_after_main is None or lowest < self._min_after_main:
+            self._min_after_main = lowest
+        if self._bf_levels:
+            self.meter.charge("bf_add", (n - split) * self._bf_levels)
 
     def _sync_tail_index(self) -> None:
-        """Index the tail entries appended since the last probe.
-
-        Afterwards the global filter, the page filters and the page Zonemaps
-        hold exactly what per-append upkeep would have built
-        (``BloomFilter.add_many`` sets the same bits as ``add``).
-        """
-        tail = self._tail
+        """Index the tail keys appended since the last probe: page Zonemaps
+        and global filter; a page filter catches up in
+        :meth:`_sync_page_filter` when a probe consults it. Bits are only
+        ever added, so a filter synced up to slot ``n`` answers exactly as
+        one kept per append (``add_many`` sets ``add``'s bits)."""
+        keys = self._tail_keys
         start = self._indexed
-        if start == len(tail):
+        n = len(keys)
+        if start == n:
             return
-        self._indexed = len(tail)
-        keys = [entry[0] for entry in tail[start:]]
-        self.page_zonemaps.observe_many(start, keys)
-        if not self._bf_levels:
-            return
+        self._indexed = n
+        fresh = keys[start:] if start else keys
+        self.page_zonemaps.observe_many(start, fresh)
         cfg = self.config
-        page_size = cfg.page_size
-        page_bfs = self._page_bfs
         if cfg.enable_page_bf:
-            while len(page_bfs) * page_size < len(tail):
+            page_bfs = self._page_bfs
+            while len(page_bfs) * cfg.page_size < n:
                 page_bfs.append(
-                    BloomFilter(page_size, cfg.bits_per_entry, cfg.hash_family, rotation=17)
+                    BloomFilter(cfg.page_size, cfg.bits_per_entry, cfg.hash_family, rotation=17)
                 )
-        global_bf = self.global_bf
-        if len(keys) < _SYNC_KERNEL_MIN:
-            for position, key in enumerate(keys, start):
-                shared = SharedHash(key, cfg.hash_family)
-                if global_bf is not None:
-                    global_bf.add_shared(shared)
-                if cfg.enable_page_bf:
-                    page_bfs[position // page_size].add_shared(shared)
-            return
-        bases = kernels.shared_bases(keys, cfg.hash_family)
-        if global_bf is not None:
-            global_bf.add_many(keys, bases=bases)
-        if cfg.enable_page_bf:
-            for page in range(start // page_size, len(page_bfs)):
-                lo = max(page * page_size - start, 0)
-                hi = (page + 1) * page_size - start
-                page_bfs[page].add_many(keys[lo:hi], bases=bases[lo:hi])
+        if self.global_bf is not None:
+            self.global_bf.add_many(fresh)
 
-    def _reset_tail_index(self) -> None:
-        """Empty the filters and page Zonemaps (the tail was just emptied)."""
+    def _sync_page_filter(self, page: int, stop: int) -> BloomFilter:
+        """Page ``page``'s filter, caught up to tail slot ``stop``; its own
+        ``n_added`` is the watermark."""
+        bf = self._page_bfs[page]
+        have = page * self.config.page_size + bf.n_added
+        if have < stop:
+            bf.add_many(self._tail_keys[have:stop])
+        return bf
+
+    def _reset_tail(self) -> None:
+        """Empty the tail with its filters and page Zonemaps."""
+        self._tail_keys = []
+        self._tail_vals = []
+        self._tail_run = None
         self._indexed = 0
         self.page_zonemaps.reset()
         if self.global_bf is not None:
@@ -322,334 +344,306 @@ class SWAREBuffer:
     def prepare_flush(self) -> FlushBatch:
         """Run one flush cycle; returns the batch to push into the tree.
 
-        Implements the §IV-A strategy: flush the non-overlapping sorted
-        prefix when one exists (no sorting effort), otherwise sort the whole
-        buffer and flush ``flush_fraction``. The retained remainder is always
-        left fully sorted at the front of the buffer.
-        """
+        The §IV-A strategy: flush the non-overlapping sorted prefix when one
+        exists (no sorting effort), otherwise sort the whole buffer and flush
+        ``flush_fraction``; the retained remainder is left fully sorted at
+        the front of the buffer."""
         page = self.config.page_size
-        total = len(self)
+        total = self._n
         target = int(self.config.buffer_capacity * self.config.flush_fraction)
-        target = max(page, (target // page) * page)
-        half = target  # paper language: "half the pages" at the default 50%
+        target = max(page, (target // page) * page)  # "half the pages" at 50%
 
-        fully_sorted = not self._blocks and not self._tail
+        main = self._main_run()
+        fully_sorted = not self._blocks and not self._tail_keys
+        prefix = len(main.keys) if fully_sorted else self.last_sorted_zone
         sort_algorithm: Optional[str] = None
-
-        if fully_sorted:
-            flush_n = min(half, len(self._main))
-            flushed = self._main[:flush_n]
-            retained_main = self._main[flush_n:]
-            retained = self._merge_retained(retained_main)
-            effortless = True
+        effortless = fully_sorted or prefix > 0
+        if effortless:
+            flush_n = min(prefix, target)
+            flushed = main.slice(0, flush_n)
+            sorted_tail, _ = self._sort_tail()
+            retained = self._merge_runs([main.slice(flush_n), *self._blocks, sorted_tail])
         else:
-            prefix = self.last_sorted_zone
-            if prefix > 0:
-                flush_n = min(prefix, half)
-                flushed = self._main[:flush_n]
-                retained_main = self._main[flush_n:]
-                retained = self._merge_retained(retained_main)
-                effortless = True
-            else:
-                # No flushable prefix: sort everything, flush the fraction.
-                merged, sort_algorithm = self._sort_everything()
-                flush_n = min(half, len(merged))
-                flushed = merged[:flush_n]
-                retained = merged[flush_n:]
-                effortless = False
+            # No flushable prefix: sort everything, flush the fraction.
+            merged, sort_algorithm = self._sort_everything()
+            flush_n = min(target, len(merged.keys))
+            flushed = merged.slice(0, flush_n)
+            retained = merged.slice(flush_n)
 
         self.stats.flushes += 1
         if effortless:
             self.stats.flushes_without_sort += 1
         else:
             self.stats.flushes_with_sort += 1
-
-        self._reset_after_flush(retained)
-        return FlushBatch(
-            entries=flushed,
-            sorted_without_effort=effortless,
-            sort_algorithm=sort_algorithm,
-            retained=total - len(flushed),
-        )
+        return self._flush_batch(flushed, retained, effortless, sort_algorithm, total - flush_n)
 
     def drain(self) -> FlushBatch:
         """Flush *everything* (used by ``flush_all`` and at shutdown)."""
         merged, sort_algorithm = self._sort_everything()
-        effortless = sort_algorithm is None
-        self._reset_after_flush([])
-        return FlushBatch(
-            entries=merged,
-            sorted_without_effort=effortless,
-            sort_algorithm=sort_algorithm,
-            retained=0,
-        )
+        return self._flush_batch(merged, _empty_run(), sort_algorithm is None, sort_algorithm, 0)
 
-    def _sort_tail(self) -> Tuple[List[Entry], Optional[str]]:
-        """Sort the unsorted tail, choosing the algorithm per §IV-C."""
-        if not self._tail:
-            return [], None
-        if self._tail_sorted_cache is not None:
-            return self._tail_sorted_cache, None
-        n = len(self._tail)
+    def _flush_batch(self, flushed: Run, retained: Run, effortless, algorithm, n_retained):
+        """Make ``retained`` the new main section and wrap ``flushed``."""
+        dead = flushed.vals.count(DELETED) if self._tombstones else 0
+        self._tombstones -= dead
+        self._main = retained
+        self._n = len(retained.keys)
+        self._main_seq_shift = self._seq + 1 - self._n
+        self._observed_main = self._n
+        self._blocks = []
+        self._min_after_main = None
+        self._reset_tail()
+        self.kl_estimate.reset()
+        zonemap = self.zonemap
+        zonemap.min_key = retained.keys[0] if self._n else None
+        zonemap.max_key = retained.keys[-1] if self._n else None
+        return FlushBatch(flushed, dead, effortless, algorithm, n_retained)
+
+    def _main_run(self) -> Run:
+        """The main section with ``seqs`` and ``col`` caught up with the
+        in-order appends since the last flush."""
+        main = self._main
+        n = len(main.keys)
+        have = len(main.seqs)
+        if have < n:
+            shift = self._main_seq_shift
+            seqs = kernels.key_array(range(have + shift, n + shift))
+            if have:
+                seqs = kernels.concat_columns([main.seqs, seqs])
+            main = self._main = Run(main.keys, main.vals, seqs, kernels.key_array(main.keys))
+        return main
+
+    def _sort_tail(self) -> Tuple[Optional[Run], Optional[str]]:
+        """Sort the unsorted tail, choosing the algorithm per §IV-C; returns
+        the sorted run (None for an empty tail) and the algorithm that ran
+        (None when the cached run was still current)."""
+        keys = self._tail_keys
+        n = len(keys)
+        if not n:
+            return None, None
+        run = self._tail_run
+        if run is not None and len(run.keys) == n:
+            return run, None
         cfg = self.config
         estimate = self.kl_estimate
-        use_kl = (
-            estimate.k_fraction < cfg.kl_k_threshold
-            or estimate.l_fraction < cfg.kl_l_threshold
-        )
-        algorithm = "stable"
-        if use_kl:
+        main_keys = self._main.keys
+        if self._observed_main < len(main_keys):
+            estimate.observe_many(main_keys[self._observed_main :])
+            self._observed_main = len(main_keys)
+        estimate.observe_many(keys[len(run.keys) :] if run is not None else keys)
+        algorithm, work = "stable", n * max(1, n.bit_length())
+        if estimate.k_fraction < cfg.kl_k_threshold or estimate.l_fraction < cfg.kl_l_threshold:
+            # (K,L)-sort's split pass decides; its merge and the general
+            # stable sort produce the same (key, seq) order, so one kernel
+            # sorts either way and only the accounting differs.
             capacity = max(16, int((cfg.kl_k_threshold + cfg.kl_l_threshold) * n) * 2)
-            try:
-                sorted_tail = kl_sort(self._tail, key=lambda e: (e[0], e[1]), capacity=capacity)
-                algorithm = "kl"
-                self.stats.kl_sorts += 1
-                # O(n log(K+L)) comparisons.
-                self.meter.charge(
-                    "sort_comparison", n * max(1, (capacity).bit_length())
-                )
-            except KLSortCapacityError:
-                sorted_tail = kernels.sort_tail_entries(self._tail)
-                self.stats.stable_sorts += 1
-                self.meter.charge("sort_comparison", n * max(1, n.bit_length()))
+            if kl_split_fits(keys, capacity):
+                algorithm, work = "kl", n * max(1, capacity.bit_length())  # O(n log(K+L))
+        if algorithm == "kl":
+            self.stats.kl_sorts += 1
         else:
-            sorted_tail = kernels.sort_tail_entries(self._tail)
             self.stats.stable_sorts += 1
-            self.meter.charge("sort_comparison", n * max(1, n.bit_length()))
+        self.meter.charge("sort_comparison", work)
         self.stats.sorted_entries += n
-        self._tail_sorted_cache = sorted_tail
+        col = kernels.key_array(keys)
+        order = kernels.stable_argsort(col)
+        # The tail is the newest n arrivals: slot i has seq ``_seq - n + 1 + i``.
+        run = self._tail_run = _permuted(col, self._tail_vals, self._seq - n + 1, order)
         obs = self.obs
         if obs.enabled:
             obs.event("buffer.tail_sort", n=n, algorithm=algorithm)
         obs.observe_hist("buffer_sort_entries", n, buckets=DEFAULT_SIZE_BUCKETS)
-        return sorted_tail, algorithm
+        return run, algorithm
 
-    def _merge_streams(self, streams: List[List[Entry]]) -> List[Entry]:
-        """Stable k-way merge of (key, seq)-sorted entry lists."""
-        streams = [s for s in streams if s]
-        if not streams:
-            return []
-        if len(streams) == 1:
-            return list(streams[0])
-        merged = kernels.merge_entry_streams(streams)
-        self.meter.charge("merge_step", len(merged))
+    def _merge_runs(self, runs: Sequence[Optional[Run]]) -> Run:
+        """Stable merge of (key, seq)-sorted runs given oldest first."""
+        runs = [run for run in runs if run is not None and run.keys]
+        if not runs:
+            return _empty_run()
+        if len(runs) == 1:
+            return runs[0]
+        col = kernels.concat_columns([run.col for run in runs])
+        seqs = kernels.concat_columns([run.seqs for run in runs])
+        vals = list(chain.from_iterable(run.vals for run in runs))
+        merged = _permuted(col, vals, seqs, kernels.stable_argsort(col))
+        self.meter.charge("merge_step", len(merged.keys))
         return merged
 
-    def _merge_retained(self, retained_main: List[Entry]) -> List[Entry]:
-        """Sort-merge the retained main rest, the blocks, and the tail."""
-        sorted_tail, _ = self._sort_tail()
-        streams = [retained_main] + [b.entries for b in self._blocks] + [sorted_tail]
-        return self._merge_streams(streams)
-
-    def _sort_everything(self) -> Tuple[List[Entry], Optional[str]]:
+    def _sort_everything(self) -> Tuple[Run, Optional[str]]:
         sorted_tail, algorithm = self._sort_tail()
-        streams = [self._main] + [b.entries for b in self._blocks] + [sorted_tail]
-        return self._merge_streams(streams), algorithm
-
-    def _reset_after_flush(self, retained: List[Entry]) -> None:
-        self._main = retained
-        self._n = len(retained)
-        self._main_keys = [entry[0] for entry in retained]
-        self._blocks = []
-        self._tail = []
-        self._tail_sorted_cache = None
-        self._tail_keys_cache = None
-        self._min_after_main = None
-        self._reset_tail_index()
-        self.kl_estimate.reset()
-        self.zonemap.reset()
-        for entry in retained:
-            self.zonemap.update(entry[0])
+        return self._merge_runs([self._main_run(), *self._blocks, sorted_tail]), algorithm
 
     # ------------------------------------------------------------------
     # query-driven sorting (§IV-C)
     # ------------------------------------------------------------------
     def should_query_sort(self) -> bool:
-        threshold = self.config.query_sorting_threshold
-        if threshold >= 1.0:
-            return False
-        return len(self._tail) >= max(1, int(threshold * self.config.buffer_capacity))
+        return len(self._tail_keys) >= self.query_sort_at
 
     def query_sort(self) -> None:
         """Freeze the unsorted tail into a new query-sorted block."""
-        if not self._tail:
+        if not self._tail_keys:
             return
         if self.obs.enabled:
-            self.obs.event(
-                "buffer.query_sort", tail=len(self._tail), blocks=len(self._blocks)
-            )
-        sorted_tail, _ = self._sort_tail()
-        self._blocks.append(_SortedBlock(entries=sorted_tail))
+            self.obs.event("buffer.query_sort", tail=self.tail_size, blocks=self.n_blocks)
+        self._blocks.append(self._sort_tail()[0])
         self.stats.query_sorts += 1
-        self._tail = []
-        self._tail_sorted_cache = None
-        self._tail_keys_cache = None
-        self._reset_tail_index()
+        self._reset_tail()
         # _min_after_main is unchanged: the same keys remain after main.
 
     # ------------------------------------------------------------------
     # point lookups (§IV-B, Fig. 6/7)
     # ------------------------------------------------------------------
     def lookup(self, key: int) -> Tuple[int, object]:
-        """Search the buffer for ``key``; returns (state, value).
-
-        State is :data:`HIT`, :data:`TOMBSTONE` or :data:`MISS`. The newest
-        version wins, so the scan order is: unsorted tail (newest pages
-        first), query-sorted blocks (newest first), main sorted section.
-        """
+        """Search the buffer for ``key``; returns (state, value), state being
+        :data:`HIT`, :data:`TOMBSTONE` or :data:`MISS`. The newest version
+        wins, so the scan order is: unsorted tail (newest pages first),
+        query-sorted blocks (newest first), main sorted section."""
         if self.config.enable_read_zonemaps:
             self.meter.charge("zonemap_check")
             if not self.zonemap.may_contain(key):
                 self.stats.buffer_skips_by_zonemap += 1
                 return MISS, None
 
-        state, value = self._search_tail(key)
-        if state != MISS:
-            return state, value
-
-        for block in reversed(self._blocks):
-            idx = self._search_sorted(block.keys, key)
-            if idx >= 0:
-                entry = block.entries[idx]
-                return (TOMBSTONE if entry[3] else HIT), entry[2]
-
-        idx = self._search_sorted(self._main_keys, key)
-        if idx >= 0:
-            entry = self._main[idx]
-            return (TOMBSTONE if entry[3] else HIT), entry[2]
-        return MISS, None
+        slot = self._search_tail(key) if self._tail_keys else -1
+        if slot >= 0:
+            value = self._tail_vals[slot]
+        else:
+            for block in reversed(self._blocks):
+                idx = self._search_sorted(block.keys, key)
+                if idx >= 0:
+                    value = block.vals[idx]
+                    break
+            else:
+                idx = self._search_sorted(self._main.keys, key)
+                if idx < 0:
+                    return MISS, None
+                value = self._main.vals[idx]
+        return (TOMBSTONE, None) if value is DELETED else (HIT, value)
 
     def _search_sorted(self, keys: List[int], key: int) -> int:
         if not keys:
             return -1
-        steps: List[int] = []
-        idx = interpolation_search(keys, key, steps=steps)
         # Even an immediate out-of-range rejection reads the component's
         # boundary keys, so a probe costs at least one step.
-        self.meter.charge("interp_step", max(steps[0], 1) if steps else 1)
+        if key < keys[0] or key > keys[-1]:
+            self.meter.charge("interp_step")
+            return -1
+        idx, steps = interpolation_probe(keys, key)
+        self.meter.charge("interp_step", max(steps, 1))
         return idx
 
-    def _search_tail(self, key: int) -> Tuple[int, object]:
-        """Scan the unsorted tail, gated by the BFs and page Zonemaps."""
-        tail = self._tail
-        if not tail:
-            return MISS, None
+    def _search_tail(self, key: int) -> int:
+        """Scan the non-empty unsorted tail, gated by the BFs and page
+        Zonemaps; returns the newest tail slot holding ``key`` or -1."""
+        tail = self._tail_keys
         self._sync_tail_index()
         cfg = self.config
-        shared: Optional[SharedHash] = None
-        global_bf_approved = False
-        if self.global_bf is not None:
-            self.meter.charge("bf_probe")
-            shared = SharedHash(key, cfg.hash_family)
-            if not self.global_bf.may_contain_shared(shared):
-                self.stats.global_bf_negatives += 1
+        meter = self.meter
+        stats = self.stats
+        base: Optional[int] = None
+        global_bf = self.global_bf
+        if global_bf is not None:
+            meter.charge("bf_probe")
+            base = shared_base(key, cfg.hash_family)
+            if not global_bf.may_contain_base(base):
+                stats.global_bf_negatives += 1
                 if self.obs.enabled:
                     self.obs.event("buffer.global_bf_skip", key=key)
-                return MISS, None
-            global_bf_approved = True
+                return -1
 
         page_size = cfg.page_size
-        last_page = (len(tail) - 1) // page_size
-        for page in range(last_page, -1, -1):
+        n = len(tail)
+        for page in range((n - 1) // page_size, -1, -1):
             if cfg.enable_read_zonemaps:
-                self.meter.charge("zonemap_check")
+                meter.charge("zonemap_check")
                 if not self.page_zonemaps.page_may_contain(page, key):
-                    self.stats.zonemap_page_skips += 1
+                    stats.zonemap_page_skips += 1
                     if self.obs.enabled:
                         self.obs.event("buffer.zonemap_page_skip", key=key, page=page)
                     continue
-            page_bf_approved = False
-            if cfg.enable_page_bf and page < len(self._page_bfs):
-                self.meter.charge("bf_probe")
-                if shared is None:
-                    shared = SharedHash(key, cfg.hash_family)
-                if not self._page_bfs[page].may_contain_shared(shared):
-                    self.stats.page_bf_negatives += 1
-                    continue
-                page_bf_approved = True
             start = page * page_size
-            stop = min(start + page_size, len(tail))
-            self.stats.unsorted_pages_scanned += 1
-            self.meter.charge("scan_entry", stop - start)
-            for position in range(stop - 1, start - 1, -1):
-                entry = tail[position]
-                if entry[0] == key:
-                    return (TOMBSTONE if entry[3] else HIT), entry[2]
-            if page_bf_approved:
+            stop = min(start + page_size, n)
+            if cfg.enable_page_bf:
+                meter.charge("bf_probe")
+                if base is None:
+                    base = shared_base(key, cfg.hash_family)
+                if not self._sync_page_filter(page, stop).may_contain_base(base):
+                    stats.page_bf_negatives += 1
+                    continue
+            stats.unsorted_pages_scanned += 1
+            meter.charge("scan_entry", stop - start)
+            slots = tail[start:stop]
+            if key in slots:
+                slots.reverse()  # the newest duplicate sits rightmost
+                return stop - 1 - slots.index(key)
+            if cfg.enable_page_bf:
                 # Page BF said "maybe" but the page scan found nothing.
-                self.stats.page_bf_false_positives += 1
-        if global_bf_approved:
+                stats.page_bf_false_positives += 1
+        if global_bf is not None:
             # The global BF approved the probe, yet no tail page held the
             # key: one observed false positive (the FPR numerator).
-            self.stats.global_bf_false_positives += 1
-        return MISS, None
+            stats.global_bf_false_positives += 1
+        return -1
 
     # ------------------------------------------------------------------
     # range scans (§IV-C "Supporting Range Queries")
     # ------------------------------------------------------------------
-    def range_entries(self, lo: int, hi: int) -> List[Entry]:
-        """All buffered entries with lo <= key <= hi, sorted by (key, seq).
-
-        Sorts the tail first (cached until the next out-of-order insert, as
-        the paper's dedicated flag prescribes) and merges the qualifying
-        slices of every component.
-        """
+    def range_run(self, lo: int, hi: int) -> Run:
+        """All buffered entries with lo <= key <= hi as columns sorted by
+        (key, seq). Sorts the tail first (cached until the next out-of-order
+        insert, as the paper's dedicated flag prescribes) and merges the
+        qualifying slices of every component."""
         self.meter.charge("zonemap_check")
-        if self.is_empty or not self.zonemap.overlaps(lo, hi):
-            return []
+        if not self._n or not self.zonemap.overlaps(lo, hi):
+            return _empty_run()
         sorted_tail, _ = self._sort_tail()
-        streams: List[List[Entry]] = []
-        for entries, keys in self._iter_sorted_components(sorted_tail):
-            left, right = kernels.searchsorted_range(keys, lo, hi)
+        parts: List[Run] = []
+        for run in (self._main_run(), *self._blocks, sorted_tail):
+            if run is None:
+                continue
+            left = bisect_left(run.keys, lo)
+            right = bisect_right(run.keys, hi)
             if left < right:
-                streams.append(entries[left:right])
+                parts.append(run.slice(left, right))
             self.meter.charge("interp_step", 2)
-        return self._merge_streams(streams)
+        return self._merge_runs(parts)
 
-    def _iter_sorted_components(self, sorted_tail: List[Entry]):
-        yield self._main, self._main_keys
-        for block in self._blocks:
-            yield block.entries, block.keys
-        if sorted_tail:
-            if self._tail_keys_cache is None:
-                self._tail_keys_cache = kernels.key_column(sorted_tail)
-            yield sorted_tail, self._tail_keys_cache
+    def range_entries(self, lo: int, hi: int) -> List[Entry]:
+        """:meth:`range_run` as entry tuples (tests and debugging)."""
+        return self.range_run(lo, hi).entries()
 
     # ------------------------------------------------------------------
     # introspection / debugging
     # ------------------------------------------------------------------
     def all_entries(self) -> List[Entry]:
         """Every buffered entry in arrival-agnostic component order."""
-        out = list(self._main)
-        for block in self._blocks:
-            out.extend(block.entries)
-        out.extend(self._tail)
-        return out
+        tail_seqs = list(range(self._seq - len(self._tail_keys) + 1, self._seq + 1))
+        tail = Run(self._tail_keys, self._tail_vals, tail_seqs, None)
+        runs = (self._main_run(), *self._blocks, tail)
+        return [entry for run in runs for entry in run.entries()]
 
     def component_sizes(self) -> dict:
         return {
-            "main": len(self._main),
-            "blocks": [len(b.entries) for b in self._blocks],
-            "tail": len(self._tail),
+            "main": len(self._main.keys),
+            "blocks": [len(block.keys) for block in self._blocks],
+            "tail": len(self._tail_keys),
             "last_sorted_zone": self.last_sorted_zone,
         }
 
     def check_invariants(self) -> None:
         """Validate component ordering invariants (test helper)."""
-        from repro.errors import InvariantViolation
-
-        for name, entries in [("main", self._main)] + [
-            (f"block{i}", b.entries) for i, b in enumerate(self._blocks)
+        for name, run in [("main", self._main_run())] + [
+            (f"block{i}", block) for i, block in enumerate(self._blocks)
         ]:
-            for i in range(1, len(entries)):
-                if (entries[i - 1][0], entries[i - 1][1]) > (entries[i][0], entries[i][1]):
-                    raise InvariantViolation(f"{name} not sorted by (key, seq)")
-        if self._main_keys != [entry[0] for entry in self._main]:
-            raise InvariantViolation("main key column out of sync")
-        for block in self._blocks:
-            if block.keys != [entry[0] for entry in block.entries]:
-                raise InvariantViolation("block key column out of sync")
-        components = len(self._main) + sum(len(b.entries) for b in self._blocks) + len(self._tail)
+            order = list(zip(run.keys, kernels.as_list(run.seqs)))
+            if order != sorted(order):
+                raise InvariantViolation(f"{name} not sorted by (key, seq)")
+            if kernels.as_list(run.col) != run.keys or len(run.vals) != len(order):
+                raise InvariantViolation(f"{name} columns out of sync")
+        if len(self._tail_keys) != len(self._tail_vals):
+            raise InvariantViolation("tail columns out of sync")
+        sizes = self.component_sizes()
+        components = sizes["main"] + sum(sizes["blocks"]) + sizes["tail"]
         if self._n != components:
             raise InvariantViolation(f"entry count {self._n} != component sum {components}")
         if self._n > self.config.buffer_capacity:

@@ -107,12 +107,7 @@ class ConcurrentSortednessAwareIndex:
         self._reserved = 0
         self.upgrade_fallbacks = 0
         self.append_retries = 0
-        threshold = self.config.query_sorting_threshold
-        self._query_sort_trigger: Optional[int] = (
-            None
-            if threshold >= 1.0
-            else max(1, int(threshold * self.config.buffer_capacity))
-        )
+        self._query_sort_trigger = self.config.query_sort_trigger
         if obs is not NULL_OBS:
             obs.register_collector("locks", self.locks.snapshot)
             obs.register_collector("concurrent", self._collector_snapshot)
@@ -373,8 +368,7 @@ class ConcurrentSortednessAwareIndex:
     # reads
     # ------------------------------------------------------------------
     def _should_query_sort(self) -> bool:
-        trigger = self._query_sort_trigger
-        return trigger is not None and self.inner.buffer.tail_size >= trigger
+        return self.inner.buffer.tail_size >= self._query_sort_trigger
 
     def _begin_read(self, worker: int) -> None:
         """Take buffer-wide S; upgrade to X and query-sort if triggered."""

@@ -85,6 +85,14 @@ class SWAREConfig:
         """Number of whole pages in the buffer."""
         return max(1, self.buffer_capacity // self.page_size)
 
+    @property
+    def query_sort_trigger(self) -> float:
+        """Tail size (entries) from which a read freezes the tail into a
+        query-sorted block; ``inf`` when query-driven sorting is off."""
+        if self.query_sorting_threshold >= 1.0:
+            return float("inf")
+        return max(1, int(self.query_sorting_threshold * self.buffer_capacity))
+
     def with_(self, **changes) -> "SWAREConfig":
         """A copy with the given fields replaced (convenience for sweeps)."""
         return replace(self, **changes)

@@ -22,7 +22,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
-from repro.core.buffer import HIT, TOMBSTONE, Entry, FlushBatch, SWAREBuffer
+from repro import kernels
+from repro.core.buffer import DELETED, HIT, TOMBSTONE, FlushBatch, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.stats import SWAREStats
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
@@ -181,7 +182,7 @@ class SortednessAwareIndex:
         with self.obs.span("sware.drain") as span:
             with self.meter.bucket("sort"):
                 batch = self.buffer.drain()
-            span.set(entries=len(batch.entries))
+            span.set(entries=len(batch.run.keys))
             self._apply_batch(batch)
 
     def checkpoint(self, store) -> int:
@@ -215,7 +216,7 @@ class SortednessAwareIndex:
             with self.meter.bucket("sort"):
                 batch = self.buffer.prepare_flush()
             span.set(
-                entries=len(batch.entries),
+                entries=len(batch.run.keys),
                 effortless=batch.sorted_without_effort,
                 sort_algorithm=batch.sort_algorithm,
                 retained=batch.retained,
@@ -223,73 +224,68 @@ class SortednessAwareIndex:
             self._apply_batch(batch)
         if hub is not None:
             hub.observe_flush(
-                entries=len(batch.entries),
+                entries=len(batch.run.keys),
                 retained=batch.retained,
                 effortless=batch.sorted_without_effort,
                 expected_fpr=expected_fpr,
             )
         self.obs.observe_hist(
-            "sware_flush_entries", len(batch.entries), buckets=DEFAULT_SIZE_BUCKETS
+            "sware_flush_entries", len(batch.run.keys), buckets=DEFAULT_SIZE_BUCKETS
         )
 
     def _apply_batch(self, batch: FlushBatch) -> None:
         """Dedup a flush batch and route it to bulk load / top-inserts."""
-        if not batch.entries:
+        if not batch.run.keys:
             return
-        # Entries arrive sorted by (key, seq): the last of each key run is
-        # the newest version and the only one the tree needs to see.
-        final: List[Entry] = []
-        for entry in batch.entries:
-            if final and final[-1][0] == entry[0]:
-                final[-1] = entry
-            else:
-                final.append(entry)
-
+        # The columns arrive sorted by (key, seq): the last slot of each key
+        # run is the newest version and the only one the tree needs to see.
+        keys, values = kernels.dedup_last(batch.run.col, batch.run.vals)
         tree_max = self.backend.max_key
-        if tree_max is None:
-            cut = 0
-        else:
-            keys = [entry[0] for entry in final]
-            cut = bisect_right(keys, tree_max)
+        cut = 0 if tree_max is None else bisect_right(keys, tree_max)
 
-        overlapping = final[:cut]
-        beyond = final[cut:]
-
-        if overlapping:
+        if cut:
+            backend = self.backend
+            stats = self.stats
             with self.meter.bucket("top_insert"):
-                for key, _seq, value, tombstone in overlapping:
-                    if tombstone:
+                for key, value in kernels.ItemColumns(keys[:cut], values):
+                    if value is DELETED:
                         # Backends that report deletion (the B+-tree returns
                         # False for an absent key) let us split real deletions
                         # from no-ops; message-based backends (Bε-tree, LSM)
                         # return None and count as applied.
-                        if self.backend.delete(key) is False:
-                            self.stats.tombstones_noop += 1
+                        if backend.delete(key) is False:
+                            stats.tombstones_noop += 1
                         else:
-                            self.stats.tombstones_applied += 1
+                            stats.tombstones_applied += 1
                     else:
-                        self.backend.insert(key, value)
-                        self.stats.top_inserted_entries += 1
+                        backend.insert(key, value)
+                        stats.top_inserted_entries += 1
 
-        bulk_items = [(key, value) for key, _seq, value, tomb in beyond if not tomb]
-        self.stats.tombstones_dropped += len(beyond) - len(bulk_items)
-        if bulk_items:
+        bulk_keys, bulk_values = keys[cut:], values[cut:]
+        n_beyond = len(bulk_values)
+        if batch.tombstones and DELETED in bulk_values:
+            live = [i for i, value in enumerate(bulk_values) if value is not DELETED]
+            bulk_keys = kernels.gather(bulk_keys, live)
+            bulk_values = kernels.gather(bulk_values, live)
+        n_bulk = len(bulk_values)
+        self.stats.tombstones_dropped += n_beyond - n_bulk
+        if n_bulk:
             with self.meter.bucket("bulk_load"):
-                self.backend.bulk_load_append(bulk_items)
-            self.stats.bulk_loaded_entries += len(bulk_items)
+                self.backend.bulk_load_append(kernels.ItemColumns(bulk_keys, bulk_values))
+            self.stats.bulk_loaded_entries += n_bulk
         obs = self.obs
         if obs.enabled:
             obs.event(
                 "sware.batch_routed",
-                bulk=len(bulk_items),
-                top=len(overlapping),
-                tombstones_dropped=len(beyond) - len(bulk_items),
+                bulk=n_bulk,
+                top=cut,
+                tombstones_dropped=n_beyond - n_bulk,
             )
         obs.observe_hist(
-            "sware_bulk_load_entries", len(bulk_items), buckets=DEFAULT_SIZE_BUCKETS
+            "sware_bulk_load_entries", n_bulk, buckets=DEFAULT_SIZE_BUCKETS
         )
         obs.observe_hist(
-            "sware_top_insert_entries", len(overlapping), buckets=DEFAULT_SIZE_BUCKETS
+            "sware_top_insert_entries", cut, buckets=DEFAULT_SIZE_BUCKETS
         )
 
     # ------------------------------------------------------------------
@@ -318,17 +314,33 @@ class SortednessAwareIndex:
         return self._get(key)
 
     def _get(self, key: int) -> Optional[object]:
-        self._maybe_query_sort()
-        with self.meter.bucket("buffer_search"):
-            state, value = self.buffer.lookup(key)
-        if state == HIT:
-            self.stats.buffer_hits += 1
-            return value
-        if state == TOMBSTONE:
-            self.stats.buffer_tombstone_hits += 1
-            return None
-        with self.meter.bucket("tree_search"):
-            self.meter.charge("zonemap_check")
+        buffer = self.buffer
+        if len(buffer._tail_keys) >= buffer.query_sort_at:
+            self._maybe_query_sort()
+        meter = self.meter
+        zonemap = buffer.zonemap
+        low = zonemap.min_key
+        if self.config.enable_read_zonemaps and (
+            low is None or key < low or key > zonemap.max_key
+        ):
+            # Not buffered — the common GET on a near-sorted stream. This is
+            # ``buffer.lookup``'s Zonemap rejection without the calls: same
+            # charge in the same bucket, same counter.
+            if meter is not NULL_METER:
+                with meter.bucket("buffer_search"):
+                    meter.charge("zonemap_check")
+            self.stats.buffer_skips_by_zonemap += 1
+        else:
+            with meter.bucket("buffer_search"):
+                state, value = buffer.lookup(key)
+            if state == HIT:
+                self.stats.buffer_hits += 1
+                return value
+            if state == TOMBSTONE:
+                self.stats.buffer_tombstone_hits += 1
+                return None
+        with meter.bucket("tree_search"):
+            meter.charge("zonemap_check")
             tree_min, tree_max = self.backend.min_key, self.backend.max_key
             if tree_min is None or key < tree_min or key > tree_max:
                 return None
@@ -434,21 +446,19 @@ class SortednessAwareIndex:
     def _range_query_inner(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """Range scan body; the caller owns the query-sort trigger."""
         with self.meter.bucket("buffer_search"):
-            buffered = self.buffer.range_entries(lo, hi)
+            buffered = self.buffer.range_run(lo, hi)
         with self.meter.bucket("tree_search"):
             rows = self.backend.range_query(lo, hi)
         # Reconciling buffered versions against the tree scan costs one merge
         # step per buffered candidate (the tree entries were already charged
         # as scan_entry by the backend's range scan).
-        self.meter.charge("merge_step", len(buffered))
-        if not buffered:
+        self.meter.charge("merge_step", len(buffered.keys))
+        if not buffered.keys:
             return rows
         # Sorted by (key, seq): the last write per key wins.
-        resolved = {key: (value, tombstone) for key, _seq, value, tombstone in buffered}
+        resolved = dict(zip(buffered.keys, buffered.vals))
         rows = [row for row in rows if row[0] not in resolved]
-        rows.extend(
-            (key, value) for key, (value, tombstone) in resolved.items() if not tombstone
-        )
+        rows.extend(item for item in resolved.items() if item[1] is not DELETED)
         rows.sort()  # two ascending runs of unique keys: values never compare
         return rows
 

@@ -16,7 +16,13 @@ import math
 from typing import List, Optional, Sequence
 
 from repro import kernels
-from repro.filters.hashing import SharedHash
+from repro.kernels import python_kernels
+from repro.filters.hashing import SharedHash, rotate64, shared_base, shared_bases
+
+
+#: Keys from which :meth:`BloomFilter.add_many` pays for the batch kernels;
+#: below it their fixed cost exceeds the scalar loop (table in EXPERIMENTS.md).
+_KERNEL_MIN = 12
 
 
 def optimal_num_probes(bits_per_entry: float) -> int:
@@ -78,56 +84,55 @@ class BloomFilter:
         self.n_added = 0
         self.probe_count = 0
 
-    def _positions(self, key: int):
-        shared = SharedHash(key, self.hash_family)
-        if self.rotation:
-            shared = shared.rotated(self.rotation)
-        return shared.probes(self.n_probes, self.n_bits)
-
     def add(self, key: int) -> None:
         """Insert ``key``; afterwards ``may_contain(key)`` is always True."""
-        bits = self._bits
-        for pos in self._positions(key):
-            bits[pos >> 3] |= 1 << (pos & 7)
-        self.n_added += 1
+        self.add_bases((shared_base(key, self.hash_family),))
 
     def add_shared(self, shared: SharedHash) -> None:
         """Insert using a pre-computed shared hash (hash sharing)."""
-        probe_source = shared.rotated(self.rotation) if self.rotation else shared
-        bits = self._bits
-        for pos in probe_source.probes(self.n_probes, self.n_bits):
-            bits[pos >> 3] |= 1 << (pos & 7)
-        self.n_added += 1
+        self.add_bases((shared._base,))
 
-    def may_contain(self, key: int) -> bool:
-        """False ⇒ definitely absent; True ⇒ probably present."""
+    def add_bases(self, bases: Sequence[int]) -> None:
+        """Insert by precomputed base hashes on the scalar path, whatever the
+        backend: :meth:`add_many` for batches too small to pay for a kernel."""
+        python_kernels.bloom_add_many(
+            self._bits, bases, self.n_probes, self.n_bits, self.rotation
+        )
+        self.n_added += len(bases)
+
+    def may_contain_base(self, base: int) -> bool:
+        """Membership probe by precomputed base hash (hash sharing)."""
         self.probe_count += 1
+        if self.rotation:
+            base = rotate64(base, self.rotation)
         bits = self._bits
-        for pos in self._positions(key):
+        n_bits = self.n_bits
+        h1 = base & 0xFFFFFFFF
+        h2 = (base >> 32) | 1
+        for i in range(self.n_probes):
+            pos = (h1 + i * h2) % n_bits
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
         return True
 
-    def add_many(self, keys: Sequence[int], bases: Optional[Sequence[int]] = None) -> None:
-        """Batch insert with one hash pass and word-level bit setting.
+    def may_contain(self, key: int) -> bool:
+        """False ⇒ definitely absent; True ⇒ probably present."""
+        return self.may_contain_base(shared_base(key, self.hash_family))
 
-        ``bases`` lets callers share one batch of base hashes across several
-        filters (the batch form of ``add_shared``). Probe positions are the
-        same Kirsch–Mitzenmacher sequence as :meth:`add`, so the resulting
-        bit pattern is identical to adding the keys one by one. The bit
-        setting itself is a kernel: word-accumulated on the python backend,
-        ``np.bitwise_or.at`` over the uint64 view on the numpy backend.
+    def add_many(self, keys: Sequence[int]) -> None:
+        """Batch insert with one hash pass. Probe positions are the same
+        Kirsch–Mitzenmacher sequence as :meth:`add`, so the bit pattern is
+        identical to adding the keys one by one — by the backend's kernels,
+        or by the scalar loop when the batch is too small to pay for them.
         """
-        if not keys:
+        if len(keys) < _KERNEL_MIN:
+            self.add_bases(shared_bases(keys, self.hash_family))
             return
-        if bases is None:
-            bases = kernels.shared_bases(keys, self.hash_family)
+        bases = kernels.shared_bases(keys, self.hash_family)
         kernels.bloom_add_many(self._bits, bases, self.n_probes, self.n_bits, self.rotation)
         self.n_added += len(keys)
 
-    def may_contain_many(
-        self, keys: Sequence[int], bases: Optional[Sequence[int]] = None
-    ) -> List[bool]:
+    def may_contain_many(self, keys: Sequence[int]) -> List[bool]:
         """Batch membership probes (one hash pass over the whole batch).
 
         ``probe_count`` accounting stays here, outside the kernels, so the
@@ -136,8 +141,7 @@ class BloomFilter:
         """
         if not keys:
             return []
-        if bases is None:
-            bases = kernels.shared_bases(keys, self.hash_family)
+        bases = kernels.shared_bases(keys, self.hash_family)
         out = kernels.bloom_contains_many(
             self._bits, bases, self.n_probes, self.n_bits, self.rotation
         )
@@ -146,13 +150,7 @@ class BloomFilter:
 
     def may_contain_shared(self, shared: SharedHash) -> bool:
         """Membership probe using a pre-computed shared hash."""
-        self.probe_count += 1
-        probe_source = shared.rotated(self.rotation) if self.rotation else shared
-        bits = self._bits
-        for pos in probe_source.probes(self.n_probes, self.n_bits):
-            if not bits[pos >> 3] & (1 << (pos & 7)):
-                return False
-        return True
+        return self.may_contain_base(shared._base)
 
     def clear(self) -> None:
         """Reset to the empty filter (used after every buffer flush)."""

@@ -99,6 +99,15 @@ def rotate64(value: int, bits: int) -> int:
     return ((value << bits) | (value >> (64 - bits))) & _MASK64
 
 
+def shared_base(key: int, family: str = "splitmix64", seed: int = 0) -> int:
+    """The 64-bit base hash every probe of ``key`` is derived from."""
+    if family == "splitmix64":
+        return splitmix64(key, seed)
+    if family == "murmur3":
+        return murmur3_64(key, seed)
+    raise ValueError(f"unknown hash family: {family!r}")
+
+
 def shared_bases(keys, family: str = "splitmix64", seed: int = 0):
     """One 64-bit base hash per key — the batch form of hash sharing.
 
@@ -133,12 +142,7 @@ class SharedHash:
     __slots__ = ("h1", "h2", "_base")
 
     def __init__(self, key: int, family: str = "splitmix64", seed: int = 0):
-        if family == "murmur3":
-            base = murmur3_64(key, seed)
-        elif family == "splitmix64":
-            base = splitmix64(key, seed)
-        else:
-            raise ValueError(f"unknown hash family: {family!r}")
+        base = shared_base(key, family, seed)
         self._base = base
         self.h1 = base & _MASK32
         self.h2 = (base >> 32) | 1  # force odd so probes cycle all slots

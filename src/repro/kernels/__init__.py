@@ -52,14 +52,15 @@ __all__ = [
     "bloom_contains_many",
     "popcount_bytes",
     "nondecreasing_prefix_len",
-    "sort_tail_entries",
-    "merge_entry_streams",
-    "key_column",
-    "searchsorted_range",
+    "stable_argsort",
+    "gather",
+    "concat_columns",
+    "dedup_last",
+    "ItemColumns",
+    "as_list",
     "sort_items_by_key",
     "keys_strictly_increasing",
     "column_strictly_increasing",
-    "dedup_sorted_items_col",
     "GAP_SENTINEL",
     "gapped_key_store",
     "store_keys",
@@ -227,20 +228,26 @@ def nondecreasing_prefix_len(keys, last):
     return _impl().nondecreasing_prefix_len(keys, last)
 
 
-def sort_tail_entries(entries):
-    return _impl().sort_tail_entries(entries)
+def stable_argsort(keys):
+    return _impl().stable_argsort(keys)
 
 
-def merge_entry_streams(streams):
-    return _impl().merge_entry_streams(streams)
+def gather(column, order):
+    return _impl().gather(column, order)
 
 
-def key_column(entries):
-    return _impl().key_column(entries)
+def concat_columns(columns):
+    return _impl().concat_columns(columns)
 
 
-def searchsorted_range(keys, lo, hi):
-    return _impl().searchsorted_range(keys, lo, hi)
+def dedup_last(keys, values):
+    return _impl().dedup_last(keys, values)
+
+
+#: Backend-independent column helpers: a key column + value list as a pair
+#: sequence (flush -> ``bulk_load_append``), and a column unboxed to a list.
+ItemColumns = _python_kernels.ItemColumns
+as_list = _python_kernels.as_list
 
 
 def sort_items_by_key(items):
@@ -253,10 +260,6 @@ def keys_strictly_increasing(batch):
 
 def column_strictly_increasing(col):
     return _impl().column_strictly_increasing(col)
-
-
-def dedup_sorted_items_col(batch, col):
-    return _impl().dedup_sorted_items_col(batch, col)
 
 
 # -- gapped node layout (BS-tree direction) ----------------------------

@@ -30,6 +30,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_ONE, _S27, _S30, _S31, _S32 = (np.uint64(v) for v in (1, 27, 30, 31, 32))
 
 #: Raised internally when an input cannot be represented as a NumPy integer
 #: array; the public kernels catch it and delegate to the Python backend.
@@ -61,11 +62,13 @@ def _u64_array(values) -> np.ndarray:
 # hashing / Bloom filters
 # ----------------------------------------------------------------------
 def _splitmix64_arr(keys: np.ndarray, seed: int = 0) -> np.ndarray:
-    offset = np.uint64((seed * _GOLDEN + _GOLDEN) & _MASK64)
-    z = keys + offset
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = keys + np.uint64((seed * _GOLDEN + _GOLDEN) & _MASK64)
+    z ^= z >> _S30  # in place from here on: ``z`` is this call's own array
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
 
 def _murmur3_32_block8(lo32: np.ndarray, hi32: np.ndarray, seed: int) -> np.ndarray:
@@ -141,10 +144,12 @@ def _probe_matrix(bases: np.ndarray, n_probes: int, n_bits: int, rotation: int) 
     if rotation:
         r = np.uint64(rotation & 63)
         bases = (bases << r) | (bases >> (np.uint64(64) - r))
-    h1 = bases & _M32
-    h2 = (bases >> np.uint64(32)) | np.uint64(1)
-    i = np.arange(n_probes, dtype=np.uint64)
-    return (h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(n_bits)
+    h2 = bases >> _S32
+    h2 |= _ONE
+    pos = h2[:, None] * np.arange(n_probes, dtype=np.uint64)
+    pos += (bases & _M32)[:, None]
+    pos %= np.uint64(n_bits)
+    return pos
 
 
 def bloom_add_many(
@@ -170,7 +175,7 @@ def bloom_add_many(
     scratch[pos.ravel().astype(np.intp)] = True
     packed = np.packbits(scratch, bitorder="little")
     view = np.frombuffer(bits, dtype=np.uint8)
-    np.bitwise_or(view, packed, out=view)
+    view |= packed
 
 
 def bloom_contains_many(
@@ -207,79 +212,42 @@ def popcount_bytes(buf) -> int:
 # buffer primitives
 # ----------------------------------------------------------------------
 def nondecreasing_prefix_len(keys: Sequence[int], last: Optional[int]) -> int:
-    n = len(keys)
-    if n == 0:
-        return 0
+    # The scan stops at the first descent — a handful of keys into a
+    # near-sorted chunk — which no whole-column pass can beat.
+    return _py.nondecreasing_prefix_len(keys, last)
+
+
+def stable_argsort(keys):
     try:
         arr = _int_array(keys)
     except _FALLBACK_ERRORS:
-        return _py.nondecreasing_prefix_len(keys, last)
-    # Position i continues the run iff keys[i] >= max(last, keys[:i]); once
-    # keys[0] >= last holds, the running max dominates ``last`` everywhere
-    # after it, so only position 0 needs the explicit comparison.
-    ok = np.empty(n, dtype=bool)
-    ok[0] = last is None or bool(arr[0] >= last)
-    if n > 1:
-        cummax = np.maximum.accumulate(arr[:-1])
-        np.greater_equal(arr[1:], cummax, out=ok[1:])
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else n
+        return _py.stable_argsort(keys)
+    return np.argsort(arr, kind="stable")  # timsort: near-linear on sorted runs
 
 
-def _entry_order(entries: Sequence[tuple]) -> np.ndarray:
-    """Stable (key, seq) sort permutation over entry tuples."""
-    keys = _int_array([entry[0] for entry in entries])
-    seqs = np.asarray([entry[1] for entry in entries])
-    return np.lexsort((seqs, keys))
+def gather(column, order):
+    if isinstance(column, np.ndarray):
+        return column[order]
+    return _py.gather(column, order.tolist() if isinstance(order, np.ndarray) else order)
 
 
-def sort_tail_entries(entries: Sequence[tuple]) -> List[tuple]:
-    if len(entries) < 2:
-        return list(entries)
-    try:
-        order = _entry_order(entries)
-    except _FALLBACK_ERRORS:
-        return _py.sort_tail_entries(entries)
-    return [entries[i] for i in order]
+def concat_columns(columns):
+    if columns and all(isinstance(column, np.ndarray) for column in columns):
+        return np.concatenate(columns)
+    return _py.concat_columns(columns)
 
 
-def merge_entry_streams(streams: List[List[tuple]]) -> List[tuple]:
-    streams = [s for s in streams if s]
-    if not streams:
-        return []
-    if len(streams) == 1:
-        return list(streams[0])
-    # Buffer seq numbers are unique, so (key, seq) is a total order and a
-    # stable sort of the concatenation equals the k-way heap merge.
-    entries: List[tuple] = []
-    for stream in streams:
-        entries.extend(stream)
-    try:
-        order = _entry_order(entries)
-    except _FALLBACK_ERRORS:
-        return _py.merge_entry_streams(streams)
-    return [entries[i] for i in order]
-
-
-def key_column(entries: Sequence[tuple]):
-    keys = [entry[0] for entry in entries]
-    try:
-        arr = np.asarray(keys)
-    except OverflowError:
-        return keys
-    return arr if arr.dtype.kind in "iu" else keys
-
-
-def searchsorted_range(keys, lo: int, hi: int) -> Tuple[int, int]:
-    if isinstance(keys, np.ndarray):
-        try:
-            return (
-                int(np.searchsorted(keys, lo, side="left")),
-                int(np.searchsorted(keys, hi, side="right")),
-            )
-        except _FALLBACK_ERRORS:
-            pass  # lo/hi outside the dtype's range: bisect handles bignums
-    return _py.searchsorted_range(keys, lo, hi)
+def dedup_last(keys, values):
+    n = len(keys)
+    if n < 2 or not isinstance(keys, np.ndarray):
+        return _py.dedup_last(keys, values)
+    keep = np.empty(n, dtype=bool)
+    keep[-1] = True
+    np.not_equal(keys[:-1], keys[1:], out=keep[:-1])
+    if keep.all():
+        return keys, values
+    idx = np.flatnonzero(keep)
+    return keys[idx], _py.gather(values, idx.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -309,19 +277,6 @@ def column_strictly_increasing(col) -> bool:
     if len(col) < 2:
         return True
     return bool(np.all(col[:-1] < col[1:]))
-
-
-def dedup_sorted_items_col(batch: List[Tuple[int, object]], col):
-    n = len(batch)
-    if n < 2 or not isinstance(col, np.ndarray):
-        return _py.dedup_sorted_items_col(batch, col)
-    keep = np.empty(n, dtype=bool)
-    keep[-1] = True
-    np.not_equal(col[:-1], col[1:], out=keep[:-1])
-    if keep.all():
-        return batch, col
-    idx = np.flatnonzero(keep)
-    return [batch[i] for i in idx], col[idx]
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +441,8 @@ def run_end(keys, i: int, bound: int, nb: int) -> int:
 
 def key_array(keys):
     """Query keys as an int64 column when every key fits, else a list."""
-    keys = list(keys)
+    if type(keys) is not list:
+        keys = list(keys)
     try:
         return np.asarray(keys, dtype=np.int64)
     except _FALLBACK_ERRORS:

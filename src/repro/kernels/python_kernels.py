@@ -15,7 +15,6 @@ fallback that keeps the library dependency-free.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from heapq import merge as heap_merge
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,29 +54,16 @@ def bloom_add_many(
     n_bits: int,
     rotation: int = 0,
 ) -> None:
-    """Set the Kirsch–Mitzenmacher probe bits for every base hash.
-
-    Set bits are accumulated per 64-bit word and folded into the byte array
-    with one read-OR-write per touched word instead of one poke per probe.
-    """
-    words = {}
-    get = words.get
+    """Set the Kirsch–Mitzenmacher probe bits for every base hash."""
+    probes = range(n_probes)
     for base in bases:
         if rotation:
             base = rotate64(base, rotation)
         h1 = base & _MASK32
         h2 = (base >> 32) | 1
-        for i in range(n_probes):
+        for i in probes:
             pos = (h1 + i * h2) % n_bits
-            word = pos >> 6
-            words[word] = get(word, 0) | (1 << (pos & 63))
-    n_bytes = len(bits)
-    for word, mask in words.items():
-        start = word << 3
-        stop = min(start + 8, n_bytes)
-        width = stop - start
-        merged = int.from_bytes(bits[start:stop], "little") | mask
-        bits[start:stop] = merged.to_bytes(width, "little")
+            bits[pos >> 3] |= 1 << (pos & 7)
 
 
 def bloom_contains_many(
@@ -135,33 +121,67 @@ def nondecreasing_prefix_len(keys: Sequence[int], last: Optional[int]) -> int:
     return split
 
 
-def sort_tail_entries(entries: Sequence[tuple]) -> List[tuple]:
-    """Stable sort of buffer entries by ``(key, seq)``.
+def stable_argsort(keys) -> List[int]:
+    """Positions of ``keys`` in ascending order, ties by position.
 
-    Buffer tails arrive in ``seq`` order, so this equals a stable sort by
-    key alone — the property the NumPy argsort kernel relies on.
+    The buffer's tail sort and every merge of its sorted components: a
+    component sequence is concatenated oldest first, so ordering ties by
+    position is ordering by ``(key, seq)``.
     """
-    return sorted(entries, key=lambda e: (e[0], e[1]))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def merge_entry_streams(streams: List[List[tuple]]) -> List[tuple]:
-    """Stable k-way merge of ``(key, seq)``-sorted entry lists."""
-    streams = [s for s in streams if s]
-    if not streams:
-        return []
-    if len(streams) == 1:
-        return list(streams[0])
-    return list(heap_merge(*streams, key=lambda e: (e[0], e[1])))
+def gather(column, order) -> list:
+    """``column`` (keys, seqs or values) permuted by ``order``, as a list."""
+    if len(order) < 2:
+        return [column[i] for i in order]
+    return list(itemgetter(*order)(column))
 
 
-def key_column(entries: Sequence[tuple]):
-    """The key column of an entry list (backend-native sequence)."""
-    return [entry[0] for entry in entries]
+def as_list(column) -> list:
+    """A key or seq column as a list of Python ints (arrays unboxed)."""
+    return column if type(column) is list else column.tolist()
 
 
-def searchsorted_range(keys, lo: int, hi: int) -> Tuple[int, int]:
-    """``(bisect_left(lo), bisect_right(hi))`` over a sorted key column."""
-    return bisect_left(keys, lo), bisect_right(keys, hi)
+def concat_columns(columns) -> list:
+    """Key or seq columns joined end to end, as a list."""
+    out: list = []
+    for column in columns:
+        out.extend(as_list(column))
+    return out
+
+
+def dedup_last(keys, values):
+    """Keep the last slot of every run of equal keys in a sorted column
+    pair — the newest version, the only one the tree needs to see."""
+    keep = [i for i in range(len(keys) - 1) if keys[i] != keys[i + 1]]
+    if len(keep) + 1 >= len(keys):
+        return keys, values
+    keep.append(len(keys) - 1)
+    return gather(keys, keep), gather(values, keep)
+
+
+class ItemColumns:
+    """A key column and a value list offered as a sequence of ``(key,
+    value)`` pairs: what a flush hands ``bulk_load_append``, so a backend
+    that wants the columns takes them and any other iterates the pairs."""
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys, values: list):
+        self.keys = keys
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ItemColumns(self.keys[index], self.values[index])
+        return int(self.keys[index]), self.values[index]
+
+    def __iter__(self):
+        return zip(as_list(self.keys), self.values)
 
 
 # ----------------------------------------------------------------------
@@ -177,42 +197,9 @@ def keys_strictly_increasing(batch: Sequence[Tuple[int, object]]) -> bool:
     return all(batch[i - 1][0] < batch[i][0] for i in range(1, len(batch)))
 
 
-def dedup_sorted_items(batch: List[Tuple[int, object]]) -> List[Tuple[int, object]]:
-    """Keep the last pair of every key run in a key-sorted batch.
-
-    Matches upsert semantics: in a sequential replay the later duplicate
-    overwrites the earlier one, so only the final version needs to reach
-    the tree.
-    """
-    out: List[Tuple[int, object]] = []
-    append = out.append
-    last_key: Optional[int] = None
-    for pair in batch:
-        if pair[0] == last_key:
-            out[-1] = pair
-        else:
-            append(pair)
-            last_key = pair[0]
-    return out
-
-
 def column_strictly_increasing(col) -> bool:
     """True when the sorted key column has strictly increasing keys."""
     return all(col[i - 1] < col[i] for i in range(1, len(col)))
-
-
-def dedup_sorted_items_col(batch: List[Tuple[int, object]], col):
-    """Dedup a key-sorted batch alongside its prebuilt key column.
-
-    Same last-duplicate-wins semantics as :func:`dedup_sorted_items`, but
-    returns ``(batch, col)`` with the column rebuilt only when duplicates
-    were actually dropped — batch entry points build the column once and
-    reuse it across the whole walk.
-    """
-    deduped = dedup_sorted_items(batch)
-    if len(deduped) == len(batch):
-        return batch, col
-    return deduped, key_array([key for key, _value in deduped])
 
 
 # ----------------------------------------------------------------------

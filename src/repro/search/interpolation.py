@@ -18,7 +18,7 @@ optional mutable ``steps`` list, which the cost model uses.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 #: Interpolation steps allowed before degrading to binary search. log log n
 #: for any realistic n is < 6; a skewed distribution shows up as exceeding
@@ -53,14 +53,11 @@ def binary_search_rightmost(
     return -1
 
 
-def interpolation_search(
-    keys: Sequence[int],
-    target: int,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    steps: Optional[List[int]] = None,
-) -> int:
-    """Rightmost index of ``target`` in sorted ``keys[lo:hi]``, or -1.
+def interpolation_probe(
+    keys: Sequence[int], target: int, lo: int = 0, hi: Optional[int] = None
+) -> Tuple[int, int]:
+    """``(index, steps)``: the rightmost ``target`` in sorted ``keys[lo:hi]``
+    (or -1) and the number of interpolation probes it took.
 
     Runs interpolation probes while the value distribution cooperates and
     falls back to binary search after :data:`MAX_INTERPOLATION_STEPS`.
@@ -73,41 +70,44 @@ def interpolation_search(
         lo_key = keys[left]
         hi_key = keys[right]
         if target < lo_key or target > hi_key:
-            if steps is not None:
-                steps.append(n_steps)
-            return -1
+            return -1, n_steps
         if lo_key == hi_key:
             # Constant run; every slot equals target (since target is within
             # [lo_key, hi_key]). Rightmost occurrence is ``right``.
-            if steps is not None:
-                steps.append(n_steps)
-            return right
+            return right, n_steps
         n_steps += 1
         if n_steps > MAX_INTERPOLATION_STEPS:
-            result = binary_search_rightmost(keys, target, left, right + 1, steps=None)
-            if steps is not None:
-                steps.append(n_steps)
-            return result
-        # Interpolate the probe position; bias towards the right end so that
-        # with duplicates we converge on the rightmost occurrence.
+            return binary_search_rightmost(keys, target, left, right + 1), n_steps
+        # Interpolate the probe position (lo_key <= target <= hi_key keeps it
+        # inside [left, right]); bias towards the right end so that with
+        # duplicates we converge on the rightmost occurrence.
         pos = left + (target - lo_key) * (right - left) // (hi_key - lo_key)
-        pos = min(max(pos, left), right)
         probe = keys[pos]
         if probe <= target:
             # Check whether pos is already the rightmost occurrence.
             if probe == target and (pos == right or keys[pos + 1] > target):
-                if steps is not None:
-                    steps.append(n_steps)
-                return pos
+                return pos, n_steps
             left = pos + 1
         else:
             right = pos - 1
-    if steps is not None:
-        steps.append(n_steps)
     # left > right: the window is empty and every probe ruled the target
     # out, so it is absent (a probe equal to the target would have returned
     # its rightmost occurrence before shrinking the window past it).
-    return -1
+    return -1, n_steps
+
+
+def interpolation_search(
+    keys: Sequence[int],
+    target: int,
+    lo: int = 0,
+    hi: Optional[int] = None,
+    steps: Optional[List[int]] = None,
+) -> int:
+    """:func:`interpolation_probe` with the module's ``steps``-list protocol."""
+    idx, n_steps = interpolation_probe(keys, target, lo, hi)
+    if steps is not None:
+        steps.append(n_steps)
+    return idx
 
 
 def exponential_search_rightmost(

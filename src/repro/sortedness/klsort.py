@@ -134,6 +134,30 @@ def kl_sort(
     return merged
 
 
+def kl_split_fits(keys: Sequence[int], capacity: int) -> bool:
+    """:func:`kl_sort`'s split pass over a bare key column in arrival order:
+    False as soon as the outlier side buffer overflows ``capacity`` (where
+    ``kl_sort`` raises), else True. The spine is only ever inspected two
+    deep, so it is carried as its tail and the key below it."""
+    keys = iter(keys)
+    tail = next(keys, None)
+    below = None  # spine[-2]; None while the spine holds one element
+    outliers = 0
+    for key in keys:
+        if key >= tail:
+            below = tail
+        else:
+            # One element is diverted either way: the spine's tail (one-step
+            # backtrack, the new key takes its place) or the new key itself.
+            outliers += 1
+            if outliers > capacity:
+                return False
+            if below is not None and key < below:
+                continue
+        tail = key
+    return True
+
+
 def kl_sort_or_fallback(
     items: Sequence[T],
     key: Optional[Callable[[T], object]] = None,

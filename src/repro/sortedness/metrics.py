@@ -165,25 +165,37 @@ class RunningSortednessEstimate:
         self._sorted_keys: List[int] = []
 
     def observe(self, key: int) -> None:
-        """Record the next arriving key.
+        """Record the next arriving key (:meth:`observe_many` of one)."""
+        self.observe_many((key,))
+
+    def observe_many(self, keys: Sequence[int]) -> None:
+        """Record a chunk of arriving keys, in one frame; the estimates do
+        not depend on how a stream is chunked.
 
         A *descent* (key smaller than its predecessor) marks an out-of-order
         element; counting descents rather than drops below the running max
         keeps one early spike from branding everything after it as
-        out-of-order.
+        out-of-order. The element belongs (roughly) at its rank among the
+        keys seen *before* it, and its displacement is how far back that is
+        from its arrival — so the chunk is merged key by key (``insort``
+        lands near the end on near-sorted arrivals), not sorted in afterwards.
         """
-        self.n += 1
-        descended = self._prev_key is not None and key < self._prev_key
-        self._prev_key = key
-        if descended:
-            self.k_estimate += 1
-            # The element belongs (roughly) at its rank in the keys seen so
-            # far; displacement is how far back that is from its arrival.
-            slot = bisect_right(self._sorted_keys, key)
-            displacement = len(self._sorted_keys) - slot
-            if displacement > self.l_estimate:
-                self.l_estimate = displacement
-        insort(self._sorted_keys, key)
+        sorted_keys = self._sorted_keys
+        prev = self._prev_key
+        descents = 0
+        widest = self.l_estimate
+        for key in keys:
+            if prev is not None and key < prev:
+                descents += 1
+                displacement = len(sorted_keys) - bisect_right(sorted_keys, key)
+                if displacement > widest:
+                    widest = displacement
+            insort(sorted_keys, key)
+            prev = key
+        self.n += len(keys)
+        self.k_estimate += descents
+        self.l_estimate = widest
+        self._prev_key = prev
 
     def reset(self) -> None:
         self.n = 0

@@ -1,9 +1,12 @@
 """Edge-case and failure-mode tests for the SWARE-buffer and wrapper."""
 
+import pytest
 
 from repro.core.buffer import HIT, TOMBSTONE, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.factory import make_sa_btree
+
+pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
 
 
 class TestTinyGeometries:

@@ -29,6 +29,8 @@ from repro.obs.profiler import layer_for_module
 from repro.storage.costmodel import Meter
 from repro.storage.pages import deserialize_btree, serialize_btree
 
+pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
+
 HAS_NUMPY = kernels.numpy_available()
 requires_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not importable")
 
@@ -270,7 +272,7 @@ def test_dedup_column_kernels_match(batch):
     for backend in ("python", "numpy"):
         with kernels.use_backend(backend):
             col = kernels.key_array([k for k, _v in batch])
-            deduped, col2 = kernels.dedup_sorted_items_col(list(batch), col)
+            col2, deduped = kernels.dedup_last(col, list(batch))
             results[backend] = (
                 deduped,
                 [int(k) for k in col2],

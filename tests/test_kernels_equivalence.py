@@ -117,6 +117,29 @@ def test_bloom_bits_and_membership_identical(family, rotation, keys, probes):
 
 
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
+@pytest.mark.parametrize("rotation", [0, 17])
+@pytest.mark.parametrize("capacity", [1, 64, 4096])  # 8-bit, page-sized, buffer-sized
+@pytest.mark.parametrize("batch", [1, 7, 8, 64, 4096])
+def test_bloom_add_many_batch_sizes_and_duplicate_positions(backend, batch, capacity, rotation):
+    """Every batch size sets the byte path's exact bits, including when probe
+    positions repeat: within a key (an 8-bit filter folds seven probes onto
+    at most eight bits), across keys (a batch far over capacity) and through
+    duplicate keys."""
+    keys = [(i * 2654435761) % 1009 for i in range(batch)]  # repeats from 1009 on
+    with kernels.use_backend(backend):
+        filt = BloomFilter(capacity, rotation=rotation)
+        filt.add_many(keys[: batch // 2])
+        filt.add_many(keys[batch // 2 :])  # ORs into bits already set
+    sequential = BloomFilter(capacity, rotation=rotation)
+    for key in keys:
+        sequential.add(key)
+    scalar = BloomFilter(capacity, rotation=rotation)
+    scalar.add_bases(kernels.shared_bases(keys))
+    assert bytes(filt._bits) == bytes(sequential._bits) == bytes(scalar._bits)
+    assert filt.n_added == sequential.n_added == scalar.n_added == batch
+
+
+@pytest.mark.parametrize("backend", BOTH_BACKENDS)
 def test_batch_accounting_matches_sequential(backend):
     """`add_many`/`may_contain_many` bill n_added/probe_count exactly like
     the sequential loop, on every backend (regression: accounting parity)."""
@@ -154,12 +177,11 @@ def test_saturation_counts_set_bits(backend):
 # ----------------------------------------------------------------------
 # buffer kernels: split detection, stable sort, merge, range search
 # ----------------------------------------------------------------------
-entry_st = st.tuples(
-    st.integers(min_value=0, max_value=40),  # key — small range forces dups
-    st.integers(min_value=0, max_value=10**6),  # seq
-    st.integers(),  # value
-    st.booleans(),  # tombstone
-)
+dup_keys_st = st.lists(st.integers(min_value=0, max_value=40), max_size=60)  # forces dups
+
+
+def _unboxed(column):
+    return [int(v) for v in column]
 
 
 @requires_numpy
@@ -171,41 +193,68 @@ def test_nondecreasing_prefix_len_matches(keys, last):
 
 
 @requires_numpy
-@given(entries=st.lists(entry_st, max_size=60))
+@given(keys=dup_keys_st | keys_st | bignum_keys_st)
 @settings(max_examples=60, deadline=None)
-def test_sort_tail_entries_stable_and_identical(entries):
-    """Same (key, seq) order on both backends — stability decides which of
-    several versions of a key (including tombstones) wins downstream."""
-    py, np_res = _both(kernels.sort_tail_entries, list(entries))
-    assert list(py) == list(np_res)
-    assert list(py) == sorted(entries, key=lambda e: (e[0], e[1]))
+def test_stable_argsort_orders_by_key_then_arrival(keys):
+    """The tail sort: same permutation on both backends, duplicates ordered
+    by arrival — stability decides which of several versions of a key
+    (including tombstones) wins downstream. ``gather`` applies it to key,
+    seq and value columns alike."""
+    expected = sorted(range(len(keys)), key=lambda i: (keys[i], i))
+    values = [f"v{i}" for i in range(len(keys))]
+    for backend in ("python", "numpy"):
+        with kernels.use_backend(backend):
+            col = kernels.key_array(keys)
+            order = kernels.stable_argsort(col)
+            assert _unboxed(order) == expected
+            assert _unboxed(kernels.gather(col, order)) == [keys[i] for i in expected]
+            assert kernels.gather(values, order) == [values[i] for i in expected]
 
 
 @requires_numpy
-@given(
-    streams=st.lists(
-        st.lists(entry_st, max_size=25).map(
-            lambda es: sorted(es, key=lambda e: (e[0], e[1]))
-        ),
-        max_size=4,
-    )
-)
+@given(runs=st.lists(st.lists(st.integers(0, 40) | i64, max_size=25).map(sorted), max_size=4))
 @settings(max_examples=60, deadline=None)
-def test_merge_entry_streams_matches(streams):
-    py, np_res = _both(kernels.merge_entry_streams, [list(s) for s in streams])
-    assert list(py) == list(np_res)
-    assert list(py) == sorted(
-        (e for s in streams for e in s), key=lambda e: (e[0], e[1])
-    )
+def test_merge_of_sorted_columns_matches(runs):
+    """The flush merge: sorted components concatenated oldest first and
+    stably sorted by key equal the k-way merge by (key, component, slot)."""
+    flat = [(key, r, i) for r, run in enumerate(runs) for i, key in enumerate(run)]
+    for backend in ("python", "numpy"):
+        with kernels.use_backend(backend):
+            col = kernels.concat_columns([kernels.key_array(run) for run in runs])
+            assert _unboxed(col) == [key for key, _r, _i in flat]
+            order = kernels.stable_argsort(col)
+            assert [flat[i] for i in _unboxed(order)] == sorted(flat)
+    # A demoted (list) component next to array components still merges.
+    with kernels.use_backend("numpy"):
+        mixed = kernels.concat_columns([kernels.key_array([1, 2]), [2**64], kernels.key_array([3])])
+        assert mixed == [1, 2, 2**64, 3]
 
 
 @requires_numpy
-@given(keys=st.lists(i64, max_size=60), lo=i64, hi=i64)
+@given(keys=(dup_keys_st | keys_st).map(sorted))
 @settings(max_examples=60, deadline=None)
-def test_searchsorted_range_matches(keys, lo, hi):
-    keys = sorted(keys)
-    py, np_res = _both(kernels.searchsorted_range, keys, lo, hi)
-    assert tuple(py) == tuple(int(v) for v in np_res)
+def test_dedup_last_matches(keys):
+    """The flush dedup keeps the last (newest) slot of every key run."""
+    values = list(range(len(keys)))
+    last = {key: i for i, key in enumerate(keys)}
+    for backend in ("python", "numpy"):
+        with kernels.use_backend(backend):
+            out_keys, out_values = kernels.dedup_last(kernels.key_array(keys), values)
+            assert _unboxed(out_keys) == sorted(last)
+            assert out_values == [last[key] for key in sorted(last)]
+
+
+@requires_numpy
+def test_item_columns_is_a_pair_sequence():
+    for backend in ("python", "numpy"):
+        with kernels.use_backend(backend):
+            items = kernels.ItemColumns(kernels.key_array([3, 5, 9]), ["a", "b", "c"])
+            assert len(items) == 3 and bool(items)
+            assert list(items) == [(3, "a"), (5, "b"), (9, "c")]
+            assert items[0] == (3, "a") and items[-1] == (9, "c")
+            assert type(items[1][0]) is int
+            assert list(items[1:]) == [(5, "b"), (9, "c")]
+            assert kernels.keys_strictly_increasing(items)
 
 
 @requires_numpy

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import KLSortCapacityError
 from repro.sortedness.generator import generate_kl_keys
-from repro.sortedness.klsort import KLSortStats, kl_sort, kl_sort_or_fallback
+from repro import kernels
+from repro.sortedness.klsort import KLSortStats, kl_sort, kl_sort_or_fallback, kl_split_fits
 
 
 class TestCorrectness:
@@ -96,3 +97,55 @@ class TestComplexityCharacter:
         kl_sort(generate_kl_keys(8000, 0.05, 0.02, seed=5), stats=large)
         # Outlier *fraction* should not blow up with N.
         assert large.outliers / 8000 < (small.outliers / 2000) * 2 + 0.05
+
+
+def _column_cases():
+    yield "kl", generate_kl_keys(400, 0.10, 0.05, seed=3)
+    yield "kl-dups", [key // 3 for key in generate_kl_keys(300, 0.2, 0.1, seed=4)]
+    yield "reversed", list(range(200, 0, -1))
+    yield "all-equal", [7] * 120
+    yield "single-spike", [10**6] + list(range(150))
+    yield "late-spike", list(range(150)) + [-5]
+    yield "empty", []
+    yield "one", [3]
+
+
+@pytest.mark.both_backends
+class TestKeyColumnSplitPass:
+    """What the SWARE buffer runs instead of ``kl_sort`` over entry tuples:
+    the split pass on the bare key column decides raise / no raise, and one
+    stable kernel sort produces ``kl_sort``'s order."""
+
+    @pytest.mark.parametrize("label,keys", list(_column_cases()))
+    def test_same_capacity_decision_and_same_order(self, label, keys):
+        tagged = list(enumerate(keys))  # (arrival, key): the buffer's (seq, key)
+        by_key_then_arrival = lambda item: (item[1], item[0])  # noqa: E731
+        stats = KLSortStats()
+        expected = kl_sort(tagged, key=by_key_then_arrival, stats=stats)
+        for capacity in {0, 1, 16, stats.outliers - 1, stats.outliers, stats.outliers + 1}:
+            if capacity < 0:
+                continue
+            try:
+                kl_sort(tagged, key=by_key_then_arrival, capacity=capacity)
+                fits = True
+            except KLSortCapacityError:
+                fits = False
+            assert kl_split_fits(keys, capacity) is fits, (label, capacity)
+            assert fits == (stats.outliers <= capacity)
+        for backend in ["python"] + (["numpy"] if kernels.numpy_available() else []):
+            with kernels.use_backend(backend):
+                order = kernels.stable_argsort(kernels.key_array(keys))
+                assert [int(i) for i in order] == [arrival for arrival, _key in expected]
+
+    @given(
+        keys=st.lists(st.integers(min_value=0, max_value=30), max_size=60),
+        capacity=st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_split_pass_matches_kl_sort_on_random_columns(self, keys, capacity):
+        try:
+            kl_sort(list(enumerate(keys)), key=lambda item: (item[1], item[0]), capacity=capacity)
+            fits = True
+        except KLSortCapacityError:
+            fits = False
+        assert kl_split_fits(keys, capacity) is fits

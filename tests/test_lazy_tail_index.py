@@ -1,12 +1,14 @@
-"""The tail's Bloom filters and page Zonemaps are built at the first probe.
+"""The tail's Bloom filters and page Zonemaps are built lazily, by level.
 
-``SWAREBuffer.add`` / ``add_many`` only append; ``_sync_tail_index`` brings
-the global filter, the page filters and the page Zonemaps up to date when a
-lookup needs them. The contract is that nobody can tell: once synced, the
+``SWAREBuffer.add`` / ``add_many`` only append; at the first probe after an
+append ``_sync_tail_index`` brings the page Zonemaps and the global filter up
+to date, and ``_sync_page_filter`` catches a page filter up when a probe
+consults that page. The contract is that nobody can tell: fully synced, the
 filter state is bit-for-bit what per-append upkeep builds, and every lookup
 result, ``SWAREStats`` counter and meter charge matches a buffer that syncs
-after every append. Both sync paths (the scalar loop below the internal
-crossover, the batch kernels above it) are driven on both kernel backends.
+every level after every append. Both hashing paths (the scalar loop below the
+internal crossover, the batch kernels above it) are driven on both kernel
+backends.
 """
 
 import copy
@@ -21,6 +23,8 @@ from repro.core.config import SWAREConfig
 from repro.core.zonemap import PageZonemaps
 from repro.filters.bloom import BloomFilter
 from repro.storage.costmodel import Meter
+
+pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
 
 CAPACITY = 48
 PAGE = 4
@@ -64,16 +68,23 @@ ops_st = st.lists(
 )
 
 
+def _sync_every_level(buffer):
+    buffer._sync_tail_index()
+    page_size = buffer.config.page_size
+    for page in range(len(buffer._page_bfs)):
+        buffer._sync_page_filter(page, min((page + 1) * page_size, buffer.tail_size))
+
+
 class _EagerBuffer(SWAREBuffer):
-    """The reference: indexes every append before returning."""
+    """The reference: indexes every append, at every level, before returning."""
 
     def add(self, key, value, tombstone=False):
         super().add(key, value, tombstone)
-        self._sync_tail_index()
+        _sync_every_level(self)
 
     def add_many(self, pairs):
         super().add_many(pairs)
-        self._sync_tail_index()
+        _sync_every_level(self)
 
 
 def _per_key_index(buffer):
@@ -82,8 +93,7 @@ def _per_key_index(buffer):
     global_bf = BloomFilter(cfg.buffer_capacity, cfg.bits_per_entry, cfg.hash_family)
     page_bfs = []
     zones = PageZonemaps(cfg.page_size)
-    for position, entry in enumerate(buffer._tail):
-        key = entry[0]
+    for position, key in enumerate(buffer._tail_keys):
         global_bf.add(key)
         if position % cfg.page_size == 0:
             page_bfs.append(
@@ -102,7 +112,7 @@ def _assert_index_matches_per_key_build(buffer):
     """Sync a *copy* — the buffer under test must reach its own first probe
     unsynced — and compare it with the per-key build."""
     buffer = copy.deepcopy(buffer)
-    buffer._sync_tail_index()
+    _sync_every_level(buffer)
     global_bf, page_bfs, zones = _per_key_index(buffer)
     cfg = buffer.config
     if cfg.enable_global_bf:
@@ -193,9 +203,18 @@ def test_appends_leave_the_index_alone_until_a_probe(backend):
         assert buffer.global_bf.n_added == 0
         assert buffer._page_bfs == [] and buffer.page_zonemaps.n_pages == 0
 
-        assert buffer.lookup(20) == (1, 20)  # kernel path: 31 keys at once
+        # A probe the global filter turns away syncs that filter and the
+        # page Zonemaps (kernel path: 31 keys at once) — and no page filter.
+        assert buffer.lookup(55) == (0, None)
+        assert buffer.stats.global_bf_negatives == 1
         assert buffer.global_bf.n_added == 31
         assert len(buffer._page_bfs) == buffer.page_zonemaps.n_pages == 8
+        assert [bf.n_added for bf in buffer._page_bfs] == [0] * 8
+
+        # A hit catches up the pages it consults, newest first, and only those.
+        assert buffer.lookup(20) == (1, 20)
+        added = [bf.n_added for bf in buffer._page_bfs]
+        assert added[5] == PAGE and sum(added) < 31
 
         buffer.add(7, "c")
         assert buffer.global_bf.n_added == 31

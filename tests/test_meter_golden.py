@@ -13,10 +13,14 @@ printing ``_drive(stream)`` for the two streams below.
 
 import random
 
+import pytest
+
 from repro.core.config import SWAREConfig
 from repro.core.factory import make_sa_btree
 from repro.sortedness.generator import generate_kl_keys, scrambled_keys
 from repro.storage.costmodel import Meter
+
+pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
 
 N = 3000
 

@@ -193,3 +193,31 @@ class TestRunningEstimate:
             estimate.observe(key)
         # The online estimate should be within a loose band of the truth.
         assert 0.02 < estimate.k_fraction < 0.40
+
+
+    @given(
+        keys=st.lists(st.integers(min_value=-20, max_value=60), max_size=80),
+        cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_observe_many_matches_definition_for_any_chunking(self, keys, cuts):
+        """K = descents; L = the most earlier keys above a descended key.
+        Per key, in arbitrary chunks (empty ones too) or at once: the same
+        ``n`` / ``k_estimate`` / ``l_estimate``, hence the same fractions."""
+        descents = [i for i in range(1, len(keys)) if keys[i] < keys[i - 1]]
+        expected = (
+            len(keys),
+            len(descents),
+            max((sum(1 for k in keys[:i] if k > keys[i]) for i in descents), default=0),
+        )
+        bounds = sorted({0, len(keys), *(min(c, len(keys)) for c in cuts)})
+        chunked, per_key, whole = (RunningSortednessEstimate() for _ in range(3))
+        chunked.observe_many([])
+        for start, stop in zip(bounds, bounds[1:]):
+            chunked.observe_many(keys[start:stop])
+        for key in keys:
+            per_key.observe(key)
+        whole.observe_many(tuple(keys))
+        for estimate in (chunked, per_key, whole):
+            assert (estimate.n, estimate.k_estimate, estimate.l_estimate) == expected
+            assert estimate.k_fraction == (expected[1] / len(keys) if keys else 0.0)

@@ -8,7 +8,10 @@ list untouched when no buffered row falls in the range. (2) The node's own
 ``child_index`` / ``search_left`` / ``range_bounds`` / ``live_items`` equal
 ``bisect`` over the live keys on every store shape. (3) Gating spans on
 ``obs.enabled`` changes nothing a caller or the meter can see, and a traced
-run still records the spans it always did. All on both kernel backends.
+run still records the spans it always did. All on both kernel backends —
+as are the same dict-model checks over keys that demote the buffer's and the
+tree's int64 columns mid-epoch (negative, ``GAP_SENTINEL``, ``>= 2**63``), and
+``_scan``'s interior-leaf shortcut against ``range_bounds``.
 """
 
 from bisect import bisect_left, bisect_right
@@ -20,10 +23,13 @@ from repro import kernels
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.btree.node import GappedInternal, GappedLeaf
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
+from repro.core.buffer import SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.obs import NULL_OBS, Observability
 from repro.storage.costmodel import Meter
+
+pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
 
 BACKENDS = [
     "python",
@@ -104,6 +110,99 @@ def test_reads_match_dict_model(backend, ops):
             assert index.get(key) == model.get(key)
         index.buffer.check_invariants()
         index.backend.check_invariants()
+
+
+ODD_KEYS = sorted({-(2**70), -(2**63), -9, -1, 0, 1, 5, 6, 40, 41, 2**40, SENTINEL - 1,
+                   SENTINEL, 2**63, 2**63 + 1, 2**70})
+odd_key_st = st.sampled_from(ODD_KEYS) | st.integers(min_value=-3, max_value=12)
+odd_ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), odd_key_st),
+        st.tuples(st.just("put_many"), st.lists(odd_key_st, min_size=1, max_size=12)),
+        st.tuples(st.just("delete"), odd_key_st),
+        st.tuples(st.just("get"), odd_key_st),
+        st.tuples(st.just("range"), odd_key_st, odd_key_st),
+        st.tuples(st.just("flush_all")),
+    ),
+    max_size=70,
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(ops=odd_ops_st)
+@settings(max_examples=60, deadline=None)
+def test_reads_match_dict_model_on_column_demoting_keys(backend, ops):
+    """Keys no int64 column can hold (and the sentinel, which an array *store*
+    cannot) arrive between ordinary ones: the buffer's runs demote to lists
+    mid-epoch, then flush, query-sort and range as before."""
+    with kernels.use_backend(backend):
+        index = _index()
+        model = {}
+        for step, op in enumerate(ops):
+            if op[0] == "put":
+                index.insert(op[1], (op[1], step))
+                model[op[1]] = (op[1], step)
+            elif op[0] == "put_many":
+                index.put_many([(key, (key, step, i)) for i, key in enumerate(op[1])])
+                model.update((key, (key, step, i)) for i, key in enumerate(op[1]))
+            elif op[0] == "delete":
+                index.delete(op[1])
+                model.pop(op[1], None)
+            elif op[0] == "get":
+                assert index.get(op[1]) == model.get(op[1])
+            elif op[0] == "range":
+                lo, hi = sorted(op[1:])
+                _check_rows(index.range_query(lo, hi), model, lo, hi)
+            else:
+                index.flush_all()
+            index.buffer.check_invariants()
+        assert index.items() == sorted(model.items())
+        assert index.get_many(ODD_KEYS) == [model.get(key) for key in ODD_KEYS]
+        index.backend.check_invariants()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_buffer_columns_demote_mid_epoch(backend):
+    """The same at the buffer's own surface: int64 columns while every key
+    fits (numpy backend), lists from the first key that does not — through
+    tail sort, query-sort, range and both flush shapes."""
+    with kernels.use_backend(backend):
+        buffer = SWAREBuffer(SWAREConfig(buffer_capacity=32, page_size=4))
+        model = {}
+
+        def put(key, value):
+            buffer.add(key, value)
+            model.setdefault(key, []).append(value)
+
+        for key in (10, 20, 30, 5, 25, SENTINEL, -7, 25):
+            put(key, f"a{key}")
+        buffer.query_sort()  # a block of int64-representable keys
+        block = buffer._blocks[0]
+        assert (type(block.col) is list) == (backend == "python")
+        for key in (2**63, 12, -(2**70), 12):
+            put(key, f"b{key}")
+        assert buffer.lookup(2**63) == (1, f"b{2**63}")
+        assert buffer.lookup(SENTINEL) == (1, f"a{SENTINEL}")
+        assert buffer.lookup(2**64) == (0, None)
+        rows = buffer.range_entries(-(2**80), 2**80)  # sorts the demoted tail
+        assert type(buffer._tail_run.col) is list
+        assert [(key, value) for key, _seq, value, _dead in rows] == [
+            (key, value) for key in sorted(model) for value in model[key]
+        ]
+        assert [seq for _k, seq, _v, _d in rows if _k == 25] == sorted(
+            seq for _k, seq, _v, _d in rows if _k == 25
+        )
+        buffer.check_invariants()
+        batch = buffer.prepare_flush()  # no flushable prefix: sorts everything
+        assert not batch.sorted_without_effort and type(batch.run.col) is list
+        flushed = [(key, value) for key, _seq, value, _dead in batch.entries]
+        kept = [(key, value) for key, _seq, value, _dead in buffer.all_entries()]
+        assert flushed + kept == [(k, v) for k in sorted(model) for v in model[k]]
+        buffer.check_invariants()
+        assert buffer.drain().entries == [
+            entry for entry in rows if (entry[0], entry[2]) in kept
+        ]
+        assert buffer.is_empty and buffer.zonemap.is_empty
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -239,6 +338,65 @@ def test_tree_reads_with_odd_probe_keys(backend):
             [(k, v) for k, v in sorted(model.items()) if k <= 4],
         ]
         assert list(tree.iter_items()) == sorted(model.items())
+
+
+def _reference_scan(tree, lo, hi):
+    """``_scan`` with ``range_bounds`` on every leaf: (rows, entries charged)."""
+    leaf = tree._head_leaf
+    while leaf.next_leaf is not None and (not leaf.n or leaf.last_key() < lo):
+        leaf = leaf.next_leaf
+    rows, charged = [], 0
+    while leaf is not None:
+        if leaf.n:
+            if leaf.first_key() > hi:
+                break
+            start, stop = leaf.range_bounds(lo, hi)
+            charged += max(stop - start, 0)
+            rows.extend(leaf.live_items(start, stop))
+            if stop < leaf.n:
+                break
+        leaf = leaf.next_leaf
+    return rows, charged
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scan_interior_leaf_shortcut_matches_range_bounds(backend):
+    """A leaf wholly inside [lo, hi] is emitted without searching it: same
+    rows and the same ``scan_entry`` charge as bounding every leaf, with lo /
+    hi on (and next to) every leaf's first and last key — full, gapped,
+    single-entry, emptied and demoted leaves."""
+    with kernels.use_backend(backend):
+        meter = Meter()
+        tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4), meter=meter)
+        tree.bulk_load_append([(key, key) for key in range(0, 64, 2)])  # full leaves
+        for key in (1, 3, 33):  # split some: gapped leaves
+            tree.insert(key, key)
+        for key in (8, 10, 12, 16, 18, 20, 22):  # a single-entry leaf, an emptied one
+            tree.delete(key)
+        for key in (SENTINEL, 2**63, 2**70):  # demotes the last leaf to a list store
+            tree.insert(key, "odd")
+        tree.check_invariants()
+        leaves = []
+        leaf = tree._head_leaf
+        while leaf is not None:
+            leaves.append(leaf)
+            leaf = leaf.next_leaf
+        sizes = {leaf.n for leaf in leaves}
+        assert {0, 1, 4} <= sizes
+        if backend == "numpy":
+            assert type(leaves[-1].ks) is list and type(leaves[0].ks) is not list
+        edges = {edge for leaf in leaves if leaf.n for edge in (leaf.first_key(), leaf.last_key())}
+        probes = sorted({edge + d for edge in edges for d in (-1, 0, 1)})
+        for lo in probes:
+            for hi in probes:
+                if lo > hi:
+                    continue
+                expected_rows, expected_charge = _reference_scan(tree, lo, hi)
+                before = meter["scan_entry"]
+                assert tree.range_query(lo, hi) == expected_rows, (lo, hi)
+                assert meter["scan_entry"] - before == expected_charge, (lo, hi)
+        spans = [(probes[i], probes[-1 - i]) for i in range(0, len(probes) // 2, 3)]
+        assert tree.range_many(spans) == [_reference_scan(tree, lo, hi)[0] for lo, hi in spans]
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ from repro.core.buffer import HIT, MISS, TOMBSTONE, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.errors import ConfigError
 
+pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
+
 
 def make_buffer(capacity=64, page_size=8, **overrides) -> SWAREBuffer:
     return SWAREBuffer(
