@@ -7,8 +7,8 @@ sortedness preset into both indexes and compare allocated leaf slots.
 
 Occupancy is reported on two axes, which the gapped node layout makes
 distinct: *logical* fill (live entries / logical leaf slots —
-``avg_leaf_fill``) and *physical* fill (live entries / allocated store
-slots, which includes each gapped node's sentinel-padded gap slots).
+``avg_leaf_fill``) and *physical* fill (live entries / page slots, which
+include each leaf's empty gap slots and its spare slot).
 """
 
 from __future__ import annotations

@@ -12,16 +12,13 @@ the hooks SWARE needs (§III design elements):
   current maximum is loaded leaf-at-a-time, filling each leaf to
   ``bulk_fill_factor`` (95% by default) and pushing separators up the right
   spine, amortizing to O(1) per entry;
-* **gapped node layout** — the BS-tree direction: keys live in
-  fixed-capacity stores with sentinel-marked gaps
-  (:mod:`repro.btree.node`), scalar intra-node search is the node's own
-  (``bisect`` / the store's ``searchsorted``), batch descent goes through
-  the :mod:`repro.kernels` dispatch, ``insert_many`` absorbs whole runs
+* **gapped node layout** — each node is a fixed-capacity page whose free
+  slots are its gaps (:mod:`repro.btree.node`); keys are sorted lists of
+  Python ints searched with ``bisect``. ``insert_many`` absorbs whole runs
   into a leaf's gaps in one merge — or *fissions* the leaf into several
   bulk-filled pieces when a run overflows it, instead of one split per
-  overflowing key — and
-  ``get_many``/``range_many`` push sorted key vectors down the tree one
-  level at a time. ``tests/test_gapped_equivalence.py`` checks the tree
+  overflowing key — and ``get_many`` pushes its sorted keys down the tree
+  one level at a time. ``tests/test_gapped_equivalence.py`` checks the tree
   against a dict + sorted-list model under both kernel backends.
 
 Semantics: unique keys with upsert on conflict; deletes are *lazy* (the
@@ -37,12 +34,13 @@ page I/O.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.errors import BulkLoadError, ConfigError, InvariantViolation
-from repro.btree.node import KEY_SENTINEL, GappedInternal, GappedLeaf
+from repro.btree.node import GappedInternal, GappedLeaf
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
 from repro.storage.bufferpool import BufferPool, PageIdAllocator
 from repro.storage.costmodel import NULL_METER, Meter
@@ -92,10 +90,9 @@ class BPlusTree:
         self.meter = meter if meter is not None else NULL_METER
         self.obs = obs if obs is not None else current_obs()
         self.pool = pool
-        # One spare physical slot lets an insert overflow transiently before
-        # the split.
+        # A leaf page has one spare slot, so an insert may overflow
+        # transiently before the split; space accounting counts it.
         self._leaf_physical = self.config.leaf_capacity + 1
-        self._internal_physical = self.config.internal_capacity + 1
         self._pages = PageIdAllocator()
         self._root: Optional[object] = None
         self._tail_leaf: Optional[GappedLeaf] = None
@@ -109,9 +106,6 @@ class BPlusTree:
         self.leaf_splits = 0
         self.internal_splits = 0
         self.leaf_fissions = 0
-        #: Cached (leaves, combined, offsets, total) for the coalesced batch
-        #: probe; invalidated by every mutating entry point.
-        self._column_cache = None
         self.top_inserts = 0
         self.fastpath_inserts = 0
         self.bulk_loaded_entries = 0
@@ -138,35 +132,20 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _invalidate_columns(self) -> None:
-        """Drop the coalesced-probe column cache.
-
-        Every mutating entry point (insert, insert_many, bulk_load_append,
-        delete — including the structural work they trigger: splits,
-        fissions, merge-runs, lazy-delete compaction) must call this before
-        touching any leaf store; :meth:`get_many` snapshots the leaf
-        chain into one sorted column and a stale snapshot silently serves
-        pre-mutation reads. Checkpoint loads are safe without it only
-        because ``deserialize_btree`` builds a fresh tree (cache starts
-        ``None``); anything that ever mutates an existing tree in place
-        must route through here.
-        """
-        self._column_cache = None
-
     def _touch(self, node, dirty: bool = False) -> None:
         self.meter.charge("node_access")
         if self.pool is not None:
             self.pool.access(node.page_id, dirty=dirty)
 
     def _new_leaf(self) -> GappedLeaf:
-        leaf = GappedLeaf(self._pages.allocate(), self._leaf_physical)
+        leaf = GappedLeaf(self._pages.allocate())
         self.leaf_count += 1
         if self.pool is not None:
             self.pool.create(leaf.page_id)
         return leaf
 
     def _new_internal(self) -> GappedInternal:
-        node = GappedInternal(self._pages.allocate(), self._internal_physical)
+        node = GappedInternal(self._pages.allocate())
         self.internal_count += 1
         if self.pool is not None:
             self.pool.create(node.page_id)
@@ -230,7 +209,7 @@ class BPlusTree:
             path.append(node)
             idx = node.child_index(key)
             if idx < node.n:
-                hi = int(node.ks[idx])
+                hi = node.ks[idx]
             node = node.children[idx]
         charge("node_access")
         if pool is not None:
@@ -246,7 +225,6 @@ class BPlusTree:
         Finds the slot, shifts the dense prefix into the gap region, and
         splits the leaf once it holds more than ``leaf_capacity`` entries.
         """
-        self._invalidate_columns()
         self._ensure_root()
         self.top_inserts += 1
         tail = self._tail_leaf
@@ -292,17 +270,14 @@ class BPlusTree:
         """
         if not items:
             return 0
-        self._invalidate_columns()
         batch = kernels.sort_items_by_key(items)
-        first_key = batch[0][0]
-        # Hoist the backend and build the key column exactly once; the
-        # pre-checks, dedup, and the whole batch walk reuse it.
-        impl = kernels.backend_module()
-        col = impl.key_array([key for key, _value in batch])
+        keys = [key for key, _value in batch]
+        values = [value for _key, value in batch]
+        first_key = keys[0]
         if self._max_key is None or first_key > self._max_key:
-            if impl.column_strictly_increasing(col):
+            if kernels.column_strictly_increasing(keys):
                 before = self.n_entries
-                self.bulk_load_append(batch)
+                self.bulk_load_append(kernels.ItemColumns(keys, values))
                 return self.n_entries - before
         self._ensure_root()
         # A sequential upsert replay would make the later duplicate
@@ -312,39 +287,34 @@ class BPlusTree:
         # the batch still bills len(batch) top-inserts because that is
         # how many operations it stands for.
         self.top_inserts += len(batch)
-        col, batch = impl.dedup_last(col, batch)
-        return self._insert_many(batch, col, first_key, impl)
+        keys, values = kernels.dedup_last(keys, values)
+        return self._insert_many(keys, values)
 
-    def _insert_many(
-        self, batch: List[Tuple[int, object]], col, first_key: int, impl
-    ) -> int:
-        """Batch descent + gap-absorbing merges for a sorted, deduped batch.
+    def _insert_many(self, keys: List[int], values: List[object]) -> int:
+        """Batch descent + gap-absorbing merges for sorted unique ``keys``.
 
-        ``col`` is the backend-native key column for ``batch`` (built once by
-        :meth:`insert_many`) and ``impl`` the hoisted kernel module. One
-        bounded descent per run of keys sharing a leaf; the whole run is
+        One bounded descent per run of keys sharing a leaf; the whole run is
         merged into the leaf in a single pass. A run that fits within
         ``leaf_capacity`` is absorbed with zero structural work; one that
         does not *fissions* the leaf into bulk-filled pieces (one structural
         event for the run, vs one split per ``leaf_capacity`` keys under
         key-at-a-time insertion).
         """
-        nb = len(batch)
-        run_end = impl.run_end
+        nb = len(keys)
         created = 0
         entry_moves = 0
         i = 0
         while i < nb:
-            leaf, path, hi = self._descend_to_leaf_bounded(batch[i][0], dirty=True)
-            j = run_end(col, i, hi, nb) if hi is not None else nb
-            c, moves = self._merge_run(leaf, batch, col, i, j, impl)
+            leaf, path, hi = self._descend_to_leaf_bounded(keys[i], dirty=True)
+            j = bisect_left(keys, hi, i) if hi is not None else nb
+            c, moves = self._merge_run(leaf, keys, values, i, j)
             created += c
             entry_moves += moves
             i = j
         if entry_moves:
             self.meter.charge("entry_move", entry_moves)
         self.n_entries += created
-        last_key = batch[-1][0]
+        first_key, last_key = keys[0], keys[-1]
         if self._max_key is None or last_key > self._max_key:
             self._max_key = last_key
         if self._min_key is None or first_key < self._min_key:
@@ -352,83 +322,40 @@ class BPlusTree:
         return created
 
     def _merge_run(
-        self,
-        leaf: GappedLeaf,
-        batch: List[Tuple[int, object]],
-        col,
-        i: int,
-        j: int,
-        impl,
+        self, leaf: GappedLeaf, keys: List[int], values: List[object], i: int, j: int
     ) -> Tuple[int, int]:
-        """Merge sorted ``batch[i:j]`` into ``leaf``; returns (created, moves)."""
-        n0 = leaf.n
-        positions, is_new, n_created = impl.merge_positions(leaf.ks, n0, col[i:j])
-        if n_created == 0:
-            # Pure overwrites: patch values in place, no key motion at all.
-            vs = leaf.vs
-            for t in range(i, j):
-                vs[positions[t - i]] = batch[t][1]
-            return 0, 0
-        if n_created == j - i:
-            # Pure inserts (the common case on fresh ingest): merge the key
-            # column vectorized and the values with slice copies.
-            new_store = impl.merge_insert_keys(
-                leaf.ks, n0, col, i, j, positions, self._leaf_physical
-            )
-            live_vals = leaf.vs
-            merged_vals = []
-            p = 0
-            for t in range(i, j):
-                pos = positions[t - i]
-                if pos > p:
-                    merged_vals.extend(live_vals[p:pos])
-                    p = pos
-                merged_vals.append(batch[t][1])
-            merged_vals.extend(live_vals[p:n0])
-            total = n0 + n_created
-            if total <= self.config.leaf_capacity:
-                leaf.adopt(new_store, merged_vals)
-                return n_created, (n0 - positions[0]) + n_created
-            merged = new_store if type(new_store) is list else new_store[:total]
-            self._fission_leaf(leaf, merged, merged_vals, impl)
-            return n_created, 0
-        # Single merge pass over (live prefix, run) producing dense output.
-        live_keys = impl.store_keys(leaf.ks, n0)
-        live_vals = leaf.vs
-        merged_keys: List[int] = []
-        merged_vals: List[object] = []
-        p = 0
+        """Merge sorted unique ``keys[i:j]`` (with ``values[i:j]``) into
+        ``leaf`` in one pass; returns (created, entry moves)."""
+        ks, vs, n0 = leaf.ks, leaf.vs, leaf.n
+        first = p = bisect_left(ks, keys[i])
+        merged_keys = ks[:first]
+        merged_vals = vs[:first]
+        created = 0
         for t in range(i, j):
-            key, value = batch[t]
-            pos = positions[t - i]
-            while p < pos:
-                merged_keys.append(live_keys[p])
-                merged_vals.append(live_vals[p])
-                p += 1
+            key = keys[t]
+            pos = bisect_left(ks, key, p)
+            if pos > p:
+                merged_keys += ks[p:pos]
+                merged_vals += vs[p:pos]
             merged_keys.append(key)
-            merged_vals.append(value)
-            if not is_new[t - i]:
-                p += 1  # overwrite consumed the existing slot
-        while p < n0:
-            merged_keys.append(live_keys[p])
-            merged_vals.append(live_vals[p])
-            p += 1
-
-        total = len(merged_keys)
-        if total <= self.config.leaf_capacity:
-            # Gap absorption: the run disappears into the leaf's holes.
-            leaf.replace(merged_keys, merged_vals, self._leaf_physical)
-            moves = (n0 - positions[0]) + n_created
-            return n_created, moves
-        self._fission_leaf(leaf, merged_keys, merged_vals, impl)
-        return n_created, 0
+            merged_vals.append(values[t])
+            if pos < n0 and ks[pos] == key:
+                p = pos + 1  # an overwrite consumes the existing slot
+            else:
+                p = pos
+                created += 1
+        merged_keys += ks[p:]
+        merged_vals += vs[p:]
+        if len(merged_keys) > self.config.leaf_capacity:
+            self._fission_leaf(leaf, merged_keys, merged_vals)
+            return created, 0
+        # Gap absorption: the run disappears into the leaf's holes. Pure
+        # overwrites move no key.
+        leaf.adopt(merged_keys, merged_vals)
+        return created, (n0 - first) + created if created else 0
 
     def _fission_leaf(
-        self,
-        leaf: GappedLeaf,
-        merged_keys: List[int],
-        merged_vals: List[object],
-        impl,
+        self, leaf: GappedLeaf, merged_keys: List[int], merged_vals: List[object]
     ) -> None:
         """Rebuild an overflowing leaf as several bulk-filled leaves.
 
@@ -450,18 +377,13 @@ class BPlusTree:
                 pieces=(total + target - 1) // target,
             )
         was_tail = leaf is self._tail_leaf
-        key_store = impl.gapped_key_store
-        physical = self._leaf_physical
-        leaf.adopt(key_store(merged_keys[:target], physical), merged_vals[:target])
+        leaf.adopt(merged_keys[:target], merged_vals[:target])
         prev = leaf
         pos = target
         while pos < total:
             take = min(target, total - pos)
             piece = self._new_leaf()
-            piece.adopt(
-                key_store(merged_keys[pos : pos + take], physical),
-                merged_vals[pos : pos + take],
-            )
+            piece.adopt(merged_keys[pos : pos + take], merged_vals[pos : pos + take])
             piece.next_leaf = prev.next_leaf
             prev.next_leaf = piece
             if was_tail and piece.next_leaf is None:
@@ -485,7 +407,7 @@ class BPlusTree:
             self.obs.event("btree.leaf_split", entries=len(leaf), depth=len(path))
         split = self._split_point(len(leaf))
         right = self._new_leaf()
-        leaf.split_into(right, split, self._leaf_physical)
+        leaf.split_into(right, split)
         self.meter.charge("entry_move", right.n)
         right.next_leaf = leaf.next_leaf
         leaf.next_leaf = right
@@ -500,7 +422,7 @@ class BPlusTree:
             self.obs.event("btree.internal_split", pivots=len(node), depth=len(path))
         split = self._split_point(len(node))
         right = self._new_internal()
-        promoted = node.split_into(right, split, self._internal_physical)
+        promoted = node.split_into(right, split)
         self.meter.charge("entry_move", right.n + 1)
         self._insert_into_parent(node, promoted, right, path)
 
@@ -532,25 +454,28 @@ class BPlusTree:
     def bulk_load_append(self, items: Sequence[Tuple[int, object]]) -> None:
         """Append a sorted batch of strictly increasing keys > max_key.
 
-        Fills each leaf to ``bulk_fill_factor`` and pushes separators up the
-        right spine (Fig. 3b); cost is O(1) amortized per entry.
+        ``items`` is ``(key, value)`` pairs or an ``ItemColumns`` (a SWARE
+        flush) whose keys may be an int64 column; they become Python ints
+        once, here. Fills each leaf to ``bulk_fill_factor`` and pushes
+        separators up the right spine (Fig. 3b); cost is O(1) amortized per
+        entry.
         """
         total = len(items)
         if not total:
             return
-        if isinstance(items, kernels.ItemColumns):  # a SWARE flush: as is
+        if isinstance(items, kernels.ItemColumns):
             col, values = items.keys, items.values
         else:
-            col = kernels.key_array([key for key, _value in items])
+            col = [key for key, _value in items]
             values = [value for _key, value in items]
         if not kernels.column_strictly_increasing(col):
             raise BulkLoadError("bulk batch must be strictly increasing")
-        first, last = int(col[0]), int(col[-1])
+        keys = kernels.as_list(col)
+        first, last = keys[0], keys[-1]
         if self._max_key is not None and first <= self._max_key:
             raise BulkLoadError(
                 f"bulk batch starts at {first} but tree max is {self._max_key}"
             )
-        self._invalidate_columns()
         self._ensure_root()
         fill = max(1, int(self.config.leaf_capacity * self.config.bulk_fill_factor))
         self.meter.charge("bulk_entry", total)
@@ -562,18 +487,18 @@ class BPlusTree:
 
         pos = 0
         tail = self._tail_leaf
-        # Chunked fills: one store slice-assignment per leaf instead of a
-        # per-key append loop. The current tail leaf is topped off first so
-        # it reaches the fill target.
+        # Chunked fills: one list slice per leaf instead of a per-key append
+        # loop. The current tail leaf is topped off first so it reaches the
+        # fill target.
         if tail.n < fill:
             take = min(fill - tail.n, total)
             self._touch(tail, dirty=True)
-            tail.extend(col[:take], values[:take])
+            tail.extend(keys[:take], values[:take])
             pos = take
         while pos < total:
             take = min(fill, total - pos)
             leaf = self._new_leaf()
-            leaf.extend(col[pos : pos + take], values[pos : pos + take])
+            leaf.adopt(keys[pos : pos + take], values[pos : pos + take])
             pos += take
             self._append_leaf(leaf)
 
@@ -623,77 +548,43 @@ class BPlusTree:
         """Batch point lookups, one value-or-``None`` per key in input order.
 
         Batch descent: the sorted distinct keys are partitioned across
-        children one level at a time (one vectorized ``searchsorted`` per
-        visited node), then each leaf's segment is resolved with one
-        vectorized probe. Each visited node is touched — and charged —
-        exactly once per batch instead of once per key; without a pool the
-        charges are aggregated into a single meter call (with a pool each
-        node is touched individually to keep eviction order honest).
+        children one level at a time (one ``bisect`` per child run), then
+        each leaf resolves its segment with ``bisect`` calls that resume
+        where the previous key landed. Each visited node is touched — and
+        charged — exactly once per batch instead of once per key; without a
+        pool the charges are aggregated into a single meter call (with a
+        pool each node is touched individually to keep eviction order
+        honest).
         """
         n = len(keys)
         if self._root is None or n == 0:
             return [None] * n
         skeys = sorted(set(keys))
-        m = len(skeys)
-        impl = kernels.backend_module()
-        col = impl.key_array(skeys)
         found: dict = {}
         pool = self.pool
-        touch = self._touch
         node_visits = 0
-        partition = impl.partition_runs
-        find_positions = impl.leaf_find_positions
-        # Coalesced leaf probe: the leaf chain in key order is one globally
-        # sorted column, so a single vectorized search resolves every key at
-        # once instead of one tiny searchsorted per visited leaf (the
-        # dominant cost on wide trees). The concatenated column is cached
-        # until the next mutation; the descent below still walks the tree
-        # for bufferpool touches and node_access accounting, which model the
-        # algorithm's I/O pattern regardless of how the probe is executed.
-        flat = type(col) is not list
-        cache = self._column_cache if flat else None
-        if flat and cache is None:
-            leaves: List[GappedLeaf] = []
-            leaf = self._head_leaf
-            while leaf is not None:
-                if type(leaf.ks) is list:
-                    break
-                leaves.append(leaf)
-                leaf = leaf.next_leaf
-            if leaf is None and leaves:
-                combined, offsets = impl.concat_stores(
-                    [lf.ks for lf in leaves], [lf.n for lf in leaves]
-                )
-                total = offsets[-1] + leaves[-1].n
-                cache = (leaves, combined, offsets, total)
-                self._column_cache = cache
-            else:
-                # Demoted (list-store) leaves in the chain: probe per leaf.
-                flat = False
-        stack = [(self._root, 0, m)]
+        stack = [(self._root, 0, len(skeys))]
         while stack:
             node, lo, hi = stack.pop()
             node_visits += 1
             if pool is not None:
-                touch(node)
+                self._touch(node)
+            ks = node.ks
             if node.is_leaf:
-                if flat:
-                    continue
-                positions = find_positions(node.ks, node.n, col, lo, hi)
                 vs = node.vs
-                for t, p in enumerate(positions):
-                    if p >= 0:
-                        found[skeys[lo + t]] = vs[p]
-            else:
-                children = node.children
-                for child_idx, start, stop in partition(node.ks, node.n, col, lo, hi):
-                    stack.append((children[child_idx], start, stop))
-        if flat:
-            leaves, combined, offsets, total = cache
-            owners, locals_ = impl.probe_positions(combined, total, offsets, col, m)
-            for t, li in enumerate(owners):
-                if li >= 0:
-                    found[skeys[t]] = leaves[li].vs[locals_[t]]
+                pos = 0
+                for t in range(lo, hi):
+                    key = skeys[t]
+                    pos = bisect_left(ks, key, pos)
+                    if pos < node.n and ks[pos] == key:
+                        found[key] = vs[pos]
+                continue
+            children = node.children
+            while lo < hi:
+                child = bisect_right(ks, skeys[lo])
+                stop = bisect_left(skeys, ks[child], lo, hi) if child < node.n else hi
+                stack.append((children[child], lo, stop))
+                lo = stop
         if pool is None:
             self.meter.charge("node_access", node_visits)
         return [found.get(key) for key in keys]
@@ -800,7 +691,6 @@ class BPlusTree:
         """
         if self._root is None:
             return False
-        self._invalidate_columns()
         leaf, _ = self._descend_to_leaf(key, dirty=True)
         idx = leaf.search_left(key)
         if not leaf.has_key_at(idx, key):
@@ -835,12 +725,12 @@ class BPlusTree:
         """Space-utilization report (intro claim: up to 48% reduction).
 
         ``leaf_slots``/``avg_leaf_fill``/``slot_overhead`` are *logical*
-        figures (capacity-based). Every leaf also physically allocates its
-        gap region up front, so the report carries explicit physical
-        accounting — ``physical_slots`` counts every allocated key slot
+        figures (capacity-based). A leaf is a page of ``capacity + 1`` slots
+        whether or not they are filled, so the report carries explicit
+        physical accounting — ``physical_slots`` counts every page slot
         (including the per-leaf spare), ``gap_slots`` the currently empty
         ones — and the space bench cannot silently flatter the layout by
-        ignoring pre-allocated gaps.
+        ignoring a page's unused slots.
         """
         leaf_slots = self.leaf_count * self.config.leaf_capacity
         used = self.n_entries
@@ -871,56 +761,40 @@ class BPlusTree:
             return
         leaf_depths = set()
 
-        def check_store(node) -> None:
-            """Gapped-store integrity: dense sorted prefix, sentinel tail."""
-            ks = node.ks
-            if isinstance(ks, list):
-                if len(ks) != node.n:
-                    raise InvariantViolation(
-                        f"list store holds {len(ks)} keys but n={node.n}"
-                    )
-                return
-            if node.n > len(ks):
-                raise InvariantViolation("store live count exceeds physical slots")
-            live = ks[: node.n]
-            if node.n and int(live.max()) >= KEY_SENTINEL:
-                raise InvariantViolation("sentinel-valued key in live prefix")
-            tail = ks[node.n :]
-            if len(tail) and int(tail.min()) < KEY_SENTINEL:
-                raise InvariantViolation("live key in gap region")
-
         def recurse(node, depth: int, lo: Optional[int], hi: Optional[int]) -> None:
-            check_store(node)
-            if node.is_leaf and len(node.vs) != node.n:
-                raise InvariantViolation(
-                    f"leaf value count {len(node.vs)} != n={node.n}"
-                )
+            keys = node.ks
+            # Stores hold exactly Python ints: a numpy scalar would survive
+            # comparisons but not json.dump of a shard manifest.
+            if type(keys) is not list or len(keys) != node.n:
+                raise InvariantViolation(f"key store is not a list of n={node.n} keys")
+            if any(type(key) is not int for key in keys):
+                raise InvariantViolation("key store holds a key that is not an int")
+            for i in range(1, len(keys)):
+                if keys[i - 1] >= keys[i]:
+                    raise InvariantViolation(f"node keys not strictly sorted: {keys}")
             if node.is_leaf:
+                if len(node.vs) != node.n:
+                    raise InvariantViolation(
+                        f"leaf value count {len(node.vs)} != n={node.n}"
+                    )
                 leaf_depths.add(depth)
-                keys = node.keys
                 if len(keys) > self.config.leaf_capacity:
                     raise InvariantViolation(
                         f"leaf holds {len(keys)} > capacity {self.config.leaf_capacity}"
                     )
-                for i in range(1, len(keys)):
-                    if keys[i - 1] >= keys[i]:
-                        raise InvariantViolation(f"leaf keys not strictly sorted: {keys}")
                 for key in keys:
                     if lo is not None and key < lo:
                         raise InvariantViolation(f"leaf key {key} below separator {lo}")
                     if hi is not None and key >= hi:
                         raise InvariantViolation(f"leaf key {key} at/above separator {hi}")
                 return
-            if len(node.children) != len(node.keys) + 1:
+            if len(node.children) != len(keys) + 1:
                 raise InvariantViolation("internal child count mismatch")
-            if len(node.keys) > self.config.internal_capacity:
+            if len(keys) > self.config.internal_capacity:
                 raise InvariantViolation(
-                    f"internal holds {len(node.keys)} > capacity {self.config.internal_capacity}"
+                    f"internal holds {len(keys)} > capacity {self.config.internal_capacity}"
                 )
-            for i in range(1, len(node.keys)):
-                if node.keys[i - 1] >= node.keys[i]:
-                    raise InvariantViolation("internal keys not strictly sorted")
-            bounds = [lo] + list(node.keys) + [hi]
+            bounds = [lo, *keys, hi]
             for i, child in enumerate(node.children):
                 recurse(child, depth + 1, bounds[i], bounds[i + 1])
 
@@ -937,12 +811,12 @@ class BPlusTree:
         leaf = self._head_leaf
         last_nonempty = None
         while leaf is not None:
-            for key in leaf.keys:
+            for key in leaf.ks:
                 if previous is not None and key <= previous:
                     raise InvariantViolation("leaf chain out of order")
                 previous = key
                 count += 1
-            if leaf.keys:
+            if leaf.n:
                 last_nonempty = leaf
             leaf = leaf.next_leaf
         if count != self.n_entries:
@@ -950,6 +824,6 @@ class BPlusTree:
         if self._tail_leaf is not None and self._tail_leaf.next_leaf is not None:
             raise InvariantViolation("tail leaf is not the end of the chain")
         if last_nonempty is not None and (
-            self._max_key is None or self._max_key < last_nonempty.keys[-1]
+            self._max_key is None or self._max_key < last_nonempty.last_key()
         ):
             raise InvariantViolation("max_key watermark below right-most entry")

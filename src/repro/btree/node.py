@@ -1,24 +1,20 @@
-"""B+-tree node structures: the gapped array layout.
+"""B+-tree node structures.
 
 :class:`GappedLeaf` / :class:`GappedInternal` are the nodes of
-:class:`~repro.btree.BPlusTree` — the BS-tree direction. Keys live in a
-fixed-capacity *store* obtained from :func:`repro.kernels.gapped_key_store`:
-a dense sorted prefix of ``n`` live slots followed by sentinel-marked gaps
-(``kernels.GAP_SENTINEL`` == INT64_MAX, so a sentinel-padded int64 array is
-sorted end to end and ``searchsorted`` needs no explicit bound — the
-shifted-sentinel trick). Under the numpy kernel backend the store is an
-int64 ndarray and intra-node search is a branchless ``searchsorted``; under
-the pure-Python backend it is a plain list. Keys that cannot be represented
-as a non-sentinel int64 demote a store to a list transparently — mutation
-kernels return the (possibly demoted) store and the node re-binds it.
-Values and child pointers stay dense Python lists; only the key columns are
-vectorized. A leaf carries a ``next_leaf`` link (leaves form a singly
-linked chain for range scans); an internal node holds
+:class:`~repro.btree.BPlusTree`. Each models a fixed-capacity page of
+``capacity + 1`` slots — ``n`` live ones plus the gaps an insert can fill
+(the spare slot lets one insert overflow before the split) — and holds its
+live keys in ``ks``, a sorted list of Python ints. Scalar search is
+:mod:`bisect` on that list and mutation is ``list.insert`` / ``del`` /
+``extend`` / slicing, in the node. One call into numpy costs several times
+a ``bisect`` on a node this size (DESIGN.md §12), so no node search or
+mutation goes through :mod:`repro.kernels`. Values and child pointers are
+parallel lists: a leaf has ``len(vs) == n`` and a ``next_leaf`` link
+(leaves form a singly linked chain for range scans); an internal node holds
 ``len(children) == n + 1`` with the usual separator convention — child
 ``i`` covers keys < pivot ``i``, child ``i+1`` covers keys >= pivot ``i``.
-The gapped nodes expose ``keys``/``values``/``children`` (``keys`` and
-``values`` as properties materializing the live prefix) so serialization,
-invariant checks and debugging code can walk them without knowing the store.
+``keys`` / ``values`` return copies, so serialization, invariant checks and
+debugging code can walk nodes without touching their lists.
 
 :class:`LeafNode` / :class:`InternalNode` are plain list-packed nodes
 (parallel ``keys``/``values`` lists, same separator convention). The
@@ -35,11 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import List, Optional
-
-from repro import kernels
-
-#: Sentinel marking a gap slot in an array-backed key store (INT64_MAX).
-KEY_SENTINEL = kernels.GAP_SENTINEL
 
 
 class LeafNode:
@@ -83,21 +74,15 @@ class InternalNode:
 
 
 class GappedLeaf:
-    """Leaf with a gapped key store and a dense Python value list.
-
-    ``ks`` is the backend-native key store (``n`` live slots, then gaps),
-    ``vs`` the parallel dense value list (``len(vs) == n`` always). The
-    physical store holds ``capacity + 1`` slots so one insert may overflow
-    transiently before the tree splits the node.
-    """
+    """Leaf with sorted key and value lists (``len(ks) == len(vs) == n``)."""
 
     __slots__ = ("page_id", "ks", "vs", "n", "next_leaf")
 
     is_leaf = True
 
-    def __init__(self, page_id: int, physical: int):
+    def __init__(self, page_id: int):
         self.page_id = page_id
-        self.ks = kernels.gapped_key_store((), physical)
+        self.ks: List[int] = []
         self.vs: List[object] = []
         self.n = 0
         self.next_leaf: Optional["GappedLeaf"] = None
@@ -106,69 +91,45 @@ class GappedLeaf:
         return self.n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        head = kernels.store_keys(self.ks, min(self.n, 4))
-        return f"GappedLeaf(page={self.page_id}, n={self.n}, keys={head}...)"
+        return f"GappedLeaf(page={self.page_id}, n={self.n}, keys={self.ks[:4]}...)"
 
     # -- uniform read surface (serialization, invariants, debugging) --
     @property
     def keys(self) -> List[int]:
-        return kernels.store_keys(self.ks, self.n)
+        return list(self.ks)
 
     @property
     def values(self) -> List[object]:
         return list(self.vs)
 
-    def key_at(self, idx: int) -> int:
-        return int(self.ks[idx])
-
     def first_key(self) -> int:
-        return int(self.ks[0])
+        return self.ks[0]
 
     def last_key(self) -> int:
-        return int(self.ks[self.n - 1])
+        return self.ks[-1]
 
     def iter_live(self):
         return self.live_items(0, self.n)
 
     def live_items(self, start: int, stop: int):
-        """``(key, value)`` pairs of slots ``[start:stop]``, keys unboxed by
-        one ``tolist()`` of the slice instead of one ``int()`` per row."""
-        ks = self.ks[start:stop]
-        if type(ks) is not list:
-            ks = ks.tolist()
-        return zip(ks, self.vs[start:stop])
+        """``(key, value)`` pairs of slots ``[start:stop]``."""
+        return zip(self.ks[start:stop], self.vs[start:stop])
 
-    # -- search (scalar: the node calls its store directly; kernels are
-    # batch primitives and a per-key dispatch is pure overhead) --
+    # -- search --
     def search_left(self, key: int) -> int:
-        ks = self.ks
-        if type(ks) is list:
-            return bisect_left(ks, key)
-        # Sentinel padding keeps the whole buffer sorted, so no hi bound is
-        # needed; min() folds a sentinel-valued probe back into the live prefix.
-        return min(int(ks.searchsorted(key)), self.n)
+        return bisect_left(self.ks, key)
 
     def range_bounds(self, lo: int, hi: int):
-        """``(bisect_left(lo), bisect_right(hi))`` over the live prefix."""
+        """``(bisect_left(lo), bisect_right(hi))`` over the live keys."""
         ks = self.ks
-        if type(ks) is list:
-            return bisect_left(ks, lo), bisect_right(ks, hi)
-        n = self.n
-        return (
-            min(int(ks.searchsorted(lo)), n),
-            min(int(ks.searchsorted(hi, "right")), n),
-        )
+        return bisect_left(ks, lo), bisect_right(ks, hi)
 
     def has_key_at(self, idx: int, key: int) -> bool:
         return idx < self.n and self.ks[idx] == key
 
-    # -- mutation (store kernels may demote the store; always re-bind) --
+    # -- mutation --
     def insert_at(self, idx: int, key: int, value: object) -> None:
-        ks = self.ks
-        if type(ks) is list:
-            ks.insert(idx, key)
-        else:
-            self.ks = kernels.node_insert_key(ks, self.n, idx, key)
+        self.ks.insert(idx, key)
         self.vs.insert(idx, value)
         self.n += 1
 
@@ -176,41 +137,32 @@ class GappedLeaf:
         self.vs[idx] = value
 
     def delete_at(self, idx: int) -> None:
-        self.ks = kernels.node_delete_key(self.ks, self.n, idx)
+        del self.ks[idx]
         del self.vs[idx]
         self.n -= 1
 
-    def extend(self, chunk_keys, chunk_values: List[object]) -> None:
-        """Bulk-append pre-sorted keys/values past the current prefix."""
-        self.ks = kernels.store_extend(self.ks, self.n, chunk_keys)
+    def extend(self, chunk_keys: List[int], chunk_values: List[object]) -> None:
+        """Bulk-append pre-sorted keys/values past the current ones."""
+        self.ks.extend(chunk_keys)
         self.vs.extend(chunk_values)
         self.n += len(chunk_values)
 
-    def replace(self, keys, values: List[object], physical: int) -> None:
-        """Rewrite the whole leaf content (merge-absorb / fission)."""
-        self.ks = kernels.gapped_key_store(keys, physical)
+    def adopt(self, keys: List[int], values: List[object]) -> None:
+        """Take ownership of new key and value lists (the whole content)."""
+        self.ks = keys
         self.vs = values
         self.n = len(values)
 
-    def adopt(self, store, values: List[object]) -> None:
-        """Take ownership of a pre-built store and dense value list."""
-        self.ks = store
-        self.vs = values
-        self.n = len(values)
-
-    def split_into(self, right: "GappedLeaf", split: int, physical: int) -> None:
+    def split_into(self, right: "GappedLeaf", split: int) -> None:
         """Move slots ``[split:n]`` into ``right`` and truncate this leaf."""
-        n = self.n
-        right.ks = kernels.gapped_key_store(self.ks[split:n], physical)
-        right.vs = self.vs[split:]
-        right.n = n - split
-        self.ks = kernels.store_truncate(self.ks, n, split)
+        right.adopt(self.ks[split:], self.vs[split:])
+        del self.ks[split:]
         del self.vs[split:]
         self.n = split
 
 
 class GappedInternal:
-    """Internal node with a gapped pivot store and dense child list.
+    """Internal node with a sorted pivot list and a child list.
 
     ``len(children) == n + 1``; pivot ``i`` separates ``children[i]`` from
     ``children[i + 1]`` (``bisect_right`` convention: a key equal to the
@@ -221,9 +173,9 @@ class GappedInternal:
 
     is_leaf = False
 
-    def __init__(self, page_id: int, physical: int):
+    def __init__(self, page_id: int):
         self.page_id = page_id
-        self.ks = kernels.gapped_key_store((), physical)
+        self.ks: List[int] = []
         self.children: List[object] = []
         self.n = 0
 
@@ -235,17 +187,11 @@ class GappedInternal:
 
     @property
     def keys(self) -> List[int]:
-        return kernels.store_keys(self.ks, self.n)
-
-    def key_at(self, idx: int) -> int:
-        return int(self.ks[idx])
+        return list(self.ks)
 
     # -- search --
     def child_index(self, key: int) -> int:
-        ks = self.ks
-        if type(ks) is list:
-            return bisect_right(ks, key)
-        return min(int(ks.searchsorted(key, "right")), self.n)
+        return bisect_right(self.ks, key)
 
     def child_for(self, key: int):
         return self.children[self.child_index(key)]
@@ -253,18 +199,18 @@ class GappedInternal:
     # -- mutation --
     def insert_pivot(self, idx: int, key: int, child: object) -> None:
         """Insert separator ``key`` at ``idx`` with ``child`` to its right."""
-        self.ks = kernels.node_insert_key(self.ks, self.n, idx, key)
+        self.ks.insert(idx, key)
         self.children.insert(idx + 1, child)
         self.n += 1
 
-    def split_into(self, right: "GappedInternal", split: int, physical: int) -> int:
+    def split_into(self, right: "GappedInternal", split: int) -> int:
         """Split around pivot ``split``; returns the promoted separator."""
-        n = self.n
-        promoted = int(self.ks[split])
-        right.ks = kernels.gapped_key_store(self.ks[split + 1 : n], physical)
+        ks = self.ks
+        promoted = ks[split]
+        right.ks = ks[split + 1 :]
         right.children = self.children[split + 1 :]
-        right.n = n - split - 1
-        self.ks = kernels.store_truncate(self.ks, n, split)
+        right.n = self.n - split - 1
+        del ks[split:]
         del self.children[split + 1 :]
         self.n = split
         return promoted

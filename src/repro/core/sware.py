@@ -239,7 +239,11 @@ class SortednessAwareIndex:
             return
         # The columns arrive sorted by (key, seq): the last slot of each key
         # run is the newest version and the only one the tree needs to see.
-        keys, values = kernels.dedup_last(batch.run.col, batch.run.vals)
+        run = batch.run
+        keys, values = kernels.dedup_last(run.col, run.vals)
+        # Trees store Python ints: without duplicates these are the buffer's
+        # own key objects, so the flush allocates no new ones.
+        keys = run.keys if values is run.vals else kernels.as_list(keys)
         tree_max = self.backend.max_key
         cut = 0 if tree_max is None else bisect_right(keys, tree_max)
 
@@ -247,7 +251,7 @@ class SortednessAwareIndex:
             backend = self.backend
             stats = self.stats
             with self.meter.bucket("top_insert"):
-                for key, value in kernels.ItemColumns(keys[:cut], values):
+                for key, value in zip(keys[:cut], values):
                     if value is DELETED:
                         # Backends that report deletion (the B+-tree returns
                         # False for an absent key) let us split real deletions

@@ -1,9 +1,9 @@
 """``repro.kernels`` — backend dispatch for vectorized hot-path kernels.
 
 The library's hot paths (Bloom probe generation, buffer tail sorting and
-merging, sortedness metrics, B+-tree batch pre-passes) are expressed as
-*kernels*: small data-parallel functions with two interchangeable
-implementations —
+merging, sortedness metrics, batch-insert pre-checks) are expressed as
+*kernels*: data-parallel functions over a whole column, with two
+interchangeable implementations —
 
 * :mod:`repro.kernels.python_kernels` — pure Python, always available, the
   semantic reference;
@@ -25,7 +25,8 @@ Both backends return bit-identical results (Bloom bit patterns, stable sort
 orders, metric values); ``tests/test_kernels_equivalence.py`` pins that
 contract. Cost-model charges never live in kernels — meters bill the
 *algorithm* of the paper, not the implementation, so simulated costs are
-identical under either backend.
+identical under either backend. A scalar search is not a kernel: a
+B+-tree node bisects its own key list (:mod:`repro.btree.node`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.kernels import python_kernels as _python_kernels
 __all__ = [
     "active_backend",
     "backend_info",
-    "backend_module",
     "numpy_available",
     "set_backend",
     "use_backend",
@@ -61,20 +61,6 @@ __all__ = [
     "sort_items_by_key",
     "keys_strictly_increasing",
     "column_strictly_increasing",
-    "GAP_SENTINEL",
-    "gapped_key_store",
-    "store_keys",
-    "node_insert_key",
-    "node_delete_key",
-    "store_truncate",
-    "store_extend",
-    "merge_positions",
-    "merge_insert_keys",
-    "partition_runs",
-    "leaf_find_positions",
-    "concat_stores",
-    "probe_positions",
-    "run_end",
     "key_array",
     "longest_nondecreasing_subsequence_length",
     "count_out_of_order",
@@ -146,18 +132,6 @@ def _impl():
 def active_backend() -> str:
     """Name of the backend the next kernel call will use."""
     return "python" if _impl() is _python_kernels else "numpy"
-
-
-def backend_module():
-    """The active kernel module itself, for hot loops to hoist.
-
-    The per-call dispatch wrappers below re-resolve the backend on every
-    call (so ``use_backend`` works mid-stream), which costs an environment
-    lookup each time. Batch entry points that issue thousands of kernel
-    calls per invocation resolve once up front instead — the backend cannot
-    change in the middle of a single batch operation.
-    """
-    return _impl()
 
 
 def set_backend(name: Optional[str]) -> None:
@@ -260,63 +234,6 @@ def keys_strictly_increasing(batch):
 
 def column_strictly_increasing(col):
     return _impl().column_strictly_increasing(col)
-
-
-# -- gapped node layout (BS-tree direction) ----------------------------
-#: Sentinel marking a gap slot in an array-backed key store (INT64_MAX).
-GAP_SENTINEL = _python_kernels.GAP_SENTINEL
-
-
-def gapped_key_store(keys, physical):
-    return _impl().gapped_key_store(keys, physical)
-
-
-def store_keys(store, n):
-    return _impl().store_keys(store, n)
-
-
-def node_insert_key(store, n, idx, key):
-    return _impl().node_insert_key(store, n, idx, key)
-
-
-def node_delete_key(store, n, idx):
-    return _impl().node_delete_key(store, n, idx)
-
-
-def store_truncate(store, n_old, n_new):
-    return _impl().store_truncate(store, n_old, n_new)
-
-
-def store_extend(store, n, chunk):
-    return _impl().store_extend(store, n, chunk)
-
-
-def merge_positions(store, n, run_keys):
-    return _impl().merge_positions(store, n, run_keys)
-
-
-def merge_insert_keys(store, n, col, i, j, positions, physical):
-    return _impl().merge_insert_keys(store, n, col, i, j, positions, physical)
-
-
-def partition_runs(store, n, keys, lo, hi):
-    return _impl().partition_runs(store, n, keys, lo, hi)
-
-
-def leaf_find_positions(store, n, keys, lo, hi):
-    return _impl().leaf_find_positions(store, n, keys, lo, hi)
-
-
-def concat_stores(stores, ns):
-    return _impl().concat_stores(stores, ns)
-
-
-def probe_positions(combined, total, offsets, col, m):
-    return _impl().probe_positions(combined, total, offsets, col, m)
-
-
-def run_end(keys, i, bound, nb):
-    return _impl().run_end(keys, i, bound, nb)
 
 
 def key_array(keys):

@@ -231,6 +231,16 @@ def gather(column, order):
     return _py.gather(column, order.tolist() if isinstance(order, np.ndarray) else order)
 
 
+def key_array(keys):
+    """Keys or seqs as an int64 column when every one fits, else a list."""
+    if type(keys) is not list:
+        keys = list(keys)
+    try:
+        return np.asarray(keys, dtype=np.int64)
+    except _FALLBACK_ERRORS:
+        return keys
+
+
 def concat_columns(columns):
     if columns and all(isinstance(column, np.ndarray) for column in columns):
         return np.concatenate(columns)
@@ -277,176 +287,6 @@ def column_strictly_increasing(col) -> bool:
     if len(col) < 2:
         return True
     return bool(np.all(col[:-1] < col[1:]))
-
-
-# ----------------------------------------------------------------------
-# gapped node layout (BS-tree direction)
-# ----------------------------------------------------------------------
-GAP_SENTINEL = _py.GAP_SENTINEL
-
-
-def gapped_key_store(keys, physical: int):
-    """Sentinel-padded int64 array store (falls back to a list store).
-
-    The sentinel is INT64_MAX, so the padded array is sorted end to end and
-    ``searchsorted`` over the *whole* buffer equals a search over the dense
-    prefix — the branchless/shifted-sentinel trick. Keys that cannot be
-    stored as a non-sentinel int64 demote the store to a plain list.
-    """
-    if isinstance(keys, np.ndarray) and keys.dtype == np.int64:
-        # Already a validated int64 column (a store slice, a probe column):
-        # one vectorized copy, no per-element conversion.
-        n = keys.size
-        if n > physical:
-            physical = n
-        arr = np.full(physical, GAP_SENTINEL, dtype=np.int64)
-        arr[:n] = keys
-        if n and int(arr[n - 1]) >= GAP_SENTINEL and int(arr[:n].max()) >= GAP_SENTINEL:
-            return [int(k) for k in keys]
-        return arr
-    keys = list(keys)
-    n = len(keys)
-    if n > physical:
-        physical = n
-    arr = np.full(physical, GAP_SENTINEL, dtype=np.int64)
-    try:
-        arr[:n] = keys
-    except _FALLBACK_ERRORS:
-        return keys
-    if n and int(arr[:n].max()) >= GAP_SENTINEL:
-        return keys
-    return arr
-
-
-def store_keys(store, n: int):
-    return _py.store_keys(store, n)
-
-
-def node_insert_key(store, n: int, idx: int, key: int):
-    return _py.node_insert_key(store, n, idx, key)
-
-
-def node_delete_key(store, n: int, idx: int):
-    return _py.node_delete_key(store, n, idx)
-
-
-def store_truncate(store, n_old: int, n_new: int):
-    return _py.store_truncate(store, n_old, n_new)
-
-
-def store_extend(store, n: int, chunk):
-    return _py.store_extend(store, n, chunk)
-
-
-def merge_positions(store, n: int, run_keys):
-    m = len(run_keys)
-    if isinstance(store, list) or m == 0:
-        return _py.merge_positions(store, n, run_keys)
-    try:
-        # dtype=int64 up front: uint64 astype would silently wrap keys >= 2**63
-        run = np.asarray(run_keys, dtype=np.int64)
-    except _FALLBACK_ERRORS:
-        return _py.merge_positions(store, n, run_keys)
-    pos = np.searchsorted(store[:n], run, side="left")
-    hit = np.zeros(m, dtype=bool)
-    inside = pos < n
-    if inside.any():
-        clipped = np.minimum(pos, max(n - 1, 0))
-        hit = inside & (store[clipped] == run)
-    return pos.tolist(), (~hit).tolist(), m - int(hit.sum())
-
-
-def merge_insert_keys(store, n: int, col, i: int, j: int, positions, physical: int):
-    if isinstance(store, list) or not isinstance(col, np.ndarray):
-        return _py.merge_insert_keys(store, n, col, i, j, positions, physical)
-    m = j - i
-    total = n + m
-    if total > physical:
-        physical = total
-    # Scatter the run, then fill the survivors — ~2x cheaper than np.insert,
-    # which pays a python-level dispatch and an extra intermediate copy.
-    arr = np.full(physical, GAP_SENTINEL, dtype=np.int64)
-    out = arr[:total]
-    idx = np.asarray(positions, dtype=np.intp)
-    idx = idx + np.arange(m, dtype=np.intp)
-    out[idx] = col[i:j]
-    keep = np.ones(total, dtype=bool)
-    keep[idx] = False
-    out[keep] = store[:n]
-    if int(out[total - 1]) >= GAP_SENTINEL:
-        return [int(k) for k in out]
-    return arr
-
-
-def partition_runs(store, n: int, keys, lo: int, hi: int):
-    if isinstance(store, list) or not isinstance(keys, np.ndarray) or hi <= lo:
-        return _py.partition_runs(store, n, keys, lo, hi)
-    segment = keys[lo:hi]
-    child = np.searchsorted(store[:n], segment, side="right")
-    cuts = np.flatnonzero(child[1:] != child[:-1]) + 1
-    bounds = [0, *cuts.tolist(), hi - lo]
-    return [
-        (int(child[bounds[t]]), lo + bounds[t], lo + bounds[t + 1])
-        for t in range(len(bounds) - 1)
-    ]
-
-
-def leaf_find_positions(store, n: int, keys, lo: int, hi: int):
-    if isinstance(store, list) or not isinstance(keys, np.ndarray) or hi <= lo:
-        return _py.leaf_find_positions(store, n, keys, lo, hi)
-    segment = keys[lo:hi]
-    pos = np.searchsorted(store[:n], segment, side="left")
-    clipped = np.minimum(pos, max(n - 1, 0))
-    hit = (pos < n) & (store[clipped] == segment) if n else np.zeros(hi - lo, bool)
-    return np.where(hit, pos, -1).tolist()
-
-
-def concat_stores(stores, ns):
-    if any(isinstance(store, list) for store in stores):
-        return _py.concat_stores(stores, ns)
-    offsets = []
-    parts = []
-    start = 0
-    for store, n in zip(stores, ns):
-        offsets.append(start)
-        parts.append(store[:n])
-        start += n
-    combined = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return combined, offsets
-
-
-def probe_positions(combined, total: int, offsets, col, m: int):
-    if not isinstance(combined, np.ndarray) or not isinstance(col, np.ndarray):
-        return _py.probe_positions(combined, total, offsets, col, m)
-    seg = col[:m]
-    pos = np.searchsorted(combined, seg, side="left")
-    if total:
-        clipped = np.minimum(pos, total - 1)
-        hit = (pos < total) & (combined[clipped] == seg)
-    else:
-        hit = np.zeros(m, dtype=bool)
-    off = np.asarray(offsets, dtype=np.int64)
-    owner = np.searchsorted(off, pos, side="right") - 1
-    owner = np.maximum(owner, 0)
-    store_idx = np.where(hit, owner, -1)
-    local_idx = np.where(hit, pos - off[owner], 0)
-    return store_idx.tolist(), local_idx.tolist()
-
-
-def run_end(keys, i: int, bound: int, nb: int) -> int:
-    if isinstance(keys, np.ndarray):
-        return i + int(np.searchsorted(keys[i:nb], bound, side="left"))
-    return _py.run_end(keys, i, bound, nb)
-
-
-def key_array(keys):
-    """Query keys as an int64 column when every key fits, else a list."""
-    if type(keys) is not list:
-        keys = list(keys)
-    try:
-        return np.asarray(keys, dtype=np.int64)
-    except _FALLBACK_ERRORS:
-        return keys
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ fallback that keeps the library dependency-free.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from bisect import bisect_right
+from itertools import islice
+from operator import itemgetter, lt
 from typing import List, Optional, Sequence, Tuple
 
 from repro.filters.hashing import murmur3_64, rotate64, shared_bases as _shared_bases
@@ -138,6 +139,11 @@ def gather(column, order) -> list:
     return list(itemgetter(*order)(column))
 
 
+def key_array(keys):
+    """A key or seq sequence as the backend's column type (here a list)."""
+    return list(keys)
+
+
 def as_list(column) -> list:
     """A key or seq column as a list of Python ints (arrays unboxed)."""
     return column if type(column) is list else column.tolist()
@@ -199,247 +205,7 @@ def keys_strictly_increasing(batch: Sequence[Tuple[int, object]]) -> bool:
 
 def column_strictly_increasing(col) -> bool:
     """True when the sorted key column has strictly increasing keys."""
-    return all(col[i - 1] < col[i] for i in range(1, len(col)))
-
-
-# ----------------------------------------------------------------------
-# gapped node layout (BS-tree direction)
-# ----------------------------------------------------------------------
-#: Sentinel marking an empty slot in a gapped key store. Chosen as INT64_MAX
-#: so that a sentinel-padded int64 array is *sorted as stored*: every live key
-#: compares below every gap, and ``searchsorted`` over the whole array equals
-#: ``searchsorted`` over the dense prefix (the shifted-sentinel trick). A key
-#: equal to the sentinel itself cannot live in an array store — mutation
-#: kernels demote such stores to plain lists, which have no reserved values.
-GAP_SENTINEL = (1 << 63) - 1
-
-_INT64_MIN = -(1 << 63)
-
-
-def _store_fits(key: int) -> bool:
-    """True when ``key`` may live in an int64 array store."""
-    return _INT64_MIN <= key < GAP_SENTINEL
-
-
-def gapped_key_store(keys, physical: int):
-    """A gapped key store holding ``keys`` with room for ``physical`` slots.
-
-    The Python twin is a plain list (the gap region is implicit — Python
-    lists grow in place); the NumPy twin is a sentinel-padded int64 array.
-    Kernels that mutate a store return the store, which may be a *different*
-    object: array stores are demoted to lists when a key cannot be
-    represented as a non-sentinel int64.
-    """
-    return list(keys)
-
-
-def store_keys(store, n: int) -> List[int]:
-    """The live keys of a store as a plain list of Python ints."""
-    if isinstance(store, list):
-        return list(store)
-    return store[:n].tolist()
-
-
-def node_insert_key(store, n: int, idx: int, key: int):
-    """Insert ``key`` at ``idx``, shifting ``store[idx:n]`` into the gap.
-
-    Returns the (possibly demoted or regrown) store.
-    """
-    if isinstance(store, list):
-        store.insert(idx, key)
-        return store
-    if not _store_fits(key) or n >= len(store):
-        demoted = [int(k) for k in store[:n]]
-        demoted.insert(idx, key)
-        return demoted
-    store[idx + 1 : n + 1] = store[idx:n]
-    store[idx] = key
-    return store
-
-
-def node_delete_key(store, n: int, idx: int):
-    """Remove the key at ``idx``, closing the hole; returns the store."""
-    if isinstance(store, list):
-        del store[idx]
-        return store
-    store[idx : n - 1] = store[idx + 1 : n]
-    store[n - 1] = GAP_SENTINEL
-    return store
-
-
-def store_truncate(store, n_old: int, n_new: int):
-    """Drop live slots ``[n_new:n_old]`` (marking them as gaps)."""
-    if isinstance(store, list):
-        del store[n_new:n_old]
-        return store
-    store[n_new:n_old] = GAP_SENTINEL
-    return store
-
-
-def store_extend(store, n: int, chunk):
-    """Bulk-append ``chunk`` (a key sequence) after slot ``n``.
-
-    The fast path behind ``bulk_load_append``: one slice assignment instead
-    of a per-key append loop. Returns the (possibly demoted) store.
-    """
-    if isinstance(store, list):
-        store.extend(chunk)
-        return store
-    m = len(chunk)
-
-    def demote():
-        out = [int(k) for k in store[:n]]
-        out.extend(int(k) for k in chunk)
-        return out
-
-    dtype = getattr(chunk, "dtype", None)
-    if dtype is not None and dtype.kind != "i":
-        # A non-signed chunk (uint64 with keys >= 2**63, floats, objects)
-        # would wrap or mis-cast under slice assignment into an int64 store.
-        return demote()
-    try:
-        store[n : n + m] = chunk
-    except (OverflowError, TypeError, ValueError):
-        return demote()
-    if m and int(max(store[n + m - 1], store[n])) >= GAP_SENTINEL:
-        return demote()
-    return store
-
-
-def merge_positions(store, n: int, run_keys) -> Tuple[List[int], List[bool], int]:
-    """Insertion positions for a sorted unique key run against a leaf store.
-
-    Returns ``(positions, is_new, n_created)``: ``positions[i]`` is where
-    ``run_keys[i]`` lands in the live prefix and ``is_new[i]`` is False when
-    the slot already holds that key (an overwrite, not an insert);
-    ``n_created`` counts the True slots so callers need not re-scan.
-    Positions are relative to the *current* store — callers merge in one
-    pass.
-    """
-    positions: List[int] = []
-    is_new: List[bool] = []
-    n_created = 0
-    lo = 0
-    for key in run_keys:
-        pos = bisect_left(store, key, lo, n)
-        positions.append(pos)
-        fresh = not (pos < n and store[pos] == key)
-        is_new.append(fresh)
-        if fresh:
-            n_created += 1
-        lo = pos
-    return positions, is_new, n_created
-
-
-def merge_insert_keys(store, n: int, col, i: int, j: int, positions, physical: int):
-    """Merged key store for a pure-insert run (no overwrites).
-
-    ``positions`` are the insertion points of ``col[i:j]`` against the live
-    prefix (from :func:`merge_positions` with every slot new). Returns a new
-    gapped store of ``n + (j - i)`` live keys with ``physical`` slots.
-    """
-    out: List[int] = []
-    p = 0
-    for t in range(i, j):
-        pos = positions[t - i]
-        if pos > p:
-            out.extend(store[p:pos])
-            p = pos
-        out.append(col[t])
-    out.extend(store[p:n])
-    return out
-
-
-def partition_runs(store, n: int, keys, lo: int, hi: int) -> List[Tuple[int, int, int]]:
-    """Partition sorted ``keys[lo:hi]`` across an internal node's children.
-
-    Returns ``(child_index, start, stop)`` triples covering ``[lo, hi)``:
-    every key in ``keys[start:stop]`` routes to ``children[child_index]``
-    under ``bisect_right`` pivot semantics. One step of batch descent.
-    """
-    runs: List[Tuple[int, int, int]] = []
-    i = lo
-    while i < hi:
-        child = bisect_right(store, keys[i], 0, n)
-        if child < n:
-            stop = bisect_left(keys, store[child], i, hi)
-        else:
-            stop = hi
-        runs.append((child, i, stop))
-        i = stop
-    return runs
-
-
-def leaf_find_positions(store, n: int, keys, lo: int, hi: int) -> List[int]:
-    """Live-slot position of each sorted query key, or -1 when absent."""
-    out: List[int] = []
-    append = out.append
-    base = 0
-    for i in range(lo, hi):
-        key = keys[i]
-        pos = bisect_left(store, key, base, n)
-        if pos < n and store[pos] == key:
-            append(pos)
-        else:
-            append(-1)
-        base = pos
-    return out
-
-
-def concat_stores(stores, ns) -> Tuple[object, List[int]]:
-    """Concatenate the live prefixes of key-ordered stores into one column.
-
-    Returns ``(combined, offsets)`` where ``offsets[i]`` is the start of
-    store ``i`` inside ``combined``. Because the stores come from leaves in
-    ascending key order, ``combined`` is globally sorted — one search over
-    it replaces a search per store (the coalesced batch-probe trick).
-    """
-    combined: List[int] = []
-    offsets: List[int] = []
-    for store, n in zip(stores, ns):
-        offsets.append(len(combined))
-        if isinstance(store, list):
-            combined.extend(store)
-        else:
-            combined.extend(int(k) for k in store[:n])
-    return combined, offsets
-
-
-def probe_positions(combined, total: int, offsets, col, m: int):
-    """Locate each sorted query key inside a concatenated store column.
-
-    Returns ``(store_idx, local_idx)`` parallel lists: entry ``t`` names the
-    store (by position in ``offsets``) and in-store slot holding ``col[t]``,
-    or ``(-1, 0)`` when the key is absent.
-    """
-    store_idx: List[int] = []
-    local_idx: List[int] = []
-    base = 0
-    oi = 0
-    last = len(offsets) - 1
-    for t in range(m):
-        key = col[t]
-        pos = bisect_left(combined, key, base, total)
-        base = pos
-        if pos < total and combined[pos] == key:
-            while oi < last and offsets[oi + 1] <= pos:
-                oi += 1
-            store_idx.append(oi)
-            local_idx.append(pos - offsets[oi])
-        else:
-            store_idx.append(-1)
-            local_idx.append(0)
-    return store_idx, local_idx
-
-
-def run_end(keys, i: int, bound: int, nb: int) -> int:
-    """First position in sorted ``keys[i:nb]`` with ``key >= bound``."""
-    return bisect_left(keys, bound, i, nb)
-
-
-def key_array(keys):
-    """Sorted query keys as a backend-native column for batch descent."""
-    return list(keys)
+    return all(map(lt, col, islice(col, 1, None)))
 
 
 # ----------------------------------------------------------------------

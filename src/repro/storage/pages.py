@@ -281,14 +281,13 @@ def serialize_btree(tree, *, compress: bool = False) -> dict:
 def deserialize_btree(blob: dict):
     """Rebuild a :class:`~repro.btree.BPlusTree` from serialized pages.
 
-    The page format is layout-agnostic (dense sorted key runs), so the
-    sentinel-padded stores are rebuilt from the same bytes whatever node
-    layout wrote them. Checkpoints pickled before the layout knobs were
+    The page format is layout-agnostic (dense sorted key runs), so nodes
+    are rebuilt from the same bytes whatever node layout wrote them.
+    Checkpoints pickled before the layout knobs were
     removed may carry a config with stray ``node_layout`` /
     ``gap_high_water`` attributes (or, older still, neither); both load —
     ``BPlusTree`` reads only the fields it still has.
     """
-    from repro import kernels
     from repro.btree.btree import BPlusTree
     from repro.btree.node import GappedInternal, GappedLeaf
 
@@ -302,14 +301,14 @@ def deserialize_btree(blob: dict):
         data = pages[page_id]
         if page_kind(data) == KIND_LEAF:
             keys, values = decode_leaf(data)
-            leaf = GappedLeaf(page_id, tree._leaf_physical)
-            leaf.replace(keys, values, tree._leaf_physical)
+            leaf = GappedLeaf(page_id)
+            leaf.adopt(keys, values)
             leaves.append(leaf)
             tree.leaf_count += 1
             return leaf
         keys, children = decode_internal(data)
-        node = GappedInternal(page_id, tree._internal_physical)
-        node.ks = kernels.gapped_key_store(keys, tree._internal_physical)
+        node = GappedInternal(page_id)
+        node.ks = keys
         node.n = len(keys)
         node.children = [load(child) for child in children]
         tree.internal_count += 1

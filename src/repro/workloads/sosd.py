@@ -49,8 +49,8 @@ NATURAL_STREAM_FAMILIES: Tuple[str, ...] = ("wiki", "tpch")
 #: Environment variable pointing at a directory of real SOSD binaries.
 SOSD_DIR_ENV = "REPRO_SOSD_DIR"
 
-#: Keys are capped below the gapped node layout's int64 sentinel so numpy
-#: key stores never overflow (real uint64 datasets above this are shifted).
+#: Keys are capped well inside int64 so every key column stays an int64
+#: array on the numpy backend (real uint64 datasets above this are shifted).
 MAX_KEY = (1 << 62) - 1
 
 

@@ -3,9 +3,8 @@
 The delta kernels, key blocks, and v2 page format all rest on one claim:
 encode→decode is *exact* for any int64 column (sortedness affects only the
 compression ratio), and both kernel backends produce byte-identical
-encodings. These properties pin that claim — including the gapped layout's
-sentinel key (``GAP_SENTINEL`` = INT64_MAX) and demotion-adjacent edge
-values — plus encode→decode→encode stability and the merge-on-encoded-runs
+encodings. These properties pin that claim — including INT64_MAX / INT64_MIN
+and their neighbours — plus encode→decode→encode stability and the merge-on-encoded-runs
 semantics (duplicate resolution by priority, tombstone handling,
 whole-page pass-through).
 """
@@ -41,10 +40,8 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 i64 = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
-#: Gapped-layout edges: the sentinel itself, demotion neighbours, zero span.
-i64_edges = st.sampled_from(
-    [0, 1, -1, INT64_MAX, INT64_MIN, kernels.GAP_SENTINEL, kernels.GAP_SENTINEL - 1]
-)
+#: int64 edges, their neighbours and a zero span.
+i64_edges = st.sampled_from([0, 1, -1, INT64_MAX, INT64_MIN, INT64_MAX - 1])
 any_keys_st = st.lists(i64 | i64_edges, max_size=120)
 sorted_keys_st = any_keys_st.map(sorted)
 
@@ -101,7 +98,7 @@ class TestDeltaKernels:
         assert kernels.delta_unpack(anchor, 0, 3, b"") == [42, 42, 42]
 
     def test_sentinel_column(self):
-        keys = [kernels.GAP_SENTINEL] * 5
+        keys = [INT64_MAX] * 5
         anchor, width, packed = kernels.delta_pack(keys)
         assert kernels.delta_unpack(anchor, width, 5, packed) == keys
 

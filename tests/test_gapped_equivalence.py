@@ -8,11 +8,13 @@ kernel backends, and the two backends must agree with each other. These
 properties pin that contract against a dict + sorted-list model, mirroring
 what ``tests/test_kernels_equivalence.py`` does for the kernel layer.
 
-Alongside the hypothesis programs: unit coverage for the gapped-specific
-machinery — sentinel-key demotion to list stores, fission accounting, the
-explicit physical-occupancy fields of ``space_stats()``, checkpoint
-round-trips (including configs pickled by older versions), coalesced-probe
-cache invalidation, and profiler layer attribution for the hot modules.
+The programs mix scalar and batch inserts, deletes and bulk loads handed
+an int64 key column (``ItemColumns``), and every one ends in
+``check_invariants`` — which also pins that node stores hold only Python
+ints — and a checkpoint round-trip. Alongside them: unit coverage for keys
+outside int64, fission accounting, the explicit physical-occupancy fields
+of ``space_stats()``, checkpoint round-trips (including configs pickled by
+older versions), and profiler layer attribution for the hot modules.
 """
 
 import copy
@@ -36,11 +38,11 @@ requires_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not importable"
 
 BOTH_BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
 
-SENTINEL = kernels.GAP_SENTINEL
+INT64_MAX = 2**63 - 1
 
 # Small keys drive dense trees with lots of structural churn; the edge keys
-# exercise demotion (sentinel, beyond-int64) and int64 boundaries.
-edge_keys = st.sampled_from([SENTINEL, 2**70, -(2**70), 2**63 - 2, -(2**63), 0])
+# exercise int64 boundaries and keys beyond int64.
+edge_keys = st.sampled_from([INT64_MAX, 2**70, -(2**70), 2**63 - 2, -(2**63), 0])
 key_st = st.integers(min_value=0, max_value=200) | edge_keys
 
 ops_st = st.lists(
@@ -48,6 +50,7 @@ ops_st = st.lists(
         st.tuples(st.just("insert"), key_st),
         st.tuples(st.just("insert_many"), st.lists(key_st, max_size=24)),
         st.tuples(st.just("delete"), key_st),
+        st.tuples(st.just("bulk"), st.integers(min_value=1, max_value=12)),
     ),
     max_size=30,
 )
@@ -90,6 +93,9 @@ class _Model:
     def insert_many(self, items) -> int:
         return sum(self.insert(key, value) for key, value in items)
 
+    def bulk_load_append(self, items) -> None:
+        self.insert_many(items)
+
     def delete(self, key) -> bool:
         if key not in self.data:
             return False
@@ -115,13 +121,20 @@ class _Model:
 
 
 def _apply(tree, ops) -> list:
-    """Replay an op program; returns the per-op observable results."""
+    """Replay an op program; returns the per-op observable results. A bulk
+    load appends ``arg`` keys above ``max_key`` as a flush does: a key column
+    (int64 on the numpy backend while the keys fit) plus a value list."""
     results = []
     for t, (op, arg) in enumerate(ops):
         if op == "insert":
             results.append(tree.insert(arg, f"v{arg}@{t}"))
         elif op == "insert_many":
             results.append(tree.insert_many([(k, f"v{k}@{t}") for k in arg]))
+        elif op == "bulk":
+            start = 0 if tree.max_key is None else tree.max_key + 1
+            keys = range(start, start + arg)
+            values = [f"v{k}@{t}" for k in keys]
+            results.append(tree.bulk_load_append(kernels.ItemColumns(kernels.key_array(keys), values)))
         else:
             results.append(tree.delete(arg))
     return results
@@ -154,9 +167,15 @@ def test_gapped_matches_classic(backend, ops):
         gapped = _tree()
         assert _apply(model, ops) == _apply(gapped, ops)
         probes = sorted({k for _op, arg in ops for k in
-                         (arg if isinstance(arg, list) else [arg])} | {17, -1})
+                         (arg if isinstance(arg, list) else [arg])} | set(model.keys) | {17, -1})
         assert _observe(model, probes) == _observe(gapped, probes)
         gapped.check_invariants()
+        # Pages hold int64 keys; the watermarks bound every key ever stored.
+        if model.min_key is None or -(2**63) <= model.min_key <= model.max_key <= INT64_MAX:
+            restored = deserialize_btree(serialize_btree(gapped, compress=True))
+            restored.check_invariants()
+            assert list(restored.iter_items()) == list(model.iter_items())
+            assert restored.get_many(probes) == model.get_many(probes)
 
 
 @requires_numpy
@@ -193,75 +212,8 @@ def test_insert_many_matches_sequential_loop(backend, keys):
 
 
 # ----------------------------------------------------------------------
-# gapped merge kernels agree across backends
+# the dedup kernel agrees across backends
 # ----------------------------------------------------------------------
-sorted_unique = st.lists(
-    st.integers(min_value=0, max_value=500), max_size=40, unique=True
-).map(sorted)
-
-
-@requires_numpy
-@given(live=sorted_unique, run=st.lists(
-    st.integers(min_value=0, max_value=500), min_size=1, max_size=20, unique=True
-).map(sorted))
-@settings(max_examples=60, deadline=None)
-def test_merge_kernels_match(live, run):
-    results = {}
-    for backend in ("python", "numpy"):
-        with kernels.use_backend(backend):
-            store = kernels.gapped_key_store(live, len(live) + len(run))
-            col = kernels.key_array(run)
-            positions, is_new, n_created = kernels.merge_positions(
-                store, len(live), col
-            )
-            out = {
-                "positions": [int(p) for p in positions],
-                "is_new": [bool(b) for b in is_new],
-                "n_created": n_created,
-            }
-            if n_created == len(run):
-                merged = kernels.merge_insert_keys(
-                    store, len(live), col, 0, len(run), positions,
-                    len(live) + len(run),
-                )
-                out["merged"] = kernels.store_keys(merged, len(live) + len(run))
-            results[backend] = out
-    assert results["python"] == results["numpy"]
-
-
-@requires_numpy
-@given(chunks=st.lists(sorted_unique, min_size=1, max_size=5),
-       probes=st.lists(st.integers(min_value=0, max_value=500), max_size=30))
-@settings(max_examples=60, deadline=None)
-def test_concat_probe_kernels_match(chunks, probes):
-    """The coalesced-probe pair agrees across backends when the combined
-    column is globally sorted (disjoint ascending chunks, as in the leaf
-    chain)."""
-    flat = sorted({k for chunk in chunks for k in chunk})
-    step = max(1, (len(flat) + len(chunks) - 1) // len(chunks))
-    chunks = [flat[i : i + step] for i in range(0, len(flat), step)] or [[]]
-    probes = sorted(probes)
-    results = {}
-    for backend in ("python", "numpy"):
-        with kernels.use_backend(backend):
-            stores = [kernels.gapped_key_store(c, len(c) + 2) for c in chunks]
-            ns = [len(c) for c in chunks]
-            combined, offsets = kernels.concat_stores(stores, ns)
-            col = kernels.key_array(probes)
-            owners, locals_ = kernels.probe_positions(
-                combined, sum(ns), list(offsets), col, len(probes)
-            )
-            results[backend] = ([int(o) for o in owners],
-                                [int(i) for i in locals_])
-    assert results["python"] == results["numpy"]
-    owners, locals_ = results["python"]
-    for t, key in enumerate(probes):
-        if owners[t] >= 0:
-            assert chunks[owners[t]][locals_[t]] == key
-        else:
-            assert all(key not in chunk for chunk in chunks)
-
-
 @requires_numpy
 @given(batch=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 5)),
                       max_size=40))
@@ -302,21 +254,16 @@ class TestConfig:
 
 
 @pytest.mark.parametrize("backend", BOTH_BACKENDS)
-@pytest.mark.parametrize("weird", [SENTINEL, 2**70, -(2**70)])
+@pytest.mark.parametrize("weird", [INT64_MAX, 2**70, -(2**70)])
 class TestDemotion:
     def test_unrepresentable_key_demotes_and_serves(self, backend, weird):
+        """Keys at and beyond the int64 edges (which once demoted int64
+        array stores to lists) are stored and served like any other."""
         with kernels.use_backend(backend):
             tree = _tree()
             tree.insert_many([(k, f"v{k}") for k in range(10)])
             tree.insert(weird, "weird")
             assert tree.get(weird) == "weird"
-            # The leaf that absorbed the key fell back to a plain list store.
-            leaf = tree._head_leaf
-            demoted = []
-            while leaf is not None:
-                demoted.append(type(leaf.ks) is list)
-                leaf = leaf.next_leaf
-            assert any(demoted)
             tree.insert(weird - 1, "w2")
             assert tree.get(weird - 1) == "w2"
             assert tree.delete(weird) is True
@@ -375,14 +322,14 @@ def test_checkpoint_round_trip_preserves_gapped_layout(backend):
     with kernels.use_backend(backend):
         tree = _tree(leaf_capacity=6)
         tree.insert_many([(k, f"v{k}") for k in range(300)])
-        tree.insert(SENTINEL, "weird")  # demoted leaf must survive too
+        tree.insert(INT64_MAX, "weird")  # the largest int64 key survives too
         restored = deserialize_btree(serialize_btree(tree))
         assert isinstance(restored._head_leaf, GappedLeaf)
         assert restored._root.is_leaf or isinstance(restored._root, GappedInternal)
         assert list(restored.iter_items()) == list(tree.iter_items())
         assert len(restored) == len(tree)
         assert (restored.min_key, restored.max_key) == (tree.min_key, tree.max_key)
-        assert restored.get(SENTINEL) == "weird"
+        assert restored.get(INT64_MAX) == "weird"
         restored.check_invariants()
         restored.insert(9999, "post")
         assert restored.get(9999) == "post"
@@ -418,23 +365,6 @@ def test_old_checkpoint_config_still_loads(stale):
     assert restored.insert_many([(k, "batch") for k in range(1, 200, 2)]) == 99
     assert restored.get(11) == "batch" and restored.get(12) == "v12"
     restored.check_invariants()
-
-
-@pytest.mark.parametrize("backend", BOTH_BACKENDS)
-def test_coalesced_probe_cache_invalidation(backend):
-    """get_many's leaf-column cache never serves stale answers."""
-    with kernels.use_backend(backend):
-        tree = _tree(leaf_capacity=8)
-        tree.insert_many([(k, k) for k in range(0, 400, 2)])
-        assert tree.get_many([100, 101]) == [100, None]  # builds the cache
-        tree.insert(101, "fresh")
-        assert tree.get_many([100, 101]) == [100, "fresh"]
-        tree.delete(100)
-        assert tree.get_many([100, 101]) == [None, "fresh"]
-        tree.insert_many([(k, "bulk") for k in range(401, 430, 2)])
-        assert tree.get_many([401, 429]) == ["bulk", "bulk"]
-        tree.bulk_load_append([(1000, "tail")])
-        assert tree.get_many([1000]) == ["tail"]
 
 
 def test_profiler_classifies_gapped_modules():

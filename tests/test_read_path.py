@@ -6,12 +6,14 @@ overwrites and tombstones over tree-resident keys, flushes and query-sorts
 precedes them — including the shortcut that hands back the backend's row
 list untouched when no buffered row falls in the range. (2) The node's own
 ``child_index`` / ``search_left`` / ``range_bounds`` / ``live_items`` equal
-``bisect`` over the live keys on every store shape. (3) Gating spans on
+``bisect`` over the live keys on every node shape. (3) Gating spans on
 ``obs.enabled`` changes nothing a caller or the meter can see, and a traced
 run still records the spans it always did. All on both kernel backends —
-as are the same dict-model checks over keys that demote the buffer's and the
-tree's int64 columns mid-epoch (negative, ``GAP_SENTINEL``, ``>= 2**63``), and
-``_scan``'s interior-leaf shortcut against ``range_bounds``.
+as are the same dict-model checks over keys that demote the buffer's int64
+columns mid-epoch (negative, ``INT64_MAX``, ``>= 2**63``), and ``_scan``'s
+interior-leaf shortcut against ``range_bounds``. The model suites end in the
+tree's ``check_invariants``, which pins that its stores hold Python ints
+after flushes, put_many and a checkpoint round-trip.
 """
 
 from bisect import bisect_left, bisect_right
@@ -28,6 +30,7 @@ from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.obs import NULL_OBS, Observability
 from repro.storage.costmodel import Meter
+from repro.storage.pages import deserialize_btree, serialize_btree
 
 pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
 
@@ -41,8 +44,8 @@ BACKENDS = [
     ),
 ]
 
-SENTINEL = kernels.GAP_SENTINEL
-ODD_PROBES = [SENTINEL, SENTINEL - 1, 2**63, 2**70, -(2**70), -(2**63)]
+INT64_MAX = 2**63 - 1
+ODD_PROBES = [INT64_MAX, INT64_MAX - 1, 2**63, 2**70, -(2**70), -(2**63)]
 
 
 def _index(obs=NULL_OBS, meter=None, cls=SortednessAwareIndex):
@@ -110,10 +113,13 @@ def test_reads_match_dict_model(backend, ops):
             assert index.get(key) == model.get(key)
         index.buffer.check_invariants()
         index.backend.check_invariants()
+        restored = deserialize_btree(serialize_btree(index.backend, compress=True))
+        restored.check_invariants()
+        assert list(restored.iter_items()) == list(index.backend.iter_items())
 
 
-ODD_KEYS = sorted({-(2**70), -(2**63), -9, -1, 0, 1, 5, 6, 40, 41, 2**40, SENTINEL - 1,
-                   SENTINEL, 2**63, 2**63 + 1, 2**70})
+ODD_KEYS = sorted({-(2**70), -(2**63), -9, -1, 0, 1, 5, 6, 40, 41, 2**40, INT64_MAX - 1,
+                   INT64_MAX, 2**63, 2**63 + 1, 2**70})
 odd_key_st = st.sampled_from(ODD_KEYS) | st.integers(min_value=-3, max_value=12)
 odd_ops_st = st.lists(
     st.one_of(
@@ -132,9 +138,9 @@ odd_ops_st = st.lists(
 @given(ops=odd_ops_st)
 @settings(max_examples=60, deadline=None)
 def test_reads_match_dict_model_on_column_demoting_keys(backend, ops):
-    """Keys no int64 column can hold (and the sentinel, which an array *store*
-    cannot) arrive between ordinary ones: the buffer's runs demote to lists
-    mid-epoch, then flush, query-sort and range as before."""
+    """Keys no int64 column can hold arrive between ordinary ones: the
+    buffer's runs demote to lists mid-epoch, then flush, query-sort and
+    range as before."""
     with kernels.use_backend(backend):
         index = _index()
         model = {}
@@ -174,7 +180,7 @@ def test_buffer_columns_demote_mid_epoch(backend):
             buffer.add(key, value)
             model.setdefault(key, []).append(value)
 
-        for key in (10, 20, 30, 5, 25, SENTINEL, -7, 25):
+        for key in (10, 20, 30, 5, 25, INT64_MAX, -7, 25):
             put(key, f"a{key}")
         buffer.query_sort()  # a block of int64-representable keys
         block = buffer._blocks[0]
@@ -182,7 +188,7 @@ def test_buffer_columns_demote_mid_epoch(backend):
         for key in (2**63, 12, -(2**70), 12):
             put(key, f"b{key}")
         assert buffer.lookup(2**63) == (1, f"b{2**63}")
-        assert buffer.lookup(SENTINEL) == (1, f"a{SENTINEL}")
+        assert buffer.lookup(INT64_MAX) == (1, f"a{INT64_MAX}")
         assert buffer.lookup(2**64) == (0, None)
         rows = buffer.range_entries(-(2**80), 2**80)  # sorts the demoted tail
         assert type(buffer._tail_run.col) is list
@@ -256,43 +262,36 @@ def test_range_without_buffered_rows_is_the_backends_list(backend):
 # ----------------------------------------------------------------------
 # (2) node methods against bisect
 # ----------------------------------------------------------------------
-def _leaf(keys, physical):
-    leaf = GappedLeaf(0, physical)
+def _leaf(keys):
+    leaf = GappedLeaf(0)
     leaf.extend(keys, [f"v{key}" for key in keys])
     return leaf
 
 
-def _internal(pivots, physical):
-    node = GappedInternal(0, physical)
+def _internal(pivots):
+    node = GappedInternal(0)
     node.children = ["c0"]
     for i, pivot in enumerate(pivots):
         node.insert_pivot(i, pivot, f"c{i + 1}")
     return node
 
 
-def _stores(backend):
-    """(label, live keys, physical slots) for every store shape."""
-    shapes = [
-        ("empty", [], 8),
-        ("gapped", [-5, 0, 3, 10, 2**40], 8),
-        ("full", [1, 4, 9, 16], 4),  # no sentinel slot after the live prefix
-        ("one", [7], 3),
-    ]
-    if backend == "numpy":
-        # Unrepresentable keys demote the array store to a plain list.
-        shapes.append(("demoted-sentinel", [2, 8, SENTINEL], 8))
-        shapes.append(("demoted-big", [-(2**70), 2, 2**63, 2**70], 8))
-    return shapes
+#: (label, live keys) for every node shape.
+SHAPES = [
+    ("empty", []),
+    ("gapped", [-5, 0, 3, 10, 2**40]),
+    ("one", [7]),
+    ("int64-max", [2, 8, INT64_MAX]),
+    ("beyond-int64", [-(2**70), 2, 2**63, 2**70]),
+]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_node_search_matches_bisect(backend):
     with kernels.use_backend(backend):
-        for label, keys, physical in _stores(backend):
-            leaf = _leaf(keys, physical)
-            node = _internal(keys, physical)
-            if backend == "numpy":
-                assert (type(leaf.ks) is list) == label.startswith("demoted"), label
+        for label, keys in SHAPES:
+            leaf = _leaf(keys)
+            node = _internal(keys)
             assert leaf.keys == keys and node.keys == keys
             probes = sorted(set(keys) | {k + d for k in keys for d in (-1, 1)} | set(ODD_PROBES))
             for probe in probes:
@@ -315,8 +314,8 @@ def test_node_search_matches_bisect(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_tree_reads_with_odd_probe_keys(backend):
-    """Probes at the sentinel and beyond int64 miss cleanly; a stored one
-    (demoting its leaf) is found by get and emitted by scans."""
+    """Probes at and beyond the int64 edges miss cleanly; a stored one is
+    found by get and emitted by scans."""
     with kernels.use_backend(backend):
         tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
         model = {key: key for key in range(0, 60, 3)}
@@ -325,8 +324,8 @@ def test_tree_reads_with_odd_probe_keys(backend):
         for probe in ODD_PROBES:
             assert tree.get(probe) is None
         assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
-        assert tree.range_query(57, SENTINEL) == [(57, 57)]
-        for key in (SENTINEL, 2**63, -(2**70)):
+        assert tree.range_query(57, INT64_MAX) == [(57, 57)]
+        for key in (INT64_MAX, 2**63, -(2**70)):
             tree.insert(key, "odd")
             model[key] = "odd"
         tree.check_invariants()
@@ -364,7 +363,7 @@ def test_scan_interior_leaf_shortcut_matches_range_bounds(backend):
     """A leaf wholly inside [lo, hi] is emitted without searching it: same
     rows and the same ``scan_entry`` charge as bounding every leaf, with lo /
     hi on (and next to) every leaf's first and last key — full, gapped,
-    single-entry, emptied and demoted leaves."""
+    single-entry and emptied leaves, and keys beyond int64."""
     with kernels.use_backend(backend):
         meter = Meter()
         tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4), meter=meter)
@@ -373,7 +372,7 @@ def test_scan_interior_leaf_shortcut_matches_range_bounds(backend):
             tree.insert(key, key)
         for key in (8, 10, 12, 16, 18, 20, 22):  # a single-entry leaf, an emptied one
             tree.delete(key)
-        for key in (SENTINEL, 2**63, 2**70):  # demotes the last leaf to a list store
+        for key in (INT64_MAX, 2**63, 2**70):
             tree.insert(key, "odd")
         tree.check_invariants()
         leaves = []
@@ -383,8 +382,6 @@ def test_scan_interior_leaf_shortcut_matches_range_bounds(backend):
             leaf = leaf.next_leaf
         sizes = {leaf.n for leaf in leaves}
         assert {0, 1, 4} <= sizes
-        if backend == "numpy":
-            assert type(leaves[-1].ks) is list and type(leaves[0].ks) is not list
         edges = {edge for leaf in leaves if leaf.n for edge in (leaf.first_key(), leaf.last_key())}
         probes = sorted({edge + d for edge in edges for d in (-1, 0, 1)})
         for lo in probes:

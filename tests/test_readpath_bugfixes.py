@@ -19,24 +19,16 @@ them:
 3. **``items()`` scan bounds**: derived from the buffer zonemap and the
    backend watermarks, both of which must stay supersets of the live key
    range across full flush + delete cycles.
-
-Plus the hypothesis property pinning ``_column_cache`` invalidation in the
-gapped B+-tree: any mutation interleaved with ``get_many`` must never serve
-a stale coalesced column.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro import kernels
 from repro.betree.betree import BeTree, BeTreeConfig
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.lsm.lsm import LSMConfig, LSMTree
 from repro.storage.costmodel import Meter
-
-HAS_NUMPY = kernels.numpy_available()
 
 
 def make_index(backend_kind: str, meter=None, **cfg_kw) -> SortednessAwareIndex:
@@ -268,106 +260,3 @@ class TestItemsBounds:
         idx.insert(1, 1)
         idx.delete(1)
         assert idx.items() == []
-
-
-# ----------------------------------------------------------------------
-# 4. Gapped B+-tree column-cache invalidation (hypothesis property)
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAS_NUMPY, reason="the coalesced column cache needs numpy")
-class TestColumnCacheInvalidation:
-    # Ops: ("insert", k) ("insert_many", [k..]) ("delete", k) ("bulk", n)
-    # ("get_many", [k..]) — get_many both *builds* the cache and must never
-    # read a stale one.
-    ops_st = st.lists(
-        st.one_of(
-            st.tuples(st.just("insert"), st.integers(0, 120)),
-            st.tuples(
-                st.just("insert_many"),
-                st.lists(st.integers(0, 120), min_size=1, max_size=8),
-            ),
-            st.tuples(st.just("delete"), st.integers(0, 120)),
-            st.tuples(st.just("bulk"), st.integers(1, 6)),
-            st.tuples(
-                st.just("get_many"),
-                st.lists(st.integers(0, 200), min_size=1, max_size=8),
-            ),
-        ),
-        min_size=1,
-        max_size=40,
-    )
-
-    @settings(max_examples=120, deadline=None)
-    @given(ops=ops_st)
-    def test_get_many_never_serves_stale_columns(self, ops):
-        with kernels.use_backend("numpy"):
-            tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
-            oracle = {}
-            for op, arg in ops:
-                if op == "insert":
-                    tree.insert(arg, arg * 7)
-                    oracle[arg] = arg * 7
-                elif op == "insert_many":
-                    tree.insert_many([(k, k * 7) for k in arg])
-                    for k in arg:
-                        oracle[k] = k * 7
-                elif op == "delete":
-                    tree.delete(arg)
-                    oracle.pop(arg, None)
-                elif op == "bulk":
-                    start = (tree.max_key if tree.max_key is not None else -1) + 1
-                    items = [(start + i, (start + i) * 7) for i in range(arg)]
-                    tree.bulk_load_append(items)
-                    oracle.update(items)
-                else:  # get_many — warms the cache, then must match the oracle
-                    want = [oracle.get(k) for k in arg]
-                    assert tree.get_many(arg) == want
-            probe = sorted(set(oracle) | {0, 1, 199})
-            assert tree.get_many(probe) == [oracle.get(k) for k in probe]
-            assert sorted(tree.iter_items()) == sorted(oracle.items())
-
-    def test_cache_is_dropped_by_every_mutator(self):
-        """Direct pin: warm the cache, mutate through each entry point, and
-        check the snapshot is gone before the next batch read."""
-        with kernels.use_backend("numpy"):
-            tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
-            tree.insert_many([(k, k) for k in range(20)])
-
-            def warm():
-                tree.get_many([3, 7, 11])
-                assert tree._column_cache is not None
-
-            warm()
-            tree.insert(200, 200)
-            assert tree._column_cache is None
-            warm()
-            tree.insert_many([(250, 250)])
-            assert tree._column_cache is None
-            warm()
-            tree.delete(3)
-            assert tree._column_cache is None
-            warm()
-            tree.bulk_load_append([(300, 300)])
-            assert tree._column_cache is None
-            # And the reads stay correct after the whole interleaving.
-            assert tree.get_many([3, 200, 250, 300]) == [None, 200, 250, 300]
-
-    def test_stale_cache_would_be_caught(self):
-        """Meta-test: the property above has teeth — a tree whose delete
-        forgets to invalidate serves the stale column and the oracle check
-        fails."""
-        with kernels.use_backend("numpy"):
-            tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
-            tree.insert_many([(k, k) for k in range(20)])
-            tree.get_many([3])  # warm
-            snapshot = tree._column_cache
-            assert snapshot is not None
-            tree.delete(3)
-            assert tree._column_cache is None
-            # Simulate the forgotten invalidation:
-            tree._column_cache = snapshot
-            got = tree.get_many([3])
-            tree._invalidate_columns()
-            # The stale snapshot serves pre-mutation garbage (here: the old
-            # column position now maps to a shifted neighbour's value).
-            assert got != [None]
-            assert tree.get_many([3]) == [None]  # fresh column tells the truth
