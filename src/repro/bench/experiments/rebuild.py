@@ -19,8 +19,7 @@ direction:
   reported.
 
 The throughput gauges end in ``_ops_per_s`` so ``repro perf-gate`` tracks
-them against the committed baselines (``results/BENCH_rebuild.json`` for
-the python backend, ``results/BENCH_rebuild_numpy.json`` for numpy); the
+them against the committed baseline ``results/BENCH_rebuild_numpy.json``; the
 space-amplification gauges are asserted directly by the CI rebuild-smoke
 job.
 """
@@ -33,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro import kernels
 from repro.bench.experiments import common
 from repro.bench.report import format_table
 from repro.bench.runner import PhaseResult, RunResult
@@ -232,7 +230,7 @@ def run(
     )
     report = "\n".join(
         [
-            f"Rebuild bench (backend {kernels.active_backend()})",
+            "Rebuild bench",
             "",
             space_table,
             "",

@@ -19,14 +19,6 @@ from typing import Dict, List
 THROUGHPUT_SUFFIX = "_ops_per_s"
 
 
-def kernel_backend_of(doc: object) -> object:
-    """The ``meta.kernel_backend`` stamp of an artifact, or None if absent."""
-    if not isinstance(doc, dict):
-        return None
-    meta = doc.get("meta")
-    return meta.get("kernel_backend") if isinstance(meta, dict) else None
-
-
 def extract_throughputs(doc: object) -> Dict[str, float]:
     """All throughput gauges of a bench artifact (may be empty)."""
     if not isinstance(doc, dict):
@@ -53,21 +45,6 @@ def compare_throughputs(
     if tolerance < 1.0:
         raise ValueError(f"tolerance must be >= 1.0, got {tolerance}")
     failures: List[str] = []
-    base_backend = kernel_backend_of(baseline)
-    cur_backend = kernel_backend_of(current)
-    if (
-        base_backend is not None
-        and cur_backend is not None
-        and base_backend != cur_backend
-    ):
-        # A cross-backend comparison measures the backends, not the change
-        # under test; refuse instead of silently passing or failing.
-        failures.append(
-            f"kernel backend mismatch: baseline measured on {base_backend!r}, "
-            f"current on {cur_backend!r} — regenerate the baseline with the "
-            "same backend (REPRO_KERNELS)"
-        )
-        return failures
     base = extract_throughputs(baseline)
     cur = extract_throughputs(current)
     if not base:
@@ -104,8 +81,8 @@ def format_gate_report(
             f"  {name}: {cur_value:,.0f} vs {base_value:,.0f} ops/s "
             f"({ratio:.2f}x) {verdict}"
         )
-    # Failures that are not per-gauge rows (backend mismatch, empty
-    # baseline) would otherwise only surface as a bare count.
+    # Failures that are not per-gauge rows (an empty baseline) would
+    # otherwise only surface as a bare count.
     for failure in failures:
         if failure.split(":")[0] not in base:
             lines.append(f"  {failure}")

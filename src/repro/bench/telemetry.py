@@ -30,6 +30,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro import kernels
 from repro.bench.report import results_dir
 from repro.obs import Observability
@@ -41,17 +43,10 @@ _HISTOGRAM_FIELDS = ("buckets", "counts", "sum", "count", "p50", "p95", "p99")
 
 
 def bench_meta() -> Dict[str, object]:
-    """The environment stamp every artifact carries in its ``meta`` block.
-
-    Perf-gate comparisons refuse to cross kernel backends (a numpy run
-    "regressing" against a python baseline, or vice versa, is a measurement
-    artifact, not a perf change), so the backend has to travel with the
-    numbers.
-    """
-    info = kernels.backend_info()
+    """The environment stamp every artifact carries in its ``meta`` block."""
     return {
-        "kernel_backend": info["kernel_backend"],
-        "numpy_version": info["numpy_version"],
+        "kernel_backend": kernels.active_backend(),
+        "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
@@ -111,6 +106,8 @@ def validate_bench_artifact(doc: object) -> List[str]:
         if not isinstance(meta, dict):
             errors.append("meta must be an object")
         else:
+            # "python" stamps artifacts written before numpy became the
+            # only kernel implementation.
             if meta.get("kernel_backend") not in ("python", "numpy"):
                 errors.append(
                     "meta.kernel_backend must be 'python' or 'numpy', "

@@ -24,10 +24,6 @@ Commands
     Run the thread-safe front-end under N threads of mixed put/get/range
     ops (invariants checked at exit) and, with ``--json``, write the
     ``BENCH_concurrent.json`` telemetry artifact.
-``bench-kernels``
-    Run every repro.kernels hot-path kernel under both backends (numpy
-    vs pure Python) plus an end-to-end SA B+-tree batch workload, and,
-    with ``--json``, write the ``BENCH_kernels.json`` telemetry artifact.
 ``bench-sosd``
     SOSD-style cross-backend benchmark: every registered backend
     (SA B+-tree, B+-tree, Bε-tree, LSM, learned, cracking) over every
@@ -120,7 +116,6 @@ EXPERIMENTS = [
     "lsm_sortedness",
     "batch_ops",
     "concurrent_ops",
-    "kernels",
     "sosd",
     "rebuild",
 ]
@@ -212,30 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="observe the run and write the BENCH_concurrent.json telemetry artifact",
     )
     conc.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample-profile the run and print the per-layer time table",
-    )
-
-    kern = sub.add_parser(
-        "bench-kernels",
-        help="kernel backend bench: numpy vs python on every hot-path kernel",
-    )
-    kern.add_argument("--n", type=int, default=None, help="override workload size")
-    kern.add_argument(
-        "--metric-n", type=int, default=None, help="override metric workload size"
-    )
-    kern.add_argument(
-        "--repeats", type=int, default=None, help="best-of repeats per config"
-    )
-    kern.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="observe the run and write the BENCH_kernels.json telemetry artifact",
-    )
-    kern.add_argument(
         "--profile",
         action="store_true",
         help="sample-profile the run and print the per-layer time table",
@@ -740,19 +711,6 @@ def _cmd_bench_concurrent(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_bench_kernels(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.metric_n is not None:
-        kwargs["metric_n"] = args.metric_n
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    return _run_experiment_with_telemetry(
-        "kernels", kwargs, args.json, profile=args.profile
-    )
-
-
 def _cmd_bench_sosd(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.n is not None:
@@ -1203,7 +1161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "bench-batch": _cmd_bench_batch,
         "bench-concurrent": _cmd_bench_concurrent,
-        "bench-kernels": _cmd_bench_kernels,
         "bench-sosd": _cmd_bench_sosd,
         "bench-rebuild": _cmd_bench_rebuild,
         "bench-space": _cmd_bench_space,

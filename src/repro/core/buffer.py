@@ -31,8 +31,8 @@ Storage is **columnar** — no per-entry objects. The tail is two append-only
 lists (keys, values; slot ``i``'s ``seq`` follows from the arrival counter);
 a sorted component is a :class:`Run` of parallel columns: keys as Python
 ints for the scalar searches, the same keys and the ``seq`` numbers as kernel
-columns (int64 arrays on the numpy backend; lists on the python backend or
-once a key outside int64 demotes them), and a value list in which a tombstone
+columns (int64 arrays, or lists once a key outside int64 demotes them), and
+a value list in which a tombstone
 is the marker :class:`DELETED`. Components are sorted and merged oldest
 first, so a stable sort by key alone orders by ``(key, seq)`` and the
 rightmost duplicate is the newest.

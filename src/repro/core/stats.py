@@ -79,7 +79,7 @@ class SWAREStats:
         fields["ingested_entries"] = self.ingested_entries
         fields["bulk_load_fraction"] = self.bulk_load_fraction
         fields["pages_scanned_per_lookup"] = self.pages_scanned_per_lookup
-        # Which kernel backend produced these numbers; a string, so the obs
+        # Which kernel implementation produced these numbers; a string, so the obs
         # gauge collector (numeric-only) skips it while JSON reports keep it.
         from repro import kernels
 

@@ -16,7 +16,6 @@ import math
 from typing import List, Optional, Sequence
 
 from repro import kernels
-from repro.kernels import python_kernels
 from repro.filters.hashing import SharedHash, rotate64, shared_base, shared_bases
 
 
@@ -76,8 +75,8 @@ class BloomFilter:
         self.n_probes = n_probes if n_probes is not None else optimal_num_probes(bits_per_entry)
         self.hash_family = hash_family
         self.rotation = rotation
-        # Padded to a whole number of 64-bit words so the numpy backend can
-        # view the store as uint64 without copying; probe positions are all
+        # Padded to a whole number of 64-bit words so the kernels can view
+        # the store as uint64 without copying; probe positions are all
         # < n_bits, so the padding bits are never set and the single-key
         # byte-path bit patterns are unchanged.
         self._bits = bytearray(((self.n_bits + 63) // 64) * 8)
@@ -93,11 +92,19 @@ class BloomFilter:
         self.add_bases((shared._base,))
 
     def add_bases(self, bases: Sequence[int]) -> None:
-        """Insert by precomputed base hashes on the scalar path, whatever the
-        backend: :meth:`add_many` for batches too small to pay for a kernel."""
-        python_kernels.bloom_add_many(
-            self._bits, bases, self.n_probes, self.n_bits, self.rotation
-        )
+        """Insert by precomputed base hashes on the scalar path: :meth:`add`,
+        and :meth:`add_many` for batches too small to pay for a kernel."""
+        bits = self._bits
+        n_bits = self.n_bits
+        probes = range(self.n_probes)
+        for base in bases:
+            if self.rotation:
+                base = rotate64(base, self.rotation)
+            h1 = base & 0xFFFFFFFF
+            h2 = (base >> 32) | 1
+            for i in probes:
+                pos = (h1 + i * h2) % n_bits
+                bits[pos >> 3] |= 1 << (pos & 7)
         self.n_added += len(bases)
 
     def may_contain_base(self, base: int) -> bool:
@@ -122,8 +129,8 @@ class BloomFilter:
     def add_many(self, keys: Sequence[int]) -> None:
         """Batch insert with one hash pass. Probe positions are the same
         Kirsch–Mitzenmacher sequence as :meth:`add`, so the bit pattern is
-        identical to adding the keys one by one — by the backend's kernels,
-        or by the scalar loop when the batch is too small to pay for them.
+        identical to adding the keys one by one — by the kernels, or by the
+        scalar loop when the batch is too small to pay for them.
         """
         if len(keys) < _KERNEL_MIN:
             self.add_bases(shared_bases(keys, self.hash_family))
@@ -136,8 +143,7 @@ class BloomFilter:
         """Batch membership probes (one hash pass over the whole batch).
 
         ``probe_count`` accounting stays here, outside the kernels, so the
-        counters agree with a :meth:`may_contain` loop over the same keys on
-        either backend.
+        counters agree with a :meth:`may_contain` loop over the same keys.
         """
         if not keys:
             return []
@@ -161,9 +167,8 @@ class BloomFilter:
     def saturation(self) -> float:
         """Fraction of bits set — a cheap health metric for tests and obs.
 
-        Counted in bounded chunks (or vectorized) by the popcount kernel;
-        the old implementation converted the whole bit array into a single
-        bignum on every call, which obs hits once per flush cycle.
+        Counted by the vectorized popcount kernel; obs reads it once per
+        flush cycle.
         """
         return kernels.popcount_bytes(self._bits) / self.n_bits
 

@@ -5,8 +5,8 @@ evaluation positions SWARE against:
 
 * :class:`~repro.learned.index.LearnedIndex` — a PGM/FITing-tree style
   piecewise-linear learned index: a sorted data layer plus an
-  epsilon-bounded shrinking-cone segmentation (fitted through the
-  :mod:`repro.kernels` dispatch, so numpy stays optional), dynamized with a
+  epsilon-bounded shrinking-cone segmentation (fitted by
+  :func:`repro.kernels.pla_fit_segments`), dynamized with a
   sorted delta buffer that merges back on a size threshold;
 * :class:`~repro.learned.cracking.CrackingIndex` — database cracking: an
   unsorted column that partitions itself a little more on every query, plus

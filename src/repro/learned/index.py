@@ -18,9 +18,8 @@ Cost accounting mirrors the tree backends: the model probe charges one
 ``node_access`` (the segment table is one cache-resident node), every
 binary-search halving charges ``interp_step``, merges charge ``merge_step``
 and rebuild writes ``bulk_entry``, so ``repro bench-sosd`` compares SWARE
-and the learned family under a single cost model. The kernels dispatch keeps
-numpy optional: fits are bit-identical on both backends, and batch lookups
-vectorize the predictions under numpy.
+and the learned family under a single cost model. Batch lookups vectorize
+the predictions (:func:`repro.kernels.pla_predict_many`).
 """
 
 from __future__ import annotations
@@ -345,7 +344,7 @@ class LearnedIndex:
 
         Delta probes stay per-key; data-layer predictions for the misses run
         through one vectorized :func:`repro.kernels.pla_predict_many` call
-        (the numpy backend resolves every segment and slope at once). The
+        (every segment and slope resolved at once). The
         model table is touched — and charged — once per batch.
         """
         n = len(keys)

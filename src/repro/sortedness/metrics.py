@@ -64,9 +64,8 @@ class SortednessReport:
         return "less-sorted"
 
 
-# The metric implementations live in repro.kernels (python_kernels holds the
-# reference algorithms, numpy_kernels the vectorized twins); these wrappers
-# keep the documented public API stable while dispatching per backend.
+# The metric implementations live in repro.kernels; these wrappers keep the
+# documented public API stable.
 def longest_nondecreasing_subsequence_length(keys: Sequence[int]) -> int:
     """Length of the longest non-decreasing subsequence (patience sorting)."""
     return kernels.longest_nondecreasing_subsequence_length(keys)
@@ -85,9 +84,8 @@ def max_displacement(keys: Sequence[int]) -> int:
 def count_inversions(keys: Sequence[int]) -> int:
     """Number of pairs (i, j) with i < j and keys[i] > keys[j].
 
-    Merge-count (python backend) or rank-permutation merge-count over whole
-    levels (numpy backend), both O(N log N); duplicates do not count as
-    inversions.
+    Rank-permutation merge-count over whole levels, O(N log N); duplicates
+    do not count as inversions.
     """
     return kernels.count_inversions(keys)
 

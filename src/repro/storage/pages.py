@@ -86,9 +86,8 @@ def _unpack(data: bytes, expected_kind: int) -> Tuple[int, int, bytes]:
 def _encode_keys(keys: List[int], compress: bool) -> Tuple[bytes, int]:
     """Key column bytes + flags: compressed only when it actually shrinks.
 
-    The decision is deterministic in the keys alone (both kernel backends
-    produce bit-identical blocks), so a checkpoint's bytes do not depend on
-    which backend wrote it.
+    The decision is deterministic in the keys alone, so a checkpoint's bytes
+    depend on nothing else.
     """
     raw_bytes = 8 * len(keys)
     if compress and len(keys) >= 2:

@@ -50,7 +50,7 @@ NATURAL_STREAM_FAMILIES: Tuple[str, ...] = ("wiki", "tpch")
 SOSD_DIR_ENV = "REPRO_SOSD_DIR"
 
 #: Keys are capped well inside int64 so every key column stays an int64
-#: array on the numpy backend (real uint64 datasets above this are shifted).
+#: array (real uint64 datasets above this are shifted).
 MAX_KEY = (1 << 62) - 1
 
 

@@ -1,0 +1,134 @@
+"""Key domains: the axis the model suites run over.
+
+A buffer column is an int64 array while every key in it fits one, and a
+list from the first key that does not (:func:`repro.kernels.key_array`);
+each kernel takes its vector or its Python path from its input. So the
+suites that pin a model run in two key domains, named by the kernel path
+they drive:
+
+* ``numpy`` (:data:`INT64`) — the keys the suite was written with: array
+  columns, vector paths;
+* ``python`` (:data:`WIDE`) — the same workloads with keys beyond int64,
+  which demote the columns they land in to lists: the Python paths.
+
+Suites that draw keys mix :data:`WIDE_KEYS` into their strategies
+(:meth:`KeyDomain.keys`). Suites written with literal keys move every key
+up by ``shift`` (:meth:`KeyDomain.wrap`, :class:`Shifted`): with
+:data:`WIDE_SHIFT`, keys below 16 still fit int64 and the rest do not, and
+order — so every assertion about sortedness, routing and cost — is
+unchanged.
+"""
+
+from types import SimpleNamespace
+from typing import NamedTuple, Tuple
+
+import pytest
+from hypothesis import strategies as st
+
+from repro import kernels
+
+WIDE_KEYS = (-(2**70), 2**63, 2**70)
+WIDE_SHIFT = 2**63 - 16
+
+
+class KeyDomain(NamedTuple):
+    extra_keys: Tuple[int, ...]  #: mixed into drawn keys
+    shift: int  #: added to literal keys
+
+    def keys(self, strategy):
+        """``strategy``, also drawing :attr:`extra_keys` when there are any."""
+        return strategy | st.sampled_from(self.extra_keys) if self.extra_keys else strategy
+
+    def column(self, keys):
+        """``keys`` as the column type a buffer in this domain holds: an
+        int64 array, or a list."""
+        return list(keys) if self.extra_keys else kernels.key_array(keys)
+
+    def wrap(self, target):
+        """``target`` with its callers' keys shifted (itself at shift 0)."""
+        return Shifted(target, self.shift) if self.shift else target
+
+
+INT64 = KeyDomain((), 0)
+WIDE = KeyDomain(WIDE_KEYS, WIDE_SHIFT)
+
+#: Parametrizes ``domain`` over :data:`INT64` and :data:`WIDE`.
+key_domains = pytest.mark.parametrize(
+    "domain", [pytest.param(INT64, id="numpy"), pytest.param(WIDE, id="python")]
+)
+
+
+class Shifted:
+    """A buffer or index whose callers' keys are moved up by ``shift``.
+
+    The key-taking verbs take unshifted keys, and every entry, row or flush
+    batch comes back unshifted; anything else is the target's own.
+    """
+
+    def __init__(self, target, shift: int):
+        self._target = target
+        self._shift = shift
+
+    def __getattr__(self, name):
+        if name == "_target":  # unset: a copy under construction
+            raise AttributeError(name)
+        return getattr(self._target, name)
+
+    def __len__(self) -> int:
+        return len(self._target)
+
+    def _entries(self, entries):
+        return [(key - self._shift, *rest) for key, *rest in entries]
+
+    def _batch(self, batch):
+        return SimpleNamespace(
+            run=batch.run,
+            entries=self._entries(batch.entries),
+            sorted_without_effort=batch.sorted_without_effort,
+            sort_algorithm=batch.sort_algorithm,
+        )
+
+    # buffer verbs
+    def add(self, key, value, tombstone=False):
+        self._target.add(key + self._shift, value, tombstone)
+
+    def add_many(self, pairs):
+        self._target.add_many([(key + self._shift, value) for key, value in pairs])
+
+    def lookup(self, key):
+        return self._target.lookup(key + self._shift)
+
+    def range_entries(self, lo, hi):
+        return self._entries(self._target.range_entries(lo + self._shift, hi + self._shift))
+
+    def prepare_flush(self):
+        return self._batch(self._target.prepare_flush())
+
+    def drain(self):
+        return self._batch(self._target.drain())
+
+    def all_entries(self):
+        return self._entries(self._target.all_entries())
+
+    # index verbs
+    def insert(self, key, value):
+        return self._target.insert(key + self._shift, value)
+
+    def delete(self, key):
+        return self._target.delete(key + self._shift)
+
+    def get(self, key):
+        return self._target.get(key + self._shift)
+
+    def range_query(self, lo, hi):
+        return self._entries(self._target.range_query(lo + self._shift, hi + self._shift))
+
+    def range_many(self, spans):
+        shift = self._shift
+        return [
+            self._entries(rows)
+            for rows in self._target.range_many([(lo + shift, hi + shift) for lo, hi in spans])
+        ]
+
+    def iter_items(self):
+        return iter(self._entries(self._target.iter_items()))

@@ -6,8 +6,9 @@ deterministic op programs (inserts with overwrites, deletes including
 absent keys, point/batch lookups, inclusive ranges, bulk appends) against
 :class:`~repro.learned.LearnedIndex` and
 :class:`~repro.learned.CrackingIndex` side by side with a
-:class:`~repro.btree.btree.BPlusTree`, under **both** kernel backends, and
-demands indistinguishable observable behaviour. It also pins batch-vs-
+:class:`~repro.btree.btree.BPlusTree`, in both key domains (int64 keys,
+and a mix with keys beyond int64; ``tests/key_domains.py``), and demands
+indistinguishable observable behaviour. It also pins batch-vs-
 sequential parity and the documented checkpointing contract
 (:class:`~repro.errors.CheckpointUnsupportedError` — these backends have no
 page-serializable node structure).
@@ -17,7 +18,6 @@ import random
 
 import pytest
 
-from repro import kernels
 from repro.btree.btree import BPlusTree
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex, TreeBackend
@@ -29,11 +29,10 @@ from repro.learned import (
     LearnedIndexConfig,
 )
 from repro.storage.pagefile import CheckpointStore
-
-HAS_NUMPY = kernels.numpy_available()
-BOTH_BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
+from tests.key_domains import key_domains
 
 KEY_SPACE = 5_000
+FULL = (-(2**80), 2**80)
 
 
 def make_learned():
@@ -49,13 +48,19 @@ def make_cracking():
 COMPETITORS = [("learned", make_learned), ("cracking", make_cracking)]
 
 
-def op_program(seed, n_ops):
+def _key(rng, extra_keys):
+    """A key of ``range(KEY_SPACE)`` or ``extra_keys``, uniformly."""
+    key = rng.randrange(KEY_SPACE + len(extra_keys))
+    return extra_keys[key - KEY_SPACE] if key >= KEY_SPACE else key
+
+
+def op_program(seed, n_ops, extra_keys=()):
     """A deterministic op program exercising every TreeBackend entry point."""
     rng = random.Random(seed)
     ops = []
     for _ in range(n_ops):
         roll = rng.random()
-        key = rng.randrange(KEY_SPACE)
+        key = _key(rng, extra_keys)
         if roll < 0.45:
             ops.append(("insert", key, rng.randrange(10**6)))
         elif roll < 0.55:
@@ -66,7 +71,7 @@ def op_program(seed, n_ops):
             ops.append(("range", key, key + rng.randrange(0, 200)))
         elif roll < 0.95:
             chunk = [
-                (rng.randrange(KEY_SPACE), rng.randrange(10**6))
+                (_key(rng, extra_keys), rng.randrange(10**6))
                 for _ in range(rng.randrange(1, 12))
             ]
             ops.append(("insert_many", chunk))
@@ -106,60 +111,60 @@ def replay(index, oracle, ops):
         assert index.min_key == oracle.min_key
 
 
-@pytest.mark.parametrize("kernel_backend", BOTH_BACKENDS)
+@key_domains
 @pytest.mark.parametrize("name,factory", COMPETITORS)
 class TestOpProgramsVsOracle:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_program_equivalence(self, name, factory, kernel_backend, seed):
-        with kernels.use_backend(kernel_backend):
-            index, oracle = factory(), BPlusTree()
-            replay(index, oracle, op_program(seed, 400))
-            full = oracle.range_query(-(1 << 62), 1 << 62)
-            assert index.range_query(-(1 << 62), 1 << 62) == full
-            assert sorted(index.iter_items()) == full
-            index.check_invariants()
+    def test_program_equivalence(self, name, factory, domain, seed):
+        index, oracle = factory(), BPlusTree()
+        replay(index, oracle, op_program(seed, 400, domain.extra_keys))
+        full = oracle.range_query(*FULL)
+        assert index.range_query(*FULL) == full
+        assert sorted(index.iter_items()) == full
+        index.check_invariants()
 
-    def test_protocol_conformance(self, name, factory, kernel_backend):
-        with kernels.use_backend(kernel_backend):
-            assert isinstance(factory(), TreeBackend)
+    def test_protocol_conformance(self, name, factory, domain):
+        assert isinstance(factory(), TreeBackend)
 
-    def test_bulk_load_validation_matches_btree(self, name, factory, kernel_backend):
-        with kernels.use_backend(kernel_backend):
-            index, oracle = factory(), BPlusTree()
-            for structure in (index, oracle):
-                structure.bulk_load_append([(10, "a"), (20, "b")])
-                with pytest.raises(BulkLoadError):
-                    structure.bulk_load_append([(5, "x")])  # below max_key
-                with pytest.raises(BulkLoadError):
-                    structure.bulk_load_append([(30, "x"), (30, "y")])
-            assert index.range_query(0, 100) == oracle.range_query(0, 100)
+    def test_bulk_load_validation_matches_btree(self, name, factory, domain):
+        index, oracle = factory(), BPlusTree()
+        for structure in (index, oracle):
+            structure.bulk_load_append([(10, "a"), (20, "b")])
+            with pytest.raises(BulkLoadError):
+                structure.bulk_load_append([(5, "x")])  # below max_key
+            with pytest.raises(BulkLoadError):
+                structure.bulk_load_append([(30, "x"), (30, "y")])
+            for key in sorted(domain.extra_keys):
+                if key < 20:
+                    with pytest.raises(BulkLoadError):
+                        structure.bulk_load_append([(key, "x")])
+                else:
+                    structure.bulk_load_append([(key, "w")])
+        assert index.range_query(*FULL) == oracle.range_query(*FULL)
 
 
-@pytest.mark.parametrize("kernel_backend", BOTH_BACKENDS)
+@key_domains
 @pytest.mark.parametrize("name,factory", COMPETITORS)
 class TestBatchSequentialParity:
-    def test_insert_many_matches_loop(self, name, factory, kernel_backend):
+    def test_insert_many_matches_loop(self, name, factory, domain):
         rng = random.Random(99)
         items = [
-            (rng.randrange(KEY_SPACE), rng.randrange(10**6)) for _ in range(800)
+            (_key(rng, domain.extra_keys), rng.randrange(10**6)) for _ in range(800)
         ]
-        with kernels.use_backend(kernel_backend):
-            batched, sequential = factory(), factory()
-            created_batch = batched.insert_many(items)
-            created_seq = sum(bool(sequential.insert(k, v)) for k, v in items)
-            assert created_batch == created_seq
-            full = (-(1 << 62), 1 << 62)
-            assert batched.range_query(*full) == sequential.range_query(*full)
+        batched, sequential = factory(), factory()
+        created_batch = batched.insert_many(items)
+        created_seq = sum(bool(sequential.insert(k, v)) for k, v in items)
+        assert created_batch == created_seq
+        assert batched.range_query(*FULL) == sequential.range_query(*FULL)
 
-    def test_get_many_matches_loop(self, name, factory, kernel_backend):
+    def test_get_many_matches_loop(self, name, factory, domain):
         rng = random.Random(77)
-        with kernels.use_backend(kernel_backend):
-            index = factory()
-            index.insert_many(
-                [(rng.randrange(KEY_SPACE), rng.randrange(10**6)) for _ in range(600)]
-            )
-            probes = [rng.randrange(KEY_SPACE) for _ in range(300)]
-            assert index.get_many(probes) == [index.get(k) for k in probes]
+        index = factory()
+        index.insert_many(
+            [(_key(rng, domain.extra_keys), rng.randrange(10**6)) for _ in range(600)]
+        )
+        probes = [_key(rng, domain.extra_keys) for _ in range(300)]
+        assert index.get_many(probes) == [index.get(k) for k in probes]
 
 
 class TestCheckpointContract:

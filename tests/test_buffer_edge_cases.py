@@ -1,17 +1,28 @@
-"""Edge-case and failure-mode tests for the SWARE-buffer and wrapper."""
+"""Edge-case and failure-mode tests for the SWARE-buffer and wrapper.
 
-import pytest
+Every test runs on the keys it is written with and again, in the ``*Wide``
+classes at the end, shifted beyond int64 (see ``tests/key_domains.py``).
+"""
 
 from repro.core.buffer import HIT, TOMBSTONE, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.factory import make_sa_btree
+from tests.key_domains import INT64, WIDE
 
-pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
+
+class _Structures:
+    domain = INT64
+
+    def buffer(self, config):
+        return self.domain.wrap(SWAREBuffer(config))
+
+    def index(self, config, **kwargs):
+        return self.domain.wrap(make_sa_btree(config, **kwargs))
 
 
-class TestTinyGeometries:
+class TestTinyGeometries(_Structures):
     def test_minimum_buffer(self):
-        buffer = SWAREBuffer(SWAREConfig(buffer_capacity=2, page_size=1))
+        buffer = self.buffer(SWAREConfig(buffer_capacity=2, page_size=1))
         buffer.add(2, "a")
         buffer.add(1, "b")
         assert buffer.is_full
@@ -20,14 +31,14 @@ class TestTinyGeometries:
         buffer.check_invariants()
 
     def test_page_size_one(self):
-        buffer = SWAREBuffer(SWAREConfig(buffer_capacity=8, page_size=1))
+        buffer = self.buffer(SWAREConfig(buffer_capacity=8, page_size=1))
         for key in (5, 3, 7, 1):
             buffer.add(key, key)
         assert buffer.lookup(3) == (HIT, 3)
         buffer.check_invariants()
 
     def test_index_with_tiny_buffer_correct(self):
-        index = make_sa_btree(
+        index = self.index(
             SWAREConfig(buffer_capacity=2, page_size=1),
             leaf_capacity=4,
             internal_capacity=4,
@@ -44,9 +55,9 @@ class TestTinyGeometries:
             assert index.get(key) == model.get(key)
 
 
-class TestTombstoneOnlyStates:
+class TestTombstoneOnlyStates(_Structures):
     def test_buffer_of_only_tombstones(self):
-        buffer = SWAREBuffer(SWAREConfig(buffer_capacity=8, page_size=2))
+        buffer = self.buffer(SWAREConfig(buffer_capacity=8, page_size=2))
         for key in (3, 1, 2):
             buffer.add(key, None, tombstone=True)
         assert buffer.lookup(3)[0] == TOMBSTONE
@@ -54,7 +65,7 @@ class TestTombstoneOnlyStates:
         assert all(entry[3] for entry in batch.entries)
 
     def test_index_delete_only_workload(self):
-        index = make_sa_btree(SWAREConfig(buffer_capacity=8, page_size=2))
+        index = self.index(SWAREConfig(buffer_capacity=8, page_size=2))
         for key in range(20):
             index.insert(key, key)
         index.flush_all()
@@ -65,7 +76,7 @@ class TestTombstoneOnlyStates:
         index.backend.check_invariants()
 
     def test_tombstone_then_range(self):
-        index = make_sa_btree(SWAREConfig(buffer_capacity=16, page_size=4))
+        index = self.index(SWAREConfig(buffer_capacity=16, page_size=4))
         for key in range(10):
             index.insert(key, key)
         index.delete(5)
@@ -73,10 +84,10 @@ class TestTombstoneOnlyStates:
         assert result == [0, 1, 2, 3, 4, 6, 7, 8, 9]
 
 
-class TestMonotoneEdgeCases:
+class TestMonotoneEdgeCases(_Structures):
     def test_descending_inserts(self):
         """Worst case for SWARE: strictly descending arrival."""
-        index = make_sa_btree(SWAREConfig(buffer_capacity=16, page_size=4))
+        index = self.index(SWAREConfig(buffer_capacity=16, page_size=4))
         for key in range(200, 0, -1):
             index.insert(key, key)
         for key in range(1, 201):
@@ -84,7 +95,7 @@ class TestMonotoneEdgeCases:
         index.backend.check_invariants()
 
     def test_constant_key_stream(self):
-        index = make_sa_btree(SWAREConfig(buffer_capacity=16, page_size=4))
+        index = self.index(SWAREConfig(buffer_capacity=16, page_size=4))
         for step in range(100):
             index.insert(7, step)
         assert index.get(7) == 99
@@ -93,7 +104,7 @@ class TestMonotoneEdgeCases:
         assert len(index.backend) == 1
 
     def test_sawtooth_stream(self):
-        index = make_sa_btree(SWAREConfig(buffer_capacity=16, page_size=4))
+        index = self.index(SWAREConfig(buffer_capacity=16, page_size=4))
         model = {}
         for cycle in range(10):
             for key in range(0, 50, 5):
@@ -103,16 +114,16 @@ class TestMonotoneEdgeCases:
             assert index.get(key) == value
 
 
-class TestNegativeAndExtremeKeys:
+class TestNegativeAndExtremeKeys(_Structures):
     def test_negative_keys(self):
-        index = make_sa_btree(SWAREConfig(buffer_capacity=16, page_size=4))
+        index = self.index(SWAREConfig(buffer_capacity=16, page_size=4))
         for key in (-5, -100, 0, 3, -7):
             index.insert(key, key)
         assert index.get(-100) == -100
         assert index.range_query(-1000, 0) == [(-100, -100), (-7, -7), (-5, -5), (0, 0)]
 
     def test_huge_keys(self):
-        index = make_sa_btree(SWAREConfig(buffer_capacity=16, page_size=4))
+        index = self.index(SWAREConfig(buffer_capacity=16, page_size=4))
         keys = [2**60, 2**61, 2**60 + 5]
         for key in keys:
             index.insert(key, "big")
@@ -121,7 +132,7 @@ class TestNegativeAndExtremeKeys:
 
     def test_sparse_domain_interpolation(self):
         """Extremely skewed key gaps must not break interpolation search."""
-        index = make_sa_btree(SWAREConfig(buffer_capacity=64, page_size=8))
+        index = self.index(SWAREConfig(buffer_capacity=64, page_size=8))
         keys = [2**i for i in range(50)]
         for key in keys:
             index.insert(key, key)
@@ -130,11 +141,11 @@ class TestNegativeAndExtremeKeys:
         assert index.get(3) is None
 
 
-class TestStatsConsistency:
+class TestStatsConsistency(_Structures):
     def test_every_entry_routed_exactly_once(self):
         import random
 
-        index = make_sa_btree(SWAREConfig(buffer_capacity=32, page_size=8))
+        index = self.index(SWAREConfig(buffer_capacity=32, page_size=8))
         rng = random.Random(5)
         keys = list(range(1000))
         rng.shuffle(keys)
@@ -150,10 +161,30 @@ class TestStatsConsistency:
         )
 
     def test_flush_counts(self):
-        index = make_sa_btree(SWAREConfig(buffer_capacity=16, page_size=4))
+        index = self.index(SWAREConfig(buffer_capacity=16, page_size=4))
         for key in range(64):
             index.insert(key, key)
         assert index.stats.flushes == (
             index.stats.flushes_with_sort + index.stats.flushes_without_sort
         )
         assert index.stats.flushes >= 3
+
+
+class TestTinyGeometriesWide(TestTinyGeometries):
+    domain = WIDE
+
+
+class TestTombstoneOnlyStatesWide(TestTombstoneOnlyStates):
+    domain = WIDE
+
+
+class TestMonotoneEdgeCasesWide(TestMonotoneEdgeCases):
+    domain = WIDE
+
+
+class TestNegativeAndExtremeKeysWide(TestNegativeAndExtremeKeys):
+    domain = WIDE
+
+
+class TestStatsConsistencyWide(TestStatsConsistency):
+    domain = WIDE

@@ -2,8 +2,8 @@
 
 The delta kernels, key blocks, and v2 page format all rest on one claim:
 encode→decode is *exact* for any int64 column (sortedness affects only the
-compression ratio), and both kernel backends produce byte-identical
-encodings. These properties pin that claim — including INT64_MAX / INT64_MIN
+compression ratio), and the vectorized kernels produce the encoding of
+the scalar reference below, byte for byte. These properties pin that claim — including INT64_MAX / INT64_MIN
 and their neighbours — plus encode→decode→encode stability and the merge-on-encoded-runs
 semantics (duplicate resolution by priority, tombstone handling,
 whole-page pass-through).
@@ -33,9 +33,6 @@ from repro.storage.pages import (
     leaf_columns,
 )
 
-HAS_NUMPY = kernels.numpy_available()
-requires_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not importable")
-
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
@@ -46,12 +43,20 @@ any_keys_st = st.lists(i64 | i64_edges, max_size=120)
 sorted_keys_st = any_keys_st.map(sorted)
 
 
-def _both(fn, *args):
-    with kernels.use_backend("python"):
-        py = fn(*args)
-    with kernels.use_backend("numpy"):
-        np_res = fn(*args)
-    return py, np_res
+MASK64 = 2**64 - 1
+
+
+def _ref_delta_pack(keys):
+    """The delta encoding, one key at a time: successive differences mod
+    2**64, bit-packed LSB-first at the widest delta's bit length."""
+    if not keys:
+        return 0, 0, b""
+    deltas = [(key - prev) & MASK64 for prev, key in zip(keys, keys[1:])]
+    width = max((delta.bit_length() for delta in deltas), default=0)
+    if width == 0:
+        return keys[0], 0, b""
+    packed = sum(delta << (i * width) for i, delta in enumerate(deltas))
+    return keys[0], width, packed.to_bytes((len(deltas) * width + 7) // 8, "little")
 
 
 # ----------------------------------------------------------------------
@@ -61,29 +66,22 @@ class TestDeltaKernels:
     @given(keys=sorted_keys_st)
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_python(self, keys):
-        with kernels.use_backend("python"):
-            anchor, width, packed = kernels.delta_pack(keys)
-            assert kernels.delta_unpack(anchor, width, len(keys), packed) == keys
+        """The reference's encoding decodes to the column."""
+        anchor, width, packed = _ref_delta_pack(keys)
+        assert kernels.delta_unpack(anchor, width, len(keys), packed) == keys
 
     @given(keys=any_keys_st)
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_any_order(self, keys):
         """Unsorted columns round-trip too — wrap-around deltas never corrupt."""
-        with kernels.use_backend("python"):
-            anchor, width, packed = kernels.delta_pack(keys)
-            assert kernels.delta_unpack(anchor, width, len(keys), packed) == keys
+        anchor, width, packed = kernels.delta_pack(keys)
+        assert kernels.delta_unpack(anchor, width, len(keys), packed) == keys
 
-    @requires_numpy
     @given(keys=any_keys_st)
     @settings(max_examples=80, deadline=None)
     def test_backends_bit_identical(self, keys):
-        py, np_res = _both(kernels.delta_pack, keys)
-        assert py == np_res
-        anchor, width, packed = py
-        py_dec, np_dec = _both(
-            kernels.delta_unpack, anchor, width, len(keys), packed
-        )
-        assert py_dec == np_dec == keys
+        """The kernel packs exactly the reference's bytes."""
+        assert kernels.delta_pack(keys) == _ref_delta_pack(keys)
 
     @given(keys=sorted_keys_st)
     @settings(max_examples=60, deadline=None)
@@ -127,12 +125,14 @@ class TestKeyBlocks:
         block = encode_key_block(keys)
         assert len(block) < 8 * len(keys) / 4  # width 1: far below raw
 
-    @requires_numpy
     @given(keys=sorted_keys_st)
     @settings(max_examples=40, deadline=None)
     def test_blocks_backend_identical(self, keys):
-        py, np_res = _both(encode_key_block, keys)
-        assert py == np_res
+        anchor, width, packed = _ref_delta_pack(keys)
+        last = keys[-1] if keys else 0
+        assert encode_key_block(keys) == (
+            KEY_BLOCK_HEADER.pack(len(keys), anchor, last, width) + packed
+        )
 
 
 # ----------------------------------------------------------------------
@@ -226,12 +226,14 @@ class TestCompressedPages:
         assert vals == values
         assert all(type(a) is type(b) for a, b in zip(vals, values))
 
-    @requires_numpy
     def test_page_bytes_backend_identical(self):
+        """A compressed page's key column is the reference's block."""
         keys = list(range(10_000, 10_000 + 300, 3))
         values = [0] * len(keys)
-        py, np_res = _both(lambda: encode_leaf(keys, values, compress=True))
-        assert py == np_res
+        _count, flags, key_column, _values = leaf_columns(encode_leaf(keys, values, compress=True))
+        assert flags & FLAG_COMPRESSED_KEYS
+        anchor, width, packed = _ref_delta_pack(keys)
+        assert key_column == KEY_BLOCK_HEADER.pack(len(keys), anchor, keys[-1], width) + packed
 
 
 # ----------------------------------------------------------------------

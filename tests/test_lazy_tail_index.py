@@ -7,8 +7,9 @@ consults that page. The contract is that nobody can tell: fully synced, the
 filter state is bit-for-bit what per-append upkeep builds, and every lookup
 result, ``SWAREStats`` counter and meter charge matches a buffer that syncs
 every level after every append. Both hashing paths (the scalar loop below the
-internal crossover, the batch kernels above it) are driven on both kernel
-backends.
+internal crossover, the batch kernels above it) are driven in both key
+domains (``tests/key_domains.py``): int64 keys, and a mix with keys beyond
+int64 that the batch kernels hash one by one.
 """
 
 import copy
@@ -17,27 +18,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
 from repro.core.buffer import SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.zonemap import PageZonemaps
 from repro.filters.bloom import BloomFilter
 from repro.storage.costmodel import Meter
-
-pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
+from tests.key_domains import key_domains
 
 CAPACITY = 48
 PAGE = 4
 
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not kernels.numpy_available(), reason="numpy not importable"
-        ),
-    ),
-]
 FLAGS = list(itertools.product((True, False), repeat=3))
 
 PROBE_COUNTERS = (
@@ -53,19 +43,19 @@ PROBE_COUNTERS = (
     "flushes",
 )
 
-keys_st = st.integers(min_value=0, max_value=120)
-ops_st = st.lists(
-    st.one_of(
-        st.tuples(st.just("add"), keys_st),
-        st.tuples(st.just("tombstone"), keys_st),
-        st.tuples(st.just("add_many"), st.lists(keys_st, min_size=1, max_size=30)),
-        st.tuples(st.just("lookup"), keys_st),
-        st.tuples(st.just("range"), keys_st, st.integers(min_value=0, max_value=40)),
-        st.tuples(st.just("query_sort")),
-        st.tuples(st.just("flush")),
-    ),
-    max_size=60,
-)
+def _ops_st(keys_st):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), keys_st),
+            st.tuples(st.just("tombstone"), keys_st),
+            st.tuples(st.just("add_many"), st.lists(keys_st, min_size=1, max_size=30)),
+            st.tuples(st.just("lookup"), keys_st),
+            st.tuples(st.just("range"), keys_st, st.integers(min_value=0, max_value=40)),
+            st.tuples(st.just("query_sort")),
+            st.tuples(st.just("flush")),
+        ),
+        max_size=60,
+    )
 
 
 def _sync_every_level(buffer):
@@ -162,12 +152,13 @@ def _apply(buffer, op, value):
 
 @pytest.mark.parametrize("global_bf,page_bf,read_zonemaps", FLAGS)
 @pytest.mark.parametrize("family", ["splitmix64", "murmur3"])
-@pytest.mark.parametrize("backend", BACKENDS)
-@given(ops=ops_st)
+@key_domains
+@given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_deferred_index_is_unobservable(
-    backend, family, global_bf, page_bf, read_zonemaps, ops
+    domain, family, global_bf, page_bf, read_zonemaps, data
 ):
+    ops = data.draw(_ops_st(domain.keys(st.integers(min_value=0, max_value=120))))
     config = SWAREConfig(
         buffer_capacity=CAPACITY,
         page_size=PAGE,
@@ -176,54 +167,52 @@ def test_deferred_index_is_unobservable(
         enable_page_bf=page_bf,
         enable_read_zonemaps=read_zonemaps,
     )
-    with kernels.use_backend(backend):
-        lazy = SWAREBuffer(config, meter=Meter())
-        eager = _EagerBuffer(config, meter=Meter())
-        for step, op in enumerate(ops):
-            value = 1000 * (step + 1)
-            assert _apply(lazy, op, value) == _apply(eager, op, value)
-            assert lazy.all_entries() == eager.all_entries()
-            for name in PROBE_COUNTERS:
-                assert getattr(lazy.stats, name) == getattr(eager.stats, name), name
-            assert lazy.meter.snapshot() == eager.meter.snapshot()
-            _assert_index_matches_per_key_build(lazy)
-            _assert_index_matches_per_key_build(eager)
+    lazy = SWAREBuffer(config, meter=Meter())
+    eager = _EagerBuffer(config, meter=Meter())
+    for step, op in enumerate(ops):
+        value = 1000 * (step + 1)
+        assert _apply(lazy, op, value) == _apply(eager, op, value)
+        assert lazy.all_entries() == eager.all_entries()
+        for name in PROBE_COUNTERS:
+            assert getattr(lazy.stats, name) == getattr(eager.stats, name), name
+        assert lazy.meter.snapshot() == eager.meter.snapshot()
+        _assert_index_matches_per_key_build(lazy)
+        _assert_index_matches_per_key_build(eager)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_appends_leave_the_index_alone_until_a_probe(backend):
+@key_domains
+def test_appends_leave_the_index_alone_until_a_probe(domain):
     """The deferral itself: no filter work before the first tail probe, and a
     probe indexes everything appended so far through either sync path."""
-    with kernels.use_backend(backend):
-        buffer = SWAREBuffer(SWAREConfig(buffer_capacity=CAPACITY, page_size=PAGE))
-        buffer.add(100, "a")
-        buffer.add(5, "b")  # out of order: starts the tail
-        buffer.add_many([(key, key) for key in range(40, 10, -1)])
-        assert buffer.tail_size == 31
-        assert buffer.global_bf.n_added == 0
-        assert buffer._page_bfs == [] and buffer.page_zonemaps.n_pages == 0
+    buffer = domain.wrap(SWAREBuffer(SWAREConfig(buffer_capacity=CAPACITY, page_size=PAGE)))
+    buffer.add(100, "a")
+    buffer.add(5, "b")  # out of order: starts the tail
+    buffer.add_many([(key, key) for key in range(40, 10, -1)])
+    assert buffer.tail_size == 31
+    assert buffer.global_bf.n_added == 0
+    assert buffer._page_bfs == [] and buffer.page_zonemaps.n_pages == 0
 
-        # A probe the global filter turns away syncs that filter and the
-        # page Zonemaps (kernel path: 31 keys at once) — and no page filter.
-        assert buffer.lookup(55) == (0, None)
-        assert buffer.stats.global_bf_negatives == 1
-        assert buffer.global_bf.n_added == 31
-        assert len(buffer._page_bfs) == buffer.page_zonemaps.n_pages == 8
-        assert [bf.n_added for bf in buffer._page_bfs] == [0] * 8
+    # A probe the global filter turns away syncs that filter and the
+    # page Zonemaps (kernel path: 31 keys at once) — and no page filter.
+    assert buffer.lookup(55) == (0, None)
+    assert buffer.stats.global_bf_negatives == 1
+    assert buffer.global_bf.n_added == 31
+    assert len(buffer._page_bfs) == buffer.page_zonemaps.n_pages == 8
+    assert [bf.n_added for bf in buffer._page_bfs] == [0] * 8
 
-        # A hit catches up the pages it consults, newest first, and only those.
-        assert buffer.lookup(20) == (1, 20)
-        added = [bf.n_added for bf in buffer._page_bfs]
-        assert added[5] == PAGE and sum(added) < 31
+    # A hit catches up the pages it consults, newest first, and only those.
+    assert buffer.lookup(20) == (1, 20)
+    added = [bf.n_added for bf in buffer._page_bfs]
+    assert added[5] == PAGE and sum(added) < 31
 
-        buffer.add(7, "c")
-        assert buffer.global_bf.n_added == 31
-        assert buffer.lookup(7) == (1, "c")  # scalar path: one key
-        assert buffer.global_bf.n_added == 32
-        _assert_index_matches_per_key_build(buffer)
+    buffer.add(7, "c")
+    assert buffer.global_bf.n_added == 31
+    assert buffer.lookup(7) == (1, "c")  # scalar path: one key
+    assert buffer.global_bf.n_added == 32
+    _assert_index_matches_per_key_build(buffer)
 
-        buffer.query_sort()
-        buffer.add(3, "d")
-        assert buffer.lookup(3) == (1, "d")
-        assert buffer.global_bf.n_added == 1
-        _assert_index_matches_per_key_build(buffer)
+    buffer.query_sort()
+    buffer.add(3, "d")
+    assert buffer.lookup(3) == (1, "d")
+    assert buffer.global_bf.n_added == 1
+    _assert_index_matches_per_key_build(buffer)

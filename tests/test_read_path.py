@@ -8,12 +8,13 @@ list untouched when no buffered row falls in the range. (2) The node's own
 ``child_index`` / ``search_left`` / ``range_bounds`` / ``live_items`` equal
 ``bisect`` over the live keys on every node shape. (3) Gating spans on
 ``obs.enabled`` changes nothing a caller or the meter can see, and a traced
-run still records the spans it always did. All on both kernel backends —
-as are the same dict-model checks over keys that demote the buffer's int64
-columns mid-epoch (negative, ``INT64_MAX``, ``>= 2**63``), and ``_scan``'s
-interior-leaf shortcut against ``range_bounds``. The model suites end in the
-tree's ``check_invariants``, which pins that its stores hold Python ints
-after flushes, put_many and a checkpoint round-trip.
+run still records the spans it always did. All in both key domains
+(``tests/key_domains.py``): int64 keys, and the same workloads with keys
+beyond int64 — as are the dict-model checks over keys that demote the
+buffer's int64 columns mid-epoch (negative, ``INT64_MAX``, ``>= 2**63``),
+and ``_scan``'s interior-leaf shortcut against ``range_bounds``. The model
+suites end in the tree's ``check_invariants``, which pins that its stores
+hold Python ints after flushes, put_many and a checkpoint round-trip.
 """
 
 from bisect import bisect_left, bisect_right
@@ -21,7 +22,6 @@ from bisect import bisect_left, bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import kernels
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.btree.node import GappedInternal, GappedLeaf
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
@@ -31,18 +31,7 @@ from repro.core.sware import SortednessAwareIndex
 from repro.obs import NULL_OBS, Observability
 from repro.storage.costmodel import Meter
 from repro.storage.pages import deserialize_btree, serialize_btree
-
-pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
-
-BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(
-            not kernels.numpy_available(), reason="numpy not importable"
-        ),
-    ),
-]
+from tests.key_domains import key_domains
 
 INT64_MAX = 2**63 - 1
 ODD_PROBES = [INT64_MAX, INT64_MAX - 1, 2**63, 2**70, -(2**70), -(2**63)]
@@ -57,18 +46,18 @@ def _index(obs=NULL_OBS, meter=None, cls=SortednessAwareIndex):
 # ----------------------------------------------------------------------
 # (1) the index against a dict model
 # ----------------------------------------------------------------------
-key_st = st.integers(min_value=0, max_value=90)
-ops_st = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), key_st),
-        st.tuples(st.just("delete"), key_st),
-        st.tuples(st.just("get"), key_st),
-        st.tuples(st.just("range"), key_st, st.integers(min_value=0, max_value=60)),
-        st.tuples(st.just("range_many"), st.lists(st.tuples(key_st, key_st), max_size=4)),
-        st.tuples(st.just("flush_all")),
-    ),
-    max_size=80,
-)
+def _ops_st(key_st):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), key_st),
+            st.tuples(st.just("delete"), key_st),
+            st.tuples(st.just("get"), key_st),
+            st.tuples(st.just("range"), key_st, st.integers(min_value=0, max_value=60)),
+            st.tuples(st.just("range_many"), st.lists(st.tuples(key_st, key_st), max_size=4)),
+            st.tuples(st.just("flush_all")),
+        ),
+        max_size=80,
+    )
 
 
 def _model_range(model, lo, hi):
@@ -81,38 +70,39 @@ def _check_rows(rows, model, lo, hi):
     assert rows == _model_range(model, lo, hi)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@given(ops=ops_st)
+@key_domains
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_reads_match_dict_model(backend, ops):
-    with kernels.use_backend(backend):
-        index = _index()
-        model = {}
-        for step, op in enumerate(ops):
-            if op[0] == "put":
-                # Keys repeat, so tree-resident keys get buffered overwrites.
-                index.insert(op[1], (op[1], step))
-                model[op[1]] = (op[1], step)
-            elif op[0] == "delete":
-                index.delete(op[1])
-                model.pop(op[1], None)
-            elif op[0] == "get":
-                assert index.get(op[1]) == model.get(op[1])
-            elif op[0] == "range":
-                lo, hi = op[1], op[1] + op[2]
-                _check_rows(index.range_query(lo, hi), model, lo, hi)
-            elif op[0] == "range_many":
-                results = index.range_many(op[1])
-                assert len(results) == len(op[1])
-                for (lo, hi), rows in zip(op[1], results):
-                    _check_rows(rows, model, lo, hi)
-            else:
-                index.flush_all()
-        assert index.items() == sorted(model.items())
-        for key in range(0, 91, 7):
-            assert index.get(key) == model.get(key)
-        index.buffer.check_invariants()
-        index.backend.check_invariants()
+def test_reads_match_dict_model(domain, data):
+    ops = data.draw(_ops_st(domain.keys(st.integers(min_value=0, max_value=90))))
+    index = _index()
+    model = {}
+    for step, op in enumerate(ops):
+        if op[0] == "put":
+            # Keys repeat, so tree-resident keys get buffered overwrites.
+            index.insert(op[1], (op[1], step))
+            model[op[1]] = (op[1], step)
+        elif op[0] == "delete":
+            index.delete(op[1])
+            model.pop(op[1], None)
+        elif op[0] == "get":
+            assert index.get(op[1]) == model.get(op[1])
+        elif op[0] == "range":
+            lo, hi = op[1], op[1] + op[2]
+            _check_rows(index.range_query(lo, hi), model, lo, hi)
+        elif op[0] == "range_many":
+            results = index.range_many(op[1])
+            assert len(results) == len(op[1])
+            for (lo, hi), rows in zip(op[1], results):
+                _check_rows(rows, model, lo, hi)
+        else:
+            index.flush_all()
+    assert index.items() == sorted(model.items())
+    for key in range(0, 91, 7):
+        assert index.get(key) == model.get(key)
+    index.buffer.check_invariants()
+    index.backend.check_invariants()
+    if all(-(2**63) <= key <= INT64_MAX for key in model):  # pages hold int64 keys
         restored = deserialize_btree(serialize_btree(index.backend, compress=True))
         restored.check_invariants()
         assert list(restored.iter_items()) == list(index.backend.iter_items())
@@ -121,6 +111,12 @@ def test_reads_match_dict_model(backend, ops):
 ODD_KEYS = sorted({-(2**70), -(2**63), -9, -1, 0, 1, 5, 6, 40, 41, 2**40, INT64_MAX - 1,
                    INT64_MAX, 2**63, 2**63 + 1, 2**70})
 odd_key_st = st.sampled_from(ODD_KEYS) | st.integers(min_value=-3, max_value=12)
+def _shifted_ops(ops, shift):
+    """``ops`` with every key moved up by ``shift``."""
+    moved = lambda arg: [k + shift for k in arg] if isinstance(arg, list) else arg + shift  # noqa: E731
+    return [(op[0], *map(moved, op[1:])) for op in ops]
+
+
 odd_ops_st = st.lists(
     st.one_of(
         st.tuples(st.just("put"), odd_key_st),
@@ -134,129 +130,129 @@ odd_ops_st = st.lists(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@given(ops=odd_ops_st)
+@key_domains
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_reads_match_dict_model_on_column_demoting_keys(backend, ops):
+def test_reads_match_dict_model_on_column_demoting_keys(domain, data):
     """Keys no int64 column can hold arrive between ordinary ones: the
     buffer's runs demote to lists mid-epoch, then flush, query-sort and
     range as before."""
-    with kernels.use_backend(backend):
-        index = _index()
-        model = {}
-        for step, op in enumerate(ops):
-            if op[0] == "put":
-                index.insert(op[1], (op[1], step))
-                model[op[1]] = (op[1], step)
-            elif op[0] == "put_many":
-                index.put_many([(key, (key, step, i)) for i, key in enumerate(op[1])])
-                model.update((key, (key, step, i)) for i, key in enumerate(op[1]))
-            elif op[0] == "delete":
-                index.delete(op[1])
-                model.pop(op[1], None)
-            elif op[0] == "get":
-                assert index.get(op[1]) == model.get(op[1])
-            elif op[0] == "range":
-                lo, hi = sorted(op[1:])
-                _check_rows(index.range_query(lo, hi), model, lo, hi)
-            else:
-                index.flush_all()
-            index.buffer.check_invariants()
-        assert index.items() == sorted(model.items())
-        assert index.get_many(ODD_KEYS) == [model.get(key) for key in ODD_KEYS]
-        index.backend.check_invariants()
+    ops = data.draw(odd_ops_st.map(lambda ops: _shifted_ops(ops, domain.shift)))
+    odd_keys = [key + domain.shift for key in ODD_KEYS]
+    index = _index()
+    model = {}
+    for step, op in enumerate(ops):
+        if op[0] == "put":
+            index.insert(op[1], (op[1], step))
+            model[op[1]] = (op[1], step)
+        elif op[0] == "put_many":
+            index.put_many([(key, (key, step, i)) for i, key in enumerate(op[1])])
+            model.update((key, (key, step, i)) for i, key in enumerate(op[1]))
+        elif op[0] == "delete":
+            index.delete(op[1])
+            model.pop(op[1], None)
+        elif op[0] == "get":
+            assert index.get(op[1]) == model.get(op[1])
+        elif op[0] == "range":
+            lo, hi = sorted(op[1:])
+            _check_rows(index.range_query(lo, hi), model, lo, hi)
+        else:
+            index.flush_all()
+        index.buffer.check_invariants()
+    assert index.items() == sorted(model.items())
+    assert index.get_many(odd_keys) == [model.get(key) for key in odd_keys]
+    index.backend.check_invariants()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_buffer_columns_demote_mid_epoch(backend):
+@key_domains
+def test_buffer_columns_demote_mid_epoch(domain):
     """The same at the buffer's own surface: int64 columns while every key
-    fits (numpy backend), lists from the first key that does not — through
-    tail sort, query-sort, range and both flush shapes."""
-    with kernels.use_backend(backend):
-        buffer = SWAREBuffer(SWAREConfig(buffer_capacity=32, page_size=4))
-        model = {}
+    fits, lists from the first key that does not — through tail sort,
+    query-sort, range and both flush shapes."""
+    buffer = domain.wrap(SWAREBuffer(SWAREConfig(buffer_capacity=32, page_size=4)))
+    model = {}
 
-        def put(key, value):
-            buffer.add(key, value)
-            model.setdefault(key, []).append(value)
+    def put(key, value):
+        buffer.add(key, value)
+        model.setdefault(key, []).append(value)
 
-        for key in (10, 20, 30, 5, 25, INT64_MAX, -7, 25):
-            put(key, f"a{key}")
-        buffer.query_sort()  # a block of int64-representable keys
-        block = buffer._blocks[0]
-        assert (type(block.col) is list) == (backend == "python")
-        for key in (2**63, 12, -(2**70), 12):
-            put(key, f"b{key}")
-        assert buffer.lookup(2**63) == (1, f"b{2**63}")
-        assert buffer.lookup(INT64_MAX) == (1, f"a{INT64_MAX}")
-        assert buffer.lookup(2**64) == (0, None)
-        rows = buffer.range_entries(-(2**80), 2**80)  # sorts the demoted tail
-        assert type(buffer._tail_run.col) is list
-        assert [(key, value) for key, _seq, value, _dead in rows] == [
-            (key, value) for key in sorted(model) for value in model[key]
-        ]
-        assert [seq for _k, seq, _v, _d in rows if _k == 25] == sorted(
-            seq for _k, seq, _v, _d in rows if _k == 25
-        )
-        buffer.check_invariants()
-        batch = buffer.prepare_flush()  # no flushable prefix: sorts everything
-        assert not batch.sorted_without_effort and type(batch.run.col) is list
-        flushed = [(key, value) for key, _seq, value, _dead in batch.entries]
-        kept = [(key, value) for key, _seq, value, _dead in buffer.all_entries()]
-        assert flushed + kept == [(k, v) for k in sorted(model) for v in model[k]]
-        buffer.check_invariants()
-        assert buffer.drain().entries == [
-            entry for entry in rows if (entry[0], entry[2]) in kept
-        ]
-        assert buffer.is_empty and buffer.zonemap.is_empty
+    for key in (10, 20, 30, 5, 25, INT64_MAX, -7, 25):
+        put(key, f"a{key}")
+    buffer.query_sort()  # a block of int64-representable keys
+    block = buffer._blocks[0]
+    assert (type(block.col) is list) == bool(domain.shift)
+    for key in (2**63, 12, -(2**70), 12):
+        put(key, f"b{key}")
+    assert buffer.lookup(2**63) == (1, f"b{2**63}")
+    assert buffer.lookup(INT64_MAX) == (1, f"a{INT64_MAX}")
+    assert buffer.lookup(2**64) == (0, None)
+    rows = buffer.range_entries(-(2**80), 2**80)  # sorts the demoted tail
+    assert type(buffer._tail_run.col) is list
+    assert [(key, value) for key, _seq, value, _dead in rows] == [
+        (key, value) for key in sorted(model) for value in model[key]
+    ]
+    assert [seq for _k, seq, _v, _d in rows if _k == 25] == sorted(
+        seq for _k, seq, _v, _d in rows if _k == 25
+    )
+    buffer.check_invariants()
+    batch = buffer.prepare_flush()  # no flushable prefix: sorts everything
+    assert not batch.sorted_without_effort and type(batch.run.col) is list
+    flushed = [(key, value) for key, _seq, value, _dead in batch.entries]
+    kept = [(key, value) for key, _seq, value, _dead in buffer.all_entries()]
+    assert flushed + kept == [(k, v) for k in sorted(model) for v in model[k]]
+    buffer.check_invariants()
+    assert buffer.drain().entries == [
+        entry for entry in rows if (entry[0], entry[2]) in kept
+    ]
+    assert buffer.is_empty and buffer.zonemap.is_empty
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_buffered_versions_win_over_tree_rows(backend):
+@key_domains
+def test_buffered_versions_win_over_tree_rows(domain):
     """Overwrites and tombstones of flushed keys, before and after the
     query-sort trigger freezes them into a block."""
-    with kernels.use_backend(backend):
-        index = _index()
-        model = {}
-        for key in range(40):
-            index.insert(key, key)
-            model[key] = key
-        index.flush_all()
-        assert index.buffer.is_empty
-        for key in (30, 3, 17, 5, 17):  # out of order: lands in the tail
-            index.insert(key, -key)
-            model[key] = -key
-        for key in (4, 30, 12, 33):  # 33 is past the buffer's range: deleted in the tree
-            index.delete(key)
-            model.pop(key)
-        assert index.stats.tombstones_buffered == 3
-        for _ in range(2):  # second pass reads the query-sorted block
-            _check_rows(index.range_query(0, 39), model, 0, 39)
-            _check_rows(index.range_query(16, 18), model, 16, 18)
-            for (lo, hi), rows in zip(
-                [(0, 4), (29, 35), (6, 9)], index.range_many([(0, 4), (29, 35), (6, 9)])
-            ):
-                _check_rows(rows, model, lo, hi)
-            assert index.get(17) == -17 and index.get(4) is None and index.get(6) == 6
-        assert index.stats.query_sorts >= 1
+    index = domain.wrap(_index())
+    model = {}
+    for key in range(40):
+        index.insert(key, key)
+        model[key] = key
+    index.flush_all()
+    assert index.buffer.is_empty
+    for key in (30, 3, 17, 5, 17):  # out of order: lands in the tail
+        index.insert(key, -key)
+        model[key] = -key
+    for key in (4, 30, 12, 33):  # 33 is past the buffer's range: deleted in the tree
+        index.delete(key)
+        model.pop(key)
+    assert index.stats.tombstones_buffered == 3
+    for _ in range(2):  # second pass reads the query-sorted block
+        _check_rows(index.range_query(0, 39), model, 0, 39)
+        _check_rows(index.range_query(16, 18), model, 16, 18)
+        for (lo, hi), rows in zip(
+            [(0, 4), (29, 35), (6, 9)], index.range_many([(0, 4), (29, 35), (6, 9)])
+        ):
+            _check_rows(rows, model, lo, hi)
+        assert index.get(17) == -17 and index.get(4) is None and index.get(6) == 6
+    assert index.stats.query_sorts >= 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_range_without_buffered_rows_is_the_backends_list(backend):
-    with kernels.use_backend(backend):
-        index = _index()
-        for key in range(60):
-            index.insert(key, key * 10)
-        index.flush_all()
-        index.insert(100, 1)  # buffered, outside every range probed below
-        rows = index.range_query(10, 30)
-        assert rows == index.backend.range_query(10, 30)
-        assert rows == [(key, key * 10) for key in range(10, 31)]
-        rows.append((999, None))
-        rows[0] = (-1, None)
-        del rows[3:8]
-        assert index.range_query(10, 30) == [(key, key * 10) for key in range(10, 31)]
-        assert index.backend.range_query(10, 30) == index.range_query(10, 30)
+@key_domains
+def test_range_without_buffered_rows_is_the_backends_list(domain):
+    index = _index()
+    lo, hi = 10 + domain.shift, 30 + domain.shift
+    expected = [(key, key * 10) for key in range(lo, hi + 1)]
+    for key in range(domain.shift, domain.shift + 60):
+        index.insert(key, key * 10)
+    index.flush_all()
+    index.insert(100 + domain.shift, 1)  # buffered, outside every range probed below
+    rows = index.range_query(lo, hi)
+    assert rows == index.backend.range_query(lo, hi)
+    assert rows == expected
+    rows.append((999, None))
+    rows[0] = (-1, None)
+    del rows[3:8]
+    assert index.range_query(lo, hi) == expected
+    assert index.backend.range_query(lo, hi) == index.range_query(lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -286,57 +282,57 @@ SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_node_search_matches_bisect(backend):
-    with kernels.use_backend(backend):
-        for label, keys in SHAPES:
-            leaf = _leaf(keys)
-            node = _internal(keys)
-            assert leaf.keys == keys and node.keys == keys
-            probes = sorted(set(keys) | {k + d for k in keys for d in (-1, 1)} | set(ODD_PROBES))
-            for probe in probes:
-                assert leaf.search_left(probe) == bisect_left(keys, probe), (label, probe)
-                assert node.child_index(probe) == bisect_right(keys, probe), (label, probe)
-                assert node.child_for(probe) == f"c{bisect_right(keys, probe)}"
-                assert leaf.has_key_at(leaf.search_left(probe), probe) == (probe in keys)
-            for lo in probes:
-                for hi in probes:
-                    if lo <= hi:
-                        start, stop = leaf.range_bounds(lo, hi)
-                        assert (start, stop) == (
-                            bisect_left(keys, lo), bisect_right(keys, hi)
-                        ), (label, lo, hi)
-                        rows = list(leaf.live_items(start, stop))
-                        assert rows == [(k, f"v{k}") for k in keys if lo <= k <= hi]
-                        assert all(type(key) is int for key, _value in rows)
-            assert list(leaf.iter_live()) == [(k, f"v{k}") for k in keys]
+@key_domains
+def test_node_search_matches_bisect(domain):
+    for label, keys in SHAPES:
+        keys = [key + domain.shift for key in keys]
+        leaf = _leaf(keys)
+        node = _internal(keys)
+        assert leaf.keys == keys and node.keys == keys
+        odd = {probe + domain.shift for probe in ODD_PROBES}
+        probes = sorted(set(keys) | {k + d for k in keys for d in (-1, 1)} | odd)
+        for probe in probes:
+            assert leaf.search_left(probe) == bisect_left(keys, probe), (label, probe)
+            assert node.child_index(probe) == bisect_right(keys, probe), (label, probe)
+            assert node.child_for(probe) == f"c{bisect_right(keys, probe)}"
+            assert leaf.has_key_at(leaf.search_left(probe), probe) == (probe in keys)
+        for lo in probes:
+            for hi in probes:
+                if lo <= hi:
+                    start, stop = leaf.range_bounds(lo, hi)
+                    assert (start, stop) == (
+                        bisect_left(keys, lo), bisect_right(keys, hi)
+                    ), (label, lo, hi)
+                    rows = list(leaf.live_items(start, stop))
+                    assert rows == [(k, f"v{k}") for k in keys if lo <= k <= hi]
+                    assert all(type(key) is int for key, _value in rows)
+        assert list(leaf.iter_live()) == [(k, f"v{k}") for k in keys]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tree_reads_with_odd_probe_keys(backend):
+@key_domains
+def test_tree_reads_with_odd_probe_keys(domain):
     """Probes at and beyond the int64 edges miss cleanly; a stored one is
     found by get and emitted by scans."""
-    with kernels.use_backend(backend):
-        tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
-        model = {key: key for key in range(0, 60, 3)}
-        for key, value in model.items():
-            tree.insert(key, value)
-        for probe in ODD_PROBES:
-            assert tree.get(probe) is None
-        assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
-        assert tree.range_query(57, INT64_MAX) == [(57, 57)]
-        for key in (INT64_MAX, 2**63, -(2**70)):
-            tree.insert(key, "odd")
-            model[key] = "odd"
-        tree.check_invariants()
-        for key, value in model.items():
-            assert tree.get(key) == value
-        assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
-        assert tree.range_many([(50, 2**63), (-(2**71), 4)]) == [
-            [(k, v) for k, v in sorted(model.items()) if 50 <= k <= 2**63],
-            [(k, v) for k, v in sorted(model.items()) if k <= 4],
-        ]
-        assert list(tree.iter_items()) == sorted(model.items())
+    tree = domain.wrap(BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4)))
+    model = {key: key for key in range(0, 60, 3)}
+    for key, value in model.items():
+        tree.insert(key, value)
+    for probe in ODD_PROBES:
+        assert tree.get(probe) is None
+    assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
+    assert tree.range_query(57, INT64_MAX) == [(57, 57)]
+    for key in (INT64_MAX, 2**63, -(2**70)):
+        tree.insert(key, "odd")
+        model[key] = "odd"
+    tree.check_invariants()
+    for key, value in model.items():
+        assert tree.get(key) == value
+    assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
+    assert tree.range_many([(50, 2**63), (-(2**71), 4)]) == [
+        [(k, v) for k, v in sorted(model.items()) if 50 <= k <= 2**63],
+        [(k, v) for k, v in sorted(model.items()) if k <= 4],
+    ]
+    assert list(tree.iter_items()) == sorted(model.items())
 
 
 def _reference_scan(tree, lo, hi):
@@ -358,74 +354,74 @@ def _reference_scan(tree, lo, hi):
     return rows, charged
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_scan_interior_leaf_shortcut_matches_range_bounds(backend):
+@key_domains
+def test_scan_interior_leaf_shortcut_matches_range_bounds(domain):
     """A leaf wholly inside [lo, hi] is emitted without searching it: same
     rows and the same ``scan_entry`` charge as bounding every leaf, with lo /
     hi on (and next to) every leaf's first and last key — full, gapped,
     single-entry and emptied leaves, and keys beyond int64."""
-    with kernels.use_backend(backend):
-        meter = Meter()
-        tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4), meter=meter)
-        tree.bulk_load_append([(key, key) for key in range(0, 64, 2)])  # full leaves
-        for key in (1, 3, 33):  # split some: gapped leaves
-            tree.insert(key, key)
-        for key in (8, 10, 12, 16, 18, 20, 22):  # a single-entry leaf, an emptied one
-            tree.delete(key)
-        for key in (INT64_MAX, 2**63, 2**70):
-            tree.insert(key, "odd")
-        tree.check_invariants()
-        leaves = []
-        leaf = tree._head_leaf
-        while leaf is not None:
-            leaves.append(leaf)
-            leaf = leaf.next_leaf
-        sizes = {leaf.n for leaf in leaves}
-        assert {0, 1, 4} <= sizes
-        edges = {edge for leaf in leaves if leaf.n for edge in (leaf.first_key(), leaf.last_key())}
-        probes = sorted({edge + d for edge in edges for d in (-1, 0, 1)})
-        for lo in probes:
-            for hi in probes:
-                if lo > hi:
-                    continue
-                expected_rows, expected_charge = _reference_scan(tree, lo, hi)
-                before = meter["scan_entry"]
-                assert tree.range_query(lo, hi) == expected_rows, (lo, hi)
-                assert meter["scan_entry"] - before == expected_charge, (lo, hi)
-        spans = [(probes[i], probes[-1 - i]) for i in range(0, len(probes) // 2, 3)]
-        assert tree.range_many(spans) == [_reference_scan(tree, lo, hi)[0] for lo, hi in spans]
+    shift = domain.shift
+    meter = Meter()
+    tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4), meter=meter)
+    tree.bulk_load_append([(key + shift, key) for key in range(0, 64, 2)])  # full leaves
+    for key in (1, 3, 33):  # split some: gapped leaves
+        tree.insert(key + shift, key)
+    for key in (8, 10, 12, 16, 18, 20, 22):  # a single-entry leaf, an emptied one
+        tree.delete(key + shift)
+    for key in (INT64_MAX, 2**63, 2**70):
+        tree.insert(key + shift, "odd")
+    tree.check_invariants()
+    leaves = []
+    leaf = tree._head_leaf
+    while leaf is not None:
+        leaves.append(leaf)
+        leaf = leaf.next_leaf
+    sizes = {leaf.n for leaf in leaves}
+    assert {0, 1, 4} <= sizes
+    edges = {edge for leaf in leaves if leaf.n for edge in (leaf.first_key(), leaf.last_key())}
+    probes = sorted({edge + d for edge in edges for d in (-1, 0, 1)})
+    for lo in probes:
+        for hi in probes:
+            if lo > hi:
+                continue
+            expected_rows, expected_charge = _reference_scan(tree, lo, hi)
+            before = meter["scan_entry"]
+            assert tree.range_query(lo, hi) == expected_rows, (lo, hi)
+            assert meter["scan_entry"] - before == expected_charge, (lo, hi)
+    spans = [(probes[i], probes[-1 - i]) for i in range(0, len(probes) // 2, 3)]
+    assert tree.range_many(spans) == [_reference_scan(tree, lo, hi)[0] for lo, hi in spans]
 
 
 # ----------------------------------------------------------------------
 # (3) span gating is invisible
 # ----------------------------------------------------------------------
-def _drive(index):
-    """A fixed op stream crossing flushes, query-sorts and tombstones."""
+def _drive(index, shift):
+    """A fixed op stream crossing flushes, query-sorts and tombstones, on
+    keys moved up by ``shift``."""
     out = []
     for step in range(120):
-        key = (step * 37) % 101
+        key = (step * 37) % 101 + shift
         index.insert(key, step)
         if step % 5 == 0:
-            out.append(index.get((step * 11) % 101))
+            out.append(index.get((step * 11) % 101 + shift))
         if step % 9 == 0:
-            index.delete((step * 13) % 101)
+            index.delete((step * 13) % 101 + shift)
         if step % 12 == 0:
             out.append(index.range_query(key - 20, key + 20))
-    out.append(index.range_many([(0, 30), (25, 70), (90, 200)]))
-    out.append(index.get_many([1, 2, 3, 50, 99]))
-    index.put_many([(k, -k) for k in range(200, 230)])
+    out.append(index.range_many([(lo + shift, hi + shift) for lo, hi in [(0, 30), (25, 70), (90, 200)]]))
+    out.append(index.get_many([key + shift for key in (1, 2, 3, 50, 99)]))
+    index.put_many([(k + shift, -k) for k in range(200, 230)])
     out.append(index.items())
     return out
 
 
 @pytest.mark.parametrize("cls", [SortednessAwareIndex, ConcurrentSortednessAwareIndex])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_tracing_changes_no_result_and_no_charge(backend, cls):
-    with kernels.use_backend(backend):
-        quiet_meter, traced_meter = Meter(), Meter()
-        obs = Observability(trace=True, trace_capacity=1 << 16)
-        quiet = _drive(_index(NULL_OBS, quiet_meter, cls))
-        traced = _drive(_index(obs, traced_meter, cls))
+@key_domains
+def test_tracing_changes_no_result_and_no_charge(domain, cls):
+    quiet_meter, traced_meter = Meter(), Meter()
+    obs = Observability(trace=True, trace_capacity=1 << 16)
+    quiet = _drive(_index(NULL_OBS, quiet_meter, cls), domain.shift)
+    traced = _drive(_index(obs, traced_meter, cls), domain.shift)
     assert traced == quiet
     assert traced_meter.snapshot() == quiet_meter.snapshot()
 

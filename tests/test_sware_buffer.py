@@ -1,18 +1,24 @@
-"""Unit tests for the SWARE-buffer internals."""
+"""Unit tests for the SWARE-buffer internals.
+
+Every test runs on the keys it is written with and again, in the ``*Wide``
+classes at the end, shifted beyond int64 (see ``tests/key_domains.py``).
+"""
 
 import pytest
 
 from repro.core.buffer import HIT, MISS, TOMBSTONE, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.errors import ConfigError
+from tests.key_domains import INT64, WIDE
 
-pytestmark = pytest.mark.both_backends  # CI repeats this file under REPRO_KERNELS=python
 
+class _Buffers:
+    domain = INT64
 
-def make_buffer(capacity=64, page_size=8, **overrides) -> SWAREBuffer:
-    return SWAREBuffer(
-        SWAREConfig(buffer_capacity=capacity, page_size=page_size, **overrides)
-    )
+    def make_buffer(self, capacity=64, page_size=8, **overrides):
+        return self.domain.wrap(
+            SWAREBuffer(SWAREConfig(buffer_capacity=capacity, page_size=page_size, **overrides))
+        )
 
 
 class TestConfig:
@@ -30,9 +36,9 @@ class TestConfig:
         assert config.buffer_capacity == SWAREConfig().buffer_capacity
 
 
-class TestInOrderGrowth:
+class TestInOrderGrowth(_Buffers):
     def test_sorted_appends_extend_main(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         for key in range(20):
             buffer.add(key, key)
         assert buffer.sorted_section_size == 20
@@ -40,35 +46,35 @@ class TestInOrderGrowth:
         buffer.check_invariants()
 
     def test_first_out_of_order_starts_tail(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         for key in (1, 2, 3, 0):
             buffer.add(key, key)
         assert buffer.sorted_section_size == 3
         assert buffer.tail_size == 1
 
     def test_later_in_order_keys_still_go_to_tail(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         for key in (1, 2, 3, 0, 10):
             buffer.add(key, key)
         assert buffer.sorted_section_size == 3
         assert buffer.tail_size == 2
 
     def test_duplicate_key_extends_main(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         buffer.add(5, "a")
         buffer.add(5, "b")  # equal keys are in order (non-decreasing)
         assert buffer.sorted_section_size == 2
 
 
-class TestLastSortedZone:
+class TestLastSortedZone(_Buffers):
     def test_fully_sorted_zone_is_page_aligned_whole(self):
-        buffer = make_buffer(capacity=64, page_size=8)
+        buffer = self.make_buffer(capacity=64, page_size=8)
         for key in range(24):
             buffer.add(key, key)
         assert buffer.last_sorted_zone == 24
 
     def test_overlapping_entry_moves_zone_left(self):
-        buffer = make_buffer(capacity=64, page_size=8)
+        buffer = self.make_buffer(capacity=64, page_size=8)
         for key in range(0, 32, 2):  # main: 0..30 even, 16 entries
             buffer.add(key, key)
         buffer.add(17, 17)  # overlaps the second main page (keys 16..30)
@@ -79,16 +85,16 @@ class TestLastSortedZone:
         assert buffer.last_sorted_zone == 0
 
     def test_zone_zero_when_overlap_at_front(self):
-        buffer = make_buffer(capacity=64, page_size=8)
+        buffer = self.make_buffer(capacity=64, page_size=8)
         for key in range(10, 30):
             buffer.add(key, key)
         buffer.add(5, 5)  # smaller than everything in main
         assert buffer.last_sorted_zone == 0
 
 
-class TestFlush:
+class TestFlush(_Buffers):
     def test_fully_sorted_flush_without_sort(self):
-        buffer = make_buffer(capacity=32, page_size=4, flush_fraction=0.5)
+        buffer = self.make_buffer(capacity=32, page_size=4, flush_fraction=0.5)
         for key in range(32):
             buffer.add(key, key)
         assert buffer.is_full
@@ -100,7 +106,7 @@ class TestFlush:
         buffer.check_invariants()
 
     def test_flush_prefix_when_partial_overlap(self):
-        buffer = make_buffer(capacity=32, page_size=4, flush_fraction=0.5)
+        buffer = self.make_buffer(capacity=32, page_size=4, flush_fraction=0.5)
         for key in range(24):
             buffer.add(key, key)
         buffer.add(10, -1)  # overlap: zone shrinks to keys <= 10 (page-aligned 8)
@@ -119,7 +125,7 @@ class TestFlush:
         assert buffer.n_blocks == 0
 
     def test_flush_sorts_when_no_prefix(self):
-        buffer = make_buffer(capacity=16, page_size=4, flush_fraction=0.5)
+        buffer = self.make_buffer(capacity=16, page_size=4, flush_fraction=0.5)
         for key in range(8, 24):
             buffer.add(key, key)
         # A full flush cycle first: buffer now holds sorted retained entries.
@@ -134,7 +140,7 @@ class TestFlush:
         buffer.check_invariants()
 
     def test_flush_preserves_recency_of_duplicates(self):
-        buffer = make_buffer(capacity=16, page_size=4)
+        buffer = self.make_buffer(capacity=16, page_size=4)
         buffer.add(5, "old")
         buffer.add(3, "x")  # start the tail
         buffer.add(5, "new")
@@ -145,7 +151,7 @@ class TestFlush:
         assert [entry[2] for entry in fives] == ["old", "new"]
 
     def test_drain_empties_buffer(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         for key in (5, 1, 9, 1, 7):
             buffer.add(key, key)
         batch = buffer.drain()
@@ -155,7 +161,7 @@ class TestFlush:
         assert len(batch.entries) == 5
 
     def test_flush_resets_filters_and_zonemaps(self):
-        buffer = make_buffer(capacity=16, page_size=4)
+        buffer = self.make_buffer(capacity=16, page_size=4)
         for key in (4, 1, 3, 2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 10, 11):
             buffer.add(key, key)
         buffer.lookup(4)  # the first probe is what builds the tail's index
@@ -168,55 +174,55 @@ class TestFlush:
             assert buffer.global_bf.n_added == 0
 
 
-class TestLookup:
+class TestLookup(_Buffers):
     def test_miss_on_empty(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         assert buffer.lookup(1) == (MISS, None)
 
     def test_hit_in_main(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         for key in range(10):
             buffer.add(key, key * 2)
         assert buffer.lookup(4) == (HIT, 8)
 
     def test_hit_in_tail(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         for key in (5, 6, 2):
             buffer.add(key, key)
         assert buffer.lookup(2) == (HIT, 2)
 
     def test_newest_version_wins_across_sections(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         buffer.add(5, "main")
         buffer.add(1, "tail-starter")
         buffer.add(5, "tail")
         assert buffer.lookup(5) == (HIT, "tail")
 
     def test_newest_version_within_tail(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         buffer.add(9, "x")
         buffer.add(5, "a")
         buffer.add(5, "b")
         assert buffer.lookup(5) == (HIT, "b")
 
     def test_tombstone_reported(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         buffer.add(5, "v")
         buffer.add(5, None, tombstone=True)
         state, _ = buffer.lookup(5)
         assert state == TOMBSTONE
 
     def test_out_of_range_key_misses_fast(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         buffer.add(10, 1)
         buffer.add(20, 2)
         assert buffer.lookup(5) == (MISS, None)
         assert buffer.stats.buffer_skips_by_zonemap == 1
 
 
-class TestQueryDrivenSorting:
+class TestQueryDrivenSorting(_Buffers):
     def test_threshold_trigger(self):
-        buffer = make_buffer(capacity=64, page_size=8, query_sorting_threshold=0.10)
+        buffer = self.make_buffer(capacity=64, page_size=8, query_sorting_threshold=0.10)
         for key in range(10):
             buffer.add(key, key)
         buffer.add(0, 0)  # start tail
@@ -226,7 +232,7 @@ class TestQueryDrivenSorting:
         assert buffer.should_query_sort()
 
     def test_query_sort_freezes_tail_into_block(self):
-        buffer = make_buffer(capacity=64, page_size=8)
+        buffer = self.make_buffer(capacity=64, page_size=8)
         for key in range(10):
             buffer.add(key, key)
         for key in (3, 9, 1):
@@ -239,13 +245,13 @@ class TestQueryDrivenSorting:
         assert buffer.lookup(3) == (HIT, -3)
 
     def test_disabled_at_threshold_one(self):
-        buffer = make_buffer(capacity=16, page_size=4, query_sorting_threshold=1.0)
+        buffer = self.make_buffer(capacity=16, page_size=4, query_sorting_threshold=1.0)
         for key in (5, 1, 2, 3, 4, 0):
             buffer.add(key, key)
         assert not buffer.should_query_sort()
 
     def test_blocks_searched_newest_first(self):
-        buffer = make_buffer(capacity=128, page_size=8)
+        buffer = self.make_buffer(capacity=128, page_size=8)
         buffer.add(50, "main")
         buffer.add(10, "b1")
         buffer.query_sort()
@@ -255,9 +261,9 @@ class TestQueryDrivenSorting:
         assert buffer.lookup(10) == (HIT, "b2")
 
 
-class TestRangeEntries:
+class TestRangeEntries(_Buffers):
     def test_collects_across_components(self):
-        buffer = make_buffer(capacity=128, page_size=8)
+        buffer = self.make_buffer(capacity=128, page_size=8)
         for key in range(0, 20, 2):
             buffer.add(key, "main")
         buffer.add(5, "block")
@@ -268,7 +274,7 @@ class TestRangeEntries:
         assert found == {(4, "main"), (6, "main"), (8, "main"), (5, "block"), (7, "tail")}
 
     def test_sorted_by_key_and_recency(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         buffer.add(5, "v1")
         buffer.add(1, "x")
         buffer.add(5, "v2")
@@ -277,12 +283,12 @@ class TestRangeEntries:
         assert fives == ["v1", "v2"]
 
     def test_no_overlap_returns_empty(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         buffer.add(10, 1)
         assert buffer.range_entries(20, 30) == []
 
     def test_tail_sort_cached_until_new_insert(self):
-        buffer = make_buffer()
+        buffer = self.make_buffer()
         buffer.add(5, 5)
         buffer.add(1, 1)
         buffer.range_entries(0, 10)
@@ -294,11 +300,11 @@ class TestRangeEntries:
         assert buffer.stats.sorted_entries > sorts_before
 
 
-class TestSortAlgorithmChoice:
+class TestSortAlgorithmChoice(_Buffers):
     def test_near_sorted_tail_uses_kl_sort(self):
         from repro.sortedness.generator import generate_kl_keys
 
-        buffer = make_buffer(capacity=512, page_size=32)
+        buffer = self.make_buffer(capacity=512, page_size=32)
         buffer.add(0, 0)
         buffer.add(-1, -1)  # open the tail immediately
         for key in generate_kl_keys(400, 0.05, 0.02, seed=1):
@@ -309,8 +315,36 @@ class TestSortAlgorithmChoice:
     def test_scrambled_tail_uses_stable_sort(self):
         from repro.sortedness.generator import scrambled_keys
 
-        buffer = make_buffer(capacity=512, page_size=32)
+        buffer = self.make_buffer(capacity=512, page_size=32)
         for key in scrambled_keys(400, seed=2):
             buffer.add(key, key)
         buffer.drain()
         assert buffer.stats.stable_sorts >= 1
+
+
+class TestInOrderGrowthWide(TestInOrderGrowth):
+    domain = WIDE
+
+
+class TestLastSortedZoneWide(TestLastSortedZone):
+    domain = WIDE
+
+
+class TestFlushWide(TestFlush):
+    domain = WIDE
+
+
+class TestLookupWide(TestLookup):
+    domain = WIDE
+
+
+class TestQueryDrivenSortingWide(TestQueryDrivenSorting):
+    domain = WIDE
+
+
+class TestRangeEntriesWide(TestRangeEntries):
+    domain = WIDE
+
+
+class TestSortAlgorithmChoiceWide(TestSortAlgorithmChoice):
+    domain = WIDE
