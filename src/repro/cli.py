@@ -856,7 +856,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.core.config import SWAREConfig
     from repro.errors import ReproError
-    from repro.net.server import IndexServer
+    from repro.net.server import CommitFailed, IndexServer
     from repro.net.sharded import (
         MANIFEST_NAME,
         ShardedConfig,
@@ -902,6 +902,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
+    except CommitFailed as exc:
+        print(f"{exc}; recover with `repro recover {args.root} --sharded`", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -15,8 +15,10 @@ Modules
     The range-partitioned index, its on-disk layout and manifest, and
     sharded recovery.
 ``server``
-    The asyncio front door (:class:`IndexServer`) with per-connection
-    pipelining and a group-commit acknowledgement loop.
+    The asyncio front door (:class:`IndexServer`): one protocol object per
+    connection dispatching pipelined frames as they arrive, a group-commit
+    acknowledgement loop, and fail-stop on a failed commit
+    (:class:`CommitFailed`).
 ``client``
     Asyncio client library (:class:`IndexClient`) plus a blocking
     convenience wrapper (:class:`SyncIndexClient`).
@@ -35,7 +37,7 @@ from repro.net.protocol import (
     OP_STATS,
     ProtocolError,
 )
-from repro.net.server import IndexServer
+from repro.net.server import CommitFailed, IndexServer
 from repro.net.sharded import (
     ShardedConfig,
     ShardedIndexError,
@@ -44,6 +46,7 @@ from repro.net.sharded import (
 )
 
 __all__ = [
+    "CommitFailed",
     "IndexClient",
     "IndexServer",
     "ProtocolError",

@@ -1,10 +1,16 @@
 """Client library for the sharded index server.
 
-:class:`IndexClient` is the asyncio-native client. It pipelines freely: a
-background receive loop matches responses to in-flight requests by
-``request_id``, so many calls may be awaiting concurrently on one
-connection (``asyncio.gather`` over a batch of puts is the intended
-usage — the server's group commit will fold their fsyncs together).
+:class:`IndexClient` is the asyncio-native client, and is itself the
+connection's :class:`asyncio.Protocol`. It pipelines freely: every request
+parks a future under its ``request_id``, and ``data_received`` runs the
+bytes through a :class:`~repro.net.protocol.FrameDecoder` and resolves the
+futures of the responses they complete in the I/O callback itself — there
+is no receive task, so a response reaches its caller one event-loop turn
+after its bytes arrive. Many calls may be awaiting concurrently on one
+connection (``asyncio.gather`` over a batch of puts is the intended usage —
+the server's group commit will fold their fsyncs together). When the
+transport's write buffer passes its high-water mark, new requests wait for
+it to drain before awaiting their response.
 
 :class:`SyncIndexClient` wraps it for blocking callers (the CLI, tests)
 by driving a private event loop per call.
@@ -28,34 +34,35 @@ class ServerError(ReproError):
     """The server processed the frame but the operation failed."""
 
 
-class IndexClient:
+class IndexClient(asyncio.Protocol):
     """See module docstring. Construct via :meth:`connect`."""
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        self._transport: Optional[asyncio.Transport] = None
+        self._decoder = p.FrameDecoder()
         self._next_id = 0
         self._inflight: Dict[int, asyncio.Future] = {}
-        self._recv_task = asyncio.create_task(self._recv_loop())
-        self._closed = False
+        self._drained: Optional[asyncio.Future] = None  # set while writing is paused
+        self._lost: Optional[asyncio.Future] = None  # resolved by connection_lost
+        self._error: Optional[BaseException] = None  # what ended the connection
 
     @classmethod
     async def connect(cls, host: str = "127.0.0.1", port: int = 0) -> "IndexClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _transport, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port
+        )
+        return client
 
     # ------------------------------------------------------------------
-    # plumbing
+    # asyncio.Protocol callbacks
     # ------------------------------------------------------------------
-    async def _recv_loop(self) -> None:
-        error: Optional[BaseException] = None
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._lost = asyncio.get_running_loop().create_future()
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                frame = await p.read_frame(self._reader)
-                if frame is None:
-                    error = ConnectionError("server closed the connection")
-                    break
-                opcode, request_id, payload = frame
+            for opcode, request_id, payload in self._decoder.feed(data):
                 future = self._inflight.pop(request_id, None)
                 if future is None or future.done():
                     continue  # response to a caller that gave up
@@ -64,31 +71,55 @@ class IndexClient:
                 elif opcode == p.RESP_ERR:
                     future.set_exception(ServerError(p.decode_error(payload)))
                 else:
-                    error = p.ProtocolError(f"unexpected response opcode {opcode}")
-                    break
-        except (p.ProtocolError, ConnectionError, OSError) as exc:
-            error = exc
-        except asyncio.CancelledError:
-            error = ConnectionError("client closed")
-        finally:
-            # Whatever ended the loop fails every in-flight request: a
-            # deferred group-commit ack that never arrives must not hang
-            # its caller forever.
-            error = error or ConnectionError("receive loop exited")
-            for future in self._inflight.values():
-                if not future.done():
-                    future.set_exception(error)
-            self._inflight.clear()
+                    raise p.ProtocolError(f"unexpected response opcode {opcode}")
+        except p.ProtocolError as exc:
+            self._error = exc
+            self._transport.abort()
 
+    def eof_received(self) -> None:
+        try:
+            self._decoder.eof()
+        except p.ProtocolError as exc:
+            self._error = exc
+        # returning None closes the transport
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        # Whatever ended the connection fails every in-flight request: a
+        # deferred group-commit ack that never arrives must not hang its
+        # caller forever.
+        self._fail_inflight(
+            self._error or exc or ConnectionError("server closed the connection")
+        )
+        self.resume_writing()
+        self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._drained = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if self._drained is not None:
+            self._drained.set_result(None)
+            self._drained = None
+
+    def _fail_inflight(self, error: BaseException) -> None:
+        for future in self._inflight.values():
+            if not future.done():
+                future.set_exception(error)
+        self._inflight.clear()
+
+    # ------------------------------------------------------------------
+    # plumbing
+    # ------------------------------------------------------------------
     async def _request(self, opcode: int, payload: bytes = b"") -> bytes:
-        if self._closed:
-            raise ConnectionError("client is closed")
+        if self._transport.is_closing():
+            raise ConnectionError("connection is closed")
         request_id = self._next_id
         self._next_id = (self._next_id + 1) & 0xFFFFFFFF
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[request_id] = future
-        self._writer.write(p.encode_frame(opcode, request_id, payload))
-        await self._writer.drain()
+        self._transport.write(p.encode_frame(opcode, request_id, payload))
+        if self._drained is not None:
+            await asyncio.shield(self._drained)  # one caller's cancel must not wake the rest
         return await future
 
     # ------------------------------------------------------------------
@@ -118,19 +149,10 @@ class IndexClient:
         return p.decode_result(await self._request(p.OP_STATS))
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._recv_task.cancel()
-        try:
-            await self._recv_task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self._error = self._error or ConnectionError("client closed")
+        self._fail_inflight(self._error)
+        self._transport.close()
+        await self._lost
 
     async def __aenter__(self) -> "IndexClient":
         return self

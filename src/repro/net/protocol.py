@@ -29,18 +29,19 @@ RESP_OK     pickle(result) — op-specific result object
 RESP_ERR    pickle(message string)
 ========== ============================================================
 
-``decode_frame`` raises :class:`ProtocolError` on any structural problem
-(bad magic, unknown opcode, CRC mismatch, short payload); the server turns
-that into a connection close, never into a half-interpreted request.
+Both ends of a connection read through one :class:`FrameDecoder`, which
+raises :class:`ProtocolError` on any structural problem (bad magic, unknown
+opcode, oversized length, CRC mismatch, a stream that ends inside a frame);
+the server turns that into a connection close, never into a
+half-interpreted request.
 """
 
 from __future__ import annotations
 
-import asyncio
 import pickle
 import struct
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -86,11 +87,11 @@ def encode_frame(opcode: int, request_id: int, payload: bytes = b"") -> bytes:
     return HEADER.pack(WIRE_MAGIC, opcode, 0, request_id, len(payload), crc) + payload
 
 
-def decode_header(raw: bytes) -> Tuple[int, int, int, int]:
-    """Validated (opcode, request_id, length, crc) from header bytes."""
-    if len(raw) < HEADER.size:
+def decode_header(raw: bytes, offset: int = 0) -> Tuple[int, int, int, int]:
+    """Validated (opcode, request_id, length, crc) from the header at ``offset``."""
+    if len(raw) - offset < HEADER.size:
         raise ProtocolError("short frame header")
-    magic, opcode, flags, request_id, length, crc = HEADER.unpack(raw)
+    magic, opcode, flags, request_id, length, crc = HEADER.unpack_from(raw, offset)
     if magic != WIRE_MAGIC:
         raise ProtocolError(f"bad frame magic 0x{magic:04X}")
     if opcode not in REQUEST_OPS and opcode not in (RESP_OK, RESP_ERR):
@@ -220,23 +221,58 @@ def decode_error(payload: bytes) -> str:
     return result if isinstance(result, str) else repr(result)
 
 
-async def read_frame(reader) -> Optional[Tuple[int, int, bytes]]:
-    """Read one validated frame from an ``asyncio.StreamReader``.
+class FrameDecoder:
+    """Whole, validated frames out of a byte stream that arrives in chunks.
 
-    Returns ``(opcode, request_id, payload)``, or ``None`` on a clean EOF
-    at a frame boundary. A torn frame (EOF mid-frame) or a structurally
-    invalid one raises :class:`ProtocolError`.
+    Each ``data_received`` chunk goes to :meth:`feed`, a generator (iterate
+    it: the chunk is taken in as it runs) that yields
+    ``(opcode, request_id, payload)`` for every frame completed so far, in
+    stream order. A header is validated (magic, opcode, flags, the
+    ``MAX_PAYLOAD`` cap) as soon as its ``HEADER.size`` bytes are in, before
+    anything is buffered for its payload; the CRC once the payload is
+    complete. A consumer that stops iterating early leaves the frames it did
+    not take buffered; the next :meth:`feed` (``b""`` will do) yields them
+    first. After a :class:`ProtocolError` the stream cannot be resynchronized
+    and the decoder must be discarded.
     """
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-header") from exc
-    opcode, request_id, length, crc = decode_header(header)
-    try:
-        payload = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-payload") from exc
-    check_payload(opcode, request_id, payload, crc)
-    return opcode, request_id, payload
+
+    def __init__(self) -> None:
+        self._buf = bytearray()  # bytes not yet yielded
+        self._head: Optional[Tuple[int, int, int, int]] = None  # header awaiting its payload
+
+    def feed(self, data: bytes) -> Iterator[Tuple[int, int, bytes]]:
+        buf = self._buf
+        if buf:
+            buf += data
+            data = buf
+        # else parse ``data`` in place and keep only what it leaves over: the
+        # common chunk is one whole frame, which then costs no buffer copy.
+        pos, end = 0, len(data)
+        try:
+            while True:
+                head = self._head
+                if head is None:
+                    if end - pos < HEADER.size:
+                        return
+                    head = self._head = decode_header(data, pos)
+                    pos += HEADER.size
+                opcode, request_id, length, crc = head
+                if end - pos < length:
+                    return
+                payload = bytes(data[pos : pos + length])
+                pos += length
+                self._head = None
+                check_payload(opcode, request_id, payload, crc)
+                yield opcode, request_id, payload
+        finally:
+            if data is buf:
+                del buf[:pos]
+            elif pos < end:
+                buf += data[pos:]
+
+    def eof(self) -> None:
+        """The peer closed its end: raise if the stream stopped inside a frame."""
+        if self._head is not None:
+            raise ProtocolError("connection closed mid-payload")
+        if self._buf:
+            raise ProtocolError("connection closed mid-header")

@@ -1,11 +1,24 @@
 """The asyncio front door over a :class:`ShardedSortednessAwareIndex`.
 
 One :class:`IndexServer` owns the sharded index and serves the binary
-protocol of :mod:`repro.net.protocol` over TCP. Connections are handled
-concurrently; within a connection requests are *pipelined* — the client
-may send many frames without waiting, and responses are matched back by
-``request_id``, not by order (write acks routinely overtake later reads
-under group commit).
+protocol of :mod:`repro.net.protocol` over TCP. Each accepted socket gets
+one :class:`asyncio.Protocol` (``_Connection``) and no task: its bytes go
+through a :class:`~repro.net.protocol.FrameDecoder` and every frame they
+complete is dispatched inside ``data_received``, in the event-loop turn the
+bytes arrive, and its response goes out with one ``transport.write``.
+Within a connection requests are *pipelined* — the
+client may send many frames without waiting, and responses are matched
+back by ``request_id``, not by order (write acks routinely overtake later
+reads under group commit).
+
+**Flow control.** A connection whose peer does not read stops being read:
+``pause_writing`` (the transport's write buffer passed its high-water mark)
+pauses reading that socket, and the frames already received but not yet
+dispatched stay in its decoder until ``resume_writing``. The pause is
+checked after every response, so one read cannot buffer more than the
+high-water mark plus one reply however many replies it asks for.
+:meth:`IndexServer.stop` gives each connection ``CLOSE_GRACE`` seconds to
+flush what it was sent, then aborts it.
 
 **Group commit / ack-after-fsync.** Mutating opcodes (``MUTATING_OPS``)
 are applied to the index immediately, but under ``fsync_policy="batch"``
@@ -39,6 +52,14 @@ waiting out CPython's GIL switch interval (5 ms) behind the busy loop
 thread just to report completion. Both branches call the same
 ``index.commit()``; the choice reads only what the server observes.
 
+**Fail-stop.** A commit whose fsync raises leaves the durability of every
+write since the last good commit unknown, and an fsync error is not
+retryable. The server records the error, closes its listener, aborts every
+connection (their callers see ``ConnectionError``; no ack is sent after
+the failure), emits one ``serve.fail_stop`` event, and
+:meth:`IndexServer.serve_forever` and :meth:`IndexServer.stop` raise
+:class:`CommitFailed` with the error as ``__cause__``.
+
 Protocol violations (bad magic, CRC mismatch, torn frame) close the
 connection — a structurally corrupt stream cannot be re-synchronized.
 Index-level errors (and malformed payloads that decode but fail) are
@@ -49,8 +70,9 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
+from repro.errors import ReproError
 from repro.net import protocol as p
 from repro.net.sharded import ShardedSortednessAwareIndex
 from repro.obs import Observability, current_obs
@@ -59,13 +81,93 @@ from repro.storage.wal import FSYNC_BATCH
 
 #: Consecutive event-loop turns without a dispatched request after which
 #: the commit loop stops waiting for more writes to join the batch. Two,
-#: because bytes that reach the socket in one turn are dispatched in the next.
+#: because a connection's read callback also takes the bytes its peer wrote
+#: earlier in the same turn: a peer on this loop that writes on every turn
+#: is dispatched on every other one, and one quiet turn would call it idle.
 QUIET_TURNS = 2
+
+#: Seconds :meth:`IndexServer.stop` lets a closing connection flush its
+#: write buffer before aborting it.
+CLOSE_GRACE = 1.0
 
 #: ``serve.commit`` span ``trigger`` values.
 QUIESCENT = "quiescent"
 CAP = "cap"
 STOP = "stop"
+
+
+class CommitFailed(ReproError):
+    """A group commit's fsync raised and the server fail-stopped.
+
+    ``__cause__`` is the error the commit raised. No write applied since the
+    last good commit was acknowledged.
+    """
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted socket: frames decoded and dispatched as bytes arrive."""
+
+    def __init__(self, server: "IndexServer"):
+        self.server = server
+        self.decoder = p.FrameDecoder()
+        self.transport: Optional[asyncio.Transport] = None
+        self.lost: Optional[asyncio.Future] = None  # resolved by connection_lost
+        self.paused = False  # the peer is not reading: neither do we
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.lost = asyncio.get_running_loop().create_future()
+        self.server._accept(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._serve(data)
+
+    def eof_received(self) -> None:
+        try:
+            self.decoder.eof()
+        except p.ProtocolError:
+            self.server.errors += 1  # torn frame
+        # returning None closes the transport
+
+    def connection_lost(self, exc) -> None:
+        self.server._conns.discard(self)
+        self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if not self.transport.is_closing():  # a closing buffer drains without new work
+            self.transport.resume_reading()
+            self._serve(b"")  # what was received before the pause
+
+    def _serve(self, data: bytes) -> None:
+        server = self.server
+        try:
+            for opcode, request_id, payload in self.decoder.feed(data):
+                server.requests += 1
+                try:
+                    result = server._dispatch(opcode, payload)
+                except p.ProtocolError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - becomes a wire error
+                    server.errors += 1
+                    self.transport.write(
+                        p.encode_frame(p.RESP_ERR, request_id, p.encode_error(repr(exc)))
+                    )
+                else:
+                    frame = p.encode_frame(p.RESP_OK, request_id, p.encode_result(result))
+                    if server._group_commit and opcode in p.MUTATING_OPS:
+                        server._park(self, frame)
+                    else:
+                        self.transport.write(frame)
+                if self.paused:
+                    break  # the rest waits in the decoder for resume_writing
+        except p.ProtocolError:
+            server.errors += 1
+            self.transport.close()  # a corrupt stream cannot be resynchronized
 
 
 class IndexServer:
@@ -87,10 +189,13 @@ class IndexServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._commit_task: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
+        self._conns: Set[_Connection] = set()  # live connections
         #: Ack frames awaiting the next commit, per connection.
-        self._parked: Dict[asyncio.StreamWriter, List[bytes]] = {}
+        self._parked: Dict[_Connection, List[bytes]] = {}
         self._parked_since = 0.0  # loop time of the oldest parked ack
         self._commit_wake: Optional[asyncio.Event] = None
+        self._halted: Optional[asyncio.Event] = None  # set by stop() or a fail-stop
+        self._failure: Optional[BaseException] = None  # what fail-stopped the server
         self._stopping = False
         self._group_commit = index.config.fsync_policy == FSYNC_BATCH
         self.requests = 0
@@ -105,7 +210,10 @@ class IndexServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         self._commit_wake = asyncio.Event()
-        self._server = await asyncio.start_server(self._serve_conn, self.host, self.port)
+        self._halted = asyncio.Event()
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         if self._group_commit:
             self._executor = ThreadPoolExecutor(1, thread_name_prefix="repro-commit")
@@ -113,11 +221,12 @@ class IndexServer:
 
     async def stop(self) -> None:
         """Stop serving. Every parked ack is delivered after its fsync, or its
-        connection is dropped so the caller fails with ``ConnectionError``."""
+        connection is dropped so the caller fails with ``ConnectionError``;
+        a connection whose peer stops reading is aborted after
+        ``CLOSE_GRACE``. Raises :class:`CommitFailed` if the server
+        fail-stopped."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         try:
             if self._commit_task is not None:
                 # Not cancel(): a commit in flight has already taken its acks
@@ -131,14 +240,50 @@ class IndexServer:
             if self._executor is not None:
                 self._executor.shutdown()
                 self._executor = None
-            self._drop(self._parked)
-            self.index.close()
+            self._parked.clear()  # never sent: closing their connections fails the callers
+            await self._close_connections()
+            if self._server is not None:
+                await self._server.wait_closed()
+                self._server = None
+            if self._halted is not None:
+                self._halted.set()
+            try:
+                self.index.close()
+            finally:
+                self._raise_if_failed()
 
     async def serve_forever(self) -> None:
+        """Serve until :meth:`stop`; raises :class:`CommitFailed` on a fail-stop."""
         if self._server is None:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        await self._halted.wait()
+        self._raise_if_failed()
+
+    async def _close_connections(self) -> None:
+        conns = list(self._conns)
+        for conn in conns:
+            conn.transport.close()  # flushes what was written, then closes
+        if conns:
+            await asyncio.wait([conn.lost for conn in conns], timeout=CLOSE_GRACE)
+        # A peer that does not read never lets its write buffer drain.
+        stuck = [conn for conn in conns if not conn.lost.done()]
+        for conn in stuck:
+            conn.transport.abort()
+        if stuck:
+            await asyncio.wait([conn.lost for conn in stuck])
+
+    def _accept(self, conn: _Connection) -> None:
+        if self._failure is not None:
+            conn.transport.abort()  # accepted just before the listener closed
+            return
+        self.connections += 1
+        self._conns.add(conn)
+
+    def _raise_if_failed(self) -> None:
+        if self._failure is not None:
+            raise CommitFailed(
+                f"group commit failed, server stopped: {self._failure!r}"
+            ) from self._failure
 
     # ------------------------------------------------------------------
     # group commit
@@ -187,22 +332,17 @@ class IndexServer:
                 )
             else:
                 self._sync_index(acks, trigger)
-        except BaseException:
-            self._drop(parked)  # durability unknown: never ack, fail the callers
-            raise
+        except Exception as exc:  # noqa: BLE001 - any commit error is fatal
+            self._fail_stop(exc, acks)
+            return
         self.commits += 1
         if trigger == QUIESCENT:
             self.commits_quiescent += 1
         elif trigger == CAP:
             self.commits_capped += 1
-        live = [writer for writer in parked if not writer.is_closing()]
-        for writer in live:
-            writer.write(b"".join(parked[writer]))
-        for writer in live:
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; its acks are moot
+        for conn, frames in parked.items():
+            if not conn.transport.is_closing():
+                conn.transport.write(b"".join(frames))
 
     def _sync_index(self, acks: int, trigger: str) -> None:
         """fsync every unsynced shard WAL (on whichever thread runs this)."""
@@ -211,71 +351,31 @@ class IndexServer:
         ):
             self.index.commit()
 
-    @staticmethod
-    def _drop(parked: Dict[asyncio.StreamWriter, List[bytes]]) -> None:
-        """Abort the connections of acks that will never be sent, so their
-        callers fail with ``ConnectionError`` instead of waiting forever."""
-        for writer in parked:
-            writer.transport.abort()
-        parked.clear()
+    def _fail_stop(self, exc: BaseException, acks: int) -> None:
+        """Durability is unknown from here on: never ack again, stop serving."""
+        self._failure = exc
+        self._stopping = True
+        self._commit_wake.set()  # the commit loop exits
+        self.obs.event(
+            "serve.fail_stop", error=repr(exc), acks=acks, connections=len(self._conns)
+        )
+        if self._server is not None:
+            self._server.close()
+        self._parked.clear()
+        for conn in list(self._conns):
+            conn.transport.abort()
+        self._halted.set()
 
-    def _ack(self, writer: asyncio.StreamWriter, opcode: int, frame: bytes) -> None:
-        """Write a response now, or park it until the covering commit."""
-        if self._group_commit and opcode in p.MUTATING_OPS:
-            if not self._parked:
-                self._parked_since = asyncio.get_running_loop().time()
-                self._commit_wake.set()
-            self._parked.setdefault(writer, []).append(frame)
-        else:
-            writer.write(frame)
+    def _park(self, conn: _Connection, frame: bytes) -> None:
+        """Hold a mutation's ack until the commit that covers it."""
+        if not self._parked:
+            self._parked_since = asyncio.get_running_loop().time()
+            self._commit_wake.set()
+        self._parked.setdefault(conn, []).append(frame)
 
     # ------------------------------------------------------------------
-    # connection handling
+    # dispatch
     # ------------------------------------------------------------------
-    async def _serve_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections += 1
-        try:
-            while True:
-                try:
-                    frame = await p.read_frame(reader)
-                except p.ProtocolError:
-                    self.errors += 1
-                    break  # corrupt stream: cannot resync, drop the connection
-                if frame is None:
-                    break  # clean EOF
-                opcode, request_id, payload = frame
-                self.requests += 1
-                try:
-                    result = self._dispatch(opcode, payload)
-                except p.ProtocolError:
-                    self.errors += 1
-                    break
-                except Exception as exc:  # noqa: BLE001 - becomes a wire error
-                    self.errors += 1
-                    writer.write(
-                        p.encode_frame(p.RESP_ERR, request_id, p.encode_error(repr(exc)))
-                    )
-                    await writer.drain()
-                    continue
-                self._ack(
-                    writer,
-                    opcode,
-                    p.encode_frame(p.RESP_OK, request_id, p.encode_result(result)),
-                )
-                if reader.at_eof() or not self._group_commit:
-                    await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            if not writer.is_closing():
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
     def _dispatch(self, opcode: int, payload: bytes) -> object:
         index = self.index
         if opcode == p.OP_PUT:

@@ -5,7 +5,8 @@
 ``delay`` starts at 0 so building an index is fast; a test raises it once
 the state it wants is set up. ``started`` is set as a slow fsync begins,
 ``threads`` names the thread each one ran on, and ``in_flight`` counts
-fsyncs between begin and end.
+fsyncs between begin and end. Setting ``error`` (an exception) makes every
+later fsync fail with it, after the delay, as a failing disk would.
 """
 
 import asyncio
@@ -17,6 +18,7 @@ import time
 class SlowFsync:
     def __init__(self):
         self.delay = 0.0
+        self.error = None
         self.started = threading.Event()
         self.in_flight = 0
         self.threads = []
@@ -45,6 +47,8 @@ class _SlowFile:
             disk.started.set()
         try:
             time.sleep(disk.delay)
+            if disk.error is not None:
+                raise disk.error
             self._file.flush()
             os.fsync(self._file.fileno())  # raises on a closed descriptor
         finally:

@@ -1,6 +1,6 @@
-"""Wire-protocol unit tests: framing, CRC, payload codecs, stream reads."""
+"""Wire-protocol unit tests: framing, CRC, payload codecs, the frame decoder."""
 
-import asyncio
+import random
 
 import pytest
 
@@ -93,47 +93,89 @@ class TestPayloadCodecs:
         assert p.decode_error(p.encode_error("boom")) == "boom"
 
 
-def _feed_reader(data: bytes) -> asyncio.StreamReader:
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return reader
+def _mixed_stream():
+    """Every request opcode plus both response kinds, as one byte stream."""
+    frames = [
+        (p.OP_PUT, 1, p.encode_put(1, {"v": [1, 2]})),
+        (p.OP_GET, 2, p.encode_key(-7)),
+        (p.OP_DEL, 3, p.encode_key(1 << 40)),
+        (p.OP_RANGE, 4, p.encode_range(-5, 10**12)),
+        (p.OP_PUT_MANY, 5, p.encode_put_many([(i, b"x" * i) for i in range(40)])),
+        (p.OP_GET_MANY, 6, p.encode_get_many(list(range(64)))),
+        (p.OP_STATS, 7, b""),
+        (p.RESP_OK, 8, p.encode_result([(1, "a"), (2, None)])),
+        (p.RESP_ERR, 0xFFFFFFFF, p.encode_error("boom")),
+    ]
+    return frames, b"".join(p.encode_frame(*frame) for frame in frames)
 
 
-class TestReadFrame:
-    def test_reads_back_to_back_frames(self):
-        async def run():
-            stream = _feed_reader(
+def _decode_in_chunks(stream: bytes, sizes):
+    decoder, out, pos = p.FrameDecoder(), [], 0
+    for size in sizes:
+        out.extend(decoder.feed(stream[pos : pos + size]))
+        pos += size
+    assert pos >= len(stream)
+    decoder.eof()  # ended on a frame boundary
+    return out
+
+
+class TestFrameDecoder:
+    def test_back_to_back_frames_in_one_chunk(self):
+        decoder = p.FrameDecoder()
+        frames = list(
+            decoder.feed(
                 p.encode_frame(p.OP_PUT, 1, p.encode_put(1, "x"))
                 + p.encode_frame(p.OP_GET, 2, p.encode_key(1))
             )
-            first = await p.read_frame(stream)
-            second = await p.read_frame(stream)
-            third = await p.read_frame(stream)
-            return first, second, third
+        )
+        assert [(op, rid) for op, rid, _ in frames] == [(p.OP_PUT, 1), (p.OP_GET, 2)]
+        assert p.decode_put(frames[0][2]) == (1, "x")
+        assert list(decoder.feed(b"")) == []
+        decoder.eof()  # clean EOF at a frame boundary
 
-        (op1, rid1, _), (op2, rid2, _), eof = asyncio.run(run())
-        assert (op1, rid1) == (p.OP_PUT, 1)
-        assert (op2, rid2) == (p.OP_GET, 2)
-        assert eof is None  # clean EOF at a frame boundary
+    def test_one_byte_at_a_time_and_random_chunks_decode_identically(self):
+        frames, stream = _mixed_stream()
+        assert _decode_in_chunks(stream, [len(stream)]) == frames
+        assert _decode_in_chunks(stream, [1] * len(stream)) == frames
+        rng = random.Random(5)
+        for _ in range(20):
+            sizes = [rng.randint(1, 300) for _ in range(len(stream))]
+            assert _decode_in_chunks(stream, sizes) == frames
 
-    @pytest.mark.parametrize("cut", [1, p.HEADER.size - 1, p.HEADER.size + 2])
-    def test_torn_frame_raises(self, cut):
-        frame = p.encode_frame(p.OP_PUT, 9, p.encode_put(5, "value"))
-        assert cut < len(frame)
+    def test_a_consumer_that_stops_early_gets_the_rest_next_feed(self):
+        frames, stream = _mixed_stream()
+        decoder = p.FrameDecoder()
+        taken = []
+        for frame in decoder.feed(stream):
+            taken.append(frame)
+            if len(taken) == 3:
+                break
+        taken.extend(decoder.feed(b""))
+        assert taken == frames
 
-        async def run():
-            await p.read_frame(_feed_reader(frame[:cut]))
+    def test_oversized_length_rejected_on_the_header_alone(self):
+        header = p.HEADER.pack(p.WIRE_MAGIC, p.OP_PUT, 0, 1, p.MAX_PAYLOAD + 1, 0)
+        decoder = p.FrameDecoder()
+        assert list(decoder.feed(header[:-1])) == []
+        with pytest.raises(p.ProtocolError, match="cap"):
+            list(decoder.feed(header[-1:]))  # no payload byte has arrived
 
-        with pytest.raises(p.ProtocolError, match="closed mid"):
-            asyncio.run(run())
-
-    def test_corrupt_crc_on_stream(self):
+    def test_crc_flip_rejected(self):
         frame = bytearray(p.encode_frame(p.OP_PUT, 9, p.encode_put(5, "value")))
         frame[-1] ^= 0x01  # flip a payload bit; header CRC now disagrees
-
-        async def run():
-            await p.read_frame(_feed_reader(bytes(frame)))
-
+        good = p.encode_frame(p.OP_GET, 8, p.encode_key(5))
+        decoder = p.FrameDecoder()
+        seen = []
         with pytest.raises(p.ProtocolError, match="checksum"):
-            asyncio.run(run())
+            for opcode, request_id, _payload in decoder.feed(good + bytes(frame)):
+                seen.append(request_id)
+        assert seen == [8]  # frames before the corrupt one are still yielded
+
+    @pytest.mark.parametrize("cut", [1, p.HEADER.size - 1, p.HEADER.size + 2])
+    def test_torn_frame_raises_at_eof(self, cut):
+        frame = p.encode_frame(p.OP_PUT, 9, p.encode_put(5, "value"))
+        assert cut < len(frame)
+        decoder = p.FrameDecoder()
+        assert list(decoder.feed(frame[:cut])) == []
+        with pytest.raises(p.ProtocolError, match="closed mid"):
+            decoder.eof()

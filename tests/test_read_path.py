@@ -102,7 +102,9 @@ def test_reads_match_dict_model(domain, data):
         assert index.get(key) == model.get(key)
     index.buffer.check_invariants()
     index.backend.check_invariants()
-    if all(-(2**63) <= key <= INT64_MAX for key in model):  # pages hold int64 keys
+    # Pages hold int64 keys. Check the tree, not the model: a key deleted
+    # after a flush stays in the tree under the buffer's tombstone.
+    if all(-(2**63) <= key <= INT64_MAX for key, _value in index.backend.iter_items()):
         restored = deserialize_btree(serialize_btree(index.backend, compress=True))
         restored.check_invariants()
         assert list(restored.iter_items()) == list(index.backend.iter_items())

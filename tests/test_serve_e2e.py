@@ -3,12 +3,15 @@
 The acceptance shape from the issue: >= 4 concurrent clients against a
 >= 4-shard server, pipelined requests, scatter-gather range results
 identical to a single-node oracle, group-commit acks under the batch
-fsync policy, and protocol-level fault handling (a corrupt frame drops
-only that connection).
+fsync policy, protocol-level fault handling (a corrupt or torn frame drops
+only that connection), fail-stop on a failed commit, and flow control
+against a client that does not read.
 """
 
 import asyncio
+import errno
 import random
+import socket
 import time
 
 import pytest
@@ -18,7 +21,7 @@ from repro.core.sware import SortednessAwareIndex
 from repro.net import protocol as p
 from repro.net.client import IndexClient, ServerError, SyncIndexClient
 from repro.net.loadgen import LoadGenConfig, run_load
-from repro.net.server import IndexServer
+from repro.net.server import CommitFailed, IndexServer
 from repro.net.sharded import (
     ShardedConfig,
     ShardedSortednessAwareIndex,
@@ -151,6 +154,46 @@ class TestEndToEnd:
             async with await IndexClient.connect(port=server.port) as client:
                 await client.put(2, "y")
                 assert await client.get(2) == "y"
+            await server.stop()
+
+        asyncio.run(run())
+
+    def test_torn_frame_at_eof_is_a_protocol_error(self, tmp_path):
+        async def run():
+            server = await start_server(tmp_path)
+            reader, writer = await asyncio.open_connection(port=server.port)
+            frame = p.encode_frame(p.OP_PUT, 1, p.encode_put(1, "x"))
+            writer.write(frame[: p.HEADER.size + 2])
+            writer.write_eof()
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            assert (server.errors, server.requests) == (1, 0)
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(run())
+
+    def test_stop_closes_every_connection(self, tmp_path):
+        async def run():
+            server = await start_server(tmp_path)
+            client = await IndexClient.connect(port=server.port)
+            await client.put(1, "a")
+            await asyncio.wait_for(server.stop(), 5.0)
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(client.get(1), 5.0)
+            await client.close()
+
+        asyncio.run(run())
+
+    def test_tcp_nodelay_on_both_ends(self, tmp_path):
+        async def run():
+            server = await start_server(tmp_path)
+            async with await IndexClient.connect(port=server.port) as client:
+                await client.get(1)
+                (conn,) = server._conns
+                for transport in (conn.transport, client._transport):
+                    sock = transport.get_extra_info("socket")
+                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             await server.stop()
 
         asyncio.run(run())
@@ -332,6 +375,130 @@ class TestLoadClockedCommit:
 
         for policy in ("always", "never"):
             asyncio.run(run(policy))
+
+
+class TestFailStop:
+    def test_failed_fsync_stops_the_server_and_acks_nothing_after(self, tmp_path):
+        async def run():
+            disk = SlowFsync()
+            obs = Observability(trace=True)
+            server = await start_server(tmp_path, commit_interval=30.0, opener=disk, obs=obs)
+            clients = [await IndexClient.connect(port=server.port) for _ in range(2)]
+            acked = {}
+            for key in range(0, 200, 7):
+                await asyncio.wait_for(clients[key % 2].put(key, f"v{key}"), 5.0)
+                acked[key] = f"v{key}"
+            disk.error = OSError(errno.EIO, "injected fsync failure")
+
+            async def pipeline(cid, client):
+                puts = [client.put(key, "never acked") for key in range(1000 + cid, 1100, 2)]
+                return await asyncio.gather(*puts, return_exceptions=True)
+
+            results = await asyncio.wait_for(
+                asyncio.gather(*[pipeline(i, c) for i, c in enumerate(clients)]), 5.0
+            )
+            for per_client in results:
+                assert all(isinstance(r, ConnectionError) for r in per_client), per_client
+            with pytest.raises(ConnectionError):  # the listener is closed too
+                await IndexClient.connect(port=server.port)
+            with pytest.raises(CommitFailed) as failed:
+                await asyncio.wait_for(server.serve_forever(), 5.0)
+            assert failed.value.__cause__ is disk.error
+            for client in clients:
+                await client.close()
+            with pytest.raises(CommitFailed):
+                await server.stop()
+            events = [e for e in obs.tracer.events() if e.name == "serve.fail_stop"]
+            assert len(events) == 1 and "injected fsync failure" in events[0].attrs["error"]
+            return acked
+
+        acked = asyncio.run(run())
+        recovered, _reports = recover_sharded(str(tmp_path / "db"))
+        try:
+            assert {key: recovered.get(key) for key in acked} == acked
+        finally:
+            recovered.close()
+
+
+class TestBackpressure:
+    N_REQUESTS = 300
+    # 64 records of 1 KiB: every GET_MANY(64) reply is ~66 KB.
+    VALUES = [bytes([key]) * 1024 for key in range(64)]
+
+    async def stall(self, server, sock):
+        """Pipeline N_REQUESTS GET_MANY(64) frames on ``sock`` and read
+        nothing until the server stops reading it; returns (conn, sender)."""
+        async with await IndexClient.connect(port=server.port) as loader:
+            await loader.put_many(list(enumerate(self.VALUES)))
+        reply = len(p.encode_frame(p.RESP_OK, 0, p.encode_result(self.VALUES)))
+        loop = asyncio.get_running_loop()
+        sock.setblocking(False)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        await loop.sock_connect(sock, ("127.0.0.1", server.port))
+        deadline = time.monotonic() + 5.0
+        while server.connections < 2:  # accepted
+            assert time.monotonic() < deadline, "never accepted"
+            await asyncio.sleep(0.001)
+        (conn,) = [
+            c for c in server._conns
+            if c.transport.get_extra_info("peername") == sock.getsockname()
+        ]
+        requests = b"".join(
+            p.encode_frame(p.OP_GET_MANY, i, p.encode_get_many(range(64)))
+            for i in range(self.N_REQUESTS)
+        )
+        sender = asyncio.ensure_future(loop.sock_sendall(sock, requests))
+        while conn.transport.is_reading():
+            assert time.monotonic() < deadline, "the server never stopped reading"
+            await asyncio.sleep(0.001)
+        await asyncio.sleep(0.05)  # paused: nothing more is dispatched
+        _low, high = conn.transport.get_write_buffer_limits()
+        assert conn.transport.get_write_buffer_size() <= high + reply
+        assert server.requests < self.N_REQUESTS
+        return conn, sender
+
+    def test_a_client_that_does_not_read_stops_being_read(self, tmp_path):
+        n_requests, values = self.N_REQUESTS, self.VALUES
+
+        async def run():
+            server = await start_server(tmp_path)
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            try:
+                conn, sender = await self.stall(server, sock)
+                decoder, replies = p.FrameDecoder(), {}
+                while len(replies) < n_requests:
+                    chunk = await asyncio.wait_for(loop.sock_recv(sock, 1 << 16), 5.0)
+                    assert chunk, "server closed the connection"
+                    for opcode, request_id, payload in decoder.feed(chunk):
+                        assert opcode == p.RESP_OK
+                        replies[request_id] = p.decode_result(payload)
+                await asyncio.wait_for(sender, 5.0)
+                assert sorted(replies) == list(range(n_requests))
+                assert all(got == values for got in replies.values())
+                assert conn.transport.is_reading()
+            finally:
+                sock.close()
+            await server.stop()
+
+        asyncio.run(run())
+
+    def test_stop_aborts_a_client_that_does_not_read(self, tmp_path):
+        async def run():
+            server = await start_server(tmp_path)
+            sock = socket.socket()
+            try:
+                conn, sender = await self.stall(server, sock)
+                assert conn.transport.get_write_buffer_size() > 0
+                # The peer never drains, so a graceful close alone never ends.
+                await asyncio.wait_for(server.stop(), 5.0)
+                assert conn.lost.done() and not server._conns
+                sender.cancel()
+                await asyncio.gather(sender, return_exceptions=True)
+            finally:
+                sock.close()
+
+        asyncio.run(run())
 
 
 class TestLoadGenerator:

@@ -38,7 +38,7 @@ import pytest
 
 from repro.core.config import SWAREConfig
 from repro.net.client import IndexClient
-from repro.net.server import IndexServer
+from repro.net.server import CommitFailed, IndexServer
 from repro.net.sharded import (
     ShardedConfig,
     ShardedIndexError,
@@ -382,8 +382,9 @@ class TestOffLoopFsyncCrash:
                 await asyncio.wait_for(client.put(7, "uncovered"), 5.0)
             assert crashed_on and crashed_on[0].startswith("repro-commit")
             await client.close()
-            with pytest.raises(SimulatedCrash):
+            with pytest.raises(CommitFailed) as failed:  # the server fail-stopped
                 await server.stop()
+            assert isinstance(failed.value.__cause__, SimulatedCrash)
             return acked
 
         acked = asyncio.run(run())
