@@ -12,11 +12,11 @@ and range scans.
 
 Rankings use simulated I/O cost (the shared :class:`~repro.storage.costmodel.
 Meter`/:class:`~repro.storage.costmodel.CostModel`), which is
-machine-independent and is what the paper argues about; wall-clock
-throughput is published as ``sosd_*_ops_per_s`` gauges so the CI perf gate
-tracks regressions. Each dataset's **measured** (K,L) rides into the bench
-artifact via ``artifact_extra`` — consumers never have to trust a generator
-parameter.
+machine-independent and is what the paper argues about, so the CI
+sosd-smoke job pins them exactly; wall-clock throughput is published as
+``sosd_*_ops_per_s`` gauges for reference only. Each dataset's
+**measured** (K,L) rides into the bench artifact via ``artifact_extra`` —
+consumers never have to trust a generator parameter.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from typing import Dict, List
 from repro.bench.experiments import common
 from repro.bench.report import format_table
 from repro.bench.runner import run_phases
-from repro.obs import current_obs
 from repro.workloads.spec import INSERT, value_for
 
 PRESETS = [
@@ -68,14 +67,6 @@ def run(n: int = 20_000, buffer_fraction: float = 0.01, seed: int = 7) -> SpaceR
             "base_physical_fill": base.index_stats["space_physical_fill"],
             "savings": savings,
         }
-        # Gauges for the BENCH_space.json artifact: space amplification of
-        # the baseline relative to the SA tree (>1 = SA wins), per preset.
-        # Not *_ops_per_s, so the perf gate ignores them; CI asserts the
-        # near-sorted amplification directly.
-        slug = label.replace("-", "_")
-        obs = current_obs()
-        obs.gauge(f"space_amp_{slug}_x", base_slots / sa_slots)
-        obs.gauge(f"space_savings_{slug}_pct", savings * 100.0)
         rows.append(
             [
                 label,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import groupby, islice
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.sware import SortednessAwareIndex
@@ -125,61 +123,6 @@ def execute_operations(index, operations: Iterable[Operation]) -> int:
     return n
 
 
-def execute_operations_batched(
-    index, operations: Iterable[Operation], batch_size: int
-) -> int:
-    """Replay the stream through the index's batch entry points.
-
-    Maximal runs of consecutive INSERT (resp. LOOKUP) operations are grouped
-    into chunks of at most ``batch_size`` and dispatched through
-    ``put_many``/``insert_many`` (resp. ``get_many``); RANGE and DELETE
-    flush any pending chunk and replay per-op, preserving stream order. The
-    batch entry points are observationally equivalent to per-op replay by
-    contract (same flush boundaries, stats, and results), so this changes
-    only constant factors, never outcomes.
-
-    Indexes without batch entry points fall back to
-    :func:`execute_operations` transparently.
-    """
-    if batch_size <= 1:
-        return execute_operations(index, operations)
-    put_many = getattr(index, "put_many", None) or getattr(index, "insert_many", None)
-    get_many = getattr(index, "get_many", None)
-    if put_many is None and get_many is None:
-        return execute_operations(index, operations)
-
-    n = 0
-    for op, group in groupby(operations, key=itemgetter(0)):
-        if op == INSERT and put_many is not None:
-            while True:
-                chunk = [(a, b) for _op, a, b in islice(group, batch_size)]
-                if not chunk:
-                    break
-                put_many(chunk)
-                n += len(chunk)
-        elif op == LOOKUP and get_many is not None:
-            while True:
-                chunk = [a for _op, a, _b in islice(group, batch_size)]
-                if not chunk:
-                    break
-                get_many(chunk)
-                n += len(chunk)
-        else:
-            for _op, a, b in group:
-                if op == INSERT:
-                    index.insert(a, b)
-                elif op == LOOKUP:
-                    index.get(a)
-                elif op == RANGE:
-                    index.range_query(a, b)
-                elif op == DELETE:
-                    index.delete(a)
-                else:  # pragma: no cover - defensive
-                    raise ValueError(f"unknown operation code {op}")
-                n += 1
-    return n
-
-
 def execute_operations_observed(
     index, operations: Iterable[Operation], obs: Observability
 ) -> int:
@@ -218,19 +161,12 @@ def run_phases(
     label: str = "",
     flush_after: Optional[str] = None,
     obs: Optional[Observability] = None,
-    batch_size: Optional[int] = None,
 ) -> RunResult:
     """Build an index and run the phases, measuring each.
 
     ``flush_after`` names a phase after which ``flush_all()`` is invoked on
     a SWARE index (its cost lands in that phase, mirroring the paper's
     "drain before read-only measurement" setups where used).
-
-    ``batch_size`` switches execution to
-    :func:`execute_operations_batched` (the opt-in ``--batch N`` mode);
-    the default ``None`` keeps per-op replay so the paper's figure
-    reproductions are unaffected. Batched phases skip the per-op latency
-    histograms — per-op timing inside a batch call is meaningless.
 
     When an :class:`Observability` is supplied (or installed via
     ``repro.obs.observe``), every op is additionally timed into per-kind
@@ -254,9 +190,7 @@ def run_phases(
             before = meter.nanos(model)
             start = time.perf_counter_ns()
             with obs.span("run.phase", label=label, phase=name):
-                if batch_size:
-                    n_ops = execute_operations_batched(index, operations, batch_size)
-                elif observed:
+                if observed:
                     n_ops = execute_operations_observed(index, operations, obs)
                 else:
                     n_ops = execute_operations(index, operations)

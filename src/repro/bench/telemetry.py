@@ -106,11 +106,9 @@ def validate_bench_artifact(doc: object) -> List[str]:
         if not isinstance(meta, dict):
             errors.append("meta must be an object")
         else:
-            # "python" stamps artifacts written before numpy became the
-            # only kernel implementation.
-            if meta.get("kernel_backend") not in ("python", "numpy"):
+            if meta.get("kernel_backend") != "numpy":
                 errors.append(
-                    "meta.kernel_backend must be 'python' or 'numpy', "
+                    "meta.kernel_backend must be 'numpy', "
                     f"got {meta.get('kernel_backend')!r}"
                 )
             if not isinstance(meta.get("python_version"), str):

@@ -16,26 +16,14 @@ Commands
     ``repro.obs`` and a schema-valid ``BENCH_<name>.json`` telemetry
     artifact (per-phase sim/wall ns, counters, latency percentiles) is
     written to PATH and to the results directory.
-``bench-batch``
-    Run the batch-operation throughput bench (per-op replay vs the batch
-    entry points) and, with ``--json``, write its ``BENCH_batch_ops.json``
-    telemetry artifact — the numbers the CI perf gate tracks.
-``bench-concurrent``
-    Run the thread-safe front-end under N threads of mixed put/get/range
-    ops (invariants checked at exit) and, with ``--json``, write the
-    ``BENCH_concurrent.json`` telemetry artifact.
 ``bench-sosd``
     SOSD-style cross-backend benchmark: every registered backend
     (SA B+-tree, B+-tree, Bε-tree, LSM, learned, cracking) over every
     dataset family (books/osm/fb per sortedness regime, wiki/tpch natural
     streams, real SOSD binaries via ``REPRO_SOSD_DIR``), ranked by
     simulated I/O cost with measured per-dataset (K,L). With ``--json``
-    it writes the ``BENCH_sosd.json`` telemetry artifact the CI
-    sosd-smoke perf gate tracks.
-``perf-gate``
-    Compare the throughput gauges of two bench artifacts (committed
-    baseline vs fresh run); exits non-zero on regressions beyond the
-    tolerance.
+    it writes the ``BENCH_sosd.json`` telemetry artifact whose rankings
+    the CI sosd-smoke job pins.
 ``recover``
     Rebuild an index from a checkpoint file plus a write-ahead-log tail
     (crash restart), verify its invariants, and print the recovery report.
@@ -48,14 +36,6 @@ Commands
     checkpoint (+ optional WAL tail), k-way merge them while still
     delta-encoded, and bulk-load a fresh gapped B+-tree. ``--out`` writes
     the rebuilt tree as a new checkpoint (atomic tmp + rename).
-``bench-rebuild``
-    Measure checkpoint space amplification (v2 compressed vs v1 raw page
-    format, per SOSD-like family) and rebuild-vs-replay recovery
-    throughput at a long WAL tail; with ``--json`` writes the
-    ``BENCH_rebuild.json`` artifact the CI rebuild-smoke perf gate tracks.
-``bench-space``
-    The space experiment with perf-gate plumbing: ``space_amp_*`` gauges
-    and, with ``--json``, the ``BENCH_space.json`` telemetry artifact.
 ``serve``
     Boot the sharded asyncio index server (``repro.net``): N range
     partitions under one root, each with its own WAL + checkpoints,
@@ -66,8 +46,7 @@ Commands
     sharded server: N concurrent client connections, latency
     percentiles, ``serve_ops_per_s`` throughput gauge, scatter-gather
     results verified against a single-node oracle. With ``--json`` it
-    writes the ``BENCH_serve.json`` telemetry artifact the CI
-    serve-smoke perf gate tracks.
+    writes the ``BENCH_serve.json`` telemetry artifact.
 ``stats``
     Run an instrumented workload (or load a ``--from`` artifact) and render
     the metrics registry in Prometheus text exposition format.
@@ -114,10 +93,7 @@ EXPERIMENTS = [
     "zonemap_ablation",
     "space",
     "lsm_sortedness",
-    "batch_ops",
-    "concurrent_ops",
     "sosd",
-    "rebuild",
 ]
 
 
@@ -163,55 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample-profile the run and print the per-layer time table",
     )
 
-    bench = sub.add_parser(
-        "bench-batch", help="batch-operation throughput bench (perf-gate numbers)"
-    )
-    bench.add_argument("--n", type=int, default=None, help="override workload size")
-    bench.add_argument("--batch", type=int, default=None, help="override batch size")
-    bench.add_argument(
-        "--repeats", type=int, default=None, help="best-of repeats per config"
-    )
-    bench.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="observe the run and write the BENCH_batch_ops.json telemetry artifact",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample-profile the run and print the per-layer time table",
-    )
-
-    conc = sub.add_parser(
-        "bench-concurrent",
-        help="thread-safe front-end under N threads of mixed ops",
-    )
-    conc.add_argument("--n", type=int, default=None, help="override workload size")
-    conc.add_argument(
-        "--threads",
-        type=str,
-        default=None,
-        metavar="LIST",
-        help="comma-separated thread counts (default 1,2,4)",
-    )
-    conc.add_argument(
-        "--repeats", type=int, default=None, help="best-of repeats per config"
-    )
-    conc.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="observe the run and write the BENCH_concurrent.json telemetry artifact",
-    )
-    conc.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample-profile the run and print the per-layer time table",
-    )
-
     sosd = sub.add_parser(
         "bench-sosd",
         help="SOSD-style cross-backend bench: SWARE vs trees/learned/cracking",
@@ -249,63 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="sample-profile the run and print the per-layer time table",
-    )
-
-    brebuild = sub.add_parser(
-        "bench-rebuild",
-        help="checkpoint compression + offline rebuild bench (perf-gate numbers)",
-    )
-    brebuild.add_argument("--n", type=int, default=None, help="checkpointed keys")
-    brebuild.add_argument(
-        "--tail", type=int, default=None, help="WAL tail records (default 100000)"
-    )
-    brebuild.add_argument(
-        "--space-n", type=int, default=None, help="keys per family in the space sweep"
-    )
-    brebuild.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="observe the run and write the BENCH_rebuild.json telemetry artifact",
-    )
-    brebuild.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample-profile the run and print the per-layer time table",
-    )
-
-    bspace = sub.add_parser(
-        "bench-space",
-        help="space utilization bench (space_amp_* gauges, BENCH_space.json)",
-    )
-    bspace.add_argument("--n", type=int, default=None, help="override workload size")
-    bspace.add_argument(
-        "--buffer-fraction", type=float, default=None, help="SA buffer sizing"
-    )
-    bspace.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="observe the run and write the BENCH_space.json telemetry artifact",
-    )
-    bspace.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample-profile the run and print the per-layer time table",
-    )
-
-    gate = sub.add_parser(
-        "perf-gate", help="compare throughput gauges of two bench artifacts"
-    )
-    gate.add_argument("baseline", help="committed baseline BENCH_*.json")
-    gate.add_argument("current", help="freshly measured BENCH_*.json")
-    gate.add_argument(
-        "--tolerance",
-        type=float,
-        default=2.0,
-        help="allowed slowdown factor (default 2.0)",
     )
 
     rec = sub.add_parser(
@@ -388,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bserve = sub.add_parser(
         "bench-serve",
-        help="load-generate against the sharded server (perf-gate numbers)",
+        help="load-generate against the sharded server",
     )
     bserve.add_argument("--clients", type=int, default=4)
     bserve.add_argument("--ops", type=int, default=1000, help="ops per client")
@@ -610,7 +480,6 @@ def _run_experiment_with_telemetry(
     name: str,
     kwargs: dict,
     json_path: Optional[str],
-    artifact_name: Optional[str] = None,
     profile: bool = False,
 ) -> int:
     """Run an experiment module, optionally writing its bench artifact.
@@ -658,7 +527,7 @@ def _run_experiment_with_telemetry(
     # Experiments may carry structured metadata for the artifact (e.g. the
     # per-dataset measured (K,L) blocks of bench-sosd).
     extra = getattr(result, "artifact_extra", None)
-    doc = build_bench_artifact(artifact_name or name, obs, extra=extra)
+    doc = build_bench_artifact(name, obs, extra=extra)
     errors = validate_bench_artifact(doc)
     if errors:  # pragma: no cover - a bug, not an input error
         for error in errors:
@@ -676,38 +545,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         kwargs["n"] = args.n
     return _run_experiment_with_telemetry(
         args.name, kwargs, args.json, profile=args.profile
-    )
-
-
-def _cmd_bench_batch(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.batch is not None:
-        kwargs["batch"] = args.batch
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    return _run_experiment_with_telemetry(
-        "batch_ops", kwargs, args.json, profile=args.profile
-    )
-
-
-def _cmd_bench_concurrent(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.threads is not None:
-        kwargs["threads"] = tuple(
-            int(token) for token in args.threads.split(",") if token
-        )
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    return _run_experiment_with_telemetry(
-        "concurrent_ops",
-        kwargs,
-        args.json,
-        artifact_name="concurrent",
-        profile=args.profile,
     )
 
 
@@ -730,28 +567,6 @@ def _cmd_bench_sosd(args: argparse.Namespace) -> int:
     return _run_experiment_with_telemetry(
         "sosd", kwargs, args.json, profile=args.profile
     )
-
-
-def _cmd_perf_gate(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.perfgate import compare_throughputs, format_gate_report
-
-    docs = []
-    for path in (args.baseline, args.current):
-        try:
-            with open(path) as handle:
-                docs.append(json.load(handle))
-        except OSError as exc:
-            print(f"cannot read {path}: {exc.strerror}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"{path} is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-    baseline, current = docs
-    failures = compare_throughputs(baseline, current, tolerance=args.tolerance)
-    print(format_gate_report(baseline, current, failures, args.tolerance))
-    return 1 if failures else 0
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -798,30 +613,6 @@ def _cmd_rebuild(args: argparse.Namespace) -> int:
         check()
     print(report.describe())
     return 0
-
-
-def _cmd_bench_rebuild(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.tail is not None:
-        kwargs["tail"] = args.tail
-    if args.space_n is not None:
-        kwargs["space_n"] = args.space_n
-    return _run_experiment_with_telemetry(
-        "rebuild", kwargs, args.json, profile=args.profile
-    )
-
-
-def _cmd_bench_space(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.buffer_fraction is not None:
-        kwargs["buffer_fraction"] = args.buffer_fraction
-    return _run_experiment_with_telemetry(
-        "space", kwargs, args.json, profile=args.profile
-    )
 
 
 def _recover_sharded_root(root: str) -> int:
@@ -1162,12 +953,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "measure": _cmd_measure,
         "demo": _cmd_demo,
         "experiment": _cmd_experiment,
-        "bench-batch": _cmd_bench_batch,
-        "bench-concurrent": _cmd_bench_concurrent,
         "bench-sosd": _cmd_bench_sosd,
-        "bench-rebuild": _cmd_bench_rebuild,
-        "bench-space": _cmd_bench_space,
-        "perf-gate": _cmd_perf_gate,
         "recover": _cmd_recover,
         "rebuild": _cmd_rebuild,
         "serve": _cmd_serve,

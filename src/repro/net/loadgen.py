@@ -4,8 +4,8 @@ Boots a sharded server (or targets an already-running one), drives it
 with N concurrent client connections over a mixed PUT/GET/RANGE/
 PUT_MANY/GET_MANY workload, and reports latency percentiles (p50/p95/p99
 from :mod:`repro.obs` histograms plus exact percentiles over the raw
-samples), throughput gauges (``serve_ops_per_s`` — the perf-gate key),
-and a ``repro-bench/v1`` run record.
+samples), a ``serve_ops_per_s`` throughput gauge, and a
+``repro-bench/v1`` run record.
 
 **Arrival models.** ``closed`` is the classic closed loop: each client
 issues its next operation when the previous one completes, so offered
@@ -171,9 +171,8 @@ def _percentile(sorted_samples: List[int], q: float) -> Optional[float]:
     """Nearest-rank percentile, or ``None`` for an empty bucket.
 
     ``None`` (JSON ``null``) is deliberate: a 0.0 latency for an op kind
-    that never fired reads as "infinitely fast" to artifact consumers and
-    to the perf gate. A single-sample bucket is legitimate — every
-    percentile is that sample.
+    that never fired reads as "infinitely fast" to artifact consumers.
+    A single-sample bucket is legitimate — every percentile is that sample.
     """
     if not sorted_samples:
         return None

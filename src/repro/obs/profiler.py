@@ -222,9 +222,9 @@ def measure_overhead(
     """Measure the profiler's wall-clock overhead on ``workload``.
 
     Runs the workload ``repeats`` times bare and ``repeats`` times under a
-    profiler, takes the best of each (the standard noise-floor estimator
-    used by the perf-gate benches), and reports the ratio. The obs-smoke CI
-    job asserts ``ratio <= 1.05`` at the default rate.
+    profiler, takes the best of each (the standard noise-floor
+    estimator), and reports the ratio. The obs-smoke CI job asserts
+    ``ratio <= 1.05`` at the default rate.
     """
     def best(profiled: bool) -> float:
         runs = []

@@ -6,14 +6,12 @@ must leave every backend in the same observable state as the sequential
 loop — same lookup results, same flush boundaries, same component sizes,
 same invariants. These properties pin that contract across all three
 backends (B+-tree, Bε-tree, LSM) and the supporting layers (SWARE buffer,
-Bloom filters, the batched workload executor, the perf gate).
+Bloom filters).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.perfgate import compare_throughputs, extract_throughputs
-from repro.bench.runner import execute_operations, execute_operations_batched
 from repro.betree.betree import BeTree, BeTreeConfig
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.config import SWAREConfig
@@ -21,7 +19,6 @@ from repro.core.factory import make_sa_betree, make_sa_btree
 from repro.core.sware import SortednessAwareIndex
 from repro.filters.bloom import BloomFilter
 from repro.lsm.lsm import LSMConfig, LSMTree
-from repro.workloads.spec import DELETE, INSERT, LOOKUP, RANGE
 
 
 def _sware_config():
@@ -182,58 +179,3 @@ def test_bloom_add_many_bit_identical(keys, family, rotation):
     bat.clear()
     assert bat.saturation == 0.0
     assert not any(bat.may_contain_many(keys))
-
-
-@given(
-    stream=st.lists(
-        st.tuples(st.sampled_from([INSERT, LOOKUP, RANGE, DELETE]), keys_st),
-        max_size=200,
-    ),
-    batch_size=st.sampled_from([2, 7, 64]),
-)
-@settings(max_examples=40, deadline=None)
-def test_executor_batched_matches_perop(stream, batch_size):
-    """execute_operations_batched leaves the index in the same state."""
-    ops = []
-    for op, key in stream:
-        if op == INSERT:
-            ops.append((INSERT, key, key * 2 + 1))
-        elif op == RANGE:
-            ops.append((RANGE, key, key + 10))
-        else:
-            ops.append((op, key, None))
-    seq, bat = _sa_btree(), _sa_btree()
-    n_seq = execute_operations(seq, ops)
-    n_bat = execute_operations_batched(bat, ops, batch_size)
-    assert n_seq == n_bat == len(ops)
-    assert seq.stats.flushes == bat.stats.flushes
-    assert seq.buffer.component_sizes() == bat.buffer.component_sizes()
-    for key in range(201):
-        assert seq.get(key) == bat.get(key)
-
-
-def _artifact(gauges):
-    return {"metrics": {"gauges": gauges}}
-
-
-def test_perfgate_extract_and_compare():
-    base = _artifact({"x_ops_per_s": 1000.0, "y_ops_per_s": 500.0, "z_other": 3.0})
-    assert extract_throughputs(base) == {"x_ops_per_s": 1000.0, "y_ops_per_s": 500.0}
-
-    ok = _artifact({"x_ops_per_s": 600.0, "y_ops_per_s": 260.0})
-    assert compare_throughputs(base, ok, tolerance=2.0) == []
-
-    slow = _artifact({"x_ops_per_s": 499.0, "y_ops_per_s": 600.0})
-    failures = compare_throughputs(base, slow, tolerance=2.0)
-    assert len(failures) == 1 and "x_ops_per_s" in failures[0]
-
-    missing = _artifact({"x_ops_per_s": 1000.0})
-    failures = compare_throughputs(base, missing, tolerance=2.0)
-    assert len(failures) == 1 and "y_ops_per_s" in failures[0]
-
-    assert compare_throughputs(_artifact({}), ok) == [
-        "baseline artifact has no *_ops_per_s gauges"
-    ]
-    with pytest.raises(ValueError):
-        compare_throughputs(base, ok, tolerance=0.5)
-    assert extract_throughputs("not a dict") == {}

@@ -94,71 +94,6 @@ class TestExperiment:
             assert hasattr(module, "run")
 
 
-class TestBenchBatch:
-    def test_bench_batch_writes_artifact(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
-        out = tmp_path / "bench_batch.json"
-        args = ["bench-batch", "--n", "1000", "--batch", "64", "--repeats", "1"]
-        assert main(args + ["--json", str(out)]) == 0
-        assert "Batch-operation throughput" in capsys.readouterr().out
-
-        import json
-
-        doc = json.loads(out.read_text())
-        gauges = doc["metrics"]["gauges"]
-        assert any(name.endswith("_ops_per_s") for name in gauges)
-        assert (tmp_path / "BENCH_batch_ops.json").exists()
-
-    def test_perf_gate_pass_and_fail(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
-        out = tmp_path / "bench_batch.json"
-        args = ["bench-batch", "--n", "1000", "--batch", "64", "--repeats", "1"]
-        assert main(args + ["--json", str(out)]) == 0
-        capsys.readouterr()
-
-        assert main(["perf-gate", str(out), str(out)]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-        import json
-
-        doc = json.loads(out.read_text())
-        for name in doc["metrics"]["gauges"]:
-            if name.endswith("_ops_per_s"):
-                doc["metrics"]["gauges"][name] /= 10.0
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(doc))
-        assert main(["perf-gate", str(out), str(slow)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_bench_concurrent_writes_artifact(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
-        out = tmp_path / "bench_concurrent.json"
-        args = [
-            "bench-concurrent",
-            "--n", "1000",
-            "--threads", "1,2",
-            "--repeats", "1",
-            "--json", str(out),
-        ]
-        assert main(args) == 0
-        assert "Concurrent front-end throughput" in capsys.readouterr().out
-
-        import json
-
-        doc = json.loads(out.read_text())
-        gauges = doc["metrics"]["gauges"]
-        assert "concurrent_ops_serial_mixed_ops_per_s" in gauges
-        assert "concurrent_ops_t2_mixed_ops_per_s" in gauges
-        assert "concurrent_ops_t2_lock_acquires" in gauges
-        assert (tmp_path / "BENCH_concurrent.json").exists()
-
-    def test_perf_gate_unreadable_input(self, capsys, tmp_path):
-        missing = tmp_path / "nope.json"
-        valid = tmp_path / "valid.json"
-        valid.write_text("{}")
-        assert main(["perf-gate", str(missing), str(valid)]) == 2
-
-
 class TestRecover:
     def _populate(self, tmp_path, n=60):
         from repro.core.config import SWAREConfig

@@ -209,6 +209,9 @@ class TestMultiThreaded:
         index.flush_all()
         index.check_invariants()
         assert index.locks.mode(BUFFER) is None
+        # A lock wait may time out only where an upgrade was attempted.
+        snap = index.locks.snapshot()
+        assert snap["timeouts"] <= snap["upgrades"] + index.upgrade_fallbacks
         # Every surviving value was written by one of the four workers.
         for key, value in index.items():
             assert value // 10 == key
