@@ -2,7 +2,6 @@
 
 from repro.core.advisor import Recommendation, recommend, recommend_for_sample
 from repro.core.buffer import HIT, MISS, TOMBSTONE, FlushBatch, SWAREBuffer
-from repro.core.concurrency import LockManager, SWARELockProtocol
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.locks import BlockingLockManager, RWLock
@@ -25,8 +24,6 @@ __all__ = [
     "Recommendation",
     "recommend",
     "recommend_for_sample",
-    "LockManager",
-    "SWARELockProtocol",
     "BlockingLockManager",
     "RWLock",
     "ConcurrentSortednessAwareIndex",

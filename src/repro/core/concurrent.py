@@ -33,9 +33,12 @@ Two realities of CPython shape the implementation (DESIGN.md §8):
   lock; the front-end owns the S→X upgrade instead.
 
 Lock contention is observable: the lock manager's acquisition / wait /
-timeout / upgrade counters register as an ``locks`` obs collector, waits
+timeout / upgrade counters register as a ``locks`` obs collector, waits
 feed the ``lock_wait_ns`` histogram, and upgrade fallbacks / append
 retries are published by the ``concurrent`` collector.
+
+:mod:`repro.core.schedules` replays seeded interleavings of this class
+deterministically and checks the discipline above on its lock table.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from repro.obs import NULL_OBS, Observability, current_obs
 from repro.storage.costmodel import Meter
 from repro.storage.wal import WriteAheadLog
 
-#: The whole-buffer lock resource (same name the virtual protocol uses).
+#: The whole-buffer lock resource; pages are ``page:<index>``.
 BUFFER = "buffer"
 
 #: How long an S→X upgrade may wait before it is presumed deadlocked
@@ -271,11 +274,13 @@ class ConcurrentSortednessAwareIndex:
                         else:
                             inner.stats.inserts += 1
                             buffer.add(key, value)
-                        # The fast path bypasses inner.insert, so the
-                        # monitor feed happens here (still under the latch).
-                        hub = self.obs.monitors
-                        if hub is not None:
-                            hub.observe_insert(key, buffer)
+                            # The fast path bypasses inner.insert, so the
+                            # monitor feed happens here (still under the
+                            # latch). Deletes are not fed, as in the inner
+                            # index.
+                            hub = self.obs.monitors
+                            if hub is not None:
+                                hub.observe_insert(key, buffer)
             finally:
                 locks.release(worker, resource)
             if not retry:

@@ -1,25 +1,23 @@
-"""Blocking reader–writer locks for the operational §IV-D front-end.
+"""Blocking reader–writer locks for the §IV-D front-end.
 
-:mod:`repro.core.concurrency` simulates the SWARE lock protocol over a
-*virtual* lock manager that raises instead of waiting, so deterministic
-tests own the schedule. This module is its operational sibling: the same
-S/X compatibility matrix and sole-holder upgrade rule, but built on
+The one lock manager of :class:`~repro.core.concurrent.ConcurrentSortednessAwareIndex`:
+an S/X compatibility matrix with a sole-holder upgrade rule, built on
 ``threading.Condition`` so real threads block until their request is
-grantable.
+grantable. :mod:`repro.core.schedules` subclasses the manager to replay
+seeded interleavings over the same grant rule (``RWLock._grantable``).
 
 Two pieces:
 
-* :class:`RWLock` — one named shared/exclusive lock. Grants follow the
-  virtual :class:`~repro.core.concurrency.LockManager` exactly: S requests
-  share, X excludes, the *sole* holder may upgrade S→X in place, and
-  re-acquiring an already-covered mode is a no-op. Waits are bounded by a
-  timeout; exceeding it raises :class:`~repro.errors.LockTimeout` (the
+* :class:`RWLock` — one named shared/exclusive lock. S requests share, X
+  excludes, the *sole* holder may upgrade S→X in place, and re-acquiring
+  an already-covered mode is a no-op. Waits are bounded by a timeout;
+  exceeding it raises :class:`~repro.errors.LockTimeout` (the
   deadlock-surfacing strategy — an upgrade field of two readers each
   waiting for the other can only end this way).
-* :class:`BlockingLockManager` — a table of named :class:`RWLock`\\ s with
-  the same worker/resource API shape as the virtual manager, plus
-  contention accounting: acquisition/wait/timeout/upgrade counters and a
-  wait-time histogram published through :mod:`repro.obs`.
+* :class:`BlockingLockManager` — a table of named :class:`RWLock`\\ s keyed
+  by worker and resource, plus contention accounting:
+  acquisition/wait/timeout/upgrade counters and a wait-time histogram
+  published through :mod:`repro.obs`.
 
 Workers are identified by arbitrary hashable tokens (the concurrent index
 front-end uses ``threading.get_ident()``).
@@ -51,7 +49,7 @@ DEFAULT_TIMEOUT_S = 10.0
 class RWLock:
     """A blocking shared/exclusive lock with sole-holder upgrade.
 
-    The grant rules mirror the virtual lock manager:
+    The grant rules:
 
     * free → granted in the requested mode;
     * held S, request S → granted (readers share);
@@ -61,7 +59,7 @@ class RWLock:
       seconds elapse (:class:`~repro.errors.LockTimeout`).
 
     Holds are not counted: releasing a re-entrantly acquired lock releases
-    it outright, matching the virtual manager's semantics.
+    it outright.
     """
 
     __slots__ = ("name", "_cond", "_mode", "_holders")
@@ -139,10 +137,8 @@ class RWLock:
 class BlockingLockManager:
     """A table of named :class:`RWLock`\\ s with contention accounting.
 
-    API shape matches the virtual :class:`~repro.core.concurrency.LockManager`
-    (``acquire``/``release``/``release_all``/``holders``/``mode``) so the
-    §IV-D discipline reads identically against either manager; the
-    difference is that conflicting requests *wait* here instead of raising.
+    ``acquire``/``release`` take a worker token and a resource name;
+    conflicting requests *wait*. ``holders``/``mode`` inspect the table.
 
     Accounting: every acquisition bumps ``acquires``; an acquisition that
     had to wait bumps ``waits`` and records its wait into the
@@ -201,13 +197,6 @@ class BlockingLockManager:
 
     def release(self, worker: Hashable, resource: str) -> None:
         self._lock(resource).release(worker)
-
-    def release_all(self, worker: Hashable) -> None:
-        with self._table_lock:
-            locks = list(self._locks.values())
-        for lock in locks:
-            if worker in lock.holders():
-                lock.release(worker)
 
     def holders(self, resource: str) -> Set[Hashable]:
         with self._table_lock:

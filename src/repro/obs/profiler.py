@@ -45,7 +45,6 @@ LAYER_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.core.sware", "sware"),
     ("repro.core.concurrent", "concurrency"),
     ("repro.core.locks", "concurrency"),
-    ("repro.core.concurrency", "concurrency"),
     ("repro.filters", "bloom"),
     ("repro.btree", "btree"),
     ("repro.betree", "betree"),

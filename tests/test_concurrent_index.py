@@ -11,8 +11,11 @@ from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.concurrent import BUFFER, ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.locks import EXCLUSIVE, SHARED
+from repro.core.schedules import ScheduleExplorer
 from repro.core.sware import SortednessAwareIndex
 from repro.errors import LockTimeout
+from repro.obs import Observability
+from tests.test_concurrency import TWO_READERS_OVER_A_TAIL
 
 SMALL = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
 
@@ -41,7 +44,8 @@ class TestSingleThreaded:
         index.check_invariants()
 
     def test_matches_plain_index(self):
-        """Same op stream -> same final state as the unwrapped index."""
+        """Same op stream -> same final state and the same sortedness and
+        saturation monitors as the unwrapped index."""
         rng = random.Random(3)
         ops = []
         for _ in range(800):
@@ -55,8 +59,9 @@ class TestSingleThreaded:
         plain = SortednessAwareIndex(
             BPlusTree(BPlusTreeConfig(leaf_capacity=16, internal_capacity=16)),
             config=SMALL,
+            obs=Observability(monitors=True),
         )
-        conc = make_index()
+        conc = make_index(obs=Observability(monitors=True))
         for op in ops:
             if op[0] == "put":
                 plain.insert(op[1], op[2])
@@ -64,6 +69,9 @@ class TestSingleThreaded:
             else:
                 plain.delete(op[1])
                 conc.delete(op[1])
+        monitors = conc.obs.monitors.snapshot()
+        del monitors["locks"]
+        assert monitors == plain.obs.monitors.snapshot()
         plain.flush_all()
         conc.flush_all()
         assert conc.items() == plain.items()
@@ -144,31 +152,16 @@ class TestLockDiscipline:
         assert index.locks.mode(BUFFER) is None  # nothing leaked
 
     def test_upgrade_fallback_when_other_reader_present(self):
-        """A foreign S hold makes the upgrade time out; the reader falls
-        back to release + exclusive re-acquire once the field clears."""
-        index = make_index(upgrade_timeout=0.05)
-        for key in range(10, 0, -1):  # out of order: grows the tail
-            index.insert(key, key)
-        assert index._should_query_sort()
-        index.locks.acquire("other-reader", BUFFER, SHARED)
-        done = threading.Event()
-        result = {}
-
-        def read():
-            result["value"] = index.get(4)
-            done.set()
-
-        thread = threading.Thread(target=read)
-        thread.start()
-        # The reader is now past its failed upgrade, waiting for X.
-        thread.join(timeout=0.5)
-        assert not done.is_set()
-        index.locks.release("other-reader", BUFFER)
-        assert done.wait(timeout=5.0)
-        thread.join()
-        assert result["value"] == 4
-        assert index.upgrade_fallbacks == 1
-        assert index.locks.mode(BUFFER) is None
+        """Two readers upgrading wait for each other; the explorer times one
+        upgrade out and that reader falls back to release + exclusive
+        re-acquire, with every read still equal to the oracle."""
+        fallbacks = 0
+        for seed in range(40):
+            explorer = ScheduleExplorer(seed, programs=TWO_READERS_OVER_A_TAIL, config=SMALL)
+            stats = explorer.run()
+            assert explorer.locks.snapshot()["timeouts"] == stats.upgrade_fallbacks
+            fallbacks += stats.upgrade_fallbacks
+        assert fallbacks > 0
 
 
 class TestMultiThreaded:

@@ -170,16 +170,6 @@ class TestBlockingLockManager:
         assert snap["wait_ns"] > 0
         manager.release("b", "buffer")
 
-    def test_release_all(self):
-        manager = BlockingLockManager()
-        manager.acquire("a", "buffer", SHARED)
-        manager.acquire("a", "page:0", EXCLUSIVE)
-        manager.acquire("a", "page:1", EXCLUSIVE)
-        manager.release_all("a")
-        for resource in ("buffer", "page:0", "page:1"):
-            assert manager.mode(resource) is None
-            assert manager.holders(resource) == set()
-
     def test_mode_and_holders_of_unknown_resource(self):
         manager = BlockingLockManager()
         assert manager.mode("nope") is None
