@@ -86,8 +86,10 @@ class PinViolationError(ReproError, ValueError):
 class WALError(ReproError, RuntimeError):
     """The write-ahead log cannot accept the requested operation.
 
-    Raised for lifecycle misuse (appending to a closed log) and for
-    configuration problems (an unknown fsync policy). Torn tails discovered
-    on replay are *not* errors — they are the expected aftermath of a crash
-    and are reported through :class:`~repro.storage.wal.WALReplay` instead.
+    Raised for lifecycle misuse (appending to a closed log), for
+    configuration problems (an unknown fsync policy), and when a frame that
+    passes its CRC does not decode (the log is then left untouched). Torn
+    tails discovered on replay are *not* errors — they are the expected
+    aftermath of a crash and are reported through
+    :class:`~repro.storage.wal.WALReplay` instead.
     """

@@ -201,6 +201,7 @@ class ShardedSortednessAwareIndex:
             self._shards = self._create_initial_shards(shard_configs)
             self._next_shard_id = len(self._shards)
             self._write_manifest()
+        self._bounds = self._shard_bounds()
         if self.obs is not NULL_OBS:
             self.obs.register_collector("sharded", self._obs_snapshot)
 
@@ -287,11 +288,17 @@ class ShardedSortednessAwareIndex:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def _shard_bounds(self) -> List[int]:
+        """The routing keys: every shard's lower bound but the -inf edge's.
+
+        Cached as ``_bounds``; whatever reshapes ``_shards`` recomputes it.
+        """
+        return [s.lower for s in self._shards[1:]]
+
     def _route(self, key: int) -> _Shard:
         # self._shards is sorted by lower bound with shards[0].lower = -inf:
         # the owner is the right-most shard whose lower bound is <= key.
-        bounds = [s.lower for s in self._shards[1:]]
-        return self._shards[bisect_right(bounds, key)]
+        return self._shards[bisect_right(self._bounds, key)]
 
     def _assigned_range(self, position: int) -> Tuple[Optional[int], Optional[int]]:
         """(lower, upper) of the shard at ``position``; None = unbounded."""
@@ -469,6 +476,7 @@ class ShardedSortednessAwareIndex:
             # Commit the route change before touching the donor: from here
             # on the moved keys are owned (and durably held) by new_shard.
             self._shards.insert(position + 1, new_shard)
+            self._bounds = self._shard_bounds()
             self._write_manifest()
             self.splits += 1
             # Donor cleanup: the moved keys are unreachable already (routing
@@ -549,10 +557,11 @@ def recover_sharded(
 ) -> Tuple[ShardedSortednessAwareIndex, Dict[int, RecoveryReport]]:
     """Rebuild a sharded index from its root directory after a crash.
 
-    Per shard: stale checkpoint temp cleanup, checkpoint load, WAL-tail
-    replay (the single-node :meth:`CheckpointStore.recover` contract),
-    then the WAL is reopened (truncating any torn tail) and re-attached so
-    the shard resumes durable operation. Returns the index plus a
+    Per shard: the WAL is opened (one scan, which also truncates any torn
+    tail), then stale checkpoint temp cleanup, checkpoint load and replay of
+    that scan (the single-node :meth:`CheckpointStore.recover` contract with
+    ``wal=``), which leaves the log attached so the shard resumes durable
+    operation. Each ``wal.log`` is decoded once. Returns the index plus a
     per-shard-id :class:`RecoveryReport` map.
     """
     manifest = read_manifest(root)
@@ -568,27 +577,33 @@ def recover_sharded(
         raise ShardedIndexError("manifest has no -inf edge shard")
     shards: List[_Shard] = []
     reports: Dict[int, RecoveryReport] = {}
-    for row in rows:
-        directory = os.path.join(root, row["dir"])
-        try:
-            cfg = SWAREConfig(**row["config"])
-        except TypeError as exc:
-            raise ShardedIndexError(
-                f"shard {row['id']} config malformed: {exc}"
-            ) from exc
-        store = CheckpointStore(os.path.join(directory, CHECKPOINT_NAME))
-        wal_path = os.path.join(directory, WAL_NAME)
-        index, report = store.recover(
-            wal_path=wal_path, config=cfg, backend_factory=backend_factory
-        )
-        wal = WriteAheadLog(
-            wal_path,
-            fsync_policy=manifest.get("fsync_policy", FSYNC_ALWAYS),
-            obs=NULL_OBS,
-        )
-        index.wal = wal
-        shards.append(_Shard(row["id"], row["lower"], directory, index, wal, store, cfg))
-        reports[row["id"]] = report
+    wals: List[WriteAheadLog] = []
+    try:
+        for row in rows:
+            directory = os.path.join(root, row["dir"])
+            try:
+                cfg = SWAREConfig(**row["config"])
+            except TypeError as exc:
+                raise ShardedIndexError(
+                    f"shard {row['id']} config malformed: {exc}"
+                ) from exc
+            store = CheckpointStore(os.path.join(directory, CHECKPOINT_NAME))
+            # Opening the log scans it once; recovery replays that scan.
+            wal = WriteAheadLog(
+                os.path.join(directory, WAL_NAME),
+                fsync_policy=manifest.get("fsync_policy", FSYNC_ALWAYS),
+                obs=NULL_OBS,
+            )
+            wals.append(wal)
+            index, report = store.recover(
+                wal=wal, config=cfg, backend_factory=backend_factory
+            )
+            shards.append(_Shard(row["id"], row["lower"], directory, index, wal, store, cfg))
+            reports[row["id"]] = report
+    except BaseException:
+        for wal in wals:
+            wal.close()
+        raise
     config = ShardedConfig(
         n_shards=len(shards),
         split_threshold=manifest.get("split_threshold", 0),

@@ -45,12 +45,14 @@ import pickle
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import CheckpointUnsupportedError, ReproError
 from repro.obs import current_obs
 from repro.storage.pages import deserialize_btree, serialize_btree
-from repro.storage.wal import fsync_file, replay_wal
+from repro.storage.wal import WriteAheadLog, fsync_file, replay_wal
 
 DEFAULT_SLOT_SIZE = 4096
 
@@ -436,6 +438,7 @@ class CheckpointStore:
         meter=None,
         backend_factory: Optional[Callable] = None,
         rebuild_threshold: Optional[int] = None,
+        wal: Optional[WriteAheadLog] = None,
     ):
         """Rebuild an index from the newest checkpoint plus the WAL tail.
 
@@ -446,8 +449,19 @@ class CheckpointStore:
            system crashed before its first checkpoint: start fresh, with
            ``backend_factory()`` — default a bare B+-tree — as the tree);
         3. replay the WAL's intact prefix, in order, through the index's
-           normal write path (idempotent upserts/deletes, so a WAL that
-           overlaps the checkpoint re-applies harmlessly).
+           batch write path: each run of consecutive puts goes through one
+           ``put_many`` (observably a loop of ``insert``), each delete
+           through ``delete``. Upserts and deletes are idempotent, so a WAL
+           that overlaps the checkpoint re-applies harmlessly.
+
+        The log comes in one of two forms. ``wal`` is a log opened for
+        appending: its open-time scan (:attr:`WriteAheadLog.recovered`,
+        which also truncated any torn tail) is the prefix replayed, so the
+        file is decoded once; its ops are dropped once applied, and the
+        index comes back with ``wal`` attached, ready to resume durable
+        operation. ``wal_path`` is the read-only form: the file is scanned
+        here, left untouched, and the index comes back with **no WAL
+        attached**.
 
         With ``rebuild_threshold`` set, a WAL tail of at least that many
         records (alongside an existing checkpoint) switches to the offline
@@ -456,25 +470,27 @@ class CheckpointStore:
         (:func:`repro.storage.rebuild.rebuild_index`), which is far faster
         than per-op replay on long tails. The recovered state is identical
         either way.
-
-        The returned index has **no WAL attached**; the caller reopens the
-        log (which truncates its torn tail) and assigns ``index.wal`` to
-        resume durable operation.
         """
         from repro.core.sware import SortednessAwareIndex
 
+        if wal is not None:
+            if wal_path is not None:
+                raise ValueError("pass wal_path or wal, not both")
+            wal_path = wal.path
         obs = current_obs()
         report = RecoveryReport()
         if os.path.exists(self.tmp_path):
             os.unlink(self.tmp_path)
             report.stale_tmp_removed = True
+        replay = wal.recovered if wal is not None else None
         if (
             rebuild_threshold is not None
             and wal_path is not None
             and os.path.exists(self.path)
             and os.path.exists(wal_path)
         ):
-            replay = replay_wal(wal_path, opener=self._opener)
+            if replay is None:
+                replay = replay_wal(wal_path, opener=self._opener)
             if replay.records >= rebuild_threshold:
                 from repro.storage.rebuild import rebuild_index
 
@@ -500,6 +516,8 @@ class CheckpointStore:
                 report.entries = rebuild_report.entries
                 report.rebuilt = True
                 self._epoch = rebuild_report.checkpoint_epoch
+                replay.ops = []
+                index.wal = wal
                 return index, report
         with obs.span("recovery.load_checkpoint") as span:
             if os.path.exists(self.path):
@@ -521,15 +539,19 @@ class CheckpointStore:
                 )
             span.set(found=report.checkpoint_found, epoch=report.checkpoint_epoch)
         if wal_path is not None:
-            replay = replay_wal(wal_path, opener=self._opener)
+            if replay is None:
+                replay = replay_wal(wal_path, opener=self._opener)
             with obs.span("recovery.replay_wal") as span:
-                for kind, key, value in replay.ops:
+                for kind, ops in groupby(replay.ops, key=itemgetter(0)):
                     if kind == "put":
-                        index.insert(key, value)
+                        index.put_many([(key, value) for _kind, key, value in ops])
                     else:
-                        index.delete(key)
+                        for _kind, key, _value in ops:
+                            index.delete(key)
+                replay.ops = []
                 span.set(records=replay.records, torn=replay.torn_tail)
             report.wal_records_replayed = replay.records
             report.wal_torn_tail = replay.torn_tail
+        index.wal = wal
         report.entries = len(index.items())
         return index, report

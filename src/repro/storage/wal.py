@@ -11,21 +11,41 @@ the tree.
 Frame format (all little-endian)::
 
     magic   u16   0x57A1
-    kind    u8    1=put, 2=delete
+    kind    u8    1=put, 2=delete, 3=batch of puts
     flags   u8    reserved
     length  u32   payload length in bytes
-    crc     u32   CRC32 over (kind, flags, length, payload)
+    crc     u32   CRC32 over header bytes [2:8] (kind, flags, length),
+                  then the payload
     payload ...   put:    key s64 + pickled value
                   delete: key s64
+                  batch:  a v2 leaf page (:func:`repro.storage.pages.encode_leaf`
+                          with ``compress=True``) holding the puts in append order
+
+:meth:`WriteAheadLog.append_puts` writes a batch of two or more records as
+one kind-3 frame: one pickle per batch instead of one per value, and a batch
+that is durable **all or nothing** — a crash mid-write tears the one frame,
+so replay drops the whole batch. Single puts, deletes and one-record batches
+keep the per-record frames. ``records``, the LSNs and
+:attr:`WALReplay.records` count logical records, not frames.
 
 Replay (:func:`replay_wal`) walks frames from the start of the file and
-stops at the first invalid one — a short header, bad magic, short payload,
-or CRC mismatch. That is *torn-tail tolerance*: the frame being written
-when the process died is, by construction, the last one in the file, so an
-invalid frame marks the crash point and everything before it is intact. A
-torn record is therefore never surfaced as data; it is reported through
+stops at the first torn one — a short header, bad magic, short payload, or
+CRC mismatch. That is *torn-tail tolerance*: the frame being written when
+the process died is, by construction, the last one in the file, so a torn
+frame marks the crash point and everything before it is intact. A torn
+record is therefore never surfaced as data; it is reported through
 :attr:`WALReplay.torn_tail` and truncated away the next time the log is
-opened for appending.
+opened for appending. A frame that passes its CRC was written whole, so one
+that then fails to decode (an unknown kind, a malformed payload, a value
+whose class cannot be imported here) is not a crash: replay raises
+:class:`~repro.errors.WALError` with its byte offset and leaves the file
+untouched.
+
+Opening an existing log scans it once; the scan stays on the log as
+:attr:`WriteAheadLog.recovered`, so recovery
+(:meth:`~repro.storage.pagefile.CheckpointStore.recover` with ``wal=``)
+replays the same pass that found the append offset instead of decoding the
+file again.
 
 The log is safe to share between threads: appends serialize on an internal
 lock, and :meth:`WriteAheadLog.sync` holds that lock only to flush and note
@@ -45,14 +65,17 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import WALError
 from repro.obs import NULL_OBS, Observability, current_obs
+from repro.storage.pages import decode_leaf, encode_leaf
 
 WAL_MAGIC = 0x57A1
 KIND_PUT = 1
 KIND_DELETE = 2
+KIND_PUT_BATCH = 3
 
 #: fsync policies: every append / only on explicit ``sync()`` / never
 #: automatically (``sync()`` still forces one when called).
@@ -62,6 +85,8 @@ FSYNC_NEVER = "never"
 FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_BATCH, FSYNC_NEVER)
 
 _FRAME_HEADER = struct.Struct("<HBBII")  # magic, kind, flags, length, crc
+_FRAME_PREFIX = struct.Struct("<HBBI")  # the header up to the crc
+_CRC = struct.Struct("<I")
 _KEY = struct.Struct("<q")
 
 #: A replayed logical operation: ("put", key, value) or ("delete", key, None).
@@ -83,29 +108,32 @@ def fsync_file(fobj) -> None:
         os.fsync(fobj.fileno())
 
 
-def _frame_crc(kind: int, flags: int, length: int, payload: bytes) -> int:
-    crc = zlib.crc32(struct.pack("<BBI", kind, flags, length))
-    return zlib.crc32(payload, crc) & 0xFFFFFFFF
-
-
 def encode_frame(kind: int, payload: bytes) -> bytes:
     """One CRC-framed WAL record."""
-    crc = _frame_crc(kind, 0, len(payload), payload)
-    return _FRAME_HEADER.pack(WAL_MAGIC, kind, 0, len(payload), crc) + payload
+    prefix = _FRAME_PREFIX.pack(WAL_MAGIC, kind, 0, len(payload))
+    return prefix + _CRC.pack(zlib.crc32(payload, zlib.crc32(prefix[2:]))) + payload
 
 
-def _decode_op(kind: int, payload: bytes) -> Optional[WALOp]:
-    """Payload -> logical op, or None when structurally invalid."""
-    if len(payload) < _KEY.size:
-        return None
+def _decode_into(ops: List[WALOp], kind: int, payload: bytes) -> int:
+    """Append a CRC-valid frame's logical ops to ``ops``; returns how many.
+
+    Raises (``ValueError`` or whatever the pickle or page decoder raises)
+    when the frame does not decode.
+    """
+    if kind == KIND_PUT_BATCH:
+        keys, values = decode_leaf(payload)
+        ops.extend(zip(repeat("put"), keys, values))
+        return len(keys)
+    if kind not in (KIND_PUT, KIND_DELETE):
+        raise ValueError(f"unknown frame kind {kind}")
+    if len(payload) < _KEY.size or (kind == KIND_DELETE and len(payload) != _KEY.size):
+        raise ValueError(f"malformed kind-{kind} payload of {len(payload)} bytes")
     (key,) = _KEY.unpack_from(payload)
     if kind == KIND_DELETE:
-        return ("delete", key, None) if len(payload) == _KEY.size else None
-    try:
-        value = pickle.loads(payload[_KEY.size :])
-    except Exception:  # noqa: BLE001 - a torn pickle is a torn record
-        return None
-    return ("put", key, value)
+        ops.append(("delete", key, None))
+    else:
+        ops.append(("put", key, pickle.loads(payload[_KEY.size :])))
+    return 1
 
 
 @dataclass
@@ -113,7 +141,8 @@ class WALReplay:
     """The outcome of scanning a WAL file.
 
     ``valid_bytes`` is the length of the intact prefix — reopening the log
-    truncates to exactly this offset before appending again.
+    truncates to exactly this offset before appending again. ``records``
+    counts logical records (a batch frame contributes one per put).
     """
 
     ops: List[WALOp] = field(default_factory=list)
@@ -123,28 +152,34 @@ class WALReplay:
 
 
 def _scan(fobj) -> WALReplay:
-    """Walk frames from offset 0; stop at the first invalid frame."""
+    """Walk frames from offset 0; stop at the first torn frame.
+
+    A short header or payload, bad magic or a CRC mismatch is a torn tail.
+    A CRC-valid frame that does not decode raises :class:`WALError`.
+    """
     replay = WALReplay()
+    read = fobj.read
     fobj.seek(0)
     while True:
-        header = fobj.read(_FRAME_HEADER.size)
+        header = read(_FRAME_HEADER.size)
         if len(header) < _FRAME_HEADER.size:
             replay.torn_tail = len(header) > 0
             return replay
-        magic, kind, flags, length, crc = _FRAME_HEADER.unpack(header)
-        if magic != WAL_MAGIC or kind not in (KIND_PUT, KIND_DELETE):
+        magic, kind, _flags, length, crc = _FRAME_HEADER.unpack(header)
+        if magic != WAL_MAGIC:
             replay.torn_tail = True
             return replay
-        payload = fobj.read(length)
-        if len(payload) < length or _frame_crc(kind, flags, length, payload) != crc:
+        payload = read(length)
+        if len(payload) < length or zlib.crc32(payload, zlib.crc32(header[2:8])) != crc:
             replay.torn_tail = True
             return replay
-        op = _decode_op(kind, payload)
-        if op is None:
-            replay.torn_tail = True
-            return replay
-        replay.ops.append(op)
-        replay.records += 1
+        try:
+            replay.records += _decode_into(replay.ops, kind, payload)
+        except Exception as exc:  # noqa: BLE001 - any decode failure, typed here
+            raise WALError(
+                f"WAL frame at byte {replay.valid_bytes} passes its CRC "
+                f"but does not decode: {exc!r}"
+            ) from exc
         replay.valid_bytes += _FRAME_HEADER.size + length
 
 
@@ -207,17 +242,22 @@ class WriteAheadLog:
         self.bytes_written = 0
         self.syncs = 0
         self.resets = 0
-        self.recovered_records = 0  # intact records found at open
-        self.recovered_torn_tail = False
+        #: The open-time scan of an existing log: its intact prefix, which
+        #: ``CheckpointStore.recover(wal=...)`` replays and then empties.
+        self.recovered = WALReplay()
         existing = os.path.exists(path)
         self._file = opener(path, "r+b" if existing else "w+b")
         if existing:
-            replay = _scan(self._file)
-            self.recovered_records = replay.records
-            self.recovered_torn_tail = replay.torn_tail
+            try:
+                self.recovered = replay = _scan(self._file)
+            except BaseException:
+                self._file.close()
+                raise
             if replay.torn_tail:
                 self._file.truncate(replay.valid_bytes)
             self._file.seek(replay.valid_bytes)
+        self.recovered_records = self.recovered.records  # intact records found at open
+        self.recovered_torn_tail = self.recovered.torn_tail
         if self.obs is not NULL_OBS:
             self.obs.register_collector("wal", self.snapshot)
 
@@ -225,32 +265,33 @@ class WriteAheadLog:
     def append_put(self, key: int, value: object) -> int:
         """Log an upsert; returns the record's LSN (1-based append count)."""
         payload = _KEY.pack(key) + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return self._append([encode_frame(KIND_PUT, payload)])
+        return self._append(encode_frame(KIND_PUT, payload), 1)
 
     def append_delete(self, key: int) -> int:
         """Log a delete; returns the record's LSN."""
-        return self._append([encode_frame(KIND_DELETE, _KEY.pack(key))])
+        return self._append(encode_frame(KIND_DELETE, _KEY.pack(key)), 1)
 
     def append_puts(self, items: Sequence[Tuple[int, object]]) -> int:
-        """Log a batch of upserts in one append (one fsync under "always")."""
-        frames = [
-            encode_frame(
-                KIND_PUT,
-                _KEY.pack(key) + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            for key, value in items
-        ]
-        return self._append(frames)
+        """Log a batch of upserts as one all-or-nothing frame (one fsync
+        under "always"); returns the LSN of its last record.
 
-    def _append(self, frames: List[bytes]) -> int:
-        with self.obs.span("wal.append", frames=len(frames)):
+        An empty batch writes and syncs nothing; a one-record batch is an
+        :meth:`append_put`.
+        """
+        if len(items) < 2:
+            return self.append_put(*items[0]) if items else self.records
+        keys, values = zip(*items)
+        page = encode_leaf(list(keys), list(values), compress=True)
+        return self._append(encode_frame(KIND_PUT_BATCH, page), len(items))
+
+    def _append(self, frame: bytes, records: int) -> int:
+        with self.obs.span("wal.append", records=records):
             with self._lock:
                 if self._closed:
                     raise WALError("write-ahead log is closed")
-                for frame in frames:
-                    self._file.write(frame)
-                    self.bytes_written += len(frame)
-                self.records += len(frames)
+                self._file.write(frame)
+                self.bytes_written += len(frame)
+                self.records += records
                 if self.fsync_policy == FSYNC_ALWAYS:
                     self._synced(self.records, self._timed_fsync())
                 elif self.fsync_policy == FSYNC_BATCH:

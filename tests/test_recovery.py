@@ -23,9 +23,10 @@ from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
+from repro.storage.costmodel import Meter
 from repro.storage.faults import FaultyEnv, SimulatedCrash
 from repro.storage.pagefile import CheckpointStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import WriteAheadLog, replay_wal
 
 SLOT_SIZE = 256
 CONFIG = SWAREConfig(buffer_capacity=16, page_size=4)
@@ -328,3 +329,155 @@ class TestConcurrentWAL:
         assert report.checkpoint_found
         assert report.wal_records_replayed == 1
         assert dict(recovered.items()) == {**{k: k for k in range(100)}, 500: "after-checkpoint"}
+
+
+def _batch_ops_for(seed):
+    """A put_many / delete workload with checkpoints between the batches."""
+    rng = random.Random(seed)
+    ops = []
+    for i in range(40):
+        if i and i % 15 == 0:
+            ops.append(("checkpoint", None))
+        elif rng.random() < 0.2:
+            ops.append(("delete", rng.randrange(100)))
+        else:
+            n = rng.randrange(2, 7)
+            ops.append(("put_many", [(rng.randrange(100), (i, j)) for j in range(n)]))
+    return ops
+
+
+def _apply_batch_op(state, op):
+    kind, arg = op
+    if kind == "put_many":
+        state.update(arg)
+    elif kind == "delete":
+        state.pop(arg, None)
+    return state
+
+
+def _run_batch_workload(workdir, crash_at, seed):
+    env = FaultyEnv(crash_at=crash_at, seed=seed)
+    acked, in_flight = [], None
+    try:
+        wal = WriteAheadLog(os.path.join(workdir, "log.wal"), opener=env.open)
+        store = CheckpointStore(
+            os.path.join(workdir, "ck.db"), slot_size=SLOT_SIZE,
+            opener=env.open, replace=env.replace,
+        )
+        index = SortednessAwareIndex(BPlusTree(TREE_CONFIG), config=CONFIG, wal=wal)
+        for op in _batch_ops_for(seed):
+            in_flight = op
+            kind, arg = op
+            if kind == "checkpoint":
+                index.checkpoint(store)
+            elif kind == "delete":
+                index.delete(arg)
+            else:
+                index.put_many(arg)
+            acked.append(op)
+            in_flight = None
+        return acked, None, env.ops, False
+    except SimulatedCrash:
+        return acked, in_flight, env.ops, True
+
+
+class TestBatchAtomicity:
+    @pytest.mark.parametrize("seed", (4, 5))
+    def test_a_batch_survives_whole_or_not_at_all(self, tmp_path, seed):
+        """Crash at every I/O op under fsync "always": the recovered state is
+        the acknowledged one, or that plus the *whole* in-flight batch."""
+        full = tmp_path / "full"
+        full.mkdir()
+        _acked, _inf, total_ops, crashed = _run_batch_workload(str(full), None, seed)
+        assert not crashed
+        for crash_at in range(total_ops):
+            workdir = tmp_path / f"crash{crash_at}"
+            workdir.mkdir()
+            acked, in_flight, _ops, crashed = _run_batch_workload(str(workdir), crash_at, seed)
+            assert crashed
+            index, _report = _recover(str(workdir))
+            got = dict(index.items())
+            expected = {}
+            for op in acked:
+                _apply_batch_op(expected, op)
+            allowed = [expected]
+            if in_flight is not None:
+                allowed.append(_apply_batch_op(dict(expected), in_flight))
+            assert got in allowed, f"crash_at={crash_at}: partial batch {in_flight}"
+            index.backend.check_invariants()
+
+
+def _mixed_log(path, seed=5):
+    """A near-sorted log of single puts, batches and deletes."""
+    rng = random.Random(seed)
+    next_key = 0
+    with WriteAheadLog(path, fsync_policy="never") as wal:
+        for i in range(60):
+            roll = rng.random()
+            if roll < 0.15:
+                wal.append_delete(rng.randrange(max(next_key, 1)))
+            elif roll < 0.4:
+                wal.append_put(next_key - rng.randrange(8), ("one", i))
+                next_key += 1
+            else:
+                batch = []
+                for j in range(rng.randrange(2, 12)):
+                    batch.append((next_key - rng.randrange(8), ("many", i, j)))
+                    next_key += 1
+                wal.append_puts(batch)
+
+
+class TestReplayThroughPutMany:
+    def test_matches_a_per_op_insert_replay(self, tmp_path):
+        walp = str(tmp_path / "log.wal")
+        _mixed_log(walp)
+        meter = Meter()
+        recovered, report = CheckpointStore(str(tmp_path / "ck.db")).recover(
+            wal_path=walp, config=CONFIG, meter=meter
+        )
+        ref_meter = Meter()
+        reference = SortednessAwareIndex(BPlusTree(), config=CONFIG, meter=ref_meter)
+        for kind, key, value in replay_wal(walp).ops:
+            if kind == "put":
+                reference.insert(key, value)
+            else:
+                reference.delete(key)
+        assert report.entries == len(reference.items())  # the scan recovery ran too
+        assert recovered.stats.flushes > 3
+        assert recovered.buffer.all_entries() == reference.buffer.all_entries()
+        assert recovered.buffer.component_sizes() == reference.buffer.component_sizes()
+        assert recovered.stats.snapshot() == reference.stats.snapshot()
+        assert meter.snapshot() == ref_meter.snapshot()
+        assert {k: dict(v) for k, v in meter.bucket_counts.items()} == {
+            k: dict(v) for k, v in ref_meter.bucket_counts.items()
+        }
+        assert recovered.items() == reference.items()
+
+    def test_open_log_is_replayed_and_attached(self, tmp_path):
+        walp = str(tmp_path / "log.wal")
+        _mixed_log(walp)
+        expected, _ = CheckpointStore(str(tmp_path / "ck.db")).recover(
+            wal_path=walp, config=CONFIG
+        )
+        with open(walp, "ab") as handle:
+            handle.write(b"torn")
+        wal = WriteAheadLog(walp)
+        index, report = CheckpointStore(str(tmp_path / "ck.db")).recover(
+            wal=wal, config=CONFIG
+        )
+        assert index.wal is wal and wal.recovered.ops == []
+        assert report.wal_records_replayed == wal.recovered_records
+        assert report.wal_torn_tail
+        assert index.items() == expected.items()
+        index.insert(10_000, "resumed")
+        wal.close()
+        again, _ = CheckpointStore(str(tmp_path / "ck.db")).recover(
+            wal_path=walp, config=CONFIG
+        )
+        assert again.items() == expected.items() + [(10_000, "resumed")]
+
+    def test_wal_and_wal_path_are_exclusive(self, tmp_path):
+        walp = str(tmp_path / "log.wal")
+        with WriteAheadLog(walp) as wal:
+            with pytest.raises(ValueError):
+                CheckpointStore(str(tmp_path / "ck.db")).recover(wal_path=walp, wal=wal)

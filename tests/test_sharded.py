@@ -7,6 +7,7 @@ the keyspace has fissioned into.
 """
 
 import json
+import os
 import random
 import sys
 import threading
@@ -14,6 +15,7 @@ import threading
 import pytest
 
 from repro.core.config import SWAREConfig
+from repro.storage import wal as wal_module
 from repro.net.sharded import (
     MANIFEST_NAME,
     ShardedConfig,
@@ -83,6 +85,18 @@ class TestSplits:
         assert idx.n_shards >= 2
         assert idx.items() == sorted(expect.items())
         assert idx.range_query(-(10**9), 10**9) == sorted(expect.items())
+        idx.close()
+
+    def test_routing_follows_every_split(self, tmp_path):
+        idx = make_sharded(tmp_path, n_shards=2, split_threshold=60)
+        rng = random.Random(8)
+        for _ in range(600):
+            key = rng.randrange(-500, 10_500)
+            idx.put(key, key)
+        assert idx.splits >= 3
+        for key in range(-600, 10_600, 7):
+            owner = [s for s in idx._shards if s.lower is None or s.lower <= key][-1]
+            assert idx._route(key) is owner
         idx.close()
 
     def test_split_is_durable_in_manifest(self, tmp_path):
@@ -218,6 +232,31 @@ class TestRecovery:
         assert rec.get(5) is None
         assert rec.get(149) == 149
         assert rec.items() == [(k, k) for k in range(150) if k != 5]
+        rec.close()
+
+    def test_each_wal_is_decoded_once(self, tmp_path, monkeypatch):
+        idx = make_sharded(tmp_path, n_shards=3)
+        idx.put_many([(k, k) for k in range(0, 10_000, 50)])
+        idx.checkpoint_all()
+        idx.put_many([(k, -k) for k in range(0, 10_000, 70)])
+        idx.put(3, "single")
+        idx.delete(50)
+        idx.commit()
+        expected = idx.items()
+        idx.close()
+        scanned = []
+        real_scan = wal_module._scan
+
+        def counting_scan(fobj):
+            scanned.append(os.path.basename(os.path.dirname(fobj.name)))
+            return real_scan(fobj)
+
+        monkeypatch.setattr(wal_module, "_scan", counting_scan)
+        rec, reports = recover_sharded(str(tmp_path / "db"))
+        assert sorted(scanned) == sorted(row["dir"] for row in read_manifest(rec.root)["shards"])
+        assert all(s.wal.recovered.ops == [] for s in rec._shards)
+        assert sum(r.wal_records_replayed for r in reports.values()) == 145
+        assert rec.items() == expected
         rec.close()
 
     def test_recovered_index_keeps_working_durably(self, tmp_path):

@@ -1,18 +1,28 @@
 """Tests for the write-ahead log: framing, replay, policies, torn tails."""
 
 import os
+import pickle
+import struct
 import sys
 import threading
+import zlib
 
 import pytest
 
+from repro.btree.btree import BPlusTree
+from repro.core.sware import SortednessAwareIndex
 from repro.errors import WALError
 from repro.storage.faults import FaultyEnv
+from repro.storage.pages import encode_leaf
 from repro.storage.wal import (
     FSYNC_ALWAYS,
     FSYNC_BATCH,
     FSYNC_NEVER,
+    KIND_DELETE,
+    KIND_PUT,
+    KIND_PUT_BATCH,
     WriteAheadLog,
+    encode_frame,
     replay_wal,
 )
 from tests.slow_fsync import SlowFsync
@@ -308,3 +318,179 @@ class TestSyncOffThread:
             assert wal.durable_records == wal.records == 1
             assert wal.tail_bytes() == 0
             wal.close()
+
+
+def _v1_frame(kind, payload):
+    """A per-record frame as the log has always framed it: the CRC chains
+    the packed (kind, flags, length) into the payload's."""
+    crc = zlib.crc32(payload, zlib.crc32(struct.pack("<BBI", kind, 0, len(payload))))
+    return struct.pack("<HBBII", 0x57A1, kind, 0, len(payload), crc) + payload
+
+
+def _put_payload(key, value):
+    return struct.pack("<q", key) + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class _Vanishing:
+    """A value class the test deletes before the log is read back."""
+
+
+class TestBatchFrames:
+    def test_batch_is_one_frame_of_logical_records(self, path):
+        items = [(k, f"v{k}") for k in range(100, 150)]
+        with WriteAheadLog(path) as wal:
+            assert wal.append_puts(items) == 50
+            assert (wal.records, wal.durable_records, wal.syncs) == (50, 50, 1)
+        page = encode_leaf([k for k, _ in items], [v for _, v in items], compress=True)
+        with open(path, "rb") as handle:
+            assert handle.read() == encode_frame(KIND_PUT_BATCH, page)
+        replay = replay_wal(path)
+        assert replay.ops == [("put", k, v) for k, v in items]
+        assert replay.records == 50 and not replay.torn_tail
+
+    def test_per_record_frames_are_byte_identical(self, path):
+        with WriteAheadLog(path) as wal:
+            wal.append_put(7, "x")
+            wal.append_delete(7)
+            wal.append_puts([(8, {"y": 1})])  # a one-record batch
+        expected = (
+            _v1_frame(KIND_PUT, _put_payload(7, "x"))
+            + _v1_frame(KIND_DELETE, struct.pack("<q", 7))
+            + _v1_frame(KIND_PUT, _put_payload(8, {"y": 1}))
+        )
+        with open(path, "rb") as handle:
+            assert handle.read() == expected
+        assert encode_frame(KIND_PUT, _put_payload(1, "a")) == _v1_frame(
+            KIND_PUT, _put_payload(1, "a")
+        )
+
+    def test_batch_pickles_once_not_per_value(self, path):
+        items = [(1_000 + k, bytes([k]) * 16) for k in range(64)]
+        with WriteAheadLog(path) as wal:
+            wal.append_puts(items)
+            per_record = wal.bytes_written / len(items)
+        assert per_record <= 30
+        # The per-record framing the batch replaces: 12 + 8 + 31 bytes.
+        assert len(_v1_frame(KIND_PUT, _put_payload(*items[0]))) == 51
+
+    def test_int_values_take_the_delta_column(self, path):
+        items = [(k, k * 10) for k in range(200)]
+        with WriteAheadLog(path) as wal:
+            wal.append_puts(items)
+            assert wal.bytes_written < 200
+        assert replay_wal(path).ops == [("put", k, v) for k, v in items]
+
+    def test_empty_put_many_writes_and_syncs_nothing(self, path):
+        wal = WriteAheadLog(path, fsync_policy=FSYNC_ALWAYS)
+        index = SortednessAwareIndex(BPlusTree(), wal=wal)
+        index.put_many([(1, "a"), (2, "b")])
+        before = (wal.syncs, wal.records, wal.bytes_written, os.path.getsize(path))
+        index.put_many([])
+        assert (wal.syncs, wal.records, wal.bytes_written, os.path.getsize(path)) == before
+        wal.close()
+
+
+class TestMixedFormatLog:
+    """Per-record frames from older logs, batch frames, single puts and
+    deletes in one file replay in order, and a torn batch drops whole."""
+
+    def _write(self, path):
+        model, ops = {}, []
+
+        def record(kind, key, value=None):
+            ops.append((kind, key, value))
+            if kind == "put":
+                model[key] = value
+            else:
+                model.pop(key, None)
+
+        with open(path, "wb") as handle:
+            for key in (5, 3, 9):
+                handle.write(encode_frame(KIND_PUT, _put_payload(key, ("old", key))))
+                record("put", key, ("old", key))
+        with WriteAheadLog(path) as wal:
+            batch = [(key, ("batch", key)) for key in (3, 10, 11, 4)]
+            wal.append_puts(batch)
+            for key, value in batch:
+                record("put", key, value)
+            wal.append_put(12, "single")
+            record("put", 12, "single")
+            wal.append_delete(5)
+            record("delete", 5)
+            prefix = os.path.getsize(path)
+            last = [(key, ("last", key)) for key in (20, 3, 21)]
+            wal.append_puts(last)
+        return model, ops, prefix, last
+
+    def test_replays_in_order_then_accepts_appends(self, path):
+        model, ops, _prefix, last = self._write(path)
+        for key, value in last:
+            model[key] = value
+        replay = replay_wal(path)
+        assert replay.ops == ops + [("put", k, v) for k, v in last]
+        assert replay.records == len(ops) + len(last) and not replay.torn_tail
+        state = {}
+        for kind, key, value in replay.ops:
+            if kind == "put":
+                state[key] = value
+            else:
+                state.pop(key, None)
+        assert state == model
+        with WriteAheadLog(path) as wal:
+            assert wal.recovered_records == replay.records
+            wal.append_delete(3)
+        assert replay_wal(path).ops[-1] == ("delete", 3, None)
+
+    def test_cut_anywhere_in_the_last_batch_drops_it_whole(self, path):
+        _model, ops, prefix, _last = self._write(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        for cut in range(prefix + 1, len(data)):
+            with open(path, "wb") as handle:
+                handle.write(data[:cut])
+            replay = replay_wal(path)
+            assert replay.ops == ops and replay.torn_tail, cut
+            with WriteAheadLog(path) as wal:
+                assert wal.recovered_records == len(ops)
+                assert wal.recovered_torn_tail
+            assert os.path.getsize(path) == prefix
+
+
+class TestDecodeErrors:
+    """A CRC-valid frame was written whole: failing to decode it is an
+    error, never a torn tail that truncates acknowledged records after it."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+    def test_value_that_cannot_be_unpickled(self, path, monkeypatch, batched):
+        with WriteAheadLog(path) as wal:
+            wal.append_puts([(1, "a"), (2, "b")])
+            if batched:
+                wal.append_puts([(3, "c"), (4, _Vanishing())])
+            else:
+                wal.append_put(4, _Vanishing())
+            wal.append_puts([(5, "e"), (6, "f")])
+            wal.append_put(7, "g")
+        size = os.path.getsize(path)
+        monkeypatch.delattr(sys.modules[__name__], "_Vanishing")
+        with pytest.raises(WALError, match="at byte") as caught:
+            WriteAheadLog(path)
+        assert caught.value.__cause__ is not None
+        assert os.path.getsize(path) == size
+        with pytest.raises(WALError):
+            replay_wal(path)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [encode_frame(9, b"payload"), encode_frame(KIND_DELETE, b"\x00" * 5),
+         encode_frame(KIND_PUT, b"\x01\x02"), encode_frame(KIND_PUT_BATCH, b"not a page")],
+        ids=["unknown-kind", "short-delete", "short-put", "bad-page"],
+    )
+    def test_malformed_frame(self, path, frame):
+        with WriteAheadLog(path) as wal:
+            wal.append_put(1, "a")
+        with open(path, "ab") as handle:
+            handle.write(frame + encode_frame(KIND_DELETE, struct.pack("<q", 1)))
+        size = os.path.getsize(path)
+        with pytest.raises(WALError, match=f"at byte {size - len(frame) - 20}"):
+            WriteAheadLog(path)
+        assert os.path.getsize(path) == size
