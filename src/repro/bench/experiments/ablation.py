@@ -99,7 +99,6 @@ def _flush_ablation(n: int) -> Dict[str, float]:
 
 
 def run(n: int = 12_000) -> AblationResult:
-    n = common.scaled(n)
     data = {
         "tail-leaf node accesses/insert (sorted)": _tail_leaf_ablation(n),
         "search probe steps (uniform keys)": _search_ablation(min(n, 20_000)),
@@ -111,3 +110,20 @@ def run(n: int = 12_000) -> AblationResult:
         rows = [(name, f"{value:,.2f}") for name, value in values.items()]
         sections.append(format_table(["variant", "value"], rows, title=title))
     return AblationResult(report="\n".join(sections), data=data)
+
+
+def check(result: AblationResult) -> None:
+    tail = result.data["tail-leaf node accesses/insert (sorted)"]
+    assert tail["with tail pointer"] < tail["without"] / 2
+
+    search = result.data["search probe steps (uniform keys)"]
+    assert search["interpolation"] < search["binary"]
+
+    sort = result.data["sort work, near-sorted buffer"]
+    assert (
+        sort["(K,L)-adaptive (est. comparisons)"]
+        < sort["stable sort (est. comparisons)"]
+    )
+
+    flush = result.data["top-inserts (K=10%, L=5%)"]
+    assert flush["partial flush (50%)"] <= flush["full flush (95%)"]

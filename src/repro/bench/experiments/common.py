@@ -2,13 +2,12 @@
 
 Scaling: the paper ingests 500M entries with a buffer of 1% of the data;
 every experiment here keeps the paper's *ratios* (buffer %, K%, L%, read
-fractions) and shrinks N. ``REPRO_SCALE`` multiplies every default size
-(e.g. ``REPRO_SCALE=4 pytest benchmarks/`` runs 4× larger workloads).
+fractions) and shrinks N. The sizes each experiment is pinned at live in
+the table in :mod:`repro.bench.experiments`.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -20,8 +19,6 @@ from repro.sortedness.generator import generate_kl_keys, scrambled_keys, sorted_
 from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import CostModel, Meter
 from repro.workloads.spec import MixedWorkloadSpec, RawWorkloadSpec
-
-SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
 
 #: Leaf/internal capacities used across all experiments (DESIGN.md §6).
 LEAF_CAPACITY = 64
@@ -39,11 +36,6 @@ SORTEDNESS_PRESETS: List[Tuple[str, Optional[float], Optional[float]]] = [
 
 #: The paper's read:write ratios (read fraction of the interleaved phase).
 READ_WRITE_RATIOS: List[float] = [0.10, 0.25, 0.40, 0.50, 0.60, 0.75, 0.90]
-
-
-def scaled(n: int) -> int:
-    """Scale a base workload size by REPRO_SCALE (min 1000)."""
-    return max(1000, int(n * SCALE))
 
 
 @lru_cache(maxsize=128)

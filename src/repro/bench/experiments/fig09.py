@@ -75,3 +75,9 @@ def run(n: int = 2000, seed: int = 7, with_plots: bool = True) -> Fig9Result:
         title="Fig. 9 — workload family: target vs measured sortedness",
     )
     return Fig9Result(report=table + "\n" + "\n".join(sections), data=data)
+
+
+def check(result: Fig9Result) -> None:
+    # Sanity: the generated degrees must bracket the figure's intent.
+    assert result.data["(a) sorted"]["measured_k"] == 0.0
+    assert result.data["(f) scrambled"]["measured_k"] > 0.5

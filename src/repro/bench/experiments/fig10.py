@@ -34,7 +34,6 @@ def run(
     pool_capacity: Optional[int] = None,
     title: str = "Fig. 10 — SA B+-tree speedup over B+-tree (mixed workloads)",
 ) -> Fig10Result:
-    n = common.scaled(n)
     ratios = ratios if ratios is not None else common.READ_WRITE_RATIOS
     presets = presets if presets is not None else common.SORTEDNESS_PRESETS
 
@@ -70,3 +69,14 @@ def run(
         row_header="sortedness",
     )
     return Fig10Result(report=report, data=data, runs=runs)
+
+
+def check(result: Fig10Result) -> None:
+    # Paper shape: sorted write-heavy is the peak; speedup decays with reads;
+    # scrambled never beats the baseline in memory.
+    sorted_wh = result.data[("sorted", 0.10)]
+    sorted_rh = result.data[("sorted", 0.90)]
+    assert sorted_wh > 4.0
+    assert sorted_wh > sorted_rh > 1.0
+    assert result.data[("near-sorted", 0.10)] > result.data[("near-sorted", 0.90)]
+    assert result.data[("scrambled", 0.50)] < 1.0

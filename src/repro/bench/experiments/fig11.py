@@ -32,7 +32,6 @@ def run(
     buffer_fraction: float = 0.01,
     seed: int = 7,
 ) -> Fig11Result:
-    n = common.scaled(n)
     data: Dict[float, Dict[str, float]] = {}
     rows: List[tuple] = []
     for k_fraction in K_SWEEP:
@@ -63,3 +62,12 @@ def run(
         title=f"Fig. 11 — ingestion routing in SA B+-tree (n={n}, L={l_fraction:.0%})",
     )
     return Fig11Result(report=report, data=data)
+
+
+def check(result: Fig11Result) -> None:
+    # Fully sorted data is 100% bulk loaded; top-inserts grow with K.
+    assert result.data[0.0]["top_inserts"] == 0
+    near = result.data[0.10]
+    assert near["top_inserts"] / (near["top_inserts"] + near["bulk_loaded"]) < 0.15
+    tops = [result.data[k]["top_inserts"] for k in sorted(result.data)]
+    assert tops == sorted(tops)

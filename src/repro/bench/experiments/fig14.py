@@ -35,7 +35,6 @@ class Fig14Result:
 
 
 def run(n: int = 8_000, seed: int = 7) -> Fig14Result:
-    n = common.scaled(n)
     data: Dict[Tuple[str, float, float], float] = {}
     baseline_cache: Dict[Tuple[float, float, float], RunResult] = {}
     sections: List[str] = []
@@ -71,3 +70,16 @@ def run(n: int = 8_000, seed: int = 7) -> Fig14Result:
             )
         )
     return Fig14Result(report="\n".join(sections), data=data)
+
+
+def check(result: Fig14Result) -> None:
+    panel_a = "(a) 10%R buffer=1%"
+    panel_c = "(c) 90%R buffer=1%"
+    panel_b = "(b) 50%R buffer=1%"
+    panel_d = "(d) 50%R buffer=5%"
+    # Fully sorted (K=0) is the peak of every panel and constant across L.
+    assert result.data[(panel_a, 0.0, 0.01)] > result.data[(panel_a, 1.0, 0.50)]
+    # More reads -> less benefit.
+    assert result.data[(panel_a, 0.0, 0.01)] > result.data[(panel_c, 0.0, 0.01)]
+    # A larger buffer helps the mid-grid.
+    assert result.data[(panel_d, 0.10, 0.05)] >= result.data[(panel_b, 0.10, 0.05)] * 0.9

@@ -33,7 +33,6 @@ def run(
     n_lookups: int = 4000,
     seed: int = 7,
 ) -> Fig15Result:
-    n = common.scaled(n)
     keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
     ingest = [(INSERT, key, value_for(key)) for key in keys]
     lookups = list(common.raw_spec(keys, n_lookups=n_lookups, seed=seed).lookup_operations())
@@ -65,3 +64,16 @@ def run(
         title=f"Fig. 15 — buffer size vs performance (n={n}, K={k_fraction:.0%}, L={l_fraction:.0%})",
     )
     return Fig15Result(report=report, data=data)
+
+
+def check(result: Fig15Result) -> None:
+    # Even the smallest buffer wins ingestion; the largest wins at least as
+    # much; lookups stay within a modest overhead of the baseline.
+    fractions = sorted(result.data)
+    assert result.data[fractions[0]]["insert_speedup"] > 1.5
+    assert (
+        result.data[fractions[-1]]["insert_speedup"]
+        >= result.data[fractions[0]]["insert_speedup"] * 0.95
+    )
+    for values in result.data.values():
+        assert values["lookup_speedup"] > 0.75

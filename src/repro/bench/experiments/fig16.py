@@ -38,7 +38,6 @@ def run(
     # the unsorted section, so the buffer must span many pages for the
     # threshold to matter (the paper's 5M-entry buffer has ~9.7k pages); at
     # reduced scale we use a 5% buffer with small pages.
-    n = common.scaled(n)
     data: Dict[Tuple[float, float], float] = {}
     base_cache: Dict[float, RunResult] = {}
     for k_fraction in K_SWEEP:
@@ -68,3 +67,15 @@ def run(
         row_header="threshold",
     )
     return Fig16Result(report=report, data=data)
+
+
+def check(result: Fig16Result) -> None:
+    # Query sorting must not catastrophically hurt any configuration, and
+    # the tuned 10% threshold should be at least as good as disabling it
+    # for some mid-sortedness point.
+    k_mid = 0.10
+    with_qs = result.data[(0.10, k_mid)]
+    without = result.data[(1.00, k_mid)]
+    assert with_qs >= without * 0.9
+    for (threshold, k), value in result.data.items():
+        assert value > 0.5, (threshold, k)

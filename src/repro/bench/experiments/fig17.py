@@ -43,7 +43,6 @@ def run(
     # Geometry note: the filters gate page scans of the unsorted section,
     # so the buffer must span many pages for the ablation to discriminate
     # (see fig16); we use a 5% buffer with small pages at reduced scale.
-    n = common.scaled(n)
     data: Dict[Tuple[str, float], Dict[str, float]] = {}
     rows_insert: List[list] = []
     rows_lookup: List[list] = []
@@ -98,3 +97,20 @@ def run(
         ]
     )
     return Fig17Result(report=report, data=data)
+
+
+def check(result: Fig17Result) -> None:
+    # (a) BFs add a small ingestion cost: full SA inserts cost no less than
+    # the naive variant.
+    for k in (0.10, 0.50, 1.00):
+        assert (
+            result.data[("SA full", k)]["insert_ns"]
+            >= result.data[("naive SA", k)]["insert_ns"] * 0.98
+        )
+    # (b) BFs pay off on lookups once sortedness drops (an unsorted tail
+    # exists to skip).
+    k = 1.00
+    assert (
+        result.data[("SA full", k)]["lookup_ns"]
+        <= result.data[("naive SA", k)]["lookup_ns"]
+    )

@@ -31,12 +31,14 @@ class Fig19Result:
 
 
 def run(
+    n: int = SIZES[-1],
     read_fraction: float = 0.5,
     fixed_l_entries: int = 1_000,
     fixed_buffer_entries: int = 512,
     seed: int = 7,
 ) -> Fig19Result:
-    sizes = [common.scaled(s) for s in SIZES]
+    """``n`` is the largest size; the sweep keeps ``SIZES``' proportions."""
+    sizes = [size * n // SIZES[-1] for size in SIZES]
     proportional: Dict[int, Dict[str, float]] = {}
     fixed_l: Dict[int, Dict[str, float]] = {}
     table2: Dict[int, Dict[str, float]] = {}
@@ -119,3 +121,18 @@ def run(
     return Fig19Result(
         report=report, proportional=proportional, fixed_l=fixed_l, table2=table2
     )
+
+
+def check(result: Fig19Result) -> None:
+    sizes = sorted(result.proportional)
+    # (a) proportional K/L/buffer: SA wins at every size.
+    for n in sizes:
+        assert result.proportional[n]["speedup"] > 1.0
+    # (b) fixed L and buffer: SA wins and the buffered fraction of the data
+    # shrinks as N grows (Table II), as do pages scanned per query.
+    for n in sizes:
+        assert result.fixed_l[n]["speedup"] > 1.0
+    fractions = [result.table2[n]["buffer_fraction"] for n in sizes]
+    assert fractions == sorted(fractions, reverse=True)
+    pages = [result.table2[n]["pages_scanned_per_query"] for n in sizes]
+    assert pages[-1] <= pages[0]

@@ -37,7 +37,6 @@ def run(
     ratios: List[float] = None,
     seed: int = 7,
 ) -> Fig20Result:
-    n = common.scaled(n)
     ratios = ratios if ratios is not None else common.READ_WRITE_RATIOS
     data: Dict[Tuple[float, str, str], float] = {}
     rows: List[list] = []
@@ -80,3 +79,16 @@ def run(
         ),
     )
     return Fig20Result(report=report, data=data)
+
+
+def check(result: Fig20Result) -> None:
+    for ratio in (0.10, 0.50, 0.90):
+        # SA Bε amplifies sortedness well beyond the plain Bε-tree...
+        assert result.data[(ratio, "S", "sa_betree")] > result.data[(ratio, "S", "betree")]
+        assert result.data[(ratio, "N", "sa_betree")] > 1.0
+        # ...and the plain Bε-tree itself gains a little from sortedness.
+        assert result.data[(ratio, "S", "betree")] >= result.data[(ratio, "L", "betree")]
+    # Write-heavy sorted is the global peak.
+    assert result.data[(0.10, "S", "sa_betree")] == max(
+        v for (r, d, i), v in result.data.items() if i == "sa_betree"
+    )

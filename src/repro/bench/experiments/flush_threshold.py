@@ -41,7 +41,6 @@ def run(
     read_fraction: float = 0.5,
     seed: int = 7,
 ) -> FlushThresholdResult:
-    n = common.scaled(n)
     data: Dict[Tuple[float, str], float] = {}
     base_cache: Dict[str, RunResult] = {}
     rows: List[list] = []
@@ -83,3 +82,14 @@ def run(
         title=f"§V-D — flush threshold sweep (n={n}, 50:50 mixed; best mean: {best:.0%})",
     )
     return FlushThresholdResult(report=report, data=data, best=best)
+
+
+def check(result: FlushThresholdResult) -> None:
+    # All thresholds stay in a sane band; 50% should be competitive with
+    # (within 10% of) the best mean, matching the paper's default choice.
+    means = {
+        f: sum(result.data[(f, label)] for label in
+               ("sorted", "near-sorted", "less-sorted", "scrambled")) / 4
+        for f in (0.25, 0.50, 0.75)
+    }
+    assert means[0.50] >= max(means.values()) * 0.9

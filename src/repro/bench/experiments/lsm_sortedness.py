@@ -61,7 +61,6 @@ def _build(variant: str, n: int, buffer_fraction: float):
 
 
 def run(n: int = 16_000, buffer_fraction: float = 0.01, seed: int = 7) -> LSMSortednessResult:
-    n = common.scaled(n)
     data: Dict[Tuple[str, str], float] = {}
     rows = []
     for label, k_fraction, l_fraction in PRESETS:
@@ -86,3 +85,20 @@ def run(n: int = 16_000, buffer_fraction: float = 0.01, seed: int = 7) -> LSMSor
         ),
     )
     return LSMSortednessResult(report=report, data=data)
+
+
+def check(result: LSMSortednessResult) -> None:
+    # (i) Plain LSM pays the same write amplification regardless of
+    # sortedness — the paper's complaint.
+    plain = [result.data[(p, "LSM")] for p in ("sorted", "near-sorted", "scrambled")]
+    assert max(plain) / min(plain) < 1.3
+    # (ii) Skip-merge rescues fully sorted ingestion only.
+    assert result.data[("sorted", "LSM+skip")] < result.data[("sorted", "LSM")] / 2
+    assert result.data[("near-sorted", "LSM+skip")] > result.data[("sorted", "LSM+skip")] * 1.5
+    # (iii) SWARE + skip-merge extends the benefit to near-sorted data.
+    assert (
+        result.data[("near-sorted", "SWARE(LSM+skip)")]
+        < result.data[("near-sorted", "LSM")] / 2
+    )
+    # And degrades gracefully for scrambled data (no catastrophic blowup).
+    assert result.data[("scrambled", "SWARE(LSM+skip)")] < result.data[("scrambled", "LSM")] * 1.6

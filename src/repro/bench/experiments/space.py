@@ -37,7 +37,6 @@ class SpaceResult:
 
 
 def run(n: int = 20_000, buffer_fraction: float = 0.01, seed: int = 7) -> SpaceResult:
-    n = common.scaled(n)
     data: Dict[str, Dict[str, float]] = {}
     rows: List[list] = []
     for label, k_fraction, l_fraction in PRESETS:
@@ -92,3 +91,21 @@ def run(n: int = 20_000, buffer_fraction: float = 0.01, seed: int = 7) -> SpaceR
         title=f"Space utilization after ingesting {n} entries (paper: up to 48% saved)",
     )
     return SpaceResult(report=report, data=data)
+
+
+def check(result: SpaceResult) -> None:
+    # Sorted ingestion: SA saves a large fraction of leaf slots (~48% in
+    # the paper; bulk fill 95% vs half-full right-deep leaves).
+    assert result.data["sorted"]["savings"] > 0.30
+    assert result.data["near-sorted"]["savings"] > 0.20
+    # SA's average leaf fill approaches the 95% bulk-load target.
+    assert result.data["sorted"]["sa_fill"] > 0.85
+    # Logical vs physical occupancy: physical slots include the gapped
+    # layout's sentinel gap slots, so physical fill never exceeds logical
+    # fill and the identity logical = physical - gaps holds exactly.
+    for preset in ("sorted", "near-sorted"):
+        row = result.data[preset]
+        assert row["sa_physical_slots"] >= row["sa_slots"]
+        assert row["sa_physical_fill"] <= row["sa_fill"] + 1e-9
+        assert row["sa_physical_slots"] - row["sa_gap_slots"] == row["sa_logical_entries"]
+        assert row["sa_logical_entries"] > 0

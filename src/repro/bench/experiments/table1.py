@@ -54,7 +54,6 @@ def _tree_factory(split_factor: float):
 
 
 def run(n: int = 20_000, seed: int = 7) -> Table1Result:
-    n = common.scaled(n)
     raw: Dict[Tuple[float, str], int] = {}
     for label, k_fraction, l_fraction in PRESETS:
         keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
@@ -81,3 +80,11 @@ def run(n: int = 20_000, seed: int = 7) -> Table1Result:
         title=f"Table I — normalized leaf splits (n={n}; 1.00 = textbook 50:50)",
     )
     return Table1Result(report=report, data=data, raw_splits=raw)
+
+
+def check(result: Table1Result) -> None:
+    # Near-sorted data: higher split ratios reduce splits monotonically-ish.
+    assert result.data[(0.9, "K=2%, L=1%")] < result.data[(0.5, "K=2%, L=1%")]
+    assert result.data[(0.8, "K=2%, L=1%")] < 1.0
+    # Scrambled-ish data: aggressive ratios backfire (>= the 50:50 count).
+    assert result.data[(0.9, "K=100%, L=50%")] > result.data[(0.6, "K=100%, L=50%")]

@@ -35,7 +35,6 @@ def run(
     n_lookups: int = 5_000,
     seed: int = 7,
 ) -> ZonemapAblationResult:
-    n = common.scaled(n)
     keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
     ingest = [(INSERT, key, value_for(key)) for key in keys]
     lookups = list(
@@ -70,3 +69,8 @@ def run(
         report=report,
         data={"with": results["with"], "without": results["without"], "penalty": penalty},
     )
+
+
+def check(result: ZonemapAblationResult) -> None:
+    # Skipping the read-path Zonemaps must cost, not help.
+    assert result.data["penalty"] > 0.02

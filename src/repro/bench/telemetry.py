@@ -24,7 +24,6 @@ the CI smoke check for ``repro experiment fig13 --json``.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from pathlib import Path
@@ -72,7 +71,6 @@ def build_bench_artifact(
         "schema": SCHEMA,
         "experiment": experiment,
         "created_unix": time.time(),
-        "repro_scale": float(os.environ.get("REPRO_SCALE", "1.0")),
         "meta": bench_meta(),
         "runs": list(obs.runs),
         "metrics": obs.registry.snapshot(poll=poll),

@@ -10,20 +10,16 @@ Commands
     Ingest a generated workload into the SA B+-tree and the baseline
     B+-tree and report the simulated speedup and ingestion statistics.
 ``experiment``
-    Run one of the paper's experiments by name (fig09 … fig21, table1,
-    table3, flush_threshold, zonemap_ablation, space, lsm_sortedness) and
-    print its report. With ``--json PATH`` the run is observed through
-    ``repro.obs`` and a schema-valid ``BENCH_<name>.json`` telemetry
-    artifact (per-phase sim/wall ns, counters, latency percentiles) is
-    written to PATH and to the results directory.
-``bench-sosd``
-    SOSD-style cross-backend benchmark: every registered backend
-    (SA B+-tree, B+-tree, Bε-tree, LSM, learned, cracking) over every
-    dataset family (books/osm/fb per sortedness regime, wiki/tpch natural
-    streams, real SOSD binaries via ``REPRO_SOSD_DIR``), ranked by
-    simulated I/O cost with measured per-dataset (K,L). With ``--json``
-    it writes the ``BENCH_sosd.json`` telemetry artifact whose rankings
-    the CI sosd-smoke job pins.
+    Run one entry of the experiment table
+    (:data:`repro.bench.experiments.EXPERIMENTS`: fig09 … fig21, table1,
+    table3, the §V-D sweeps, the extensions, the component ablation and the
+    SOSD cross-backend ranking) at its pinned kwargs, or at ``--n``, print
+    its report, and evaluate its paper-shape check: a failed check is
+    printed to stderr and exits 1. At the pinned kwargs the report equals
+    ``results/<report>.txt``. With ``--json PATH`` the run is observed
+    through ``repro.obs`` and a schema-valid ``BENCH_<name>.json``
+    telemetry artifact (per-phase sim/wall ns, counters, latency
+    percentiles) is written to PATH and to the results directory.
 ``recover``
     Rebuild an index from a checkpoint file plus a write-ahead-log tail
     (crash restart), verify its invariants, and print the recovery report.
@@ -69,32 +65,13 @@ Commands
 from __future__ import annotations
 
 import argparse
-import importlib
+import linecache
+import os
 import sys
+import traceback
 from typing import List, Optional
 
-EXPERIMENTS = [
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "fig21",
-    "table1",
-    "table3",
-    "flush_threshold",
-    "zonemap_ablation",
-    "space",
-    "lsm_sortedness",
-    "sosd",
-]
+from repro.bench.experiments import EXPERIMENTS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a paper experiment by name")
     exp.add_argument("name", choices=EXPERIMENTS)
-    exp.add_argument("--n", type=int, default=None, help="override workload size")
+    exp.add_argument("--n", type=int, default=None, help="override the pinned size")
     exp.add_argument(
         "--json",
         type=str,
@@ -134,45 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="observe the run and write the BENCH_<name>.json telemetry artifact",
     )
     exp.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample-profile the run and print the per-layer time table",
-    )
-
-    sosd = sub.add_parser(
-        "bench-sosd",
-        help="SOSD-style cross-backend bench: SWARE vs trees/learned/cracking",
-    )
-    sosd.add_argument("--n", type=int, default=None, help="override workload size")
-    sosd.add_argument(
-        "--lookups", type=int, default=None, help="point lookups per dataset"
-    )
-    sosd.add_argument(
-        "--ranges", type=int, default=None, help="range scans per dataset"
-    )
-    sosd.add_argument(
-        "--backends",
-        type=str,
-        default=None,
-        metavar="LIST",
-        help="comma-separated backend names (default: all registered)",
-    )
-    sosd.add_argument(
-        "--regimes",
-        type=str,
-        default=None,
-        metavar="LIST",
-        help="comma-separated sortedness regimes for the set families "
-        "(default near_sorted,scrambled)",
-    )
-    sosd.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="observe the run and write the BENCH_sosd.json telemetry artifact",
-    )
-    sosd.add_argument(
         "--profile",
         action="store_true",
         help="sample-profile the run and print the per-layer time table",
@@ -476,24 +414,39 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment_with_telemetry(
-    name: str,
-    kwargs: dict,
-    json_path: Optional[str],
-    profile: bool = False,
-) -> int:
-    """Run an experiment module, optionally writing its bench artifact.
-
-    ``profile`` samples the run with the obs v2 profiler and prints the
-    per-layer wall-time table; with ``--json`` the profile section also
-    lands in the artifact.
-    """
-    module = importlib.import_module(f"repro.bench.experiments.{name}")
-    if json_path is None and not profile:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Run a table entry, print its report, then evaluate its shape check."""
+    entry = EXPERIMENTS[args.name]
+    module, kwargs = entry.module, entry.run_kwargs(args.n)
+    if args.json is None and not args.profile:
         result = module.run(**kwargs)
         print(result.report)
-        return 0
+    else:
+        result = _run_observed_experiment(args, module, kwargs)
+    try:
+        module.check(result)
+    except AssertionError as exc:
+        print(f"{args.name}: shape check failed: {_failed_assertion(exc)}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def _failed_assertion(exc: AssertionError) -> str:
+    """``file:line: <the assert statement> <its message>`` for a failed check."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    last = getattr(frame, "end_lineno", None) or frame.lineno  # 3.11+
+    statement = " ".join(
+        linecache.getline(frame.filename, line).strip()
+        for line in range(frame.lineno, last + 1)
+    )
+    where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+    return f"{where}: {statement}" + (f" {exc}" if str(exc) else "")
+
+
+def _run_observed_experiment(args: argparse.Namespace, module, kwargs: dict):
+    """Run under ``repro.obs``: ``--profile`` prints the sampled per-layer
+    wall-time table; ``--json`` writes the artifact (with the profile section
+    when both are given)."""
     from pathlib import Path
 
     from repro.bench.telemetry import (
@@ -504,7 +457,7 @@ def _run_experiment_with_telemetry(
     from repro.obs import Observability, SamplingProfiler, observe
 
     obs = Observability(trace=True)
-    if profile:
+    if args.profile:
         obs.profiler = SamplingProfiler()
         obs.profiler.start()
     try:
@@ -522,51 +475,16 @@ def _run_experiment_with_telemetry(
             f"note: trace ring truncated — {obs.tracer.dropped} events dropped",
             file=sys.stderr,
         )
-    if json_path is None:
-        return 0
-    # Experiments may carry structured metadata for the artifact (e.g. the
-    # per-dataset measured (K,L) blocks of bench-sosd).
-    extra = getattr(result, "artifact_extra", None)
-    doc = build_bench_artifact(name, obs, extra=extra)
+    if args.json is None:
+        return result
+    doc = build_bench_artifact(args.name, obs)
     errors = validate_bench_artifact(doc)
     if errors:  # pragma: no cover - a bug, not an input error
-        for error in errors:
-            print(f"invalid bench artifact: {error}", file=sys.stderr)
-        return 1
-    save_bench_artifact(doc, Path(json_path))
+        raise SystemExit("invalid bench artifact: " + "; ".join(errors))
+    save_bench_artifact(doc, Path(args.json))
     default_path = save_bench_artifact(doc)
-    print(f"wrote telemetry to {json_path} and {default_path}", file=sys.stderr)
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    return _run_experiment_with_telemetry(
-        args.name, kwargs, args.json, profile=args.profile
-    )
-
-
-def _cmd_bench_sosd(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.lookups is not None:
-        kwargs["n_lookups"] = args.lookups
-    if args.ranges is not None:
-        kwargs["n_ranges"] = args.ranges
-    if args.backends is not None:
-        kwargs["backends"] = tuple(
-            token.strip() for token in args.backends.split(",") if token.strip()
-        )
-    if args.regimes is not None:
-        kwargs["regimes"] = tuple(
-            token.strip() for token in args.regimes.split(",") if token.strip()
-        )
-    return _run_experiment_with_telemetry(
-        "sosd", kwargs, args.json, profile=args.profile
-    )
+    print(f"wrote telemetry to {args.json} and {default_path}", file=sys.stderr)
+    return result
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -643,7 +561,6 @@ def _recover_sharded_root(root: str) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
 
     from repro.core.config import SWAREConfig
     from repro.errors import ReproError
@@ -953,7 +870,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "measure": _cmd_measure,
         "demo": _cmd_demo,
         "experiment": _cmd_experiment,
-        "bench-sosd": _cmd_bench_sosd,
         "recover": _cmd_recover,
         "rebuild": _cmd_rebuild,
         "serve": _cmd_serve,

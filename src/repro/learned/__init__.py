@@ -14,7 +14,7 @@ evaluation positions SWARE against:
 
 Both charge the shared :class:`~repro.storage.costmodel.Meter` for every
 structural step (model probes, epsilon-window search steps, partition
-passes, merges), so ``repro bench-sosd`` ranks them under the same cost
+passes, merges), so ``repro experiment sosd`` ranks them under the same cost
 model as the trees. Neither supports page-image checkpointing — see
 :class:`~repro.errors.CheckpointUnsupportedError`.
 """

@@ -17,7 +17,7 @@ popularised:
 Cost accounting mirrors the tree backends: the model probe charges one
 ``node_access`` (the segment table is one cache-resident node), every
 binary-search halving charges ``interp_step``, merges charge ``merge_step``
-and rebuild writes ``bulk_entry``, so ``repro bench-sosd`` compares SWARE
+and rebuild writes ``bulk_entry``, so ``repro experiment sosd`` compares SWARE
 and the learned family under a single cost model. Batch lookups vectorize
 the predictions (:func:`repro.kernels.pla_predict_many`).
 """

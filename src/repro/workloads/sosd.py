@@ -59,8 +59,8 @@ class SOSDDataset:
     """An ordered key stream plus its measured sortedness.
 
     ``keys`` is the arrival order an experiment ingests; ``k``/``l`` (and
-    their fractions) are *measured* on that order, so artifact metadata
-    reports the stream's true sortedness rather than a generator request.
+    their fractions) are *measured* on that order, so the ``sosd`` report
+    prints the stream's true sortedness rather than a generator request.
     """
 
     name: str
@@ -78,22 +78,6 @@ class SOSDDataset:
     @property
     def n(self) -> int:
         return len(self.keys)
-
-    def meta(self) -> Dict[str, object]:
-        """The per-dataset block carried in bench artifact metadata."""
-        return {
-            "name": self.name,
-            "family": self.family,
-            "regime": self.regime,
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "k_fraction": self.k_fraction,
-            "l_fraction": self.l_fraction,
-            "inversions": self.inversions,
-            "source": self.source,
-            "params": dict(self.params),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +414,7 @@ def _apply_regime(base: Sequence[int], regime: str, seed: int) -> List[int]:
 def default_benchmark_datasets(
     n: int, seed: int = 7, regimes: Sequence[str] = ("near_sorted", "scrambled")
 ) -> List[SOSDDataset]:
-    """The bench-sosd default grid: every family, every applicable regime.
+    """The ``sosd`` experiment's grid: every family, every applicable regime.
 
     Sorted-set families (books/osm/fb) appear once per requested regime;
     natural streams (wiki/tpch) once each; any real binaries found under

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
 
 
 class TestGenerate:
@@ -82,16 +82,16 @@ class TestExperiment:
         assert main(["experiment", "space", "--n", "2000"]) == 0
         assert "Space" in capsys.readouterr().out
 
+    def test_experiment_fig19_takes_n(self, capsys):
+        # --n is fig19's largest size; the sweep keeps its proportions.
+        assert main(["experiment", "fig19", "--n", "3000"]) == 0
+        out = capsys.readouterr().out
+        assert "Fig. 19a" in out
+        assert "\n   3000 |" in out and "\n   1500 |" in out
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
-
-    def test_all_experiment_names_importable(self):
-        import importlib
-
-        for name in EXPERIMENTS:
-            module = importlib.import_module(f"repro.bench.experiments.{name}")
-            assert hasattr(module, "run")
 
 
 class TestRecover:

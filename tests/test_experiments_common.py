@@ -5,15 +5,6 @@ from repro.bench.experiments import common
 from repro.workloads.spec import INSERT, LOOKUP
 
 
-class TestScaling:
-    def test_scaled_floor(self):
-        assert common.scaled(10) >= 1000
-
-    def test_scaled_identity_at_default(self):
-        if common.SCALE == 1.0:
-            assert common.scaled(20_000) == 20_000
-
-
 class TestKeysFor:
     def test_cache_returns_same_object(self):
         a = common.keys_for(2000, 0.1, 0.05, seed=3)

@@ -1,7 +1,6 @@
 """End-to-end integration tests reproducing the paper's headline claims at
-tiny scale (the full-size versions live in benchmarks/)."""
-
-import pytest
+tiny scale (the full figures are the experiment table's entries,
+tests/test_experiments.py)."""
 
 from repro.bench.experiments import common
 from repro.bench.runner import run_phases, speedup
@@ -131,44 +130,3 @@ class TestSABeTree:
                 [("ingest", ingest_ops(keys))],
             ).sim_ns
         assert runs["sorted"] < runs["scrambled"]
-
-
-class TestExperimentModulesSmoke:
-    """Every experiment module runs end-to-end at toy scale and produces a
-    non-empty report (full-scale validation lives in benchmarks/)."""
-
-    @pytest.mark.parametrize(
-        "module,kwargs",
-        [
-            ("fig09", {"n": 400, "with_plots": False}),
-            ("fig11", {"n": 2000}),
-            ("fig13", {"n": 2000, "n_lookups": 300}),
-            ("fig15", {"n": 3000, "n_lookups": 300}),
-            ("fig16", {"n": 2000}),
-            ("table1", {"n": 3000}),
-            ("fig21", {"n": 3000}),
-            ("flush_threshold", {"n": 2000}),
-            ("zonemap_ablation", {"n": 3000, "n_lookups": 500}),
-            ("space", {"n": 2000}),
-        ],
-    )
-    def test_experiment_runs(self, module, kwargs):
-        import importlib
-
-        mod = importlib.import_module(f"repro.bench.experiments.{module}")
-        result = mod.run(**kwargs)
-        assert isinstance(result.report, str) and len(result.report) > 50
-
-    def test_fig10_small(self):
-        from repro.bench.experiments import fig10
-
-        result = fig10.run(
-            n=2000, ratios=[0.25], presets=[("sorted", 0.0, 0.0)]
-        )
-        assert result.data[("sorted", 0.25)] > 1.0
-
-    def test_fig20_small(self):
-        from repro.bench.experiments import fig20
-
-        result = fig20.run(n=2000, ratios=[0.25])
-        assert result.data[(0.25, "S", "sa_betree")] > 1.0
