@@ -6,7 +6,6 @@ from repro.bench.report import (
     format_matrix,
     format_table,
     results_dir,
-    save_report,
 )
 from repro.bench.runner import (
     PhaseResult,
@@ -23,7 +22,6 @@ __all__ = [
     "format_matrix",
     "format_table",
     "results_dir",
-    "save_report",
     "PhaseResult",
     "RunResult",
     "execute_operations",

@@ -1,8 +1,10 @@
 """Plain-text report formatting for the experiment harness.
 
 All figures and tables of the paper are regenerated as ASCII tables/grids
-(the offline environment has no plotting stack); each benchmark prints its
-report and also writes it under ``results/`` so EXPERIMENTS.md can cite it.
+(the offline environment has no plotting stack). ``repro experiment NAME``
+prints its entry's report to stdout; the committed ``results/<report>.txt``
+is that output, and CI diffs the two. :func:`results_dir` is where
+telemetry artifacts (``--json``) land.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ def results_dir() -> Path:
     """Directory reports are written to (override with REPRO_RESULTS)."""
     path = Path(os.environ.get("REPRO_RESULTS", "results"))
     path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def save_report(name: str, text: str) -> Path:
-    path = results_dir() / f"{name}.txt"
-    path.write_text(text)
     return path
 
 

@@ -1,44 +1,33 @@
 """A thread-safe front-end for the sortedness-aware index (§IV-D).
 
-:class:`ConcurrentSortednessAwareIndex` wraps a
-:class:`~repro.core.sware.SortednessAwareIndex` and enforces the paper's
-concurrency-control discipline with *blocking* locks
+:class:`ConcurrentSortednessAwareIndex` is a lock policy over a
+:class:`~repro.core.sware.SortednessAwareIndex`: it runs the inner index's
+own steps, each under a latch, bracketed by the paper's blocking locks
 (:class:`~repro.core.locks.BlockingLockManager`):
 
-* every write takes the buffer-wide lock **exclusively but instantaneously**
-  to decide whether it triggers a flush;
-* a non-flushing write releases the buffer-wide lock and appends under a
-  **page-granular** lock (the page is derived from the entry's logical
-  slot, reserving the slot under the buffer-wide lock so concurrent flush
-  predictions stay exact);
-* a flushing write keeps the buffer-wide exclusive lock, first draining
-  in-flight appenders by sweeping every page lock, and holds all of it
-  across the flush cycle;
-* reads take the buffer-wide lock **shared**; when the unsorted tail has
-  grown past the query-sorting threshold, the reader upgrades S→X (legal
-  for the sole reader; an upgrade field of several readers is a deadlock,
-  surfaced by a short timeout and resolved by releasing and re-acquiring
-  exclusively).
+* ``_route`` decides each single-key write under an **instantaneous**
+  buffer-wide X, counting the slots reserved by appends not yet made so
+  flush predictions stay exact. A direct tree delete (``_delete``) runs
+  right there: buffer X doubles as the tree lock.
+* An append reserves its slot, releases X and runs ``_insert`` /
+  ``_delete`` under that slot's **page** lock. It re-routes first, so the
+  step never flushes there: a write the buffer no longer admits retries.
+* A write whose append fills the buffer, a ``put_many`` chunk that may
+  (``_put_many``), ``flush_all`` and ``checkpoint`` keep X and sweep every
+  page lock, draining in-flight appenders, before running the step and any
+  ``_flush_cycle`` it triggers.
+* Reads run the trigger-free bodies (``_get``, ``_get_many``,
+  ``_range_query``, ``_items``) under buffer-wide **S**. Past the
+  query-sort trigger, the reader first upgrades S→X, sweeps the pages and
+  fires ``_maybe_query_sort``. Several readers upgrading at once deadlock;
+  a short timeout surfaces that and the reader re-acquires X from scratch.
 
-Two realities of CPython shape the implementation (DESIGN.md §8):
-
-* The protocol locks provide *logical* isolation; a short internal latch
-  (`threading.Lock`) protects the *physical* Python structures, the role
-  latches play under page locks in a real system. Every actual touch of
-  the wrapped index happens under the latch, so readers see quiesced
-  state even while protocol-concurrent appends are in flight.
-* The wrapped index's own query-sort trigger is disabled
-  (``query_sorting_threshold`` is forced to 1.0) and re-implemented here,
-  because firing it inside a read would mutate the buffer under a shared
-  lock; the front-end owns the S→X upgrade instead.
-
-Lock contention is observable: the lock manager's acquisition / wait /
-timeout / upgrade counters register as a ``locks`` obs collector, waits
-feed the ``lock_wait_ns`` histogram, and upgrade fallbacks / append
-retries are published by the ``concurrent`` collector.
-
-:mod:`repro.core.schedules` replays seeded interleavings of this class
-deterministically and checks the discipline above on its lock table.
+The steps own the WAL appends, counters and monitor feed, so the WAL lives
+on the inner index and WAL order is apply order, which recovery replays.
+The latch guards the physical Python structures under the logical locks,
+as latches do under page locks in a real system (DESIGN.md §8).
+:mod:`repro.core.schedules` replays seeded interleavings of this class and
+checks the discipline above.
 """
 
 from __future__ import annotations
@@ -47,13 +36,8 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SWAREConfig
-from repro.core.locks import (
-    DEFAULT_TIMEOUT_S,
-    EXCLUSIVE,
-    SHARED,
-    BlockingLockManager,
-)
-from repro.core.sware import SortednessAwareIndex, TreeBackend
+from repro.core.locks import DEFAULT_TIMEOUT_S, EXCLUSIVE, SHARED, BlockingLockManager
+from repro.core.sware import APPEND, DIRECT, FLUSH, SortednessAwareIndex, TreeBackend
 from repro.errors import LockTimeout
 from repro.obs import NULL_OBS, Observability, current_obs
 from repro.storage.costmodel import Meter
@@ -62,10 +46,9 @@ from repro.storage.wal import WriteAheadLog
 #: The whole-buffer lock resource; pages are ``page:<index>``.
 BUFFER = "buffer"
 
-#: How long an S→X upgrade may wait before it is presumed deadlocked
-#: (two readers upgrading wait for each other forever) and falls back to
-#: release-and-reacquire. Deliberately much shorter than the general lock
-#: timeout: the fallback is always safe, merely unfair.
+#: How long an S→X upgrade may wait before it is presumed deadlocked (two
+#: readers upgrading wait for each other forever) and falls back to
+#: release-and-reacquire: short, as the fallback is always safe, merely unfair.
 DEFAULT_UPGRADE_TIMEOUT_S = 0.1
 
 
@@ -85,58 +68,28 @@ class ConcurrentSortednessAwareIndex:
         self.config = config or SWAREConfig()
         self.lock_timeout = lock_timeout
         self.upgrade_timeout = upgrade_timeout
-        #: The WAL lives on the wrapper, not the inner index: the inner
-        #: write path is bypassed by the page-granular append fast path, so
-        #: the wrapper logs each op under the latch at its apply point —
-        #: WAL order therefore matches the physical serialization order
-        #: exactly, which is what recovery replays.
-        self.wal = wal
-        obs = obs if obs is not None else current_obs()
-        self.obs = obs
-        # The inner index must never query-sort on its own (that would
-        # mutate the buffer under a shared lock); the front-end triggers
-        # the sort itself after an S→X upgrade.
-        self.inner = SortednessAwareIndex(
-            backend,
-            config=self.config.with_(query_sorting_threshold=1.0),
-            meter=meter,
-            obs=obs,
-        )
+        self.obs = obs = obs if obs is not None else current_obs()
+        self.inner = SortednessAwareIndex(backend, self.config, meter=meter, obs=obs, wal=wal)
         self.locks = BlockingLockManager(obs=obs)
         self._latch = threading.Lock()
-        #: Append slots handed out under the buffer-wide lock but not yet
-        #: materialized; flush predictions include them so a concurrent
-        #: burst of appends can never overfill the buffer.
+        #: Append slots handed out under buffer X but not yet materialized:
+        #: flush predictions include them, so appenders never overfill.
         self._reserved = 0
         self.upgrade_fallbacks = 0
         self.append_retries = 0
-        self._query_sort_trigger = self.config.query_sort_trigger
         if obs is not NULL_OBS:
             obs.register_collector("locks", self.locks.snapshot)
             obs.register_collector("concurrent", self._collector_snapshot)
         if obs.monitors is not None:
-            # Contention counters flow into health evaluation alongside the
-            # streaming monitors (the lock_contention / lock_timeouts rules).
+            # Feeds the lock_contention / lock_timeouts health rules.
             obs.monitors.attach_locks(self.locks)
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    @property
-    def backend(self):
-        return self.inner.backend
-
-    @property
-    def buffer(self):
-        return self.inner.buffer
-
-    @property
-    def meter(self):
-        return self.inner.meter
+    # The inner index's state, read through the front-end.
+    stats = property(lambda self: self.inner.stats)
+    backend = property(lambda self: self.inner.backend)
+    buffer = property(lambda self: self.inner.buffer)
+    meter = property(lambda self: self.inner.meter)
+    wal = property(lambda self: self.inner.wal)
 
     def _collector_snapshot(self) -> Dict[str, float]:
         return {
@@ -148,19 +101,12 @@ class ConcurrentSortednessAwareIndex:
         return [f"page:{page}" for page in range(self.config.n_pages)]
 
     def _sweep_pages(self, worker: int) -> List[str]:
-        """Drain in-flight appenders: acquire every page lock, in order.
-
-        Called while holding the buffer-wide exclusive lock, so no new
-        appender can reserve a slot; existing ones either finish first or
-        block until the flush completes. Never called under the latch
-        (an appender holding a page lock may be waiting for the latch).
-        """
+        """Drain in-flight appenders: every page lock, in order, under buffer X
+        (no new reservations) and never the latch (page holders wait on it)."""
         held: List[str] = []
         try:
             for resource in self._page_resources():
-                self.locks.acquire(
-                    worker, resource, EXCLUSIVE, timeout=self.lock_timeout
-                )
+                self.locks.acquire(worker, resource, EXCLUSIVE, timeout=self.lock_timeout)
                 held.append(resource)
         except LockTimeout:
             self._release(worker, held)
@@ -170,6 +116,25 @@ class ConcurrentSortednessAwareIndex:
     def _release(self, worker: int, resources: List[str]) -> None:
         for resource in resources:
             self.locks.release(worker, resource)
+
+    def _swept(self, worker: int, step, *args):
+        """``step(*args)`` under every page lock and the latch; the caller
+        holds buffer X. Every flush and query sort runs here."""
+        held = self._sweep_pages(worker)
+        try:
+            with self._latch:
+                return step(*args)
+        finally:
+            self._release(worker, held)
+
+    def _exclusive(self, step, *args):
+        """``step(*args)`` under buffer X, every page lock and the latch."""
+        worker = threading.get_ident()
+        self.locks.acquire(worker, BUFFER, EXCLUSIVE, timeout=self.lock_timeout)
+        try:
+            return self._swept(worker, step, *args)
+        finally:
+            self.locks.release(worker, BUFFER)
 
     # ------------------------------------------------------------------
     # writes
@@ -185,244 +150,112 @@ class ConcurrentSortednessAwareIndex:
         self._write(key, None, tombstone=True)
 
     def _write(self, key: int, value: object, tombstone: bool) -> None:
-        # The span carries the tracer's per-thread id, so interleaved
-        # writers render as separate rows in the Perfetto view; lock waits
-        # and the flush cycle nest under it causally.
-        obs = self.obs
-        if obs.enabled:
-            with obs.span("concurrent.write", key=key, tombstone=tombstone):
-                self._write_inner(key, value, tombstone)
-        else:
-            self._write_inner(key, value, tombstone)
+        # The span carries the tracer's per-thread id, so interleaved writers
+        # render as separate Perfetto rows with lock waits and flushes nested.
+        with self.obs.span("concurrent.write", key=key, tombstone=tombstone):
+            while not self._try_write(key, value, tombstone):
+                self.append_retries += 1
 
-    def _write_inner(self, key: int, value: object, tombstone: bool) -> None:
+    def _try_write(self, key: int, value: object, tombstone: bool) -> bool:
+        """One pass of the write discipline; False if the append must retry."""
         worker = threading.get_ident()
-        locks = self.locks
-        inner = self.inner
-        buffer = inner.buffer
-        capacity = self.config.buffer_capacity
-        page_size = self.config.page_size
-        n_pages = self.config.n_pages
-        while True:
-            # (1) Instantaneous buffer-wide X: route the op and decide
-            # whether it triggers a flush.
-            locks.acquire(worker, BUFFER, EXCLUSIVE, timeout=self.lock_timeout)
-            flush = False
-            page: Optional[int] = None
-            try:
-                with self._latch:
-                    if tombstone and (
-                        buffer.is_empty or not buffer.zonemap.may_contain(key)
-                    ):
-                        # Direct tree delete; the buffer-wide lock doubles
-                        # as the tree lock (readers search the tree under
-                        # S, flushes mutate it under X).
-                        if self.wal is not None:
-                            self.wal.append_delete(key)
-                        inner.delete(key)
-                        return
-                    if len(buffer) + self._reserved + 1 >= capacity:
-                        flush = True
-                    else:
-                        slot = len(buffer) + self._reserved
-                        page = min(slot // page_size, n_pages - 1)
-                        self._reserved += 1
-                if flush:
-                    # (2a) Flush path: keep buffer-wide X, drain in-flight
-                    # appenders, then add + flush under everything.
-                    held = self._sweep_pages(worker)
-                    try:
-                        with self._latch:
-                            if self.wal is not None:
-                                if tombstone:
-                                    self.wal.append_delete(key)
-                                else:
-                                    self.wal.append_put(key, value)
-                            if tombstone:
-                                inner.delete(key)
-                            else:
-                                inner.insert(key, value)
-                    finally:
-                        self._release(worker, held)
-                    return
-            finally:
-                locks.release(worker, BUFFER)
-            # (2b) Append path: buffer-wide lock already released; the
-            # page lock (protecting that page's Zonemap/BF metadata too)
-            # covers the materialization.
-            resource = f"page:{page}"
-            locks.acquire(worker, resource, EXCLUSIVE, timeout=self.lock_timeout)
-            try:
-                with self._latch:
-                    self._reserved -= 1
-                    if buffer.is_full:
-                        # A flush ran between the check and this append
-                        # and refilled, or predictions drifted; retry the
-                        # whole write so the flush check runs again.
-                        retry = True
-                    else:
-                        retry = False
-                        if self.wal is not None:
-                            if tombstone:
-                                self.wal.append_delete(key)
-                            else:
-                                self.wal.append_put(key, value)
-                        if tombstone:
-                            inner.stats.deletes += 1
-                            buffer.add(key, None, tombstone=True)
-                            inner.stats.tombstones_buffered += 1
-                        else:
-                            inner.stats.inserts += 1
-                            buffer.add(key, value)
-                            # The fast path bypasses inner.insert, so the
-                            # monitor feed happens here (still under the
-                            # latch). Deletes are not fed, as in the inner
-                            # index.
-                            hub = self.obs.monitors
-                            if hub is not None:
-                                hub.observe_insert(key, buffer)
-            finally:
-                locks.release(worker, resource)
-            if not retry:
-                return
-            self.append_retries += 1
+        locks, inner = self.locks, self.inner
+        step, args = (inner._delete, (key,)) if tombstone else (inner._insert, (key, value))
+        # (1) Instantaneous buffer-wide X: the inner index routes the op.
+        locks.acquire(worker, BUFFER, EXCLUSIVE, timeout=self.lock_timeout)
+        try:
+            with self._latch:
+                route = inner._route(key, tombstone, pending=self._reserved)
+                if route == DIRECT:
+                    step(*args)  # buffer X doubles as the tree lock
+                    return True
+                if route == APPEND:
+                    slot = len(inner.buffer) + self._reserved
+                    resource = f"page:{min(slot // self.config.page_size, self.config.n_pages - 1)}"
+                    self._reserved += 1
+            if route == FLUSH:
+                # (2a) Keep X, drain in-flight appenders, append and flush.
+                self._swept(worker, step, *args)
+                return True
+        finally:
+            locks.release(worker, BUFFER)
+        # (2b) The page lock (guarding that page's Zonemap/BF too) covers the append.
+        locks.acquire(worker, resource, EXCLUSIVE, timeout=self.lock_timeout)
+        try:
+            with self._latch:
+                self._reserved -= 1
+                # Re-routed without reservations: a buffer that filled or drained
+                # since would have the step flush or go to the tree here.
+                if inner._route(key, tombstone) != APPEND:
+                    return False
+                step(*args)
+                return True
+        finally:
+            locks.release(worker, resource)
 
     def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
-        """Batch upsert: buffer-wide X per capacity-sized chunk.
-
-        Readers and single-key writers can interleave between chunks; the
-        page-lock sweep runs only for chunks that can fill the buffer.
-        """
+        """Batch upsert, buffer-wide X per chunk: readers and single-key
+        writers interleave between chunks, and only a chunk that can fill
+        the buffer sweeps the page locks."""
         for _key, value in items:
             if value is None:
                 raise ValueError("None values are reserved for 'absent'")
         worker = threading.get_ident()
-        locks = self.locks
-        inner = self.inner
-        buffer = inner.buffer
-        capacity = self.config.buffer_capacity
+        locks, inner = self.locks, self.inner
         i, n = 0, len(items)
         while i < n:
             locks.acquire(worker, BUFFER, EXCLUSIVE, timeout=self.lock_timeout)
             try:
                 with self._latch:
-                    space = capacity - len(buffer) - self._reserved
-                if space <= 0 or n - i >= space:
-                    # The chunk may fill the buffer: drain appenders so
-                    # the flush inside ``put_many`` excludes everyone.
-                    held = self._sweep_pages(worker)
-                    try:
-                        with self._latch:
-                            if space <= 0:
-                                inner._flush_cycle()
-                            else:
-                                if self.wal is not None:
-                                    self.wal.append_puts(items[i : i + space])
-                                inner.put_many(items[i : i + space])
-                                i += space
-                    finally:
-                        self._release(worker, held)
+                    space = inner.buffer.capacity - len(inner.buffer) - self._reserved
+                    if n - i < space:
+                        # Fits even if every reserved append lands: no flush, no sweep.
+                        inner._put_many(items[i:])
+                        return
+                if space <= 0:
+                    self._swept(worker, inner._flush_cycle)
                 else:
-                    # Strictly below capacity even if every reserved
-                    # append lands: no flush possible, no sweep needed.
-                    with self._latch:
-                        if self.wal is not None:
-                            self.wal.append_puts(items[i:n])
-                        inner.put_many(items[i:n])
-                        i = n
+                    self._swept(worker, inner._put_many, items[i : i + space])
+                    i += space
             finally:
                 locks.release(worker, BUFFER)
 
     def flush_all(self) -> None:
         """Drain the buffer into the tree under buffer-wide X."""
-        worker = threading.get_ident()
-        self.locks.acquire(worker, BUFFER, EXCLUSIVE, timeout=self.lock_timeout)
-        try:
-            held = self._sweep_pages(worker)
-            try:
-                with self._latch:
-                    self.inner.flush_all()
-            finally:
-                self._release(worker, held)
-        finally:
-            self.locks.release(worker, BUFFER)
+        self._exclusive(self.inner.flush_all)
 
     def checkpoint(self, store) -> int:
-        """Atomic checkpoint + WAL truncation under buffer-wide X.
-
-        The page-lock sweep drains in-flight appenders first, so the saved
-        tree and the truncated WAL are a consistent cut: every op either
-        made it into the checkpoint or will be re-logged after it.
-        """
-        worker = threading.get_ident()
-        self.locks.acquire(worker, BUFFER, EXCLUSIVE, timeout=self.lock_timeout)
-        try:
-            held = self._sweep_pages(worker)
-            try:
-                with self._latch:
-                    pages = store.save_index(self.inner)
-                    if self.wal is not None:
-                        self.wal.reset()
-                    return pages
-            finally:
-                self._release(worker, held)
-        finally:
-            self.locks.release(worker, BUFFER)
+        """The inner index's checkpoint + WAL truncation under buffer X and
+        every page lock: the saved tree and the truncated WAL are one cut."""
+        return self._exclusive(self.inner.checkpoint, store)
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _should_query_sort(self) -> bool:
-        return self.inner.buffer.tail_size >= self._query_sort_trigger
-
     def _begin_read(self, worker: int) -> None:
         """Take buffer-wide S; upgrade to X and query-sort if triggered."""
         locks = self.locks
+        due = self.inner.buffer.should_query_sort
         locks.acquire(worker, BUFFER, SHARED, timeout=self.lock_timeout)
-        if not self._should_query_sort():
+        if not due():
             return
         try:
             locks.acquire(worker, BUFFER, EXCLUSIVE, timeout=self.upgrade_timeout)
         except LockTimeout:
-            # Upgrade field: several readers each waiting for the others
-            # to leave. Back off and re-enter exclusively; the trigger is
-            # re-checked because whoever won the race sorted already. A
-            # timeout on the re-acquire propagates with nothing held.
+            # Upgrade field: readers each waiting for the others to leave.
+            # Back off and re-enter exclusively (whoever won may have sorted
+            # already); a timeout on the re-acquire propagates, nothing held.
             self.upgrade_fallbacks += 1
             locks.release(worker, BUFFER)
             locks.acquire(worker, BUFFER, EXCLUSIVE, timeout=self.lock_timeout)
         try:
-            if self._should_query_sort():
-                # Query sorting is flush-class — it rewrites the tail — so
-                # in-flight appenders (page holders that passed their flush
-                # check before this reader took S) must drain first.
-                held = self._sweep_pages(worker)
-                try:
-                    with self._latch:
-                        if self._should_query_sort():
-                            with self.inner.meter.bucket("sware_ops"):
-                                self.inner.buffer.query_sort()
-                finally:
-                    self._release(worker, held)
-            # The read proceeds under X; downgrading buys nothing for the
-            # microseconds the latched read takes.
+            if due():
+                # Query sorting rewrites the tail: drain the appenders admitted
+                # before this reader took S. The read then proceeds under X.
+                self._swept(worker, self.inner._maybe_query_sort)
         except BaseException:
             locks.release(worker, BUFFER)
             raise
-
-    def get(self, key: int) -> Optional[object]:
-        obs = self.obs
-        if obs.enabled:
-            with obs.span("concurrent.read", key=key):
-                return self._read(self.inner.get, key)
-        return self._read(self.inner.get, key)
-
-    def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        obs = self.obs
-        if obs.enabled:
-            with obs.span("concurrent.read_many", n=len(keys)):
-                return self._read(self.inner.get_many, keys)
-        return self._read(self.inner.get_many, keys)
 
     def _read(self, read, *args):
         """``read(*args)`` under the §IV-D read discipline (buffer S + latch)."""
@@ -434,35 +267,34 @@ class ConcurrentSortednessAwareIndex:
         finally:
             self.locks.release(worker, BUFFER)
 
-    def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
-        return self._read(self.inner.range_query, lo, hi)
+    def get(self, key: int) -> Optional[object]:
+        with self.obs.span("concurrent.read", key=key):
+            return self._read(self.inner._get, key)
 
-    def range_many(
-        self, ranges: Sequence[Tuple[int, int]]
-    ) -> List[List[Tuple[int, object]]]:
-        range_query = self.inner.range_query
-        return self._read(lambda: [range_query(lo, hi) for lo, hi in ranges])
+    def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
+        with self.obs.span("concurrent.read_many", n=len(keys)):
+            return self._read(self.inner._get_many, keys)
+
+    def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        return self._read(self.inner._range_query, lo, hi)
+
+    def range_many(self, ranges: Sequence[Tuple[int, int]]) -> List[List[Tuple[int, object]]]:
+        return self._read(lambda: [self.inner._range_query(lo, hi) for lo, hi in ranges])
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     def items(self) -> List[Tuple[int, object]]:
-        return self._read(self.inner.items)
+        return self._read(self.inner._items)
 
     def describe(self) -> dict:
         with self._latch:
             doc = self.inner.describe()
-        doc["locks"] = self.locks.snapshot()
-        doc["locks"].update(self._collector_snapshot())
+        doc["locks"] = {**self.locks.snapshot(), **self._collector_snapshot()}
         return doc
 
     def check_invariants(self) -> None:
         """Structural invariants of the wrapped index (quiesced check)."""
         with self._latch:
             self.inner.buffer.check_invariants()
-            check = getattr(self.inner.backend, "check_invariants", None)
-            if check is not None:
-                check()
+            getattr(self.inner.backend, "check_invariants", lambda: None)()

@@ -9,7 +9,7 @@ when the estimated K < 20% or L < 5% of the buffer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
@@ -92,7 +92,3 @@ class SWAREConfig:
         if self.query_sorting_threshold >= 1.0:
             return float("inf")
         return max(1, int(self.query_sorting_threshold * self.buffer_capacity))
-
-    def with_(self, **changes) -> "SWAREConfig":
-        """A copy with the given fields replaced (convenience for sweeps)."""
-        return replace(self, **changes)

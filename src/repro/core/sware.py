@@ -14,6 +14,13 @@ Bε-tree) with the SWARE-buffer:
 * deletes become buffer tombstones when the key is within the buffer's
   range, applied to the tree at flush time (§IV-D).
 
+Each write is one private step (``_insert``, ``_delete``, ``_put_many``)
+that owns its WAL append, its counters and its monitor feed; each read is
+the query-sort trigger (``_maybe_query_sort``) followed by a trigger-free
+body (``_get``, ``_get_many``, ``_range_query``, ``_items``).
+:class:`~repro.core.concurrent.ConcurrentSortednessAwareIndex` brackets
+these same steps with the §IV-D locks.
+
 Values must not be ``None`` — the library reserves ``None`` for "absent".
 """
 
@@ -29,6 +36,10 @@ from repro.core.stats import SWAREStats
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
 from repro.storage.costmodel import Meter, NULL_METER
 from repro.storage.wal import WriteAheadLog
+
+#: Where :meth:`SortednessAwareIndex._route` sends a write: straight into the
+#: tree, into the buffer, or into the buffer with the flush that fills it.
+DIRECT, APPEND, FLUSH = "direct", "append", "flush"
 
 
 @runtime_checkable
@@ -102,6 +113,8 @@ class SortednessAwareIndex:
             self._insert(key, value)
 
     def _insert(self, key: int, value: object) -> None:
+        """The put step: log, count, append and feed the monitor, then flush
+        if the append filled the buffer (:meth:`_route`'s ``FLUSH``)."""
         if self.wal is not None:
             self.wal.append_put(key, value)
         self.stats.inserts += 1
@@ -133,6 +146,8 @@ class SortednessAwareIndex:
             self._put_many(items)
 
     def _put_many(self, items: Sequence[Tuple[int, object]]) -> None:
+        """The batch step: one WAL frame, then capacity-sized chunks, each
+        flushing if it filled the buffer."""
         if self.wal is not None:
             self.wal.append_puts(items)
         buffer = self.buffer
@@ -162,18 +177,30 @@ class SortednessAwareIndex:
         else:
             self._delete(key)
 
+    def _route(self, key: int, tombstone: bool, pending: int = 0) -> str:
+        """Where a write goes: ``DIRECT`` for a tombstone whose key the
+        buffer cannot hold (deleted from the tree now), else ``APPEND``, or
+        ``FLUSH`` when the append fills the buffer. ``pending`` counts appends
+        already admitted but not yet made."""
+        buffer = self.buffer
+        if tombstone and (buffer.is_empty or not buffer.zonemap.may_contain(key)):
+            return DIRECT
+        return FLUSH if len(buffer) + pending + 1 >= buffer.capacity else APPEND
+
     def _delete(self, key: int) -> None:
+        """The delete step: log and count, then a direct tree delete or a
+        buffered tombstone (flushing if it filled the buffer)."""
         if self.wal is not None:
             self.wal.append_delete(key)
         self.stats.deletes += 1
-        if not self.buffer.is_empty and self.buffer.zonemap.may_contain(key):
-            self.buffer.add(key, None, tombstone=True)
-            self.stats.tombstones_buffered += 1
-            if self.buffer.is_full:
-                self._flush_cycle()
+        if self._route(key, tombstone=True) == DIRECT:
+            with self.meter.bucket("top_insert"):
+                self.backend.delete(key)
             return
-        with self.meter.bucket("top_insert"):
-            self.backend.delete(key)
+        self.buffer.add(key, None, tombstone=True)
+        self.stats.tombstones_buffered += 1
+        if self.buffer.is_full:
+            self._flush_cycle()
 
     def flush_all(self) -> None:
         """Drain the entire buffer into the tree (end-of-ingest helper)."""
@@ -299,10 +326,10 @@ class SortednessAwareIndex:
         """Fire the query-driven sort trigger (§IV-C) if the tail warrants.
 
         This is the *only* place the trigger fires and the ``sware_ops``
-        sort charge is metered — every read entry point (single or batch)
-        routes through here exactly once per call, so batch accounting
-        matches a sequential loop (the loop's per-op re-check is a constant
-        False after the first trigger empties the tail).
+        sort charge is metered. Every public read fires it once per call,
+        then runs its trigger-free body, so batch accounting matches a
+        sequential loop (the loop's per-op re-check is a constant False
+        after the first trigger empties the tail).
         """
         if self.buffer.should_query_sort():
             with self.meter.bucket("sware_ops"):
@@ -310,17 +337,22 @@ class SortednessAwareIndex:
 
     def get(self, key: int) -> Optional[object]:
         """Point lookup along the optimized read path (Fig. 6)."""
+        buffer = self.buffer
+        if len(buffer._tail_keys) >= buffer.query_sort_at:
+            self._maybe_query_sort()
+        return self._get(key)
+
+    def _get(self, key: int) -> Optional[object]:
+        """:meth:`get` without the query-sort trigger."""
         self.stats.lookups += 1
         obs = self.obs
         if obs.enabled:
             with obs.span("sware.get", key=key):
-                return self._get(key)
-        return self._get(key)
+                return self._lookup(key)
+        return self._lookup(key)
 
-    def _get(self, key: int) -> Optional[object]:
+    def _lookup(self, key: int) -> Optional[object]:
         buffer = self.buffer
-        if len(buffer._tail_keys) >= buffer.query_sort_at:
-            self._maybe_query_sort()
         meter = self.meter
         zonemap = buffer.zonemap
         low = zonemap.min_key
@@ -366,10 +398,14 @@ class SortednessAwareIndex:
             # gets never evaluates the trigger, so firing it here would
             # mutate the buffer and charge sware_ops with no reads at all.
             return []
+        self._maybe_query_sort()
+        return self._get_many(keys)
+
+    def _get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
+        """:meth:`get_many` without the query-sort trigger."""
         n = len(keys)
         self.stats.lookups += n
         with self.obs.span("sware.get_many", n=n):
-            self._maybe_query_sort()
             results: List[Optional[object]] = [None] * n
             miss_positions: List[int] = []
             miss_keys: List[int] = []
@@ -424,31 +460,23 @@ class SortednessAwareIndex:
         if not ranges:
             return []
         self._maybe_query_sort()
-        obs = self.obs
-        tracing = obs.enabled
-        out: List[List[Tuple[int, object]]] = []
-        for lo, hi in ranges:
-            self.stats.range_queries += 1
-            if tracing:
-                with obs.span("sware.range_query", lo=lo, hi=hi):
-                    out.append(self._range_query_inner(lo, hi))
-            else:
-                out.append(self._range_query_inner(lo, hi))
-        return out
+        return [self._range_query(lo, hi) for lo, hi in ranges]
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """All live (key, value) in [lo, hi]; buffered versions win."""
+        self._maybe_query_sort()
+        return self._range_query(lo, hi)
+
+    def _range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        """:meth:`range_query` without the query-sort trigger."""
         self.stats.range_queries += 1
         obs = self.obs
         if obs.enabled:
             with obs.span("sware.range_query", lo=lo, hi=hi):
-                self._maybe_query_sort()
-                return self._range_query_inner(lo, hi)
-        self._maybe_query_sort()
-        return self._range_query_inner(lo, hi)
+                return self._range_scan(lo, hi)
+        return self._range_scan(lo, hi)
 
-    def _range_query_inner(self, lo: int, hi: int) -> List[Tuple[int, object]]:
-        """Range scan body; the caller owns the query-sort trigger."""
+    def _range_scan(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         with self.meter.bucket("buffer_search"):
             buffered = self.buffer.range_run(lo, hi)
         with self.meter.bucket("tree_search"):
@@ -480,6 +508,11 @@ class SortednessAwareIndex:
         widens the scan — it can never clip a live key. Pinned by
         ``tests/test_readpath_bugfixes.py`` against flush + delete cycles.
         """
+        self._maybe_query_sort()
+        return self._items()
+
+    def _items(self) -> List[Tuple[int, object]]:
+        """:meth:`items` without the query-sort trigger."""
         lows = [v for v in (self.buffer.zonemap.min_key, self.backend.min_key) if v is not None]
         highs = [v for v in (self.buffer.zonemap.max_key, self.backend.max_key) if v is not None]
         if not lows or not highs:
@@ -488,7 +521,7 @@ class SortednessAwareIndex:
             # guarded explicitly so a half-set source fails closed instead
             # of raising on max([]).
             return []
-        return self.range_query(min(lows), max(highs))
+        return self._range_query(min(lows), max(highs))
 
     def describe(self) -> dict:
         """A structured status snapshot for reports and examples."""

@@ -4,6 +4,7 @@ holds ``(worker, resource, mode, holders)`` per request that had to wait."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import threading
 
@@ -15,7 +16,7 @@ from repro.core.locks import EXCLUSIVE
 from repro.core.schedules import DEFAULT_CONFIG, ScheduleExplorer
 from repro.errors import ConfigError, ReproError
 
-NO_QUERY_SORT = DEFAULT_CONFIG.with_(query_sorting_threshold=1.0)
+NO_QUERY_SORT = dataclasses.replace(DEFAULT_CONFIG, query_sorting_threshold=1.0)
 #: Out-of-order inserts that leave a tail past the query-sort trigger (4).
 DESCENDING = [("insert", key, key) for key in range(10, 0, -1)]
 #: Two workers reading back descending inserts: their reads keep crossing

@@ -15,6 +15,8 @@ from repro.core.schedules import ScheduleExplorer
 from repro.core.sware import SortednessAwareIndex
 from repro.errors import LockTimeout
 from repro.obs import Observability
+from repro.storage.costmodel import Meter
+from repro.storage.wal import WriteAheadLog, replay_wal
 from tests.test_concurrency import TWO_READERS_OVER_A_TAIL
 
 SMALL = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
@@ -43,38 +45,51 @@ class TestSingleThreaded:
         index.flush_all()
         index.check_invariants()
 
-    def test_matches_plain_index(self):
-        """Same op stream -> same final state and the same sortedness and
-        saturation monitors as the unwrapped index."""
+    def test_matches_plain_index(self, tmp_path):
+        """Same mixed op stream -> the same reads, stats, simulated cost,
+        WAL and sortedness and saturation monitors as the unwrapped index."""
         rng = random.Random(3)
         ops = []
         for _ in range(800):
             roll = rng.random()
             key = rng.randrange(200)
-            if roll < 0.7:
-                ops.append(("put", key, key * 3 + 1))
+            if roll < 0.45:
+                ops.append(("insert", key, key * 3 + 1))
+            elif roll < 0.55:
+                batch = rng.sample(range(200), rng.randrange(2, 12))
+                ops.append(("put_many", [(k, k * 3 + 2) for k in batch]))
+            elif roll < 0.7:
+                ops.append(("delete", key))
+            elif roll < 0.9:
+                ops.append(("get", key))
             else:
-                ops.append(("del", key))
+                ops.append(("range_query", key, key + rng.randrange(1, 40)))
+
+        def run(index, name):
+            reads = [getattr(index, op[0])(*op[1:]) for op in ops]
+            monitors = index.obs.monitors.snapshot()
+            monitors.pop("locks", None)
+            index.flush_all()
+            reads.append(index.items())
+            index.wal.close()
+            ops_logged = replay_wal(str(tmp_path / name)).ops
+            return reads, index.stats.snapshot(), index.meter.snapshot(), ops_logged, monitors
+
+        def parts(name):
+            wal = WriteAheadLog(str(tmp_path / name), fsync_policy="never")
+            return {"meter": Meter(), "obs": Observability(monitors=True), "wal": wal}
 
         plain = SortednessAwareIndex(
             BPlusTree(BPlusTreeConfig(leaf_capacity=16, internal_capacity=16)),
             config=SMALL,
-            obs=Observability(monitors=True),
+            **parts("plain.wal"),
         )
-        conc = make_index(obs=Observability(monitors=True))
-        for op in ops:
-            if op[0] == "put":
-                plain.insert(op[1], op[2])
-                conc.insert(op[1], op[2])
-            else:
-                plain.delete(op[1])
-                conc.delete(op[1])
-        monitors = conc.obs.monitors.snapshot()
-        del monitors["locks"]
-        assert monitors == plain.obs.monitors.snapshot()
-        plain.flush_all()
-        conc.flush_all()
-        assert conc.items() == plain.items()
+        conc = make_index(**parts("conc.wal"))
+        expected, actual = run(plain, "plain.wal"), run(conc, "conc.wal")
+        names = ("reads", "stats", "meter", "wal ops", "monitors")
+        for name, want, got in zip(names, expected, actual):
+            assert got == want, name
+        assert expected[2]["sort_comparison"] > 0 and expected[3]
 
     def test_put_many_chunks_and_flushes(self):
         index = make_index()
@@ -105,17 +120,21 @@ class TestSingleThreaded:
             assert index.locks.mode(f"page:{page}") is None
 
     def test_query_sort_owned_by_front_end(self):
-        """The inner index's own trigger is disabled; the front-end
-        query-sorts under its upgraded exclusive lock."""
+        """The read bodies the front-end runs under buffer S never sort the
+        tail; a read that finds the tail past the trigger upgrades to X and
+        query-sorts before its body runs."""
         index = make_index()
-        assert index.inner.config.query_sorting_threshold == 1.0
         for key in range(10, 0, -1):  # out of order: grows the tail
             index.insert(key, key)
-        assert index.buffer.tail_size > 0
-        index.get(5)  # trigger: tail (10) >= 0.25 * 16
+        tail = index.buffer.tail_size
+        assert tail >= 4  # the trigger: 0.25 * 16
+        inner = index.inner
+        inner._get(5), inner._get_many([5]), inner._range_query(0, 9), inner._items()
+        assert (index.buffer.tail_size, index.stats.query_sorts) == (tail, 0)
+        assert index.get(5) == 5
         assert index.buffer.tail_size == 0
-        assert index.stats.query_sorts >= 1
-        assert index.locks.snapshot()["upgrades"] >= 1
+        assert index.stats.query_sorts == 1
+        assert index.locks.snapshot()["upgrades"] == 1
 
     def test_describe_includes_lock_counters(self):
         index = make_index()

@@ -117,10 +117,3 @@ class TestReportFormatting:
     def test_format_breakdown_shares_sum(self):
         text = format_breakdown("B", {"x": 75.0, "y": 25.0}, order=["x", "y"])
         assert "75.0%" in text and "25.0%" in text
-
-    def test_save_report(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path / "out"))
-        from repro.bench.report import save_report
-
-        path = save_report("test_report", "hello\n")
-        assert path.read_text() == "hello\n"

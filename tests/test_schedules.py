@@ -121,7 +121,7 @@ def lossy_add(explorer):
 
 def stale_get(explorer):
     """Lookups ignore both the buffer and the tree."""
-    explorer.index.inner.get = lambda key: None
+    explorer.index.inner._get = lambda key: None
 
 
 def leaky_pages(explorer):

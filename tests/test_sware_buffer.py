@@ -4,6 +4,8 @@ Every test runs on the keys it is written with and again, in the ``*Wide``
 classes at the end, shifted beyond int64 (see ``tests/key_domains.py``).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.buffer import HIT, MISS, TOMBSTONE, SWAREBuffer
@@ -31,7 +33,7 @@ class TestConfig:
             SWAREConfig(flush_fraction=0.99)
 
     def test_with_override(self):
-        config = SWAREConfig().with_(flush_fraction=0.25)
+        config = dataclasses.replace(SWAREConfig(), flush_fraction=0.25)
         assert config.flush_fraction == 0.25
         assert config.buffer_capacity == SWAREConfig().buffer_capacity
 

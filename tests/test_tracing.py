@@ -176,6 +176,25 @@ class TestComponentCausality:
         assert len(writes) == 100
         assert len({e.tid for e in writes}) == 2
 
+    def test_concurrent_checkpoint_is_traced(self, tmp_path):
+        """The front-end checkpoints through the inner index's own step, so
+        its checkpoint records the same span as the plain index's."""
+        from repro.btree.btree import BPlusTree
+        from repro.core.concurrent import ConcurrentSortednessAwareIndex
+        from repro.storage.pagefile import CheckpointStore
+        from repro.storage.wal import WriteAheadLog
+
+        obs = Observability(trace=True)
+        wal = WriteAheadLog(str(tmp_path / "t.wal"), fsync_policy="never")
+        index = ConcurrentSortednessAwareIndex(BPlusTree(), obs=obs, wal=wal)
+        index.put_many([(key, key) for key in range(100)])
+        store = CheckpointStore(str(tmp_path / "t.db"))
+        pages = index.checkpoint(store)
+        assert wal.tail_bytes() == 0
+        wal.close()
+        (span,) = [e for e in obs.tracer.events() if e.name == "sware.checkpoint"]
+        assert pages > 0 and span.attrs == {"pages": pages, "epoch": store.last_epoch}
+
 
 class TestPerfettoExport:
     def _traced(self):
