@@ -12,22 +12,28 @@ detected structurally rather than by deserialization accident::
     crc         u32   CRC32 over (opcode, flags, request_id, length, payload)
     payload     ...   opcode-specific, see below
 
-Payload encodings (keys are signed 64-bit ints, values arbitrary pickled
-objects — the same representation the WAL and checkpoints use):
+Payload encodings (keys are signed 64-bit ints; records and values are the
+bytes of :mod:`repro.storage.pages`' record codec, as in the WAL):
 
 ========== ============================================================
 opcode      payload
 ========== ============================================================
-PUT         key s64 + pickle(value)
+PUT         ``encode_record``: key s64 + pickle(value)
 GET         key s64
 DEL         key s64
 RANGE       lo s64 + hi s64
-PUT_MANY    count u32 + count * (key s64 + u32-length-prefixed pickle)
+PUT_MANY    ``encode_records``: one v2 leaf page (the WAL's batch frame
+            payload) of at most ``MAX_UNTRUSTED_RECORDS`` records
 GET_MANY    count u32 + count * key s64
 STATS       empty
-RESP_OK     pickle(result) — op-specific result object
-RESP_ERR    pickle(message string)
+RESP_OK     ``encode_value(result)`` — op-specific result object
+RESP_ERR    the error message, UTF-8 text
 ========== ============================================================
+
+Values on the socket are builtin types only (None, bool, int, float, str,
+bytes, list, tuple, dict, set): both ends decode with ``trusted=False``,
+which refuses every pickle global, so a peer's bytes never import or call
+anything. A payload that does not decode raises :class:`ProtocolError`.
 
 Both ends of a connection read through one :class:`FrameDecoder`, which
 raises :class:`ProtocolError` on any structural problem (bad magic, unknown
@@ -38,12 +44,12 @@ half-interpreted request.
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.storage import pages
 
 WIRE_MAGIC = 0x5752
 
@@ -111,19 +117,21 @@ def check_payload(opcode: int, request_id: int, payload: bytes, crc: int) -> Non
 # ----------------------------------------------------------------------
 # request payload encode/decode
 # ----------------------------------------------------------------------
-def encode_put(key: int, value: object) -> bytes:
-    return _KEY.pack(key) + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+def _untrusted(what: str, decode, payload: bytes):
+    """``decode(payload, trusted=False)``, failing with :class:`ProtocolError`."""
+    try:
+        return decode(payload, trusted=False)
+    except pages.PageCorruptionError as exc:
+        raise ProtocolError(f"{what} undecodable: {exc}") from exc
+
+
+#: PUT and RESP_OK payloads are the record codec's bytes, unchanged.
+encode_put = pages.encode_record
+encode_result = pages.encode_value
 
 
 def decode_put(payload: bytes) -> Tuple[int, object]:
-    if len(payload) <= _KEY.size:
-        raise ProtocolError("PUT payload too short")
-    (key,) = _KEY.unpack_from(payload)
-    try:
-        value = pickle.loads(payload[_KEY.size :])
-    except Exception as exc:  # noqa: BLE001 - corrupt pickle = corrupt frame
-        raise ProtocolError(f"PUT value undecodable: {exc!r}") from exc
-    return key, value
+    return _untrusted("PUT payload", pages.decode_record, payload)
 
 
 def encode_key(key: int) -> bytes:
@@ -143,44 +151,17 @@ def encode_range(lo: int, hi: int) -> bytes:
 def decode_range(payload: bytes) -> Tuple[int, int]:
     if len(payload) != _PAIR.size:
         raise ProtocolError("RANGE payload must be exactly 16 bytes")
-    lo, hi = _PAIR.unpack(payload)
-    return lo, hi
+    return _PAIR.unpack(payload)
 
 
 def encode_put_many(items: Sequence[Tuple[int, object]]) -> bytes:
-    parts = [_COUNT.pack(len(items))]
-    for key, value in items:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        parts.append(_KEY.pack(key))
-        parts.append(_COUNT.pack(len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+    if len(items) > pages.MAX_UNTRUSTED_RECORDS:
+        raise ProtocolError(f"PUT_MANY of {len(items)} records is over the cap")
+    return pages.encode_records(items)
 
 
 def decode_put_many(payload: bytes) -> List[Tuple[int, object]]:
-    if len(payload) < _COUNT.size:
-        raise ProtocolError("PUT_MANY payload too short")
-    (count,) = _COUNT.unpack_from(payload)
-    items: List[Tuple[int, object]] = []
-    offset = _COUNT.size
-    for _ in range(count):
-        if len(payload) < offset + _KEY.size + _COUNT.size:
-            raise ProtocolError("PUT_MANY item truncated")
-        (key,) = _KEY.unpack_from(payload, offset)
-        offset += _KEY.size
-        (blob_len,) = _COUNT.unpack_from(payload, offset)
-        offset += _COUNT.size
-        blob = payload[offset : offset + blob_len]
-        if len(blob) < blob_len:
-            raise ProtocolError("PUT_MANY value truncated")
-        offset += blob_len
-        try:
-            items.append((key, pickle.loads(blob)))
-        except Exception as exc:  # noqa: BLE001
-            raise ProtocolError(f"PUT_MANY value undecodable: {exc!r}") from exc
-    if offset != len(payload):
-        raise ProtocolError("PUT_MANY payload has trailing bytes")
-    return items
+    return _untrusted("PUT_MANY payload", pages.decode_records, payload)
 
 
 def encode_get_many(keys: Sequence[int]) -> bytes:
@@ -193,32 +174,22 @@ def decode_get_many(payload: bytes) -> List[int]:
     (count,) = _COUNT.unpack_from(payload)
     if len(payload) != _COUNT.size + count * _KEY.size:
         raise ProtocolError("GET_MANY payload length mismatch")
-    return [
-        _KEY.unpack_from(payload, _COUNT.size + i * _KEY.size)[0] for i in range(count)
-    ]
+    return list(struct.unpack_from(f"<{count}q", payload, _COUNT.size))
 
 
 # ----------------------------------------------------------------------
 # response payloads
 # ----------------------------------------------------------------------
-def encode_result(result: object) -> bytes:
-    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-
-
 def decode_result(payload: bytes) -> object:
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:  # noqa: BLE001
-        raise ProtocolError(f"response undecodable: {exc!r}") from exc
+    return _untrusted("response", pages.decode_value, payload)
 
 
 def encode_error(message: str) -> bytes:
-    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return message.encode("utf-8")
 
 
 def decode_error(payload: bytes) -> str:
-    result = decode_result(payload)
-    return result if isinstance(result, str) else repr(result)
+    return payload.decode("utf-8", errors="replace")
 
 
 class FrameDecoder:

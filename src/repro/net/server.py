@@ -396,6 +396,8 @@ class IndexServer:
         if opcode == p.OP_GET_MANY:
             return index.get_many(p.decode_get_many(payload))
         if opcode == p.OP_STATS:
+            if payload:
+                raise p.ProtocolError("STATS payload must be empty")
             stats = index.describe()
             stats["server"] = {
                 "requests": self.requests,

@@ -41,7 +41,6 @@ module tests and the seeded crash-injection harness
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass
@@ -51,6 +50,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import CheckpointUnsupportedError, ReproError
 from repro.obs import current_obs
+from repro.storage.pages import PageCorruptionError, decode_value, encode_value
 from repro.storage.pages import deserialize_btree, serialize_btree
 from repro.storage.wal import WriteAheadLog, fsync_file, replay_wal
 
@@ -61,6 +61,7 @@ _SLOT_HEADER = struct.Struct("<I")  # payload length within the slot chain
 FOOTER_MAGIC = 0x53574346  # "SWCF": SWARE checkpoint footer
 FOOTER_VERSION = 1
 _FOOTER = struct.Struct("<IHHQQQII")
+_CRC = struct.Struct("<I")
 
 
 class PageFileError(ReproError):
@@ -294,25 +295,16 @@ class CheckpointStore:
                 # branch on this — it is metadata for reporting/rebuild.
                 "page_format": 2 if self.compress else 1,
             }
-            dir_payload = pickle.dumps(directory, protocol=pickle.HIGHEST_PROTOCOL)
+            dir_payload = encode_value(directory)
             dir_offset = pagefile.n_slots * self.slot_size
             fobj = pagefile._file
             fobj.seek(dir_offset)
             fobj.write(dir_payload)
-            footer_body = _FOOTER.pack(
-                FOOTER_MAGIC,
-                FOOTER_VERSION,
-                0,
-                epoch,
-                dir_offset,
-                len(dir_payload),
-                zlib.crc32(dir_payload) & 0xFFFFFFFF,
-                0,
-            )[: -4]
-            footer = footer_body + struct.pack(
-                "<I", zlib.crc32(footer_body) & 0xFFFFFFFF
-            )
-            fobj.write(footer)
+            footer = _FOOTER.pack(
+                FOOTER_MAGIC, FOOTER_VERSION, 0, epoch, dir_offset, len(dir_payload),
+                zlib.crc32(dir_payload), 0,
+            )[:-4]
+            fobj.write(footer + _CRC.pack(zlib.crc32(footer)))
             pagefile.sync()
         finally:
             pagefile.close()
@@ -342,19 +334,12 @@ class CheckpointStore:
         raw = fobj.read(_FOOTER.size)
         if len(raw) < _FOOTER.size:
             raise PageFileError("checkpoint footer truncated")
-        (
-            magic,
-            version,
-            _flags,
-            epoch,
-            dir_offset,
-            dir_length,
-            dir_crc,
-            footer_crc,
-        ) = _FOOTER.unpack(raw)
+        magic, version, _flags, epoch, dir_offset, dir_length, dir_crc, footer_crc = (
+            _FOOTER.unpack(raw)
+        )
         if magic != FOOTER_MAGIC:
             raise PageFileError(f"bad checkpoint footer magic 0x{magic:08X}")
-        if zlib.crc32(raw[:-4]) & 0xFFFFFFFF != footer_crc:
+        if zlib.crc32(raw[:-4]) != footer_crc:
             raise PageFileError("checkpoint footer checksum mismatch")
         if version != FOOTER_VERSION:
             raise PageFileError(f"unsupported checkpoint version {version}")
@@ -364,11 +349,11 @@ class CheckpointStore:
         dir_payload = fobj.read(dir_length)
         if len(dir_payload) < dir_length:
             raise PageFileError("checkpoint directory truncated")
-        if zlib.crc32(dir_payload) & 0xFFFFFFFF != dir_crc:
+        if zlib.crc32(dir_payload) != dir_crc:
             raise PageFileError("checkpoint directory checksum mismatch")
         try:
-            directory = pickle.loads(dir_payload)
-        except Exception as exc:  # noqa: BLE001 - corrupt pickle = corrupt file
+            directory = decode_value(dir_payload)
+        except PageCorruptionError as exc:
             raise PageFileError(f"checkpoint directory unreadable: {exc!r}") from exc
         if not isinstance(directory, dict) or not {"root", "chains", "config"} <= set(
             directory

@@ -1,13 +1,21 @@
-"""Binary page serialization for tree nodes and LSM runs.
+"""The record codec: the bytes of every record, and the pages built on them.
 
-The simulated bufferpool never actually moves bytes, but a production index
-needs a page format; this module provides one so the structures in this
-library are genuinely storable: fixed little-endian headers, varint-free
-8-byte keys (matching the paper's 4-byte-key/8-byte-entry layout scaled to
-64-bit keys), a payload section for pickled values, and a CRC32 checksum
-that detects torn or corrupted pages on load.
+SWARE's buffer holds each record as a key and an opaque value (§IV). This
+module is the one place records become bytes: ``encode_value`` (a pickle),
+``encode_record`` (``key s64 + value``: the wire's PUT and the WAL's kind-1
+payload), ``encode_records`` (a batch as one v2 leaf page: the wire's
+PUT_MANY and the WAL's kind-3 payload), and the leaf, internal and run
+pages of checkpoints and LSM runs, each with its ``decode_*`` inverse.
 
-Layout (all little-endian)::
+Value decoders take ``trusted``. Files this library wrote decode with full
+pickle (the default): checkpoints and WALs may hold user classes. Socket
+bytes decode with ``trusted=False``: the unpickler refuses every global (the
+stdlib's "Restricting Globals" recipe, allowing nothing), so only builtin
+scalars and containers come back and no code runs; trailing bytes are
+refused, and a page may claim at most :data:`MAX_UNTRUSTED_RECORDS`
+records. Every decode failure raises :class:`PageCorruptionError`.
+
+Page layout (all little-endian)::
 
     magic   u16   0x5A7E ("SWARE"-ish)
     kind    u8    1=leaf, 2=internal, 3=run
@@ -17,23 +25,26 @@ Layout (all little-endian)::
     crc     u32   CRC32 of everything after the header
     body    ...   kind-specific
 
+A leaf body is the key column (8-byte keys: the paper's 4-byte-key/8-byte-
+entry layout scaled to 64-bit keys) then one pickled list of values.
 Flags=0 is the original (v1) format; every v1 page written by older
-checkpoints decodes unchanged. When ``FLAG_COMPRESSED_KEYS`` is set the
-key column is a self-describing delta block (see
-:mod:`repro.storage.compress`) instead of ``count`` raw ``<q`` words —
-chosen per page, and only when it is actually smaller. The same block
-format doubles for the value column (``FLAG_COMPRESSED_VALUES``) when
-every value on the page is a plain int64: wrapped deltas round-trip any
-int64 sequence exactly, sorted or not, so the value column needs no
-sortedness — only the guarantee that it shrank versus the pickle.
+checkpoints decodes unchanged. When ``FLAG_COMPRESSED_KEYS`` is set the key
+column is a self-describing delta block (see :mod:`repro.storage.compress`)
+instead of ``count`` raw ``<q`` words — chosen per page, and only when it is
+actually smaller. The same block format doubles for the value column
+(``FLAG_COMPRESSED_VALUES``) when every value on the page is a plain int64:
+wrapped deltas round-trip any int64 sequence exactly, sorted or not, so the
+value column needs no sortedness — only the guarantee that it shrank versus
+the pickle.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import zlib
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.storage.compress import (
@@ -54,33 +65,91 @@ FLAG_COMPRESSED_KEYS = 0x01
 #: only ever set when every value on the page is a plain (non-bool) int64.
 FLAG_COMPRESSED_VALUES = 0x02
 
+#: The most records a page decoded with ``trusted=False`` may claim, checked
+#: before any column is decoded: a width-0 delta column costs no bytes per
+#: record, so a 54-byte page could otherwise ask for billions.
+MAX_UNTRUSTED_RECORDS = 1 << 16
+
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 _HEADER = struct.Struct("<HBBII")
+_KEY = struct.Struct("<q")
 
 
 class PageCorruptionError(ReproError):
-    """A page failed its checksum or structural validation on load."""
+    """A value, record or page failed its checksum or structural validation."""
+
+
+class _BuiltinsOnly(pickle.Unpickler):
+    """An unpickler that refuses every global: builtin values only."""
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(f"global {module}.{name} refused")
+
+
+def encode_value(value: object) -> bytes:
+    """One value's bytes: a pickle at the highest protocol."""
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def decode_value(blob: bytes, *, trusted: bool = True) -> object:
+    """Inverse of :func:`encode_value` (``trusted``: see the module docstring)."""
+    try:
+        if trusted:
+            return pickle.loads(blob)
+        stream = io.BytesIO(blob)
+        value = _BuiltinsOnly(stream).load()
+    except Exception as exc:  # noqa: BLE001 - any unpickling failure, typed here
+        raise PageCorruptionError(f"value undecodable: {exc!r}") from exc
+    if stream.tell() != len(blob):
+        raise PageCorruptionError("value followed by trailing bytes")
+    return value
+
+
+def encode_record(key: int, value: object) -> bytes:
+    """One record: ``key s64 + value``."""
+    return _KEY.pack(key) + encode_value(value)
+
+
+def decode_record(data: bytes, *, trusted: bool = True) -> Tuple[int, object]:
+    if len(data) <= _KEY.size:
+        raise PageCorruptionError(f"record of {len(data)} bytes has no value")
+    return _KEY.unpack_from(data)[0], decode_value(data[_KEY.size :], trusted=trusted)
 
 
 def _pack(kind: int, count: int, body: bytes, flags: int = 0) -> bytes:
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    return _HEADER.pack(MAGIC, kind, flags, count, crc) + body
+    return _HEADER.pack(MAGIC, kind, flags, count, zlib.crc32(body)) + body
 
 
 def _unpack(data: bytes, expected_kind: int) -> Tuple[int, int, bytes]:
-    if len(data) < _HEADER.size:
-        raise PageCorruptionError("page shorter than header")
-    magic, kind, flags, count, crc = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise PageCorruptionError(f"bad magic 0x{magic:04X}")
+    kind = page_kind(data)
     if kind != expected_kind:
         raise PageCorruptionError(f"expected kind {expected_kind}, found {kind}")
+    _magic, _kind, flags, count, crc = _HEADER.unpack_from(data)
     body = data[_HEADER.size :]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
+    if zlib.crc32(body) != crc:
         raise PageCorruptionError("checksum mismatch")
     return count, flags, body
+
+
+def _column_bytes(body: bytes, count: int, compressed: bool) -> int:
+    """Byte length of the ``count``-entry int64 column (a delta block whose header
+    agrees with ``count``, or raw ``<q`` words) that starts ``body``."""
+    if compressed:
+        if len(body) < KEY_BLOCK_HEADER.size:
+            raise PageCorruptionError("delta block truncated")
+        blk_count, _first, _last, width = key_block_stats(body)
+        if blk_count != count:
+            raise PageCorruptionError(f"delta block of {blk_count} on a page of {count}")
+        if width > 64:
+            raise PageCorruptionError(f"delta width {width} exceeds 64 bits")
+        used = KEY_BLOCK_HEADER.size + (max(count - 1, 0) * width + 7) // 8
+    else:
+        used = count * 8
+    if len(body) < used:
+        raise PageCorruptionError("column truncated")
+    return used
 
 
 def _encode_keys(keys: List[int], compress: bool) -> Tuple[bytes, int]:
@@ -97,24 +166,11 @@ def _encode_keys(keys: List[int], compress: bool) -> Tuple[bytes, int]:
     return (struct.pack(f"<{len(keys)}q", *keys) if keys else b""), 0
 
 
-def _decode_keys(body: bytes, count: int, flags: int) -> Tuple[List[int], int]:
-    """Decode the key column; returns ``(keys, bytes_consumed)``."""
+def _decode_keys(column: bytes, count: int, flags: int) -> List[int]:
+    """The keys of a key column :func:`_column_bytes` measured."""
     if flags & FLAG_COMPRESSED_KEYS:
-        if len(body) < KEY_BLOCK_HEADER.size:
-            raise PageCorruptionError("compressed key block truncated")
-        blk_count, _first, _last, width = key_block_stats(body)
-        if blk_count != count:
-            raise PageCorruptionError("compressed key count mismatch")
-        n_deltas = max(count - 1, 0)
-        used = KEY_BLOCK_HEADER.size + (n_deltas * width + 7) // 8
-        if len(body) < used:
-            raise PageCorruptionError("compressed key block truncated")
-        return decode_key_block(body[:used]), used
-    key_bytes = count * 8
-    if len(body) < key_bytes:
-        raise PageCorruptionError("key column truncated")
-    keys = list(struct.unpack(f"<{count}q", body[:key_bytes])) if count else []
-    return keys, key_bytes
+        return decode_key_block(column)
+    return list(struct.unpack(f"<{count}q", column))
 
 
 def _encode_values(values: List[object], compress: bool) -> Tuple[bytes, int]:
@@ -123,7 +179,7 @@ def _encode_values(values: List[object], compress: bool) -> Tuple[bytes, int]:
     ``bool`` is excluded (``type(v) is int``) — a delta block would decode
     ``True`` back as ``1``, silently changing the value's type.
     """
-    blob = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = encode_value(values)
     if (
         compress
         and len(values) >= 2
@@ -135,15 +191,14 @@ def _encode_values(values: List[object], compress: bool) -> Tuple[bytes, int]:
     return blob, 0
 
 
-def _decode_values(blob: bytes, count: int, flags: int, what: str) -> List[object]:
+def _decode_values(blob: bytes, count: int, flags: int, trusted: bool = True) -> List[object]:
     if flags & FLAG_COMPRESSED_VALUES:
-        if len(blob) < KEY_BLOCK_HEADER.size:
-            raise PageCorruptionError(f"compressed {what} value block truncated")
-        values: List[object] = decode_key_block(blob)
+        _column_bytes(blob, count, True)
+        values = decode_key_block(blob)
     else:
-        values = pickle.loads(blob)
-    if len(values) != count:
-        raise PageCorruptionError(f"{what} value count mismatch")
+        values = decode_value(blob, trusted=trusted)
+    if type(values) is not list or len(values) != count:
+        raise PageCorruptionError(f"value column is not a list of {count} values")
     return values
 
 
@@ -170,11 +225,19 @@ def encode_leaf(keys: List[int], values: List[object], *, compress: bool = False
     return _pack(KIND_LEAF, len(keys), key_block + value_block, key_flags | value_flags)
 
 
-def decode_leaf(data: bytes) -> Tuple[List[int], List[object]]:
-    count, flags, body = _unpack(data, KIND_LEAF)
-    keys, used = _decode_keys(body, count, flags)
-    values = _decode_values(body[used:], count, flags, "leaf")
-    return keys, values
+def decode_leaf(data: bytes, *, trusted: bool = True) -> Tuple[List[int], List[object]]:
+    count, flags, key_column, values = leaf_columns(data, trusted=trusted)
+    return _decode_keys(key_column, count, flags), values
+
+
+def encode_records(items: Sequence[Tuple[int, object]]) -> bytes:
+    """A batch of ``(key, value)`` records, in order: a v2 leaf page."""
+    return encode_leaf([k for k, _v in items], [v for _k, v in items], compress=True)
+
+
+def decode_records(data: bytes, *, trusted: bool = True) -> List[Tuple[int, object]]:
+    keys, values = decode_leaf(data, trusted=trusted)
+    return list(zip(keys, values))
 
 
 def encode_internal(keys: List[int], child_page_ids: List[int]) -> bytes:
@@ -188,17 +251,13 @@ def encode_internal(keys: List[int], child_page_ids: List[int]) -> bytes:
 
 def decode_internal(data: bytes) -> Tuple[List[int], List[int]]:
     count, _flags, body = _unpack(data, KIND_INTERNAL)
-    need = count * 8 + (count + 1) * 8
-    if len(body) != need:
+    if len(body) != (2 * count + 1) * 8:
         raise PageCorruptionError("internal body size mismatch")
-    keys = list(struct.unpack(f"<{count}q", body[: count * 8])) if count else []
-    children = list(struct.unpack(f"<{count + 1}q", body[count * 8 :]))
-    return keys, children
+    words = list(struct.unpack(f"<{2 * count + 1}q", body))
+    return words[:count], words[count:]
 
 
-def encode_run(
-    entries: List[Tuple[int, int, object, bool]], *, compress: bool = False
-) -> bytes:
+def encode_run(entries: List[Tuple[int, int, object, bool]], *, compress: bool = False) -> bytes:
     """Serialize an LSM run: (key, seq, tombstone) columns + values.
 
     With ``compress`` the sorted key column is delta-encoded (seqs stay
@@ -217,19 +276,18 @@ def encode_run(
 
 def decode_run(data: bytes) -> List[Tuple[int, int, object, bool]]:
     count, flags, body = _unpack(data, KIND_RUN)
-    keys, used = _decode_keys(body, count, flags)
+    used = _column_bytes(body, count, bool(flags & FLAG_COMPRESSED_KEYS))
+    keys = _decode_keys(body[:used], count, flags)
     fixed = used + count * 8 + count
     if len(body) < fixed:
         raise PageCorruptionError("run body truncated")
-    seqs = struct.unpack(f"<{count}q", body[used : used + count * 8]) if count else ()
-    tombs = body[used + count * 8 : used + count * 8 + count]
-    values = _decode_values(body[fixed:], count, flags, "run")
-    return [
-        (keys[i], seqs[i], values[i], bool(tombs[i])) for i in range(count)
-    ]
+    seqs = struct.unpack(f"<{count}q", body[used : used + count * 8])
+    tombs = body[used + count * 8 : fixed]
+    values = _decode_values(body[fixed:], count, flags)
+    return list(zip(keys, seqs, values, map(bool, tombs)))
 
 
-def leaf_columns(data: bytes) -> Tuple[int, int, bytes, List[object]]:
+def leaf_columns(data: bytes, *, trusted: bool = True) -> Tuple[int, int, bytes, List[object]]:
     """``(count, flags, key_column, values)`` of a leaf page.
 
     Unlike :func:`decode_leaf` the key column is returned **still encoded**
@@ -238,19 +296,10 @@ def leaf_columns(data: bytes) -> Tuple[int, int, bytes, List[object]]:
     decoding keys that never reach a merge frontier.
     """
     count, flags, body = _unpack(data, KIND_LEAF)
-    if flags & FLAG_COMPRESSED_KEYS:
-        if len(body) < KEY_BLOCK_HEADER.size:
-            raise PageCorruptionError("compressed key block truncated")
-        blk_count, _first, _last, width = key_block_stats(body)
-        if blk_count != count:
-            raise PageCorruptionError("compressed key count mismatch")
-        used = KEY_BLOCK_HEADER.size + (max(count - 1, 0) * width + 7) // 8
-    else:
-        used = count * 8
-    if len(body) < used:
-        raise PageCorruptionError("key column truncated")
-    values = _decode_values(body[used:], count, flags, "leaf")
-    return count, flags, body[:used], values
+    if not trusted and count > MAX_UNTRUSTED_RECORDS:
+        raise PageCorruptionError(f"page claims {count} records, over the untrusted cap")
+    used = _column_bytes(body, count, bool(flags & FLAG_COMPRESSED_KEYS))
+    return count, flags, body[:used], _decode_values(body[used:], count, flags, trusted)
 
 
 def serialize_btree(tree, *, compress: bool = False) -> dict:
@@ -282,10 +331,10 @@ def deserialize_btree(blob: dict):
 
     The page format is layout-agnostic (dense sorted key runs), so nodes
     are rebuilt from the same bytes whatever node layout wrote them.
-    Checkpoints pickled before the layout knobs were
-    removed may carry a config with stray ``node_layout`` /
-    ``gap_high_water`` attributes (or, older still, neither); both load —
-    ``BPlusTree`` reads only the fields it still has.
+    Checkpoints pickled before the layout knobs were removed may carry a
+    config with stray ``node_layout`` / ``gap_high_water`` attributes (or,
+    older still, neither); both load — ``BPlusTree`` reads only the fields
+    it still has.
     """
     from repro.btree.btree import BPlusTree
     from repro.btree.node import GappedInternal, GappedLeaf

@@ -16,16 +16,17 @@ Frame format (all little-endian)::
     length  u32   payload length in bytes
     crc     u32   CRC32 over header bytes [2:8] (kind, flags, length),
                   then the payload
-    payload ...   put:    key s64 + pickled value
+    payload ...   put:    key s64 + pickled value (``pages.encode_record``)
                   delete: key s64
-                  batch:  a v2 leaf page (:func:`repro.storage.pages.encode_leaf`
-                          with ``compress=True``) holding the puts in append order
+                  batch:  the puts in append order as one v2 leaf page
+                          (``pages.encode_records``)
 
+The put payloads are :mod:`repro.storage.pages`' record codec, the same
+bytes as the wire's PUT and PUT_MANY payloads, decoded here with full
+pickle so any importable value class round-trips.
 :meth:`WriteAheadLog.append_puts` writes a batch of two or more records as
-one kind-3 frame: one pickle per batch instead of one per value, and a batch
-that is durable **all or nothing** — a crash mid-write tears the one frame,
-so replay drops the whole batch. Single puts, deletes and one-record batches
-keep the per-record frames. ``records``, the LSNs and
+one kind-3 frame, durable **all or nothing** (a torn frame drops the whole
+batch); one-record batches keep kind 1. ``records``, the LSNs and
 :attr:`WALReplay.records` count logical records, not frames.
 
 Replay (:func:`replay_wal`) walks frames from the start of the file and
@@ -59,18 +60,16 @@ once a checkpoint has made its contents redundant (see
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import WALError
 from repro.obs import NULL_OBS, Observability, current_obs
-from repro.storage.pages import decode_leaf, encode_leaf
+from repro.storage import pages
 
 WAL_MAGIC = 0x57A1
 KIND_PUT = 1
@@ -116,23 +115,19 @@ def encode_frame(kind: int, payload: bytes) -> bytes:
 
 def _decode_into(ops: List[WALOp], kind: int, payload: bytes) -> int:
     """Append a CRC-valid frame's logical ops to ``ops``; returns how many.
-
-    Raises (``ValueError`` or whatever the pickle or page decoder raises)
-    when the frame does not decode.
-    """
+    Raises :class:`~repro.storage.pages.PageCorruptionError` if it does not decode."""
     if kind == KIND_PUT_BATCH:
-        keys, values = decode_leaf(payload)
-        ops.extend(zip(repeat("put"), keys, values))
-        return len(keys)
-    if kind not in (KIND_PUT, KIND_DELETE):
-        raise ValueError(f"unknown frame kind {kind}")
-    if len(payload) < _KEY.size or (kind == KIND_DELETE and len(payload) != _KEY.size):
-        raise ValueError(f"malformed kind-{kind} payload of {len(payload)} bytes")
-    (key,) = _KEY.unpack_from(payload)
-    if kind == KIND_DELETE:
-        ops.append(("delete", key, None))
+        records = pages.decode_records(payload)
+        ops.extend([("put", key, value) for key, value in records])
+        return len(records)
+    if kind == KIND_PUT:
+        ops.append(("put", *pages.decode_record(payload)))
+    elif kind != KIND_DELETE:
+        raise pages.PageCorruptionError(f"unknown frame kind {kind}")
+    elif len(payload) != _KEY.size:
+        raise pages.PageCorruptionError(f"malformed delete payload of {len(payload)} bytes")
     else:
-        ops.append(("put", key, pickle.loads(payload[_KEY.size :])))
+        ops.append(("delete", _KEY.unpack(payload)[0], None))
     return 1
 
 
@@ -175,7 +170,7 @@ def _scan(fobj) -> WALReplay:
             return replay
         try:
             replay.records += _decode_into(replay.ops, kind, payload)
-        except Exception as exc:  # noqa: BLE001 - any decode failure, typed here
+        except pages.PageCorruptionError as exc:
             raise WALError(
                 f"WAL frame at byte {replay.valid_bytes} passes its CRC "
                 f"but does not decode: {exc!r}"
@@ -264,8 +259,7 @@ class WriteAheadLog:
     # -- appends -----------------------------------------------------------
     def append_put(self, key: int, value: object) -> int:
         """Log an upsert; returns the record's LSN (1-based append count)."""
-        payload = _KEY.pack(key) + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return self._append(encode_frame(KIND_PUT, payload), 1)
+        return self._append(encode_frame(KIND_PUT, pages.encode_record(key, value)), 1)
 
     def append_delete(self, key: int) -> int:
         """Log a delete; returns the record's LSN."""
@@ -280,9 +274,7 @@ class WriteAheadLog:
         """
         if len(items) < 2:
             return self.append_put(*items[0]) if items else self.records
-        keys, values = zip(*items)
-        page = encode_leaf(list(keys), list(values), compress=True)
-        return self._append(encode_frame(KIND_PUT_BATCH, page), len(items))
+        return self._append(encode_frame(KIND_PUT_BATCH, pages.encode_records(items)), len(items))
 
     def _append(self, frame: bytes, records: int) -> int:
         with self.obs.span("wal.append", records=records):

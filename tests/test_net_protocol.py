@@ -1,10 +1,23 @@
 """Wire-protocol unit tests: framing, CRC, payload codecs, the frame decoder."""
 
 import random
+import struct
 
 import pytest
 
 from repro.net import protocol as p
+
+#: The value domain a served index accepts: builtin scalars and containers.
+WIRE_VALUES = [
+    None, True, False, 0, -7, 1 << 70, -(1 << 90), 1.5, float("inf"), "",
+    "text ünïcode", b"", b"\x00\xff" * 40, (), (1, "a", None), [1, [2, [3]]],
+    {"k": [1, {"nested": (2, b"x")}], 3: None}, {1, 2, 3}, [{"a": {4, 5}}, (True, 1)],
+]
+
+
+def same(got, want) -> bool:
+    """Equal and of the same types throughout (``True == 1`` does not count)."""
+    return got == want and repr(got) == repr(want)
 
 
 class TestFrameCodec:
@@ -15,13 +28,15 @@ class TestFrameCodec:
         p.check_payload(opcode, request_id, b"", crc)
 
     def test_roundtrip_with_payload(self):
-        payload = p.encode_put(42, {"nested": [1, 2]})
-        frame = p.encode_frame(p.OP_PUT, 99, payload)
-        opcode, request_id, length, crc = p.decode_header(frame[: p.HEADER.size])
-        body = frame[p.HEADER.size :]
-        assert length == len(body)
-        p.check_payload(opcode, request_id, body, crc)
-        assert p.decode_put(body) == (42, {"nested": [1, 2]})
+        for value in [{"nested": [1, 2]}, *WIRE_VALUES]:
+            payload = p.encode_put(42, value)
+            frame = p.encode_frame(p.OP_PUT, 99, payload)
+            opcode, request_id, length, crc = p.decode_header(frame[: p.HEADER.size])
+            body = frame[p.HEADER.size :]
+            assert length == len(body)
+            p.check_payload(opcode, request_id, body, crc)
+            assert same(p.decode_put(body), (42, value))
+            assert same(p.decode_result(p.encode_result(value)), value)
 
     def test_bad_magic_rejected(self):
         frame = bytearray(p.encode_frame(p.OP_GET, 1, p.encode_key(5)))
@@ -66,18 +81,27 @@ class TestPayloadCodecs:
         assert p.decode_range(p.encode_range(-5, 10**12)) == (-5, 10**12)
 
     def test_put_many_roundtrip(self):
-        items = [(1, "a"), (-2, None), (3, b"\x00" * 100), (4, [1, [2]])]
-        assert p.decode_put_many(p.encode_put_many(items)) == items
-        assert p.decode_put_many(p.encode_put_many([])) == []
+        for items in [
+            [(1, "a"), (-2, None), (3, b"\x00" * 100), (4, [1, [2]])],
+            [],
+            list(enumerate(WIRE_VALUES)),
+            [(1, True), (2, 1)],  # all ints: the delta value column must keep the bool
+            [(k, 10 * k) for k in range(100)],  # takes the delta value column
+            [(1, 5), (1, 5), (-(1 << 63), (1 << 63) - 1)],
+        ]:
+            assert same(p.decode_put_many(p.encode_put_many(items)), items)
+            assert same(p.decode_result(p.encode_result(items)), items)
+            with pytest.raises((OverflowError, struct.error)):  # raised before sending
+                p.encode_put_many(items + [(1 << 63, "a key beyond int64")])
 
     def test_put_many_trailing_bytes_rejected(self):
         blob = p.encode_put_many([(1, "a")]) + b"\x00"
-        with pytest.raises(p.ProtocolError, match="trailing"):
+        with pytest.raises(p.ProtocolError, match="checksum"):
             p.decode_put_many(blob)
 
     def test_put_many_truncated_value_rejected(self):
         blob = p.encode_put_many([(1, "abcdef")])
-        with pytest.raises(p.ProtocolError, match="truncated"):
+        with pytest.raises(p.ProtocolError, match="checksum"):
             p.decode_put_many(blob[:-3])
 
     def test_get_many_roundtrip(self):
