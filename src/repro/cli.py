@@ -25,13 +25,10 @@ Commands
     (crash restart), verify its invariants, and print the recovery report.
     With ``--sharded`` the argument is a sharded root directory instead:
     every shard is recovered from its own checkpoint + WAL and the
-    per-shard reports are printed. ``--rebuild-threshold N`` routes WAL
-    tails of N+ records through the offline rebuild fast path.
-``rebuild``
-    Offline index reconstruction: stream compressed key runs out of a
-    checkpoint (+ optional WAL tail), k-way merge them while still
-    delta-encoded, and bulk-load a fresh gapped B+-tree. ``--out`` writes
-    the rebuilt tree as a new checkpoint (atomic tmp + rename).
+    per-shard reports are printed. With ``--out PATH`` the recovered items
+    are bulk-loaded into a fresh B+-tree (every leaf but the last at the
+    bulk fill factor) and saved there as a new checkpoint (atomic tmp +
+    rename).
 ``serve``
     Boot the sharded asyncio index server (``repro.net``): N range
     partitions under one root, each with its own WAL + checkpoints,
@@ -132,38 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="treat the argument as a sharded root directory (repro.net layout)",
     )
     rec.add_argument(
-        "--rebuild-threshold",
-        type=int,
-        default=None,
-        metavar="N",
-        help="WAL tails of >= N records recover via the offline rebuild "
-        "fast path (merge + bulk load) instead of per-op replay",
-    )
-
-    rebuild = sub.add_parser(
-        "rebuild",
-        help="offline index reconstruction: checkpoint + WAL tail -> fresh "
-        "bulk-loaded tree (compressed-key merge)",
-    )
-    rebuild.add_argument("checkpoint", help="checkpoint file written by CheckpointStore")
-    rebuild.add_argument(
-        "--wal", type=str, default=None, metavar="PATH", help="WAL tail to merge in"
-    )
-    rebuild.add_argument(
         "--out",
         type=str,
         default=None,
         metavar="PATH",
-        help="also write the rebuilt tree as a fresh checkpoint here "
-        "(atomic tmp + rename)",
-    )
-    rebuild.add_argument(
-        "--slot-size", type=int, default=None, help="checkpoint slot size (default 4096)"
-    )
-    rebuild.add_argument(
-        "--no-compress",
-        action="store_true",
-        help="write --out in the v1 raw-key page format instead of v2",
+        help="bulk-load the recovered items into a fresh tree and checkpoint "
+        "it here (atomic tmp + rename)",
     )
 
     serve = sub.add_parser(
@@ -489,42 +460,20 @@ def _run_observed_experiment(args: argparse.Namespace, module, kwargs: dict):
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
-    from repro.storage.pagefile import DEFAULT_SLOT_SIZE, CheckpointStore
+    from repro.storage.pagefile import DEFAULT_SLOT_SIZE, CheckpointStore, rebuild_index
 
     if args.sharded:
         return _recover_sharded_root(args.checkpoint)
     slot_size = args.slot_size if args.slot_size is not None else DEFAULT_SLOT_SIZE
-    store = CheckpointStore(args.checkpoint, slot_size=slot_size)
     try:
-        index, report = store.recover(
-            wal_path=args.wal, rebuild_threshold=args.rebuild_threshold
-        )
+        if args.out is None:
+            index, report = CheckpointStore(args.checkpoint, slot_size).recover(args.wal)
+        else:
+            index, report = rebuild_index(
+                args.checkpoint, args.wal, out_path=args.out, slot_size=slot_size
+            )
     except ReproError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
-        return 1
-    check = getattr(index.backend, "check_invariants", None)
-    if check is not None:
-        check()
-    print(report.describe())
-    return 0
-
-
-def _cmd_rebuild(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
-    from repro.storage.pagefile import DEFAULT_SLOT_SIZE
-    from repro.storage.rebuild import rebuild_index
-
-    slot_size = args.slot_size if args.slot_size is not None else DEFAULT_SLOT_SIZE
-    try:
-        index, report = rebuild_index(
-            args.checkpoint,
-            args.wal,
-            out_path=args.out,
-            slot_size=slot_size,
-            compress=not args.no_compress,
-        )
-    except ReproError as exc:
-        print(f"rebuild failed: {exc}", file=sys.stderr)
         return 1
     check = getattr(index.backend, "check_invariants", None)
     if check is not None:
@@ -871,7 +820,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "demo": _cmd_demo,
         "experiment": _cmd_experiment,
         "recover": _cmd_recover,
-        "rebuild": _cmd_rebuild,
         "serve": _cmd_serve,
         "bench-serve": _cmd_bench_serve,
         "stats": _cmd_stats,

@@ -551,7 +551,7 @@ def pla_predict_many(first_keys, slopes, starts, keys):
 
 
 # ----------------------------------------------------------------------
-# delta-compressed key columns (compressed leaf pages / rebuild runs)
+# delta-compressed int64 columns (the key and value blocks of v2 pages)
 # ----------------------------------------------------------------------
 def delta_pack(keys: Sequence[int]) -> Tuple[int, int, bytes]:
     """Delta-encode an int64 key column: ``(anchor, width, packed)``.

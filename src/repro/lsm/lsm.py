@@ -282,21 +282,15 @@ class LSMTree:
             self._min_key = items[0][0]
 
     # ------------------------------------------------------------------
-    # full compaction (shared with the offline rebuild pipeline)
+    # full compaction
     # ------------------------------------------------------------------
-    def compact(self, *, page_items: int = 512) -> dict:
+    def compact(self) -> dict:
         """Merge every run into one bottom-level run; returns merge stats.
 
-        Routes through the same compressed-run k-way merge as ``repro
-        rebuild`` (:mod:`repro.storage.compress`): each resident run
-        becomes a delta-encoded :class:`~repro.storage.compress.CompressedRun`
-        (priority = recency), runs that do not overlap pass through the
-        merge still encoded, and only overlapping regions decode at the
-        frontiers. Because this is a *full* compaction — the output is the
-        new bottom of the tree — tombstones and shadowed versions drop out.
+        The merge is :meth:`_merge_runs` (newest version per key wins).
+        Because this is a *full* compaction — the output is the new bottom
+        of the tree — tombstones drop out of its output too.
         """
-        from repro.storage.compress import CompressedRun, merge_compressed_runs
-
         if self._memtable:
             self._flush_memtable()
         resident = list(self._iter_runs())  # newest first
@@ -310,24 +304,8 @@ class LSMTree:
                 "entries_out": total_in,
                 "merged": False,
             }
-        compressed = [
-            CompressedRun.from_items(
-                ((e[0], (e[1], e[2]), e[3]) for e in run.entries),
-                priority=n_runs - i,  # newest first ⇒ highest priority
-                page_items=page_items,
-            )
-            for i, run in enumerate(resident)
-        ]
-        self.meter.charge("merge_step", total_in)
-        merged = merge_compressed_runs(
-            compressed, page_items=page_items, drop_tombstones=True
-        )
-        entries: List[Entry] = [
-            (key, seq, value, False)
-            for key, (seq, value), _tombstone in merged.items()
-        ]
+        entries = [e for e in self._merge_runs(resident).entries if not e[3]]
         self.merges += 1
-        self._charge_write(len(entries))
         bottom = max(len(self._levels) - 1, 0)
         self._levels = [[] for _ in range(bottom)] + [
             [SortedRun(entries, self.config.bits_per_entry)] if entries else []

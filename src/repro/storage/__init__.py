@@ -11,31 +11,25 @@ from repro.storage.costmodel import (
     StopwatchResult,
     stopwatch,
 )
-from repro.storage.compress import (
-    CompressedRun,
-    RunPage,
-    decode_key_block,
-    encode_key_block,
-    merge_compressed_items,
-    merge_compressed_runs,
-)
 from repro.storage.faults import FaultyEnv, FaultyFile, SimulatedCrash
 from repro.storage.pagefile import (
     CheckpointStore,
     PageFile,
     PageFileError,
     RecoveryReport,
+    rebuild_index,
 )
-from repro.storage.rebuild import RebuildReport, rebuild_index
 from repro.storage.wal import WALReplay, WriteAheadLog, replay_wal
 from repro.storage.pages import (
     FLAG_COMPRESSED_KEYS,
     PageCorruptionError,
     decode_internal,
+    decode_key_block,
     decode_leaf,
     decode_run,
     deserialize_btree,
     encode_internal,
+    encode_key_block,
     encode_leaf,
     encode_run,
     serialize_btree,
@@ -61,13 +55,8 @@ __all__ = [
     "FaultyEnv",
     "FaultyFile",
     "SimulatedCrash",
-    "CompressedRun",
-    "RunPage",
     "encode_key_block",
     "decode_key_block",
-    "merge_compressed_items",
-    "merge_compressed_runs",
-    "RebuildReport",
     "rebuild_index",
     "FLAG_COMPRESSED_KEYS",
     "PageCorruptionError",

@@ -177,7 +177,8 @@ class PageFile:
 
 @dataclass
 class RecoveryReport:
-    """What :meth:`CheckpointStore.recover` found and rebuilt."""
+    """What :meth:`CheckpointStore.recover` (or :func:`rebuild_index`) found
+    and rebuilt."""
 
     checkpoint_found: bool = False
     checkpoint_epoch: int = 0
@@ -186,7 +187,7 @@ class RecoveryReport:
     wal_torn_tail: bool = False
     entries: int = 0  #: live entries in the recovered index
     stale_tmp_removed: bool = False
-    rebuilt: bool = False  #: recovery used the bulk-rebuild fast path
+    out_path: Optional[str] = None  #: where a rebuild saved its bulk-loaded tree
 
     def describe(self) -> str:
         if self.checkpoint_found:
@@ -196,10 +197,11 @@ class RecoveryReport:
         lines = [
             f"checkpoint : {found}",
             f"wal replay : {self.wal_records_replayed} records"
-            + (" (torn tail truncated)" if self.wal_torn_tail else "")
-            + (" (merged via rebuild fast path)" if self.rebuilt else ""),
+            + (" (torn tail truncated)" if self.wal_torn_tail else ""),
             f"entries    : {self.entries}",
         ]
+        if self.out_path is not None:
+            lines.append(f"rebuilt    : {self.out_path} (bulk-loaded)")
         if self.stale_tmp_removed:
             lines.append("cleanup    : removed stale checkpoint temp file")
         return "\n".join(lines)
@@ -292,7 +294,7 @@ class CheckpointStore:
                 "epoch": epoch,
                 # v1 = raw key columns, v2 = delta-compressed where smaller.
                 # Pages self-describe via their flags byte, so loaders never
-                # branch on this — it is metadata for reporting/rebuild.
+                # branch on this — it is metadata for reporting.
                 "page_format": 2 if self.compress else 1,
             }
             dir_payload = encode_value(directory)
@@ -361,14 +363,8 @@ class CheckpointStore:
             raise PageFileError("checkpoint directory malformed")
         return directory, epoch
 
-    def load_pages(self):
-        """``(directory, epoch, pages)`` of the newest valid checkpoint.
-
-        ``pages`` maps logical page id → raw page bytes **still encoded**
-        (compressed key columns are not expanded). This is the shared read
-        path for :meth:`load_btree` and the rebuild pipeline's run
-        streamer.
-        """
+    def load_btree(self):
+        """Restore the checkpointed B+-tree from the newest valid footer."""
         pagefile = PageFile(self.path, self.slot_size, opener=self._opener)
         try:
             directory, epoch = self._read_footer(
@@ -377,19 +373,11 @@ class CheckpointStore:
             chains = directory["chains"]
             pagefile._chains = dict(chains)
             pages = {page_id: pagefile.read_page(page_id) for page_id in chains}
-            return directory, epoch, pages
         finally:
             pagefile.close()
-
-    def load_btree(self):
-        """Restore the checkpointed B+-tree from the newest valid footer."""
-        directory, epoch, pages = self.load_pages()
-        blob = {
-            "root": directory["root"],
-            "config": directory["config"],
-            "pages": pages,
-        }
-        tree = deserialize_btree(blob)
+        tree = deserialize_btree(
+            {"root": directory["root"], "config": directory["config"], "pages": pages}
+        )
         tree.check_invariants()
         self._epoch = epoch
         return tree
@@ -422,7 +410,6 @@ class CheckpointStore:
         config=None,
         meter=None,
         backend_factory: Optional[Callable] = None,
-        rebuild_threshold: Optional[int] = None,
         wal: Optional[WriteAheadLog] = None,
     ):
         """Rebuild an index from the newest checkpoint plus the WAL tail.
@@ -448,14 +435,15 @@ class CheckpointStore:
         here, left untouched, and the index comes back with **no WAL
         attached**.
 
-        With ``rebuild_threshold`` set, a WAL tail of at least that many
-        records (alongside an existing checkpoint) switches to the offline
-        rebuild fast path instead: merge the checkpoint's compressed key
-        runs with the sorted WAL tail and bulk-load a fresh tree
-        (:func:`repro.storage.rebuild.rebuild_index`), which is far faster
-        than per-op replay on long tails. The recovered state is identical
-        either way.
+        This is the one recovery path; :func:`rebuild_index` is this plus
+        one bulk load.
         """
+        index, report = self._replay(wal_path, config, meter, backend_factory, wal)
+        report.entries = len(index.items())
+        return index, report
+
+    def _replay(self, wal_path, config, meter, backend_factory, wal):
+        """:meth:`recover` up to, not including, its count of live entries."""
         from repro.core.sware import SortednessAwareIndex
 
         if wal is not None:
@@ -467,43 +455,6 @@ class CheckpointStore:
         if os.path.exists(self.tmp_path):
             os.unlink(self.tmp_path)
             report.stale_tmp_removed = True
-        replay = wal.recovered if wal is not None else None
-        if (
-            rebuild_threshold is not None
-            and wal_path is not None
-            and os.path.exists(self.path)
-            and os.path.exists(wal_path)
-        ):
-            if replay is None:
-                replay = replay_wal(wal_path, opener=self._opener)
-            if replay.records >= rebuild_threshold:
-                from repro.storage.rebuild import rebuild_index
-
-                with obs.span("recovery.rebuild") as span:
-                    index, rebuild_report = rebuild_index(
-                        self.path,
-                        wal_path,
-                        slot_size=self.slot_size,
-                        config=config,
-                        meter=meter,
-                        opener=self._opener,
-                        replace=self._replace,
-                    )
-                    span.set(
-                        records=replay.records,
-                        entries=rebuild_report.entries,
-                    )
-                report.checkpoint_found = True
-                report.checkpoint_epoch = rebuild_report.checkpoint_epoch
-                report.checkpoint_pages = rebuild_report.checkpoint_pages
-                report.wal_records_replayed = replay.records
-                report.wal_torn_tail = replay.torn_tail
-                report.entries = rebuild_report.entries
-                report.rebuilt = True
-                self._epoch = rebuild_report.checkpoint_epoch
-                replay.ops = []
-                index.wal = wal
-                return index, report
         with obs.span("recovery.load_checkpoint") as span:
             if os.path.exists(self.path):
                 index = self.load_index(config=config, meter=meter)
@@ -524,8 +475,10 @@ class CheckpointStore:
                 )
             span.set(found=report.checkpoint_found, epoch=report.checkpoint_epoch)
         if wal_path is not None:
-            if replay is None:
-                replay = replay_wal(wal_path, opener=self._opener)
+            replay = (
+                wal.recovered if wal is not None
+                else replay_wal(wal_path, opener=self._opener)
+            )
             with obs.span("recovery.replay_wal") as span:
                 for kind, ops in groupby(replay.ops, key=itemgetter(0)):
                     if kind == "put":
@@ -538,5 +491,48 @@ class CheckpointStore:
             report.wal_records_replayed = replay.records
             report.wal_torn_tail = replay.torn_tail
         index.wal = wal
-        report.entries = len(index.items())
         return index, report
+
+
+def rebuild_index(
+    checkpoint_path: str,
+    wal_path: Optional[str] = None,
+    *,
+    out_path: Optional[str] = None,
+    slot_size: int = DEFAULT_SLOT_SIZE,
+    config=None,
+    meter=None,
+    opener: Callable = open,
+    replace: Optional[Callable] = None,
+):
+    """Recover, then bulk-load the live items into a fresh tree.
+
+    Returns ``(index, report)``: :meth:`CheckpointStore.recover`'s state
+    and report, over a B+-tree (the checkpoint's config) filled by one
+    sorted ``bulk_load_append`` (§IV, Fig. 3b), so every leaf but the last
+    sits at ``bulk_fill_factor``, the densest layout the tree writes.
+    ``out_path`` also checkpoints that tree there (atomic tmp + rename).
+    The source checkpoint and WAL are never modified.
+    """
+    from repro.btree.btree import BPlusTree
+    from repro.core.sware import SortednessAwareIndex
+
+    recovered, report = CheckpointStore(
+        checkpoint_path, slot_size, opener=opener, replace=replace
+    )._replay(wal_path, config, meter, None, None)
+    items = recovered.items()
+    report.entries = len(items)
+    tree = BPlusTree(recovered.backend.config)
+    if meter is not None:
+        tree.meter = meter
+    with current_obs().span("rebuild.bulk_load") as span:
+        tree.bulk_load_append(items)
+        span.set(entries=tree.n_entries)
+    if out_path is not None:
+        out = CheckpointStore(out_path, slot_size, opener=opener, replace=replace)
+        if os.path.exists(out.tmp_path):
+            os.unlink(out.tmp_path)
+            report.stale_tmp_removed = True
+        out.save_btree(tree)
+        report.out_path = out_path
+    return SortednessAwareIndex(tree, config=config, meter=meter), report

@@ -29,9 +29,10 @@ A leaf body is the key column (8-byte keys: the paper's 4-byte-key/8-byte-
 entry layout scaled to 64-bit keys) then one pickled list of values.
 Flags=0 is the original (v1) format; every v1 page written by older
 checkpoints decodes unchanged. When ``FLAG_COMPRESSED_KEYS`` is set the key
-column is a self-describing delta block (see :mod:`repro.storage.compress`)
-instead of ``count`` raw ``<q`` words — chosen per page, and only when it is
-actually smaller. The same block format doubles for the value column
+column is a self-describing delta block (:func:`encode_key_block`: a
+``count``/``first``/``last``/``width`` header, then the deltas of
+:func:`repro.kernels.delta_pack`) instead of ``count`` raw ``<q`` words —
+chosen per page, and only when it is actually smaller. The same block format doubles for the value column
 (``FLAG_COMPRESSED_VALUES``) when every value on the page is a plain int64:
 wrapped deltas round-trip any int64 sequence exactly, sorted or not, so the
 value column needs no sortedness — only the guarantee that it shrank versus
@@ -46,13 +47,8 @@ import struct
 import zlib
 from typing import List, Sequence, Tuple
 
+from repro import kernels
 from repro.errors import ReproError
-from repro.storage.compress import (
-    KEY_BLOCK_HEADER,
-    decode_key_block,
-    encode_key_block,
-    key_block_stats,
-)
 
 MAGIC = 0x5A7E
 KIND_LEAF = 1
@@ -76,6 +72,10 @@ _I64_MAX = (1 << 63) - 1
 _HEADER = struct.Struct("<HBBII")
 _KEY = struct.Struct("<q")
 
+#: count:u32 | anchor:s64 | last:s64 | width:u8 — followed by the packed
+#: delta payload of ``(count - 1) * width`` bits, little-endian bit order.
+KEY_BLOCK_HEADER = struct.Struct("<IqqB")
+
 
 class PageCorruptionError(ReproError):
     """A value, record or page failed its checksum or structural validation."""
@@ -86,6 +86,26 @@ class _BuiltinsOnly(pickle.Unpickler):
 
     def find_class(self, module: str, name: str):
         raise pickle.UnpicklingError(f"global {module}.{name} refused")
+
+
+def encode_key_block(keys: Sequence[int]) -> bytes:
+    """An int64 column as a self-describing delta block (any order round-trips;
+    sorted columns shrink)."""
+    anchor, width, packed = kernels.delta_pack(keys)
+    last = keys[-1] if keys else 0
+    return KEY_BLOCK_HEADER.pack(len(keys), anchor, last, width) + packed
+
+
+def decode_key_block(block: bytes) -> List[int]:
+    """Recover the exact column from :func:`encode_key_block` output."""
+    count, anchor, _last, width = KEY_BLOCK_HEADER.unpack_from(block)
+    return kernels.delta_unpack(anchor, width, count, block[KEY_BLOCK_HEADER.size :])
+
+
+def key_block_stats(block: bytes) -> Tuple[int, int, int, int]:
+    """``(count, first, last, width)`` from the header, no delta decoded."""
+    count, anchor, last, width = KEY_BLOCK_HEADER.unpack_from(block)
+    return count, anchor, last, width
 
 
 def encode_value(value: object) -> bytes:
@@ -291,9 +311,8 @@ def leaf_columns(data: bytes, *, trusted: bool = True) -> Tuple[int, int, bytes,
     """``(count, flags, key_column, values)`` of a leaf page.
 
     Unlike :func:`decode_leaf` the key column is returned **still encoded**
-    (a delta block for v2 pages, raw ``<q`` words for v1) — this is the
-    entry point for the rebuild pipeline, which merges runs without
-    decoding keys that never reach a merge frontier.
+    (a delta block for v2 pages, raw ``<q`` words for v1): the page's
+    layout, for callers and tests that inspect it.
     """
     count, flags, body = _unpack(data, KIND_LEAF)
     if not trusted and count > MAX_UNTRUSTED_RECORDS:

@@ -1,12 +1,10 @@
-"""Round-trip and merge properties of the compressed key machinery.
+"""Round-trip properties of the compressed key machinery.
 
 The delta kernels, key blocks, and v2 page format all rest on one claim:
 encode→decode is *exact* for any int64 column (sortedness affects only the
 compression ratio), and the vectorized kernels produce the encoding of
 the scalar reference below, byte for byte. These properties pin that claim — including INT64_MAX / INT64_MIN
-and their neighbours — plus encode→decode→encode stability and the merge-on-encoded-runs
-semantics (duplicate resolution by priority, tombstone handling,
-whole-page pass-through).
+and their neighbours — plus encode→decode→encode stability.
 """
 
 import pytest
@@ -16,23 +14,17 @@ from repro import kernels
 from repro.btree.btree import BPlusTree
 from repro.core.sware import SortednessAwareIndex
 from repro.storage import CheckpointStore
-from repro.storage.compress import (
-    KEY_BLOCK_HEADER,
-    CompressedRun,
-    RunPage,
-    decode_key_block,
-    encode_key_block,
-    key_block_stats,
-    merge_compressed_items,
-    merge_compressed_runs,
-)
 from repro.storage.pages import (
     FLAG_COMPRESSED_KEYS,
     FLAG_COMPRESSED_VALUES,
+    KEY_BLOCK_HEADER,
+    decode_key_block,
     decode_leaf,
     decode_run,
+    encode_key_block,
     encode_leaf,
     encode_run,
+    key_block_stats,
     leaf_columns,
 )
 from repro.workloads import sosd
@@ -138,6 +130,10 @@ class TestKeyBlocks:
         assert encode_key_block(keys) == (
             KEY_BLOCK_HEADER.pack(len(keys), anchor, last, width) + packed
         )
+
+    def test_header_size_matches_struct(self):
+        block = encode_key_block([1])
+        assert len(block) == KEY_BLOCK_HEADER.size
 
 
 # ----------------------------------------------------------------------
@@ -265,93 +261,3 @@ class TestCompressedPages:
         assert ratios["books"] >= 2.0, ratios
         assert all(ratio > 1.0 for ratio in ratios.values()), ratios
 
-
-# ----------------------------------------------------------------------
-# merge on encoded runs
-# ----------------------------------------------------------------------
-def _run_from(pairs, priority, page_items=16):
-    return CompressedRun.from_items(
-        ((k, v, t) for k, v, t in pairs), priority=priority, page_items=page_items
-    )
-
-
-class TestMerge:
-    def test_priority_wins_on_duplicates(self):
-        old = _run_from([(k, f"old{k}", False) for k in range(0, 100, 2)], 0)
-        new = _run_from([(k, f"new{k}", False) for k in range(0, 100, 4)], 1)
-        merged = dict(
-            (k, v) for k, v, _t in merge_compressed_items([old, new])
-        )
-        for k in range(0, 100, 2):
-            assert merged[k] == (f"new{k}" if k % 4 == 0 else f"old{k}")
-
-    def test_tombstones_drop_or_carry(self):
-        base = _run_from([(k, k, False) for k in range(10)], 0)
-        deletes = _run_from([(3, None, True), (7, None, True)], 1)
-        dropped = list(merge_compressed_items([base, deletes], drop_tombstones=True))
-        assert [k for k, _v, _t in dropped] == [0, 1, 2, 4, 5, 6, 8, 9]
-        carried = list(merge_compressed_items([base, deletes]))
-        assert [(k, t) for k, _v, t in carried if t] == [(3, True), (7, True)]
-
-    def test_disjoint_pages_pass_through_encoded(self):
-        a = _run_from([(k, k, False) for k in range(0, 64)], 0, page_items=16)
-        b = _run_from([(k, k, False) for k in range(64, 128)], 1, page_items=16)
-        merged = merge_compressed_runs([a, b], page_items=16)
-        merged.check_invariants()
-        source_pages = a.pages + b.pages
-        assert all(
-            any(page is src for src in source_pages) for page in merged.pages
-        )
-        assert [k for k, _v, _t in merged.items()] == list(range(128))
-
-    @given(
-        columns=st.lists(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=400),
-                    st.booleans(),
-                ),
-                max_size=60,
-                unique_by=lambda e: e[0],
-            ),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_matches_dict_semantics(self, columns):
-        """N runs, newest-wins: the merge equals a last-writer dict overlay."""
-        runs = []
-        expected = {}
-        for priority, column in enumerate(columns):
-            column = sorted(column)
-            runs.append(
-                _run_from(
-                    [(k, (priority, k), tomb) for k, tomb in column], priority
-                )
-            )
-            for k, tomb in column:
-                expected[k] = ((priority, k), tomb)
-        live = {
-            k: v for k, (v, tomb) in sorted(expected.items()) if not tomb
-        }
-        got = {
-            k: v
-            for k, v, _t in merge_compressed_items(runs, drop_tombstones=True)
-        }
-        assert got == live
-        remerged = merge_compressed_runs(runs, page_items=8, drop_tombstones=True)
-        remerged.check_invariants()
-        assert {k: v for k, v, _t in remerged.items()} == live
-
-    def test_run_page_lazy_decode(self):
-        page = RunPage(encode_key_block([5, 6, 9]), ["a", "b", "c"])
-        assert page._keys is None  # header reads do not decode
-        assert (page.count, page.min_key, page.max_key) == (3, 5, 9)
-        assert page._keys is None
-        assert page.keys() == [5, 6, 9]
-        assert page._keys is not None
-
-    def test_header_size_matches_struct(self):
-        block = encode_key_block([1])
-        assert len(block) == KEY_BLOCK_HEADER.size

@@ -17,7 +17,7 @@ import pytest
 from repro.net import protocol as p
 from repro.net.client import IndexClient
 from repro.storage import pages
-from repro.storage.compress import KEY_BLOCK_HEADER
+from repro.storage.pages import KEY_BLOCK_HEADER
 from tests.test_serve_e2e import start_server
 
 CALLS = []

@@ -1,12 +1,13 @@
-"""Offline rebuild pipeline: equivalence, fast-path routing, crash hygiene.
+"""Rebuild (recovery plus one bulk load): equivalence, layout, crash hygiene.
 
-The rebuild pipeline must be *observationally identical* to incremental
-recovery — same live items from the same checkpoint + WAL tail, whatever
-mix of inserts, updates, and deletes the tail holds — and crash-safe: a
-simulated crash at any I/O boundary during ``repro rebuild`` leaves the
-original checkpoint loadable, and stray ``*.tmp`` wreckage is removed by
-the next ``recover``/``rebuild``. ``LSMTree.compact()`` rides the same
-merge and must preserve the live item set while collapsing to one run.
+A rebuild must be *observationally identical* to incremental recovery —
+same live items from the same checkpoint + WAL tail, whatever mix of
+inserts, updates, and deletes the tail holds — while writing the denser
+bulk-loaded layout, and crash-safe: a simulated crash at any I/O boundary
+during ``repro recover --out`` leaves the original checkpoint loadable,
+and stray ``*.tmp`` wreckage is removed by the next rebuild.
+``LSMTree.compact()`` must preserve the live item set while collapsing to
+one run.
 """
 
 import os
@@ -24,7 +25,6 @@ from repro.storage import (
     WriteAheadLog,
     rebuild_index,
 )
-from repro.storage.rebuild import checkpoint_run, wal_run
 
 
 def _seeded_state(workdir, n=4000, tail=1500, seed=11):
@@ -64,14 +64,14 @@ class TestRebuildEquivalence:
         assert dict(rebuilt.items()) == expected
         rebuilt.backend.check_invariants()
         assert report.entries == len(expected)
-        assert report.wal_records == 1500
+        assert report.wal_records_replayed == 1500
 
     def test_rebuild_without_wal(self, tmp_path):
         ckpt, _walp, _expected = _seeded_state(str(tmp_path), tail=0)
         rebuilt, report = rebuild_index(ckpt)
         loaded = CheckpointStore(ckpt).load_btree()
         assert rebuilt.backend.n_entries == loaded.n_entries
-        assert report.wal_records == 0
+        assert report.wal_records_replayed == 0
 
     def test_out_path_checkpoint_loads_identically(self, tmp_path):
         ckpt, walp, expected = _seeded_state(str(tmp_path))
@@ -80,21 +80,21 @@ class TestRebuildEquivalence:
         assert report.out_path == out
         recovered, _ = CheckpointStore(out).recover()
         assert dict(recovered.items()) == expected
-
-    def test_recover_threshold_routes_to_rebuild(self, tmp_path):
-        ckpt, walp, expected = _seeded_state(str(tmp_path))
-        fast, report = CheckpointStore(ckpt).recover(walp, rebuild_threshold=100)
-        assert report.rebuilt
-        assert "rebuild fast path" in report.describe()
-        assert dict(fast.items()) == expected
-
-    def test_recover_below_threshold_replays(self, tmp_path):
-        ckpt, walp, expected = _seeded_state(str(tmp_path))
-        slow, report = CheckpointStore(ckpt).recover(
-            walp, rebuild_threshold=10_000_000
-        )
-        assert not report.rebuilt
-        assert dict(slow.items()) == expected
+        # What a rebuild adds over recovery: the bulk-loaded layout, every
+        # leaf but the last at the fill target, so its checkpoint is smaller
+        # than one of the recovered tree itself.
+        tree = CheckpointStore(out).load_btree()
+        fill = int(tree.config.leaf_capacity * tree.config.bulk_fill_factor)
+        sizes = []
+        leaf = tree._head_leaf
+        while leaf is not None:
+            sizes.append(len(leaf))
+            leaf = leaf.next_leaf
+        assert sizes[:-1] == [fill] * (len(sizes) - 1)
+        plain = str(tmp_path / "plain.db")
+        replayed, _ = CheckpointStore(ckpt).recover(walp)
+        CheckpointStore(plain).save_index(replayed)
+        assert os.path.getsize(out) < os.path.getsize(plain)
 
     def test_v1_checkpoint_rebuilds(self, tmp_path):
         """The run streamer handles raw (uncompressed) leaf pages too."""
@@ -111,38 +111,6 @@ class TestRebuildEquivalence:
         expected = dict(index.items())
         rebuilt, _ = rebuild_index(ckpt, walp)
         assert dict(rebuilt.items()) == expected
-
-
-class TestRunStreaming:
-    def test_checkpoint_run_keeps_pages_encoded(self, tmp_path):
-        ckpt = str(tmp_path / "ck.db")
-        index = SortednessAwareIndex(BPlusTree())
-        for key in range(10_000, 20_000, 2):
-            index.insert(key, 0)
-        CheckpointStore(ckpt).save_index(index)
-        run, directory, epoch = checkpoint_run(ckpt)
-        assert epoch == 1
-        assert directory.get("page_format") == 2
-        assert run.count == 5000
-        # Dense even keys: every multi-key page must have arrived as a
-        # still-encoded delta block, never eagerly decoded.
-        assert any(page._keys is None for page in run.pages)
-        run.check_invariants()
-
-    def test_wal_run_last_op_per_key(self, tmp_path):
-        walp = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(walp)
-        wal.append_put(5, "first")
-        wal.append_put(5, "second")
-        wal.append_delete(9)
-        wal.append_put(9, "alive")
-        wal.append_put(1, "x")
-        wal.append_delete(1)
-        wal.sync()
-        run, replay = wal_run(walp)
-        assert replay.records == 6
-        items = list(run.items())
-        assert items == [(1, None, True), (5, "second", False), (9, "alive", False)]
 
 
 class TestCrashHygiene:
@@ -186,15 +154,6 @@ class TestCrashHygiene:
         assert not os.path.exists(ckpt + ".tmp")
         assert not os.path.exists(str(tmp_path / "out.db.tmp"))
         assert dict(rebuilt.items()) == expected
-
-    def test_stale_tmp_cleaned_by_recover_fast_path(self, tmp_path):
-        ckpt, walp, expected = _seeded_state(str(tmp_path), n=500, tail=200)
-        with open(ckpt + ".tmp", "wb") as handle:
-            handle.write(b"torn checkpoint bytes")
-        index, report = CheckpointStore(ckpt).recover(walp, rebuild_threshold=50)
-        assert report.rebuilt and report.stale_tmp_removed
-        assert not os.path.exists(ckpt + ".tmp")
-        assert dict(index.items()) == expected
 
     def test_first_crash_leaves_only_tmp_wreckage(self, tmp_path):
         """The earliest possible crash (first mutating op, a torn write of
