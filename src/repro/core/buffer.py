@@ -35,7 +35,9 @@ columns (int64 arrays, or lists once a key outside int64 demotes them), and
 a value list in which a tombstone
 is the marker :class:`DELETED`. Components are sorted and merged oldest
 first, so a stable sort by key alone orders by ``(key, seq)`` and the
-rightmost duplicate is the newest.
+rightmost duplicate is the newest. A range query sorts and merges nothing:
+the meter bills §IV-C's tail sort and merge, and an overlay of the
+components, oldest first, resolves the newest version per key.
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ class SWAREBuffer:
         self._blocks: List[Run] = []
         self._tail_keys: List[int] = []
         self._tail_vals: list = []
-        #: The sorted tail, current while it is as long as the tail (range
-        #: queries reuse it until the next out-of-order insert).
-        self._tail_run: Optional[Run] = None
+        #: Tail length the §IV-C sort was last billed at: the paper's flag,
+        #: cleared by the next out-of-order insert.
+        self._tail_billed = 0
         self._n = 0  #: entries over all three components (``len(self)``)
         self._seq = 0  #: buffer-wide arrival counter
         self._tombstones = 0  #: DELETED values currently buffered
@@ -331,7 +333,7 @@ class SWAREBuffer:
         """Empty the tail with its filters and page Zonemaps."""
         self._tail_keys = []
         self._tail_vals = []
-        self._tail_run = None
+        self._tail_billed = 0
         self._indexed = 0
         self.page_zonemaps.reset()
         if self.global_bf is not None:
@@ -413,24 +415,22 @@ class SWAREBuffer:
             main = self._main = Run(main.keys, main.vals, seqs, kernels.key_array(main.keys))
         return main
 
-    def _sort_tail(self) -> Tuple[Optional[Run], Optional[str]]:
-        """Sort the unsorted tail, choosing the algorithm per §IV-C; returns
-        the sorted run (None for an empty tail) and the algorithm that ran
-        (None when the cached run was still current)."""
+    def _bill_tail_sort(self) -> Optional[str]:
+        """Bill the §IV-C tail sort without running it (the (K,L) estimate,
+        the algorithm choice, the charges), once per tail length; returns the
+        algorithm billed, or None when this length already was."""
         keys = self._tail_keys
         n = len(keys)
-        if not n:
-            return None, None
-        run = self._tail_run
-        if run is not None and len(run.keys) == n:
-            return run, None
+        if n == self._tail_billed:
+            return None
         cfg = self.config
         estimate = self.kl_estimate
         main_keys = self._main.keys
         if self._observed_main < len(main_keys):
             estimate.observe_many(main_keys[self._observed_main :])
             self._observed_main = len(main_keys)
-        estimate.observe_many(keys[len(run.keys) :] if run is not None else keys)
+        estimate.observe_many(keys[self._tail_billed :])
+        self._tail_billed = n
         algorithm, work = "stable", n * max(1, n.bit_length())
         if estimate.k_fraction < cfg.kl_k_threshold or estimate.l_fraction < cfg.kl_l_threshold:
             # (K,L)-sort's split pass decides; its merge and the general
@@ -445,14 +445,22 @@ class SWAREBuffer:
             self.stats.stable_sorts += 1
         self.meter.charge("sort_comparison", work)
         self.stats.sorted_entries += n
-        col = kernels.key_array(keys)
-        order = kernels.stable_argsort(col)
-        # The tail is the newest n arrivals: slot i has seq ``_seq - n + 1 + i``.
-        run = self._tail_run = _permuted(col, self._tail_vals, self._seq - n + 1, order)
         obs = self.obs
         if obs.enabled:
             obs.event("buffer.tail_sort", n=n, algorithm=algorithm)
         obs.observe_hist("buffer_sort_entries", n, buckets=DEFAULT_SIZE_BUCKETS)
+        return algorithm
+
+    def _sort_tail(self) -> Tuple[Optional[Run], Optional[str]]:
+        """The tail sorted by (key, seq) (None when empty) and the algorithm
+        :meth:`_bill_tail_sort` billed for it."""
+        n = len(self._tail_keys)
+        if not n:
+            return None, None
+        algorithm = self._bill_tail_sort()
+        col = kernels.key_array(self._tail_keys)
+        # The tail is the newest n arrivals: slot i has seq ``_seq - n + 1 + i``.
+        run = _permuted(col, self._tail_vals, self._seq - n + 1, kernels.stable_argsort(col))
         return run, algorithm
 
     def _merge_runs(self, runs: Sequence[Optional[Run]]) -> Run:
@@ -588,29 +596,36 @@ class SWAREBuffer:
     # ------------------------------------------------------------------
     # range scans (§IV-C "Supporting Range Queries")
     # ------------------------------------------------------------------
-    def range_run(self, lo: int, hi: int) -> Run:
-        """All buffered entries with lo <= key <= hi as columns sorted by
-        (key, seq). Sorts the tail first (cached until the next out-of-order
-        insert, as the paper's dedicated flag prescribes) and merges the
-        qualifying slices of every component."""
-        self.meter.charge("zonemap_check")
+    def range_run(self, lo: int, hi: int) -> Tuple[dict, int]:
+        """The newest buffered version per key in [lo, hi] (:class:`DELETED`
+        for a tombstone) and the count of buffered entries there. The meter
+        bills §IV-C — sort the tail once until the next insert (the paper's
+        flag), merge the qualifying slices — but the versions come from an
+        overlay, oldest first: main's and each block's slice, then the tail
+        in arrival order."""
+        meter = self.meter
+        meter.charge("zonemap_check")
         if not self._n or not self.zonemap.overlaps(lo, hi):
-            return _empty_run()
-        sorted_tail, _ = self._sort_tail()
-        parts: List[Run] = []
-        for run in (self._main_run(), *self._blocks, sorted_tail):
-            if run is None:
-                continue
-            left = bisect_left(run.keys, lo)
-            right = bisect_right(run.keys, hi)
-            if left < right:
-                parts.append(run.slice(left, right))
-            self.meter.charge("interp_step", 2)
-        return self._merge_runs(parts)
+            return {}, 0
+        tail = self._tail_keys
+        if tail:
+            self._bill_tail_sort()
+        parts = []
+        for run in (self._main, *self._blocks):
+            left, right = bisect_left(run.keys, lo), bisect_right(run.keys, hi)
+            parts.append(list(zip(run.keys[left:right], run.vals[left:right])))
+            meter.charge("interp_step", 2)
+        if tail:
+            parts.append([(k, v) for k, v in zip(tail, self._tail_vals) if lo <= k <= hi])
+            meter.charge("interp_step", 2)
+        n_entries = sum(map(len, parts))
+        if sum(map(bool, parts)) > 1:
+            meter.charge("merge_step", n_entries)
+        return dict(chain.from_iterable(parts)), n_entries
 
     def range_entries(self, lo: int, hi: int) -> List[Entry]:
-        """:meth:`range_run` as entry tuples (tests and debugging)."""
-        return self.range_run(lo, hi).entries()
+        """Buffered entries in [lo, hi] by (key, seq); unbilled (tests and debugging)."""
+        return sorted(entry for entry in self.all_entries() if lo <= entry[0] <= hi)
 
     # ------------------------------------------------------------------
     # introspection / debugging

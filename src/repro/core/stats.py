@@ -33,7 +33,7 @@ class SWAREStats:
     tombstones_dropped: int = 0
     kl_sorts: int = 0
     stable_sorts: int = 0
-    sorted_entries: int = 0
+    sorted_entries: int = 0  #: tail entries billed a §IV-C sort (a range bills, never sorts)
 
     # Read path.
     buffer_hits: int = 0

@@ -27,6 +27,7 @@ Values must not be ``None`` — the library reserves ``None`` for "absent".
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro import kernels
@@ -478,20 +479,18 @@ class SortednessAwareIndex:
 
     def _range_scan(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         with self.meter.bucket("buffer_search"):
-            buffered = self.buffer.range_run(lo, hi)
+            resolved, n_entries = self.buffer.range_run(lo, hi)
         with self.meter.bucket("tree_search"):
             rows = self.backend.range_query(lo, hi)
         # Reconciling buffered versions against the tree scan costs one merge
         # step per buffered candidate (the tree entries were already charged
         # as scan_entry by the backend's range scan).
-        self.meter.charge("merge_step", len(buffered.keys))
-        if not buffered.keys:
+        self.meter.charge("merge_step", n_entries)
+        if not resolved:
             return rows
-        # Sorted by (key, seq): the last write per key wins.
-        resolved = dict(zip(buffered.keys, buffered.vals))
         rows = [row for row in rows if row[0] not in resolved]
         rows.extend(item for item in resolved.items() if item[1] is not DELETED)
-        rows.sort()  # two ascending runs of unique keys: values never compare
+        rows.sort(key=itemgetter(0))  # keys are unique
         return rows
 
     # ------------------------------------------------------------------

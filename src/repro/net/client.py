@@ -115,9 +115,10 @@ class IndexClient(asyncio.Protocol):
             raise ConnectionError("connection is closed")
         request_id = self._next_id
         self._next_id = (self._next_id + 1) & 0xFFFFFFFF
+        frame = p.encode_frame(opcode, request_id, payload)  # refuses an oversized request
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[request_id] = future
-        self._transport.write(p.encode_frame(opcode, request_id, payload))
+        self._transport.write(frame)
         if self._drained is not None:
             await asyncio.shield(self._drained)  # one caller's cancel must not wake the rest
         return await future

@@ -88,7 +88,9 @@ def _crc(opcode: int, flags: int, request_id: int, payload: bytes) -> int:
 
 
 def encode_frame(opcode: int, request_id: int, payload: bytes = b"") -> bytes:
-    """One wire frame, ready to write."""
+    """One wire frame, ready to write; a payload the peer would refuse raises."""
+    if len(payload) > MAX_PAYLOAD:
+        raise ProtocolError(f"frame payload of {len(payload)} bytes exceeds the cap")
     crc = _crc(opcode, 0, request_id, payload)
     return HEADER.pack(WIRE_MAGIC, opcode, 0, request_id, len(payload), crc) + payload
 

@@ -63,7 +63,9 @@ the failure), emits one ``serve.fail_stop`` event, and
 Protocol violations (bad magic, CRC mismatch, torn frame) close the
 connection — a structurally corrupt stream cannot be re-synchronized.
 Index-level errors (and malformed payloads that decode but fail) are
-returned as ``RESP_ERR`` frames and the connection lives on.
+returned as ``RESP_ERR`` frames and the connection lives on; so is a reply
+whose payload would exceed ``MAX_PAYLOAD`` (a RANGE or GET_MANY too large
+for the peer's decoder).
 """
 
 from __future__ import annotations
@@ -158,7 +160,11 @@ class _Connection(asyncio.Protocol):
                         p.encode_frame(p.RESP_ERR, request_id, p.encode_error(repr(exc)))
                     )
                 else:
-                    frame = p.encode_frame(p.RESP_OK, request_id, p.encode_result(result))
+                    try:
+                        frame = p.encode_frame(p.RESP_OK, request_id, p.encode_result(result))
+                    except p.ProtocolError as exc:  # a reply over the cap: refused, not sent
+                        server.errors += 1
+                        frame = p.encode_frame(p.RESP_ERR, request_id, p.encode_error(repr(exc)))
                     if server._group_commit and opcode in p.MUTATING_OPS:
                         server._park(self, frame)
                     else:

@@ -101,6 +101,10 @@ class Shifted:
     def range_entries(self, lo, hi):
         return self._entries(self._target.range_entries(lo + self._shift, hi + self._shift))
 
+    def range_run(self, lo, hi):
+        versions, n_entries = self._target.range_run(lo + self._shift, hi + self._shift)
+        return {key - self._shift: value for key, value in versions.items()}, n_entries
+
     def prepare_flush(self):
         return self._batch(self._target.prepare_flush())
 

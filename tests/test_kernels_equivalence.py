@@ -276,7 +276,8 @@ def test_buffer_state_identical_across_backends(pairs):
         buf = SWAREBuffer(SWAREConfig(buffer_capacity=256, page_size=8))
         buf.add_many([(key + moved, value) for key, value in pairs])
         gets = [buf.lookup(k + moved) for k in range(0, 201, 7)]
-        ranges = [(k - moved, *rest) for k, *rest in buf.range_entries(20 + moved, 150 + moved)]
+        versions, n_entries = buf.range_run(20 + moved, 150 + moved)
+        ranges = sorted((k - moved, v) for k, v in versions.items()), n_entries
         entries = [(k - moved, *rest) for k, *rest in buf.all_entries()]
         buf.check_invariants()
         buffers.append((gets, ranges, entries))

@@ -143,7 +143,7 @@ def _apply(buffer, op, value):
     if kind == "lookup":
         return buffer.lookup(op[1])
     if kind == "range":
-        return buffer.range_entries(op[1], op[1] + op[2])
+        return buffer.range_run(op[1], op[1] + op[2])
     if kind == "query_sort":
         return buffer.query_sort()
     batch = buffer.prepare_flush()

@@ -15,7 +15,7 @@ import zlib
 import pytest
 
 from repro.net import protocol as p
-from repro.net.client import IndexClient
+from repro.net.client import IndexClient, ServerError
 from repro.storage import pages
 from repro.storage.pages import KEY_BLOCK_HEADER
 from tests.test_serve_e2e import start_server
@@ -114,6 +114,32 @@ def test_bad_requests_close_only_their_own_connection(tmp_path):
 
     asyncio.run(run())
     assert pages.MAX_UNTRUSTED_RECORDS == CAP
+
+
+def test_a_reply_over_the_cap_is_an_error_not_a_dead_connection(tmp_path):
+    """Seventeen 1 MiB values: a RANGE or GET_MANY over them would answer
+    with more than ``MAX_PAYLOAD``, which the client's decoder refuses. The
+    server refuses to send it instead, and the connection lives on."""
+    big = 17
+    with pytest.raises(p.ProtocolError, match="exceeds the cap"):
+        p.encode_frame(p.RESP_OK, 1, bytes(p.MAX_PAYLOAD + 1))
+
+    async def run():
+        server = await start_server(tmp_path)
+        async with await IndexClient.connect(port=server.port) as client:
+            for key in range(big):
+                await client.put(key, bytes([key]) * (1 << 20))
+            errors = server.errors
+            with pytest.raises(ServerError, match="exceeds the cap"):
+                await client.range_query(0, big - 1)
+            with pytest.raises(ServerError, match="exceeds the cap"):
+                await client.get_many(list(range(big)))
+            assert server.errors == errors + 2
+            assert await client.get(3) == bytes([3]) * (1 << 20)
+            assert [key for key, _value in await client.range_query(0, 1)] == [0, 1]
+        await server.stop()
+
+    asyncio.run(run())
 
 
 def test_client_refuses_a_response_that_would_run_code():

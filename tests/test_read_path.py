@@ -1,10 +1,12 @@
-"""The scalar read path: node-owned search, slice-at-once scans, range merge.
+"""The scalar read path: node-owned search, slice-at-once scans, range versions.
 
 Three contracts. (1) ``SortednessAwareIndex.get`` / ``range_query`` /
 ``range_many`` agree with a dict model whatever mix of buffered rows,
 overwrites and tombstones over tree-resident keys, flushes and query-sorts
 precedes them — including the shortcut that hands back the backend's row
-list untouched when no buffered row falls in the range. (2) The node's own
+list untouched when no buffered row falls in the range — and the buffer's
+``range_run`` equals the newest entry per key of ``all_entries()`` without
+sorting or merging anything. (2) The node's own
 ``child_index`` / ``search_left`` / ``range_bounds`` / ``live_items`` equal
 ``bisect`` over the live keys on every node shape. (3) Gating spans on
 ``obs.enabled`` changes nothing a caller or the meter can see, and a traced
@@ -25,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.btree.node import GappedInternal, GappedLeaf
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
-from repro.core.buffer import SWAREBuffer
+from repro import kernels
+from repro.core.buffer import DELETED, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.obs import NULL_OBS, Observability
@@ -188,8 +191,7 @@ def test_buffer_columns_demote_mid_epoch(domain):
     assert buffer.lookup(2**63) == (1, f"b{2**63}")
     assert buffer.lookup(INT64_MAX) == (1, f"a{INT64_MAX}")
     assert buffer.lookup(2**64) == (0, None)
-    rows = buffer.range_entries(-(2**80), 2**80)  # sorts the demoted tail
-    assert type(buffer._tail_run.col) is list
+    rows = buffer.range_entries(-(2**80), 2**80)
     assert [(key, value) for key, _seq, value, _dead in rows] == [
         (key, value) for key in sorted(model) for value in model[key]
     ]
@@ -197,7 +199,8 @@ def test_buffer_columns_demote_mid_epoch(domain):
         seq for _k, seq, _v, _d in rows if _k == 25
     )
     buffer.check_invariants()
-    batch = buffer.prepare_flush()  # no flushable prefix: sorts everything
+    assert buffer.tail_size == 4
+    batch = buffer.prepare_flush()  # no flushable prefix: sorts the demoted tail and the rest
     assert not batch.sorted_without_effort and type(batch.run.col) is list
     flushed = [(key, value) for key, _seq, value, _dead in batch.entries]
     kept = [(key, value) for key, _seq, value, _dead in buffer.all_entries()]
@@ -255,6 +258,90 @@ def test_range_without_buffered_rows_is_the_backends_list(domain):
     del rows[3:8]
     assert index.range_query(lo, hi) == expected
     assert index.backend.range_query(lo, hi) == index.range_query(lo, hi)
+
+
+def _newest_versions(buffer, lo, hi):
+    """The oracle for ``range_run``: the max-seq entry per key in [lo, hi]
+    of ``all_entries()``, and how many entries the range holds."""
+    newest, n_entries = {}, 0
+    for key, seq, value, dead in buffer.all_entries():
+        if lo <= key <= hi:
+            n_entries += 1
+            if seq > newest.get(key, (0, None))[0]:
+                newest[key] = seq, DELETED if dead else value
+    return {key: value for key, (_seq, value) in newest.items()}, n_entries
+
+
+@key_domains
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_range_run_resolves_the_newest_version_per_key(domain, data):
+    keys = domain.keys(st.integers(min_value=0, max_value=60))
+    ops = data.draw(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.tuples(st.just("add"), keys),
+                    st.tuples(st.just("tombstone"), keys),
+                    st.tuples(st.just("add_many"), st.lists(keys, min_size=1, max_size=12)),
+                    st.tuples(st.just("query_sort")),
+                    st.tuples(st.just("prepare_flush")),
+                ),
+                keys,
+                keys,
+            ),
+            max_size=50,
+        )
+    )
+    buffer = SWAREBuffer(SWAREConfig(buffer_capacity=24, page_size=4), meter=Meter())
+    for step, (op, lo, hi) in enumerate(ops):
+        if op[0] in ("add", "tombstone", "add_many") and buffer.is_full:
+            buffer.prepare_flush()
+        if op[0] == "add":
+            buffer.add(op[1], step)
+        elif op[0] == "tombstone":
+            buffer.add(op[1], None, tombstone=True)
+        elif op[0] == "add_many":
+            pairs = [(key, (step, i)) for i, key in enumerate(op[1])]
+            buffer.add_many(pairs[: buffer.capacity - len(buffer)])
+        elif op[0] == "query_sort":
+            buffer.query_sort()
+        elif not buffer.is_empty:
+            buffer.prepare_flush()
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert buffer.range_run(lo, hi) == _newest_versions(buffer, lo, hi)
+        assert buffer.range_run(-(2**80), 2**80) == _newest_versions(buffer, -(2**80), 2**80)
+        buffer.check_invariants()
+
+
+def test_range_query_neither_sorts_nor_merges(monkeypatch):
+    """A range over the main section, a query-sorted block and an unsorted
+    tail resolves versions without a kernel sort or a run merge."""
+    index = _index()
+    for key in (10, 20, 30):
+        index.insert(key, "main")
+    index.insert(15, "block")
+    index.buffer.query_sort()
+    for key in (25, 5, 20):
+        index.insert(key, "tail")
+    assert index.buffer.n_blocks == 1 and index.buffer.tail_size == 3
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(kernels, "stable_argsort", counted("argsort", kernels.stable_argsort))
+    monkeypatch.setattr(SWAREBuffer, "_merge_runs", counted("merge", SWAREBuffer._merge_runs))
+    assert index.range_query(0, 40) == [
+        (5, "tail"), (10, "main"), (15, "block"), (20, "tail"), (25, "tail"), (30, "main")
+    ]
+    assert calls == []
+    index.flush_all()  # the flush still sorts and merges
+    assert calls
 
 
 # ----------------------------------------------------------------------

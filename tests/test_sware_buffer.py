@@ -290,16 +290,22 @@ class TestRangeEntries(_Buffers):
         assert buffer.range_entries(20, 30) == []
 
     def test_tail_sort_cached_until_new_insert(self):
+        """A range bills the tail sort once per tail length (the paper's
+        flag); a query sort of a tail a range billed sorts it, billing nothing."""
         buffer = self.make_buffer()
         buffer.add(5, 5)
         buffer.add(1, 1)
-        buffer.range_entries(0, 10)
-        sorts_before = buffer.stats.sorted_entries
-        buffer.range_entries(0, 10)  # cached — no re-sort
-        assert buffer.stats.sorted_entries == sorts_before
-        buffer.add(0, 0)  # invalidates the cache
-        buffer.range_entries(0, 10)
-        assert buffer.stats.sorted_entries > sorts_before
+        assert buffer.range_run(0, 10) == ({5: 5, 1: 1}, 2)
+        assert buffer.stats.sorted_entries == 1
+        assert buffer.range_run(0, 10) == ({5: 5, 1: 1}, 2)  # billed already
+        assert buffer.stats.sorted_entries == 1
+        buffer.add(0, 0)  # a longer tail clears the flag
+        assert buffer.range_run(0, 10) == ({5: 5, 1: 1, 0: 0}, 3)
+        assert buffer.stats.sorted_entries == 3
+        buffer.query_sort()
+        assert buffer.stats.sorted_entries == 3
+        assert buffer.stats.stable_sorts + buffer.stats.kl_sorts == 2
+        assert [entry[0] for entry in buffer.all_entries()] == [5, 0, 1]
 
 
 class TestSortAlgorithmChoice(_Buffers):
