@@ -5,7 +5,6 @@ from repro.bench.report import (
     format_breakdown,
     format_matrix,
     format_table,
-    results_dir,
 )
 from repro.bench.runner import (
     PhaseResult,
@@ -21,7 +20,6 @@ __all__ = [
     "format_breakdown",
     "format_matrix",
     "format_table",
-    "results_dir",
     "PhaseResult",
     "RunResult",
     "execute_operations",

@@ -3,22 +3,12 @@
 All figures and tables of the paper are regenerated as ASCII tables/grids
 (the offline environment has no plotting stack). ``repro experiment NAME``
 prints its entry's report to stdout; the committed ``results/<report>.txt``
-is that output, and CI diffs the two. :func:`results_dir` is where
-telemetry artifacts (``--json``) land.
+is that output, and CI diffs the two.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-
-def results_dir() -> Path:
-    """Directory reports are written to (override with REPRO_RESULTS)."""
-    path = Path(os.environ.get("REPRO_RESULTS", "results"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def format_table(
@@ -87,30 +77,6 @@ def ascii_scatter(
         lines.append("|" + "".join(row) + "|")
     lines.append("+" + "-" * width + "+")
     return "\n".join(lines) + "\n"
-
-
-def format_histograms(
-    histograms: Dict[str, dict],
-    title: Optional[str] = None,
-) -> str:
-    """Latency/size distribution table from a registry snapshot's
-    ``histograms`` section (count, mean, p50/p95/p99)."""
-    rows: List[Sequence[object]] = []
-    for name in sorted(histograms):
-        data = histograms[name]
-        rows.append(
-            [
-                name,
-                int(data["count"]),
-                float(data.get("mean", 0.0)),
-                float(data["p50"]),
-                float(data["p95"]),
-                float(data["p99"]),
-            ]
-        )
-    return format_table(
-        ["histogram", "count", "mean", "p50", "p95", "p99"], rows, title=title
-    )
 
 
 def format_breakdown(

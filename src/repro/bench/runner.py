@@ -80,26 +80,6 @@ class RunResult:
                 return phase
         raise KeyError(name)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form, the unit of the bench telemetry artifact."""
-        return {
-            "label": self.label,
-            "phases": [
-                {
-                    "name": phase.name,
-                    "n_ops": phase.n_ops,
-                    "sim_ns": phase.sim_ns,
-                    "wall_ns": phase.wall_ns,
-                    "sim_ns_per_op": phase.sim_ns_per_op,
-                }
-                for phase in self.phases
-            ],
-            "bucket_sim_ns": dict(self.bucket_sim_ns),
-            "counts": dict(self.counts),
-            "sware_stats": dict(self.sware_stats),
-            "index_stats": dict(self.index_stats),
-        }
-
 
 def execute_operations(index, operations: Iterable[Operation]) -> int:
     """Dispatch an operation stream against an index; returns op count."""
@@ -127,8 +107,8 @@ def execute_operations_observed(
     index, operations: Iterable[Operation], obs: Observability
 ) -> int:
     """Like :func:`execute_operations`, but times every op into per-kind
-    latency histograms on ``obs`` (the Fig. 13-style distributions the bench
-    artifact reports as p50/p95/p99)."""
+    latency histograms on ``obs`` (the Fig. 13-style distributions its
+    snapshot reports as p50/p95/p99)."""
     n = 0
     clock = time.perf_counter_ns
     histograms = {
@@ -170,8 +150,8 @@ def run_phases(
 
     When an :class:`Observability` is supplied (or installed via
     ``repro.obs.observe``), every op is additionally timed into per-kind
-    latency histograms, the run's :class:`Meter` registers as a collector,
-    and the serialized result is recorded for the bench JSON artifact.
+    latency histograms and the run's :class:`Meter` registers as a
+    collector.
     """
     model = cost_model or CostModel()
     meter = Meter()
@@ -226,8 +206,6 @@ def run_phases(
     space = getattr(tree, "space_stats", None)
     if callable(space):
         result.index_stats.update({f"space_{k}": v for k, v in space().items()})
-    if observed:
-        obs.record_run(result.to_dict())
     return result
 
 

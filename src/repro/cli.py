@@ -16,10 +16,8 @@ Commands
     SOSD cross-backend ranking) at its pinned kwargs, or at ``--n``, print
     its report, and evaluate its paper-shape check: a failed check is
     printed to stderr and exits 1. At the pinned kwargs the report equals
-    ``results/<report>.txt``. With ``--json PATH`` the run is observed
-    through ``repro.obs`` and a schema-valid ``BENCH_<name>.json``
-    telemetry artifact (per-phase sim/wall ns, counters, latency
-    percentiles) is written to PATH and to the results directory.
+    ``results/<report>.txt``. ``--profile`` also prints the sampled
+    per-layer wall-time table.
 ``recover``
     Rebuild an index from a checkpoint file plus a write-ahead-log tail
     (crash restart), verify its invariants, and print the recovery report.
@@ -33,30 +31,22 @@ Commands
     Boot the sharded asyncio index server (``repro.net``): N range
     partitions under one root, each with its own WAL + checkpoints,
     behind the length-prefixed binary protocol with group-commit write
-    acknowledgement.
+    acknowledgement. The server always carries a monitored
+    :class:`~repro.obs.Observability` (tracing off); its snapshot is the
+    STATS reply's ``obs`` key.
 ``bench-serve``
     Closed/open-loop load generator against a self-hosted (or remote)
     sharded server: N concurrent client connections, latency
-    percentiles, ``serve_ops_per_s`` throughput gauge, scatter-gather
-    results verified against a single-node oracle. With ``--json`` it
-    writes the ``BENCH_serve.json`` telemetry artifact.
-``stats``
-    Run an instrumented workload (or load a ``--from`` artifact) and render
-    the metrics registry in Prometheus text exposition format.
-``trace``
-    Run a small instrumented workload with event tracing enabled and print
-    the structured event timeline (flushes, sorts, bulk loads, splits).
-    With ``--perfetto PATH`` the causal span tree is also written as a
-    Chrome trace-event JSON document loadable in https://ui.perfetto.dev.
-``doctor``
-    Run a seeded scenario (``healthy`` or ``drift``) under full monitoring
-    — or load a saved ``BENCH_*.json`` artifact with ``--from`` — evaluate
-    the streaming health rules, and print a findings report with
-    severities and remediation hints keyed to the advisor's knobs.
-``top``
-    Run a monitored workload on a background thread and live-refresh a
-    terminal dashboard of the monitor feeds (sortedness drift, buffer
-    fill, flush routing, Bloom FPR, fsync latency, lock contention).
+    percentiles, throughput, scatter-gather results verified against a
+    single-node oracle.
+``observe``
+    Take observability snapshots from a source — a seeded in-process
+    scenario (``--scenario healthy|drift``) or a running server's STATS
+    reply (``--connect HOST:PORT``) — and render one view: Prometheus text
+    (``--prom``), the event timeline (``--timeline``), a Perfetto trace
+    (``--perfetto PATH``), the health findings (``--doctor``, the default;
+    ``--check`` exits 1 on a warning or critical one) or a live dashboard
+    (``--top``). Only the timeline and Perfetto views trace the scenario.
 """
 
 from __future__ import annotations
@@ -100,13 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a paper experiment by name")
     exp.add_argument("name", choices=EXPERIMENTS)
     exp.add_argument("--n", type=int, default=None, help="override the pinned size")
-    exp.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="observe the run and write the BENCH_<name>.json telemetry artifact",
-    )
     exp.add_argument(
         "--profile",
         action="store_true",
@@ -198,118 +181,70 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the single-node oracle comparison",
     )
-    bserve.add_argument(
-        "--json",
+
+    obs = sub.add_parser(
+        "observe", help="render observability snapshots of a scenario or a server"
+    )
+    source = obs.add_mutually_exclusive_group()
+    source.add_argument(
+        "--scenario",
+        choices=["healthy", "drift"],
+        default="healthy",
+        help="run this seeded workload in process (default healthy)",
+    )
+    source.add_argument(
+        "--connect",
         type=str,
         default=None,
-        metavar="PATH",
-        help="write the BENCH_serve.json telemetry artifact",
+        metavar="HOST:PORT",
+        help="poll a running `repro serve` over STATS instead",
     )
-
-    stats = sub.add_parser(
-        "stats", help="render observability metrics in Prometheus text format"
+    obs.add_argument("--n", type=int, default=20_000, help="scenario size")
+    obs.add_argument("--seed", type=int, default=7, help="scenario seed")
+    view = obs.add_mutually_exclusive_group()
+    view.add_argument(
+        "--prom", action="store_true", help="Prometheus text exposition"
     )
-    stats.add_argument("--n", type=int, default=20_000)
-    stats.add_argument("--k", type=float, default=0.10)
-    stats.add_argument("--l", type=float, default=0.05)
-    stats.add_argument("--read-fraction", type=float, default=0.5)
-    stats.add_argument("--seed", type=int, default=7)
-    stats.add_argument(
-        "--from",
-        dest="from_json",
-        type=str,
+    view.add_argument(
+        "--timeline",
+        type=int,
+        nargs="?",
+        const=200,
         default=None,
-        metavar="PATH",
-        help="render a saved BENCH_*.json artifact instead of running a workload",
+        metavar="N",
+        help="print the last N traced events (default 200)",
     )
-    stats.add_argument(
-        "--human", action="store_true", help="histogram summary table instead"
-    )
-
-    trace = sub.add_parser("trace", help="print a structured event timeline")
-    trace.add_argument("--n", type=int, default=5_000)
-    trace.add_argument("--k", type=float, default=0.10)
-    trace.add_argument("--l", type=float, default=0.05)
-    trace.add_argument("--read-fraction", type=float, default=0.5)
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--limit", type=int, default=200, help="max events to print")
-    trace.add_argument(
+    view.add_argument(
         "--perfetto",
         type=str,
         default=None,
         metavar="PATH",
-        help="also write the causal trace as Chrome trace-event JSON "
-        "(loadable in ui.perfetto.dev)",
+        help="write the trace as Chrome trace-event JSON (ui.perfetto.dev)",
     )
-
-    doctor = sub.add_parser(
-        "doctor", help="diagnose a run: evaluate health rules, print findings"
+    view.add_argument(
+        "--doctor", action="store_true", help="health findings (the default view)"
     )
-    doctor.add_argument(
-        "--from",
-        dest="from_json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="evaluate a saved BENCH_*.json artifact instead of running",
+    view.add_argument(
+        "--top", action="store_true", help="refreshing terminal dashboard"
     )
-    doctor.add_argument(
-        "--scenario",
-        choices=["healthy", "drift"],
-        default="healthy",
-        help="seeded workload to run and diagnose (default healthy)",
-    )
-    doctor.add_argument("--n", type=int, default=20_000)
-    doctor.add_argument("--seed", type=int, default=7)
-    doctor.add_argument("--read-fraction", type=float, default=0.3)
-    doctor.add_argument(
-        "--buffer-fraction",
-        type=float,
-        default=None,
-        help="override the scenario's buffer sizing",
-    )
-    doctor.add_argument(
-        "--json",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="write the machine-readable findings report",
-    )
-    doctor.add_argument(
-        "--bench",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="also write the scenario's full BENCH telemetry artifact",
-    )
-    doctor.add_argument(
+    obs.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero when any warning/critical finding fires",
+        help="with --doctor: exit 1 when a warning/critical finding fires",
     )
-
-    top = sub.add_parser(
-        "top", help="live terminal dashboard of the streaming monitor feeds"
+    obs.add_argument(
+        "--interval", type=float, default=0.5, help="--top: seconds between frames"
     )
-    top.add_argument(
-        "--scenario",
-        choices=["healthy", "drift"],
-        default="drift",
-        help="seeded workload to watch (default drift)",
+    obs.add_argument(
+        "--frames",
+        type=int,
+        default=None,
+        help="--top: stop after N frames (polls with --connect)",
     )
-    top.add_argument("--n", type=int, default=20_000)
-    top.add_argument("--seed", type=int, default=7)
-    top.add_argument("--read-fraction", type=float, default=0.3)
-    top.add_argument(
-        "--interval", type=float, default=0.5, help="seconds between frames"
-    )
-    top.add_argument(
-        "--frames", type=int, default=None, help="stop after N frames (default: run end)"
-    )
-    top.add_argument(
+    obs.add_argument(
         "--no-clear",
         action="store_true",
-        help="append frames instead of clearing the screen (logs, CI)",
+        help="--top: append frames instead of clearing the screen (logs, CI)",
     )
 
     return parser
@@ -389,11 +324,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     """Run a table entry, print its report, then evaluate its shape check."""
     entry = EXPERIMENTS[args.name]
     module, kwargs = entry.module, entry.run_kwargs(args.n)
-    if args.json is None and not args.profile:
+    if not args.profile:
         result = module.run(**kwargs)
         print(result.report)
     else:
-        result = _run_observed_experiment(args, module, kwargs)
+        from repro.obs import SamplingProfiler
+
+        with SamplingProfiler() as profiler:
+            result = module.run(**kwargs)
+        print(result.report)
+        print("profile (sampled at %.0f Hz):" % profiler.hz)
+        print(profiler.format_table())
     try:
         module.check(result)
     except AssertionError as exc:
@@ -412,50 +353,6 @@ def _failed_assertion(exc: AssertionError) -> str:
     )
     where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
     return f"{where}: {statement}" + (f" {exc}" if str(exc) else "")
-
-
-def _run_observed_experiment(args: argparse.Namespace, module, kwargs: dict):
-    """Run under ``repro.obs``: ``--profile`` prints the sampled per-layer
-    wall-time table; ``--json`` writes the artifact (with the profile section
-    when both are given)."""
-    from pathlib import Path
-
-    from repro.bench.telemetry import (
-        build_bench_artifact,
-        save_bench_artifact,
-        validate_bench_artifact,
-    )
-    from repro.obs import Observability, SamplingProfiler, observe
-
-    obs = Observability(trace=True)
-    if args.profile:
-        obs.profiler = SamplingProfiler()
-        obs.profiler.start()
-    try:
-        with observe(obs):
-            result = module.run(**kwargs)
-    finally:
-        if obs.profiler is not None:
-            obs.profiler.stop()
-    print(result.report)
-    if obs.profiler is not None:
-        print("profile (sampled at %.0f Hz):" % obs.profiler.hz)
-        print(obs.profiler.format_table())
-    if obs.tracer.dropped:
-        print(
-            f"note: trace ring truncated — {obs.tracer.dropped} events dropped",
-            file=sys.stderr,
-        )
-    if args.json is None:
-        return result
-    doc = build_bench_artifact(args.name, obs)
-    errors = validate_bench_artifact(doc)
-    if errors:  # pragma: no cover - a bug, not an input error
-        raise SystemExit("invalid bench artifact: " + "; ".join(errors))
-    save_bench_artifact(doc, Path(args.json))
-    default_path = save_bench_artifact(doc)
-    print(f"wrote telemetry to {args.json} and {default_path}", file=sys.stderr)
-    return result
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -520,10 +417,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ShardedSortednessAwareIndex,
         recover_sharded,
     )
+    from repro.obs import Observability
 
+    # One monitored hub shared by the index (which feeds it) and the server
+    # (whose STATS reply carries its snapshot); tracing stays off.
+    obs = Observability(monitors=True)
     try:
         if os.path.exists(os.path.join(args.root, MANIFEST_NAME)):
-            index, reports = recover_sharded(args.root)
+            index, reports = recover_sharded(args.root, obs=obs)
             print(f"recovered {len(reports)} shards from {args.root}", file=sys.stderr)
         else:
             index = ShardedSortednessAwareIndex(
@@ -535,12 +436,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     initial_key_range=tuple(args.key_range),
                     index_config=SWAREConfig(),
                 ),
+                obs=obs,
             )
     except ReproError as exc:
         print(f"cannot open {args.root}: {exc}", file=sys.stderr)
         return 1
 
-    server = IndexServer(index, host=args.host, port=args.port)
+    server = IndexServer(index, host=args.host, port=args.port, obs=obs)
 
     async def _serve() -> None:
         await server.start()
@@ -566,10 +468,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import json
-
     from repro.net.loadgen import LoadGenConfig, run_load
-    from repro.obs import Observability, observe
 
     cfg = LoadGenConfig(
         clients=args.clients,
@@ -583,9 +482,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         fsync_policy=args.fsync,
         verify=not args.no_verify,
     )
-    obs = Observability(trace=True)
-    with observe(obs):
-        summary = run_load(cfg, obs=obs, host=args.host, port=args.port)
+    summary = run_load(cfg, host=args.host, port=args.port)
 
     print(
         f"{summary['arrival']} loop: {summary['clients']} clients x "
@@ -605,210 +502,146 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         )
     if cfg.verify:
         print(f"oracle: {summary['oracle_checks']} scatter-gather checks passed")
-
-    if args.json is not None:
-        from repro.bench.telemetry import (
-            build_bench_artifact,
-            save_bench_artifact,
-            validate_bench_artifact,
-        )
-
-        doc = build_bench_artifact("serve", obs, extra={"summary": summary})
-        problems = validate_bench_artifact(doc)
-        if problems:
-            for problem in problems:
-                print(f"artifact invalid: {problem}", file=sys.stderr)
-            return 1
-        path = save_bench_artifact(doc, args.json)
-        with open(path) as handle:
-            json.load(handle)  # sanity: what we wrote parses
-        print(f"wrote {path}")
     return 0
 
 
-def _run_observed_demo(args: argparse.Namespace, obs) -> None:
-    """The `stats`/`trace` workload: one observed SA B+-tree mixed run."""
-    from repro.bench.experiments import common
-    from repro.bench.runner import run_phases
-    from repro.obs import observe
-
-    keys = common.keys_for(args.n, args.k, args.l, seed=args.seed)
-    ops = common.mixed_ops(keys, args.read_fraction, seed=args.seed)
-    with observe(obs):
-        run_phases(
-            common.sa_btree_factory(common.buffer_config(args.n, 0.01)),
-            [("mixed", ops)],
-            label="SA",
-        )
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.report import format_histograms
-    from repro.obs import Observability
-    from repro.obs.export import snapshot_to_prometheus
-
-    if args.from_json is not None:
-        try:
-            with open(args.from_json) as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            print(f"cannot read {args.from_json}: {exc.strerror}", file=sys.stderr)
-            return 1
-        except json.JSONDecodeError as exc:
-            print(f"{args.from_json} is not valid JSON: {exc}", file=sys.stderr)
-            return 1
-        snapshot = doc.get("metrics", doc)
-    else:
-        obs = Observability()
-        _run_observed_demo(args, obs)
-        snapshot = obs.registry.snapshot()
-    if args.human:
-        print(format_histograms(snapshot.get("histograms", {}), title="Histograms"))
-    else:
-        sys.stdout.write(snapshot_to_prometheus(snapshot))
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import Observability
-    from repro.obs.export import render_trace, to_perfetto, validate_perfetto
-
-    obs = Observability(trace=True)
-    _run_observed_demo(args, obs)
-    sys.stdout.write(render_trace(obs.tracer, limit=args.limit))
-    if args.perfetto is not None:
-        events = obs.tracer.events()
-        doc = to_perfetto(events, tracer=obs.tracer)
-        errors = validate_perfetto(doc)
-        if errors:  # pragma: no cover - a bug, not an input error
-            for error in errors:
-                print(f"invalid perfetto trace: {error}", file=sys.stderr)
-            return 1
-        with open(args.perfetto, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(
-            f"wrote {len(events)} events as Chrome trace-event JSON to "
-            f"{args.perfetto} (open in ui.perfetto.dev)",
-            file=sys.stderr,
-        )
-        if obs.tracer.dropped:
-            print(
-                f"warning: trace truncated — {obs.tracer.dropped} earlier "
-                "events were dropped by the ring buffer; the exported tree "
-                "covers only the retained window",
-                file=sys.stderr,
-            )
-    return 0
-
-
-def _cmd_doctor(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.doctor import (
-        evaluate_artifact,
-        evaluate_obs,
-        format_report,
-        report_document,
-        run_scenario,
-        split_findings,
-    )
-
-    if args.from_json is not None:
-        try:
-            with open(args.from_json) as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            print(f"cannot read {args.from_json}: {exc.strerror}", file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
-            print(f"{args.from_json} is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        findings = evaluate_artifact(doc)
-        source = args.from_json
-    else:
-        obs = run_scenario(
-            args.scenario,
-            n=args.n,
-            seed=args.seed,
-            read_fraction=args.read_fraction,
-            buffer_fraction=args.buffer_fraction,
-            trace=True,
-        )
-        # One collector poll serves both the evaluation and the optional
-        # bench artifact below (poll=False reuses it).
-        findings = evaluate_obs(obs)
-        source = f"scenario:{args.scenario}"
-        if args.bench is not None:
-            from pathlib import Path
-
-            from repro.bench.telemetry import (
-                build_bench_artifact,
-                save_bench_artifact,
-                validate_bench_artifact,
-            )
-
-            doc = build_bench_artifact(f"doctor_{args.scenario}", obs, poll=False)
-            errors = validate_bench_artifact(doc)
-            if errors:  # pragma: no cover - a bug, not an input error
-                for error in errors:
-                    print(f"invalid bench artifact: {error}", file=sys.stderr)
-                return 1
-            save_bench_artifact(doc, Path(args.bench))
-            print(f"wrote telemetry to {args.bench}", file=sys.stderr)
-    sys.stdout.write(format_report(findings, source=source))
-    if args.json is not None:
-        with open(args.json, "w") as handle:
-            json.dump(report_document(findings, source=source), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote doctor report to {args.json}", file=sys.stderr)
-    actionable, _notes = split_findings(findings)
-    return 1 if (args.check and actionable) else 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
+def _cmd_observe(args: argparse.Namespace) -> int:
+    """Take snapshots from one source and render one view of them."""
     import threading
 
+    from repro.errors import ReproError
     from repro.obs import Observability
+    from repro.obs.doctor import evaluate, format_report, run_scenario, split_findings
+    from repro.obs.top import live_loop
+
+    traced = args.timeline is not None or args.perfetto is not None
+    if args.connect is not None and traced:
+        print("--timeline/--perfetto need --scenario: a server does not trace", file=sys.stderr)
+        return 2
+    if args.check and (args.prom or args.top or traced):
+        print("--check goes with the --doctor view", file=sys.stderr)
+        return 2
+
+    if args.connect is not None:
+        from repro.net.client import SyncIndexClient
+
+        host, _, port = args.connect.rpartition(":")
+        try:
+            client = SyncIndexClient(host=host or "127.0.0.1", port=int(port))
+        except (OSError, ValueError) as exc:
+            print(f"cannot reach {args.connect}: {exc}", file=sys.stderr)
+            return 1
+        source = f"server:{args.connect}"
+
+        def poll() -> dict:
+            return client.stats()["obs"]
+
+        done = threading.Event()  # a server never finishes; --frames stops
+        try:
+            if args.top:
+                live_loop(
+                    poll, done, interval=args.interval, frames=args.frames,
+                    clear=not args.no_clear, title=f"repro observe — {source}",
+                )
+                return 0
+            snap = poll()
+        except (OSError, ReproError) as exc:
+            print(f"lost {args.connect}: {exc}", file=sys.stderr)
+            return 1
+        except KeyboardInterrupt:
+            return 0
+        finally:
+            client.close()
+    else:
+        obs = Observability(trace=traced, monitors=True)
+        source = f"scenario:{args.scenario}"
+        if args.top:
+            return _top_scenario(args, obs, source)
+        run_scenario(args.scenario, n=args.n, seed=args.seed, obs=obs)
+        snap = obs.snapshot()
+
+    if args.prom:
+        from repro.obs.export import snapshot_to_prometheus
+
+        sys.stdout.write(snapshot_to_prometheus(snap["metrics"]))
+    elif args.timeline is not None:
+        from repro.obs.export import render_trace
+
+        sys.stdout.write(render_trace(obs.tracer, limit=args.timeline))
+    elif args.perfetto is not None:
+        return _write_perfetto(obs.tracer, args.perfetto)
+    else:
+        findings = evaluate(snap)
+        sys.stdout.write(format_report(findings, source=source))
+        actionable, _notes = split_findings(findings)
+        return 1 if (args.check and actionable) else 0
+    return 0
+
+
+def _top_scenario(args: argparse.Namespace, obs, source: str) -> int:
+    """The dashboard over a scenario running on a daemon worker thread.
+
+    With ``--frames`` the loop may stop before the workload does; the
+    worker is joined only once it has finished, so the command returns
+    after its last frame instead of waiting out the run.
+    """
+    import threading
+
     from repro.obs.doctor import run_scenario
     from repro.obs.top import live_loop
 
-    obs = Observability(trace=True, monitors=True)
     done = threading.Event()
     failure: List[BaseException] = []
 
     def workload() -> None:
         try:
-            run_scenario(
-                args.scenario,
-                n=args.n,
-                seed=args.seed,
-                read_fraction=args.read_fraction,
-                obs=obs,
-            )
+            run_scenario(args.scenario, n=args.n, seed=args.seed, obs=obs)
         except BaseException as exc:  # surfaced after the loop stops
             failure.append(exc)
         finally:
             done.set()
 
-    worker = threading.Thread(target=workload, name="repro-top-workload", daemon=True)
+    worker = threading.Thread(target=workload, name="repro-observe-workload", daemon=True)
     worker.start()
     live_loop(
-        obs,
-        done,
-        interval=args.interval,
-        frames=args.frames,
-        clear=not args.no_clear,
-        title=f"repro top — scenario:{args.scenario} (n={args.n})",
+        obs.snapshot, done, interval=args.interval, frames=args.frames,
+        clear=not args.no_clear, title=f"repro observe — {source} (n={args.n})",
     )
-    worker.join()
+    if done.is_set():
+        worker.join()
     if failure:
         print(f"workload failed: {failure[0]!r}", file=sys.stderr)
         return 1
+    return 0
+
+
+def _write_perfetto(tracer, path: str) -> int:
+    import json
+
+    from repro.obs.export import to_perfetto, validate_perfetto
+
+    events = tracer.events()
+    doc = to_perfetto(events, tracer=tracer)
+    errors = validate_perfetto(doc)
+    if errors:  # pragma: no cover - a bug, not an input error
+        for error in errors:
+            print(f"invalid perfetto trace: {error}", file=sys.stderr)
+        return 1
+    with open(path, "w") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(
+        f"wrote {len(events)} events as Chrome trace-event JSON to "
+        f"{path} (open in ui.perfetto.dev)",
+        file=sys.stderr,
+    )
+    if tracer.dropped:
+        print(
+            f"warning: trace truncated — {tracer.dropped} earlier "
+            "events were dropped by the ring buffer; the exported tree "
+            "covers only the retained window",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -822,10 +655,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "recover": _cmd_recover,
         "serve": _cmd_serve,
         "bench-serve": _cmd_bench_serve,
-        "stats": _cmd_stats,
-        "trace": _cmd_trace,
-        "doctor": _cmd_doctor,
-        "top": _cmd_top,
+        "observe": _cmd_observe,
     }[args.command]
     return handler(args)
 

@@ -4,8 +4,7 @@ Boots a sharded server (or targets an already-running one), drives it
 with N concurrent client connections over a mixed PUT/GET/RANGE/
 PUT_MANY/GET_MANY workload, and reports latency percentiles (p50/p95/p99
 from :mod:`repro.obs` histograms plus exact percentiles over the raw
-samples), a ``serve_ops_per_s`` throughput gauge, and a
-``repro-bench/v1`` run record.
+samples) and a ``serve_ops_per_s`` throughput gauge.
 
 **Arrival models.** ``closed`` is the classic closed loop: each client
 issues its next operation when the previous one completes, so offered
@@ -171,7 +170,7 @@ def _percentile(sorted_samples: List[int], q: float) -> Optional[float]:
     """Nearest-rank percentile, or ``None`` for an empty bucket.
 
     ``None`` (JSON ``null``) is deliberate: a 0.0 latency for an op kind
-    that never fired reads as "infinitely fast" to artifact consumers.
+    that never fired reads as "infinitely fast" to summary readers.
     A single-sample bucket is legitimate — every percentile is that sample.
     """
     if not sorted_samples:
@@ -281,7 +280,6 @@ async def _run_async(
     ops_per_s = total_ops / (wall_ns / 1e9) if wall_ns else 0.0
     obs.gauge("serve_ops_per_s", ops_per_s)
 
-    phases = []
     kind_summary: Dict[str, Dict[str, object]] = {}
     # Enumerate the full op mix, not just the kinds that happened to fire:
     # a short run can miss a low-weight kind entirely, and a silently
@@ -304,33 +302,7 @@ async def _run_async(
             continue
         obs.gauge(f"serve_{kind}_p50_ns", stats["p50_ns"])
         obs.gauge(f"serve_{kind}_p99_ns", stats["p99_ns"])
-        phases.append(
-            {
-                "name": kind,
-                "n_ops": len(samples),
-                "sim_ns": float(sum(samples)),  # wall == sim over the wire
-                "wall_ns": float(sum(samples)),
-                "sim_ns_per_op": sum(samples) / len(samples),
-            }
-        )
 
-    run = {
-        "label": f"serve-{cfg.arrival}-{cfg.clients}c-{cfg.shards}s",
-        "phases": phases,
-        "bucket_sim_ns": {},
-        "counts": {
-            "clients": float(cfg.clients),
-            "total_ops": float(total_ops),
-            "oracle_checks": float(checks),
-            "server_requests": float(server_stats["server"]["requests"]),
-            "server_commits": float(server_stats["server"]["commits"]),
-            "n_shards": float(server_stats["n_shards"]),
-            "splits": float(server_stats["splits"]),
-        },
-        "sware_stats": {},
-        "index_stats": {},
-    }
-    obs.record_run(run)
     return {
         "arrival": cfg.arrival,
         "clients": cfg.clients,

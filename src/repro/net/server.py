@@ -52,6 +52,11 @@ waiting out CPython's GIL switch interval (5 ms) behind the busy loop
 thread just to report completion. Both branches call the same
 ``index.commit()``; the choice reads only what the server observes.
 
+**STATS** answers ``index.describe()`` plus the server's counters
+(``server``), the routing table (``shard_map``) and ``obs``, the server's
+:meth:`~repro.obs.Observability.snapshot` (what ``repro observe --connect``
+reads).
+
 **Fail-stop.** A commit whose fsync raises leaves the durability of every
 write since the last good commit unknown, and an fsync error is not
 retryable. The server records the error, closes its listener, aborts every
@@ -415,5 +420,6 @@ class IndexServer:
                 "group_commit": self._group_commit,
             }
             stats["shard_map"] = index.shard_map()
+            stats["obs"] = self.obs.snapshot()
             return stats
         raise p.ProtocolError(f"opcode {opcode} is not a request")

@@ -52,6 +52,15 @@ commit — the ack-after-fsync invariant the crash harness pins. ``commit``
 may run on a second thread while the owning thread keeps writing: it covers
 what was appended before it started, and a lock keeps it apart from shard
 splits and checkpoints, which reshape the shard list and truncate WALs.
+
+**Observability.** Shards always run on ``NULL_OBS``, so their hot paths
+stay dark whatever the index carries. An index given a real ``obs`` feeds
+its monitor hub the arriving keys in arrival order at :meth:`put` /
+:meth:`put_many`, and registers collectors for each shard's ``SWAREStats``
+(``shard_<id>_*`` gauges) and their totals under the in-process names
+(``sware_*``), so the health rules read a served index exactly like an
+in-process one. Built without ``obs`` (the benchmark's shape), it
+registers nothing and makes no hub call.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SWAREConfig
+from repro.core.stats import SWAREStats
 from repro.core.sware import SortednessAwareIndex
 from repro.errors import ReproError
 from repro.obs import NULL_OBS, Observability, current_obs
@@ -202,8 +212,12 @@ class ShardedSortednessAwareIndex:
             self._next_shard_id = len(self._shards)
             self._write_manifest()
         self._bounds = self._shard_bounds()
+        #: The monitor hub fed the arriving keys, or None when monitoring is off.
+        self._hub = self.obs.monitors
         if self.obs is not NULL_OBS:
             self.obs.register_collector("sharded", self._obs_snapshot)
+            self.obs.register_collector("shard", self._shard_stats)
+            self.obs.register_collector("sware", self._total_stats)
 
     # ------------------------------------------------------------------
     # bootstrap / manifest
@@ -285,6 +299,21 @@ class ShardedSortednessAwareIndex:
             "dirty_shards": float(sum(map(_needs_sync, self._shards))),
         }
 
+    def _shard_stats(self) -> dict:
+        return {
+            f"{shard.shard_id}_{name}": value
+            for shard in self._shards
+            for name, value in shard.index.stats.snapshot().items()
+        }
+
+    def _total_stats(self) -> dict:
+        total = SWAREStats()
+        for shard in self._shards:
+            for name, value in vars(shard.index.stats).items():
+                if name != "extra":
+                    setattr(total, name, getattr(total, name) + value)
+        return total.snapshot()
+
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
@@ -324,6 +353,8 @@ class ShardedSortednessAwareIndex:
     def put(self, key: int, value: object) -> None:
         shard = self._route(key)
         shard.index.insert(key, value)
+        if self._hub is not None:
+            self._hub.observe_insert(key, shard.index.buffer)
         self._maybe_split(shard)
 
     def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
@@ -339,6 +370,8 @@ class ShardedSortednessAwareIndex:
         for shard_id, chunk in per_shard.items():
             shard = shards_by_id[shard_id]
             shard.index.put_many(chunk)
+        if self._hub is not None:
+            self._hub.observe_inserts([key for key, _value in items])
         for shard_id in list(per_shard):
             self._maybe_split(shards_by_id[shard_id])
 

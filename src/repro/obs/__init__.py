@@ -14,18 +14,24 @@ Two optional v2 surfaces ride along when asked for:
 
 * ``monitors`` — a :class:`~repro.obs.monitors.MonitorHub` of streaming
   estimators (windowed sortedness drift, buffer saturation, Bloom FPR,
-  lock contention, fsync latency) that health rules and ``repro doctor``
-  evaluate;
+  lock contention, fsync latency) that the health rules (``repro observe
+  --doctor``) evaluate;
 * ``profiler`` — a :class:`~repro.obs.profiler.SamplingProfiler` owned by
   the run (started/stopped by the CLI or bench runner, never by hot paths;
   sampling happens entirely on its own thread).
 
+Every view reads one shape, :meth:`Observability.snapshot`'s ``{metrics,
+monitors, trace}`` dict of builtin types: ``repro observe`` builds it in
+process (``--scenario``) or fetches it from a running server's STATS reply
+(``--connect``), and the doctor, the dashboard and the Prometheus exporter
+all take that dict.
+
 Components accept an ``obs`` keyword; when omitted they pick up the
-*active* observability installed by :func:`observe` (how ``repro
-experiment --json``, ``repro stats`` and the bench runner instrument whole
-runs without threading a parameter through every factory), falling back to
-the shared :data:`NULL_OBS`, whose methods are no-ops, so uninstrumented
-hot paths stay at their previous cost.
+*active* observability installed by :func:`observe` (how ``repro observe``
+and the bench runner instrument whole runs without threading a parameter
+through every factory), falling back to the shared :data:`NULL_OBS`, whose
+methods are no-ops, so uninstrumented hot paths stay at their previous
+cost.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ __all__ = [
 
 
 class Observability:
-    """Registry + tracer, plus the run log the bench artifact is built from."""
+    """Registry + tracer, plus the optional monitor hub and profiler."""
 
     def __init__(
         self,
@@ -86,8 +92,6 @@ class Observability:
         #: A profiler owned by this run (the CLI/bench runner starts and
         #: stops it; instrumented code never touches it).
         self.profiler: Optional[SamplingProfiler] = profiler
-        #: Serialized RunResults recorded by the bench runner (in run order).
-        self.runs: List[Dict[str, object]] = []
 
     # -- tracing -----------------------------------------------------------
     @property
@@ -119,9 +123,19 @@ class Observability:
     def register_collector(self, name: str, fn: Callable[[], Dict[str, float]]) -> str:
         return self.registry.register_collector(name, fn)
 
-    # -- bench integration -------------------------------------------------
-    def record_run(self, payload: Dict[str, object]) -> None:
-        self.runs.append(payload)
+    # -- reading -----------------------------------------------------------
+    def snapshot(self) -> Dict[str, object]:
+        """The one shape every view reads: ``{metrics, monitors, trace}``.
+
+        Builtin types only (it crosses the socket as the STATS reply's
+        ``obs`` key), and each collector is polled exactly once per call.
+        ``monitors`` is empty when the hub is off.
+        """
+        return {
+            "metrics": self.registry.snapshot(),
+            "monitors": self.monitors.snapshot() if self.monitors is not None else {},
+            "trace": self.tracer.snapshot(),
+        }
 
 
 class _NullObservability(Observability):
@@ -137,7 +151,6 @@ class _NullObservability(Observability):
         self.tracer = None  # type: ignore[assignment]
         self.monitors = None
         self.profiler = None
-        self.runs = []
 
     @property
     def enabled(self) -> bool:
@@ -161,8 +174,8 @@ class _NullObservability(Observability):
     def register_collector(self, name: str, fn) -> str:
         return name
 
-    def record_run(self, payload) -> None:
-        return None
+    def snapshot(self) -> Dict[str, object]:
+        return {"metrics": {}, "monitors": {}, "trace": {}}
 
 
 NULL_OBS = _NullObservability()

@@ -1,8 +1,8 @@
-"""``repro doctor``: run (or load) a workload and diagnose its health.
+"""The doctor view of ``repro observe``: evaluate health rules on a snapshot.
 
-The doctor closes the loop the monitors open: it collects the three
-snapshots health rules understand — metrics, monitors, trace — from either
-a live instrumented run or a saved ``BENCH_*.json`` artifact, evaluates
+The doctor closes the loop the monitors open: it takes one
+:meth:`~repro.obs.Observability.snapshot` — taken in process after a
+seeded scenario, or read off a running server's STATS reply — evaluates
 every threshold rule in :mod:`repro.obs.monitors`, and renders the findings
 with remediation hints phrased against the knobs
 :mod:`repro.core.advisor` exposes.
@@ -16,16 +16,15 @@ Two seeded scenarios make the diagnosis testable end to end:
   doctor reports the collapse (critical) and the degraded bulk-load
   fraction (warning).
 
-Both the live path and the artifact path go through
-:func:`~repro.obs.monitors.build_signals`, so ``repro doctor`` and
-``repro doctor --from artifact.json`` can never disagree about the same
-run.
+A served index fed a scenario's insert stream reports the same finding
+codes as the scenario run in process (``tests/test_doctor.py``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import SWAREConfig
 from repro.obs import Observability, observe
 from repro.obs.monitors import (
     HealthFinding,
@@ -36,21 +35,14 @@ from repro.obs.monitors import (
 #: The seeded scenarios (also the CLI choices).
 SCENARIOS = ("healthy", "drift")
 
+#: Share of a scenario's operations that are point lookups.
+READ_FRACTION = 0.3
 
-def run_scenario(
-    scenario: str = "healthy",
-    n: int = 20_000,
-    seed: int = 7,
-    read_fraction: float = 0.3,
-    buffer_fraction: Optional[float] = None,
-    trace: bool = False,
-    obs: Optional[Observability] = None,
-) -> Observability:
-    """Run one seeded scenario under full monitoring; returns its obs.
 
-    Pass ``obs`` to observe the run through an existing object (``repro
-    top`` shares one between its workload thread and its render loop);
-    by default a fresh monitored Observability is created.
+def scenario_workload(
+    scenario: str = "healthy", n: int = 20_000, seed: int = 7
+) -> Tuple[SWAREConfig, list]:
+    """(buffer config, mixed operation stream) of one seeded scenario.
 
     ``drift`` splits the stream 50/50: a (K=10%, L=5%) near-sorted prefix,
     then a uniform shuffle of the next key range — the arrival sortedness
@@ -58,7 +50,6 @@ def run_scenario(
     quarter of the healthy size.
     """
     from repro.bench.experiments import common
-    from repro.bench.runner import run_phases
     from repro.sortedness.generator import generate_kl_keys, scrambled_keys
 
     if scenario not in SCENARIOS:
@@ -66,42 +57,47 @@ def run_scenario(
 
     if scenario == "healthy":
         keys = list(common.keys_for(n, 0.10, 0.05, seed=seed))
-        fraction = buffer_fraction if buffer_fraction is not None else 0.02
+        fraction = 0.02
     else:
         n_sorted = n // 2
         keys = generate_kl_keys(n_sorted, 0.10, 0.05, seed=seed)
         # The collapse: the rest of the key range arrives uniformly
         # shuffled, so late drift windows sit near K%=100.
         keys = keys + scrambled_keys(n - n_sorted, seed=seed + 1, start=n_sorted)
-        fraction = buffer_fraction if buffer_fraction is not None else 0.005
+        fraction = 0.005
+    ops = common.mixed_ops(tuple(keys), READ_FRACTION, seed=seed)
+    return common.buffer_config(n, fraction), ops
 
-    ops = common.mixed_ops(tuple(keys), read_fraction, seed=seed)
+
+def run_scenario(
+    scenario: str = "healthy",
+    n: int = 20_000,
+    seed: int = 7,
+    obs: Optional[Observability] = None,
+) -> Observability:
+    """Run one seeded scenario observed by ``obs``; returns it.
+
+    By default a fresh monitored Observability (tracing off) is created;
+    pass one to share it with a concurrent reader or to turn tracing on.
+    """
+    from repro.bench.experiments import common
+    from repro.bench.runner import run_phases
+
+    config, ops = scenario_workload(scenario, n, seed)
     if obs is None:
-        obs = Observability(trace=trace, monitors=True)
+        obs = Observability(monitors=True)
     with observe(obs):
         run_phases(
-            common.sa_btree_factory(common.buffer_config(n, fraction)),
+            common.sa_btree_factory(config),
             [("mixed", ops)],
             label=f"doctor-{scenario}",
         )
     return obs
 
 
-def evaluate_obs(obs: Observability, poll: bool = True) -> List[HealthFinding]:
-    """Evaluate health rules against a live observability object."""
-    signals = build_signals(
-        obs.registry.snapshot(poll=poll) if obs.registry is not None else None,
-        obs.monitors.snapshot() if obs.monitors is not None else None,
-        obs.tracer.snapshot() if obs.tracer is not None else None,
-    )
-    return evaluate_signals(signals)
-
-
-def evaluate_artifact(doc: Dict[str, object]) -> List[HealthFinding]:
-    """Evaluate health rules against a saved ``BENCH_*.json`` artifact."""
-    return evaluate_signals(
-        build_signals(doc.get("metrics"), doc.get("monitors"), doc.get("trace"))
-    )
+def evaluate(snap: Dict[str, object]) -> List[HealthFinding]:
+    """Evaluate every health rule on one observability snapshot."""
+    return evaluate_signals(build_signals(**snap))
 
 
 _SEVERITY_MARK = {"critical": "✗", "warning": "!", "info": "·"}
@@ -136,17 +132,3 @@ def format_report(findings: List[HealthFinding], source: str = "run") -> str:
     for note in notes:
         lines.append(f"  · [note] {note.code}: {note.message}")
     return "\n".join(lines) + "\n"
-
-
-def report_document(
-    findings: List[HealthFinding], source: str = "run"
-) -> Dict[str, object]:
-    """The machine-readable doctor report (the CI-uploaded artifact)."""
-    actionable, notes = split_findings(findings)
-    return {
-        "schema": "repro-doctor/v1",
-        "source": source,
-        "healthy": not actionable,
-        "findings": [f.to_dict() for f in actionable],
-        "notes": [f.to_dict() for f in notes],
-    }

@@ -1,9 +1,8 @@
-"""Exporters: Prometheus text exposition, JSON snapshots, trace views.
+"""Exporters: Prometheus text exposition and trace views.
 
-Every exporter works from the *snapshot* form (plain dicts) so a registry
-deserialized from a ``BENCH_<experiment>.json`` artifact renders exactly
-like a live one — ``repro stats --from artifact.json`` and an in-process
-registry share this code path.
+The Prometheus exporter works from the *snapshot* form (plain dicts), so the
+``metrics`` section of a snapshot read off a running server's STATS reply
+renders exactly like an in-process registry (``repro observe --prom``).
 
 Trace rendering has two shapes: the human timeline (:func:`render_trace`)
 and the Chrome trace-event / Perfetto JSON form (:func:`to_perfetto`),
@@ -16,7 +15,6 @@ inspectable in a real viewer.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -46,7 +44,7 @@ def snapshot_to_prometheus(
     """Render a registry snapshot in the Prometheus text exposition format.
 
     Metric names are sanitized into the legal charset on the way out (a
-    snapshot loaded from an artifact may carry dots or dashes that a live
+    hand-built snapshot may carry dots or dashes that a live
     registry would have rejected at creation time), every metric gets a
     ``# HELP`` line (from ``help_texts`` when provided, falling back to a
     generated description), and non-finite values are spelled per the
@@ -86,10 +84,6 @@ def to_prometheus(registry: MetricsRegistry, prefix: str = "repro") -> str:
     return snapshot_to_prometheus(
         registry.snapshot(), prefix=prefix, help_texts=registry.help_texts()
     )
-
-
-def to_json(registry: MetricsRegistry, indent: Optional[int] = 2) -> str:
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
 
 
 def _fmt_attrs(attrs: Dict[str, object]) -> str:

@@ -13,15 +13,15 @@ rather than end-of-run snapshots. This module is that sensory layer:
 * :class:`BloomMonitor` — theoretical false-positive rate sampled at each
   flush, compared against the observed rate from the filter counters;
 * :class:`MonitorHub` — the bundle components feed; it serializes into the
-  ``monitors`` section of BENCH artifacts.
+  ``monitors`` section of :meth:`~repro.obs.Observability.snapshot`.
 
 Health evaluation is deliberately snapshot-shaped: :func:`build_signals`
-assembles one flat signal dict from (metrics snapshot, monitors snapshot,
-trace snapshot) — the exact triple found both on a live
-:class:`~repro.obs.Observability` and inside a ``BENCH_*.json`` artifact —
-and :func:`evaluate_signals` applies the threshold rules to produce
-structured :class:`HealthFinding`\\ s. ``repro doctor`` and ``repro top``
-share this one code path, live or post-hoc.
+assembles one flat signal dict from the three sections of that snapshot
+(metrics, monitors, trace) — the same dict whether it was taken in process
+or read off a running server's STATS reply — and :func:`evaluate_signals`
+applies the threshold rules to produce structured
+:class:`HealthFinding`\\ s. The doctor and dashboard views of ``repro
+observe`` share this one code path.
 
 Cost discipline: monitors are opt-in (``Observability(monitors=True)``).
 When off, ``obs.monitors`` is ``None`` and the instrumented components pay
@@ -39,6 +39,9 @@ from repro.sortedness.metrics import RunningSortednessEstimate
 
 #: Insert-stream window size for the (K,L) drift estimates.
 DEFAULT_WINDOW = 512
+
+#: Drift windows kept (the newest), like the other monitors' sample rings.
+MAX_WINDOWS = 1024
 
 #: How often (in observed keys) the fill trajectory is sampled.
 FILL_SAMPLE_EVERY = 64
@@ -101,6 +104,11 @@ class SortednessDriftMonitor:
     (:class:`~repro.sortedness.metrics.RunningSortednessEstimate`), giving
     a drift series: near-sorted ingest holds k% near its baseline; a
     sortedness collapse mid-stream shows as late windows far above it.
+
+    Only the newest :data:`MAX_WINDOWS` windows are kept (a served index
+    observes an unbounded stream), like the saturation and Bloom rings, so
+    the ``sortedness_collapse`` rule's baseline is the oldest window still
+    kept, not the start of the stream.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
@@ -108,7 +116,7 @@ class SortednessDriftMonitor:
             raise ValueError("window must be >= 2")
         self.window = window
         self.keys_observed = 0
-        self.windows: List[Dict[str, float]] = []
+        self.windows: Deque[Dict[str, float]] = deque(maxlen=MAX_WINDOWS)
         self._estimate = RunningSortednessEstimate()
 
     def observe_key(self, key: int) -> None:
@@ -136,7 +144,7 @@ class SortednessDriftMonitor:
         return {
             "window": self.window,
             "keys_observed": self.keys_observed,
-            "windows": [dict(w) for w in self.windows],
+            "windows": [dict(w) for w in list(self.windows)],
         }
 
 
@@ -246,7 +254,7 @@ class MonitorHub:
 
     # -- reading -----------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
-        """The ``monitors`` section of a BENCH artifact."""
+        """The ``monitors`` section of an observability snapshot."""
         out: Dict[str, object] = {
             "sortedness": self.sortedness.snapshot(),
             "saturation": self.saturation.snapshot(),
@@ -267,17 +275,18 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def build_signals(
-    metrics: Optional[Dict[str, object]],
+    metrics: Optional[Dict[str, object]] = None,
     monitors: Optional[Dict[str, object]] = None,
     trace: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Flatten (metrics, monitors, trace) snapshots into one signal dict.
+    """Flatten the sections of one observability snapshot into one signal
+    dict (``build_signals(**obs.snapshot())``).
 
-    The inputs are exactly the sections of a ``BENCH_*.json`` artifact and
-    exactly what a live :class:`~repro.obs.Observability` can produce, so
-    both ``repro doctor --from artifact.json`` and a live run evaluate the
-    same signals. Gauges written by the ``sware``/``locks`` collectors are
-    the fallback for runs that had metrics but no monitor hub.
+    A sharded index exports its shards' summed ``SWAREStats`` under the
+    same ``sware_*`` gauge names an in-process index uses, so a served
+    snapshot reads like an in-process one. Gauges written by the
+    ``sware``/``locks`` collectors are the fallback for runs that had
+    metrics but no monitor hub.
     """
     gauges: Dict[str, float] = dict((metrics or {}).get("gauges", {}) or {})
     histograms: Dict[str, Dict] = dict((metrics or {}).get("histograms", {}) or {})
@@ -320,7 +329,8 @@ def evaluate_signals(signals: Dict[str, object]) -> List[HealthFinding]:
     """Apply every threshold rule; returns findings, most severe first."""
     findings: List[HealthFinding] = []
 
-    # Rule 1: sortedness collapse — late windows far above the baseline K%.
+    # Rule 1: sortedness collapse — late windows far above the baseline K%
+    # (the oldest quarter of the windows the drift monitor still keeps).
     windows = signals.get("windows") or []
     if len(windows) >= MIN_WINDOWS:
         quarter = max(1, len(windows) // 4)

@@ -12,8 +12,8 @@ Two output shapes:
 
 * :meth:`collapsed` — collapsed-stack lines (``frame;frame;frame count``),
   the input format of every flamegraph renderer;
-* :meth:`layer_table` / :meth:`snapshot` — the per-layer sample counts and
-  fractions that land in the ``profile`` section of BENCH artifacts.
+* :meth:`layer_table` / :meth:`format_table` — the per-layer sample counts
+  and fractions ``repro experiment --profile`` prints.
 
 Cost model: the profiled program runs **zero** additional code — sampling
 happens entirely on the profiler's own thread, which wakes ``hz`` times a
@@ -195,22 +195,6 @@ class SamplingProfiler:
                 f"{row['fraction']:>6.1%} {row['est_wall_ns'] / 1e6:>8.1f} ms"
             )
         return "\n".join(lines) + "\n"
-
-    def snapshot(self, collapsed_limit: int = 200) -> Dict[str, object]:
-        """The ``profile`` section of a BENCH artifact."""
-        return {
-            "hz": self.hz,
-            "samples": self.samples,
-            "ticks": self.ticks,
-            "duration_s": self.duration_s
-            + (
-                time.perf_counter() - self._started_at
-                if self._started_at is not None
-                else 0.0
-            ),
-            "layers": self.layer_table(),
-            "collapsed": self.collapsed(limit=collapsed_limit).splitlines(),
-        }
 
 
 def measure_overhead(

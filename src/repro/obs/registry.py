@@ -7,8 +7,7 @@ module gives those counters one home instead of three. A
 * :class:`Counter` — monotonically increasing totals (ops, flushes, splits);
 * :class:`Gauge` — point-in-time values (buffer fill, resident pages);
 * :class:`Histogram` — fixed-bucket distributions (per-op latency, flush
-  sizes, sort costs) with percentile estimation, the machinery behind the
-  Fig. 13-style latency breakdowns and the bench artifact's p50/p95/p99.
+  sizes, sort costs) with percentile estimation (p50/p95/p99).
 
 Existing stat carriers (:class:`~repro.core.stats.SWAREStats`, the
 :class:`~repro.storage.costmodel.Meter`, bufferpool/tree counters) register
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -190,11 +189,6 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: Dict[str, Callable[[], Dict[str, float]]] = {}
-        # Collector values from the most recent poll; reused by
-        # ``snapshot(poll=False)`` so one export cycle (e.g. ``repro stats``
-        # rendering + telemetry emission in the same run) charges each
-        # collector exactly once instead of polling per consumer.
-        self._collected: Optional[Dict[str, float]] = None
 
     # -- creation / lookup -------------------------------------------------
     def counter(self, name: str, help: str = "") -> Counter:
@@ -250,35 +244,27 @@ class MetricsRegistry:
                     out[name] = metric.help
         return out
 
-    def collect_gauges(self, poll: bool = True) -> Dict[str, float]:
-        """Explicit gauges plus every numeric value the collectors report.
-
-        ``poll=False`` reuses the values from the previous poll (if any) —
-        the single-poll contract for export cycles that render the same
-        registry more than once (Prometheus text + JSON artifact of one
-        run must agree, and stateful collectors must not be charged twice).
-        """
-        if not poll and self._collected is not None:
-            return dict(self._collected)
-        out = {name: gauge.value for name, gauge in self._gauges.items()}
-        for prefix, fn in self._collectors.items():
+    def collect_gauges(self) -> Dict[str, float]:
+        """Explicit gauges plus every numeric value the collectors report
+        (one poll of each collector)."""
+        out = {name: gauge.value for name, gauge in list(self._gauges.items())}
+        for prefix, fn in list(self._collectors.items()):
             for key, value in fn().items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     continue
                 out[sanitize_name(f"{prefix}_{key}")] = float(value)
-        self._collected = dict(out)
         return out
 
-    def snapshot(self, poll: bool = True) -> Dict[str, object]:
-        """A JSON-serializable snapshot of everything in the registry.
+    def snapshot(self) -> Dict[str, object]:
+        """A snapshot of everything in the registry, builtin types only.
 
-        ``poll=False`` reuses the collector values of the previous snapshot
-        (see :meth:`collect_gauges`), so a run that both renders stats and
-        emits telemetry polls each collector exactly once.
+        The tables are copied before iterating, so a reader on another
+        thread (the ``--top`` dashboard) may snapshot a registry that a
+        running workload is still adding metrics to.
         """
         return {
-            "counters": {n: c.value for n, c in self._counters.items()},
-            "gauges": self.collect_gauges(poll=poll),
+            "counters": {n: c.value for n, c in list(self._counters.items())},
+            "gauges": self.collect_gauges(),
             "histograms": {
                 n: {
                     "buckets": list(h.bounds),
@@ -288,21 +274,6 @@ class MetricsRegistry:
                     "mean": h.mean,
                     **h.percentiles(),
                 }
-                for n, h in self._histograms.items()
+                for n, h in list(self._histograms.items())
             },
         }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output (round-trip)."""
-        registry = cls()
-        for name, value in snapshot.get("counters", {}).items():
-            registry.counter(name).value = float(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            registry.gauge(name).set(float(value))
-        for name, data in snapshot.get("histograms", {}).items():
-            hist = registry.histogram(name, buckets=data["buckets"])
-            hist.counts = [int(c) for c in data["counts"]]
-            hist.sum = float(data["sum"])
-            hist.count = int(data["count"])
-        return registry

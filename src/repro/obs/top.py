@@ -1,20 +1,19 @@
-"""``repro top``: a live, refreshing terminal view of the monitor feeds.
+"""The ``--top`` view of ``repro observe``: a refreshing terminal dashboard.
 
 Renders one frame of everything the streaming monitors know — windowed
 (K,L) drift, buffer saturation, flush routing, Bloom FPR, WAL fsync
 latency, lock contention, trace-ring accounting — plus the current health
-verdict from the doctor's rules. The CLI drives :func:`format_dashboard`
-in a refresh loop while the observed workload runs on a worker thread;
-everything here is read-only over snapshots, so a frame never perturbs
-the run it is watching (beyond the collector poll it shares with every
-other exporter).
+verdict from the doctor's rules. :func:`live_loop` renders a frame per
+poll: one in-process snapshot while a scenario runs on a worker thread, or
+one STATS round trip to a running server. Each frame reads only the
+snapshot dict, so it never perturbs the run it is watching (beyond the
+collector poll every snapshot makes).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.obs import Observability
 from repro.obs.monitors import build_signals, evaluate_signals
 
 #: Eight-level bar glyphs for the fill/drift strips.
@@ -33,14 +32,12 @@ def spark(values: List[float], width: int = 32, peak: float = 1.0) -> str:
     return "".join(out)
 
 
-def format_dashboard(obs: Observability, title: str = "repro top") -> str:
-    """One frame of the live dashboard (plain text, ~80 columns)."""
-    metrics = obs.registry.snapshot() if obs.registry is not None else {}
-    monitors: Dict[str, object] = (
-        obs.monitors.snapshot() if obs.monitors is not None else {}
-    )
-    trace = obs.tracer.snapshot() if obs.tracer is not None else {}
-    signals = build_signals(metrics, monitors, trace)
+def format_dashboard(snap: Dict[str, object], title: str = "repro observe --top") -> str:
+    """One frame of the dashboard (plain text, ~80 columns) from one
+    observability snapshot."""
+    monitors: Dict[str, object] = snap.get("monitors") or {}
+    trace: Dict[str, object] = snap.get("trace") or {}
+    signals = build_signals(**snap)
     findings = evaluate_signals(signals)
     actionable = [f for f in findings if f.severity in ("warning", "critical")]
 
@@ -119,15 +116,16 @@ def format_dashboard(obs: Observability, title: str = "repro top") -> str:
 
 
 def live_loop(
-    obs: Observability,
+    poll: Callable[[], Dict[str, object]],
     done,
     interval: float = 0.5,
     frames: Optional[int] = None,
     clear: bool = True,
     out=None,
-    title: str = "repro top",
+    title: str = "repro observe --top",
 ) -> int:
-    """Refresh the dashboard until ``done`` is set (or ``frames`` printed).
+    """Render ``poll()``'s snapshot every ``interval`` seconds until ``done``
+    is set or ``frames`` frames are out.
 
     ``done`` is a :class:`threading.Event` owned by the workload thread.
     Returns the number of frames rendered; always renders a final frame
@@ -141,7 +139,7 @@ def live_loop(
         finished = done.wait(interval if rendered else 0.0)
         if clear:
             out.write("\x1b[2J\x1b[H")
-        out.write(format_dashboard(obs, title=title))
+        out.write(format_dashboard(poll(), title=title))
         out.flush()
         rendered += 1
         if finished or (frames is not None and rendered >= frames):

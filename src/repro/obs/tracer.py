@@ -242,7 +242,7 @@ class Tracer:
             return list(self._events)
 
     def snapshot(self) -> Dict[str, object]:
-        """Ring-buffer accounting, for JSON snapshots and bench artifacts.
+        """Ring-buffer accounting: the ``trace`` section of an observability snapshot.
 
         ``truncated`` is the headline flag: when True, ``dropped`` earlier
         events were evicted by the ring and any analysis over the retained

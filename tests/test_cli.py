@@ -73,8 +73,7 @@ class TestDemo:
 
 
 class TestExperiment:
-    def test_experiment_fig09(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
+    def test_experiment_fig09(self, capsys):
         assert main(["experiment", "fig09", "--n", "300"]) == 0
         assert "Fig. 9" in capsys.readouterr().out
 
@@ -141,7 +140,7 @@ class TestTracePerfetto:
         from repro.obs.export import validate_perfetto
 
         out = tmp_path / "trace.json"
-        assert main(["trace", "--n", "1500", "--perfetto", str(out)]) == 0
+        assert main(["observe", "--n", "1500", "--perfetto", str(out)]) == 0
         captured = capsys.readouterr()
         assert "Chrome trace-event JSON" in captured.err
         doc = json.loads(out.read_text())
@@ -152,34 +151,21 @@ class TestTracePerfetto:
 
 
 class TestExperimentProfile:
-    def test_profile_prints_layer_table(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
+    def test_profile_prints_layer_table(self, capsys):
         assert main(["experiment", "fig09", "--n", "400", "--profile"]) == 0
         assert "profile (sampled at" in capsys.readouterr().out
 
-    def test_profile_section_lands_in_artifact(self, tmp_path, monkeypatch, capsys):
-        import json
-
-        from repro.bench.telemetry import validate_bench_artifact
-
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
-        out = tmp_path / "out.json"
-        args = ["experiment", "fig13", "--n", "800", "--profile",
-                "--json", str(out)]
-        assert main(args) == 0
-        doc = json.loads(out.read_text())
-        assert validate_bench_artifact(doc) == []
-        assert doc["profile"]["hz"] > 0
-
 
 class TestDoctor:
+    """``observe``'s doctor view (the default) over a seeded scenario."""
+
     def test_healthy_scenario_is_clean(self, capsys):
-        args = ["doctor", "--scenario", "healthy", "--n", "3000", "--check"]
+        args = ["observe", "--scenario", "healthy", "--n", "3000", "--doctor", "--check"]
         assert main(args) == 0
         assert "health: OK — no findings" in capsys.readouterr().out
 
     def test_drift_scenario_fails_check(self, capsys):
-        args = ["doctor", "--scenario", "drift", "--n", "6000", "--check"]
+        args = ["observe", "--scenario", "drift", "--n", "6000", "--check"]
         assert main(args) == 1
         out = capsys.readouterr().out
         assert "health: CRITICAL" in out
@@ -188,68 +174,132 @@ class TestDoctor:
         assert "fix:" in out
 
     def test_drift_without_check_still_exits_zero(self, capsys):
-        assert main(["doctor", "--scenario", "drift", "--n", "6000"]) == 0
-        assert "sortedness_collapse" in capsys.readouterr().out
-
-    def test_json_report_and_bench_artifact(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.telemetry import validate_bench_artifact
-
-        report = tmp_path / "report.json"
-        bench = tmp_path / "bench.json"
-        args = ["doctor", "--scenario", "drift", "--n", "6000",
-                "--json", str(report), "--bench", str(bench)]
-        assert main(args) == 0
-        doc = json.loads(report.read_text())
-        assert doc["schema"] == "repro-doctor/v1"
-        assert doc["healthy"] is False
-        assert {f["code"] for f in doc["findings"]} >= {
-            "sortedness_collapse", "buffer_undersized"
-        }
-        artifact = json.loads(bench.read_text())
-        assert validate_bench_artifact(artifact) == []
-        assert artifact["experiment"] == "doctor_drift"
-        capsys.readouterr()
-
-        # The artifact path reproduces the live diagnosis.
-        assert main(["doctor", "--from", str(bench), "--check"]) == 1
-        assert "sortedness_collapse" in capsys.readouterr().out
-
-    def test_from_missing_file(self, tmp_path, capsys):
-        missing = tmp_path / "nope.json"
-        assert main(["doctor", "--from", str(missing)]) == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_from_invalid_json(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        assert main(["doctor", "--from", str(bad)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        assert main(["observe", "--scenario", "drift", "--n", "6000"]) == 0
+        out = capsys.readouterr().out
+        assert "sortedness_collapse" in out
+        # Untraced: no ring, so no trace_truncated note.
+        assert "trace_truncated" not in out
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(SystemExit):
-            main(["doctor", "--scenario", "chaos"])
+            main(["observe", "--scenario", "chaos"])
+
+    def test_check_belongs_to_the_doctor_view(self, capsys):
+        assert main(["observe", "--n", "500", "--prom", "--check"]) == 2
+        assert "--check" in capsys.readouterr().err
 
 
 class TestTop:
     def test_renders_frames_without_clearing(self, capsys):
-        args = ["top", "--scenario", "healthy", "--n", "2000",
+        args = ["observe", "--top", "--scenario", "healthy", "--n", "2000",
                 "--interval", "0.05", "--no-clear"]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert "repro top — scenario:healthy (n=2000)" in out
+        assert "repro observe — scenario:healthy (n=2000)" in out
         for label in ("sortedness", "buffer", "bloom", "health"):
             assert label in out
         assert "\x1b[2J" not in out
 
     def test_frame_cap_and_clear(self, capsys):
-        args = ["top", "--scenario", "healthy", "--n", "2000",
+        args = ["observe", "--top", "--scenario", "healthy", "--n", "2000",
                 "--interval", "0.05", "--frames", "2"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert out.count("health") >= 1
         assert "\x1b[2J" in out
+
+    def test_frame_cap_returns_before_the_workload_ends(self, capsys):
+        import threading
+
+        args = ["observe", "--top", "--scenario", "drift", "--n", "60000",
+                "--frames", "1", "--no-clear"]
+        assert main(args) == 0
+        (worker,) = [t for t in threading.enumerate()
+                     if t.name == "repro-observe-workload"]
+        # One frame out and the command is back; the run is still going.
+        assert worker.is_alive()
+        worker.join(120)
+        assert not worker.is_alive()
+        assert capsys.readouterr().out.count("health") == 1
+
+
+@pytest.fixture
+def live_server(tmp_path):
+    """A 1-shard server carrying a monitored obs, on a background loop."""
+    import asyncio
+    import threading
+
+    from repro.net.server import IndexServer
+    from repro.net.sharded import ShardedConfig, ShardedSortednessAwareIndex
+    from repro.obs import Observability
+
+    obs = Observability(monitors=True)
+    index = ShardedSortednessAwareIndex(
+        str(tmp_path / "db"),
+        ShardedConfig(n_shards=1, split_threshold=0, fsync_policy="never"),
+        obs=obs,
+    )
+    server = IndexServer(index, obs=obs)
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
+    try:
+        yield server
+    finally:
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        assert not thread.is_alive()
+        loop.close()
+        index.close()
+
+
+class TestConnect:
+    """``observe --connect`` reads a running server's STATS snapshot."""
+
+    def _feed_drift(self, server):
+        from repro.net.client import SyncIndexClient
+        from repro.sortedness.generator import generate_kl_keys, scrambled_keys
+
+        keys = generate_kl_keys(3000, 0.10, 0.05, seed=7)
+        keys += scrambled_keys(3000, seed=8, start=3000)
+        with SyncIndexClient(port=server.port) as client:
+            for i in range(0, len(keys), 250):
+                client.put_many([(key, key) for key in keys[i : i + 250]])
+
+    def test_doctor_reports_the_served_collapse(self, live_server, capsys):
+        self._feed_drift(live_server)
+        target = f"127.0.0.1:{live_server.port}"
+        assert main(["observe", "--connect", target, "--doctor", "--check"]) == 1
+        out = capsys.readouterr().out
+        assert f"repro doctor — server:{target}" in out
+        assert "sortedness_collapse" in out
+
+    def test_prom_and_top_frames_are_polls(self, live_server, capsys):
+        self._feed_drift(live_server)
+        target = f"127.0.0.1:{live_server.port}"
+        assert main(["observe", "--connect", target, "--prom"]) == 0
+        out = capsys.readouterr().out
+        assert "repro_sware_inserts 6000" in out
+        assert "repro_shard_0_inserts 6000" in out
+        args = ["observe", "--connect", target, "--top", "--frames", "2",
+                "--interval", "0.01", "--no-clear"]
+        assert main(args) == 0
+        assert capsys.readouterr().out.count("health") == 2
+
+    def test_timeline_needs_a_scenario(self, capsys):
+        assert main(["observe", "--connect", "127.0.0.1:1", "--timeline"]) == 2
+        assert "need --scenario" in capsys.readouterr().err
+
+    def test_unreachable_server(self, tmp_path, capsys):
+        import socket
+
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main(["observe", "--connect", f"127.0.0.1:{port}"]) == 1
+        assert "cannot reach" in capsys.readouterr().err
 
 
 class TestParser:

@@ -1,36 +1,40 @@
-"""Tests for ``repro doctor`` scenarios/reports and the ``repro top`` view."""
+"""Tests for the doctor (scenarios, findings, reports) and dashboard views
+of ``repro observe``, in process and against a live server."""
 
+import asyncio
 import json
 import threading
 
 import pytest
 
-from repro.bench.telemetry import (
-    build_bench_artifact,
-    save_bench_artifact,
-    validate_bench_artifact,
-)
+from repro.net.client import IndexClient
+from repro.net.server import IndexServer
+from repro.net.sharded import ShardedConfig, ShardedSortednessAwareIndex
 from repro.obs import Observability
 from repro.obs.doctor import (
     SCENARIOS,
-    evaluate_artifact,
-    evaluate_obs,
+    evaluate,
     format_report,
-    report_document,
     run_scenario,
+    scenario_workload,
     split_findings,
 )
 from repro.obs.top import format_dashboard, live_loop, spark
+from repro.workloads.spec import INSERT
+
+
+def _traced(scenario, n):
+    return run_scenario(scenario, n=n, obs=Observability(trace=True, monitors=True))
 
 
 @pytest.fixture(scope="module")
 def healthy_obs():
-    return run_scenario("healthy", n=4000, trace=True)
+    return _traced("healthy", 4000)
 
 
 @pytest.fixture(scope="module")
 def drift_obs():
-    return run_scenario("drift", n=6000, trace=True)
+    return _traced("drift", 6000)
 
 
 class TestScenarios:
@@ -39,11 +43,11 @@ class TestScenarios:
             run_scenario("nope", n=100)
 
     def test_healthy_scenario_evaluates_clean(self, healthy_obs):
-        actionable, _notes = split_findings(evaluate_obs(healthy_obs))
+        actionable, _notes = split_findings(evaluate(healthy_obs.snapshot()))
         assert actionable == []
 
     def test_drift_scenario_reports_collapse_and_undersizing(self, drift_obs):
-        actionable, _notes = split_findings(evaluate_obs(drift_obs))
+        actionable, _notes = split_findings(evaluate(drift_obs.snapshot()))
         codes = [f.code for f in actionable]
         assert "sortedness_collapse" in codes
         assert "buffer_undersized" in codes
@@ -51,11 +55,12 @@ class TestScenarios:
         assert actionable[0].code == "sortedness_collapse"
 
     def test_scenario_runs_populate_monitors_and_trace(self, drift_obs):
-        snap = drift_obs.monitors.snapshot()
-        assert len(snap["sortedness"]["windows"]) >= 4
-        assert snap["saturation"]["flushes"] > 0
-        assert snap["bloom"]["expected_fpr_samples"]
-        assert drift_obs.tracer.recorded > 0
+        snap = drift_obs.snapshot()
+        monitors = snap["monitors"]
+        assert len(monitors["sortedness"]["windows"]) >= 4
+        assert monitors["saturation"]["flushes"] > 0
+        assert monitors["bloom"]["expected_fpr_samples"]
+        assert snap["trace"]["recorded"] > 0
 
     def test_external_obs_is_used(self):
         obs = Observability(monitors=True)
@@ -63,48 +68,87 @@ class TestScenarios:
         assert returned is obs
         assert obs.monitors.sortedness.keys_observed == 1000
 
+    def test_default_obs_monitors_without_tracing(self):
+        obs = run_scenario("healthy", n=1000)
+        assert obs.monitors is not None
+        assert obs.snapshot()["trace"]["recorded"] == 0
+
     def test_scenario_names_exported(self):
         assert SCENARIOS == ("healthy", "drift")
 
 
 class TestArtifactParity:
-    def test_live_and_artifact_paths_agree(self, drift_obs, tmp_path):
-        live = evaluate_obs(drift_obs, poll=False)
-        doc = build_bench_artifact("doctor_drift", drift_obs, poll=False)
-        assert validate_bench_artifact(doc) == []
-        path = save_bench_artifact(doc, tmp_path / "BENCH_doctor_drift.json")
-        loaded = json.loads(path.read_text())
-        from_artifact = evaluate_artifact(loaded)
-        assert [f.to_dict() for f in from_artifact] == [f.to_dict() for f in live]
+    """The snapshot is the one artifact: serialized, it evaluates the same."""
+
+    def test_live_and_artifact_paths_agree(self, drift_obs):
+        snap = drift_obs.snapshot()
+        live = evaluate(snap)
+        from_json = evaluate(json.loads(json.dumps(snap)))
+        assert [f.to_dict() for f in from_json] == [f.to_dict() for f in live]
 
     def test_artifact_without_obs_sections_evaluates_empty(self):
-        assert evaluate_artifact({}) == []
+        assert evaluate({}) == []
+        assert evaluate(Observability().snapshot()) == []
+
+
+def _served_snapshot(tmp_path, config, inserts):
+    """STATS ``obs`` of a 1-shard server fed ``inserts`` over a client."""
+
+    async def scenario():
+        obs = Observability(monitors=True)
+        index = ShardedSortednessAwareIndex(
+            str(tmp_path / "db"),
+            ShardedConfig(
+                n_shards=1, split_threshold=0, fsync_policy="never",
+                index_config=config,
+            ),
+            obs=obs,
+        )
+        server = IndexServer(index, obs=obs)
+        await server.start()
+        client = await IndexClient.connect(server.host, server.port)
+        try:
+            for i in range(0, len(inserts), 500):
+                await client.put_many(inserts[i : i + 500])
+            stats = await client.stats()
+        finally:
+            await client.close()
+            await server.stop()
+            index.close()
+        return stats
+
+    return asyncio.run(scenario())
+
+
+class TestServedParity:
+    """A live server fed a scenario's inserts diagnoses like the scenario."""
+
+    def test_drift_findings_match_the_in_process_run(self, tmp_path):
+        config, ops = scenario_workload("drift", n=20_000)
+        inserts = [(key, value) for op, key, value in ops if op == INSERT]
+        stats = _served_snapshot(tmp_path, config, inserts)
+        served = [f.code for f in evaluate(stats["obs"])]
+        in_process = [f.code for f in evaluate(run_scenario("drift", n=20_000).snapshot())]
+        assert served == in_process
+        assert "sortedness_collapse" in served
+        # The pre-existing STATS keys stay beside the snapshot.
+        assert stats["n_shards"] == 1
+        assert {"server", "shard_map"} <= set(stats)
+        gauges = stats["obs"]["metrics"]["gauges"]
+        assert gauges["sware_inserts"] == gauges["shard_0_inserts"] == len(inserts)
 
 
 class TestReports:
     def test_format_report_clean(self, healthy_obs):
-        text = format_report(evaluate_obs(healthy_obs, poll=False), source="unit")
+        text = format_report(evaluate(healthy_obs.snapshot()), source="unit")
         assert "repro doctor — unit" in text
         assert "health: OK — no findings" in text
 
     def test_format_report_findings(self, drift_obs):
-        text = format_report(evaluate_obs(drift_obs, poll=False), source="unit")
+        text = format_report(evaluate(drift_obs.snapshot()), source="unit")
         assert "health: CRITICAL" in text
         assert "sortedness_collapse" in text
         assert "fix:" in text  # remediation hints are rendered
-
-    def test_report_document_shape(self, drift_obs):
-        findings = evaluate_obs(drift_obs, poll=False)
-        doc = report_document(findings, source="unit")
-        assert doc["schema"] == "repro-doctor/v1"
-        assert doc["healthy"] is False
-        assert doc["findings"][0]["code"] == "sortedness_collapse"
-        assert json.loads(json.dumps(doc)) == doc
-
-    def test_report_document_healthy(self, healthy_obs):
-        doc = report_document(evaluate_obs(healthy_obs, poll=False))
-        assert doc["healthy"] is True
-        assert doc["findings"] == []
 
 
 class TestSpark:
@@ -120,7 +164,7 @@ class TestSpark:
 
 class TestDashboard:
     def test_dashboard_renders_all_sections(self, drift_obs):
-        text = format_dashboard(drift_obs, title="unit top")
+        text = format_dashboard(drift_obs.snapshot(), title="unit top")
         assert text.startswith("unit top\n========")
         for label in ("sortedness", "buffer", "flushes", "bloom",
                       "wal fsync", "locks", "trace", "health"):
@@ -128,13 +172,13 @@ class TestDashboard:
         assert "CRITICAL" in text and "sortedness_collapse" in text
 
     def test_dashboard_on_empty_obs(self):
-        text = format_dashboard(Observability(trace=True, monitors=True))
+        text = format_dashboard(Observability(trace=True, monitors=True).snapshot())
         assert "(warming up)" in text
         assert "health       OK" in text
 
     def test_dropped_events_surface(self, drift_obs):
         assert drift_obs.tracer.dropped > 0
-        assert "dropped (ring truncated)" in format_dashboard(drift_obs)
+        assert "dropped (ring truncated)" in format_dashboard(drift_obs.snapshot())
 
 
 class TestLiveLoop:
@@ -145,7 +189,7 @@ class TestLiveLoop:
         done = threading.Event()
         done.set()
         out = io.StringIO()
-        rendered = live_loop(obs, done, interval=0.01, clear=False, out=out)
+        rendered = live_loop(obs.snapshot, done, interval=0.01, clear=False, out=out)
         assert rendered == 1
         assert "health" in out.getvalue()
 
@@ -155,7 +199,7 @@ class TestLiveLoop:
         obs = Observability(monitors=True)
         done = threading.Event()  # never set: the frame cap must stop us
         out = io.StringIO()
-        rendered = live_loop(obs, done, interval=0.01, frames=3,
+        rendered = live_loop(obs.snapshot, done, interval=0.01, frames=3,
                              clear=False, out=out)
         assert rendered == 3
         assert out.getvalue().count("health") == 3
@@ -166,5 +210,5 @@ class TestLiveLoop:
         done = threading.Event()
         done.set()
         out = io.StringIO()
-        live_loop(Observability(monitors=True), done, clear=True, out=out)
+        live_loop(Observability(monitors=True).snapshot, done, clear=True, out=out)
         assert out.getvalue().startswith("\x1b[2J\x1b[H")

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
-from repro.bench.telemetry import bench_meta
 from repro.core.buffer import SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.errors import ConfigError
@@ -365,10 +364,3 @@ def test_set_backend_rejects_other_names(name):
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigError):
         kernels.set_backend("cython")
-
-
-def test_backend_info_shape():
-    """Bench artifacts stamp the kernel implementation and numpy version."""
-    meta = bench_meta()
-    assert meta["kernel_backend"] == "numpy"
-    assert meta["numpy_version"] == np.__version__

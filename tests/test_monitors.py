@@ -16,6 +16,7 @@ from repro.obs.monitors import (
     MIN_BF_DECISIONS,
     MIN_FLUSHES,
     MIN_LOCK_ACQUIRES,
+    MAX_WINDOWS,
     MIN_WINDOWS,
     SORTEDNESS_COLLAPSE_DELTA,
     BloomMonitor,
@@ -55,6 +56,14 @@ class TestSortednessDriftMonitor:
                               60, 4, 50, 6, 40, 7, 30, 8])  # scrambled window
         assert len(monitor.windows) == 2
         assert monitor.windows[1]["k_fraction"] > monitor.windows[0]["k_fraction"]
+
+    def test_windows_are_bounded(self):
+        monitor = SortednessDriftMonitor(window=2)
+        monitor.observe_keys(range(2 * (MAX_WINDOWS + 76)))
+        assert MAX_WINDOWS == 1_024
+        assert monitor.keys_observed == 2 * (MAX_WINDOWS + 76)
+        assert len(monitor.windows) == MAX_WINDOWS
+        assert len(monitor.snapshot()["windows"]) == MAX_WINDOWS
 
     def test_rejects_tiny_window(self):
         with pytest.raises(ValueError):

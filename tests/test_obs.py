@@ -1,15 +1,9 @@
-"""Tests for the repro.obs observability layer and bench telemetry."""
+"""Tests for the repro.obs observability layer and its one snapshot shape."""
 
 import json
 
 import pytest
 
-from repro.bench.telemetry import (
-    SCHEMA,
-    build_bench_artifact,
-    save_bench_artifact,
-    validate_bench_artifact,
-)
 from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
     NULL_OBS,
@@ -178,7 +172,7 @@ class TestObservabilityFacade:
         NULL_OBS.count("c")
         NULL_OBS.gauge("g", 1.0)
         NULL_OBS.observe_hist("h", 1.0)
-        NULL_OBS.record_run({})
+        assert NULL_OBS.snapshot() == {"metrics": {}, "monitors": {}, "trace": {}}
         with NULL_OBS.span("s") as span:
             span.set(a=1)
         assert NULL_OBS.register_collector("n", dict) == "n"
@@ -235,61 +229,46 @@ class TestRegistrySnapshot:
         assert hist["count"] == 3
         assert {"p50", "p95", "p99"} <= set(hist)
 
-    def test_snapshot_round_trips(self):
-        snap = self._populated().snapshot()
-        restored = MetricsRegistry.from_snapshot(snap)
-        assert restored.snapshot() == snap
-
     def test_snapshot_is_json_serializable(self):
         snap = self._populated().snapshot()
         assert json.loads(json.dumps(snap)) == snap
 
 
-class TestSinglePoll:
-    """Stateful collectors are charged exactly once per export cycle."""
+class TestSnapshot:
+    """``Observability.snapshot()``: the one shape every view reads."""
 
-    def _registry_with_counting_collector(self):
-        registry = MetricsRegistry()
+    def test_one_collector_poll_per_snapshot(self):
+        obs = Observability()
         polls = {"n": 0}
 
         def collect():
             polls["n"] += 1
             return {"value": float(polls["n"])}
 
-        registry.register_collector("src", collect)
-        return registry, polls
-
-    def test_snapshot_poll_false_reuses_previous_poll(self):
-        registry, polls = self._registry_with_counting_collector()
-        first = registry.snapshot()
+        obs.register_collector("src", collect)
+        first = obs.snapshot()
         assert polls["n"] == 1
-        second = registry.snapshot(poll=False)
-        assert polls["n"] == 1  # not charged again
-        assert second["gauges"] == first["gauges"]
-        third = registry.snapshot()  # a fresh cycle polls again
-        assert polls["n"] == 2
-        assert third["gauges"]["src_value"] == 2.0
+        assert first["metrics"]["gauges"]["src_value"] == 1.0
+        assert obs.snapshot()["metrics"]["gauges"]["src_value"] == 2.0
 
-    def test_poll_false_before_any_poll_still_collects(self):
-        registry, polls = self._registry_with_counting_collector()
-        gauges = registry.collect_gauges(poll=False)
-        assert polls["n"] == 1
-        assert gauges["src_value"] == 1.0
+    def test_sections_are_builtin_and_json_round_trip(self):
+        from repro.storage.pages import decode_value, encode_value
 
-    def test_bench_artifact_agrees_with_rendered_stats(self):
-        from repro.bench.telemetry import build_bench_artifact
+        obs = Observability(trace=True, monitors=True)
+        obs.monitors.observe_inserts(range(600))
+        obs.count("ops", 3)
+        obs.observe_hist("lat", 10.0)
+        obs.event("e")
+        snap = obs.snapshot()
+        assert set(snap) == {"metrics", "monitors", "trace"}
+        assert json.loads(json.dumps(snap)) == snap
+        # The socket's no-globals decoder accepts it (the STATS reply).
+        assert decode_value(encode_value(snap), trusted=False) == snap
+        assert snap["trace"]["recorded"] == 1
+        assert len(snap["monitors"]["sortedness"]["windows"]) == 1
 
-        registry, polls = self._registry_with_counting_collector()
-        obs = Observability()
-        obs.registry = registry
-        obs.record_run(
-            {"phases": [{"name": "p", "n_ops": 1, "sim_ns": 1, "wall_ns": 1}],
-             "bucket_sim_ns": {}, "counts": {}}
-        )
-        rendered = snapshot_to_prometheus(registry.snapshot())
-        doc = build_bench_artifact("unit", obs, poll=False)
-        assert polls["n"] == 1  # one poll served both exports
-        assert snapshot_to_prometheus(doc["metrics"]) == rendered
+    def test_monitors_section_empty_when_hub_off(self):
+        assert Observability().snapshot()["monitors"] == {}
 
 
 class TestExporters:
@@ -346,7 +325,7 @@ class TestExporters:
         assert "nan" not in text  # repr() spelling would break scrapers
 
     def test_snapshot_names_sanitized_on_the_way_out(self):
-        # An artifact may carry names a live registry would have rejected.
+        # A hand-built snapshot may carry names a live registry would have rejected.
         text = snapshot_to_prometheus({"counters": {"op.latency-total": 2}})
         assert "repro_op_latency_total 2" in text
 
@@ -419,10 +398,7 @@ class TestComponentIntegration:
         names = {event.name for event in obs.tracer.events()}
         assert "sware.flush_cycle" in names
         assert "run.phase" in names
-        # The serialized run was recorded for the bench artifact.
-        assert len(obs.runs) == 1
-        assert obs.runs[0]["label"] == "SA"
-        assert obs.runs[0]["phases"][0]["n_ops"] == result.n_ops
+        assert result.n_ops == 2000 + snap["histograms"]["op_lookup_latency_ns"]["count"]
 
     def test_run_without_obs_stays_dark(self):
         result = self._run_workload(None)
@@ -454,112 +430,18 @@ class TestComponentIntegration:
         assert obs.registry.snapshot()["gauges"]["bufferpool_evictions"] == 2
 
 
-class TestBenchTelemetry:
-    def _artifact(self, trace=True):
-        obs = Observability(trace=trace)
-        from repro.bench.experiments import common
-        from repro.bench.runner import run_phases
-
-        keys = common.keys_for(1000, 0.10, 0.05, seed=5)
-        ops = common.mixed_ops(keys, 0.2, seed=5)
-        run_phases(
-            common.sa_btree_factory(common.buffer_config(1000, 0.01)),
-            [("mixed", ops)],
-            label="SA",
-            obs=obs,
-        )
-        return build_bench_artifact("unit", obs)
-
-    def test_artifact_is_schema_valid(self):
-        doc = self._artifact()
-        assert validate_bench_artifact(doc) == []
-        assert doc["schema"] == SCHEMA
-        assert doc["experiment"] == "unit"
-        assert doc["trace"]["recorded"] > 0
-
-    def test_artifact_round_trips_through_json(self, tmp_path):
-        doc = self._artifact()
-        path = save_bench_artifact(doc, tmp_path / "BENCH_unit.json")
-        loaded = json.loads(path.read_text())
-        assert validate_bench_artifact(loaded) == []
-        assert loaded["runs"][0]["phases"][0]["name"] == "mixed"
-
-    def test_default_save_location(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
-        doc = self._artifact()
-        path = save_bench_artifact(doc)
-        assert path.name == "BENCH_unit.json"
-        assert path.parent == tmp_path
-
-    def test_validator_flags_problems(self):
-        assert validate_bench_artifact([]) == ["artifact is not a JSON object"]
-        errors = validate_bench_artifact({"schema": "nope"})
-        assert any("schema" in e for e in errors)
-        assert any("runs" in e for e in errors)
-        assert any("metrics" in e for e in errors)
-        doc = self._artifact()
-        doc["runs"][0]["phases"][0].pop("sim_ns")
-        assert any("sim_ns" in e for e in validate_bench_artifact(doc))
-        doc = self._artifact()
-        doc["metrics"]["histograms"]["op_insert_latency_ns"].pop("p95")
-        assert any("p95" in e for e in validate_bench_artifact(doc))
-        doc = self._artifact()
-        doc["metrics"]["histograms"]["op_insert_latency_ns"]["counts"] = [1]
-        assert any("+Inf" in e for e in validate_bench_artifact(doc))
-
-
 class TestCLI:
-    def test_experiment_json_writes_valid_artifact(self, tmp_path, monkeypatch, capsys):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_RESULTS", str(tmp_path))
-        out = tmp_path / "out.json"
-        assert main(["experiment", "fig13", "--n", "1000", "--json", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert validate_bench_artifact(doc) == []
-        assert doc["experiment"] == "fig13"
-        assert (tmp_path / "BENCH_fig13.json").exists()
-        assert "Fig. 13" in capsys.readouterr().out
-
     def test_stats_prometheus_output(self, capsys):
         from repro.cli import main
 
-        assert main(["stats", "--n", "1500"]) == 0
+        assert main(["observe", "--n", "1500", "--prom"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_op_insert_latency_ns histogram" in out
         assert "repro_sware_inserts" in out
 
-    def test_stats_human_output(self, capsys):
-        from repro.cli import main
-
-        assert main(["stats", "--n", "1500", "--human"]) == 0
-        out = capsys.readouterr().out
-        assert "p95" in out and "op_insert_latency_ns" in out
-
-    def test_stats_from_artifact(self, tmp_path, capsys):
-        from repro.cli import main
-
-        doc = TestBenchTelemetry()._artifact()
-        path = save_bench_artifact(doc, tmp_path / "BENCH_unit.json")
-        capsys.readouterr()
-        assert main(["stats", "--from", str(path)]) == 0
-        assert "repro_op_insert_latency_ns_bucket" in capsys.readouterr().out
-
-    def test_stats_from_artifact_round_trip_parity(self, tmp_path, capsys):
-        # The exposition rendered from a saved artifact must equal the one
-        # rendered from the in-memory snapshot the artifact was built from.
-        from repro.cli import main
-
-        doc = TestBenchTelemetry()._artifact()
-        expected = snapshot_to_prometheus(doc["metrics"])
-        path = save_bench_artifact(doc, tmp_path / "BENCH_unit.json")
-        capsys.readouterr()
-        assert main(["stats", "--from", str(path)]) == 0
-        assert capsys.readouterr().out == expected
-
     def test_trace_output(self, capsys):
         from repro.cli import main
 
-        assert main(["trace", "--n", "1500", "--limit", "50"]) == 0
+        assert main(["observe", "--n", "1500", "--timeline", "50"]) == 0
         out = capsys.readouterr().out
         assert "sware.flush_cycle" in out

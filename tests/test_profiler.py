@@ -132,38 +132,6 @@ class TestOutputs:
         assert "layer" in text and "share" in text
         assert SamplingProfiler().format_table() == "(no profile samples collected)\n"
 
-    def test_snapshot_shape_matches_artifact_schema(self):
-        from repro.bench.telemetry import validate_bench_artifact
-
-        snap = self._sampled().snapshot()
-        assert {"hz", "samples", "ticks", "duration_s", "layers", "collapsed"} <= set(
-            snap
-        )
-        # Splice into a minimal valid artifact: the validator must accept it.
-        obs = Observability()
-        obs.record_run({"phases": [{"name": "p", "n_ops": 1, "sim_ns": 1,
-                                    "wall_ns": 1}],
-                        "bucket_sim_ns": {}, "counts": {}})
-        from repro.bench.telemetry import build_bench_artifact
-
-        doc = build_bench_artifact("unit", obs)
-        doc["profile"] = snap
-        assert validate_bench_artifact(doc) == []
-
-    def test_validator_flags_bad_profile_section(self):
-        from repro.bench.telemetry import build_bench_artifact, validate_bench_artifact
-
-        obs = Observability()
-        obs.record_run({"phases": [{"name": "p", "n_ops": 1, "sim_ns": 1,
-                                    "wall_ns": 1}],
-                        "bucket_sim_ns": {}, "counts": {}})
-        doc = build_bench_artifact("unit", obs)
-        doc["profile"] = {"hz": "fast", "layers": {"buffer": {}}, "collapsed": {}}
-        errors = validate_bench_artifact(doc)
-        assert any("hz" in e for e in errors)
-        assert any("layers" in e for e in errors)
-        assert any("collapsed" in e for e in errors)
-
 
 class TestCostDiscipline:
     def test_profiler_is_opt_in(self):

@@ -443,3 +443,48 @@ class TestCommit:
         recovered, _reports = recover_sharded(str(tmp_path / "db"))
         assert recovered.items() == sorted(oracle.items())
         recovered.close()
+
+
+class TestObservability:
+    def test_without_obs_no_collector_and_no_hub_call(self, tmp_path, monkeypatch):
+        # The benchmark's shape: a sharded index built without ``obs``.
+        from repro.obs import NULL_OBS
+        from repro.obs.monitors import MonitorHub
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("monitoring-off index touched the obs layer")
+
+        monkeypatch.setattr(type(NULL_OBS), "register_collector", refuse)
+        for name in ("observe_insert", "observe_inserts", "observe_flush"):
+            monkeypatch.setattr(MonitorHub, name, refuse)
+        idx = make_sharded(tmp_path)
+        assert idx.obs is NULL_OBS and idx._hub is None
+        for key in range(0, 10_000, 7):
+            idx.put(key, key)
+        idx.put_many([(key, -key) for key in range(1, 10_000, 7)])
+        assert all(shard.index.obs is NULL_OBS for shard in idx._shards)
+        idx.close()
+
+    def test_hub_sees_arrival_order_and_stats_export_per_shard(self, tmp_path):
+        from repro.obs import Observability
+
+        obs = Observability(monitors=True)
+        idx = ShardedSortednessAwareIndex(
+            str(tmp_path / "db"),
+            config=ShardedConfig(
+                n_shards=2, split_threshold=0, initial_key_range=(0, 1_000),
+                index_config=SMALL,
+            ),
+            obs=obs,
+        )
+        idx.put(900, "a")
+        idx.put_many([(10, "b"), (950, "c"), (20, "d")])
+        sortedness = obs.monitors.sortedness
+        assert sortedness.keys_observed == 4
+        # Arrival order, not shard order: 900 then 10 is a descent.
+        assert sortedness._estimate.n == 4 and sortedness._estimate.k_estimate == 2
+        gauges = obs.snapshot()["metrics"]["gauges"]
+        assert gauges["shard_0_inserts"] == 2 and gauges["shard_1_inserts"] == 2
+        assert gauges["sware_inserts"] == 4
+        assert all(shard.index.obs is not obs for shard in idx._shards)
+        idx.close()
