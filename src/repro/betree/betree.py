@@ -389,9 +389,9 @@ class BeTree:
         """Append a sorted batch of strictly increasing keys > max_key.
 
         Builds leaves directly at ``bulk_fill_factor`` and threads pivots up
-        the right spine; internal node buffers stay untouched (all pending
-        messages route strictly left of the new pivots because bulk keys
-        exceed every previously seen key).
+        the right spine. Pending PUTs route strictly left of the new pivots
+        (bulk keys exceed every key stored); the only messages at or past
+        the first bulk key are tombstones of absent keys, and they go.
         """
         if not items:
             return
@@ -408,6 +408,13 @@ class BeTree:
         # Message flushes and their cascading splits may have restructured
         # the right spine since the last bulk load; refresh the cached path.
         self._recompute_tail_path()
+        # A pending message past max_key is a tombstone for a key never
+        # stored. Reads meet it before the leaf, so it must not outlive the
+        # newer bulk-loaded version of its key.
+        first = items[0][0]
+        for node in self._tail_path:
+            if any(message.key >= first for message in node.buffer):
+                node.buffer = [message for message in node.buffer if message.key < first]
         fill = max(1, int(self.config.leaf_capacity * self.config.bulk_fill_factor))
         self.meter.charge("bulk_entry", len(items))
         if self.obs.enabled:

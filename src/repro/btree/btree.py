@@ -18,8 +18,8 @@ the hooks SWARE needs (§III design elements):
   into a leaf's gaps in one merge — or *fissions* the leaf into several
   bulk-filled pieces when a run overflows it, instead of one split per
   overflowing key — and ``get_many`` pushes its sorted keys down the tree
-  one level at a time. ``tests/test_gapped_equivalence.py`` checks the tree
-  against a dict + sorted-list model, on int64 keys and keys beyond int64.
+  one level at a time. ``tests/test_oracle.py`` checks the tree against a
+  dict model, on int64 keys and keys beyond int64.
 
 Semantics: unique keys with upsert on conflict; deletes are *lazy* (the
 entry is removed, underfull/empty leaves stay in the structure and are

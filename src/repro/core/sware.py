@@ -504,8 +504,8 @@ class SortednessAwareIndex:
         the zonemap resets only on a full drain and otherwise covers every
         buffered entry, and backend ``min_key``/``max_key`` never shrink on
         deletes (see ``BPlusTree.delete``). A stale bound therefore only
-        widens the scan — it can never clip a live key. Pinned by
-        ``tests/test_readpath_bugfixes.py`` against flush + delete cycles.
+        widens the scan — it can never clip a live key. Pinned by the
+        ``items-*`` programs of ``tests/test_oracle.py``.
         """
         self._maybe_query_sort()
         return self._items()

@@ -47,11 +47,11 @@ class InvariantViolation(ReproError, AssertionError):
 class CheckpointUnsupportedError(ReproError, TypeError):
     """The backend behind an index cannot be checkpointed.
 
-    The page-image checkpoint format serializes B+-tree nodes; backends
-    without a node structure (the learned index and the cracking index,
-    which rebuild their models/partitions from data) raise this instead of
-    failing deep inside the serializer. Persist their contents through the
-    WAL or re-ingest instead.
+    The page-image checkpoint format serializes B+-tree nodes; every other
+    backend (the Bε-tree, whose nodes buffer messages, and the learned and
+    cracking indexes, which rebuild their models/partitions from data)
+    raises this instead of failing deep inside the serializer. Persist
+    their contents through the WAL or re-ingest instead.
     """
 
 

@@ -358,7 +358,17 @@ class ShardedSortednessAwareIndex:
         self._maybe_split(shard)
 
     def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
-        """Route a batch by shard, preserving the arrival order per shard."""
+        """Route a batch by shard, preserving the arrival order per shard.
+
+        The whole batch is checked before any shard sees it: every shard's
+        WAL refuses a None value or a key outside int64, and a refused
+        batch must leave every shard as it was.
+        """
+        for key, value in items:
+            if value is None:
+                raise ValueError("None values are reserved for 'absent'")
+            if not -(1 << 63) <= key < 1 << 63:
+                raise ValueError(f"key {key} is outside int64")
         if not items:
             return
         per_shard: Dict[int, List[Tuple[int, object]]] = {}

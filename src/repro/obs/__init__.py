@@ -10,15 +10,10 @@ component shares:
   nested spans — causally linked since obs v2 — for flush cycles, sorts,
   bulk-load/top-insert routing, filter skips, and evictions).
 
-Two optional v2 surfaces ride along when asked for:
-
-* ``monitors`` — a :class:`~repro.obs.monitors.MonitorHub` of streaming
-  estimators (windowed sortedness drift, buffer saturation, Bloom FPR,
-  lock contention, fsync latency) that the health rules (``repro observe
-  --doctor``) evaluate;
-* ``profiler`` — a :class:`~repro.obs.profiler.SamplingProfiler` owned by
-  the run (started/stopped by the CLI or bench runner, never by hot paths;
-  sampling happens entirely on its own thread).
+An optional surface rides along when asked for: ``monitors``, a
+:class:`~repro.obs.monitors.MonitorHub` of streaming estimators (windowed
+sortedness drift, buffer saturation, Bloom FPR, lock contention, fsync
+latency) that the health rules (``repro observe --doctor``) evaluate.
 
 Every view reads one shape, :meth:`Observability.snapshot`'s ``{metrics,
 monitors, trace}`` dict of builtin types: ``repro observe`` builds it in
@@ -71,27 +66,19 @@ __all__ = [
 
 
 class Observability:
-    """Registry + tracer, plus the optional monitor hub and profiler."""
+    """Registry + tracer, plus the optional monitor hub."""
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         trace: bool = False,
         trace_capacity: int = 8192,
         monitors: bool = False,
-        profiler: Optional[SamplingProfiler] = None,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(
-            capacity=trace_capacity, enabled=trace
-        )
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(capacity=trace_capacity, enabled=trace)
         #: Streaming monitor hub, or None when monitors are off (components
         #: gate on ``obs.monitors is not None`` once per batch entry point).
         self.monitors: Optional[MonitorHub] = MonitorHub() if monitors else None
-        #: A profiler owned by this run (the CLI/bench runner starts and
-        #: stops it; instrumented code never touches it).
-        self.profiler: Optional[SamplingProfiler] = profiler
 
     # -- tracing -----------------------------------------------------------
     @property
@@ -150,7 +137,6 @@ class _NullObservability(Observability):
         self.registry = None  # type: ignore[assignment]
         self.tracer = None  # type: ignore[assignment]
         self.monitors = None
-        self.profiler = None
 
     @property
     def enabled(self) -> bool:

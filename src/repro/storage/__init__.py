@@ -26,12 +26,10 @@ from repro.storage.pages import (
     decode_internal,
     decode_key_block,
     decode_leaf,
-    decode_run,
     deserialize_btree,
     encode_internal,
     encode_key_block,
     encode_leaf,
-    encode_run,
     serialize_btree,
 )
 
@@ -62,10 +60,8 @@ __all__ = [
     "PageCorruptionError",
     "decode_internal",
     "decode_leaf",
-    "decode_run",
     "deserialize_btree",
     "encode_internal",
     "encode_leaf",
-    "encode_run",
     "serialize_btree",
 ]

@@ -271,9 +271,11 @@ class CheckpointStore:
         until the new one is durably committed; a crash at any point during
         the save leaves at most a stale temp file.
         """
-        if not hasattr(tree, "_root"):
-            # The page format serializes B+-tree nodes; model-based backends
-            # (learned, cracking) have no node structure to image.
+        from repro.btree.btree import BPlusTree
+
+        if not isinstance(tree, BPlusTree):
+            # The page format serializes B+-tree nodes; the Bε-tree's buffered
+            # nodes and the model-based backends have no such image.
             raise CheckpointUnsupportedError(
                 f"{type(tree).__name__} has no page-serializable node "
                 "structure; checkpointing supports B+-tree backends only"

@@ -4,8 +4,8 @@ SWARE's buffer holds each record as a key and an opaque value (§IV). This
 module is the one place records become bytes: ``encode_value`` (a pickle),
 ``encode_record`` (``key s64 + value``: the wire's PUT and the WAL's kind-1
 payload), ``encode_records`` (a batch as one v2 leaf page: the wire's
-PUT_MANY and the WAL's kind-3 payload), and the leaf, internal and run
-pages of checkpoints and LSM runs, each with its ``decode_*`` inverse.
+PUT_MANY and the WAL's kind-3 payload), and the leaf and internal pages
+of checkpoints, each with its ``decode_*`` inverse.
 
 Value decoders take ``trusted``. Files this library wrote decode with full
 pickle (the default): checkpoints and WALs may hold user classes. Socket
@@ -18,7 +18,7 @@ records. Every decode failure raises :class:`PageCorruptionError`.
 Page layout (all little-endian)::
 
     magic   u16   0x5A7E ("SWARE"-ish)
-    kind    u8    1=leaf, 2=internal, 3=run
+    kind    u8    1=leaf, 2=internal
     flags   u8    bit 0 = delta-compressed key column (format v2)
                   bit 1 = delta-compressed all-int64 value column
     count   u32   number of entries / separators
@@ -53,7 +53,6 @@ from repro.errors import ReproError
 MAGIC = 0x5A7E
 KIND_LEAF = 1
 KIND_INTERNAL = 2
-KIND_RUN = 3
 
 #: flags bit 0: key column is a delta-compressed block, not raw ``<q`` words.
 FLAG_COMPRESSED_KEYS = 0x01
@@ -277,36 +276,6 @@ def decode_internal(data: bytes) -> Tuple[List[int], List[int]]:
     return words[:count], words[count:]
 
 
-def encode_run(entries: List[Tuple[int, int, object, bool]], *, compress: bool = False) -> bytes:
-    """Serialize an LSM run: (key, seq, tombstone) columns + values.
-
-    With ``compress`` the sorted key column is delta-encoded (seqs stay
-    raw — they are not sorted, so deltas would not shrink them).
-    """
-    ekeys = [e[0] for e in entries]
-    key_block, key_flags = _encode_keys(ekeys, compress)
-    seqs = struct.pack(f"<{len(entries)}q", *(e[1] for e in entries)) if entries else b""
-    tombs = bytes(1 if e[3] else 0 for e in entries)
-    values, value_flags = _encode_values([e[2] for e in entries], compress)
-    return _pack(
-        KIND_RUN, len(entries), key_block + seqs + tombs + values,
-        key_flags | value_flags,
-    )
-
-
-def decode_run(data: bytes) -> List[Tuple[int, int, object, bool]]:
-    count, flags, body = _unpack(data, KIND_RUN)
-    used = _column_bytes(body, count, bool(flags & FLAG_COMPRESSED_KEYS))
-    keys = _decode_keys(body[:used], count, flags)
-    fixed = used + count * 8 + count
-    if len(body) < fixed:
-        raise PageCorruptionError("run body truncated")
-    seqs = struct.unpack(f"<{count}q", body[used : used + count * 8])
-    tombs = body[used + count * 8 : fixed]
-    values = _decode_values(body[fixed:], count, flags)
-    return list(zip(keys, seqs, values, map(bool, tombs)))
-
-
 def leaf_columns(data: bytes, *, trusted: bool = True) -> Tuple[int, int, bytes, List[object]]:
     """``(count, flags, key_column, values)`` of a leaf page.
 
@@ -395,6 +364,14 @@ def deserialize_btree(blob: dict):
     if non_empty:
         tree._min_key = non_empty[0].first_key()
         tree._max_key = non_empty[-1].last_key()
+    # Deleted keys leave their separators behind. The max watermark must
+    # reach the right spine's last one, or a bulk load would append keys
+    # below that separator to the tail leaf, where no descent finds them.
+    spine = [node.ks[-1] for node in tree._tail_path if node.n]
+    if spine and (tree._max_key is None or max(spine) > tree._max_key):
+        tree._max_key = max(spine)
+        if tree._min_key is None:
+            tree._min_key = tree._max_key
     depth = 1
     node = tree._root
     while not node.is_leaf:

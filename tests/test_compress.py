@@ -20,10 +20,8 @@ from repro.storage.pages import (
     KEY_BLOCK_HEADER,
     decode_key_block,
     decode_leaf,
-    decode_run,
     encode_key_block,
     encode_leaf,
-    encode_run,
     key_block_stats,
     leaf_columns,
 )
@@ -174,20 +172,6 @@ class TestCompressedPages:
         _count, flags, _kc, _v = leaf_columns(legacy)
         assert flags == 0
 
-    @given(
-        entries=st.lists(
-            st.tuples(i64, st.integers(min_value=0, max_value=2**31), st.booleans()),
-            max_size=60,
-            unique_by=lambda e: e[0],
-        ).map(lambda es: sorted(es, key=lambda e: e[0]))
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_run_roundtrip(self, entries):
-        full = [(k, seq, f"v{k}", tomb) for k, seq, tomb in entries]
-        for compress in (False, True):
-            data = encode_run(full, compress=compress)
-            assert decode_run(data) == full
-
     @given(values=st.lists(i64 | i64_edges, min_size=2, max_size=80))
     @settings(max_examples=60, deadline=None)
     def test_int_value_column_roundtrip(self, values):
@@ -196,8 +180,6 @@ class TestCompressedPages:
         keys = list(range(len(values)))
         page = encode_leaf(keys, values, compress=True)
         assert decode_leaf(page) == (keys, values)
-        entries = [(k, k, v, False) for k, v in zip(keys, values)]
-        assert decode_run(encode_run(entries, compress=True)) == entries
 
     def test_int_values_compress_when_smaller(self):
         keys = list(range(200))

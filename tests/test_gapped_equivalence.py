@@ -1,26 +1,16 @@
-"""Observational contract of the gapped B+-tree node layout.
+"""The gapped B+-tree node layout, unit by unit.
 
-The gapped layout (the BS-tree direction) is a representation choice, not a
-semantic one: for any program of inserts, batch inserts, deletes and reads
-the tree must answer exactly like an ordered map — same items, same created
-counts, same lookup and range results, same watermark bounds — in both key
-domains (``tests/key_domains.py``). These properties pin that contract
-against a dict + sorted-list model, mirroring what
-``tests/test_kernels_equivalence.py`` does for the kernel layer.
-
-The programs mix scalar and batch inserts, deletes and bulk loads handed
-a key column (``ItemColumns``: an int64 array, or a list in the domain
-with keys beyond int64), and every one ends in
-``check_invariants`` — which also pins that node stores hold only Python
-ints — and a checkpoint round-trip. Alongside them: unit coverage for keys
-outside int64, fission accounting, the explicit physical-occupancy fields
-of ``space_stats()``, checkpoint round-trips (including configs pickled by
-older versions), and profiler layer attribution for the hot modules.
+That the tree answers like an ordered map, in both key domains, is the
+oracle's business (``tests/test_oracle.py``). This file pins what the
+oracle cannot see: the dedup kernel's one answer for array and list
+columns, keys at and beyond the int64 edges, fission accounting, the
+physical-occupancy fields of ``space_stats()``, checkpoint round-trips
+that keep the layout (including configs pickled by older versions), and
+profiler layer attribution for the hot modules.
 """
 
 import copy
 import pickle
-from bisect import bisect_left, bisect_right, insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,23 +25,6 @@ from tests.key_domains import key_domains
 
 INT64_MAX = 2**63 - 1
 
-# Small keys drive dense trees with lots of structural churn; the edge keys
-# exercise the int64 boundaries (the wide domain adds keys beyond int64).
-edge_keys = st.sampled_from([INT64_MAX, 2**63 - 2, -(2**63), 0])
-key_st = st.integers(min_value=0, max_value=200) | edge_keys
-
-
-def _ops_st(key_st):
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("insert"), key_st),
-            st.tuples(st.just("insert_many"), st.lists(key_st, max_size=24)),
-            st.tuples(st.just("delete"), key_st),
-            st.tuples(st.just("bulk"), st.integers(min_value=1, max_value=12)),
-        ),
-        max_size=30,
-    )
-
 
 def _tree(**overrides) -> BPlusTree:
     config = BPlusTreeConfig(
@@ -60,135 +33,6 @@ def _tree(**overrides) -> BPlusTree:
         **overrides,
     )
     return BPlusTree(config, meter=Meter())
-
-
-class _Model:
-    """Reference semantics: a dict plus its sorted key list.
-
-    Upsert on conflict, lazy delete, and *watermark* ``min_key``/``max_key``
-    that widen on insert and never shrink on delete. Exposes the verbs and
-    observables ``_apply``/``_observe`` use on the tree.
-    """
-
-    def __init__(self):
-        self.data = {}
-        self.keys = []
-        self.min_key = None
-        self.max_key = None
-
-    def insert(self, key, value) -> bool:
-        created = key not in self.data
-        if created:
-            insort(self.keys, key)
-            if self.min_key is None or key < self.min_key:
-                self.min_key = key
-            if self.max_key is None or key > self.max_key:
-                self.max_key = key
-        self.data[key] = value
-        return created
-
-    def insert_many(self, items) -> int:
-        return sum(self.insert(key, value) for key, value in items)
-
-    def bulk_load_append(self, items) -> None:
-        self.insert_many(items)
-
-    def delete(self, key) -> bool:
-        if key not in self.data:
-            return False
-        del self.data[key]
-        del self.keys[bisect_left(self.keys, key)]
-        return True
-
-    def iter_items(self):
-        return ((key, self.data[key]) for key in self.keys)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def get(self, key):
-        return self.data.get(key)
-
-    def get_many(self, keys):
-        return [self.data.get(key) for key in keys]
-
-    def range_query(self, lo, hi):
-        span = self.keys[bisect_left(self.keys, lo) : bisect_right(self.keys, hi)]
-        return [(key, self.data[key]) for key in span]
-
-
-def _apply(tree, ops, domain) -> list:
-    """Replay an op program; returns the per-op observable results. A bulk
-    load appends ``arg`` keys above ``max_key`` as a flush does: a key column
-    of the domain's type plus a value list."""
-    results = []
-    for t, (op, arg) in enumerate(ops):
-        if op == "insert":
-            results.append(tree.insert(arg, f"v{arg}@{t}"))
-        elif op == "insert_many":
-            results.append(tree.insert_many([(k, f"v{k}@{t}") for k in arg]))
-        elif op == "bulk":
-            start = 0 if tree.max_key is None else tree.max_key + 1
-            keys = range(start, start + arg)
-            values = [f"v{k}@{t}" for k in keys]
-            results.append(tree.bulk_load_append(kernels.ItemColumns(domain.column(keys), values)))
-        else:
-            results.append(tree.delete(arg))
-    return results
-
-
-def _observe(tree, probe_keys) -> dict:
-    return {
-        "items": list(tree.iter_items()),
-        "len": len(tree),
-        "min": tree.min_key,
-        "max": tree.max_key,
-        "gets": [tree.get(k) for k in probe_keys],
-        "get_many": tree.get_many(probe_keys),
-        "range_all": tree.range_query(-(2**70) - 1, 2**70 + 1),
-        "range_mid": tree.range_query(40, 160),
-    }
-
-
-# ----------------------------------------------------------------------
-# model equivalence programs
-# ----------------------------------------------------------------------
-@key_domains
-@given(data=st.data())
-@settings(max_examples=50, deadline=None)
-def test_gapped_matches_classic(domain, data):
-    """Any op program observes the classic ordered-map behavior: per-op
-    return values and every read agree with the dict + sorted-list model."""
-    ops = data.draw(_ops_st(domain.keys(key_st)))
-    model = _Model()
-    gapped = _tree()
-    assert _apply(model, ops, domain) == _apply(gapped, ops, domain)
-    probes = sorted({k for _op, arg in ops for k in
-                     (arg if isinstance(arg, list) else [arg])} | set(model.keys) | {17, -1})
-    assert _observe(model, probes) == _observe(gapped, probes)
-    gapped.check_invariants()
-    # Pages hold int64 keys; the watermarks bound every key ever stored.
-    if model.min_key is None or -(2**63) <= model.min_key <= model.max_key <= INT64_MAX:
-        restored = deserialize_btree(serialize_btree(gapped, compress=True))
-        restored.check_invariants()
-        assert list(restored.iter_items()) == list(model.iter_items())
-        assert restored.get_many(probes) == model.get_many(probes)
-
-
-@key_domains
-@given(data=st.data())
-@settings(max_examples=50, deadline=None)
-def test_insert_many_matches_sequential_loop(domain, data):
-    """Batch descent is an amortization, not a semantic change."""
-    keys = data.draw(st.lists(domain.keys(key_st), min_size=1, max_size=60))
-    items = [(k, f"v{k}@{t}") for t, k in enumerate(keys)]
-    batched = _tree()
-    sequential = _tree()
-    created_batch = batched.insert_many(items)
-    created_seq = sum(sequential.insert(k, v) for k, v in items)
-    assert created_batch == created_seq
-    assert list(batched.iter_items()) == list(sequential.iter_items())
-    batched.check_invariants()
 
 
 # ----------------------------------------------------------------------

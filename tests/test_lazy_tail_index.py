@@ -3,59 +3,23 @@
 ``SWAREBuffer.add`` / ``add_many`` only append; at the first probe after an
 append ``_sync_tail_index`` brings the page Zonemaps and the global filter up
 to date, and ``_sync_page_filter`` catches a page filter up when a probe
-consults that page. The contract is that nobody can tell: fully synced, the
-filter state is bit-for-bit what per-append upkeep builds, and every lookup
-result, ``SWAREStats`` counter and meter charge matches a buffer that syncs
-every level after every append. Both hashing paths (the scalar loop below the
-internal crossover, the batch kernels above it) are driven in both key
-domains (``tests/key_domains.py``): int64 keys, and a mix with keys beyond
-int64 that the batch kernels hash one by one.
+consults that page. That nobody can tell (results, stats, charges and the
+synced filters equal an eagerly indexed twin) is the oracle's ``Sware``
+check (``tests/test_oracle.py``). This file pins the deferral itself, and
+that a fully synced index equals one built a ``BloomFilter.add`` per key,
+in both key domains (``tests/key_domains.py``).
 """
 
 import copy
-import itertools
-
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.buffer import SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.zonemap import PageZonemaps
 from repro.filters.bloom import BloomFilter
-from repro.storage.costmodel import Meter
 from tests.key_domains import key_domains
 
 CAPACITY = 48
 PAGE = 4
-
-FLAGS = list(itertools.product((True, False), repeat=3))
-
-PROBE_COUNTERS = (
-    "global_bf_negatives",
-    "page_bf_negatives",
-    "global_bf_false_positives",
-    "page_bf_false_positives",
-    "zonemap_page_skips",
-    "unsorted_pages_scanned",
-    "buffer_skips_by_zonemap",
-    "query_sorts",
-    "sorted_entries",
-    "flushes",
-)
-
-def _ops_st(keys_st):
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("add"), keys_st),
-            st.tuples(st.just("tombstone"), keys_st),
-            st.tuples(st.just("add_many"), st.lists(keys_st, min_size=1, max_size=30)),
-            st.tuples(st.just("lookup"), keys_st),
-            st.tuples(st.just("range"), keys_st, st.integers(min_value=0, max_value=40)),
-            st.tuples(st.just("query_sort")),
-            st.tuples(st.just("flush")),
-        ),
-        max_size=60,
-    )
 
 
 def _sync_every_level(buffer):
@@ -63,18 +27,6 @@ def _sync_every_level(buffer):
     page_size = buffer.config.page_size
     for page in range(len(buffer._page_bfs)):
         buffer._sync_page_filter(page, min((page + 1) * page_size, buffer.tail_size))
-
-
-class _EagerBuffer(SWAREBuffer):
-    """The reference: indexes every append, at every level, before returning."""
-
-    def add(self, key, value, tombstone=False):
-        super().add(key, value, tombstone)
-        _sync_every_level(self)
-
-    def add_many(self, pairs):
-        super().add_many(pairs)
-        _sync_every_level(self)
 
 
 def _per_key_index(buffer):
@@ -118,66 +70,6 @@ def _assert_index_matches_per_key_build(buffer):
     assert [z.as_tuple() for z in buffer.page_zonemaps._zones] == [
         z.as_tuple() for z in zones._zones
     ]
-
-
-def _apply(buffer, op, value):
-    """Run one op the way the index wrapper would; returns what a caller sees."""
-    kind = op[0]
-    if kind in ("add", "tombstone"):
-        if buffer.is_full:
-            buffer.prepare_flush()
-        if kind == "add":
-            buffer.add(op[1], value)
-        else:
-            buffer.add(op[1], None, tombstone=True)
-        return None
-    if kind == "add_many":
-        pairs = [(key, value + i) for i, key in enumerate(op[1])]
-        while pairs:
-            if buffer.is_full:
-                buffer.prepare_flush()
-            space = buffer.capacity - len(buffer)
-            buffer.add_many(pairs[:space])
-            pairs = pairs[space:]
-        return None
-    if kind == "lookup":
-        return buffer.lookup(op[1])
-    if kind == "range":
-        return buffer.range_run(op[1], op[1] + op[2])
-    if kind == "query_sort":
-        return buffer.query_sort()
-    batch = buffer.prepare_flush()
-    return batch.entries, batch.sorted_without_effort, batch.sort_algorithm
-
-
-@pytest.mark.parametrize("global_bf,page_bf,read_zonemaps", FLAGS)
-@pytest.mark.parametrize("family", ["splitmix64", "murmur3"])
-@key_domains
-@given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_deferred_index_is_unobservable(
-    domain, family, global_bf, page_bf, read_zonemaps, data
-):
-    ops = data.draw(_ops_st(domain.keys(st.integers(min_value=0, max_value=120))))
-    config = SWAREConfig(
-        buffer_capacity=CAPACITY,
-        page_size=PAGE,
-        hash_family=family,
-        enable_global_bf=global_bf,
-        enable_page_bf=page_bf,
-        enable_read_zonemaps=read_zonemaps,
-    )
-    lazy = SWAREBuffer(config, meter=Meter())
-    eager = _EagerBuffer(config, meter=Meter())
-    for step, op in enumerate(ops):
-        value = 1000 * (step + 1)
-        assert _apply(lazy, op, value) == _apply(eager, op, value)
-        assert lazy.all_entries() == eager.all_entries()
-        for name in PROBE_COUNTERS:
-            assert getattr(lazy.stats, name) == getattr(eager.stats, name), name
-        assert lazy.meter.snapshot() == eager.meter.snapshot()
-        _assert_index_matches_per_key_build(lazy)
-        _assert_index_matches_per_key_build(eager)
 
 
 @key_domains

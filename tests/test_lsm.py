@@ -139,6 +139,26 @@ class TestBulkLoad:
         with pytest.raises(BulkLoadError):
             tree.bulk_load_append([(2, 0), (1, 0)])
 
+    def test_disjoint_bulk_load_does_not_flush(self):
+        """The memtable is flushed before a bulk run only when a pending
+        entry could shadow it; a run clear of the memtable leaves it be."""
+        tree = make_tree()
+        tree.insert(10, "a")
+        flushes_before = tree.flushes
+        tree.bulk_load_append([(50, "c")])
+        assert tree.flushes == flushes_before
+        assert (tree.get(10), tree.get(50)) == ("a", "c")
+
+    def test_insert_many_flushes_where_a_loop_does(self):
+        rng = random.Random(7)
+        items = [(rng.randrange(200), rng.randrange(10**6)) for _ in range(300)]
+        batched, looped = make_tree(memtable_capacity=8), make_tree(memtable_capacity=8)
+        batched.insert_many(items)
+        for key, value in items:
+            looped.insert(key, value)
+        assert batched.flushes == looped.flushes
+        assert list(batched.iter_items()) == list(looped.iter_items())
+
 
 class TestCompactionBehaviour:
     def test_leveling_single_run_per_level(self):

@@ -71,7 +71,7 @@ BAD_REQUESTS = [
     ("put-many-truncated", p.OP_PUT_MANY, p.encode_put_many([(1, "a"), (2, "b")])[:-3]),
     ("put-many-garbage", p.OP_PUT_MANY, b"\x7e\x5a" + b"\xab" * 40),
     ("put-many-empty", p.OP_PUT_MANY, b""),
-    ("put-many-run-page", p.OP_PUT_MANY, pages.encode_run([(1, 0, "a", False)])),
+    ("put-many-internal-page", p.OP_PUT_MANY, pages.encode_internal([1], [0, 1])),
     ("put-many-dict-column", p.OP_PUT_MANY, leaf(2, KEYS + pickle.dumps({1: "a", 2: "b"}))),
     ("put-many-str-column", p.OP_PUT_MANY, leaf(2, KEYS + pickle.dumps("ab"))),
     ("put-many-short-column", p.OP_PUT_MANY, leaf(2, KEYS + pickle.dumps(["a"]))),

@@ -8,15 +8,12 @@ from hypothesis import given, settings, strategies as st
 from repro.storage.pages import (
     KIND_INTERNAL,
     KIND_LEAF,
-    KIND_RUN,
     PageCorruptionError,
     decode_internal,
     decode_leaf,
-    decode_run,
     deserialize_btree,
     encode_internal,
     encode_leaf,
-    encode_run,
     page_kind,
     serialize_btree,
 )
@@ -60,17 +57,6 @@ class TestInternalPages:
     def test_child_count_enforced(self):
         with pytest.raises(ValueError):
             encode_internal([10], [1])
-
-
-class TestRunPages:
-    def test_roundtrip_with_tombstones(self):
-        entries = [(1, 10, "a", False), (2, 11, None, True), (5, 12, [1, 2], False)]
-        data = encode_run(entries)
-        assert page_kind(data) == KIND_RUN
-        assert decode_run(data) == entries
-
-    def test_empty_run(self):
-        assert decode_run(encode_run([])) == []
 
 
 class TestCorruptionDetection:

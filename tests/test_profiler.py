@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.obs import NULL_OBS, Observability
 from repro.obs.profiler import (
     OTHER_LAYER,
     SamplingProfiler,
@@ -134,10 +133,6 @@ class TestOutputs:
 
 
 class TestCostDiscipline:
-    def test_profiler_is_opt_in(self):
-        assert Observability().profiler is None
-        assert NULL_OBS.profiler is None
-
     def test_measure_overhead_reports_ratio(self):
         report = measure_overhead(lambda: sum(range(20_000)), hz=67, repeats=2)
         assert set(report) == {"bare_s", "profiled_s", "ratio"}

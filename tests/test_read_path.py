@@ -1,39 +1,31 @@
 """The scalar read path: node-owned search, slice-at-once scans, range versions.
 
-Three contracts. (1) ``SortednessAwareIndex.get`` / ``range_query`` /
-``range_many`` agree with a dict model whatever mix of buffered rows,
-overwrites and tombstones over tree-resident keys, flushes and query-sorts
-precedes them — including the shortcut that hands back the backend's row
-list untouched when no buffered row falls in the range — and the buffer's
-``range_run`` equals the newest entry per key of ``all_entries()`` without
-sorting or merging anything. (2) The node's own
-``child_index`` / ``search_left`` / ``range_bounds`` / ``live_items`` equal
-``bisect`` over the live keys on every node shape. (3) Gating spans on
-``obs.enabled`` changes nothing a caller or the meter can see, and a traced
-run still records the spans it always did. All in both key domains
-(``tests/key_domains.py``): int64 keys, and the same workloads with keys
-beyond int64 — as are the dict-model checks over keys that demote the
-buffer's int64 columns mid-epoch (negative, ``INT64_MAX``, ``>= 2**63``),
-and ``_scan``'s interior-leaf shortcut against ``range_bounds``. The model
-suites end in the tree's ``check_invariants``, which pins that its stores
-hold Python ints after flushes, put_many and a checkpoint round-trip.
+That reads agree with a dict model, whatever buffered rows, tombstones,
+flushes and query-sorts precede them, is the oracle's business
+(``tests/test_oracle.py``). This file pins how the read path gets there.
+(1) The buffer's columns demote to lists mid-epoch on keys beyond int64,
+and a range resolves versions without sorting or merging anything. (2) The
+node's own ``child_index`` / ``search_left`` / ``range_bounds`` /
+``live_items`` equal ``bisect`` over the live keys on every node shape, and
+``_scan``'s interior-leaf shortcut charges what bounding every leaf would.
+(3) Gating spans on ``obs.enabled`` changes nothing a caller or the meter
+can see, and a traced run still records the spans it always did. All in
+both key domains (``tests/key_domains.py``).
 """
 
 from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.btree.node import GappedInternal, GappedLeaf
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro import kernels
-from repro.core.buffer import DELETED, SWAREBuffer
+from repro.core.buffer import SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.obs import NULL_OBS, Observability
 from repro.storage.costmodel import Meter
-from repro.storage.pages import deserialize_btree, serialize_btree
 from tests.key_domains import key_domains
 
 INT64_MAX = 2**63 - 1
@@ -47,133 +39,12 @@ def _index(obs=NULL_OBS, meter=None, cls=SortednessAwareIndex):
 
 
 # ----------------------------------------------------------------------
-# (1) the index against a dict model
+# (1) buffer columns and range versions
 # ----------------------------------------------------------------------
-def _ops_st(key_st):
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("put"), key_st),
-            st.tuples(st.just("delete"), key_st),
-            st.tuples(st.just("get"), key_st),
-            st.tuples(st.just("range"), key_st, st.integers(min_value=0, max_value=60)),
-            st.tuples(st.just("range_many"), st.lists(st.tuples(key_st, key_st), max_size=4)),
-            st.tuples(st.just("flush_all")),
-        ),
-        max_size=80,
-    )
-
-
-def _model_range(model, lo, hi):
-    return sorted((k, v) for k, v in model.items() if lo <= k <= hi)
-
-
-def _check_rows(rows, model, lo, hi):
-    keys = [key for key, _value in rows]
-    assert keys == sorted(set(keys))
-    assert rows == _model_range(model, lo, hi)
-
-
-@key_domains
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_reads_match_dict_model(domain, data):
-    ops = data.draw(_ops_st(domain.keys(st.integers(min_value=0, max_value=90))))
-    index = _index()
-    model = {}
-    for step, op in enumerate(ops):
-        if op[0] == "put":
-            # Keys repeat, so tree-resident keys get buffered overwrites.
-            index.insert(op[1], (op[1], step))
-            model[op[1]] = (op[1], step)
-        elif op[0] == "delete":
-            index.delete(op[1])
-            model.pop(op[1], None)
-        elif op[0] == "get":
-            assert index.get(op[1]) == model.get(op[1])
-        elif op[0] == "range":
-            lo, hi = op[1], op[1] + op[2]
-            _check_rows(index.range_query(lo, hi), model, lo, hi)
-        elif op[0] == "range_many":
-            results = index.range_many(op[1])
-            assert len(results) == len(op[1])
-            for (lo, hi), rows in zip(op[1], results):
-                _check_rows(rows, model, lo, hi)
-        else:
-            index.flush_all()
-    assert index.items() == sorted(model.items())
-    for key in range(0, 91, 7):
-        assert index.get(key) == model.get(key)
-    index.buffer.check_invariants()
-    index.backend.check_invariants()
-    # Pages hold int64 keys. Check the tree, not the model: a key deleted
-    # after a flush stays in the tree under the buffer's tombstone.
-    if all(-(2**63) <= key <= INT64_MAX for key, _value in index.backend.iter_items()):
-        restored = deserialize_btree(serialize_btree(index.backend, compress=True))
-        restored.check_invariants()
-        assert list(restored.iter_items()) == list(index.backend.iter_items())
-
-
-ODD_KEYS = sorted({-(2**70), -(2**63), -9, -1, 0, 1, 5, 6, 40, 41, 2**40, INT64_MAX - 1,
-                   INT64_MAX, 2**63, 2**63 + 1, 2**70})
-odd_key_st = st.sampled_from(ODD_KEYS) | st.integers(min_value=-3, max_value=12)
-def _shifted_ops(ops, shift):
-    """``ops`` with every key moved up by ``shift``."""
-    moved = lambda arg: [k + shift for k in arg] if isinstance(arg, list) else arg + shift  # noqa: E731
-    return [(op[0], *map(moved, op[1:])) for op in ops]
-
-
-odd_ops_st = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), odd_key_st),
-        st.tuples(st.just("put_many"), st.lists(odd_key_st, min_size=1, max_size=12)),
-        st.tuples(st.just("delete"), odd_key_st),
-        st.tuples(st.just("get"), odd_key_st),
-        st.tuples(st.just("range"), odd_key_st, odd_key_st),
-        st.tuples(st.just("flush_all")),
-    ),
-    max_size=70,
-)
-
-
-@key_domains
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_reads_match_dict_model_on_column_demoting_keys(domain, data):
-    """Keys no int64 column can hold arrive between ordinary ones: the
-    buffer's runs demote to lists mid-epoch, then flush, query-sort and
-    range as before."""
-    ops = data.draw(odd_ops_st.map(lambda ops: _shifted_ops(ops, domain.shift)))
-    odd_keys = [key + domain.shift for key in ODD_KEYS]
-    index = _index()
-    model = {}
-    for step, op in enumerate(ops):
-        if op[0] == "put":
-            index.insert(op[1], (op[1], step))
-            model[op[1]] = (op[1], step)
-        elif op[0] == "put_many":
-            index.put_many([(key, (key, step, i)) for i, key in enumerate(op[1])])
-            model.update((key, (key, step, i)) for i, key in enumerate(op[1]))
-        elif op[0] == "delete":
-            index.delete(op[1])
-            model.pop(op[1], None)
-        elif op[0] == "get":
-            assert index.get(op[1]) == model.get(op[1])
-        elif op[0] == "range":
-            lo, hi = sorted(op[1:])
-            _check_rows(index.range_query(lo, hi), model, lo, hi)
-        else:
-            index.flush_all()
-        index.buffer.check_invariants()
-    assert index.items() == sorted(model.items())
-    assert index.get_many(odd_keys) == [model.get(key) for key in odd_keys]
-    index.backend.check_invariants()
-
-
 @key_domains
 def test_buffer_columns_demote_mid_epoch(domain):
-    """The same at the buffer's own surface: int64 columns while every key
-    fits, lists from the first key that does not — through tail sort,
-    query-sort, range and both flush shapes."""
+    """int64 columns while every key fits, lists from the first key that
+    does not — through tail sort, query-sort, range and both flush shapes."""
     buffer = domain.wrap(SWAREBuffer(SWAREConfig(buffer_capacity=32, page_size=4)))
     model = {}
 
@@ -210,108 +81,6 @@ def test_buffer_columns_demote_mid_epoch(domain):
         entry for entry in rows if (entry[0], entry[2]) in kept
     ]
     assert buffer.is_empty and buffer.zonemap.is_empty
-
-
-@key_domains
-def test_buffered_versions_win_over_tree_rows(domain):
-    """Overwrites and tombstones of flushed keys, before and after the
-    query-sort trigger freezes them into a block."""
-    index = domain.wrap(_index())
-    model = {}
-    for key in range(40):
-        index.insert(key, key)
-        model[key] = key
-    index.flush_all()
-    assert index.buffer.is_empty
-    for key in (30, 3, 17, 5, 17):  # out of order: lands in the tail
-        index.insert(key, -key)
-        model[key] = -key
-    for key in (4, 30, 12, 33):  # 33 is past the buffer's range: deleted in the tree
-        index.delete(key)
-        model.pop(key)
-    assert index.stats.tombstones_buffered == 3
-    for _ in range(2):  # second pass reads the query-sorted block
-        _check_rows(index.range_query(0, 39), model, 0, 39)
-        _check_rows(index.range_query(16, 18), model, 16, 18)
-        for (lo, hi), rows in zip(
-            [(0, 4), (29, 35), (6, 9)], index.range_many([(0, 4), (29, 35), (6, 9)])
-        ):
-            _check_rows(rows, model, lo, hi)
-        assert index.get(17) == -17 and index.get(4) is None and index.get(6) == 6
-    assert index.stats.query_sorts >= 1
-
-
-@key_domains
-def test_range_without_buffered_rows_is_the_backends_list(domain):
-    index = _index()
-    lo, hi = 10 + domain.shift, 30 + domain.shift
-    expected = [(key, key * 10) for key in range(lo, hi + 1)]
-    for key in range(domain.shift, domain.shift + 60):
-        index.insert(key, key * 10)
-    index.flush_all()
-    index.insert(100 + domain.shift, 1)  # buffered, outside every range probed below
-    rows = index.range_query(lo, hi)
-    assert rows == index.backend.range_query(lo, hi)
-    assert rows == expected
-    rows.append((999, None))
-    rows[0] = (-1, None)
-    del rows[3:8]
-    assert index.range_query(lo, hi) == expected
-    assert index.backend.range_query(lo, hi) == index.range_query(lo, hi)
-
-
-def _newest_versions(buffer, lo, hi):
-    """The oracle for ``range_run``: the max-seq entry per key in [lo, hi]
-    of ``all_entries()``, and how many entries the range holds."""
-    newest, n_entries = {}, 0
-    for key, seq, value, dead in buffer.all_entries():
-        if lo <= key <= hi:
-            n_entries += 1
-            if seq > newest.get(key, (0, None))[0]:
-                newest[key] = seq, DELETED if dead else value
-    return {key: value for key, (_seq, value) in newest.items()}, n_entries
-
-
-@key_domains
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_range_run_resolves_the_newest_version_per_key(domain, data):
-    keys = domain.keys(st.integers(min_value=0, max_value=60))
-    ops = data.draw(
-        st.lists(
-            st.tuples(
-                st.one_of(
-                    st.tuples(st.just("add"), keys),
-                    st.tuples(st.just("tombstone"), keys),
-                    st.tuples(st.just("add_many"), st.lists(keys, min_size=1, max_size=12)),
-                    st.tuples(st.just("query_sort")),
-                    st.tuples(st.just("prepare_flush")),
-                ),
-                keys,
-                keys,
-            ),
-            max_size=50,
-        )
-    )
-    buffer = SWAREBuffer(SWAREConfig(buffer_capacity=24, page_size=4), meter=Meter())
-    for step, (op, lo, hi) in enumerate(ops):
-        if op[0] in ("add", "tombstone", "add_many") and buffer.is_full:
-            buffer.prepare_flush()
-        if op[0] == "add":
-            buffer.add(op[1], step)
-        elif op[0] == "tombstone":
-            buffer.add(op[1], None, tombstone=True)
-        elif op[0] == "add_many":
-            pairs = [(key, (step, i)) for i, key in enumerate(op[1])]
-            buffer.add_many(pairs[: buffer.capacity - len(buffer)])
-        elif op[0] == "query_sort":
-            buffer.query_sort()
-        elif not buffer.is_empty:
-            buffer.prepare_flush()
-        lo, hi = min(lo, hi), max(lo, hi)
-        assert buffer.range_run(lo, hi) == _newest_versions(buffer, lo, hi)
-        assert buffer.range_run(-(2**80), 2**80) == _newest_versions(buffer, -(2**80), 2**80)
-        buffer.check_invariants()
 
 
 def test_range_query_neither_sorts_nor_merges(monkeypatch):
@@ -396,32 +165,6 @@ def test_node_search_matches_bisect(domain):
                     assert rows == [(k, f"v{k}") for k in keys if lo <= k <= hi]
                     assert all(type(key) is int for key, _value in rows)
         assert list(leaf.iter_live()) == [(k, f"v{k}") for k in keys]
-
-
-@key_domains
-def test_tree_reads_with_odd_probe_keys(domain):
-    """Probes at and beyond the int64 edges miss cleanly; a stored one is
-    found by get and emitted by scans."""
-    tree = domain.wrap(BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4)))
-    model = {key: key for key in range(0, 60, 3)}
-    for key, value in model.items():
-        tree.insert(key, value)
-    for probe in ODD_PROBES:
-        assert tree.get(probe) is None
-    assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
-    assert tree.range_query(57, INT64_MAX) == [(57, 57)]
-    for key in (INT64_MAX, 2**63, -(2**70)):
-        tree.insert(key, "odd")
-        model[key] = "odd"
-    tree.check_invariants()
-    for key, value in model.items():
-        assert tree.get(key) == value
-    assert tree.range_query(-(2**70), 2**70) == sorted(model.items())
-    assert tree.range_many([(50, 2**63), (-(2**71), 4)]) == [
-        [(k, v) for k, v in sorted(model.items()) if 50 <= k <= 2**63],
-        [(k, v) for k, v in sorted(model.items()) if k <= 4],
-    ]
-    assert list(tree.iter_items()) == sorted(model.items())
 
 
 def _reference_scan(tree, lo, hi):
