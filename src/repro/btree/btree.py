@@ -181,6 +181,19 @@ class BPlusTree:
             pool.access(node.page_id, dirty=dirty)
         return node, path
 
+    def _leaf_for(self, key: int) -> GappedLeaf:
+        """The leaf a read of ``key`` lands on (non-empty tree). Without a
+        pool the descent builds no path and charges its ``node_access``es in
+        one call, one per level (as ``get_many`` aggregates); with one, it is
+        :meth:`_descend_to_leaf`, each node touched in descent order."""
+        if self.pool is not None:
+            return self._descend_to_leaf(key)[0]
+        node = self._root
+        while not node.is_leaf:
+            node = node.children[bisect_right(node.ks, key)]
+        self.meter.charge("node_access", self.height)
+        return node
+
     def _recompute_tail_path(self) -> None:
         """Refresh the cached right-most path (bookkeeping, not charged)."""
         node = self._root
@@ -538,9 +551,10 @@ class BPlusTree:
         """Point lookup; returns the value or None."""
         if self._root is None:
             return None
-        leaf, _ = self._descend_to_leaf(key)
-        idx = leaf.search_left(key)
-        if leaf.has_key_at(idx, key):
+        leaf = self._leaf_for(key)
+        ks = leaf.ks
+        idx = bisect_left(ks, key)
+        if idx < leaf.n and ks[idx] == key:
             return leaf.vs[idx]
         return None
 
@@ -597,8 +611,7 @@ class BPlusTree:
         results: List[Tuple[int, object]] = []
         if self._root is None or lo > hi:
             return results
-        leaf, _ = self._descend_to_leaf(lo)
-        self._scan(leaf, lo, hi, results)
+        self._scan(self._leaf_for(lo), lo, hi, results)
         return results
 
     def _scan(self, leaf, lo: int, hi: int, out: List[Tuple[int, object]]):
@@ -666,7 +679,7 @@ class BPlusTree:
                 if leaf is None and node is not None and node.n and node.last_key() >= lo:
                     leaf = node
             if leaf is None:
-                leaf, _ = self._descend_to_leaf(lo)
+                leaf = self._leaf_for(lo)
             cursor = self._scan(leaf, lo, hi, results[ridx])
         return results
 

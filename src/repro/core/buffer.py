@@ -506,45 +506,39 @@ class SWAREBuffer:
         :data:`HIT`, :data:`TOMBSTONE` or :data:`MISS`. The newest version
         wins, so the scan order is: unsorted tail (newest pages first),
         query-sorted blocks (newest first), main sorted section."""
+        meter = self.meter
         if self.config.enable_read_zonemaps:
-            self.meter.charge("zonemap_check")
-            if not self.zonemap.may_contain(key):
+            meter.charge("zonemap_check")
+            low = self.zonemap.min_key
+            if low is None or key < low or key > self.zonemap.max_key:
                 self.stats.buffer_skips_by_zonemap += 1
                 return MISS, None
-
         slot = self._search_tail(key) if self._tail_keys else -1
         if slot >= 0:
             value = self._tail_vals[slot]
-        else:
-            for block in reversed(self._blocks):
-                idx = self._search_sorted(block.keys, key)
-                if idx >= 0:
-                    value = block.vals[idx]
-                    break
-            else:
-                idx = self._search_sorted(self._main.keys, key)
-                if idx < 0:
-                    return MISS, None
-                value = self._main.vals[idx]
-        return (TOMBSTONE, None) if value is DELETED else (HIT, value)
-
-    def _search_sorted(self, keys: List[int], key: int) -> int:
-        if not keys:
-            return -1
-        # Even an immediate out-of-range rejection reads the component's
-        # boundary keys, so a probe costs at least one step.
-        if key < keys[0] or key > keys[-1]:
-            self.meter.charge("interp_step")
-            return -1
-        idx, steps = interpolation_probe(keys, key)
-        self.meter.charge("interp_step", max(steps, 1))
-        return idx
+            return (TOMBSTONE, None) if value is DELETED else (HIT, value)
+        for run in reversed((self._main, *self._blocks)):
+            keys = run.keys
+            if not keys:
+                continue
+            # Even an immediate out-of-range rejection reads the component's
+            # boundary keys, so a probe costs at least one step.
+            if key < keys[0] or key > keys[-1]:
+                meter.charge("interp_step")
+                continue
+            idx, steps = interpolation_probe(keys, key)
+            meter.charge("interp_step", max(steps, 1))
+            if idx >= 0:
+                value = run.vals[idx]
+                return (TOMBSTONE, None) if value is DELETED else (HIT, value)
+        return MISS, None
 
     def _search_tail(self, key: int) -> int:
         """Scan the non-empty unsorted tail, gated by the BFs and page
         Zonemaps; returns the newest tail slot holding ``key`` or -1."""
         tail = self._tail_keys
-        self._sync_tail_index()
+        if self._indexed != len(tail):
+            self._sync_tail_index()
         cfg = self.config
         meter = self.meter
         stats = self.stats

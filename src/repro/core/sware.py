@@ -343,46 +343,57 @@ class SortednessAwareIndex:
             self._maybe_query_sort()
         return self._get(key)
 
-    def _get(self, key: int) -> Optional[object]:
-        """:meth:`get` without the query-sort trigger."""
-        self.stats.lookups += 1
+    def _get(self, key: int, _traced: bool = False) -> Optional[object]:
+        """:meth:`get` without the query-sort trigger. Meter buckets are
+        entered only when a meter is attached: an unmetered lookup pays for
+        Fig. 6's checks and the tree descent, nothing else. With tracing on,
+        the body runs once inside the ``sware.get`` span (``_traced``)."""
         obs = self.obs
-        if obs.enabled:
+        if obs.enabled and not _traced:
             with obs.span("sware.get", key=key):
-                return self._lookup(key)
-        return self._lookup(key)
-
-    def _lookup(self, key: int) -> Optional[object]:
-        buffer = self.buffer
+                return self._get(key, True)
+        stats = self.stats
+        stats.lookups += 1
         meter = self.meter
+        metered = meter is not NULL_METER
+        buffer = self.buffer
         zonemap = buffer.zonemap
         low = zonemap.min_key
         if self.config.enable_read_zonemaps and (
             low is None or key < low or key > zonemap.max_key
         ):
             # Not buffered — the common GET on a near-sorted stream. This is
-            # ``buffer.lookup``'s Zonemap rejection without the calls: same
+            # ``buffer.lookup``'s Zonemap rejection without the call: same
             # charge in the same bucket, same counter.
-            if meter is not NULL_METER:
+            if metered:
                 with meter.bucket("buffer_search"):
                     meter.charge("zonemap_check")
-            self.stats.buffer_skips_by_zonemap += 1
+            stats.buffer_skips_by_zonemap += 1
         else:
-            with meter.bucket("buffer_search"):
+            if metered:
+                with meter.bucket("buffer_search"):
+                    state, value = buffer.lookup(key)
+            else:
                 state, value = buffer.lookup(key)
             if state == HIT:
-                self.stats.buffer_hits += 1
+                stats.buffer_hits += 1
                 return value
             if state == TOMBSTONE:
-                self.stats.buffer_tombstone_hits += 1
+                stats.buffer_tombstone_hits += 1
                 return None
-        with meter.bucket("tree_search"):
-            meter.charge("zonemap_check")
-            tree_min, tree_max = self.backend.min_key, self.backend.max_key
-            if tree_min is None or key < tree_min or key > tree_max:
-                return None
-            self.stats.tree_searches += 1
-            return self.backend.get(key)
+        backend = self.backend
+        tree_min = backend.min_key
+        if tree_min is None or key < tree_min or key > backend.max_key:
+            if metered:
+                with meter.bucket("tree_search"):
+                    meter.charge("zonemap_check")
+            return None
+        stats.tree_searches += 1
+        if metered:
+            with meter.bucket("tree_search"):
+                meter.charge("zonemap_check")
+                return backend.get(key)
+        return backend.get(key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
         """Batch point lookups along the same read path as :meth:`get`.
@@ -411,18 +422,30 @@ class SortednessAwareIndex:
             miss_positions: List[int] = []
             miss_keys: List[int] = []
             stats = self.stats
-            lookup = self.buffer.lookup
+            buffer = self.buffer
+            lookup = buffer.lookup
+            # The buffer Zonemap rejects as in :meth:`_get`, without the call.
+            gated = self.config.enable_read_zonemaps
+            low, high = buffer.zonemap.min_key, buffer.zonemap.max_key
+            skips = 0
             with self.meter.bucket("buffer_search"):
                 for i, key in enumerate(keys):
-                    state, value = lookup(key)
-                    if state == HIT:
-                        stats.buffer_hits += 1
-                        results[i] = value
-                    elif state == TOMBSTONE:
-                        stats.buffer_tombstone_hits += 1
+                    if gated and (low is None or key < low or key > high):
+                        skips += 1
                     else:
-                        miss_positions.append(i)
-                        miss_keys.append(key)
+                        state, value = lookup(key)
+                        if state == HIT:
+                            stats.buffer_hits += 1
+                            results[i] = value
+                            continue
+                        if state == TOMBSTONE:
+                            stats.buffer_tombstone_hits += 1
+                            continue
+                    miss_positions.append(i)
+                    miss_keys.append(key)
+                if skips:
+                    self.meter.charge("zonemap_check", skips)
+            stats.buffer_skips_by_zonemap += skips
             if miss_keys:
                 with self.meter.bucket("tree_search"):
                     self.meter.charge("zonemap_check", len(miss_keys))

@@ -16,7 +16,7 @@ import math
 from typing import List, Optional, Sequence
 
 from repro import kernels
-from repro.filters.hashing import SharedHash, rotate64, shared_base, shared_bases
+from repro.filters.hashing import rotate64, shared_base, shared_bases
 
 
 #: Keys from which :meth:`BloomFilter.add_many` pays for the batch kernels;
@@ -87,10 +87,6 @@ class BloomFilter:
         """Insert ``key``; afterwards ``may_contain(key)`` is always True."""
         self.add_bases((shared_base(key, self.hash_family),))
 
-    def add_shared(self, shared: SharedHash) -> None:
-        """Insert using a pre-computed shared hash (hash sharing)."""
-        self.add_bases((shared._base,))
-
     def add_bases(self, bases: Sequence[int]) -> None:
         """Insert by precomputed base hashes on the scalar path: :meth:`add`,
         and :meth:`add_many` for batches too small to pay for a kernel."""
@@ -153,10 +149,6 @@ class BloomFilter:
         )
         self.probe_count += len(keys)
         return out
-
-    def may_contain_shared(self, shared: SharedHash) -> bool:
-        """Membership probe using a pre-computed shared hash."""
-        return self.may_contain_base(shared._base)
 
     def clear(self) -> None:
         """Reset to the empty filter (used after every buffer flush)."""

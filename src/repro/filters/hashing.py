@@ -10,17 +10,15 @@ feeds every probe of a multi-hash Bloom filter. We implement:
   family, because a per-key pure-Python murmur is roughly an order of
   magnitude slower without changing false-positive behaviour (documented as
   substitution #4 in DESIGN.md);
-* :class:`SharedHash` — hash sharing: one 64-bit base hash is split into two
-  32-bit halves ``(h1, h2)`` and the *i*-th Bloom probe is derived as
-  ``h1 + i * h2`` (Kirsch–Mitzenmacher double hashing);
+* ``shared_base`` — hash sharing: one 64-bit base hash per key, which a
+  Bloom filter splits into two 32-bit halves ``(h1, h2)``, deriving its
+  *i*-th probe as ``h1 + i * h2`` (Kirsch–Mitzenmacher double hashing);
 * ``rotate64`` — bit rotation used to derive a distinct per-page hash stream
   from the same shared base hash, so per-page filters do not need a second
   hash computation.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -111,8 +109,8 @@ def shared_base(key: int, family: str = "splitmix64", seed: int = 0) -> int:
 def shared_bases(keys, family: str = "splitmix64", seed: int = 0):
     """One 64-bit base hash per key — the batch form of hash sharing.
 
-    The returned integers are exactly the bases :class:`SharedHash` would
-    compute key by key, so batch and per-key Bloom paths set identical bits.
+    The returned integers are exactly the bases :func:`shared_base` computes
+    key by key, so batch and per-key Bloom paths set identical bits.
     The splitmix64 family is inlined (no per-key object construction), which
     is where batch ingestion recovers most of its hashing cost.
     """
@@ -129,34 +127,3 @@ def shared_bases(keys, family: str = "splitmix64", seed: int = 0):
     if family == "murmur3":
         return [murmur3_64(key, seed) for key in keys]
     raise ValueError(f"unknown hash family: {family!r}")
-
-
-class SharedHash:
-    """Hash sharing for multi-probe Bloom filters.
-
-    One base-hash computation per key; every derived probe index is a cheap
-    arithmetic combination of the two 32-bit halves, and rotated variants
-    (for per-page filters) reuse the same base hash.
-    """
-
-    __slots__ = ("h1", "h2", "_base")
-
-    def __init__(self, key: int, family: str = "splitmix64", seed: int = 0):
-        base = shared_base(key, family, seed)
-        self._base = base
-        self.h1 = base & _MASK32
-        self.h2 = (base >> 32) | 1  # force odd so probes cycle all slots
-
-    def probes(self, k: int, n_bits: int) -> Tuple[int, ...]:
-        """The ``k`` bit positions for a filter with ``n_bits`` slots."""
-        h1, h2 = self.h1, self.h2
-        return tuple((h1 + i * h2) % n_bits for i in range(k))
-
-    def rotated(self, rotation: int) -> "SharedHash":
-        """Derive a new probe stream by bit-rotating the shared base hash."""
-        clone = object.__new__(SharedHash)
-        base = rotate64(self._base, rotation)
-        clone._base = base
-        clone.h1 = base & _MASK32
-        clone.h2 = (base >> 32) | 1
-        return clone

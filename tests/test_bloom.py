@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.filters.bloom import BloomFilter, optimal_num_probes
-from repro.filters.hashing import SharedHash
+from repro.filters.hashing import shared_base
 
 
 class TestConstruction:
@@ -41,8 +41,8 @@ class TestNoFalseNegatives:
 
     def test_shared_hash_paths_agree(self):
         bf = BloomFilter(64, rotation=17)
-        bf.add_shared(SharedHash(42))
-        assert bf.may_contain_shared(SharedHash(42))
+        bf.add_bases((shared_base(42),))
+        assert bf.may_contain_base(shared_base(42))
         assert bf.may_contain(42)
 
     def test_murmur_family_no_false_negatives(self):

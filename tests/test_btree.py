@@ -4,6 +4,7 @@ import pytest
 
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.errors import BulkLoadError, ConfigError
+from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
 
 
@@ -349,10 +350,35 @@ class TestSpaceStats:
 
 class TestMeterAccounting:
     def test_node_access_charged_on_get(self):
+        """One ``node_access`` per level, into the active bucket."""
         meter = Meter()
         tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4), meter=meter)
-        for key in range(100):
+        for key in range(300):
             tree.insert(key, key)
-        before = meter["node_access"]
-        tree.get(50)
-        assert meter["node_access"] - before == tree.height
+        assert tree.height >= 3
+        for key in (0, 150, 299, 1000, -5):
+            before = meter["node_access"]
+            with meter.bucket("probe"):
+                tree.get(key)
+            assert meter["node_access"] - before == tree.height
+            assert meter.bucket_counts["probe"]["node_access"] == tree.height
+            meter.bucket_counts.clear()
+
+    def test_pooled_get_touches_the_descent_pages_in_order(self):
+        tree = BPlusTree(
+            BPlusTreeConfig(leaf_capacity=4, internal_capacity=4), pool=BufferPool(capacity=3)
+        )
+        for key in range(200):
+            tree.insert(key, key)
+        touched = []
+        real_access = tree.pool.access
+        tree.pool.access = lambda page_id, dirty=False: (
+            touched.append(page_id) or real_access(page_id, dirty)
+        )
+        for key in (0, 77, 199, 500):
+            touched.clear()
+            assert tree.get(key) == (key if key < 200 else None)
+            by_get = list(touched)
+            touched.clear()
+            leaf, path = tree._descend_to_leaf(key)
+            assert by_get == touched == [node.page_id for node in (*path, leaf)]

@@ -31,19 +31,6 @@ def make_index(config=SMALL, **kwargs):
 
 
 class TestSingleThreaded:
-    def test_basic_crud(self):
-        index = make_index()
-        for key in range(50):
-            index.insert(key, key * 10)
-        assert index.get(7) == 70
-        assert index.get(999) is None
-        index.delete(7)
-        assert index.get(7) is None
-        assert index.range_query(0, 9) == [
-            (k, k * 10) for k in range(10) if k != 7
-        ]
-        index.flush_all()
-        index.check_invariants()
 
     def test_matches_plain_index(self, tmp_path):
         """Same mixed op stream -> the same reads, stats, simulated cost,

@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.filters.bloom import BloomFilter
 from repro.filters.hashing import (
-    SharedHash,
     murmur3_32,
     murmur3_64,
     rotate64,
+    shared_base,
     splitmix64,
 )
 
@@ -76,37 +77,60 @@ class TestRotate64:
         assert rotate64(1 << 63, 1) == 1
 
 
+def _probe_bits(key, n_bits=1024, n_probes=5, rotation=0, family="splitmix64"):
+    """The bit positions one key sets in a fresh filter (its probe set)."""
+    bf = BloomFilter(
+        1, bits_per_entry=n_bits, hash_family=family, rotation=rotation, n_probes=n_probes
+    )
+    bf.add_bases((shared_base(key, family),))
+    bits = int.from_bytes(bf._bits, "little")
+    return {pos for pos in range(len(bf._bits) * 8) if bits >> pos & 1}
+
+
 class TestSharedHash:
+    """Hash sharing as the filters use it: one ``shared_base`` per key,
+    rotated per page filter, probed through ``may_contain_base``."""
+
     def test_probe_count_and_range(self):
-        shared = SharedHash(12345)
-        probes = shared.probes(7, 1024)
-        assert len(probes) == 7
+        probes = _probe_bits(12345, n_bits=1024, n_probes=7)
+        assert 1 <= len(probes) <= 7
         assert all(0 <= p < 1024 for p in probes)
 
     def test_probes_deterministic_per_key(self):
-        assert SharedHash(9).probes(5, 100) == SharedHash(9).probes(5, 100)
+        assert shared_base(9) == shared_base(9)
+        assert _probe_bits(9, n_bits=100) == _probe_bits(9, n_bits=100)
 
     def test_different_keys_differ(self):
-        assert SharedHash(1).probes(5, 10_000) != SharedHash(2).probes(5, 10_000)
+        assert shared_base(1) != shared_base(2)
+        assert _probe_bits(1, n_bits=10_000) != _probe_bits(2, n_bits=10_000)
 
     def test_rotated_stream_differs(self):
-        shared = SharedHash(777)
-        assert shared.probes(5, 10_000) != shared.rotated(17).probes(5, 10_000)
+        base = shared_base(777)
+        assert rotate64(base, 17) != base
+        rotated = _probe_bits(777, n_bits=10_000, rotation=17)
+        assert _probe_bits(777, n_bits=10_000) != rotated
 
     def test_rotated_is_deterministic(self):
-        a = SharedHash(777).rotated(17).probes(5, 512)
-        b = SharedHash(777).rotated(17).probes(5, 512)
-        assert a == b
+        assert rotate64(shared_base(777), 17) == rotate64(shared_base(777), 17)
+        bf = BloomFilter(64, rotation=17)
+        bf.add(777)
+        assert bf.may_contain_base(shared_base(777))
+        assert _probe_bits(777, 512, rotation=17) == _probe_bits(777, 512, rotation=17)
 
     def test_murmur_family(self):
-        shared = SharedHash(123, family="murmur3")
-        assert len(shared.probes(3, 64)) == 3
+        base = shared_base(123, family="murmur3")
+        assert base == murmur3_64(123) and base != shared_base(123)
+        bf = BloomFilter(16, hash_family="murmur3")
+        bf.add(123)
+        assert bf.may_contain_base(base)
+        assert len(_probe_bits(123, n_bits=64, n_probes=3, family="murmur3")) <= 3
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
-            SharedHash(1, family="fnv")
+            shared_base(1, family="fnv")
 
     def test_h2_is_odd(self):
-        # Odd step guarantees all slots reachable for power-of-two sizes.
+        # The filter's step h2 is forced odd, so on a power-of-two filter
+        # every probe of a key lands on a distinct slot.
         for key in range(50):
-            assert SharedHash(key).h2 % 2 == 1
+            assert len(_probe_bits(key, n_bits=64, n_probes=8)) == 8

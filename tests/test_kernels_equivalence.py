@@ -20,8 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
-from repro.core.buffer import SWAREBuffer
-from repro.core.config import SWAREConfig
 from repro.errors import ConfigError
 from repro.filters import hashing
 from repro.filters.bloom import BloomFilter
@@ -262,25 +260,6 @@ def test_item_columns_is_a_pair_sequence():
         assert type(items[1][0]) is int
         assert list(items[1:]) == list(zip(keys[1:], "bc"))
         assert kernels.keys_strictly_increasing(items)
-
-
-@given(pairs=st.lists(st.tuples(st.integers(0, 200), st.integers()), max_size=120))
-@settings(max_examples=25, deadline=None)
-def test_buffer_state_identical_across_backends(pairs):
-    """End to end: add_many + lookups + ranges observe the same buffer on
-    int64 keys and on the same keys moved beyond int64 (list columns)."""
-    shift = 2**70
-    buffers = []
-    for moved in (0, shift):
-        buf = SWAREBuffer(SWAREConfig(buffer_capacity=256, page_size=8))
-        buf.add_many([(key + moved, value) for key, value in pairs])
-        gets = [buf.lookup(k + moved) for k in range(0, 201, 7)]
-        versions, n_entries = buf.range_run(20 + moved, 150 + moved)
-        ranges = sorted((k - moved, v) for k, v in versions.items()), n_entries
-        entries = [(k - moved, *rest) for k, *rest in buf.all_entries()]
-        buf.check_invariants()
-        buffers.append((gets, ranges, entries))
-    assert buffers[0] == buffers[1]
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.net import protocol as p
-from repro.net.client import IndexClient, ServerError, SyncIndexClient
+from repro.net.client import IndexClient, ServerError
 from repro.net.loadgen import LoadGenConfig, run_load
 from repro.net.server import CommitFailed, IndexServer
 from repro.net.sharded import (
@@ -197,41 +197,6 @@ class TestEndToEnd:
             await server.stop()
 
         asyncio.run(run())
-
-    def test_sync_client_wrapper(self, tmp_path):
-        async def boot():
-            return await start_server(tmp_path)
-
-        loop = asyncio.new_event_loop()
-        server = loop.run_until_complete(boot())
-
-        async def serve_until_cancelled():
-            try:
-                await server.serve_forever()
-            except asyncio.CancelledError:
-                pass
-
-        task = loop.create_task(serve_until_cancelled())
-        import threading
-
-        thread = threading.Thread(target=loop.run_until_complete, args=(task,))
-        thread.start()
-        try:
-            with SyncIndexClient(port=server.port) as client:
-                client.put(1, "a")
-                client.put_many([(2, "b"), (3, "c")])
-                assert client.get(2) == "b"
-                assert client.get_many([1, 2, 3, 4]) == ["a", "b", "c", None]
-                assert client.range_query(1, 3) == [(1, "a"), (2, "b"), (3, "c")]
-                client.delete(2)
-                assert client.get(2) is None
-                assert client.stats()["n_shards"] == 4
-        finally:
-            loop.call_soon_threadsafe(task.cancel)
-            thread.join()
-            loop.run_until_complete(server.stop())
-            loop.close()
-
 
 class TestLoadClockedCommit:
     """The commit loop fires at quiescence (off the event loop) or at the
