@@ -30,10 +30,6 @@ class FlushThresholdResult:
     data: Dict[Tuple[float, str], float]
     best: float
 
-    def range_for(self, fraction: float) -> Tuple[float, float]:
-        values = [v for (f, _), v in self.data.items() if f == fraction]
-        return (min(values), max(values))
-
 
 def run(
     n: int = 12_000,

@@ -201,44 +201,6 @@ class BeTree:
             if splits:
                 self._grow_root(root, splits)
 
-    def insert_many(self, items: Sequence[Tuple[int, object]]) -> None:
-        """Batch upsert: push the whole chunk of PUT messages through the
-        root in one touch.
-
-        Messages keep their arrival order (and hence ``seq`` order), so the
-        per-key outcome is identical to a sequential loop of :meth:`insert` —
-        messages for one key always travel together and apply in order. The
-        root buffer may transiently exceed its capacity by the batch size;
-        :meth:`_flush_node` loops until it is back within bounds, which lets
-        one flush round route a large run of same-child messages downward in
-        a single move instead of one overflow cycle per message.
-        """
-        if not items:
-            return
-        self._ensure_root()
-        messages = [
-            Message(key, self._next_seq(), PUT, value) for key, value in items
-        ]
-        self.top_inserts += len(messages)
-        first_key = min(key for key, _value in items)
-        last_key = max(key for key, _value in items)
-        if self._max_key is None or last_key > self._max_key:
-            self._max_key = last_key
-        if self._min_key is None or first_key < self._min_key:
-            self._min_key = first_key
-        root = self._root
-        self._touch(root, dirty=True)
-        if root.is_leaf:
-            splits = self._apply_messages_to_leaf(root, messages)
-            if splits:
-                self._grow_root(root, splits)
-            return
-        root.buffer.extend(messages)
-        if len(root.buffer) > self.config.buffer_capacity:
-            splits = self._flush_node(root)
-            if splits:
-                self._grow_root(root, splits)
-
     def _grow_root(self, old_root, splits: List[Tuple[int, object]]) -> None:
         new_root = self._new_internal()
         new_root.children = [old_root]

@@ -608,20 +608,12 @@ class BPlusTree:
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """All (key, value) with lo <= key <= hi, in key order."""
-        results: List[Tuple[int, object]] = []
+        out: List[Tuple[int, object]] = []
         if self._root is None or lo > hi:
-            return results
-        self._scan(self._leaf_for(lo), lo, hi, results)
-        return results
-
-    def _scan(self, leaf, lo: int, hi: int, out: List[Tuple[int, object]]):
-        """Collect [lo, hi] walking the chain from ``leaf`` (already
-        touched); returns the last leaf visited so batch callers can resume
-        the walk instead of re-descending."""
-        last = leaf
+            return out
+        leaf = self._leaf_for(lo)
         interior = False  # past the first leaf every key is above ``lo``
         while leaf is not None:
-            last = leaf
             n = leaf.n
             if n:
                 if leaf.first_key() > hi:
@@ -639,49 +631,7 @@ class BPlusTree:
             interior = True
             if leaf is not None:
                 self._touch(leaf)
-        return last
-
-    def range_many(
-        self, ranges: Sequence[Tuple[int, int]]
-    ) -> List[List[Tuple[int, object]]]:
-        """Batch range queries: one result list per ``(lo, hi)`` pair.
-
-        The ranges are visited in ascending-``lo`` order and each scan
-        resumes from the leaf where the previous one stopped when it can
-        (bounded chain walk), falling back to a fresh descent — overlapping
-        or adjacent ranges touch each leaf once per batch instead of once
-        per range.
-        """
-        if self._root is None or len(ranges) < 2:
-            return [self.range_query(lo, hi) for lo, hi in ranges]
-        results: List[List[Tuple[int, object]]] = [[] for _ in ranges]
-        order = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
-        cursor = None
-        walk_budget = self.height + 2
-        for ridx in order:
-            lo, hi = ranges[ridx]
-            if lo > hi:
-                continue
-            leaf = None
-            if cursor is not None and cursor.n and lo >= cursor.first_key():
-                # Try to reach lo's leaf along the chain before paying a
-                # root-to-leaf walk: ascending los make this amortized O(1).
-                node = cursor
-                hops = 0
-                while node is not None and hops <= walk_budget:
-                    if node.n and node.last_key() >= lo:
-                        leaf = node
-                        break
-                    node = node.next_leaf
-                    hops += 1
-                    if node is not None:
-                        self._touch(node)
-                if leaf is None and node is not None and node.n and node.last_key() >= lo:
-                    leaf = node
-            if leaf is None:
-                leaf = self._leaf_for(lo)
-            cursor = self._scan(leaf, lo, hi, results[ridx])
-        return results
+        return out
 
     def iter_items(self) -> Iterator[Tuple[int, object]]:
         """All entries in key order (no cost charged: test/debug helper)."""

@@ -272,14 +272,13 @@ class ConcurrentSortednessAwareIndex:
             return self._read(self.inner._get, key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
+        if not keys:  # reads nothing, so takes no lock and fires no trigger
+            return []
         with self.obs.span("concurrent.read_many", n=len(keys)):
             return self._read(self.inner._get_many, keys)
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         return self._read(self.inner._range_query, lo, hi)
-
-    def range_many(self, ranges: Sequence[Tuple[int, int]]) -> List[List[Tuple[int, object]]]:
-        return self._read(lambda: [self.inner._range_query(lo, hi) for lo, hi in ranges])
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None

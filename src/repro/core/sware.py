@@ -1,8 +1,8 @@
 """The sortedness-aware index: SWARE applied to a tree backend (§IV).
 
 :class:`SortednessAwareIndex` wraps any tree satisfying the
-:class:`TreeBackend` protocol (this repository ships a B+-tree and a
-Bε-tree) with the SWARE-buffer:
+:class:`TreeBackend` protocol (this repository ships five: the B+-tree,
+Bε-tree, LSM-tree, learned index and cracking index) with the SWARE-buffer:
 
 * inserts are intercepted by the buffer; a full buffer triggers a flush
   cycle whose batch is split into an opportunistic **bulk load** (keys above
@@ -17,7 +17,8 @@ Bε-tree) with the SWARE-buffer:
 Each write is one private step (``_insert``, ``_delete``, ``_put_many``)
 that owns its WAL append, its counters and its monitor feed; each read is
 the query-sort trigger (``_maybe_query_sort``) followed by a trigger-free
-body (``_get``, ``_get_many``, ``_range_query``, ``_items``).
+body (``_get``, ``_get_many``, ``_range_query``, ``_items``). The batch
+verbs are the two a request reaches: ``put_many`` and ``get_many``.
 :class:`~repro.core.concurrent.ConcurrentSortednessAwareIndex` brackets
 these same steps with the §IV-D locks.
 
@@ -45,7 +46,12 @@ DIRECT, APPEND, FLUSH = "direct", "append", "flush"
 
 @runtime_checkable
 class TreeBackend(Protocol):
-    """The tree interface SWARE requires (satisfied by BPlusTree and BeTree)."""
+    """The tree interface SWARE requires (satisfied by all five registry trees).
+
+    ``get_many`` is the one optional batch method SWARE uses: a backend that
+    has it (the B+-tree's batch descent) gets a batch's buffer misses in one
+    call, any other is looped over ``get``.
+    """
 
     meter: Meter
 
@@ -470,21 +476,6 @@ class SortednessAwareIndex:
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
-
-    def range_many(
-        self, ranges: Sequence[Tuple[int, int]]
-    ) -> List[List[Tuple[int, object]]]:
-        """Batch range queries: one result list per ``(lo, hi)`` pair.
-
-        The query-sort trigger fires at most once for the whole batch (reads
-        leave the tail untouched, and an empty batch fires nothing), then
-        each range follows the sequential :meth:`range_query` path minus its
-        already-spent trigger check.
-        """
-        if not ranges:
-            return []
-        self._maybe_query_sort()
-        return [self._range_query(lo, hi) for lo, hi in ranges]
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """All live (key, value) in [lo, hi]; buffered versions win."""

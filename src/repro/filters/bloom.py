@@ -13,7 +13,7 @@ the buffer's capacity) and support ``clear()`` for reuse across flush cycles.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import kernels
 from repro.filters.hashing import rotate64, shared_base, shared_bases
@@ -134,21 +134,6 @@ class BloomFilter:
         bases = kernels.shared_bases(keys, self.hash_family)
         kernels.bloom_add_many(self._bits, bases, self.n_probes, self.n_bits, self.rotation)
         self.n_added += len(keys)
-
-    def may_contain_many(self, keys: Sequence[int]) -> List[bool]:
-        """Batch membership probes (one hash pass over the whole batch).
-
-        ``probe_count`` accounting stays here, outside the kernels, so the
-        counters agree with a :meth:`may_contain` loop over the same keys.
-        """
-        if not keys:
-            return []
-        bases = kernels.shared_bases(keys, self.hash_family)
-        out = kernels.bloom_contains_many(
-            self._bits, bases, self.n_probes, self.n_bits, self.rotation
-        )
-        self.probe_count += len(keys)
-        return out
 
     def clear(self) -> None:
         """Reset to the empty filter (used after every buffer flush)."""

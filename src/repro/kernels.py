@@ -38,7 +38,6 @@ __all__ = [
     # kernels
     "shared_bases",
     "bloom_add_many",
-    "bloom_contains_many",
     "popcount_bytes",
     "nondecreasing_prefix_len",
     "stable_argsort",
@@ -57,7 +56,6 @@ __all__ = [
     "count_inversions",
     "count_runs",
     "pla_fit_segments",
-    "pla_predict_many",
     "delta_pack",
     "delta_unpack",
 ]
@@ -210,24 +208,6 @@ def bloom_add_many(
     scratch[pos.ravel().astype(np.intp)] = True
     view = np.frombuffer(bits, dtype=np.uint8)
     view |= np.packbits(scratch, bitorder="little")
-
-
-def bloom_contains_many(
-    bits: bytearray,
-    bases: Sequence[int],
-    n_probes: int,
-    n_bits: int,
-    rotation: int = 0,
-) -> List[bool]:
-    """One membership verdict per base hash."""
-    if len(bases) == 0:
-        return []
-    pos = _probe_matrix(bases, n_probes, n_bits, rotation)
-    byte_view = np.frombuffer(bits, dtype=np.uint8)
-    byte_idx = (pos >> np.uint64(3)).astype(np.intp)
-    shift = (pos & np.uint64(7)).astype(np.uint8)
-    probe_hits = (byte_view[byte_idx] >> shift) & np.uint8(1)
-    return probe_hits.all(axis=1).tolist()
 
 
 def popcount_bytes(buf) -> int:
@@ -508,46 +488,6 @@ def _cone_slope(slope_lo: float, slope_hi: float) -> float:
         # Single-point segment: any slope fits; 0 keeps predictions pinned.
         return 0.0
     return (slope_lo + slope_hi) / 2.0
-
-
-def _pla_safe(arr: np.ndarray) -> bool:
-    """True when every ``key - first_key`` over ``arr`` fits int64."""
-    return int(arr.min()) > -(1 << 62) and int(arr.max()) < 1 << 62
-
-
-def pla_predict_many(first_keys, slopes, starts, keys):
-    """Predicted data-layer position per query key, one ``int`` per key.
-
-    ``first_keys``/``slopes``/``starts`` are the columns produced by
-    :func:`pla_fit_segments`. Keys below the first segment clamp to segment
-    0. Predictions are raw (not clamped to the data bounds) — the caller
-    owns clamping and the epsilon search window. Keys or segments at or
-    beyond ``2**62`` in magnitude, whose differences could overflow int64,
-    are predicted one by one, with the same arithmetic.
-    """
-    if not first_keys:
-        return []
-    try:
-        qs = _int_array(keys)
-        fk = _int_array(first_keys)
-    except _NOT_INT:
-        qs = fk = None
-    if qs is None or not (_pla_safe(qs) and _pla_safe(fk)):
-        out = []
-        for key in keys:
-            seg = max(bisect_right(first_keys, key) - 1, 0)
-            out.append(starts[seg] + int(slopes[seg] * float(key - first_keys[seg])))
-        return out
-    qs = qs.astype(np.int64, copy=False)
-    fk = fk.astype(np.int64, copy=False)
-    seg = np.searchsorted(fk, qs, side="right") - 1
-    np.clip(seg, 0, None, out=seg)
-    sl = np.asarray(slopes, dtype=np.float64)[seg]
-    st = np.asarray(starts, dtype=np.int64)[seg]
-    # float64 multiply + truncation toward zero matches the scalar
-    # ``int(slope * float(delta))`` exactly.
-    pred = st + (sl * (qs - fk[seg]).astype(np.float64)).astype(np.int64)
-    return pred.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -206,24 +206,6 @@ class CrackingIndex:
             self._fold()
         return created
 
-    def insert_many(self, items: Sequence[Tuple[int, object]]) -> int:
-        """Batch upsert, observationally a loop of :meth:`insert`; a batch
-        that is strictly increasing and entirely above ``max_key``
-        short-circuits into :meth:`bulk_load_append`."""
-        if not items:
-            return 0
-        if (self._max_key is None or items[0][0] > self._max_key) and (
-            kernels.keys_strictly_increasing(items)
-        ):
-            before = self.n_entries
-            self.bulk_load_append(items)
-            return self.n_entries - before
-        created = 0
-        for key, value in items:
-            if self.insert(key, value):
-                created += 1
-        return created
-
     def delete(self, key: int) -> bool:
         """Remove ``key`` if present (tombstone over the cracked column)."""
         self.meter.charge("node_access")
@@ -310,10 +292,6 @@ class CrackingIndex:
             if keys[i] == key:
                 return self._vals[i]
         return None
-
-    def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        """Batch point lookups (sequential semantics, per-key cracking)."""
-        return [self.get(key) for key in keys]
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None

@@ -18,8 +18,9 @@ Cost accounting mirrors the tree backends: the model probe charges one
 ``node_access`` (the segment table is one cache-resident node), every
 binary-search halving charges ``interp_step``, merges charge ``merge_step``
 and rebuild writes ``bulk_entry``, so ``repro experiment sosd`` compares SWARE
-and the learned family under a single cost model. Batch lookups vectorize
-the predictions (:func:`repro.kernels.pla_predict_many`).
+and the learned family under a single cost model. The index takes one
+operation at a time, as the SOSD-style experiment drives it; SWARE loops a
+batch's buffer misses over :meth:`LearnedIndex.get`.
 """
 
 from __future__ import annotations
@@ -248,25 +249,6 @@ class LearnedIndex:
             self._rebuild()
         return created
 
-    def insert_many(self, items: Sequence[Tuple[int, object]]) -> int:
-        """Batch upsert, observationally a loop of :meth:`insert`; a batch
-        that is strictly increasing and entirely above ``max_key`` (the
-        common case under sorted ingestion) short-circuits into
-        :meth:`bulk_load_append`."""
-        if not items:
-            return 0
-        if (self._max_key is None or items[0][0] > self._max_key) and (
-            kernels.keys_strictly_increasing(items)
-        ):
-            before = self.n_entries
-            self.bulk_load_append(items)
-            return self.n_entries - before
-        created = 0
-        for key, value in items:
-            if self.insert(key, value):
-                created += 1
-        return created
-
     def delete(self, key: int) -> bool:
         """Remove ``key`` if present (delta tombstone over the data layer)."""
         dpos, dhit = self._delta_pos(key)
@@ -338,61 +320,6 @@ class LearnedIndex:
             return None if value is _TOMBSTONE else value
         pos, found = self._search_main(key)
         return self._vals[pos] if found else None
-
-    def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        """Batch point lookups, one value-or-``None`` per key in input order.
-
-        Delta probes stay per-key; data-layer predictions for the misses run
-        through one vectorized :func:`repro.kernels.pla_predict_many` call
-        (every segment and slope resolved at once). The
-        model table is touched — and charged — once per batch.
-        """
-        n = len(keys)
-        if n == 0:
-            return []
-        results: List[Optional[object]] = [None] * n
-        miss_positions: List[int] = []
-        miss_keys: List[int] = []
-        for i, key in enumerate(keys):
-            dpos, dhit = self._delta_pos(key)
-            if dhit:
-                value = self._dvals[dpos]
-                results[i] = None if value is _TOMBSTONE else value
-            else:
-                miss_positions.append(i)
-                miss_keys.append(key)
-        mkeys = self._keys
-        mn = len(mkeys)
-        if not miss_keys or mn == 0:
-            return results
-        self.meter.charge("node_access")
-        preds = kernels.pla_predict_many(
-            self._seg_first, self._seg_slope, self._seg_start, miss_keys
-        )
-        eps = self.config.epsilon + 1
-        vals = self._vals
-        for i, key, pos in zip(miss_positions, miss_keys, preds):
-            if pos < 0:
-                pos = 0
-            elif pos >= mn:
-                pos = mn - 1
-            wlo = pos - eps
-            if wlo < 0:
-                wlo = 0
-            whi = pos + eps + 1
-            if whi > mn:
-                whi = mn
-            self.meter.charge("interp_step", (whi - wlo).bit_length())
-            at = bisect_left(mkeys, key, wlo, whi)
-            if (at == wlo and wlo > 0 and mkeys[wlo - 1] >= key) or (
-                at == whi and whi < mn and mkeys[whi] < key
-            ):
-                self.model_misses += 1
-                self.meter.charge("interp_step", mn.bit_length())
-                at = bisect_left(mkeys, key)
-            if at < mn and mkeys[at] == key:
-                results[i] = vals[at]
-        return results
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None

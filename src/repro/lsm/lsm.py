@@ -108,38 +108,6 @@ class LSMTree:
         if self._min_key is None or key < self._min_key:
             self._min_key = key
 
-    def insert_many(self, items: List[Tuple[int, object]]) -> None:
-        """Batch upsert into the memtable with hoisted hot-loop state.
-
-        Flush boundaries match a sequential loop of :meth:`insert` exactly —
-        the capacity check runs after every put (a dict upsert of an existing
-        key does not grow the memtable, so chunk-level accounting would
-        drift) — but the meter charge, stats and min/max watermark updates
-        are amortized over the whole batch.
-        """
-        if not items:
-            return
-        n = len(items)
-        self.meter.charge("buffer_append", n)
-        memtable = self._memtable
-        capacity = self.config.memtable_capacity
-        seq = self._seq
-        for key, value in items:
-            seq += 1
-            memtable[key] = (key, seq, value, False)
-            if len(memtable) >= capacity:
-                self._seq = seq
-                self._flush_memtable()
-                memtable = self._memtable
-        self._seq = seq
-        self.inserts += n
-        first_key = min(key for key, _value in items)
-        last_key = max(key for key, _value in items)
-        if self._max_key is None or last_key > self._max_key:
-            self._max_key = last_key
-        if self._min_key is None or first_key < self._min_key:
-            self._min_key = first_key
-
     def delete(self, key: int) -> None:
         self.meter.charge("tombstone")
         self._put(key, None, tombstone=True)

@@ -454,11 +454,6 @@ class ShardedSortednessAwareIndex:
             span.set(shards=hit_shards, results=len(out))
         return out
 
-    def range_many(
-        self, ranges: Sequence[Tuple[int, int]]
-    ) -> List[List[Tuple[int, object]]]:
-        return [self.range_query(lo, hi) for lo, hi in ranges]
-
     def items(self) -> List[Tuple[int, object]]:
         out: List[Tuple[int, object]] = []
         for position, shard in enumerate(self._shards):

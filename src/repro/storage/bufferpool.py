@@ -77,10 +77,6 @@ class BufferPool:
         if self.obs is not NULL_OBS:
             self.obs.register_collector("bufferpool", self.stats)
 
-    # -- configuration ------------------------------------------------------
-    def set_meter(self, meter: Meter) -> None:
-        self.meter = meter
-
     @property
     def resident(self) -> int:
         return len(self._frames)

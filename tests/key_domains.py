@@ -127,12 +127,5 @@ class Shifted:
     def range_query(self, lo, hi):
         return self._entries(self._target.range_query(lo + self._shift, hi + self._shift))
 
-    def range_many(self, spans):
-        shift = self._shift
-        return [
-            self._entries(rows)
-            for rows in self._target.range_many([(lo + shift, hi + shift) for lo, hi in spans])
-        ]
-
     def iter_items(self):
         return iter(self._entries(self._target.iter_items()))

@@ -123,6 +123,21 @@ class TestSingleThreaded:
         assert index.stats.query_sorts == 1
         assert index.locks.snapshot()["upgrades"] == 1
 
+    @pytest.mark.parametrize("cls", [SortednessAwareIndex, ConcurrentSortednessAwareIndex])
+    def test_empty_get_many_is_a_no_op(self, cls):
+        """A zero-key batch reads nothing: with the tail past the trigger it
+        fires no query sort and charges nothing, on either front-end."""
+        tree = BPlusTree(BPlusTreeConfig(leaf_capacity=16, internal_capacity=16))
+        index = cls(tree, config=SMALL, meter=Meter())
+        for key in range(10, 0, -1):  # out of order: grows the tail
+            index.insert(key, key)
+        tail = index.buffer.tail_size
+        assert tail >= index.buffer.query_sort_at
+        charged = index.meter.snapshot()
+        assert index.get_many([]) == []
+        assert (index.stats.query_sorts, index.buffer.tail_size) == (0, tail)
+        assert index.meter.snapshot() == charged
+
     def test_describe_includes_lock_counters(self):
         index = make_index()
         index.insert(1, 1)

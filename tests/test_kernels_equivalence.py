@@ -8,9 +8,9 @@ resolution is unchanged), the same metric values. The references are the
 scalar code in :mod:`repro.filters` (hashing, ``BloomFilter.add``) or small
 functions in this file. Inputs no int64 column holds (``2**70``, mixes of
 negative keys and keys past ``2**63``) take each kernel's Python path, and
-are checked against the same references. The accounting-parity tests pin
-that batch entry points bill ``probe_count`` / ``n_added`` exactly like
-sequential loops, and the last tests pin the backend surface that remains.
+are checked against the same references. The accounting-parity test pins
+that ``add_many`` bills ``n_added`` exactly like a sequential loop, and the
+last tests pin the backend surface that remains.
 """
 
 from bisect import bisect_right
@@ -126,15 +126,15 @@ def test_bignum_keys_fall_back_identically(keys):
 @given(keys=keys_st, probes=st.lists(i64 | i64_edges, max_size=40))
 @settings(max_examples=25, deadline=None)
 def test_bloom_bits_and_membership_identical(family, rotation, keys, probes):
-    """Batch adds set the bits of the sequential single-key path, and
-    batch membership answers agree with single-key probes."""
+    """Batch adds set the bits of the sequential single-key path, so every
+    membership probe answers as it does on the sequential filter."""
     batch = BloomFilter(256, hash_family=family, rotation=rotation)
     batch.add_many(keys)
     sequential = BloomFilter(256, hash_family=family, rotation=rotation)
     for key in keys:
         sequential.add(key)
     assert bytes(batch._bits) == bytes(sequential._bits)
-    assert batch.may_contain_many(probes) == [sequential.may_contain(p) for p in probes]
+    assert [batch.may_contain(p) for p in probes] == [sequential.may_contain(p) for p in probes]
     assert all(key in batch for key in keys)
 
 
@@ -163,13 +163,14 @@ def test_bloom_add_many_batch_sizes_and_duplicate_positions(domain, batch, capac
 
 @key_domains
 def test_batch_accounting_matches_sequential(domain):
-    """`add_many`/`may_contain_many` bill n_added/probe_count exactly like
-    the sequential loop (regression: accounting parity)."""
+    """`add_many` bills n_added exactly like the sequential loop, and the
+    filter it builds answers and bills probes like the sequential one
+    (regression: accounting parity)."""
     keys = list(range(0, 600, 3)) + list(domain.extra_keys)
     probes = list(range(0, 900, 2)) + list(domain.extra_keys)
     batch, seq = BloomFilter(512), BloomFilter(512)
     batch.add_many(keys)
-    answers = batch.may_contain_many(probes)
+    answers = [batch.may_contain(p) for p in probes]
     for key in keys:
         seq.add(key)
     assert answers == [seq.may_contain(p) for p in probes]
@@ -306,22 +307,19 @@ def test_keys_strictly_increasing_matches(items):
 @given(
     keys=st.lists(i64 | st.integers(-(2**80), 2**80), min_size=1, max_size=60, unique=True)
     .map(sorted),
-    probes=st.lists(i64 | st.integers(-(2**80), 2**80), max_size=30),
     epsilon=st.integers(1, 8),
 )
 @settings(max_examples=60, deadline=None)
-def test_pla_predictions_match(keys, probes, epsilon):
-    """The fit keeps every key within epsilon of its position; predictions
-    equal the scalar formula, vectorized on int64 input and one by one for
-    keys (or segments) beyond it."""
+def test_pla_predictions_match(keys, epsilon):
+    """The fit cuts the keys into segments, each starting at its first key,
+    and keeps every key within epsilon of its position under the scalar
+    prediction formula (the one ``LearnedIndex`` searches with)."""
     first_keys, slopes, starts = kernels.pla_fit_segments(keys, epsilon)
-    fitted = kernels.pla_predict_many(first_keys, slopes, starts, keys)
+    assert starts[0] == 0 and starts == sorted(set(starts))
+    assert first_keys == [keys[start] for start in starts]
+    fitted = _ref_predict(first_keys, slopes, starts, keys)
     if all(-(2**53) <= key <= 2**53 for key in keys):  # exact float deltas
         assert all(abs(pred - pos) <= epsilon + 1 for pos, pred in enumerate(fitted))
-    for query in (keys, probes):
-        assert kernels.pla_predict_many(first_keys, slopes, starts, query) == _ref_predict(
-            first_keys, slopes, starts, query
-        )
 
 
 # ----------------------------------------------------------------------

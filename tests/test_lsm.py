@@ -149,16 +149,6 @@ class TestBulkLoad:
         assert tree.flushes == flushes_before
         assert (tree.get(10), tree.get(50)) == ("a", "c")
 
-    def test_insert_many_flushes_where_a_loop_does(self):
-        rng = random.Random(7)
-        items = [(rng.randrange(200), rng.randrange(10**6)) for _ in range(300)]
-        batched, looped = make_tree(memtable_capacity=8), make_tree(memtable_capacity=8)
-        batched.insert_many(items)
-        for key, value in items:
-            looped.insert(key, value)
-        assert batched.flushes == looped.flushes
-        assert list(batched.iter_items()) == list(looped.iter_items())
-
 
 class TestCompactionBehaviour:
     def test_leveling_single_run_per_level(self):

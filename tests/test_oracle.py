@@ -10,8 +10,10 @@ Shapes (one subject class each) × the ``core.factory`` registry × the key
 domains of ``tests/key_domains.py``:
 
 * :class:`Bare` — the backend alone. A sorted batch is a
-  ``bulk_load_append``, refused with a duplicate or at or below the max key. (The registry's
-  ``sa_btree`` is the SWARE shape over its own tree.)
+  ``bulk_load_append``, refused with a duplicate or at or below the max key;
+  any other batch is the B+-tree's ``insert_many``, or a loop of inserts on
+  the trees without one. (The registry's ``sa_btree`` is the SWARE shape
+  over its own tree.)
 * :class:`Sware` — ``SortednessAwareIndex`` under a drawn ``SWAREConfig``,
   beside a *twin* that takes every batch as a loop of single ops and
   indexes its tail at every append (``_EagerBuffer``). Both must show the
@@ -168,8 +170,6 @@ class Subject:
         return self.index.get_many(keys)
 
     def range(self, spans):
-        if len(spans) != 1 and hasattr(self.index, "range_many"):
-            return self.index.range_many(spans)
         return [self.index.range_query(lo, hi) for lo, hi in spans]
 
     def check(self, machine):
@@ -205,7 +205,11 @@ class Bare(Subject):
         if self._bulk(items):  # what a SWARE flush hands the tree: a key column
             keys = self.domain.column([k for k, _v in items])
             return self.index.bulk_load_append(kernels.ItemColumns(keys, [v for _k, v in items]))
-        return self.index.insert_many(items)
+        insert_many = getattr(self.index, "insert_many", None)  # the B+-tree's alone
+        if insert_many is not None:
+            return insert_many(items)
+        for key, value in items:
+            self.index.insert(key, value)
 
     def get_many(self, keys):
         if hasattr(self.index, "get_many"):
@@ -766,10 +770,6 @@ PROGRAMS = {
     # Batch reads fire the query-sort trigger at most once, an empty batch
     # not at all: the twin's loops see the same stats and charges.
     "empty-get-many-is-a-no-op": (Sware, "btree", [*HOT, ("get_many", [])]),
-    "empty-range-many-is-a-no-op": (Sware, "btree", [*HOT, ("range", [])]),
-    "range-many-charges-like-a-loop": (Sware, "btree", [
-        *HOT, ("range", [(0, 20), (20, 40), (40, 70), (5, 65)]),
-    ]),
     "get-many-charges-like-a-loop": (Sware, "btree", [*HOT, ("get_many", [5, 10, 99, 25, 60, 42])]),
     # A batch is one WAL frame; a restart replays it.
     "sharded-batch-survives-a-restart": (Sharded, "btree", [

@@ -7,7 +7,7 @@ flushes and query-sorts precede them, is the oracle's business
 and a range resolves versions without sorting or merging anything. (2) The
 node's own ``child_index`` / ``search_left`` / ``range_bounds`` /
 ``live_items`` equal ``bisect`` over the live keys on every node shape, and
-``_scan``'s interior-leaf shortcut charges what bounding every leaf would.
+``range_query``'s interior-leaf shortcut charges what bounding every leaf would.
 (3) Gating spans on ``obs.enabled`` changes nothing a caller or the meter
 can see, and a traced run still records the spans it always did. All in
 both key domains (``tests/key_domains.py``).
@@ -168,7 +168,7 @@ def test_node_search_matches_bisect(domain):
 
 
 def _reference_scan(tree, lo, hi):
-    """``_scan`` with ``range_bounds`` on every leaf: (rows, entries charged)."""
+    """``range_query`` with ``range_bounds`` on every leaf: (rows, entries charged)."""
     leaf = tree._head_leaf
     while leaf.next_leaf is not None and (not leaf.n or leaf.last_key() < lo):
         leaf = leaf.next_leaf
@@ -220,8 +220,6 @@ def test_scan_interior_leaf_shortcut_matches_range_bounds(domain):
             before = meter["scan_entry"]
             assert tree.range_query(lo, hi) == expected_rows, (lo, hi)
             assert meter["scan_entry"] - before == expected_charge, (lo, hi)
-    spans = [(probes[i], probes[-1 - i]) for i in range(0, len(probes) // 2, 3)]
-    assert tree.range_many(spans) == [_reference_scan(tree, lo, hi)[0] for lo, hi in spans]
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +238,6 @@ def _drive(index, shift):
             index.delete((step * 13) % 101 + shift)
         if step % 12 == 0:
             out.append(index.range_query(key - 20, key + 20))
-    out.append(index.range_many([(lo + shift, hi + shift) for lo, hi in [(0, 30), (25, 70), (90, 200)]]))
     out.append(index.get_many([key + shift for key in (1, 2, 3, 50, 99)]))
     index.put_many([(k + shift, -k) for k in range(200, 230)])
     out.append(index.items())
@@ -263,7 +260,7 @@ def test_tracing_changes_no_result_and_no_charge(domain, cls):
             spans.setdefault(event.name, []).append(event)
     assert len(spans["sware.get"]) == 24
     assert all(set(e.attrs) == {"key"} for e in spans["sware.get"])
-    assert len(spans["sware.range_query"]) == 10 + 3 + 1
+    assert len(spans["sware.range_query"]) == 10 + 1
     assert all(set(e.attrs) == {"lo", "hi"} for e in spans["sware.range_query"])
     assert spans["sware.get_many"][0].attrs == {"n": 5}
     if cls is SortednessAwareIndex:
