@@ -34,11 +34,6 @@ Commands
     acknowledgement. The server always carries a monitored
     :class:`~repro.obs.Observability` (tracing off); its snapshot is the
     STATS reply's ``obs`` key.
-``bench-serve``
-    Closed/open-loop load generator against a self-hosted (or remote)
-    sharded server: N concurrent client connections, latency
-    percentiles, throughput, scatter-gather results verified against a
-    single-node oracle.
 ``observe``
     Take observability snapshots from a source — a seeded in-process
     scenario (``--scenario healthy|drift``) or a running server's STATS
@@ -146,40 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=(0, 1 << 20),
         metavar=("LO", "HI"),
         help="expected key range seeding the initial shard boundaries",
-    )
-
-    bserve = sub.add_parser(
-        "bench-serve",
-        help="load-generate against the sharded server",
-    )
-    bserve.add_argument("--clients", type=int, default=4)
-    bserve.add_argument("--ops", type=int, default=1000, help="ops per client")
-    bserve.add_argument(
-        "--arrival", choices=["closed", "open"], default="closed"
-    )
-    bserve.add_argument(
-        "--open-rate", type=float, default=2000.0, help="per-client ops/s (open loop)"
-    )
-    bserve.add_argument("--shards", type=int, default=4)
-    bserve.add_argument(
-        "--split-threshold", type=int, default=0, help="0 = no splits mid-bench"
-    )
-    bserve.add_argument(
-        "--fsync", choices=["always", "batch", "never"], default="batch"
-    )
-    bserve.add_argument("--key-space", type=int, default=50_000)
-    bserve.add_argument("--seed", type=int, default=1234)
-    bserve.add_argument(
-        "--host",
-        type=str,
-        default=None,
-        help="target an already-running server instead of self-hosting",
-    )
-    bserve.add_argument("--port", type=int, default=None)
-    bserve.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the single-node oracle comparison",
     )
 
     obs = sub.add_parser(
@@ -467,44 +428,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.net.loadgen import LoadGenConfig, run_load
-
-    cfg = LoadGenConfig(
-        clients=args.clients,
-        ops_per_client=args.ops,
-        arrival=args.arrival,
-        open_rate=args.open_rate,
-        key_space=args.key_space,
-        seed=args.seed,
-        shards=args.shards,
-        split_threshold=args.split_threshold,
-        fsync_policy=args.fsync,
-        verify=not args.no_verify,
-    )
-    summary = run_load(cfg, host=args.host, port=args.port)
-
-    print(
-        f"{summary['arrival']} loop: {summary['clients']} clients x "
-        f"{args.ops} ops -> {summary['total_ops']} ops in "
-        f"{summary['wall_s']:.2f}s = {summary['ops_per_s']:.0f} ops/s "
-        f"({summary['shards']} shards, {summary['splits']} splits, "
-        f"fsync={summary['fsync_policy']})"
-    )
-    for kind, stats in sorted(summary["latency"].items()):
-        if not stats["n"]:
-            # The kind never fired this run; percentiles are null, not 0.
-            print(f"  {kind:9s} n=     0  (no samples)")
-            continue
-        print(
-            f"  {kind:9s} n={stats['n']:6.0f}  p50={stats['p50_ns'] / 1e6:7.2f}ms  "
-            f"p95={stats['p95_ns'] / 1e6:7.2f}ms  p99={stats['p99_ns'] / 1e6:7.2f}ms"
-        )
-    if cfg.verify:
-        print(f"oracle: {summary['oracle_checks']} scatter-gather checks passed")
-    return 0
-
-
 def _cmd_observe(args: argparse.Namespace) -> int:
     """Take snapshots from one source and render one view of them."""
     import threading
@@ -654,7 +577,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "recover": _cmd_recover,
         "serve": _cmd_serve,
-        "bench-serve": _cmd_bench_serve,
         "observe": _cmd_observe,
     }[args.command]
     return handler(args)

@@ -22,8 +22,6 @@ Modules
 ``client``
     Asyncio client library (:class:`IndexClient`) plus a blocking
     convenience wrapper (:class:`SyncIndexClient`).
-``loadgen``
-    Closed/open-loop load generator behind ``repro bench-serve``.
 """
 
 from repro.net.client import IndexClient, SyncIndexClient

@@ -167,7 +167,11 @@ class SyncIndexClient:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._loop = asyncio.new_event_loop()
-        self._client = self._loop.run_until_complete(IndexClient.connect(host, port))
+        try:
+            self._client = self._loop.run_until_complete(IndexClient.connect(host, port))
+        except BaseException:
+            self._loop.close()
+            raise
 
     def _run(self, coro):
         return self._loop.run_until_complete(coro)

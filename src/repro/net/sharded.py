@@ -378,10 +378,10 @@ class ShardedSortednessAwareIndex:
             per_shard.setdefault(shard.shard_id, []).append((key, value))
             shards_by_id[shard.shard_id] = shard
         for shard_id, chunk in per_shard.items():
-            shard = shards_by_id[shard_id]
-            shard.index.put_many(chunk)
+            shards_by_id[shard_id].index.put_many(chunk)
         if self._hub is not None:
-            self._hub.observe_inserts([key for key, _value in items])
+            # ``shard`` took the batch's last key: its buffer is the fill sample.
+            self._hub.observe_inserts([key for key, _value in items], shard.index.buffer)
         for shard_id in list(per_shard):
             self._maybe_split(shards_by_id[shard_id])
 

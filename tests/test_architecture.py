@@ -1,0 +1,113 @@
+"""Architecture guards: what each simplicity change removed stays removed.
+
+One test per guard. Each searches file text with a Python regex, line by
+line as ``grep`` does, or asserts that a file or a named test still exists.
+A new simplicity change adds its guard here. Compiled files under
+``__pycache__`` are not searched, and neither is this file, which names
+every pattern it forbids.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SELF = Path(__file__).resolve()
+
+
+def _files(*paths):
+    for path in paths:
+        path = ROOT / path
+        found = [path] if path.is_file() else sorted(p for p in path.rglob("*") if p.is_file())
+        yield from (p for p in found if "__pycache__" not in p.parts and p.resolve() != SELF)
+
+
+def hits(pattern, *paths):
+    """Every ``path:line: text`` under ``paths`` that ``pattern`` matches."""
+    regex = re.compile(pattern)
+    return [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in _files(*paths)
+        for number, line in enumerate(path.read_text(errors="replace").splitlines(), 1)
+        if regex.search(line)
+    ]
+
+
+def defines(node_id):
+    """Whether ``path::Class::test`` is defined (directly) in that file."""
+    path, *names = node_id.split("::")
+    scope = ast.parse((ROOT / path).read_text()).body
+    for name in names:
+        found = [
+            node for node in scope
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+        ]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
+
+
+def test_one_write_path():
+    # The concurrent front-end only brackets SortednessAwareIndex's own steps.
+    pattern = r"wal\.|stats\.|observe_insert|query_sorting_threshold|\.query_sort\("
+    assert hits(pattern, "src/repro/core/concurrent.py") == []
+
+
+def test_one_record_codec():
+    # Only storage/pages.py pickles; its consumers catch its typed error.
+    pickling = {line.split(":")[0] for line in hits(r"^\s*(import|from) pickle\b", "src")}
+    assert pickling <= {"src/repro/storage/pages.py"}
+    consumers = ("src/repro/net/protocol.py", "src/repro/storage/wal.py",
+                 "src/repro/storage/pagefile.py")
+    assert hits(r"except Exception", *consumers) == []
+
+
+def test_one_recovery_path():
+    # A rebuild is recover plus one bulk load; no encoded-run merge.
+    assert hits(r"rebuild_threshold|CompressedRun|RunPage|merge_compressed", "src") == []
+
+
+def test_ranges_resolve_versions():
+    # The tail sort is billed, not cached for a range.
+    assert hits(r"_tail_run", "src") == []
+
+
+def test_one_observability_surface():
+    # The snapshot is the only artifact.
+    assert hits(r"repro-bench/v1|bench\.telemetry|REPRO_RESULTS|record_run", "src", "tests") == []
+
+
+def test_one_oracle():
+    # The pairwise suites tests/test_oracle.py replaced stay deleted.
+    gone = [
+        *(ROOT / "tests").glob("test_*_property.py"),
+        *(ROOT / "tests" / name for name in (
+            "test_batch_equivalence.py", "test_backend_equivalence.py",
+            "test_readpath_bugfixes.py",
+        )),
+    ]
+    assert [path.name for path in gone if path.exists()] == []
+
+
+def test_lean_point_lookups():
+    # No meter bucket on an unmetered GET.
+    assert hits(r"_search_sorted", "src/repro/core/buffer.py") == []
+    assert defines("tests/test_sware_index.py::TestCostAccounting::"
+                   "test_unmetered_get_enters_no_bucket")
+
+
+def test_one_batch_surface():
+    # A batch method exists only where a request reaches it.
+    pattern = r"def (range_many|may_contain_many|pla_predict_many|bloom_contains_many)\("
+    assert hits(pattern, "src") == []
+    insert_many = hits(r"def insert_many", "src")
+    assert all(line.startswith("src/repro/btree/btree.py:") for line in insert_many)
+    assert defines("tests/test_concurrent_index.py::TestSingleThreaded::"
+                   "test_empty_get_many_is_a_no_op")
+
+
+def test_one_load_generator():
+    # bench_e2e is the one load generator; the served oracle checks several clients.
+    assert not (ROOT / "src/repro/net/loadgen.py").exists()
+    assert hits(r"bench-serve|loadgen", "src", ".github") == []

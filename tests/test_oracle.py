@@ -4,7 +4,8 @@ SWARE only changes how fast data gets in (§IV): every backend, wrapper and
 deployment shape must answer like one ordered map, whatever the flush
 timing. :class:`OracleMachine` drives a *subject* with the rules put,
 put_many, delete, get, get_many, range, flush, query_sort, checkpoint,
-crash, recover, rebuild and split, and checks every answer against a dict.
+crash, recover, rebuild, split, via and burst, and checks every answer
+against a dict.
 
 Shapes (one subject class each) × the ``core.factory`` registry × the key
 domains of ``tests/key_domains.py``:
@@ -25,7 +26,10 @@ domains of ``tests/key_domains.py``:
   shards that split at 12 entries, I/O through a ``FaultyEnv`` until the
   first restart, so ``crash`` kills it at a drawn I/O boundary.
 * :class:`Served` — the same index behind an ``IndexServer`` with group
-  commit, driven over loopback through ``SyncIndexClient``.
+  commit, driven over loopback through ``CLIENTS`` ``SyncIndexClient``
+  connections. ``via`` picks the connection the other verbs use, so a
+  write on one socket is read back through another; ``burst`` sends a
+  list of puts and deletes over all of them at once.
 
 A rule a shape cannot run is off by precondition (``Subject.rules``). The
 durable and served shapes draw int64 keys only (the WAL, page and wire
@@ -40,6 +44,7 @@ to ``PROGRAMS``: a fixed op sequence replayed through the same ``apply``.
 import asyncio
 import copy
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import NamedTuple
 
@@ -82,6 +87,7 @@ from tests.key_domains import INT64, WIDE, KeyDomain
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 FULL = (-(2**80), 2**80)  # wider than every drawn key
 SMALL = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
+CLIENTS = 3  # connections the served shape opens to its one server
 
 #: The registry at test sizes: a few dozen ops cross node splits, flushes,
 #: compactions and model rebuilds.
@@ -425,9 +431,10 @@ class Sharded(Subject):
 
 
 class Served(Subject):
-    """The sharded index behind an ``IndexServer``; ``recover`` restarts it."""
+    """The sharded index behind an ``IndexServer``, ``CLIENTS`` connections
+    to it; ``recover`` restarts it."""
 
-    rules = frozenset({"recover"})
+    rules = frozenset({"recover", "via", "burst"})
     errors = ServerError
 
     def __init__(self, *args):
@@ -444,10 +451,30 @@ class Served(Subject):
         self.loop.run_until_complete(self.server.start())
         self.thread = threading.Thread(target=self.loop.run_forever)
         self.thread.start()
-        self.index = SyncIndexClient(port=self.server.port)
+        self.clients = [SyncIndexClient(port=self.server.port) for _ in range(CLIENTS)]
+        for client in self.clients:  # one round trip each: the server has accepted it
+            client.stats()
+        self.index = self.clients[0]
+
+    def via(self, client):
+        self.index = self.clients[client]
+
+    def burst(self, ops):
+        """Each op over connection ``key % CLIENTS`` in list order, one
+        thread per connection, all at once."""
+
+        def drive(client, lane):
+            for kind, *args in lane:
+                getattr(client, kind)(*args)
+
+        lanes = [[op for op in ops if op[1] % CLIENTS == c] for c in range(CLIENTS)]
+        with ThreadPoolExecutor(CLIENTS) as pool:
+            for done in [pool.submit(drive, *pair) for pair in zip(self.clients, lanes)]:
+                done.result(timeout=30)
 
     def close(self):
-        self.index.close()
+        for client in self.clients:
+            client.close()
         try:
             asyncio.run_coroutine_threadsafe(self.server.stop(), self.loop).result(timeout=30)
         finally:
@@ -466,6 +493,8 @@ class Served(Subject):
     def check(self, machine):
         stats = self.index.stats()
         assert stats["n_shards"] == len(stats["shard_map"]) >= 2
+        assert stats["server"]["connections"] == CLIENTS
+        assert stats["server"]["group_commit"] is True
 
 
 class Shape(NamedTuple):
@@ -492,7 +521,7 @@ def _shapes():
 
 SHAPES = _shapes()
 #: (max_examples, stateful_step_count) per subject.
-BUDGET = {Bare: (10, 30), Sware: (10, 30), Concurrent: (5, 25), Sharded: (20, 30), Served: (3, 20)}
+BUDGET = {Bare: (10, 30), Sware: (10, 30), Concurrent: (5, 25), Sharded: (20, 30), Served: (5, 25)}
 
 
 # ----------------------------------------------------------------------
@@ -501,6 +530,7 @@ BUDGET = {Bare: (10, 30), Sware: (10, 30), Concurrent: (5, 25), Sharded: (20, 30
 keys = st.runner().flatmap(lambda machine: machine.keys)
 values = st.integers(0, 10**6) | st.text(max_size=3) | st.tuples(st.integers(0, 9))
 items = st.lists(st.tuples(keys, values), max_size=12)
+writes = st.tuples(st.just("put"), keys, values) | st.tuples(st.just("delete"), keys)
 
 
 class OracleMachine(RuleBasedStateMachine):
@@ -537,7 +567,12 @@ class OracleMachine(RuleBasedStateMachine):
         if op[0] == "delete":
             after.pop(op[1], None)
             return after, {op[1]}
-        return after, set()
+        written = set()
+        if op[0] == "burst":  # every op on a key rides one connection, in order
+            for write in op[1]:
+                after, keys = OracleMachine.effect(after, write)
+                written |= keys
+        return after, written
 
     def apply(self, op):
         """Run ``op`` on the subject and the model; assert they agree."""
@@ -567,6 +602,8 @@ class OracleMachine(RuleBasedStateMachine):
             self._stored(k for k, _v in op[1])
         elif kind == "delete":
             assert result in (None, op[1] in model)
+        elif kind == "burst":
+            self._stored(write[1] for write in op[1] if write[0] == "put")
         elif kind == "get":
             assert result == model.get(op[1])
         elif kind == "get_many":
@@ -686,6 +723,16 @@ class OracleMachine(RuleBasedStateMachine):
     def split(self, key):
         self.apply(("split", key))
 
+    @precondition(lambda self: self.can("via"))
+    @rule(client=st.integers(0, CLIENTS - 1))
+    def via(self, client):
+        self.apply(("via", client))
+
+    @precondition(lambda self: self.can("burst"))
+    @rule(ops=st.lists(writes, max_size=12))
+    def burst(self, ops):
+        self.apply(("burst", ops))
+
     @invariant()
     def agrees(self):
         self.verify()
@@ -787,6 +834,17 @@ PROGRAMS = {
     ]),
     "served-refused-put-many-changes-nothing": (Served, "btree", [
         ("put_many", [(1, "a"), (99, None)]), ("get", 1),
+    ]),
+    # Three writers at once, each key on one connection: every put,
+    # overwrite and delete lands, in list order per key, read back
+    # through another connection.
+    "served-concurrent-writers-agree": (Served, "btree", [
+        ("burst", [
+            ("put", 0, "a"), ("put", 1, "b"), ("put", 2, "c"), ("put", 3, "d"),
+            ("put", 4, "e"), ("put", 5, "f"), ("put", 0, "g"), ("put", 4, "h"),
+            ("delete", 5), ("put", 2, "i"), ("delete", 3), ("delete", 1),
+        ]),
+        ("via", 2), ("range", [(INT64_MIN, INT64_MAX)]),
     ]),
 }
 

@@ -1,26 +1,23 @@
 """End-to-end asyncio server/client tests.
 
-The acceptance shape from the issue: >= 4 concurrent clients against a
->= 4-shard server, pipelined requests, scatter-gather range results
-identical to a single-node oracle, group-commit acks under the batch
-fsync policy, protocol-level fault handling (a corrupt or torn frame drops
-only that connection), fail-stop on a failed commit, and flow control
-against a client that does not read.
+Pipelined requests resolved by request id, group-commit acks under the
+batch fsync policy, protocol-level fault handling (a corrupt or torn frame
+drops only that connection), fail-stop on a failed commit, and flow control
+against a client that does not read. Several concurrent clients checked
+against a dict model are the oracle's ``Served`` shape
+(``tests/test_oracle.py``).
 """
 
 import asyncio
 import errno
-import random
 import socket
 import time
 
 import pytest
 
 from repro.core.config import SWAREConfig
-from repro.core.sware import SortednessAwareIndex
 from repro.net import protocol as p
-from repro.net.client import IndexClient, ServerError
-from repro.net.loadgen import LoadGenConfig, run_load
+from repro.net.client import IndexClient, ServerError, SyncIndexClient
 from repro.net.server import CommitFailed, IndexServer
 from repro.net.sharded import (
     ShardedConfig,
@@ -50,58 +47,6 @@ async def start_server(tmp_path, commit_interval=0.001, opener=open, obs=None, *
 
 
 class TestEndToEnd:
-    def test_four_clients_match_single_node_oracle(self, tmp_path):
-        async def run():
-            server = await start_server(tmp_path)
-            oracle = {}
-            clients = [await IndexClient.connect(port=server.port) for _ in range(4)]
-
-            async def worker(cid, client):
-                rng = random.Random(cid)
-                # Each client owns keys == cid (mod 4): deterministic final
-                # state despite concurrent interleaving.
-                for step in range(200):
-                    key = rng.randrange(0, 1250) * 4 + cid
-                    if rng.random() < 0.15:
-                        await client.delete(key)
-                        oracle.pop(key, None)
-                    else:
-                        value = (cid, step)
-                        await client.put(key, value)
-                        oracle[key] = value
-
-            await asyncio.gather(*[worker(i, c) for i, c in enumerate(clients)])
-
-            # Single-node oracle: same content, no shards, no wire.
-            from repro.btree.btree import BPlusTree
-
-            single = SortednessAwareIndex(BPlusTree(), config=SWAREConfig())
-            single.put_many(sorted(oracle.items()))
-
-            client = clients[0]
-            assert await client.range_query(-(1 << 62), 1 << 62) == single.range_query(
-                -(1 << 62), 1 << 62
-            )
-            rng = random.Random(99)
-            for _ in range(25):
-                lo = rng.randrange(0, 5000)
-                hi = lo + rng.randrange(1, 900)
-                assert await client.range_query(lo, hi) == single.range_query(lo, hi)
-            keys = [rng.randrange(0, 5200) for _ in range(300)]
-            assert await client.get_many(keys) == single.get_many(keys)
-
-            stats = await client.stats()
-            assert stats["n_shards"] >= 4
-            assert stats["server"]["connections"] == 4
-            assert stats["server"]["group_commit"] is True
-            assert stats["server"]["commits"] > 0
-
-            for c in clients:
-                await c.close()
-            await server.stop()
-
-        asyncio.run(run())
-
     def test_pipelined_burst_resolves_by_request_id(self, tmp_path):
         async def run():
             server = await start_server(tmp_path)
@@ -197,6 +142,26 @@ class TestEndToEnd:
             await server.stop()
 
         asyncio.run(run())
+
+    def test_refused_sync_connect_closes_its_loop(self, monkeypatch):
+        loops, new_event_loop = [], asyncio.new_event_loop
+
+        def recording():
+            loops.append(new_event_loop())
+            return loops[-1]
+
+        listener = socket.socket()  # bound, never listening: connect is refused
+        try:
+            listener.bind(("127.0.0.1", 0))
+            port = listener.getsockname()[1]
+            monkeypatch.setattr(asyncio, "new_event_loop", recording)
+            with pytest.raises(ConnectionRefusedError):
+                SyncIndexClient(port=port)
+        finally:
+            listener.close()
+        (loop,) = loops
+        assert loop.is_closed()
+
 
 class TestLoadClockedCommit:
     """The commit loop fires at quiescence (off the event loop) or at the
@@ -464,83 +429,3 @@ class TestBackpressure:
                 sock.close()
 
         asyncio.run(run())
-
-
-class TestLoadGenerator:
-    def test_closed_loop_verifies_against_oracle(self, tmp_path):
-        summary = run_load(
-            LoadGenConfig(
-                clients=4,
-                ops_per_client=120,
-                shards=4,
-                key_space=4000,
-                seed=11,
-            ),
-            root=str(tmp_path / "bench"),
-        )
-        assert summary["total_ops"] == 480
-        assert summary["oracle_checks"] >= 34
-        assert summary["ops_per_s"] > 0
-        assert summary["server"]["errors"] == 0
-        assert set(summary["latency"]) <= {"put", "get", "range", "put_many", "get_many"}
-
-    def test_empty_and_single_sample_buckets(self, tmp_path):
-        # Regression: a one-op run leaves most op kinds with empty latency
-        # buckets. Those must appear explicitly with null percentiles (not
-        # a misleading 0.0, not silently absent), must not raise computing
-        # the mean, and the single-sample bucket reports that sample as
-        # every percentile.
-        summary = run_load(
-            LoadGenConfig(
-                clients=1,
-                ops_per_client=1,
-                shards=2,
-                key_space=2000,
-                seed=13,
-            ),
-            root=str(tmp_path / "bench"),
-        )
-        latency = summary["latency"]
-        assert set(latency) == {"put", "get", "range", "put_many", "get_many"}
-        fired = [kind for kind, stats in latency.items() if stats["n"]]
-        assert len(fired) == 1
-        for kind, stats in latency.items():
-            if stats["n"] == 0:
-                assert stats["p50_ns"] is None
-                assert stats["p95_ns"] is None
-                assert stats["p99_ns"] is None
-                assert stats["mean_ns"] is None
-            else:
-                assert stats["n"] == 1
-                assert (
-                    stats["p50_ns"]
-                    == stats["p95_ns"]
-                    == stats["p99_ns"]
-                    == stats["mean_ns"]
-                )
-                assert stats["p50_ns"] > 0
-
-    def test_percentile_helper_edge_cases(self):
-        from repro.net.loadgen import _percentile
-
-        assert _percentile([], 0.50) is None
-        assert _percentile([], 0.99) is None
-        assert _percentile([42], 0.50) == 42.0
-        assert _percentile([42], 0.99) == 42.0
-        assert _percentile([10, 20], 0.99) == 20.0
-
-    def test_open_loop_runs_to_completion(self, tmp_path):
-        summary = run_load(
-            LoadGenConfig(
-                clients=2,
-                ops_per_client=60,
-                arrival="open",
-                open_rate=4000.0,
-                shards=2,
-                key_space=2000,
-                seed=12,
-            ),
-            root=str(tmp_path / "bench"),
-        )
-        assert summary["total_ops"] == 120
-        assert summary["oracle_checks"] >= 34

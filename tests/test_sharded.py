@@ -450,3 +450,21 @@ class TestObservability:
         assert gauges["sware_inserts"] == 4
         assert all(shard.index.obs is not obs for shard in idx._shards)
         idx.close()
+
+    def test_put_many_feeds_a_fill_sample(self, tmp_path):
+        from repro.obs import Observability
+
+        obs = Observability(monitors=True)
+        idx = ShardedSortednessAwareIndex(
+            str(tmp_path / "db"),
+            config=ShardedConfig(
+                n_shards=2, split_threshold=0, initial_key_range=(0, 1_000),
+                index_config=SMALL,
+            ),
+            obs=obs,
+        )
+        for batch in range(8):
+            idx.put_many([(batch * 16 + j, j) for j in range(16)])
+        saturation = obs.snapshot()["monitors"]["saturation"]
+        assert len(saturation["fill_trajectory"]) >= 1
+        idx.close()
