@@ -517,18 +517,18 @@ class SWAREBuffer:
         if slot >= 0:
             value = self._tail_vals[slot]
             return (TOMBSTONE, None) if value is DELETED else (HIT, value)
+        metered = meter is not NULL_METER
         for run in reversed((self._main, *self._blocks)):
             keys = run.keys
             if not keys:
                 continue
-            # Even an immediate out-of-range rejection reads the component's
-            # boundary keys, so a probe costs at least one step.
-            if key < keys[0] or key > keys[-1]:
-                meter.charge("interp_step")
-                continue
-            idx, steps = interpolation_probe(keys, key)
-            meter.charge("interp_step", max(steps, 1))
-            if idx >= 0:
+            # The meter bills §IV-B's interpolation search (at least one
+            # step: a rejection reads the boundary keys); bisect finds the
+            # same rightmost slot, the newest version.
+            if metered:
+                meter.charge("interp_step", max(interpolation_probe(keys, key)[1], 1))
+            idx = bisect_right(keys, key) - 1
+            if idx >= 0 and keys[idx] == key:
                 value = run.vals[idx]
                 return (TOMBSTONE, None) if value is DELETED else (HIT, value)
         return MISS, None

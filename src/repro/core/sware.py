@@ -9,7 +9,7 @@ Bε-tree, LSM-tree, learned index and cracking index) with the SWARE-buffer:
   the tree's maximum) and **top-inserts** through the root;
 * point lookups follow Fig. 6's optimized read path — buffer Zonemap, then
   the unsorted tail (BF/Zonemap gated), query-sorted blocks and the sorted
-  section (interpolation search), then the tree;
+  section (bisected, billed as interpolation search), then the tree;
 * reads trigger query-driven partial sorting of the tail (§IV-C);
 * deletes become buffer tombstones when the key is within the buffer's
   range, applied to the tree at flush time (§IV-D).

@@ -5,8 +5,6 @@ from repro.search.interpolation import (
     binary_search_rightmost,
     exponential_search_rightmost,
     interpolation_search,
-    lower_bound,
-    upper_bound,
 )
 
 __all__ = [
@@ -14,6 +12,4 @@ __all__ = [
     "binary_search_rightmost",
     "exponential_search_rightmost",
     "interpolation_search",
-    "lower_bound",
-    "upper_bound",
 ]

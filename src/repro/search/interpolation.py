@@ -1,7 +1,8 @@
 """Search algorithms over sorted key sequences.
 
-The SWARE read path uses interpolation search on the sorted section(s) of
-the buffer (§IV-B): expected O(log log n) steps on near-uniform keys, which
+The paper searches the buffer's sorted section(s) with interpolation search
+(§IV-B), and the SWARE meter bills it (the slot itself comes from
+``bisect``): expected O(log log n) steps on near-uniform keys, which
 the paper calls "a notable upgrade from binary search". For adversarial key
 distributions the paper suggests falling back to binary or exponential
 search; :func:`interpolation_search` therefore bounds the number of
@@ -17,7 +18,6 @@ optional mutable ``steps`` list, which the cost model uses.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 #: Interpolation steps allowed before degrading to binary search. log log n
@@ -140,16 +140,3 @@ def exponential_search_rightmost(
         steps.append(n_steps)
     return result
 
-
-def lower_bound(keys: Sequence[int], target: int, lo: int = 0, hi: Optional[int] = None) -> int:
-    """First index whose key is >= target (plain bisect_left wrapper)."""
-    if hi is None:
-        hi = len(keys)
-    return bisect_left(keys, target, lo, hi)
-
-
-def upper_bound(keys: Sequence[int], target: int, lo: int = 0, hi: Optional[int] = None) -> int:
-    """First index whose key is > target (plain bisect_right wrapper)."""
-    if hi is None:
-        hi = len(keys)
-    return bisect_right(keys, target, lo, hi)

@@ -95,6 +95,11 @@ def test_lean_point_lookups():
     assert hits(r"_search_sorted", "src/repro/core/buffer.py") == []
     assert defines("tests/test_sware_index.py::TestCostAccounting::"
                    "test_unmetered_get_enters_no_bucket")
+    # Sorted runs are bisected; interpolation search runs only to bill a meter.
+    probes = hits(r"interpolation_probe\(", "src/repro/core")
+    assert probes and all('charge("interp_step"' in line for line in probes)
+    assert defines("tests/test_sware_index.py::TestCostAccounting::"
+                   "test_unmetered_lookup_runs_no_interpolation")
 
 
 def test_one_batch_surface():

@@ -9,8 +9,6 @@ from repro.search.interpolation import (
     binary_search_rightmost,
     exponential_search_rightmost,
     interpolation_search,
-    lower_bound,
-    upper_bound,
 )
 
 SEARCHERS = [
@@ -94,27 +92,6 @@ class TestExponentialSearch:
         steps = []
         assert exponential_search_rightmost(keys, 3, steps=steps) == 3
         assert steps[0] <= 3  # galloping doubled only a couple of times
-
-
-class TestBounds:
-    def test_lower_upper_bound(self):
-        keys = [1, 2, 2, 4]
-        assert lower_bound(keys, 2) == 1
-        assert upper_bound(keys, 2) == 3
-        assert lower_bound(keys, 3) == upper_bound(keys, 3) == 3
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=50), max_size=50),
-        st.integers(min_value=0, max_value=50),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_bounds_bracket_all_occurrences(self, keys, target):
-        keys = sorted(keys)
-        lo = lower_bound(keys, target)
-        hi = upper_bound(keys, target)
-        assert all(key == target for key in keys[lo:hi])
-        assert target not in keys[:lo]
-        assert target not in keys[hi:]
 
 
 class TestDuplicateHeavyAgreement:

@@ -4,16 +4,19 @@ from contextlib import nullcontext
 
 import pytest
 
+from repro.core import buffer as buffer_module
 from repro.core.config import SWAREConfig
 from repro.core.factory import make_baseline_btree, make_sa_btree
 from repro.storage.costmodel import NULL_METER, CostModel, Meter
+from tests.key_domains import key_domains
 
 
-def sa_btree(capacity=64, page_size=8, **overrides):
+def sa_btree(capacity=64, page_size=8, meter=None, **overrides):
     return make_sa_btree(
         SWAREConfig(buffer_capacity=capacity, page_size=page_size, **overrides),
         leaf_capacity=8,
         internal_capacity=8,
+        meter=meter,
     )
 
 
@@ -216,3 +219,49 @@ class TestCostAccounting:
         assert (stats.buffer_tombstone_hits, stats.tree_searches) == (1, 2)
         index.range_query(0, 1)  # a read that does enter a bucket
         assert calls
+
+    @key_domains
+    def test_unmetered_lookup_runs_no_interpolation(self, domain, monkeypatch):
+        # Lookups that reach the main section and two query-sorted blocks
+        # (one a constant run): hits, misses, tombstones and a key updated
+        # inside a block. Results come from bisect; only a meter runs §IV-B's
+        # interpolation search, to bill it.
+        shift = domain.shift
+        ops = [("put", key, key) for key in range(100, 140)] + [("flush",)]
+        ops += [("put", key, key) for key in range(0, 32, 2)]  # the main section
+        ops += [("put", 10, "a"), ("delete", 6), ("put", 3, "b"), ("put", 10, "c")]
+        ops += [("put", 40, "d"), ("sort",), ("put", 7, "e"), ("put", 7, "f"), ("sort",)]
+        ops += [("put", 5, "g")]  # the tail
+
+        def build(meter=None):
+            index = sa_btree(meter=meter, query_sorting_threshold=1.0)
+            model = {}
+            for op, *args in ops:
+                if op == "put":
+                    index.insert(args[0] + shift, args[1])
+                    model[args[0] + shift] = args[1]
+                elif op == "delete":
+                    index.delete(args[0] + shift)
+                    model.pop(args[0] + shift, None)
+                elif op == "flush":
+                    index.flush_all()
+                else:
+                    index.buffer.query_sort()
+            assert index.buffer.n_blocks == 2 and index.buffer.sorted_section_size
+            return index, model
+
+        probes = [key + shift for key in (*range(-2, 45), 120, 150)]
+        meter = Meter()
+        index, model = build(meter)
+        expected = [model.get(key) for key in probes]
+        assert [index.get(key) for key in probes] == expected
+        assert index.get_many(probes) == expected
+        assert meter.counts["interp_step"] == 306  # what interpolation search takes
+
+        def refuse(*args):
+            raise AssertionError("interpolation search ran without a meter")
+
+        monkeypatch.setattr(buffer_module, "interpolation_probe", refuse)
+        index, _ = build()
+        assert [index.get(key) for key in probes] == expected
+        assert index.get_many(probes) == expected
