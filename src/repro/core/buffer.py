@@ -14,10 +14,14 @@ Layout (logical; see Fig. 8 of the paper)::
   appends extend it directly (the paper's ``previous_boundary`` "may only
   move rightward as long as entries are inserted in fully sorted order").
 * The first out-of-order insert starts the **unsorted tail**; every later
-  insert lands there. The tail carries a global Bloom filter, per-page Bloom
-  filters and per-page Zonemaps, built lazily *by level*: the first probe
-  after an append brings the page Zonemaps and the global filter up to date,
-  and a page filter catches up when a probe consults that page.
+  insert lands there. A tail probe is answered from ``_slot_of`` (key to
+  newest slot), which catches up with the appends at probe time. The
+  paper's tail index — a global Bloom filter, per-page Bloom filters and
+  per-page Zonemaps — is cost-model state: only under a meter does a probe
+  walk it (§IV-A), and it is built lazily *by level* then: the first
+  metered probe after an append brings the page Zonemaps and the global
+  filter up to date, and a page filter catches up when a probe consults
+  that page.
 * When the tail grows past the query-sorting threshold, the next read query
   freezes it into a **query-sorted block** (§IV-C, inspired by cracking /
   adaptive merging).
@@ -150,6 +154,10 @@ class SWAREBuffer:
         self._blocks: List[Run] = []
         self._tail_keys: List[int] = []
         self._tail_vals: list = []
+        #: Newest tail slot per key, what answers a tail probe; it covers
+        #: ``_tail_keys[:_slotted]`` and catches up at the next probe.
+        self._slot_of: dict = {}
+        self._slotted = 0
         #: Tail length the §IV-C sort was last billed at: the paper's flag,
         #: cleared by the next out-of-order insert.
         self._tail_billed = 0
@@ -249,8 +257,9 @@ class SWAREBuffer:
         self._tail_vals.append(value)
         if self._min_after_main is None or key < self._min_after_main:
             self._min_after_main = key
-        # Filter upkeep is billed now and done at the first probe; the page
-        # Zonemap's is priced into ``buffer_append`` like the whole-buffer one.
+        # Filter upkeep is billed now and done at the first metered probe;
+        # the page Zonemap's is priced into ``buffer_append`` like the
+        # whole-buffer one.
         if self._bf_levels:
             self.meter.charge("bf_add", self._bf_levels)
 
@@ -297,8 +306,8 @@ class SWAREBuffer:
             self.meter.charge("bf_add", (n - split) * self._bf_levels)
 
     def _sync_tail_index(self) -> None:
-        """Index the tail keys appended since the last probe: page Zonemaps
-        and global filter; a page filter catches up in
+        """Index the tail keys appended since the last metered probe: page
+        Zonemaps and global filter; a page filter catches up in
         :meth:`_sync_page_filter` when a probe consults it. Bits are only
         ever added, so a filter synced up to slot ``n`` answers exactly as
         one kept per append (``add_many`` sets ``add``'s bits)."""
@@ -330,14 +339,16 @@ class SWAREBuffer:
         return bf
 
     def _reset_tail(self) -> None:
-        """Empty the tail with its filters and page Zonemaps."""
+        """Empty the tail with its slot index, filters and page Zonemaps."""
         self._tail_keys = []
         self._tail_vals = []
+        self._slot_of = {}
+        self._slotted = 0
         self._tail_billed = 0
+        if self._indexed and self.global_bf is not None:
+            self.global_bf.clear()  # only a metered probe fills it
         self._indexed = 0
         self.page_zonemaps.reset()
-        if self.global_bf is not None:
-            self.global_bf.clear()
         self._page_bfs = []
 
     # ------------------------------------------------------------------
@@ -504,8 +515,11 @@ class SWAREBuffer:
     def lookup(self, key: int) -> Tuple[int, object]:
         """Search the buffer for ``key``; returns (state, value), state being
         :data:`HIT`, :data:`TOMBSTONE` or :data:`MISS`. The newest version
-        wins, so the scan order is: unsorted tail (newest pages first),
-        query-sorted blocks (newest first), main sorted section."""
+        wins, so the search order is: unsorted tail, query-sorted blocks
+        (newest first), main sorted section. The tail answers from
+        ``_slot_of``, a sorted run by bisection. Under a meter, §IV-A's
+        filter walk and §IV-B's interpolation search run too, to bill what
+        the paper's lookup costs, and each must reach the executed slot."""
         meter = self.meter
         if self.config.enable_read_zonemaps:
             meter.charge("zonemap_check")
@@ -513,29 +527,44 @@ class SWAREBuffer:
             if low is None or key < low or key > self.zonemap.max_key:
                 self.stats.buffer_skips_by_zonemap += 1
                 return MISS, None
-        slot = self._search_tail(key) if self._tail_keys else -1
-        if slot >= 0:
-            value = self._tail_vals[slot]
-            return (TOMBSTONE, None) if value is DELETED else (HIT, value)
         metered = meter is not NULL_METER
+        tail = self._tail_keys
+        if tail:
+            n = len(tail)
+            have = self._slotted
+            if have < n:
+                # A later slot overwrites an earlier one: the newest wins.
+                self._slot_of.update(zip(tail[have:], range(have, n)))
+                self._slotted = n
+            slot = self._slot_of.get(key, -1)
+            if metered and self._search_tail(key) != slot:
+                raise InvariantViolation(f"the billed tail walk misses slot {slot} of {key!r}")
+            if slot >= 0:
+                value = self._tail_vals[slot]
+                return (TOMBSTONE, None) if value is DELETED else (HIT, value)
         for run in reversed((self._main, *self._blocks)):
             keys = run.keys
             if not keys:
                 continue
-            # The meter bills §IV-B's interpolation search (at least one
-            # step: a rejection reads the boundary keys); bisect finds the
-            # same rightmost slot, the newest version.
+            slot = bisect_right(keys, key) - 1  # the rightmost: the newest version
+            if slot < 0 or keys[slot] != key:
+                slot = -1
             if metered:
-                meter.charge("interp_step", max(interpolation_probe(keys, key)[1], 1))
-            idx = bisect_right(keys, key) - 1
-            if idx >= 0 and keys[idx] == key:
-                value = run.vals[idx]
+                # At least one step: a rejection reads the boundary keys.
+                billed, steps = interpolation_probe(keys, key)
+                meter.charge("interp_step", max(steps, 1))
+                if billed != slot:
+                    raise InvariantViolation(f"the billed search misses slot {slot} of {key!r}")
+            if slot >= 0:
+                value = run.vals[slot]
                 return (TOMBSTONE, None) if value is DELETED else (HIT, value)
         return MISS, None
 
     def _search_tail(self, key: int) -> int:
-        """Scan the non-empty unsorted tail, gated by the BFs and page
-        Zonemaps; returns the newest tail slot holding ``key`` or -1."""
+        """§IV-A's walk of the non-empty unsorted tail, run to bill a meter:
+        the global filter, then per page (newest first) its Zonemap and
+        filter, then a scan. Returns the newest tail slot holding ``key``
+        or -1; it syncs the filters, which only this walk reads."""
         tail = self._tail_keys
         if self._indexed != len(tail):
             self._sync_tail_index()

@@ -41,6 +41,9 @@ class SWAREStats:
     tree_searches: int = 0
     buffer_skips_by_zonemap: int = 0
     query_sorts: int = 0
+    # The §IV-A filter walk's counters, from here to ``zonemap_page_skips``:
+    # the walk runs only to bill a meter (a tail probe answers from the
+    # buffer's slot index), so they count metered lookups only.
     unsorted_pages_scanned: int = 0
     global_bf_negatives: int = 0
     page_bf_negatives: int = 0
@@ -65,7 +68,7 @@ class SWAREStats:
 
     @property
     def pages_scanned_per_lookup(self) -> float:
-        """Table II's 'pages scanned per query' metric."""
+        """Table II's 'pages scanned per query' metric (metered runs only)."""
         return self.unsorted_pages_scanned / self.lookups if self.lookups else 0.0
 
     def snapshot(self) -> Dict[str, float]:

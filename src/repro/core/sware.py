@@ -8,8 +8,9 @@ Bε-tree, LSM-tree, learned index and cracking index) with the SWARE-buffer:
   cycle whose batch is split into an opportunistic **bulk load** (keys above
   the tree's maximum) and **top-inserts** through the root;
 * point lookups follow Fig. 6's optimized read path — buffer Zonemap, then
-  the unsorted tail (BF/Zonemap gated), query-sorted blocks and the sorted
-  section (bisected, billed as interpolation search), then the tree;
+  the unsorted tail (a hash lookup, billed as the BF/Zonemap-gated scan),
+  query-sorted blocks and the sorted section (bisected, billed as
+  interpolation search), then the tree;
 * reads trigger query-driven partial sorting of the tail (§IV-C);
 * deletes become buffer tombstones when the key is within the buffer's
   range, applied to the tree at flush time (§IV-D).

@@ -11,7 +11,8 @@ rather than end-of-run snapshots. This module is that sensory layer:
 * :class:`SaturationMonitor` — buffer fill trajectory plus flush-cycle
   accounting (effortless vs sorted flushes, bulk vs top routing);
 * :class:`BloomMonitor` — theoretical false-positive rate sampled at each
-  flush, compared against the observed rate from the filter counters;
+  flush, compared against the observed rate from the filter counters
+  (which count metered lookups only);
 * :class:`MonitorHub` — the bundle components feed; it serializes into the
   ``monitors`` section of :meth:`~repro.obs.Observability.snapshot`.
 
@@ -388,7 +389,11 @@ def evaluate_signals(signals: Dict[str, object]) -> List[HealthFinding]:
                 )
             )
 
-    # Rule 3: Bloom FPR degraded — observed rate far above theoretical.
+    # Rule 3: Bloom FPR degraded — observed rate far above theoretical. It
+    # reads metered runs only: the filters are walked to bill a meter, so an
+    # unmetered index (a live `repro serve`) counts no decisions and this
+    # rule has nothing to read; `observe --scenario` and the doctor run
+    # their scenarios under a Meter.
     fps = float(signals.get("bf_false_positives") or 0.0)
     negatives = float(signals.get("bf_negatives") or 0.0)
     decisions = fps + negatives

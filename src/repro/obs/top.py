@@ -79,9 +79,11 @@ def format_dashboard(snap: Dict[str, object], title: str = "repro observe --top"
     fps = signals["bf_false_positives"]
     negatives = signals["bf_negatives"]
     decisions = fps + negatives
-    observed = fps / decisions if decisions else 0.0
+    # The filters are walked only to bill a meter: an unmetered index
+    # (a live server) makes no decisions to report.
+    observed = f"observed FPR {fps / decisions:.2%}" if decisions else "no metered probes"
     lines.append(
-        f"bloom        observed FPR {observed:.2%} "
+        f"bloom        {observed} "
         f"(theoretical {signals['expected_fpr_mean']:.2%}, "
         f"{decisions:.0f} absent-key probes)"
     )

@@ -33,6 +33,32 @@ def hits(pattern, *paths):
     ]
 
 
+def guarded_blocks(pattern, *paths):
+    """Each ``path:line`` that ``pattern`` matches, with the block it sits
+    in: the line itself when it opens one, else the nearest line above with
+    less indentation, followed by that header's indented body."""
+    regex = re.compile(pattern)
+    indent = lambda text: len(text) - len(text.lstrip())  # noqa: E731
+    blocks = {}
+    for path in _files(*paths):
+        lines = path.read_text(errors="replace").splitlines()
+        for number, line in enumerate(lines):
+            if not regex.search(line):
+                continue
+            head = number
+            while not line.rstrip().endswith(":") and (
+                not lines[head].strip() or indent(lines[head]) >= indent(line)
+            ):
+                head -= 1
+            body = head + 1
+            while body < len(lines) and (
+                not lines[body].strip() or indent(lines[body]) > indent(lines[head])
+            ):
+                body += 1
+            blocks[f"{path.relative_to(ROOT)}:{number + 1}"] = lines[head:body]
+    return blocks
+
+
 def defines(node_id):
     """Whether ``path::Class::test`` is defined (directly) in that file."""
     path, *names = node_id.split("::")
@@ -95,11 +121,24 @@ def test_lean_point_lookups():
     assert hits(r"_search_sorted", "src/repro/core/buffer.py") == []
     assert defines("tests/test_sware_index.py::TestCostAccounting::"
                    "test_unmetered_get_enters_no_bucket")
-    # Sorted runs are bisected; interpolation search runs only to bill a meter.
-    probes = hits(r"interpolation_probe\(", "src/repro/core")
-    assert probes and all('charge("interp_step"' in line for line in probes)
-    assert defines("tests/test_sware_index.py::TestCostAccounting::"
-                   "test_unmetered_lookup_runs_no_interpolation")
+    # Sorted runs are bisected and the tail answers from a dict; interpolation
+    # search and the §IV-A filter walk run only under a meter, to bill it, and
+    # the lookup checks that each reaches the slot it answered with.
+    def billed(block):
+        text = "\n".join(block)
+        return (re.match(r"\s*if metered\b", block[0]) is not None
+                and "!= slot" in text and "raise InvariantViolation" in text)
+
+    probes = guarded_blocks(r"interpolation_probe\(", "src/repro/core")
+    assert probes and all(
+        billed(block) and any('charge("interp_step"' in line for line in block)
+        for block in probes.values()
+    ), probes
+    walks = guarded_blocks(r"(?<!def )_search_tail\(", "src/repro/core")
+    assert walks and all(billed(block) for block in walks.values()), walks
+    for test in ("test_unmetered_lookup_runs_no_interpolation",
+                 "test_unmetered_tail_probe_touches_no_filter"):
+        assert defines(f"tests/test_sware_index.py::TestCostAccounting::{test}")
 
 
 def test_one_batch_surface():

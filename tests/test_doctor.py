@@ -175,6 +175,7 @@ class TestDashboard:
         text = format_dashboard(Observability(trace=True, monitors=True).snapshot())
         assert "(warming up)" in text
         assert "health       OK" in text
+        assert "bloom        no metered probes" in text
 
     def test_dropped_events_surface(self, drift_obs):
         assert drift_obs.tracer.dropped > 0

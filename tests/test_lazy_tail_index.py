@@ -1,13 +1,14 @@
 """The tail's Bloom filters and page Zonemaps are built lazily, by level.
 
-``SWAREBuffer.add`` / ``add_many`` only append; at the first probe after an
-append ``_sync_tail_index`` brings the page Zonemaps and the global filter up
-to date, and ``_sync_page_filter`` catches a page filter up when a probe
-consults that page. That nobody can tell (results, stats, charges and the
-synced filters equal an eagerly indexed twin) is the oracle's ``Sware``
-check (``tests/test_oracle.py``). This file pins the deferral itself, and
-that a fully synced index equals one built a ``BloomFilter.add`` per key,
-in both key domains (``tests/key_domains.py``).
+Only a metered probe walks them (§IV-A, billed; the answer comes from the
+buffer's slot index). ``SWAREBuffer.add`` / ``add_many`` only append; at the
+first metered probe after an append ``_sync_tail_index`` brings the page
+Zonemaps and the global filter up to date, and ``_sync_page_filter`` catches
+a page filter up when a probe consults that page. That nobody can tell
+(results, stats, charges and the synced filters equal an eagerly indexed
+twin) is the oracle's ``Sware`` check (``tests/test_oracle.py``). This file
+pins the deferral itself, and that a fully synced index equals one built a
+``BloomFilter.add`` per key, in both key domains (``tests/key_domains.py``).
 """
 
 import copy
@@ -16,6 +17,7 @@ from repro.core.buffer import SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.zonemap import PageZonemaps
 from repro.filters.bloom import BloomFilter
+from repro.storage.costmodel import Meter
 from tests.key_domains import key_domains
 
 CAPACITY = 48
@@ -74,9 +76,11 @@ def _assert_index_matches_per_key_build(buffer):
 
 @key_domains
 def test_appends_leave_the_index_alone_until_a_probe(domain):
-    """The deferral itself: no filter work before the first tail probe, and a
-    probe indexes everything appended so far through either sync path."""
-    buffer = domain.wrap(SWAREBuffer(SWAREConfig(buffer_capacity=CAPACITY, page_size=PAGE)))
+    """The deferral itself: no filter work before the first metered tail
+    probe, and such a probe indexes everything appended so far through
+    either sync path."""
+    config = SWAREConfig(buffer_capacity=CAPACITY, page_size=PAGE)
+    buffer = domain.wrap(SWAREBuffer(config, meter=Meter()))
     buffer.add(100, "a")
     buffer.add(5, "b")  # out of order: starts the tail
     buffer.add_many([(key, key) for key in range(40, 10, -1)])

@@ -31,6 +31,12 @@ domains of ``tests/key_domains.py``:
   write on one socket is read back through another; ``burst`` sends a
   list of puts and deletes over all of them at once.
 
+The ``Sware`` and ``Concurrent`` subjects carry a ``Meter``, so their
+lookups also run the paper's billed searches and check them against the
+answer; after every step each also looks up every unsorted-tail key on a
+metered copy of its buffer (:func:`_probe_tail`), so a filter that turns a
+buffered key away fails whether or not a drawn GET asked for it.
+
 A rule a shape cannot run is off by precondition (``Subject.rules``). The
 durable and served shapes draw int64 keys only (the WAL, page and wire
 formats are s64). After every step each subject also checks what only it
@@ -72,6 +78,7 @@ from repro.core.factory import (
     make_lsm,
     make_sa_btree,
 )
+from repro.core.stats import SWAREStats
 from repro.core.sware import SortednessAwareIndex, TreeBackend
 from repro.errors import BulkLoadError, CheckpointUnsupportedError
 from repro.learned import CrackingIndexConfig, LearnedIndexConfig
@@ -134,6 +141,19 @@ def _tail_index(buffer):
     bits = lambda bf: bf and (bytes(bf._bits), bf.n_added)  # noqa: E731
     zones = [zone.as_tuple() for zone in buffer.page_zonemaps._zones]
     return bits(buffer.global_bf), [bits(bf) for bf in buffer._page_bfs], zones
+
+
+def _probe_tail(buffer):
+    """Look every tail key up on a metered copy of ``buffer`` (fresh meter
+    and counters, its own filters and slot index): ``lookup`` raises if
+    §IV-A's billed filter walk misses the slot it answers with."""
+    probe = copy.copy(buffer)
+    probe.meter, probe.stats, probe._slot_of = Meter(), SWAREStats(), dict(buffer._slot_of)
+    probe.page_zonemaps, probe.global_bf, probe._page_bfs = copy.deepcopy(
+        (buffer.page_zonemaps, buffer.global_bf, buffer._page_bfs)
+    )
+    for key in set(buffer._tail_keys):
+        probe.lookup(key)
 
 
 def _charges(meter):
@@ -321,6 +341,7 @@ class Sware(_Front):
         synced.page_zonemaps, synced.global_bf, synced._page_bfs = copy.deepcopy(state)
         _sync_every_level(synced)
         assert _tail_index(synced) == _tail_index(twin.buffer)
+        _probe_tail(index.buffer)
 
 
 class Concurrent(_Front):
@@ -335,6 +356,7 @@ class Concurrent(_Front):
         self.index.check_invariants()
         pages = [f"page:{page}" for page in range(self.index.config.n_pages)]
         assert all(self.index.locks.mode(name) is None for name in ["buffer", *pages])
+        _probe_tail(self.inner.buffer)
 
 
 def _sharded_config(config, fsync_policy):
@@ -782,6 +804,16 @@ def _items_programs(backend):
     }
 
 
+def _through_the_tail(keys):
+    """Each of ``keys`` put into the unsorted tail under ``SMALL``: eight at
+    a time, descending, below a sentinel above them all, then a flush."""
+    keys, top = sorted(keys, reverse=True), max(keys) + 1
+    ops = []
+    for start in range(0, len(keys), 8):
+        ops += [("put", top, 0), *[("put", k, k) for k in keys[start:start + 8]], ("flush",)]
+    return ops
+
+
 #: name -> (subject, backend, ops), run on int64 keys under ``SMALL``.
 PROGRAMS = {
     # An older tombstone past max_key must not shadow a newer bulk-loaded
@@ -818,6 +850,12 @@ PROGRAMS = {
     # not at all: the twin's loops see the same stats and charges.
     "empty-get-many-is-a-no-op": (Sware, "btree", [*HOT, ("get_many", [])]),
     "get-many-charges-like-a-loop": (Sware, "btree", [*HOT, ("get_many", [5, 10, 99, 25, 60, 42])]),
+    # Every small key the machine draws sits in the tail at some check, so
+    # a filter that turns one away fails _probe_tail in both metered shapes.
+    **{
+        f"{name}-every-drawn-key-through-the-tail": (subject, "btree", _through_the_tail(range(-4, 65)))
+        for name, subject in (("sware", Sware), ("concurrent", Concurrent))
+    },
     # A batch is one WAL frame; a restart replays it.
     "sharded-batch-survives-a-restart": (Sharded, "btree", [
         ("put_many", [(1, "a"), (2, "b"), (70, "c")]), ("recover",),

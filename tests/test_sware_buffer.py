@@ -11,16 +11,16 @@ import pytest
 from repro.core.buffer import HIT, MISS, TOMBSTONE, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.errors import ConfigError
+from repro.storage.costmodel import Meter
 from tests.key_domains import INT64, WIDE
 
 
 class _Buffers:
     domain = INT64
 
-    def make_buffer(self, capacity=64, page_size=8, **overrides):
-        return self.domain.wrap(
-            SWAREBuffer(SWAREConfig(buffer_capacity=capacity, page_size=page_size, **overrides))
-        )
+    def make_buffer(self, capacity=64, page_size=8, meter=None, **overrides):
+        config = SWAREConfig(buffer_capacity=capacity, page_size=page_size, **overrides)
+        return self.domain.wrap(SWAREBuffer(config, meter=meter))
 
 
 class TestConfig:
@@ -163,10 +163,10 @@ class TestFlush(_Buffers):
         assert len(batch.entries) == 5
 
     def test_flush_resets_filters_and_zonemaps(self):
-        buffer = self.make_buffer(capacity=16, page_size=4)
+        buffer = self.make_buffer(capacity=16, page_size=4, meter=Meter())
         for key in (4, 1, 3, 2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 10, 11):
             buffer.add(key, key)
-        buffer.lookup(4)  # the first probe is what builds the tail's index
+        buffer.lookup(4)  # the first metered probe is what builds the tail's index
         assert buffer.page_zonemaps.n_pages == 4
         if buffer.global_bf is not None:
             assert buffer.global_bf.n_added == 15

@@ -7,6 +7,8 @@ import pytest
 from repro.core import buffer as buffer_module
 from repro.core.config import SWAREConfig
 from repro.core.factory import make_baseline_btree, make_sa_btree
+from repro.core.zonemap import PageZonemaps
+from repro.filters.bloom import BloomFilter
 from repro.storage.costmodel import NULL_METER, CostModel, Meter
 from tests.key_domains import key_domains
 
@@ -265,3 +267,47 @@ class TestCostAccounting:
         index, _ = build()
         assert [index.get(key) for key in probes] == expected
         assert index.get_many(probes) == expected
+
+    @key_domains
+    def test_unmetered_tail_probe_touches_no_filter(self, domain, monkeypatch):
+        # Tail probes answer from the buffer's slot index: hits, keys put
+        # twice (the newest wins), tombstones and misses, before and after a
+        # query sort and a flush. Only a meter walks §IV-A's filters.
+        def refuse(*args):
+            raise AssertionError("an unmetered tail probe consulted a filter")
+
+        monkeypatch.setattr(BloomFilter, "may_contain_base", refuse)
+        monkeypatch.setattr(PageZonemaps, "page_may_contain", refuse)
+        shift = domain.shift
+        index = sa_btree(query_sorting_threshold=1.0)
+        model = {}
+
+        def apply(*ops):
+            for key, value in ops:
+                key += shift
+                if value is None:
+                    index.delete(key)
+                    model.pop(key, None)
+                else:
+                    index.insert(key, value)
+                    model[key] = value
+
+        def check():
+            assert index.buffer.tail_size
+            probes = [key + shift for key in range(-2, 50)]
+            expected = [model.get(key) for key in probes]
+            assert [index.get(key) for key in probes] == expected
+            assert index.get_many(probes) == expected
+
+        apply(*((key, key) for key in range(10, 20)))  # the main section
+        apply((5, "a"), (30, "b"), (7, "c"), (30, "d"), (7, None), (12, "e"), (7, "f"))
+        check()
+        index.buffer.query_sort()
+        apply((8, "g"), (30, "h"), (12, None), (8, "i"))
+        check()
+        index.flush_all()
+        apply(*((key, key) for key in range(40, 45)))
+        apply((35, "j"), (41, "k"), (43, None), (35, "l"), (36, "m"))
+        check()
+        assert index.buffer.global_bf.n_added == 0
+        assert index.buffer._page_bfs == []
