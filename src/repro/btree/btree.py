@@ -607,30 +607,41 @@ class BPlusTree:
         return self.get(key) is not None
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
-        """All (key, value) with lo <= key <= hi, in key order."""
+        """All (key, value) with lo <= key <= hi, in key order.
+
+        One loop over the leaf chain: only the first leaf's start and the
+        last leaf's stop are bisected (past the first leaf every key is
+        above ``lo``), and each leaf's rows are appended at once, a leaf
+        wholly inside the range without slicing its lists. The scan
+        charges ``scan_entry`` per row returned and ``node_access`` per
+        leaf after the first, once each with the sums (as ``get_many``
+        aggregates); with a pool each next leaf is accessed in chain order.
+        """
         out: List[Tuple[int, object]] = []
         if self._root is None or lo > hi:
             return out
         leaf = self._leaf_for(lo)
-        interior = False  # past the first leaf every key is above ``lo``
-        while leaf is not None:
-            n = leaf.n
-            if n:
-                if leaf.first_key() > hi:
-                    break
-                if interior and leaf.last_key() <= hi:
-                    start, stop = 0, n  # wholly inside: no searches
-                else:
-                    start, stop = leaf.range_bounds(lo, hi)
-                self.meter.charge("scan_entry", max(stop - start, 0))
-                if stop > start:
-                    out.extend(leaf.live_items(start, stop))
-                if stop < n:
-                    break
+        pool = self.pool
+        start = bisect_left(leaf.ks, lo)
+        hops = 0
+        while True:
+            ks = leaf.ks
+            if ks and ks[-1] > hi:  # the last leaf
+                stop = bisect_right(ks, hi)
+                out += zip(ks[start:stop], leaf.vs[start:stop])
+                break
+            vs = leaf.vs
+            out += zip(ks[start:], vs[start:]) if start else zip(ks, vs)
             leaf = leaf.next_leaf
-            interior = True
-            if leaf is not None:
-                self._touch(leaf)
+            if leaf is None:
+                break
+            hops += 1
+            if pool is not None:
+                pool.access(leaf.page_id)
+            start = 0
+        meter = self.meter
+        meter.charge("scan_entry", len(out))
+        meter.charge("node_access", hops)
         return out
 
     def iter_items(self) -> Iterator[Tuple[int, object]]:

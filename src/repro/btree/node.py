@@ -109,20 +109,11 @@ class GappedLeaf:
         return self.ks[-1]
 
     def iter_live(self):
-        return self.live_items(0, self.n)
-
-    def live_items(self, start: int, stop: int):
-        """``(key, value)`` pairs of slots ``[start:stop]``."""
-        return zip(self.ks[start:stop], self.vs[start:stop])
+        return zip(self.ks, self.vs)
 
     # -- search --
     def search_left(self, key: int) -> int:
         return bisect_left(self.ks, key)
-
-    def range_bounds(self, lo: int, hi: int):
-        """``(bisect_left(lo), bisect_right(hi))`` over the live keys."""
-        ks = self.ks
-        return bisect_left(ks, lo), bisect_right(ks, hi)
 
     def has_key_at(self, idx: int, key: int) -> bool:
         return idx < self.n and self.ks[idx] == key

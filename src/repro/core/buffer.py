@@ -39,9 +39,11 @@ columns (int64 arrays, or lists once a key outside int64 demotes them), and
 a value list in which a tombstone
 is the marker :class:`DELETED`. Components are sorted and merged oldest
 first, so a stable sort by key alone orders by ``(key, seq)`` and the
-rightmost duplicate is the newest. A range query sorts and merges nothing:
-the meter bills §IV-C's tail sort and merge, and an overlay of the
-components, oldest first, resolves the newest version per key.
+rightmost duplicate is the newest. A range query sorts no component and
+merges none: the meter bills §IV-C's tail sort and merge, and an overlay
+of the components, oldest first, resolves the newest version per key. Only
+the tail's key column is kept sorted for it (``_tail_order``): extended
+with the appends since the last range and re-sorted, never rebuilt.
 """
 
 from __future__ import annotations
@@ -158,6 +160,9 @@ class SWAREBuffer:
         #: ``_tail_keys[:_slotted]`` and catches up at the next probe.
         self._slot_of: dict = {}
         self._slotted = 0
+        #: The tail's keys in sorted order, what answers a range: it covers
+        #: ``_tail_keys[:len(_tail_order)]`` and catches up at the next range.
+        self._tail_order: List[int] = []
         #: Tail length the §IV-C sort was last billed at: the paper's flag,
         #: cleared by the next out-of-order insert.
         self._tail_billed = 0
@@ -339,11 +344,13 @@ class SWAREBuffer:
         return bf
 
     def _reset_tail(self) -> None:
-        """Empty the tail with its slot index, filters and page Zonemaps."""
+        """Empty the tail with its slot index, key order, filters and page
+        Zonemaps."""
         self._tail_keys = []
         self._tail_vals = []
         self._slot_of = {}
         self._slotted = 0
+        self._tail_order = []
         self._tail_billed = 0
         if self._indexed and self.global_bf is not None:
             self.global_bf.clear()  # only a metered probe fills it
@@ -624,8 +631,10 @@ class SWAREBuffer:
         for a tombstone) and the count of buffered entries there. The meter
         bills §IV-C — sort the tail once until the next insert (the paper's
         flag), merge the qualifying slices — but the versions come from an
-        overlay, oldest first: main's and each block's slice, then the tail
-        in arrival order."""
+        overlay, oldest first: main's and each block's slice, then the
+        tail's keys in range, found in ``_tail_order`` (the tail's key
+        column kept sorted, caught up here) and resolved to their newest
+        slot by ``_slot_of``."""
         meter = self.meter
         meter.charge("zonemap_check")
         if not self._n or not self.zonemap.overlaps(lo, hi):
@@ -633,18 +642,39 @@ class SWAREBuffer:
         tail = self._tail_keys
         if tail:
             self._bill_tail_sort()
-        parts = []
+        resolved: dict = {}
+        n_entries = parts = 0
         for run in (self._main, *self._blocks):
-            left, right = bisect_left(run.keys, lo), bisect_right(run.keys, hi)
-            parts.append(list(zip(run.keys[left:right], run.vals[left:right])))
+            keys = run.keys
+            left, right = bisect_left(keys, lo), bisect_right(keys, hi)
             meter.charge("interp_step", 2)
+            if right > left:
+                resolved.update(zip(keys[left:right], run.vals[left:right]))
+                n_entries += right - left
+                parts += 1
         if tail:
-            parts.append([(k, v) for k, v in zip(tail, self._tail_vals) if lo <= k <= hi])
+            n = len(tail)
+            have = self._slotted
+            if have < n:
+                # A later slot overwrites an earlier one: the newest wins.
+                self._slot_of.update(zip(tail[have:], range(have, n)))
+                self._slotted = n
+            order = self._tail_order
+            if len(order) < n:
+                # Timsort takes the sorted prefix as one run: linear in it.
+                order += tail[len(order):]
+                order.sort()
+            left, right = bisect_left(order, lo), bisect_right(order, hi)
             meter.charge("interp_step", 2)
-        n_entries = sum(map(len, parts))
-        if sum(map(bool, parts)) > 1:
+            if right > left:
+                keys = order[left:right]
+                slots = map(self._slot_of.__getitem__, keys)
+                resolved.update(zip(keys, map(self._tail_vals.__getitem__, slots)))
+                n_entries += right - left
+                parts += 1
+        if parts > 1:
             meter.charge("merge_step", n_entries)
-        return dict(chain.from_iterable(parts)), n_entries
+        return resolved, n_entries
 
     def range_entries(self, lo: int, hi: int) -> List[Entry]:
         """Buffered entries in [lo, hi] by (key, seq); unbilled (tests and debugging)."""

@@ -278,6 +278,8 @@ class ConcurrentSortednessAwareIndex:
             return self._read(self.inner._get_many, keys)
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        if lo > hi:  # an empty range, like an empty batch: no lock, no trigger
+            return []
         return self._read(self.inner._range_query, lo, hi)
 
     def __contains__(self, key: int) -> bool:

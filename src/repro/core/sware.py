@@ -28,8 +28,7 @@ Values must not be ``None`` — the library reserves ``None`` for "absent".
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import itemgetter
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro import kernels
@@ -480,6 +479,10 @@ class SortednessAwareIndex:
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """All live (key, value) in [lo, hi]; buffered versions win."""
+        if lo > hi:
+            # An empty range reads nothing: it fires no trigger and bills no
+            # tail sort.
+            return []
         self._maybe_query_sort()
         return self._range_query(lo, hi)
 
@@ -493,8 +496,9 @@ class SortednessAwareIndex:
         return self._range_scan(lo, hi)
 
     def _range_scan(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        buffer = self.buffer
         with self.meter.bucket("buffer_search"):
-            resolved, n_entries = self.buffer.range_run(lo, hi)
+            resolved, n_entries = buffer.range_run(lo, hi)
         with self.meter.bucket("tree_search"):
             rows = self.backend.range_query(lo, hi)
         # Reconciling buffered versions against the tree scan costs one merge
@@ -503,10 +507,26 @@ class SortednessAwareIndex:
         self.meter.charge("merge_step", n_entries)
         if not resolved:
             return rows
-        rows = [row for row in rows if row[0] not in resolved]
-        rows.extend(item for item in resolved.items() if item[1] is not DELETED)
-        rows.sort(key=itemgetter(0))  # keys are unique
-        return rows
+        # Merge a run at a time: the tree rows below the next buffered key,
+        # then the buffered keys below the next tree key, each one slice. A
+        # probe ``(key,)`` sorts before every ``(key, value)``, so no value
+        # is compared, and a buffered version shadows an equal tree key.
+        items = sorted(resolved.items())
+        out: List[Tuple[int, object]] = []
+        i = j = 0
+        n_rows, n_items = len(rows), len(items)
+        while j < n_items:
+            key = items[j][0]
+            k = bisect_left(rows, (key,), i)
+            out += rows[i:k]
+            i = k + 1 if k < n_rows and rows[k][0] == key else k
+            stop = bisect_left(items, (rows[i][0],), j + 1) if i < n_rows else n_items
+            out += items[j:stop]
+            j = stop
+        out += rows[i:]
+        if buffer._tombstones:
+            out = [row for row in out if row[1] is not DELETED]
+        return out
 
     # ------------------------------------------------------------------
     # introspection

@@ -94,9 +94,33 @@ def test_one_recovery_path():
     assert hits(r"rebuild_threshold|CompressedRun|RunPage|merge_compressed", "src") == []
 
 
+def _body(path, name):
+    """The source lines of the function or method ``name`` in ``path``."""
+    source = (ROOT / path).read_text()
+    found = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    assert len(found) == 1, (path, name)
+    return source.splitlines()[found[0].lineno - 1 : found[0].end_lineno]
+
+
 def test_ranges_resolve_versions():
     # The tail sort is billed, not cached for a range.
     assert hits(r"_tail_run", "src") == []
+    # A range costs its tree scan plus work in the buffered rows it returns:
+    # the merge walks runs of both sides (no re-sort of the rows), and the
+    # tail answers from its sorted key column (no scan of the whole tail).
+    scan = "\n".join(_body("src/repro/core/sware.py", "_range_scan"))
+    assert ".sort(" not in scan and "itemgetter" not in scan
+    run = "\n".join(_body("src/repro/core/buffer.py", "range_run"))
+    assert re.search(r"for .+ in zip\(tail", run) is None
+    assert hits(r"def (range_bounds|live_items)\(", "src") == []
+    for test in ("tests/test_read_path.py::test_range_merge_matches_a_dict_model",
+                 "tests/test_read_path.py::test_scan_interior_leaf_shortcut_matches_range_bounds",
+                 "tests/test_concurrent_index.py::TestSingleThreaded::"
+                 "test_inverted_range_is_a_no_op"):
+        assert defines(test), test
 
 
 def test_one_observability_surface():

@@ -138,6 +138,25 @@ class TestSingleThreaded:
         assert (index.stats.query_sorts, index.buffer.tail_size) == (0, tail)
         assert index.meter.snapshot() == charged
 
+    @pytest.mark.parametrize("cls", [SortednessAwareIndex, ConcurrentSortednessAwareIndex])
+    def test_inverted_range_is_a_no_op(self, cls):
+        """``lo > hi`` reads nothing: with a tail below the trigger it bills
+        no tail sort, and with one past it fires no query sort; it counts
+        nothing either, on either front-end."""
+        for n_keys in (4, 10):  # tails of 3 and of 9 against a trigger of 4
+            tree = BPlusTree(BPlusTreeConfig(leaf_capacity=16, internal_capacity=16))
+            index = cls(tree, config=SMALL, meter=Meter())
+            for key in range(n_keys, 0, -1):  # out of order: grows the tail
+                index.insert(key, key)
+            assert index.buffer.tail_size == n_keys - 1
+            charged = index.meter.snapshot()
+            stats = index.stats.snapshot()
+            sizes = index.buffer.component_sizes()
+            assert index.range_query(30, 10) == []
+            assert index.meter.snapshot() == charged
+            assert index.stats.snapshot() == stats
+            assert index.buffer.component_sizes() == sizes
+
     def test_describe_includes_lock_counters(self):
         index = make_index()
         index.insert(1, 1)

@@ -4,15 +4,18 @@ That reads agree with a dict model, whatever buffered rows, tombstones,
 flushes and query-sorts precede them, is the oracle's business
 (``tests/test_oracle.py``). This file pins how the read path gets there.
 (1) The buffer's columns demote to lists mid-epoch on keys beyond int64,
-and a range resolves versions without sorting or merging anything. (2) The
-node's own ``child_index`` / ``search_left`` / ``range_bounds`` /
-``live_items`` equal ``bisect`` over the live keys on every node shape, and
-``range_query``'s interior-leaf shortcut charges what bounding every leaf would.
-(3) Gating spans on ``obs.enabled`` changes nothing a caller or the meter
-can see, and a traced run still records the spans it always did. All in
-both key domains (``tests/key_domains.py``).
+a range resolves versions without sorting or merging any component, and
+the run-at-a-time merge of buffered versions with the tree rows agrees
+with a dict model. (2) The node's own ``child_index`` / ``search_left``
+equal ``bisect`` over the live keys on every node shape, and
+``range_query``'s one leaf-chain loop returns and charges what bisecting
+every leaf would, touching the same pages. (3) Gating spans on
+``obs.enabled`` changes nothing a caller or the meter can see, and a traced
+run still records the spans it always did. All in both key domains
+(``tests/key_domains.py``).
 """
 
+import random
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -25,6 +28,7 @@ from repro.core.buffer import SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.obs import NULL_OBS, Observability
+from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
 from tests.key_domains import key_domains
 
@@ -154,57 +158,73 @@ def test_node_search_matches_bisect(domain):
             assert node.child_index(probe) == bisect_right(keys, probe), (label, probe)
             assert node.child_for(probe) == f"c{bisect_right(keys, probe)}"
             assert leaf.has_key_at(leaf.search_left(probe), probe) == (probe in keys)
-        for lo in probes:
-            for hi in probes:
-                if lo <= hi:
-                    start, stop = leaf.range_bounds(lo, hi)
-                    assert (start, stop) == (
-                        bisect_left(keys, lo), bisect_right(keys, hi)
-                    ), (label, lo, hi)
-                    rows = list(leaf.live_items(start, stop))
-                    assert rows == [(k, f"v{k}") for k in keys if lo <= k <= hi]
-                    assert all(type(key) is int for key, _value in rows)
-        assert list(leaf.iter_live()) == [(k, f"v{k}") for k in keys]
+        rows = list(leaf.iter_live())
+        assert rows == [(k, f"v{k}") for k in keys]
+        assert all(type(key) is int for key, _value in rows)
+
+
+class RecordingPool(BufferPool):
+    """An unbounded pool that lists every ``(page_id, dirty)`` it is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.accessed = []
+
+    def access(self, page_id, dirty=False):
+        self.accessed.append((page_id, dirty))
+        return super().access(page_id, dirty)
 
 
 def _reference_scan(tree, lo, hi):
-    """``range_query`` with ``range_bounds`` on every leaf: (rows, entries charged)."""
-    leaf = tree._head_leaf
-    while leaf.next_leaf is not None and (not leaf.n or leaf.last_key() < lo):
-        leaf = leaf.next_leaf
-    rows, charged = [], 0
-    while leaf is not None:
-        if leaf.n:
-            if leaf.first_key() > hi:
+    """``range_query`` with ``bisect`` on every leaf: (rows, entries charged,
+    pages accessed — the descent to ``lo``, then each next leaf)."""
+    node, pages = tree._root, []
+    while not node.is_leaf:
+        pages.append(node.page_id)
+        node = node.children[bisect_right(node.ks, lo)]
+    leaf, rows, charged = node, [], 0
+    pages.append(leaf.page_id)
+    while True:
+        ks = leaf.ks
+        if ks:
+            if ks[0] > hi:
                 break
-            start, stop = leaf.range_bounds(lo, hi)
-            charged += max(stop - start, 0)
-            rows.extend(leaf.live_items(start, stop))
-            if stop < leaf.n:
+            start, stop = bisect_left(ks, lo), bisect_right(ks, hi)
+            charged += stop - start
+            rows.extend(zip(ks[start:stop], leaf.vs[start:stop]))
+            if stop < len(ks):
                 break
         leaf = leaf.next_leaf
-    return rows, charged
+        if leaf is None:
+            break
+        pages.append(leaf.page_id)
+    return rows, charged, pages
 
 
 @key_domains
 def test_scan_interior_leaf_shortcut_matches_range_bounds(domain):
-    """A leaf wholly inside [lo, hi] is emitted without searching it: same
-    rows and the same ``scan_entry`` charge as bounding every leaf, with lo /
-    hi on (and next to) every leaf's first and last key — full, gapped,
-    single-entry and emptied leaves, and keys beyond int64."""
+    """The one-loop scan, which bisects only the first leaf's start and the
+    last leaf's stop, returns the rows of bisecting every leaf and charges
+    the same ``scan_entry`` and ``node_access``; on a pooled tree it accesses
+    the same pages in the same order. lo / hi sit on (and next to) every
+    leaf's first and last key — full, gapped, single-entry and emptied
+    leaves, and keys beyond int64."""
     shift = domain.shift
-    meter = Meter()
-    tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4), meter=meter)
-    tree.bulk_load_append([(key + shift, key) for key in range(0, 64, 2)])  # full leaves
-    for key in (1, 3, 33):  # split some: gapped leaves
-        tree.insert(key + shift, key)
-    for key in (8, 10, 12, 16, 18, 20, 22):  # a single-entry leaf, an emptied one
-        tree.delete(key + shift)
-    for key in (INT64_MAX, 2**63, 2**70):
-        tree.insert(key + shift, "odd")
-    tree.check_invariants()
+    trees = []
+    for pool in (None, RecordingPool()):
+        config = BPlusTreeConfig(leaf_capacity=4, internal_capacity=4)
+        tree = BPlusTree(config, meter=Meter(), pool=pool)
+        tree.bulk_load_append([(key + shift, key) for key in range(0, 64, 2)])  # full leaves
+        for key in (1, 3, 33):  # split some: gapped leaves
+            tree.insert(key + shift, key)
+        for key in (8, 10, 12, 16, 18, 20, 22):  # a single-entry leaf, an emptied one
+            tree.delete(key + shift)
+        for key in (INT64_MAX, 2**63, 2**70):
+            tree.insert(key + shift, "odd")
+        tree.check_invariants()
+        trees.append(tree)
     leaves = []
-    leaf = tree._head_leaf
+    leaf = trees[0]._head_leaf
     while leaf is not None:
         leaves.append(leaf)
         leaf = leaf.next_leaf
@@ -212,14 +232,105 @@ def test_scan_interior_leaf_shortcut_matches_range_bounds(domain):
     assert {0, 1, 4} <= sizes
     edges = {edge for leaf in leaves if leaf.n for edge in (leaf.first_key(), leaf.last_key())}
     probes = sorted({edge + d for edge in edges for d in (-1, 0, 1)})
+    for tree in trees:
+        meter, pool = tree.meter, tree.pool
+        for lo in probes:
+            for hi in probes:
+                if lo > hi:
+                    continue
+                rows, charged, pages = _reference_scan(tree, lo, hi)
+                before = meter.snapshot()
+                if pool is not None:
+                    pool.accessed.clear()
+                assert tree.range_query(lo, hi) == rows, (lo, hi)
+                assert meter["scan_entry"] - before.get("scan_entry", 0) == charged, (lo, hi)
+                assert meter["node_access"] - before["node_access"] == len(pages), (lo, hi)
+                if pool is not None:
+                    assert pool.accessed == [(page, False) for page in pages], (lo, hi)
+
+
+#: (shape, tree keys, buffered keys, deleted keys): each buffered key is
+#: inserted (main section first, then out of order into the tail), then
+#: each deleted key becomes a buffered tombstone.
+MERGE_SHAPES = [
+    ("all-below", range(50, 90, 4), [1, 9, 5, 30, 17], []),
+    ("all-above", range(10, 50, 4), [60, 99, 70, 61, 80], []),
+    ("interleaved", range(10, 90, 4), [11, 40, 13, 87, 51, 9, 95], []),
+    ("equal-to-every-row", range(10, 40, 5), [10, 15, 20, 35, 25, 30], []),
+    ("tombstone-shadows-a-row", range(10, 90, 4), [5, 95, 40], [50, 14]),
+    ("tombstone-for-an-absent-key", range(10, 90, 4), [5, 95, 40], [51]),
+    ("no-tree-rows", [], [30, 10, 20, 15], [20]),
+]
+
+
+def _merge_index(domain, tree_keys):
+    tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
+    tree.bulk_load_append([(key + domain.shift, f"t{key}") for key in tree_keys])
+    config = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.5)
+    return domain.wrap(SortednessAwareIndex(tree, config=config))
+
+
+def _check_ranges(index, model, probes):
+    """Every range over ``probes`` against ``model``. A range over the
+    buffer's keys catches ``_tail_order`` up with the tail; the widest one
+    comes last, so the whole tail is sorted at the end."""
+    buffer = index.buffer
     for lo in probes:
-        for hi in probes:
-            if lo > hi:
-                continue
-            expected_rows, expected_charge = _reference_scan(tree, lo, hi)
-            before = meter["scan_entry"]
-            assert tree.range_query(lo, hi) == expected_rows, (lo, hi)
-            assert meter["scan_entry"] - before == expected_charge, (lo, hi)
+        for hi in reversed(probes):
+            if lo <= hi:
+                expected = sorted(item for item in model.items() if lo <= item[0] <= hi)
+                assert index.range_query(lo, hi) == expected, (lo, hi)
+                order = buffer._tail_order
+                assert order == sorted(buffer._tail_keys[: len(order)]), (lo, hi)
+    assert index.range_query(probes[0], probes[-1]) == sorted(model.items())
+    assert buffer._tail_order == sorted(buffer._tail_keys)
+
+
+@key_domains
+def test_range_merge_matches_a_dict_model(domain):
+    """A range interleaves buffered versions with the tree rows a run at a
+    time: buffered keys below, above, between and on the tree's rows, and
+    tombstones over present and absent keys. Then a seeded stream of appends
+    (duplicate tail keys: the newest version wins), deletes, query-sorts and
+    flushes, with ``_tail_order`` equal to the sorted tail after every range
+    and empty once the tail is reset."""
+    for shape, tree_keys, buffered, deleted in MERGE_SHAPES:
+        index = _merge_index(domain, tree_keys)
+        model = {key: f"t{key}" for key in tree_keys}
+        for key in buffered:
+            index.insert(key, f"b{key}")
+            model[key] = f"b{key}"
+        for key in deleted:
+            index.delete(key)
+            model.pop(key, None)
+        assert index.buffer.tail_size and len(index.buffer) == len(buffered) + len(deleted), shape
+        keys = set(tree_keys) | set(buffered) | set(deleted)
+        probes = sorted({key + d for key in keys for d in (-1, 0, 1)})
+        _check_ranges(index, model, probes)
+
+    index = _merge_index(domain, range(0, 60, 3))
+    model = {key: f"t{key}" for key in range(0, 60, 3)}
+    rng = random.Random(47)
+    probes = [-1, 0, 7, 20, 21, 33, 45, 59, 60]
+    for step in range(300):
+        key = rng.randrange(60)
+        roll = rng.random()
+        if roll < 0.7:
+            index.insert(key, step)
+            model[key] = step
+        elif roll < 0.85:
+            index.delete(key)
+            model.pop(key, None)
+        elif roll < 0.95:
+            index.buffer.query_sort()
+        else:
+            index.flush_all()
+        if step % 10 == 0:
+            _check_ranges(index, model, probes)
+            buffer = index.buffer
+            if buffer.tail_size:
+                buffer.query_sort()
+                assert buffer._tail_order == []
 
 
 # ----------------------------------------------------------------------
