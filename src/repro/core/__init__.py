@@ -4,7 +4,6 @@ from repro.core.advisor import Recommendation, recommend, recommend_for_sample
 from repro.core.buffer import HIT, MISS, TOMBSTONE, FlushBatch, SWAREBuffer
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
-from repro.core.locks import BlockingLockManager, RWLock
 from repro.core.factory import (
     BACKEND_NAMES,
     backend_factory,
@@ -24,8 +23,6 @@ __all__ = [
     "Recommendation",
     "recommend",
     "recommend_for_sample",
-    "BlockingLockManager",
-    "RWLock",
     "ConcurrentSortednessAwareIndex",
     "HIT",
     "MISS",

@@ -16,12 +16,11 @@ Bε-tree, LSM-tree, learned index and cracking index) with the SWARE-buffer:
   range, applied to the tree at flush time (§IV-D).
 
 Each write is one private step (``_insert``, ``_delete``, ``_put_many``)
-that owns its WAL append, its counters and its monitor feed; each read is
-the query-sort trigger (``_maybe_query_sort``) followed by a trigger-free
-body (``_get``, ``_get_many``, ``_range_query``, ``_items``). The batch
-verbs are the two a request reaches: ``put_many`` and ``get_many``.
-:class:`~repro.core.concurrent.ConcurrentSortednessAwareIndex` brackets
-these same steps with the §IV-D locks.
+that owns its WAL append, its counters and its monitor feed; each read
+fires the query-sort trigger (``_maybe_query_sort``) once, then reads. The
+batch verbs are the two a request reaches: ``put_many`` and ``get_many``.
+:class:`~repro.core.concurrent.ConcurrentSortednessAwareIndex` runs these
+public methods under one mutex.
 
 Values must not be ``None`` — the library reserves ``None`` for "absent".
 """
@@ -38,11 +37,6 @@ from repro.core.stats import SWAREStats
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
 from repro.storage.costmodel import Meter, NULL_METER
 from repro.storage.wal import WriteAheadLog
-
-#: Where :meth:`SortednessAwareIndex._route` sends a write: straight into the
-#: tree, into the buffer, or into the buffer with the flush that fills it.
-DIRECT, APPEND, FLUSH = "direct", "append", "flush"
-
 
 @runtime_checkable
 class TreeBackend(Protocol):
@@ -121,7 +115,7 @@ class SortednessAwareIndex:
 
     def _insert(self, key: int, value: object) -> None:
         """The put step: log, count, append and feed the monitor, then flush
-        if the append filled the buffer (:meth:`_route`'s ``FLUSH``)."""
+        if the append filled the buffer."""
         if self.wal is not None:
             self.wal.append_put(key, value)
         self.stats.inserts += 1
@@ -184,29 +178,21 @@ class SortednessAwareIndex:
         else:
             self._delete(key)
 
-    def _route(self, key: int, tombstone: bool, pending: int = 0) -> str:
-        """Where a write goes: ``DIRECT`` for a tombstone whose key the
-        buffer cannot hold (deleted from the tree now), else ``APPEND``, or
-        ``FLUSH`` when the append fills the buffer. ``pending`` counts appends
-        already admitted but not yet made."""
-        buffer = self.buffer
-        if tombstone and (buffer.is_empty or not buffer.zonemap.may_contain(key)):
-            return DIRECT
-        return FLUSH if len(buffer) + pending + 1 >= buffer.capacity else APPEND
-
     def _delete(self, key: int) -> None:
-        """The delete step: log and count, then a direct tree delete or a
-        buffered tombstone (flushing if it filled the buffer)."""
+        """The delete step: log and count, then a direct tree delete when the
+        buffer cannot hold the key, else a buffered tombstone (flushing if it
+        filled the buffer)."""
         if self.wal is not None:
             self.wal.append_delete(key)
         self.stats.deletes += 1
-        if self._route(key, tombstone=True) == DIRECT:
+        buffer = self.buffer
+        if buffer.is_empty or not buffer.zonemap.may_contain(key):
             with self.meter.bucket("top_insert"):
                 self.backend.delete(key)
             return
-        self.buffer.add(key, None, tombstone=True)
+        buffer.add(key, None, tombstone=True)
         self.stats.tombstones_buffered += 1
-        if self.buffer.is_full:
+        if buffer.is_full:
             self._flush_cycle()
 
     def flush_all(self) -> None:
@@ -334,9 +320,9 @@ class SortednessAwareIndex:
 
         This is the *only* place the trigger fires and the ``sware_ops``
         sort charge is metered. Every public read fires it once per call,
-        then runs its trigger-free body, so batch accounting matches a
-        sequential loop (the loop's per-op re-check is a constant False
-        after the first trigger empties the tail).
+        before it reads, so batch accounting matches a sequential loop (the
+        loop's per-op re-check is a constant False after the first trigger
+        empties the tail).
         """
         if self.buffer.should_query_sort():
             with self.meter.bucket("sware_ops"):
@@ -350,7 +336,7 @@ class SortednessAwareIndex:
         return self._get(key)
 
     def _get(self, key: int, _traced: bool = False) -> Optional[object]:
-        """:meth:`get` without the query-sort trigger. Meter buckets are
+        """:meth:`get`'s body, after the query-sort trigger. Meter buckets are
         entered only when a meter is attached: an unmetered lookup pays for
         Fig. 6's checks and the tree descent, nothing else. With tracing on,
         the body runs once inside the ``sware.get`` span (``_traced``)."""
@@ -417,10 +403,6 @@ class SortednessAwareIndex:
             # mutate the buffer and charge sware_ops with no reads at all.
             return []
         self._maybe_query_sort()
-        return self._get_many(keys)
-
-    def _get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        """:meth:`get_many` without the query-sort trigger."""
         n = len(keys)
         self.stats.lookups += n
         with self.obs.span("sware.get_many", n=n):
@@ -484,10 +466,6 @@ class SortednessAwareIndex:
             # tail sort.
             return []
         self._maybe_query_sort()
-        return self._range_query(lo, hi)
-
-    def _range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
-        """:meth:`range_query` without the query-sort trigger."""
         self.stats.range_queries += 1
         obs = self.obs
         if obs.enabled:
@@ -542,11 +520,6 @@ class SortednessAwareIndex:
         widens the scan — it can never clip a live key. Pinned by the
         ``items-*`` programs of ``tests/test_oracle.py``.
         """
-        self._maybe_query_sort()
-        return self._items()
-
-    def _items(self) -> List[Tuple[int, object]]:
-        """:meth:`items` without the query-sort trigger."""
         lows = [v for v in (self.buffer.zonemap.min_key, self.backend.min_key) if v is not None]
         highs = [v for v in (self.buffer.zonemap.max_key, self.backend.max_key) if v is not None]
         if not lows or not highs:
@@ -555,7 +528,7 @@ class SortednessAwareIndex:
             # guarded explicitly so a half-set source fails closed instead
             # of raising on max([]).
             return []
-        return self._range_query(min(lows), max(highs))
+        return self.range_query(min(lows), max(highs))
 
     def describe(self) -> dict:
         """A structured status snapshot for reports and examples."""

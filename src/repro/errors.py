@@ -55,16 +55,6 @@ class CheckpointUnsupportedError(ReproError, TypeError):
     """
 
 
-class LockTimeout(ReproError, TimeoutError):
-    """A blocking lock acquisition exceeded its timeout.
-
-    The blocking lock manager surfaces potential deadlocks (e.g. two readers
-    both waiting to upgrade to exclusive) as timeouts instead of hanging;
-    callers either propagate the error or fall back to releasing and
-    re-acquiring in a stronger mode.
-    """
-
-
 class PagePinnedError(ReproError, RuntimeError):
     """A bufferpool frame could not be evicted because it is pinned."""
 

@@ -12,8 +12,8 @@ component shares:
 
 An optional surface rides along when asked for: ``monitors``, a
 :class:`~repro.obs.monitors.MonitorHub` of streaming estimators (windowed
-sortedness drift, buffer saturation, Bloom FPR, lock contention, fsync
-latency) that the health rules (``repro observe --doctor``) evaluate.
+sortedness drift, buffer saturation, Bloom FPR, fsync latency) that the
+health rules (``repro observe --doctor``) evaluate.
 
 Every view reads one shape, :meth:`Observability.snapshot`'s ``{metrics,
 monitors, trace}`` dict of builtin types: ``repro observe`` builds it in

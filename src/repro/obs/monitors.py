@@ -53,12 +53,10 @@ BULK_FRACTION_FLOOR = 0.60  #: bulk-load share below this = undersized buffer
 SORTED_FLUSH_CEILING = 0.90  #: sorted-flush share above this = sort-bound
 BF_FPR_FLOOR = 0.02  #: observed FPR below this never fires
 BF_FPR_FACTOR = 5.0  #: observed FPR must exceed factor x theoretical
-LOCK_WAIT_RATIO = 0.25  #: waits / acquisitions ratio that flags contention
 FSYNC_P99_NS = 10_000_000.0  #: 10 ms p99 fsync latency threshold
 MIN_FLUSHES = 5  #: flush-rule confidence floor
 MIN_WINDOWS = 4  #: drift-rule confidence floor
 MIN_BF_DECISIONS = 200  #: FPR-rule confidence floor (negatives + FPs)
-MIN_LOCK_ACQUIRES = 100  #: contention-rule confidence floor
 MIN_FSYNCS = 20  #: fsync-rule confidence floor
 
 SEVERITIES = ("info", "warning", "critical")
@@ -205,9 +203,8 @@ class BloomMonitor:
 class MonitorHub:
     """The monitor bundle an :class:`~repro.obs.Observability` carries.
 
-    Components feed it through four entry points (key stream, flush cycle,
-    WAL fsync, lock-manager attachment); everything else is derived at
-    snapshot/evaluate time.
+    Components feed it through three entry points (key stream, flush cycle,
+    WAL fsync); everything else is derived at snapshot/evaluate time.
     """
 
     def __init__(self, window: int = DEFAULT_WINDOW):
@@ -216,7 +213,6 @@ class MonitorHub:
         self.bloom = BloomMonitor()
         self.fsync_count = 0
         self.fsync_total_ns = 0.0
-        self._locks = None  # attached BlockingLockManager, if any
 
     # -- feeds -------------------------------------------------------------
     def observe_insert(self, key: int, buffer=None) -> None:
@@ -249,22 +245,15 @@ class MonitorHub:
         self.fsync_count += 1
         self.fsync_total_ns += duration_ns
 
-    def attach_locks(self, manager) -> None:
-        """Remember the lock manager so snapshots include contention."""
-        self._locks = manager
-
     # -- reading -----------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """The ``monitors`` section of an observability snapshot."""
-        out: Dict[str, object] = {
+        return {
             "sortedness": self.sortedness.snapshot(),
             "saturation": self.saturation.snapshot(),
             "bloom": self.bloom.snapshot(),
             "fsync": {"count": self.fsync_count, "total_ns": self.fsync_total_ns},
         }
-        if self._locks is not None:
-            out["locks"] = self._locks.snapshot()
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +274,8 @@ def build_signals(
 
     A sharded index exports its shards' summed ``SWAREStats`` under the
     same ``sware_*`` gauge names an in-process index uses, so a served
-    snapshot reads like an in-process one. Gauges written by the
-    ``sware``/``locks`` collectors are the fallback for runs that had
-    metrics but no monitor hub.
+    snapshot reads like an in-process one. Gauges written by the ``sware``
+    collector are the fallback for runs that had metrics but no monitor hub.
     """
     gauges: Dict[str, float] = dict((metrics or {}).get("gauges", {}) or {})
     histograms: Dict[str, Dict] = dict((metrics or {}).get("histograms", {}) or {})
@@ -301,7 +289,6 @@ def build_signals(
     sortedness = monitors.get("sortedness") or {}
     saturation = monitors.get("saturation") or {}
     bloom = monitors.get("bloom") or {}
-    locks = monitors.get("locks") or {}
     fsync_hist = histograms.get("wal_fsync_ns") or {}
 
     signals: Dict[str, object] = {
@@ -315,9 +302,6 @@ def build_signals(
         "bf_false_positives": gauge("sware_global_bf_false_positives"),
         "bf_negatives": gauge("sware_global_bf_negatives"),
         "expected_fpr_mean": float(bloom.get("mean_expected_fpr", 0.0)),
-        "lock_acquires": float(locks.get("acquires", gauge("locks_acquires"))),
-        "lock_waits": float(locks.get("waits", gauge("locks_waits"))),
-        "lock_timeouts": float(locks.get("timeouts", gauge("locks_timeouts"))),
         "fsync_count": float(fsync_hist.get("count", 0.0)),
         "fsync_p99_ns": float(fsync_hist.get("p99", 0.0)),
         "trace_dropped": float((trace or {}).get("dropped", 0.0)),
@@ -423,48 +407,7 @@ def evaluate_signals(signals: Dict[str, object]) -> List[HealthFinding]:
                 )
             )
 
-    # Rule 4: lock contention — too many acquisitions had to wait.
-    acquires = float(signals.get("lock_acquires") or 0.0)
-    waits = float(signals.get("lock_waits") or 0.0)
-    if acquires >= MIN_LOCK_ACQUIRES:
-        ratio = waits / acquires
-        if ratio > LOCK_WAIT_RATIO:
-            findings.append(
-                HealthFinding(
-                    severity="warning",
-                    code="lock_contention",
-                    message=(
-                        f"{ratio:.1%} of lock acquisitions waited "
-                        f"({waits:.0f}/{acquires:.0f}) — the buffer-wide lock is "
-                        "contended"
-                    ),
-                    remediation=(
-                        "grow buffer_capacity to cut flush frequency (flushes "
-                        "hold the buffer-wide X lock across the cycle), batch "
-                        "writers through put_many, or reduce writer threads"
-                    ),
-                    value=ratio,
-                    threshold=LOCK_WAIT_RATIO,
-                )
-            )
-    timeouts = float(signals.get("lock_timeouts") or 0.0)
-    if timeouts > 0:
-        findings.append(
-            HealthFinding(
-                severity="critical",
-                code="lock_timeouts",
-                message=f"{timeouts:.0f} lock acquisitions timed out",
-                remediation=(
-                    "raise lock_timeout on ConcurrentSortednessAwareIndex or "
-                    "eliminate the flush convoy (larger buffer_capacity, fewer "
-                    "concurrent writers)"
-                ),
-                value=timeouts,
-                threshold=0.0,
-            )
-        )
-
-    # Rule 5: slow WAL fsync tail.
+    # Rule 4: slow WAL fsync tail.
     fsync_count = float(signals.get("fsync_count") or 0.0)
     fsync_p99 = float(signals.get("fsync_p99_ns") or 0.0)
     if fsync_count >= MIN_FSYNCS and fsync_p99 > FSYNC_P99_NS:
@@ -486,7 +429,7 @@ def evaluate_signals(signals: Dict[str, object]) -> List[HealthFinding]:
             )
         )
 
-    # Rule 6 (informational): the trace window is truncated.
+    # Rule 5 (informational): the trace window is truncated.
     dropped = float(signals.get("trace_dropped") or 0.0)
     if dropped > 0:
         findings.append(

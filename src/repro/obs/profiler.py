@@ -44,7 +44,6 @@ LAYER_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.core.zonemap", "zonemap"),
     ("repro.core.sware", "sware"),
     ("repro.core.concurrent", "concurrency"),
-    ("repro.core.locks", "concurrency"),
     ("repro.filters", "bloom"),
     ("repro.btree", "btree"),
     ("repro.betree", "betree"),

@@ -2,7 +2,7 @@
 
 Renders one frame of everything the streaming monitors know — windowed
 (K,L) drift, buffer saturation, flush routing, Bloom FPR, WAL fsync
-latency, lock contention, trace-ring accounting — plus the current health
+latency, trace-ring accounting — plus the current health
 verdict from the doctor's rules. :func:`live_loop` renders a frame per
 poll: one in-process snapshot while a scenario runs on a worker thread, or
 one STATS round trip to a running server. Each frame reads only the
@@ -91,14 +91,6 @@ def format_dashboard(snap: Dict[str, object], title: str = "repro observe --top"
     lines.append(
         f"wal fsync    {signals['fsync_count']:.0f} syncs, "
         f"p99 {signals['fsync_p99_ns'] / 1e6:.2f} ms"
-    )
-
-    acquires = signals["lock_acquires"]
-    waits = signals["lock_waits"]
-    lines.append(
-        f"locks        {acquires:.0f} acquires, {waits:.0f} waited "
-        f"({waits / acquires if acquires else 0.0:.1%}), "
-        f"{signals['lock_timeouts']:.0f} timeouts"
     )
 
     recorded = trace.get("recorded", 0)

@@ -18,8 +18,8 @@ Since obs v2, every recorded row also carries *causal identity*:
   a fresh trace; everything nested under it inherits the id;
 * ``tid`` — a small per-tracer thread number (``threading.get_ident``
   values are large and unstable; a dense mapping renders better in trace
-  viewers), recorded so the concurrent front-end's interleavings are
-  visible per thread.
+  viewers), recorded so each thread of a multi-threaded run (the callers
+  of the thread-safe front-end, say) renders as its own row.
 
 Nesting state is thread-local: two threads flushing concurrently build two
 independent, correctly-parented trees. The ring buffer itself is shared and

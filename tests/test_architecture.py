@@ -75,9 +75,18 @@ def defines(node_id):
 
 
 def test_one_write_path():
-    # The concurrent front-end only brackets SortednessAwareIndex's own steps.
+    # The concurrent front-end only runs SortednessAwareIndex's public methods.
     pattern = r"wal\.|stats\.|observe_insert|query_sorting_threshold|\.query_sort\("
     assert hits(pattern, "src/repro/core/concurrent.py") == []
+    assert hits(r"inner\._", "src/repro/core/concurrent.py") == []
+
+
+def test_one_lock():
+    # The thread-safe front-end is one mutex: no lock manager, page locks,
+    # lock timeouts or schedule explorer.
+    gone = ("src/repro/core/locks.py", "src/repro/core/schedules.py")
+    assert [path for path in gone if (ROOT / path).exists()] == []
+    assert hits(r'RWLock|BlockingLockManager|LockTimeout|"page:', "src") == []
 
 
 def test_one_record_codec():

@@ -3,38 +3,52 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
 
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
-from repro.core.concurrent import BUFFER, ConcurrentSortednessAwareIndex
+from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
-from repro.core.locks import EXCLUSIVE, SHARED
-from repro.core.schedules import ScheduleExplorer
 from repro.core.sware import SortednessAwareIndex
-from repro.errors import LockTimeout
 from repro.obs import Observability
 from repro.storage.costmodel import Meter
 from repro.storage.wal import WriteAheadLog, replay_wal
-from tests.test_concurrency import TWO_READERS_OVER_A_TAIL
 
 SMALL = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
 
 
-def make_index(config=SMALL, **kwargs):
-    return ConcurrentSortednessAwareIndex(
+def make_index(config=SMALL, cls=ConcurrentSortednessAwareIndex, **kwargs):
+    return cls(
         BPlusTree(BPlusTreeConfig(leaf_capacity=16, internal_capacity=16)),
         config=config,
         **kwargs,
     )
 
 
+def run_threads(threads, timeout=60.0):
+    """Start ``threads`` under a short switch interval (a preemption point
+    every few bytecodes, so an unguarded step would interleave), then join
+    each with a timeout and check that it finished."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 class TestSingleThreaded:
 
     def test_matches_plain_index(self, tmp_path):
         """Same mixed op stream -> the same reads, stats, simulated cost,
-        WAL and sortedness and saturation monitors as the unwrapped index."""
+        WAL bytes and sortedness and saturation monitors as the unwrapped
+        index."""
         rng = random.Random(3)
         ops = []
         for _ in range(800):
@@ -55,25 +69,22 @@ class TestSingleThreaded:
         def run(index, name):
             reads = [getattr(index, op[0])(*op[1:]) for op in ops]
             monitors = index.obs.monitors.snapshot()
-            monitors.pop("locks", None)
             index.flush_all()
             reads.append(index.items())
             index.wal.close()
             ops_logged = replay_wal(str(tmp_path / name)).ops
-            return reads, index.stats.snapshot(), index.meter.snapshot(), ops_logged, monitors
+            logged = (tmp_path / name).read_bytes()
+            stats, meter = index.stats.snapshot(), index.meter.snapshot()
+            return reads, stats, meter, ops_logged, logged, monitors
 
         def parts(name):
             wal = WriteAheadLog(str(tmp_path / name), fsync_policy="never")
             return {"meter": Meter(), "obs": Observability(monitors=True), "wal": wal}
 
-        plain = SortednessAwareIndex(
-            BPlusTree(BPlusTreeConfig(leaf_capacity=16, internal_capacity=16)),
-            config=SMALL,
-            **parts("plain.wal"),
-        )
+        plain = make_index(cls=SortednessAwareIndex, **parts("plain.wal"))
         conc = make_index(**parts("conc.wal"))
         expected, actual = run(plain, "plain.wal"), run(conc, "conc.wal")
-        names = ("reads", "stats", "meter", "wal ops", "monitors")
+        names = ("reads", "stats", "meter", "wal ops", "wal bytes", "monitors")
         for name, want, got in zip(names, expected, actual):
             assert got == want, name
         assert expected[2]["sort_comparison"] > 0 and expected[3]
@@ -87,6 +98,23 @@ class TestSingleThreaded:
         assert index.get(42) == 42
         assert len(index.items()) == 100
 
+    def test_put_many_logs_one_frame(self, tmp_path):
+        """A batch bigger than the buffer is one WAL frame, as on the plain
+        index: a crash mid-batch keeps all of it or none."""
+
+        def logged(cls):
+            path = tmp_path / f"{cls.__name__}.wal"
+            index = make_index(cls=cls, wal=WriteAheadLog(str(path), fsync_policy="never"))
+            index.insert(0, 0)
+            index.put_many([(key, key) for key in range(1, 101)])
+            assert index.stats.flushes >= 6
+            index.wal.close()
+            return path.read_bytes()
+
+        plain = logged(SortednessAwareIndex)
+        assert logged(ConcurrentSortednessAwareIndex) == plain
+        assert len(replay_wal(str(tmp_path / "SortednessAwareIndex.wal")).ops) == 101
+
     def test_none_value_rejected(self):
         index = make_index()
         with pytest.raises(ValueError):
@@ -95,6 +123,7 @@ class TestSingleThreaded:
             index.put_many([(1, None)])
 
     def test_no_locks_leak_after_ops(self):
+        """Every call releases the mutex, a refused one too."""
         index = make_index()
         for key in range(40):
             index.insert(key, key)
@@ -102,26 +131,10 @@ class TestSingleThreaded:
         index.range_query(0, 20)
         index.delete(5)
         index.flush_all()
-        assert index.locks.mode(BUFFER) is None
-        for page in range(index.config.n_pages):
-            assert index.locks.mode(f"page:{page}") is None
-
-    def test_query_sort_owned_by_front_end(self):
-        """The read bodies the front-end runs under buffer S never sort the
-        tail; a read that finds the tail past the trigger upgrades to X and
-        query-sorts before its body runs."""
-        index = make_index()
-        for key in range(10, 0, -1):  # out of order: grows the tail
-            index.insert(key, key)
-        tail = index.buffer.tail_size
-        assert tail >= 4  # the trigger: 0.25 * 16
-        inner = index.inner
-        inner._get(5), inner._get_many([5]), inner._range_query(0, 9), inner._items()
-        assert (index.buffer.tail_size, index.stats.query_sorts) == (tail, 0)
-        assert index.get(5) == 5
-        assert index.buffer.tail_size == 0
-        assert index.stats.query_sorts == 1
-        assert index.locks.snapshot()["upgrades"] == 1
+        assert not index._mutex.locked()
+        with pytest.raises(ValueError):
+            index.put_many([(1, 1), (2, None)])
+        assert not index._mutex.locked()
 
     @pytest.mark.parametrize("cls", [SortednessAwareIndex, ConcurrentSortednessAwareIndex])
     def test_empty_get_many_is_a_no_op(self, cls):
@@ -157,52 +170,6 @@ class TestSingleThreaded:
             assert index.stats.snapshot() == stats
             assert index.buffer.component_sizes() == sizes
 
-    def test_describe_includes_lock_counters(self):
-        index = make_index()
-        index.insert(1, 1)
-        doc = index.describe()
-        assert "locks" in doc
-        assert doc["locks"]["acquires"] > 0
-        assert "upgrade_fallbacks" in doc["locks"]
-
-
-class TestLockDiscipline:
-    def test_reader_blocks_writer_and_surfaces_timeout(self):
-        index = make_index(lock_timeout=0.05)
-        index.insert(1, 1)
-        index.locks.acquire("intruder", BUFFER, SHARED)
-        try:
-            with pytest.raises(LockTimeout):
-                index.insert(2, 2)  # instantaneous X check cannot be granted
-        finally:
-            index.locks.release("intruder", BUFFER)
-        index.insert(2, 2)  # recovers once the reader left
-        assert index.get(2) == 2
-
-    def test_writer_blocks_reader(self):
-        index = make_index(lock_timeout=0.05, upgrade_timeout=0.01)
-        index.insert(1, 1)
-        index.locks.acquire("intruder", BUFFER, EXCLUSIVE)
-        try:
-            with pytest.raises(LockTimeout):
-                index.get(1)
-        finally:
-            index.locks.release("intruder", BUFFER)
-        assert index.get(1) == 1
-        assert index.locks.mode(BUFFER) is None  # nothing leaked
-
-    def test_upgrade_fallback_when_other_reader_present(self):
-        """Two readers upgrading wait for each other; the explorer times one
-        upgrade out and that reader falls back to release + exclusive
-        re-acquire, with every read still equal to the oracle."""
-        fallbacks = 0
-        for seed in range(40):
-            explorer = ScheduleExplorer(seed, programs=TWO_READERS_OVER_A_TAIL, config=SMALL)
-            stats = explorer.run()
-            assert explorer.locks.snapshot()["timeouts"] == stats.upgrade_fallbacks
-            fallbacks += stats.upgrade_fallbacks
-        assert fallbacks > 0
-
 
 class TestMultiThreaded:
     def test_stress_mixed_ops(self):
@@ -234,17 +201,11 @@ class TestMultiThreaded:
                 failures.append(repr(exc))
 
         threads = [threading.Thread(target=work, args=(tid,)) for tid in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        run_threads(threads)
         assert failures == []
         index.flush_all()
         index.check_invariants()
-        assert index.locks.mode(BUFFER) is None
-        # A lock wait may time out only where an upgrade was attempted.
-        snap = index.locks.snapshot()
-        assert snap["timeouts"] <= snap["upgrades"] + index.upgrade_fallbacks
+        assert not index._mutex.locked()
         # Every surviving value was written by one of the four workers.
         for key, value in index.items():
             assert value // 10 == key
@@ -277,18 +238,15 @@ class TestMultiThreaded:
 
         threads = [threading.Thread(target=writer, args=(tid,)) for tid in range(3)]
         threads.append(threading.Thread(target=reader))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        run_threads(threads)
         assert failures == []
         index.flush_all()
         index.check_invariants()
         assert len(index.items()) == 3000
 
     def test_flush_exactness_no_append_overfill(self):
-        """Concurrent single-key writers must never overfill the buffer
-        (the reservation counter keeps flush predictions exact)."""
+        """Concurrent single-key writers must never overfill the buffer:
+        each append and the flush it triggers are one atomic call."""
         index = make_index(
             config=SWAREConfig(buffer_capacity=16, page_size=4)
         )
@@ -302,10 +260,7 @@ class TestMultiThreaded:
                 failures.append(repr(exc))
 
         threads = [threading.Thread(target=work, args=(tid,)) for tid in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        run_threads(threads)
         assert failures == []
         index.check_invariants()  # would raise had the buffer overfilled
         index.flush_all()

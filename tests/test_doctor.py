@@ -167,7 +167,7 @@ class TestDashboard:
         text = format_dashboard(drift_obs.snapshot(), title="unit top")
         assert text.startswith("unit top\n========")
         for label in ("sortedness", "buffer", "flushes", "bloom",
-                      "wal fsync", "locks", "trace", "health"):
+                      "wal fsync", "trace", "health"):
             assert label in text
         assert "CRITICAL" in text and "sortedness_collapse" in text
 

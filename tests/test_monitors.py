@@ -12,10 +12,8 @@ from repro.obs.monitors import (
     BULK_FRACTION_FLOOR,
     DEFAULT_WINDOW,
     FSYNC_P99_NS,
-    LOCK_WAIT_RATIO,
     MIN_BF_DECISIONS,
     MIN_FLUSHES,
-    MIN_LOCK_ACQUIRES,
     MAX_WINDOWS,
     MIN_WINDOWS,
     SORTEDNESS_COLLAPSE_DELTA,
@@ -142,17 +140,6 @@ class TestMonitorHub:
         assert snap["bloom"]["mean_expected_fpr"] == pytest.approx(0.01)
         assert snap["fsync"] == {"count": 1, "total_ns": 5_000.0}
 
-    def test_locks_section_only_when_attached(self):
-        hub = MonitorHub()
-        assert "locks" not in hub.snapshot()
-
-        class FakeLocks:
-            def snapshot(self):
-                return {"acquires": 10, "waits": 2, "timeouts": 0}
-
-        hub.attach_locks(FakeLocks())
-        assert hub.snapshot()["locks"]["acquires"] == 10
-
     def test_observability_opt_in(self):
         assert Observability().monitors is None
         assert isinstance(Observability(monitors=True).monitors, MonitorHub)
@@ -207,7 +194,6 @@ class TestBuildSignals:
             "sortedness": {"windows": _windows([0.1, 0.1, 0.5, 0.5])},
             "saturation": {"mean_fill": 0.8},
             "bloom": {"mean_expected_fpr": 0.004},
-            "locks": {"acquires": 50, "waits": 5, "timeouts": 0},
         }
         trace = {"recorded": 100, "dropped": 7, "truncated": True}
         signals = build_signals(metrics, monitors, trace)
@@ -216,7 +202,6 @@ class TestBuildSignals:
         assert signals["bulk_loaded_entries"] == 300.0
         assert signals["bf_false_positives"] == 5.0
         assert signals["expected_fpr_mean"] == pytest.approx(0.004)
-        assert signals["lock_acquires"] == 50.0
         assert signals["fsync_count"] == 30.0
         assert signals["fsync_p99_ns"] == 2_000_000.0
         assert signals["trace_dropped"] == 7.0
@@ -227,12 +212,6 @@ class TestBuildSignals:
         assert signals["windows"] == []
         assert signals["flushes"] == 0.0
         assert evaluate_signals(signals) == []
-
-    def test_lock_gauges_fall_back_when_no_monitor_section(self):
-        metrics = {"gauges": {"locks_acquires": 8.0, "locks_waits": 1.0}}
-        signals = build_signals(metrics)
-        assert signals["lock_acquires"] == 8.0
-        assert signals["lock_waits"] == 1.0
 
 
 class TestRules:
@@ -315,31 +294,6 @@ class TestRules:
         signals = self._bloom_signals(fps=10, negatives=990, expected=0.01)
         assert evaluate_signals(signals) == []
 
-    def test_lock_contention_fires(self):
-        signals = build_signals(
-            None, {"locks": {"acquires": 200, "waits": 100, "timeouts": 0}}
-        )
-        (finding,) = evaluate_signals(signals)
-        assert finding.code == "lock_contention"
-        assert finding.value == pytest.approx(0.5)
-        assert finding.threshold == LOCK_WAIT_RATIO
-
-    def test_lock_contention_needs_min_acquires(self):
-        signals = build_signals(
-            None,
-            {"locks": {"acquires": MIN_LOCK_ACQUIRES - 1,
-                       "waits": MIN_LOCK_ACQUIRES - 1, "timeouts": 0}},
-        )
-        assert evaluate_signals(signals) == []
-
-    def test_lock_timeouts_are_critical(self):
-        signals = build_signals(
-            None, {"locks": {"acquires": 10, "waits": 0, "timeouts": 2}}
-        )
-        (finding,) = evaluate_signals(signals)
-        assert finding.code == "lock_timeouts"
-        assert finding.severity == "critical"
-
     def test_wal_fsync_slow_fires(self):
         signals = build_signals(
             {"histograms": {"wal_fsync_ns": {"count": 30, "p99": 2 * FSYNC_P99_NS}}}
@@ -363,7 +317,7 @@ class TestRules:
                     "sware_top_inserted_entries": 90.0,
                 }
             },
-            {"locks": {"acquires": 10, "waits": 0, "timeouts": 1}},
+            {"sortedness": {"windows": _windows([0.1, 0.1, 0.6, 0.6])}},
             {"recorded": 10, "dropped": 5},
         )
         findings = evaluate_signals(signals)

@@ -172,7 +172,7 @@ class TestComponentCausality:
             thread.start()
         for thread in threads:
             thread.join()
-        writes = [e for e in obs.tracer.events() if e.name == "concurrent.write"]
+        writes = [e for e in obs.tracer.events() if e.name == "sware.put"]
         assert len(writes) == 100
         assert len({e.tid for e in writes}) == 2
 
