@@ -1,7 +1,7 @@
 """The SWARE meta-design: buffer, wrapper, configuration, statistics."""
 
 from repro.core.advisor import Recommendation, recommend, recommend_for_sample
-from repro.core.buffer import HIT, MISS, TOMBSTONE, FlushBatch, SWAREBuffer
+from repro.core.buffer import HIT, MISS, TOMBSTONE, FlushBatch, MeteredSWAREBuffer, SWAREBuffer
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.factory import (
@@ -28,6 +28,7 @@ __all__ = [
     "MISS",
     "TOMBSTONE",
     "FlushBatch",
+    "MeteredSWAREBuffer",
     "SWAREBuffer",
     "SWAREConfig",
     "SWAREStats",

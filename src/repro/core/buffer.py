@@ -9,41 +9,45 @@ Layout (logical; see Fig. 8 of the paper)::
     [ main sorted section | query-sorted blocks ... | unsorted tail ]
       ^previous_boundary                              ^most recent data
 
+:class:`SWAREBuffer` is what runs: it bills nothing and holds none of the
+paper's cost-model state. :class:`MeteredSWAREBuffer`, which
+``SortednessAwareIndex`` builds exactly when it has a meter, runs the same
+buffer and also the paper's mechanisms, to bill them, checking that each
+reaches the executed answer.
+
 * The **main sorted section** holds the entries retained (and re-sorted) by
-  the previous flush; while the buffer has no blocks and no tail, in-order
-  appends extend it directly (the paper's ``previous_boundary`` "may only
-  move rightward as long as entries are inserted in fully sorted order").
-* The first out-of-order insert starts the **unsorted tail**; every later
-  insert lands there. A tail probe is answered from ``_slot_of`` (key to
-  newest slot), which catches up with the appends at probe time. The
-  paper's tail index — a global Bloom filter, per-page Bloom filters and
-  per-page Zonemaps — is cost-model state: only under a meter does a probe
-  walk it (§IV-A), and it is built lazily *by level* then: the first
-  metered probe after an append brings the page Zonemaps and the global
-  filter up to date, and a page filter catches up when a probe consults
-  that page.
-* When the tail grows past the query-sorting threshold, the next read query
-  freezes it into a **query-sorted block** (§IV-C, inspired by cracking /
-  adaptive merging).
+  the previous flush; while there is no tail, in-order appends extend it
+  (the paper's ``previous_boundary`` "may only move rightward as long as
+  entries are inserted in fully sorted order").
+* The first out-of-order insert starts the **tail**; every later insert
+  lands there. A probe answers from ``_slot_of`` (key to newest tail slot),
+  a range from ``_tail_order`` (the tail's keys, sorted); both cover the
+  whole tail and catch up when read.
+* When the open tail segment reaches the query-sorting threshold, the next
+  read closes it as a **query-sorted block** (§IV-C). A hash lookup needs no
+  sorted copy, so a block is a boundary (``_block_ends``) and the query sort
+  moves nothing; the metered buffer sorts a block's keys only to bill
+  searching it.
+* The paper's tail index (a global Bloom filter, per-page Bloom filters and
+  Zonemaps over the open segment) and its (K,L) estimate belong to the
+  metered buffer, which builds the filters lazily *by level*: a probe after
+  an append brings the page Zonemaps and the global filter up to date, and
+  a page filter catches up when a probe consults its page.
 
 ``last_sorted_zone`` — the page-aligned prefix of the main section that does
 not overlap any later buffer entry — is derived from a running minimum of
 everything after the main section (the paper maintains it with the page
 Zonemaps; a running min is the same quantity at lower constant cost).
 
-Storage is **columnar** — no per-entry objects. The tail is two append-only
-lists (keys, values; slot ``i``'s ``seq`` follows from the arrival counter);
-a sorted component is a :class:`Run` of parallel columns: keys as Python
-ints for the scalar searches, the same keys and the ``seq`` numbers as kernel
-columns (int64 arrays, or lists once a key outside int64 demotes them), and
-a value list in which a tombstone
-is the marker :class:`DELETED`. Components are sorted and merged oldest
-first, so a stable sort by key alone orders by ``(key, seq)`` and the
-rightmost duplicate is the newest. A range query sorts no component and
-merges none: the meter bills §IV-C's tail sort and merge, and an overlay
-of the components, oldest first, resolves the newest version per key. Only
-the tail's key column is kept sorted for it (``_tail_order``): extended
-with the appends since the last range and re-sorted, never rebuilt.
+Storage is **columnar**. The tail is two append-only lists (keys, values;
+slot ``i``'s ``seq`` follows from the arrival counter); a sorted component
+is a :class:`Run` of parallel columns: keys as Python ints for the scalar
+searches, the same keys and the ``seq`` numbers as kernel columns (int64
+arrays, or lists once a key outside int64 demotes them), and values, in
+which a tombstone is :class:`DELETED`. A flush sorts the whole tail once,
+stably by key — the tail is newer than main, so that is ``(key, seq)``
+order, the merge of the paper's blocks — and the rightmost duplicate is the
+newest.
 """
 
 from __future__ import annotations
@@ -125,7 +129,9 @@ class FlushBatch:
     run: Run  #: ``col`` / ``vals`` are what the wrapper routes
     tombstones: int
     sorted_without_effort: bool  #: True when no sort was needed (cases 1-3)
-    sort_algorithm: Optional[str] = None  #: "kl" / "stable" when a sort ran
+    #: The tail sort: the one billed ("kl" / "stable") under a meter, else
+    #: "stable" when one ran.
+    sort_algorithm: Optional[str] = None
     retained: int = 0
 
     @property
@@ -134,62 +140,44 @@ class FlushBatch:
 
 
 class SWAREBuffer:
-    """See module docstring."""
+    """The executed buffer; see module docstring. It takes no meter."""
 
     def __init__(
         self,
         config: Optional[SWAREConfig] = None,
-        meter: Optional[Meter] = None,
         stats: Optional[SWAREStats] = None,
         obs: Optional[Observability] = None,
     ):
         self.config = config or SWAREConfig()
-        self.meter = meter if meter is not None else NULL_METER
         self.stats = stats if stats is not None else SWAREStats()
         self.obs = obs if obs is not None else current_obs()
-        cfg = self.config
         self._main = _empty_run()
         #: In-order appends are consecutive arrivals — main slot ``i`` gets
         #: seq ``i + shift`` — so they extend ``keys`` / ``vals`` only, and
         #: ``seqs`` / ``col`` catch up in :meth:`_main_run`.
         self._main_seq_shift = 1
-        self._blocks: List[Run] = []
         self._tail_keys: List[int] = []
         self._tail_vals: list = []
+        #: Query-sorted block ``i`` is tail slots ``[_block_ends[i - 1],
+        #: _block_ends[i])``; the open segment starts at ``_open``, the last
+        #: end (0 without blocks).
+        self._block_ends: List[int] = []
+        self._open = 0
         #: Newest tail slot per key, what answers a tail probe; it covers
-        #: ``_tail_keys[:_slotted]`` and catches up at the next probe.
+        #: ``_tail_keys[:_slotted]`` and catches up at the next read.
         self._slot_of: dict = {}
         self._slotted = 0
         #: The tail's keys in sorted order, what answers a range: it covers
         #: ``_tail_keys[:len(_tail_order)]`` and catches up at the next range.
         self._tail_order: List[int] = []
-        #: Tail length the §IV-C sort was last billed at: the paper's flag,
-        #: cleared by the next out-of-order insert.
-        self._tail_billed = 0
-        self._n = 0  #: entries over all three components (``len(self)``)
+        self._n = 0  #: entries in main and tail (``len(self)``)
         self._seq = 0  #: buffer-wide arrival counter
         self._tombstones = 0  #: DELETED values currently buffered
         #: Running min over every entry *after* the main section: what the
         #: paper's Zonemap overlap test maintains for ``last_sorted_zone``.
         self._min_after_main: Optional[int] = None
         self.zonemap = Zonemap()  # whole-buffer range
-        self.page_zonemaps = PageZonemaps(cfg.page_size)
-        self.global_bf: Optional[BloomFilter] = (
-            BloomFilter(cfg.buffer_capacity, cfg.bits_per_entry, cfg.hash_family)
-            if cfg.enable_global_bf
-            else None
-        )
-        self._page_bfs: List[BloomFilter] = []
-        #: Filter levels a tail append is billed for (``bf_add`` each).
-        self._bf_levels = int(cfg.enable_global_bf) + int(cfg.enable_page_bf)
-        #: The global filter and the page Zonemaps cover ``_tail_keys[:_indexed]``;
-        #: page filter ``p`` its page's first ``_page_bfs[p].n_added`` slots.
-        self._indexed = 0
-        self.query_sort_at = cfg.query_sort_trigger  #: tail size that triggers
-        #: Fed at sort time, the only time it is read: in-order main appends
-        #: from ``_observed_main`` on, then the tail past the last sorted run.
-        self.kl_estimate = RunningSortednessEstimate()
-        self._observed_main = 0
+        self._query_sort_len = self.config.query_sort_trigger  #: ``_open + query_sort_at``
 
     # ------------------------------------------------------------------
     # sizing
@@ -216,11 +204,12 @@ class SWAREBuffer:
 
     @property
     def tail_size(self) -> int:
-        return len(self._tail_keys)
+        """Size of the open tail segment: the paper's unsorted tail."""
+        return len(self._tail_keys) - self._open
 
     @property
     def n_blocks(self) -> int:
-        return len(self._blocks)
+        return len(self._block_ends)
 
     @property
     def last_sorted_zone(self) -> int:
@@ -236,7 +225,6 @@ class SWAREBuffer:
     # ------------------------------------------------------------------
     def add(self, key: int, value: object, tombstone: bool = False) -> None:
         """Append an entry (the caller checks :attr:`is_full` afterwards)."""
-        self.meter.charge("buffer_append")
         self._n += 1
         self._seq += 1
         if tombstone:
@@ -251,7 +239,7 @@ class SWAREBuffer:
             zonemap.max_key = key
 
         tail = self._tail_keys
-        if not tail and not self._blocks:
+        if not tail:
             main_keys = self._main.keys
             if not main_keys or key >= main_keys[-1]:
                 main_keys.append(key)
@@ -262,35 +250,27 @@ class SWAREBuffer:
         self._tail_vals.append(value)
         if self._min_after_main is None or key < self._min_after_main:
             self._min_after_main = key
-        # Filter upkeep is billed now and done at the first metered probe;
-        # the page Zonemap's is priced into ``buffer_append`` like the
-        # whole-buffer one.
-        if self._bf_levels:
-            self.meter.charge("bf_add", self._bf_levels)
 
     def add_many(self, pairs: Sequence[Tuple[int, object]]) -> None:
         """Append a chunk of ``(key, value)`` upserts in arrival order.
 
         Observably identical to calling :meth:`add` per pair — same entries,
-        ``seq`` numbering, component layout, meter charges and (once a probe
-        has synced it) Zonemap/Bloom state — but column-at-once: an in-order
-        prefix extends the main section, the rest the tail, with one
-        ``bf_add`` charge. Like :meth:`add` this does not flush: ``put_many``
-        chunks its input by the remaining capacity so flush boundaries match
-        the sequential path exactly.
+        ``seq`` numbering and component layout — but column-at-once: an
+        in-order prefix extends the main section, the rest the tail. Like
+        :meth:`add` this does not flush: ``put_many`` chunks its input by the
+        remaining capacity so flush boundaries match the sequential path
+        exactly.
         """
         n = len(pairs)
         if n == 0:
             return
-        self.meter.charge("buffer_append", n)
         self._n += n
         self._seq += n
         keys, vals = map(list, zip(*pairs))
         self.zonemap.update(min(keys))
         self.zonemap.update(max(keys))
 
-        split = 0
-        if not self._blocks and not self._tail_keys:
+        if not self._tail_keys:
             # The longest prefix that continues the in-order run of the main
             # section; everything after it starts the tail.
             main_keys = self._main.keys
@@ -307,56 +287,27 @@ class SWAREBuffer:
         lowest = min(keys)
         if self._min_after_main is None or lowest < self._min_after_main:
             self._min_after_main = lowest
-        if self._bf_levels:
-            self.meter.charge("bf_add", (n - split) * self._bf_levels)
-
-    def _sync_tail_index(self) -> None:
-        """Index the tail keys appended since the last metered probe: page
-        Zonemaps and global filter; a page filter catches up in
-        :meth:`_sync_page_filter` when a probe consults it. Bits are only
-        ever added, so a filter synced up to slot ``n`` answers exactly as
-        one kept per append (``add_many`` sets ``add``'s bits)."""
-        keys = self._tail_keys
-        start = self._indexed
-        n = len(keys)
-        if start == n:
-            return
-        self._indexed = n
-        fresh = keys[start:] if start else keys
-        self.page_zonemaps.observe_many(start, fresh)
-        cfg = self.config
-        if cfg.enable_page_bf:
-            page_bfs = self._page_bfs
-            while len(page_bfs) * cfg.page_size < n:
-                page_bfs.append(
-                    BloomFilter(cfg.page_size, cfg.bits_per_entry, cfg.hash_family, rotation=17)
-                )
-        if self.global_bf is not None:
-            self.global_bf.add_many(fresh)
-
-    def _sync_page_filter(self, page: int, stop: int) -> BloomFilter:
-        """Page ``page``'s filter, caught up to tail slot ``stop``; its own
-        ``n_added`` is the watermark."""
-        bf = self._page_bfs[page]
-        have = page * self.config.page_size + bf.n_added
-        if have < stop:
-            bf.add_many(self._tail_keys[have:stop])
-        return bf
 
     def _reset_tail(self) -> None:
-        """Empty the tail with its slot index, key order, filters and page
-        Zonemaps."""
+        """Empty the tail with its blocks, slot index and key order."""
         self._tail_keys = []
         self._tail_vals = []
+        self._block_ends = []
+        self._query_sort_len -= self._open
+        self._open = 0
         self._slot_of = {}
         self._slotted = 0
         self._tail_order = []
-        self._tail_billed = 0
-        if self._indexed and self.global_bf is not None:
-            self.global_bf.clear()  # only a metered probe fills it
-        self._indexed = 0
-        self.page_zonemaps.reset()
-        self._page_bfs = []
+
+    def _catch_up_slots(self) -> None:
+        """Bring ``_slot_of`` up to the whole tail; a later slot overwrites
+        an earlier one, so the newest wins."""
+        tail = self._tail_keys
+        n = len(tail)
+        have = self._slotted
+        if have < n:
+            self._slot_of.update(zip(tail[have:], range(have, n)))
+            self._slotted = n
 
     # ------------------------------------------------------------------
     # flushing
@@ -374,18 +325,17 @@ class SWAREBuffer:
         target = max(page, (target // page) * page)  # "half the pages" at 50%
 
         main = self._main_run()
-        fully_sorted = not self._blocks and not self._tail_keys
+        fully_sorted = not self._tail_keys
         prefix = len(main.keys) if fully_sorted else self.last_sorted_zone
         sort_algorithm: Optional[str] = None
         effortless = fully_sorted or prefix > 0
         if effortless:
             flush_n = min(prefix, target)
             flushed = main.slice(0, flush_n)
-            sorted_tail, _ = self._sort_tail()
-            retained = self._merge_runs([main.slice(flush_n), *self._blocks, sorted_tail])
+            retained, _ = self._merge_with_tail(main.slice(flush_n))
         else:
             # No flushable prefix: sort everything, flush the fraction.
-            merged, sort_algorithm = self._sort_everything()
+            merged, sort_algorithm = self._merge_with_tail(main)
             flush_n = min(target, len(merged.keys))
             flushed = merged.slice(0, flush_n)
             retained = merged.slice(flush_n)
@@ -399,7 +349,7 @@ class SWAREBuffer:
 
     def drain(self) -> FlushBatch:
         """Flush *everything* (used by ``flush_all`` and at shutdown)."""
-        merged, sort_algorithm = self._sort_everything()
+        merged, sort_algorithm = self._merge_with_tail(self._main_run())
         return self._flush_batch(merged, _empty_run(), sort_algorithm is None, sort_algorithm, 0)
 
     def _flush_batch(self, flushed: Run, retained: Run, effortless, algorithm, n_retained):
@@ -409,11 +359,8 @@ class SWAREBuffer:
         self._main = retained
         self._n = len(retained.keys)
         self._main_seq_shift = self._seq + 1 - self._n
-        self._observed_main = self._n
-        self._blocks = []
         self._min_after_main = None
         self._reset_tail()
-        self.kl_estimate.reset()
         zonemap = self.zonemap
         zonemap.min_key = retained.keys[0] if self._n else None
         zonemap.max_key = retained.keys[-1] if self._n else None
@@ -433,10 +380,281 @@ class SWAREBuffer:
             main = self._main = Run(main.keys, main.vals, seqs, kernels.key_array(main.keys))
         return main
 
-    def _bill_tail_sort(self) -> Optional[str]:
-        """Bill the §IV-C tail sort without running it (the (K,L) estimate,
-        the algorithm choice, the charges), once per tail length; returns the
-        algorithm billed, or None when this length already was."""
+    def _merge_with_tail(self, head: Run) -> Tuple[Run, Optional[str]]:
+        """``head`` (a slice of main, older than the whole tail) and the tail
+        merged by (key, seq), and the sort that ran: ``"stable"``, or None
+        when there is no tail. One stable sort of the whole tail is the
+        merge of its sorted blocks and open segment."""
+        n = len(self._tail_keys)
+        if not n:
+            return head, None
+        col = kernels.key_array(self._tail_keys)
+        # The tail is the newest n arrivals: slot i has seq ``_seq - n + 1 + i``.
+        tail = _permuted(col, self._tail_vals, self._seq - n + 1, kernels.stable_argsort(col))
+        return self._merge_runs([head, tail]), "stable"
+
+    def _merge_runs(self, runs: Sequence[Run]) -> Run:
+        """Stable merge of (key, seq)-sorted runs, oldest first, not all empty."""
+        runs = [run for run in runs if run.keys]
+        if len(runs) == 1:
+            return runs[0]
+        col = kernels.concat_columns([run.col for run in runs])
+        seqs = kernels.concat_columns([run.seqs for run in runs])
+        vals = list(chain.from_iterable(run.vals for run in runs))
+        return _permuted(col, vals, seqs, kernels.stable_argsort(col))
+
+    # ------------------------------------------------------------------
+    # query-driven sorting (§IV-C)
+    # ------------------------------------------------------------------
+    @property
+    def query_sort_at(self) -> float:  # open-segment size from which a read query-sorts
+        return self._query_sort_len - self._open
+
+    @query_sort_at.setter
+    def query_sort_at(self, size: float) -> None:
+        self._query_sort_len = self._open + size
+
+    def should_query_sort(self) -> bool:
+        return len(self._tail_keys) >= self._query_sort_len
+
+    def query_sort(self) -> None:
+        """Close the open tail segment as a query-sorted block: a boundary,
+        O(1), since the slot index and key order cover the whole tail."""
+        n = len(self._tail_keys)
+        if n == self._open:
+            return
+        if self.obs.enabled:
+            self.obs.event("buffer.query_sort", tail=n - self._open, blocks=self.n_blocks)
+        self._block_ends.append(n)
+        self._query_sort_len += n - self._open
+        self._open = n
+        self.stats.query_sorts += 1
+
+    # ------------------------------------------------------------------
+    # point lookups (§IV-B, Fig. 6/7)
+    # ------------------------------------------------------------------
+    def lookup(self, key: int) -> Tuple[int, object]:
+        """Search the buffer for ``key``; returns (state, value), state being
+        :data:`HIT`, :data:`TOMBSTONE` or :data:`MISS`. The newest version
+        wins: the tail answers from ``_slot_of``, then the main section by
+        bisection."""
+        if self.config.enable_read_zonemaps:
+            low = self.zonemap.min_key
+            if low is None or key < low or key > self.zonemap.max_key:
+                self.stats.buffer_skips_by_zonemap += 1
+                return MISS, None
+        if self._tail_keys:
+            self._catch_up_slots()
+            slot = self._slot_of.get(key, -1)
+            if slot >= 0:
+                value = self._tail_vals[slot]
+                return (TOMBSTONE, None) if value is DELETED else (HIT, value)
+        keys = self._main.keys
+        slot = bisect_right(keys, key) - 1  # the rightmost: the newest version
+        if slot >= 0 and keys[slot] == key:
+            value = self._main.vals[slot]
+            return (TOMBSTONE, None) if value is DELETED else (HIT, value)
+        return MISS, None
+
+    # ------------------------------------------------------------------
+    # range scans (§IV-C "Supporting Range Queries")
+    # ------------------------------------------------------------------
+    def range_run(self, lo: int, hi: int) -> Tuple[dict, int]:
+        """The newest buffered version per key in [lo, hi] (:class:`DELETED`
+        for a tombstone) and the count of buffered entries there, by
+        overlay: main's slice, then the tail's keys in range, found in
+        ``_tail_order`` (the tail's key column kept sorted, caught up here)
+        and resolved to their newest slot by ``_slot_of``."""
+        if not self._n or not self.zonemap.overlaps(lo, hi):
+            return {}, 0
+        resolved: dict = {}
+        keys = self._main.keys
+        left, right = bisect_left(keys, lo), bisect_right(keys, hi)
+        n_entries = right - left
+        if n_entries:
+            resolved.update(zip(keys[left:right], self._main.vals[left:right]))
+        tail = self._tail_keys
+        if tail:
+            self._catch_up_slots()
+            order = self._tail_order
+            if len(order) < len(tail):
+                # Timsort takes the sorted prefix as one run: linear in it.
+                order += tail[len(order):]
+                order.sort()
+            left, right = bisect_left(order, lo), bisect_right(order, hi)
+            if right > left:
+                keys = order[left:right]
+                slots = map(self._slot_of.__getitem__, keys)
+                resolved.update(zip(keys, map(self._tail_vals.__getitem__, slots)))
+                n_entries += right - left
+        return resolved, n_entries
+
+    def range_entries(self, lo: int, hi: int) -> List[Entry]:
+        """Buffered entries in [lo, hi] by (key, seq); unbilled (tests and debugging)."""
+        return sorted(entry for entry in self.all_entries() if lo <= entry[0] <= hi)
+
+    # ------------------------------------------------------------------
+    # introspection / debugging
+    # ------------------------------------------------------------------
+    def all_entries(self) -> List[Entry]:
+        """Every buffered entry: main in (key, seq) order, then the tail in
+        arrival order."""
+        tail_seqs = list(range(self._seq - len(self._tail_keys) + 1, self._seq + 1))
+        tail = Run(self._tail_keys, self._tail_vals, tail_seqs, None)
+        return self._main_run().entries() + tail.entries()
+
+    def component_sizes(self) -> dict:
+        starts = [0, *self._block_ends]
+        return {
+            "main": len(self._main.keys),
+            "blocks": [stop - start for start, stop in zip(starts, self._block_ends)],
+            "tail": self.tail_size,
+            "last_sorted_zone": self.last_sorted_zone,
+        }
+
+    def check_invariants(self) -> None:
+        """Validate component ordering invariants (test helper)."""
+        main = self._main_run()
+        order = list(zip(main.keys, kernels.as_list(main.seqs)))
+        if order != sorted(order):
+            raise InvariantViolation("main not sorted by (key, seq)")
+        if kernels.as_list(main.col) != main.keys or len(main.vals) != len(order):
+            raise InvariantViolation("main columns out of sync")
+        n_tail = len(self._tail_keys)
+        if n_tail != len(self._tail_vals):
+            raise InvariantViolation("tail columns out of sync")
+        ends = [0, *self._block_ends]
+        if ends != sorted(set(ends)) or ends[-1] != self._open or self._open > n_tail:
+            raise InvariantViolation(f"block ends {self._block_ends} out of order")
+        if self._n != len(main.keys) + n_tail:
+            raise InvariantViolation(f"entry count {self._n} != component sum")
+        if self._n > self.config.buffer_capacity:
+            raise InvariantViolation("buffer above capacity")
+
+
+class MeteredSWAREBuffer(SWAREBuffer):
+    """:class:`SWAREBuffer` under a meter, the one class that bills.
+
+    Every verb runs the executed buffer's, then bills what the paper's
+    buffer costs for it: ``buffer_append`` and ``bf_add`` per append; §IV-A's
+    filter walk of the open segment and §IV-B's interpolation search of each
+    block and of main per lookup, each checked against the executed slot
+    (:class:`InvariantViolation` on a mismatch); the §IV-C tail sort — (K,L)
+    or stable, chosen by the running estimate and the split pass — once per
+    open-segment length; and the merges of main, blocks and open segment.
+    """
+
+    def __init__(
+        self,
+        config: Optional[SWAREConfig] = None,
+        meter: Optional[Meter] = None,
+        stats: Optional[SWAREStats] = None,
+        obs: Optional[Observability] = None,
+    ):
+        super().__init__(config, stats, obs)
+        cfg = self.config
+        self.meter = meter if meter is not None else NULL_METER
+        #: Over the open segment, page ``p`` its slots ``_open + p * page_size``
+        #: onwards; built by the first probe that needs them.
+        self.page_zonemaps = PageZonemaps(cfg.page_size)
+        self.global_bf: Optional[BloomFilter] = (
+            BloomFilter(cfg.buffer_capacity, cfg.bits_per_entry) if cfg.enable_global_bf else None
+        )
+        self._page_bfs: List[BloomFilter] = []
+        #: Filter levels a tail append is billed for (``bf_add`` each).
+        self._bf_levels = int(cfg.enable_global_bf) + int(cfg.enable_page_bf)
+        #: The global filter and the page Zonemaps cover tail slots
+        #: ``[_open, _indexed)``; page filter ``p`` its page's first
+        #: ``_page_bfs[p].n_added`` slots.
+        self._indexed = 0
+        #: Per query-sorted block: its keys sorted, and each one's tail slot.
+        self._blocks: List[Tuple[List[int], List[int]]] = []
+        #: Tail length the §IV-C sort was last billed at: the paper's flag,
+        #: cleared by the next out-of-order insert.
+        self._tail_billed = 0
+        #: Fed at sort time, the only time it is read: in-order main appends
+        #: from ``_observed_main`` on, then the tail past the last billed sort.
+        self.kl_estimate = RunningSortednessEstimate()
+        self._observed_main = 0
+
+    # ------------------------------------------------------------------
+    # ingestion
+    # ------------------------------------------------------------------
+    def add(self, key: int, value: object, tombstone: bool = False) -> None:
+        self.meter.charge("buffer_append")
+        n = len(self._tail_keys)
+        super().add(key, value, tombstone)
+        # Filter upkeep is billed now and done at the first probe; the page
+        # Zonemap's is priced into ``buffer_append`` like the whole-buffer one.
+        if self._bf_levels and len(self._tail_keys) > n:
+            self.meter.charge("bf_add", self._bf_levels)
+
+    def add_many(self, pairs: Sequence[Tuple[int, object]]) -> None:
+        if not pairs:
+            return
+        self.meter.charge("buffer_append", len(pairs))
+        n = len(self._tail_keys)
+        super().add_many(pairs)
+        if self._bf_levels and len(self._tail_keys) > n:
+            self.meter.charge("bf_add", (len(self._tail_keys) - n) * self._bf_levels)
+
+    def _sync_tail_index(self) -> None:
+        """Index the open-segment keys appended since the last probe: page
+        Zonemaps and global filter; a page filter catches up in
+        :meth:`_sync_page_filter` when a probe consults it. Bits are only
+        ever added, so a filter synced up to slot ``n`` answers exactly as
+        one kept per append (``add_many`` sets ``add``'s bits)."""
+        keys = self._tail_keys
+        start = self._indexed
+        n = len(keys)
+        if start == n:
+            return
+        self._indexed = n
+        fresh = keys[start:] if start else keys
+        self.page_zonemaps.observe_many(start - self._open, fresh)
+        cfg = self.config
+        if cfg.enable_page_bf:
+            page_bfs = self._page_bfs
+            while len(page_bfs) * cfg.page_size < n - self._open:
+                page_bfs.append(BloomFilter(cfg.page_size, cfg.bits_per_entry, rotation=17))
+        if self.global_bf is not None:
+            self.global_bf.add_many(fresh)
+
+    def _sync_page_filter(self, page: int, stop: int) -> BloomFilter:
+        """Page ``page``'s filter, caught up to open-segment slot ``stop``;
+        its own ``n_added`` is the watermark."""
+        bf = self._page_bfs[page]
+        have = page * self.config.page_size + bf.n_added
+        if have < stop:
+            bf.add_many(self._tail_keys[self._open + have : self._open + stop])
+        return bf
+
+    def _reset_open_index(self) -> None:
+        """Empty the filters and page Zonemaps for a new open segment."""
+        if self.global_bf is not None and self.global_bf.n_added:
+            self.global_bf.clear()  # only a probe fills it
+        self._indexed = self._open
+        self.page_zonemaps.reset()
+        self._page_bfs = []
+
+    def _reset_tail(self) -> None:
+        """A flush's reset, after the retained run became main: the blocks,
+        the filters and the (K,L) estimate start over with the tail."""
+        super()._reset_tail()
+        self._blocks = []
+        self._tail_billed = 0
+        self._reset_open_index()
+        self.kl_estimate.reset()
+        self._observed_main = self._n
+
+    # ------------------------------------------------------------------
+    # sorting: billed, not run
+    # ------------------------------------------------------------------
+    def _bill_tail_sort(self, start: int) -> Optional[str]:
+        """Bill the §IV-C sort of the open segment (tail slots from
+        ``start``) without running it: the (K,L) estimate, the algorithm
+        choice, the charges, once per tail length. Returns the algorithm
+        billed, or None when this length already was."""
         keys = self._tail_keys
         n = len(keys)
         if n == self._tail_billed:
@@ -449,132 +667,103 @@ class SWAREBuffer:
             self._observed_main = len(main_keys)
         estimate.observe_many(keys[self._tail_billed :])
         self._tail_billed = n
-        algorithm, work = "stable", n * max(1, n.bit_length())
+        m = n - start
+        algorithm, work = "stable", m * max(1, m.bit_length())
         if estimate.k_fraction < cfg.kl_k_threshold or estimate.l_fraction < cfg.kl_l_threshold:
             # (K,L)-sort's split pass decides; its merge and the general
-            # stable sort produce the same (key, seq) order, so one kernel
-            # sorts either way and only the accounting differs.
-            capacity = max(16, int((cfg.kl_k_threshold + cfg.kl_l_threshold) * n) * 2)
-            if kl_split_fits(keys, capacity):
-                algorithm, work = "kl", n * max(1, capacity.bit_length())  # O(n log(K+L))
+            # stable sort produce the same (key, seq) order, so only the
+            # accounting differs.
+            capacity = max(16, int((cfg.kl_k_threshold + cfg.kl_l_threshold) * m) * 2)
+            if kl_split_fits(keys[start:] if start else keys, capacity):
+                algorithm, work = "kl", m * max(1, capacity.bit_length())  # O(n log(K+L))
         if algorithm == "kl":
             self.stats.kl_sorts += 1
         else:
             self.stats.stable_sorts += 1
         self.meter.charge("sort_comparison", work)
-        self.stats.sorted_entries += n
+        self.stats.sorted_entries += m
         obs = self.obs
         if obs.enabled:
-            obs.event("buffer.tail_sort", n=n, algorithm=algorithm)
-        obs.observe_hist("buffer_sort_entries", n, buckets=DEFAULT_SIZE_BUCKETS)
+            obs.event("buffer.tail_sort", n=m, algorithm=algorithm)
+        obs.observe_hist("buffer_sort_entries", m, buckets=DEFAULT_SIZE_BUCKETS)
         return algorithm
 
-    def _sort_tail(self) -> Tuple[Optional[Run], Optional[str]]:
-        """The tail sorted by (key, seq) (None when empty) and the algorithm
-        :meth:`_bill_tail_sort` billed for it."""
-        n = len(self._tail_keys)
-        if not n:
-            return None, None
-        algorithm = self._bill_tail_sort()
-        col = kernels.key_array(self._tail_keys)
-        # The tail is the newest n arrivals: slot i has seq ``_seq - n + 1 + i``.
-        run = _permuted(col, self._tail_vals, self._seq - n + 1, kernels.stable_argsort(col))
-        return run, algorithm
-
-    def _merge_runs(self, runs: Sequence[Optional[Run]]) -> Run:
-        """Stable merge of (key, seq)-sorted runs given oldest first."""
-        runs = [run for run in runs if run is not None and run.keys]
-        if not runs:
-            return _empty_run()
-        if len(runs) == 1:
-            return runs[0]
-        col = kernels.concat_columns([run.col for run in runs])
-        seqs = kernels.concat_columns([run.seqs for run in runs])
-        vals = list(chain.from_iterable(run.vals for run in runs))
-        merged = _permuted(col, vals, seqs, kernels.stable_argsort(col))
-        self.meter.charge("merge_step", len(merged.keys))
-        return merged
-
-    def _sort_everything(self) -> Tuple[Run, Optional[str]]:
-        sorted_tail, algorithm = self._sort_tail()
-        return self._merge_runs([self._main_run(), *self._blocks, sorted_tail]), algorithm
-
-    # ------------------------------------------------------------------
-    # query-driven sorting (§IV-C)
-    # ------------------------------------------------------------------
-    def should_query_sort(self) -> bool:
-        return len(self._tail_keys) >= self.query_sort_at
+    def _merge_with_tail(self, head: Run) -> Tuple[Run, Optional[str]]:
+        """The executed merge, billed as the paper's: the open segment's
+        sort, then a merge of ``head``, the blocks and the sorted open
+        segment when more than one of them holds entries. Returns the
+        algorithm billed (None when nothing was)."""
+        open_n = self.tail_size
+        algorithm = self._bill_tail_sort(self._open) if open_n else None
+        merged, _ = super()._merge_with_tail(head)
+        if bool(head.keys) + len(self._blocks) + bool(open_n) > 1:
+            self.meter.charge("merge_step", len(merged.keys))
+        return merged, algorithm
 
     def query_sort(self) -> None:
-        """Freeze the unsorted tail into a new query-sorted block."""
-        if not self._tail_keys:
+        """Close the open segment as the executed buffer does, and bill
+        sorting it: the block's keys are sorted here only so that a metered
+        lookup can run §IV-B's search over them."""
+        start, stop = self._open, len(self._tail_keys)
+        super().query_sort()
+        if start == stop:
             return
-        if self.obs.enabled:
-            self.obs.event("buffer.query_sort", tail=self.tail_size, blocks=self.n_blocks)
-        self._blocks.append(self._sort_tail()[0])
-        self.stats.query_sorts += 1
-        self._reset_tail()
-        # _min_after_main is unchanged: the same keys remain after main.
+        self._bill_tail_sort(start)
+        tail = self._tail_keys
+        slots = sorted(range(start, stop), key=tail.__getitem__)  # stable: newest rightmost
+        self._blocks.append(([tail[slot] for slot in slots], slots))
+        self._reset_open_index()
 
     # ------------------------------------------------------------------
-    # point lookups (§IV-B, Fig. 6/7)
+    # point lookups: answered by the executed buffer, then billed
     # ------------------------------------------------------------------
     def lookup(self, key: int) -> Tuple[int, object]:
-        """Search the buffer for ``key``; returns (state, value), state being
-        :data:`HIT`, :data:`TOMBSTONE` or :data:`MISS`. The newest version
-        wins, so the search order is: unsorted tail, query-sorted blocks
-        (newest first), main sorted section. The tail answers from
-        ``_slot_of``, a sorted run by bisection. Under a meter, §IV-A's
-        filter walk and §IV-B's interpolation search run too, to bill what
-        the paper's lookup costs, and each must reach the executed slot."""
+        """The executed lookup, billed as the paper's (Fig. 6/7): the
+        Zonemap, §IV-A's filter walk of the open segment, then §IV-B's
+        interpolation search of each block (newest first) and of main, up
+        to the component holding the newest version. Each billed search
+        must reach the slot the executed lookup answered from."""
         meter = self.meter
-        if self.config.enable_read_zonemaps:
+        gated = self.config.enable_read_zonemaps
+        if gated:
             meter.charge("zonemap_check")
-            low = self.zonemap.min_key
-            if low is None or key < low or key > self.zonemap.max_key:
-                self.stats.buffer_skips_by_zonemap += 1
-                return MISS, None
-        metered = meter is not NULL_METER
-        tail = self._tail_keys
-        if tail:
-            n = len(tail)
-            have = self._slotted
-            if have < n:
-                # A later slot overwrites an earlier one: the newest wins.
-                self._slot_of.update(zip(tail[have:], range(have, n)))
-                self._slotted = n
-            slot = self._slot_of.get(key, -1)
-            if metered and self._search_tail(key) != slot:
+        answer = super().lookup(key)
+        if gated and not self.zonemap.may_contain(key):
+            return answer
+        slot = self._slot_of.get(key, -1)
+        start = self._open
+        if len(self._tail_keys) > start:
+            if self._search_tail(key) != (slot if slot >= start else -1):
                 raise InvariantViolation(f"the billed tail walk misses slot {slot} of {key!r}")
-            if slot >= 0:
-                value = self._tail_vals[slot]
-                return (TOMBSTONE, None) if value is DELETED else (HIT, value)
-        for run in reversed((self._main, *self._blocks)):
-            keys = run.keys
-            if not keys:
-                continue
-            slot = bisect_right(keys, key) - 1  # the rightmost: the newest version
-            if slot < 0 or keys[slot] != key:
-                slot = -1
-            if metered:
-                # At least one step: a rejection reads the boundary keys.
-                billed, steps = interpolation_probe(keys, key)
-                meter.charge("interp_step", max(steps, 1))
-                if billed != slot:
-                    raise InvariantViolation(f"the billed search misses slot {slot} of {key!r}")
-            if slot >= 0:
-                value = run.vals[slot]
-                return (TOMBSTONE, None) if value is DELETED else (HIT, value)
-        return MISS, None
+            if slot >= start:
+                return answer
+        ends = self._block_ends
+        for i in range(len(self._blocks) - 1, -1, -1):
+            keys, slots = self._blocks[i]
+            # At least one step: a rejection reads the boundary keys.
+            billed, steps = interpolation_probe(keys, key)
+            meter.charge("interp_step", max(steps, 1))
+            inside = (ends[i - 1] if i else 0) <= slot < ends[i]
+            if (slots[billed] if billed >= 0 else -1) != (slot if inside else -1):
+                raise InvariantViolation(f"the billed search misses slot {slot} of {key!r}")
+            if inside:
+                return answer
+        keys = self._main.keys
+        if keys:
+            billed, steps = interpolation_probe(keys, key)
+            meter.charge("interp_step", max(steps, 1))
+            slot = bisect_right(keys, key) - 1
+            if billed != (slot if slot >= 0 and keys[slot] == key else -1):
+                raise InvariantViolation(f"the billed search misses main slot {slot} of {key!r}")
+        return answer
 
     def _search_tail(self, key: int) -> int:
-        """§IV-A's walk of the non-empty unsorted tail, run to bill a meter:
+        """§IV-A's walk of the non-empty open segment, run to bill a meter:
         the global filter, then per page (newest first) its Zonemap and
-        filter, then a scan. Returns the newest tail slot holding ``key``
-        or -1; it syncs the filters, which only this walk reads."""
+        filter, then a scan. Returns the newest open-segment slot holding
+        ``key`` or -1; it syncs the filters, which only this walk reads."""
         tail = self._tail_keys
-        if self._indexed != len(tail):
-            self._sync_tail_index()
+        self._sync_tail_index()
         cfg = self.config
         meter = self.meter
         stats = self.stats
@@ -582,7 +771,7 @@ class SWAREBuffer:
         global_bf = self.global_bf
         if global_bf is not None:
             meter.charge("bf_probe")
-            base = shared_base(key, cfg.hash_family)
+            base = shared_base(key)
             if not global_bf.may_contain_base(base):
                 stats.global_bf_negatives += 1
                 if self.obs.enabled:
@@ -591,7 +780,8 @@ class SWAREBuffer:
 
         page_size = cfg.page_size
         n = len(tail)
-        for page in range((n - 1) // page_size, -1, -1):
+        first = self._open
+        for page in range((n - first - 1) // page_size, -1, -1):
             if cfg.enable_read_zonemaps:
                 meter.charge("zonemap_check")
                 if not self.page_zonemaps.page_may_contain(page, key):
@@ -599,13 +789,13 @@ class SWAREBuffer:
                     if self.obs.enabled:
                         self.obs.event("buffer.zonemap_page_skip", key=key, page=page)
                     continue
-            start = page * page_size
+            start = first + page * page_size
             stop = min(start + page_size, n)
             if cfg.enable_page_bf:
                 meter.charge("bf_probe")
                 if base is None:
-                    base = shared_base(key, cfg.hash_family)
-                if not self._sync_page_filter(page, stop).may_contain_base(base):
+                    base = shared_base(key)
+                if not self._sync_page_filter(page, stop - first).may_contain_base(base):
                     stats.page_bf_negatives += 1
                     continue
             stats.unsorted_pages_scanned += 1
@@ -624,95 +814,26 @@ class SWAREBuffer:
         return -1
 
     # ------------------------------------------------------------------
-    # range scans (§IV-C "Supporting Range Queries")
+    # range scans: resolved by the executed buffer, then billed
     # ------------------------------------------------------------------
     def range_run(self, lo: int, hi: int) -> Tuple[dict, int]:
-        """The newest buffered version per key in [lo, hi] (:class:`DELETED`
-        for a tombstone) and the count of buffered entries there. The meter
-        bills §IV-C — sort the tail once until the next insert (the paper's
-        flag), merge the qualifying slices — but the versions come from an
-        overlay, oldest first: main's and each block's slice, then the
-        tail's keys in range, found in ``_tail_order`` (the tail's key
-        column kept sorted, caught up here) and resolved to their newest
-        slot by ``_slot_of``."""
+        """The executed range, billed as §IV-C's: the Zonemap, the open
+        segment's sort (once until the next insert, the paper's flag), two
+        searches per component — main, each block, the open segment — and a
+        merge when more than one holds entries in range."""
         meter = self.meter
         meter.charge("zonemap_check")
+        resolved, n_entries = super().range_run(lo, hi)
         if not self._n or not self.zonemap.overlaps(lo, hi):
-            return {}, 0
-        tail = self._tail_keys
-        if tail:
-            self._bill_tail_sort()
-        resolved: dict = {}
-        n_entries = parts = 0
-        for run in (self._main, *self._blocks):
-            keys = run.keys
-            left, right = bisect_left(keys, lo), bisect_right(keys, hi)
-            meter.charge("interp_step", 2)
-            if right > left:
-                resolved.update(zip(keys[left:right], run.vals[left:right]))
-                n_entries += right - left
-                parts += 1
-        if tail:
-            n = len(tail)
-            have = self._slotted
-            if have < n:
-                # A later slot overwrites an earlier one: the newest wins.
-                self._slot_of.update(zip(tail[have:], range(have, n)))
-                self._slotted = n
-            order = self._tail_order
-            if len(order) < n:
-                # Timsort takes the sorted prefix as one run: linear in it.
-                order += tail[len(order):]
-                order.sort()
-            left, right = bisect_left(order, lo), bisect_right(order, hi)
-            meter.charge("interp_step", 2)
-            if right > left:
-                keys = order[left:right]
-                slots = map(self._slot_of.__getitem__, keys)
-                resolved.update(zip(keys, map(self._tail_vals.__getitem__, slots)))
-                n_entries += right - left
-                parts += 1
-        if parts > 1:
+            return resolved, n_entries
+        open_n = self.tail_size
+        if open_n:
+            self._bill_tail_sort(self._open)
+        counts = [bisect_right(keys, hi) - bisect_left(keys, lo)
+                  for keys in (self._main.keys, *(keys for keys, _slots in self._blocks))]
+        if open_n:
+            counts.append(n_entries - sum(counts))
+        meter.charge("interp_step", 2 * len(counts))
+        if len(counts) - counts.count(0) > 1:
             meter.charge("merge_step", n_entries)
         return resolved, n_entries
-
-    def range_entries(self, lo: int, hi: int) -> List[Entry]:
-        """Buffered entries in [lo, hi] by (key, seq); unbilled (tests and debugging)."""
-        return sorted(entry for entry in self.all_entries() if lo <= entry[0] <= hi)
-
-    # ------------------------------------------------------------------
-    # introspection / debugging
-    # ------------------------------------------------------------------
-    def all_entries(self) -> List[Entry]:
-        """Every buffered entry in arrival-agnostic component order."""
-        tail_seqs = list(range(self._seq - len(self._tail_keys) + 1, self._seq + 1))
-        tail = Run(self._tail_keys, self._tail_vals, tail_seqs, None)
-        runs = (self._main_run(), *self._blocks, tail)
-        return [entry for run in runs for entry in run.entries()]
-
-    def component_sizes(self) -> dict:
-        return {
-            "main": len(self._main.keys),
-            "blocks": [len(block.keys) for block in self._blocks],
-            "tail": len(self._tail_keys),
-            "last_sorted_zone": self.last_sorted_zone,
-        }
-
-    def check_invariants(self) -> None:
-        """Validate component ordering invariants (test helper)."""
-        for name, run in [("main", self._main_run())] + [
-            (f"block{i}", block) for i, block in enumerate(self._blocks)
-        ]:
-            order = list(zip(run.keys, kernels.as_list(run.seqs)))
-            if order != sorted(order):
-                raise InvariantViolation(f"{name} not sorted by (key, seq)")
-            if kernels.as_list(run.col) != run.keys or len(run.vals) != len(order):
-                raise InvariantViolation(f"{name} columns out of sync")
-        if len(self._tail_keys) != len(self._tail_vals):
-            raise InvariantViolation("tail columns out of sync")
-        sizes = self.component_sizes()
-        components = sizes["main"] + sum(sizes["blocks"]) + sizes["tail"]
-        if self._n != components:
-            raise InvariantViolation(f"entry count {self._n} != component sum {components}")
-        if self._n > self.config.buffer_capacity:
-            raise InvariantViolation("buffer above capacity")

@@ -41,8 +41,6 @@ class SWAREConfig:
     enable_read_zonemaps:
         Ablation switch for the §V-D Zonemap experiment: when off, point
         lookups scan unsorted pages without consulting page Zonemaps.
-    hash_family:
-        ``"splitmix64"`` (default) or ``"murmur3"``.
     kl_k_threshold / kl_l_threshold:
         Estimated-sortedness cutoffs below which the flush-time sort uses
         the (K,L)-adaptive algorithm rather than a general stable sort.
@@ -56,7 +54,6 @@ class SWAREConfig:
     enable_global_bf: bool = True
     enable_page_bf: bool = True
     enable_read_zonemaps: bool = True
-    hash_family: str = "splitmix64"
     kl_k_threshold: float = 0.20
     kl_l_threshold: float = 0.05
 
@@ -73,17 +70,10 @@ class SWAREConfig:
             raise ConfigError("query_sorting_threshold must be in (0, 1]")
         if self.bits_per_entry <= 0:
             raise ConfigError("bits_per_entry must be positive")
-        if self.hash_family not in ("splitmix64", "murmur3"):
-            raise ConfigError(f"unknown hash_family {self.hash_family!r}")
         if not 0.0 <= self.kl_k_threshold <= 1.0:
             raise ConfigError("kl_k_threshold must be within [0, 1]")
         if not 0.0 <= self.kl_l_threshold <= 1.0:
             raise ConfigError("kl_l_threshold must be within [0, 1]")
-
-    @property
-    def n_pages(self) -> int:
-        """Number of whole pages in the buffer."""
-        return max(1, self.buffer_capacity // self.page_size)
 
     @property
     def query_sort_trigger(self) -> float:

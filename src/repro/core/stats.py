@@ -31,9 +31,11 @@ class SWAREStats:
     tombstones_applied: int = 0
     tombstones_noop: int = 0
     tombstones_dropped: int = 0
+    # The §IV-C sorts billed: metered-only, like the filter-walk group below
+    # (only ``MeteredSWAREBuffer`` bills a sort and keeps the (K,L) estimate).
     kl_sorts: int = 0
     stable_sorts: int = 0
-    sorted_entries: int = 0  #: tail entries billed a §IV-C sort (a range bills, never sorts)
+    sorted_entries: int = 0  #: tail entries billed a §IV-C sort
 
     # Read path.
     buffer_hits: int = 0
@@ -42,8 +44,9 @@ class SWAREStats:
     buffer_skips_by_zonemap: int = 0
     query_sorts: int = 0
     # The §IV-A filter walk's counters, from here to ``zonemap_page_skips``:
-    # the walk runs only to bill a meter (a tail probe answers from the
-    # buffer's slot index), so they count metered lookups only.
+    # the walk runs only in ``MeteredSWAREBuffer``, to bill a meter (a tail
+    # probe answers from the buffer's slot index), so they count metered
+    # lookups only.
     unsorted_pages_scanned: int = 0
     global_bf_negatives: int = 0
     page_bf_negatives: int = 0

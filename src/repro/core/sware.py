@@ -8,9 +8,9 @@ Bε-tree, LSM-tree, learned index and cracking index) with the SWARE-buffer:
   cycle whose batch is split into an opportunistic **bulk load** (keys above
   the tree's maximum) and **top-inserts** through the root;
 * point lookups follow Fig. 6's optimized read path — buffer Zonemap, then
-  the unsorted tail (a hash lookup, billed as the BF/Zonemap-gated scan),
-  query-sorted blocks and the sorted section (bisected, billed as
-  interpolation search), then the tree;
+  the tail (a hash lookup; under a meter billed as the BF/Zonemap-gated scan
+  and the interpolation search of each query-sorted block), the sorted
+  section (bisected, billed as interpolation search), then the tree;
 * reads trigger query-driven partial sorting of the tail (§IV-C);
 * deletes become buffer tombstones when the key is within the buffer's
   range, applied to the tree at flush time (§IV-D).
@@ -31,9 +31,10 @@ from bisect import bisect_left, bisect_right
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro import kernels
-from repro.core.buffer import DELETED, HIT, TOMBSTONE, FlushBatch, SWAREBuffer
+from repro.core.buffer import DELETED, HIT, TOMBSTONE, FlushBatch, MeteredSWAREBuffer, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.stats import SWAREStats
+from repro.filters.bloom import theoretical_fpr
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
 from repro.storage.costmodel import Meter, NULL_METER
 from repro.storage.wal import WriteAheadLog
@@ -88,9 +89,13 @@ class SortednessAwareIndex:
         self.backend = backend
         if backend.meter is NULL_METER and self.meter is not NULL_METER:
             backend.meter = self.meter
-        self.buffer = SWAREBuffer(
-            self.config, meter=self.meter, stats=self.stats, obs=self.obs
-        )
+        # The paper's cost model runs only where a meter reads it.
+        if self.meter is NULL_METER:
+            self.buffer = SWAREBuffer(self.config, stats=self.stats, obs=self.obs)
+        else:
+            self.buffer = MeteredSWAREBuffer(
+                self.config, meter=self.meter, stats=self.stats, obs=self.obs
+            )
         if self.obs is not NULL_OBS:
             self.obs.register_collector("sware", self.stats.snapshot)
 
@@ -224,14 +229,14 @@ class SortednessAwareIndex:
     def _flush_cycle(self) -> None:
         hub = self.obs.monitors
         expected_fpr: Optional[float] = None
-        if (
-            hub is not None
-            and self.buffer.global_bf is not None
-            and self.buffer.tail_size
-        ):
-            # Sampled before prepare_flush resets the filter: its FPR at the load
-            # the flushed epoch ran it with (the whole tail; the filter is lazy).
-            expected_fpr = self.buffer.global_bf.expected_fpr(self.buffer.tail_size)
+        config = self.config
+        if hub is not None and config.enable_global_bf and self.buffer.tail_size:
+            # Sampled before prepare_flush empties the tail: the global filter's
+            # FPR at the load the flushed epoch ran it with (the open segment),
+            # from the configured geometry, whether or not a filter was built.
+            expected_fpr = theoretical_fpr(
+                config.buffer_capacity, config.bits_per_entry, self.buffer.tail_size
+            )
         with self.obs.span("sware.flush_cycle") as span:
             with self.meter.bucket("sort"):
                 batch = self.buffer.prepare_flush()
@@ -331,7 +336,7 @@ class SortednessAwareIndex:
     def get(self, key: int) -> Optional[object]:
         """Point lookup along the optimized read path (Fig. 6)."""
         buffer = self.buffer
-        if len(buffer._tail_keys) >= buffer.query_sort_at:
+        if len(buffer._tail_keys) >= buffer._query_sort_len:
             self._maybe_query_sort()
         return self._get(key)
 

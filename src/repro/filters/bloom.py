@@ -29,6 +29,17 @@ def optimal_num_probes(bits_per_entry: float) -> int:
     return max(1, round(bits_per_entry * math.log(2)))
 
 
+def theoretical_fpr(
+    capacity: int, bits_per_entry: float, n_added: int, n_probes: Optional[int] = None
+) -> float:
+    """False-positive rate of a filter of this geometry holding ``n_added``
+    keys, in theory; no filter need exist."""
+    if n_added == 0:
+        return 0.0
+    k = optimal_num_probes(bits_per_entry) if n_probes is None else n_probes
+    return (1.0 - math.exp(-k * n_added / max(8, int(capacity * bits_per_entry)))) ** k
+
+
 class BloomFilter:
     """A classic Bloom filter over integer keys.
 
@@ -38,8 +49,6 @@ class BloomFilter:
         Number of distinct entries the filter is provisioned for.
     bits_per_entry:
         Space budget; the paper uses 10.
-    hash_family:
-        ``"splitmix64"`` (default, fast) or ``"murmur3"`` (paper's choice).
     rotation:
         Bit-rotation applied to the shared base hash, used to give per-page
         filters an independent probe stream without a second hash call.
@@ -50,7 +59,6 @@ class BloomFilter:
         "bits_per_entry",
         "n_bits",
         "n_probes",
-        "hash_family",
         "rotation",
         "_bits",
         "n_added",
@@ -61,7 +69,6 @@ class BloomFilter:
         self,
         capacity: int,
         bits_per_entry: float = 10.0,
-        hash_family: str = "splitmix64",
         rotation: int = 0,
         n_probes: Optional[int] = None,
     ):
@@ -73,7 +80,6 @@ class BloomFilter:
         self.bits_per_entry = bits_per_entry
         self.n_bits = max(8, int(capacity * bits_per_entry))
         self.n_probes = n_probes if n_probes is not None else optimal_num_probes(bits_per_entry)
-        self.hash_family = hash_family
         self.rotation = rotation
         # Padded to a whole number of 64-bit words so the kernels can view
         # the store as uint64 without copying; probe positions are all
@@ -85,7 +91,7 @@ class BloomFilter:
 
     def add(self, key: int) -> None:
         """Insert ``key``; afterwards ``may_contain(key)`` is always True."""
-        self.add_bases((shared_base(key, self.hash_family),))
+        self.add_bases((shared_base(key),))
 
     def add_bases(self, bases: Sequence[int]) -> None:
         """Insert by precomputed base hashes on the scalar path: :meth:`add`,
@@ -120,7 +126,7 @@ class BloomFilter:
 
     def may_contain(self, key: int) -> bool:
         """False ⇒ definitely absent; True ⇒ probably present."""
-        return self.may_contain_base(shared_base(key, self.hash_family))
+        return self.may_contain_base(shared_base(key))
 
     def add_many(self, keys: Sequence[int]) -> None:
         """Batch insert with one hash pass. Probe positions are the same
@@ -129,9 +135,9 @@ class BloomFilter:
         scalar loop when the batch is too small to pay for them.
         """
         if len(keys) < _KERNEL_MIN:
-            self.add_bases(shared_bases(keys, self.hash_family))
+            self.add_bases(shared_bases(keys))
             return
-        bases = kernels.shared_bases(keys, self.hash_family)
+        bases = kernels.shared_bases(keys)
         kernels.bloom_add_many(self._bits, bases, self.n_probes, self.n_bits, self.rotation)
         self.n_added += len(keys)
 
@@ -152,10 +158,7 @@ class BloomFilter:
     def expected_fpr(self, n_added: Optional[int] = None) -> float:
         """Theoretical false-positive rate at the current load, or at ``n_added``."""
         n_added = self.n_added if n_added is None else n_added
-        if n_added == 0:
-            return 0.0
-        exponent = -self.n_probes * n_added / self.n_bits
-        return (1.0 - math.exp(exponent)) ** self.n_probes
+        return theoretical_fpr(self.capacity, self.bits_per_entry, n_added, self.n_probes)
 
     def __contains__(self, key: int) -> bool:
         return self.may_contain(key)

@@ -117,41 +117,7 @@ def _splitmix64_arr(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     return z
 
 
-def _murmur3_32_block8(lo32: np.ndarray, hi32: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorized murmur3_32 over 8-byte keys split into two LE 32-bit blocks.
-
-    Mirrors ``hashing.murmur3_32`` specialised to ``len(data) == 8``: two
-    block rounds, no tail bytes, then the finalization mix. Work happens in
-    uint64 lanes masked back to 32 bits after every step, matching the
-    scalar code's ``& _MASK32``.
-    """
-    c1 = np.uint64(0xCC9E2D51)
-    c2 = np.uint64(0x1B873593)
-    h = np.full(lo32.shape, np.uint64(seed & 0xFFFFFFFF), dtype=np.uint64)
-    for block in (lo32, hi32):
-        k = (block * c1) & _M32
-        k = ((k << np.uint64(15)) | (k >> np.uint64(17))) & _M32
-        k = (k * c2) & _M32
-        h = h ^ k
-        h = ((h << np.uint64(13)) | (h >> np.uint64(19))) & _M32
-        h = (h * np.uint64(5) + np.uint64(0xE6546B64)) & _M32
-    h = h ^ np.uint64(8)  # ^= length
-    h = h ^ (h >> np.uint64(16))
-    h = (h * np.uint64(0x85EBCA6B)) & _M32
-    h = h ^ (h >> np.uint64(13))
-    h = (h * np.uint64(0xC2B2AE35)) & _M32
-    return h ^ (h >> np.uint64(16))
-
-
-def _murmur3_64_arr(keys: np.ndarray, seed: int = 0) -> np.ndarray:
-    lo32 = keys & _M32
-    hi32 = keys >> np.uint64(32)
-    lo = _murmur3_32_block8(lo32, hi32, seed)
-    hi = _murmur3_32_block8(lo32, hi32, seed ^ 0x9E3779B9)
-    return (hi << np.uint64(32)) | lo
-
-
-def shared_bases(keys: Sequence[int], family: str = "splitmix64", seed: int = 0):
+def shared_bases(keys: Sequence[int], seed: int = 0):
     """One 64-bit base hash per key (batch hash sharing).
 
     A uint64 array — ``astype(uint64)`` on signed keys is the same two's-
@@ -162,12 +128,8 @@ def shared_bases(keys: Sequence[int], family: str = "splitmix64", seed: int = 0)
     try:
         arr = _int_array(keys).astype(np.uint64, copy=False)
     except _NOT_INT:
-        return hashing.shared_bases(keys, family, seed)
-    if family == "splitmix64":
-        return _splitmix64_arr(arr, seed)
-    if family == "murmur3":
-        return _murmur3_64_arr(arr, seed)
-    raise ValueError(f"unknown hash family: {family!r}")
+        return hashing.shared_bases(keys, seed)
+    return _splitmix64_arr(arr, seed)
 
 
 def _probe_matrix(bases, n_probes: int, n_bits: int, rotation: int) -> np.ndarray:

@@ -619,8 +619,12 @@ def recover_sharded(
     try:
         for row in rows:
             directory = os.path.join(root, row["dir"])
+            config = dict(row["config"])
+            # Retired knob of older manifests: it chose the Bloom hash, and
+            # filters are never persisted, so every value recovers the same.
+            config.pop("hash_family", None)
             try:
-                cfg = SWAREConfig(**row["config"])
+                cfg = SWAREConfig(**config)
             except TypeError as exc:
                 raise ShardedIndexError(
                     f"shard {row['id']} config malformed: {exc}"

@@ -396,9 +396,8 @@ def evaluate_signals(signals: Dict[str, object]) -> List[HealthFinding]:
                         f"{decisions:.0f} absent-key probes"
                     ),
                     remediation=(
-                        "raise SWAREConfig.bits_per_entry above 10 or switch "
-                        "hash_family (splitmix64 vs murmur3); a saturated filter "
-                        "also points at an oversized unsorted tail — lower "
+                        "raise SWAREConfig.bits_per_entry above 10; a saturated "
+                        "filter also points at an oversized unsorted tail — lower "
                         "query_sorting_threshold"
                     ),
                     value=observed,

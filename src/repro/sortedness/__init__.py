@@ -9,7 +9,7 @@ from repro.sortedness.generator import (
     sorted_keys,
     workload_family,
 )
-from repro.sortedness.klsort import KLSortStats, kl_sort, kl_sort_or_fallback
+from repro.sortedness.klsort import KLSortStats, kl_sort
 from repro.sortedness.metrics import (
     RunningSortednessEstimate,
     SortednessReport,
@@ -33,7 +33,6 @@ __all__ = [
     "workload_family",
     "KLSortStats",
     "kl_sort",
-    "kl_sort_or_fallback",
     "RunningSortednessEstimate",
     "SortednessReport",
     "count_inversions",

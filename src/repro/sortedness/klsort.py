@@ -15,8 +15,8 @@ O(N + K log K) ⊆ O(N log(K+L)) with O(K + L) extra space, matching the
 complexity quoted in §II of the paper. The side buffer is capacity-bounded;
 overflowing it raises :class:`~repro.errors.KLSortCapacityError`, mirroring
 the paper's observation that the algorithm "fails for significantly high
-values of K or L" — callers (the SWARE-buffer) catch this and fall back to a
-general stable sort.
+values of K or L". The SWARE-buffer runs only the split pass
+(:func:`kl_split_fits`), under a meter, to choose which sort it bills.
 
 Stability: ties are broken by arrival position, so duplicate keys keep their
 relative order — a requirement the paper states explicitly (§IV-C).
@@ -63,7 +63,7 @@ def kl_sort(
         Maximum side-buffer size (the paper's O(K+L) memory bound). ``None``
         means unbounded. Exceeding it raises
         :class:`~repro.errors.KLSortCapacityError` *before* doing the merge
-        work, so the caller's fallback pays nothing extra.
+        work, so a caller that falls back pays nothing extra.
     stats:
         Optional mutable stats collector.
     """
@@ -157,22 +157,3 @@ def kl_split_fits(keys: Sequence[int], capacity: int) -> bool:
         tail = key
     return True
 
-
-def kl_sort_or_fallback(
-    items: Sequence[T],
-    key: Optional[Callable[[T], object]] = None,
-    capacity: Optional[int] = None,
-    stats: Optional[KLSortStats] = None,
-) -> Tuple[List[T], str]:
-    """kl_sort with automatic fallback to Python's stable sort.
-
-    Returns ``(sorted_list, algorithm)`` where ``algorithm`` is ``"kl"`` or
-    ``"stable"``. This is the exact decision the SWARE-buffer makes at flush
-    time when its K/L estimates turned out to be wrong.
-    """
-    try:
-        return kl_sort(items, key=key, capacity=capacity, stats=stats), "kl"
-    except KLSortCapacityError:
-        if key is None:
-            return sorted(items), "stable"  # type: ignore[type-var]
-        return sorted(items, key=key), "stable"

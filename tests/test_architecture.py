@@ -33,32 +33,6 @@ def hits(pattern, *paths):
     ]
 
 
-def guarded_blocks(pattern, *paths):
-    """Each ``path:line`` that ``pattern`` matches, with the block it sits
-    in: the line itself when it opens one, else the nearest line above with
-    less indentation, followed by that header's indented body."""
-    regex = re.compile(pattern)
-    indent = lambda text: len(text) - len(text.lstrip())  # noqa: E731
-    blocks = {}
-    for path in _files(*paths):
-        lines = path.read_text(errors="replace").splitlines()
-        for number, line in enumerate(lines):
-            if not regex.search(line):
-                continue
-            head = number
-            while not line.rstrip().endswith(":") and (
-                not lines[head].strip() or indent(lines[head]) >= indent(line)
-            ):
-                head -= 1
-            body = head + 1
-            while body < len(lines) and (
-                not lines[body].strip() or indent(lines[body]) > indent(lines[head])
-            ):
-                body += 1
-            blocks[f"{path.relative_to(ROOT)}:{number + 1}"] = lines[head:body]
-    return blocks
-
-
 def defines(node_id):
     """Whether ``path::Class::test`` is defined (directly) in that file."""
     path, *names = node_id.split("::")
@@ -104,14 +78,16 @@ def test_one_recovery_path():
 
 
 def _body(path, name):
-    """The source lines of the function or method ``name`` in ``path``."""
+    """The source lines of every function or method ``name`` in ``path``
+    (an override's too)."""
     source = (ROOT / path).read_text()
+    lines = source.splitlines()
     found = [
         node for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.FunctionDef) and node.name == name
     ]
-    assert len(found) == 1, (path, name)
-    return source.splitlines()[found[0].lineno - 1 : found[0].end_lineno]
+    assert found, (path, name)
+    return [line for node in found for line in lines[node.lineno - 1 : node.end_lineno]]
 
 
 def test_ranges_resolve_versions():
@@ -149,29 +125,93 @@ def test_one_oracle():
     assert [path.name for path in gone if path.exists()] == []
 
 
-def test_lean_point_lookups():
-    # No meter bucket on an unmetered GET.
-    assert hits(r"_search_sorted", "src/repro/core/buffer.py") == []
-    assert defines("tests/test_sware_index.py::TestCostAccounting::"
-                   "test_unmetered_get_enters_no_bucket")
-    # Sorted runs are bisected and the tail answers from a dict; interpolation
-    # search and the §IV-A filter walk run only under a meter, to bill it, and
-    # the lookup checks that each reaches the slot it answered with.
-    def billed(block):
-        text = "\n".join(block)
-        return (re.match(r"\s*if metered\b", block[0]) is not None
-                and "!= slot" in text and "raise InvariantViolation" in text)
+def _names(tree, skip=None):
+    """Every name and attribute ``tree`` refers to outside import
+    statements and outside ``skip`` (a node of it)."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip or isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
 
-    probes = guarded_blocks(r"interpolation_probe\(", "src/repro/core")
-    assert probes and all(
-        billed(block) and any('charge("interp_step"' in line for line in block)
-        for block in probes.values()
-    ), probes
-    walks = guarded_blocks(r"(?<!def )_search_tail\(", "src/repro/core")
-    assert walks and all(billed(block) for block in walks.values()), walks
-    for test in ("test_unmetered_lookup_runs_no_interpolation",
-                 "test_unmetered_tail_probe_touches_no_filter"):
-        assert defines(f"tests/test_sware_index.py::TestCostAccounting::{test}")
+
+def _unchecked_calls(tree, billed):
+    """The calls to a name in ``billed`` under ``tree`` whose result does not
+    reach a check of its own: a later ``if ... != ...: raise
+    InvariantViolation`` that names ``slot`` (the executed answer) and the
+    call or the name the call's result is assigned to."""
+    checks = sorted(
+        (node for node in ast.walk(tree) if isinstance(node, ast.If)
+         and isinstance(node.test, ast.Compare)
+         and any(isinstance(op, ast.NotEq) for op in node.test.ops)
+         and "slot" in _names(node.test)
+         and any(isinstance(stmt, ast.Raise) and "InvariantViolation" in _names(stmt)
+                 for stmt in node.body)),
+        key=lambda node: node.lineno,
+    )
+    results = {}  # id(call) -> what a check must name to compare its result
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _names(node.func) & billed:
+            results.setdefault(id(node), (node, None))
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            target = node.targets[0]
+            first = target.elts[0] if isinstance(target, ast.Tuple) else target
+            if _names(node.value.func) & billed and isinstance(first, ast.Name):
+                results[id(node.value)] = (node.value, first.id)
+    unchecked = []
+    for call, name in sorted(results.values(), key=lambda pair: pair[0].lineno):
+        for check in checks:
+            if check.lineno >= call.lineno and (
+                    any(node is call for node in ast.walk(check.test))
+                    or name in _names(check.test)):
+                checks.remove(check)  # one check per billed call
+                break
+        else:
+            unchecked.append(ast.unparse(call))
+    return unchecked
+
+
+def test_one_biller():
+    # The executed SWARE buffer takes no meter, makes no charge and holds
+    # none of the paper's cost-model state: the filter walk, interpolation
+    # search, page Zonemaps and (K,L) choice live in the metered subclass,
+    # which SortednessAwareIndex builds exactly when it has a meter.
+    module = ast.parse((ROOT / "src/repro/core/buffer.py").read_text())
+    classes = {node.name: node for node in module.body if isinstance(node, ast.ClassDef)}
+    executed, metered = classes["SWAREBuffer"], classes["MeteredSWAREBuffer"]
+    assert {"charge", "meter", "bucket"}.isdisjoint(_names(executed))
+    billing = {"interpolation_probe", "_search_tail", "BloomFilter", "PageZonemaps",
+               "kl_split_fits", "RunningSortednessEstimate"}
+    assert billing <= _names(metered)
+    assert billing.isdisjoint(_names(module, skip=metered))
+    # Each billed search is checked against the executed answer.
+    searches = {"interpolation_probe", "_search_tail"}
+    lookup = [node for node in metered.body
+              if isinstance(node, ast.FunctionDef) and node.name == "lookup"]
+    assert lookup and searches <= _names(lookup[0])
+    assert _unchecked_calls(metered, searches) == []
+    for path in _files("src/repro/core"):
+        if path.suffix == ".py" and path.name != "buffer.py":
+            assert billing.isdisjoint(_names(ast.parse(path.read_text()))), path
+    assert [line.split(":")[0] for line in hits(r"(?<!class )MeteredSWAREBuffer\(", "src")] == [
+        "src/repro/core/sware.py"]
+    assert hits(r"_search_sorted", "src/repro/core/buffer.py") == []
+    for test in ("TestCostAccounting::test_unmetered_get_enters_no_bucket",
+                 "TestCostAccounting::test_unmetered_lookup_runs_no_interpolation",
+                 "TestCostAccounting::test_unmetered_tail_probe_touches_no_filter"):
+        assert defines(f"tests/test_sware_index.py::{test}")
+    for test in ("test_answers_like_a_dict_without_a_charge",
+                 "test_query_sort_runs_no_sort_kernel",
+                 "test_allocates_no_filter_zonemap_or_estimate"):
+        assert defines(f"tests/test_sware_buffer.py::TestExecutedBuffer::{test}")
+    for test in ("test_wrong_interpolation_slot_raises", "test_wrong_tail_walk_slot_raises"):
+        assert defines(f"tests/test_sware_buffer.py::TestBilledAnswerCheck::{test}")
 
 
 def test_one_batch_surface():

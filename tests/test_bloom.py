@@ -45,12 +45,6 @@ class TestNoFalseNegatives:
         assert bf.may_contain_base(shared_base(42))
         assert bf.may_contain(42)
 
-    def test_murmur_family_no_false_negatives(self):
-        bf = BloomFilter(128, hash_family="murmur3")
-        for key in range(100):
-            bf.add(key)
-        assert all(bf.may_contain(key) for key in range(100))
-
 
 class TestFalsePositiveRate:
     def test_fpr_near_theoretical(self):

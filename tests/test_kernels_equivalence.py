@@ -89,48 +89,37 @@ METRICS = [
 @given(keys=keys_st, seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_splitmix64_many_matches(keys, seed):
-    expected = hashing.shared_bases(keys, "splitmix64", seed)
-    assert _unboxed(kernels.shared_bases(keys, "splitmix64", seed)) == expected
+    expected = hashing.shared_bases(keys, seed)
+    assert _unboxed(kernels.shared_bases(keys, seed)) == expected
 
 
-@given(keys=keys_st, seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_murmur3_64_many_matches(keys, seed):
-    expected = [hashing.murmur3_64(key, seed) for key in keys]
-    assert _unboxed(kernels.shared_bases(keys, "murmur3", seed)) == expected
-
-
-@pytest.mark.parametrize("family", ["splitmix64", "murmur3"])
 @given(keys=keys_st.filter(bool))
 @settings(max_examples=40, deadline=None)
-def test_shared_bases_matches(family, keys):
-    bases = kernels.shared_bases(keys, family)
+def test_shared_bases_matches(keys):
+    bases = kernels.shared_bases(keys)
     assert isinstance(bases, np.ndarray)
-    assert _unboxed(bases) == [hashing.shared_base(key, family) for key in keys]
+    assert _unboxed(bases) == [hashing.shared_base(key) for key in keys]
 
 
 @given(keys=bignum_keys_st | st.just([-1, 2**63]))
 @settings(max_examples=30, deadline=None)
 def test_bignum_keys_fall_back_identically(keys):
     """Keys no integer dtype holds are hashed by the scalar functions."""
-    for family in ("splitmix64", "murmur3"):
-        expected = hashing.shared_bases(keys, family)
-        assert _unboxed(kernels.shared_bases(keys, family)) == expected
+    assert _unboxed(kernels.shared_bases(keys)) == hashing.shared_bases(keys)
 
 
 # ----------------------------------------------------------------------
 # Bloom filter: bit patterns, membership, accounting
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("family", ["splitmix64", "murmur3"])
 @pytest.mark.parametrize("rotation", [0, 17])
 @given(keys=keys_st, probes=st.lists(i64 | i64_edges, max_size=40))
 @settings(max_examples=25, deadline=None)
-def test_bloom_bits_and_membership_identical(family, rotation, keys, probes):
+def test_bloom_bits_and_membership_identical(rotation, keys, probes):
     """Batch adds set the bits of the sequential single-key path, so every
     membership probe answers as it does on the sequential filter."""
-    batch = BloomFilter(256, hash_family=family, rotation=rotation)
+    batch = BloomFilter(256, rotation=rotation)
     batch.add_many(keys)
-    sequential = BloomFilter(256, hash_family=family, rotation=rotation)
+    sequential = BloomFilter(256, rotation=rotation)
     for key in keys:
         sequential.add(key)
     assert bytes(batch._bits) == bytes(sequential._bits)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import KLSortCapacityError
 from repro.sortedness.generator import generate_kl_keys
 from repro import kernels
-from repro.sortedness.klsort import KLSortStats, kl_sort, kl_sort_or_fallback, kl_split_fits
+from repro.sortedness.klsort import KLSortStats, kl_sort, kl_split_fits
 
 
 class TestCorrectness:
@@ -68,24 +68,6 @@ class TestCapacityBound:
     def test_capacity_sufficient_succeeds(self):
         data = generate_kl_keys(1000, 0.02, 0.01, seed=1)
         assert kl_sort(data, capacity=200) == sorted(data)
-
-    def test_fallback_on_overflow(self):
-        scrambled = list(range(500, 0, -1))
-        result, algorithm = kl_sort_or_fallback(scrambled, capacity=10)
-        assert algorithm == "stable"
-        assert result == sorted(scrambled)
-
-    def test_fallback_not_taken_when_fits(self):
-        data = generate_kl_keys(1000, 0.02, 0.01, seed=1)
-        result, algorithm = kl_sort_or_fallback(data, capacity=400)
-        assert algorithm == "kl"
-        assert result == sorted(data)
-
-    def test_fallback_preserves_key_function(self):
-        data = [(v,) for v in range(50, 0, -1)]
-        result, algorithm = kl_sort_or_fallback(data, key=lambda t: t[0], capacity=2)
-        assert algorithm == "stable"
-        assert result == sorted(data)
 
 
 class TestComplexityCharacter:

@@ -1,8 +1,8 @@
 """The tail's Bloom filters and page Zonemaps are built lazily, by level.
 
-Only a metered probe walks them (§IV-A, billed; the answer comes from the
-buffer's slot index). ``SWAREBuffer.add`` / ``add_many`` only append; at the
-first metered probe after an append ``_sync_tail_index`` brings the page
+Only the metered buffer holds them and walks them (§IV-A, billed; the answer
+comes from the slot index). ``MeteredSWAREBuffer.add`` / ``add_many`` only
+append; at the first probe after an append ``_sync_tail_index`` brings the page
 Zonemaps and the global filter up to date, and ``_sync_page_filter`` catches
 a page filter up when a probe consults that page. That nobody can tell
 (results, stats, charges and the synced filters equal an eagerly indexed
@@ -13,7 +13,7 @@ pins the deferral itself, and that a fully synced index equals one built a
 
 import copy
 
-from repro.core.buffer import SWAREBuffer
+from repro.core.buffer import MeteredSWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.zonemap import PageZonemaps
 from repro.filters.bloom import BloomFilter
@@ -32,17 +32,16 @@ def _sync_every_level(buffer):
 
 
 def _per_key_index(buffer):
-    """Filter and Zonemap state built one ``BloomFilter.add`` per tail key."""
+    """Filter and Zonemap state built one ``BloomFilter.add`` per key of the
+    open tail segment."""
     cfg = buffer.config
-    global_bf = BloomFilter(cfg.buffer_capacity, cfg.bits_per_entry, cfg.hash_family)
+    global_bf = BloomFilter(cfg.buffer_capacity, cfg.bits_per_entry)
     page_bfs = []
     zones = PageZonemaps(cfg.page_size)
-    for position, key in enumerate(buffer._tail_keys):
+    for position, key in enumerate(buffer._tail_keys[buffer._open :]):
         global_bf.add(key)
         if position % cfg.page_size == 0:
-            page_bfs.append(
-                BloomFilter(cfg.page_size, cfg.bits_per_entry, cfg.hash_family, rotation=17)
-            )
+            page_bfs.append(BloomFilter(cfg.page_size, cfg.bits_per_entry, rotation=17))
         page_bfs[-1].add(key)
         zones.observe(position, key)
     return global_bf, page_bfs, zones
@@ -80,7 +79,7 @@ def test_appends_leave_the_index_alone_until_a_probe(domain):
     probe, and such a probe indexes everything appended so far through
     either sync path."""
     config = SWAREConfig(buffer_capacity=CAPACITY, page_size=PAGE)
-    buffer = domain.wrap(SWAREBuffer(config, meter=Meter()))
+    buffer = domain.wrap(MeteredSWAREBuffer(config, meter=Meter()))
     buffer.add(100, "a")
     buffer.add(5, "b")  # out of order: starts the tail
     buffer.add_many([(key, key) for key in range(40, 10, -1)])

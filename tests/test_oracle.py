@@ -35,9 +35,10 @@ domains of ``tests/key_domains.py``:
 
 The ``Sware`` and ``Concurrent`` subjects carry a ``Meter``, so their
 lookups also run the paper's billed searches and check them against the
-answer; after every step each also looks up every unsorted-tail key on a
-metered copy of its buffer (:func:`_probe_tail`), so a filter that turns a
-buffered key away fails whether or not a drawn GET asked for it.
+answer; after every step each also looks up every tail key, in the open
+segment or a query-sorted block, on a metered copy of its buffer
+(:func:`_probe_tail`), so a filter or block search that turns a buffered key
+away fails whether or not a drawn GET asked for it.
 
 A rule a shape cannot run is off by precondition (``Subject.rules``). The
 durable and served shapes draw int64 keys only (the WAL, page and wire
@@ -69,7 +70,7 @@ from hypothesis.stateful import (
 )
 
 from repro import kernels
-from repro.core.buffer import SWAREBuffer
+from repro.core.buffer import DELETED, HIT, TOMBSTONE, MeteredSWAREBuffer
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.factory import (
@@ -128,7 +129,7 @@ def _sync_every_level(buffer):
         buffer._sync_page_filter(page, min((page + 1) * buffer.config.page_size, buffer.tail_size))
 
 
-class _EagerBuffer(SWAREBuffer):
+class _EagerBuffer(MeteredSWAREBuffer):
     """Indexes every append, at every level, before returning."""
 
     def add(self, key, value, tombstone=False):
@@ -147,16 +148,19 @@ def _tail_index(buffer):
 
 
 def _probe_tail(buffer):
-    """Look every tail key up on a metered copy of ``buffer`` (fresh meter
-    and counters, its own filters and slot index): ``lookup`` raises if
-    §IV-A's billed filter walk misses the slot it answers with."""
+    """Look every tail key up on a copy of metered ``buffer`` (fresh meter
+    and counters, its own filters and slot index), those of the open
+    segment and those only in query-sorted blocks: ``lookup`` raises if
+    §IV-A's billed filter walk or §IV-B's billed search of a block misses
+    the slot it answers with, and the answer is the key's newest version."""
     probe = copy.copy(buffer)
     probe.meter, probe.stats, probe._slot_of = Meter(), SWAREStats(), dict(buffer._slot_of)
     probe.page_zonemaps, probe.global_bf, probe._page_bfs = copy.deepcopy(
         (buffer.page_zonemaps, buffer.global_bf, buffer._page_bfs)
     )
-    for key in set(buffer._tail_keys):
-        probe.lookup(key)
+    newest = dict(zip(buffer._tail_keys, buffer._tail_vals))
+    for key, value in newest.items():
+        assert probe.lookup(key) == ((TOMBSTONE, None) if value is DELETED else (HIT, value))
 
 
 def _items(index):
@@ -673,7 +677,6 @@ class OracleMachine(RuleBasedStateMachine):
             buffer_capacity=st.sampled_from([8, 16, 48]),
             page_size=st.just(4),
             query_sorting_threshold=st.sampled_from([0.1, 0.25, 1.0]),
-            hash_family=st.sampled_from(["splitmix64", "murmur3"]),
             enable_global_bf=st.booleans(),
             enable_page_bf=st.booleans(),
             enable_read_zonemaps=st.booleans(),
@@ -827,13 +830,18 @@ def _items_programs(backend):
     }
 
 
-def _through_the_tail(keys):
+def _through_the_tail(keys, freeze=False):
     """Each of ``keys`` put into the unsorted tail under ``SMALL``: eight at
-    a time, descending, below a sentinel above them all, then a flush."""
+    a time, descending, below a sentinel above them all, then a flush; with
+    ``freeze``, four at a time, each four closed into a query-sorted block
+    first, so every key also sits only in a block at some check."""
     keys, top = sorted(keys, reverse=True), max(keys) + 1
+    step = 4 if freeze else 8
     ops = []
-    for start in range(0, len(keys), 8):
-        ops += [("put", top, 0), *[("put", k, k) for k in keys[start:start + 8]], ("flush",)]
+    for start in range(0, len(keys), step):
+        ops += [("put", top, 0), *[("put", k, k) for k in keys[start:start + step]]]
+        ops += [("query_sort",), ("put", top, 1)] if freeze else []
+        ops.append(("flush",))
     return ops
 
 
@@ -881,9 +889,15 @@ PROGRAMS = {
     "empty-get-many-is-a-no-op": (Sware, "btree", [*HOT, ("get_many", [])]),
     "get-many-charges-like-a-loop": (Sware, "btree", [*HOT, ("get_many", [5, 10, 99, 25, 60, 42])]),
     # Every small key the machine draws sits in the tail at some check, so
-    # a filter that turns one away fails _probe_tail in both metered shapes.
+    # a filter that turns one away fails _probe_tail in both metered shapes;
+    # and in a query-sorted block, so a billed block search that misses it does.
     **{
         f"{name}-every-drawn-key-through-the-tail": (subject, "btree", _through_the_tail(range(-4, 65)))
+        for name, subject in (("sware", Sware), ("concurrent", Concurrent))
+    },
+    **{
+        f"{name}-every-drawn-key-through-a-block": (
+            subject, "btree", _through_the_tail(range(-4, 65), freeze=True))
         for name, subject in (("sware", Sware), ("concurrent", Concurrent))
     },
     # A batch is one WAL frame; a restart replays it.

@@ -58,9 +58,8 @@ def test_buffer_columns_demote_mid_epoch(domain):
 
     for key in (10, 20, 30, 5, 25, INT64_MAX, -7, 25):
         put(key, f"a{key}")
-    buffer.query_sort()  # a block of int64-representable keys
-    block = buffer._blocks[0]
-    assert (type(block.col) is list) == bool(domain.shift)
+    buffer.query_sort()  # a block of int64-representable keys: a boundary
+    assert (buffer.n_blocks, buffer.tail_size) == (1, 0)
     for key in (2**63, 12, -(2**70), 12):
         put(key, f"b{key}")
     assert buffer.lookup(2**63) == (1, f"b{2**63}")
@@ -293,7 +292,7 @@ def test_range_merge_matches_a_dict_model(domain):
     tombstones over present and absent keys. Then a seeded stream of appends
     (duplicate tail keys: the newest version wins), deletes, query-sorts and
     flushes, with ``_tail_order`` equal to the sorted tail after every range
-    and empty once the tail is reset."""
+    and query sort, and empty once a flush resets the tail."""
     for shape, tree_keys, buffered, deleted in MERGE_SHAPES:
         index = _merge_index(domain, tree_keys)
         model = {key: f"t{key}" for key in tree_keys}
@@ -325,12 +324,13 @@ def test_range_merge_matches_a_dict_model(domain):
             index.buffer.query_sort()
         else:
             index.flush_all()
+            assert index.buffer._tail_order == []
         if step % 10 == 0:
             _check_ranges(index, model, probes)
             buffer = index.buffer
             if buffer.tail_size:
-                buffer.query_sort()
-                assert buffer._tail_order == []
+                buffer.query_sort()  # a boundary: the order still covers the tail
+                assert buffer._tail_order == sorted(buffer._tail_keys)
 
 
 # ----------------------------------------------------------------------

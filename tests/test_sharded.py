@@ -179,6 +179,21 @@ class TestRecovery:
         assert rec.items() == sorted(oracle.items())
         rec.close()
 
+    @pytest.mark.parametrize("family", ["splitmix64", "murmur3"])
+    def test_recovers_a_manifest_with_a_hash_family(self, tmp_path, family):
+        idx = make_sharded(tmp_path, n_shards=2)
+        idx.put_many([(k, k) for k in range(0, 10_000, 500)])
+        idx.commit()
+        idx.close()
+        path = tmp_path / "db" / MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        for row in doc["shards"]:
+            row["config"]["hash_family"] = family
+        path.write_text(json.dumps(doc))
+        rec, _reports = recover_sharded(str(tmp_path / "db"))
+        assert rec.items() == [(k, k) for k in range(0, 10_000, 500)]
+        rec.close()
+
     def test_recover_replays_wal_tail(self, tmp_path):
         idx = make_sharded(tmp_path, n_shards=2)
         for k in range(100):

@@ -5,13 +5,19 @@ classes at the end, shifted beyond int64 (see ``tests/key_domains.py``).
 """
 
 import dataclasses
+import random
 
 import pytest
 
-from repro.core.buffer import HIT, MISS, TOMBSTONE, SWAREBuffer
+from repro import kernels
+from repro.core import buffer as buffer_module
+from repro.core.buffer import DELETED, HIT, MISS, TOMBSTONE, MeteredSWAREBuffer, SWAREBuffer
 from repro.core.config import SWAREConfig
-from repro.errors import ConfigError
-from repro.storage.costmodel import Meter
+from repro.core.zonemap import PageZonemaps
+from repro.errors import ConfigError, InvariantViolation
+from repro.filters.bloom import BloomFilter
+from repro.sortedness.metrics import RunningSortednessEstimate
+from repro.storage.costmodel import Meter, _NullMeter
 from tests.key_domains import INT64, WIDE
 
 
@@ -19,8 +25,11 @@ class _Buffers:
     domain = INT64
 
     def make_buffer(self, capacity=64, page_size=8, meter=None, **overrides):
+        """The executed buffer, or the metered one when given a meter."""
         config = SWAREConfig(buffer_capacity=capacity, page_size=page_size, **overrides)
-        return self.domain.wrap(SWAREBuffer(config, meter=meter))
+        if meter is None:
+            return self.domain.wrap(SWAREBuffer(config))
+        return self.domain.wrap(MeteredSWAREBuffer(config, meter=meter))
 
 
 class TestConfig:
@@ -291,8 +300,9 @@ class TestRangeEntries(_Buffers):
 
     def test_tail_sort_cached_until_new_insert(self):
         """A range bills the tail sort once per tail length (the paper's
-        flag); a query sort of a tail a range billed sorts it, billing nothing."""
-        buffer = self.make_buffer()
+        flag); a query sort of a tail a range billed bills nothing. The
+        block is a boundary: the tail keeps its arrival order."""
+        buffer = self.make_buffer(meter=Meter())
         buffer.add(5, 5)
         buffer.add(1, 1)
         assert buffer.range_run(0, 10) == ({5: 5, 1: 1}, 2)
@@ -305,14 +315,14 @@ class TestRangeEntries(_Buffers):
         buffer.query_sort()
         assert buffer.stats.sorted_entries == 3
         assert buffer.stats.stable_sorts + buffer.stats.kl_sorts == 2
-        assert [entry[0] for entry in buffer.all_entries()] == [5, 0, 1]
+        assert [entry[0] for entry in buffer.all_entries()] == [5, 1, 0]
 
 
 class TestSortAlgorithmChoice(_Buffers):
     def test_near_sorted_tail_uses_kl_sort(self):
         from repro.sortedness.generator import generate_kl_keys
 
-        buffer = self.make_buffer(capacity=512, page_size=32)
+        buffer = self.make_buffer(capacity=512, page_size=32, meter=Meter())
         buffer.add(0, 0)
         buffer.add(-1, -1)  # open the tail immediately
         for key in generate_kl_keys(400, 0.05, 0.02, seed=1):
@@ -323,11 +333,154 @@ class TestSortAlgorithmChoice(_Buffers):
     def test_scrambled_tail_uses_stable_sort(self):
         from repro.sortedness.generator import scrambled_keys
 
-        buffer = self.make_buffer(capacity=512, page_size=32)
+        buffer = self.make_buffer(capacity=512, page_size=32, meter=Meter())
         for key in scrambled_keys(400, seed=2):
             buffer.add(key, key)
         buffer.drain()
         assert buffer.stats.stable_sorts >= 1
+
+
+class TestExecutedBuffer(_Buffers):
+    """The executed buffer bills nothing and holds no cost-model state."""
+
+    def test_answers_like_a_dict_without_a_charge(self, monkeypatch):
+        """Puts, batches, tombstones, lookups, ranges, query sorts, flushes
+        and drains against a model of what is buffered, with every
+        ``NULL_METER.charge`` refused."""
+
+        def refuse(*args):
+            raise AssertionError("the executed buffer charged a meter")
+
+        monkeypatch.setattr(_NullMeter, "charge", refuse)
+        buffer = self.make_buffer(capacity=48, page_size=4, query_sorting_threshold=0.25)
+        rng = random.Random(51)
+        buffered = {}  # seq -> (key, value): the model
+        seq = 0
+
+        def put(key, value):
+            nonlocal seq
+            seq += 1
+            buffered[seq] = (key, value)
+
+        def flushed(batch):
+            for key, at, value, dead in batch.entries:
+                assert buffered.pop(at) == (key, DELETED if dead else value)
+            order = [(key, at) for key, at, _value, _dead in batch.entries]
+            assert order == sorted(order)
+
+        def check():
+            newest = {}
+            for at in sorted(buffered):
+                key, value = buffered[at]
+                newest[key] = value
+            for key in range(-2, 62):
+                value = newest.get(key)
+                expected = (MISS, None) if key not in newest else (
+                    (TOMBSTONE, None) if value is DELETED else (HIT, value))
+                assert buffer.lookup(key) == expected, key
+            lo, hi = sorted(rng.randrange(-2, 62) for _ in range(2))
+            in_range = [key for key, _value in buffered.values() if lo <= key <= hi]
+            assert buffer.range_run(lo, hi) == (
+                {key: value for key, value in newest.items() if lo <= key <= hi}, len(in_range))
+            assert sorted((e[1], e[0]) for e in buffer.all_entries()) == sorted(
+                (at, key) for at, (key, _value) in buffered.items())
+            buffer.check_invariants()
+
+        for step in range(600):
+            roll = rng.random()
+            key = step // 12 + rng.randrange(-8, 3)
+            if roll < 0.5:
+                buffer.add(key, step)
+                put(key, step)
+            elif roll < 0.6:
+                buffer.add(key, None, tombstone=True)
+                put(key, DELETED)
+            elif roll < 0.7:
+                space = buffer.capacity - len(buffer)
+                n = rng.randrange(space + 1)
+                pairs = [(key + rng.randrange(-3, 4), step) for _ in range(n)]
+                buffer.add_many(pairs)
+                for pair in pairs:
+                    put(*pair)
+            elif roll < 0.8:
+                if buffer.should_query_sort() or rng.random() < 0.3:
+                    buffer.query_sort()
+            elif roll < 0.83:
+                flushed(buffer.drain())
+                assert buffer.is_empty
+            else:
+                check()
+            if buffer.is_full:
+                flushed(buffer.prepare_flush())
+        check()
+
+    def test_query_sort_runs_no_sort_kernel(self, monkeypatch):
+        buffer = self.make_buffer()
+        for key in (10, 11, 12, 5, 3, 9, 3):
+            buffer.add(key, key * 2)
+        before = buffer.all_entries()
+
+        def refuse(*args):
+            raise AssertionError("a query sort ran a sort kernel")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "stable_argsort", refuse)
+            buffer.query_sort()
+        assert (buffer.n_blocks, buffer.tail_size) == (1, 0)
+        assert buffer.all_entries() == before  # nothing moved
+        assert buffer.lookup(3) == (HIT, 6)
+
+    def test_allocates_no_filter_zonemap_or_estimate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the executed buffer built cost-model state")
+
+        for cls in (BloomFilter, PageZonemaps, RunningSortednessEstimate):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        buffer = self.make_buffer(capacity=16, page_size=4)
+        for key in (5, 1, 4, 2, 3, 9, 0):
+            buffer.add(key, key)
+            assert buffer.lookup(key) == (HIT, key)
+        buffer.range_run(0, 9)
+        buffer.query_sort()
+        buffer.drain()
+        assert not any(
+            isinstance(value, (BloomFilter, PageZonemaps, RunningSortednessEstimate))
+            for value in vars(getattr(buffer, "_target", buffer)).values()
+        )
+
+
+class TestBilledAnswerCheck(_Buffers):
+    """A metered lookup refuses a billed search that misses the slot the
+    executed lookup answered from: in the open segment, a block or main."""
+
+    def make_layout(self):
+        buffer = self.make_buffer(capacity=64, page_size=8, meter=Meter())
+        for key in range(10, 20):
+            buffer.add(key, key)  # main
+        buffer.add(5, "block")
+        buffer.add(4, "block")  # sorted block [4, 5] at slots [1, 0]
+        buffer.query_sort()
+        buffer.add(3, "open")
+        assert buffer.lookup(3) == (HIT, "open")
+        assert buffer.lookup(5) == (HIT, "block")
+        assert buffer.lookup(12) == (HIT, 12)
+        return buffer
+
+    @pytest.mark.parametrize("key", [5, 12])
+    @pytest.mark.parametrize("billed", [-1, 0], ids=["miss", "first-slot"])
+    def test_wrong_interpolation_slot_raises(self, monkeypatch, key, billed):
+        buffer = self.make_layout()
+        monkeypatch.setattr(buffer_module, "interpolation_probe", lambda keys, _key: (billed, 1))
+        with pytest.raises(InvariantViolation, match="billed search"):
+            buffer.lookup(key)
+
+    @pytest.mark.parametrize("key", [3, 12])
+    def test_wrong_tail_walk_slot_raises(self, monkeypatch, key):
+        buffer = self.make_layout()
+        wrong = -1 if key == 3 else buffer._open  # a missed hit, a false hit
+        monkeypatch.setattr(MeteredSWAREBuffer, "_search_tail", lambda self, _key: wrong)
+        with pytest.raises(InvariantViolation, match="billed tail walk"):
+            buffer.lookup(key)
 
 
 class TestInOrderGrowthWide(TestInOrderGrowth):
@@ -355,4 +508,12 @@ class TestRangeEntriesWide(TestRangeEntries):
 
 
 class TestSortAlgorithmChoiceWide(TestSortAlgorithmChoice):
+    domain = WIDE
+
+
+class TestExecutedBufferWide(TestExecutedBuffer):
+    domain = WIDE
+
+
+class TestBilledAnswerCheckWide(TestBilledAnswerCheck):
     domain = WIDE
