@@ -65,8 +65,5 @@ EXPERIMENTS: Dict[str, Experiment] = {
         Experiment("space", "space_amplification", {"n": 20_000}, 5_000),
         Experiment("lsm_sortedness", "lsm_extension", {"n": 16_000}, 2_000),
         Experiment("ablation", "ablation_components", {"n": 12_000}, 3_000),
-        Experiment(
-            "sosd", "sosd", {"n": 6_000, "n_lookups": 600, "n_ranges": 60}, 1_500
-        ),
     )
 }

@@ -12,12 +12,11 @@ Commands
 ``experiment``
     Run one entry of the experiment table
     (:data:`repro.bench.experiments.EXPERIMENTS`: fig09 … fig21, table1,
-    table3, the §V-D sweeps, the extensions, the component ablation and the
-    SOSD cross-backend ranking) at its pinned kwargs, or at ``--n``, print
-    its report, and evaluate its paper-shape check: a failed check is
-    printed to stderr and exits 1. At the pinned kwargs the report equals
-    ``results/<report>.txt``. ``--profile`` also prints the sampled
-    per-layer wall-time table.
+    table3, the §V-D sweeps, the extensions and the component ablation) at
+    its pinned kwargs, or at ``--n``, print its report, and evaluate its
+    paper-shape check: a failed check is printed to stderr and exits 1.
+    At the pinned kwargs the report equals ``results/<report>.txt``.
+    ``--profile`` also prints the sampled per-layer wall-time table.
 ``recover``
     Rebuild an index from a checkpoint file plus a write-ahead-log tail
     (crash restart), verify its invariants, and print the recovery report.

@@ -6,11 +6,8 @@ from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.factory import (
     BACKEND_NAMES,
-    backend_factory,
     make_baseline_betree,
     make_baseline_btree,
-    make_cracking,
-    make_learned,
     make_lsm,
     make_sa_betree,
     make_sa_btree,
@@ -37,11 +34,8 @@ __all__ = [
     "PageZonemaps",
     "Zonemap",
     "BACKEND_NAMES",
-    "backend_factory",
     "make_baseline_betree",
     "make_baseline_btree",
-    "make_cracking",
-    "make_learned",
     "make_lsm",
     "make_sa_betree",
     "make_sa_btree",

@@ -3,26 +3,18 @@
 The evaluation compares a *baseline* B+-tree / Bε-tree (textbook 50:50
 splits, no tail-leaf pointer) with their sortedness-aware counterparts
 (SWARE buffer on top; 80:20 splits and 95% bulk-load fill underneath, per
-§V "SWARE Tuning"). The SOSD-style cross-backend bench additionally pulls
-in the LSM-tree and the model-based competitors from :mod:`repro.learned`;
-:data:`BACKEND_NAMES` / :func:`backend_factory` give every harness one
-canonical name → constructor mapping for all of them.
+§V "SWARE Tuning"). :func:`make_lsm` builds a plain LSM-tree, and
+:data:`BACKEND_NAMES` names the four registry backends.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.betree.betree import BeTree, BeTreeConfig
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
-from repro.learned import (
-    CrackingIndex,
-    CrackingIndexConfig,
-    LearnedIndex,
-    LearnedIndexConfig,
-)
 from repro.lsm import LSMConfig, LSMTree
 from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
@@ -112,64 +104,11 @@ def make_lsm(
     return LSMTree(config or LSMConfig(), meter=meter)
 
 
-def make_learned(
-    config: Optional[LearnedIndexConfig] = None,
-    meter: Optional[Meter] = None,
-) -> LearnedIndex:
-    """A PGM/FITing-tree style piecewise-linear learned index."""
-    return LearnedIndex(config or LearnedIndexConfig(), meter=meter)
-
-
-def make_cracking(
-    config: Optional[CrackingIndexConfig] = None,
-    meter: Optional[Meter] = None,
-) -> CrackingIndex:
-    """A database-cracking index (partitions refine on query)."""
-    return CrackingIndex(config or CrackingIndexConfig(), meter=meter)
-
-
-#: Canonical competitor names, in the order bench tables print them.
+#: The registry backends, one name per constructor shape.
 BACKEND_NAMES: Tuple[str, ...] = (
     "sa_btree",
     "btree",
     "betree",
     "lsm",
-    "learned",
-    "cracking",
 )
 
-
-def backend_factory(
-    name: str,
-    n: int,
-    buffer_fraction: float = 0.01,
-) -> Callable[[Meter], object]:
-    """A ``factory(meter) -> index`` for any registered backend name.
-
-    ``n`` sizes the workload-dependent knobs the way the paper's
-    experiments do: the SWARE buffer holds ``buffer_fraction`` of the
-    dataset and the LSM memtable holds ~1% of it. The returned callable
-    matches the :data:`repro.bench.runner.IndexFactory` shape, so it plugs
-    straight into ``run_phases``.
-    """
-    if name == "sa_btree":
-        capacity = max(64, int(n * buffer_fraction))
-        config = SWAREConfig(
-            buffer_capacity=capacity,
-            page_size=max(4, min(64, capacity // 8)),
-        )
-        return lambda meter: make_sa_btree(sware_config=config, meter=meter)
-    if name == "btree":
-        return lambda meter: make_baseline_btree(meter=meter)
-    if name == "betree":
-        return lambda meter: make_baseline_betree(meter=meter)
-    if name == "lsm":
-        config = LSMConfig(memtable_capacity=max(32, n // 100))
-        return lambda meter: make_lsm(config=config, meter=meter)
-    if name == "learned":
-        return lambda meter: make_learned(meter=meter)
-    if name == "cracking":
-        return lambda meter: make_cracking(meter=meter)
-    raise ValueError(
-        f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-    )

@@ -1,8 +1,8 @@
 """The sortedness-aware index: SWARE applied to a tree backend (§IV).
 
 :class:`SortednessAwareIndex` wraps any tree satisfying the
-:class:`TreeBackend` protocol (this repository ships five: the B+-tree,
-Bε-tree, LSM-tree, learned index and cracking index) with the SWARE-buffer:
+:class:`TreeBackend` protocol (this repository ships three: the B+-tree,
+the Bε-tree and the LSM-tree) with the SWARE-buffer:
 
 * inserts are intercepted by the buffer; a full buffer triggers a flush
   cycle whose batch is split into an opportunistic **bulk load** (keys above
@@ -41,7 +41,7 @@ from repro.storage.wal import WriteAheadLog
 
 @runtime_checkable
 class TreeBackend(Protocol):
-    """The tree interface SWARE requires (satisfied by all five registry trees).
+    """The tree interface SWARE requires (satisfied by all three registry trees).
 
     ``get_many`` is the one optional batch method SWARE uses: a backend that
     has it (the B+-tree's batch descent) gets a batch's buffer misses in one

@@ -48,10 +48,10 @@ class CheckpointUnsupportedError(ReproError, TypeError):
     """The backend behind an index cannot be checkpointed.
 
     The page-image checkpoint format serializes B+-tree nodes; every other
-    backend (the Bε-tree, whose nodes buffer messages, and the learned and
-    cracking indexes, which rebuild their models/partitions from data)
-    raises this instead of failing deep inside the serializer. Persist
-    their contents through the WAL or re-ingest instead.
+    backend (the Bε-tree, whose nodes buffer messages, and the LSM-tree,
+    whose data lives in a memtable and sorted runs) raises this instead of
+    failing deep inside the serializer. Persist their contents through the
+    WAL or re-ingest instead.
     """
 
 

@@ -13,11 +13,11 @@ setting:
   by the scalar functions of :mod:`repro.filters.hashing`, which give the
   same 64-bit words.
 
-Sequential algorithms (the in-order prefix scan, patience sorting, the
-shrinking-cone PLA fit) have one Python body: no whole-column pass beats
-them. Cost-model charges never live in kernels — meters bill the
-*algorithm* of the paper, not the implementation. A scalar search is not a
-kernel: a B+-tree node bisects its own key list (:mod:`repro.btree.node`).
+Sequential algorithms (the in-order prefix scan, patience sorting) have
+one Python body: no whole-column pass beats them. Cost-model charges never
+live in kernels — meters bill the *algorithm* of the paper, not the
+implementation. A scalar search is not a kernel: a B+-tree node bisects
+its own key list (:mod:`repro.btree.node`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "ItemColumns",
     "as_list",
     "sort_items_by_key",
-    "keys_strictly_increasing",
     "column_strictly_increasing",
     "key_array",
     "longest_nondecreasing_subsequence_length",
@@ -55,7 +54,6 @@ __all__ = [
     "max_displacement",
     "count_inversions",
     "count_runs",
-    "pla_fit_segments",
     "delta_pack",
     "delta_unpack",
 ]
@@ -312,11 +310,6 @@ def column_strictly_increasing(col) -> bool:
     return all(map(lt, col, islice(col, 1, None)))
 
 
-def keys_strictly_increasing(batch: Sequence[Tuple[int, object]]) -> bool:
-    """True when the (sorted) batch of pairs has strictly increasing keys."""
-    return column_strictly_increasing([key for key, _value in batch])
-
-
 # ----------------------------------------------------------------------
 # sortedness metrics
 # ----------------------------------------------------------------------
@@ -389,67 +382,6 @@ def count_runs(keys: Sequence[int]) -> int:
         return 0
     arr = _ordered(keys)
     return 1 + int(np.count_nonzero(arr[1:] < arr[:-1]))
-
-
-# ----------------------------------------------------------------------
-# piecewise-linear approximation (PGM/FITing-tree style learned index)
-# ----------------------------------------------------------------------
-def pla_fit_segments(keys: Sequence[int], epsilon: int):
-    """Greedy shrinking-cone PLA fit over a sorted, unique key list.
-
-    Returns ``(first_keys, slopes, starts)``: segment ``i`` covers the index
-    range ``starts[i]:starts[i+1]`` (the last segment runs to ``len(keys)``)
-    and predicts ``pos ~= starts[i] + slopes[i] * (key - first_keys[i])``
-    with absolute error at most ``epsilon`` for every fitted key.
-
-    The cone is the classic feasible-slope interval: each new point
-    intersects ``[slope_lo, slope_hi]`` with the slopes that keep it within
-    +/- epsilon of the segment origin; an empty intersection closes the
-    segment with the midpoint slope and opens a new one at the point. The
-    fit is inherently sequential and runs once per rebuild, never on the
-    per-query hot path.
-    """
-    n = len(keys)
-    first_keys: list = []
-    slopes: list = []
-    starts: list = []
-    if n == 0:
-        return first_keys, slopes, starts
-    eps = float(epsilon)
-    x0 = keys[0]
-    y0 = 0
-    slope_lo = 0.0
-    slope_hi = float("inf")
-    starts.append(0)
-    first_keys.append(x0)
-    for i in range(1, n):
-        dx = float(keys[i] - x0)
-        dy = float(i - y0)
-        hi = (dy + eps) / dx
-        lo = (dy - eps) / dx
-        new_lo = lo if lo > slope_lo else slope_lo
-        new_hi = hi if hi < slope_hi else slope_hi
-        if new_lo > new_hi:
-            slopes.append(_cone_slope(slope_lo, slope_hi))
-            x0 = keys[i]
-            y0 = i
-            slope_lo = 0.0
-            slope_hi = float("inf")
-            starts.append(i)
-            first_keys.append(x0)
-        else:
-            slope_lo = new_lo
-            slope_hi = new_hi
-    slopes.append(_cone_slope(slope_lo, slope_hi))
-    return first_keys, slopes, starts
-
-
-def _cone_slope(slope_lo: float, slope_hi: float) -> float:
-    """The representative slope of a closed cone (midpoint; 0 for a point)."""
-    if slope_hi == float("inf"):
-        # Single-point segment: any slope fits; 0 keeps predictions pinned.
-        return 0.0
-    return (slope_lo + slope_hi) / 2.0
 
 
 # ----------------------------------------------------------------------

@@ -275,7 +275,7 @@ class CheckpointStore:
 
         if not isinstance(tree, BPlusTree):
             # The page format serializes B+-tree nodes; the Bε-tree's buffered
-            # nodes and the model-based backends have no such image.
+            # nodes and the LSM-tree's sorted runs have no such image.
             raise CheckpointUnsupportedError(
                 f"{type(tree).__name__} has no page-serializable node "
                 "structure; checkpointing supports B+-tree backends only"

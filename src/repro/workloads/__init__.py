@@ -1,19 +1,5 @@
-"""Workload generation: operation streams, TPC-H dates, SOSD datasets."""
+"""Workload generation: operation streams and TPC-H dates."""
 
-from repro.workloads.sosd import (
-    SOSD_FAMILIES,
-    SOSDDataset,
-    available_sosd_files,
-    books_like_keys,
-    default_benchmark_datasets,
-    displaced_order,
-    fb_like_keys,
-    load_sosd_file,
-    make_dataset,
-    osm_like_keys,
-    scrambled_order,
-    wiki_timestamp_keys,
-)
 from repro.workloads.spec import (
     DELETE,
     INSERT,
@@ -46,16 +32,4 @@ __all__ = [
     "high_l_low_k_keys",
     "receiptdate_keys",
     "sorted_by_shipdate",
-    "SOSD_FAMILIES",
-    "SOSDDataset",
-    "available_sosd_files",
-    "books_like_keys",
-    "default_benchmark_datasets",
-    "displaced_order",
-    "fb_like_keys",
-    "load_sosd_file",
-    "make_dataset",
-    "osm_like_keys",
-    "scrambled_order",
-    "wiki_timestamp_keys",
 ]

@@ -1,7 +1,8 @@
 """Architecture guards: what each simplicity change removed stays removed.
 
 One test per guard. Each searches file text with a Python regex, line by
-line as ``grep`` does, or asserts that a file or a named test still exists.
+line as ``grep`` does, asserts that a file or a named test still exists (or
+is gone), or reads a registry constant.
 A new simplicity change adds its guard here. Compiled files under
 ``__pycache__`` are not searched, and neither is this file, which names
 every pattern it forbids.
@@ -228,3 +229,16 @@ def test_one_load_generator():
     # bench_e2e is the one load generator; the served oracle checks several clients.
     assert not (ROOT / "src/repro/net/loadgen.py").exists()
     assert hits(r"bench-serve|loadgen", "src", ".github") == []
+
+
+def test_no_sosd_extension():
+    # The paper's comparison is SWARE against the B+-tree and the Bε-tree:
+    # the learned and cracking indexes, the SOSD datasets and their report
+    # are gone.
+    from repro.core.factory import BACKEND_NAMES
+
+    for path in ("src/repro/learned", "src/repro/workloads/sosd.py",
+                 "src/repro/bench/experiments/sosd.py", "results/sosd.txt"):
+        assert not (ROOT / path).exists(), path
+    assert hits(r"repro\.learned|REPRO_SOSD_DIR", "src", "tests") == []
+    assert BACKEND_NAMES == ("sa_btree", "btree", "betree", "lsm")

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro import kernels
 from repro.btree.btree import BPlusTree
 from repro.core.sware import SortednessAwareIndex
+from repro.sortedness.generator import generate_kl_keys, scrambled_keys
 from repro.storage import CheckpointStore
 from repro.storage.pages import (
     FLAG_COMPRESSED_KEYS,
@@ -25,7 +26,6 @@ from repro.storage.pages import (
     key_block_stats,
     leaf_columns,
 )
-from repro.workloads import sosd
 from repro.workloads.spec import value_for
 
 INT64_MIN = -(2**63)
@@ -220,18 +220,21 @@ class TestCompressedPages:
 
     def test_checkpoint_compression_floor(self, tmp_path):
         """A v2 checkpoint of a flushed SA B+-tree is smaller than v1 on
-        every SOSD-like family, and at least 2x smaller on books. 256-byte
-        slots keep the saving visible at file granularity."""
+        every generated family, and at least 2x smaller on the paper's
+        near-sorted stream. The families vary the key gap as well as the
+        arrival order: at gap 1 every order flushes to the same tree, so
+        the checkpoints are the same bytes. 256-byte slots keep the saving
+        visible at file granularity."""
+        n = 4_000
         families = {
-            "books": sosd.books_like_keys,
-            "fb": sosd.fb_like_keys,
-            "wiki": sosd.wiki_timestamp_keys,
-            "tpch": sosd.tpch_receiptdate_stream,
+            "near_sorted": generate_kl_keys(n, 0.10, 0.05, seed=7),
+            "near_sorted_gap97": generate_kl_keys(n, 0.10, 0.05, seed=7, gap=97),
+            "scrambled_gap1000": scrambled_keys(n, seed=7, gap=1000),
         }
         ratios = {}
-        for family, generator in families.items():
+        for family, keys in families.items():
             index = SortednessAwareIndex(BPlusTree())
-            for key in generator(4_000, seed=7):
+            for key in keys:
                 index.insert(key, value_for(key))
             index.flush_all()
             sizes = []
@@ -240,6 +243,5 @@ class TestCompressedPages:
                 CheckpointStore(str(path), 256, compress=compress).save_btree(index.backend)
                 sizes.append(path.stat().st_size)
             ratios[family] = sizes[0] / sizes[1]
-        assert ratios["books"] >= 2.0, ratios
+        assert ratios["near_sorted"] >= 2.0, ratios
         assert all(ratio > 1.0 for ratio in ratios.values()), ratios
-

@@ -32,9 +32,9 @@ def test_committed_reports_are_the_table_reports():
 
 
 def test_run_kwargs_pin_and_override():
-    sosd = EXPERIMENTS["sosd"]
-    assert sosd.run_kwargs() == {"n": 6_000, "n_lookups": 600, "n_ranges": 60}
-    assert sosd.run_kwargs(1_000) == {"n": 1_000, "n_lookups": 600, "n_ranges": 60}
+    fig10 = EXPERIMENTS["fig10"]
+    assert fig10.run_kwargs() == {"n": 20_000}
+    assert fig10.run_kwargs(1_000) == {"n": 1_000}
     assert EXPERIMENTS["fig19"].run_kwargs() == {}
 
 

@@ -13,8 +13,6 @@ that ``add_many`` bills ``n_added`` exactly like a sequential loop, and the
 last tests pin the backend surface that remains.
 """
 
-from bisect import bisect_right
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,14 +59,6 @@ def _ref_lnds(keys):
     for i, key in enumerate(keys):
         best.append(1 + max((best[j] for j in range(i) if keys[j] <= key), default=0))
     return max(best, default=0)
-
-
-def _ref_predict(first_keys, slopes, starts, keys):
-    out = []
-    for key in keys:
-        seg = max(bisect_right(first_keys, key) - 1, 0)
-        out.append(starts[seg] + int(slopes[seg] * float(key - first_keys[seg])))
-    return out
 
 
 METRICS = [
@@ -249,7 +239,6 @@ def test_item_columns_is_a_pair_sequence():
         assert items[0] == (3, "a") and items[-1] == (keys[-1], "c")
         assert type(items[1][0]) is int
         assert list(items[1:]) == list(zip(keys[1:], "bc"))
-        assert kernels.keys_strictly_increasing(items)
 
 
 # ----------------------------------------------------------------------
@@ -286,29 +275,8 @@ def test_sort_items_by_key_stable_and_identical(items):
 def test_keys_strictly_increasing_matches(items):
     keys = [key for key, _value in items]
     expected = all(a < b for a, b in zip(keys, keys[1:]))
-    assert kernels.keys_strictly_increasing(items) == expected
+    assert kernels.column_strictly_increasing(keys) == expected  # the list path
     assert kernels.column_strictly_increasing(kernels.key_array(keys)) == expected
-
-
-# ----------------------------------------------------------------------
-# piecewise-linear model
-# ----------------------------------------------------------------------
-@given(
-    keys=st.lists(i64 | st.integers(-(2**80), 2**80), min_size=1, max_size=60, unique=True)
-    .map(sorted),
-    epsilon=st.integers(1, 8),
-)
-@settings(max_examples=60, deadline=None)
-def test_pla_predictions_match(keys, epsilon):
-    """The fit cuts the keys into segments, each starting at its first key,
-    and keeps every key within epsilon of its position under the scalar
-    prediction formula (the one ``LearnedIndex`` searches with)."""
-    first_keys, slopes, starts = kernels.pla_fit_segments(keys, epsilon)
-    assert starts[0] == 0 and starts == sorted(set(starts))
-    assert first_keys == [keys[start] for start in starts]
-    fitted = _ref_predict(first_keys, slopes, starts, keys)
-    if all(-(2**53) <= key <= 2**53 for key in keys):  # exact float deltas
-        assert all(abs(pred - pos) <= epsilon + 1 for pos, pred in enumerate(fitted))
 
 
 # ----------------------------------------------------------------------

@@ -77,15 +77,12 @@ from repro.core.factory import (
     BACKEND_NAMES,
     make_baseline_betree,
     make_baseline_btree,
-    make_cracking,
-    make_learned,
     make_lsm,
     make_sa_btree,
 )
 from repro.core.stats import SWAREStats
 from repro.core.sware import SortednessAwareIndex, TreeBackend
 from repro.errors import BulkLoadError, CheckpointUnsupportedError
-from repro.learned import CrackingIndexConfig, LearnedIndexConfig
 from repro.lsm import LSMConfig
 from repro.net.client import ServerError, SyncIndexClient
 from repro.net.server import IndexServer
@@ -100,15 +97,13 @@ FULL = (-(2**80), 2**80)  # wider than every drawn key
 SMALL = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
 CLIENTS = 3  # connections the served shape opens to its one server
 
-#: The registry at test sizes: a few dozen ops cross node splits, flushes,
-#: compactions and model rebuilds.
+#: The registry at test sizes: a few dozen ops cross node splits, flushes
+#: and compactions.
 BACKENDS = {
     "sa_btree": lambda leaf: make_sa_btree(SMALL, leaf_capacity=leaf, internal_capacity=4),
     "btree": lambda leaf: make_baseline_btree(leaf_capacity=leaf, internal_capacity=4),
     "betree": lambda leaf: make_baseline_betree(node_size=8, leaf_capacity=leaf),
     "lsm": lambda leaf: make_lsm(LSMConfig(memtable_capacity=2 * leaf)),
-    "learned": lambda leaf: make_learned(LearnedIndexConfig(epsilon=8, delta_capacity=6 * leaf)),
-    "cracking": lambda leaf: make_cracking(CrackingIndexConfig(delta_capacity=6 * leaf)),
 }
 PAGED = ("sa_btree", "btree")  # a page image: checkpoints, shard splits
 
@@ -254,7 +249,7 @@ class Bare(Subject):
     def rejects(self, items):
         top = self.index.max_key
         if self._bulk(items) and (
-            not kernels.keys_strictly_increasing(items) or top is not None and items[0][0] <= top
+            not kernels.column_strictly_increasing([k for k, _v in items]) or top is not None and items[0][0] <= top
         ):
             return BulkLoadError
         return None
