@@ -77,7 +77,15 @@ class BPlusTreeConfig:
 
 
 class BPlusTree:
-    """See module docstring."""
+    """See module docstring.
+
+    ``min_key`` / ``max_key`` are *watermark* bounds (``None`` while empty):
+    they grow with inserts and bulk loads and never shrink on deletes. A
+    stale bound only costs a wasted lookup for a key outside the live range
+    — whereas shrinking ``max_key`` below the right-most separator would let
+    a later bulk load append keys that belong left of that separator into
+    the tail leaf.
+    """
 
     def __init__(
         self,
@@ -109,8 +117,8 @@ class BPlusTree:
         self.top_inserts = 0
         self.fastpath_inserts = 0
         self.bulk_loaded_entries = 0
-        self._max_key: Optional[int] = None
-        self._min_key: Optional[int] = None
+        self.max_key: Optional[int] = None
+        self.min_key: Optional[int] = None
         if self.obs is not NULL_OBS:
             self.obs.register_collector("btree", self._obs_snapshot)
 
@@ -261,10 +269,10 @@ class BPlusTree:
         leaf.insert_at(idx, key, value)
         self.meter.charge("entry_move", leaf.n - idx)
         self.n_entries += 1
-        if self._max_key is None or key > self._max_key:
-            self._max_key = key
-        if self._min_key is None or key < self._min_key:
-            self._min_key = key
+        if self.max_key is None or key > self.max_key:
+            self.max_key = key
+        if self.min_key is None or key < self.min_key:
+            self.min_key = key
         if leaf.n > self.config.leaf_capacity:
             self._split_leaf(leaf, path)
         return True
@@ -287,7 +295,7 @@ class BPlusTree:
         keys = [key for key, _value in batch]
         values = [value for _key, value in batch]
         first_key = keys[0]
-        if self._max_key is None or first_key > self._max_key:
+        if self.max_key is None or first_key > self.max_key:
             if kernels.column_strictly_increasing(keys):
                 before = self.n_entries
                 self.bulk_load_append(kernels.ItemColumns(keys, values))
@@ -328,10 +336,10 @@ class BPlusTree:
             self.meter.charge("entry_move", entry_moves)
         self.n_entries += created
         first_key, last_key = keys[0], keys[-1]
-        if self._max_key is None or last_key > self._max_key:
-            self._max_key = last_key
-        if self._min_key is None or first_key < self._min_key:
-            self._min_key = first_key
+        if self.max_key is None or last_key > self.max_key:
+            self.max_key = last_key
+        if self.min_key is None or first_key < self.min_key:
+            self.min_key = first_key
         return created
 
     def _merge_run(
@@ -485,9 +493,9 @@ class BPlusTree:
             raise BulkLoadError("bulk batch must be strictly increasing")
         keys = kernels.as_list(col)
         first, last = keys[0], keys[-1]
-        if self._max_key is not None and first <= self._max_key:
+        if self.max_key is not None and first <= self.max_key:
             raise BulkLoadError(
-                f"bulk batch starts at {first} but tree max is {self._max_key}"
+                f"bulk batch starts at {first} but tree max is {self.max_key}"
             )
         self._ensure_root()
         fill = max(1, int(self.config.leaf_capacity * self.config.bulk_fill_factor))
@@ -517,9 +525,9 @@ class BPlusTree:
 
         self.n_entries += total
         self.bulk_loaded_entries += total
-        self._max_key = last if self._max_key is None else max(self._max_key, last)
-        if self._min_key is None:
-            self._min_key = first
+        self.max_key = last if self.max_key is None else max(self.max_key, last)
+        if self.min_key is None:
+            self.min_key = first
 
     def _append_leaf(self, leaf: GappedLeaf) -> None:
         """Attach a freshly built leaf at the right edge of the tree."""
@@ -548,14 +556,21 @@ class BPlusTree:
     # reads
     # ------------------------------------------------------------------
     def get(self, key: int) -> Optional[object]:
-        """Point lookup; returns the value or None."""
-        if self._root is None:
+        """Point lookup; returns the value or None. Without a pool the
+        descent is :meth:`_leaf_for`'s, inline."""
+        node = self._root
+        if node is None:
             return None
-        leaf = self._leaf_for(key)
-        ks = leaf.ks
+        if self.pool is not None:
+            node = self._descend_to_leaf(key)[0]
+        else:
+            while not node.is_leaf:
+                node = node.children[bisect_right(node.ks, key)]
+            self.meter.charge("node_access", self.height)
+        ks = node.ks
         idx = bisect_left(ks, key)
-        if idx < leaf.n and ks[idx] == key:
-            return leaf.vs[idx]
+        if idx < node.n and ks[idx] == key:
+            return node.vs[idx]
         return None
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
@@ -655,14 +670,8 @@ class BPlusTree:
     # deletes
     # ------------------------------------------------------------------
     def delete(self, key: int) -> bool:
-        """Remove ``key`` if present (lazy: no rebalancing).
-
-        ``min_key``/``max_key`` are *watermark* bounds: they never shrink on
-        deletes. A stale bound only costs a wasted lookup for a key outside
-        the live range — whereas shrinking ``max_key`` below the right-most
-        separator would let a later bulk load append keys that belong left
-        of that separator into the tail leaf.
-        """
+        """Remove ``key`` if present (lazy: no rebalancing; the watermarks
+        stay, see the class docstring)."""
         if self._root is None:
             return False
         leaf, _ = self._descend_to_leaf(key, dirty=True)
@@ -677,16 +686,6 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def max_key(self) -> Optional[int]:
-        """High-watermark upper bound (never shrinks on deletes)."""
-        return self._max_key
-
-    @property
-    def min_key(self) -> Optional[int]:
-        """Low-watermark lower bound (never grows on deletes)."""
-        return self._min_key
-
     def __len__(self) -> int:
         return self.n_entries
 
@@ -798,6 +797,6 @@ class BPlusTree:
         if self._tail_leaf is not None and self._tail_leaf.next_leaf is not None:
             raise InvariantViolation("tail leaf is not the end of the chain")
         if last_nonempty is not None and (
-            self._max_key is None or self._max_key < last_nonempty.last_key()
+            self.max_key is None or self.max_key < last_nonempty.last_key()
         ):
             raise InvariantViolation("max_key watermark below right-most entry")

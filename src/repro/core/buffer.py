@@ -11,9 +11,9 @@ Layout (logical; see Fig. 8 of the paper)::
 
 :class:`SWAREBuffer` is what runs: it bills nothing and holds none of the
 paper's cost-model state. :class:`MeteredSWAREBuffer`, which
-``SortednessAwareIndex`` builds exactly when it has a meter, runs the same
-buffer and also the paper's mechanisms, to bill them, checking that each
-reaches the executed answer.
+``MeteredSortednessAwareIndex`` builds, runs the same buffer and also the
+paper's mechanisms, to bill them, checking that each reaches the executed
+answer.
 
 * The **main sorted section** holds the entries retained (and re-sorted) by
   the previous flush; while there is no tail, in-order appends extend it

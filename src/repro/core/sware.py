@@ -8,9 +8,7 @@ the Bε-tree and the LSM-tree) with the SWARE-buffer:
   cycle whose batch is split into an opportunistic **bulk load** (keys above
   the tree's maximum) and **top-inserts** through the root;
 * point lookups follow Fig. 6's optimized read path — buffer Zonemap, then
-  the tail (a hash lookup; under a meter billed as the BF/Zonemap-gated scan
-  and the interpolation search of each query-sorted block), the sorted
-  section (bisected, billed as interpolation search), then the tree;
+  the tail (a hash lookup), the sorted section (bisected), then the tree;
 * reads trigger query-driven partial sorting of the tail (§IV-C);
 * deletes become buffer tombstones when the key is within the buffer's
   range, applied to the tree at flush time (§IV-D).
@@ -21,6 +19,12 @@ fires the query-sort trigger (``_maybe_query_sort``) once, then reads. The
 batch verbs are the two a request reaches: ``put_many`` and ``get_many``.
 :class:`~repro.core.concurrent.ConcurrentSortednessAwareIndex` runs these
 public methods under one mutex.
+
+:class:`SortednessAwareIndex` is what runs: it bills nothing, so an
+untraced GET is one frame over Fig. 6's checks and the tree descent.
+Constructed with a meter it is a :class:`MeteredSortednessAwareIndex`, which
+alone bills: it runs each step in its meter bucket, hands its meter to an
+unmetered backend and builds the :class:`~repro.core.buffer.MeteredSWAREBuffer`.
 
 Values must not be ``None`` — the library reserves ``None`` for "absent".
 """
@@ -45,10 +49,14 @@ class TreeBackend(Protocol):
 
     ``get_many`` is the one optional batch method SWARE uses: a backend that
     has it (the B+-tree's batch descent) gets a batch's buffer misses in one
-    call, any other is looped over ``get``.
+    call, any other is looped over ``get``. The key watermarks ``min_key`` /
+    ``max_key`` (``None`` while empty) may be plain attributes (the B+-tree)
+    or properties (the Bε-tree, the LSM-tree).
     """
 
     meter: Meter
+    min_key: Optional[int]
+    max_key: Optional[int]
 
     def insert(self, key: int, value: object): ...
 
@@ -60,15 +68,17 @@ class TreeBackend(Protocol):
 
     def bulk_load_append(self, items): ...
 
-    @property
-    def max_key(self) -> Optional[int]: ...
-
-    @property
-    def min_key(self) -> Optional[int]: ...
-
 
 class SortednessAwareIndex:
-    """See module docstring."""
+    """See module docstring; given a ``meter``, the constructor builds a
+    :class:`MeteredSortednessAwareIndex`."""
+
+    meter: Meter = NULL_METER
+
+    def __new__(cls, backend, config=None, meter: Optional[Meter] = None, *args, **kwargs):
+        if cls is SortednessAwareIndex and meter is not None and meter is not NULL_METER:
+            cls = MeteredSortednessAwareIndex
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -79,7 +89,6 @@ class SortednessAwareIndex:
         wal: Optional[WriteAheadLog] = None,
     ):
         self.config = config or SWAREConfig()
-        self.meter = meter if meter is not None else NULL_METER
         self.obs = obs if obs is not None else current_obs()
         #: Optional write-ahead log: every put/delete is appended (and,
         #: under the default policy, fsynced) *before* it enters the
@@ -87,17 +96,12 @@ class SortednessAwareIndex:
         self.wal = wal
         self.stats = SWAREStats()
         self.backend = backend
-        if backend.meter is NULL_METER and self.meter is not NULL_METER:
-            backend.meter = self.meter
-        # The paper's cost model runs only where a meter reads it.
-        if self.meter is NULL_METER:
-            self.buffer = SWAREBuffer(self.config, stats=self.stats, obs=self.obs)
-        else:
-            self.buffer = MeteredSWAREBuffer(
-                self.config, meter=self.meter, stats=self.stats, obs=self.obs
-            )
+        self.buffer = self._new_buffer()
         if self.obs is not NULL_OBS:
             self.obs.register_collector("sware", self.stats.snapshot)
+
+    def _new_buffer(self) -> SWAREBuffer:
+        return SWAREBuffer(self.config, stats=self.stats, obs=self.obs)
 
     # ------------------------------------------------------------------
     # writes
@@ -192,8 +196,7 @@ class SortednessAwareIndex:
         self.stats.deletes += 1
         buffer = self.buffer
         if buffer.is_empty or not buffer.zonemap.may_contain(key):
-            with self.meter.bucket("top_insert"):
-                self.backend.delete(key)
+            self.backend.delete(key)
             return
         buffer.add(key, None, tombstone=True)
         self.stats.tombstones_buffered += 1
@@ -205,8 +208,7 @@ class SortednessAwareIndex:
         if self.buffer.is_empty:
             return
         with self.obs.span("sware.drain") as span:
-            with self.meter.bucket("sort"):
-                batch = self.buffer.drain()
+            batch = self.buffer.drain()
             span.set(entries=len(batch.run.keys))
             self._apply_batch(batch)
 
@@ -238,8 +240,7 @@ class SortednessAwareIndex:
                 config.buffer_capacity, config.bits_per_entry, self.buffer.tail_size
             )
         with self.obs.span("sware.flush_cycle") as span:
-            with self.meter.bucket("sort"):
-                batch = self.buffer.prepare_flush()
+            batch = self.buffer.prepare_flush()
             span.set(
                 entries=len(batch.run.keys),
                 effortless=batch.sorted_without_effort,
@@ -273,22 +274,7 @@ class SortednessAwareIndex:
         cut = 0 if tree_max is None else bisect_right(keys, tree_max)
 
         if cut:
-            backend = self.backend
-            stats = self.stats
-            with self.meter.bucket("top_insert"):
-                for key, value in zip(keys[:cut], values):
-                    if value is DELETED:
-                        # Backends that report deletion (the B+-tree returns
-                        # False for an absent key) let us split real deletions
-                        # from no-ops; message-based backends (Bε-tree, LSM)
-                        # return None and count as applied.
-                        if backend.delete(key) is False:
-                            stats.tombstones_noop += 1
-                        else:
-                            stats.tombstones_applied += 1
-                    else:
-                        backend.insert(key, value)
-                        stats.top_inserted_entries += 1
+            self._top_insert(keys[:cut], values)
 
         bulk_keys, bulk_values = keys[cut:], values[cut:]
         n_beyond = len(bulk_values)
@@ -299,8 +285,7 @@ class SortednessAwareIndex:
         n_bulk = len(bulk_values)
         self.stats.tombstones_dropped += n_beyond - n_bulk
         if n_bulk:
-            with self.meter.bucket("bulk_load"):
-                self.backend.bulk_load_append(kernels.ItemColumns(bulk_keys, bulk_values))
+            self.backend.bulk_load_append(kernels.ItemColumns(bulk_keys, bulk_values))
             self.stats.bulk_loaded_entries += n_bulk
         obs = self.obs
         if obs.enabled:
@@ -317,61 +302,61 @@ class SortednessAwareIndex:
             "sware_top_insert_entries", cut, buckets=DEFAULT_SIZE_BUCKETS
         )
 
+    def _top_insert(self, keys: Sequence[int], values: Sequence[object]) -> None:
+        """Route a batch's keys at or below the tree's maximum through the root."""
+        backend = self.backend
+        stats = self.stats
+        for key, value in zip(keys, values):
+            if value is DELETED:
+                # Backends that report deletion (the B+-tree returns False
+                # for an absent key) let us split real deletions from
+                # no-ops; message-based backends (Bε-tree, LSM) return None
+                # and count as applied.
+                if backend.delete(key) is False:
+                    stats.tombstones_noop += 1
+                else:
+                    stats.tombstones_applied += 1
+            else:
+                backend.insert(key, value)
+                stats.top_inserted_entries += 1
+
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def _maybe_query_sort(self) -> None:
         """Fire the query-driven sort trigger (§IV-C) if the tail warrants.
 
-        This is the *only* place the trigger fires and the ``sware_ops``
-        sort charge is metered. Every public read fires it once per call,
-        before it reads, so batch accounting matches a sequential loop (the
-        loop's per-op re-check is a constant False after the first trigger
-        empties the tail).
+        This is the *only* place the trigger fires. Every public read fires
+        it once per call, before it reads, so batch accounting matches a
+        sequential loop (the loop's per-op re-check is a constant False after
+        the first trigger empties the tail).
         """
         if self.buffer.should_query_sort():
-            with self.meter.bucket("sware_ops"):
-                self.buffer.query_sort()
+            self.buffer.query_sort()
 
-    def get(self, key: int) -> Optional[object]:
-        """Point lookup along the optimized read path (Fig. 6)."""
+    def get(self, key: int, _traced: bool = False) -> Optional[object]:
+        """Point lookup along the optimized read path (Fig. 6), in one frame.
+        With tracing on it calls itself once inside the ``sware.get`` span
+        (``_traced``), where the trigger, checked already, stays off."""
         buffer = self.buffer
         if len(buffer._tail_keys) >= buffer._query_sort_len:
             self._maybe_query_sort()
-        return self._get(key)
-
-    def _get(self, key: int, _traced: bool = False) -> Optional[object]:
-        """:meth:`get`'s body, after the query-sort trigger. Meter buckets are
-        entered only when a meter is attached: an unmetered lookup pays for
-        Fig. 6's checks and the tree descent, nothing else. With tracing on,
-        the body runs once inside the ``sware.get`` span (``_traced``)."""
         obs = self.obs
         if obs.enabled and not _traced:
             with obs.span("sware.get", key=key):
-                return self._get(key, True)
+                return self.get(key, True)
         stats = self.stats
         stats.lookups += 1
-        meter = self.meter
-        metered = meter is not NULL_METER
-        buffer = self.buffer
         zonemap = buffer.zonemap
         low = zonemap.min_key
         if self.config.enable_read_zonemaps and (
             low is None or key < low or key > zonemap.max_key
         ):
             # Not buffered — the common GET on a near-sorted stream. This is
-            # ``buffer.lookup``'s Zonemap rejection without the call: same
-            # charge in the same bucket, same counter.
-            if metered:
-                with meter.bucket("buffer_search"):
-                    meter.charge("zonemap_check")
+            # ``buffer.lookup``'s Zonemap rejection without the call.
             stats.buffer_skips_by_zonemap += 1
         else:
-            if metered:
-                with meter.bucket("buffer_search"):
-                    state, value = buffer.lookup(key)
-            else:
-                state, value = buffer.lookup(key)
+            state, value = buffer.lookup(key)
             if state == HIT:
                 stats.buffer_hits += 1
                 return value
@@ -381,15 +366,8 @@ class SortednessAwareIndex:
         backend = self.backend
         tree_min = backend.min_key
         if tree_min is None or key < tree_min or key > backend.max_key:
-            if metered:
-                with meter.bucket("tree_search"):
-                    meter.charge("zonemap_check")
             return None
         stats.tree_searches += 1
-        if metered:
-            with meter.bucket("tree_search"):
-                meter.charge("zonemap_check")
-                return backend.get(key)
         return backend.get(key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
@@ -412,54 +390,60 @@ class SortednessAwareIndex:
         self.stats.lookups += n
         with self.obs.span("sware.get_many", n=n):
             results: List[Optional[object]] = [None] * n
-            miss_positions: List[int] = []
-            miss_keys: List[int] = []
-            stats = self.stats
-            buffer = self.buffer
-            lookup = buffer.lookup
-            # The buffer Zonemap rejects as in :meth:`_get`, without the call.
-            gated = self.config.enable_read_zonemaps
-            low, high = buffer.zonemap.min_key, buffer.zonemap.max_key
-            skips = 0
-            with self.meter.bucket("buffer_search"):
-                for i, key in enumerate(keys):
-                    if gated and (low is None or key < low or key > high):
-                        skips += 1
-                    else:
-                        state, value = lookup(key)
-                        if state == HIT:
-                            stats.buffer_hits += 1
-                            results[i] = value
-                            continue
-                        if state == TOMBSTONE:
-                            stats.buffer_tombstone_hits += 1
-                            continue
-                    miss_positions.append(i)
-                    miss_keys.append(key)
-                if skips:
-                    self.meter.charge("zonemap_check", skips)
-            stats.buffer_skips_by_zonemap += skips
-            if miss_keys:
-                with self.meter.bucket("tree_search"):
-                    self.meter.charge("zonemap_check", len(miss_keys))
-                    tree_min, tree_max = self.backend.min_key, self.backend.max_key
-                    if tree_min is not None:
-                        in_positions: List[int] = []
-                        in_keys: List[int] = []
-                        for i, key in zip(miss_positions, miss_keys):
-                            if tree_min <= key <= tree_max:
-                                in_positions.append(i)
-                                in_keys.append(key)
-                        stats.tree_searches += len(in_keys)
-                        batch_get = getattr(self.backend, "get_many", None)
-                        if batch_get is not None:
-                            for i, value in zip(in_positions, batch_get(in_keys)):
-                                results[i] = value
-                        else:
-                            get = self.backend.get
-                            for i, key in zip(in_positions, in_keys):
-                                results[i] = get(key)
+            misses = self._buffer_many(keys, results)
+            if misses[0]:
+                self._tree_many(*misses, results)
             return results
+
+    def _buffer_many(self, keys: Sequence[int], results: list) -> Tuple[List[int], List[int]]:
+        """:meth:`get_many`'s buffer pass: fills ``results`` with the buffered
+        answers and returns the misses' (keys, positions)."""
+        miss_keys: List[int] = []
+        miss_positions: List[int] = []
+        stats = self.stats
+        lookup = self.buffer.lookup
+        # The buffer Zonemap rejects as in :meth:`get`, without the call.
+        gated = self.config.enable_read_zonemaps
+        low, high = self.buffer.zonemap.min_key, self.buffer.zonemap.max_key
+        skips = 0
+        for i, key in enumerate(keys):
+            if gated and (low is None or key < low or key > high):
+                skips += 1
+            else:
+                state, value = lookup(key)
+                if state == HIT:
+                    stats.buffer_hits += 1
+                    results[i] = value
+                    continue
+                if state == TOMBSTONE:
+                    stats.buffer_tombstone_hits += 1
+                    continue
+            miss_keys.append(key)
+            miss_positions.append(i)
+        stats.buffer_skips_by_zonemap += skips
+        return miss_keys, miss_positions
+
+    def _tree_many(self, keys: List[int], positions: List[int], results: list) -> None:
+        """:meth:`get_many`'s tree pass over the buffer's misses."""
+        backend = self.backend
+        tree_min, tree_max = backend.min_key, backend.max_key
+        if tree_min is None:
+            return
+        in_positions: List[int] = []
+        in_keys: List[int] = []
+        for i, key in zip(positions, keys):
+            if tree_min <= key <= tree_max:
+                in_positions.append(i)
+                in_keys.append(key)
+        self.stats.tree_searches += len(in_keys)
+        batch_get = getattr(backend, "get_many", None)
+        if batch_get is not None:
+            for i, value in zip(in_positions, batch_get(in_keys)):
+                results[i] = value
+        else:
+            get = backend.get
+            for i, key in zip(in_positions, in_keys):
+                results[i] = get(key)
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
@@ -479,21 +463,18 @@ class SortednessAwareIndex:
         return self._range_scan(lo, hi)
 
     def _range_scan(self, lo: int, hi: int) -> List[Tuple[int, object]]:
-        buffer = self.buffer
-        with self.meter.bucket("buffer_search"):
-            resolved, n_entries = buffer.range_run(lo, hi)
-        with self.meter.bucket("tree_search"):
-            rows = self.backend.range_query(lo, hi)
-        # Reconciling buffered versions against the tree scan costs one merge
-        # step per buffered candidate (the tree entries were already charged
-        # as scan_entry by the backend's range scan).
-        self.meter.charge("merge_step", n_entries)
+        resolved, _n_entries = self.buffer.range_run(lo, hi)
+        return self._merge_versions(resolved, self.backend.range_query(lo, hi))
+
+    def _merge_versions(self, resolved: dict, rows: list) -> List[Tuple[int, object]]:
+        """The tree's ``rows`` with the buffered versions merged in (a
+        buffered version shadows an equal tree key), tombstones dropped."""
         if not resolved:
             return rows
         # Merge a run at a time: the tree rows below the next buffered key,
         # then the buffered keys below the next tree key, each one slice. A
         # probe ``(key,)`` sorts before every ``(key, value)``, so no value
-        # is compared, and a buffered version shadows an equal tree key.
+        # is compared.
         items = sorted(resolved.items())
         out: List[Tuple[int, object]] = []
         i = j = 0
@@ -507,7 +488,7 @@ class SortednessAwareIndex:
             out += items[j:stop]
             j = stop
         out += rows[i:]
-        if buffer._tombstones:
+        if self.buffer._tombstones:
             out = [row for row in out if row[1] is not DELETED]
         return out
 
@@ -521,7 +502,7 @@ class SortednessAwareIndex:
         watermarks. Both are *supersets* of the live key range by contract:
         the zonemap resets only on a full drain and otherwise covers every
         buffered entry, and backend ``min_key``/``max_key`` never shrink on
-        deletes (see ``BPlusTree.delete``). A stale bound therefore only
+        deletes (see ``BPlusTree``). A stale bound therefore only
         widens the scan — it can never clip a live key. Pinned by the
         ``items-*`` programs of ``tests/test_oracle.py``.
         """
@@ -542,3 +523,104 @@ class SortednessAwareIndex:
             "buffer_fill": len(self.buffer) / self.buffer.capacity,
             "stats": self.stats.snapshot(),
         }
+
+
+
+class MeteredSortednessAwareIndex(SortednessAwareIndex):
+    """The index under a meter, the one class of this layer that bills: each
+    step runs the executed index's inside its meter bucket, plus the index's
+    own charges (a ``zonemap_check`` per Zonemap test, a ``merge_step`` per
+    buffered entry a range reconciles)."""
+
+    def __init__(self, backend, config=None, meter: Optional[Meter] = None, *args, **kwargs):
+        self.meter = meter if meter is not None else NULL_METER
+        if backend.meter is NULL_METER:
+            backend.meter = self.meter
+        super().__init__(backend, config, None, *args, **kwargs)
+
+    def _new_buffer(self) -> SWAREBuffer:
+        return MeteredSWAREBuffer(self.config, meter=self.meter, stats=self.stats, obs=self.obs)
+
+    # Buckets nest, inner-most wins: a flush's routing steps enter their own.
+    def flush_all(self) -> None:
+        with self.meter.bucket("sort"):
+            super().flush_all()
+
+    def _flush_cycle(self) -> None:
+        with self.meter.bucket("sort"):
+            super()._flush_cycle()
+
+    def _apply_batch(self, batch: FlushBatch) -> None:
+        with self.meter.bucket("bulk_load"):
+            super()._apply_batch(batch)
+
+    def _top_insert(self, keys: Sequence[int], values: Sequence[object]) -> None:
+        with self.meter.bucket("top_insert"):
+            super()._top_insert(keys, values)
+
+    def _delete(self, key: int) -> None:
+        buffer = self.buffer
+        if buffer.is_empty or not buffer.zonemap.may_contain(key):
+            with self.meter.bucket("top_insert"):  # a direct tree delete
+                return super()._delete(key)
+        super()._delete(key)
+
+    def _maybe_query_sort(self) -> None:
+        if self.buffer.should_query_sort():
+            with self.meter.bucket("sware_ops"):
+                self.buffer.query_sort()
+
+    def get(self, key: int, _traced: bool = False) -> Optional[object]:
+        """The executed read path, billed: the buffer's own lookup (which
+        bills its Zonemap test), then the tree's watermark test."""
+        buffer = self.buffer
+        if len(buffer._tail_keys) >= buffer._query_sort_len:
+            self._maybe_query_sort()
+        obs = self.obs
+        if obs.enabled and not _traced:
+            with obs.span("sware.get", key=key):
+                return self.get(key, True)
+        stats = self.stats
+        stats.lookups += 1
+        meter = self.meter
+        with meter.bucket("buffer_search"):
+            state, value = buffer.lookup(key)
+        if state == HIT:
+            stats.buffer_hits += 1
+            return value
+        if state == TOMBSTONE:
+            stats.buffer_tombstone_hits += 1
+            return None
+        backend = self.backend
+        with meter.bucket("tree_search"):
+            meter.charge("zonemap_check")
+            tree_min = backend.min_key
+            if tree_min is None or key < tree_min or key > backend.max_key:
+                return None
+            stats.tree_searches += 1
+            return backend.get(key)
+
+    def _buffer_many(self, keys: Sequence[int], results: list) -> Tuple[List[int], List[int]]:
+        skipped = self.stats.buffer_skips_by_zonemap
+        with self.meter.bucket("buffer_search"):
+            misses = super()._buffer_many(keys, results)
+            skipped = self.stats.buffer_skips_by_zonemap - skipped
+            if skipped:
+                self.meter.charge("zonemap_check", skipped)
+        return misses
+
+    def _tree_many(self, keys: List[int], positions: List[int], results: list) -> None:
+        with self.meter.bucket("tree_search"):
+            self.meter.charge("zonemap_check", len(keys))
+            super()._tree_many(keys, positions, results)
+
+    def _range_scan(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        meter = self.meter
+        with meter.bucket("buffer_search"):
+            resolved, n_entries = self.buffer.range_run(lo, hi)
+        with meter.bucket("tree_search"):
+            rows = self.backend.range_query(lo, hi)
+        # One merge step per buffered candidate (the tree's rows were charged
+        # as scan_entry by its range scan).
+        meter.charge("merge_step", n_entries)
+        return self._merge_versions(resolved, rows)

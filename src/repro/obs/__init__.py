@@ -130,17 +130,15 @@ class _NullObservability(Observability):
 
     Methods are overridden (not just gated) so a disabled hot path pays one
     no-op call at flush-granularity sites and a single ``.enabled`` check at
-    per-op sites.
+    per-op sites: a class attribute, one load.
     """
+
+    enabled = False  # type: ignore[assignment]
 
     def __init__(self) -> None:  # no registry/tracer allocation
         self.registry = None  # type: ignore[assignment]
         self.tracer = None  # type: ignore[assignment]
         self.monitors = None
-
-    @property
-    def enabled(self) -> bool:
-        return False
 
     def event(self, name: str, **attrs) -> None:
         return None

@@ -362,16 +362,16 @@ def deserialize_btree(blob: dict):
     tree.n_entries = sum(len(leaf) for leaf in leaves)
     non_empty = [leaf for leaf in leaves if len(leaf)]
     if non_empty:
-        tree._min_key = non_empty[0].first_key()
-        tree._max_key = non_empty[-1].last_key()
+        tree.min_key = non_empty[0].first_key()
+        tree.max_key = non_empty[-1].last_key()
     # Deleted keys leave their separators behind. The max watermark must
     # reach the right spine's last one, or a bulk load would append keys
     # below that separator to the tail leaf, where no descent finds them.
     spine = [node.ks[-1] for node in tree._tail_path if node.n]
-    if spine and (tree._max_key is None or max(spine) > tree._max_key):
-        tree._max_key = max(spine)
-        if tree._min_key is None:
-            tree._min_key = tree._max_key
+    if spine and (tree.max_key is None or max(spine) > tree.max_key):
+        tree.max_key = max(spine)
+        if tree.min_key is None:
+            tree.min_key = tree.max_key
     depth = 1
     node = tree._root
     while not node.is_leaf:

@@ -97,7 +97,8 @@ def test_ranges_resolve_versions():
     # A range costs its tree scan plus work in the buffered rows it returns:
     # the merge walks runs of both sides (no re-sort of the rows), and the
     # tail answers from its sorted key column (no scan of the whole tail).
-    scan = "\n".join(_body("src/repro/core/sware.py", "_range_scan"))
+    scan = "\n".join(_body("src/repro/core/sware.py", "_range_scan")
+                     + _body("src/repro/core/sware.py", "_merge_versions"))
     assert ".sort(" not in scan and "itemgetter" not in scan
     run = "\n".join(_body("src/repro/core/buffer.py", "range_run"))
     assert re.search(r"for .+ in zip\(tail", run) is None
@@ -182,7 +183,7 @@ def test_one_biller():
     # The executed SWARE buffer takes no meter, makes no charge and holds
     # none of the paper's cost-model state: the filter walk, interpolation
     # search, page Zonemaps and (K,L) choice live in the metered subclass,
-    # which SortednessAwareIndex builds exactly when it has a meter.
+    # which MeteredSortednessAwareIndex builds.
     module = ast.parse((ROOT / "src/repro/core/buffer.py").read_text())
     classes = {node.name: node for node in module.body if isinstance(node, ast.ClassDef)}
     executed, metered = classes["SWAREBuffer"], classes["MeteredSWAREBuffer"]
@@ -213,6 +214,26 @@ def test_one_biller():
         assert defines(f"tests/test_sware_buffer.py::TestExecutedBuffer::{test}")
     for test in ("test_wrong_interpolation_slot_raises", "test_wrong_tail_walk_slot_raises"):
         assert defines(f"tests/test_sware_buffer.py::TestBilledAnswerCheck::{test}")
+
+
+def test_one_biller_per_layer():
+    # One layer up, the same split: the executed SortednessAwareIndex makes
+    # no charge, enters no bucket, and no method of it but ``__new__`` (which
+    # picks the metered subclass when a meter is given) reads a meter.
+    module = ast.parse((ROOT / "src/repro/core/sware.py").read_text())
+    classes = {node.name: node for node in module.body if isinstance(node, ast.ClassDef)}
+    executed, metered = classes["SortednessAwareIndex"], classes["MeteredSortednessAwareIndex"]
+    assert {"charge", "bucket"}.isdisjoint(_names(executed))
+    methods = [node for node in executed.body if isinstance(node, ast.FunctionDef)]
+    assert "__new__" in {method.name for method in methods}
+    for method in methods:
+        if method.name != "__new__":
+            assert {"meter", "NULL_METER"}.isdisjoint(_names(method)), method.name
+    calls = {node.func.attr for node in ast.walk(metered)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert {"charge", "bucket"} <= calls
+    assert defines("tests/test_sware_index.py::TestCostAccounting::"
+                   "test_unmetered_index_makes_no_meter_call")
 
 
 def test_one_batch_surface():

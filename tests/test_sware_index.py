@@ -4,12 +4,14 @@ from contextlib import nullcontext
 
 import pytest
 
+from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core import buffer as buffer_module
 from repro.core.config import SWAREConfig
 from repro.core.factory import make_baseline_btree, make_sa_btree
+from repro.core.sware import SortednessAwareIndex
 from repro.core.zonemap import PageZonemaps
 from repro.filters.bloom import BloomFilter
-from repro.storage.costmodel import NULL_METER, CostModel, Meter
+from repro.storage.costmodel import NULL_METER, CostModel, Meter, _NullMeter
 from tests.key_domains import key_domains
 
 
@@ -207,8 +209,10 @@ class TestCostAccounting:
             index.insert(key, value)
         index.delete(30)
         calls = []
+        # Patched on the class: an instance patch would leave the bound method
+        # behind on NULL_METER at undo, shadowing later class patches.
         monkeypatch.setattr(
-            NULL_METER, "bucket", lambda name: calls.append(name) or nullcontext()
+            _NullMeter, "bucket", lambda _self, name: calls.append(name) or nullcontext()
         )
         assert index.get(100) is None  # outside the buffer Zonemap, past the tree
         assert index.get(5) == 5  # outside the buffer Zonemap, in the tree
@@ -219,8 +223,49 @@ class TestCostAccounting:
         stats = index.stats
         assert (stats.buffer_skips_by_zonemap, stats.buffer_hits) == (2, 1)
         assert (stats.buffer_tombstone_hits, stats.tree_searches) == (1, 2)
-        index.range_query(0, 1)  # a read that does enter a bucket
-        assert calls
+        index.range_query(0, 1)  # no read enters one: the index bills nothing
+        assert calls == []
+
+    def test_unmetered_index_makes_no_meter_call(self, monkeypatch):
+        # The tree bills a meter of its own, so only the index layer could
+        # reach the null meter: every verb, flush and query sort must not.
+        def refuse(*args):
+            raise AssertionError("the unmetered index called the null meter")
+
+        monkeypatch.setattr(_NullMeter, "charge", refuse)
+        monkeypatch.setattr(_NullMeter, "bucket", refuse)
+        tree_meter = Meter()
+        tree = BPlusTree(BPlusTreeConfig(leaf_capacity=8, internal_capacity=8), meter=tree_meter)
+        config = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
+        index = SortednessAwareIndex(tree, config)
+        assert type(index) is SortednessAwareIndex and index.meter is NULL_METER
+        model = {}
+        probes = [*range(-2, 50), 1000]
+
+        def check():
+            expected = [model.get(key) for key in probes]
+            assert [index.get(key) for key in probes] == expected
+            assert index.get_many(probes) == expected
+            assert index.range_query(-5, 1005) == sorted(model.items())
+
+        index.put_many([(key, key) for key in range(40)])  # flush cycles
+        model.update((key, key) for key in range(40))
+        assert index.stats.flushes >= 2
+        for key, value in ((45, "a"), (41, "b"), (44, "c"), (42, "d"), (41, "e")):
+            index.insert(key, value)  # an unsorted tail, past the trigger
+            model[key] = value
+        index.delete(44)  # a buffered tombstone
+        index.delete(3)  # outside the buffer's range: a direct tree delete
+        del model[44], model[3]
+        check()
+        stats = index.stats
+        assert stats.query_sorts == 1
+        assert stats.buffer_skips_by_zonemap and stats.buffer_hits
+        assert stats.buffer_tombstone_hits and stats.tree_searches
+        assert stats.lookups > stats.buffer_hits + stats.buffer_tombstone_hits + stats.tree_searches
+        index.flush_all()
+        check()
+        assert index.buffer.is_empty and tree_meter.counts["node_access"]
 
     @key_domains
     def test_unmetered_lookup_runs_no_interpolation(self, domain, monkeypatch):
