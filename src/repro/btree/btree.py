@@ -26,10 +26,14 @@ entry is removed, underfull/empty leaves stay in the structure and are
 skipped by scans) — the paper's workloads exercise deletes only through
 SWARE tombstone propagation, where lazy deletion is the standard choice.
 
-Every structural operation is charged to a :class:`~repro.storage.Meter`,
-and node touches are mirrored to an optional
-:class:`~repro.storage.BufferPool` so the §V-E on-disk experiments can count
-page I/O.
+:class:`BPlusTree` is what runs: it bills nothing and touches no pool, so a
+lookup or an insert is one inline descent, and :meth:`BPlusTree.insert_sorted`
+applies a sorted batch (a SWARE flush's top-inserts) one leaf at a time.
+Constructed with a meter or a buffer pool it is a :class:`MeteredBPlusTree`,
+which alone charges every structural operation to a
+:class:`~repro.storage.Meter` and mirrors node touches to a
+:class:`~repro.storage.BufferPool`, so the §V-E on-disk experiments can
+count page I/O.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class BPlusTreeConfig:
 
 
 class BPlusTree:
-    """See module docstring.
+    """See module docstring; given a meter or a pool, the constructor builds
+    a :class:`MeteredBPlusTree`.
 
     ``min_key`` / ``max_key`` are *watermark* bounds (``None`` while empty):
     they grow with inserts and bulk loads and never shrink on deletes. A
@@ -87,6 +92,16 @@ class BPlusTree:
     the tail leaf.
     """
 
+    meter: Meter = NULL_METER
+    pool: Optional[BufferPool] = None
+
+    def __new__(cls, config=None, meter: Optional[Meter] = None, pool=None, obs=None):
+        if cls is BPlusTree and (
+            pool is not None or (meter is not None and meter is not NULL_METER)
+        ):
+            cls = MeteredBPlusTree
+        return super().__new__(cls)
+
     def __init__(
         self,
         config: Optional[BPlusTreeConfig] = None,
@@ -95,9 +110,7 @@ class BPlusTree:
         obs: Optional[Observability] = None,
     ):
         self.config = config or BPlusTreeConfig()
-        self.meter = meter if meter is not None else NULL_METER
         self.obs = obs if obs is not None else current_obs()
-        self.pool = pool
         # A leaf page has one spare slot, so an insert may overflow
         # transiently before the split; space accounting counts it.
         self._leaf_physical = self.config.leaf_capacity + 1
@@ -140,23 +153,14 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _touch(self, node, dirty: bool = False) -> None:
-        self.meter.charge("node_access")
-        if self.pool is not None:
-            self.pool.access(node.page_id, dirty=dirty)
-
     def _new_leaf(self) -> GappedLeaf:
         leaf = GappedLeaf(self._pages.allocate())
         self.leaf_count += 1
-        if self.pool is not None:
-            self.pool.create(leaf.page_id)
         return leaf
 
     def _new_internal(self) -> GappedInternal:
         node = GappedInternal(self._pages.allocate())
         self.internal_count += 1
-        if self.pool is not None:
-            self.pool.create(node.page_id)
         return node
 
     def _ensure_root(self) -> None:
@@ -171,35 +175,20 @@ class BPlusTree:
     def _descend_to_leaf(
         self, key: int, dirty: bool = False
     ) -> Tuple[GappedLeaf, List[GappedInternal]]:
-        """Walk root->leaf for ``key``; returns (leaf, internal path). Every
-        visited node is charged and pool-touched exactly as :meth:`_touch`
-        does, with the attribute loads hoisted out of the level loop."""
+        """Walk root->leaf for ``key``; returns (leaf, internal path).
+        ``dirty`` is the pool mode the metered tree touches the leaf with."""
         node = self._root
         path: List[GappedInternal] = []
-        charge = self.meter.charge
-        pool = self.pool
         while not node.is_leaf:
-            charge("node_access")
-            if pool is not None:
-                pool.access(node.page_id)
             path.append(node)
-            node = node.children[node.child_index(key)]
-        charge("node_access")
-        if pool is not None:
-            pool.access(node.page_id, dirty=dirty)
+            node = node.children[bisect_right(node.ks, key)]
         return node, path
 
     def _leaf_for(self, key: int) -> GappedLeaf:
-        """The leaf a read of ``key`` lands on (non-empty tree). Without a
-        pool the descent builds no path and charges its ``node_access``es in
-        one call, one per level (as ``get_many`` aggregates); with one, it is
-        :meth:`_descend_to_leaf`, each node touched in descent order."""
-        if self.pool is not None:
-            return self._descend_to_leaf(key)[0]
+        """The leaf a read of ``key`` lands on (non-empty tree)."""
         node = self._root
         while not node.is_leaf:
             node = node.children[bisect_right(node.ks, key)]
-        self.meter.charge("node_access", self.height)
         return node
 
     def _recompute_tail_path(self) -> None:
@@ -221,20 +210,13 @@ class BPlusTree:
         node = self._root
         path: List[GappedInternal] = []
         hi: Optional[int] = None
-        charge = self.meter.charge
-        pool = self.pool
         while not node.is_leaf:
-            charge("node_access")
-            if pool is not None:
-                pool.access(node.page_id)
             path.append(node)
-            idx = node.child_index(key)
+            ks = node.ks
+            idx = bisect_right(ks, key)
             if idx < node.n:
-                hi = node.ks[idx]
+                hi = ks[idx]
             node = node.children[idx]
-        charge("node_access")
-        if pool is not None:
-            pool.access(node.page_id, dirty=dirty)
         return node, path, hi
 
     # ------------------------------------------------------------------
@@ -243,39 +225,94 @@ class BPlusTree:
     def insert(self, key: int, value: object) -> bool:
         """Insert or update; returns True if a new entry was created.
 
-        Finds the slot, shifts the dense prefix into the gap region, and
-        splits the leaf once it holds more than ``leaf_capacity`` entries.
+        One inline descent (or the tail leaf, below), a ``bisect_left`` and
+        a ``list.insert``; the leaf splits once it holds more than
+        ``leaf_capacity`` entries. The descent builds no path: a split
+        descends again for it (``key`` still routes to the full leaf).
         """
-        self._ensure_root()
+        if self._root is None:
+            self._ensure_root()
         self.top_inserts += 1
-        tail = self._tail_leaf
-        if (
-            self.config.tail_leaf_optimization
-            and tail is not None
-            and tail.n
-            and key >= tail.first_key()
-        ):
-            # Right-most leaf insertion (§III, Fig. 3a): one node access.
+        leaf = self._tail_leaf
+        ks = leaf.ks
+        if self.config.tail_leaf_optimization and ks and key >= ks[0]:
+            # Right-most leaf insertion (§III, Fig. 3a): no descent.
             self.fastpath_inserts += 1
-            self._touch(tail, dirty=True)
-            leaf, path = tail, self._tail_path
         else:
-            leaf, path = self._descend_to_leaf(key, dirty=True)
-
-        idx = leaf.search_left(key)
-        if leaf.has_key_at(idx, key):
-            leaf.set_value(idx, value)
+            leaf = self._root
+            while not leaf.is_leaf:
+                leaf = leaf.children[bisect_right(leaf.ks, key)]
+            ks = leaf.ks
+        idx = bisect_left(ks, key)
+        if idx < leaf.n and ks[idx] == key:
+            leaf.vs[idx] = value
             return False
-        leaf.insert_at(idx, key, value)
-        self.meter.charge("entry_move", leaf.n - idx)
+        ks.insert(idx, key)
+        leaf.vs.insert(idx, value)
+        leaf.n += 1
         self.n_entries += 1
         if self.max_key is None or key > self.max_key:
             self.max_key = key
         if self.min_key is None or key < self.min_key:
             self.min_key = key
         if leaf.n > self.config.leaf_capacity:
-            self._split_leaf(leaf, path)
+            self._split_leaf(leaf, self._descend_to_leaf(key)[1])
         return True
+
+    def insert_sorted(self, keys: Sequence[int], values: Sequence[object]) -> None:
+        """Upsert strictly increasing ``keys`` (with ``values``) one leaf at
+        a time: the tree a loop of :meth:`insert` builds — the same leaves,
+        splits and counters — with one descent per run of keys that land in
+        the same leaf instead of one per key.
+
+        A run is bounded by the leaf's upper separator. Inside it each key
+        is a ``bisect_left`` that resumes where the previous key landed and
+        an in-place ``list.insert``; a split ends the run, and the next key
+        descends again. A SWARE flush sends its top-inserts here.
+        """
+        n = len(keys)
+        if not n:
+            return
+        self._ensure_root()
+        self.top_inserts += n
+        capacity = self.config.leaf_capacity
+        fastpath = self.config.tail_leaf_optimization
+        created = 0
+        i = 0
+        while i < n:
+            leaf, path, hi = self._descend_to_leaf_bounded(keys[i])
+            stop = n if hi is None else bisect_left(keys, hi, i)
+            ks, vs = leaf.ks, leaf.vs
+            start, n0 = i, leaf.n
+            on_tail = fastpath and leaf is self._tail_leaf
+            # The loop takes the tail-leaf fast path for every key of the
+            # tail's run but a first one into an empty tail or below its
+            # first key.
+            slow_first = on_tail and not (n0 and keys[i] >= ks[0])
+            pos = 0
+            while i < stop:
+                key = keys[i]
+                pos = bisect_left(ks, key, pos)
+                i += 1
+                if pos < len(ks) and ks[pos] == key:
+                    vs[pos] = values[i - 1]
+                    continue
+                ks.insert(pos, key)
+                vs.insert(pos, values[i - 1])
+                if len(ks) > capacity:
+                    break
+            leaf.n = len(ks)
+            created += leaf.n - n0
+            if on_tail:
+                self.fastpath_inserts += i - start - slow_first
+            if leaf.n > capacity:
+                self._split_leaf(leaf, path)
+        self.n_entries += created
+        first_key, last_key = keys[0], keys[-1]
+        if self.max_key is None or last_key > self.max_key:
+            self.max_key = last_key
+        if self.min_key is None or first_key < self.min_key:
+            self.min_key = first_key
 
     def insert_many(self, items: Sequence[Tuple[int, object]]) -> int:
         """Batch upsert with sort-then-walk amortization; returns the number
@@ -323,17 +360,12 @@ class BPlusTree:
         """
         nb = len(keys)
         created = 0
-        entry_moves = 0
         i = 0
         while i < nb:
             leaf, path, hi = self._descend_to_leaf_bounded(keys[i], dirty=True)
             j = bisect_left(keys, hi, i) if hi is not None else nb
-            c, moves = self._merge_run(leaf, keys, values, i, j)
-            created += c
-            entry_moves += moves
+            created += self._merge_run(leaf, keys, values, i, j)[0]
             i = j
-        if entry_moves:
-            self.meter.charge("entry_move", entry_moves)
         self.n_entries += created
         first_key, last_key = keys[0], keys[-1]
         if self.max_key is None or last_key > self.max_key:
@@ -387,10 +419,8 @@ class BPlusTree:
         separator insertion re-walks — one O(height) walk per piece).
         """
         total = len(merged_keys)
-        target = max(1, int(self.config.leaf_capacity * self.config.bulk_fill_factor))
+        target = self._bulk_fill_target()
         self.leaf_fissions += 1
-        self.meter.charge("leaf_fission")
-        self.meter.charge("entry_move", total)
         if self.obs.enabled:
             self.obs.event(
                 "btree.leaf_fission",
@@ -423,13 +453,11 @@ class BPlusTree:
 
     def _split_leaf(self, leaf: GappedLeaf, path: List[GappedInternal]) -> None:
         self.leaf_splits += 1
-        self.meter.charge("leaf_split")
         if self.obs.enabled:
             self.obs.event("btree.leaf_split", entries=len(leaf), depth=len(path))
         split = self._split_point(len(leaf))
         right = self._new_leaf()
         leaf.split_into(right, split)
-        self.meter.charge("entry_move", right.n)
         right.next_leaf = leaf.next_leaf
         leaf.next_leaf = right
         if leaf is self._tail_leaf:
@@ -438,13 +466,11 @@ class BPlusTree:
 
     def _split_internal(self, node: GappedInternal, path: List[GappedInternal]) -> None:
         self.internal_splits += 1
-        self.meter.charge("internal_split")
         if self.obs.enabled:
             self.obs.event("btree.internal_split", pivots=len(node), depth=len(path))
         split = self._split_point(len(node))
         right = self._new_internal()
         promoted = node.split_into(right, split)
-        self.meter.charge("entry_move", right.n + 1)
         self._insert_into_parent(node, promoted, right, path)
 
     def _insert_into_parent(
@@ -460,10 +486,7 @@ class BPlusTree:
             self._recompute_tail_path()
             return
         parent = path[-1]
-        self._touch(parent, dirty=True)
-        idx = parent.child_index(promoted_key)
-        parent.insert_pivot(idx, promoted_key, right)
-        self.meter.charge("entry_move", parent.n - idx)
+        parent.insert_pivot(bisect_right(parent.ks, promoted_key), promoted_key, right)
         if parent.n > self.config.internal_capacity:
             self._split_internal(parent, path[:-1])
         else:
@@ -498,22 +521,28 @@ class BPlusTree:
                 f"bulk batch starts at {first} but tree max is {self.max_key}"
             )
         self._ensure_root()
-        fill = max(1, int(self.config.leaf_capacity * self.config.bulk_fill_factor))
-        self.meter.charge("bulk_entry", total)
         if self.obs.enabled:
             self.obs.event("btree.bulk_load", entries=total)
         self.obs.observe_hist(
             "btree_bulk_load_entries", total, buckets=DEFAULT_SIZE_BUCKETS
         )
+        self._bulk_fill(keys, values)
+        self.n_entries += total
+        self.bulk_loaded_entries += total
+        self.max_key = last if self.max_key is None else max(self.max_key, last)
+        if self.min_key is None:
+            self.min_key = first
 
+    def _bulk_fill(self, keys: List[int], values: Sequence[object]) -> None:
+        """Chunked fills: one list slice per leaf instead of a per-key append
+        loop. The current tail leaf is topped off first so it reaches the
+        fill target."""
+        total = len(keys)
+        fill = self._bulk_fill_target()
         pos = 0
         tail = self._tail_leaf
-        # Chunked fills: one list slice per leaf instead of a per-key append
-        # loop. The current tail leaf is topped off first so it reaches the
-        # fill target.
         if tail.n < fill:
             take = min(fill - tail.n, total)
-            self._touch(tail, dirty=True)
             tail.extend(keys[:take], values[:take])
             pos = take
         while pos < total:
@@ -523,11 +552,8 @@ class BPlusTree:
             pos += take
             self._append_leaf(leaf)
 
-        self.n_entries += total
-        self.bulk_loaded_entries += total
-        self.max_key = last if self.max_key is None else max(self.max_key, last)
-        if self.min_key is None:
-            self.min_key = first
+    def _bulk_fill_target(self) -> int:
+        return max(1, int(self.config.leaf_capacity * self.config.bulk_fill_factor))
 
     def _append_leaf(self, leaf: GappedLeaf) -> None:
         """Attach a freshly built leaf at the right edge of the tree."""
@@ -546,7 +572,6 @@ class BPlusTree:
             self._recompute_tail_path()
             return
         parent = self._tail_path[-1]
-        self._touch(parent, dirty=True)
         parent.insert_pivot(parent.n, separator, leaf)
         if parent.n > self.config.internal_capacity:
             self._split_internal(parent, self._tail_path[:-1])
@@ -556,17 +581,13 @@ class BPlusTree:
     # reads
     # ------------------------------------------------------------------
     def get(self, key: int) -> Optional[object]:
-        """Point lookup; returns the value or None. Without a pool the
-        descent is :meth:`_leaf_for`'s, inline."""
+        """Point lookup; returns the value or None. The descent is
+        :meth:`_leaf_for`'s, inline."""
         node = self._root
         if node is None:
             return None
-        if self.pool is not None:
-            node = self._descend_to_leaf(key)[0]
-        else:
-            while not node.is_leaf:
-                node = node.children[bisect_right(node.ks, key)]
-            self.meter.charge("node_access", self.height)
+        while not node.is_leaf:
+            node = node.children[bisect_right(node.ks, key)]
         ks = node.ks
         idx = bisect_left(ks, key)
         if idx < node.n and ks[idx] == key:
@@ -579,25 +600,17 @@ class BPlusTree:
         Batch descent: the sorted distinct keys are partitioned across
         children one level at a time (one ``bisect`` per child run), then
         each leaf resolves its segment with ``bisect`` calls that resume
-        where the previous key landed. Each visited node is touched — and
-        charged — exactly once per batch instead of once per key; without a
-        pool the charges are aggregated into a single meter call (with a
-        pool each node is touched individually to keep eviction order
-        honest).
+        where the previous key landed, so each visited node is visited once
+        per batch instead of once per key.
         """
         n = len(keys)
         if self._root is None or n == 0:
             return [None] * n
         skeys = sorted(set(keys))
         found: dict = {}
-        pool = self.pool
-        node_visits = 0
         stack = [(self._root, 0, len(skeys))]
         while stack:
             node, lo, hi = stack.pop()
-            node_visits += 1
-            if pool is not None:
-                self._touch(node)
             ks = node.ks
             if node.is_leaf:
                 vs = node.vs
@@ -614,8 +627,6 @@ class BPlusTree:
                 stop = bisect_left(skeys, ks[child], lo, hi) if child < node.n else hi
                 stack.append((children[child], lo, stop))
                 lo = stop
-        if pool is None:
-            self.meter.charge("node_access", node_visits)
         return [found.get(key) for key in keys]
 
     def __contains__(self, key: int) -> bool:
@@ -627,19 +638,14 @@ class BPlusTree:
         One loop over the leaf chain: only the first leaf's start and the
         last leaf's stop are bisected (past the first leaf every key is
         above ``lo``), and each leaf's rows are appended at once, a leaf
-        wholly inside the range without slicing its lists. The scan
-        charges ``scan_entry`` per row returned and ``node_access`` per
-        leaf after the first, once each with the sums (as ``get_many``
-        aggregates); with a pool each next leaf is accessed in chain order.
+        wholly inside the range without slicing its lists.
         """
         out: List[Tuple[int, object]] = []
         if self._root is None or lo > hi:
             return out
         leaf = self._leaf_for(lo)
-        pool = self.pool
         start = bisect_left(leaf.ks, lo)
-        hops = 0
-        while True:
+        while leaf is not None:
             ks = leaf.ks
             if ks and ks[-1] > hi:  # the last leaf
                 stop = bisect_right(ks, hi)
@@ -648,15 +654,7 @@ class BPlusTree:
             vs = leaf.vs
             out += zip(ks[start:], vs[start:]) if start else zip(ks, vs)
             leaf = leaf.next_leaf
-            if leaf is None:
-                break
-            hops += 1
-            if pool is not None:
-                pool.access(leaf.page_id)
             start = 0
-        meter = self.meter
-        meter.charge("scan_entry", len(out))
-        meter.charge("node_access", hops)
         return out
 
     def iter_items(self) -> Iterator[Tuple[int, object]]:
@@ -674,12 +672,12 @@ class BPlusTree:
         stay, see the class docstring)."""
         if self._root is None:
             return False
-        leaf, _ = self._descend_to_leaf(key, dirty=True)
-        idx = leaf.search_left(key)
-        if not leaf.has_key_at(idx, key):
+        leaf = self._leaf_for(key)
+        ks = leaf.ks
+        idx = bisect_left(ks, key)
+        if idx == leaf.n or ks[idx] != key:
             return False
         leaf.delete_at(idx)
-        self.meter.charge("entry_move", leaf.n - idx + 1)
         self.n_entries -= 1
         return True
 
@@ -800,3 +798,278 @@ class BPlusTree:
             self.max_key is None or self.max_key < last_nonempty.last_key()
         ):
             raise InvariantViolation("max_key watermark below right-most entry")
+
+
+class MeteredBPlusTree(BPlusTree):
+    """The B+-tree under a meter and an optional buffer pool, the one class
+    of this layer that bills: every structural operation is charged to
+    :attr:`meter`, and node touches are mirrored to :attr:`pool` in descent
+    order so the §V-E on-disk experiments can count page I/O.
+
+    Each override runs the executed step and bills it; the verbs whose
+    touches interleave with their work (``insert``, the reads, ``delete``)
+    are their own bodies. ``insert_sorted`` is a loop of :meth:`insert`, so
+    a flush bills exactly what its per-key top-inserts always billed. The
+    two classes share one layout, so an executed tree starts billing by
+    rebinding its class (:meth:`bill_to`).
+    """
+
+    def __init__(
+        self,
+        config: Optional[BPlusTreeConfig] = None,
+        meter: Optional[Meter] = None,
+        pool: Optional[BufferPool] = None,
+        obs: Optional[Observability] = None,
+    ):
+        self.meter = meter if meter is not None else NULL_METER
+        self.pool = pool
+        super().__init__(config, obs=obs)
+
+    @staticmethod
+    def bill_to(tree: BPlusTree, meter: Meter) -> None:
+        """Make the executed ``tree`` bill ``meter`` from now on."""
+        tree.__class__ = MeteredBPlusTree
+        tree.meter = meter
+
+    def _touch(self, node, dirty: bool = False) -> None:
+        self.meter.charge("node_access")
+        if self.pool is not None:
+            self.pool.access(node.page_id, dirty=dirty)
+
+    def _new_leaf(self) -> GappedLeaf:
+        leaf = super()._new_leaf()
+        if self.pool is not None:
+            self.pool.create(leaf.page_id)
+        return leaf
+
+    def _new_internal(self) -> GappedInternal:
+        node = super()._new_internal()
+        if self.pool is not None:
+            self.pool.create(node.page_id)
+        return node
+
+    def _descend_to_leaf(
+        self, key: int, dirty: bool = False
+    ) -> Tuple[GappedLeaf, List[GappedInternal]]:
+        """Every visited node is charged and pool-touched exactly as
+        :meth:`_touch` does, with the attribute loads hoisted out of the
+        level loop."""
+        node = self._root
+        path: List[GappedInternal] = []
+        charge = self.meter.charge
+        pool = self.pool
+        while not node.is_leaf:
+            charge("node_access")
+            if pool is not None:
+                pool.access(node.page_id)
+            path.append(node)
+            node = node.children[node.child_index(key)]
+        charge("node_access")
+        if pool is not None:
+            pool.access(node.page_id, dirty=dirty)
+        return node, path
+
+    def _leaf_for(self, key: int) -> GappedLeaf:
+        """Without a pool the descent builds no path and charges its
+        ``node_access``es in one call, one per level (as ``get_many``
+        aggregates); with one, it is :meth:`_descend_to_leaf`, each node
+        touched in descent order."""
+        if self.pool is not None:
+            return self._descend_to_leaf(key)[0]
+        self.meter.charge("node_access", self.height)
+        return super()._leaf_for(key)
+
+    def _descend_to_leaf_bounded(
+        self, key: int, dirty: bool = False
+    ) -> Tuple[GappedLeaf, List[GappedInternal], Optional[int]]:
+        leaf, path, hi = super()._descend_to_leaf_bounded(key)
+        charge = self.meter.charge
+        pool = self.pool
+        for node in path:
+            charge("node_access")
+            if pool is not None:
+                pool.access(node.page_id)
+        charge("node_access")
+        if pool is not None:
+            pool.access(leaf.page_id, dirty=dirty)
+        return leaf, path, hi
+
+    def insert(self, key: int, value: object) -> bool:
+        """Finds the slot, shifts the dense prefix into the gap region, and
+        splits the leaf once it holds more than ``leaf_capacity`` entries."""
+        self._ensure_root()
+        self.top_inserts += 1
+        tail = self._tail_leaf
+        if (
+            self.config.tail_leaf_optimization
+            and tail is not None
+            and tail.n
+            and key >= tail.first_key()
+        ):
+            # Right-most leaf insertion (§III, Fig. 3a): one node access.
+            self.fastpath_inserts += 1
+            self._touch(tail, dirty=True)
+            leaf, path = tail, self._tail_path
+        else:
+            leaf, path = self._descend_to_leaf(key, dirty=True)
+
+        idx = leaf.search_left(key)
+        if leaf.has_key_at(idx, key):
+            leaf.set_value(idx, value)
+            return False
+        leaf.insert_at(idx, key, value)
+        self.meter.charge("entry_move", leaf.n - idx)
+        self.n_entries += 1
+        if self.max_key is None or key > self.max_key:
+            self.max_key = key
+        if self.min_key is None or key < self.min_key:
+            self.min_key = key
+        if leaf.n > self.config.leaf_capacity:
+            self._split_leaf(leaf, path)
+        return True
+
+    def insert_sorted(self, keys: Sequence[int], values: Sequence[object]) -> None:
+        """A loop of :meth:`insert`: each top-insert bills its own descent."""
+        for key, value in zip(keys, values):
+            self.insert(key, value)
+
+    def _merge_run(
+        self, leaf: GappedLeaf, keys: List[int], values: List[object], i: int, j: int
+    ) -> Tuple[int, int]:
+        created, moves = super()._merge_run(leaf, keys, values, i, j)
+        if moves:
+            self.meter.charge("entry_move", moves)
+        return created, moves
+
+    def _fission_leaf(
+        self, leaf: GappedLeaf, merged_keys: List[int], merged_vals: List[object]
+    ) -> None:
+        self.meter.charge("leaf_fission")
+        self.meter.charge("entry_move", len(merged_keys))
+        super()._fission_leaf(leaf, merged_keys, merged_vals)
+
+    def _split_leaf(self, leaf: GappedLeaf, path: List[GappedInternal]) -> None:
+        self.meter.charge("leaf_split")
+        super()._split_leaf(leaf, path)
+        self.meter.charge("entry_move", leaf.next_leaf.n)  # the right half
+
+    def _split_internal(self, node: GappedInternal, path: List[GappedInternal]) -> None:
+        # The right node's pivots plus the promoted one move.
+        self.meter.charge("internal_split")
+        self.meter.charge("entry_move", node.n - self._split_point(node.n))
+        super()._split_internal(node, path)
+
+    def _insert_into_parent(
+        self, left, promoted_key: int, right, path: List[GappedInternal]
+    ) -> None:
+        if path:
+            parent = path[-1]
+            self._touch(parent, dirty=True)
+            # The pivots right of the new one move, and the new one lands.
+            self.meter.charge("entry_move", parent.n + 1 - parent.child_index(promoted_key))
+        super()._insert_into_parent(left, promoted_key, right, path)
+
+    def _bulk_fill(self, keys: List[int], values: Sequence[object]) -> None:
+        self.meter.charge("bulk_entry", len(keys))
+        tail = self._tail_leaf
+        if tail.n < self._bulk_fill_target():
+            self._touch(tail, dirty=True)
+        super()._bulk_fill(keys, values)
+
+    def _append_leaf(self, leaf: GappedLeaf) -> None:
+        if self._root is not self._tail_leaf:
+            self._touch(self._tail_path[-1], dirty=True)
+        super()._append_leaf(leaf)
+
+    def get(self, key: int) -> Optional[object]:
+        node = self._root
+        if node is None:
+            return None
+        node = self._leaf_for(key)
+        ks = node.ks
+        idx = bisect_left(ks, key)
+        if idx < node.n and ks[idx] == key:
+            return node.vs[idx]
+        return None
+
+    def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
+        """Each visited node is touched — and charged — exactly once per
+        batch instead of once per key; without a pool the charges are
+        aggregated into a single meter call (with a pool each node is
+        touched individually to keep eviction order honest)."""
+        n = len(keys)
+        if self._root is None or n == 0:
+            return [None] * n
+        skeys = sorted(set(keys))
+        found: dict = {}
+        pool = self.pool
+        node_visits = 0
+        stack = [(self._root, 0, len(skeys))]
+        while stack:
+            node, lo, hi = stack.pop()
+            node_visits += 1
+            if pool is not None:
+                self._touch(node)
+            ks = node.ks
+            if node.is_leaf:
+                vs = node.vs
+                pos = 0
+                for t in range(lo, hi):
+                    key = skeys[t]
+                    pos = bisect_left(ks, key, pos)
+                    if pos < node.n and ks[pos] == key:
+                        found[key] = vs[pos]
+                continue
+            children = node.children
+            while lo < hi:
+                child = bisect_right(ks, skeys[lo])
+                stop = bisect_left(skeys, ks[child], lo, hi) if child < node.n else hi
+                stack.append((children[child], lo, stop))
+                lo = stop
+        if pool is None:
+            self.meter.charge("node_access", node_visits)
+        return [found.get(key) for key in keys]
+
+    def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        """The scan charges ``scan_entry`` per row returned and
+        ``node_access`` per leaf after the first, once each with the sums
+        (as ``get_many`` aggregates); with a pool each next leaf is accessed
+        in chain order."""
+        out: List[Tuple[int, object]] = []
+        if self._root is None or lo > hi:
+            return out
+        leaf = self._leaf_for(lo)
+        pool = self.pool
+        start = bisect_left(leaf.ks, lo)
+        hops = 0
+        while True:
+            ks = leaf.ks
+            if ks and ks[-1] > hi:  # the last leaf
+                stop = bisect_right(ks, hi)
+                out += zip(ks[start:stop], leaf.vs[start:stop])
+                break
+            vs = leaf.vs
+            out += zip(ks[start:], vs[start:]) if start else zip(ks, vs)
+            leaf = leaf.next_leaf
+            if leaf is None:
+                break
+            hops += 1
+            if pool is not None:
+                pool.access(leaf.page_id)
+            start = 0
+        meter = self.meter
+        meter.charge("scan_entry", len(out))
+        meter.charge("node_access", hops)
+        return out
+
+    def delete(self, key: int) -> bool:
+        if self._root is None:
+            return False
+        leaf, _ = self._descend_to_leaf(key, dirty=True)
+        idx = leaf.search_left(key)
+        if not leaf.has_key_at(idx, key):
+            return False
+        leaf.delete_at(idx)
+        self.meter.charge("entry_move", leaf.n - idx + 1)
+        self.n_entries -= 1
+        return True

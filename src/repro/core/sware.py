@@ -24,7 +24,9 @@ public methods under one mutex.
 untraced GET is one frame over Fig. 6's checks and the tree descent.
 Constructed with a meter it is a :class:`MeteredSortednessAwareIndex`, which
 alone bills: it runs each step in its meter bucket, hands its meter to an
-unmetered backend and builds the :class:`~repro.core.buffer.MeteredSWAREBuffer`.
+unmetered backend (an executed B+-tree becomes a
+:class:`~repro.btree.btree.MeteredBPlusTree`) and builds the
+:class:`~repro.core.buffer.MeteredSWAREBuffer`.
 
 Values must not be ``None`` — the library reserves ``None`` for "absent".
 """
@@ -35,6 +37,7 @@ from bisect import bisect_left, bisect_right
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro import kernels
+from repro.btree.btree import BPlusTree, MeteredBPlusTree
 from repro.core.buffer import DELETED, HIT, TOMBSTONE, FlushBatch, MeteredSWAREBuffer, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.stats import SWAREStats
@@ -274,7 +277,7 @@ class SortednessAwareIndex:
         cut = 0 if tree_max is None else bisect_right(keys, tree_max)
 
         if cut:
-            self._top_insert(keys[:cut], values)
+            self._top_insert(keys[:cut], values, batch.tombstones)
 
         bulk_keys, bulk_values = keys[cut:], values[cut:]
         n_beyond = len(bulk_values)
@@ -302,23 +305,39 @@ class SortednessAwareIndex:
             "sware_top_insert_entries", cut, buckets=DEFAULT_SIZE_BUCKETS
         )
 
-    def _top_insert(self, keys: Sequence[int], values: Sequence[object]) -> None:
-        """Route a batch's keys at or below the tree's maximum through the root."""
+    def _top_insert(self, keys: Sequence[int], values: Sequence[object], tombstones: int) -> None:
+        """Route a batch's keys at or below the tree's maximum through the
+        root, in key order: each run of live entries between tombstones in
+        one ``insert_sorted`` (a loop of ``insert`` on a backend without
+        it), each tombstone a ``delete``. ``tombstones`` counts the whole
+        batch's; none means one run."""
         backend = self.backend
         stats = self.stats
-        for key, value in zip(keys, values):
-            if value is DELETED:
+        insert_sorted = getattr(backend, "insert_sorted", None)
+        if insert_sorted is None:
+            insert = backend.insert
+
+            def insert_sorted(run_keys, run_values):
+                for key, value in zip(run_keys, run_values):
+                    insert(key, value)
+
+        n = len(keys)
+        stops = [i for i in range(n) if values[i] is DELETED] if tombstones else []
+        start = 0
+        for stop in stops + [n]:
+            if stop > start:
+                insert_sorted(keys[start:stop], values[start:stop])
+                stats.top_inserted_entries += stop - start
+            if stop < n:
                 # Backends that report deletion (the B+-tree returns False
                 # for an absent key) let us split real deletions from
                 # no-ops; message-based backends (Bε-tree, LSM) return None
                 # and count as applied.
-                if backend.delete(key) is False:
+                if backend.delete(keys[stop]) is False:
                     stats.tombstones_noop += 1
                 else:
                     stats.tombstones_applied += 1
-            else:
-                backend.insert(key, value)
-                stats.top_inserted_entries += 1
+            start = stop + 1
 
     # ------------------------------------------------------------------
     # reads
@@ -535,7 +554,10 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
     def __init__(self, backend, config=None, meter: Optional[Meter] = None, *args, **kwargs):
         self.meter = meter if meter is not None else NULL_METER
         if backend.meter is NULL_METER:
-            backend.meter = self.meter
+            if type(backend) is BPlusTree:
+                MeteredBPlusTree.bill_to(backend, self.meter)
+            else:
+                backend.meter = self.meter
         super().__init__(backend, config, None, *args, **kwargs)
 
     def _new_buffer(self) -> SWAREBuffer:
@@ -554,9 +576,9 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
         with self.meter.bucket("bulk_load"):
             super()._apply_batch(batch)
 
-    def _top_insert(self, keys: Sequence[int], values: Sequence[object]) -> None:
+    def _top_insert(self, keys: Sequence[int], values: Sequence[object], tombstones: int) -> None:
         with self.meter.bucket("top_insert"):
-            super()._top_insert(keys, values)
+            super()._top_insert(keys, values, tombstones)
 
     def _delete(self, key: int) -> None:
         buffer = self.buffer

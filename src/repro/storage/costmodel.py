@@ -85,7 +85,6 @@ class Meter:
         self.bucket_counts: Dict[str, Dict[str, float]] = defaultdict(
             lambda: defaultdict(float)
         )
-        self.bucket_wall_ns: Dict[str, float] = defaultdict(float)
         self._bucket_stack: list = []
 
     # -- charging ---------------------------------------------------------
@@ -97,13 +96,11 @@ class Meter:
 
     @contextmanager
     def bucket(self, name: str) -> Iterator[None]:
-        """Attribute all charges (and wall time) inside to phase ``name``."""
+        """Attribute all charges inside to phase ``name``."""
         self._bucket_stack.append(name)
-        start = time.perf_counter_ns()
         try:
             yield
         finally:
-            self.bucket_wall_ns[name] += time.perf_counter_ns() - start
             self._bucket_stack.pop()
 
     # -- reading ----------------------------------------------------------
@@ -121,11 +118,10 @@ class Meter:
     def reset(self) -> None:
         self.counts.clear()
         self.bucket_counts.clear()
-        self.bucket_wall_ns.clear()
         self._bucket_stack.clear()
 
     def merge(self, other: "Meter") -> "Meter":
-        """Fold ``other``'s counts, buckets and wall times into this meter.
+        """Fold ``other``'s counts and buckets into this meter.
 
         Lets multi-phase runs aggregate per-phase meters without rebuilding
         the index between phases; returns ``self`` for chaining.
@@ -136,8 +132,6 @@ class Meter:
             bucket = self.bucket_counts[name]
             for kind, count in counts.items():
                 bucket[kind] += count
-        for name, wall in other.bucket_wall_ns.items():
-            self.bucket_wall_ns[name] += wall
         return self
 
     def __getitem__(self, kind: str) -> float:

@@ -365,8 +365,9 @@ class CheckpointStore:
             raise PageFileError("checkpoint directory malformed")
         return directory, epoch
 
-    def load_btree(self):
-        """Restore the checkpointed B+-tree from the newest valid footer."""
+    def load_btree(self, meter=None):
+        """Restore the checkpointed B+-tree from the newest valid footer
+        (billing ``meter``, if one is given)."""
         pagefile = PageFile(self.path, self.slot_size, opener=self._opener)
         try:
             directory, epoch = self._read_footer(
@@ -378,7 +379,8 @@ class CheckpointStore:
         finally:
             pagefile.close()
         tree = deserialize_btree(
-            {"root": directory["root"], "config": directory["config"], "pages": pages}
+            {"root": directory["root"], "config": directory["config"], "pages": pages},
+            meter=meter,
         )
         tree.check_invariants()
         self._epoch = epoch
@@ -400,9 +402,7 @@ class CheckpointStore:
         """Restore a checkpoint as a fresh SA B+-tree (empty buffer)."""
         from repro.core.sware import SortednessAwareIndex
 
-        tree = self.load_btree()
-        if meter is not None:
-            tree.meter = meter
+        tree = self.load_btree(meter=meter)
         return SortednessAwareIndex(tree, config=config, meter=meter, wal=wal)
 
     # -- recovery -------------------------------------------------------------
@@ -524,9 +524,7 @@ def rebuild_index(
     )._replay(wal_path, config, meter, None, None)
     items = recovered.items()
     report.entries = len(items)
-    tree = BPlusTree(recovered.backend.config)
-    if meter is not None:
-        tree.meter = meter
+    tree = BPlusTree(recovered.backend.config, meter=meter)
     with current_obs().span("rebuild.bulk_load") as span:
         tree.bulk_load_append(items)
         span.set(entries=tree.n_entries)

@@ -314,7 +314,7 @@ def serialize_btree(tree, *, compress: bool = False) -> dict:
     return {"root": root_id, "pages": pages, "config": tree.config}
 
 
-def deserialize_btree(blob: dict):
+def deserialize_btree(blob: dict, meter=None):
     """Rebuild a :class:`~repro.btree.BPlusTree` from serialized pages.
 
     The page format is layout-agnostic (dense sorted key runs), so nodes
@@ -322,12 +322,12 @@ def deserialize_btree(blob: dict):
     Checkpoints pickled before the layout knobs were removed may carry a
     config with stray ``node_layout`` / ``gap_high_water`` attributes (or,
     older still, neither); both load — ``BPlusTree`` reads only the fields
-    it still has.
+    it still has. Given a ``meter``, the tree is built metered.
     """
     from repro.btree.btree import BPlusTree
     from repro.btree.node import GappedInternal, GappedLeaf
 
-    tree = BPlusTree(blob["config"])
+    tree = BPlusTree(blob["config"], meter=meter)
     if blob["root"] is None:
         return tree
     pages = blob["pages"]

@@ -234,6 +234,20 @@ def test_one_biller_per_layer():
     assert {"charge", "bucket"} <= calls
     assert defines("tests/test_sware_index.py::TestCostAccounting::"
                    "test_unmetered_index_makes_no_meter_call")
+    # One more layer down: no method of the executed BPlusTree but
+    # ``__new__`` (which picks the metered subclass when given a meter or a
+    # pool) charges a meter or touches a pool; MeteredBPlusTree does both.
+    module = ast.parse((ROOT / "src/repro/btree/btree.py").read_text())
+    classes = {node.name: node for node in module.body if isinstance(node, ast.ClassDef)}
+    executed, metered = classes["BPlusTree"], classes["MeteredBPlusTree"]
+    methods = [node for node in executed.body if isinstance(node, ast.FunctionDef)]
+    assert "__new__" in {method.name for method in methods}
+    for method in methods:
+        if method.name != "__new__":
+            assert {"charge", "pool"}.isdisjoint(_names(method)), method.name
+    assert {"charge", "pool"} <= _names(metered)
+    assert defines("tests/test_sware_index.py::TestCostAccounting::"
+                   "test_unmetered_tree_makes_no_meter_call")
 
 
 def test_one_batch_surface():

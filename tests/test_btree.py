@@ -1,11 +1,15 @@
 """Unit tests for the B+-tree substrate."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.btree.btree import BPlusTree, BPlusTreeConfig
+from repro.btree.btree import BPlusTree, BPlusTreeConfig, MeteredBPlusTree
+from repro.core.config import SWAREConfig
+from repro.core.sware import SortednessAwareIndex
 from repro.errors import BulkLoadError, ConfigError
 from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
+from tests.key_domains import key_domains
 
 
 def small_tree(**overrides) -> BPlusTree:
@@ -382,3 +386,113 @@ class TestMeterAccounting:
             touched.clear()
             leaf, path = tree._descend_to_leaf(key)
             assert by_get == touched == [node.page_id for node in (*path, leaf)]
+
+
+def tree_shape(tree: BPlusTree):
+    """Everything a walk and a loop of inserts must agree on: every node
+    (page id, keys, values or children), the leaf chain, the counters, the
+    watermarks, and the cached tail leaf and path."""
+
+    def dump(node):
+        if node.is_leaf:
+            return node.page_id, tuple(node.ks), tuple(node.vs)
+        return node.page_id, tuple(node.ks), tuple(dump(child) for child in node.children)
+
+    chain = []
+    leaf = tree._head_leaf
+    while leaf is not None:
+        chain.append((leaf.page_id, tuple(leaf.ks), tuple(leaf.vs)))
+        leaf = leaf.next_leaf
+    return (
+        dump(tree._root) if tree._root is not None else None,
+        chain,
+        tree._obs_snapshot(),
+        (tree.min_key, tree.max_key),
+        tree._tail_leaf.page_id if tree._tail_leaf is not None else None,
+        [node.page_id for node in tree._tail_path],
+    )
+
+
+#: Keys at the int64 edges: the ``python`` domain adds keys beyond them.
+INT64_EDGES = (-(2**63), 2**63 - 1)
+
+
+class TestInsertSorted:
+    """``insert_sorted`` (one descent per leaf run) builds the tree that a
+    loop of ``insert`` builds, split for split."""
+
+    @key_domains
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_walk_builds_the_tree_a_loop_of_insert_builds(self, domain, data):
+        config = BPlusTreeConfig(
+            leaf_capacity=data.draw(st.integers(2, 8)),
+            internal_capacity=data.draw(st.integers(2, 8)),
+            split_factor=data.draw(st.sampled_from([0.5, 0.8])),
+            tail_leaf_optimization=data.draw(st.booleans()),
+        )
+        key = domain.keys(st.integers(-60, 60) | st.sampled_from(INT64_EDGES))
+        start = data.draw(st.lists(key, unique=True, max_size=40))
+        bulk = data.draw(st.lists(st.integers(61, 120), unique=True, max_size=30))
+        drops = data.draw(st.lists(st.sampled_from(start), max_size=10)) if start else []
+        batches = data.draw(st.lists(st.lists(key, unique=True, max_size=60), max_size=3))
+        walk, loop, metered = BPlusTree(config), BPlusTree(config), BPlusTree(config, meter=Meter())
+        assert type(metered) is MeteredBPlusTree
+        for tree in (walk, loop, metered):
+            # A starting tree with overwrites ahead, a bulk-loaded tail
+            # (when the edges leave room above it) and emptied leaves.
+            for k in start:
+                tree.insert(k, ("start", k))
+            if tree.max_key is None or tree.max_key < 61:
+                tree.bulk_load_append([(k, ("bulk", k)) for k in sorted(bulk)])
+            for k in drops:
+                tree.delete(k)
+        for number, batch in enumerate(batches):
+            keys = sorted(batch)
+            values = [(number, k) for k in keys]
+            walk.insert_sorted(keys, values)
+            metered.insert_sorted(keys, values)
+            for k, value in zip(keys, values):
+                loop.insert(k, value)
+            walk.check_invariants()
+            assert tree_shape(walk) == tree_shape(loop) == tree_shape(metered)
+
+    @key_domains
+    def test_a_flush_with_interleaved_tombstones_matches_the_loop(self, domain):
+        # A tree without ``insert_sorted`` gets SWARE's per-key loop: both
+        # indexes must end with the same tree and the same tombstone counts.
+        class PerKey:
+            def __init__(self, tree):
+                self.tree = tree
+
+            def __getattr__(self, name):
+                if name == "insert_sorted":
+                    raise AttributeError(name)
+                return getattr(self.tree, name)
+
+        shift = domain.shift
+        config = BPlusTreeConfig(
+            leaf_capacity=4, internal_capacity=4, split_factor=0.8, tail_leaf_optimization=True
+        )
+        sware = SWAREConfig(buffer_capacity=64, page_size=8)
+        walk_tree, loop_tree = BPlusTree(config), BPlusTree(config)
+        indexes = [SortednessAwareIndex(walk_tree, sware),
+                   SortednessAwareIndex(PerKey(loop_tree), sware)]
+        for index in indexes:
+            index.put_many([(shift + k, k) for k in range(0, 200, 4)])
+            index.flush_all()
+            for k in (151, 13, 77, 200, 6, 98, 2, 45, 150, 46, 199):
+                index.insert(shift + k, -k)  # top-inserts and overwrites
+            for k in (8, 77, 9, 48, 47, 196):  # applied, buffered, absent
+                index.delete(shift + k)
+            index.insert(shift + 9, "back")
+            batch = index.buffer.all_entries()
+            assert sum(entry[3] for entry in batch) == 6  # tombstones
+            index.flush_all()
+        walk, loop = indexes
+        assert tree_shape(walk_tree) == tree_shape(loop_tree)
+        walk_tree.check_invariants()
+        for name in ("tombstones_noop", "tombstones_applied", "top_inserted_entries"):
+            assert getattr(walk.stats, name) == getattr(loop.stats, name), name
+        assert walk.stats.tombstones_noop and walk.stats.tombstones_applied
+        assert walk.items() == loop.items()

@@ -68,11 +68,14 @@ class TestMeter:
         assert meter.bucket_counts["outer"]["a"] == 1
         assert meter.bucket_counts["inner"]["a"] == 2
 
-    def test_bucket_wall_time_tracked(self):
+    def test_bucket_is_a_stack_push_and_pop(self):
         meter = Meter()
         with meter.bucket("phase"):
-            pass
-        assert meter.bucket_wall_ns["phase"] >= 0
+            assert meter._bucket_stack == ["phase"]
+        with pytest.raises(KeyError):
+            with meter.bucket("boom"):
+                raise KeyError("boom")
+        assert meter._bucket_stack == []
 
     def test_reset(self):
         meter = Meter()
@@ -108,16 +111,6 @@ class TestMeter:
         # The merged-from meter is untouched.
         assert b["sort_comparison"] == 5
 
-    def test_merge_accumulates_wall_time(self):
-        a = Meter()
-        b = Meter()
-        with b.bucket("phase"):
-            sum(range(100))
-        wall = b.bucket_wall_ns["phase"]
-        a.merge(b)
-        a.merge(b)
-        assert a.bucket_wall_ns["phase"] == 2 * wall
-
     def test_merge_then_reset_supports_multi_phase_aggregation(self):
         total = Meter()
         phase = Meter()
@@ -149,7 +142,7 @@ class TestNullMeter:
         with pytest.raises(KeyError):
             with NULL_METER.bucket("boom"):
                 raise KeyError("boom")
-        assert not NULL_METER.bucket_wall_ns
+        assert not NULL_METER.bucket_counts and not NULL_METER._bucket_stack
 
 
 class TestStopwatch:

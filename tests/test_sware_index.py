@@ -12,6 +12,7 @@ from repro.core.sware import SortednessAwareIndex
 from repro.core.zonemap import PageZonemaps
 from repro.filters.bloom import BloomFilter
 from repro.storage.costmodel import NULL_METER, CostModel, Meter, _NullMeter
+from repro.storage.pagefile import CheckpointStore
 from tests.key_domains import key_domains
 
 
@@ -266,6 +267,54 @@ class TestCostAccounting:
         index.flush_all()
         check()
         assert index.buffer.is_empty and tree_meter.counts["node_access"]
+
+    def test_unmetered_tree_makes_no_meter_call(self, monkeypatch, tmp_path):
+        # One layer down: the executed B+-tree, under SWARE and bare, charges
+        # nothing through inserts, a flush's top-inserts, splits, batch
+        # inserts (a fission among them), reads, deletes, bulk loads and a
+        # checkpoint round trip.
+        def refuse(*args):
+            raise AssertionError("the unmetered tree called the null meter")
+
+        monkeypatch.setattr(_NullMeter, "charge", refuse)
+        monkeypatch.setattr(_NullMeter, "bucket", refuse)
+        sa = make_sa_btree(
+            SWAREConfig(buffer_capacity=16, page_size=4), leaf_capacity=4, internal_capacity=4
+        )
+        base = make_baseline_btree(leaf_capacity=4, internal_capacity=4)
+        assert type(sa.backend) is BPlusTree and type(base) is BPlusTree
+        model = {}
+        for key in [*range(0, 80, 2), *range(79, 0, -2)]:  # bulk loads, then top-inserts
+            sa.insert(key, key)
+            base.insert(key, key)
+            model[key] = key
+        base.insert_many([(key, -key) for key in range(-30, 50)])  # a fission
+        base.insert_many([(key, key) for key in range(200, 230)])  # a bulk load
+        for key in (4, 31, 500):
+            sa.delete(key)
+            base.delete(key)
+            model.pop(key, None)
+        sa.flush_all()
+        tree = sa.backend
+        assert tree.leaf_splits and tree.top_inserts and tree.bulk_loaded_entries
+        assert base.leaf_fissions and base.leaf_splits and base.internal_splits
+        probes = [*range(-1, 82), 215, 1000]
+        expected = [model.get(key) for key in probes]
+        assert [sa.get(key) for key in probes] == expected
+        assert sa.get_many(probes) == expected
+        assert sa.range_query(-5, 100) == sorted(model.items())
+        base_model = {**model, **{key: -key for key in range(-30, 50)}}
+        base_model.update((key, key) for key in range(200, 230))
+        for key in (4, 31):
+            del base_model[key]
+        expected = [base_model.get(key) for key in probes]
+        assert [base.get(key) for key in probes] == base.get_many(probes) == expected
+        assert base.range_query(-30, 0) == [(key, -key) for key in range(-30, 1)]
+        store = CheckpointStore(str(tmp_path / "tree.db"))
+        store.save_index(sa)
+        restored = store.load_index()
+        assert type(restored.backend) is BPlusTree
+        assert restored.range_query(-5, 100) == sorted(model.items())
 
     @key_domains
     def test_unmetered_lookup_runs_no_interpolation(self, domain, monkeypatch):
