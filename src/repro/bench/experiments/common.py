@@ -11,9 +11,15 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.betree.betree import BeTree, BeTreeConfig
-from repro.btree.btree import BPlusTree, BPlusTreeConfig
+from repro.betree.betree import BeTree
+from repro.btree.btree import BPlusTree
 from repro.core.config import SWAREConfig
+from repro.core.factory import (
+    make_baseline_betree,
+    make_baseline_btree,
+    make_sa_betree,
+    make_sa_btree,
+)
 from repro.core.sware import SortednessAwareIndex
 from repro.sortedness.generator import generate_kl_keys, scrambled_keys, sorted_keys
 from repro.storage.bufferpool import BufferPool
@@ -79,18 +85,13 @@ def sa_btree_factory(
 ) -> Callable[[Meter], SortednessAwareIndex]:
     def factory(meter: Meter) -> SortednessAwareIndex:
         pool = BufferPool(pool_capacity, meter=meter) if pool_capacity else None
-        tree = BPlusTree(
-            BPlusTreeConfig(
-                leaf_capacity=LEAF_CAPACITY,
-                internal_capacity=INTERNAL_CAPACITY,
-                split_factor=split_factor,
-                bulk_fill_factor=bulk_fill_factor,
-                tail_leaf_optimization=True,
-            ),
+        return make_sa_btree(
+            sware_config,
+            split_factor=split_factor,
+            bulk_fill_factor=bulk_fill_factor,
             meter=meter,
             pool=pool,
         )
-        return SortednessAwareIndex(tree, config=sware_config, meter=meter)
 
     return factory
 
@@ -100,16 +101,7 @@ def baseline_btree_factory(
 ) -> Callable[[Meter], BPlusTree]:
     def factory(meter: Meter) -> BPlusTree:
         pool = BufferPool(pool_capacity, meter=meter) if pool_capacity else None
-        return BPlusTree(
-            BPlusTreeConfig(
-                leaf_capacity=LEAF_CAPACITY,
-                internal_capacity=INTERNAL_CAPACITY,
-                split_factor=0.5,
-                tail_leaf_optimization=False,
-            ),
-            meter=meter,
-            pool=pool,
-        )
+        return make_baseline_btree(meter=meter, pool=pool)
 
     return factory
 
@@ -119,26 +111,14 @@ def sa_betree_factory(
     split_factor: float = 0.8,
 ) -> Callable[[Meter], SortednessAwareIndex]:
     def factory(meter: Meter) -> SortednessAwareIndex:
-        tree = BeTree(
-            BeTreeConfig(
-                node_size=64,
-                epsilon=0.5,
-                leaf_capacity=LEAF_CAPACITY,
-                split_factor=split_factor,
-            ),
-            meter=meter,
-        )
-        return SortednessAwareIndex(tree, config=sware_config, meter=meter)
+        return make_sa_betree(sware_config, split_factor=split_factor, meter=meter)
 
     return factory
 
 
 def baseline_betree_factory() -> Callable[[Meter], BeTree]:
     def factory(meter: Meter) -> BeTree:
-        return BeTree(
-            BeTreeConfig(node_size=64, epsilon=0.5, leaf_capacity=LEAF_CAPACITY),
-            meter=meter,
-        )
+        return make_baseline_betree(meter=meter)
 
     return factory
 
@@ -152,31 +132,6 @@ def ondisk_pool_capacity(n: int) -> int:
     leaves = max(1, (2 * n) // LEAF_CAPACITY)  # ~50% average fill
     internals = max(1, leaves // INTERNAL_CAPACITY)
     return max(24, 3 * internals + 16)
-
-
-def topup_ops(
-    n: int,
-    k_fraction: Optional[float],
-    l_fraction: Optional[float],
-    count: int,
-    seed: int = 7,
-) -> list:
-    """Extra inserts continuing the stream above the existing key domain.
-
-    Used to leave the SWARE-buffer (nearly) full before a read-only phase —
-    the paper "ensures the buffer is full before executing any query" for
-    worst-case lookup numbers, whereas a generated stream can happen to end
-    exactly on a flush boundary.
-    """
-    from repro.workloads.spec import INSERT, value_for
-
-    if k_fraction is None:
-        keys = scrambled_keys(count, seed=seed + 991, start=n)
-    elif k_fraction == 0.0 or l_fraction == 0.0:
-        keys = sorted_keys(count, start=n)
-    else:
-        keys = generate_kl_keys(count, k_fraction, l_fraction, seed=seed + 991, start=n)
-    return [(INSERT, key, value_for(key)) for key in keys]
 
 
 def mixed_ops(

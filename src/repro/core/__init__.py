@@ -5,10 +5,8 @@ from repro.core.buffer import HIT, MISS, TOMBSTONE, FlushBatch, MeteredSWAREBuff
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.factory import (
-    BACKEND_NAMES,
     make_baseline_betree,
     make_baseline_btree,
-    make_lsm,
     make_sa_betree,
     make_sa_btree,
 )
@@ -33,10 +31,8 @@ __all__ = [
     "TreeBackend",
     "PageZonemaps",
     "Zonemap",
-    "BACKEND_NAMES",
     "make_baseline_betree",
     "make_baseline_btree",
-    "make_lsm",
     "make_sa_betree",
     "make_sa_btree",
 ]

@@ -1,21 +1,19 @@
-"""Convenience constructors and the backend registry.
+"""Constructors for the paper's four index configurations.
 
 The evaluation compares a *baseline* B+-tree / Bε-tree (textbook 50:50
 splits, no tail-leaf pointer) with their sortedness-aware counterparts
 (SWARE buffer on top; 80:20 splits and 95% bulk-load fill underneath, per
-§V "SWARE Tuning"). :func:`make_lsm` builds a plain LSM-tree, and
-:data:`BACKEND_NAMES` names the four registry backends.
+§V "SWARE Tuning").
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.betree.betree import BeTree, BeTreeConfig
 from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
-from repro.lsm import LSMConfig, LSMTree
 from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
 
@@ -94,21 +92,3 @@ def make_sa_betree(
     )
     tree = BeTree(tree_config, meter=meter, pool=pool)
     return SortednessAwareIndex(tree, config=sware_config, meter=meter)
-
-
-def make_lsm(
-    config: Optional[LSMConfig] = None,
-    meter: Optional[Meter] = None,
-) -> LSMTree:
-    """A plain (sortedness-oblivious) leveling LSM-tree."""
-    return LSMTree(config or LSMConfig(), meter=meter)
-
-
-#: The registry backends, one name per constructor shape.
-BACKEND_NAMES: Tuple[str, ...] = (
-    "sa_btree",
-    "btree",
-    "betree",
-    "lsm",
-)
-

@@ -50,9 +50,10 @@ from repro.storage.wal import WriteAheadLog
 class TreeBackend(Protocol):
     """The tree interface SWARE requires (satisfied by all three registry trees).
 
-    ``get_many`` is the one optional batch method SWARE uses: a backend that
-    has it (the B+-tree's batch descent) gets a batch's buffer misses in one
-    call, any other is looped over ``get``. The key watermarks ``min_key`` /
+    ``get_many`` is the one optional batch method SWARE uses, and only when
+    it bills: a metered index hands a backend that has it (the metered
+    B+-tree's batch descent) a batch's buffer misses in one call, and loops
+    any other over ``get``. The key watermarks ``min_key`` /
     ``max_key`` (``None`` while empty) may be plain attributes (the B+-tree)
     or properties (the Bε-tree, the LSM-tree).
     """
@@ -390,79 +391,19 @@ class SortednessAwareIndex:
         return backend.get(key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        """Batch point lookups along the same read path as :meth:`get`.
-
-        Returns one value (or ``None``) per input key, in input order. The
-        query-sort trigger is evaluated once — reads do not change the tail,
-        so the per-op check of the sequential loop is a constant after the
-        first lookup — and buffer misses are forwarded to the backend's
-        ``get_many`` (one leaf descent per run of keys sharing a leaf on the
-        B+-tree) when it has one.
-        """
+        """Batch point lookups, one value (or ``None``) per key in input
+        order: a loop of :meth:`get` in one ``sware.get_many`` span. The
+        query-sort trigger is evaluated once, before the span — reads do not
+        change the tail, so each later check is a constant False."""
         if not keys:
             # A zero-key batch must be a no-op: a sequential loop of zero
             # gets never evaluates the trigger, so firing it here would
             # mutate the buffer and charge sware_ops with no reads at all.
             return []
         self._maybe_query_sort()
-        n = len(keys)
-        self.stats.lookups += n
-        with self.obs.span("sware.get_many", n=n):
-            results: List[Optional[object]] = [None] * n
-            misses = self._buffer_many(keys, results)
-            if misses[0]:
-                self._tree_many(*misses, results)
-            return results
-
-    def _buffer_many(self, keys: Sequence[int], results: list) -> Tuple[List[int], List[int]]:
-        """:meth:`get_many`'s buffer pass: fills ``results`` with the buffered
-        answers and returns the misses' (keys, positions)."""
-        miss_keys: List[int] = []
-        miss_positions: List[int] = []
-        stats = self.stats
-        lookup = self.buffer.lookup
-        # The buffer Zonemap rejects as in :meth:`get`, without the call.
-        gated = self.config.enable_read_zonemaps
-        low, high = self.buffer.zonemap.min_key, self.buffer.zonemap.max_key
-        skips = 0
-        for i, key in enumerate(keys):
-            if gated and (low is None or key < low or key > high):
-                skips += 1
-            else:
-                state, value = lookup(key)
-                if state == HIT:
-                    stats.buffer_hits += 1
-                    results[i] = value
-                    continue
-                if state == TOMBSTONE:
-                    stats.buffer_tombstone_hits += 1
-                    continue
-            miss_keys.append(key)
-            miss_positions.append(i)
-        stats.buffer_skips_by_zonemap += skips
-        return miss_keys, miss_positions
-
-    def _tree_many(self, keys: List[int], positions: List[int], results: list) -> None:
-        """:meth:`get_many`'s tree pass over the buffer's misses."""
-        backend = self.backend
-        tree_min, tree_max = backend.min_key, backend.max_key
-        if tree_min is None:
-            return
-        in_positions: List[int] = []
-        in_keys: List[int] = []
-        for i, key in zip(positions, keys):
-            if tree_min <= key <= tree_max:
-                in_positions.append(i)
-                in_keys.append(key)
-        self.stats.tree_searches += len(in_keys)
-        batch_get = getattr(backend, "get_many", None)
-        if batch_get is not None:
-            for i, value in zip(in_positions, batch_get(in_keys)):
-                results[i] = value
-        else:
-            get = backend.get
-            for i, key in zip(in_positions, in_keys):
-                results[i] = get(key)
+        with self.obs.span("sware.get_many", n=len(keys)):
+            get = self.get
+            return [get(key, True) for key in keys]
 
     def __contains__(self, key: int) -> bool:
         return self.get(key) is not None
@@ -622,19 +563,69 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
             stats.tree_searches += 1
             return backend.get(key)
 
-    def _buffer_many(self, keys: Sequence[int], results: list) -> Tuple[List[int], List[int]]:
-        skipped = self.stats.buffer_skips_by_zonemap
-        with self.meter.bucket("buffer_search"):
-            misses = super()._buffer_many(keys, results)
-            skipped = self.stats.buffer_skips_by_zonemap - skipped
-            if skipped:
-                self.meter.charge("zonemap_check", skipped)
-        return misses
-
-    def _tree_many(self, keys: List[int], positions: List[int], results: list) -> None:
-        with self.meter.bucket("tree_search"):
-            self.meter.charge("zonemap_check", len(keys))
-            super()._tree_many(keys, positions, results)
+    def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
+        """The batch read path, billed: one buffer pass over the keys (its
+        Zonemap skips charged in one call), then the misses inside the
+        tree's watermarks go to the backend's ``get_many`` when it has one,
+        so a B+-tree charges ``node_access`` once per node the batch visits
+        instead of once per key and level."""
+        if not keys:
+            return []  # no trigger, as in :meth:`SortednessAwareIndex.get_many`
+        self._maybe_query_sort()
+        n = len(keys)
+        stats = self.stats
+        stats.lookups += n
+        meter = self.meter
+        with self.obs.span("sware.get_many", n=n):
+            results: List[Optional[object]] = [None] * n
+            miss_keys: List[int] = []
+            miss_positions: List[int] = []
+            with meter.bucket("buffer_search"):
+                lookup = self.buffer.lookup
+                gated = self.config.enable_read_zonemaps
+                low, high = self.buffer.zonemap.min_key, self.buffer.zonemap.max_key
+                skips = 0
+                for i, key in enumerate(keys):
+                    if gated and (low is None or key < low or key > high):
+                        skips += 1
+                    else:
+                        state, value = lookup(key)
+                        if state == HIT:
+                            stats.buffer_hits += 1
+                            results[i] = value
+                            continue
+                        if state == TOMBSTONE:
+                            stats.buffer_tombstone_hits += 1
+                            continue
+                    miss_keys.append(key)
+                    miss_positions.append(i)
+                stats.buffer_skips_by_zonemap += skips
+                if skips:
+                    meter.charge("zonemap_check", skips)
+            if not miss_keys:
+                return results
+            backend = self.backend
+            with meter.bucket("tree_search"):
+                meter.charge("zonemap_check", len(miss_keys))
+                tree_min, tree_max = backend.min_key, backend.max_key
+                if tree_min is None:
+                    return results
+                in_positions: List[int] = []
+                in_keys: List[int] = []
+                for i, key in zip(miss_positions, miss_keys):
+                    if tree_min <= key <= tree_max:
+                        in_positions.append(i)
+                        in_keys.append(key)
+                stats.tree_searches += len(in_keys)
+                batch_get = getattr(backend, "get_many", None)
+                if batch_get is not None:
+                    for i, value in zip(in_positions, batch_get(in_keys)):
+                        results[i] = value
+                else:
+                    get = backend.get
+                    for i, key in zip(in_positions, in_keys):
+                        results[i] = get(key)
+            return results
 
     def _range_scan(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         meter = self.meter

@@ -413,23 +413,10 @@ class ShardedSortednessAwareIndex:
         return self._route(key).index.get(key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        """Scatter point lookups by shard, gather in input order."""
-        if not keys:
-            return []
-        per_shard: Dict[int, Tuple[_Shard, List[int], List[int]]] = {}
-        for position, key in enumerate(keys):
-            shard = self._route(key)
-            entry = per_shard.get(shard.shard_id)
-            if entry is None:
-                entry = (shard, [], [])
-                per_shard[shard.shard_id] = entry
-            entry[1].append(position)
-            entry[2].append(key)
-        results: List[Optional[object]] = [None] * len(keys)
-        for shard, positions, shard_keys in per_shard.values():
-            for position, value in zip(positions, shard.index.get_many(shard_keys)):
-                results[position] = value
-        return results
+        """Point lookups in input order: a loop of :meth:`get`, each key
+        routed on its own."""
+        get = self.get
+        return [get(key) for key in keys]
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """Scatter-gather range scan (see module docstring for merge rules)."""

@@ -94,35 +94,6 @@ class MixedWorkloadSpec:
         return list(self.operations())
 
 
-def recent_lookup_operations(
-    keys: Sequence[int],
-    n_lookups: int,
-    window: int,
-    seed: int = 0,
-    recent_fraction: float = 1.0,
-    offset: int = 0,
-) -> List[Operation]:
-    """Point lookups with temporal locality: ``recent_fraction`` of them
-    target a ``window`` of keys ending ``offset`` positions before the end
-    of the ingest order, the rest are uniform.
-
-    Used by ablation experiments where the interesting cost sits in the
-    buffer's most recent (unsorted) data — an ``offset`` aims at entries a
-    few buffer pages old, which a newest-first scan reaches late.
-    """
-    rng = random.Random(seed)
-    window = max(1, min(window, len(keys) - offset))
-    recent = keys[len(keys) - offset - window : len(keys) - offset]
-    ops: List[Operation] = []
-    for _ in range(n_lookups):
-        if rng.random() < recent_fraction:
-            key = recent[rng.randrange(len(recent))]
-        else:
-            key = keys[rng.randrange(len(keys))]
-        ops.append((LOOKUP, key, 0))
-    return ops
-
-
 @dataclass(frozen=True)
 class RawWorkloadSpec:
     """Ingest everything, then query (the paper's Fig. 12 shape).

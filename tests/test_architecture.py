@@ -258,6 +258,25 @@ def test_one_batch_surface():
     assert all(line.startswith("src/repro/btree/btree.py:") for line in insert_many)
     assert defines("tests/test_concurrent_index.py::TestSingleThreaded::"
                    "test_empty_get_many_is_a_no_op")
+    # An executed read batch is a loop of ``get``: no sort, no bisect, no
+    # batch call below it. Only the metered classes batch, and they do it in
+    # ``get_many`` itself (node_access once per node the batch visits).
+    for path, name in (("src/repro/btree/btree.py", "BPlusTree"),
+                       ("src/repro/core/sware.py", "SortednessAwareIndex"),
+                       ("src/repro/net/sharded.py", "ShardedSortednessAwareIndex")):
+        module = ast.parse((ROOT / path).read_text())
+        [cls] = [node for node in module.body
+                 if isinstance(node, ast.ClassDef) and node.name == name]
+        [body] = [node for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "get_many"]
+        called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                  for node in ast.walk(body)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, (ast.Name, ast.Attribute))}
+        assert "get" in called, name
+        assert not {"get_many", "sorted"} & called, name
+        assert not [call for call in called if call.startswith("bisect")], name
+    assert hits(r"def (_buffer_many|_tree_many)\(", "src") == []
 
 
 def test_one_load_generator():
@@ -270,7 +289,7 @@ def test_no_sosd_extension():
     # The paper's comparison is SWARE against the B+-tree and the Bε-tree:
     # the learned and cracking indexes, the SOSD datasets and their report
     # are gone.
-    from repro.core.factory import BACKEND_NAMES
+    from tests.test_oracle import BACKEND_NAMES
 
     for path in ("src/repro/learned", "src/repro/workloads/sosd.py",
                  "src/repro/bench/experiments/sosd.py", "results/sosd.txt"):

@@ -55,24 +55,6 @@ class TestMixedOps:
         assert inserted == list(range(500))
 
 
-class TestTopupOps:
-    def test_keys_above_domain(self):
-        ops = common.topup_ops(1000, 0.1, 0.05, count=50)
-        assert all(op[0] == INSERT for op in ops)
-        assert all(op[1] >= 1000 for op in ops)
-        assert len(ops) == 50
-
-    def test_sorted_variant(self):
-        ops = common.topup_ops(1000, 0.0, 0.0, count=20)
-        keys = [op[1] for op in ops]
-        assert keys == sorted(keys)
-
-    def test_scrambled_variant(self):
-        ops = common.topup_ops(1000, None, None, count=200)
-        keys = [op[1] for op in ops]
-        assert sorted(keys) == list(range(1000, 1200))
-
-
 class TestFactories:
     def test_factories_share_meter(self):
         from repro.storage.costmodel import Meter

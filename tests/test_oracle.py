@@ -73,17 +73,11 @@ from repro import kernels
 from repro.core.buffer import DELETED, HIT, TOMBSTONE, MeteredSWAREBuffer
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
-from repro.core.factory import (
-    BACKEND_NAMES,
-    make_baseline_betree,
-    make_baseline_btree,
-    make_lsm,
-    make_sa_btree,
-)
+from repro.core.factory import make_baseline_betree, make_baseline_btree, make_sa_btree
 from repro.core.stats import SWAREStats
 from repro.core.sware import SortednessAwareIndex, TreeBackend
 from repro.errors import BulkLoadError, CheckpointUnsupportedError
-from repro.lsm import LSMConfig
+from repro.lsm import LSMConfig, LSMTree
 from repro.net.client import ServerError, SyncIndexClient
 from repro.net.server import IndexServer
 from repro.net.sharded import ShardedConfig, ShardedSortednessAwareIndex, recover_sharded
@@ -97,13 +91,16 @@ FULL = (-(2**80), 2**80)  # wider than every drawn key
 SMALL = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
 CLIENTS = 3  # connections the served shape opens to its one server
 
+#: The registry backends, one name per constructor shape.
+BACKEND_NAMES = ("sa_btree", "btree", "betree", "lsm")
+
 #: The registry at test sizes: a few dozen ops cross node splits, flushes
 #: and compactions.
 BACKENDS = {
     "sa_btree": lambda leaf: make_sa_btree(SMALL, leaf_capacity=leaf, internal_capacity=4),
     "btree": lambda leaf: make_baseline_btree(leaf_capacity=leaf, internal_capacity=4),
     "betree": lambda leaf: make_baseline_betree(node_size=8, leaf_capacity=leaf),
-    "lsm": lambda leaf: make_lsm(LSMConfig(memtable_capacity=2 * leaf)),
+    "lsm": lambda leaf: LSMTree(LSMConfig(memtable_capacity=2 * leaf)),
 }
 PAGED = ("sa_btree", "btree")  # a page image: checkpoints, shard splits
 

@@ -8,7 +8,6 @@ from repro.workloads.spec import (
     LOOKUP,
     MixedWorkloadSpec,
     RawWorkloadSpec,
-    recent_lookup_operations,
     value_for,
 )
 from repro.workloads.tpch import (
@@ -97,26 +96,6 @@ class TestRawWorkload:
     def test_no_ranges_when_zero(self):
         spec = RawWorkloadSpec(keys=tuple(range(10)))
         assert list(spec.range_operations()) == []
-
-
-class TestRecentLookups:
-    def test_window_targeting(self):
-        keys = list(range(100))
-        ops = recent_lookup_operations(keys, 50, window=10, seed=1)
-        assert all(90 <= key <= 99 for _, key, _ in ops)
-
-    def test_offset_shifts_window(self):
-        keys = list(range(100))
-        ops = recent_lookup_operations(keys, 50, window=10, offset=20, seed=1)
-        assert all(70 <= key <= 79 for _, key, _ in ops)
-
-    def test_mixed_fraction(self):
-        keys = list(range(1000))
-        ops = recent_lookup_operations(
-            keys, 400, window=10, seed=2, recent_fraction=0.5
-        )
-        recent_hits = sum(1 for _, key, _ in ops if key >= 990)
-        assert 120 < recent_hits < 280
 
 
 class TestTPCH:
