@@ -178,6 +178,7 @@ class SWAREBuffer:
         self._min_after_main: Optional[int] = None
         self.zonemap = Zonemap()  # whole-buffer range
         self._query_sort_len = self.config.query_sort_trigger  #: ``_open + query_sort_at``
+        self._capacity = self.config.buffer_capacity  #: the config is frozen
 
     # ------------------------------------------------------------------
     # sizing
@@ -187,11 +188,11 @@ class SWAREBuffer:
 
     @property
     def capacity(self) -> int:
-        return self.config.buffer_capacity
+        return self._capacity
 
     @property
     def is_full(self) -> bool:
-        return self._n >= self.config.buffer_capacity
+        return self._n >= self._capacity
 
     @property
     def is_empty(self) -> bool:
@@ -223,9 +224,10 @@ class SWAREBuffer:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def add(self, key: int, value: object, tombstone: bool = False) -> None:
-        """Append an entry (the caller checks :attr:`is_full` afterwards)."""
-        self._n += 1
+    def add(self, key: int, value: object, tombstone: bool = False) -> bool:
+        """Append an entry; return whether the buffer is now full (the
+        caller flushes)."""
+        n = self._n = self._n + 1
         self._seq += 1
         if tombstone:
             value = DELETED
@@ -244,12 +246,13 @@ class SWAREBuffer:
             if not main_keys or key >= main_keys[-1]:
                 main_keys.append(key)
                 self._main.vals.append(value)
-                return
+                return n >= self._capacity
 
         tail.append(key)
         self._tail_vals.append(value)
         if self._min_after_main is None or key < self._min_after_main:
             self._min_after_main = key
+        return n >= self._capacity
 
     def add_many(self, pairs: Sequence[Tuple[int, object]]) -> None:
         """Append a chunk of ``(key, value)`` upserts in arrival order.
@@ -580,14 +583,15 @@ class MeteredSWAREBuffer(SWAREBuffer):
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def add(self, key: int, value: object, tombstone: bool = False) -> None:
+    def add(self, key: int, value: object, tombstone: bool = False) -> bool:
         self.meter.charge("buffer_append")
         n = len(self._tail_keys)
-        super().add(key, value, tombstone)
+        full = super().add(key, value, tombstone)
         # Filter upkeep is billed now and done at the first probe; the page
         # Zonemap's is priced into ``buffer_append`` like the whole-buffer one.
         if self._bf_levels and len(self._tail_keys) > n:
             self.meter.charge("bf_add", self._bf_levels)
+        return full
 
     def add_many(self, pairs: Sequence[Tuple[int, object]]) -> None:
         if not pairs:

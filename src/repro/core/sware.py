@@ -13,15 +13,18 @@ the Bε-tree and the LSM-tree) with the SWARE-buffer:
 * deletes become buffer tombstones when the key is within the buffer's
   range, applied to the tree at flush time (§IV-D).
 
-Each write is one private step (``_insert``, ``_delete``, ``_put_many``)
-that owns its WAL append, its counters and its monitor feed; each read
+An untraced PUT is one frame (``insert``: WAL append, counter, buffer
+append, monitor feed, and a flush when ``add`` reports the buffer full);
+each other write is one private step (``_delete``, ``_put_many``) that owns
+its WAL append, its counters and its monitor feed; each read
 fires the query-sort trigger (``_maybe_query_sort``) once, then reads. The
 batch verbs are the two a request reaches: ``put_many`` and ``get_many``.
 :class:`~repro.core.concurrent.ConcurrentSortednessAwareIndex` runs these
 public methods under one mutex.
 
 :class:`SortednessAwareIndex` is what runs: it bills nothing, so an
-untraced GET is one frame over Fig. 6's checks and the tree descent.
+untraced GET is one frame over Fig. 6's checks and the tree descent, and
+an untraced PUT one frame over the append.
 Constructed with a meter it is a :class:`MeteredSortednessAwareIndex`, which
 alone bills: it runs each step in its meter bucket, hands its meter to an
 unmetered backend (an executed B+-tree becomes a
@@ -110,34 +113,29 @@ class SortednessAwareIndex:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def insert(self, key: int, value: object) -> None:
-        """Buffer an upsert; flushes a batch into the tree when full.
-
-        The span roots a causal trace: a flush cycle triggered here (and
-        every sort, routing decision and WAL append inside it) chains back
-        to this put via ``parent_id``/``trace_id``.
+    def insert(self, key: int, value: object, _traced: bool = False) -> None:
+        """Buffer an upsert, in one frame: log, count, append and feed the
+        monitor, then flush if the append filled the buffer. With tracing on
+        it calls itself once inside the ``sware.put`` span (``_traced``), the
+        root of a causal trace: a flush cycle triggered here (and every sort,
+        routing decision and WAL append inside it) chains back to this put
+        via ``parent_id``/``trace_id``.
         """
         if value is None:
             raise ValueError("None values are reserved for 'absent'")
         obs = self.obs
-        if obs.enabled:
+        if obs.enabled and not _traced:
             with obs.span("sware.put", key=key):
-                self._insert(key, value)
-        else:
-            self._insert(key, value)
-
-    def _insert(self, key: int, value: object) -> None:
-        """The put step: log, count, append and feed the monitor, then flush
-        if the append filled the buffer."""
+                return self.insert(key, value, True)
         if self.wal is not None:
             self.wal.append_put(key, value)
         self.stats.inserts += 1
         buffer = self.buffer
-        buffer.add(key, value)
-        hub = self.obs.monitors
+        full = buffer.add(key, value)
+        hub = obs.monitors
         if hub is not None:
             hub.observe_insert(key, buffer)
-        if buffer.is_full:
+        if full:
             self._flush_cycle()
 
     def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
@@ -202,9 +200,9 @@ class SortednessAwareIndex:
         if buffer.is_empty or not buffer.zonemap.may_contain(key):
             self.backend.delete(key)
             return
-        buffer.add(key, None, tombstone=True)
+        full = buffer.add(key, None, tombstone=True)
         self.stats.tombstones_buffered += 1
-        if buffer.is_full:
+        if full:
             self._flush_cycle()
 
     def flush_all(self) -> None:

@@ -55,10 +55,6 @@ class CheckpointUnsupportedError(ReproError, TypeError):
     """
 
 
-class PagePinnedError(ReproError, RuntimeError):
-    """A bufferpool frame could not be evicted because it is pinned."""
-
-
 class BufferpoolFullError(ReproError, RuntimeError):
     """Every frame in the bufferpool is pinned; no victim can be chosen."""
 

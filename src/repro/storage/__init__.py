@@ -8,8 +8,6 @@ from repro.storage.costmodel import (
     NULL_METER,
     CostModel,
     Meter,
-    StopwatchResult,
-    stopwatch,
 )
 from repro.storage.faults import FaultyEnv, FaultyFile, SimulatedCrash
 from repro.storage.pagefile import (
@@ -41,8 +39,6 @@ __all__ = [
     "NULL_METER",
     "CostModel",
     "Meter",
-    "StopwatchResult",
-    "stopwatch",
     "CheckpointStore",
     "PageFile",
     "PageFileError",

@@ -17,10 +17,8 @@ charge inside is attributed to that phase.
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
 #: Default cost weights, in nanoseconds per operation. These approximate a
@@ -153,24 +151,3 @@ class _NullMeter(Meter):
 
 #: Shared no-op meter for callers that do not care about accounting.
 NULL_METER = _NullMeter()
-
-
-@dataclass
-class StopwatchResult:
-    """Wall-clock measurement companion to the simulated clock."""
-
-    wall_ns: float = 0.0
-    sections: Dict[str, float] = field(default_factory=dict)
-
-
-@contextmanager
-def stopwatch(result: StopwatchResult, section: Optional[str] = None) -> Iterator[None]:
-    """Accumulate wall time into ``result`` (and optionally a section)."""
-    start = time.perf_counter_ns()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter_ns() - start
-        result.wall_ns += elapsed
-        if section is not None:
-            result.sections[section] = result.sections.get(section, 0.0) + elapsed

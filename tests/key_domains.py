@@ -90,7 +90,7 @@ class Shifted:
 
     # buffer verbs
     def add(self, key, value, tombstone=False):
-        self._target.add(key + self._shift, value, tombstone)
+        return self._target.add(key + self._shift, value, tombstone)
 
     def add_many(self, pairs):
         self._target.add_many([(key + self._shift, value) for key, value in pairs])

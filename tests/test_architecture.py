@@ -250,6 +250,31 @@ def test_one_biller_per_layer():
                    "test_unmetered_tree_makes_no_meter_call")
 
 
+def _method(path, cls, name):
+    """The ``def name`` of class ``cls`` in ``path``."""
+    module = ast.parse((ROOT / path).read_text())
+    [body] = [node for node in module.body if isinstance(node, ast.ClassDef) and node.name == cls]
+    [method] = [node for node in body.body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+    return method
+
+
+def test_one_frame_put():
+    # An untraced PUT is one frame: ``insert`` appends through ``add``,
+    # whose return value says the buffer filled; no private put step, no
+    # ``is_full`` re-read.
+    insert = _method("src/repro/core/sware.py", "SortednessAwareIndex", "insert")
+    called = {node.func.attr for node in ast.walk(insert)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert "add" in called
+    assert {"_insert", "is_full"}.isdisjoint(_names(insert))
+    assert hits(r"def _insert\(", "src/repro/core/sware.py") == []
+    for cls in ("SWAREBuffer", "MeteredSWAREBuffer"):
+        returns = [node for node in ast.walk(_method("src/repro/core/buffer.py", cls, "add"))
+                   if isinstance(node, ast.Return)]
+        assert returns and all(node.value is not None for node in returns), cls
+
+
 def test_one_batch_surface():
     # A batch method exists only where a request reaches it.
     pattern = r"def (range_many|may_contain_many|pla_predict_many|bloom_contains_many)\("

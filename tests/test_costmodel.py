@@ -7,8 +7,6 @@ from repro.storage.costmodel import (
     NULL_METER,
     CostModel,
     Meter,
-    StopwatchResult,
-    stopwatch,
 )
 
 
@@ -143,14 +141,3 @@ class TestNullMeter:
             with NULL_METER.bucket("boom"):
                 raise KeyError("boom")
         assert not NULL_METER.bucket_counts and not NULL_METER._bucket_stack
-
-
-class TestStopwatch:
-    def test_accumulates_wall_time(self):
-        result = StopwatchResult()
-        with stopwatch(result, section="a"):
-            sum(range(1000))
-        with stopwatch(result, section="a"):
-            pass
-        assert result.wall_ns > 0
-        assert result.sections["a"] <= result.wall_ns + 1

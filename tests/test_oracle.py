@@ -125,8 +125,9 @@ class _EagerBuffer(MeteredSWAREBuffer):
     """Indexes every append, at every level, before returning."""
 
     def add(self, key, value, tombstone=False):
-        super().add(key, value, tombstone)
+        full = super().add(key, value, tombstone)
         _sync_every_level(self)
+        return full
 
     def add_many(self, pairs):
         super().add_many(pairs)

@@ -185,6 +185,28 @@ class TestFlush(_Buffers):
             assert buffer.global_bf.n_added == 0
 
 
+class TestFullFlag(_Buffers):
+    """``add`` returns whether the buffer is full: the index flushes on it."""
+
+    @pytest.mark.parametrize("metered", [False, True], ids=["executed", "metered"])
+    @pytest.mark.parametrize("last", ["main", "tail", "tombstone"])
+    def test_true_exactly_on_the_filling_append(self, metered, last):
+        buffer = self.make_buffer(capacity=8, page_size=4, meter=Meter() if metered else None)
+        assert [buffer.add(key, key) for key in range(7)] == [False] * 7
+        if last == "main":
+            full = buffer.add(7, 7)
+        elif last == "tail":
+            full = buffer.add(3, "new")
+        else:
+            full = buffer.add(3, None, tombstone=True)
+        assert full is True and buffer.is_full
+        assert buffer.tail_size == (0 if last == "main" else 1)
+        # After a flush the flag is the fill again, not a latch.
+        buffer.prepare_flush()
+        refill = [buffer.add(key, key) for key in range(100, 108 - len(buffer))]
+        assert refill == [False] * (len(refill) - 1) + [True]
+
+
 class TestLookup(_Buffers):
     def test_miss_on_empty(self):
         buffer = self.make_buffer()
@@ -492,6 +514,10 @@ class TestLastSortedZoneWide(TestLastSortedZone):
 
 
 class TestFlushWide(TestFlush):
+    domain = WIDE
+
+
+class TestFullFlagWide(TestFullFlag):
     domain = WIDE
 
 
