@@ -33,7 +33,6 @@ from repro.core import (
     make_sa_betree,
     make_sa_btree,
     recommend,
-    recommend_for_sample,
 )
 from repro.errors import (
     BulkLoadError,
@@ -74,7 +73,6 @@ __all__ = [
     "make_sa_btree",
     "Recommendation",
     "recommend",
-    "recommend_for_sample",
     "BulkLoadError",
     "ConfigError",
     "InvariantViolation",

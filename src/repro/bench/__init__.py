@@ -2,7 +2,6 @@
 
 from repro.bench.report import (
     ascii_scatter,
-    format_breakdown,
     format_matrix,
     format_table,
 )
@@ -17,7 +16,6 @@ from repro.bench.runner import (
 
 __all__ = [
     "ascii_scatter",
-    "format_breakdown",
     "format_matrix",
     "format_table",
     "PhaseResult",

@@ -8,7 +8,7 @@ is that output, and CI diffs the two.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 
 def format_table(
@@ -78,17 +78,3 @@ def ascii_scatter(
     lines.append("+" + "-" * width + "+")
     return "\n".join(lines) + "\n"
 
-
-def format_breakdown(
-    title: str,
-    buckets: Dict[str, float],
-    order: Optional[Sequence[str]] = None,
-) -> str:
-    """Percentage breakdown of simulated time across meter buckets."""
-    total = sum(buckets.values()) or 1.0
-    names = list(order) if order else sorted(buckets, key=buckets.get, reverse=True)
-    rows: List[Tuple[str, str, str]] = []
-    for name in names:
-        value = buckets.get(name, 0.0)
-        rows.append((name, f"{value / 1e6:10.2f}", f"{100 * value / total:5.1f}%"))
-    return format_table(["component", "sim ms", "share"], rows, title=title)

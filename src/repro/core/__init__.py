@@ -1,6 +1,6 @@
 """The SWARE meta-design: buffer, wrapper, configuration, statistics."""
 
-from repro.core.advisor import Recommendation, recommend, recommend_for_sample
+from repro.core.advisor import Recommendation, recommend
 from repro.core.buffer import HIT, MISS, TOMBSTONE, FlushBatch, MeteredSWAREBuffer, SWAREBuffer
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
@@ -17,7 +17,6 @@ from repro.core.zonemap import PageZonemaps, Zonemap
 __all__ = [
     "Recommendation",
     "recommend",
-    "recommend_for_sample",
     "ConcurrentSortednessAwareIndex",
     "HIT",
     "MISS",

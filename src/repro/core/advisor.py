@@ -20,10 +20,9 @@ encodes those findings:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.core.config import SWAREConfig
-from repro.sortedness.metrics import measure_sortedness
 
 
 @dataclass
@@ -128,24 +127,3 @@ def recommend(
         rationale=rationale,
     )
 
-
-def recommend_for_sample(
-    sample_keys: Sequence[int],
-    read_fraction: float = 0.5,
-    on_disk: bool = False,
-    max_sample: Optional[int] = 10_000,
-) -> Recommendation:
-    """Measure a key sample's (K,L) and recommend accordingly."""
-    if not sample_keys:
-        raise ValueError("sample_keys must be non-empty")
-    sample = list(sample_keys[:max_sample]) if max_sample else list(sample_keys)
-    report = measure_sortedness(sample)
-    recommendation = recommend(
-        report.k_fraction, report.l_fraction, read_fraction, on_disk
-    )
-    recommendation.rationale.insert(
-        0,
-        f"measured sample: K={report.k_fraction:.1%}, L={report.l_fraction:.1%} "
-        f"({report.degree()})",
-    )
-    return recommendation

@@ -53,7 +53,6 @@ __all__ = [
     "count_out_of_order",
     "max_displacement",
     "count_inversions",
-    "count_runs",
     "delta_pack",
     "delta_unpack",
 ]
@@ -374,14 +373,6 @@ def count_inversions(keys: Sequence[int]) -> int:
         a = np.sort(m, axis=1).ravel()
         width *= 2
     return total
-
-
-def count_runs(keys: Sequence[int]) -> int:
-    """Mannila's *Runs* measure: number of maximal non-decreasing runs."""
-    if len(keys) == 0:
-        return 0
-    arr = _ordered(keys)
-    return 1 + int(np.count_nonzero(arr[1:] < arr[:-1]))
 
 
 # ----------------------------------------------------------------------

@@ -25,9 +25,9 @@ a shard split that crashed before cleanup) are unreachable by
 construction — routing never sends a moved key back to its old shard and
 the clamp keeps it out of scans.
 
-Shard *configurations may diverge* (the Extend-dist direction: replicas
-tuned per their local workload): every shard row carries its own
-``SWAREConfig``, inherited on split but overridable per shard.
+Every shard row carries its own ``SWAREConfig``: the initial shards take
+``ShardedConfig.index_config``, a split shard inherits its donor's, and
+recovery rebuilds each shard with the config its row records.
 
 **Splits.** When a shard's live size crosses ``split_threshold``, it
 splits at its median live key. Ordering makes the split crash-safe at
@@ -171,7 +171,6 @@ class ShardedSortednessAwareIndex:
         self,
         root: str,
         config: Optional[ShardedConfig] = None,
-        shard_configs: Optional[Sequence[SWAREConfig]] = None,
         backend_factory: Optional[Callable] = None,
         obs: Optional[Observability] = None,
         opener: Callable = open,
@@ -208,7 +207,7 @@ class ShardedSortednessAwareIndex:
                 raise ShardedIndexError(
                     f"{root} already holds a sharded index; use recover_sharded()"
                 )
-            self._shards = self._create_initial_shards(shard_configs)
+            self._shards = self._create_initial_shards()
             self._next_shard_id = len(self._shards)
             self._write_manifest()
         self._bounds = self._shard_bounds()
@@ -222,14 +221,8 @@ class ShardedSortednessAwareIndex:
     # ------------------------------------------------------------------
     # bootstrap / manifest
     # ------------------------------------------------------------------
-    def _create_initial_shards(
-        self, shard_configs: Optional[Sequence[SWAREConfig]]
-    ) -> List[_Shard]:
+    def _create_initial_shards(self) -> List[_Shard]:
         n = self.config.n_shards
-        if shard_configs is not None and len(shard_configs) != n:
-            raise ShardedIndexError(
-                f"got {len(shard_configs)} shard configs for {n} shards"
-            )
         lo, hi = self.config.initial_key_range
         span = hi - lo
         shards: List[_Shard] = []
@@ -237,12 +230,7 @@ class ShardedSortednessAwareIndex:
             # The left edge shard owns -inf; interior bounds split the
             # configured range evenly.
             lower = None if i == 0 else lo + (span * i) // n
-            cfg = (
-                shard_configs[i]
-                if shard_configs is not None
-                else self.config.index_config
-            )
-            shards.append(self._make_shard(i, lower, cfg))
+            shards.append(self._make_shard(i, lower, self.config.index_config))
         return shards
 
     def _make_shard(self, shard_id: int, lower: Optional[int], cfg: SWAREConfig) -> _Shard:

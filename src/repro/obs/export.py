@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs.registry import MetricsRegistry, sanitize_name
+from repro.obs.registry import sanitize_name
 from repro.obs.tracer import TraceEvent, Tracer
 
 
@@ -36,25 +36,19 @@ def _fmt_value(value: float) -> str:
     return repr(value)
 
 
-def snapshot_to_prometheus(
-    snapshot: Dict[str, object],
-    prefix: str = "repro",
-    help_texts: Optional[Dict[str, str]] = None,
-) -> str:
+def snapshot_to_prometheus(snapshot: Dict[str, object], prefix: str = "repro") -> str:
     """Render a registry snapshot in the Prometheus text exposition format.
 
     Metric names are sanitized into the legal charset on the way out (a
     hand-built snapshot may carry dots or dashes that a live
     registry would have rejected at creation time), every metric gets a
-    ``# HELP`` line (from ``help_texts`` when provided, falling back to a
-    generated description), and non-finite values are spelled per the
-    exposition format (``NaN`` / ``+Inf`` / ``-Inf``).
+    ``# HELP`` line (a description generated from its name and kind), and
+    non-finite values are spelled per the exposition format (``NaN`` /
+    ``+Inf`` / ``-Inf``).
     """
-    help_texts = help_texts or {}
 
     def emit_header(lines: List[str], full: str, name: str, kind: str) -> None:
-        text = help_texts.get(name) or f"{name.replace('_', ' ')} ({kind})"
-        lines.append(f"# HELP {full} {text}")
+        lines.append(f"# HELP {full} {name.replace('_', ' ')} ({kind})")
         lines.append(f"# TYPE {full} {kind}")
 
     lines: List[str] = []
@@ -78,12 +72,6 @@ def snapshot_to_prometheus(
         lines.append(f"{full}_sum {_fmt_value(float(data['sum']))}")
         lines.append(f"{full}_count {total}")
     return "\n".join(lines) + "\n"
-
-
-def to_prometheus(registry: MetricsRegistry, prefix: str = "repro") -> str:
-    return snapshot_to_prometheus(
-        registry.snapshot(), prefix=prefix, help_texts=registry.help_texts()
-    )
 
 
 def _fmt_attrs(attrs: Dict[str, object]) -> str:

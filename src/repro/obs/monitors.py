@@ -50,7 +50,6 @@ FILL_SAMPLE_EVERY = 64
 # -- rule thresholds (module constants so tests and docs can cite them) ----
 SORTEDNESS_COLLAPSE_DELTA = 0.20  #: windowed K% rise that flags a collapse
 BULK_FRACTION_FLOOR = 0.60  #: bulk-load share below this = undersized buffer
-SORTED_FLUSH_CEILING = 0.90  #: sorted-flush share above this = sort-bound
 BF_FPR_FLOOR = 0.02  #: observed FPR below this never fires
 BF_FPR_FACTOR = 5.0  #: observed FPR must exceed factor x theoretical
 FSYNC_P99_NS = 10_000_000.0  #: 10 ms p99 fsync latency threshold

@@ -74,11 +74,10 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
 class Counter:
     """A monotonically increasing total."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -90,11 +89,10 @@ class Counter:
 class Gauge:
     """A value that can go up and down."""
 
-    __slots__ = ("name", "help", "value")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -116,21 +114,15 @@ class Histogram:
     crosses the target rank — the standard ``histogram_quantile`` estimate.
     """
 
-    __slots__ = ("name", "help", "bounds", "counts", "sum", "count")
+    __slots__ = ("name", "bounds", "counts", "sum", "count")
 
-    def __init__(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_NS,
-        help: str = "",
-    ):
+    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_NS):
         bounds = [float(b) for b in buckets]
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError("bucket bounds must be strictly increasing")
         self.name = name
-        self.help = help
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)  # +1 for the +Inf bucket
         self.sum = 0.0
@@ -191,30 +183,27 @@ class MetricsRegistry:
         self._collectors: Dict[str, Callable[[], Dict[str, float]]] = {}
 
     # -- creation / lookup -------------------------------------------------
-    def counter(self, name: str, help: str = "") -> Counter:
+    def counter(self, name: str) -> Counter:
         name = sanitize_name(name)
         metric = self._counters.get(name)
         if metric is None:
-            metric = self._counters[name] = Counter(name, help)
+            metric = self._counters[name] = Counter(name)
         return metric
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str) -> Gauge:
         name = sanitize_name(name)
         metric = self._gauges.get(name)
         if metric is None:
-            metric = self._gauges[name] = Gauge(name, help)
+            metric = self._gauges[name] = Gauge(name)
         return metric
 
     def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_NS,
-        help: str = "",
+        self, name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_NS
     ) -> Histogram:
         name = sanitize_name(name)
         metric = self._histograms.get(name)
         if metric is None:
-            metric = self._histograms[name] = Histogram(name, buckets, help)
+            metric = self._histograms[name] = Histogram(name, buckets)
         return metric
 
     def register_collector(
@@ -235,15 +224,6 @@ class MetricsRegistry:
         return unique
 
     # -- reading -----------------------------------------------------------
-    def help_texts(self) -> Dict[str, str]:
-        """Non-empty help strings by metric name (for ``# HELP`` lines)."""
-        out: Dict[str, str] = {}
-        for table in (self._counters, self._gauges, self._histograms):
-            for name, metric in table.items():
-                if metric.help:
-                    out[name] = metric.help
-        return out
-
     def collect_gauges(self) -> Dict[str, float]:
         """Explicit gauges plus every numeric value the collectors report
         (one poll of each collector)."""

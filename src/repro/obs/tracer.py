@@ -184,11 +184,6 @@ class Tracer:
                 tid = self._tids.setdefault(ident, len(self._tids) + 1)
         return tid
 
-    @property
-    def _depth(self) -> int:
-        """Current nesting depth on the calling thread (test/debug aid)."""
-        return len(self._thread_state().stack)
-
     # -- control -----------------------------------------------------------
     def enable(self) -> None:
         self.enabled = True

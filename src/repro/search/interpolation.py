@@ -109,34 +109,3 @@ def interpolation_search(
         steps.append(n_steps)
     return idx
 
-
-def exponential_search_rightmost(
-    keys: Sequence[int],
-    target: int,
-    lo: int = 0,
-    hi: Optional[int] = None,
-    steps: Optional[List[int]] = None,
-) -> int:
-    """Unbounded (galloping) search from the left edge; rightmost match.
-
-    Useful when the target is expected near the beginning of the range
-    (e.g. range-scan resumption); O(log d) where d is the match distance.
-    """
-    if hi is None:
-        hi = len(keys)
-    if lo >= hi:
-        if steps is not None:
-            steps.append(0)
-        return -1
-    n_steps = 0
-    bound = 1
-    while lo + bound < hi and keys[lo + bound] <= target:
-        bound *= 2
-        n_steps += 1
-    left = lo + bound // 2
-    right = min(lo + bound + 1, hi)
-    result = binary_search_rightmost(keys, target, left, right, steps=None)
-    if steps is not None:
-        steps.append(n_steps)
-    return result
-

@@ -20,33 +20,7 @@ the achieved (K,L) lands near the request.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-#: The qualitative degrees of sortedness used across the paper's experiments,
-#: mapped to (K-fraction, L-fraction). ``None`` marks the uniform shuffle.
-NAMED_DEGREES: Dict[str, Optional[Tuple[float, float]]] = {
-    "sorted": (0.0, 0.0),
-    "near_sorted": (0.10, 0.05),
-    "less_sorted": (1.00, 0.50),
-    "scrambled": None,
-}
-
-
-@dataclass(frozen=True)
-class GeneratedWorkload:
-    """A generated key collection plus its generation parameters."""
-
-    keys: List[int]
-    k_fraction: float
-    l_fraction: float
-    seed: int
-    label: str = ""
-
-    @property
-    def n(self) -> int:
-        return len(self.keys)
-
+from typing import List
 
 def sorted_keys(n: int, start: int = 0, gap: int = 1) -> List[int]:
     """The fully sorted base collection: ``start, start+gap, ...``.
@@ -123,64 +97,3 @@ def scrambled_keys(n: int, seed: int = 0, start: int = 0, gap: int = 1) -> List[
     keys = sorted_keys(n, start=start, gap=gap)
     random.Random(seed).shuffle(keys)
     return keys
-
-
-def generate_workload(
-    n: int,
-    degree: str = "near_sorted",
-    seed: int = 0,
-    start: int = 0,
-    gap: int = 1,
-) -> GeneratedWorkload:
-    """Generate by qualitative degree name (see :data:`NAMED_DEGREES`)."""
-    if degree not in NAMED_DEGREES:
-        raise ValueError(
-            f"unknown degree {degree!r}; expected one of {sorted(NAMED_DEGREES)}"
-        )
-    params = NAMED_DEGREES[degree]
-    if params is None:
-        return GeneratedWorkload(
-            keys=scrambled_keys(n, seed=seed, start=start, gap=gap),
-            k_fraction=1.0,
-            l_fraction=1.0,
-            seed=seed,
-            label=degree,
-        )
-    k_fraction, l_fraction = params
-    return GeneratedWorkload(
-        keys=generate_kl_keys(n, k_fraction, l_fraction, seed=seed, start=start, gap=gap),
-        k_fraction=k_fraction,
-        l_fraction=l_fraction,
-        seed=seed,
-        label=degree,
-    )
-
-
-def workload_family(
-    n: int,
-    kl_grid: List[Tuple[float, float]],
-    seed: int = 0,
-    start: int = 0,
-    gap: int = 1,
-) -> List[GeneratedWorkload]:
-    """A family of differently sorted collections over the same key set.
-
-    This mirrors the paper's Fig. 9 family: one collection per (K%, L%)
-    point, all permutations of the same base keys, so index contents are
-    identical at the end of ingestion and only arrival order differs.
-    """
-    family = []
-    for index, (k_fraction, l_fraction) in enumerate(kl_grid):
-        keys = generate_kl_keys(
-            n, k_fraction, l_fraction, seed=seed + index, start=start, gap=gap
-        )
-        family.append(
-            GeneratedWorkload(
-                keys=keys,
-                k_fraction=k_fraction,
-                l_fraction=l_fraction,
-                seed=seed + index,
-                label=f"K={k_fraction:.0%},L={l_fraction:.0%}",
-            )
-        )
-    return family

@@ -10,9 +10,10 @@ displaced by more than ``L`` positions from where it belongs:
 * ``L`` — the maximum positional displacement, computed against the stable
   sorted order of the collection.
 
-We also expose the inversion count (the classic "how unsorted" measure used
-by Mannila [1985] and the streaming literature the paper cites) because the
-test suite uses it to cross-check the generator.
+The report also carries the inversion count (the classic "how unsorted"
+measure of Mannila [1985] and the streaming literature the paper cites).
+The exact metrics are kernels (:mod:`repro.kernels`); this module holds the
+report built from them and the buffer's cheap online estimate.
 """
 
 from __future__ import annotations
@@ -64,81 +65,13 @@ class SortednessReport:
         return "less-sorted"
 
 
-# The metric implementations live in repro.kernels; these wrappers keep the
-# documented public API stable.
-def longest_nondecreasing_subsequence_length(keys: Sequence[int]) -> int:
-    """Length of the longest non-decreasing subsequence (patience sorting)."""
-    return kernels.longest_nondecreasing_subsequence_length(keys)
-
-
-def count_out_of_order(keys: Sequence[int]) -> int:
-    """Exact K: minimum removals that leave the sequence non-decreasing."""
-    return kernels.count_out_of_order(keys)
-
-
-def max_displacement(keys: Sequence[int]) -> int:
-    """Exact L: max |i - sorted_position(i)| under a stable sort."""
-    return kernels.max_displacement(keys)
-
-
-def count_inversions(keys: Sequence[int]) -> int:
-    """Number of pairs (i, j) with i < j and keys[i] > keys[j].
-
-    Rank-permutation merge-count over whole levels, O(N log N); duplicates
-    do not count as inversions.
-    """
-    return kernels.count_inversions(keys)
-
-
-def count_runs(keys: Sequence[int]) -> int:
-    """Mannila's *Runs* measure: number of maximal non-decreasing runs.
-
-    A sorted sequence is one run; a reversed sequence of n distinct keys is
-    n runs. One of the classical presortedness measures the paper's §II
-    cites alongside (K,L).
-    """
-    return kernels.count_runs(keys)
-
-
-def exchange_distance(keys: Sequence[int]) -> int:
-    """Mannila's *Exc* measure: minimum element exchanges to sort.
-
-    Equals n minus the number of cycles of the permutation mapping current
-    positions to (stable) sorted positions.
-    """
-    n = len(keys)
-    order = sorted(range(n), key=lambda i: (keys[i], i))
-    target = [0] * n
-    for sorted_pos, original_pos in enumerate(order):
-        target[original_pos] = sorted_pos
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        position = start
-        while not seen[position]:
-            seen[position] = True
-            position = target[position]
-    return n - cycles
-
-
-def normalized_inversions(keys: Sequence[int]) -> float:
-    """Inversions as a fraction of the maximum possible n(n-1)/2."""
-    n = len(keys)
-    if n < 2:
-        return 0.0
-    return count_inversions(keys) / (n * (n - 1) / 2)
-
-
 def measure_sortedness(keys: Sequence[int]) -> SortednessReport:
     """Full sortedness report (K, L, inversions) for a key collection."""
     return SortednessReport(
         n=len(keys),
-        k=count_out_of_order(keys),
-        l=max_displacement(keys),
-        inversions=count_inversions(keys),
+        k=kernels.count_out_of_order(keys),
+        l=kernels.max_displacement(keys),
+        inversions=kernels.count_inversions(keys),
     )
 
 

@@ -13,7 +13,6 @@ from repro.workloads.spec import (
 from repro.workloads.tpch import (
     LineitemDates,
     generate_lineitem_dates,
-    high_l_low_k_keys,
     receiptdate_keys,
     sorted_by_shipdate,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "value_for",
     "LineitemDates",
     "generate_lineitem_dates",
-    "high_l_low_k_keys",
     "receiptdate_keys",
     "sorted_by_shipdate",
 ]

@@ -79,13 +79,3 @@ def receiptdate_keys(n: int, seed: int = 0, spread: int = 1 << 20) -> List[int]:
         keys.append(date * spread + occurrence)
     return keys
 
-
-def high_l_low_k_keys(n: int, seed: int = 0) -> List[int]:
-    """The paper's §V-H second extreme: K = 5%, L = 95%.
-
-    Few elements are displaced, but those that are travel almost the whole
-    collection.
-    """
-    from repro.sortedness.generator import generate_kl_keys
-
-    return generate_kl_keys(n, k_fraction=0.05, l_fraction=0.95, seed=seed)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.advisor import recommend, recommend_for_sample
+from repro.core.advisor import recommend
 from repro.core.sware import SortednessAwareIndex
 from repro.btree.btree import BPlusTree
-from repro.sortedness.generator import generate_kl_keys, scrambled_keys
+from repro.sortedness.metrics import measure_sortedness
 
 
 class TestRules:
@@ -71,29 +71,15 @@ class TestMaterialization:
 
 
 class TestSampleBased:
-    def test_near_sorted_sample(self):
-        keys = generate_kl_keys(5000, 0.10, 0.05, seed=3)
-        rec = recommend_for_sample(keys, read_fraction=0.25)
-        assert rec.use_sware
-        assert "measured sample" in rec.rationale[0]
-
-    def test_scrambled_sample(self):
-        keys = scrambled_keys(5000, seed=3)
-        rec = recommend_for_sample(keys, read_fraction=0.5)
-        assert not rec.use_sware
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            recommend_for_sample([])
-
     def test_recommended_index_beats_baseline_on_its_workload(self):
-        """End-to-end: following the advice pays off."""
+        """End-to-end: following the advice for a measured sample pays off."""
         from repro.bench.experiments import common
         from repro.bench.runner import run_phases, speedup
 
         n = 6000
         keys = common.keys_for(n, 0.10, 0.05, seed=7)
-        rec = recommend_for_sample(list(keys), read_fraction=0.25)
+        report = measure_sortedness(list(keys))
+        rec = recommend(report.k_fraction, report.l_fraction, 0.25)
         ops = common.mixed_ops(keys, 0.25, seed=7)
         base = run_phases(common.baseline_btree_factory(), [("mixed", ops)])
         advised = run_phases(lambda meter: rec.build(n, meter=meter), [("mixed", ops)])

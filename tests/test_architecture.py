@@ -1,8 +1,8 @@
 """Architecture guards: what each simplicity change removed stays removed.
 
 One test per guard. Each searches file text with a Python regex, line by
-line as ``grep`` does, asserts that a file or a named test still exists (or
-is gone), or reads a registry constant.
+line as ``grep`` does, parses source with ``ast``, asserts that a file or a
+named test still exists (or is gone), or reads a registry constant.
 A new simplicity change adds its guard here. Compiled files under
 ``__pycache__`` are not searched, and neither is this file, which names
 every pattern it forbids.
@@ -321,3 +321,53 @@ def test_no_sosd_extension():
         assert not (ROOT / path).exists(), path
     assert hits(r"repro\.learned|REPRO_SOSD_DIR", "src", "tests") == []
     assert BACKEND_NAMES == ("sa_btree", "btree", "betree", "lsm")
+
+
+# Public definitions that no code in the library, the benchmark or the
+# examples calls, each with where a user is told to reach it.
+UNCALLED_BUT_DOCUMENTED = {
+    "ConcurrentSortednessAwareIndex": 'README "Concurrent usage"',
+    "recommend": 'README "Diagnosing a run" (the doctor\'s remediation names it)',
+    "measure_overhead": 'CI step "Profiler overhead stays under 5%"',
+}
+
+
+def _references(path, statement):
+    """Every name ``statement`` (a top-level node of ``path``) refers to:
+    names, attributes and ``from ... import`` aliases, except the imports of
+    an ``__init__.py`` (a re-export is not a use)."""
+    found = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_library_is_what_runs():
+    # Every public top-level def or class under src/repro is referenced from
+    # src/, bench_e2e/ or examples/ outside its own body, or is documented
+    # for users to call and listed above.
+    defined, referenced = [], {}
+    for path in _files("src", "bench_e2e", "examples"):
+        if path.suffix != ".py":
+            continue
+        for index, statement in enumerate(ast.parse(path.read_text()).body):
+            where = (path, index)
+            for name in _references(path, statement):
+                referenced.setdefault(name, set()).add(where)
+            if (isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not statement.name.startswith("_")
+                    and path.is_relative_to(ROOT / "src/repro")):
+                defined.append((statement.name, where))
+    uncalled = sorted(
+        (name, str(where[0].relative_to(ROOT)))
+        for name, where in defined
+        if not referenced.get(name, set()) - {where}
+    )
+    unlisted = [entry for entry in uncalled if entry[0] not in UNCALLED_BUT_DOCUMENTED]
+    assert unlisted == [], unlisted
+    assert [name for name, _ in uncalled] == sorted(UNCALLED_BUT_DOCUMENTED)

@@ -3,14 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sortedness.generator import (
-    NAMED_DEGREES,
-    generate_kl_keys,
-    generate_workload,
-    scrambled_keys,
-    sorted_keys,
-    workload_family,
-)
+from repro.sortedness.generator import generate_kl_keys, scrambled_keys, sorted_keys
 from repro.sortedness.metrics import measure_sortedness
 
 
@@ -92,21 +85,3 @@ class TestScrambled:
         report = measure_sortedness(scrambled_keys(2000, seed=4))
         assert report.k_fraction > 0.7
         assert report.l_fraction > 0.5
-
-
-class TestNamedWorkloads:
-    def test_all_names_work(self):
-        for name in NAMED_DEGREES:
-            workload = generate_workload(500, degree=name, seed=2)
-            assert workload.n == 500
-            assert workload.label == name
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            generate_workload(10, degree="mostly-ok")
-
-    def test_family_same_key_set(self):
-        family = workload_family(300, [(0.0, 0.0), (0.1, 0.1), (0.5, 0.2)])
-        base = sorted(family[0].keys)
-        assert all(sorted(w.keys) == base for w in family)
-        assert len({w.seed for w in family}) == len(family)

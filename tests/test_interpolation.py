@@ -5,17 +5,9 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.search.interpolation import (
-    binary_search_rightmost,
-    exponential_search_rightmost,
-    interpolation_search,
-)
+from repro.search.interpolation import binary_search_rightmost, interpolation_search
 
-SEARCHERS = [
-    binary_search_rightmost,
-    interpolation_search,
-    exponential_search_rightmost,
-]
+SEARCHERS = [binary_search_rightmost, interpolation_search]
 
 
 def rightmost_index(keys, target):
@@ -86,16 +78,8 @@ class TestInterpolationSpecifics:
         assert steps[0] >= 1
 
 
-class TestExponentialSearch:
-    def test_near_front_is_cheap(self):
-        keys = list(range(100_000))
-        steps = []
-        assert exponential_search_rightmost(keys, 3, steps=steps) == 3
-        assert steps[0] <= 3  # galloping doubled only a couple of times
-
-
 class TestDuplicateHeavyAgreement:
-    """All three searchers must agree on the *rightmost* occurrence even
+    """Both searchers must agree on the *rightmost* occurrence even
     when the list is dominated by long duplicate runs (the regime where a
     probe can land anywhere inside a run and must still walk to its end).
     """

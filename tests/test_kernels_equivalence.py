@@ -50,10 +50,6 @@ def _ref_max_displacement(keys):
     return max((abs(pos - i) for pos, i in enumerate(order)), default=0)
 
 
-def _ref_runs(keys):
-    return (len(keys) > 0) + sum(b < a for a, b in zip(keys, keys[1:]))
-
-
 def _ref_lnds(keys):
     best = []  # best[i]: longest non-decreasing subsequence ending at i
     for i, key in enumerate(keys):
@@ -66,7 +62,6 @@ METRICS = [
     for metric, reference in [
         (kernels.count_inversions, _ref_inversions),
         (kernels.max_displacement, _ref_max_displacement),
-        (kernels.count_runs, _ref_runs),
         (kernels.count_out_of_order, lambda keys: len(keys) - _ref_lnds(keys)),
         (kernels.longest_nondecreasing_subsequence_length, _ref_lnds),
     ]

@@ -2,16 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sortedness.metrics import (
+from repro.sortedness import (
     RunningSortednessEstimate,
     count_inversions,
     count_out_of_order,
-    count_runs,
-    exchange_distance,
     longest_nondecreasing_subsequence_length,
     max_displacement,
     measure_sortedness,
-    normalized_inversions,
 )
 
 
@@ -123,43 +120,6 @@ class TestReport:
         assert near.degree() == "near-sorted"
         scrambled = measure_sortedness(scrambled_keys(2000, seed=1))
         assert scrambled.degree() == "scrambled"
-
-
-class TestClassicalMeasures:
-    def test_runs_sorted(self):
-        assert count_runs(list(range(10))) == 1
-
-    def test_runs_reversed(self):
-        assert count_runs([3, 2, 1]) == 3
-
-    def test_runs_empty(self):
-        assert count_runs([]) == 0
-
-    def test_runs_duplicates_extend(self):
-        assert count_runs([1, 1, 2, 0, 0, 5]) == 2
-
-    def test_exchange_sorted_zero(self):
-        assert exchange_distance(list(range(10))) == 0
-
-    def test_exchange_single_swap(self):
-        keys = list(range(10))
-        keys[2], keys[7] = keys[7], keys[2]
-        assert exchange_distance(keys) == 1
-
-    def test_exchange_three_cycle(self):
-        # (0 1 2) cycle needs two exchanges.
-        assert exchange_distance([1, 2, 0]) == 2
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), max_size=60))
-    @settings(max_examples=50, deadline=None)
-    def test_exchange_bounds(self, keys):
-        value = exchange_distance(keys)
-        assert 0 <= value <= max(0, len(keys) - 1)
-
-    def test_normalized_inversions_extremes(self):
-        assert normalized_inversions(list(range(10))) == 0.0
-        assert normalized_inversions(list(range(10, 0, -1))) == 1.0
-        assert normalized_inversions([1]) == 0.0
 
 
 class TestRunningEstimate:

@@ -13,7 +13,7 @@ from repro.obs import (
     current_obs,
     observe,
 )
-from repro.obs.export import render_trace, snapshot_to_prometheus, to_prometheus
+from repro.obs.export import render_trace, snapshot_to_prometheus
 from repro.obs.registry import Histogram, sanitize_name
 from repro.obs.tracer import NULL_SPAN
 
@@ -279,7 +279,7 @@ class TestExporters:
         hist = registry.histogram("lat", buckets=[10.0, 100.0])
         hist.observe(5.0)
         hist.observe(50.0)
-        text = to_prometheus(registry)
+        text = snapshot_to_prometheus(registry.snapshot())
         assert "# TYPE repro_ops counter" in text
         assert "repro_ops 3" in text
         assert "# TYPE repro_fill gauge" in text
@@ -293,20 +293,20 @@ class TestExporters:
         registry = MetricsRegistry()
         registry.counter("ops").inc(1)
         snap = json.loads(json.dumps(registry.snapshot()))
-        assert snapshot_to_prometheus(snap) == to_prometheus(registry)
+        assert snapshot_to_prometheus(snap) == snapshot_to_prometheus(registry.snapshot())
 
     def test_empty_registry_renders_empty_exposition(self):
-        assert to_prometheus(MetricsRegistry()) == "\n"
+        assert snapshot_to_prometheus(MetricsRegistry().snapshot()) == "\n"
         assert snapshot_to_prometheus({}) == "\n"
 
     def test_help_lines_for_every_metric(self):
         registry = MetricsRegistry()
-        registry.counter("ops", help="operations applied")
+        registry.counter("ops")
         registry.gauge("fill")
         registry.histogram("lat", buckets=[10.0])
-        text = to_prometheus(registry)
-        # Explicit help text when given, generated fallback otherwise.
-        assert "# HELP repro_ops operations applied" in text
+        text = snapshot_to_prometheus(registry.snapshot())
+        # A description generated from each metric's name and kind.
+        assert "# HELP repro_ops ops (counter)" in text
         assert "# HELP repro_fill fill (gauge)" in text
         assert "# HELP repro_lat lat (histogram)" in text
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.report import (
     ascii_scatter,
-    format_breakdown,
     format_matrix,
     format_table,
 )
@@ -114,6 +113,3 @@ class TestReportFormatting:
     def test_ascii_scatter_empty(self):
         assert "empty" in ascii_scatter([], [])
 
-    def test_format_breakdown_shares_sum(self):
-        text = format_breakdown("B", {"x": 75.0, "y": 25.0}, order=["x", "y"])
-        assert "75.0%" in text and "25.0%" in text

@@ -136,35 +136,6 @@ class TestSplits:
         idx.close()
 
 
-class TestDivergentConfigs:
-    def test_per_shard_configs_applied(self, tmp_path):
-        configs = [
-            SWAREConfig(buffer_capacity=16, page_size=4),
-            SWAREConfig(buffer_capacity=64, page_size=8),
-        ]
-        idx = ShardedSortednessAwareIndex(
-            str(tmp_path / "db"),
-            config=ShardedConfig(
-                n_shards=2, split_threshold=0, initial_key_range=(0, 1000)
-            ),
-            shard_configs=configs,
-        )
-        assert [s.index.buffer.capacity for s in idx._shards] == [16, 64]
-        idx.close()
-        # ... and survive recovery through the manifest.
-        rec, _ = recover_sharded(str(tmp_path / "db"))
-        assert [s.index.buffer.capacity for s in rec._shards] == [16, 64]
-        rec.close()
-
-    def test_config_count_mismatch_rejected(self, tmp_path):
-        with pytest.raises(ShardedIndexError, match="shard configs"):
-            ShardedSortednessAwareIndex(
-                str(tmp_path / "db"),
-                config=ShardedConfig(n_shards=3),
-                shard_configs=[SWAREConfig()],
-            )
-
-
 class TestRecovery:
     def test_recover_roundtrip_after_checkpoint(self, tmp_path):
         idx = make_sharded(tmp_path, n_shards=3, split_threshold=120)

@@ -12,7 +12,6 @@ from repro.workloads.spec import (
 )
 from repro.workloads.tpch import (
     generate_lineitem_dates,
-    high_l_low_k_keys,
     receiptdate_keys,
     sorted_by_shipdate,
 )
@@ -124,8 +123,3 @@ class TestTPCH:
     def test_receiptdate_keys_unique(self):
         keys = receiptdate_keys(2000, seed=4)
         assert len(set(keys)) == len(keys)
-
-    def test_high_l_low_k(self):
-        report = measure_sortedness(high_l_low_k_keys(3000, seed=5))
-        assert report.k_fraction < 0.12  # target 5%
-        assert report.l_fraction > 0.5  # target 95%
