@@ -39,7 +39,6 @@ from repro.errors import (
     ConfigError,
     InvariantViolation,
     KLSortCapacityError,
-    PinViolationError,
     ReproError,
     WALError,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "ConfigError",
     "InvariantViolation",
     "KLSortCapacityError",
-    "PinViolationError",
     "ReproError",
     "WALError",
     "LSMConfig",

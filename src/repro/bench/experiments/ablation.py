@@ -98,7 +98,7 @@ def _flush_ablation(n: int) -> Dict[str, float]:
     return results
 
 
-def run(n: int = 12_000) -> AblationResult:
+def run(n: int) -> AblationResult:
     data = {
         "tail-leaf node accesses/insert (sorted)": _tail_leaf_ablation(n),
         "search probe steps (uniform keys)": _search_ablation(min(n, 20_000)),

@@ -31,19 +31,22 @@ class Fig9Result:
     data: Dict[str, dict]
 
 
-def run(n: int = 2000, seed: int = 7, with_plots: bool = True) -> Fig9Result:
+SEED = 7
+
+
+def run(n: int) -> Fig9Result:
     sections: List[str] = []
     rows = []
     data: Dict[str, dict] = {}
     for label, k_fraction, l_fraction in FIG9_GRID:
         if k_fraction is None:
-            keys = scrambled_keys(n, seed=seed)
+            keys = scrambled_keys(n, seed=SEED)
             target = ("uniform", "uniform")
         elif k_fraction == 0.0:
             keys = sorted_keys(n)
             target = ("0%", "0%")
         else:
-            keys = generate_kl_keys(n, k_fraction, l_fraction, seed=seed)
+            keys = generate_kl_keys(n, k_fraction, l_fraction, seed=SEED)
             target = (f"{k_fraction:.0%}", f"{l_fraction:.0%}")
         report = measure_sortedness(keys)
         rows.append(
@@ -63,12 +66,9 @@ def run(n: int = 2000, seed: int = 7, with_plots: bool = True) -> Fig9Result:
             "measured_l": report.l_fraction,
             "inversions": report.inversions,
         }
-        if with_plots:
-            sections.append(
-                ascii_scatter(
-                    list(range(n)), list(keys), width=56, height=10, title=label
-                )
-            )
+        sections.append(
+            ascii_scatter(list(range(n)), list(keys), width=56, height=10, title=label)
+        )
     table = format_table(
         ["collection", "target K", "target L", "measured K", "measured L", "degree"],
         rows,

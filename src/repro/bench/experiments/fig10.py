@@ -10,7 +10,7 @@ at 90% reads; scrambled data ~20% *slower* than the baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.bench.experiments import common
 from repro.bench.report import format_matrix
@@ -25,24 +25,21 @@ class Fig10Result:
     runs: Dict[Tuple[str, float, str], RunResult]
 
 
+SEED = 7
+
+
 def run(
-    n: int = 20_000,
-    ratios: Optional[List[float]] = None,
-    presets: Optional[List[Tuple[str, Optional[float], Optional[float]]]] = None,
+    n: int,
     buffer_fraction: float = 0.01,
-    seed: int = 7,
     pool_capacity: Optional[int] = None,
     title: str = "Fig. 10 — SA B+-tree speedup over B+-tree (mixed workloads)",
 ) -> Fig10Result:
-    ratios = ratios if ratios is not None else common.READ_WRITE_RATIOS
-    presets = presets if presets is not None else common.SORTEDNESS_PRESETS
-
     data: Dict[Tuple[str, float], float] = {}
     runs: Dict[Tuple[str, float, str], RunResult] = {}
-    for label, k_fraction, l_fraction in presets:
-        keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
-        for ratio in ratios:
-            ops = common.mixed_ops(keys, ratio, seed=seed)
+    for label, k_fraction, l_fraction in common.SORTEDNESS_PRESETS:
+        keys = common.keys_for(n, k_fraction, l_fraction, seed=SEED)
+        for ratio in common.READ_WRITE_RATIOS:
+            ops = common.mixed_ops(keys, ratio, seed=SEED)
             base = run_phases(
                 common.baseline_btree_factory(pool_capacity=pool_capacity),
                 [("mixed", ops)],
@@ -60,9 +57,9 @@ def run(
             runs[(label, ratio, "base")] = base
             runs[(label, ratio, "sa")] = sa
 
-    col_ratio = {f"{int(r * 100)}:{int((1 - r) * 100)}": r for r in ratios}
+    col_ratio = {f"{int(r * 100)}:{int((1 - r) * 100)}": r for r in common.READ_WRITE_RATIOS}
     report = format_matrix(
-        [label for label, _, _ in presets],
+        [label for label, _, _ in common.SORTEDNESS_PRESETS],
         list(col_ratio),
         lambda row, col: data[(row, col_ratio[col])],
         title=f"{title}\n(n={n}, buffer={buffer_fraction:.2%} of data; columns are read:write)",

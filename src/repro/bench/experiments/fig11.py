@@ -26,19 +26,19 @@ class Fig11Result:
     data: Dict[float, Dict[str, float]]
 
 
-def run(
-    n: int = 20_000,
-    l_fraction: float = 0.05,
-    buffer_fraction: float = 0.01,
-    seed: int = 7,
-) -> Fig11Result:
+L_FRACTION = 0.05
+BUFFER_FRACTION = 0.01
+SEED = 7
+
+
+def run(n: int) -> Fig11Result:
     data: Dict[float, Dict[str, float]] = {}
     rows: List[tuple] = []
     for k_fraction in K_SWEEP:
-        keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
+        keys = common.keys_for(n, k_fraction, L_FRACTION, seed=SEED)
         ops = [(INSERT, key, value_for(key)) for key in keys]
         result = run_phases(
-            common.sa_btree_factory(common.buffer_config(n, buffer_fraction)),
+            common.sa_btree_factory(common.buffer_config(n, BUFFER_FRACTION)),
             [("ingest", ops)],
             label=f"SA K={k_fraction:.0%}",
             flush_after="ingest",
@@ -59,7 +59,7 @@ def run(
     report = format_table(
         ["K", "top-inserts", "bulk-loaded", "top-insert share"],
         rows,
-        title=f"Fig. 11 — ingestion routing in SA B+-tree (n={n}, L={l_fraction:.0%})",
+        title=f"Fig. 11 — ingestion routing in SA B+-tree (n={n}, L={L_FRACTION:.0%})",
     )
     return Fig11Result(report=report, data=data)
 

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.bench.experiments import common
 from repro.bench.report import format_table
@@ -62,15 +62,14 @@ def _ingest_ops(keys) -> list:
     return [(INSERT, key, value_for(key)) for key in keys]
 
 
-def run(
-    n: int = 20_000,
-    l_fraction: float = 0.05,
-    buffer_fraction: float = 0.01,
-    n_lookups: Optional[int] = None,
-    n_ranges: int = 30,
-    seed: int = 7,
-) -> Fig12Result:
-    n_lookups = n_lookups if n_lookups is not None else max(2000, n // 10)
+L_FRACTION = 0.05
+BUFFER_FRACTION = 0.01
+N_RANGES = 30
+SEED = 7
+
+
+def run(n: int) -> Fig12Result:
+    n_lookups = max(2000, n // 10)
 
     insert_latency: Dict[float, Dict[str, float]] = {}
     lookup_latency: Dict[float, Dict[str, float]] = {}
@@ -78,9 +77,9 @@ def run(
     rows_a, rows_b, rows_c, rows_d = [], [], [], []
 
     for k_fraction in K_SWEEP:
-        keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
+        keys = common.keys_for(n, k_fraction, L_FRACTION, seed=SEED)
         ingest = _ingest_ops(keys)
-        spec = common.raw_spec(keys, n_lookups=n_lookups, seed=seed)
+        spec = common.raw_spec(keys, n_lookups=n_lookups, seed=SEED)
         lookups = list(spec.lookup_operations())
         # (a)+(b): ingest then lookups; the buffer stays full for worst-case
         # lookup latency, exactly as in the paper's setup.
@@ -90,7 +89,7 @@ def run(
             label=f"B+ K={k_fraction:.0%}",
         )
         sa = run_phases(
-            common.sa_btree_factory(common.buffer_config(n, buffer_fraction)),
+            common.sa_btree_factory(common.buffer_config(n, BUFFER_FRACTION)),
             [("ingest", ingest), ("lookups", lookups)],
             label=f"SA K={k_fraction:.0%}",
         )
@@ -103,12 +102,12 @@ def run(
             "base": base.phase("lookups").sim_ns_per_op,
         }
         # (c): 50:50 mixed workload.
-        ops = common.mixed_ops(keys, 0.5, seed=seed)
+        ops = common.mixed_ops(keys, 0.5, seed=SEED)
         base_mixed = run_phases(
             common.baseline_btree_factory(), [("mixed", ops)], label="B+ mixed"
         )
         sa_mixed = run_phases(
-            common.sa_btree_factory(common.buffer_config(n, buffer_fraction)),
+            common.sa_btree_factory(common.buffer_config(n, BUFFER_FRACTION)),
             [("mixed", ops)],
             label="SA mixed",
         )
@@ -140,16 +139,16 @@ def run(
 
     # (d): range scans over a near-sorted ingest, full buffer.
     scan_latency: Dict[float, Dict[str, float]] = {}
-    keys = common.keys_for(n, 0.10, l_fraction, seed=seed)
+    keys = common.keys_for(n, 0.10, L_FRACTION, seed=SEED)
     ingest = _ingest_ops(keys)
     for selectivity in SELECTIVITIES:
         from repro.workloads.spec import RawWorkloadSpec
 
         spec = RawWorkloadSpec(
             keys=tuple(keys),
-            n_ranges=n_ranges,
+            n_ranges=N_RANGES,
             range_selectivity=selectivity,
-            seed=seed,
+            seed=SEED,
         )
         ranges = list(spec.range_operations())
         base = run_phases(
@@ -158,7 +157,7 @@ def run(
             label="B+ scans",
         )
         sa = run_phases(
-            common.sa_btree_factory(common.buffer_config(n, buffer_fraction)),
+            common.sa_btree_factory(common.buffer_config(n, BUFFER_FRACTION)),
             [("ingest", ingest), ("scans", ranges)],
             label="SA scans",
         )
@@ -180,7 +179,7 @@ def run(
     rows_e = []
     import random as _random
 
-    rng = _random.Random(seed + 5)
+    rng = _random.Random(SEED + 5)
     domain_hi = max(keys)
     width = max(1, int(domain_hi * 0.01))
     random_scans = [
@@ -195,7 +194,7 @@ def run(
     for workload, scans in (("random", random_scans), ("recent", recent_scans)):
         for index_name, factory in (
             ("base", common.baseline_btree_factory()),
-            ("sa", common.sa_btree_factory(common.buffer_config(n, buffer_fraction))),
+            ("sa", common.sa_btree_factory(common.buffer_config(n, BUFFER_FRACTION))),
         ):
             scan_percentiles[(workload, index_name)] = _scan_distribution(
                 factory, ingest, scans
@@ -219,7 +218,7 @@ def run(
             format_table(
                 ["K", "B+-tree (µs/insert)", "SA B+-tree (µs/insert)"],
                 rows_a,
-                title=f"Fig. 12a — insert latency (n={n}, L={l_fraction:.0%})",
+                title=f"Fig. 12a — insert latency (n={n}, L={L_FRACTION:.0%})",
             ),
             format_table(
                 ["K", "B+-tree (µs/lookup)", "SA B+-tree (µs/lookup)"],

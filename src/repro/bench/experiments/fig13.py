@@ -42,21 +42,21 @@ def _split_buckets(run, phase_names, bucket_names) -> Dict[str, float]:
     return buckets
 
 
-def run(
-    n: int = 20_000,
-    buffer_fraction: float = 0.01,
-    n_lookups: int = 4000,
-    seed: int = 7,
-) -> Fig13Result:
+BUFFER_FRACTION = 0.01
+N_LOOKUPS = 4000
+SEED = 7
+
+
+def run(n: int) -> Fig13Result:
     ingest_breakdown: Dict[str, Dict[str, float]] = {}
     query_breakdown: Dict[str, Dict[str, float]] = {}
 
     for label, k_fraction, l_fraction in PRESETS:
-        keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
+        keys = common.keys_for(n, k_fraction, l_fraction, seed=SEED)
         ingest = [(INSERT, key, value_for(key)) for key in keys]
-        lookups = list(common.raw_spec(keys, n_lookups=n_lookups, seed=seed).lookup_operations())
+        lookups = list(common.raw_spec(keys, n_lookups=N_LOOKUPS, seed=SEED).lookup_operations())
         result = run_phases(
-            common.sa_btree_factory(common.buffer_config(n, buffer_fraction)),
+            common.sa_btree_factory(common.buffer_config(n, BUFFER_FRACTION)),
             [("ingest", ingest), ("queries", lookups)],
             label=f"SA {label}",
         )

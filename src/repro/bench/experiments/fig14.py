@@ -34,7 +34,10 @@ class Fig14Result:
     data: Dict[Tuple[str, float, float], float]
 
 
-def run(n: int = 8_000, seed: int = 7) -> Fig14Result:
+SEED = 7
+
+
+def run(n: int) -> Fig14Result:
     data: Dict[Tuple[str, float, float], float] = {}
     baseline_cache: Dict[Tuple[float, float, float], RunResult] = {}
     sections: List[str] = []
@@ -43,8 +46,8 @@ def run(n: int = 8_000, seed: int = 7) -> Fig14Result:
         for l_fraction in L_GRID:
             for k_fraction in K_GRID:
                 # K=0 or L=0 is fully sorted regardless of the other value.
-                keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
-                ops = common.mixed_ops(keys, read_fraction, seed=seed)
+                keys = common.keys_for(n, k_fraction, l_fraction, seed=SEED)
+                ops = common.mixed_ops(keys, read_fraction, seed=SEED)
                 cache_key = (k_fraction, l_fraction, read_fraction)
                 base = baseline_cache.get(cache_key)
                 if base is None:

@@ -26,16 +26,16 @@ class Fig15Result:
     data: Dict[float, Dict[str, float]]
 
 
-def run(
-    n: int = 20_000,
-    k_fraction: float = 0.10,
-    l_fraction: float = 0.05,
-    n_lookups: int = 4000,
-    seed: int = 7,
-) -> Fig15Result:
-    keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
+K_FRACTION = 0.10
+L_FRACTION = 0.05
+N_LOOKUPS = 4000
+SEED = 7
+
+
+def run(n: int) -> Fig15Result:
+    keys = common.keys_for(n, K_FRACTION, L_FRACTION, seed=SEED)
     ingest = [(INSERT, key, value_for(key)) for key in keys]
-    lookups = list(common.raw_spec(keys, n_lookups=n_lookups, seed=seed).lookup_operations())
+    lookups = list(common.raw_spec(keys, n_lookups=N_LOOKUPS, seed=SEED).lookup_operations())
     phases = [("ingest", ingest), ("lookups", lookups)]
 
     base = run_phases(common.baseline_btree_factory(), phases, label="B+")
@@ -61,7 +61,7 @@ def run(
     report = format_table(
         ["buffer size (% of data)", "insert speedup", "lookup speedup"],
         rows,
-        title=f"Fig. 15 — buffer size vs performance (n={n}, K={k_fraction:.0%}, L={l_fraction:.0%})",
+        title=f"Fig. 15 — buffer size vs performance (n={n}, K={K_FRACTION:.0%}, L={L_FRACTION:.0%})",
     )
     return Fig15Result(report=report, data=data)
 

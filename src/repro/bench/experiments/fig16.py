@@ -26,14 +26,14 @@ class Fig16Result:
     data: Dict[Tuple[float, float], float]
 
 
-def run(
-    n: int = 12_000,
-    l_fraction: float = 0.05,
-    buffer_fraction: float = 0.05,
-    page_size: int = 8,
-    read_fraction: float = 0.5,
-    seed: int = 7,
-) -> Fig16Result:
+L_FRACTION = 0.05
+BUFFER_FRACTION = 0.05
+PAGE_SIZE = 8
+READ_FRACTION = 0.5
+SEED = 7
+
+
+def run(n: int) -> Fig16Result:
     # Geometry note: query-driven sorting pays off through cheaper scans of
     # the unsorted section, so the buffer must span many pages for the
     # threshold to matter (the paper's 5M-entry buffer has ~9.7k pages); at
@@ -41,15 +41,15 @@ def run(
     data: Dict[Tuple[float, float], float] = {}
     base_cache: Dict[float, RunResult] = {}
     for k_fraction in K_SWEEP:
-        keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
-        ops = common.mixed_ops(keys, read_fraction, seed=seed)
+        keys = common.keys_for(n, k_fraction, L_FRACTION, seed=SEED)
+        ops = common.mixed_ops(keys, READ_FRACTION, seed=SEED)
         base = run_phases(common.baseline_btree_factory(), [("mixed", ops)], label="B+")
         base_cache[k_fraction] = base
         for threshold in THRESHOLDS:
             config = common.buffer_config(
                 n,
-                buffer_fraction,
-                page_size=page_size,
+                BUFFER_FRACTION,
+                page_size=PAGE_SIZE,
                 query_sorting_threshold=threshold,
             )
             sa = run_phases(

@@ -32,14 +32,14 @@ class Fig17Result:
     data: Dict[Tuple[str, float], Dict[str, float]]
 
 
-def run(
-    n: int = 16_000,
-    l_fraction: float = 0.05,
-    buffer_fraction: float = 0.05,
-    page_size: int = 8,
-    n_lookups: int = 4000,
-    seed: int = 7,
-) -> Fig17Result:
+L_FRACTION = 0.05
+BUFFER_FRACTION = 0.05
+PAGE_SIZE = 8
+N_LOOKUPS = 4000
+SEED = 7
+
+
+def run(n: int) -> Fig17Result:
     # Geometry note: the filters gate page scans of the unsorted section,
     # so the buffer must span many pages for the ablation to discriminate
     # (see fig16); we use a 5% buffer with small pages at reduced scale.
@@ -53,11 +53,11 @@ def run(
         # section is populated at query time (the paper "ensures the buffer
         # is full before executing any query"); a round count would end
         # exactly on a flush and leave the tail empty.
-        n_eff = n + int(n * buffer_fraction * 0.45)
-        keys = common.keys_for(n_eff, k_fraction, l_fraction, seed=seed)
+        n_eff = n + int(n * BUFFER_FRACTION * 0.45)
+        keys = common.keys_for(n_eff, k_fraction, L_FRACTION, seed=SEED)
         ingest = [(INSERT, key, value_for(key)) for key in keys]
         lookups = list(
-            common.raw_spec(keys, n_lookups=n_lookups, seed=seed).lookup_operations()
+            common.raw_spec(keys, n_lookups=N_LOOKUPS, seed=SEED).lookup_operations()
         )
         phases = [("ingest", ingest), ("lookups", lookups)]
         base = run_phases(common.baseline_btree_factory(), phases, label="B+")
@@ -66,8 +66,8 @@ def run(
         for label, flags in VARIANTS:
             config = common.buffer_config(
                 n,
-                buffer_fraction,
-                page_size=page_size,
+                BUFFER_FRACTION,
+                page_size=PAGE_SIZE,
                 query_sorting_threshold=1.0,
                 **flags,
             )

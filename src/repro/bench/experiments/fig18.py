@@ -30,11 +30,13 @@ class Fig18Result:
     data: Dict[Tuple[str, float], float]
 
 
-def run(n: int = 12_000, buffer_fraction: float = 0.04, seed: int = 7) -> Fig18Result:
+BUFFER_FRACTION = 0.04
+
+
+def run(n: int) -> Fig18Result:
     inner = fig10_mod.run(
         n=n,
-        buffer_fraction=buffer_fraction,
-        seed=seed,
+        buffer_fraction=BUFFER_FRACTION,
         pool_capacity=common.ondisk_pool_capacity(n),
         title=(
             "Fig. 18 — SA B+-tree speedup on disk (bufferpool ≈ internal nodes; "

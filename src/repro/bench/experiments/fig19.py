@@ -30,13 +30,13 @@ class Fig19Result:
     table2: Dict[int, Dict[str, float]]
 
 
-def run(
-    n: int = SIZES[-1],
-    read_fraction: float = 0.5,
-    fixed_l_entries: int = 1_000,
-    fixed_buffer_entries: int = 512,
-    seed: int = 7,
-) -> Fig19Result:
+READ_FRACTION = 0.5
+FIXED_L_ENTRIES = 1_000
+FIXED_BUFFER_ENTRIES = 512
+SEED = 7
+
+
+def run(n: int) -> Fig19Result:
     """``n`` is the largest size; the sweep keeps ``SIZES``' proportions."""
     sizes = [size * n // SIZES[-1] for size in SIZES]
     proportional: Dict[int, Dict[str, float]] = {}
@@ -48,8 +48,8 @@ def run(
 
     for n in sizes:
         # (a) K, L proportional; buffer 1% of data.
-        keys = common.keys_for(n, 0.05, 0.05, seed=seed)
-        ops = common.mixed_ops(keys, read_fraction, seed=seed)
+        keys = common.keys_for(n, 0.05, 0.05, seed=SEED)
+        ops = common.mixed_ops(keys, READ_FRACTION, seed=SEED)
         base = run_phases(common.baseline_btree_factory(), [("mixed", ops)], label="B+")
         sa = run_phases(
             common.sa_btree_factory(common.buffer_config(n, 0.01)),
@@ -66,15 +66,15 @@ def run(
         )
 
         # (b) fixed L and fixed buffer size.
-        l_fraction = min(0.95, fixed_l_entries / n)
-        keys_fixed = common.keys_for(n, 0.05, round(l_fraction, 6), seed=seed)
-        ops_fixed = common.mixed_ops(keys_fixed, read_fraction, seed=seed)
+        l_fraction = min(0.95, FIXED_L_ENTRIES / n)
+        keys_fixed = common.keys_for(n, 0.05, round(l_fraction, 6), seed=SEED)
+        ops_fixed = common.mixed_ops(keys_fixed, READ_FRACTION, seed=SEED)
         base_f = run_phases(
             common.baseline_btree_factory(), [("mixed", ops_fixed)], label="B+"
         )
         config = SWAREConfig(
-            buffer_capacity=fixed_buffer_entries,
-            page_size=min(common.PAGE_SIZE, fixed_buffer_entries // 2),
+            buffer_capacity=FIXED_BUFFER_ENTRIES,
+            page_size=min(common.PAGE_SIZE, FIXED_BUFFER_ENTRIES // 2),
         )
         sa_f = run_phases(
             common.sa_btree_factory(config), [("mixed", ops_fixed)], label="SA"
@@ -91,11 +91,11 @@ def run(
         lookups = sa_f.sware_stats.get("lookups", 0) or 1
         pages_per_query = sa_f.sware_stats.get("unsorted_pages_scanned", 0) / lookups
         table2[n] = {
-            "buffer_fraction": fixed_buffer_entries / n,
+            "buffer_fraction": FIXED_BUFFER_ENTRIES / n,
             "pages_scanned_per_query": pages_per_query,
         }
         rows_t2.append(
-            [n, f"{fixed_buffer_entries / n:.2%}", f"{pages_per_query:.4f}"]
+            [n, f"{FIXED_BUFFER_ENTRIES / n:.2%}", f"{pages_per_query:.4f}"]
         )
 
     report = "\n".join(
@@ -108,8 +108,8 @@ def run(
             format_table(
                 ["entries", "B+-tree (µs/op)", "SA B+-tree (µs/op)", "speedup"],
                 rows_b,
-                title=f"Fig. 19b — scalability, fixed L={fixed_l_entries} entries, "
-                f"fixed buffer={fixed_buffer_entries} entries",
+                title=f"Fig. 19b — scalability, fixed L={FIXED_L_ENTRIES} entries, "
+                f"fixed buffer={FIXED_BUFFER_ENTRIES} entries",
             ),
             format_table(
                 ["entries", "% entries in buffer", "unsorted pages scanned/query"],

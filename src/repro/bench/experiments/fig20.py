@@ -31,19 +31,17 @@ class Fig20Result:
     data: Dict[Tuple[float, str, str], float]
 
 
-def run(
-    n: int = 10_000,
-    buffer_fraction: float = 0.01,
-    ratios: List[float] = None,
-    seed: int = 7,
-) -> Fig20Result:
-    ratios = ratios if ratios is not None else common.READ_WRITE_RATIOS
+BUFFER_FRACTION = 0.01
+SEED = 7
+
+
+def run(n: int) -> Fig20Result:
     data: Dict[Tuple[float, str, str], float] = {}
     rows: List[list] = []
 
-    scrambled = common.keys_for(n, None, None, seed=seed)
-    for ratio in ratios:
-        ops_scrambled = common.mixed_ops(scrambled, ratio, seed=seed)
+    scrambled = common.keys_for(n, None, None, seed=SEED)
+    for ratio in common.READ_WRITE_RATIOS:
+        ops_scrambled = common.mixed_ops(scrambled, ratio, seed=SEED)
         reference = run_phases(
             common.baseline_betree_factory(),
             [("mixed", ops_scrambled)],
@@ -51,13 +49,13 @@ def run(
         ).sim_ns
         row = [f"{int(ratio * 100)}:{int((1 - ratio) * 100)}"]
         for degree, k_fraction, l_fraction in DEGREES:
-            keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
-            ops = common.mixed_ops(keys, ratio, seed=seed)
+            keys = common.keys_for(n, k_fraction, l_fraction, seed=SEED)
+            ops = common.mixed_ops(keys, ratio, seed=SEED)
             be = run_phases(
                 common.baseline_betree_factory(), [("mixed", ops)], label="Be"
             )
             sa = run_phases(
-                common.sa_betree_factory(common.buffer_config(n, buffer_fraction)),
+                common.sa_betree_factory(common.buffer_config(n, BUFFER_FRACTION)),
                 [("mixed", ops)],
                 label="SA Be",
             )

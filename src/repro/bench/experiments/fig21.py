@@ -25,13 +25,16 @@ class Fig21Result:
     data: Dict[Tuple[float, float], float]
 
 
-def run(n: int = 16_000, seed: int = 7) -> Fig21Result:
-    keys = common.keys_for(n, 0.05, 0.95, seed=seed)
+SEED = 7
+
+
+def run(n: int) -> Fig21Result:
+    keys = common.keys_for(n, 0.05, 0.95, seed=SEED)
     data: Dict[Tuple[float, float], float] = {}
     rows: List[list] = []
     base_cache: Dict[float, RunResult] = {}
     for ratio in RATIOS:
-        ops = common.mixed_ops(keys, ratio, seed=seed)
+        ops = common.mixed_ops(keys, ratio, seed=SEED)
         base = base_cache.get(ratio)
         if base is None:
             base = run_phases(

@@ -31,20 +31,20 @@ class FlushThresholdResult:
     best: float
 
 
-def run(
-    n: int = 12_000,
-    buffer_fraction: float = 0.01,
-    read_fraction: float = 0.5,
-    seed: int = 7,
-) -> FlushThresholdResult:
+BUFFER_FRACTION = 0.01
+READ_FRACTION = 0.5
+SEED = 7
+
+
+def run(n: int) -> FlushThresholdResult:
     data: Dict[Tuple[float, str], float] = {}
     base_cache: Dict[str, RunResult] = {}
     rows: List[list] = []
     for fraction in FLUSH_FRACTIONS:
         row = [f"{fraction:.0%}"]
         for label, k_fraction, l_fraction in PRESETS:
-            keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
-            ops = common.mixed_ops(keys, read_fraction, seed=seed)
+            keys = common.keys_for(n, k_fraction, l_fraction, seed=SEED)
+            ops = common.mixed_ops(keys, READ_FRACTION, seed=SEED)
             base = base_cache.get(label)
             if base is None:
                 base = run_phases(
@@ -57,7 +57,7 @@ def run(
             sa = run_phases(
                 common.sa_btree_factory(
                     common.buffer_config(
-                        n, buffer_fraction, page_size=8, flush_fraction=fraction
+                        n, BUFFER_FRACTION, page_size=8, flush_fraction=fraction
                     )
                 ),
                 [("mixed", ops)],

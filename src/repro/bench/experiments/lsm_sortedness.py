@@ -60,14 +60,18 @@ def _build(variant: str, n: int, buffer_fraction: float):
     return lsm, lsm
 
 
-def run(n: int = 16_000, buffer_fraction: float = 0.01, seed: int = 7) -> LSMSortednessResult:
+BUFFER_FRACTION = 0.01
+SEED = 7
+
+
+def run(n: int) -> LSMSortednessResult:
     data: Dict[Tuple[str, str], float] = {}
     rows = []
     for label, k_fraction, l_fraction in PRESETS:
-        keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
+        keys = common.keys_for(n, k_fraction, l_fraction, seed=SEED)
         row = [label]
         for variant in VARIANTS:
-            index, lsm = _build(variant, n, buffer_fraction)
+            index, lsm = _build(variant, n, BUFFER_FRACTION)
             for key in keys:
                 index.insert(key, key)
             if isinstance(index, SortednessAwareIndex):

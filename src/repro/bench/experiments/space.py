@@ -36,17 +36,21 @@ class SpaceResult:
     data: Dict[str, Dict[str, float]]
 
 
-def run(n: int = 20_000, buffer_fraction: float = 0.01, seed: int = 7) -> SpaceResult:
+BUFFER_FRACTION = 0.01
+SEED = 7
+
+
+def run(n: int) -> SpaceResult:
     data: Dict[str, Dict[str, float]] = {}
     rows: List[list] = []
     for label, k_fraction, l_fraction in PRESETS:
-        keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
+        keys = common.keys_for(n, k_fraction, l_fraction, seed=SEED)
         ingest = [(INSERT, key, value_for(key)) for key in keys]
         base = run_phases(
             common.baseline_btree_factory(), [("ingest", ingest)], label="B+"
         )
         sa = run_phases(
-            common.sa_btree_factory(common.buffer_config(n, buffer_fraction)),
+            common.sa_btree_factory(common.buffer_config(n, BUFFER_FRACTION)),
             [("ingest", ingest)],
             label="SA",
             flush_after="ingest",

@@ -53,10 +53,13 @@ def _tree_factory(split_factor: float):
     return factory
 
 
-def run(n: int = 20_000, seed: int = 7) -> Table1Result:
+SEED = 7
+
+
+def run(n: int) -> Table1Result:
     raw: Dict[Tuple[float, str], int] = {}
     for label, k_fraction, l_fraction in PRESETS:
-        keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
+        keys = common.keys_for(n, k_fraction, l_fraction, seed=SEED)
         ingest = [(INSERT, key, value_for(key)) for key in keys]
         for ratio in SPLIT_RATIOS:
             result = run_phases(

@@ -32,15 +32,19 @@ class Table3Result:
     measured_l: float
 
 
-def run(n: int = 40_000, seed: int = 7, measure_sample: int = 6_000) -> Table3Result:
-    keys = receiptdate_keys(n, seed=seed)
-    sample = measure_sortedness(keys[:measure_sample])
+SEED = 7
+MEASURE_SAMPLE = 6_000
+
+
+def run(n: int) -> Table3Result:
+    keys = receiptdate_keys(n, seed=SEED)
+    sample = measure_sortedness(keys[:MEASURE_SAMPLE])
 
     data: Dict[Tuple[float, float], float] = {}
     base_cache: Dict[float, RunResult] = {}
     rows: List[list] = []
     for ratio in RATIOS:
-        ops = common.mixed_ops(keys, ratio, seed=seed)
+        ops = common.mixed_ops(keys, ratio, seed=SEED)
         base = base_cache.get(ratio)
         if base is None:
             base = run_phases(

@@ -27,18 +27,18 @@ class ZonemapAblationResult:
     data: Dict[str, float]
 
 
-def run(
-    n: int = 16_000,
-    k_fraction: float = 0.20,
-    l_fraction: float = 0.10,
-    buffer_fraction: float = 0.05,
-    n_lookups: int = 5_000,
-    seed: int = 7,
-) -> ZonemapAblationResult:
-    keys = common.keys_for(n, k_fraction, l_fraction, seed=seed)
+K_FRACTION = 0.20
+L_FRACTION = 0.10
+BUFFER_FRACTION = 0.05
+N_LOOKUPS = 5_000
+SEED = 7
+
+
+def run(n: int) -> ZonemapAblationResult:
+    keys = common.keys_for(n, K_FRACTION, L_FRACTION, seed=SEED)
     ingest = [(INSERT, key, value_for(key)) for key in keys]
     lookups = list(
-        common.raw_spec(keys, n_lookups=n_lookups, seed=seed).lookup_operations()
+        common.raw_spec(keys, n_lookups=N_LOOKUPS, seed=SEED).lookup_operations()
     )
     phases = [("ingest", ingest), ("lookups", lookups)]
 
@@ -46,7 +46,7 @@ def run(
     for label, enabled in (("with", True), ("without", False)):
         config = common.buffer_config(
             n,
-            buffer_fraction,
+            BUFFER_FRACTION,
             enable_read_zonemaps=enabled,
             query_sorting_threshold=1.0,
         )
@@ -63,7 +63,7 @@ def run(
             ("no Zonemaps at query time", results["without"] / 1e3),
             ("penalty", f"{penalty:.1%}"),
         ],
-        title=f"§V-D — read-path Zonemap ablation (n={n}, K={k_fraction:.0%}, L={l_fraction:.0%})",
+        title=f"§V-D — read-path Zonemap ablation (n={n}, K={K_FRACTION:.0%}, L={L_FRACTION:.0%})",
     )
     return ZonemapAblationResult(
         report=report,

@@ -40,13 +40,12 @@ def format_matrix(
     value: Callable[[object, object], float],
     title: Optional[str] = None,
     row_header: str = "",
-    fmt: str = "{:6.2f}",
 ) -> str:
     """A heat-map style grid (rows × cols), e.g. the Fig. 14 K×L speedups."""
     headers = [row_header] + [str(c) for c in col_keys]
     rows = []
     for r in row_keys:
-        rows.append([str(r)] + [fmt.format(value(r, c)).strip() for c in col_keys])
+        rows.append([str(r)] + [f"{value(r, c):6.2f}".strip() for c in col_keys])
     return format_table(headers, rows, title=title)
 
 

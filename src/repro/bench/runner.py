@@ -137,7 +137,6 @@ def execute_operations_observed(
 def run_phases(
     factory: IndexFactory,
     phases: List[Tuple[str, Iterable[Operation]]],
-    cost_model: Optional[CostModel] = None,
     label: str = "",
     flush_after: Optional[str] = None,
     obs: Optional[Observability] = None,
@@ -153,7 +152,7 @@ def run_phases(
     latency histograms and the run's :class:`Meter` registers as a
     collector.
     """
-    model = cost_model or CostModel()
+    model = CostModel()
     meter = Meter()
     obs = obs if obs is not None else current_obs()
     observed = obs is not NULL_OBS

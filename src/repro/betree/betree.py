@@ -571,16 +571,6 @@ class BeTree:
     def min_key(self) -> Optional[int]:
         return self._min_key
 
-    def pending_messages(self) -> int:
-        """Total messages sitting in internal buffers (test helper)."""
-
-        def count(node) -> int:
-            if node.is_leaf:
-                return 0
-            return len(node.buffer) + sum(count(child) for child in node.children)
-
-        return count(self._root) if self._root is not None else 0
-
     def check_invariants(self) -> None:
         """Validate structure; raises InvariantViolation on any breach."""
         if self._root is None:

@@ -184,9 +184,6 @@ class GappedInternal:
     def child_index(self, key: int) -> int:
         return bisect_right(self.ks, key)
 
-    def child_for(self, key: int):
-        return self.children[self.child_index(key)]
-
     # -- mutation --
     def insert_pivot(self, idx: int, key: int, child: object) -> None:
         """Insert separator ``key`` at ``idx`` with ``child`` to its right."""

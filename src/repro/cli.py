@@ -13,9 +13,9 @@ Commands
     Run one entry of the experiment table
     (:data:`repro.bench.experiments.EXPERIMENTS`: fig09 … fig21, table1,
     table3, the §V-D sweeps, the extensions and the component ablation) at
-    its pinned kwargs, or at ``--n``, print its report, and evaluate its
+    its pinned ``n``, or at ``--n``, print its report, and evaluate its
     paper-shape check: a failed check is printed to stderr and exits 1.
-    At the pinned kwargs the report equals ``results/<report>.txt``.
+    At the pinned ``n`` the report equals ``results/<report>.txt``.
     ``--profile`` also prints the sampled per-layer wall-time table.
 ``recover``
     Rebuild an index from a checkpoint file plus a write-ahead-log tail
@@ -283,15 +283,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     """Run a table entry, print its report, then evaluate its shape check."""
     entry = EXPERIMENTS[args.name]
-    module, kwargs = entry.module, entry.run_kwargs(args.n)
+    module, n = entry.module, entry.n if args.n is None else args.n
     if not args.profile:
-        result = module.run(**kwargs)
+        result = module.run(n)
         print(result.report)
     else:
         from repro.obs import SamplingProfiler
 
         with SamplingProfiler() as profiler:
-            result = module.run(**kwargs)
+            result = module.run(n)
         print(result.report)
         print("profile (sampled at %.0f Hz):" % profiler.hz)
         print(profiler.format_table())

@@ -13,8 +13,7 @@ encodes those findings:
 * in memory, scrambled data or a read share above ~99% favours the plain
   B+-tree (Fig. 10: "the worst-case guarantees of a classical B+-tree are
   sufficient"; §V-B: "if a mixed workload is read-dominated (writes < 1%),
-  the incurred read overhead outweighs the benefits");
-* on disk, SA B+-tree wins regardless of sortedness (Fig. 18).
+  the incurred read overhead outweighs the benefits").
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ def recommend(
     k_fraction: float,
     l_fraction: float,
     read_fraction: float = 0.5,
-    on_disk: bool = False,
 ) -> Recommendation:
     """Recommend an index + tuning for a workload's measured sortedness."""
     if not 0.0 <= k_fraction <= 1.0 or not 0.0 <= l_fraction <= 1.0:
@@ -78,12 +76,7 @@ def recommend(
     scrambled = k_fraction >= 0.85 and l_fraction >= 0.40
 
     use_sware = True
-    if on_disk:
-        rationale.append(
-            "on disk SA B+-tree outperforms the baseline for any sortedness "
-            "and read ratio (Fig. 18)"
-        )
-    elif read_fraction > 0.99:
+    if read_fraction > 0.99:
         use_sware = False
         rationale.append(
             "read share > 99%: buffer overhead outweighs ingestion benefits (§V-B)"

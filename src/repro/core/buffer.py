@@ -177,7 +177,8 @@ class SWAREBuffer:
         #: paper's Zonemap overlap test maintains for ``last_sorted_zone``.
         self._min_after_main: Optional[int] = None
         self.zonemap = Zonemap()  # whole-buffer range
-        self._query_sort_len = self.config.query_sort_trigger  #: ``_open + query_sort_at``
+        #: tail length from which a read query-sorts: ``_open`` + the trigger
+        self._query_sort_len = self.config.query_sort_trigger
         self._capacity = self.config.buffer_capacity  #: the config is frozen
 
     # ------------------------------------------------------------------
@@ -197,11 +198,6 @@ class SWAREBuffer:
     @property
     def is_empty(self) -> bool:
         return self._n == 0
-
-    @property
-    def sorted_section_size(self) -> int:
-        """Size of the main sorted section (the ``previous_boundary``)."""
-        return len(self._main.keys)
 
     @property
     def tail_size(self) -> int:
@@ -409,14 +405,6 @@ class SWAREBuffer:
     # ------------------------------------------------------------------
     # query-driven sorting (§IV-C)
     # ------------------------------------------------------------------
-    @property
-    def query_sort_at(self) -> float:  # open-segment size from which a read query-sorts
-        return self._query_sort_len - self._open
-
-    @query_sort_at.setter
-    def query_sort_at(self, size: float) -> None:
-        self._query_sort_len = self._open + size
-
     def should_query_sort(self) -> bool:
         return len(self._tail_keys) >= self._query_sort_len
 
@@ -533,6 +521,12 @@ class SWAREBuffer:
             raise InvariantViolation(f"entry count {self._n} != component sum")
         if self._n > self.config.buffer_capacity:
             raise InvariantViolation("buffer above capacity")
+
+
+#: Estimated-sortedness cutoffs below which a tail sort is billed as the
+#: (K,L)-adaptive algorithm rather than a general stable sort.
+KL_K_THRESHOLD = 0.20
+KL_L_THRESHOLD = 0.05
 
 
 class MeteredSWAREBuffer(SWAREBuffer):
@@ -663,7 +657,6 @@ class MeteredSWAREBuffer(SWAREBuffer):
         n = len(keys)
         if n == self._tail_billed:
             return None
-        cfg = self.config
         estimate = self.kl_estimate
         main_keys = self._main.keys
         if self._observed_main < len(main_keys):
@@ -673,11 +666,11 @@ class MeteredSWAREBuffer(SWAREBuffer):
         self._tail_billed = n
         m = n - start
         algorithm, work = "stable", m * max(1, m.bit_length())
-        if estimate.k_fraction < cfg.kl_k_threshold or estimate.l_fraction < cfg.kl_l_threshold:
+        if estimate.k_fraction < KL_K_THRESHOLD or estimate.l_fraction < KL_L_THRESHOLD:
             # (K,L)-sort's split pass decides; its merge and the general
             # stable sort produce the same (key, seq) order, so only the
             # accounting differs.
-            capacity = max(16, int((cfg.kl_k_threshold + cfg.kl_l_threshold) * m) * 2)
+            capacity = max(16, int((KL_K_THRESHOLD + KL_L_THRESHOLD) * m) * 2)
             if kl_split_fits(keys[start:] if start else keys, capacity):
                 algorithm, work = "kl", m * max(1, capacity.bit_length())  # O(n log(K+L))
         if algorithm == "kl":

@@ -2,9 +2,8 @@
 
 Defaults follow the paper's §V "Default Setup" and "SWARE Tuning", scaled
 per DESIGN.md: the SWARE-buffer flushes 50% when saturated, query-driven
-sorting triggers at 10% of the buffer, Bloom filters get 10 bits per entry
-at two levels (global + per page), and the (K,L)-adaptive sort is chosen
-when the estimated K < 20% or L < 5% of the buffer.
+sorting triggers at 10% of the buffer, and Bloom filters get 10 bits per
+entry at two levels (global + per page).
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ class SWAREConfig:
     enable_read_zonemaps:
         Ablation switch for the §V-D Zonemap experiment: when off, point
         lookups scan unsorted pages without consulting page Zonemaps.
-    kl_k_threshold / kl_l_threshold:
-        Estimated-sortedness cutoffs below which the flush-time sort uses
-        the (K,L)-adaptive algorithm rather than a general stable sort.
     """
 
     buffer_capacity: int = 4096
@@ -54,8 +50,6 @@ class SWAREConfig:
     enable_global_bf: bool = True
     enable_page_bf: bool = True
     enable_read_zonemaps: bool = True
-    kl_k_threshold: float = 0.20
-    kl_l_threshold: float = 0.05
 
     def __post_init__(self) -> None:
         if self.buffer_capacity < 2:
@@ -70,10 +64,6 @@ class SWAREConfig:
             raise ConfigError("query_sorting_threshold must be in (0, 1]")
         if self.bits_per_entry <= 0:
             raise ConfigError("bits_per_entry must be positive")
-        if not 0.0 <= self.kl_k_threshold <= 1.0:
-            raise ConfigError("kl_k_threshold must be within [0, 1]")
-        if not 0.0 <= self.kl_l_threshold <= 1.0:
-            raise ConfigError("kl_l_threshold must be within [0, 1]")
 
     @property
     def query_sort_trigger(self) -> float:

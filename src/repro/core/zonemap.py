@@ -12,7 +12,9 @@ The SWARE-buffer keeps min/max Zonemaps at three granularities (§IV-A/B):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
+
+from repro.errors import ConfigError
 
 
 class Zonemap:
@@ -50,9 +52,6 @@ class Zonemap:
     def is_empty(self) -> bool:
         return self.min_key is None
 
-    def as_tuple(self) -> Tuple[Optional[int], Optional[int]]:
-        return (self.min_key, self.max_key)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Zonemap[{self.min_key}, {self.max_key}]"
 
@@ -70,7 +69,7 @@ class PageZonemaps:
 
     def __init__(self, page_size: int):
         if page_size < 1:
-            raise ValueError("page_size must be >= 1")
+            raise ConfigError("page_size must be >= 1")
         self.page_size = page_size
         self._zones: List[Zonemap] = []
 
@@ -112,15 +111,6 @@ class PageZonemaps:
         if page >= len(self._zones):
             return False
         return self._zones[page].may_contain(key)
-
-    def page_overlaps(self, page: int, lo: int, hi: int) -> bool:
-        if page >= len(self._zones):
-            return False
-        return self._zones[page].overlaps(lo, hi)
-
-    @property
-    def n_pages(self) -> int:
-        return len(self._zones)
 
     def reset(self) -> None:
         self._zones.clear()

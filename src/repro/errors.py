@@ -55,20 +55,6 @@ class CheckpointUnsupportedError(ReproError, TypeError):
     """
 
 
-class BufferpoolFullError(ReproError, RuntimeError):
-    """Every frame in the bufferpool is pinned; no victim can be chosen."""
-
-
-class PinViolationError(ReproError, ValueError):
-    """A bufferpool pin-accounting rule was violated.
-
-    Raised when a pinned frame is dropped (which would silently corrupt the
-    pin count the later ``unpin`` relies on) or when an unpinned page is
-    unpinned. Subclasses :class:`ValueError` for backward compatibility with
-    callers that caught the bare ``ValueError`` ``unpin`` used to raise.
-    """
-
-
 class WALError(ReproError, RuntimeError):
     """The write-ahead log cannot accept the requested operation.
 

@@ -13,9 +13,10 @@ the buffer's capacity) and support ``clear()`` for reuse across flush cycles.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro import kernels
+from repro.errors import ConfigError
 from repro.filters.hashing import rotate64, shared_base, shared_bases
 
 
@@ -29,14 +30,12 @@ def optimal_num_probes(bits_per_entry: float) -> int:
     return max(1, round(bits_per_entry * math.log(2)))
 
 
-def theoretical_fpr(
-    capacity: int, bits_per_entry: float, n_added: int, n_probes: Optional[int] = None
-) -> float:
+def theoretical_fpr(capacity: int, bits_per_entry: float, n_added: int) -> float:
     """False-positive rate of a filter of this geometry holding ``n_added``
     keys, in theory; no filter need exist."""
     if n_added == 0:
         return 0.0
-    k = optimal_num_probes(bits_per_entry) if n_probes is None else n_probes
+    k = optimal_num_probes(bits_per_entry)
     return (1.0 - math.exp(-k * n_added / max(8, int(capacity * bits_per_entry)))) ** k
 
 
@@ -70,16 +69,15 @@ class BloomFilter:
         capacity: int,
         bits_per_entry: float = 10.0,
         rotation: int = 0,
-        n_probes: Optional[int] = None,
     ):
         if capacity <= 0:
-            raise ValueError("capacity must be positive")
+            raise ConfigError("capacity must be positive")
         if bits_per_entry <= 0:
-            raise ValueError("bits_per_entry must be positive")
+            raise ConfigError("bits_per_entry must be positive")
         self.capacity = capacity
         self.bits_per_entry = bits_per_entry
         self.n_bits = max(8, int(capacity * bits_per_entry))
-        self.n_probes = n_probes if n_probes is not None else optimal_num_probes(bits_per_entry)
+        self.n_probes = optimal_num_probes(bits_per_entry)
         self.rotation = rotation
         # Padded to a whole number of 64-bit words so the kernels can view
         # the store as uint64 without copying; probe positions are all
@@ -155,10 +153,9 @@ class BloomFilter:
         """
         return kernels.popcount_bytes(self._bits) / self.n_bits
 
-    def expected_fpr(self, n_added: Optional[int] = None) -> float:
-        """Theoretical false-positive rate at the current load, or at ``n_added``."""
-        n_added = self.n_added if n_added is None else n_added
-        return theoretical_fpr(self.capacity, self.bits_per_entry, n_added, self.n_probes)
+    def expected_fpr(self) -> float:
+        """Theoretical false-positive rate at the current load."""
+        return theoretical_fpr(self.capacity, self.bits_per_entry, self.n_added)
 
     def __contains__(self, key: int) -> bool:
         return self.may_contain(key)

@@ -7,8 +7,8 @@ design "can be optimized to better handle near-sorted data ingestion". This
 module implements both sides of that observation as an extension of the
 reproduction:
 
-* a classical LSM-tree — memtable, sorted runs with Bloom filters and
-  Zonemaps, leveling or tiering compaction with size ratio T;
+* a classical leveled LSM-tree — memtable, sorted runs with Bloom filters
+  and Zonemaps, one run per level, size ratio T;
 * ``sortedness_aware=True`` adds *skip-merge* compaction: when the incoming
   run does not overlap the resident data (which is exactly what happens
   when ingestion is sorted or near-sorted), the run is installed by a
@@ -31,9 +31,6 @@ from repro.lsm.run import Entry, SortedRun
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
 from repro.storage.costmodel import NULL_METER, Meter
 
-LEVELING = "leveling"
-TIERING = "tiering"
-
 
 @dataclass(frozen=True)
 class LSMConfig:
@@ -41,8 +38,6 @@ class LSMConfig:
 
     memtable_capacity: int = 256
     size_ratio: int = 4
-    policy: str = LEVELING
-    bits_per_entry: float = 10.0
     sortedness_aware: bool = False
 
     def __post_init__(self) -> None:
@@ -50,10 +45,6 @@ class LSMConfig:
             raise ConfigError("memtable_capacity must be >= 2")
         if self.size_ratio < 2:
             raise ConfigError("size_ratio must be >= 2")
-        if self.policy not in (LEVELING, TIERING):
-            raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.bits_per_entry <= 0:
-            raise ConfigError("bits_per_entry must be positive")
 
     def level_capacity(self, level: int) -> int:
         """Entry budget of ``level`` (level 0 holds one memtable flush)."""
@@ -128,7 +119,7 @@ class LSMTree:
             self.obs.event("lsm.memtable_flush", entries=n)
         self.obs.observe_hist("lsm_flush_entries", n, buckets=DEFAULT_SIZE_BUCKETS)
         self._memtable.clear()
-        run = SortedRun(entries, self.config.bits_per_entry)
+        run = SortedRun(entries)
         self._charge_write(len(run))  # the flush itself writes the run once
         self._install_run(run, level=0)
 
@@ -137,7 +128,7 @@ class LSMTree:
 
         Write accounting: a run is charged where it *materializes* — at the
         memtable flush, at a merge, or at a bulk load. Installing an
-        existing run without merging (trivial move, tier append) rewrites
+        existing run without merging (a trivial move) rewrites
         nothing and charges nothing; that asymmetry is the entire benefit
         of sortedness-aware skip-merge.
         """
@@ -156,15 +147,12 @@ class LSMTree:
             if self.obs.enabled:
                 self.obs.event("lsm.trivial_move", level=level, entries=len(run))
             resident.insert(0, run)
-        elif self.config.policy == LEVELING:
-            if resident:
-                merged = self._merge_runs([run] + resident)
-                self.merges += 1
-                self._levels[level] = [merged] if len(merged) else []
-            else:
-                self._levels[level] = [run] if len(run) else []
-        else:  # tiering: runs accumulate, merge only on overflow
-            resident.insert(0, run)
+        elif resident:
+            merged = self._merge_runs([run] + resident)
+            self.merges += 1
+            self._levels[level] = [merged] if len(merged) else []
+        else:
+            self._levels[level] = [run]
 
         self._maybe_cascade(level)
 
@@ -179,17 +167,12 @@ class LSMTree:
         while level < len(self._levels) and self._level_size(level) > self.config.level_capacity(level):
             runs = self._levels[level]
             self._levels[level] = []
-            if self.config.sortedness_aware:
-                # Move runs down one by one, oldest first, so each gets its
-                # own skip-merge chance at the next level (and recency order
-                # within that level is preserved).
-                for run in reversed(runs):
-                    self._install_run(run, level + 1)
-            elif len(runs) > 1:
-                self.merges += 1
-                self._install_run(self._merge_runs(runs), level + 1)
-            elif runs:
-                self._install_run(runs[0], level + 1)
+            # Move runs down one by one, oldest first, so each gets its own
+            # skip-merge chance at the next level (and recency order within
+            # that level is preserved). Without skip-merge a level holds one
+            # run.
+            for run in reversed(runs):
+                self._install_run(run, level + 1)
             level += 1
 
     def _merge_runs(self, runs: List[SortedRun]) -> SortedRun:
@@ -211,7 +194,7 @@ class LSMTree:
             else:
                 deduped.append(entry)
         self._charge_write(len(deduped))  # the merge output is written once
-        return SortedRun(deduped, self.config.bits_per_entry)
+        return SortedRun(deduped)
 
     # ------------------------------------------------------------------
     # bulk loading (used when SWARE wraps the LSM-tree)
@@ -242,55 +225,12 @@ class LSMTree:
             self._seq += 1
             entries.append((key, self._seq, value, False))
         self.meter.charge("bulk_entry", len(entries))
-        run = SortedRun(entries, self.config.bits_per_entry)
+        run = SortedRun(entries)
         self._charge_write(len(run))
         self._install_run(run, level=0)
         self._max_key = items[-1][0]
         if self._min_key is None:
             self._min_key = items[0][0]
-
-    # ------------------------------------------------------------------
-    # full compaction
-    # ------------------------------------------------------------------
-    def compact(self) -> dict:
-        """Merge every run into one bottom-level run; returns merge stats.
-
-        The merge is :meth:`_merge_runs` (newest version per key wins).
-        Because this is a *full* compaction — the output is the new bottom
-        of the tree — tombstones drop out of its output too.
-        """
-        if self._memtable:
-            self._flush_memtable()
-        resident = list(self._iter_runs())  # newest first
-        n_runs = len(resident)
-        total_in = sum(len(run) for run in resident)
-        if n_runs <= 1 and not any(e[3] for run in resident for e in run.entries):
-            # Already one tombstone-free run (or empty): nothing to merge.
-            return {
-                "runs_in": n_runs,
-                "entries_in": total_in,
-                "entries_out": total_in,
-                "merged": False,
-            }
-        entries = [e for e in self._merge_runs(resident).entries if not e[3]]
-        self.merges += 1
-        bottom = max(len(self._levels) - 1, 0)
-        self._levels = [[] for _ in range(bottom)] + [
-            [SortedRun(entries, self.config.bits_per_entry)] if entries else []
-        ]
-        if self.obs.enabled:
-            self.obs.event(
-                "lsm.compact",
-                runs=n_runs,
-                entries_in=total_in,
-                entries_out=len(entries),
-            )
-        return {
-            "runs_in": n_runs,
-            "entries_in": total_in,
-            "entries_out": len(entries),
-            "merged": True,
-        }
 
     # ------------------------------------------------------------------
     # reads
@@ -371,9 +311,6 @@ class LSMTree:
         """Entries (re-)written to runs per ingested entry."""
         return self.entries_written / self.inserts if self.inserts else 0.0
 
-    def level_sizes(self) -> List[int]:
-        return [self._level_size(level) for level in range(len(self._levels))]
-
     def n_runs(self) -> int:
         return sum(len(level) for level in self._levels)
 
@@ -385,15 +322,13 @@ class LSMTree:
                 for i in range(1, len(run.keys)):
                     if run.keys[i - 1] > run.keys[i]:
                         raise InvariantViolation(f"run at level {depth} unsorted")
-            if self.config.policy == LEVELING and not self.config.sortedness_aware:
-                if len(level) > 1:
-                    raise InvariantViolation(
-                        f"leveling keeps one run per level, found {len(level)}"
-                    )
-            # Within a level, runs must be pairwise disjoint under leveling
-            # with skip-merge (that is the property skip-merge relies on).
-            if self.config.policy == LEVELING:
-                for i, a in enumerate(level):
-                    for b in level[i + 1 :]:
-                        if a.overlaps(b):
-                            raise InvariantViolation("overlapping runs in a level")
+            if not self.config.sortedness_aware and len(level) > 1:
+                raise InvariantViolation(
+                    f"leveling keeps one run per level, found {len(level)}"
+                )
+            # Within a level, runs must be pairwise disjoint (that is the
+            # property skip-merge relies on).
+            for i, a in enumerate(level):
+                for b in level[i + 1 :]:
+                    if a.overlaps(b):
+                        raise InvariantViolation("overlapping runs in a level")

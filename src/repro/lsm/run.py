@@ -2,8 +2,7 @@
 
 A run is an immutable sorted array of entries with a min/max Zonemap and a
 Bloom filter, exactly the per-run metadata real LSM engines (RocksDB et
-al.) attach to SSTables. Runs never overlap *within* a level of the leveled
-variant; the tiering variant allows overlapping runs per tier.
+al.) attach to SSTables. Runs never overlap *within* a level.
 """
 
 from __future__ import annotations
@@ -17,6 +16,9 @@ from repro.filters.bloom import BloomFilter
 #: Entry = (key, seq, value, is_tombstone) — same shape as the SWARE buffer.
 Entry = Tuple[int, int, object, bool]
 
+#: Bloom-filter budget of every run.
+BITS_PER_ENTRY = 10.0
+
 
 class SortedRun:
     """An immutable sorted run with Zonemap + Bloom filter."""
@@ -25,7 +27,7 @@ class SortedRun:
 
     _next_id = 0
 
-    def __init__(self, entries: List[Entry], bits_per_entry: float = 10.0):
+    def __init__(self, entries: List[Entry]):
         if any(
             entries[i - 1][0] > entries[i][0] for i in range(1, len(entries))
         ):  # pragma: no cover - construction precondition
@@ -37,7 +39,7 @@ class SortedRun:
         if entries:
             self.zonemap.update(entries[0][0])
             self.zonemap.update(entries[-1][0])
-            self.bloom = BloomFilter(max(1, len(entries)), bits_per_entry)
+            self.bloom = BloomFilter(max(1, len(entries)), BITS_PER_ENTRY)
             for key in self.keys:
                 self.bloom.add(key)
         SortedRun._next_id += 1

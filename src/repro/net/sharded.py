@@ -595,9 +595,11 @@ def recover_sharded(
         for row in rows:
             directory = os.path.join(root, row["dir"])
             config = dict(row["config"])
-            # Retired knob of older manifests: it chose the Bloom hash, and
-            # filters are never persisted, so every value recovers the same.
-            config.pop("hash_family", None)
+            # Retired knobs of older manifests: the Bloom hash and the
+            # billed sort's cutoffs. Neither filters nor bills are persisted,
+            # so every value recovers the same.
+            for retired in ("hash_family", "kl_k_threshold", "kl_l_threshold"):
+                config.pop(retired, None)
             try:
                 cfg = SWAREConfig(**config)
             except TypeError as exc:

@@ -93,8 +93,8 @@ class Observability:
         return self.tracer.span(name, **attrs)
 
     # -- metrics -----------------------------------------------------------
-    def count(self, name: str, amount: float = 1.0) -> None:
-        self.registry.counter(name).inc(amount)
+    def count(self, name: str) -> None:
+        self.registry.counter(name).inc()
 
     def gauge(self, name: str, value: float) -> None:
         self.registry.gauge(name).set(value)
@@ -146,7 +146,7 @@ class _NullObservability(Observability):
     def span(self, name: str, **attrs):
         return NULL_SPAN
 
-    def count(self, name: str, amount: float = 1.0) -> None:
+    def count(self, name: str) -> None:
         return None
 
     def gauge(self, name: str, value: float) -> None:

@@ -16,7 +16,7 @@ inspectable in a real viewer.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.registry import sanitize_name
 from repro.obs.tracer import TraceEvent, Tracer
@@ -36,7 +36,7 @@ def _fmt_value(value: float) -> str:
     return repr(value)
 
 
-def snapshot_to_prometheus(snapshot: Dict[str, object], prefix: str = "repro") -> str:
+def snapshot_to_prometheus(snapshot: Dict[str, object]) -> str:
     """Render a registry snapshot in the Prometheus text exposition format.
 
     Metric names are sanitized into the legal charset on the way out (a
@@ -53,15 +53,15 @@ def snapshot_to_prometheus(snapshot: Dict[str, object], prefix: str = "repro") -
 
     lines: List[str] = []
     for name, value in sorted((snapshot.get("counters") or {}).items()):
-        full = f"{prefix}_{sanitize_name(name)}"
+        full = f"repro_{sanitize_name(name)}"
         emit_header(lines, full, name, "counter")
         lines.append(f"{full} {_fmt_value(float(value))}")
     for name, value in sorted((snapshot.get("gauges") or {}).items()):
-        full = f"{prefix}_{sanitize_name(name)}"
+        full = f"repro_{sanitize_name(name)}"
         emit_header(lines, full, name, "gauge")
         lines.append(f"{full} {_fmt_value(float(value))}")
     for name, data in sorted((snapshot.get("histograms") or {}).items()):
-        full = f"{prefix}_{sanitize_name(name)}"
+        full = f"repro_{sanitize_name(name)}"
         emit_header(lines, full, name, "histogram")
         running = 0
         for bound, count in zip(data["buckets"], data["counts"]):
@@ -78,11 +78,7 @@ def _fmt_attrs(attrs: Dict[str, object]) -> str:
     return " ".join(f"{k}={v}" for k, v in attrs.items())
 
 
-def render_trace(
-    tracer: Optional[Tracer],
-    limit: Optional[int] = None,
-    events: Optional[Sequence[TraceEvent]] = None,
-) -> str:
+def render_trace(tracer: Tracer, limit: Optional[int] = None) -> str:
     """A human timeline: relative ms, indented by span depth.
 
     Spans are recorded at exit, so the buffer is already in end-time order;
@@ -90,11 +86,11 @@ def render_trace(
     nonzero drop count is always surfaced — silently rendering a truncated
     window would bias any analysis toward the end of the run.
     """
-    rows = list(events) if events is not None else tracer.events()
+    rows = tracer.events()
     if limit is not None:
         rows = rows[-limit:]
     if not rows:
-        if tracer is not None and tracer.dropped:
+        if tracer.dropped:
             return (
                 "(no trace events retained; "
                 f"{tracer.dropped} dropped by the ring buffer)\n"
@@ -108,7 +104,7 @@ def render_trace(
         dur = f" [{event.dur_ns / 1e6:.3f} ms]" if event.dur_ns is not None else ""
         attrs = f"  {_fmt_attrs(event.attrs)}" if event.attrs else ""
         lines.append(f"{rel_ms:10.3f} ms  {indent}{event.name}{dur}{attrs}")
-    if tracer is not None and tracer.dropped:
+    if tracer.dropped:
         lines.append(
             f"WARNING: trace truncated — {tracer.dropped} earlier events "
             f"dropped by the ring buffer (capacity {tracer.capacity})"
@@ -132,7 +128,6 @@ def _json_safe(value: object) -> object:
 def to_perfetto(
     events: Iterable[TraceEvent],
     tracer: Optional[Tracer] = None,
-    process_name: str = "repro",
 ) -> Dict[str, object]:
     """Convert trace events into a Chrome trace-event (JSON object) document.
 
@@ -149,7 +144,7 @@ def to_perfetto(
             "ph": "M",
             "pid": PERFETTO_PID,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "repro"},
         }
     ]
     tids = sorted({event.tid for event in rows if event.tid is not None})

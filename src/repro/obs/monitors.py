@@ -36,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence
 
+from repro.errors import ConfigError
 from repro.sortedness.metrics import RunningSortednessEstimate
 
 #: Insert-stream window size for the (K,L) drift estimates.
@@ -43,6 +44,9 @@ DEFAULT_WINDOW = 512
 
 #: Drift windows kept (the newest), like the other monitors' sample rings.
 MAX_WINDOWS = 1024
+
+#: Fill-trajectory and expected-FPR samples kept (the newest).
+SAMPLE_CAPACITY = 1024
 
 #: How often (in observed keys) the fill trajectory is sampled.
 FILL_SAMPLE_EVERY = 64
@@ -79,19 +83,6 @@ class HealthFinding:
     threshold: float = 0.0
     attrs: Dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "severity": self.severity,
-            "code": self.code,
-            "message": self.message,
-            "remediation": self.remediation,
-            "value": self.value,
-            "threshold": self.threshold,
-        }
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        return out
-
 
 class SortednessDriftMonitor:
     """Windowed (K,L) estimates over the arriving key stream.
@@ -111,7 +102,7 @@ class SortednessDriftMonitor:
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         if window < 2:
-            raise ValueError("window must be >= 2")
+            raise ConfigError("window must be >= 2")
         self.window = window
         self.keys_observed = 0
         self.windows: Deque[Dict[str, float]] = deque(maxlen=MAX_WINDOWS)
@@ -149,8 +140,8 @@ class SortednessDriftMonitor:
 class SaturationMonitor:
     """Buffer-fill trajectory + flush-cycle routing accounting."""
 
-    def __init__(self, trajectory_capacity: int = 1024):
-        self.fill_trajectory: Deque[float] = deque(maxlen=trajectory_capacity)
+    def __init__(self) -> None:
+        self.fill_trajectory: Deque[float] = deque(maxlen=SAMPLE_CAPACITY)
         self.flushes = 0
         self.sorted_flushes = 0
         self.flush_entries = 0
@@ -181,8 +172,8 @@ class SaturationMonitor:
 class BloomMonitor:
     """Theoretical FPR sampled per flush epoch (the filter resets there)."""
 
-    def __init__(self, sample_capacity: int = 1024):
-        self.expected_fpr_samples: Deque[float] = deque(maxlen=sample_capacity)
+    def __init__(self) -> None:
+        self.expected_fpr_samples: Deque[float] = deque(maxlen=SAMPLE_CAPACITY)
 
     def observe_expected_fpr(self, fpr: float) -> None:
         self.expected_fpr_samples.append(fpr)

@@ -8,17 +8,13 @@ innermost ``repro`` frame's module through :data:`LAYER_PREFIXES`, so a run
 answers "where does the wall time go?" at the same granularity the paper's
 Fig. 13 breakdown uses for simulated cost.
 
-Two output shapes:
-
-* :meth:`collapsed` — collapsed-stack lines (``frame;frame;frame count``),
-  the input format of every flamegraph renderer;
-* :meth:`layer_table` / :meth:`format_table` — the per-layer sample counts
-  and fractions ``repro experiment --profile`` prints.
+One output shape: :meth:`layer_table` / :meth:`format_table`, the
+per-layer sample counts and fractions ``repro experiment --profile`` prints.
 
 Cost model: the profiled program runs **zero** additional code — sampling
 happens entirely on the profiler's own thread, which wakes ``hz`` times a
 second, grabs the interpreter's frame map, and walks at most
-``max_depth`` frames per thread. At the default rate the steal is a few
+:data:`MAX_DEPTH` frames per thread. At the default rate the steal is a few
 hundred microseconds per second of run (≤5% is asserted by the obs-smoke
 CI job, with :func:`measure_overhead` as the measuring stick). When no
 profiler is constructed there is nothing to pay anywhere: no hook, no
@@ -31,7 +27,9 @@ import sys
 import threading
 import time
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+from repro.errors import ConfigError
 
 #: Default sampling rate. A prime-ish off-round frequency avoids lockstep
 #: with periodic program behavior (the classic profiler aliasing trap).
@@ -59,6 +57,9 @@ LAYER_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro", "repro-other"),
 )
 
+#: Frames walked per thread per sample, innermost first.
+MAX_DEPTH = 64
+
 #: Layer assigned to samples whose stack never enters ``repro``.
 OTHER_LAYER = "other"
 
@@ -74,15 +75,13 @@ def layer_for_module(module: str) -> Optional[str]:
 class SamplingProfiler:
     """See module docstring."""
 
-    def __init__(self, hz: float = DEFAULT_HZ, max_depth: int = 64):
+    def __init__(self, hz: float = DEFAULT_HZ):
         if hz <= 0:
-            raise ValueError("hz must be positive")
+            raise ConfigError("hz must be positive")
         self.hz = hz
-        self.max_depth = max_depth
         self.samples = 0  # stack samples taken (one per thread per tick)
         self.ticks = 0  # sampling wakeups
         self.layer_samples: Counter = Counter()
-        self.stack_samples: Counter = Counter()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._exclude: set = set()
@@ -144,29 +143,18 @@ class SamplingProfiler:
         return seen
 
     def _attribute(self, frame) -> None:
-        """Attribute one thread's stack to a layer + collapsed stack."""
-        stack: List[str] = []
+        """Attribute one thread's stack to a layer."""
         layer: Optional[str] = None
         depth = 0
-        while frame is not None and depth < self.max_depth:
-            module = frame.f_globals.get("__name__", "?")
-            stack.append(f"{module}.{frame.f_code.co_name}")
-            if layer is None:
-                # Innermost repro frame wins: that is where time is spent.
-                layer = layer_for_module(module)
+        # Innermost repro frame wins: that is where time is spent.
+        while frame is not None and depth < MAX_DEPTH and layer is None:
+            layer = layer_for_module(frame.f_globals.get("__name__", "?"))
             frame = frame.f_back
             depth += 1
-        stack.reverse()  # collapsed-stack order is outermost-first
         self.samples += 1
         self.layer_samples[layer if layer is not None else OTHER_LAYER] += 1
-        self.stack_samples[tuple(stack)] += 1
 
     # -- reading -----------------------------------------------------------
-    def collapsed(self, limit: Optional[int] = None) -> str:
-        """Collapsed-stack flamegraph lines: ``frame;frame;frame count``."""
-        rows = self.stack_samples.most_common(limit)
-        return "\n".join(f"{';'.join(stack)} {count}" for stack, count in rows)
-
     def layer_table(self) -> Dict[str, Dict[str, float]]:
         """Per-layer sample counts, fractions, and wall-time estimates."""
         total = sum(self.layer_samples.values())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -80,14 +80,12 @@ class Counter:
         self.name = name
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
+    def inc(self) -> None:
+        self.value += 1
 
 
 class Gauge:
-    """A value that can go up and down."""
+    """The latest reading of a value that can go up and down."""
 
     __slots__ = ("name", "value")
 
@@ -97,12 +95,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -136,16 +128,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """(upper_bound, cumulative_count) pairs, ending with +Inf."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.bounds, self.counts):
-            running += n
-            out.append((bound, running))
-        out.append((float("inf"), running + self.counts[-1]))
-        return out
 
     def percentile(self, q: float) -> float:
         """Estimated ``q``-th percentile (q in [0, 100])."""

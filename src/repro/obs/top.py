@@ -20,14 +20,14 @@ from repro.obs.monitors import build_signals, evaluate_signals
 _BARS = " ▁▂▃▄▅▆▇█"
 
 
-def spark(values: List[float], width: int = 32, peak: float = 1.0) -> str:
-    """A sparkline strip of ``values`` clipped to [0, peak]."""
+def spark(values: List[float], width: int = 32) -> str:
+    """A sparkline strip of ``values`` clipped to [0, 1]."""
     if not values:
         return "(no samples)"
     tail = values[-width:]
     out = []
     for value in tail:
-        level = 0.0 if peak <= 0 else max(0.0, min(1.0, value / peak))
+        level = max(0.0, min(1.0, value))
         out.append(_BARS[round(level * (len(_BARS) - 1))])
     return "".join(out)
 

@@ -39,6 +39,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
+from repro.errors import ConfigError
+
 
 @dataclass
 class TraceEvent:
@@ -53,18 +55,6 @@ class TraceEvent:
     span_id: Optional[int] = None
     parent_id: Optional[int] = None
     tid: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"name": self.name, "t_ns": self.t_ns, "depth": self.depth}
-        if self.dur_ns is not None:
-            out["dur_ns"] = self.dur_ns
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        for key in ("trace_id", "span_id", "parent_id", "tid"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
 
 class _NullSpan:
@@ -125,12 +115,12 @@ class _Span:
             self._parent_id = None
             self._trace_id = state.trace_id = next(tracer._ids)
         state.stack.append(self._span_id)
-        self._start = tracer._clock()
+        self._start = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc) -> None:
         tracer = self._tracer
-        now = tracer._clock()
+        now = time.perf_counter_ns()
         state = tracer._thread_state()
         if state.stack and state.stack[-1] == self._span_id:
             state.stack.pop()
@@ -154,12 +144,11 @@ class _Span:
 class Tracer:
     """See module docstring."""
 
-    def __init__(self, capacity: int = 8192, enabled: bool = False, clock=None):
+    def __init__(self, capacity: int = 8192, enabled: bool = False):
         if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+            raise ConfigError("capacity must be >= 1")
         self.capacity = capacity
         self.enabled = enabled
-        self._clock = clock if clock is not None else time.perf_counter_ns
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -185,12 +174,6 @@ class Tracer:
         return tid
 
     # -- control -----------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
@@ -216,7 +199,7 @@ class Tracer:
         self._record(
             TraceEvent(
                 name=name,
-                t_ns=self._clock(),
+                t_ns=time.perf_counter_ns(),
                 depth=len(state.stack),
                 attrs=attrs,
                 trace_id=state.trace_id,

@@ -44,11 +44,6 @@ class SortednessReport:
         """L as a fraction of the collection size (the paper's L%)."""
         return self.l / self.n if self.n else 0.0
 
-    @property
-    def is_sorted(self) -> bool:
-        """A collection is completely sorted iff K == 0 (equivalently L == 0)."""
-        return self.k == 0
-
     def degree(self) -> str:
         """Qualitative degree per §II of the paper.
 

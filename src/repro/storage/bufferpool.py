@@ -9,8 +9,9 @@ move — the trees keep their Python object nodes — but the I/O counts (and
 therefore the simulated latency) follow exactly the access pattern a paged
 implementation would produce.
 
-Pinning is supported because the SWARE-buffer "pins its pages in the
-system's bufferpool" (§IV-A): pinned frames are never eviction victims.
+Only tree nodes are paged through the pool. The SWARE buffer, which §IV-A
+pins in the system's bufferpool, lives outside it, so no frame is ever
+pinned and the eviction victim is always the least recently used frame.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import BufferpoolFullError, PinViolationError
+from repro.errors import ConfigError
 from repro.obs import NULL_OBS, Observability, current_obs
 from repro.storage.costmodel import NULL_METER, Meter
 
@@ -42,7 +43,6 @@ class Frame:
 
     page_id: int
     dirty: bool = False
-    pins: int = 0
 
 
 class BufferPool:
@@ -64,7 +64,7 @@ class BufferPool:
         obs: Optional[Observability] = None,
     ):
         if capacity is not None and capacity < 0:
-            raise ValueError("capacity must be >= 0 or None")
+            raise ConfigError("capacity must be >= 0 or None")
         self.capacity = capacity or None
         self.meter = meter if meter is not None else NULL_METER
         self.obs = obs if obs is not None else current_obs()
@@ -86,7 +86,7 @@ class BufferPool:
         """Touch ``page_id``; returns True on a hit.
 
         A miss simulates reading the page from disk and may evict the LRU
-        unpinned frame (writing it back first if dirty).
+        frame (writing it back first if dirty).
         """
         frame = self._frames.get(page_id)
         if frame is not None:
@@ -109,34 +109,6 @@ class BufferPool:
             return
         self._admit(Frame(page_id=page_id, dirty=True))
 
-    def drop(self, page_id: int) -> None:
-        """Discard a page that no longer exists (e.g. a merged node).
-
-        Dropping a pinned frame is a pin-accounting violation: the holder's
-        eventual ``unpin`` would target a vanished frame, so the bug would
-        only surface later and far from its cause. It is rejected here.
-        """
-        frame = self._frames.get(page_id)
-        if frame is None:
-            return
-        if frame.pins:
-            raise PinViolationError(
-                f"page {page_id} is pinned ({frame.pins}); cannot drop"
-            )
-        del self._frames[page_id]
-
-    def pin(self, page_id: int) -> None:
-        """Pin a page; it is faulted in first if absent."""
-        if page_id not in self._frames:
-            self.access(page_id)
-        self._frames[page_id].pins += 1
-
-    def unpin(self, page_id: int) -> None:
-        frame = self._frames.get(page_id)
-        if frame is None or frame.pins == 0:
-            raise PinViolationError(f"page {page_id} is not pinned")
-        frame.pins -= 1
-
     def flush_all(self) -> int:
         """Write back every dirty frame; returns the number written."""
         written = 0
@@ -157,19 +129,13 @@ class BufferPool:
         self._frames[frame.page_id] = frame
 
     def _evict_one(self) -> None:
-        for page_id, frame in self._frames.items():
-            if frame.pins == 0:
-                if frame.dirty:
-                    self.disk_writes += 1
-                    self.meter.charge("disk_write")
-                del self._frames[page_id]
-                self.evictions += 1
-                if self.obs.enabled:
-                    self.obs.event("pool.evict", page=page_id, dirty=frame.dirty)
-                return
-        raise BufferpoolFullError(
-            f"all {len(self._frames)} frames are pinned; cannot evict"
-        )
+        page_id, frame = self._frames.popitem(last=False)
+        if frame.dirty:
+            self.disk_writes += 1
+            self.meter.charge("disk_write")
+        self.evictions += 1
+        if self.obs.enabled:
+            self.obs.event("pool.evict", page=page_id, dirty=frame.dirty)
 
     # -- reporting --------------------------------------------------------------
     @property

@@ -60,9 +60,6 @@ class CostModel:
         if weights:
             self.weights.update(weights)
 
-    def cost(self, kind: str, count: float = 1.0) -> float:
-        return self.weights.get(kind, 0.0) * count
-
     def nanos(self, counts: Dict[str, float]) -> float:
         """Total simulated nanoseconds for a counter dictionary."""
         weights = self.weights

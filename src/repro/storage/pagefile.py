@@ -48,7 +48,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import CheckpointUnsupportedError, ReproError
+from repro.errors import CheckpointUnsupportedError, ConfigError, ReproError
 from repro.obs import current_obs
 from repro.storage.pages import PageCorruptionError, decode_value, encode_value
 from repro.storage.pages import deserialize_btree, serialize_btree
@@ -86,7 +86,7 @@ class PageFile:
         opener: Callable = open,
     ):
         if slot_size < 64:
-            raise ValueError("slot_size must be >= 64")
+            raise ConfigError("slot_size must be >= 64")
         self.path = path
         self.slot_size = slot_size
         self._free: List[int] = []
@@ -145,9 +145,6 @@ class PageFile:
         chain = self._chains.pop(page_id, None)
         if chain:
             self._free.extend(chain)
-
-    def page_ids(self) -> List[int]:
-        return sorted(self._chains)
 
     @property
     def n_slots(self) -> int:

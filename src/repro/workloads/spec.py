@@ -109,10 +109,6 @@ class RawWorkloadSpec:
     range_selectivity: float = 0.0
     seed: int = 0
 
-    def ingest_operations(self) -> Iterator[Operation]:
-        for key in self.keys:
-            yield (INSERT, key, value_for(key))
-
     def lookup_operations(self) -> Iterator[Operation]:
         rng = random.Random(self.seed)
         keys = self.keys

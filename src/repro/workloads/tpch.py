@@ -62,11 +62,15 @@ def sorted_by_shipdate(dates: LineitemDates) -> LineitemDates:
     )
 
 
-def receiptdate_keys(n: int, seed: int = 0, spread: int = 1 << 20) -> List[int]:
+#: Keys per receipt date: a date's ``i``-th occurrence becomes ``date * SPREAD + i``.
+SPREAD = 1 << 20
+
+
+def receiptdate_keys(n: int, seed: int = 0) -> List[int]:
     """Unique integer keys whose arrival order mirrors receiptdate's
     near-sortedness after sorting lineitem by shipdate.
 
-    Each duplicate date d becomes ``d * spread + occurrence_counter`` —
+    Each duplicate date d becomes ``d * SPREAD + occurrence_counter`` —
     order-preserving within a date, so the (K,L) character of the column is
     unchanged while keys become unique (as the indexes require).
     """
@@ -76,6 +80,6 @@ def receiptdate_keys(n: int, seed: int = 0, spread: int = 1 << 20) -> List[int]:
     for date in dates.receiptdate:
         occurrence = seen.get(date, 0)
         seen[date] = occurrence + 1
-        keys.append(date * spread + occurrence)
+        keys.append(date * SPREAD + occurrence)
     return keys
 

@@ -20,10 +20,6 @@ class TestRules:
         assert not rec.use_sware
         assert rec.split_factor == 0.5
 
-    def test_scrambled_on_disk_uses_sware(self):
-        rec = recommend(1.0, 1.0, read_fraction=0.5, on_disk=True)
-        assert rec.use_sware
-
     def test_read_dominated_uses_baseline(self):
         rec = recommend(0.0, 0.0, read_fraction=0.995)
         assert not rec.use_sware

@@ -9,7 +9,10 @@ every pattern it forbids.
 """
 
 import ast
+import asyncio
+import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -323,51 +326,134 @@ def test_no_sosd_extension():
     assert BACKEND_NAMES == ("sa_btree", "btree", "betree", "lsm")
 
 
-# Public definitions that no code in the library, the benchmark or the
-# examples calls, each with where a user is told to reach it.
-UNCALLED_BUT_DOCUMENTED = {
+# Framework callbacks: asyncio calls a protocol's methods, pickle calls an
+# unpickler's ``find_class``.
+FRAMEWORK_CALLBACKS = {name for name in dir(asyncio.Protocol) if not name.startswith("_")}
+FRAMEWORK_CALLBACKS.add("find_class")
+
+# What no code in the library, the benchmark, the examples or CI reaches,
+# each with where it is reached instead. A key is a top-level name, a
+# ``Class.member``, a ``Config.field`` or a ``function(parameter=)``.
+REACHED_ELSEWHERE = {
     "ConcurrentSortednessAwareIndex": 'README "Concurrent usage"',
     "recommend": 'README "Diagnosing a run" (the doctor\'s remediation names it)',
-    "measure_overhead": 'CI step "Profiler overhead stays under 5%"',
+    "SWAREConfig.bits_per_entry": "the doctor's bloom_fpr_degraded remediation tells users to raise it",
+    "Observability(trace_capacity=)": "the doctor's trace_truncated remediation tells users to raise it",
+    "CostModel(weights=)": "ROADMAP's clock item passes fitted weights (`--weights cpython`)",
+    "IndexServer(commit_interval=)": "the load-clocked commit's specification tests set it",
+    "FaultyEnv(crash_at=)": "the crash-injection seam the durability sweeps drive",
+    "FaultyEnv(short_read_at=)": "the torn-read seam the WAL replay tests drive",
+    "SWAREBuffer.range_entries": "tests read a range's buffered versions through it, unbilled",
+    "WriteAheadLog.tail_bytes": "tests check that a reset truncates the log, under the log's lock",
 }
 
 
-def _references(path, statement):
-    """Every name ``statement`` (a top-level node of ``path``) refers to:
-    names, attributes and ``from ... import`` aliases, except the imports of
-    an ``__init__.py`` (a re-export is not a use)."""
-    found = set()
-    for node in ast.walk(statement):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
-            found.update(alias.name for alias in node.names)
+def _reference_counts(path, node):
+    """How often ``node`` (in ``path``) names each identifier: names,
+    attributes and ``from ... import`` aliases, except the imports of an
+    ``__init__.py`` (a re-export is not a use)."""
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.ImportFrom) and path.name != "__init__.py":
+            found.update(alias.name for alias in child.names)
     return found
 
 
+def _settings(tree):
+    """Keyword arguments and string dict keys in ``tree``, and the most
+    positional arguments any call of each name passes."""
+    keys, arity = Counter(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            keys[node.arg] += 1
+        elif isinstance(node, ast.Dict):
+            keys.update(k.value for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            arity[name] = max(arity.get(name, 0), len(node.args))
+    return keys, arity
+
+
+def _unset_parameters(owner, func, keys, arity):
+    """The defaulted parameters of ``func`` that no call passes."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if owner and positional and positional[0].arg in ("self", "cls") else 0
+    callee = owner if func.name == "__init__" else func.name
+    label = (f"{owner}({{}}=)" if func.name == "__init__"
+             else f"{owner}.{func.name}({{}}=)" if owner else f"{func.name}({{}}=)")
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default and not keys[arg.arg] and arity.get(callee, 0) <= index - skip:
+            yield label.format(arg.arg)
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None and not keys[arg.arg]:
+            yield label.format(arg.arg)
+
+
 def test_library_is_what_runs():
-    # Every public top-level def or class under src/repro is referenced from
-    # src/, bench_e2e/ or examples/ outside its own body, or is documented
-    # for users to call and listed above.
-    defined, referenced = [], {}
+    # Every public top-level def or class under src/repro, every public
+    # method or property of a top-level class there, every field of a
+    # *Config dataclass and every defaulted parameter of a public function
+    # or method is reached from src/, bench_e2e/, examples/ or CI (a name
+    # CI calls, a keyword CI passes), or is listed above with where it is
+    # reached instead. An experiment's run takes only n.
+    ci = (ROOT / ".github/workflows/ci.yml").read_text()
+    total = Counter(re.findall(r"(\w+)\(", ci))
+    keys, arity = Counter(re.findall(r"(\w+)=", ci)), {}
+    trees = {}
     for path in _files("src", "bench_e2e", "examples"):
-        if path.suffix != ".py":
+        if path.suffix == ".py":
+            trees[path] = tree = ast.parse(path.read_text())
+            total += _reference_counts(path, tree)
+            tree_keys, tree_arity = _settings(tree)
+            keys += tree_keys
+            for name, count in tree_arity.items():
+                arity[name] = max(arity.get(name, 0), count)
+
+    def unreferenced(path, node, name):
+        return total[name] - _reference_counts(path, node)[name] <= 0
+
+    unreached = set()
+    for path, tree in trees.items():
+        if not path.is_relative_to(ROOT / "src/repro"):
             continue
-        for index, statement in enumerate(ast.parse(path.read_text()).body):
-            where = (path, index)
-            for name in _references(path, statement):
-                referenced.setdefault(name, set()).add(where)
-            if (isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not statement.name.startswith("_")
-                    and path.is_relative_to(ROOT / "src/repro")):
-                defined.append((statement.name, where))
-    uncalled = sorted(
-        (name, str(where[0].relative_to(ROOT)))
-        for name, where in defined
-        if not referenced.get(name, set()) - {where}
-    )
-    unlisted = [entry for entry in uncalled if entry[0] not in UNCALLED_BUT_DOCUMENTED]
-    assert unlisted == [], unlisted
-    assert [name for name, _ in uncalled] == sorted(UNCALLED_BUT_DOCUMENTED)
+        for statement in tree.body:
+            public = not getattr(statement, "name", "_").startswith("_")
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if public and unreferenced(path, statement, statement.name):
+                    unreached.add(statement.name)
+                if public:
+                    unreached.update(_unset_parameters(None, statement, keys, arity))
+            if not isinstance(statement, ast.ClassDef):
+                continue
+            if public and unreferenced(path, statement, statement.name):
+                unreached.add(statement.name)
+            for member in statement.body:
+                if statement.name.endswith("Config") and isinstance(member, ast.AnnAssign):
+                    if not keys[member.target.id]:
+                        unreached.add(f"{statement.name}.{member.target.id}")
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if member.name == "__init__" or not member.name.startswith("_"):
+                    unreached.update(_unset_parameters(statement.name, member, keys, arity))
+                if (not member.name.startswith("_") and member.name not in FRAMEWORK_CALLBACKS
+                        and unreferenced(path, member, member.name)):
+                    unreached.add(f"{statement.name}.{member.name}")
+    unlisted = sorted(unreached - set(REACHED_ELSEWHERE))
+    assert unlisted == [], "unreached: " + ", ".join(unlisted)
+    stale = sorted(set(REACHED_ELSEWHERE) - unreached)
+    assert stale == [], "reached, so not to be listed: " + ", ".join(stale)
+
+    from repro.bench.experiments import EXPERIMENTS
+
+    for name, entry in EXPERIMENTS.items():
+        # fig18 reruns fig10's grid on disk with its own buffer and title.
+        expected = ["n", "buffer_fraction", "pool_capacity", "title"] if name == "fig10" else ["n"]
+        assert list(inspect.signature(entry.module.run).parameters) == expected, name

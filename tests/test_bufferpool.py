@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import BufferpoolFullError, PinViolationError, ReproError
 from repro.storage.bufferpool import BufferPool, PageIdAllocator
 from repro.storage.costmodel import CostModel, Meter
 
@@ -61,67 +60,7 @@ class TestLRUEviction:
         assert pool.resident == 3
 
 
-class TestPinning:
-    def test_pinned_pages_survive(self):
-        pool = BufferPool(capacity=2)
-        pool.pin(1)
-        pool.access(2)
-        pool.access(3)  # must evict 2, not pinned 1
-        assert pool.access(1) is True
-
-    def test_all_pinned_raises(self):
-        pool = BufferPool(capacity=1)
-        pool.pin(1)
-        with pytest.raises(BufferpoolFullError):
-            pool.access(2)
-
-    def test_unpin_allows_eviction(self):
-        pool = BufferPool(capacity=1)
-        pool.pin(1)
-        pool.unpin(1)
-        pool.access(2)
-        assert pool.access(1) is False
-
-    def test_unpin_unpinned_raises(self):
-        pool = BufferPool()
-        with pytest.raises(PinViolationError):
-            pool.unpin(1)
-
-    def test_unpin_error_is_repro_error(self):
-        """Regression: unpin misuse must be catchable as ReproError (it used
-        to raise a bare ValueError outside the library hierarchy)."""
-        pool = BufferPool()
-        with pytest.raises(ReproError):
-            pool.unpin(1)
-        # Backward compatibility: still a ValueError for old callers.
-        with pytest.raises(ValueError):
-            pool.unpin(1)
-
-    def test_drop_pinned_raises(self):
-        """Regression: dropping a pinned frame used to silently discard it,
-        corrupting pin accounting (the later unpin then raised)."""
-        pool = BufferPool()
-        pool.pin(1)
-        with pytest.raises(PinViolationError):
-            pool.drop(1)
-        # The frame survived; pin accounting is intact.
-        assert pool.resident == 1
-        pool.unpin(1)
-        pool.drop(1)  # unpinned now: drop succeeds
-        assert pool.resident == 0
-
-    def test_drop_absent_is_noop(self):
-        pool = BufferPool()
-        pool.drop(99)  # never raises for unknown pages
-
-
-class TestDropAndFlush:
-    def test_drop_removes(self):
-        pool = BufferPool()
-        pool.access(1)
-        pool.drop(1)
-        assert pool.resident == 0
-
+class TestFlush:
     def test_flush_all_writes_dirty_only(self):
         pool = BufferPool()
         pool.access(1, dirty=True)
@@ -176,8 +115,8 @@ class TestTreeIntegration:
         assert pool.disk_writes > 0
         # Simulated time is dominated by I/O under the default weights.
         model = CostModel()
-        assert model.cost("disk_read", meter["disk_read"]) > model.cost(
-            "node_access", meter["node_access"]
+        assert model.nanos({"disk_read": meter["disk_read"]}) > model.nanos(
+            {"node_access": meter["node_access"]}
         )
 
     def test_generous_pool_has_no_reads_after_creation(self):

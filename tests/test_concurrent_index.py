@@ -145,7 +145,7 @@ class TestSingleThreaded:
         for key in range(10, 0, -1):  # out of order: grows the tail
             index.insert(key, key)
         tail = index.buffer.tail_size
-        assert tail >= index.buffer.query_sort_at
+        assert tail >= SMALL.query_sort_trigger
         charged = index.meter.snapshot()
         assert index.get_many([]) == []
         assert (index.stats.query_sorts, index.buffer.tail_size) == (0, tail)

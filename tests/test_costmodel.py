@@ -13,16 +13,16 @@ from repro.storage.costmodel import (
 class TestCostModel:
     def test_default_weights_present(self):
         model = CostModel()
-        assert model.cost("node_access") == DEFAULT_WEIGHTS["node_access"]
+        assert model.nanos({"node_access": 1}) == DEFAULT_WEIGHTS["node_access"]
 
     def test_unknown_kind_is_free(self):
-        assert CostModel().cost("frobnicate", 100) == 0.0
+        assert CostModel().nanos({"frobnicate": 100}) == 0.0
 
     def test_overrides(self):
         model = CostModel({"node_access": 1.0})
-        assert model.cost("node_access", 5) == 5.0
+        assert model.nanos({"node_access": 5}) == 5.0
         # Non-overridden weights keep defaults.
-        assert model.cost("disk_read") == DEFAULT_WEIGHTS["disk_read"]
+        assert model.nanos({"disk_read": 1}) == DEFAULT_WEIGHTS["disk_read"]
 
     def test_nanos_sums_counts(self):
         model = CostModel({"a": 2.0, "b": 3.0})
@@ -30,7 +30,7 @@ class TestCostModel:
 
     def test_disk_dwarfs_memory(self):
         model = CostModel()
-        assert model.cost("disk_read") > 100 * model.cost("node_access")
+        assert model.nanos({"disk_read": 1}) > 100 * model.nanos({"node_access": 1})
 
 
 class TestMeter:

@@ -84,7 +84,7 @@ class TestArtifactParity:
         snap = drift_obs.snapshot()
         live = evaluate(snap)
         from_json = evaluate(json.loads(json.dumps(snap)))
-        assert [f.to_dict() for f in from_json] == [f.to_dict() for f in live]
+        assert from_json == live
 
     def test_artifact_without_obs_sections_evaluates_empty(self):
         assert evaluate({}) == []

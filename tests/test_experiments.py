@@ -20,7 +20,7 @@ RESULTS = Path(__file__).resolve().parent.parent / "results"
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_shape_check_holds_at_reduced_size(name):
     entry = EXPERIMENTS[name]
-    result = entry.module.run(**entry.run_kwargs(entry.quick_n))
+    result = entry.module.run(entry.quick_n)
     assert result.report
     entry.module.check(result)
 
@@ -31,15 +31,26 @@ def test_committed_reports_are_the_table_reports():
     assert {path.stem for path in RESULTS.glob("*.txt")} == set(reports)
 
 
-def test_run_kwargs_pin_and_override():
-    fig10 = EXPERIMENTS["fig10"]
-    assert fig10.run_kwargs() == {"n": 20_000}
-    assert fig10.run_kwargs(1_000) == {"n": 1_000}
-    assert EXPERIMENTS["fig19"].run_kwargs() == {}
+def test_run_kwargs_pin_and_override(monkeypatch):
+    from repro.bench.experiments import fig19
+
+    assert EXPERIMENTS["fig10"].n == 20_000
+    assert EXPERIMENTS["fig19"].n == fig19.SIZES[-1]
+    sizes = []
+
+    def record(n):
+        sizes.append(n)
+        return Fig10Result(report="stand-in", data={}, runs={})
+
+    monkeypatch.setattr(EXPERIMENTS["fig10"].module, "run", record)
+    monkeypatch.setattr(EXPERIMENTS["fig10"].module, "check", lambda result: None)
+    assert main(["experiment", "fig10", "--n", "1000"]) == 0
+    assert main(["experiment", "fig10"]) == 0
+    assert sizes == [1_000, 20_000]
 
 
 def test_violated_shape_exits_1(monkeypatch, capsys):
-    def scrambled_beats_baseline(**kwargs):
+    def scrambled_beats_baseline(n):
         data = {
             ("sorted", 0.10): 8.0,
             ("sorted", 0.90): 1.5,

@@ -40,7 +40,8 @@ class TestRotate64:
 
 def _probe_bits(key, n_bits=1024, n_probes=5, rotation=0):
     """The bit positions one key sets in a fresh filter (its probe set)."""
-    bf = BloomFilter(1, bits_per_entry=n_bits, rotation=rotation, n_probes=n_probes)
+    bf = BloomFilter(1, bits_per_entry=n_bits, rotation=rotation)
+    bf.n_probes = n_probes
     bf.add_bases((shared_base(key),))
     bits = int.from_bytes(bf._bits, "little")
     return {pos for pos in range(len(bf._bits) * 8) if bits >> pos & 1}

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import BulkLoadError, ConfigError
-from repro.lsm import LEVELING, TIERING, LSMConfig, LSMTree, SortedRun
+from repro.lsm import LSMConfig, LSMTree, SortedRun
 from repro.storage.costmodel import Meter
 
 
@@ -24,8 +24,6 @@ class TestConfig:
             LSMConfig(memtable_capacity=1)
         with pytest.raises(ConfigError):
             LSMConfig(size_ratio=1)
-        with pytest.raises(ConfigError):
-            LSMConfig(policy="lazy")
 
     def test_level_capacities_grow_geometrically(self):
         config = LSMConfig(memtable_capacity=10, size_ratio=4)
@@ -96,11 +94,10 @@ class TestBasicOperations:
         result = tree.range_query(5, 9)
         assert result == [(5, 50), (6, 60), (8, 80), (9, 90)]
 
-    @pytest.mark.parametrize("policy", [LEVELING, TIERING])
     @pytest.mark.parametrize("aware", [False, True])
-    def test_random_ops_match_dict(self, policy, aware):
+    def test_random_ops_match_dict(self, aware):
         rng = random.Random(9)
-        tree = make_tree(policy=policy, sortedness_aware=aware)
+        tree = make_tree(sortedness_aware=aware)
         model = {}
         for i in range(4000):
             op = rng.random()
@@ -152,20 +149,12 @@ class TestBulkLoad:
 
 class TestCompactionBehaviour:
     def test_leveling_single_run_per_level(self):
-        tree = make_tree(policy=LEVELING, memtable_capacity=8)
+        tree = make_tree(memtable_capacity=8)
         for key in random.Random(1).sample(range(2000), 600):
             tree.insert(key, key)
         tree.check_invariants()
         for level in tree._levels:
             assert len(level) <= 1
-
-    def test_tiering_accumulates_runs(self):
-        tree = make_tree(policy=TIERING, memtable_capacity=8, size_ratio=4)
-        keys = random.Random(2).sample(range(2000), 400)
-        for key in keys:
-            tree.insert(key, key)
-        assert tree.n_runs() >= 1
-        assert dict(tree.iter_items()) == {k: k for k in keys}
 
     def test_plain_lsm_write_amp_is_sortedness_agnostic(self):
         amps = {}
@@ -218,7 +207,7 @@ class TestStats:
         tree = make_tree(memtable_capacity=8)
         for key in range(100):
             tree.insert(key, key)
-        assert sum(tree.level_sizes()) + len(tree._memtable) == 100
+        assert sum(len(run) for level in tree._levels for run in level) + len(tree._memtable) == 100
         assert tree.n_runs() >= 1
 
     def test_write_amp_zero_before_inserts(self):

@@ -15,10 +15,10 @@ from repro.obs.monitors import (
     MIN_BF_DECISIONS,
     MIN_FLUSHES,
     MAX_WINDOWS,
+    SAMPLE_CAPACITY,
     MIN_WINDOWS,
     SORTEDNESS_COLLAPSE_DELTA,
     BloomMonitor,
-    HealthFinding,
     MonitorHub,
     SaturationMonitor,
     SortednessDriftMonitor,
@@ -97,10 +97,10 @@ class TestSaturationMonitor:
         assert snap["mean_fill"] == pytest.approx(0.5)
 
     def test_trajectory_is_bounded(self):
-        monitor = SaturationMonitor(trajectory_capacity=4)
-        for i in range(10):
+        monitor = SaturationMonitor()
+        for i in range(SAMPLE_CAPACITY + 6):
             monitor.observe_fill(i / 10)
-        assert len(monitor.snapshot()["fill_trajectory"]) == 4
+        assert len(monitor.snapshot()["fill_trajectory"]) == SAMPLE_CAPACITY
 
 
 class TestBloomMonitor:
@@ -322,20 +322,3 @@ class TestRules:
         )
         findings = evaluate_signals(signals)
         assert [f.severity for f in findings] == ["critical", "warning", "info"]
-
-
-class TestHealthFinding:
-    def test_to_dict_round_trips(self):
-        finding = HealthFinding(
-            severity="warning",
-            code="x",
-            message="m",
-            remediation="r",
-            value=0.5,
-            threshold=0.25,
-            attrs={"a": 1.0},
-        )
-        doc = finding.to_dict()
-        assert doc["severity"] == "warning"
-        assert doc["attrs"] == {"a": 1.0}
-        assert "attrs" not in HealthFinding("info", "y", "m", "r").to_dict()

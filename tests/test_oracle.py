@@ -136,7 +136,7 @@ class _EagerBuffer(MeteredSWAREBuffer):
 
 def _tail_index(buffer):
     bits = lambda bf: bf and (bytes(bf._bits), bf.n_added)  # noqa: E731
-    zones = [zone.as_tuple() for zone in buffer.page_zonemaps._zones]
+    zones = [(zone.min_key, zone.max_key) for zone in buffer.page_zonemaps._zones]
     return bits(buffer.global_bf), [bits(bf) for bf in buffer._page_bfs], zones
 
 
@@ -160,11 +160,11 @@ def _items(index):
     """``index.items()`` with the query-sort trigger held off: sorting the
     tail is the read rules' business, not the check's."""
     buffer = index.buffer
-    trigger, buffer.query_sort_at = buffer.query_sort_at, math.inf
+    trigger, buffer._query_sort_len = buffer._query_sort_len, math.inf
     try:
         return index.items()
     finally:
-        buffer.query_sort_at = trigger
+        buffer._query_sort_len = trigger
 
 
 def _burst(ops, targets):

@@ -54,12 +54,6 @@ class TestPageFile:
             pf.write_page(0, b"")
             assert pf.read_page(0) == b""
 
-    def test_page_ids(self, path):
-        with PageFile(path, slot_size=128) as pf:
-            pf.write_page(3, b"x")
-            pf.write_page(1, b"y")
-            assert pf.page_ids() == [1, 3]
-
     def test_rejects_tiny_slots(self, path):
         with pytest.raises(ValueError):
             PageFile(path, slot_size=16)
@@ -82,7 +76,7 @@ class TestPageFile:
             pf.write_page(1, b"x" * 300)
             pf.truncate()
             assert pf.n_slots == 0
-            assert pf.page_ids() == []
+            assert pf._chains == {}
             pf.write_page(2, b"fresh")
             assert pf.read_page(2) == b"fresh"
 

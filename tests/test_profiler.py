@@ -112,13 +112,6 @@ class TestOutputs:
             worker.join()
         return profiler
 
-    def test_collapsed_stack_format(self):
-        collapsed = self._sampled().collapsed()
-        line = collapsed.splitlines()[0]
-        frames, count = line.rsplit(" ", 1)
-        assert int(count) >= 1
-        assert ";" in frames or frames  # outermost-first frame chain
-
     def test_layer_table_fractions_sum_to_one(self):
         table = self._sampled().layer_table()
         assert table

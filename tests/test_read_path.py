@@ -155,7 +155,7 @@ def test_node_search_matches_bisect(domain):
         for probe in probes:
             assert leaf.search_left(probe) == bisect_left(keys, probe), (label, probe)
             assert node.child_index(probe) == bisect_right(keys, probe), (label, probe)
-            assert node.child_for(probe) == f"c{bisect_right(keys, probe)}"
+            assert node.children[node.child_index(probe)] == f"c{bisect_right(keys, probe)}"
             assert leaf.has_key_at(leaf.search_left(probe), probe) == (probe in keys)
         rows = list(leaf.iter_live())
         assert rows == [(k, f"v{k}") for k in keys]

@@ -6,8 +6,6 @@ inserts, updates, and deletes the tail holds — while writing the denser
 bulk-loaded layout, and crash-safe: a simulated crash at any I/O boundary
 during ``repro recover --out`` leaves the original checkpoint loadable,
 and stray ``*.tmp`` wreckage is removed by the next rebuild.
-``LSMTree.compact()`` must preserve the live item set while collapsing to
-one run.
 """
 
 import os
@@ -17,7 +15,6 @@ import pytest
 
 from repro.btree.btree import BPlusTree
 from repro.core.sware import SortednessAwareIndex
-from repro.lsm.lsm import LSMConfig, LSMTree
 from repro.storage import (
     CheckpointStore,
     FaultyEnv,
@@ -174,55 +171,3 @@ class TestCrashHygiene:
         assert report.stale_tmp_removed
         assert set(os.listdir(tmp_path)) - before == {"out.db"}
         assert dict(rebuilt.items()) == expected
-
-
-class TestLSMCompact:
-    @pytest.mark.parametrize("policy", ["leveling", "tiering"])
-    @pytest.mark.parametrize("sortedness_aware", [False, True])
-    def test_compact_preserves_live_items(self, policy, sortedness_aware):
-        tree = LSMTree(
-            LSMConfig(
-                memtable_capacity=32,
-                policy=policy,
-                sortedness_aware=sortedness_aware,
-            )
-        )
-        rng = random.Random(5)
-        live = {}
-        for i in range(3000):
-            key = rng.randrange(8000)
-            if rng.random() < 0.15:
-                tree.delete(key)
-                live.pop(key, None)
-            else:
-                tree.insert(key, i)
-                live[key] = i
-        stats = tree.compact()
-        tree.check_invariants()
-        assert dict(tree.iter_items()) == live
-        assert tree.n_runs() <= 1
-        assert stats["merged"]
-        assert stats["entries_out"] == len(live)
-
-    def test_compact_idempotent(self):
-        tree = LSMTree(LSMConfig(memtable_capacity=16))
-        for key in range(500):
-            tree.insert(key, key)
-        tree.compact()
-        live = dict(tree.iter_items())
-        written_before = tree.entries_written
-        stats = tree.compact()
-        assert not stats["merged"]  # single tombstone-free run: no-op
-        assert tree.entries_written == written_before
-        assert dict(tree.iter_items()) == live
-
-    def test_compact_drops_tombstones(self):
-        tree = LSMTree(LSMConfig(memtable_capacity=8))
-        for key in range(200):
-            tree.insert(key, key)
-        for key in range(0, 200, 2):
-            tree.delete(key)
-        tree.compact()
-        entries = [e for run in tree._iter_runs() for e in run.entries]
-        assert entries and not any(e[3] for e in entries)
-        assert dict(tree.iter_items()) == {k: k for k in range(1, 200, 2)}

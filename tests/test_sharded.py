@@ -150,8 +150,17 @@ class TestRecovery:
         assert rec.items() == sorted(oracle.items())
         rec.close()
 
-    @pytest.mark.parametrize("family", ["splitmix64", "murmur3"])
-    def test_recovers_a_manifest_with_a_hash_family(self, tmp_path, family):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("hash_family", "splitmix64", id="splitmix64"),
+            pytest.param("hash_family", "murmur3", id="murmur3"),
+            pytest.param("kl_k_threshold", 0.20, id="kl_k_threshold"),
+            pytest.param("kl_l_threshold", 0.05, id="kl_l_threshold"),
+        ],
+    )
+    def test_recovers_a_manifest_with_a_hash_family(self, tmp_path, key, value):
+        # Knobs older manifests recorded and this version retired.
         idx = make_sharded(tmp_path, n_shards=2)
         idx.put_many([(k, k) for k in range(0, 10_000, 500)])
         idx.commit()
@@ -159,7 +168,7 @@ class TestRecovery:
         path = tmp_path / "db" / MANIFEST_NAME
         doc = json.loads(path.read_text())
         for row in doc["shards"]:
-            row["config"]["hash_family"] = family
+            row["config"][key] = value
         path.write_text(json.dumps(doc))
         rec, _reports = recover_sharded(str(tmp_path / "db"))
         assert rec.items() == [(k, k) for k in range(0, 10_000, 500)]

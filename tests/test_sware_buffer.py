@@ -52,7 +52,7 @@ class TestInOrderGrowth(_Buffers):
         buffer = self.make_buffer()
         for key in range(20):
             buffer.add(key, key)
-        assert buffer.sorted_section_size == 20
+        assert len(buffer._main.keys) == 20
         assert buffer.tail_size == 0
         buffer.check_invariants()
 
@@ -60,21 +60,21 @@ class TestInOrderGrowth(_Buffers):
         buffer = self.make_buffer()
         for key in (1, 2, 3, 0):
             buffer.add(key, key)
-        assert buffer.sorted_section_size == 3
+        assert len(buffer._main.keys) == 3
         assert buffer.tail_size == 1
 
     def test_later_in_order_keys_still_go_to_tail(self):
         buffer = self.make_buffer()
         for key in (1, 2, 3, 0, 10):
             buffer.add(key, key)
-        assert buffer.sorted_section_size == 3
+        assert len(buffer._main.keys) == 3
         assert buffer.tail_size == 2
 
     def test_duplicate_key_extends_main(self):
         buffer = self.make_buffer()
         buffer.add(5, "a")
         buffer.add(5, "b")  # equal keys are in order (non-decreasing)
-        assert buffer.sorted_section_size == 2
+        assert len(buffer._main.keys) == 2
 
 
 class TestLastSortedZone(_Buffers):
@@ -112,7 +112,7 @@ class TestFlush(_Buffers):
         batch = buffer.prepare_flush()
         assert batch.sorted_without_effort
         assert [entry[0] for entry in batch.entries] == list(range(16))
-        assert buffer.sorted_section_size == 16
+        assert len(buffer._main.keys) == 16
         assert len(buffer) == 16
         buffer.check_invariants()
 
@@ -176,11 +176,11 @@ class TestFlush(_Buffers):
         for key in (4, 1, 3, 2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 10, 11):
             buffer.add(key, key)
         buffer.lookup(4)  # the first metered probe is what builds the tail's index
-        assert buffer.page_zonemaps.n_pages == 4
+        assert len(buffer.page_zonemaps._zones) == 4
         if buffer.global_bf is not None:
             assert buffer.global_bf.n_added == 15
         buffer.prepare_flush()
-        assert buffer.page_zonemaps.n_pages == 0
+        assert len(buffer.page_zonemaps._zones) == 0
         if buffer.global_bf is not None:
             assert buffer.global_bf.n_added == 0
 

@@ -343,7 +343,7 @@ class TestCostAccounting:
                     index.flush_all()
                 else:
                     index.buffer.query_sort()
-            assert index.buffer.n_blocks == 2 and index.buffer.sorted_section_size
+            assert index.buffer.n_blocks == 2 and index.buffer._main.keys
             return index, model
 
         probes = [key + shift for key in (*range(-2, 45), 120, 150)]

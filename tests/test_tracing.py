@@ -85,14 +85,6 @@ class TestCausalIdentity:
                 assert child.parent_id == roots[0].span_id
                 assert child.trace_id == roots[0].trace_id
 
-    def test_to_dict_includes_causal_ids(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("op"):
-            pass
-        doc = tracer.events()[0].to_dict()
-        assert {"trace_id", "span_id", "tid"} <= set(doc)
-        assert "parent_id" not in doc  # None fields stay out of the JSON
-
     def test_snapshot_reports_truncation(self):
         tracer = Tracer(capacity=2, enabled=True)
         for i in range(5):
@@ -229,9 +221,9 @@ class TestPerfettoExport:
         assert instant["args"]["page"] == 3
 
     def test_metadata_names_process_and_threads(self):
-        doc = to_perfetto(self._traced().events(), process_name="unit")
+        doc = to_perfetto(self._traced().events())
         meta = [r for r in doc["traceEvents"] if r["ph"] == "M"]
-        assert meta[0]["args"]["name"] == "unit"
+        assert meta[0]["args"]["name"] == "repro"
         assert any(r["name"] == "thread_name" for r in meta)
 
     def test_tracer_accounting_rides_in_other_data(self):

@@ -76,11 +76,6 @@ class TestMixedWorkload:
 
 
 class TestRawWorkload:
-    def test_ingest_covers_all_keys(self):
-        spec = RawWorkloadSpec(keys=tuple(range(50)))
-        ops = list(spec.ingest_operations())
-        assert [op[1] for op in ops] == list(range(50))
-
     def test_lookup_count(self):
         spec = RawWorkloadSpec(keys=tuple(range(50)), n_lookups=17)
         assert len(list(spec.lookup_operations())) == 17
