@@ -38,7 +38,7 @@ from repro.errors import (
     BulkLoadError,
     ConfigError,
     InvariantViolation,
-    KLSortCapacityError,
+    KeyRangeError,
     ReproError,
     WALError,
 )
@@ -75,7 +75,7 @@ __all__ = [
     "BulkLoadError",
     "ConfigError",
     "InvariantViolation",
-    "KLSortCapacityError",
+    "KeyRangeError",
     "ReproError",
     "WALError",
     "LSMConfig",

@@ -79,19 +79,11 @@ def buffer_config(
 
 def sa_btree_factory(
     sware_config: SWAREConfig,
-    split_factor: float = 0.8,
-    bulk_fill_factor: float = 0.95,
     pool_capacity: Optional[int] = None,
 ) -> Callable[[Meter], SortednessAwareIndex]:
     def factory(meter: Meter) -> SortednessAwareIndex:
         pool = BufferPool(pool_capacity, meter=meter) if pool_capacity else None
-        return make_sa_btree(
-            sware_config,
-            split_factor=split_factor,
-            bulk_fill_factor=bulk_fill_factor,
-            meter=meter,
-            pool=pool,
-        )
+        return make_sa_btree(sware_config, meter=meter, pool=pool)
 
     return factory
 
@@ -106,12 +98,9 @@ def baseline_btree_factory(
     return factory
 
 
-def sa_betree_factory(
-    sware_config: SWAREConfig,
-    split_factor: float = 0.8,
-) -> Callable[[Meter], SortednessAwareIndex]:
+def sa_betree_factory(sware_config: SWAREConfig) -> Callable[[Meter], SortednessAwareIndex]:
     def factory(meter: Meter) -> SortednessAwareIndex:
-        return make_sa_betree(sware_config, split_factor=split_factor, meter=meter)
+        return make_sa_betree(sware_config, meter=meter)
 
     return factory
 
@@ -138,14 +127,11 @@ def mixed_ops(
     keys: Sequence[int],
     read_fraction: float,
     seed: int = 11,
-    max_reads: Optional[int] = None,
 ) -> list:
-    """Materialized mixed-workload operations (preload 80% + interleave)."""
-    if max_reads is None:
-        # Keep read-heavy runs bounded: at most 3x the data size.
-        max_reads = 3 * len(keys)
+    """Materialized mixed-workload operations (preload 80% + interleave);
+    read-heavy runs stay bounded at 3x the data size in reads."""
     spec = MixedWorkloadSpec(
-        keys=tuple(keys), read_fraction=read_fraction, seed=seed, max_reads=max_reads
+        keys=tuple(keys), read_fraction=read_fraction, seed=seed, max_reads=3 * len(keys)
     )
     return spec.materialize()
 

@@ -10,13 +10,11 @@ latency — see DESIGN.md substitution #1.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.sware import SortednessAwareIndex
 from repro.obs import NULL_OBS, Observability, current_obs
-from repro.obs import observe as obs_observe
 from repro.storage.costmodel import CostModel, Meter
 from repro.workloads.spec import DELETE, INSERT, LOOKUP, RANGE, Operation
 
@@ -139,7 +137,6 @@ def run_phases(
     phases: List[Tuple[str, Iterable[Operation]]],
     label: str = "",
     flush_after: Optional[str] = None,
-    obs: Optional[Observability] = None,
 ) -> RunResult:
     """Build an index and run the phases, measuring each.
 
@@ -147,37 +144,32 @@ def run_phases(
     a SWARE index (its cost lands in that phase, mirroring the paper's
     "drain before read-only measurement" setups where used).
 
-    When an :class:`Observability` is supplied (or installed via
-    ``repro.obs.observe``), every op is additionally timed into per-kind
-    latency histograms and the run's :class:`Meter` registers as a
-    collector.
+    Under ``repro.obs.observe``, every op is additionally timed into
+    per-kind latency histograms and the run's :class:`Meter` registers as
+    a collector.
     """
     model = CostModel()
     meter = Meter()
-    obs = obs if obs is not None else current_obs()
+    obs = current_obs()
     observed = obs is not NULL_OBS
-    # Components constructed by the factory pick their obs up from the
-    # active context, so an explicitly passed obs must be installed too.
-    ctx = obs_observe(obs) if observed else nullcontext()
-    with ctx:
-        index = factory(meter)
-        result = RunResult(label=label)
-        if observed:
-            obs.register_collector(f"meter_{label}" if label else "meter", meter.snapshot)
+    index = factory(meter)
+    result = RunResult(label=label)
+    if observed:
+        obs.register_collector(f"meter_{label}" if label else "meter", meter.snapshot)
 
-        for name, operations in phases:
-            before = meter.nanos(model)
-            start = time.perf_counter_ns()
-            with obs.span("run.phase", label=label, phase=name):
-                if observed:
-                    n_ops = execute_operations_observed(index, operations, obs)
-                else:
-                    n_ops = execute_operations(index, operations)
-                if flush_after == name and isinstance(index, SortednessAwareIndex):
-                    index.flush_all()
-            wall = time.perf_counter_ns() - start
-            sim = meter.nanos(model) - before
-            result.phases.append(PhaseResult(name=name, n_ops=n_ops, sim_ns=sim, wall_ns=wall))
+    for name, operations in phases:
+        before = meter.nanos(model)
+        start = time.perf_counter_ns()
+        with obs.span("run.phase", label=label, phase=name):
+            if observed:
+                n_ops = execute_operations_observed(index, operations, obs)
+            else:
+                n_ops = execute_operations(index, operations)
+            if flush_after == name and isinstance(index, SortednessAwareIndex):
+                index.flush_all()
+        wall = time.perf_counter_ns() - start
+        sim = meter.nanos(model) - before
+        result.phases.append(PhaseResult(name=name, n_ops=n_ops, sim_ns=sim, wall_ns=wall))
 
     result.bucket_sim_ns = meter.bucket_nanos(model)
     result.counts = meter.snapshot()
@@ -189,7 +181,6 @@ def run_phases(
     for attr in (
         "leaf_splits",
         "internal_splits",
-        "leaf_fissions",
         "leaf_count",
         "internal_count",
         "height",

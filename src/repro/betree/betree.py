@@ -12,7 +12,7 @@ Bε-trees.
 SWARE hooks mirror the B+-tree: configurable split factor, append-only bulk
 loading that builds leaves directly and leaves the internal buffers empty
 (§V-G: "SA Bε-tree opportunistically bulk loads when possible, leaving
-internal node buffers empty"), and meter/bufferpool accounting.
+internal node buffers empty"), and meter accounting.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.betree.messages import DELETE, PUT, Message
 from repro.btree.node import InternalNode, LeafNode
 from repro.errors import BulkLoadError, ConfigError, InvariantViolation
-from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
-from repro.storage.bufferpool import BufferPool, PageIdAllocator
+from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, current_obs
+from repro.storage.bufferpool import PageIdAllocator
 from repro.storage.costmodel import NULL_METER, Meter
 
 
@@ -85,13 +85,10 @@ class BeTree:
         self,
         config: Optional[BeTreeConfig] = None,
         meter: Optional[Meter] = None,
-        pool: Optional[BufferPool] = None,
-        obs: Optional[Observability] = None,
     ):
         self.config = config or BeTreeConfig()
         self.meter = meter if meter is not None else NULL_METER
-        self.obs = obs if obs is not None else current_obs()
-        self.pool = pool
+        self.obs = current_obs()
         self._pages = PageIdAllocator()
         self._root: Optional[object] = None
         self._head_leaf: Optional[LeafNode] = None
@@ -128,23 +125,17 @@ class BeTree:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _touch(self, node, dirty: bool = False) -> None:
+    def _touch(self, node) -> None:
         self.meter.charge("node_access")
-        if self.pool is not None:
-            self.pool.access(node.page_id, dirty=dirty)
 
     def _new_leaf(self) -> LeafNode:
         leaf = LeafNode(self._pages.allocate())
         self.leaf_count += 1
-        if self.pool is not None:
-            self.pool.create(leaf.page_id)
         return leaf
 
     def _new_internal(self) -> BeInternalNode:
         node = BeInternalNode(self._pages.allocate())
         self.internal_count += 1
-        if self.pool is not None:
-            self.pool.create(node.page_id)
         return node
 
     def _ensure_root(self) -> None:
@@ -189,7 +180,7 @@ class BeTree:
     def _put_message(self, message: Message) -> None:
         self._ensure_root()
         root = self._root
-        self._touch(root, dirty=True)
+        self._touch(root)
         if root.is_leaf:
             splits = self._apply_messages_to_leaf(root, [message])
             if splits:
@@ -248,7 +239,7 @@ class BeTree:
             )
 
             child = node.children[target]
-            self._touch(child, dirty=True)
+            self._touch(child)
             if child.is_leaf:
                 child_splits = self._apply_messages_to_leaf(child, moving)
             else:
@@ -390,7 +381,7 @@ class BeTree:
         tail = self._tail_leaf
         if len(tail.keys) < fill:
             take = min(fill - len(tail.keys), total)
-            self._touch(tail, dirty=True)
+            self._touch(tail)
             for key, value in items[pos : pos + take]:
                 tail.keys.append(key)
                 tail.values.append(value)
@@ -423,7 +414,7 @@ class BeTree:
             self._recompute_tail_path()
             return
         parent = self._tail_path[-1]
-        self._touch(parent, dirty=True)
+        self._touch(parent)
         parent.keys.append(leaf.keys[0])
         parent.children.append(leaf)
         if len(parent.keys) > self.config.max_pivots:
@@ -440,7 +431,7 @@ class BeTree:
                 self._grow_root_with_spine(node, splits)
                 return
             parent = self._tail_path[level - 1]
-            self._touch(parent, dirty=True)
+            self._touch(parent)
             for sep, new_node in splits:
                 idx = bisect_right(parent.keys, sep)
                 parent.keys.insert(idx, sep)

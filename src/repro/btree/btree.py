@@ -14,11 +14,8 @@ the hooks SWARE needs (§III design elements):
   spine, amortizing to O(1) per entry;
 * **gapped node layout** — each node is a fixed-capacity page whose free
   slots are its gaps (:mod:`repro.btree.node`); keys are sorted lists of
-  Python ints searched with ``bisect``. ``insert_many`` absorbs whole runs
-  into a leaf's gaps in one merge — or *fissions* the leaf into several
-  bulk-filled pieces when a run overflows it, instead of one split per
-  overflowing key. ``tests/test_oracle.py`` checks the tree against a dict
-  model, on int64 keys and keys beyond int64.
+  Python ints searched with ``bisect``. ``tests/test_oracle.py`` checks the
+  tree against a dict model, on int64 keys and keys beyond int64.
 
 Semantics: unique keys with upsert on conflict; deletes are *lazy* (the
 entry is removed, underfull/empty leaves stay in the structure and are
@@ -44,7 +41,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro import kernels
 from repro.errors import BulkLoadError, ConfigError, InvariantViolation
 from repro.btree.node import GappedInternal, GappedLeaf
-from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
+from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, current_obs
 from repro.storage.bufferpool import BufferPool, PageIdAllocator
 from repro.storage.costmodel import NULL_METER, Meter
 
@@ -58,8 +55,7 @@ class BPlusTreeConfig:
     reduced-scale trees a realistic height). ``split_factor`` is the fraction
     kept on the left node at a split. ``bulk_fill_factor`` is how full bulk
     loading packs a leaf, leaving headroom for later top-inserts (§IV-C).
-    A leaf splits (scalar insert) or fissions (batch insert) when it would
-    hold more than ``leaf_capacity`` entries.
+    A leaf splits when it would hold more than ``leaf_capacity`` entries.
     """
 
     leaf_capacity: int = 64
@@ -93,8 +89,10 @@ class BPlusTree:
 
     meter: Meter = NULL_METER
     pool: Optional[BufferPool] = None
+    # No route fissions a leaf; bench_e2e's ladder still reads the gauge.
+    leaf_fissions = 0
 
-    def __new__(cls, config=None, meter: Optional[Meter] = None, pool=None, obs=None):
+    def __new__(cls, config=None, meter: Optional[Meter] = None, pool=None):
         if cls is BPlusTree and (
             pool is not None or (meter is not None and meter is not NULL_METER)
         ):
@@ -106,10 +104,9 @@ class BPlusTree:
         config: Optional[BPlusTreeConfig] = None,
         meter: Optional[Meter] = None,
         pool: Optional[BufferPool] = None,
-        obs: Optional[Observability] = None,
     ):
         self.config = config or BPlusTreeConfig()
-        self.obs = obs if obs is not None else current_obs()
+        self.obs = current_obs()
         # A leaf page has one spare slot, so an insert may overflow
         # transiently before the split; space accounting counts it.
         self._leaf_physical = self.config.leaf_capacity + 1
@@ -125,7 +122,6 @@ class BPlusTree:
         # Statistic counters mirrored by the paper's figures.
         self.leaf_splits = 0
         self.internal_splits = 0
-        self.leaf_fissions = 0
         self.top_inserts = 0
         self.fastpath_inserts = 0
         self.bulk_loaded_entries = 0
@@ -142,7 +138,6 @@ class BPlusTree:
             "internal_count": self.internal_count,
             "leaf_splits": self.leaf_splits,
             "internal_splits": self.internal_splits,
-            "leaf_fissions": self.leaf_fissions,
             "gap_slots": self._gap_slots(),
             "top_inserts": self.top_inserts,
             "fastpath_inserts": self.fastpath_inserts,
@@ -201,7 +196,7 @@ class BPlusTree:
         self._tail_leaf = node
 
     def _descend_to_leaf_bounded(
-        self, key: int, dirty: bool = False
+        self, key: int
     ) -> Tuple[GappedLeaf, List[GappedInternal], Optional[int]]:
         """Like :meth:`_descend_to_leaf`, also returning the leaf's upper
         separator (``None`` on the right-most path) so batch walks know how
@@ -314,137 +309,25 @@ class BPlusTree:
             self.min_key = first_key
 
     def insert_many(self, items: Sequence[Tuple[int, object]]) -> int:
-        """Batch upsert with sort-then-walk amortization; returns the number
-        of new entries created.
+        """Batch upsert; returns the number of new entries created.
 
-        The batch is stable-sorted by key (later duplicates win, matching a
-        sequential loop of upserts) and applied with one leaf descent per run
-        of keys landing in the same leaf. A batch that is strictly increasing
-        and entirely above ``max_key`` — the common case under sorted
-        ingestion — short-circuits into :meth:`bulk_load_append`. Every run
-        starts from a fresh descent, so correctness never depends on paths
-        patched up after a fission.
+        The batch is stable-sorted by key and deduplicated (the later version
+        of a key wins, as in a loop of upserts). A batch entirely above
+        ``max_key`` is a :meth:`bulk_load_append`; any other goes through
+        :meth:`insert_sorted`, the route a SWARE flush's top-inserts take.
         """
         if not items:
             return 0
         batch = kernels.sort_items_by_key(items)
-        keys = [key for key, _value in batch]
-        values = [value for _key, value in batch]
-        first_key = keys[0]
-        if self.max_key is None or first_key > self.max_key:
-            if kernels.column_strictly_increasing(keys):
-                before = self.n_entries
-                self.bulk_load_append(kernels.ItemColumns(keys, values))
-                return self.n_entries - before
-        self._ensure_root()
-        # A sequential upsert replay would make the later duplicate
-        # overwrite the earlier one in place, so dropping all but the
-        # last version of a key before the walk changes neither the
-        # final tree, the created count, nor the entry_move charges —
-        # the batch still bills len(batch) top-inserts because that is
-        # how many operations it stands for.
-        self.top_inserts += len(batch)
-        keys, values = kernels.dedup_last(keys, values)
-        return self._insert_many(keys, values)
-
-    def _insert_many(self, keys: List[int], values: List[object]) -> int:
-        """Batch descent + gap-absorbing merges for sorted unique ``keys``.
-
-        One bounded descent per run of keys sharing a leaf; the whole run is
-        merged into the leaf in a single pass. A run that fits within
-        ``leaf_capacity`` is absorbed with zero structural work; one that
-        does not *fissions* the leaf into bulk-filled pieces (one structural
-        event for the run, vs one split per ``leaf_capacity`` keys under
-        key-at-a-time insertion).
-        """
-        nb = len(keys)
-        created = 0
-        i = 0
-        while i < nb:
-            leaf, path, hi = self._descend_to_leaf_bounded(keys[i], dirty=True)
-            j = bisect_left(keys, hi, i) if hi is not None else nb
-            created += self._merge_run(leaf, keys, values, i, j)[0]
-            i = j
-        self.n_entries += created
-        first_key, last_key = keys[0], keys[-1]
-        if self.max_key is None or last_key > self.max_key:
-            self.max_key = last_key
-        if self.min_key is None or first_key < self.min_key:
-            self.min_key = first_key
-        return created
-
-    def _merge_run(
-        self, leaf: GappedLeaf, keys: List[int], values: List[object], i: int, j: int
-    ) -> Tuple[int, int]:
-        """Merge sorted unique ``keys[i:j]`` (with ``values[i:j]``) into
-        ``leaf`` in one pass; returns (created, entry moves)."""
-        ks, vs, n0 = leaf.ks, leaf.vs, leaf.n
-        first = p = bisect_left(ks, keys[i])
-        merged_keys = ks[:first]
-        merged_vals = vs[:first]
-        created = 0
-        for t in range(i, j):
-            key = keys[t]
-            pos = bisect_left(ks, key, p)
-            if pos > p:
-                merged_keys += ks[p:pos]
-                merged_vals += vs[p:pos]
-            merged_keys.append(key)
-            merged_vals.append(values[t])
-            if pos < n0 and ks[pos] == key:
-                p = pos + 1  # an overwrite consumes the existing slot
-            else:
-                p = pos
-                created += 1
-        merged_keys += ks[p:]
-        merged_vals += vs[p:]
-        if len(merged_keys) > self.config.leaf_capacity:
-            self._fission_leaf(leaf, merged_keys, merged_vals)
-            return created, 0
-        # Gap absorption: the run disappears into the leaf's holes. Pure
-        # overwrites move no key.
-        leaf.adopt(merged_keys, merged_vals)
-        return created, (n0 - first) + created if created else 0
-
-    def _fission_leaf(
-        self, leaf: GappedLeaf, merged_keys: List[int], merged_vals: List[object]
-    ) -> None:
-        """Rebuild an overflowing leaf as several bulk-filled leaves.
-
-        The merged run is cut into pieces of ``bulk_fill_factor * capacity``
-        entries; the first piece reuses ``leaf``, each further piece becomes
-        a fresh leaf spliced into the chain and registered with its parent
-        via a fresh descent (splits invalidate cached paths, so every
-        separator insertion re-walks — one O(height) walk per piece).
-        """
-        total = len(merged_keys)
-        target = self._bulk_fill_target()
-        self.leaf_fissions += 1
-        if self.obs.enabled:
-            self.obs.event(
-                "btree.leaf_fission",
-                entries=total,
-                pieces=(total + target - 1) // target,
-            )
-        was_tail = leaf is self._tail_leaf
-        leaf.adopt(merged_keys[:target], merged_vals[:target])
-        prev = leaf
-        pos = target
-        while pos < total:
-            take = min(target, total - pos)
-            piece = self._new_leaf()
-            piece.adopt(merged_keys[pos : pos + take], merged_vals[pos : pos + take])
-            piece.next_leaf = prev.next_leaf
-            prev.next_leaf = piece
-            if was_tail and piece.next_leaf is None:
-                self._tail_leaf = piece
-            sep = piece.first_key()
-            # sep still routes to ``prev`` (its separator is not in any
-            # parent yet), so this walk yields prev's current parent path.
-            _, spath = self._descend_to_leaf(sep)
-            self._insert_into_parent(prev, sep, piece, spath)
-            prev = piece
-            pos += take
+        keys, values = kernels.dedup_last(
+            [key for key, _value in batch], [value for _key, value in batch]
+        )
+        before = self.n_entries
+        if self.max_key is None or keys[0] > self.max_key:
+            self.bulk_load_append(kernels.ItemColumns(keys, values))
+        else:
+            self.insert_sorted(keys, values)
+        return self.n_entries - before
 
     def _split_point(self, total: int) -> int:
         point = round(total * self.config.split_factor)
@@ -790,11 +673,10 @@ class MeteredBPlusTree(BPlusTree):
         config: Optional[BPlusTreeConfig] = None,
         meter: Optional[Meter] = None,
         pool: Optional[BufferPool] = None,
-        obs: Optional[Observability] = None,
     ):
         self.meter = meter if meter is not None else NULL_METER
         self.pool = pool
-        super().__init__(config, obs=obs)
+        super().__init__(config)
 
     @staticmethod
     def bill_to(tree: BPlusTree, meter: Meter) -> None:
@@ -850,21 +732,6 @@ class MeteredBPlusTree(BPlusTree):
         self.meter.charge("node_access", self.height)
         return super()._leaf_for(key)
 
-    def _descend_to_leaf_bounded(
-        self, key: int, dirty: bool = False
-    ) -> Tuple[GappedLeaf, List[GappedInternal], Optional[int]]:
-        leaf, path, hi = super()._descend_to_leaf_bounded(key)
-        charge = self.meter.charge
-        pool = self.pool
-        for node in path:
-            charge("node_access")
-            if pool is not None:
-                pool.access(node.page_id)
-        charge("node_access")
-        if pool is not None:
-            pool.access(leaf.page_id, dirty=dirty)
-        return leaf, path, hi
-
     def insert(self, key: int, value: object) -> bool:
         """Finds the slot, shifts the dense prefix into the gap region, and
         splits the leaf once it holds more than ``leaf_capacity`` entries."""
@@ -903,21 +770,6 @@ class MeteredBPlusTree(BPlusTree):
         """A loop of :meth:`insert`: each top-insert bills its own descent."""
         for key, value in zip(keys, values):
             self.insert(key, value)
-
-    def _merge_run(
-        self, leaf: GappedLeaf, keys: List[int], values: List[object], i: int, j: int
-    ) -> Tuple[int, int]:
-        created, moves = super()._merge_run(leaf, keys, values, i, j)
-        if moves:
-            self.meter.charge("entry_move", moves)
-        return created, moves
-
-    def _fission_leaf(
-        self, leaf: GappedLeaf, merged_keys: List[int], merged_vals: List[object]
-    ) -> None:
-        self.meter.charge("leaf_fission")
-        self.meter.charge("entry_move", len(merged_keys))
-        super()._fission_leaf(leaf, merged_keys, merged_vals)
 
     def _split_leaf(self, leaf: GappedLeaf, path: List[GappedInternal]) -> None:
         self.meter.charge("leaf_split")

@@ -288,12 +288,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         result = module.run(n)
         print(result.report)
     else:
-        from repro.obs import SamplingProfiler
+        from repro.obs.profiler import HZ, SamplingProfiler
 
         with SamplingProfiler() as profiler:
             result = module.run(n)
         print(result.report)
-        print("profile (sampled at %.0f Hz):" % profiler.hz)
+        print("profile (sampled at %.0f Hz):" % HZ)
         print(profiler.format_table())
     try:
         module.check(result)

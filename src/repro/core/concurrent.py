@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex, TreeBackend
-from repro.obs import Observability
 from repro.storage.costmodel import Meter
 from repro.storage.wal import WriteAheadLog
 
@@ -31,10 +30,9 @@ class ConcurrentSortednessAwareIndex:
         backend: TreeBackend,
         config: Optional[SWAREConfig] = None,
         meter: Optional[Meter] = None,
-        obs: Optional[Observability] = None,
         wal: Optional[WriteAheadLog] = None,
     ):
-        self.inner = SortednessAwareIndex(backend, config, meter=meter, obs=obs, wal=wal)
+        self.inner = SortednessAwareIndex(backend, config, meter=meter, wal=wal)
         self._mutex = threading.Lock()
 
     # The inner index's state, read through the front-end.

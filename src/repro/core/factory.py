@@ -19,18 +19,11 @@ from repro.storage.costmodel import Meter
 
 
 def make_baseline_btree(
-    leaf_capacity: int = 64,
-    internal_capacity: int = 64,
     meter: Optional[Meter] = None,
     pool: Optional[BufferPool] = None,
 ) -> BPlusTree:
     """The paper's baseline B+-tree: textbook 50:50 splits."""
-    config = BPlusTreeConfig(
-        leaf_capacity=leaf_capacity,
-        internal_capacity=internal_capacity,
-        split_factor=0.5,
-        tail_leaf_optimization=False,
-    )
+    config = BPlusTreeConfig(split_factor=0.5, tail_leaf_optimization=False)
     return BPlusTree(config, meter=meter, pool=pool)
 
 
@@ -39,7 +32,6 @@ def make_sa_btree(
     leaf_capacity: int = 64,
     internal_capacity: int = 64,
     split_factor: float = 0.8,
-    bulk_fill_factor: float = 0.95,
     meter: Optional[Meter] = None,
     pool: Optional[BufferPool] = None,
 ) -> SortednessAwareIndex:
@@ -48,47 +40,22 @@ def make_sa_btree(
         leaf_capacity=leaf_capacity,
         internal_capacity=internal_capacity,
         split_factor=split_factor,
-        bulk_fill_factor=bulk_fill_factor,
+        bulk_fill_factor=0.95,
         tail_leaf_optimization=True,
     )
     tree = BPlusTree(tree_config, meter=meter, pool=pool)
     return SortednessAwareIndex(tree, config=sware_config, meter=meter)
 
 
-def make_baseline_betree(
-    node_size: int = 64,
-    leaf_capacity: int = 64,
-    epsilon: float = 0.5,
-    meter: Optional[Meter] = None,
-    pool: Optional[BufferPool] = None,
-) -> BeTree:
+def make_baseline_betree(meter: Optional[Meter] = None) -> BeTree:
     """The paper's baseline Bε-tree with ε = 1/2."""
-    config = BeTreeConfig(
-        node_size=node_size,
-        epsilon=epsilon,
-        leaf_capacity=leaf_capacity,
-        split_factor=0.5,
-    )
-    return BeTree(config, meter=meter, pool=pool)
+    return BeTree(BeTreeConfig(split_factor=0.5), meter=meter)
 
 
 def make_sa_betree(
     sware_config: Optional[SWAREConfig] = None,
-    node_size: int = 64,
-    leaf_capacity: int = 64,
-    epsilon: float = 0.5,
-    split_factor: float = 0.8,
-    bulk_fill_factor: float = 0.95,
     meter: Optional[Meter] = None,
-    pool: Optional[BufferPool] = None,
 ) -> SortednessAwareIndex:
     """SA Bε-tree: SWARE buffer over a Bε-tree (§V-G)."""
-    tree_config = BeTreeConfig(
-        node_size=node_size,
-        epsilon=epsilon,
-        leaf_capacity=leaf_capacity,
-        split_factor=split_factor,
-        bulk_fill_factor=bulk_fill_factor,
-    )
-    tree = BeTree(tree_config, meter=meter, pool=pool)
+    tree = BeTree(BeTreeConfig(split_factor=0.8, bulk_fill_factor=0.95), meter=meter)
     return SortednessAwareIndex(tree, config=sware_config, meter=meter)

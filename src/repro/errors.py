@@ -26,12 +26,12 @@ class BulkLoadError(ReproError, ValueError):
     """
 
 
-class KLSortCapacityError(ReproError, RuntimeError):
-    """The (K,L)-adaptive sort exceeded its side-buffer capacity.
+class KeyRangeError(ReproError, ValueError):
+    """A logged write's key lies outside int64.
 
-    The paper notes that (K,L)-adaptive sorting "fails for significantly
-    high values of K or L"; this exception is that failure surfaced so the
-    caller can fall back to a general-purpose stable sort.
+    WAL records and checkpoint pages hold signed 64-bit keys, so an index
+    with a write-ahead log refuses such a write before logging or applying
+    any of it; without a log, keys of any size are valid.
     """
 
 

@@ -21,9 +21,13 @@ from __future__ import annotations
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def splitmix64(key: int, seed: int = 0) -> int:
+#: SplitMix64's increment (the golden ratio in 64 bits).
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(key: int) -> int:
     """SplitMix64 finalizer — a fast, well-mixed 64-bit integer hash."""
-    z = (key + seed * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & _MASK64
+    z = (key + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -37,12 +41,12 @@ def rotate64(value: int, bits: int) -> int:
     return ((value << bits) | (value >> (64 - bits))) & _MASK64
 
 
-def shared_base(key: int, seed: int = 0) -> int:
+def shared_base(key: int) -> int:
     """The 64-bit base hash every probe of ``key`` is derived from."""
-    return splitmix64(key, seed)
+    return splitmix64(key)
 
 
-def shared_bases(keys, seed: int = 0):
+def shared_bases(keys):
     """One 64-bit base hash per key — the batch form of hash sharing.
 
     The returned integers are exactly the bases :func:`shared_base` computes
@@ -50,11 +54,10 @@ def shared_bases(keys, seed: int = 0):
     splitmix64 is inlined (no per-key object construction), which is where
     batch ingestion recovers most of its hashing cost.
     """
-    offset = (seed * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & _MASK64
     bases = []
     append = bases.append
     for key in keys:
-        z = (key + offset) & _MASK64
+        z = (key + _GOLDEN) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         append(z ^ (z >> 31))

@@ -104,8 +104,8 @@ def _ordered(keys) -> np.ndarray:
 # ----------------------------------------------------------------------
 # hashing / Bloom filters
 # ----------------------------------------------------------------------
-def _splitmix64_arr(keys: np.ndarray, seed: int = 0) -> np.ndarray:
-    z = keys + np.uint64((seed * _GOLDEN + _GOLDEN) & _MASK64)
+def _splitmix64_arr(keys: np.ndarray) -> np.ndarray:
+    z = keys + np.uint64(_GOLDEN)
     z ^= z >> _S30  # in place from here on: ``z`` is this call's own array
     z *= _MIX1
     z ^= z >> _S27
@@ -114,7 +114,7 @@ def _splitmix64_arr(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     return z
 
 
-def shared_bases(keys: Sequence[int], seed: int = 0):
+def shared_bases(keys: Sequence[int]):
     """One 64-bit base hash per key (batch hash sharing).
 
     A uint64 array — ``astype(uint64)`` on signed keys is the same two's-
@@ -125,8 +125,8 @@ def shared_bases(keys: Sequence[int], seed: int = 0):
     try:
         arr = _int_array(keys).astype(np.uint64, copy=False)
     except _NOT_INT:
-        return hashing.shared_bases(keys, seed)
-    return _splitmix64_arr(arr, seed)
+        return hashing.shared_bases(keys)
+    return _splitmix64_arr(arr)
 
 
 def _probe_matrix(bases, n_probes: int, n_bits: int, rotation: int) -> np.ndarray:

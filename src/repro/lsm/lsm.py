@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import BulkLoadError, ConfigError
 from repro.lsm.run import Entry, SortedRun
-from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
+from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, current_obs
 from repro.storage.costmodel import NULL_METER, Meter
 
 
@@ -58,11 +58,10 @@ class LSMTree:
         self,
         config: Optional[LSMConfig] = None,
         meter: Optional[Meter] = None,
-        obs: Optional[Observability] = None,
     ):
         self.config = config or LSMConfig()
         self.meter = meter if meter is not None else NULL_METER
-        self.obs = obs if obs is not None else current_obs()
+        self.obs = current_obs()
         self._memtable: Dict[int, Entry] = {}
         self._levels: List[List[SortedRun]] = []  # newest run first per level
         self._seq = 0

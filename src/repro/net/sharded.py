@@ -75,10 +75,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import SWAREConfig
 from repro.core.stats import SWAREStats
 from repro.core.sware import SortednessAwareIndex
-from repro.errors import ReproError
+from repro.errors import KeyRangeError, ReproError
 from repro.obs import NULL_OBS, Observability, current_obs
 from repro.storage.pagefile import CheckpointStore, RecoveryReport
-from repro.storage.wal import FSYNC_ALWAYS, FSYNC_POLICIES, WriteAheadLog, fsync_file
+from repro.storage.wal import (
+    FSYNC_ALWAYS,
+    FSYNC_POLICIES,
+    INT64_MAX,
+    INT64_MIN,
+    WriteAheadLog,
+    fsync_file,
+)
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 1
@@ -355,8 +362,8 @@ class ShardedSortednessAwareIndex:
         for key, value in items:
             if value is None:
                 raise ValueError("None values are reserved for 'absent'")
-            if not -(1 << 63) <= key < 1 << 63:
-                raise ValueError(f"key {key} is outside int64")
+            if not INT64_MIN <= key <= INT64_MAX:
+                raise KeyRangeError(f"key {key} is outside int64: a logged write cannot hold it")
         if not items:
             return
         per_shard: Dict[int, List[Tuple[int, object]]] = {}
@@ -578,10 +585,6 @@ def recover_sharded(
     per-shard-id :class:`RecoveryReport` map.
     """
     manifest = read_manifest(root)
-    if backend_factory is None:
-        from repro.btree.btree import BPlusTree
-
-        backend_factory = BPlusTree
     rows = sorted(
         manifest["shards"],
         key=lambda row: (row["lower"] is not None, row["lower"] or 0),

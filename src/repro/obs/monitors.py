@@ -36,11 +36,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.errors import ConfigError
 from repro.sortedness.metrics import RunningSortednessEstimate
 
 #: Insert-stream window size for the (K,L) drift estimates.
-DEFAULT_WINDOW = 512
+WINDOW = 512
 
 #: Drift windows kept (the newest), like the other monitors' sample rings.
 MAX_WINDOWS = 1024
@@ -87,7 +86,7 @@ class HealthFinding:
 class SortednessDriftMonitor:
     """Windowed (K,L) estimates over the arriving key stream.
 
-    Each full window of ``window`` keys is reduced to (k_fraction,
+    Each full window of :data:`WINDOW` keys is reduced to (k_fraction,
     l_fraction) with the same descent/displacement estimator the
     SWARE-buffer runs per flush epoch
     (:class:`~repro.sortedness.metrics.RunningSortednessEstimate`), giving
@@ -100,10 +99,7 @@ class SortednessDriftMonitor:
     kept, not the start of the stream.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW):
-        if window < 2:
-            raise ConfigError("window must be >= 2")
-        self.window = window
+    def __init__(self):
         self.keys_observed = 0
         self.windows: Deque[Dict[str, float]] = deque(maxlen=MAX_WINDOWS)
         self._estimate = RunningSortednessEstimate()
@@ -111,7 +107,7 @@ class SortednessDriftMonitor:
     def observe_key(self, key: int) -> None:
         self._estimate.observe(key)
         self.keys_observed += 1
-        if self._estimate.n >= self.window:
+        if self._estimate.n >= WINDOW:
             self._close_window()
 
     def observe_keys(self, keys: Sequence[int]) -> None:
@@ -131,7 +127,7 @@ class SortednessDriftMonitor:
 
     def snapshot(self) -> Dict[str, object]:
         return {
-            "window": self.window,
+            "window": WINDOW,
             "keys_observed": self.keys_observed,
             "windows": [dict(w) for w in list(self.windows)],
         }
@@ -197,8 +193,8 @@ class MonitorHub:
     WAL fsync); everything else is derived at snapshot/evaluate time.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW):
-        self.sortedness = SortednessDriftMonitor(window=window)
+    def __init__(self):
+        self.sortedness = SortednessDriftMonitor()
         self.saturation = SaturationMonitor()
         self.bloom = BloomMonitor()
         self.fsync_count = 0

@@ -12,9 +12,9 @@ One output shape: :meth:`layer_table` / :meth:`format_table`, the
 per-layer sample counts and fractions ``repro experiment --profile`` prints.
 
 Cost model: the profiled program runs **zero** additional code — sampling
-happens entirely on the profiler's own thread, which wakes ``hz`` times a
+happens entirely on the profiler's own thread, which wakes :data:`HZ` times a
 second, grabs the interpreter's frame map, and walks at most
-:data:`MAX_DEPTH` frames per thread. At the default rate the steal is a few
+:data:`MAX_DEPTH` frames per thread. At that rate the steal is a few
 hundred microseconds per second of run (≤5% is asserted by the obs-smoke
 CI job, with :func:`measure_overhead` as the measuring stick). When no
 profiler is constructed there is nothing to pay anywhere: no hook, no
@@ -29,11 +29,9 @@ import time
 from collections import Counter
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import ConfigError
-
-#: Default sampling rate. A prime-ish off-round frequency avoids lockstep
-#: with periodic program behavior (the classic profiler aliasing trap).
-DEFAULT_HZ = 67.0
+#: Sampling rate. A prime-ish off-round frequency avoids lockstep with
+#: periodic program behavior (the classic profiler aliasing trap).
+HZ = 67.0
 
 #: Ordered (module prefix, layer) table; first match wins, so the specific
 #: entries must precede their package prefixes.
@@ -75,10 +73,7 @@ def layer_for_module(module: str) -> Optional[str]:
 class SamplingProfiler:
     """See module docstring."""
 
-    def __init__(self, hz: float = DEFAULT_HZ):
-        if hz <= 0:
-            raise ConfigError("hz must be positive")
-        self.hz = hz
+    def __init__(self):
         self.samples = 0  # stack samples taken (one per thread per tick)
         self.ticks = 0  # sampling wakeups
         self.layer_samples: Counter = Counter()
@@ -126,7 +121,7 @@ class SamplingProfiler:
 
     def _loop(self) -> None:
         self._exclude.add(threading.get_ident())
-        period = 1.0 / self.hz
+        period = 1.0 / HZ
         while not self._stop.wait(period):
             self.sample_once()
 
@@ -158,7 +153,7 @@ class SamplingProfiler:
     def layer_table(self) -> Dict[str, Dict[str, float]]:
         """Per-layer sample counts, fractions, and wall-time estimates."""
         total = sum(self.layer_samples.values())
-        period_ns = 1e9 / self.hz
+        period_ns = 1e9 / HZ
         return {
             layer: {
                 "samples": float(count),
@@ -186,7 +181,6 @@ class SamplingProfiler:
 
 def measure_overhead(
     workload: Callable[[], object],
-    hz: float = DEFAULT_HZ,
     repeats: int = 3,
 ) -> Dict[str, float]:
     """Measure the profiler's wall-clock overhead on ``workload``.
@@ -194,12 +188,12 @@ def measure_overhead(
     Runs the workload ``repeats`` times bare and ``repeats`` times under a
     profiler, takes the best of each (the standard noise-floor
     estimator), and reports the ratio. The obs-smoke CI job asserts
-    ``ratio <= 1.05`` at the default rate.
+    ``ratio <= 1.05``.
     """
     def best(profiled: bool) -> float:
         runs = []
         for _ in range(repeats):
-            profiler = SamplingProfiler(hz=hz) if profiled else None
+            profiler = SamplingProfiler() if profiled else None
             if profiler is not None:
                 profiler.start()
             start = time.perf_counter()

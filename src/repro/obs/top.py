@@ -18,13 +18,15 @@ from repro.obs.monitors import build_signals, evaluate_signals
 
 #: Eight-level bar glyphs for the fill/drift strips.
 _BARS = " ▁▂▃▄▅▆▇█"
+#: Samples a strip shows (the newest).
+SPARK_WIDTH = 32
 
 
-def spark(values: List[float], width: int = 32) -> str:
-    """A sparkline strip of ``values`` clipped to [0, 1]."""
+def spark(values: List[float]) -> str:
+    """A sparkline strip of the newest ``values`` clipped to [0, 1]."""
     if not values:
         return "(no samples)"
-    tail = values[-width:]
+    tail = values[-SPARK_WIDTH:]
     out = []
     for value in tail:
         level = max(0.0, min(1.0, value))

@@ -40,7 +40,6 @@ def generate_kl_keys(
     k_fraction: float,
     l_fraction: float,
     seed: int = 0,
-    start: int = 0,
     gap: int = 1,
 ) -> List[int]:
     """A (K,L)-near sorted permutation of the sorted base collection.
@@ -54,7 +53,7 @@ def generate_kl_keys(
         raise ValueError("k_fraction must be within [0, 1]")
     if not 0.0 <= l_fraction <= 1.0:
         raise ValueError("l_fraction must be within [0, 1]")
-    keys = sorted_keys(n, start=start, gap=gap)
+    keys = sorted_keys(n, gap=gap)
     if n < 2 or k_fraction == 0.0 or l_fraction == 0.0:
         return keys
 

@@ -12,11 +12,10 @@ The algorithm sorts a (K,L)-near sorted collection in two sequential passes:
 
 For a (K,L)-input the side buffer holds O(K) elements, so the total work is
 O(N + K log K) ⊆ O(N log(K+L)) with O(K + L) extra space, matching the
-complexity quoted in §II of the paper. The side buffer is capacity-bounded;
-overflowing it raises :class:`~repro.errors.KLSortCapacityError`, mirroring
-the paper's observation that the algorithm "fails for significantly high
-values of K or L". The SWARE-buffer runs only the split pass
-(:func:`kl_split_fits`), under a meter, to choose which sort it bills.
+complexity quoted in §II of the paper. The SWARE-buffer runs only the split
+pass (:func:`kl_split_fits`), under a meter, with a capacity-bounded side
+buffer: overflowing it means the paper's "fails for significantly high
+values of K or L", and the buffer bills a general sort instead.
 
 Stability: ties are broken by arrival position, so duplicate keys keep their
 relative order — a requirement the paper states explicitly (§IV-C).
@@ -25,9 +24,7 @@ relative order — a requirement the paper states explicitly (§IV-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
-
-from repro.errors import KLSortCapacityError
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -45,54 +42,27 @@ class KLSortStats:
     extra: dict = field(default_factory=dict)
 
 
-def kl_sort(
-    items: Sequence[T],
-    key: Optional[Callable[[T], object]] = None,
-    capacity: Optional[int] = None,
-    stats: Optional[KLSortStats] = None,
-) -> List[T]:
+def kl_sort(items: Sequence[T], stats: Optional[KLSortStats] = None) -> List[T]:
     """Return ``items`` stably sorted, exploiting near-sortedness.
 
-    Parameters
-    ----------
-    items:
-        The input sequence (not modified).
-    key:
-        Sort-key extractor; defaults to the identity.
-    capacity:
-        Maximum side-buffer size (the paper's O(K+L) memory bound). ``None``
-        means unbounded. Exceeding it raises
-        :class:`~repro.errors.KLSortCapacityError` *before* doing the merge
-        work, so a caller that falls back pays nothing extra.
-    stats:
-        Optional mutable stats collector.
+    ``stats``, if given, collects the operation counts; ``stats.outliers``
+    is the side buffer's size, the O(K) bound the paper's memory claim is
+    about (:func:`kl_split_fits` tests it against a capacity).
     """
-    if key is None:
-        key = lambda item: item  # noqa: E731 - tiny identity adapter
     if stats is None:
         stats = KLSortStats()
     stats.n = len(items)
 
     # --- Pass 1: split into a non-decreasing spine and an outlier buffer ---
-    spine: List[Tuple[object, int, T]] = []  # (key, arrival, item)
-    outliers: List[Tuple[object, int, T]] = []
-
-    def divert(entry: Tuple[object, int, T]) -> None:
-        outliers.append(entry)
-        if capacity is not None and len(outliers) > capacity:
-            raise KLSortCapacityError(
-                f"(K,L)-sort side buffer exceeded capacity {capacity} "
-                f"after {entry[1] + 1}/{stats.n} elements"
-            )
-
+    spine: List[Tuple[T, int]] = []  # (item, arrival)
+    outliers: List[Tuple[T, int]] = []
     for arrival, item in enumerate(items):
-        item_key = key(item)
         if not spine:
-            spine.append((item_key, arrival, item))
+            spine.append((item, arrival))
             continue
         stats.comparisons += 1
-        if item_key >= spine[-1][0]:
-            spine.append((item_key, arrival, item))
+        if item >= spine[-1][0]:
+            spine.append((item, arrival))
             continue
         # One-step backtrack: if the spine's tail is the anomaly (the new
         # element still fits after the element *before* the tail — or the
@@ -100,44 +70,42 @@ def kl_sort(
         # new element. This keeps a lone early spike from poisoning the
         # spine and diverting everything after it.
         stats.comparisons += 1
-        if len(spine) == 1 or item_key >= spine[-2][0]:
+        if len(spine) == 1 or item >= spine[-2][0]:
             stats.backtracks += 1
-            divert(spine.pop())
-            spine.append((item_key, arrival, item))
+            outliers.append(spine.pop())
+            spine.append((item, arrival))
         else:
-            divert((item_key, arrival, item))
+            outliers.append((item, arrival))
 
     stats.outliers = len(outliers)
 
     # --- Pass 2: sort the outliers and merge ---
-    # (key, arrival) ordering makes the merge stable for duplicates.
-    outliers.sort(key=lambda entry: (entry[0], entry[1]))
+    # (item, arrival) ordering makes the merge stable for duplicates.
+    outliers.sort()
 
     if not outliers:
-        return [item for _, _, item in spine]
+        return [item for item, _ in spine]
 
     merged: List[T] = []
     i = j = 0
     n_spine, n_out = len(spine), len(outliers)
     while i < n_spine and j < n_out:
         stats.merge_steps += 1
-        spine_entry = spine[i]
-        out_entry = outliers[j]
-        if (spine_entry[0], spine_entry[1]) <= (out_entry[0], out_entry[1]):
-            merged.append(spine_entry[2])
+        if spine[i] <= outliers[j]:
+            merged.append(spine[i][0])
             i += 1
         else:
-            merged.append(out_entry[2])
+            merged.append(outliers[j][0])
             j += 1
-    merged.extend(entry[2] for entry in spine[i:])
-    merged.extend(entry[2] for entry in outliers[j:])
+    merged.extend(item for item, _ in spine[i:])
+    merged.extend(item for item, _ in outliers[j:])
     return merged
 
 
 def kl_split_fits(keys: Sequence[int], capacity: int) -> bool:
     """:func:`kl_sort`'s split pass over a bare key column in arrival order:
-    False as soon as the outlier side buffer overflows ``capacity`` (where
-    ``kl_sort`` raises), else True. The spine is only ever inspected two
+    False as soon as the outlier side buffer holds more than ``capacity``
+    keys, else True. The spine is only ever inspected two
     deep, so it is carried as its tail and the key below it."""
     keys = iter(keys)
     tail = next(keys, None)

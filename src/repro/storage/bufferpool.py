@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.obs import NULL_OBS, Observability, current_obs
+from repro.obs import NULL_OBS, current_obs
 from repro.storage.costmodel import NULL_METER, Meter
 
 
@@ -61,13 +61,12 @@ class BufferPool:
         self,
         capacity: Optional[int] = None,
         meter: Optional[Meter] = None,
-        obs: Optional[Observability] = None,
     ):
         if capacity is not None and capacity < 0:
             raise ConfigError("capacity must be >= 0 or None")
         self.capacity = capacity or None
         self.meter = meter if meter is not None else NULL_METER
-        self.obs = obs if obs is not None else current_obs()
+        self.obs = current_obs()
         self._frames: "OrderedDict[int, Frame]" = OrderedDict()
         self.hits = 0
         self.misses = 0

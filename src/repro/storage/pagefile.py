@@ -362,9 +362,8 @@ class CheckpointStore:
             raise PageFileError("checkpoint directory malformed")
         return directory, epoch
 
-    def load_btree(self, meter=None):
-        """Restore the checkpointed B+-tree from the newest valid footer
-        (billing ``meter``, if one is given)."""
+    def load_btree(self):
+        """Restore the checkpointed B+-tree from the newest valid footer."""
         pagefile = PageFile(self.path, self.slot_size, opener=self._opener)
         try:
             directory, epoch = self._read_footer(
@@ -376,8 +375,7 @@ class CheckpointStore:
         finally:
             pagefile.close()
         tree = deserialize_btree(
-            {"root": directory["root"], "config": directory["config"], "pages": pages},
-            meter=meter,
+            {"root": directory["root"], "config": directory["config"], "pages": pages}
         )
         tree.check_invariants()
         self._epoch = epoch
@@ -395,19 +393,17 @@ class CheckpointStore:
         index.flush_all()
         return self.save_btree(index.backend)
 
-    def load_index(self, config=None, meter=None, wal=None):
+    def load_index(self, config=None):
         """Restore a checkpoint as a fresh SA B+-tree (empty buffer)."""
         from repro.core.sware import SortednessAwareIndex
 
-        tree = self.load_btree(meter=meter)
-        return SortednessAwareIndex(tree, config=config, meter=meter, wal=wal)
+        return SortednessAwareIndex(self.load_btree(), config=config)
 
     # -- recovery -------------------------------------------------------------
     def recover(
         self,
         wal_path: Optional[str] = None,
         config=None,
-        meter=None,
         backend_factory: Optional[Callable] = None,
         wal: Optional[WriteAheadLog] = None,
     ):
@@ -437,11 +433,11 @@ class CheckpointStore:
         This is the one recovery path; :func:`rebuild_index` is this plus
         one bulk load.
         """
-        index, report = self._replay(wal_path, config, meter, backend_factory, wal)
+        index, report = self._replay(wal_path, config, backend_factory, wal)
         report.entries = len(index.items())
         return index, report
 
-    def _replay(self, wal_path, config, meter, backend_factory, wal):
+    def _replay(self, wal_path, config, backend_factory, wal):
         """:meth:`recover` up to, not including, its count of live entries."""
         from repro.core.sware import SortednessAwareIndex
 
@@ -456,7 +452,7 @@ class CheckpointStore:
             report.stale_tmp_removed = True
         with obs.span("recovery.load_checkpoint") as span:
             if os.path.exists(self.path):
-                index = self.load_index(config=config, meter=meter)
+                index = self.load_index(config=config)
                 report.checkpoint_found = True
                 report.checkpoint_epoch = self._epoch or 0
                 report.checkpoint_pages = (
@@ -469,9 +465,7 @@ class CheckpointStore:
                     from repro.btree.btree import BPlusTree
 
                     backend_factory = BPlusTree
-                index = SortednessAwareIndex(
-                    backend_factory(), config=config, meter=meter
-                )
+                index = SortednessAwareIndex(backend_factory(), config=config)
             span.set(found=report.checkpoint_found, epoch=report.checkpoint_epoch)
         if wal_path is not None:
             replay = (
@@ -499,8 +493,6 @@ def rebuild_index(
     *,
     out_path: Optional[str] = None,
     slot_size: int = DEFAULT_SLOT_SIZE,
-    config=None,
-    meter=None,
     opener: Callable = open,
     replace: Optional[Callable] = None,
 ):
@@ -518,10 +510,10 @@ def rebuild_index(
 
     recovered, report = CheckpointStore(
         checkpoint_path, slot_size, opener=opener, replace=replace
-    )._replay(wal_path, config, meter, None, None)
+    )._replay(wal_path, None, None, None)
     items = recovered.items()
     report.entries = len(items)
-    tree = BPlusTree(recovered.backend.config, meter=meter)
+    tree = BPlusTree(recovered.backend.config)
     with current_obs().span("rebuild.bulk_load") as span:
         tree.bulk_load_append(items)
         span.set(entries=tree.n_entries)
@@ -532,4 +524,4 @@ def rebuild_index(
             report.stale_tmp_removed = True
         out.save_btree(tree)
         report.out_path = out_path
-    return SortednessAwareIndex(tree, config=config, meter=meter), report
+    return SortednessAwareIndex(tree), report

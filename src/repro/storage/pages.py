@@ -314,7 +314,7 @@ def serialize_btree(tree, *, compress: bool = False) -> dict:
     return {"root": root_id, "pages": pages, "config": tree.config}
 
 
-def deserialize_btree(blob: dict, meter=None):
+def deserialize_btree(blob: dict):
     """Rebuild a :class:`~repro.btree.BPlusTree` from serialized pages.
 
     The page format is layout-agnostic (dense sorted key runs), so nodes
@@ -322,12 +322,12 @@ def deserialize_btree(blob: dict, meter=None):
     Checkpoints pickled before the layout knobs were removed may carry a
     config with stray ``node_layout`` / ``gap_high_water`` attributes (or,
     older still, neither); both load — ``BPlusTree`` reads only the fields
-    it still has. Given a ``meter``, the tree is built metered.
+    it still has.
     """
     from repro.btree.btree import BPlusTree
     from repro.btree.node import GappedInternal, GappedLeaf
 
-    tree = BPlusTree(blob["config"], meter=meter)
+    tree = BPlusTree(blob["config"])
     if blob["root"] is None:
         return tree
     pages = blob["pages"]

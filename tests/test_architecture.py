@@ -284,6 +284,13 @@ def test_one_batch_surface():
     assert hits(pattern, "src") == []
     insert_many = hits(r"def insert_many", "src")
     assert all(line.startswith("src/repro/btree/btree.py:") for line in insert_many)
+    # One batch insert: a bulk load or the flush's insert_sorted, no
+    # gap-absorbing merge or leaf fission of its own.
+    assert hits(r"def (_insert_many|_merge_run|_fission_leaf)\(", "src") == []
+    body = _method("src/repro/btree/btree.py", "BPlusTree", "insert_many")
+    called = {node.func.attr for node in ast.walk(body)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert "insert_sorted" in called
     assert defines("tests/test_concurrent_index.py::TestSingleThreaded::"
                    "test_empty_get_many_is_a_no_op")
     # An executed read batch is a loop of ``get``: no sort, no bisect, no
@@ -336,7 +343,13 @@ FRAMEWORK_CALLBACKS.add("find_class")
 # ``Class.member``, a ``Config.field`` or a ``function(parameter=)``.
 REACHED_ELSEWHERE = {
     "ConcurrentSortednessAwareIndex": 'README "Concurrent usage"',
+    "ConcurrentSortednessAwareIndex(config=)": 'README "Concurrent usage" passes it',
+    "ConcurrentSortednessAwareIndex(wal=)": "its mutex makes WAL order apply order; "
+                                            "tests/test_recovery.py::TestConcurrentWAL replays it",
+    "ConcurrentSortednessAwareIndex(meter=)": "the oracle's concurrent shape bills its buffer, so its "
+                                              "check replays the billed searches (_probe_tail)",
     "recommend": 'README "Diagnosing a run" (the doctor\'s remediation names it)',
+    "recommend(read_fraction=)": 'README "Diagnosing a run", beside recommend',
     "SWAREConfig.bits_per_entry": "the doctor's bloom_fpr_degraded remediation tells users to raise it",
     "Observability(trace_capacity=)": "the doctor's trace_truncated remediation tells users to raise it",
     "CostModel(weights=)": "ROADMAP's clock item passes fitted weights (`--weights cpython`)",
@@ -345,6 +358,30 @@ REACHED_ELSEWHERE = {
     "FaultyEnv(short_read_at=)": "the torn-read seam the WAL replay tests drive",
     "SWAREBuffer.range_entries": "tests read a range's buffered versions through it, unbilled",
     "WriteAheadLog.tail_bytes": "tests check that a reset truncates the log, under the log's lock",
+    # Seams a test substitutes a fake or a small tree through.
+    "rebuild_index(opener=)": "tests open files through a FaultyEnv",
+    "rebuild_index(replace=)": "tests crash the atomic rename through a FaultyEnv",
+    "ShardedSortednessAwareIndex(replace=)": "tests crash the manifest rename through a FaultyEnv",
+    "recover_sharded(backend_factory=)": "the oracle's sharded shapes build small-page trees, so "
+                                         "short programs split nodes, and keep them across a "
+                                         "recover (it passes the factory on to the index)",
+    "FaultyEnv(seed=)": "the crash sweeps seed their torn-write cut points with it",
+    "live_loop(out=)": "tests read the dashboard frames from a buffer",
+    "BeTreeConfig.node_size": "tests/test_betree.py and the oracle shrink B so short programs "
+                              "flush buffers and split nodes (experiments run B = 64)",
+    "BeTreeConfig.epsilon": "tests/test_betree.py checks the pivot/buffer split at other ε "
+                            "(experiments run ε = 1/2)",
+    "BeTreeConfig.leaf_capacity": "tests/test_betree.py and the oracle shrink leaves so short "
+                                  "programs split them (experiments run 64)",
+    # References tests compare against.
+    "make_sa_btree(leaf_capacity=)": "tests/test_meter_golden.py pins the simulated cost at "
+                                     "16-entry nodes",
+    "make_sa_btree(internal_capacity=)": "tests/test_meter_golden.py pins the simulated cost at "
+                                         "16-entry nodes",
+    "CheckpointStore(compress=)": "writes the raw (v1) pages the compression floor and the v1 "
+                                  "rebuild test compare against",
+    "generate_kl_keys(gap=)": "the gapped key families the compression floor measures",
+    "scrambled_keys(gap=)": "the gapped key families the compression floor measures",
 }
 
 
@@ -363,37 +400,88 @@ def _reference_counts(path, node):
     return found
 
 
-def _settings(tree):
-    """Keyword arguments and string dict keys in ``tree``, and the most
-    positional arguments any call of each name passes."""
-    keys, arity = Counter(), {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.keyword) and node.arg:
-            keys[node.arg] += 1
-        elif isinstance(node, ast.Dict):
-            keys.update(k.value for k in node.keys
-                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            arity[name] = max(arity.get(name, 0), len(node.args))
-    return keys, arity
+class _Calls:
+    """The calls under the trees added, by callee name: the keywords they
+    pass, the most positional arguments one passes, and whether one passes
+    ``*args`` / ``**kwargs`` (which sets every parameter). A call ``f(...)``
+    or ``x.f(...)`` counts for ``f``; ``super().__init__(...)`` counts for
+    no class. Methods are resolved by name, not by type (``x.inc()``
+    counts for every method ``inc``): telling ``Gauge.inc`` from
+    ``Counter.inc`` needs the receiver's type. Also kept: the string dict
+    keys, the functions that forward ``**kwargs``, and the names used as a
+    value (any reference that is not the function a call calls)."""
+
+    def __init__(self):
+        self.keys, self.arity, self.splat = {}, Counter(), set()
+        self.dict_keys, self.forwarders, self.values = set(), set(), set()
+
+    def add(self, tree):
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(id(func))
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                self.keys.setdefault(name, set()).update(k.arg for k in node.keywords if k.arg)
+                positional = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+                self.arity[name] = max(self.arity[name], len(positional))
+                if len(positional) < len(node.args) or any(not k.arg for k in node.keywords):
+                    self.splat.add(name)
+            elif isinstance(node, ast.Dict):
+                self.dict_keys.update(key.value for key in node.keys if isinstance(key, ast.Constant)
+                                      and isinstance(key.value, str))
+            elif isinstance(node, ast.FunctionDef) and node.args.kwarg:
+                self.forwarders.add(node.name)
+        self.values.update(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in called
+        )
+
+    def sets(self, callees, index, name, spelled=False):
+        """Whether a call of a name in ``callees`` passes parameter ``name``
+        (positional ``index``; ``None`` for keyword-only). ``spelled``: a
+        keyword ``name`` passed to any callee counts too."""
+        keys = set().union(*self.keys.values()) if spelled else set()
+        return any(
+            callee in self.splat or name in keys | self.keys.get(callee, set())
+            or (index is not None and self.arity[callee] > index)
+            for callee in callees
+        )
 
 
-def _unset_parameters(owner, func, keys, arity):
-    """The defaulted parameters of ``func`` that no call passes."""
+def _ci_calls(text):
+    """Each call in the CI file's text, ``f(...)`` parsed as an expression
+    (shell text that is not Python is skipped)."""
+    for match in re.finditer(r"\b\w+\(", text):
+        depth, end = 0, match.end() - 1
+        for end in range(match.end() - 1, len(text)):
+            depth += {"(": 1, ")": -1}.get(text[end], 0)
+            if not depth:
+                break
+        try:
+            yield ast.parse(text[match.start() : end + 1], mode="eval")
+        except SyntaxError:
+            continue
+
+
+def _unset_parameters(owner, func, calls, callees):
+    """The defaulted parameters of ``func`` that no call of ``callees``
+    passes. A function that is also used as a value (handed to another
+    function, like ``decode_records`` to ``_untrusted``) has calls no name
+    shows, so for it any keyword of the parameter's name counts."""
     args = func.args
     positional = args.posonlyargs + args.args
     skip = 1 if owner and positional and positional[0].arg in ("self", "cls") else 0
-    callee = owner if func.name == "__init__" else func.name
     label = (f"{owner}({{}}=)" if func.name == "__init__"
              else f"{owner}.{func.name}({{}}=)" if owner else f"{func.name}({{}}=)")
+    spelled = func.name != "__init__" and func.name in calls.values
     first_default = len(positional) - len(args.defaults)
     for index, arg in enumerate(positional):
-        if index >= first_default and not keys[arg.arg] and arity.get(callee, 0) <= index - skip:
+        if index >= first_default and not calls.sets(callees, index - skip, arg.arg, spelled):
             yield label.format(arg.arg)
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None and not keys[arg.arg]:
+        if default is not None and not calls.sets(callees, None, arg.arg, spelled):
             yield label.format(arg.arg)
 
 
@@ -401,21 +489,25 @@ def test_library_is_what_runs():
     # Every public top-level def or class under src/repro, every public
     # method or property of a top-level class there, every field of a
     # *Config dataclass and every defaulted parameter of a public function
-    # or method is reached from src/, bench_e2e/, examples/ or CI (a name
-    # CI calls, a keyword CI passes), or is listed above with where it is
-    # reached instead. An experiment's run takes only n.
+    # or method is reached from src/, bench_e2e/, examples/ or CI, or is
+    # listed above with where it is reached instead. A parameter is set
+    # only by a call of its own function: ``f(p=...)`` or ``x.f(p=...)``
+    # for ``f``, ``C(p=...)`` for ``C.__init__`` (and, as ``C.__new__`` may
+    # return one, for a ``MeteredC`` subclass's). A field is set by a
+    # keyword of a call of its class or of a ``**kwargs`` forwarder
+    # (``common.buffer_config``), or by a string dict key; a ``**`` replay
+    # of a manifest is not a setting. An experiment's run takes only n.
     ci = (ROOT / ".github/workflows/ci.yml").read_text()
     total = Counter(re.findall(r"(\w+)\(", ci))
-    keys, arity = Counter(re.findall(r"(\w+)=", ci)), {}
+    calls = _Calls()
+    for call in _ci_calls(ci):
+        calls.add(call)
     trees = {}
     for path in _files("src", "bench_e2e", "examples"):
         if path.suffix == ".py":
             trees[path] = tree = ast.parse(path.read_text())
             total += _reference_counts(path, tree)
-            tree_keys, tree_arity = _settings(tree)
-            keys += tree_keys
-            for name, count in tree_arity.items():
-                arity[name] = max(arity.get(name, 0), count)
+            calls.add(tree)
 
     def unreferenced(path, node, name):
         return total[name] - _reference_counts(path, node)[name] <= 0
@@ -430,19 +522,27 @@ def test_library_is_what_runs():
                 if public and unreferenced(path, statement, statement.name):
                     unreached.add(statement.name)
                 if public:
-                    unreached.update(_unset_parameters(None, statement, keys, arity))
+                    unreached.update(_unset_parameters(None, statement, calls, [statement.name]))
             if not isinstance(statement, ast.ClassDef):
                 continue
             if public and unreferenced(path, statement, statement.name):
                 unreached.add(statement.name)
+            builders = [statement.name]
+            if statement.name.startswith("Metered"):
+                builders += [base.id for base in statement.bases if isinstance(base, ast.Name)]
+            setters = [statement.name, *calls.forwarders]
             for member in statement.body:
                 if statement.name.endswith("Config") and isinstance(member, ast.AnnAssign):
-                    if not keys[member.target.id]:
-                        unreached.add(f"{statement.name}.{member.target.id}")
+                    field = member.target.id
+                    if field not in calls.dict_keys.union(*(calls.keys.get(name, ())
+                                                            for name in setters)):
+                        unreached.add(f"{statement.name}.{field}")
                 if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                if member.name == "__init__" or not member.name.startswith("_"):
-                    unreached.update(_unset_parameters(statement.name, member, keys, arity))
+                if member.name == "__init__":
+                    unreached.update(_unset_parameters(statement.name, member, calls, builders))
+                elif not member.name.startswith("_"):
+                    unreached.update(_unset_parameters(statement.name, member, calls, [member.name]))
                 if (not member.name.startswith("_") and member.name not in FRAMEWORK_CALLBACKS
                         and unreferenced(path, member, member.name)):
                     unreached.add(f"{statement.name}.{member.name}")

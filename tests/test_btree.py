@@ -419,7 +419,8 @@ INT64_EDGES = (-(2**63), 2**63 - 1)
 
 class TestInsertSorted:
     """``insert_sorted`` (one descent per leaf run) builds the tree that a
-    loop of ``insert`` builds, split for split."""
+    loop of ``insert`` builds, split for split; ``insert_many`` is a bulk
+    load above ``max_key`` and ``insert_sorted`` otherwise."""
 
     @key_domains
     @settings(max_examples=120, deadline=None)
@@ -437,8 +438,9 @@ class TestInsertSorted:
         drops = data.draw(st.lists(st.sampled_from(start), max_size=10)) if start else []
         batches = data.draw(st.lists(st.lists(key, unique=True, max_size=60), max_size=3))
         walk, loop, metered = BPlusTree(config), BPlusTree(config), BPlusTree(config, meter=Meter())
+        batched = BPlusTree(config)
         assert type(metered) is MeteredBPlusTree
-        for tree in (walk, loop, metered):
+        for tree in (walk, loop, metered, batched):
             # A starting tree with overwrites ahead, a bulk-loaded tail
             # (when the edges leave room above it) and emptied leaves.
             for k in start:
@@ -447,15 +449,27 @@ class TestInsertSorted:
                 tree.bulk_load_append([(k, ("bulk", k)) for k in sorted(bulk)])
             for k in drops:
                 tree.delete(k)
+        same_shape = True  # until a batch bulk-loads into ``batched``
         for number, batch in enumerate(batches):
             keys = sorted(batch)
             values = [(number, k) for k in keys]
+            # Shuffled, each key's value behind a stale version of it.
+            stale = [(k, ("stale", k)) for k in data.draw(st.permutations(keys))]
+            fresh = [(k, (number, k)) for k in data.draw(st.permutations(keys))]
+            new_keys = len(set(keys) - {k for k, _ in loop.iter_items()})
+            bulk = bool(keys) and (batched.max_key is None or keys[0] > batched.max_key)
             walk.insert_sorted(keys, values)
             metered.insert_sorted(keys, values)
             for k, value in zip(keys, values):
                 loop.insert(k, value)
+            assert batched.insert_many(stale + fresh) == new_keys
             walk.check_invariants()
+            batched.check_invariants()
             assert tree_shape(walk) == tree_shape(loop) == tree_shape(metered)
+            same_shape = same_shape and not bulk
+            if same_shape:
+                assert tree_shape(batched) == tree_shape(walk)
+            assert list(batched.iter_items()) == list(loop.iter_items())
 
     @key_domains
     def test_a_flush_with_interleaved_tombstones_matches_the_loop(self, domain):

@@ -12,7 +12,7 @@ from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
-from repro.obs import Observability
+from repro.obs import Observability, observe
 from repro.storage.costmodel import Meter
 from repro.storage.wal import WriteAheadLog, replay_wal
 
@@ -77,12 +77,13 @@ class TestSingleThreaded:
             stats, meter = index.stats.snapshot(), index.meter.snapshot()
             return reads, stats, meter, ops_logged, logged, monitors
 
-        def parts(name):
+        def build(name, cls=ConcurrentSortednessAwareIndex):
             wal = WriteAheadLog(str(tmp_path / name), fsync_policy="never")
-            return {"meter": Meter(), "obs": Observability(monitors=True), "wal": wal}
+            with observe(Observability(monitors=True)):
+                return make_index(cls=cls, meter=Meter(), wal=wal)
 
-        plain = make_index(cls=SortednessAwareIndex, **parts("plain.wal"))
-        conc = make_index(**parts("conc.wal"))
+        plain = build("plain.wal", SortednessAwareIndex)
+        conc = build("conc.wal")
         expected, actual = run(plain, "plain.wal"), run(conc, "conc.wal")
         names = ("reads", "stats", "meter", "wal ops", "wal bytes", "monitors")
         for name, want, got in zip(names, expected, actual):

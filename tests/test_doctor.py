@@ -19,7 +19,7 @@ from repro.obs.doctor import (
     scenario_workload,
     split_findings,
 )
-from repro.obs.top import format_dashboard, live_loop, spark
+from repro.obs.top import SPARK_WIDTH, format_dashboard, live_loop, spark
 from repro.workloads.spec import INSERT
 
 
@@ -159,7 +159,7 @@ class TestSpark:
         assert strip[0] == " " and strip[2] == "█" == strip[3]
 
     def test_width_keeps_tail(self):
-        assert len(spark([0.5] * 100, width=10)) == 10
+        assert len(spark([0.5] * 100)) == SPARK_WIDTH
 
 
 class TestDashboard:

@@ -3,8 +3,7 @@
 That the tree answers like an ordered map, in both key domains, is the
 oracle's business (``tests/test_oracle.py``). This file pins what the
 oracle cannot see: the dedup kernel's one answer for array and list
-columns, keys at and beyond the int64 edges, fission accounting, the
-physical-occupancy fields of ``space_stats()``, checkpoint round-trips
+columns, keys at and beyond the int64 edges, the physical-occupancy fields of ``space_stats()``, checkpoint round-trips
 that keep the layout (including configs pickled by older versions), and
 profiler layer attribution for the hot modules.
 """
@@ -88,22 +87,6 @@ class TestDemotion:
         assert tree.delete(weird) is True
         assert tree.get(weird) is None
         tree.check_invariants()
-
-
-@key_domains
-def test_fission_replaces_split_storm(domain):
-    """A big run landing in one leaf rebuilds it in one structural event."""
-    shift = domain.shift
-    tree = _tree(leaf_capacity=8)
-    tree.insert_many([(k + shift, k) for k in range(0, 1000, 10)])
-    before = tree.leaf_splits
-    tree.insert_many([(k + shift, k) for k in range(101, 161)])  # one-leaf run
-    assert tree.leaf_fissions >= 1
-    counts = tree.meter.snapshot()
-    assert counts.get("leaf_fission", 0) == tree.leaf_fissions
-    # The run did not cascade through per-key splits.
-    assert tree.leaf_splits - before <= 1
-    tree.check_invariants()
 
 
 @key_domains

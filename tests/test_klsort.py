@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import KLSortCapacityError
 from repro.sortedness.generator import generate_kl_keys
 from repro import kernels
 from repro.sortedness.klsort import KLSortStats, kl_sort, kl_split_fits
@@ -43,31 +42,15 @@ class TestCorrectness:
     def test_matches_sorted(self, data):
         assert kl_sort(data) == sorted(data)
 
-    @given(st.lists(st.integers(min_value=0, max_value=30), max_size=200))
+    @given(st.lists(st.integers(min_value=0, max_value=30).flatmap(
+        lambda value: st.sampled_from([value, float(value)])), max_size=200))
     @settings(max_examples=80, deadline=None)
     def test_stability_for_duplicates(self, data):
-        tagged = [(value, position) for position, value in enumerate(data)]
-        result = kl_sort(tagged, key=lambda pair: pair[0])
-        assert result == sorted(tagged, key=lambda pair: pair[0])
-        # sorted() is stable, so matching it proves our stability too.
-
-
-class TestKeyExtraction:
-    def test_key_function(self):
-        data = [{"k": 3}, {"k": 1}, {"k": 2}]
-        result = kl_sort(data, key=lambda d: d["k"])
-        assert [d["k"] for d in result] == [1, 2, 3]
-
-
-class TestCapacityBound:
-    def test_capacity_exceeded_raises(self):
-        scrambled = list(range(500, 0, -1))
-        with pytest.raises(KLSortCapacityError):
-            kl_sort(scrambled, capacity=10)
-
-    def test_capacity_sufficient_succeeds(self):
-        data = generate_kl_keys(1000, 0.02, 0.01, seed=1)
-        assert kl_sort(data, capacity=200) == sorted(data)
+        # 3 == 3.0 compare equal, so only a stable sort keeps their order;
+        # sorted() is stable, so matching it type for type proves ours is.
+        result = kl_sort(data)
+        assert [(value, type(value)) for value in result] == [
+            (value, type(value)) for value in sorted(data)]
 
 
 class TestComplexityCharacter:
@@ -94,28 +77,23 @@ def _column_cases():
 
 class TestKeyColumnSplitPass:
     """What the SWARE buffer runs instead of ``kl_sort`` over entry tuples:
-    the split pass on the bare key column decides raise / no raise, and one
-    stable kernel sort produces ``kl_sort``'s order."""
+    the split pass on the bare key column decides whether the side buffer
+    fits a capacity (``kl_sort``'s outlier count), and one stable kernel
+    sort produces ``kl_sort``'s order."""
 
     @pytest.mark.parametrize("label,keys", list(_column_cases()))
     def test_same_capacity_decision_and_same_order(self, label, keys):
-        tagged = list(enumerate(keys))  # (arrival, key): the buffer's (seq, key)
-        by_key_then_arrival = lambda item: (item[1], item[0])  # noqa: E731
+        tagged = [(key, arrival) for arrival, key in enumerate(keys)]  # the buffer's (key, seq)
         stats = KLSortStats()
-        expected = kl_sort(tagged, key=by_key_then_arrival, stats=stats)
+        expected = kl_sort(tagged, stats=stats)
         for capacity in {0, 1, 16, stats.outliers - 1, stats.outliers, stats.outliers + 1}:
             if capacity < 0:
                 continue
-            try:
-                kl_sort(tagged, key=by_key_then_arrival, capacity=capacity)
-                fits = True
-            except KLSortCapacityError:
-                fits = False
+            fits = stats.outliers <= capacity
             assert kl_split_fits(keys, capacity) is fits, (label, capacity)
-            assert fits == (stats.outliers <= capacity)
         for shift in (0, 2**70):  # an int64 column, and a list one
             order = kernels.stable_argsort(kernels.key_array([key + shift for key in keys]))
-            assert [int(i) for i in order] == [arrival for arrival, _key in expected]
+            assert [int(i) for i in order] == [arrival for _key, arrival in expected]
 
     @given(
         keys=st.lists(st.integers(min_value=0, max_value=30), max_size=60),
@@ -123,9 +101,6 @@ class TestKeyColumnSplitPass:
     )
     @settings(max_examples=200, deadline=None)
     def test_split_pass_matches_kl_sort_on_random_columns(self, keys, capacity):
-        try:
-            kl_sort(list(enumerate(keys)), key=lambda item: (item[1], item[0]), capacity=capacity)
-            fits = True
-        except KLSortCapacityError:
-            fits = False
-        assert kl_split_fits(keys, capacity) is fits
+        stats = KLSortStats()
+        kl_sort([(key, arrival) for arrival, key in enumerate(keys)], stats=stats)
+        assert kl_split_fits(keys, capacity) is (stats.outliers <= capacity)

@@ -10,7 +10,6 @@ from repro.obs import Observability
 from repro.obs.monitors import (
     BF_FPR_FLOOR,
     BULK_FRACTION_FLOOR,
-    DEFAULT_WINDOW,
     FSYNC_P99_NS,
     MIN_BF_DECISIONS,
     MIN_FLUSHES,
@@ -18,6 +17,7 @@ from repro.obs.monitors import (
     SAMPLE_CAPACITY,
     MIN_WINDOWS,
     SORTEDNESS_COLLAPSE_DELTA,
+    WINDOW,
     BloomMonitor,
     MonitorHub,
     SaturationMonitor,
@@ -38,41 +38,38 @@ class FakeBuffer:
 
 class TestSortednessDriftMonitor:
     def test_windows_close_at_window_size(self):
-        monitor = SortednessDriftMonitor(window=8)
-        monitor.observe_keys(range(20))
+        monitor = SortednessDriftMonitor()
+        monitor.observe_keys(range(2 * WINDOW + 4))
         assert len(monitor.windows) == 2
-        assert monitor.keys_observed == 20
+        assert monitor.keys_observed == 2 * WINDOW + 4
         # Fully sorted input: no out-of-order keys in any window.
         for window in monitor.windows:
-            assert window["n"] == 8.0
+            assert window["n"] == float(WINDOW)
             assert window["k_fraction"] == 0.0
 
     def test_drift_visible_between_windows(self):
-        monitor = SortednessDriftMonitor(window=16)
-        monitor.observe_keys(range(16))  # sorted window
-        monitor.observe_keys([100, 5, 90, 3, 80, 1, 70, 2,
-                              60, 4, 50, 6, 40, 7, 30, 8])  # scrambled window
+        monitor = SortednessDriftMonitor()
+        monitor.observe_keys(range(WINDOW))  # sorted window
+        # A scrambled window: high keys and low keys alternate.
+        monitor.observe_keys(key for pair in zip(range(10**6, 10**6 - WINDOW // 2, -1),
+                                                 range(WINDOW // 2)) for key in pair)
         assert len(monitor.windows) == 2
         assert monitor.windows[1]["k_fraction"] > monitor.windows[0]["k_fraction"]
 
     def test_windows_are_bounded(self):
-        monitor = SortednessDriftMonitor(window=2)
-        monitor.observe_keys(range(2 * (MAX_WINDOWS + 76)))
+        monitor = SortednessDriftMonitor()
+        monitor.observe_keys(range(WINDOW * (MAX_WINDOWS + 76)))
         assert MAX_WINDOWS == 1_024
-        assert monitor.keys_observed == 2 * (MAX_WINDOWS + 76)
+        assert monitor.keys_observed == WINDOW * (MAX_WINDOWS + 76)
         assert len(monitor.windows) == MAX_WINDOWS
         assert len(monitor.snapshot()["windows"]) == MAX_WINDOWS
 
-    def test_rejects_tiny_window(self):
-        with pytest.raises(ValueError):
-            SortednessDriftMonitor(window=1)
-
     def test_snapshot_shape(self):
-        monitor = SortednessDriftMonitor(window=4)
-        monitor.observe_keys(range(9))
+        monitor = SortednessDriftMonitor()
+        monitor.observe_keys(range(2 * WINDOW + 1))
         snap = monitor.snapshot()
-        assert snap["window"] == 4
-        assert snap["keys_observed"] == 9
+        assert snap["window"] == WINDOW
+        assert snap["keys_observed"] == 2 * WINDOW + 1
         assert len(snap["windows"]) == 2
         assert {"n", "k_fraction", "l_fraction"} <= set(snap["windows"][0])
 
@@ -115,9 +112,9 @@ class TestBloomMonitor:
 
 class TestMonitorHub:
     def test_observe_insert_feeds_drift_and_fill(self):
-        hub = MonitorHub(window=64)
+        hub = MonitorHub()
         buffer = FakeBuffer(size=32, capacity=64)
-        for key in range(128):
+        for key in range(2 * WINDOW):
             hub.observe_insert(key, buffer)
         snap = hub.snapshot()
         assert len(snap["sortedness"]["windows"]) == 2
@@ -125,7 +122,7 @@ class TestMonitorHub:
         assert snap["saturation"]["mean_fill"] == pytest.approx(0.5)
 
     def test_observe_inserts_batch(self):
-        hub = MonitorHub(window=32)
+        hub = MonitorHub()
         hub.observe_inserts(list(range(64)), FakeBuffer(16, 64))
         snap = hub.snapshot()
         assert snap["sortedness"]["keys_observed"] == 64
@@ -167,7 +164,7 @@ class TestMonitorHub:
         assert list(samples) == [eager.expected_fpr()]
 
 
-def _windows(k_fractions, n=DEFAULT_WINDOW):
+def _windows(k_fractions, n=WINDOW):
     return [
         {"n": float(n), "k_fraction": k, "l_fraction": k / 2}
         for k in k_fractions

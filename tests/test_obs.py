@@ -1,6 +1,7 @@
 """Tests for the repro.obs observability layer and its one snapshot shape."""
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -360,12 +361,12 @@ class TestComponentIntegration:
 
         keys = common.keys_for(2000, 0.10, 0.05, seed=3)
         ops = common.mixed_ops(keys, 0.3, seed=3)
-        return run_phases(
-            common.sa_btree_factory(common.buffer_config(2000, 0.01)),
-            [("mixed", ops)],
-            label="SA",
-            obs=obs,
-        )
+        with observe(obs) if obs is not None else nullcontext():
+            return run_phases(
+                common.sa_btree_factory(common.buffer_config(2000, 0.01)),
+                [("mixed", ops)],
+                label="SA",
+            )
 
     def test_run_phases_populates_registry_and_trace(self):
         obs = Observability(trace=True)
@@ -408,7 +409,8 @@ class TestComponentIntegration:
         from repro.storage.bufferpool import BufferPool
 
         obs = Observability(trace=True)
-        pool = BufferPool(capacity=2, obs=obs)
+        with observe(obs):
+            pool = BufferPool(capacity=2)
         for page in range(4):
             pool.access(page)
         names = [e.name for e in obs.tracer.events()]

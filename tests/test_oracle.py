@@ -73,7 +73,9 @@ from repro import kernels
 from repro.core.buffer import DELETED, HIT, TOMBSTONE, MeteredSWAREBuffer
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
-from repro.core.factory import make_baseline_betree, make_baseline_btree, make_sa_btree
+from repro.betree.betree import BeTree, BeTreeConfig
+from repro.btree.btree import BPlusTree, BPlusTreeConfig
+from repro.core.factory import make_sa_btree
 from repro.core.stats import SWAREStats
 from repro.core.sware import SortednessAwareIndex, TreeBackend
 from repro.errors import BulkLoadError, CheckpointUnsupportedError
@@ -98,8 +100,8 @@ BACKEND_NAMES = ("sa_btree", "btree", "betree", "lsm")
 #: and compactions.
 BACKENDS = {
     "sa_btree": lambda leaf: make_sa_btree(SMALL, leaf_capacity=leaf, internal_capacity=4),
-    "btree": lambda leaf: make_baseline_btree(leaf_capacity=leaf, internal_capacity=4),
-    "betree": lambda leaf: make_baseline_betree(node_size=8, leaf_capacity=leaf),
+    "btree": lambda leaf: BPlusTree(BPlusTreeConfig(leaf_capacity=leaf, internal_capacity=4)),
+    "betree": lambda leaf: BeTree(BeTreeConfig(node_size=8, leaf_capacity=leaf)),
     "lsm": lambda leaf: LSMTree(LSMConfig(memtable_capacity=2 * leaf)),
 }
 PAGED = ("sa_btree", "btree")  # a page image: checkpoints, shard splits
@@ -473,7 +475,11 @@ class Sharded(Subject):
     def check(self, machine):
         lowers = [lower for lower, _id in self.index.shard_map()]
         assert lowers[0] is None and lowers[1:] == sorted(set(lowers[1:]))
+        # Every shard — first built, split off, or recovered with or without
+        # a checkpoint — runs the small-page tree the shape was built with.
+        tree_config = self.backend_factory().config
         for shard in self.index._shards:
+            assert shard.index.backend.config == tree_config
             shard.index.buffer.check_invariants()
             shard.index.backend.check_invariants()
 
@@ -537,6 +543,8 @@ class Served(Subject):
         assert stats["n_shards"] == len(stats["shard_map"]) >= 2
         assert stats["server"]["connections"] == CLIENTS
         assert stats["server"]["group_commit"] is True
+        tree_config = self.backend_factory().config
+        assert all(shard.index.backend.config == tree_config for shard in self.server.index._shards)
 
 
 class Shape(NamedTuple):

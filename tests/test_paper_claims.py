@@ -111,7 +111,7 @@ class TestWriteHeavyThreshold:
     def test_small_write_fraction_still_wins(self):
         n = 8000
         keys = common.keys_for(n, 0.10, 0.05, seed=7)
-        ops = common.mixed_ops(keys, 0.95, seed=7, max_reads=3 * n)
+        ops = common.mixed_ops(keys, 0.95, seed=7)
         base = run_phases(common.baseline_btree_factory(), [("mixed", ops)])
         sa = run_phases(
             common.sa_btree_factory(common.buffer_config(n, 0.01)),

@@ -39,7 +39,7 @@ class TestLayerAttribution:
         assert layer_for_module("os.path") is None
 
     def test_sample_attributes_foreign_thread_to_layer(self):
-        profiler = SamplingProfiler(hz=100)
+        profiler = SamplingProfiler()
         started, stop = threading.Event(), threading.Event()
         worker = threading.Thread(
             target=_spin_in_module("repro.core.buffer"), args=(started, stop)
@@ -74,7 +74,7 @@ class TestLifecycle:
     def test_background_sampling_sees_the_calling_thread(self):
         # The profiler must sample the workload thread (the one that called
         # start()), excluding only its own sampling thread.
-        profiler = SamplingProfiler(hz=500)
+        profiler = SamplingProfiler()
         with profiler:
             deadline = time.perf_counter() + 5.0
             while profiler.samples == 0 and time.perf_counter() < deadline:
@@ -89,10 +89,6 @@ class TestLifecycle:
         profiler.start()
         assert profiler.start() is profiler
         profiler.stop()
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(hz=0)
 
 
 class TestOutputs:
@@ -127,7 +123,7 @@ class TestOutputs:
 
 class TestCostDiscipline:
     def test_measure_overhead_reports_ratio(self):
-        report = measure_overhead(lambda: sum(range(20_000)), hz=67, repeats=2)
+        report = measure_overhead(lambda: sum(range(20_000)), repeats=2)
         assert set(report) == {"bare_s", "profiled_s", "ratio"}
         assert report["bare_s"] > 0
         assert report["ratio"] > 0

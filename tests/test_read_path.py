@@ -27,7 +27,7 @@ from repro import kernels
 from repro.core.buffer import SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, Observability, observe
 from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
 from tests.key_domains import key_domains
@@ -37,9 +37,10 @@ ODD_PROBES = [INT64_MAX, INT64_MAX - 1, 2**63, 2**70, -(2**70), -(2**63)]
 
 
 def _index(obs=NULL_OBS, meter=None, cls=SortednessAwareIndex):
-    tree = BPlusTree(BPlusTreeConfig(leaf_capacity=6, internal_capacity=4), obs=obs)
     config = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
-    return cls(tree, config=config, meter=meter, obs=obs)
+    with observe(obs):
+        return cls(BPlusTree(BPlusTreeConfig(leaf_capacity=6, internal_capacity=4)), config,
+                   meter=meter)
 
 
 # ----------------------------------------------------------------------

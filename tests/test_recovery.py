@@ -23,7 +23,6 @@ from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
-from repro.storage.costmodel import Meter
 from repro.storage.faults import FaultyEnv, SimulatedCrash
 from repro.storage.pagefile import CheckpointStore
 from repro.storage.wal import WriteAheadLog, replay_wal
@@ -431,12 +430,10 @@ class TestReplayThroughPutMany:
     def test_matches_a_per_op_insert_replay(self, tmp_path):
         walp = str(tmp_path / "log.wal")
         _mixed_log(walp)
-        meter = Meter()
         recovered, report = CheckpointStore(str(tmp_path / "ck.db")).recover(
-            wal_path=walp, config=CONFIG, meter=meter
+            wal_path=walp, config=CONFIG
         )
-        ref_meter = Meter()
-        reference = SortednessAwareIndex(BPlusTree(), config=CONFIG, meter=ref_meter)
+        reference = SortednessAwareIndex(BPlusTree(), config=CONFIG)
         for kind, key, value in replay_wal(walp).ops:
             if kind == "put":
                 reference.insert(key, value)
@@ -447,10 +444,6 @@ class TestReplayThroughPutMany:
         assert recovered.buffer.all_entries() == reference.buffer.all_entries()
         assert recovered.buffer.component_sizes() == reference.buffer.component_sizes()
         assert recovered.stats.snapshot() == reference.stats.snapshot()
-        assert meter.snapshot() == ref_meter.snapshot()
-        assert {k: dict(v) for k, v in meter.bucket_counts.items()} == {
-            k: dict(v) for k, v in ref_meter.bucket_counts.items()
-        }
         assert recovered.items() == reference.items()
 
     def test_open_log_is_replayed_and_attached(self, tmp_path):

@@ -271,8 +271,7 @@ class TestCostAccounting:
     def test_unmetered_tree_makes_no_meter_call(self, monkeypatch, tmp_path):
         # One layer down: the executed B+-tree, under SWARE and bare, charges
         # nothing through inserts, a flush's top-inserts, splits, batch
-        # inserts (a fission among them), reads, deletes, bulk loads and a
-        # checkpoint round trip.
+        # inserts, reads, deletes, bulk loads and a checkpoint round trip.
         def refuse(*args):
             raise AssertionError("the unmetered tree called the null meter")
 
@@ -281,14 +280,14 @@ class TestCostAccounting:
         sa = make_sa_btree(
             SWAREConfig(buffer_capacity=16, page_size=4), leaf_capacity=4, internal_capacity=4
         )
-        base = make_baseline_btree(leaf_capacity=4, internal_capacity=4)
+        base = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
         assert type(sa.backend) is BPlusTree and type(base) is BPlusTree
         model = {}
         for key in [*range(0, 80, 2), *range(79, 0, -2)]:  # bulk loads, then top-inserts
             sa.insert(key, key)
             base.insert(key, key)
             model[key] = key
-        base.insert_many([(key, -key) for key in range(-30, 50)])  # a fission
+        base.insert_many([(key, -key) for key in range(-30, 50)])  # top-inserts
         base.insert_many([(key, key) for key in range(200, 230)])  # a bulk load
         for key in (4, 31, 500):
             sa.delete(key)
@@ -297,7 +296,7 @@ class TestCostAccounting:
         sa.flush_all()
         tree = sa.backend
         assert tree.leaf_splits and tree.top_inserts and tree.bulk_loaded_entries
-        assert base.leaf_fissions and base.leaf_splits and base.internal_splits
+        assert base.leaf_splits and base.internal_splits
         probes = [*range(-1, 82), 215, 1000]
         expected = [model.get(key) for key in probes]
         assert [sa.get(key) for key in probes] == expected

@@ -178,7 +178,8 @@ class TestComponentCausality:
 
         obs = Observability(trace=True)
         wal = WriteAheadLog(str(tmp_path / "t.wal"), fsync_policy="never")
-        index = ConcurrentSortednessAwareIndex(BPlusTree(), obs=obs, wal=wal)
+        with observe(obs):
+            index = ConcurrentSortednessAwareIndex(BPlusTree(), wal=wal)
         index.put_many([(key, key) for key in range(100)])
         store = CheckpointStore(str(tmp_path / "t.db"))
         pages = index.checkpoint(store)
