@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro import kernels
@@ -581,9 +583,16 @@ class BPlusTree:
         }
 
     def check_invariants(self) -> None:
-        """Validate structural invariants; raises InvariantViolation."""
+        """Validate structural invariants; raises InvariantViolation.
+
+        The per-key tests run in C (``map`` over the key list); the rest is
+        per node. A strictly sorted leaf lies within its separators when its
+        first and last keys do, and the leaf chain is checked leaf by leaf:
+        it must link exactly the tree's leaves, left to right.
+        """
         if self._root is None:
             return
+        leaves: List[GappedLeaf] = []
         leaf_depths = set()
 
         def recurse(node, depth: int, lo: Optional[int], hi: Optional[int]) -> None:
@@ -592,11 +601,10 @@ class BPlusTree:
             # comparisons but not json.dump of a shard manifest.
             if type(keys) is not list or len(keys) != node.n:
                 raise InvariantViolation(f"key store is not a list of n={node.n} keys")
-            if any(type(key) is not int for key in keys):
+            if not set(map(type, keys)) <= {int}:
                 raise InvariantViolation("key store holds a key that is not an int")
-            for i in range(1, len(keys)):
-                if keys[i - 1] >= keys[i]:
-                    raise InvariantViolation(f"node keys not strictly sorted: {keys}")
+            if not all(map(lt, keys, islice(keys, 1, None))):
+                raise InvariantViolation(f"node keys not strictly sorted: {keys}")
             if node.is_leaf:
                 if len(node.vs) != node.n:
                     raise InvariantViolation(
@@ -607,11 +615,11 @@ class BPlusTree:
                     raise InvariantViolation(
                         f"leaf holds {len(keys)} > capacity {self.config.leaf_capacity}"
                     )
-                for key in keys:
-                    if lo is not None and key < lo:
-                        raise InvariantViolation(f"leaf key {key} below separator {lo}")
-                    if hi is not None and key >= hi:
-                        raise InvariantViolation(f"leaf key {key} at/above separator {hi}")
+                if keys and lo is not None and keys[0] < lo:
+                    raise InvariantViolation(f"leaf key {keys[0]} below separator {lo}")
+                if keys and hi is not None and keys[-1] >= hi:
+                    raise InvariantViolation(f"leaf key {keys[-1]} at/above separator {hi}")
+                leaves.append(node)
                 return
             if len(node.children) != len(keys) + 1:
                 raise InvariantViolation("internal child count mismatch")
@@ -630,27 +638,28 @@ class BPlusTree:
             raise InvariantViolation(
                 f"height {self.height} does not match leaf depth {leaf_depths}"
             )
-        # Leaf chain must be globally sorted and cover n_entries.
+        # The chain links the tree's leaves in order, is globally sorted (each
+        # leaf is, so each non-empty one must start above the key before it)
+        # and covers n_entries.
         count = 0
-        previous = None
+        last = None  # the right-most key seen so far
         leaf = self._head_leaf
-        last_nonempty = None
-        while leaf is not None:
-            for key in leaf.ks:
-                if previous is not None and key <= previous:
-                    raise InvariantViolation("leaf chain out of order")
-                previous = key
-                count += 1
+        for expected in leaves:
+            if leaf is not expected:
+                raise InvariantViolation("leaf chain out of order")
             if leaf.n:
-                last_nonempty = leaf
+                if last is not None and leaf.ks[0] <= last:
+                    raise InvariantViolation("leaf chain out of order")
+                last = leaf.ks[-1]
+                count += leaf.n
             leaf = leaf.next_leaf
+        if leaf is not None:
+            raise InvariantViolation("leaf chain runs past the tree's last leaf")
         if count != self.n_entries:
             raise InvariantViolation(f"entry count {count} != n_entries {self.n_entries}")
         if self._tail_leaf is not None and self._tail_leaf.next_leaf is not None:
             raise InvariantViolation("tail leaf is not the end of the chain")
-        if last_nonempty is not None and (
-            self.max_key is None or self.max_key < last_nonempty.last_key()
-        ):
+        if last is not None and (self.max_key is None or self.max_key < last):
             raise InvariantViolation("max_key watermark below right-most entry")
 
 

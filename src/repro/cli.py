@@ -335,7 +335,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     check = getattr(index.backend, "check_invariants", None)
     if check is not None:
         check()
-    print(report.describe())
+    print(report.describe(len(index.items())))
     return 0
 
 
@@ -349,17 +349,19 @@ def _recover_sharded_root(root: str) -> int:
         print(f"sharded recovery failed: {exc}", file=sys.stderr)
         return 1
     try:
-        total = 0
+        shards = {shard.shard_id: shard.index for shard in index._shards}
         for shard_id in sorted(reports):
-            report = reports[shard_id]
             print(f"--- shard {shard_id} ---")
-            print(report.describe())
-        for shard in index._shards:
-            check = getattr(shard.index.backend, "check_invariants", None)
+            print(reports[shard_id].describe(len(shards[shard_id].items())))
+        for shard_index in shards.values():
+            check = getattr(shard_index.backend, "check_invariants", None)
             if check is not None:
                 check()
-            total += index._shard_size(shard)
-        print(f"recovered {len(reports)} shards, {total} live entries")
+        # Each shard's items() above are its own; the total counts the
+        # routed view, where a buffered overwrite or tombstone of a
+        # checkpointed key is one entry or none, and a key a split left on
+        # its donor is not counted twice.
+        print(f"recovered {len(reports)} shards, {len(index.items())} live entries")
     finally:
         index.close()
     return 0

@@ -54,7 +54,7 @@ __all__ = [
     "max_displacement",
     "count_inversions",
     "delta_pack",
-    "delta_unpack",
+    "delta_unpack_blocks",
 ]
 
 _M32 = np.uint64(0xFFFFFFFF)
@@ -62,7 +62,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_ONE, _S27, _S30, _S31, _S32 = (np.uint64(v) for v in (1, 27, 30, 31, 32))
+_ONE, _S27, _S30, _S31, _S32, _S63 = (np.uint64(v) for v in (1, 27, 30, 31, 32, 63))
 
 #: What building an integer array from Python values raises when they do
 #: not fit one (bignums; ``[1, 2**63]``, which NumPy would round to float).
@@ -409,25 +409,69 @@ def delta_pack(keys: Sequence[int]) -> Tuple[int, int, bytes]:
     return anchor, width, np.packbits(bits.ravel(), bitorder="little").tobytes()
 
 
-def delta_unpack(anchor: int, width: int, count: int, packed: bytes) -> List[int]:
-    """Inverse of :func:`delta_pack`: the original int64 key column.
+def delta_unpack_blocks(blocks: Sequence[Tuple[int, int, int, bytes]]) -> List[List[int]]:
+    """Inverse of :func:`delta_pack` over many ``(anchor, width, count, packed)``
+    blocks at once: the original int64 column of each block, in order.
+    ``count`` is a block's number of keys, its anchor included. One block
+    decodes as a batch of one.
 
-    ``count`` is the total number of keys including the anchor. All
+    Blocks may differ in width and count. Their payloads are laid end to
+    end in one buffer, and delta ``i`` of a block whose payload starts at
+    byte ``o`` is the ``width`` bits at bit ``8 * o + i * width``: an
+    unaligned little-endian 64-bit word read at that bit's byte, shifted
+    down, topped up from the ninth byte (a delta over 57 bits can span
+    nine, so only a batch holding such a width reads it) and masked. One
+    cumulative sum runs over every delta of the batch; a block's keys are
+    its anchor, then its anchor plus the sum since the block began. All
     arithmetic happens in the unsigned mod-2**64 domain and is folded back
     to signed int64 at the end, matching the encoder's reduction.
+
+    Raises ``ValueError`` for a width over 64 or a payload shorter than
+    its ``(count - 1) * width`` bits.
     """
-    if count <= 0:
-        return []
-    if width == 0:
-        return [anchor] * count
-    n_deltas = count - 1
-    raw = np.frombuffer(packed, dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little", count=n_deltas * width)
-    bits = bits.reshape(n_deltas, width).astype(np.uint64)
-    deltas = np.bitwise_or.reduce(bits << np.arange(width, dtype=np.uint64), axis=1)
-    keys = np.empty(count, dtype=np.uint64)
-    keys[0] = np.uint64(anchor & _MASK64)
-    # uint64 cumsum wraps mod 2**64, matching the scalar reduction.
-    np.cumsum(deltas, dtype=np.uint64, out=keys[1:])
-    keys[1:] += keys[0]
-    return keys.view(np.int64).tolist()
+    heads: List[Tuple[Optional[int], int]] = []  # (anchor as int64, deltas) per block
+    anchors, firsts, bases, widths, n_deltas, masks, payloads = [], [], [], [], [], [], []
+    n_bits = offset = 0
+    for anchor, width, count, packed in blocks:
+        if count <= 0:
+            heads.append((None, 0))
+            continue
+        if not 0 <= width <= 64:
+            raise ValueError(f"delta width {width} outside 0..64")
+        if 8 * len(packed) < (count - 1) * width:
+            raise ValueError(f"{len(packed)} bytes hold fewer than {count - 1} deltas")
+        anchor &= _MASK64
+        heads.append((anchor - (1 << 64) if anchor >> 63 else anchor, count - 1))
+        anchors.append(anchor)
+        firsts.append(n_bits)
+        payloads.append(packed)
+        # Delta j of the batch (j = n_bits + i) starts at bit base + j * width.
+        bases.append(8 * offset - n_bits * width)
+        widths.append(width)
+        n_deltas.append(count - 1)
+        masks.append((1 << width) - 1)
+        n_bits += count - 1
+        offset += len(packed)
+    buffer = b"".join(payloads) + bytes(9)
+    block = np.arange(len(anchors)).repeat(n_deltas)  # each delta's block
+    bit = np.array(bases, dtype=np.int64)[block]
+    bit += np.arange(n_bits, dtype=np.int64) * np.array(widths, dtype=np.int64)[block]
+    byte = bit >> 3
+    shift = (bit & 7).astype(np.uint64)
+    words = np.ndarray((len(buffer) - 8,), dtype="<u8", buffer=buffer, strides=(1,))
+    deltas = words[byte] >> shift
+    if max(widths, default=0) > 57:
+        ninth = np.frombuffer(buffer, dtype=np.uint8)[byte + 8].astype(np.uint64)
+        deltas |= (ninth << (_S63 - shift)) << _ONE
+    deltas &= np.array(masks, dtype=np.uint64)[block]
+    # uint64 sums wrap mod 2**64, matching the scalar reduction.
+    total = np.zeros(n_bits + 1, dtype=np.uint64)
+    np.add.accumulate(deltas, out=total[1:])
+    before = total[np.array(firsts, dtype=np.int64)] - np.array(anchors, dtype=np.uint64)
+    rest = (total[1:] - before[block]).view(np.int64).tolist()
+    columns: List[List[int]] = []
+    stop = 0
+    for head, n in heads:
+        start, stop = stop, stop + n
+        columns.append([] if head is None else [head, *rest[start:stop]])
+    return columns

@@ -22,7 +22,6 @@ from repro.storage.pages import (
     FLAG_COMPRESSED_KEYS,
     PageCorruptionError,
     decode_internal,
-    decode_key_block,
     decode_leaf,
     deserialize_btree,
     encode_internal,
@@ -50,7 +49,6 @@ __all__ = [
     "FaultyFile",
     "SimulatedCrash",
     "encode_key_block",
-    "decode_key_block",
     "rebuild_index",
     "FLAG_COMPRESSED_KEYS",
     "PageCorruptionError",

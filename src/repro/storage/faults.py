@@ -11,7 +11,9 @@ seeded, fully deterministic harness:
   for a ``write`` the crash first commits a random *prefix* of the data
   (the torn write), for ``flush``/``fsync``/``truncate``/``replace`` it
   fires before the effect. After the crash every further I/O through the
-  environment raises immediately — the process is dead.
+  environment raises immediately — the process is dead — and every file
+  the environment opened is closed without a flush: a dead process writes
+  nothing more, so bytes still in a file object's buffer are lost.
 * :class:`FaultyFile` wraps a real file object and routes its mutating
   calls through the environment's counter. Reads can also be shortened
   (``short_read_at``) to exercise torn-read handling on the replay side.
@@ -22,10 +24,14 @@ an acceptance sweep is reproducible in isolation. The counters are
 lock-guarded, so with I/O from a second thread (the server's off-loop
 group-commit fsync) exactly one operation is still the crash point — which
 one is then up to the interleaving, so sweeps drive their I/O from one thread.
+A call another thread has in flight when the crash closes its file raises
+:class:`SimulatedCrash` too.
 
-Durability model: bytes are considered durable once ``write`` returns
-(page-cache loss is not simulated); the torn write at the crash point is
-what models a partially persisted frame. Under the WAL's default
+Durability model: bytes are considered durable once the file object has
+handed them to the OS (its buffer filled, or ``flush`` / ``fsync`` ran;
+page-cache loss is not simulated), and bytes still buffered at the crash
+are lost; the torn write at the crash point is what models a partially
+persisted frame. Under the WAL's default
 ``fsync_policy="always"`` the distinction is immaterial — an acknowledged
 append has already fsynced.
 
@@ -73,6 +79,7 @@ class FaultyEnv:
         self.ops = 0  # mutating I/O operations performed so far
         self.reads = 0
         self.crashed = False
+        self._files: list = []  # the real file objects opened, still open
         self._lock = threading.Lock()  # the counters are read-modify-write
 
     # -- scheduling --------------------------------------------------------
@@ -91,6 +98,17 @@ class FaultyEnv:
                 return True
             return False
 
+    def _crash(self, message: str) -> SimulatedCrash:
+        """Kill the process: close every file it opened without flushing
+        (closing the innermost raw file drops the buffers above it, a text
+        file's included); returns the exception."""
+        with self._lock:
+            files, self._files = self._files, []
+        for fobj in files:
+            binary = getattr(fobj, "buffer", fobj)
+            getattr(binary, "raw", binary).close()
+        return SimulatedCrash(message)
+
     def _tick_read(self) -> bool:
         with self._lock:
             self._check_alive()
@@ -101,12 +119,16 @@ class FaultyEnv:
     # -- environment surface ------------------------------------------------
     def open(self, path: str, mode: str = "rb") -> "FaultyFile":
         self._check_alive()
-        return FaultyFile(open(path, mode), self)
+        fobj = open(path, mode)
+        with self._lock:
+            self._files = [f for f in self._files if not f.closed]
+            self._files.append(fobj)
+        return FaultyFile(fobj, self)
 
     def replace(self, src: str, dst: str) -> None:
         """``os.replace`` with a crash point *before* the atomic rename."""
         if self._tick():
-            raise SimulatedCrash(f"crash before replace({src!r}, {dst!r})")
+            raise self._crash(f"crash before replace({src!r}, {dst!r})")
         os.replace(src, dst)
 
 
@@ -117,6 +139,15 @@ class FaultyFile:
         self._file = fobj
         self._env = env
 
+    def _call(self, method, *args):
+        """``method(*args)`` on the real file; a crash that closed the file
+        under it (from another thread) raises :class:`SimulatedCrash`."""
+        try:
+            return method(*args)
+        except ValueError:
+            self._env._check_alive()
+            raise
+
     # -- mutating operations (crash-scheduled) -------------------------------
     def write(self, data: bytes) -> int:
         if self._env._tick():
@@ -125,46 +156,47 @@ class FaultyFile:
             if cut:
                 self._file.write(data[:cut])
                 self._file.flush()
-            raise SimulatedCrash(f"torn write: {cut}/{len(data)} bytes persisted")
-        return self._file.write(data)
+            raise self._env._crash(f"torn write: {cut}/{len(data)} bytes persisted")
+        return self._call(self._file.write, data)
 
     def flush(self) -> None:
         if self._env._tick():
-            raise SimulatedCrash("crash before flush")
-        self._file.flush()
+            raise self._env._crash("crash before flush")
+        self._call(self._file.flush)
 
     def fsync(self) -> None:
         if self._env._tick():
-            raise SimulatedCrash("crash before fsync")
-        self._file.flush()
-        os.fsync(self._file.fileno())
+            raise self._env._crash("crash before fsync")
+        self._call(self._file.flush)
+        os.fsync(self._call(self._file.fileno))
 
     def truncate(self, size: Optional[int] = None) -> int:
         if self._env._tick():
-            raise SimulatedCrash("crash before truncate")
-        return self._file.truncate(size)
+            raise self._env._crash("crash before truncate")
+        return self._call(self._file.truncate, size)
 
     # -- reads (short-read injection, never crash-scheduled) -----------------
     def read(self, size: int = -1) -> bytes:
         if self._env._tick_read():
-            data = self._file.read(size)
+            data = self._call(self._file.read, size)
             cut = self._env.rng.randrange(len(data)) if data else 0
             return data[:cut]
-        return self._file.read(size)
+        return self._call(self._file.read, size)
 
     # -- passthrough ---------------------------------------------------------
-    def seek(self, offset: int, whence: int = 0) -> int:
+    def seek(self, offset: int) -> int:
         self._env._check_alive()
-        return self._file.seek(offset, whence)
+        return self._call(self._file.seek, offset)
 
     def tell(self) -> int:
-        return self._file.tell()
+        return self._call(self._file.tell)
 
     def fileno(self) -> int:
-        return self._file.fileno()
+        return self._call(self._file.fileno)
 
     def close(self) -> None:
-        # Always allowed, even post-crash: cleanup paths must not re-raise.
+        # Always allowed, even post-crash (then a no-op: the crash closed the
+        # file): cleanup paths must not re-raise.
         self._file.close()
 
     def __enter__(self) -> "FaultyFile":

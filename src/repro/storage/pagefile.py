@@ -175,18 +175,20 @@ class PageFile:
 @dataclass
 class RecoveryReport:
     """What :meth:`CheckpointStore.recover` (or :func:`rebuild_index`) found
-    and rebuilt."""
+    and rebuilt. It holds no entry count: counting the live entries is a
+    full merged scan, which a restart does not need; :meth:`describe` takes
+    the count from a caller that made one."""
 
     checkpoint_found: bool = False
     checkpoint_epoch: int = 0
     checkpoint_pages: int = 0
     wal_records_replayed: int = 0
     wal_torn_tail: bool = False
-    entries: int = 0  #: live entries in the recovered index
     stale_tmp_removed: bool = False
     out_path: Optional[str] = None  #: where a rebuild saved its bulk-loaded tree
 
-    def describe(self) -> str:
+    def describe(self, entries: int) -> str:
+        """The report as text, with ``entries`` live entries counted by the caller."""
         if self.checkpoint_found:
             found = f"epoch {self.checkpoint_epoch}, {self.checkpoint_pages} pages"
         else:
@@ -195,7 +197,7 @@ class RecoveryReport:
             f"checkpoint : {found}",
             f"wal replay : {self.wal_records_replayed} records"
             + (" (torn tail truncated)" if self.wal_torn_tail else ""),
-            f"entries    : {self.entries}",
+            f"entries    : {entries}",
         ]
         if self.out_path is not None:
             lines.append(f"rebuilt    : {self.out_path} (bulk-loaded)")
@@ -431,14 +433,9 @@ class CheckpointStore:
         attached**.
 
         This is the one recovery path; :func:`rebuild_index` is this plus
-        one bulk load.
+        one bulk load. It reads nothing it does not rebuild: the report
+        counts no entries (a full scan of the recovered index).
         """
-        index, report = self._replay(wal_path, config, backend_factory, wal)
-        report.entries = len(index.items())
-        return index, report
-
-    def _replay(self, wal_path, config, backend_factory, wal):
-        """:meth:`recover` up to, not including, its count of live entries."""
         from repro.core.sware import SortednessAwareIndex
 
         if wal is not None:
@@ -510,9 +507,8 @@ def rebuild_index(
 
     recovered, report = CheckpointStore(
         checkpoint_path, slot_size, opener=opener, replace=replace
-    )._replay(wal_path, None, None, None)
+    ).recover(wal_path)
     items = recovered.items()
-    report.entries = len(items)
     tree = BPlusTree(recovered.backend.config)
     with current_obs().span("rebuild.bulk_load") as span:
         tree.bulk_load_append(items)

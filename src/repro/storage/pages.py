@@ -95,10 +95,10 @@ def encode_key_block(keys: Sequence[int]) -> bytes:
     return KEY_BLOCK_HEADER.pack(len(keys), anchor, last, width) + packed
 
 
-def decode_key_block(block: bytes) -> List[int]:
-    """Recover the exact column from :func:`encode_key_block` output."""
+def _block_fields(block: bytes) -> Tuple[int, int, int, bytes]:
+    """``(anchor, width, count, packed)`` of a delta block, as the kernels take it."""
     count, anchor, _last, width = KEY_BLOCK_HEADER.unpack_from(block)
-    return kernels.delta_unpack(anchor, width, count, block[KEY_BLOCK_HEADER.size :])
+    return anchor, width, count, block[KEY_BLOCK_HEADER.size :]
 
 
 def key_block_stats(block: bytes) -> Tuple[int, int, int, int]:
@@ -185,13 +185,6 @@ def _encode_keys(keys: List[int], compress: bool) -> Tuple[bytes, int]:
     return (struct.pack(f"<{len(keys)}q", *keys) if keys else b""), 0
 
 
-def _decode_keys(column: bytes, count: int, flags: int) -> List[int]:
-    """The keys of a key column :func:`_column_bytes` measured."""
-    if flags & FLAG_COMPRESSED_KEYS:
-        return decode_key_block(column)
-    return list(struct.unpack(f"<{count}q", column))
-
-
 def _encode_values(values: List[object], compress: bool) -> Tuple[bytes, int]:
     """Value column bytes + flags: a delta block when that beats the pickle.
 
@@ -210,12 +203,9 @@ def _encode_values(values: List[object], compress: bool) -> Tuple[bytes, int]:
     return blob, 0
 
 
-def _decode_values(blob: bytes, count: int, flags: int, trusted: bool = True) -> List[object]:
-    if flags & FLAG_COMPRESSED_VALUES:
-        _column_bytes(blob, count, True)
-        values = decode_key_block(blob)
-    else:
-        values = decode_value(blob, trusted=trusted)
+def _unpickle_values(blob: bytes, count: int, trusted: bool) -> List[object]:
+    """The values of a pickled value column."""
+    values = decode_value(blob, trusted=trusted)
     if type(values) is not list or len(values) != count:
         raise PageCorruptionError(f"value column is not a list of {count} values")
     return values
@@ -245,8 +235,7 @@ def encode_leaf(keys: List[int], values: List[object], *, compress: bool = False
 
 
 def decode_leaf(data: bytes, *, trusted: bool = True) -> Tuple[List[int], List[object]]:
-    count, flags, key_column, values = leaf_columns(data, trusted=trusted)
-    return _decode_keys(key_column, count, flags), values
+    return _decode_leaves([leaf_columns(data, trusted=trusted)], trusted)[0]
 
 
 def encode_records(items: Sequence[Tuple[int, object]]) -> bytes:
@@ -276,18 +265,49 @@ def decode_internal(data: bytes) -> Tuple[List[int], List[int]]:
     return words[:count], words[count:]
 
 
-def leaf_columns(data: bytes, *, trusted: bool = True) -> Tuple[int, int, bytes, List[object]]:
-    """``(count, flags, key_column, values)`` of a leaf page.
+def leaf_columns(data: bytes, *, trusted: bool = True) -> Tuple[int, int, bytes, bytes]:
+    """``(count, flags, key_column, value_column)`` of a leaf page.
 
-    Unlike :func:`decode_leaf` the key column is returned **still encoded**
-    (a delta block for v2 pages, raw ``<q`` words for v1): the page's
-    layout, for callers and tests that inspect it.
+    Both columns are returned **still encoded** (a delta block where the
+    page's flags say so; raw ``<q`` words or a pickle otherwise): the page's
+    layout. A delta block's header is validated against the page first.
     """
     count, flags, body = _unpack(data, KIND_LEAF)
     if not trusted and count > MAX_UNTRUSTED_RECORDS:
         raise PageCorruptionError(f"page claims {count} records, over the untrusted cap")
     used = _column_bytes(body, count, bool(flags & FLAG_COMPRESSED_KEYS))
-    return count, flags, body[:used], _decode_values(body[used:], count, flags, trusted)
+    if flags & FLAG_COMPRESSED_VALUES:
+        _column_bytes(body[used:], count, True)
+    return count, flags, body[:used], body[used:]
+
+
+def _decode_leaves(
+    bodies: Sequence[Tuple[int, int, bytes, bytes]], trusted: bool
+) -> List[Tuple[List[int], List[object]]]:
+    """``(keys, values)`` of each :func:`leaf_columns`: every delta block among
+    them, key and value columns alike, is decoded in one kernel call."""
+    blocks: List[Tuple[int, int, int, bytes]] = []
+    columns: List[Tuple[object, object]] = []  # an int: the column's index in blocks
+    for count, flags, key_column, value_column in bodies:
+        if flags & FLAG_COMPRESSED_KEYS:
+            blocks.append(_block_fields(key_column))
+            keys: object = len(blocks) - 1
+        else:
+            keys = list(struct.unpack(f"<{count}q", key_column))
+        if flags & FLAG_COMPRESSED_VALUES:
+            blocks.append(_block_fields(value_column))
+            values: object = len(blocks) - 1
+        else:
+            values = _unpickle_values(value_column, count, trusted)
+        columns.append((keys, values))
+    decoded = kernels.delta_unpack_blocks(blocks)
+    return [
+        (
+            decoded[keys] if type(keys) is int else keys,
+            decoded[values] if type(values) is int else values,
+        )
+        for keys, values in columns
+    ]
 
 
 def serialize_btree(tree, *, compress: bool = False) -> dict:
@@ -332,13 +352,15 @@ def deserialize_btree(blob: dict):
         return tree
     pages = blob["pages"]
     leaves: List[object] = []
+    # Each page is validated as it loads; the leaves' columns are then
+    # decoded together, in one kernel call.
+    bodies: List[Tuple[int, int, bytes, bytes]] = []
 
     def load(page_id: int):
         data = pages[page_id]
         if page_kind(data) == KIND_LEAF:
-            keys, values = decode_leaf(data)
+            bodies.append(leaf_columns(data))
             leaf = GappedLeaf(page_id)
-            leaf.adopt(keys, values)
             leaves.append(leaf)
             tree.leaf_count += 1
             return leaf
@@ -351,6 +373,8 @@ def deserialize_btree(blob: dict):
         return node
 
     tree._root = load(blob["root"])
+    for leaf, (keys, values) in zip(leaves, _decode_leaves(bodies, True)):
+        leaf.adopt(keys, values)
     # Keep fresh page-id allocations clear of the loaded ids.
     tree._pages._next = max(pages) + 1 if pages else 0
     # Re-thread the leaf chain (left-to-right order of the traversal).

@@ -1,12 +1,15 @@
 """Unit tests for the B+-tree substrate."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.btree.btree import BPlusTree, BPlusTreeConfig, MeteredBPlusTree
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
-from repro.errors import BulkLoadError, ConfigError
+from repro.errors import BulkLoadError, ConfigError, InvariantViolation
 from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
 from tests.key_domains import key_domains
@@ -510,3 +513,107 @@ class TestInsertSorted:
             assert getattr(walk.stats, name) == getattr(loop.stats, name), name
         assert walk.stats.tombstones_noop and walk.stats.tombstones_applied
         assert walk.items() == loop.items()
+
+
+def _chain(tree):
+    leaves, leaf = [], tree._head_leaf
+    while leaf is not None:
+        leaves.append(leaf)
+        leaf = leaf.next_leaf
+    return leaves
+
+
+def _middle_leaf(tree):
+    """A non-empty leaf that is neither end of the chain."""
+    return next(leaf for leaf in _chain(tree)[1:-1] if leaf.n >= 2)
+
+
+def _numpy_key(tree):
+    leaf = _middle_leaf(tree)
+    leaf.ks[0] = np.int64(leaf.ks[0])  # compares like an int, is not one
+
+
+def _break_chain_skip(tree):
+    leaves = _chain(tree)
+    assert leaves[2].n  # its entries drop out of the chain's count too
+    leaves[1].next_leaf = leaves[3]
+
+
+def _break_chain_order(tree):
+    first, second, third, fourth = _chain(tree)[1:5]
+    first.next_leaf, third.next_leaf, second.next_leaf = third, second, fourth
+
+
+def _below_separator(tree):
+    leaf = _middle_leaf(tree)
+    leaf.ks[0] = _chain(tree)[0].ks[0] - 1  # still sorted inside the leaf
+
+
+def _above_separator(tree):
+    leaf = _middle_leaf(tree)
+    leaf.ks[-1] = _chain(tree)[-1].ks[-1] + 1
+
+
+def _over_capacity(tree):
+    tail = _chain(tree)[-1]
+    top = tail.ks[-1]
+    extra = tree.config.leaf_capacity + 1 - tail.n
+    tail.extend(list(range(top + 1, top + 1 + extra)), [None] * extra)
+    tree.n_entries += extra
+
+
+def _leaf_one_level_up(tree):
+    root = tree._root
+    root.children[0] = root.children[0].children[0]
+
+
+#: One structural break per invariant ``check_invariants`` keeps, each with
+#: the part of the message it raises.
+BREAKS = {
+    "non-int key": (_numpy_key, "not an int"),
+    "unsorted leaf": (lambda t: _middle_leaf(t).ks.reverse(), "not strictly sorted"),
+    "unsorted internal node": (lambda t: t._root.ks.reverse(), "not strictly sorted"),
+    "key below its separator": (_below_separator, "below separator"),
+    "key above its separator": (_above_separator, "at/above separator"),
+    "leaf over capacity": (_over_capacity, "> capacity"),
+    "child count mismatch": (lambda t: t._root.children.pop(), "child count mismatch"),
+    "leaves at two depths": (_leaf_one_level_up, "multiple depths"),
+    "leaf missing from the chain": (_break_chain_skip, "leaf chain|entry count"),
+    "leaves out of order in the chain": (_break_chain_order, "leaf chain"),
+    "n_entries mismatch": (lambda t: setattr(t, "n_entries", t.n_entries + 1), "n_entries"),
+    "tail not the chain's end": (lambda t: setattr(t, "_tail_leaf", _chain(t)[-2]),
+                                 "tail leaf is not the end"),
+    "max_key below the right-most key": (
+        lambda t: setattr(t, "max_key", _chain(t)[-1].ks[-1] - 1), "max_key watermark"),
+}
+
+
+class TestCheckInvariants:
+    """Each invariant ``check_invariants`` holds the tree to, broken on its
+    own in a valid three-level tree, makes it raise."""
+
+    @staticmethod
+    def tree() -> BPlusTree:
+        tree = BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4))
+        keys = list(range(0, 200, 5))
+        random.Random(7).shuffle(keys)
+        for key in keys:
+            tree.insert(key, key)
+        for key in (5, 10, 15, 20):  # an emptied leaf stays in the chain
+            tree.delete(key)
+        assert tree.height == 3
+        return tree
+
+    def test_a_valid_tree_passes(self):
+        tree = self.tree()
+        assert any(leaf.n == 0 for leaf in _chain(tree))
+        tree.check_invariants()
+
+    @pytest.mark.parametrize("name", sorted(BREAKS))
+    def test_a_broken_invariant_raises(self, name):
+        tree = self.tree()
+        tree.check_invariants()
+        breaks, message = BREAKS[name]
+        breaks(tree)
+        with pytest.raises(InvariantViolation, match=message):
+            tree.check_invariants()

@@ -119,12 +119,33 @@ class TestRecover:
         out = capsys.readouterr().out
         assert "checkpoint : epoch 1" in out
         assert "wal replay" in out
-        assert "entries" in out
+        assert "entries    : 61\n" in out  # 60 checkpointed + the tail's one
 
     def test_recover_without_wal(self, tmp_path, capsys):
         ckpt, _ = self._populate(tmp_path)
         assert main(["recover", ckpt, "--slot-size", "256"]) == 0
         assert "wal replay : 0 records" in capsys.readouterr().out
+
+    def test_sharded_total_counts_each_live_key_once(self, tmp_path, capsys):
+        """A WAL tail that overwrites and deletes checkpointed keys leaves
+        them in the buffer beside the tree's copies; the total is the live
+        keys, not the tree's entries plus the buffer's."""
+        from repro.net.sharded import ShardedConfig, ShardedSortednessAwareIndex
+
+        root = str(tmp_path / "db")
+        config = ShardedConfig(n_shards=2, split_threshold=0, initial_key_range=(0, 100))
+        with ShardedSortednessAwareIndex(root, config) as index:
+            index.put_many([(key, key) for key in range(100)])
+            index.checkpoint_all()
+            index.put_many([(key, -key) for key in range(0, 100, 10)])  # overwrites
+            for key in range(5, 100, 10):
+                index.delete(key)
+        assert main(["recover", root, "--sharded"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("recovered 2 shards, 90 live entries\n")
+        per_shard = [int(line.split(":")[1]) for line in out.splitlines()
+                     if line.startswith("entries    :")]
+        assert per_shard == [45, 45]
 
     def test_recover_corrupt_checkpoint_fails(self, tmp_path, capsys):
         ckpt = tmp_path / "bad.db"

@@ -7,11 +7,14 @@ the scalar reference below, byte for byte. These properties pin that claim — i
 and their neighbours — plus encode→decode→encode stability.
 """
 
+import struct
+import zlib
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import kernels
-from repro.btree.btree import BPlusTree
+from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.sortedness.generator import generate_kl_keys, scrambled_keys
 from repro.storage import CheckpointStore
@@ -19,12 +22,16 @@ from repro.storage.pages import (
     FLAG_COMPRESSED_KEYS,
     FLAG_COMPRESSED_VALUES,
     KEY_BLOCK_HEADER,
-    decode_key_block,
+    KIND_LEAF,
+    PageCorruptionError,
     decode_leaf,
     encode_key_block,
     encode_leaf,
+    deserialize_btree,
     key_block_stats,
     leaf_columns,
+    page_kind,
+    serialize_btree,
 )
 from repro.workloads.spec import value_for
 
@@ -54,6 +61,17 @@ def _ref_delta_pack(keys):
     return keys[0], width, packed.to_bytes((len(deltas) * width + 7) // 8, "little")
 
 
+def _unpack(anchor, width, count, packed):
+    """One block through the batched decoder."""
+    return kernels.delta_unpack_blocks([(anchor, width, count, packed)])[0]
+
+
+def _decode_block(block):
+    """The column of an :func:`encode_key_block` block."""
+    count, anchor, _last, width = KEY_BLOCK_HEADER.unpack_from(block)
+    return _unpack(anchor, width, count, block[KEY_BLOCK_HEADER.size :])
+
+
 # ----------------------------------------------------------------------
 # delta kernels
 # ----------------------------------------------------------------------
@@ -63,14 +81,14 @@ class TestDeltaKernels:
     def test_roundtrip_python(self, keys):
         """The reference's encoding decodes to the column."""
         anchor, width, packed = _ref_delta_pack(keys)
-        assert kernels.delta_unpack(anchor, width, len(keys), packed) == keys
+        assert _unpack(anchor, width, len(keys), packed) == keys
 
     @given(keys=any_keys_st)
     @settings(max_examples=80, deadline=None)
     def test_roundtrip_any_order(self, keys):
         """Unsorted columns round-trip too — wrap-around deltas never corrupt."""
         anchor, width, packed = kernels.delta_pack(keys)
-        assert kernels.delta_unpack(anchor, width, len(keys), packed) == keys
+        assert _unpack(anchor, width, len(keys), packed) == keys
 
     @given(keys=any_keys_st)
     @settings(max_examples=80, deadline=None)
@@ -82,23 +100,204 @@ class TestDeltaKernels:
     @settings(max_examples=60, deadline=None)
     def test_encode_decode_encode_stable(self, keys):
         anchor, width, packed = kernels.delta_pack(keys)
-        decoded = kernels.delta_unpack(anchor, width, len(keys), packed)
+        decoded = _unpack(anchor, width, len(keys), packed)
         assert kernels.delta_pack(decoded) == (anchor, width, packed)
 
     def test_width_zero_means_constant_column(self):
         anchor, width, packed = kernels.delta_pack([42, 42, 42])
         assert (width, packed) == (0, b"")
-        assert kernels.delta_unpack(anchor, 0, 3, b"") == [42, 42, 42]
+        assert _unpack(anchor, 0, 3, b"") == [42, 42, 42]
 
     def test_sentinel_column(self):
         keys = [INT64_MAX] * 5
         anchor, width, packed = kernels.delta_pack(keys)
-        assert kernels.delta_unpack(anchor, width, 5, packed) == keys
+        assert _unpack(anchor, width, 5, packed) == keys
 
     def test_full_span_pair(self):
         for keys in ([INT64_MIN, INT64_MAX], [INT64_MAX, INT64_MIN]):
             anchor, width, packed = kernels.delta_pack(keys)
-            assert kernels.delta_unpack(anchor, width, 2, packed) == keys
+            assert _unpack(anchor, width, 2, packed) == keys
+
+
+# ----------------------------------------------------------------------
+# the batched decode: many blocks, one kernel call
+# ----------------------------------------------------------------------
+#: Columns whose blocks cover the cases a batch must keep apart: width 0
+#: (a constant column), width 64 (a wrap-around across the int64 span),
+#: one key, negative anchors, descending (wrapping) deltas, no keys.
+EDGE_COLUMNS = [
+    [7, 7, 7],
+    [INT64_MIN, INT64_MAX, INT64_MIN],
+    [-5],
+    [-(2**40), -(2**40) + 3, -(2**40) + 900],
+    [10, 3, -4, INT64_MAX],
+    [],
+    [INT64_MAX - 1, INT64_MAX],
+]
+column_st = st.one_of(
+    any_keys_st,
+    sorted_keys_st,
+    st.builds(lambda key, n: [key] * n, i64 | i64_edges, st.integers(1, 9)),
+    st.lists(i64 | i64_edges, min_size=1, max_size=1),
+)
+
+
+class TestBatchedDecode:
+    @given(columns=st.lists(column_st, max_size=8))
+    @example(columns=EDGE_COLUMNS)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_block_decode(self, columns):
+        """One call over blocks of mixed widths and counts decodes each block
+        as a call on that block alone does."""
+        blocks = [
+            (anchor, width, len(keys), payload)
+            for keys, (anchor, width, payload) in zip(columns, map(kernels.delta_pack, columns))
+        ]
+        assert kernels.delta_unpack_blocks(blocks) == columns
+        assert [_unpack(*block) for block in blocks] == columns
+
+    def test_edge_batch_spans_widths_0_and_64(self):
+        widths = {kernels.delta_pack(keys)[1] for keys in EDGE_COLUMNS}
+        assert {0, 64} <= widths and len(widths) > 3
+
+    @pytest.mark.parametrize("width", range(54, 65))
+    def test_widest_deltas_at_every_bit_offset(self, width):
+        """Deltas of ``width`` one-bits, starting at each bit of a byte in
+        turn, behind a block of another width: those reaching past 64 bits
+        from their first byte are topped up from the ninth."""
+        step = (1 << width) - 1
+        wide = [(i * step + (1 << 63)) % (1 << 64) - (1 << 63) for i in range(17)]
+        columns = [[5, 6, 8], wide]
+        blocks = [(anchor, w, len(keys), packed) for keys, (anchor, w, packed) in
+                  zip(columns, map(kernels.delta_pack, columns))]
+        assert blocks[1][1] == width
+        assert kernels.delta_unpack_blocks(blocks) == columns
+
+    def test_rejects_short_payload_and_wide_width(self):
+        anchor, width, packed = kernels.delta_pack(list(range(0, 600, 7)))
+        with pytest.raises(ValueError):
+            kernels.delta_unpack_blocks([(0, 0, 1, b""), (anchor, width, 86, packed[:-1])])
+        with pytest.raises(ValueError):
+            _unpack(anchor, 65, 2, bytes(9))
+
+
+def _compressed_leaves(blob):
+    """Page ids of the leaves whose key column is a delta block, in order."""
+    return sorted(
+        pid for pid, data in blob["pages"].items()
+        if page_kind(data) == KIND_LEAF and leaf_columns(data)[1] & FLAG_COMPRESSED_KEYS
+    )
+
+
+PAGE_HEADER = struct.Struct("<HBBII")  # magic, kind, flags, count, crc
+
+
+def _reseal(page, body):
+    """``page``'s header over a new body, with the body's CRC (so only the
+    structural checks can refuse it)."""
+    magic, kind, flags, count, _crc = PAGE_HEADER.unpack_from(page)
+    return PAGE_HEADER.pack(magic, kind, flags, count, zlib.crc32(body)) + body
+
+
+def _with_block_header(page, **fields):
+    """``page`` with its key block's header fields replaced, resealed."""
+    body = page[PAGE_HEADER.size :]
+    header = dict(zip(("count", "anchor", "last", "width"), KEY_BLOCK_HEADER.unpack_from(body)))
+    header.update(fields)
+    return _reseal(page, KEY_BLOCK_HEADER.pack(*header.values()) + body[KEY_BLOCK_HEADER.size :])
+
+
+CORRUPTIONS = {
+    "bad-crc": lambda page: page[:-1] + bytes([page[-1] ^ 0xFF]),
+    "truncated-block": lambda page: _reseal(
+        page, page[PAGE_HEADER.size : PAGE_HEADER.size + KEY_BLOCK_HEADER.size + 2]
+    ),
+    "width-over-64": lambda page: _with_block_header(page, width=65),
+    "count-mismatch": lambda page: _with_block_header(
+        page, count=KEY_BLOCK_HEADER.unpack_from(page, PAGE_HEADER.size)[0] - 1
+    ),
+}
+
+
+def _value_block(page, **fields):
+    """``page`` with the header fields of its value column's delta block
+    replaced (and its payload cut to one byte when ``truncate``), resealed."""
+    body = page[PAGE_HEADER.size :]
+    count, _anchor, _last, width = KEY_BLOCK_HEADER.unpack_from(body)
+    start = KEY_BLOCK_HEADER.size + ((count - 1) * width + 7) // 8
+    fields_now = KEY_BLOCK_HEADER.unpack_from(body, start)
+    header = dict(zip(("count", "anchor", "last", "width"), fields_now))
+    truncate = fields.pop("truncate", False)
+    header.update(fields)
+    payload = body[start + KEY_BLOCK_HEADER.size :][: 1 if truncate else None]
+    return _reseal(page, body[:start] + KEY_BLOCK_HEADER.pack(*header.values()) + payload)
+
+
+VALUE_CORRUPTIONS = {
+    "truncated-block": lambda page: _value_block(page, truncate=True),
+    "width-over-64": lambda page: _value_block(page, width=65),
+    "count-mismatch": lambda page: _value_block(
+        page, count=KEY_BLOCK_HEADER.unpack_from(page, PAGE_HEADER.size)[0] - 1
+    ),
+}
+
+
+def _checkpointed_tree(value=lambda key: f"v{key}"):
+    """A tree whose leaves' key gaps grow from 1 to 2**40, starting at a
+    negative key, plus one leaf too wide to compress: v2 blocks of many
+    widths beside a v1 page, all in one checkpoint."""
+    tree = BPlusTree(BPlusTreeConfig(leaf_capacity=16, internal_capacity=8))
+    keys, key = [], -(2**61)
+    for region in range(9):
+        for _ in range(40):
+            key += 1 + (1 << (5 * region))
+            keys.append(key)
+    tree.bulk_load_append([(k, value(k)) for k in keys])
+    tree.insert(2**62, "wide")  # the tail leaf's deltas no longer shrink
+    return tree, serialize_btree(tree, compress=True)
+
+
+class TestBatchedCheckpointDecode:
+    def test_mixed_widths_and_formats_restore(self):
+        tree, blob = _checkpointed_tree()
+        compressed = _compressed_leaves(blob)
+        widths = {
+            KEY_BLOCK_HEADER.unpack_from(blob["pages"][pid], PAGE_HEADER.size)[3]
+            for pid in compressed
+        }
+        assert len(widths) > 5
+        assert 0 < len(compressed) < tree.leaf_count  # and one v1 leaf
+        restored = deserialize_btree(blob)
+        restored.check_invariants()
+        assert list(restored.iter_items()) == list(tree.iter_items())
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_corrupt_leaf_inside_the_batch_is_refused(self, corruption, where):
+        _tree, blob = _checkpointed_tree()
+        compressed = _compressed_leaves(blob)
+        victim = compressed[{"first": 0, "middle": len(compressed) // 2, "last": -1}[where]]
+        blob["pages"][victim] = CORRUPTIONS[corruption](blob["pages"][victim])
+        with pytest.raises(PageCorruptionError):
+            deserialize_btree(blob)
+
+    def test_int_value_columns_restore(self):
+        tree, blob = _checkpointed_tree(value=lambda key: key * 2 + 1)
+        flags = [leaf_columns(blob["pages"][pid])[1] for pid in _compressed_leaves(blob)]
+        assert all(flag & FLAG_COMPRESSED_VALUES for flag in flags)
+        restored = deserialize_btree(blob)
+        restored.check_invariants()
+        assert list(restored.iter_items()) == list(tree.iter_items())
+
+    @pytest.mark.parametrize("corruption", sorted(VALUE_CORRUPTIONS))
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_corrupt_value_block_inside_the_batch_is_refused(self, corruption, where):
+        _tree, blob = _checkpointed_tree(value=lambda key: key * 2 + 1)
+        compressed = _compressed_leaves(blob)
+        victim = compressed[{"first": 0, "middle": len(compressed) // 2, "last": -1}[where]]
+        blob["pages"][victim] = VALUE_CORRUPTIONS[corruption](blob["pages"][victim])
+        with pytest.raises(PageCorruptionError):
+            deserialize_btree(blob)
 
 
 # ----------------------------------------------------------------------
@@ -109,7 +308,7 @@ class TestKeyBlocks:
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_and_stats(self, keys):
         block = encode_key_block(keys)
-        assert decode_key_block(block) == keys
+        assert _decode_block(block) == keys
         count, first, last, _width = key_block_stats(block)
         assert count == len(keys)
         if keys:
@@ -156,7 +355,7 @@ class TestCompressedPages:
         count, flags, key_column, _values = leaf_columns(v2)
         assert flags & FLAG_COMPRESSED_KEYS
         assert count == len(keys)
-        assert decode_key_block(key_column) == keys
+        assert _decode_block(key_column) == keys
         assert len(key_column) < 8 * len(keys)
         # A 1-key page can never shrink: stays raw even with compress=True.
         v_small = encode_leaf([7], [0], compress=True)
@@ -185,9 +384,9 @@ class TestCompressedPages:
         keys = list(range(200))
         values = [k * 2 + 1 for k in keys]
         page = encode_leaf(keys, values, compress=True)
-        _count, flags, _kc, vals = leaf_columns(page)
+        _count, flags, _kc, _vc = leaf_columns(page)
         assert flags & FLAG_COMPRESSED_VALUES
-        assert vals == values
+        assert decode_leaf(page)[1] == values
         raw = encode_leaf(keys, values, compress=False)
         assert len(page) < len(raw) / 4
 
@@ -204,8 +403,9 @@ class TestCompressedPages:
     def test_non_i64_values_stay_pickled(self, values):
         keys = list(range(len(values)))
         page = encode_leaf(keys, values, compress=True)
-        _count, flags, _kc, vals = leaf_columns(page)
+        _count, flags, _kc, _vc = leaf_columns(page)
         assert not flags & FLAG_COMPRESSED_VALUES
+        vals = decode_leaf(page)[1]
         assert vals == values
         assert all(type(a) is type(b) for a, b in zip(vals, values))
 

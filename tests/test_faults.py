@@ -53,6 +53,34 @@ class TestCrashScheduling:
             with pytest.raises(SimulatedCrash):
                 getattr(fobj, method)()  # op 1
 
+    def test_a_crash_closes_every_file_without_flushing(self, tmp_path):
+        env = FaultyEnv(crash_at=2, seed=0)
+        other = env.open(str(tmp_path / "other.bin"), "w+b")
+        other.write(b"buffered")  # op 0: still in the file object's buffer
+        text = env.open(str(tmp_path / "text.json"), "w")
+        text.write('{"buffered": true}')  # op 1: still in the text wrapper
+        victim = env.open(str(tmp_path / "victim.bin"), "w+b")
+        with pytest.raises(SimulatedCrash):
+            victim.flush()  # op 2: boom
+        assert other._file.closed and text._file.closed and victim._file.closed
+        # A dead process writes nothing more.
+        assert os.path.getsize(tmp_path / "other.bin") == 0
+        assert os.path.getsize(tmp_path / "text.json") == 0
+        other.close()  # cleanup after the crash is a no-op
+        text.close()
+
+    def test_io_on_a_file_the_crash_closed_is_a_crash(self, tmp_path):
+        env = FaultyEnv(crash_at=1, seed=0)
+        survivor = env.open(str(tmp_path / "survivor.bin"), "w+b")
+        survivor.write(b"x")  # op 0
+        with pytest.raises(SimulatedCrash):
+            env.replace(str(tmp_path / "a"), str(tmp_path / "b"))  # op 1: boom
+        # Calls that take no tick, as a second thread may have in flight,
+        # meet the closed file: they raise the crash, not a ValueError.
+        for call in (survivor.tell, survivor.fileno):
+            with pytest.raises(SimulatedCrash):
+                call()
+
     def test_crash_before_replace_leaves_dst(self, tmp_path):
         src = str(tmp_path / "src")
         dst = str(tmp_path / "dst")

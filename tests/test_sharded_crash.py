@@ -470,3 +470,4 @@ class TestRealSigkill:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stderr.close()
