@@ -58,7 +58,9 @@ class TreeBackend(Protocol):
     B+-tree's batch descent) a batch's buffer misses in one call, and loops
     any other over ``get``. The key watermarks ``min_key`` /
     ``max_key`` (``None`` while empty) may be plain attributes (the B+-tree)
-    or properties (the Bε-tree, the LSM-tree).
+    or properties (the Bε-tree, the LSM-tree). ``range_query`` returns a
+    new list on every call, which its caller owns: SWARE overlays the
+    buffered versions onto it in place.
     """
 
     meter: Meter
@@ -425,14 +427,34 @@ class SortednessAwareIndex:
         return self._merge_versions(resolved, self.backend.range_query(lo, hi))
 
     def _merge_versions(self, resolved: dict, rows: list) -> List[Tuple[int, object]]:
-        """The tree's ``rows`` with the buffered versions merged in (a
-        buffered version shadows an equal tree key), tombstones dropped."""
+        """The tree's ``rows`` (a list the backend handed over) with the
+        buffered versions merged in (a buffered version shadows an equal
+        tree key), tombstones dropped. A probe ``(key,)`` sorts before every
+        ``(key, value)``, so no value is compared."""
         if not resolved:
             return rows
+        # Each row the overlay inserts or deletes shifts the rows above it, so
+        # its cost grows with k versions times the rows; the linear merge
+        # copies each row once and takes the versions in runs. Measured on
+        # CPython 3.11 over 16 to 64k rows, the overlay is the cheaper up to
+        # about 100 versions, and no longer once they outnumber the rows.
+        if len(resolved) <= min(64, len(rows)):
+            # Right to left, so a shift never moves a row still to be probed.
+            hi = len(rows)
+            for key in sorted(resolved, reverse=True):
+                value = resolved[key]
+                i = bisect_left(rows, (key,), 0, hi)
+                if i < hi and rows[i][0] == key:
+                    if value is DELETED:
+                        del rows[i]
+                    else:
+                        rows[i] = (key, value)
+                elif value is not DELETED:
+                    rows.insert(i, (key, value))
+                hi = i
+            return rows
         # Merge a run at a time: the tree rows below the next buffered key,
-        # then the buffered keys below the next tree key, each one slice. A
-        # probe ``(key,)`` sorts before every ``(key, value)``, so no value
-        # is compared.
+        # then the buffered keys below the next tree key, each one slice.
         items = sorted(resolved.items())
         out: List[Tuple[int, object]] = []
         i = j = 0

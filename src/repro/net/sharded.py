@@ -128,7 +128,9 @@ class ShardedConfig:
 class _Shard:
     """One shard: its id, assigned lower bound, and durability stack."""
 
-    __slots__ = ("shard_id", "lower", "dir", "index", "wal", "store", "config")
+    __slots__ = (
+        "shard_id", "lower", "dir", "index", "wal", "store", "config", "refused_at",
+    )
 
     def __init__(self, shard_id, lower, directory, index, wal, store, config):
         self.shard_id = shard_id
@@ -138,6 +140,9 @@ class _Shard:
         self.wal = wal
         self.store = store
         self.config = config
+        # The tree's entry count after this shard last refused to split
+        # (None: no refusal since it was built); see _maybe_split.
+        self.refused_at = None
 
 
 def _shard_dir_name(shard_id: int) -> str:
@@ -461,14 +466,29 @@ class ShardedSortednessAwareIndex:
         return tree_entries + len(shard.index.buffer)
 
     def _maybe_split(self, shard: _Shard) -> None:
-        threshold = self.config.split_threshold
-        if threshold and self._shard_size(shard) >= threshold:
-            with self._commit_lock:
-                self._split_shard(shard)
+        """Split ``shard`` once it holds ``split_threshold`` live keys.
 
-    def _split_shard(self, shard: _Shard) -> None:
-        """Split ``shard`` at its median live key (crash-safe; see module
-        docstring for the ordering argument)."""
+        ``_shard_size`` is an upper bound on them, in which a buffered
+        overwrite or tombstone counts again. A refused split leaves the tree
+        holding exactly the live keys (drained, stale copies reclaimed),
+        too few; until a flush changes the tree's count, the excess is
+        buffered records and another drain would refuse again. So after a
+        refusal the split waits for such a flush, which comes at the latest
+        when the live keys outnumber that count by a full buffer."""
+        threshold = self.config.split_threshold
+        if not threshold or self._shard_size(shard) < threshold:
+            return
+        tree_entries = getattr(shard.index.backend, "n_entries", None)
+        if tree_entries is not None and tree_entries == shard.refused_at:
+            return
+        with self._commit_lock:
+            if not self._split_shard(shard, threshold):
+                shard.refused_at = getattr(shard.index.backend, "n_entries", None)
+
+    def _split_shard(self, shard: _Shard, min_live: int = 2) -> bool:
+        """Split ``shard`` at its median live key if it holds at least
+        ``min_live`` of them (crash-safe; see module docstring for the
+        ordering argument); returns whether it split."""
         shard.index.flush_all()
         # Restrict to the shard's assigned range: stale out-of-range copies
         # (left by a crash-interrupted earlier split, see items()) must not
@@ -478,12 +498,22 @@ class ShardedSortednessAwareIndex:
             i for i, s in enumerate(self._shards) if s.shard_id == shard.shard_id
         )
         lower, upper = self._assigned_range(position)
-        live = _clamp_items(shard.index.items(), lower, upper)
-        if len(live) < 2:
-            return  # a one-entry shard cannot split; wait for more data
+        items = shard.index.items()
+        live = _clamp_items(items, lower, upper)
+        if len(live) < max(2, min_live):
+            # Too few live keys (one cannot split): wait for more data.
+            if len(live) < len(items):
+                # Reclaim the stale copies first; they are unreachable
+                # already, and the tree then counts only live keys.
+                reachable = {key for key, _value in live}
+                for key, _value in items:
+                    if key not in reachable:
+                        shard.index.delete(key)
+                shard.index.checkpoint(shard.store)
+            return False
         median = live[len(live) // 2][0]
         if median == live[0][0]:
-            return  # all live keys equal; no boundary to cut
+            return False  # all live keys equal; no boundary to cut
         moved = [(key, value) for key, value in live if key >= median]
         with self.obs.span(
             "sharded.split", shard=shard.shard_id, at=median, moved=len(moved)
@@ -505,6 +535,7 @@ class ShardedSortednessAwareIndex:
             for key, _value in moved:
                 shard.index.delete(key)
             shard.index.checkpoint(shard.store)
+        return True
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -531,6 +562,10 @@ class ShardedSortednessAwareIndex:
     # introspection
     # ------------------------------------------------------------------
     def describe(self) -> dict:
+        """The shard map and counters (what STATS returns). A shard's
+        ``entries`` is the cheap upper bound on its live keys, tree entries
+        plus buffered records, in which a buffered overwrite or tombstone
+        counts again; a split decides on the live keys themselves."""
         return {
             "root": self.root,
             "n_shards": len(self._shards),

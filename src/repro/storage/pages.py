@@ -300,7 +300,8 @@ def _decode_leaves(
         else:
             values = _unpickle_values(value_column, count, trusted)
         columns.append((keys, values))
-    decoded = kernels.delta_unpack_blocks(blocks)
+    # A raw page (both columns unpacked) has no block: skip the kernel call.
+    decoded = kernels.delta_unpack_blocks(blocks) if blocks else []
     return [
         (
             decoded[keys] if type(keys) is int else keys,

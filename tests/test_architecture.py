@@ -98,8 +98,9 @@ def test_ranges_resolve_versions():
     # The tail sort is billed, not cached for a range.
     assert hits(r"_tail_run", "src") == []
     # A range costs its tree scan plus work in the buffered rows it returns:
-    # the merge walks runs of both sides (no re-sort of the rows), and the
-    # tail answers from its sorted key column (no scan of the whole tail).
+    # the versions are overlaid onto the rows or merged with them a run at a
+    # time (no re-sort of the rows), and the tail answers from its sorted key
+    # column (no scan of the whole tail).
     scan = "\n".join(_body("src/repro/core/sware.py", "_range_scan")
                      + _body("src/repro/core/sware.py", "_merge_versions"))
     assert ".sort(" not in scan and "itemgetter" not in scan

@@ -911,6 +911,11 @@ PROGRAMS = {
         *[("put", k, k) for k in range(0, 20, 2)], ("crash", ("split", 0), 24),
         ("range", [(0, 30), (INT64_MIN, INT64_MAX)]), ("get_many", [10, 12, 18]),
     ]),
+    # The same crash in a split that a put fires (the twelfth live key).
+    "sharded-crash-amid-put-split-cleanup": (Sharded, "btree", [
+        *[("put", k, k) for k in range(0, 22, 2)], ("crash", ("put", 22, 22), 24),
+        ("range", [(0, 30), (INT64_MIN, INT64_MAX)]), ("get_many", [10, 12, 18, 22]),
+    ]),
     # A refused batch changes no shard, in memory or in its WAL.
     "sharded-refused-put-many-changes-nothing": (Sharded, "btree", [
         ("put_many", [(1, "a"), (99, None)]), ("get", 1), ("recover",),

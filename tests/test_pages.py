@@ -5,15 +5,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.storage.pages import (
     KIND_INTERNAL,
     KIND_LEAF,
     PageCorruptionError,
     decode_internal,
     decode_leaf,
+    decode_records,
     deserialize_btree,
     encode_internal,
     encode_leaf,
+    encode_records,
+    leaf_columns,
     page_kind,
     serialize_btree,
 )
@@ -38,6 +42,21 @@ class TestLeafPages:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             encode_leaf([1], [])
+
+    def test_raw_page_decodes_without_the_delta_kernel(self, monkeypatch):
+        # Keys alternating in sign have 64-bit deltas and bytes values never
+        # pack, so the batch page keeps both columns raw, as a v1 page does.
+        records = [((-1) ** i * (2**62 - i), b"v%d" % i) for i in range(64)]
+        batch = encode_records(records)
+        v1 = encode_leaf([1, 5, 9], ["a", None, 3])
+        assert leaf_columns(batch)[1] == leaf_columns(v1)[1] == 0
+
+        def unpack(blocks):
+            raise AssertionError("a raw page called the delta kernel")
+
+        monkeypatch.setattr(kernels, "delta_unpack_blocks", unpack)
+        assert decode_records(batch) == records
+        assert decode_leaf(v1) == ([1, 5, 9], ["a", None, 3])
 
     @given(
         keys=st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=64)

@@ -5,8 +5,8 @@ flushes and query-sorts precede them, is the oracle's business
 (``tests/test_oracle.py``). This file pins how the read path gets there.
 (1) The buffer's columns demote to lists mid-epoch on keys beyond int64,
 a range resolves versions without sorting or merging any component, and
-the run-at-a-time merge of buffered versions with the tree rows agrees
-with a dict model. (2) The node's own ``child_index`` / ``search_left``
+the buffered versions, overlaid onto the tree rows or merged with them a
+run at a time, agree with a dict model. (2) The node's own ``child_index`` / ``search_left``
 equal ``bisect`` over the live keys on every node shape, and
 ``range_query``'s one leaf-chain loop returns and charges what bisecting
 every leaf would, touching the same pages. (3) Gating spans on
@@ -17,16 +17,19 @@ run still records the spans it always did. All in both key domains
 
 import random
 from bisect import bisect_left, bisect_right
+from types import SimpleNamespace
 
 import pytest
 
-from repro.btree.btree import BPlusTree, BPlusTreeConfig
+from repro.betree.betree import BeTree, BeTreeConfig
+from repro.btree.btree import BPlusTree, BPlusTreeConfig, MeteredBPlusTree
 from repro.btree.node import GappedInternal, GappedLeaf
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro import kernels
-from repro.core.buffer import SWAREBuffer
+from repro.core.buffer import DELETED, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
+from repro.lsm.lsm import LSMConfig, LSMTree
 from repro.obs import NULL_OBS, Observability, observe
 from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
@@ -288,8 +291,8 @@ def _check_ranges(index, model, probes):
 
 @key_domains
 def test_range_merge_matches_a_dict_model(domain):
-    """A range interleaves buffered versions with the tree rows a run at a
-    time: buffered keys below, above, between and on the tree's rows, and
+    """A range combines buffered versions with the tree rows: buffered keys
+    below, above, between and on the tree's rows, and
     tombstones over present and absent keys. Then a seeded stream of appends
     (duplicate tail keys: the newest version wins), deletes, query-sorts and
     flushes, with ``_tail_order`` equal to the sorted tail after every range
@@ -332,6 +335,64 @@ def test_range_merge_matches_a_dict_model(domain):
             if buffer.tail_size:
                 buffer.query_sort()  # a boundary: the order still covers the tail
                 assert buffer._tail_order == sorted(buffer._tail_keys)
+
+
+def test_merge_versions_overlays_or_merges_like_a_dict():
+    """Buffered versions over the tree's rows, against a dict model, on both
+    branches: few versions overlaid onto the rows in place (the result is
+    the list handed in), many merged into a new list. Versions fall below,
+    between, on and above the rows, and tombstones shadow present and
+    absent keys."""
+    rng = random.Random(64)
+    branches = set()
+    for n_rows in (0, 1, 5, 40, 300):
+        tree_keys = sorted(rng.sample(range(100, 100 + 4 * n_rows), n_rows))
+        for k in (1, 3, 8, 30, 64, 65, 200, 600):
+            # Half on the rows' keys when there are any, half anywhere from
+            # below the first row to above the last.
+            span = range(90, 110 + 4 * max(n_rows, k))
+            versions = {}
+            while len(versions) < k:
+                key = rng.choice(tree_keys or span) if rng.random() < 0.5 else rng.choice(span)
+                versions[key] = DELETED if rng.random() < 0.25 else -key
+            model = {key: key * 10 for key in tree_keys}
+            for key, value in versions.items():
+                if value is DELETED:
+                    model.pop(key, None)
+                else:
+                    model[key] = value
+            rows = [(key, key * 10) for key in tree_keys]
+            index = SimpleNamespace(buffer=SimpleNamespace(
+                _tombstones=list(versions.values()).count(DELETED)))
+            merged = SortednessAwareIndex._merge_versions(index, dict(versions), rows)
+            assert merged == sorted(model.items()), (n_rows, k)
+            branches.add(merged is rows)
+    assert branches == {True, False}
+
+
+def _backends():
+    return [
+        BPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4)),
+        MeteredBPlusTree(BPlusTreeConfig(leaf_capacity=4, internal_capacity=4), meter=Meter()),
+        BeTree(BeTreeConfig(node_size=8, leaf_capacity=4)),
+        LSMTree(LSMConfig(memtable_capacity=8)),
+    ]
+
+
+@pytest.mark.parametrize("backend", _backends(), ids=lambda backend: type(backend).__name__)
+def test_range_query_returns_a_list_its_caller_owns(backend):
+    """The in-place overlay's precondition: mutating one ``range_query``
+    result leaves the next call's unchanged, whole leaves included."""
+    for key in range(0, 120, 3):
+        backend.insert(key, key)
+    for lo, hi in ((-5, 200), (9, 60), (30, 30), (31, 32), (200, 300)):
+        first = backend.range_query(lo, hi)
+        expected = list(first)
+        first.insert(0, (lo - 1, "mine"))
+        if len(first) > 1:
+            del first[1]
+            first[-1] = (hi + 1, "mine")
+        assert backend.range_query(lo, hi) == expected, (lo, hi)
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,54 @@ class TestSplits:
             assert shard.config.buffer_capacity == 24
         idx.close()
 
+    def test_split_waits_for_threshold_live_keys(self, tmp_path):
+        # Overwrites push tree entries plus buffered records past the
+        # threshold while 40 keys are live: no split until 50 distinct keys.
+        idx = make_sharded(tmp_path, n_shards=1, split_threshold=50)
+        shard = idx._shards[0]
+        for k in range(40):
+            idx.put(k, k)
+        reached = 0
+        for round_ in range(3):
+            for k in range(0, 40, 3):
+                reached += idx._shard_size(shard) + 1 >= 50  # this put reaches it
+                idx.put(k, -round_)
+        assert reached and idx.splits == 0
+        # After the refusal (at 40 live keys in the tree) the split waits
+        # for a flush to change the tree's count: by 40 + 32 live keys at
+        # the latest, 32 being the buffer's capacity.
+        for k in range(40, 40 + 32 + 1):
+            idx.put(k, k)
+            if idx.splits:
+                break
+            assert k < 40 + 32
+        assert k + 1 >= 50 and idx.n_shards == 2
+        assert [k for k, _v in idx.items()] == list(range(k + 1))
+        idx.close()
+
+    def test_a_refused_split_does_not_drain_again_on_overwrites(self, tmp_path):
+        idx = make_sharded(tmp_path, n_shards=1, split_threshold=50)
+        for k in range(49):
+            idx.put(k, k)
+        attempts = []
+        split_shard = idx._split_shard
+
+        def counting(shard, *args):
+            attempts.append(shard.shard_id)
+            return split_shard(shard, *args)
+
+        idx._split_shard = counting
+        for i in range(500):  # tree entries plus buffered records >= 50
+            idx.put(i % 49, -i)
+        assert attempts == [0] and idx.splits == 0
+        for k in range(49, 49 + 32):  # new keys, till a flush moves the count
+            idx.put(k, k)
+            if idx.splits:
+                break
+        assert idx.splits == 1 and attempts == [0, 0]
+        assert [k for k, _v in idx.items()] == list(range(k + 1))
+        idx.close()
+
     def test_all_equal_keys_never_split(self, tmp_path):
         idx = make_sharded(tmp_path, n_shards=1, split_threshold=10)
         for i in range(50):
@@ -325,6 +373,20 @@ class TestCrashedSplitRecovery:
         assert real[-1] == split_key and all(b < split_key for b in real[:-1])
         assert rec.items() == sorted(before.items())
         rec.close()
+
+    def test_refused_split_reclaims_stale_copies(self, tmp_path):
+        rec = self._crash_split(tmp_path)
+        split_key = rec.shard_map()[1][0]
+        donor = rec._shards[0]
+        assert donor.index.backend.n_entries > split_key  # stale copies
+        rec.put(-1, -1)  # crosses the threshold; too few live keys to split
+        assert rec.splits == 0 and rec.n_shards == 2
+        assert [k for k, _v in donor.index.items()] == list(range(-1, split_key))
+        assert donor.index.backend.n_entries == split_key + 1
+        rec.close()
+        again, _reports = recover_sharded(str(tmp_path / "db"))
+        assert again._shards[0].index.backend.n_entries == split_key + 1
+        again.close()
 
 
 class TestCommit:

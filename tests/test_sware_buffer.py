@@ -436,6 +436,53 @@ class TestExecutedBuffer(_Buffers):
                 flushed(buffer.prepare_flush())
         check()
 
+    def test_tail_order_catches_up_by_insort_or_re_sort(self, monkeypatch):
+        """``_tail_order`` stays the sorted prefix of the tail, checked by
+        ``check_invariants`` after every step of appends, batches,
+        tombstones, lookups, ranges, query sorts and flushes; and a range
+        catches it up both ways, by insort when few keys arrived since the
+        last range and by a re-sort when many did."""
+        insorted = []
+        insort = buffer_module.insort
+        monkeypatch.setattr(buffer_module, "insort",
+                            lambda order, key: insorted.append(key) or insort(order, key))
+        buffer = self.make_buffer(capacity=256, page_size=8, query_sorting_threshold=0.25)
+        rng = random.Random(64)
+        by_insort = by_sort = 0
+        for step in range(1500):
+            roll = rng.random()
+            key = rng.randrange(200)
+            if roll < 0.45:
+                buffer.add(key, step)
+            elif roll < 0.5:
+                buffer.add(key, None, tombstone=True)
+            elif roll < 0.55:
+                n = rng.randrange(min(40, buffer.capacity - len(buffer)) + 1)
+                buffer.add_many([(rng.randrange(200), step) for _ in range(n)])
+            elif roll < 0.65:
+                buffer.lookup(key)
+            elif roll < 0.9:
+                lo, hi = sorted(rng.randrange(-5, 205) for _ in range(2))
+                newest = {}
+                for k, _seq, value, dead in sorted(buffer.all_entries(), key=lambda e: e[1]):
+                    newest[k] = DELETED if dead else value
+                have, calls = len(buffer._tail_order), len(insorted)
+                versions, _n = buffer.range_run(lo, hi)
+                assert versions == {k: v for k, v in newest.items() if lo <= k <= hi}
+                if len(buffer._tail_order) > have:  # caught up
+                    if len(insorted) > calls:
+                        by_insort += 1
+                    else:
+                        by_sort += 1
+            elif roll < 0.97:
+                buffer.query_sort()
+            else:
+                buffer.drain()
+            if buffer.is_full:
+                buffer.prepare_flush()
+            buffer.check_invariants()
+        assert by_insort and by_sort, (by_insort, by_sort)
+
     def test_query_sort_runs_no_sort_kernel(self, monkeypatch):
         buffer = self.make_buffer()
         for key in (10, 11, 12, 5, 3, 9, 3):
