@@ -41,12 +41,7 @@ class Table1Result:
 def _tree_factory(split_factor: float):
     def factory(meter):
         return BPlusTree(
-            BPlusTreeConfig(
-                leaf_capacity=common.LEAF_CAPACITY,
-                internal_capacity=common.INTERNAL_CAPACITY,
-                split_factor=split_factor,
-                tail_leaf_optimization=True,
-            ),
+            BPlusTreeConfig(split_factor=split_factor, tail_leaf_optimization=True),
             meter=meter,
         )
 

@@ -168,11 +168,8 @@ class BPlusTree:
             self._tail_path = []
             self.height = 1
 
-    def _descend_to_leaf(
-        self, key: int, dirty: bool = False
-    ) -> Tuple[GappedLeaf, List[GappedInternal]]:
-        """Walk root->leaf for ``key``; returns (leaf, internal path).
-        ``dirty`` is the pool mode the metered tree touches the leaf with."""
+    def _descend_to_leaf(self, key: int) -> Tuple[GappedLeaf, List[GappedInternal]]:
+        """Walk root->leaf for ``key``; returns (leaf, internal path)."""
         node = self._root
         path: List[GappedInternal] = []
         while not node.is_leaf:
@@ -669,12 +666,14 @@ class MeteredBPlusTree(BPlusTree):
     :attr:`meter`, and node touches are mirrored to :attr:`pool` in descent
     order so the §V-E on-disk experiments can count page I/O.
 
-    Each override runs the executed step and bills it; the verbs whose
-    touches interleave with their work (``insert``, the reads, ``delete``)
-    are their own bodies. ``insert_sorted`` is a loop of :meth:`insert`, so
-    a flush bills exactly what its per-key top-inserts always billed. The
-    two classes share one layout, so an executed tree starts billing by
-    rebinding its class (:meth:`bill_to`).
+    Each public verb bills by a read-only replay of what the executed verb
+    touches — :meth:`_bill_descent`, an ``entry_move`` count read from the
+    slot before the write, a range's leaf-chain walk — then returns the
+    executed verb through ``super()``; a split bills in the ``_split_*`` and
+    ``_insert_into_parent`` hooks the executed insert calls. Only
+    ``insert_sorted`` and ``get_many`` keep bodies of their own (each says
+    why). The two classes share one layout, so an executed tree starts
+    billing by rebinding its class (:meth:`bill_to`).
     """
 
     def __init__(
@@ -698,6 +697,26 @@ class MeteredBPlusTree(BPlusTree):
         if self.pool is not None:
             self.pool.access(node.page_id, dirty=dirty)
 
+    def _bill_descent(self, key: int, dirty: bool = False) -> GappedLeaf:
+        """Bill the root-to-leaf walk for ``key`` (non-empty tree) and return
+        its leaf. Without a pool the ``node_access``es are one charge, one
+        per level; with one, each node is charged and touched in descent
+        order as :meth:`_touch` does (the leaf in ``dirty`` mode), with the
+        attribute loads hoisted out of the level loop."""
+        charge = self.meter.charge
+        if self.pool is None:
+            charge("node_access", self.height)
+            return self._leaf_for(key)
+        access = self.pool.access
+        node = self._root
+        while not node.is_leaf:
+            charge("node_access")
+            access(node.page_id)
+            node = node.children[bisect_right(node.ks, key)]
+        charge("node_access")
+        access(node.page_id, dirty=dirty)
+        return node
+
     def _new_leaf(self) -> GappedLeaf:
         leaf = super()._new_leaf()
         if self.pool is not None:
@@ -710,73 +729,23 @@ class MeteredBPlusTree(BPlusTree):
             self.pool.create(node.page_id)
         return node
 
-    def _descend_to_leaf(
-        self, key: int, dirty: bool = False
-    ) -> Tuple[GappedLeaf, List[GappedInternal]]:
-        """Every visited node is charged and pool-touched exactly as
-        :meth:`_touch` does, with the attribute loads hoisted out of the
-        level loop."""
-        node = self._root
-        path: List[GappedInternal] = []
-        charge = self.meter.charge
-        pool = self.pool
-        while not node.is_leaf:
-            charge("node_access")
-            if pool is not None:
-                pool.access(node.page_id)
-            path.append(node)
-            node = node.children[node.child_index(key)]
-        charge("node_access")
-        if pool is not None:
-            pool.access(node.page_id, dirty=dirty)
-        return node, path
-
-    def _leaf_for(self, key: int) -> GappedLeaf:
-        """Without a pool the descent builds no path and charges its
-        ``node_access``es in one call, one per level (as ``get_many``
-        aggregates); with one, it is :meth:`_descend_to_leaf`, each node
-        touched in descent order."""
-        if self.pool is not None:
-            return self._descend_to_leaf(key)[0]
-        self.meter.charge("node_access", self.height)
-        return super()._leaf_for(key)
-
     def insert(self, key: int, value: object) -> bool:
-        """Finds the slot, shifts the dense prefix into the gap region, and
-        splits the leaf once it holds more than ``leaf_capacity`` entries."""
+        """Bills the tail-leaf touch (§III, Fig. 3a) or the descent, and, for
+        a new key, the slot and the entries above it shifting right."""
         self._ensure_root()
-        self.top_inserts += 1
-        tail = self._tail_leaf
-        if (
-            self.config.tail_leaf_optimization
-            and tail is not None
-            and tail.n
-            and key >= tail.first_key()
-        ):
-            # Right-most leaf insertion (§III, Fig. 3a): one node access.
-            self.fastpath_inserts += 1
-            self._touch(tail, dirty=True)
-            leaf, path = tail, self._tail_path
+        leaf = self._tail_leaf
+        if self.config.tail_leaf_optimization and leaf.n and key >= leaf.ks[0]:
+            self._touch(leaf, dirty=True)
         else:
-            leaf, path = self._descend_to_leaf(key, dirty=True)
-
-        idx = leaf.search_left(key)
-        if leaf.has_key_at(idx, key):
-            leaf.set_value(idx, value)
-            return False
-        leaf.insert_at(idx, key, value)
-        self.meter.charge("entry_move", leaf.n - idx)
-        self.n_entries += 1
-        if self.max_key is None or key > self.max_key:
-            self.max_key = key
-        if self.min_key is None or key < self.min_key:
-            self.min_key = key
-        if leaf.n > self.config.leaf_capacity:
-            self._split_leaf(leaf, path)
-        return True
+            leaf = self._bill_descent(key, dirty=True)
+        idx = bisect_left(leaf.ks, key)
+        if idx == leaf.n or leaf.ks[idx] != key:
+            self.meter.charge("entry_move", leaf.n + 1 - idx)
+        return super().insert(key, value)
 
     def insert_sorted(self, keys: Sequence[int], values: Sequence[object]) -> None:
-        """A loop of :meth:`insert`: each top-insert bills its own descent."""
+        """A loop of :meth:`insert`, not the executed leaf-at-a-time walk: a
+        flush bills each top-insert's own descent, as the paper's does."""
         for key, value in zip(keys, values):
             self.insert(key, value)
 
@@ -798,7 +767,7 @@ class MeteredBPlusTree(BPlusTree):
             parent = path[-1]
             self._touch(parent, dirty=True)
             # The pivots right of the new one move, and the new one lands.
-            self.meter.charge("entry_move", parent.n + 1 - parent.child_index(promoted_key))
+            self.meter.charge("entry_move", parent.n + 1 - bisect_right(parent.ks, promoted_key))
         super()._insert_into_parent(left, promoted_key, right, path)
 
     def _bulk_fill(self, keys: List[int], values: Sequence[object]) -> None:
@@ -814,21 +783,23 @@ class MeteredBPlusTree(BPlusTree):
         super()._append_leaf(leaf)
 
     def get(self, key: int) -> Optional[object]:
-        node = self._root
-        if node is None:
-            return None
-        node = self._leaf_for(key)
-        ks = node.ks
-        idx = bisect_left(ks, key)
-        if idx < node.n and ks[idx] == key:
-            return node.vs[idx]
-        return None
+        """Bills the descent."""
+        if self._root is not None:
+            if self.pool is None:
+                # :meth:`_bill_descent`'s one charge, without walking to a
+                # leaf that nothing here reads.
+                self.meter.charge("node_access", self.height)
+            else:
+                self._bill_descent(key)
+        return super().get(key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        """Each visited node is touched — and charged — exactly once per
-        batch instead of once per key; without a pool the charges are
-        aggregated into a single meter call (with a pool each node is
-        touched individually to keep eviction order honest)."""
+        """The batch descent, not the executed loop of :meth:`get`: each
+        visited node is touched — and charged — once per batch instead of
+        once per key (billing it as a loop of ``get`` is a cost-model change
+        of its own). Without a pool the charges are one meter
+        call; with a pool each node is touched to keep eviction order
+        honest."""
         n = len(keys)
         if self._root is None or n == 0:
             return [None] * n
@@ -863,45 +834,31 @@ class MeteredBPlusTree(BPlusTree):
         return [found.get(key) for key in keys]
 
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
-        """The scan charges ``scan_entry`` per row returned and
-        ``node_access`` per leaf after the first, once each with the sums
-        (as ``get_many`` aggregates); with a pool each next leaf is accessed
-        in chain order."""
-        out: List[Tuple[int, object]] = []
+        """Bills the descent to ``lo``'s leaf, a ``node_access`` per leaf the
+        chain walk reaches after it (each accessed in chain order with a
+        pool) and a ``scan_entry`` per row returned, each sum in one call."""
         if self._root is None or lo > hi:
-            return out
-        leaf = self._leaf_for(lo)
+            return super().range_query(lo, hi)
+        leaf = self._bill_descent(lo)
         pool = self.pool
-        start = bisect_left(leaf.ks, lo)
         hops = 0
-        while True:
-            ks = leaf.ks
-            if ks and ks[-1] > hi:  # the last leaf
-                stop = bisect_right(ks, hi)
-                out += zip(ks[start:stop], leaf.vs[start:stop])
-                break
-            vs = leaf.vs
-            out += zip(ks[start:], vs[start:]) if start else zip(ks, vs)
+        while not (leaf.ks and leaf.ks[-1] > hi) and leaf.next_leaf is not None:
             leaf = leaf.next_leaf
-            if leaf is None:
-                break
             hops += 1
             if pool is not None:
                 pool.access(leaf.page_id)
-            start = 0
+        rows = super().range_query(lo, hi)
         meter = self.meter
-        meter.charge("scan_entry", len(out))
+        meter.charge("scan_entry", len(rows))
         meter.charge("node_access", hops)
-        return out
+        return rows
 
     def delete(self, key: int) -> bool:
-        if self._root is None:
-            return False
-        leaf, _ = self._descend_to_leaf(key, dirty=True)
-        idx = leaf.search_left(key)
-        if not leaf.has_key_at(idx, key):
-            return False
-        leaf.delete_at(idx)
-        self.meter.charge("entry_move", leaf.n - idx + 1)
-        self.n_entries -= 1
-        return True
+        """Bills the descent, the leaf touched dirty, and, for a present key,
+        the entries above it shifting left."""
+        if self._root is not None:
+            leaf = self._bill_descent(key, dirty=True)
+            idx = bisect_left(leaf.ks, key)
+            if idx < leaf.n and leaf.ks[idx] == key:
+                self.meter.charge("entry_move", leaf.n - idx)
+        return super().delete(key)

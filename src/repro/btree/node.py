@@ -29,7 +29,6 @@ a 4 KB page (§V-E of the paper).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import List, Optional
 
 
@@ -111,22 +110,7 @@ class GappedLeaf:
     def iter_live(self):
         return zip(self.ks, self.vs)
 
-    # -- search --
-    def search_left(self, key: int) -> int:
-        return bisect_left(self.ks, key)
-
-    def has_key_at(self, idx: int, key: int) -> bool:
-        return idx < self.n and self.ks[idx] == key
-
     # -- mutation --
-    def insert_at(self, idx: int, key: int, value: object) -> None:
-        self.ks.insert(idx, key)
-        self.vs.insert(idx, value)
-        self.n += 1
-
-    def set_value(self, idx: int, value: object) -> None:
-        self.vs[idx] = value
-
     def delete_at(self, idx: int) -> None:
         del self.ks[idx]
         del self.vs[idx]
@@ -179,10 +163,6 @@ class GappedInternal:
     @property
     def keys(self) -> List[int]:
         return list(self.ks)
-
-    # -- search --
-    def child_index(self, key: int) -> int:
-        return bisect_right(self.ks, key)
 
     # -- mutation --
     def insert_pivot(self, idx: int, key: int, child: object) -> None:

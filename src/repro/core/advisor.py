@@ -49,16 +49,14 @@ class Recommendation:
         )
 
     def build(self, n_entries: int, meter=None):
-        """Construct the recommended index, ready for ingestion."""
+        """Construct the recommended index, ready for ingestion. Each index
+        is built with its own fixed split factor, which :attr:`split_factor`
+        reports: 0.8 for SWARE, 0.5 for the baseline."""
         from repro.core.factory import make_baseline_btree, make_sa_btree
 
         if not self.use_sware:
             return make_baseline_btree(meter=meter)
-        return make_sa_btree(
-            self.sware_config(n_entries),
-            split_factor=self.split_factor,
-            meter=meter,
-        )
+        return make_sa_btree(self.sware_config(n_entries), meter=meter)
 
 
 def recommend(

@@ -737,40 +737,43 @@ class MeteredSWAREBuffer(SWAREBuffer):
         Zonemap, §IV-A's filter walk of the open segment, then §IV-B's
         interpolation search of each block (newest first) and of main, up
         to the component holding the newest version. Each billed search
-        must reach the slot the executed lookup answered from."""
+        must reach the slot the executed lookup answered from. Only reads
+        reach a lookup, so it bills into ``buffer_search`` itself."""
         meter = self.meter
-        gated = self.config.enable_read_zonemaps
-        if gated:
-            meter.charge("zonemap_check")
-        answer = super().lookup(key)
-        if gated and not self.zonemap.may_contain(key):
+        with meter.bucket("buffer_search"):
+            gated = self.config.enable_read_zonemaps
+            if gated:
+                meter.charge("zonemap_check")
+            answer = super().lookup(key)
+            if gated and not self.zonemap.may_contain(key):
+                return answer
+            slot = self._slot_of.get(key, -1)
+            start = self._open
+            if len(self._tail_keys) > start:
+                if self._search_tail(key) != (slot if slot >= start else -1):
+                    raise InvariantViolation(f"the billed tail walk misses slot {slot} of {key!r}")
+                if slot >= start:
+                    return answer
+            ends = self._block_ends
+            for i in range(len(self._blocks) - 1, -1, -1):
+                keys, slots = self._blocks[i]
+                # At least one step: a rejection reads the boundary keys.
+                billed, steps = interpolation_probe(keys, key)
+                meter.charge("interp_step", max(steps, 1))
+                inside = (ends[i - 1] if i else 0) <= slot < ends[i]
+                if (slots[billed] if billed >= 0 else -1) != (slot if inside else -1):
+                    raise InvariantViolation(f"the billed search misses slot {slot} of {key!r}")
+                if inside:
+                    return answer
+            keys = self._main.keys
+            if keys:
+                billed, steps = interpolation_probe(keys, key)
+                meter.charge("interp_step", max(steps, 1))
+                slot = bisect_right(keys, key) - 1
+                if billed != (slot if slot >= 0 and keys[slot] == key else -1):
+                    raise InvariantViolation(
+                        f"the billed search misses main slot {slot} of {key!r}")
             return answer
-        slot = self._slot_of.get(key, -1)
-        start = self._open
-        if len(self._tail_keys) > start:
-            if self._search_tail(key) != (slot if slot >= start else -1):
-                raise InvariantViolation(f"the billed tail walk misses slot {slot} of {key!r}")
-            if slot >= start:
-                return answer
-        ends = self._block_ends
-        for i in range(len(self._blocks) - 1, -1, -1):
-            keys, slots = self._blocks[i]
-            # At least one step: a rejection reads the boundary keys.
-            billed, steps = interpolation_probe(keys, key)
-            meter.charge("interp_step", max(steps, 1))
-            inside = (ends[i - 1] if i else 0) <= slot < ends[i]
-            if (slots[billed] if billed >= 0 else -1) != (slot if inside else -1):
-                raise InvariantViolation(f"the billed search misses slot {slot} of {key!r}")
-            if inside:
-                return answer
-        keys = self._main.keys
-        if keys:
-            billed, steps = interpolation_probe(keys, key)
-            meter.charge("interp_step", max(steps, 1))
-            slot = bisect_right(keys, key) - 1
-            if billed != (slot if slot >= 0 and keys[slot] == key else -1):
-                raise InvariantViolation(f"the billed search misses main slot {slot} of {key!r}")
-        return answer
 
     def _search_tail(self, key: int) -> int:
         """§IV-A's walk of the non-empty open segment, run to bill a meter:
@@ -835,20 +838,22 @@ class MeteredSWAREBuffer(SWAREBuffer):
         """The executed range, billed as §IV-C's: the Zonemap, the open
         segment's sort (once until the next insert, the paper's flag), two
         searches per component — main, each block, the open segment — and a
-        merge when more than one holds entries in range."""
+        merge when more than one holds entries in range. Only reads reach
+        it, so it bills into ``buffer_search`` itself."""
         meter = self.meter
-        meter.charge("zonemap_check")
-        resolved, n_entries = super().range_run(lo, hi)
-        if not self._n or not self.zonemap.overlaps(lo, hi):
+        with meter.bucket("buffer_search"):
+            meter.charge("zonemap_check")
+            resolved, n_entries = super().range_run(lo, hi)
+            if not self._n or not self.zonemap.overlaps(lo, hi):
+                return resolved, n_entries
+            open_n = self.tail_size
+            if open_n:
+                self._bill_tail_sort(self._open)
+            counts = [bisect_right(keys, hi) - bisect_left(keys, lo)
+                      for keys in (self._main.keys, *(keys for keys, _slots in self._blocks))]
+            if open_n:
+                counts.append(n_entries - sum(counts))
+            meter.charge("interp_step", 2 * len(counts))
+            if len(counts) - counts.count(0) > 1:
+                meter.charge("merge_step", n_entries)
             return resolved, n_entries
-        open_n = self.tail_size
-        if open_n:
-            self._bill_tail_sort(self._open)
-        counts = [bisect_right(keys, hi) - bisect_left(keys, lo)
-                  for keys in (self._main.keys, *(keys for keys, _slots in self._blocks))]
-        if open_n:
-            counts.append(n_entries - sum(counts))
-        meter.charge("interp_step", 2 * len(counts))
-        if len(counts) - counts.count(0) > 1:
-            meter.charge("merge_step", n_entries)
-        return resolved, n_entries

@@ -31,7 +31,6 @@ def make_sa_btree(
     sware_config: Optional[SWAREConfig] = None,
     leaf_capacity: int = 64,
     internal_capacity: int = 64,
-    split_factor: float = 0.8,
     meter: Optional[Meter] = None,
     pool: Optional[BufferPool] = None,
 ) -> SortednessAwareIndex:
@@ -39,7 +38,7 @@ def make_sa_btree(
     tree_config = BPlusTreeConfig(
         leaf_capacity=leaf_capacity,
         internal_capacity=internal_capacity,
-        split_factor=split_factor,
+        split_factor=0.8,
         bulk_fill_factor=0.95,
         tail_leaf_optimization=True,
     )

@@ -510,7 +510,9 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
     """The index under a meter, the one class of this layer that bills: each
     step runs the executed index's inside its meter bucket, plus the index's
     own charges (a ``zonemap_check`` per Zonemap test, a ``merge_step`` per
-    buffered entry a range reconciles)."""
+    buffered entry a range reconciles). A public verb it overrides bills,
+    then returns the executed verb through ``super()``; only ``get_many``
+    keeps a body of its own (see it)."""
 
     def __init__(self, backend, config=None, meter: Optional[Meter] = None, *args, **kwargs):
         self.meter = meter if meter is not None else NULL_METER
@@ -554,41 +556,32 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
                 self.buffer.query_sort()
 
     def get(self, key: int, _traced: bool = False) -> Optional[object]:
-        """The executed read path, billed: the buffer's own lookup (which
-        bills its Zonemap test), then the tree's watermark test."""
-        buffer = self.buffer
-        if len(buffer._tail_keys) >= buffer._query_sort_len:
-            self._maybe_query_sort()
-        obs = self.obs
-        if obs.enabled and not _traced:
-            with obs.span("sware.get", key=key):
-                return self.get(key, True)
-        stats = self.stats
-        stats.lookups += 1
+        """The executed read path, billed: its inline Zonemap rejection here,
+        the buffer's lookup by itself, and the tree's watermark test when the
+        buffer did not answer. With tracing on, the executed get calls this
+        one once more inside its span, and only that call bills."""
+        if self.obs.enabled and not _traced:
+            return super().get(key)
         meter = self.meter
-        with meter.bucket("buffer_search"):
-            state, value = buffer.lookup(key)
-        if state == HIT:
-            stats.buffer_hits += 1
-            return value
-        if state == TOMBSTONE:
-            stats.buffer_tombstone_hits += 1
-            return None
-        backend = self.backend
+        if self.config.enable_read_zonemaps and not self.buffer.zonemap.may_contain(key):
+            with meter.bucket("buffer_search"):
+                meter.charge("zonemap_check")
+        stats = self.stats
+        answered = stats.buffer_hits + stats.buffer_tombstone_hits
         with meter.bucket("tree_search"):
-            meter.charge("zonemap_check")
-            tree_min = backend.min_key
-            if tree_min is None or key < tree_min or key > backend.max_key:
-                return None
-            stats.tree_searches += 1
-            return backend.get(key)
+            value = super().get(key, True)
+            if stats.buffer_hits + stats.buffer_tombstone_hits == answered:
+                meter.charge("zonemap_check")
+        return value
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
-        """The batch read path, billed: one buffer pass over the keys (its
-        Zonemap skips charged in one call), then the misses inside the
-        tree's watermarks go to the backend's ``get_many`` when it has one,
-        so a B+-tree charges ``node_access`` once per node the batch visits
-        instead of once per key and level."""
+        """The batch read path, billed, and not the executed loop of
+        :meth:`get`: one buffer pass over the keys (its Zonemap skips charged
+        in one call), then the misses inside the tree's watermarks go to the
+        backend's ``get_many`` when it has one, so a B+-tree charges
+        ``node_access`` once per node the batch visits instead of once per
+        key and level (billing a loop of ``get`` is a cost-model change of
+        its own)."""
         if not keys:
             return []  # no trigger, as in :meth:`SortednessAwareIndex.get_many`
         self._maybe_query_sort()
@@ -649,8 +642,7 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
 
     def _range_scan(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         meter = self.meter
-        with meter.bucket("buffer_search"):
-            resolved, n_entries = self.buffer.range_run(lo, hi)
+        resolved, n_entries = self.buffer.range_run(lo, hi)
         with meter.bucket("tree_search"):
             rows = self.backend.range_query(lo, hi)
         # One merge step per buffered candidate (the tree's rows were charged

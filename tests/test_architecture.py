@@ -250,8 +250,63 @@ def test_one_biller_per_layer():
         if method.name != "__new__":
             assert {"charge", "pool"}.isdisjoint(_names(method)), method.name
     assert {"charge", "pool"} <= _names(metered)
+    # The metered tree replays a descent to bill it (``_bill_descent``); the
+    # walk a verb runs is the executed one, never a billing override.
+    overrides = {node.name for node in metered.body if isinstance(node, ast.FunctionDef)}
+    assert {"_descend_to_leaf", "_leaf_for"}.isdisjoint(overrides)
     assert defines("tests/test_sware_index.py::TestCostAccounting::"
                    "test_unmetered_tree_makes_no_meter_call")
+
+
+#: The public verbs a ``Metered*`` class overrides with a body of its own
+#: instead of billing and returning ``super()``'s, each with its reason.
+OWN_BODIES = {
+    "MeteredBPlusTree.insert_sorted": "a flush bills each top-insert's descent: a loop of "
+                                      "billed inserts, not the leaf-at-a-time walk",
+    "MeteredBPlusTree.get_many": "the batch descent bills node_access once per visited node; "
+                                 "a loop of get would change the cost model",
+    "MeteredSortednessAwareIndex.get_many": "hands the buffer's misses to that batch descent",
+}
+
+
+def _super_calls(method):
+    """The names ``method`` calls as ``super().<name>(...)``."""
+    return {node.func.attr for node in ast.walk(method)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Name) and node.func.value.func.id == "super"}
+
+
+def test_one_body_per_verb():
+    # A metered class bills by a read-only replay, then returns the executed
+    # verb: each public method a ``Metered*`` class overrides calls
+    # ``super().<same name>``, so the paper-claim checks, the reports and
+    # the meter goldens run the bodies that serve. OWN_BODIES are the
+    # exceptions, and each must still be one.
+    metered, own = set(), set()
+    for path in _files("src/repro"):
+        if path.suffix != ".py":
+            continue
+        module = ast.parse(path.read_text())
+        classes = {node.name: node for node in module.body if isinstance(node, ast.ClassDef)}
+        for name, cls in classes.items():
+            if not name.startswith("Metered"):
+                continue
+            metered.add(name)
+            [base] = [classes[base.id] for base in cls.bases]
+            inherited = {node.name for node in base.body if isinstance(node, ast.FunctionDef)}
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef) or method.name.startswith("_")
+                        or method.name not in inherited):
+                    continue
+                label = f"{name}.{method.name}"
+                if label in OWN_BODIES:
+                    own.add(label)
+                    assert method.name not in _super_calls(method), label
+                else:
+                    assert method.name in _super_calls(method), f"{label} has a body of its own"
+    assert metered == {"MeteredBPlusTree", "MeteredSWAREBuffer", "MeteredSortednessAwareIndex"}
+    assert own == set(OWN_BODIES)
 
 
 def _method(path, cls, name):

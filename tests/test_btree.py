@@ -380,15 +380,35 @@ class TestMeterAccounting:
         touched = []
         real_access = tree.pool.access
         tree.pool.access = lambda page_id, dirty=False: (
-            touched.append(page_id) or real_access(page_id, dirty)
+            touched.append((page_id, dirty)) or real_access(page_id, dirty)
         )
+
+        def descent(key, dirty=False):
+            """The pages of the executed, unbilled walk to ``key``'s leaf."""
+            leaf, path = tree._descend_to_leaf(key)
+            assert touched == []  # the walk itself touches no page
+            return [(node.page_id, False) for node in path] + [(leaf.page_id, dirty)], leaf
+
         for key in (0, 77, 199, 500):
             touched.clear()
+            expected, leaf = descent(key)
             assert tree.get(key) == (key if key < 200 else None)
-            by_get = list(touched)
+            assert touched == expected
+            # A range: the descent to ``lo``'s leaf, then the chain up to the
+            # first leaf holding a key above ``hi``.
             touched.clear()
-            leaf, path = tree._descend_to_leaf(key)
-            assert by_get == touched == [node.page_id for node in (*path, leaf)]
+            expected, leaf = descent(key)
+            while leaf.ks[-1] <= key + 9 and leaf.next_leaf is not None:
+                leaf = leaf.next_leaf
+                expected.append((leaf.page_id, False))
+            rows = tree.range_query(key, key + 9)
+            assert rows == [(k, k) for k in range(key, min(key + 10, 200))]
+            assert touched == expected
+            # A delete touches its leaf dirty.
+            touched.clear()
+            expected, leaf = descent(key, dirty=True)
+            assert tree.delete(key) == (key < 200)
+            assert touched == expected
 
 
 def tree_shape(tree: BPlusTree):

@@ -1,4 +1,4 @@
-"""The scalar read path: node-owned search, slice-at-once scans, range versions.
+"""The scalar read path: ``bisect`` on node lists, slice-at-once scans, range versions.
 
 That reads agree with a dict model, whatever buffered rows, tombstones,
 flushes and query-sorts precede them, is the oracle's business
@@ -6,10 +6,11 @@ flushes and query-sorts precede them, is the oracle's business
 (1) The buffer's columns demote to lists mid-epoch on keys beyond int64,
 a range resolves versions without sorting or merging any component, and
 the buffered versions, overlaid onto the tree rows or merged with them a
-run at a time, agree with a dict model. (2) The node's own ``child_index`` / ``search_left``
-equal ``bisect`` over the live keys on every node shape, and
-``range_query``'s one leaf-chain loop returns and charges what bisecting
-every leaf would, touching the same pages. (3) Gating spans on
+run at a time, agree with a dict model. (2) ``bisect`` over a node's
+``ks`` finds its live keys and routes a probe to the child the separator
+convention names on every node shape, and ``range_query``'s one
+leaf-chain loop returns and charges what bisecting every leaf would,
+touching the same pages. (3) Gating spans on
 ``obs.enabled`` changes nothing a caller or the meter can see, and a traced
 run still records the spans it always did. All in both key domains
 (``tests/key_domains.py``).
@@ -121,7 +122,7 @@ def test_range_query_neither_sorts_nor_merges(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# (2) node methods against bisect
+# (2) node layout against bisect
 # ----------------------------------------------------------------------
 def _leaf(keys):
     leaf = GappedLeaf(0)
@@ -156,11 +157,15 @@ def test_node_search_matches_bisect(domain):
         assert leaf.keys == keys and node.keys == keys
         odd = {probe + domain.shift for probe in ODD_PROBES}
         probes = sorted(set(keys) | {k + d for k in keys for d in (-1, 1)} | odd)
+        # The tree searches a node by ``bisect`` on its ``ks``: a leaf finds
+        # exactly its live keys, and ``insert_pivot`` puts each child where
+        # the separator convention routes a probe.
+        assert type(leaf.ks) is list and leaf.ks == keys and node.ks == keys
         for probe in probes:
-            assert leaf.search_left(probe) == bisect_left(keys, probe), (label, probe)
-            assert node.child_index(probe) == bisect_right(keys, probe), (label, probe)
-            assert node.children[node.child_index(probe)] == f"c{bisect_right(keys, probe)}"
-            assert leaf.has_key_at(leaf.search_left(probe), probe) == (probe in keys)
+            idx = bisect_left(leaf.ks, probe)
+            assert (idx < leaf.n and leaf.ks[idx] == probe) == (probe in keys), (label, probe)
+            child = node.children[bisect_right(node.ks, probe)]
+            assert child == f"c{sum(key <= probe for key in keys)}", (label, probe)
         rows = list(leaf.iter_live())
         assert rows == [(k, f"v{k}") for k in keys]
         assert all(type(key) is int for key, _value in rows)
