@@ -28,6 +28,7 @@ from repro.errors import BulkLoadError, ConfigError, InvariantViolation
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, current_obs
 from repro.storage.bufferpool import PageIdAllocator
 from repro.storage.costmodel import NULL_METER, Meter
+from repro.storage.pages import check_keys
 
 
 class BeInternalNode(InternalNode):
@@ -165,6 +166,7 @@ class BeTree:
     # ------------------------------------------------------------------
     def insert(self, key: int, value: object) -> None:
         """Upsert via a PUT message through the root (O(1) amortized)."""
+        check_keys(key, key)
         self._put_message(Message(key, self._next_seq(), PUT, value))
         self.top_inserts += 1
         if self._max_key is None or key > self._max_key:
@@ -174,6 +176,7 @@ class BeTree:
 
     def delete(self, key: int) -> None:
         """Delete via a tombstone message through the root."""
+        check_keys(key, key)
         self.meter.charge("tombstone")
         self._put_message(Message(key, self._next_seq(), DELETE, None))
 
@@ -353,6 +356,7 @@ class BeTree:
             if previous is not None and key <= previous:
                 raise BulkLoadError("bulk batch must be strictly increasing")
             previous = key
+        check_keys(items[0][0], items[-1][0])
         if self._max_key is not None and items[0][0] <= self._max_key:
             raise BulkLoadError(
                 f"bulk batch starts at {items[0][0]} but tree max is {self._max_key}"

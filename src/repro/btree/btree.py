@@ -14,8 +14,9 @@ the hooks SWARE needs (§III design elements):
   spine, amortizing to O(1) per entry;
 * **gapped node layout** — each node is a fixed-capacity page whose free
   slots are its gaps (:mod:`repro.btree.node`); keys are sorted lists of
-  Python ints searched with ``bisect``. ``tests/test_oracle.py`` checks the
-  tree against a dict model, on int64 keys and keys beyond int64.
+  Python ints searched with ``bisect``. Keys are int64: a write of any
+  other raises :class:`~repro.errors.KeyRangeError` before it changes the
+  tree (a sorted batch checks its ends); a read of one misses.
 
 Semantics: unique keys with upsert on conflict; deletes are *lazy* (the
 entry is removed, underfull/empty leaves stay in the structure and are
@@ -46,6 +47,7 @@ from repro.btree.node import GappedInternal, GappedLeaf
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, current_obs
 from repro.storage.bufferpool import BufferPool, PageIdAllocator
 from repro.storage.costmodel import NULL_METER, Meter
+from repro.storage.pages import I64_MAX, I64_MIN, check_keys
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,8 @@ class BPlusTree:
         ``leaf_capacity`` entries. The descent builds no path: a split
         descends again for it (``key`` still routes to the full leaf).
         """
+        if not I64_MIN <= key <= I64_MAX:
+            check_keys(key, key)
         if self._root is None:
             self._ensure_root()
         self.top_inserts += 1
@@ -266,6 +270,7 @@ class BPlusTree:
         n = len(keys)
         if not n:
             return
+        check_keys(keys[0], keys[-1])
         self._ensure_root()
         self.top_inserts += n
         capacity = self.config.leaf_capacity
@@ -397,6 +402,7 @@ class BPlusTree:
             raise BulkLoadError("bulk batch must be strictly increasing")
         keys = kernels.as_list(col)
         first, last = keys[0], keys[-1]
+        check_keys(first, last)
         if self.max_key is not None and first <= self.max_key:
             raise BulkLoadError(
                 f"bulk batch starts at {first} but tree max is {self.max_key}"
@@ -523,6 +529,7 @@ class BPlusTree:
     def delete(self, key: int) -> bool:
         """Remove ``key`` if present (lazy: no rebalancing; the watermarks
         stay, see the class docstring)."""
+        check_keys(key, key)
         if self._root is None:
             return False
         leaf = self._leaf_for(key)
@@ -731,7 +738,9 @@ class MeteredBPlusTree(BPlusTree):
 
     def insert(self, key: int, value: object) -> bool:
         """Bills the tail-leaf touch (§III, Fig. 3a) or the descent, and, for
-        a new key, the slot and the entries above it shifting right."""
+        a new key, the slot and the entries above it shifting right; a
+        refused key bills nothing."""
+        check_keys(key, key)
         self._ensure_root()
         leaf = self._tail_leaf
         if self.config.tail_leaf_optimization and leaf.n and key >= leaf.ks[0]:
@@ -746,6 +755,8 @@ class MeteredBPlusTree(BPlusTree):
     def insert_sorted(self, keys: Sequence[int], values: Sequence[object]) -> None:
         """A loop of :meth:`insert`, not the executed leaf-at-a-time walk: a
         flush bills each top-insert's own descent, as the paper's does."""
+        if len(keys):
+            check_keys(keys[0], keys[-1])
         for key, value in zip(keys, values):
             self.insert(key, value)
 
@@ -855,7 +866,8 @@ class MeteredBPlusTree(BPlusTree):
 
     def delete(self, key: int) -> bool:
         """Bills the descent, the leaf touched dirty, and, for a present key,
-        the entries above it shifting left."""
+        the entries above it shifting left; a refused key bills nothing."""
+        check_keys(key, key)
         if self._root is not None:
             leaf = self._bill_descent(key, dirty=True)
             idx = bisect_left(leaf.ks, key)

@@ -237,11 +237,18 @@ def _read_keys(path: str) -> List[int]:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from repro.errors import KeyRangeError
     from repro.sortedness.metrics import measure_sortedness
+    from repro.storage.pages import check_keys
 
     keys = _read_keys(args.path)
     if not keys:
         print("no keys to measure", file=sys.stderr)
+        return 1
+    try:
+        check_keys(min(keys), max(keys))
+    except KeyRangeError as exc:
+        print(f"cannot measure: {exc}", file=sys.stderr)
         return 1
     report = measure_sortedness(keys)
     print(f"n           : {report.n}")

@@ -42,12 +42,12 @@ Zonemaps; a running min is the same quantity at lower constant cost).
 Storage is **columnar**. The tail is two append-only lists (keys, values;
 slot ``i``'s ``seq`` follows from the arrival counter); a sorted component
 is a :class:`Run` of parallel columns: keys as Python ints for the scalar
-searches, the same keys and the ``seq`` numbers as kernel columns (int64
-arrays, or lists once a key outside int64 demotes them), and values, in
-which a tombstone is :class:`DELETED`. A flush sorts the whole tail once,
-stably by key — the tail is newer than main, so that is ``(key, seq)``
-order, the merge of the paper's blocks — and the rightmost duplicate is the
-newest.
+searches, the same keys and the ``seq`` numbers as int64 arrays for the
+kernels (the index refuses any key outside int64 before it reaches the
+buffer), and values, in which a tombstone is :class:`DELETED`. A flush
+sorts the whole tail once, stably by key — the tail is newer than main, so
+that is ``(key, seq)`` order, the merge of the paper's blocks — and the
+rightmost duplicate is the newest.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from repro.sortedness.klsort import kl_split_fits
 from repro.sortedness.metrics import RunningSortednessEstimate
 from repro.obs import DEFAULT_SIZE_BUCKETS, Observability, current_obs
 from repro.storage.costmodel import NULL_METER, Meter
+from repro.storage.pages import I64_MAX, I64_MIN, check_keys
 
 MISS, HIT, TOMBSTONE = 0, 1, 2  #: lookup outcomes
 
@@ -86,8 +87,8 @@ class Run(NamedTuple):
 
     keys: List[int]  #: Python ints: the scalar-search column
     vals: list  #: values, :class:`DELETED` for a tombstone
-    seqs: object  #: arrival numbers, a kernel column
-    col: object  #: ``keys`` again, as the kernels' column type
+    seqs: object  #: arrival numbers, an int64 array
+    col: object  #: ``keys`` again, as an int64 array
 
     def slice(self, start: int, stop: Optional[int] = None) -> "Run":
         return Run(
@@ -110,12 +111,7 @@ def _empty_run() -> Run:
 def _permuted(col, vals: list, seqs, order) -> Run:
     """The columns reordered by ``order``; an int ``seqs`` stands for the
     consecutive arrival numbers starting there (the tail's implied column)."""
-    if type(seqs) is not int:
-        seqs = kernels.gather(seqs, order)
-    elif type(order) is list:
-        seqs = [seqs + i for i in order]
-    else:
-        seqs = order + seqs
+    seqs = order + seqs if type(seqs) is int else kernels.gather(seqs, order)
     col = kernels.gather(col, order)
     return Run(kernels.as_list(col), kernels.gather(vals, order), seqs, col)
 
@@ -222,19 +218,27 @@ class SWAREBuffer:
     # ------------------------------------------------------------------
     def add(self, key: int, value: object, tombstone: bool = False) -> bool:
         """Append an entry; return whether the buffer is now full (the
-        caller flushes)."""
+        caller flushes). A key outside int64 raises ``KeyRangeError``
+        before anything changes: only a key past the Zonemap's extremes
+        can be one, so the test rides on the Zonemap's own."""
+        zonemap = self.zonemap
+        if zonemap.min_key is None:
+            if not I64_MIN <= key <= I64_MAX:
+                check_keys(key, key)
+            zonemap.min_key = zonemap.max_key = key
+        elif key < zonemap.min_key:
+            if key < I64_MIN:
+                check_keys(key, key)
+            zonemap.min_key = key
+        elif key > zonemap.max_key:
+            if key > I64_MAX:
+                check_keys(key, key)
+            zonemap.max_key = key
         n = self._n = self._n + 1
         self._seq += 1
         if tombstone:
             value = DELETED
             self._tombstones += 1
-        zonemap = self.zonemap
-        if zonemap.min_key is None:
-            zonemap.min_key = zonemap.max_key = key
-        elif key < zonemap.min_key:
-            zonemap.min_key = key
-        elif key > zonemap.max_key:
-            zonemap.max_key = key
 
         tail = self._tail_keys
         if not tail:
@@ -596,9 +600,9 @@ class MeteredSWAREBuffer(SWAREBuffer):
     # ingestion
     # ------------------------------------------------------------------
     def add(self, key: int, value: object, tombstone: bool = False) -> bool:
-        self.meter.charge("buffer_append")
         n = len(self._tail_keys)
         full = super().add(key, value, tombstone)
+        self.meter.charge("buffer_append")
         # Filter upkeep is billed now and done at the first probe; the page
         # Zonemap's is priced into ``buffer_append`` like the whole-buffer one.
         if self._bf_levels and len(self._tail_keys) > n:

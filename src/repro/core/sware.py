@@ -32,6 +32,9 @@ unmetered backend (an executed B+-tree becomes a
 :class:`~repro.core.buffer.MeteredSWAREBuffer`.
 
 Values must not be ``None`` — the library reserves ``None`` for "absent".
+Keys are int64: a write of any other raises
+:class:`~repro.errors.KeyRangeError` before it changes anything; a read
+of one misses.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.core.stats import SWAREStats
 from repro.filters.bloom import theoretical_fpr
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, Observability, current_obs
 from repro.storage.costmodel import Meter, NULL_METER
+from repro.storage.pages import I64_MAX, I64_MIN, check_keys
 from repro.storage.wal import WriteAheadLog
 
 @runtime_checkable
@@ -116,8 +120,9 @@ class SortednessAwareIndex:
     # writes
     # ------------------------------------------------------------------
     def insert(self, key: int, value: object, _traced: bool = False) -> None:
-        """Buffer an upsert, in one frame: log, count, append and feed the
-        monitor, then flush if the append filled the buffer. With tracing on
+        """Buffer an upsert, in one frame: log, append, count and feed the
+        monitor, then flush if the append filled the buffer (the WAL or the
+        append refuses a key outside int64). With tracing on
         it calls itself once inside the ``sware.put`` span (``_traced``), the
         root of a causal trace: a flush cycle triggered here (and every sort,
         routing decision and WAL append inside it) chains back to this put
@@ -131,9 +136,9 @@ class SortednessAwareIndex:
                 return self.insert(key, value, True)
         if self.wal is not None:
             self.wal.append_put(key, value)
-        self.stats.inserts += 1
         buffer = self.buffer
         full = buffer.add(key, value)
+        self.stats.inserts += 1
         hub = obs.monitors
         if hub is not None:
             hub.observe_insert(key, buffer)
@@ -147,9 +152,12 @@ class SortednessAwareIndex:
 
         The batch is chunked by the buffer's remaining capacity, so a flush
         cycle triggers exactly where the sequential loop would have filled
-        the buffer.
+        the buffer. The whole batch is checked first: a refused one leaves
+        nothing behind.
         """
-        for _key, value in items:
+        for key, value in items:
+            if not I64_MIN <= key <= I64_MAX:
+                check_keys(key, key)
             if value is None:
                 raise ValueError("None values are reserved for 'absent'")
         obs = self.obs
@@ -184,6 +192,7 @@ class SortednessAwareIndex:
 
     def delete(self, key: int) -> None:
         """Delete via a buffered tombstone or directly in the tree (§IV-D)."""
+        check_keys(key, key)
         obs = self.obs
         if obs.enabled:
             with obs.span("sware.delete", key=key):

@@ -27,11 +27,12 @@ class BulkLoadError(ReproError, ValueError):
 
 
 class KeyRangeError(ReproError, ValueError):
-    """A logged write's key lies outside int64.
+    """A write's key lies outside int64.
 
-    WAL records and checkpoint pages hold signed 64-bit keys, so an index
-    with a write-ahead log refuses such a write before logging or applying
-    any of it; without a log, keys of any size are valid.
+    Keys are signed 64-bit integers everywhere: in the index, its WAL
+    records, checkpoint pages and the wire. Every write verb, and every
+    record encoder, refuses such a key before it changes, logs or sends
+    anything; a read of one answers like any other (a miss).
     """
 
 

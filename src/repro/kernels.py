@@ -3,15 +3,11 @@
 Bloom probe generation, the buffer's tail sort and run merge, sortedness
 metrics, batch-insert pre-checks and delta-packed key columns are expressed
 as *kernels*: functions over a whole column, vectorized with NumPy (a
-required dependency). A kernel picks its path from its input, not from a
-setting:
-
-* an int64 ``ndarray`` column takes the vector path;
-* a ``list`` column — a buffer column demoted by a key outside int64 —
-  takes a Python path that returns the same values;
-* hash input that no NumPy integer dtype holds (keys past uint64) is hashed
-  by the scalar functions of :mod:`repro.filters.hashing`, which give the
-  same 64-bit words.
+required dependency). Keys are int64 (every write refuses any other), so a
+key column is an int64 ``ndarray``; the few kernels the B+-tree's batch
+insert also calls with a list of Python ints (:func:`gather`,
+:func:`dedup_last`, :func:`column_strictly_increasing`) take a Python path
+for it that returns the same values.
 
 Sequential algorithms (the in-order prefix scan, patience sorting) have
 one Python body: no whole-column pass beats them. Cost-model charges never
@@ -30,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.filters import hashing
 
 __all__ = [
     "active_backend",
@@ -64,10 +59,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _ONE, _S27, _S30, _S31, _S32, _S63 = (np.uint64(v) for v in (1, 27, 30, 31, 32, 63))
 
-#: What building an integer array from Python values raises when they do
-#: not fit one (bignums; ``[1, 2**63]``, which NumPy would round to float).
-_NOT_INT = (OverflowError, TypeError, ValueError)
-
 
 def active_backend() -> str:
     """The kernel implementation reports are stamped with: ``"numpy"``."""
@@ -84,23 +75,6 @@ def set_backend(name: Optional[str]) -> None:
         raise ConfigError(f"unknown kernel backend {name!r}; the only one is 'numpy'")
 
 
-def _int_array(values) -> np.ndarray:
-    """``values`` as an integer ndarray; raises one of :data:`_NOT_INT`."""
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise TypeError(f"not an integer column: {arr.dtype}")
-    return arr
-
-
-def _ordered(keys) -> np.ndarray:
-    """``keys`` as an array NumPy orders exactly: an integer dtype when they
-    fit one, else Python objects (bignums compare as ints, never as floats)."""
-    try:
-        return _int_array(keys)
-    except _NOT_INT:
-        return np.asarray(keys, dtype=object)
-
-
 # ----------------------------------------------------------------------
 # hashing / Bloom filters
 # ----------------------------------------------------------------------
@@ -114,19 +88,11 @@ def _splitmix64_arr(keys: np.ndarray) -> np.ndarray:
     return z
 
 
-def shared_bases(keys: Sequence[int]):
-    """One 64-bit base hash per key (batch hash sharing).
-
-    A uint64 array — ``astype(uint64)`` on signed keys is the same two's-
-    complement ``key & MASK64`` the scalar hashes apply — or, for keys no
-    NumPy integer dtype holds, the list of equal words the scalar hashes
-    compute.
-    """
-    try:
-        arr = _int_array(keys).astype(np.uint64, copy=False)
-    except _NOT_INT:
-        return hashing.shared_bases(keys)
-    return _splitmix64_arr(arr)
+def shared_bases(keys: Sequence[int]) -> np.ndarray:
+    """One 64-bit base hash per key (batch hash sharing), as a uint64 array:
+    the int64 keys viewed as uint64 are the same two's-complement
+    ``key & MASK64`` the scalar hashes apply."""
+    return _splitmix64_arr(key_array(keys).view(np.uint64))
 
 
 def _probe_matrix(bases, n_probes: int, n_bits: int, rotation: int) -> np.ndarray:
@@ -196,14 +162,9 @@ def nondecreasing_prefix_len(keys: Sequence[int], last: Optional[int]) -> int:
     return split
 
 
-def key_array(keys):
-    """Keys or seqs as an int64 column when every one fits, else a list."""
-    if type(keys) is not list:
-        keys = list(keys)
-    try:
-        return np.asarray(keys, dtype=np.int64)
-    except _NOT_INT:
-        return keys
+def key_array(keys) -> np.ndarray:
+    """Keys or seqs as an int64 column."""
+    return np.asarray(keys, dtype=np.int64)
 
 
 def as_list(column) -> list:
@@ -211,16 +172,14 @@ def as_list(column) -> list:
     return column if type(column) is list else column.tolist()
 
 
-def stable_argsort(keys):
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
     """Positions of ``keys`` in ascending order, ties by position.
 
     The buffer's tail sort and every merge of its sorted components: a
     component sequence is concatenated oldest first, so ordering ties by
     position is ordering by ``(key, seq)``.
     """
-    if isinstance(keys, np.ndarray):
-        return np.argsort(keys, kind="stable")  # timsort: near-linear on sorted runs
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    return np.argsort(keys, kind="stable")  # timsort: near-linear on sorted runs
 
 
 def gather(column, order):
@@ -235,15 +194,9 @@ def gather(column, order):
     return list(itemgetter(*order)(column))
 
 
-def concat_columns(columns):
-    """Key or seq columns joined end to end: an array when every one is an
-    array, else a list."""
-    if columns and all(isinstance(column, np.ndarray) for column in columns):
-        return np.concatenate(columns)
-    out: list = []
-    for column in columns:
-        out.extend(as_list(column))
-    return out
+def concat_columns(columns) -> np.ndarray:
+    """Key or seq columns joined end to end."""
+    return np.concatenate(columns)
 
 
 def dedup_last(keys, values):
@@ -337,7 +290,7 @@ def max_displacement(keys: Sequence[int]) -> int:
     """Exact L: max |i - sorted_position(i)| under a stable sort."""
     if len(keys) < 2:
         return 0
-    order = np.argsort(_ordered(keys), kind="stable")
+    order = np.argsort(key_array(keys), kind="stable")
     return int(np.abs(order - np.arange(len(keys))).max())
 
 
@@ -353,7 +306,7 @@ def count_inversions(keys: Sequence[int]) -> int:
     n = len(keys)
     if n < 2:
         return 0
-    order = np.argsort(_ordered(keys), kind="stable")
+    order = np.argsort(key_array(keys), kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
     p = 1 << (n - 1).bit_length()

@@ -30,6 +30,7 @@ from repro.errors import BulkLoadError, ConfigError
 from repro.lsm.run import Entry, SortedRun
 from repro.obs import DEFAULT_SIZE_BUCKETS, NULL_OBS, current_obs
 from repro.storage.costmodel import NULL_METER, Meter
+from repro.storage.pages import check_keys
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,7 @@ class LSMTree:
     # writes
     # ------------------------------------------------------------------
     def insert(self, key: int, value: object) -> None:
+        check_keys(key, key)
         self._put(key, value, tombstone=False)
         self.inserts += 1
         if self._max_key is None or key > self._max_key:
@@ -99,6 +101,7 @@ class LSMTree:
             self._min_key = key
 
     def delete(self, key: int) -> None:
+        check_keys(key, key)
         self.meter.charge("tombstone")
         self._put(key, None, tombstone=True)
 
@@ -207,6 +210,7 @@ class LSMTree:
             if previous is not None and key <= previous:
                 raise BulkLoadError("bulk batch must be strictly increasing")
             previous = key
+        check_keys(items[0][0], items[-1][0])
         if self._max_key is not None and items[0][0] <= self._max_key:
             raise BulkLoadError(
                 f"bulk batch starts at {items[0][0]} but tree max is {self._max_key}"

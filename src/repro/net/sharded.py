@@ -75,17 +75,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import SWAREConfig
 from repro.core.stats import SWAREStats
 from repro.core.sware import SortednessAwareIndex
-from repro.errors import KeyRangeError, ReproError
+from repro.errors import ReproError
 from repro.obs import NULL_OBS, Observability, current_obs
 from repro.storage.pagefile import CheckpointStore, RecoveryReport
-from repro.storage.wal import (
-    FSYNC_ALWAYS,
-    FSYNC_POLICIES,
-    INT64_MAX,
-    INT64_MIN,
-    WriteAheadLog,
-    fsync_file,
-)
+from repro.storage.pages import I64_MAX, I64_MIN, check_keys
+from repro.storage.wal import FSYNC_ALWAYS, FSYNC_POLICIES, WriteAheadLog, fsync_file
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 1
@@ -360,15 +354,15 @@ class ShardedSortednessAwareIndex:
     def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
         """Route a batch by shard, preserving the arrival order per shard.
 
-        The whole batch is checked before any shard sees it: every shard's
-        WAL refuses a None value or a key outside int64, and a refused
-        batch must leave every shard as it was.
+        The whole batch is checked before any shard sees it: every shard
+        refuses a None value or a key outside int64, and a refused batch
+        must leave every shard as it was.
         """
         for key, value in items:
+            if not I64_MIN <= key <= I64_MAX:
+                check_keys(key, key)
             if value is None:
                 raise ValueError("None values are reserved for 'absent'")
-            if not INT64_MIN <= key <= INT64_MAX:
-                raise KeyRangeError(f"key {key} is outside int64: a logged write cannot hold it")
         if not items:
             return
         per_shard: Dict[int, List[Tuple[int, object]]] = {}

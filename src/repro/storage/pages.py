@@ -48,7 +48,7 @@ import zlib
 from typing import List, Sequence, Tuple
 
 from repro import kernels
-from repro.errors import ReproError
+from repro.errors import KeyRangeError, ReproError
 
 MAGIC = 0x5A7E
 KIND_LEAF = 1
@@ -65,8 +65,10 @@ FLAG_COMPRESSED_VALUES = 0x02
 #: record, so a 54-byte page could otherwise ask for billions.
 MAX_UNTRUSTED_RECORDS = 1 << 16
 
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
+#: The key domain, spelled only here: what an s64 field holds, and every key
+#: an index takes (:func:`check_keys` is the one refusal of any other).
+I64_MIN = -(1 << 63)
+I64_MAX = (1 << 63) - 1
 
 _HEADER = struct.Struct("<HBBII")
 _KEY = struct.Struct("<q")
@@ -78,6 +80,14 @@ KEY_BLOCK_HEADER = struct.Struct("<IqqB")
 
 class PageCorruptionError(ReproError):
     """A value, record or page failed its checksum or structural validation."""
+
+
+def check_keys(lo: int, hi: int) -> None:
+    """Raise :class:`KeyRangeError` unless ``lo`` and ``hi`` (a sorted batch's
+    first and last key, or one key twice) lie in int64. A hot path tests
+    ``I64_MIN <= key <= I64_MAX`` inline and calls this only to raise."""
+    if lo < I64_MIN or hi > I64_MAX:
+        raise KeyRangeError(f"key {lo if lo < I64_MIN else hi} is outside int64")
 
 
 class _BuiltinsOnly(pickle.Unpickler):
@@ -127,8 +137,14 @@ def decode_value(blob: bytes, *, trusted: bool = True) -> object:
 
 
 def encode_record(key: int, value: object) -> bytes:
-    """One record: ``key s64 + value``."""
-    return _KEY.pack(key) + encode_value(value)
+    """One record: ``key s64 + value``; a key outside int64 raises
+    :class:`KeyRangeError`."""
+    try:
+        head = _KEY.pack(key)
+    except struct.error:
+        check_keys(key, key)
+        raise
+    return head + encode_value(value)
 
 
 def decode_record(data: bytes, *, trusted: bool = True) -> Tuple[int, object]:
@@ -195,7 +211,7 @@ def _encode_values(values: List[object], compress: bool) -> Tuple[bytes, int]:
     if (
         compress
         and len(values) >= 2
-        and all(type(v) is int and _I64_MIN <= v <= _I64_MAX for v in values)
+        and all(type(v) is int and I64_MIN <= v <= I64_MAX for v in values)
     ):
         block = encode_key_block(values)
         if len(block) < len(blob):
@@ -239,8 +255,14 @@ def decode_leaf(data: bytes, *, trusted: bool = True) -> Tuple[List[int], List[o
 
 
 def encode_records(items: Sequence[Tuple[int, object]]) -> bytes:
-    """A batch of ``(key, value)`` records, in order: a v2 leaf page."""
-    return encode_leaf([k for k, _v in items], [v for _k, v in items], compress=True)
+    """A batch of ``(key, value)`` records, in order: a v2 leaf page; a key
+    outside int64 raises :class:`KeyRangeError`."""
+    keys = [k for k, _v in items]
+    try:
+        return encode_leaf(keys, [v for _k, v in items], compress=True)
+    except (OverflowError, struct.error):
+        check_keys(min(keys), max(keys))
+        raise
 
 
 def decode_records(data: bytes, *, trusted: bool = True) -> List[Tuple[int, object]]:

@@ -67,7 +67,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import KeyRangeError, WALError
+from repro.errors import WALError
 from repro.obs import NULL_OBS, Observability, current_obs
 from repro.storage import pages
 
@@ -87,7 +87,6 @@ _FRAME_HEADER = struct.Struct("<HBBII")  # magic, kind, flags, length, crc
 _FRAME_PREFIX = struct.Struct("<HBBI")  # the header up to the crc
 _CRC = struct.Struct("<I")
 _KEY = struct.Struct("<q")
-INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 #: A replayed logical operation: ("put", key, value) or ("delete", key, None).
 WALOp = Tuple[str, int, object]
@@ -194,14 +193,6 @@ def replay_wal(path: str, opener: Callable = open) -> WALReplay:
         fobj.close()
 
 
-def _refuse_keys(keys) -> None:
-    """Raise :class:`KeyRangeError` for the first key a record's signed
-    64-bit slot cannot hold (the encoders raise untyped errors for it)."""
-    for key in keys:
-        if isinstance(key, int) and not INT64_MIN <= key <= INT64_MAX:
-            raise KeyRangeError(f"key {key} is outside int64: a logged write cannot hold it")
-
-
 class WriteAheadLog:
     """Append-only, CRC-framed log of logical index operations.
 
@@ -269,19 +260,14 @@ class WriteAheadLog:
     def append_put(self, key: int, value: object) -> int:
         """Log an upsert; returns the record's LSN (1-based append count).
         A key outside int64 raises :class:`KeyRangeError`, logging nothing."""
-        try:
-            record = pages.encode_record(key, value)
-        except struct.error:
-            _refuse_keys((key,))
-            raise
-        return self._append(encode_frame(KIND_PUT, record), 1)
+        return self._append(encode_frame(KIND_PUT, pages.encode_record(key, value)), 1)
 
     def append_delete(self, key: int) -> int:
         """Log a delete; returns the record's LSN."""
         try:
             record = _KEY.pack(key)
         except struct.error:
-            _refuse_keys((key,))
+            pages.check_keys(key, key)
             raise
         return self._append(encode_frame(KIND_DELETE, record), 1)
 
@@ -294,12 +280,7 @@ class WriteAheadLog:
         """
         if len(items) < 2:
             return self.append_put(*items[0]) if items else self.records
-        try:
-            records = pages.encode_records(items)
-        except (OverflowError, struct.error):
-            _refuse_keys([key for key, _value in items])
-            raise
-        return self._append(encode_frame(KIND_PUT_BATCH, records), len(items))
+        return self._append(encode_frame(KIND_PUT_BATCH, pages.encode_records(items)), len(items))
 
     def _append(self, frame: bytes, records: int) -> int:
         with self.obs.span("wal.append", records=records):

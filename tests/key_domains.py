@@ -1,56 +1,53 @@
 """Key domains: the axis the model suites run over.
 
-A buffer column is an int64 array while every key in it fits one, and a
-list from the first key that does not (:func:`repro.kernels.key_array`);
-each kernel takes its vector or its Python path from its input. So the
-suites that pin a model run in two key domains, named by the kernel path
-they drive:
+Keys are int64: every write refuses a key outside it (``KeyRangeError``).
+The suites that pin a model run in two domains, under the ids they have
+always reported:
 
-* ``numpy`` (:data:`INT64`) — the keys the suite was written with: array
-  columns, vector paths;
-* ``python`` (:data:`WIDE`) — the same workloads with keys beyond int64,
-  which demote the columns they land in to lists: the Python paths.
+* ``numpy`` (:data:`INT64`) — the keys the suite was written with; a bulk
+  load is handed them as an int64 column, as a SWARE flush hands them;
+* ``python`` (:data:`WIDE`) — the same workloads moved up by
+  :data:`WIDE_SHIFT`: keys past 2**53, where a float no longer tells
+  neighbouring keys apart (interpolation, hashing and delta arithmetic
+  must stay exact), yet inside int64; a bulk load is handed them as a list
+  of Python ints, as ``BPlusTree.insert_many`` hands them.
 
-Suites that draw keys mix :data:`WIDE_KEYS` into their strategies
-(:meth:`KeyDomain.keys`). Suites written with literal keys move every key
-up by ``shift`` (:meth:`KeyDomain.wrap`, :class:`Shifted`): with
-:data:`WIDE_SHIFT`, keys below 16 still fit int64 and the rest do not, and
-order — so every assertion about sortedness, routing and cost — is
-unchanged.
+Suites that draw keys shift what they draw (:meth:`KeyDomain.keys`).
+Suites written with literal keys move every key up by ``shift``
+(:meth:`KeyDomain.wrap`, :class:`Shifted`); the largest literal key, 2**61,
+still fits, and order — so every assertion about sortedness, routing and
+cost — is unchanged.
 """
 
 from types import SimpleNamespace
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import pytest
-from hypothesis import strategies as st
 
 from repro import kernels
 
-WIDE_KEYS = (-(2**70), 2**63, 2**70)
-WIDE_SHIFT = 2**63 - 16
+WIDE_SHIFT = 2**62
 
 
 class KeyDomain(NamedTuple):
-    extra_keys: Tuple[int, ...]  #: mixed into drawn keys
-    shift: int  #: added to literal keys
+    shift: int  #: added to every key
 
     def keys(self, strategy):
-        """``strategy``, also drawing :attr:`extra_keys` when there are any."""
-        return strategy | st.sampled_from(self.extra_keys) if self.extra_keys else strategy
+        """``strategy`` with its draws shifted."""
+        return strategy.map(self.shift.__add__) if self.shift else strategy
 
     def column(self, keys):
-        """``keys`` as the column type a buffer in this domain holds: an
+        """``keys`` as the column a bulk load is handed in this domain: an
         int64 array, or a list."""
-        return list(keys) if self.extra_keys else kernels.key_array(keys)
+        return list(keys) if self.shift else kernels.key_array(keys)
 
     def wrap(self, target):
         """``target`` with its callers' keys shifted (itself at shift 0)."""
         return Shifted(target, self.shift) if self.shift else target
 
 
-INT64 = KeyDomain((), 0)
-WIDE = KeyDomain(WIDE_KEYS, WIDE_SHIFT)
+INT64 = KeyDomain(0)
+WIDE = KeyDomain(WIDE_SHIFT)
 
 #: Parametrizes ``domain`` over :data:`INT64` and :data:`WIDE`.
 key_domains = pytest.mark.parametrize(

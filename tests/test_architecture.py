@@ -389,6 +389,16 @@ def test_no_sosd_extension():
     assert BACKEND_NAMES == ("sa_btree", "btree", "betree", "lsm")
 
 
+def test_one_key_domain():
+    # Keys are int64: storage/pages.py spells the bounds once, beside the
+    # one refusal every write makes, and no kernel keeps a path for keys
+    # outside them (no object arrays, no list demotion).
+    bounds = hits(r"1 ?<< ?63|2 ?\*\* ?63", "src/repro")
+    assert [hit for hit in bounds if not hit.startswith("src/repro/storage/pages.py:")] == []
+    assert hits(r"_refuse_keys|INT64_M(IN|AX)", "src") == []
+    assert hits(r"dtype=object|_NOT_INT|def _ordered\(", "src/repro/kernels.py") == []
+
+
 # Framework callbacks: asyncio calls a protocol's methods, pickle calls an
 # unpickler's ``find_class``.
 FRAMEWORK_CALLBACKS = {name for name in dir(asyncio.Protocol) if not name.startswith("_")}

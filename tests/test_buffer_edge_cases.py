@@ -1,7 +1,7 @@
 """Edge-case and failure-mode tests for the SWARE-buffer and wrapper.
 
 Every test runs on the keys it is written with and again, in the ``*Wide``
-classes at the end, shifted beyond int64 (see ``tests/key_domains.py``).
+classes at the end, shifted past 2**53 (see ``tests/key_domains.py``).
 """
 
 from repro.core.buffer import HIT, TOMBSTONE, SWAREBuffer

@@ -56,6 +56,12 @@ class TestMeasure:
         path.write_text("")
         assert main(["measure", str(path)]) == 1
 
+    def test_measure_refuses_a_key_outside_int64(self, tmp_path, capsys):
+        path = tmp_path / "keys.txt"
+        path.write_text(f"1\n{2**63}\n3\n")
+        assert main(["measure", str(path)]) == 1
+        assert "outside int64" in capsys.readouterr().err
+
 
 class TestDemo:
     def test_demo_runs(self, capsys):

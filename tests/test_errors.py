@@ -1,7 +1,8 @@
 """Rejected arguments raise typed errors.
 
 A constructor that rejects its arguments raises ``ConfigError``, and a
-logged write of a key outside int64 raises ``KeyRangeError``. Both are a
+write of a key outside int64, logged or not, raises ``KeyRangeError``
+before it changes anything, while a read of one still answers. Both are a
 ``ReproError`` (one ``except`` catches everything the library raises) and
 a ``ValueError`` (callers that caught the bare error still do).
 """
@@ -9,12 +10,14 @@ a ``ValueError`` (callers that caught the bare error still do).
 import pytest
 
 from repro.btree.btree import BPlusTree
+from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro.core.sware import SortednessAwareIndex
 from repro.core.zonemap import PageZonemaps
 from repro.errors import ConfigError, KeyRangeError, ReproError
 from repro.filters.bloom import BloomFilter
 from repro.obs.tracer import Tracer
 from repro.storage.bufferpool import BufferPool
+from repro.storage.costmodel import Meter
 from repro.net.sharded import ShardedConfig, ShardedSortednessAwareIndex
 from repro.storage.pagefile import PageFile
 from repro.storage.wal import WriteAheadLog
@@ -50,12 +53,15 @@ def _sharded(tmp_path):
     return index, index.put, [shard.wal for shard in index._shards]
 
 
-@pytest.mark.parametrize("key", [1 << 63, -(1 << 63) - 1], ids=["above", "below"])
+OUTSIDE = pytest.mark.parametrize("key", [1 << 63, -(1 << 63) - 1], ids=["above", "below"])
+
+
+@OUTSIDE
 @pytest.mark.parametrize("write", ["put", "put_many", "delete"])
 @pytest.mark.parametrize("build", [_embedded, _sharded], ids=["embedded", "sharded"])
 def test_logged_write_refuses_a_key_outside_int64(tmp_path, build, write, key):
-    # Keys beyond int64 are valid without a WAL; a logged write refuses
-    # them with one typed error, logging and applying nothing.
+    # A logged write refuses a key outside int64 with one typed error,
+    # logging and applying nothing.
     index, put, wals = build(tmp_path)
     put(7, "seven")
     records, items = [wal.records for wal in wals], index.items()
@@ -71,3 +77,44 @@ def test_logged_write_refuses_a_key_outside_int64(tmp_path, build, write, key):
     assert index.items() == items
     for wal in wals:
         wal.close()
+
+
+UNLOGGED = {
+    "bare": BPlusTree,
+    "metered": lambda: BPlusTree(meter=Meter()),
+    "sware": lambda: SortednessAwareIndex(BPlusTree()),
+    "concurrent": lambda: ConcurrentSortednessAwareIndex(BPlusTree()),
+}
+
+
+@OUTSIDE
+@pytest.mark.parametrize("build", list(UNLOGGED))
+def test_unlogged_write_refuses_a_key_outside_int64(build, key):
+    # Without a WAL too, every write verb refuses a key outside int64 and
+    # changes nothing: rows, watermarks, counters, charges, stats, buffer.
+    # Reads of it answer like any other.
+    index = UNLOGGED[build]()
+    index.insert(7, "seven")
+    bare = isinstance(index, BPlusTree)
+    tree = index if bare else index.backend
+
+    def state():
+        rows = list(tree.iter_items()), tree.min_key, tree.max_key, tree.top_inserts
+        if bare:
+            return (*rows, dict(getattr(tree.meter, "counts", {})))
+        return (*rows, index.stats.snapshot(), index.buffer.all_entries())
+
+    before = state()
+    batch = sorted([(8, "eight"), (key, "x")])
+    writes = [lambda: index.insert(key, "x"), lambda: index.delete(key)]
+    if bare:
+        writes += [lambda: index.insert_many(batch), lambda: index.bulk_load_append(batch),
+                   lambda: index.insert_sorted(*map(list, zip(*batch)))]
+    else:
+        writes.append(lambda: index.put_many(batch))
+    for write in writes:
+        with pytest.raises(KeyRangeError):
+            write()
+        assert state() == before
+    assert index.get(key) is None
+    assert index.range_query(-(1 << 70), 1 << 70) == [(7, "seven")]

@@ -3,7 +3,7 @@
 That the tree answers like an ordered map, in both key domains, is the
 oracle's business (``tests/test_oracle.py``). This file pins what the
 oracle cannot see: the dedup kernel's one answer for array and list
-columns, keys at and beyond the int64 edges, the physical-occupancy fields of ``space_stats()``, checkpoint round-trips
+columns, keys at the int64 edges, the physical-occupancy fields of ``space_stats()``, checkpoint round-trips
 that keep the layout (including configs pickled by older versions), and
 profiler layer attribution for the hot modules.
 """
@@ -22,7 +22,7 @@ from repro.storage.costmodel import Meter
 from repro.storage.pages import deserialize_btree, serialize_btree
 from tests.key_domains import key_domains
 
-INT64_MAX = 2**63 - 1
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _tree(**overrides) -> BPlusTree:
@@ -73,20 +73,19 @@ class TestConfig:
         assert isinstance(tree._head_leaf, GappedLeaf)
 
 
-@pytest.mark.parametrize("weird", [INT64_MAX, 2**70, -(2**70)])
-class TestDemotion:
-    def test_unrepresentable_key_demotes_and_serves(self, weird):
-        """Keys at and beyond the int64 edges (which once demoted int64
-        array stores to lists) are stored and served like any other."""
-        tree = _tree()
-        tree.insert_many([(k, f"v{k}") for k in range(10)])
-        tree.insert(weird, "weird")
-        assert tree.get(weird) == "weird"
-        tree.insert(weird - 1, "w2")
-        assert tree.get(weird - 1) == "w2"
-        assert tree.delete(weird) is True
-        assert tree.get(weird) is None
-        tree.check_invariants()
+@pytest.mark.parametrize("edge", [INT64_MAX, INT64_MIN])
+def test_an_int64_edge_key_is_stored_and_served(edge):
+    """Keys at the int64 edges are stored and served like any other."""
+    tree = _tree()
+    tree.insert_many([(k, f"v{k}") for k in range(10)])
+    tree.insert(edge, "edge")
+    assert tree.get(edge) == "edge"
+    inner = edge - 1 if edge > 0 else edge + 1
+    tree.insert(inner, "w2")
+    assert tree.get(inner) == "w2"
+    assert tree.delete(edge) is True
+    assert tree.get(edge) is None
+    tree.check_invariants()
 
 
 @key_domains
@@ -120,8 +119,8 @@ def test_collector_gap_slots_matches_space_stats():
 
 @key_domains
 def test_checkpoint_round_trip_preserves_gapped_layout(domain):
-    """Pages hold int64 keys, so both domains checkpoint int64 keys; they
-    differ in the column type the tree's bulk load was handed."""
+    """Both domains checkpoint, and differ in the column type the tree's
+    bulk load was handed."""
     tree = _tree(leaf_capacity=6)
     tree.insert_many([(k, f"v{k}") for k in range(300)])
     keys = range(300, 400)

@@ -1,4 +1,4 @@
-"""The kernels against scalar references, on vector and Python paths.
+"""The kernels against scalar references.
 
 Each kernel in :mod:`repro.kernels` is a constant-factor optimization: it
 must return *identical* values to the one-key-at-a-time definition — the
@@ -6,9 +6,9 @@ same hash words, the same Bloom bit patterns (byte for byte, including
 under rotation), the same stable sort orders (so duplicate/tombstone
 resolution is unchanged), the same metric values. The references are the
 scalar code in :mod:`repro.filters` (hashing, ``BloomFilter.add``) or small
-functions in this file. Inputs no int64 column holds (``2**70``, mixes of
-negative keys and keys past ``2**63``) take each kernel's Python path, and
-are checked against the same references. The accounting-parity test pins
+functions in this file. Keys are int64, the extremes included; the kernels
+the B+-tree also hands a list take it on a Python path that is checked
+against the same references. The accounting-parity test pins
 that ``add_many`` bills ``n_added`` exactly like a sequential loop, and the
 last tests pin the backend surface that remains.
 """
@@ -28,10 +28,6 @@ i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 i64_edges = st.sampled_from([0, 1, -1, 2**63 - 1, -(2**63), 2**31, -(2**31)])
 keys_st = st.lists(i64 | i64_edges, max_size=80)
 small_keys_st = st.lists(st.integers(min_value=0, max_value=300), max_size=80)
-# Keys outside uint64 range take the kernels' Python paths.
-bignum_keys_st = st.lists(
-    st.integers(min_value=-(2**100), max_value=2**100), min_size=1, max_size=20
-)
 
 
 def _unboxed(column):
@@ -85,13 +81,6 @@ def test_shared_bases_matches(keys):
     assert _unboxed(bases) == [hashing.shared_base(key) for key in keys]
 
 
-@given(keys=bignum_keys_st | st.just([-1, 2**63]))
-@settings(max_examples=30, deadline=None)
-def test_bignum_keys_fall_back_identically(keys):
-    """Keys no integer dtype holds are hashed by the scalar functions."""
-    assert _unboxed(kernels.shared_bases(keys)) == hashing.shared_bases(keys)
-
-
 # ----------------------------------------------------------------------
 # Bloom filter: bit patterns, membership, accounting
 # ----------------------------------------------------------------------
@@ -119,9 +108,8 @@ def test_bloom_add_many_batch_sizes_and_duplicate_positions(domain, batch, capac
     """Every batch size sets the byte path's exact bits, including when probe
     positions repeat: within a key (an 8-bit filter folds seven probes onto
     at most eight bits), across keys (a batch far over capacity) and through
-    duplicate keys — with keys beyond int64 in the batch too."""
-    keys = [(i * 2654435761) % 1009 for i in range(batch)]  # repeats from 1009 on
-    keys = [*domain.extra_keys, *keys][:batch]
+    duplicate keys — with keys past 2**53 in the batch too."""
+    keys = [domain.shift + (i * 2654435761) % 1009 for i in range(batch)]  # repeats from 1009 on
     filt = BloomFilter(capacity, rotation=rotation)
     filt.add_many(keys[: batch // 2])
     filt.add_many(keys[batch // 2 :])  # ORs into bits already set
@@ -139,8 +127,8 @@ def test_batch_accounting_matches_sequential(domain):
     """`add_many` bills n_added exactly like the sequential loop, and the
     filter it builds answers and bills probes like the sequential one
     (regression: accounting parity)."""
-    keys = list(range(0, 600, 3)) + list(domain.extra_keys)
-    probes = list(range(0, 900, 2)) + list(domain.extra_keys)
+    keys = [domain.shift + key for key in range(0, 600, 3)]
+    probes = [domain.shift + key for key in range(0, 900, 2)]
     batch, seq = BloomFilter(512), BloomFilter(512)
     batch.add_many(keys)
     answers = [batch.may_contain(p) for p in probes]
@@ -160,7 +148,7 @@ def test_popcount_bytes_matches(data):
 @key_domains
 def test_saturation_counts_set_bits(domain):
     bf = BloomFilter(128)
-    bf.add_many(list(range(50)) + list(domain.extra_keys))
+    bf.add_many([domain.shift + key for key in range(50)])
     expected = sum(bin(b).count("1") for b in bf._bits) / bf.n_bits
     assert bf.saturation == pytest.approx(expected)
 
@@ -171,7 +159,7 @@ def test_saturation_counts_set_bits(domain):
 dup_keys_st = st.lists(st.integers(min_value=0, max_value=40), max_size=60)  # forces dups
 
 
-@given(keys=keys_st | bignum_keys_st, last=st.none() | i64)
+@given(keys=keys_st, last=st.none() | i64)
 @settings(max_examples=60, deadline=None)
 def test_nondecreasing_prefix_len_matches(keys, last):
     split = kernels.nondecreasing_prefix_len(keys, last)
@@ -180,24 +168,23 @@ def test_nondecreasing_prefix_len_matches(keys, last):
     assert split == len(keys) or keys[split] < run[-1]
 
 
-@given(keys=dup_keys_st | keys_st | bignum_keys_st)
+@given(keys=dup_keys_st | keys_st)
 @settings(max_examples=60, deadline=None)
 def test_stable_argsort_orders_by_key_then_arrival(keys):
     """The tail sort orders duplicates by arrival — stability decides which
-    of several versions of a key (including tombstones) wins downstream —
-    on int64 columns and on demoted lists alike. ``gather`` applies it to
-    key, seq and value columns."""
+    of several versions of a key (including tombstones) wins downstream.
+    ``gather`` applies it to key, seq and value columns."""
     expected = sorted(range(len(keys)), key=lambda i: (keys[i], i))
     values = [f"v{i}" for i in range(len(keys))]
     col = kernels.key_array(keys)
-    assert (type(col) is list) == any(not -(2**63) <= key < 2**63 for key in keys)
     order = kernels.stable_argsort(col)
     assert _unboxed(order) == expected
     assert _unboxed(kernels.gather(col, order)) == [keys[i] for i in expected]
     assert kernels.gather(values, order) == [values[i] for i in expected]
 
 
-@given(runs=st.lists(st.lists(st.integers(0, 40) | i64, max_size=25).map(sorted), max_size=4))
+@given(runs=st.lists(st.lists(st.integers(0, 40) | i64, max_size=25).map(sorted),
+                    min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_merge_of_sorted_columns_matches(runs):
     """The flush merge: sorted components concatenated oldest first and
@@ -207,27 +194,24 @@ def test_merge_of_sorted_columns_matches(runs):
     assert _unboxed(col) == [key for key, _r, _i in flat]
     order = kernels.stable_argsort(col)
     assert [flat[i] for i in _unboxed(order)] == sorted(flat)
-    # A demoted (list) component next to array components still merges.
-    mixed = kernels.concat_columns([kernels.key_array([1, 2]), [2**64], kernels.key_array([3])])
-    assert mixed == [1, 2, 2**64, 3]
 
 
-@given(keys=(dup_keys_st | keys_st).map(sorted), wide=st.booleans())
+@given(keys=(dup_keys_st | keys_st).map(sorted), as_list=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_dedup_last_matches(keys, wide):
-    """The flush dedup keeps the last (newest) slot of every key run."""
-    if wide:
-        keys = [key + 2**70 for key in keys]
+def test_dedup_last_matches(keys, as_list):
+    """The flush dedup keeps the last (newest) slot of every key run, on an
+    int64 column (a flush) and a list (``BPlusTree.insert_many``)."""
     values = list(range(len(keys)))
     last = {key: i for i, key in enumerate(keys)}
-    out_keys, out_values = kernels.dedup_last(kernels.key_array(keys), values)
+    out_keys, out_values = kernels.dedup_last(keys if as_list else kernels.key_array(keys), values)
     assert _unboxed(out_keys) == sorted(last)
     assert out_values == [last[key] for key in sorted(last)]
 
 
 def test_item_columns_is_a_pair_sequence():
-    for keys in ([3, 5, 9], [3, 5, 2**70]):  # an int64 column, and a list one
-        items = kernels.ItemColumns(kernels.key_array(keys), ["a", "b", "c"])
+    keys = [3, 5, 2**63 - 1]
+    for column in (kernels.key_array(keys), keys):  # a flush's, and insert_many's
+        items = kernels.ItemColumns(column, ["a", "b", "c"])
         assert len(items) == 3 and bool(items)
         assert list(items) == list(zip(keys, "abc"))
         assert items[0] == (3, "a") and items[-1] == (keys[-1], "c")
@@ -239,7 +223,7 @@ def test_item_columns_is_a_pair_sequence():
 # sortedness metrics
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("metric,reference", METRICS)
-@given(keys=small_keys_st | bignum_keys_st)
+@given(keys=small_keys_st | keys_st)
 @settings(max_examples=50, deadline=None)
 def test_metric_values_match(metric, reference, keys):
     assert metric(keys) == reference(keys)

@@ -1,10 +1,10 @@
 """Wire-protocol unit tests: framing, CRC, payload codecs, the frame decoder."""
 
 import random
-import struct
 
 import pytest
 
+from repro.errors import KeyRangeError
 from repro.net import protocol as p
 
 #: The value domain a served index accepts: builtin scalars and containers.
@@ -91,7 +91,7 @@ class TestPayloadCodecs:
         ]:
             assert same(p.decode_put_many(p.encode_put_many(items)), items)
             assert same(p.decode_result(p.encode_result(items)), items)
-            with pytest.raises((OverflowError, struct.error)):  # raised before sending
+            with pytest.raises(KeyRangeError):  # raised before sending
                 p.encode_put_many(items + [(1 << 63, "a key beyond int64")])
 
     def test_put_many_trailing_bytes_rejected(self):

@@ -8,7 +8,9 @@ crash, recover, rebuild, split, via and burst, and checks every answer
 against a dict.
 
 Shapes (one subject class each) × the ``core.factory`` registry × the key
-domains of ``tests/key_domains.py``:
+domains of ``tests/key_domains.py``; the ``python`` shapes also draw keys
+outside int64, which every write refuses (``KeyRangeError``, changing
+nothing) and every read misses:
 
 * :class:`Bare` — the backend alone. A sorted batch is a
   ``bulk_load_append``, refused with a duplicate or at or below the max key;
@@ -41,9 +43,11 @@ segment or a query-sorted block, on a metered copy of its buffer
 away fails whether or not a drawn GET asked for it.
 
 A rule a shape cannot run is off by precondition (``Subject.rules``). The
-durable and served shapes draw int64 keys only (the WAL, page and wire
-formats are s64). After every step each subject also checks what only it
-can: ``check_invariants``, watermarks, the twin, shard-map order.
+durable and served shapes run the ``numpy`` domain only. A batch's refused
+record is a key outside int64 or, on every shape but a bare tree (which
+stores any value), a None value: one ``Subject.rejects`` names the error.
+After every step each subject also checks what only it can:
+``check_invariants``, watermarks, the twin, shard-map order.
 
 To add a shape, subclass :class:`Subject` (it forwards the verbs to
 ``index``) and list it in :func:`_shapes`. To pin a regression, add a row
@@ -78,7 +82,7 @@ from repro.btree.btree import BPlusTree, BPlusTreeConfig
 from repro.core.factory import make_sa_btree
 from repro.core.stats import SWAREStats
 from repro.core.sware import SortednessAwareIndex, TreeBackend
-from repro.errors import BulkLoadError, CheckpointUnsupportedError
+from repro.errors import BulkLoadError, CheckpointUnsupportedError, KeyRangeError
 from repro.lsm import LSMConfig, LSMTree
 from repro.net.client import ServerError, SyncIndexClient
 from repro.net.server import IndexServer
@@ -89,6 +93,7 @@ from repro.storage.pagefile import CheckpointStore, rebuild_index
 from tests.key_domains import INT64, WIDE, KeyDomain
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+REFUSED = (-(2**70), INT64_MIN - 1, INT64_MAX + 1, 2**70)  #: keys every write refuses
 FULL = (-(2**80), 2**80)  # wider than every drawn key
 SMALL = SWAREConfig(buffer_capacity=16, page_size=4, query_sorting_threshold=0.25)
 CLIENTS = 3  # connections the served shape opens to its one server
@@ -175,7 +180,11 @@ def _burst(ops, targets):
 
     def drive(target, lane):
         for kind, *args in lane:
-            getattr(target, kind)(*args)
+            if _fits_int64(args[0]):
+                getattr(target, kind)(*args)
+            else:
+                with pytest.raises(KeyRangeError):
+                    getattr(target, kind)(*args)
 
     lanes = [[op for op in ops if op[1] % CLIENTS == c] for c in range(CLIENTS)]
     with ThreadPoolExecutor(CLIENTS) as pool:
@@ -204,7 +213,10 @@ class Subject:
         self.backend, self.domain, self.tmp, self.leaf = backend, domain, tmp, leaf
 
     def rejects(self, items):
-        """The error the subject must raise for batch ``items``, or None."""
+        """The error the subject must raise for batch ``items``, or None: a
+        key outside int64 is refused before a None value is."""
+        if not _fits_int64(*(k for k, _v in items)):
+            return KeyRangeError
         return self.errors if any(v is None for _k, v in items) else None
 
     def put(self, key, value):
@@ -247,21 +259,25 @@ class Bare(Subject):
         return len(items) > 1 and all(a <= b for (a, _x), (b, _y) in zip(items, items[1:]))
 
     def rejects(self, items):
-        top = self.index.max_key
-        if self._bulk(items) and (
-            not kernels.column_strictly_increasing([k for k, _v in items]) or top is not None and items[0][0] <= top
-        ):
+        # A bulk load checks its order, then its keys, then its place.
+        if not self._bulk(items):
+            return super().rejects(items)
+        if not kernels.column_strictly_increasing([k for k, _v in items]):
             return BulkLoadError
-        return None
+        top = self.index.max_key
+        return super().rejects(items) or (
+            BulkLoadError if top is not None and items[0][0] <= top else None)
 
     def put_many(self, items):
+        keys = [k for k, _v in items]
         if self._bulk(items):  # what a SWARE flush hands the tree: a key column
-            keys = self.domain.column([k for k, _v in items])
-            return self.index.bulk_load_append(kernels.ItemColumns(keys, [v for _k, v in items]))
+            column = self.domain.column(keys) if _fits_int64(*keys) else keys
+            return self.index.bulk_load_append(kernels.ItemColumns(column, [v for _k, v in items]))
         insert_many = getattr(self.index, "insert_many", None)  # the B+-tree's alone
         if insert_many is not None:
             return insert_many(items)
-        for key, value in items:
+        # A loop of inserts, a refused key first: a refused batch changes nothing.
+        for key, value in sorted(items, key=lambda item: _fits_int64(item[0])):
             self.index.insert(key, value)
 
     def get_many(self, keys):
@@ -423,9 +439,6 @@ class Sharded(Subject):
         self.files.append(self.env.open(path, mode))
         return self.files[-1]
 
-    def rejects(self, items):
-        return self.errors if any(v is None or not _fits_int64(k) for k, v in items) else None
-
     def flush(self):
         for shard in self.index._shards:
             shard.index.flush_all()
@@ -554,7 +567,7 @@ class Shape(NamedTuple):
 
     @property
     def id(self):
-        domain = "python" if self.domain.extra_keys else "numpy"
+        domain = "python" if self.domain is WIDE else "numpy"
         return f"{self.subject.__name__.lower()}-{self.backend}-{domain}"
 
 
@@ -590,7 +603,8 @@ class OracleMachine(RuleBasedStateMachine):
         super().__init__()
         self.shape, self.tmp_path_factory = shape, tmp_path_factory
         edges = st.sampled_from([INT64_MIN, INT64_MAX - 1, INT64_MAX])
-        self.keys = shape.domain.keys(st.integers(-4, 64) | edges)
+        refused = st.sampled_from(REFUSED) if shape.domain is WIDE else st.nothing()
+        self.keys = shape.domain.keys(st.integers(-4, 64)) | edges | refused
         self.subject = None
         self.model = {}
         self.low = self.high = None  # watermarks: the extremes of every key put
@@ -608,6 +622,8 @@ class OracleMachine(RuleBasedStateMachine):
     def effect(model, op):
         """``model`` after ``op``, and the keys ``op`` writes."""
         after = dict(model)
+        if op[0] in ("put", "delete") and not _fits_int64(op[1]):
+            return after, set()  # refused
         if op[0] == "put":
             after[op[1]] = op[2]
             return after, {op[1]}
@@ -627,9 +643,13 @@ class OracleMachine(RuleBasedStateMachine):
     def apply(self, op):
         """Run ``op`` on the subject and the model; assert they agree."""
         kind, model, subject = op[0], self.model, self.subject
-        if kind == "put_many" and subject.rejects(op[1]):
-            with pytest.raises(subject.rejects(op[1])):  # and nothing changes
-                subject.put_many(op[1])
+        if kind == "put_many":
+            refused = subject.rejects(op[1])
+        else:
+            refused = kind in ("put", "delete") and not _fits_int64(op[1]) and KeyRangeError
+        if refused:
+            with pytest.raises(refused):  # and nothing changes
+                getattr(subject, kind)(*op[1:])
             return
         if kind == "crash":
             after, written = self.effect(model, op[1])
@@ -653,7 +673,7 @@ class OracleMachine(RuleBasedStateMachine):
         elif kind == "delete":
             assert result in (None, op[1] in model)
         elif kind == "burst":
-            self._stored(write[1] for write in op[1] if write[0] == "put")
+            self._stored(write[1] for write in op[1] if write[0] == "put" and _fits_int64(write[1]))
         elif kind == "get":
             assert result == model.get(op[1])
         elif kind == "get_many":
@@ -693,25 +713,23 @@ class OracleMachine(RuleBasedStateMachine):
     def can(self, name):
         return name in self.subject.rules
 
-    def paged_keys(self):
-        """Whether every key put fits a page's s64 key column."""
-        return self.low is None or _fits_int64(self.low, self.high)
-
     @rule(key=keys, value=values)
     def put(self, key, value):
         self.apply(("put", key, value))
 
-    @rule(batch=items, ascending=st.booleans(), bad=st.booleans())
+    @rule(batch=items, ascending=st.booleans(), bad=st.sampled_from(["", "key", "value"]))
     def put_many(self, batch, ascending, bad):
-        if ascending:  # a sorted run above every key put
+        if ascending:  # a sorted run above every key put (refused past INT64_MAX)
             start = 0 if self.high is None else self.high + 1
             batch = [(start + i, v) for i, (_k, v) in enumerate(batch)]
-            if self.shape.domain is INT64 and not _fits_int64(*(k for k, _v in batch)):
-                batch = []
-        if bad and batch and self.shape.subject is not Bare:
+        if bad and batch:
             # One record the subject refuses: it must refuse the whole batch.
-            key = batch[-1][0] if self.shape.subject is Served else 2**63
-            batch = [*batch[:-1], (key, None)]
+            key, value = batch[-1]
+            if bad == "key" or self.shape.subject is Bare:
+                key = INT64_MAX + 1
+            else:
+                value = None
+            batch = [*batch[:-1], (key, value)]
         self.apply(("put_many", batch))
 
     @rule(key=keys)
@@ -740,7 +758,7 @@ class OracleMachine(RuleBasedStateMachine):
     def query_sort(self):
         self.apply(("query_sort",))
 
-    @precondition(lambda self: self.can("checkpoint") and self.paged_keys())
+    @precondition(lambda self: self.can("checkpoint"))
     @rule()
     def checkpoint(self):
         self.apply(("checkpoint",))

@@ -3,7 +3,7 @@
 That reads agree with a dict model, whatever buffered rows, tombstones,
 flushes and query-sorts precede them, is the oracle's business
 (``tests/test_oracle.py``). This file pins how the read path gets there.
-(1) The buffer's columns demote to lists mid-epoch on keys beyond int64,
+(1) The buffer's columns are int64 arrays, the int64 edges included,
 a range resolves versions without sorting or merging any component, and
 the buffered versions, overlaid onto the tree rows or merged with them a
 run at a time, agree with a dict model. (2) ``bisect`` over a node's
@@ -20,6 +20,7 @@ import random
 from bisect import bisect_left, bisect_right
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.betree.betree import BeTree, BeTreeConfig
@@ -36,7 +37,7 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
 from tests.key_domains import key_domains
 
-INT64_MAX = 2**63 - 1
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 ODD_PROBES = [INT64_MAX, INT64_MAX - 1, 2**63, 2**70, -(2**70), -(2**63)]
 
 
@@ -50,11 +51,10 @@ def _index(obs=NULL_OBS, meter=None, cls=SortednessAwareIndex):
 # ----------------------------------------------------------------------
 # (1) buffer columns and range versions
 # ----------------------------------------------------------------------
-@key_domains
-def test_buffer_columns_demote_mid_epoch(domain):
-    """int64 columns while every key fits, lists from the first key that
-    does not — through tail sort, query-sort, range and both flush shapes."""
-    buffer = domain.wrap(SWAREBuffer(SWAREConfig(buffer_capacity=32, page_size=4)))
+def test_buffer_columns_hold_the_int64_edges():
+    """int64 columns, the edges included, through a query-sort, lookups,
+    a range and both flush shapes; a lookup outside int64 misses."""
+    buffer = SWAREBuffer(SWAREConfig(buffer_capacity=32, page_size=4))
     model = {}
 
     def put(key, value):
@@ -63,13 +63,13 @@ def test_buffer_columns_demote_mid_epoch(domain):
 
     for key in (10, 20, 30, 5, 25, INT64_MAX, -7, 25):
         put(key, f"a{key}")
-    buffer.query_sort()  # a block of int64-representable keys: a boundary
+    buffer.query_sort()  # a block: a boundary
     assert (buffer.n_blocks, buffer.tail_size) == (1, 0)
-    for key in (2**63, 12, -(2**70), 12):
+    for key in (INT64_MIN, 12, INT64_MAX - 1, 12):
         put(key, f"b{key}")
-    assert buffer.lookup(2**63) == (1, f"b{2**63}")
+    assert buffer.lookup(INT64_MIN) == (1, f"b{INT64_MIN}")
     assert buffer.lookup(INT64_MAX) == (1, f"a{INT64_MAX}")
-    assert buffer.lookup(2**64) == (0, None)
+    assert buffer.lookup(2**63) == buffer.lookup(-(2**70)) == (0, None)
     rows = buffer.range_entries(-(2**80), 2**80)
     assert [(key, value) for key, _seq, value, _dead in rows] == [
         (key, value) for key in sorted(model) for value in model[key]
@@ -79,8 +79,8 @@ def test_buffer_columns_demote_mid_epoch(domain):
     )
     buffer.check_invariants()
     assert buffer.tail_size == 4
-    batch = buffer.prepare_flush()  # no flushable prefix: sorts the demoted tail and the rest
-    assert not batch.sorted_without_effort and type(batch.run.col) is list
+    batch = buffer.prepare_flush()  # no flushable prefix: sorts the tail and the rest
+    assert not batch.sorted_without_effort and batch.run.col.dtype == np.int64
     flushed = [(key, value) for key, _seq, value, _dead in batch.entries]
     kept = [(key, value) for key, _seq, value, _dead in buffer.all_entries()]
     assert flushed + kept == [(k, v) for k in sorted(model) for v in model[k]]
@@ -144,7 +144,7 @@ SHAPES = [
     ("gapped", [-5, 0, 3, 10, 2**40]),
     ("one", [7]),
     ("int64-max", [2, 8, INT64_MAX]),
-    ("beyond-int64", [-(2**70), 2, 2**63, 2**70]),
+    ("int64-min", [INT64_MIN, 2, 8]),
 ]
 
 
@@ -216,7 +216,7 @@ def test_scan_interior_leaf_shortcut_matches_range_bounds(domain):
     the same ``scan_entry`` and ``node_access``; on a pooled tree it accesses
     the same pages in the same order. lo / hi sit on (and next to) every
     leaf's first and last key — full, gapped, single-entry and emptied
-    leaves, and keys beyond int64."""
+    leaves, and keys at the top of int64."""
     shift = domain.shift
     trees = []
     for pool in (None, RecordingPool()):
@@ -227,8 +227,8 @@ def test_scan_interior_leaf_shortcut_matches_range_bounds(domain):
             tree.insert(key + shift, key)
         for key in (8, 10, 12, 16, 18, 20, 22):  # a single-entry leaf, an emptied one
             tree.delete(key + shift)
-        for key in (INT64_MAX, 2**63, 2**70):
-            tree.insert(key + shift, "odd")
+        for key in (INT64_MAX - 2, INT64_MAX - 1, INT64_MAX):
+            tree.insert(key, "odd")
         tree.check_invariants()
         trees.append(tree)
     leaves = []
