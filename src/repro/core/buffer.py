@@ -4,16 +4,15 @@ An in-memory buffer that intercepts every index insert, detects and exploits
 arrival sortedness, and periodically *partially* flushes so the underlying
 tree can ingest as much as possible through opportunistic bulk loading.
 
-Layout (logical; see Fig. 8 of the paper)::
+:class:`SWAREBuffer` is what runs: it bills nothing and holds none of the
+paper's cost-model state, so its tail is one segment.
+:class:`MeteredSWAREBuffer`, which ``MeteredSortednessAwareIndex`` builds,
+runs the same buffer and also the paper's mechanisms, to bill them,
+checking that each reaches the executed answer; its layout is the paper's
+(Fig. 8)::
 
     [ main sorted section | query-sorted blocks ... | unsorted tail ]
       ^previous_boundary                              ^most recent data
-
-:class:`SWAREBuffer` is what runs: it bills nothing and holds none of the
-paper's cost-model state. :class:`MeteredSWAREBuffer`, which
-``MeteredSortednessAwareIndex`` builds, runs the same buffer and also the
-paper's mechanisms, to bill them, checking that each reaches the executed
-answer.
 
 * The **main sorted section** holds the entries retained (and re-sorted) by
   the previous flush; while there is no tail, in-order appends extend it
@@ -23,11 +22,12 @@ answer.
   lands there. A probe answers from ``_slot_of`` (key to newest tail slot),
   a range from ``_tail_order`` (the tail's keys, sorted); both cover the
   whole tail and catch up when read.
-* When the open tail segment reaches the query-sorting threshold, the next
-  read closes it as a **query-sorted block** (§IV-C). A hash lookup needs no
-  sorted copy, so a block is a boundary (``_block_ends``) and the query sort
-  moves nothing; the metered buffer sorts a block's keys only to bill
-  searching it.
+* In the metered buffer, when the open tail segment reaches the
+  query-sorting threshold, the next read closes it as a **query-sorted
+  block** (§IV-C). A hash lookup needs no sorted copy, so a block is a
+  range of tail slots and the query sort moves nothing; a copy of the
+  block's keys is sorted (``_blocks``) only to bill searching it. No answer
+  depends on a block, so the executed buffer keeps none.
 * The paper's tail index (a global Bloom filter, per-page Bloom filters and
   Zonemaps over the open segment) and its (K,L) estimate belong to the
   metered buffer, which builds the filters lazily *by level*: a probe after
@@ -72,6 +72,7 @@ from repro.storage.costmodel import NULL_METER, Meter
 from repro.storage.pages import I64_MAX, I64_MIN, check_keys
 
 MISS, HIT, TOMBSTONE = 0, 1, 2  #: lookup outcomes
+_MISSED = (MISS, None)  #: a miss's answer, built once
 
 Entry = Tuple[int, int, object, bool]  # (key, seq, value, is_tombstone)
 
@@ -154,11 +155,6 @@ class SWAREBuffer:
         self._main_seq_shift = 1
         self._tail_keys: List[int] = []
         self._tail_vals: list = []
-        #: Query-sorted block ``i`` is tail slots ``[_block_ends[i - 1],
-        #: _block_ends[i])``; the open segment starts at ``_open``, the last
-        #: end (0 without blocks).
-        self._block_ends: List[int] = []
-        self._open = 0
         #: Newest tail slot per key, what answers a tail probe; it covers
         #: ``_tail_keys[:_slotted]`` and catches up at the next read.
         self._slot_of: dict = {}
@@ -173,8 +169,6 @@ class SWAREBuffer:
         #: paper's Zonemap overlap test maintains for ``last_sorted_zone``.
         self._min_after_main: Optional[int] = None
         self.zonemap = Zonemap()  # whole-buffer range
-        #: tail length from which a read query-sorts: ``_open`` + the trigger
-        self._query_sort_len = self.config.query_sort_trigger
         self._capacity = self.config.buffer_capacity  #: the config is frozen
 
     # ------------------------------------------------------------------
@@ -194,15 +188,6 @@ class SWAREBuffer:
     @property
     def is_empty(self) -> bool:
         return self._n == 0
-
-    @property
-    def tail_size(self) -> int:
-        """Size of the open tail segment: the paper's unsorted tail."""
-        return len(self._tail_keys) - self._open
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self._block_ends)
 
     @property
     def last_sorted_zone(self) -> int:
@@ -292,25 +277,21 @@ class SWAREBuffer:
             self._min_after_main = lowest
 
     def _reset_tail(self) -> None:
-        """Empty the tail with its blocks, slot index and key order."""
+        """Empty the tail with its slot index and key order."""
         self._tail_keys = []
         self._tail_vals = []
-        self._block_ends = []
-        self._query_sort_len -= self._open
-        self._open = 0
         self._slot_of = {}
         self._slotted = 0
         self._tail_order = []
 
     def _catch_up_slots(self) -> None:
-        """Bring ``_slot_of`` up to the whole tail; a later slot overwrites
-        an earlier one, so the newest wins."""
+        """Bring ``_slot_of`` up to the whole tail, which grew since its
+        caller's test; a later slot overwrites an earlier one, so the newest
+        wins."""
         tail = self._tail_keys
-        n = len(tail)
-        have = self._slotted
-        if have < n:
-            self._slot_of.update(zip(tail[have:], range(have, n)))
-            self._slotted = n
+        have, n = self._slotted, len(tail)
+        self._slot_of.update(zip(tail[have:], range(have, n)))
+        self._slotted = n
 
     # ------------------------------------------------------------------
     # flushing
@@ -407,39 +388,19 @@ class SWAREBuffer:
         return _permuted(col, vals, seqs, kernels.stable_argsort(col))
 
     # ------------------------------------------------------------------
-    # query-driven sorting (§IV-C)
-    # ------------------------------------------------------------------
-    def should_query_sort(self) -> bool:
-        return len(self._tail_keys) >= self._query_sort_len
-
-    def query_sort(self) -> None:
-        """Close the open tail segment as a query-sorted block: a boundary,
-        O(1), since the slot index and key order cover the whole tail."""
-        n = len(self._tail_keys)
-        if n == self._open:
-            return
-        if self.obs.enabled:
-            self.obs.event("buffer.query_sort", tail=n - self._open, blocks=self.n_blocks)
-        self._block_ends.append(n)
-        self._query_sort_len += n - self._open
-        self._open = n
-        self.stats.query_sorts += 1
-
-    # ------------------------------------------------------------------
     # point lookups (§IV-B, Fig. 6/7)
     # ------------------------------------------------------------------
     def lookup(self, key: int) -> Tuple[int, object]:
         """Search the buffer for ``key``; returns (state, value), state being
         :data:`HIT`, :data:`TOMBSTONE` or :data:`MISS`. The newest version
         wins: the tail answers from ``_slot_of``, then the main section by
-        bisection when the key lies between its first and last key."""
-        if self.config.enable_read_zonemaps:
-            low = self.zonemap.min_key
-            if low is None or key < low or key > self.zonemap.max_key:
-                self.stats.buffer_skips_by_zonemap += 1
-                return MISS, None
-        if self._tail_keys:
-            self._catch_up_slots()
+        bisection when the key lies between its first and last key. Every
+        caller has tested the buffer's Zonemap already (when the config
+        enables it), so this does not."""
+        tail = self._tail_keys
+        if tail:
+            if self._slotted < len(tail):
+                self._catch_up_slots()
             slot = self._slot_of.get(key, -1)
             if slot >= 0:
                 value = self._tail_vals[slot]
@@ -452,7 +413,7 @@ class SWAREBuffer:
             if keys[slot] == key:
                 value = self._main.vals[slot]
                 return (TOMBSTONE, None) if value is DELETED else (HIT, value)
-        return MISS, None
+        return _MISSED
 
     # ------------------------------------------------------------------
     # range scans (§IV-C "Supporting Range Queries")
@@ -475,7 +436,8 @@ class SWAREBuffer:
             resolved.update(zip(keys[left:right], self._main.vals[left:right]))
         tail = self._tail_keys
         if tail:
-            self._catch_up_slots()
+            if self._slotted < len(tail):
+                self._catch_up_slots()
             order = self._tail_order
             have = len(order)
             if have < len(tail):
@@ -514,11 +476,10 @@ class SWAREBuffer:
         return self._main_run().entries() + tail.entries()
 
     def component_sizes(self) -> dict:
-        starts = [0, *self._block_ends]
         return {
             "main": len(self._main.keys),
-            "blocks": [stop - start for start, stop in zip(starts, self._block_ends)],
-            "tail": self.tail_size,
+            "blocks": [],  # only the metered buffer closes query-sorted blocks
+            "tail": len(self._tail_keys),
             "last_sorted_zone": self.last_sorted_zone,
         }
 
@@ -533,9 +494,6 @@ class SWAREBuffer:
         n_tail = len(self._tail_keys)
         if n_tail != len(self._tail_vals):
             raise InvariantViolation("tail columns out of sync")
-        ends = [0, *self._block_ends]
-        if ends != sorted(set(ends)) or ends[-1] != self._open or self._open > n_tail:
-            raise InvariantViolation(f"block ends {self._block_ends} out of order")
         if self._n != len(main.keys) + n_tail:
             raise InvariantViolation(f"entry count {self._n} != component sum")
         if self._n > self.config.buffer_capacity:
@@ -573,6 +531,11 @@ class MeteredSWAREBuffer(SWAREBuffer):
         super().__init__(config, stats, obs)
         cfg = self.config
         self.meter = meter if meter is not None else NULL_METER
+        #: The open segment starts at ``_open``, where the last query-sorted
+        #: block ends (0 without blocks).
+        self._open = 0
+        #: tail length from which a read query-sorts: ``_open`` + the trigger
+        self._query_sort_len = cfg.query_sort_trigger
         #: Over the open segment, page ``p`` its slots ``_open + p * page_size``
         #: onwards; built by the first probe that needs them.
         self.page_zonemaps = PageZonemaps(cfg.page_size)
@@ -586,8 +549,9 @@ class MeteredSWAREBuffer(SWAREBuffer):
         #: ``[_open, _indexed)``; page filter ``p`` its page's first
         #: ``_page_bfs[p].n_added`` slots.
         self._indexed = 0
-        #: Per query-sorted block: its keys sorted, and each one's tail slot.
-        self._blocks: List[Tuple[List[int], List[int]]] = []
+        #: Per query-sorted block, oldest first: its keys sorted, each one's
+        #: tail slot, and its first tail slot.
+        self._blocks: List[Tuple[List[int], List[int], int]] = []
         #: Tail length the §IV-C sort was last billed at: the paper's flag,
         #: cleared by the next out-of-order insert.
         self._tail_billed = 0
@@ -595,6 +559,15 @@ class MeteredSWAREBuffer(SWAREBuffer):
         #: from ``_observed_main`` on, then the tail past the last billed sort.
         self.kl_estimate = RunningSortednessEstimate()
         self._observed_main = 0
+
+    @property
+    def tail_size(self) -> int:
+        """Size of the open tail segment: the paper's unsorted tail."""
+        return len(self._tail_keys) - self._open
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self._blocks)
 
     # ------------------------------------------------------------------
     # ingestion
@@ -661,6 +634,8 @@ class MeteredSWAREBuffer(SWAREBuffer):
         """A flush's reset, after the retained run became main: the blocks,
         the filters and the (K,L) estimate start over with the tail."""
         super()._reset_tail()
+        self._query_sort_len -= self._open
+        self._open = 0
         self._blocks = []
         self._tail_billed = 0
         self._reset_open_index()
@@ -719,18 +694,28 @@ class MeteredSWAREBuffer(SWAREBuffer):
             self.meter.charge("merge_step", len(merged.keys))
         return merged, algorithm
 
+    # ------------------------------------------------------------------
+    # query-driven sorting (§IV-C)
+    # ------------------------------------------------------------------
+    def should_query_sort(self) -> bool:
+        return len(self._tail_keys) >= self._query_sort_len
+
     def query_sort(self) -> None:
-        """Close the open segment as the executed buffer does, and bill
-        sorting it: the block's keys are sorted here only so that a metered
-        lookup can run §IV-B's search over them."""
+        """Close the open tail segment as a query-sorted block (a boundary:
+        the slot index and key order cover the whole tail), and bill sorting
+        it; the block's keys are sorted only for §IV-B's billed search."""
         start, stop = self._open, len(self._tail_keys)
-        super().query_sort()
         if start == stop:
             return
+        if self.obs.enabled:
+            self.obs.event("buffer.query_sort", tail=stop - start, blocks=self.n_blocks)
+        self._query_sort_len += stop - start
+        self._open = stop
+        self.stats.query_sorts += 1
         self._bill_tail_sort(start)
         tail = self._tail_keys
         slots = sorted(range(start, stop), key=tail.__getitem__)  # stable: newest rightmost
-        self._blocks.append(([tail[slot] for slot in slots], slots))
+        self._blocks.append(([tail[slot] for slot in slots], slots, start))
         self._reset_open_index()
 
     # ------------------------------------------------------------------
@@ -745,12 +730,11 @@ class MeteredSWAREBuffer(SWAREBuffer):
         reach a lookup, so it bills into ``buffer_search`` itself."""
         meter = self.meter
         with meter.bucket("buffer_search"):
-            gated = self.config.enable_read_zonemaps
-            if gated:
+            if self.config.enable_read_zonemaps:
                 meter.charge("zonemap_check")
+                if not self.zonemap.may_contain(key):
+                    return _MISSED
             answer = super().lookup(key)
-            if gated and not self.zonemap.may_contain(key):
-                return answer
             slot = self._slot_of.get(key, -1)
             start = self._open
             if len(self._tail_keys) > start:
@@ -758,13 +742,11 @@ class MeteredSWAREBuffer(SWAREBuffer):
                     raise InvariantViolation(f"the billed tail walk misses slot {slot} of {key!r}")
                 if slot >= start:
                     return answer
-            ends = self._block_ends
-            for i in range(len(self._blocks) - 1, -1, -1):
-                keys, slots = self._blocks[i]
+            for keys, slots, first in reversed(self._blocks):
                 # At least one step: a rejection reads the boundary keys.
                 billed, steps = interpolation_probe(keys, key)
                 meter.charge("interp_step", max(steps, 1))
-                inside = (ends[i - 1] if i else 0) <= slot < ends[i]
+                inside = first <= slot < first + len(slots)
                 if (slots[billed] if billed >= 0 else -1) != (slot if inside else -1):
                     raise InvariantViolation(f"the billed search misses slot {slot} of {key!r}")
                 if inside:
@@ -854,10 +836,29 @@ class MeteredSWAREBuffer(SWAREBuffer):
             if open_n:
                 self._bill_tail_sort(self._open)
             counts = [bisect_right(keys, hi) - bisect_left(keys, lo)
-                      for keys in (self._main.keys, *(keys for keys, _slots in self._blocks))]
+                      for keys in (self._main.keys, *(block[0] for block in self._blocks))]
             if open_n:
                 counts.append(n_entries - sum(counts))
             meter.charge("interp_step", 2 * len(counts))
             if len(counts) - counts.count(0) > 1:
                 meter.charge("merge_step", n_entries)
             return resolved, n_entries
+
+    # ------------------------------------------------------------------
+    # introspection / debugging
+    # ------------------------------------------------------------------
+    def component_sizes(self) -> dict:
+        sizes = super().component_sizes()
+        sizes["blocks"] = [len(keys) for keys, _slots, _first in self._blocks]
+        sizes["tail"] = self.tail_size
+        return sizes
+
+    def check_invariants(self) -> None:
+        super().check_invariants()
+        stop = 0
+        for keys, _slots, first in self._blocks:
+            if first != stop or not keys:
+                raise InvariantViolation(f"block at {first} does not follow slot {stop}")
+            stop = first + len(keys)
+        if stop != self._open or self._open > len(self._tail_keys):
+            raise InvariantViolation(f"blocks end at {stop}, the open segment at {self._open}")

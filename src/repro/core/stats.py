@@ -18,7 +18,6 @@ class SWAREStats:
 
     inserts: int = 0
     deletes: int = 0
-    lookups: int = 0
     range_queries: int = 0
 
     # Ingestion path.
@@ -37,12 +36,15 @@ class SWAREStats:
     stable_sorts: int = 0
     sorted_entries: int = 0  #: tail entries billed a §IV-C sort
 
-    # Read path.
+    # Read path: a lookup counts what the buffer made of it (a hit, a
+    # tombstone, a Zonemap skip or a probe in vain), and a key outside the
+    # tree's watermarks once more; ``lookups`` and ``tree_searches`` are sums.
     buffer_hits: int = 0
     buffer_tombstone_hits: int = 0
-    tree_searches: int = 0
     buffer_skips_by_zonemap: int = 0
-    query_sorts: int = 0
+    buffer_misses: int = 0  #: probes the buffer did not answer
+    watermark_misses: int = 0  #: lookups the buffer left, outside the tree
+    query_sorts: int = 0  #: metered-only: only ``MeteredSWAREBuffer`` closes blocks
     # The §IV-A filter walk's counters, from here to ``zonemap_page_skips``:
     # the walk runs only in ``MeteredSWAREBuffer``, to bill a meter (a tail
     # probe answers from the buffer's slot index), so they count metered
@@ -58,6 +60,16 @@ class SWAREStats:
     zonemap_page_skips: int = 0
 
     extra: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def lookups(self) -> int:
+        answered = self.buffer_hits + self.buffer_tombstone_hits
+        return answered + self.buffer_skips_by_zonemap + self.buffer_misses
+
+    @property
+    def tree_searches(self) -> int:
+        """Lookups the buffer left to the tree, inside its watermarks."""
+        return self.buffer_skips_by_zonemap + self.buffer_misses - self.watermark_misses
 
     @property
     def ingested_entries(self) -> int:
@@ -82,6 +94,8 @@ class SWAREStats:
             if name != "extra"
         }
         fields.update(self.extra)
+        fields["lookups"] = self.lookups
+        fields["tree_searches"] = self.tree_searches
         fields["ingested_entries"] = self.ingested_entries
         fields["bulk_load_fraction"] = self.bulk_load_fraction
         fields["pages_scanned_per_lookup"] = self.pages_scanned_per_lookup

@@ -9,16 +9,18 @@ the Bε-tree and the LSM-tree) with the SWARE-buffer:
   the tree's maximum) and **top-inserts** through the root;
 * point lookups follow Fig. 6's optimized read path — buffer Zonemap, then
   the tail (a hash lookup), the sorted section (bisected), then the tree;
-* reads trigger query-driven partial sorting of the tail (§IV-C);
+* under a meter, reads trigger query-driven partial sorting of the tail
+  (§IV-C), billed: no answer depends on it, so the executed index has none;
 * deletes become buffer tombstones when the key is within the buffer's
   range, applied to the tree at flush time (§IV-D).
 
 An untraced PUT is one frame (``insert``: WAL append, counter, buffer
 append, monitor feed, and a flush when ``add`` reports the buffer full);
 each other write is one private step (``_delete``, ``_put_many``) that owns
-its WAL append, its counters and its monitor feed; each read
-fires the query-sort trigger (``_maybe_query_sort``) once, then reads. The
-batch verbs are the two a request reaches: ``put_many`` and ``get_many``.
+its WAL append, its counters and its monitor feed; an untraced GET is one
+frame too, and counts what the buffer made of its key (one more for a key
+outside the tree's watermarks). The batch verbs are the two a request
+reaches: ``put_many`` and ``get_many``.
 :class:`~repro.core.concurrent.ConcurrentSortednessAwareIndex` runs these
 public methods under one mutex.
 
@@ -28,8 +30,9 @@ an untraced PUT one frame over the append.
 Constructed with a meter it is a :class:`MeteredSortednessAwareIndex`, which
 alone bills: it runs each step in its meter bucket, hands its meter to an
 unmetered backend (an executed B+-tree becomes a
-:class:`~repro.btree.btree.MeteredBPlusTree`) and builds the
-:class:`~repro.core.buffer.MeteredSWAREBuffer`.
+:class:`~repro.btree.btree.MeteredBPlusTree`), builds the
+:class:`~repro.core.buffer.MeteredSWAREBuffer`, and fires the query-sort
+trigger (``_maybe_query_sort``) once per read, before it reads.
 
 Values must not be ``None`` — the library reserves ``None`` for "absent".
 Keys are int64: a write of any other raises
@@ -242,16 +245,6 @@ class SortednessAwareIndex:
         return pages
 
     def _flush_cycle(self) -> None:
-        hub = self.obs.monitors
-        expected_fpr: Optional[float] = None
-        config = self.config
-        if hub is not None and config.enable_global_bf and self.buffer.tail_size:
-            # Sampled before prepare_flush empties the tail: the global filter's
-            # FPR at the load the flushed epoch ran it with (the open segment),
-            # from the configured geometry, whether or not a filter was built.
-            expected_fpr = theoretical_fpr(
-                config.buffer_capacity, config.bits_per_entry, self.buffer.tail_size
-            )
         with self.obs.span("sware.flush_cycle") as span:
             batch = self.buffer.prepare_flush()
             span.set(
@@ -261,12 +254,12 @@ class SortednessAwareIndex:
                 retained=batch.retained,
             )
             self._apply_batch(batch)
+        hub = self.obs.monitors
         if hub is not None:
             hub.observe_flush(
                 entries=len(batch.run.keys),
                 retained=batch.retained,
                 effortless=batch.sorted_without_effort,
-                expected_fpr=expected_fpr,
             )
         self.obs.observe_hist(
             "sware_flush_entries", len(batch.run.keys), buckets=DEFAULT_SIZE_BUCKETS
@@ -352,64 +345,39 @@ class SortednessAwareIndex:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _maybe_query_sort(self) -> None:
-        """Fire the query-driven sort trigger (§IV-C) if the tail warrants.
-
-        This is the *only* place the trigger fires. Every public read fires
-        it once per call, before it reads, so batch accounting matches a
-        sequential loop (the loop's per-op re-check is a constant False after
-        the first trigger empties the tail).
-        """
-        if self.buffer.should_query_sort():
-            self.buffer.query_sort()
-
     def get(self, key: int, _traced: bool = False) -> Optional[object]:
         """Point lookup along the optimized read path (Fig. 6), in one frame.
         With tracing on it calls itself once inside the ``sware.get`` span
-        (``_traced``), where the trigger, checked already, stays off."""
-        buffer = self.buffer
-        if len(buffer._tail_keys) >= buffer._query_sort_len:
-            self._maybe_query_sort()
-        obs = self.obs
-        if obs.enabled and not _traced:
-            with obs.span("sware.get", key=key):
+        (``_traced``)."""
+        if self.obs.enabled and not _traced:
+            with self.obs.span("sware.get", key=key):
                 return self.get(key, True)
-        stats = self.stats
-        stats.lookups += 1
+        buffer = self.buffer
         zonemap = buffer.zonemap
         low = zonemap.min_key
-        if self.config.enable_read_zonemaps and (
-            low is None or key < low or key > zonemap.max_key
+        if not self.config.enable_read_zonemaps or (
+            low is not None and low <= key <= zonemap.max_key
         ):
-            # Not buffered — the common GET on a near-sorted stream. This is
-            # ``buffer.lookup``'s Zonemap rejection without the call.
-            stats.buffer_skips_by_zonemap += 1
-        else:
             state, value = buffer.lookup(key)
             if state == HIT:
-                stats.buffer_hits += 1
+                self.stats.buffer_hits += 1
                 return value
             if state == TOMBSTONE:
-                stats.buffer_tombstone_hits += 1
+                self.stats.buffer_tombstone_hits += 1
                 return None
+            self.stats.buffer_misses += 1
+        else:  # outside the buffer's Zonemap (most GETs on a near-sorted stream)
+            self.stats.buffer_skips_by_zonemap += 1
         backend = self.backend
         tree_min = backend.min_key
         if tree_min is None or key < tree_min or key > backend.max_key:
+            self.stats.watermark_misses += 1
             return None
-        stats.tree_searches += 1
         return backend.get(key)
 
     def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
         """Batch point lookups, one value (or ``None``) per key in input
-        order: a loop of :meth:`get` in one ``sware.get_many`` span. The
-        query-sort trigger is evaluated once, before the span — reads do not
-        change the tail, so each later check is a constant False."""
-        if not keys:
-            # A zero-key batch must be a no-op: a sequential loop of zero
-            # gets never evaluates the trigger, so firing it here would
-            # mutate the buffer and charge sware_ops with no reads at all.
-            return []
-        self._maybe_query_sort()
+        order: a loop of :meth:`get` in one ``sware.get_many`` span."""
         with self.obs.span("sware.get_many", n=len(keys)):
             get = self.get
             return [get(key, True) for key in keys]
@@ -420,10 +388,9 @@ class SortednessAwareIndex:
     def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         """All live (key, value) in [lo, hi]; buffered versions win."""
         if lo > hi:
-            # An empty range reads nothing: it fires no trigger and bills no
+            # An empty range reads nothing: it counts nothing and bills no
             # tail sort.
             return []
-        self._maybe_query_sort()
         self.stats.range_queries += 1
         obs = self.obs
         if obs.enabled:
@@ -514,14 +481,14 @@ class SortednessAwareIndex:
         }
 
 
-
 class MeteredSortednessAwareIndex(SortednessAwareIndex):
     """The index under a meter, the one class of this layer that bills: each
     step runs the executed index's inside its meter bucket, plus the index's
     own charges (a ``zonemap_check`` per Zonemap test, a ``merge_step`` per
-    buffered entry a range reconciles). A public verb it overrides bills,
-    then returns the executed verb through ``super()``; only ``get_many``
-    keeps a body of its own (see it)."""
+    buffered entry a range reconciles), and each read fires the §IV-C
+    query-sort trigger first. A public verb it overrides bills, then returns
+    the executed verb through ``super()``; only ``get_many`` keeps a body of
+    its own (see it)."""
 
     def __init__(self, backend, config=None, meter: Optional[Meter] = None, *args, **kwargs):
         self.meter = meter if meter is not None else NULL_METER
@@ -541,6 +508,14 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
             super().flush_all()
 
     def _flush_cycle(self) -> None:
+        hub = self.obs.monitors
+        config = self.config
+        if hub is not None and config.enable_global_bf and self.buffer.tail_size:
+            # Sampled before prepare_flush empties the tail: the global filter's
+            # FPR at the load the flushed epoch ran it with (the open segment),
+            # from the configured geometry, whether or not a filter was built.
+            hub.bloom.observe_expected_fpr(theoretical_fpr(
+                config.buffer_capacity, config.bits_per_entry, self.buffer.tail_size))
         with self.meter.bucket("sort"):
             super()._flush_cycle()
 
@@ -560,15 +535,20 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
         super()._delete(key)
 
     def _maybe_query_sort(self) -> None:
+        """Fire the query-driven sort trigger (§IV-C) if the open segment
+        warrants: the one place it fires, once per public read, before it
+        reads, so a batch bills as a loop of single reads."""
         if self.buffer.should_query_sort():
             with self.meter.bucket("sware_ops"):
                 self.buffer.query_sort()
 
     def get(self, key: int, _traced: bool = False) -> Optional[object]:
-        """The executed read path, billed: its inline Zonemap rejection here,
-        the buffer's lookup by itself, and the tree's watermark test when the
-        buffer did not answer. With tracing on, the executed get calls this
-        one once more inside its span, and only that call bills."""
+        """The trigger, then the executed read path, billed: its inline
+        Zonemap rejection here, the buffer's lookup by itself, and the
+        tree's watermark test when the buffer did not answer. With tracing
+        on, the executed get calls this one once more inside its span, and
+        only that call bills."""
+        self._maybe_query_sort()
         if self.obs.enabled and not _traced:
             return super().get(key)
         meter = self.meter
@@ -592,11 +572,10 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
         key and level (billing a loop of ``get`` is a cost-model change of
         its own)."""
         if not keys:
-            return []  # no trigger, as in :meth:`SortednessAwareIndex.get_many`
+            return []  # a loop of zero gets would fire no trigger
         self._maybe_query_sort()
         n = len(keys)
         stats = self.stats
-        stats.lookups += n
         meter = self.meter
         with self.obs.span("sware.get_many", n=n):
             results: List[Optional[object]] = [None] * n
@@ -622,6 +601,7 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
                     miss_keys.append(key)
                     miss_positions.append(i)
                 stats.buffer_skips_by_zonemap += skips
+                stats.buffer_misses += len(miss_keys) - skips
                 if skips:
                     meter.charge("zonemap_check", skips)
             if not miss_keys:
@@ -631,6 +611,7 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
                 meter.charge("zonemap_check", len(miss_keys))
                 tree_min, tree_max = backend.min_key, backend.max_key
                 if tree_min is None:
+                    stats.watermark_misses += len(miss_keys)
                     return results
                 in_positions: List[int] = []
                 in_keys: List[int] = []
@@ -638,7 +619,7 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
                     if tree_min <= key <= tree_max:
                         in_positions.append(i)
                         in_keys.append(key)
-                stats.tree_searches += len(in_keys)
+                stats.watermark_misses += len(miss_keys) - len(in_keys)
                 batch_get = getattr(backend, "get_many", None)
                 if batch_get is not None:
                     for i, value in zip(in_positions, batch_get(in_keys)):
@@ -648,6 +629,11 @@ class MeteredSortednessAwareIndex(SortednessAwareIndex):
                     for i, key in zip(in_positions, in_keys):
                         results[i] = get(key)
             return results
+
+    def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        if lo <= hi:  # an empty range fires no trigger
+            self._maybe_query_sort()
+        return super().range_query(lo, hi)
 
     def _range_scan(self, lo: int, hi: int) -> List[Tuple[int, object]]:
         meter = self.meter

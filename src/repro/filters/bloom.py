@@ -153,10 +153,6 @@ class BloomFilter:
         """
         return kernels.popcount_bytes(self._bits) / self.n_bits
 
-    def expected_fpr(self) -> float:
-        """Theoretical false-positive rate at the current load."""
-        return theoretical_fpr(self.capacity, self.bits_per_entry, self.n_added)
-
     def __contains__(self, key: int) -> bool:
         return self.may_contain(key)
 

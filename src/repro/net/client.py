@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.net import protocol as p
+from repro.storage.pages import I64_MAX, I64_MIN, check_keys
 
 
 class ServerError(ReproError):
@@ -129,19 +130,31 @@ class IndexClient(asyncio.Protocol):
     async def put(self, key: int, value: object) -> None:
         await self._request(p.OP_PUT, p.encode_put(key, value))
 
+    # Keys are int64 on the wire. A read of any other answers as the
+    # in-process index does, a miss, without a frame; a delete refuses it.
     async def get(self, key: int) -> Optional[object]:
+        if not I64_MIN <= key <= I64_MAX:
+            return None
         return p.decode_result(await self._request(p.OP_GET, p.encode_key(key)))
 
     async def delete(self, key: int) -> None:
+        check_keys(key, key)
         await self._request(p.OP_DEL, p.encode_key(key))
 
     async def range_query(self, lo: int, hi: int) -> List[Tuple[int, object]]:
+        lo, hi = max(lo, I64_MIN), min(hi, I64_MAX)
+        if lo > hi:
+            return []
         return p.decode_result(await self._request(p.OP_RANGE, p.encode_range(lo, hi)))
 
     async def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
         await self._request(p.OP_PUT_MANY, p.encode_put_many(items))
 
     async def get_many(self, keys: Sequence[int]) -> List[Optional[object]]:
+        if keys and (min(keys) < I64_MIN or max(keys) > I64_MAX):
+            inside = [key for key in keys if I64_MIN <= key <= I64_MAX]
+            found = dict(zip(inside, await self.get_many(inside))) if inside else {}
+            return [found.get(key) for key in keys]
         return p.decode_result(
             await self._request(p.OP_GET_MANY, p.encode_get_many(keys))
         )

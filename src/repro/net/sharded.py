@@ -354,20 +354,19 @@ class ShardedSortednessAwareIndex:
     def put_many(self, items: Sequence[Tuple[int, object]]) -> None:
         """Route a batch by shard, preserving the arrival order per shard.
 
-        The whole batch is checked before any shard sees it: every shard
-        refuses a None value or a key outside int64, and a refused batch
-        must leave every shard as it was.
+        The routing pass checks the whole batch before any shard sees it:
+        every shard refuses a None value or a key outside int64, and a
+        refused batch must leave every shard as it was.
         """
-        for key, value in items:
-            if not I64_MIN <= key <= I64_MAX:
-                check_keys(key, key)
-            if value is None:
-                raise ValueError("None values are reserved for 'absent'")
         if not items:
             return
         per_shard: Dict[int, List[Tuple[int, object]]] = {}
         shards_by_id: Dict[int, _Shard] = {}
         for key, value in items:
+            if not I64_MIN <= key <= I64_MAX:
+                check_keys(key, key)
+            if value is None:
+                raise ValueError("None values are reserved for 'absent'")
             shard = self._route(key)
             per_shard.setdefault(shard.shard_id, []).append((key, value))
             shards_by_id[shard.shard_id] = shard

@@ -76,16 +76,14 @@ class Observability:
     ):
         self.registry = MetricsRegistry()
         self.tracer = Tracer(capacity=trace_capacity, enabled=trace)
+        #: True when event tracing is on (hot paths gate on this): an instance
+        #: attribute, whose load specialises (a property's does not).
+        self.enabled = trace
         #: Streaming monitor hub, or None when monitors are off (components
         #: gate on ``obs.monitors is not None`` once per batch entry point).
         self.monitors: Optional[MonitorHub] = MonitorHub() if monitors else None
 
     # -- tracing -----------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """True when event tracing is on (hot paths gate on this)."""
-        return self.tracer.enabled
-
     def event(self, name: str, **attrs) -> None:
         self.tracer.event(name, **attrs)
 
@@ -130,12 +128,11 @@ class _NullObservability(Observability):
 
     Methods are overridden (not just gated) so a disabled hot path pays one
     no-op call at flush-granularity sites and a single ``.enabled`` check at
-    per-op sites: a class attribute, one load.
+    per-op sites: an instance attribute, one load.
     """
 
-    enabled = False  # type: ignore[assignment]
-
     def __init__(self) -> None:  # no registry/tracer allocation
+        self.enabled = False
         self.registry = None  # type: ignore[assignment]
         self.tracer = None  # type: ignore[assignment]
         self.monitors = None

@@ -11,8 +11,8 @@ rather than end-of-run snapshots. This module is that sensory layer:
 * :class:`SaturationMonitor` — buffer fill trajectory plus flush-cycle
   accounting (effortless vs sorted flushes, bulk vs top routing);
 * :class:`BloomMonitor` — theoretical false-positive rate sampled at each
-  flush, compared against the observed rate from the filter counters
-  (which count metered lookups only);
+  metered flush, compared against the observed rate from the filter
+  counters (which count metered lookups only);
 * :class:`MonitorHub` — the bundle components feed; it serializes into the
   ``monitors`` section of :meth:`~repro.obs.Observability.snapshot`.
 
@@ -216,16 +216,8 @@ class MonitorHub:
             if capacity:
                 self.saturation.observe_fill(len(buffer) / capacity)
 
-    def observe_flush(
-        self,
-        entries: int,
-        retained: int,
-        effortless: bool,
-        expected_fpr: Optional[float] = None,
-    ) -> None:
+    def observe_flush(self, entries: int, retained: int, effortless: bool) -> None:
         self.saturation.observe_flush(entries, retained, effortless)
-        if expected_fpr is not None:
-            self.bloom.observe_expected_fpr(expected_fpr)
 
     def observe_fsync(self, duration_ns: float) -> None:
         self.fsync_count += 1

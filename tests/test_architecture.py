@@ -213,11 +213,35 @@ def test_one_biller():
                  "TestCostAccounting::test_unmetered_tail_probe_touches_no_filter"):
         assert defines(f"tests/test_sware_index.py::{test}")
     for test in ("test_answers_like_a_dict_without_a_charge",
-                 "test_query_sort_runs_no_sort_kernel",
                  "test_allocates_no_filter_zonemap_or_estimate"):
         assert defines(f"tests/test_sware_buffer.py::TestExecutedBuffer::{test}")
+    assert defines("tests/test_sware_buffer.py::TestQueryDrivenSorting::"
+                   "test_query_sort_runs_no_sort_kernel")
     for test in ("test_wrong_interpolation_slot_raises", "test_wrong_tail_walk_slot_raises"):
         assert defines(f"tests/test_sware_buffer.py::TestBilledAnswerCheck::{test}")
+
+
+def test_executed_read_keeps_only_what_an_answer_uses():
+    # The §IV-C trigger and block state are the metered buffer's and index's
+    # (no answer depends on them), and the executed buffer probe leaves the
+    # Zonemap test to its callers, which have made it.
+    buffer = ast.parse((ROOT / "src/repro/core/buffer.py").read_text())
+    executed = next(node for node in buffer.body
+                    if isinstance(node, ast.ClassDef) and node.name == "SWAREBuffer")
+    defined = {node.name for node in executed.body if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint({"query_sort", "should_query_sort", "n_blocks"})
+    assert _names(executed).isdisjoint({"_block_ends", "_open", "_query_sort_len"})
+    lookup = next(node for node in executed.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "lookup")
+    assert not any("zonemap" in name for name in _names(lookup))
+    sware = ast.parse((ROOT / "src/repro/core/sware.py").read_text())
+    index = next(node for node in sware.body
+                 if isinstance(node, ast.ClassDef) and node.name == "SortednessAwareIndex")
+    reads = [node for node in index.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("get", "get_many", "range_query")]
+    assert len(reads) == 3
+    for read in reads:
+        assert _names(read).isdisjoint({"_maybe_query_sort", "_query_sort_len"}), read.name
 
 
 def test_one_biller_per_layer():

@@ -7,6 +7,8 @@ before it changes anything, while a read of one still answers. Both are a
 a ``ValueError`` (callers that caught the bare error still do).
 """
 
+import asyncio
+
 import pytest
 
 from repro.btree.btree import BPlusTree
@@ -18,6 +20,8 @@ from repro.filters.bloom import BloomFilter
 from repro.obs.tracer import Tracer
 from repro.storage.bufferpool import BufferPool
 from repro.storage.costmodel import Meter
+from repro.net.client import IndexClient
+from repro.net.server import IndexServer
 from repro.net.sharded import ShardedConfig, ShardedSortednessAwareIndex
 from repro.storage.pagefile import PageFile
 from repro.storage.wal import WriteAheadLog
@@ -79,6 +83,21 @@ def test_logged_write_refuses_a_key_outside_int64(tmp_path, build, write, key):
         wal.close()
 
 
+def test_sharded_batch_with_a_none_value_leaves_every_shard_as_it_was(tmp_path):
+    # The routing pass refuses the batch before any shard's put_many runs,
+    # wherever the refused pair sits and whichever shard the rest routes to.
+    index, put, wals = _sharded(tmp_path)
+    put(7, "seven")
+    records, items = [wal.records for wal in wals], index.items()
+    spread = [(key, key) for key in range(0, 1 << 62, 1 << 58)]
+    for batch in ([(9, None), *spread], [*spread, (9, None)]):
+        with pytest.raises(ValueError, match="reserved"):
+            index.put_many(batch)
+        assert [wal.records for wal in wals] == records
+        assert index.items() == items
+    index.close()
+
+
 UNLOGGED = {
     "bare": BPlusTree,
     "metered": lambda: BPlusTree(meter=Meter()),
@@ -118,3 +137,38 @@ def test_unlogged_write_refuses_a_key_outside_int64(build, key):
         assert state() == before
     assert index.get(key) is None
     assert index.range_query(-(1 << 70), 1 << 70) == [(7, "seven")]
+
+
+def test_served_verbs_treat_a_key_outside_int64_as_the_index_does(tmp_path):
+    # Over the wire too: a read of a key outside int64 misses without a
+    # frame (a batch asks the server for its int64 keys only, a range is
+    # clipped to int64), and a delete of one raises ``KeyRangeError``.
+    index = ShardedSortednessAwareIndex(
+        str(tmp_path / "root"), ShardedConfig(n_shards=2, fsync_policy="never")
+    )
+
+    async def run():
+        server = IndexServer(index)
+        await server.start()
+        try:
+            async with await IndexClient.connect(port=server.port) as client:
+                await client.put(7, "seven")
+                sent = client._next_id
+                for key in (1 << 63, -(1 << 63) - 1):
+                    assert await client.get(key) is None and index.get(key) is None
+                    with pytest.raises(KeyRangeError):
+                        await client.delete(key)
+                assert await client.range_query(1 << 63, 1 << 64) == []
+                assert await client.range_query(-(1 << 70), -(1 << 63) - 1) == []
+                assert await client.get_many([1 << 63, -(1 << 63) - 1]) == [None, None]
+                assert client._next_id == sent  # none of them sent a frame
+                assert await client.range_query(-(1 << 70), 1 << 70) == [(7, "seven")]
+                assert await client.get_many([1 << 63, 7, -(1 << 63) - 1, 8]) == [
+                    None, "seven", None, None]
+                assert client._next_id == sent + 2
+                assert index.items() == [(7, "seven")]
+        finally:
+            await server.stop()
+
+    asyncio.run(run())
+    index.close()

@@ -5,7 +5,7 @@ import pytest
 from repro.btree.btree import BPlusTree
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
-from repro.filters.bloom import BloomFilter
+from repro.filters.bloom import BloomFilter, theoretical_fpr
 from repro.obs import Observability
 from repro.obs.monitors import (
     BF_FPR_FLOOR,
@@ -25,6 +25,7 @@ from repro.obs.monitors import (
     build_signals,
     evaluate_signals,
 )
+from repro.storage.costmodel import Meter
 
 
 class FakeBuffer:
@@ -130,7 +131,8 @@ class TestMonitorHub:
 
     def test_observe_flush_and_fsync(self):
         hub = MonitorHub()
-        hub.observe_flush(entries=10, retained=2, effortless=False, expected_fpr=0.01)
+        hub.observe_flush(entries=10, retained=2, effortless=False)
+        hub.bloom.observe_expected_fpr(0.01)  # what a metered flush samples
         hub.observe_fsync(5_000.0)
         snap = hub.snapshot()
         assert snap["saturation"]["flushes"] == 1
@@ -142,26 +144,29 @@ class TestMonitorHub:
         assert isinstance(Observability(monitors=True).monitors, MonitorHub)
 
     def test_flush_samples_expected_fpr_of_an_unprobed_tail(self):
-        """The tail's filters are built at the first probe; a tail flushed
-        with no lookup in between must still report the FPR of a filter
-        holding every tail key, as the eager design did."""
+        """The tail's filters are built at the first probe; a metered tail
+        flushed with no lookup in between must still report the FPR of a
+        filter holding every tail key, as the eager design did. An
+        unmetered index has no filter, and samples nothing."""
         config = SWAREConfig(buffer_capacity=64, page_size=8)
-        index = SortednessAwareIndex(
-            BPlusTree(), config=config, obs=Observability(monitors=True)
-        )
-        index.insert(1000, 1)
-        for key in range(63, 1, -1):  # descending: everything after lands in the tail
-            index.insert(key, key)
-        assert index.buffer.tail_size == 62 and index.stats.flushes == 0
-        index.insert(1, 1)  # fills the buffer: the flush cycle samples
-        assert index.stats.flushes == 1
-
         eager = BloomFilter(config.buffer_capacity, config.bits_per_entry)
         for key in range(63):
             eager.add(key)
-        assert eager.expected_fpr() > 0.0
-        samples = index.obs.monitors.bloom.expected_fpr_samples
-        assert list(samples) == [eager.expected_fpr()]
+        expected = theoretical_fpr(eager.capacity, eager.bits_per_entry, eager.n_added)
+        assert expected > 0.0
+        for meter, sampled in ((Meter(), [expected]), (None, [])):
+            index = SortednessAwareIndex(
+                BPlusTree(), config=config, meter=meter, obs=Observability(monitors=True)
+            )
+            index.insert(1000, 1)
+            for key in range(63, 1, -1):  # descending: everything after lands in the tail
+                index.insert(key, key)
+            assert len(index.buffer._tail_keys) == 62 and index.stats.flushes == 0
+            index.insert(1, 1)  # fills the buffer: the flush cycle samples
+            assert index.stats.flushes == 1
+            monitors = index.obs.monitors
+            assert list(monitors.bloom.expected_fpr_samples) == sampled
+            assert monitors.saturation.flushes == 1
 
 
 def _windows(k_fractions, n=WINDOW):

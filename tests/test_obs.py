@@ -142,6 +142,15 @@ class TestTracer:
         tracer.event("b")
         assert [e.name for e in tracer.events()] == ["a"]
 
+    def test_enabled_is_an_instance_attribute(self):
+        # Every verb tests ``obs.enabled``: an instance attribute's load
+        # specialises, a property's or a shadowing class attribute's does not.
+        assert NULL_OBS.enabled is False
+        assert Observability(trace=True).enabled is True
+        assert Observability().enabled is False
+        assert "enabled" not in vars(type(NULL_OBS))
+        assert "enabled" not in vars(Observability)
+
     def test_clear(self):
         tracer = Tracer(enabled=True)
         tracer.event("a")

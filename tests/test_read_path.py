@@ -28,7 +28,7 @@ from repro.btree.btree import BPlusTree, BPlusTreeConfig, MeteredBPlusTree
 from repro.btree.node import GappedInternal, GappedLeaf
 from repro.core.concurrent import ConcurrentSortednessAwareIndex
 from repro import kernels
-from repro.core.buffer import DELETED, SWAREBuffer
+from repro.core.buffer import DELETED, MeteredSWAREBuffer, SWAREBuffer
 from repro.core.config import SWAREConfig
 from repro.core.sware import SortednessAwareIndex
 from repro.lsm.lsm import LSMConfig, LSMTree
@@ -52,9 +52,10 @@ def _index(obs=NULL_OBS, meter=None, cls=SortednessAwareIndex):
 # (1) buffer columns and range versions
 # ----------------------------------------------------------------------
 def test_buffer_columns_hold_the_int64_edges():
-    """int64 columns, the edges included, through a query-sort, lookups,
-    a range and both flush shapes; a lookup outside int64 misses."""
-    buffer = SWAREBuffer(SWAREConfig(buffer_capacity=32, page_size=4))
+    """int64 columns, the edges included, through a query-sort (the metered
+    buffer's), lookups, a range and both flush shapes; a lookup outside
+    int64 misses."""
+    buffer = MeteredSWAREBuffer(SWAREConfig(buffer_capacity=32, page_size=4))
     model = {}
 
     def put(key, value):
@@ -92,16 +93,15 @@ def test_buffer_columns_hold_the_int64_edges():
 
 
 def test_range_query_neither_sorts_nor_merges(monkeypatch):
-    """A range over the main section, a query-sorted block and an unsorted
-    tail resolves versions without a kernel sort or a run merge."""
+    """A range over the main section and an unsorted tail resolves versions
+    without a kernel sort or a run merge."""
     index = _index()
     for key in (10, 20, 30):
         index.insert(key, "main")
     index.insert(15, "block")
-    index.buffer.query_sort()
     for key in (25, 5, 20):
         index.insert(key, "tail")
-    assert index.buffer.n_blocks == 1 and index.buffer.tail_size == 3
+    assert len(index.buffer._tail_keys) == 4
     calls = []
 
     def counted(name, real):
@@ -299,9 +299,9 @@ def test_range_merge_matches_a_dict_model(domain):
     """A range combines buffered versions with the tree rows: buffered keys
     below, above, between and on the tree's rows, and
     tombstones over present and absent keys. Then a seeded stream of appends
-    (duplicate tail keys: the newest version wins), deletes, query-sorts and
-    flushes, with ``_tail_order`` equal to the sorted tail after every range
-    and query sort, and empty once a flush resets the tail."""
+    (duplicate tail keys: the newest version wins), deletes and flushes,
+    with ``_tail_order`` equal to the sorted tail after every range, and
+    empty once a flush resets the tail."""
     for shape, tree_keys, buffered, deleted in MERGE_SHAPES:
         index = _merge_index(domain, tree_keys)
         model = {key: f"t{key}" for key in tree_keys}
@@ -311,7 +311,7 @@ def test_range_merge_matches_a_dict_model(domain):
         for key in deleted:
             index.delete(key)
             model.pop(key, None)
-        assert index.buffer.tail_size and len(index.buffer) == len(buffered) + len(deleted), shape
+        assert index.buffer._tail_keys and len(index.buffer) == len(buffered) + len(deleted), shape
         keys = set(tree_keys) | set(buffered) | set(deleted)
         probes = sorted({key + d for key in keys for d in (-1, 0, 1)})
         _check_ranges(index, model, probes)
@@ -326,20 +326,15 @@ def test_range_merge_matches_a_dict_model(domain):
         if roll < 0.7:
             index.insert(key, step)
             model[key] = step
-        elif roll < 0.85:
+        elif roll < 0.95:
             index.delete(key)
             model.pop(key, None)
-        elif roll < 0.95:
-            index.buffer.query_sort()
         else:
             index.flush_all()
             assert index.buffer._tail_order == []
         if step % 10 == 0:
             _check_ranges(index, model, probes)
-            buffer = index.buffer
-            if buffer.tail_size:
-                buffer.query_sort()  # a boundary: the order still covers the tail
-                assert buffer._tail_order == sorted(buffer._tail_keys)
+            assert index.buffer._tail_order == sorted(index.buffer._tail_keys)
 
 
 def test_merge_versions_overlays_or_merges_like_a_dict():

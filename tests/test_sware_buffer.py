@@ -53,7 +53,7 @@ class TestInOrderGrowth(_Buffers):
         for key in range(20):
             buffer.add(key, key)
         assert len(buffer._main.keys) == 20
-        assert buffer.tail_size == 0
+        assert not buffer._tail_keys
         buffer.check_invariants()
 
     def test_first_out_of_order_starts_tail(self):
@@ -61,14 +61,14 @@ class TestInOrderGrowth(_Buffers):
         for key in (1, 2, 3, 0):
             buffer.add(key, key)
         assert len(buffer._main.keys) == 3
-        assert buffer.tail_size == 1
+        assert len(buffer._tail_keys) == 1
 
     def test_later_in_order_keys_still_go_to_tail(self):
         buffer = self.make_buffer()
         for key in (1, 2, 3, 0, 10):
             buffer.add(key, key)
         assert len(buffer._main.keys) == 3
-        assert buffer.tail_size == 2
+        assert len(buffer._tail_keys) == 2
 
     def test_duplicate_key_extends_main(self):
         buffer = self.make_buffer()
@@ -132,8 +132,7 @@ class TestFlush(_Buffers):
         assert max(entry[0] for entry in batch.entries) <= 10
         buffer.check_invariants()
         # Retained entries are fully sorted again.
-        assert buffer.tail_size == 0
-        assert buffer.n_blocks == 0
+        assert not buffer._tail_keys
 
     def test_flush_sorts_when_no_prefix(self):
         buffer = self.make_buffer(capacity=16, page_size=4, flush_fraction=0.5)
@@ -200,7 +199,7 @@ class TestFullFlag(_Buffers):
         else:
             full = buffer.add(3, None, tombstone=True)
         assert full is True and buffer.is_full
-        assert buffer.tail_size == (0 if last == "main" else 1)
+        assert len(buffer._tail_keys) == (0 if last == "main" else 1)
         # After a flush the flag is the fill again, not a latch.
         buffer.prepare_flush()
         refill = [buffer.add(key, key) for key in range(100, 108 - len(buffer))]
@@ -246,14 +245,36 @@ class TestLookup(_Buffers):
         assert state == TOMBSTONE
 
     def test_out_of_range_key_misses_fast(self):
-        buffer = self.make_buffer()
-        buffer.add(10, 1)
-        buffer.add(20, 2)
-        assert buffer.lookup(5) == (MISS, None)
-        assert buffer.stats.buffer_skips_by_zonemap == 1
+        """Outside the buffer's Zonemap a key misses: the executed lookup
+        by its components (its callers test the Zonemap), the metered one
+        at the Zonemap, billed one check and no search."""
+        for meter in (None, Meter()):
+            buffer = self.make_buffer(meter=meter)
+            buffer.add(10, 1)
+            buffer.add(20, 2)
+            buffer.add(15, 3)  # a tail
+            assert buffer.lookup(5) == buffer.lookup(25) == (MISS, None)
+        counts = meter.snapshot()
+        assert counts["zonemap_check"] == 2
+        assert not {"bf_probe", "scan_entry", "interp_step"} & set(counts)
 
 
 class TestQueryDrivenSorting(_Buffers):
+    """§IV-C's blocks and their trigger: the metered buffer's alone."""
+
+    def make_buffer(self, meter=None, **kwargs):
+        return super().make_buffer(meter=meter or Meter(), **kwargs)
+
+    def test_executed_buffer_closes_no_block(self):
+        # The trigger and the block state leave the executed buffer:
+        # ``describe()`` reports its whole tail as one segment.
+        buffer = _Buffers.make_buffer(self, capacity=16, page_size=4)
+        for key in (5, 1, 2, 3, 4, 0):
+            buffer.add(key, key)
+        assert not hasattr(buffer, "query_sort") and not hasattr(buffer, "n_blocks")
+        assert buffer.component_sizes()["blocks"] == []
+        assert buffer.component_sizes()["tail"] == 5
+
     def test_threshold_trigger(self):
         buffer = self.make_buffer(capacity=64, page_size=8, query_sorting_threshold=0.10)
         for key in range(10):
@@ -293,6 +314,24 @@ class TestQueryDrivenSorting(_Buffers):
         assert buffer.n_blocks == 2
         assert buffer.lookup(10) == (HIT, "b2")
 
+    def test_query_sort_runs_no_sort_kernel(self, monkeypatch):
+        """A block is a boundary: the tail moves nothing, and only the
+        block's key copy is sorted, to bill searching it."""
+        buffer = self.make_buffer()
+        for key in (10, 11, 12, 5, 3, 9, 3):
+            buffer.add(key, key * 2)
+        before = buffer.all_entries()
+
+        def refuse(*args):
+            raise AssertionError("a query sort ran a sort kernel")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "stable_argsort", refuse)
+            buffer.query_sort()
+        assert (buffer.n_blocks, buffer.tail_size) == (1, 0)
+        assert buffer.all_entries() == before  # nothing moved
+        assert buffer.lookup(3) == (HIT, 6)
+
 
 class TestRangeEntries(_Buffers):
     def test_collects_across_components(self):
@@ -300,7 +339,8 @@ class TestRangeEntries(_Buffers):
         for key in range(0, 20, 2):
             buffer.add(key, "main")
         buffer.add(5, "block")
-        buffer.query_sort()
+        if hasattr(buffer, "query_sort"):  # the metered buffer's blocks
+            buffer.query_sort()
         buffer.add(7, "tail")
         entries = buffer.range_entries(4, 8)
         found = {(entry[0], entry[2]) for entry in entries}
@@ -366,9 +406,9 @@ class TestExecutedBuffer(_Buffers):
     """The executed buffer bills nothing and holds no cost-model state."""
 
     def test_answers_like_a_dict_without_a_charge(self, monkeypatch):
-        """Puts, batches, tombstones, lookups, ranges, query sorts, flushes
-        and drains against a model of what is buffered, with every
-        ``NULL_METER.charge`` refused."""
+        """Puts, batches, tombstones, lookups (inside the Zonemap and out),
+        ranges, flushes and drains against a model of what is buffered,
+        with every ``NULL_METER.charge`` refused."""
 
         def refuse(*args):
             raise AssertionError("the executed buffer charged a meter")
@@ -424,9 +464,6 @@ class TestExecutedBuffer(_Buffers):
                 buffer.add_many(pairs)
                 for pair in pairs:
                     put(*pair)
-            elif roll < 0.8:
-                if buffer.should_query_sort() or rng.random() < 0.3:
-                    buffer.query_sort()
             elif roll < 0.83:
                 flushed(buffer.drain())
                 assert buffer.is_empty
@@ -439,7 +476,7 @@ class TestExecutedBuffer(_Buffers):
     def test_tail_order_catches_up_by_insort_or_re_sort(self, monkeypatch):
         """``_tail_order`` stays the sorted prefix of the tail, checked by
         ``check_invariants`` after every step of appends, batches,
-        tombstones, lookups, ranges, query sorts and flushes; and a range
+        tombstones, lookups, ranges and flushes; and a range
         catches it up both ways, by insort when few keys arrived since the
         last range and by a re-sort when many did."""
         insorted = []
@@ -475,29 +512,13 @@ class TestExecutedBuffer(_Buffers):
                     else:
                         by_sort += 1
             elif roll < 0.97:
-                buffer.query_sort()
+                buffer.lookup(key)
             else:
                 buffer.drain()
             if buffer.is_full:
                 buffer.prepare_flush()
             buffer.check_invariants()
         assert by_insort and by_sort, (by_insort, by_sort)
-
-    def test_query_sort_runs_no_sort_kernel(self, monkeypatch):
-        buffer = self.make_buffer()
-        for key in (10, 11, 12, 5, 3, 9, 3):
-            buffer.add(key, key * 2)
-        before = buffer.all_entries()
-
-        def refuse(*args):
-            raise AssertionError("a query sort ran a sort kernel")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "stable_argsort", refuse)
-            buffer.query_sort()
-        assert (buffer.n_blocks, buffer.tail_size) == (1, 0)
-        assert buffer.all_entries() == before  # nothing moved
-        assert buffer.lookup(3) == (HIT, 6)
 
     def test_allocates_no_filter_zonemap_or_estimate(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -510,7 +531,6 @@ class TestExecutedBuffer(_Buffers):
             buffer.add(key, key)
             assert buffer.lookup(key) == (HIT, key)
         buffer.range_run(0, 9)
-        buffer.query_sort()
         buffer.drain()
         assert not any(
             isinstance(value, (BloomFilter, PageZonemaps, RunningSortednessEstimate))

@@ -150,23 +150,84 @@ class TestRangeQueries:
 
 
 class TestQueryDrivenSortingIntegration:
+    """The §IV-C trigger is the metered index's: no answer depends on a
+    query-sorted block, so an unmetered read fires none."""
+
     def test_reads_trigger_query_sorting(self):
-        index = sa_btree(capacity=64, page_size=8, query_sorting_threshold=0.10)
-        index.insert(50, 50)
-        for key in range(20):  # out-of-order tail
-            index.insert(key, key)
-        before = index.stats.query_sorts
-        index.get(3)
-        assert index.stats.query_sorts == before + 1
-        assert index.get(3) == 3
+        for meter, sorts in ((Meter(), 1), (None, 0)):
+            index = sa_btree(capacity=64, page_size=8, meter=meter, query_sorting_threshold=0.10)
+            index.insert(50, 50)
+            for key in range(20):  # out-of-order tail
+                index.insert(key, key)
+            assert index.get(3) == 3
+            assert index.stats.query_sorts == sorts
+            assert index.get(3) == 3
+            assert index.describe()["buffer"]["blocks"] == [20] * sorts
 
     def test_range_queries_also_trigger(self):
-        index = sa_btree(capacity=64, page_size=8, query_sorting_threshold=0.10)
+        index = sa_btree(capacity=64, page_size=8, meter=Meter(), query_sorting_threshold=0.10)
         index.insert(50, 50)
         for key in range(20):
             index.insert(key, key)
         index.range_query(0, 5)
         assert index.stats.query_sorts >= 1
+
+
+class TestReadCounters:
+    """A GET counts what the buffer made of it, and a key outside the tree's
+    watermarks once more; ``lookups`` and ``tree_searches`` are sums."""
+
+    #: key -> (answer, the counters it moves); the tree holds 100..199, the
+    #: buffer main 300..309 with 305 tombstoned and a tail key 150, so its
+    #: Zonemap is [150, 309].
+    OUTCOMES = {
+        120: (120, {"buffer_skips_by_zonemap"}),  # a Zonemap skip to the tree
+        50: (None, {"buffer_skips_by_zonemap", "watermark_misses"}),
+        150: ("tail", {"buffer_hits"}),
+        303: (303, {"buffer_hits"}),  # in main
+        305: (None, {"buffer_tombstone_hits"}),
+        160: (160, {"buffer_misses"}),  # a probe miss to the tree
+        250: (None, {"buffer_misses", "watermark_misses"}),
+    }
+
+    #: the stored read-path counters (a metered probe moves the filter walk's too)
+    COUNTERS = ("buffer_hits", "buffer_tombstone_hits", "buffer_skips_by_zonemap",
+                "buffer_misses", "watermark_misses")
+
+    def _index(self, metered):
+        index = sa_btree(meter=Meter() if metered else None, query_sorting_threshold=1.0)
+        index.put_many([(key, key) for key in range(100, 200)])
+        index.flush_all()
+        index.put_many([(key, key) for key in range(300, 310)])
+        index.insert(150, "tail")
+        index.delete(305)
+        return index
+
+    @pytest.mark.parametrize("metered", [False, True], ids=["unmetered", "metered"])
+    def test_each_get_moves_its_counters_once(self, metered):
+        index = self._index(metered)
+        for key, (answer, counters) in self.OUTCOMES.items():
+            before = index.stats.snapshot()
+            assert index.get(key) == answer
+            after = index.stats.snapshot()
+            assert {name: after[name] - before[name] for name in self.COUNTERS} == {
+                name: int(name in counters) for name in self.COUNTERS}, key
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["get", "get_many"])
+    @pytest.mark.parametrize("metered", [False, True], ids=["unmetered", "metered"])
+    def test_sums_match_a_hand_count(self, metered, batch):
+        index = self._index(metered)
+        keys = list(self.OUTCOMES)
+        answers = index.get_many(keys) if batch else [index.get(key) for key in keys]
+        assert answers == [answer for answer, _counters in self.OUTCOMES.values()]
+        counted = [name for _answer, counters in self.OUTCOMES.values() for name in counters]
+        stats = index.stats.snapshot()
+        for name in self.COUNTERS:
+            assert stats[name] == counted.count(name), name
+        # 120 and 160 reached the tree; all seven were lookups.
+        assert (stats["lookups"], stats["tree_searches"]) == (7, 2)
+        assert (index.stats.lookups, index.stats.tree_searches) == (7, 2)
+        assert stats["buffer_skips_by_zonemap"] == 2
 
 
 class TestDescribe:
@@ -229,7 +290,7 @@ class TestCostAccounting:
 
     def test_unmetered_index_makes_no_meter_call(self, monkeypatch):
         # The tree bills a meter of its own, so only the index layer could
-        # reach the null meter: every verb, flush and query sort must not.
+        # reach the null meter: every verb and flush must not.
         def refuse(*args):
             raise AssertionError("the unmetered index called the null meter")
 
@@ -260,7 +321,7 @@ class TestCostAccounting:
         del model[44], model[3]
         check()
         stats = index.stats
-        assert stats.query_sorts == 1
+        assert stats.query_sorts == 0  # the trigger is the metered index's
         assert stats.buffer_skips_by_zonemap and stats.buffer_hits
         assert stats.buffer_tombstone_hits and stats.tree_searches
         assert stats.lookups > stats.buffer_hits + stats.buffer_tombstone_hits + stats.tree_searches
@@ -317,10 +378,10 @@ class TestCostAccounting:
 
     @key_domains
     def test_unmetered_lookup_runs_no_interpolation(self, domain, monkeypatch):
-        # Lookups that reach the main section and two query-sorted blocks
-        # (one a constant run): hits, misses, tombstones and a key updated
-        # inside a block. Results come from bisect; only a meter runs §IV-B's
-        # interpolation search, to bill it.
+        # Lookups that reach the main section and, under a meter, two
+        # query-sorted blocks (one a constant run): hits, misses, tombstones
+        # and a key updated inside a block. Results come from bisect; only a
+        # meter runs §IV-B's interpolation search, to bill it.
         shift = domain.shift
         ops = [("put", key, key) for key in range(100, 140)] + [("flush",)]
         ops += [("put", key, key) for key in range(0, 32, 2)]  # the main section
@@ -340,9 +401,9 @@ class TestCostAccounting:
                     model.pop(args[0] + shift, None)
                 elif op == "flush":
                     index.flush_all()
-                else:
+                elif meter is not None:  # only the metered buffer has blocks
                     index.buffer.query_sort()
-            assert index.buffer.n_blocks == 2 and index.buffer._main.keys
+            assert index.buffer._main.keys and (meter is None or index.buffer.n_blocks == 2)
             return index, model
 
         probes = [key + shift for key in (*range(-2, 45), 120, 150)]
@@ -365,7 +426,7 @@ class TestCostAccounting:
     def test_unmetered_tail_probe_touches_no_filter(self, domain, monkeypatch):
         # Tail probes answer from the buffer's slot index: hits, keys put
         # twice (the newest wins), tombstones and misses, before and after a
-        # query sort and a flush. Only a meter walks §IV-A's filters.
+        # flush. Only a meter walks §IV-A's filters.
         def refuse(*args):
             raise AssertionError("an unmetered tail probe consulted a filter")
 
@@ -386,7 +447,7 @@ class TestCostAccounting:
                     model[key] = value
 
         def check():
-            assert index.buffer.tail_size
+            assert index.buffer._tail_keys
             probes = [key + shift for key in range(-2, 50)]
             expected = [model.get(key) for key in probes]
             assert [index.get(key) for key in probes] == expected
@@ -395,7 +456,6 @@ class TestCostAccounting:
         apply(*((key, key) for key in range(10, 20)))  # the main section
         apply((5, "a"), (30, "b"), (7, "c"), (30, "d"), (7, None), (12, "e"), (7, "f"))
         check()
-        index.buffer.query_sort()
         apply((8, "g"), (30, "h"), (12, None), (8, "i"))
         check()
         index.flush_all()
